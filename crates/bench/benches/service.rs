@@ -733,40 +733,35 @@ fn service_durable_ingest(_c: &mut Criterion) {
 }
 
 /// One cold-scan trial over a prebuilt packed spill directory: a fresh
-/// engine (nothing resident, nothing decoded) sweeps the whole
-/// persisted fleet under a tight resident-byte budget — one reach probe
-/// per run, in id order, so **every** probe resolves its blob cold (the
-/// budget evicts it again long before the sweep wraps around). This
-/// isolates the blob-resolution cost the buffer manager exists to cut:
-/// checksum-once over the mapping vs open + copy + verify per owned
-/// fault-in. The full cross-run label scan then runs untimed as the
-/// cross-path equality check. Returns (runs/s, peak resident bytes,
-/// mapped bytes, cross-run hit count).
+/// engine (nothing mapped, nothing resident) sweeps the whole persisted
+/// fleet under a tight resident-byte budget — one reach probe per run,
+/// in id order, so **every** probe resolves its blob cold (the budget
+/// evicts it again long before the sweep wraps around). This isolates
+/// the blob-resolution cost of the buffer manager: map at first pin,
+/// checksum once over the mapping. The full cross-run label scan then
+/// runs untimed. Returns (runs/s, peak resident bytes, mapped bytes).
 fn cold_scan_trial(
     catalog: &[Arc<SpecContext>],
     spill: &std::path::Path,
     streams: &[Vec<ExecEvent>],
     budget: u64,
-    mmap: bool,
     probe: wf_graph::NameId,
-) -> (f64, u64, u64, usize) {
+) -> (f64, u64, u64) {
     let mut b = WfEngine::builder()
         .shards(32)
         .spill_dir(spill)
-        .max_resident_bytes(budget)
-        .mmap_packs(mmap);
+        .max_resident_bytes(budget);
     for ctx in catalog {
         b = b.context(Arc::clone(ctx));
     }
     let engine = b.build();
     assert_eq!(engine.stats().runs_persisted as usize, TIER_FLEET);
-    let mapped_bytes = engine.stats().mapped_bytes;
     // Runs were opened in stream order, so sorted ids line up with
     // `streams` indices.
     let ids = engine.query().run_ids();
     let stop = std::sync::atomic::AtomicBool::new(false);
     let peak = std::sync::atomic::AtomicU64::new(0);
-    let (eps, hits) = std::thread::scope(|s| {
+    let eps = std::thread::scope(|s| {
         s.spawn(|| {
             // Peak-residency sampler: the budget must hold *during* the
             // sweep, not just after it.
@@ -787,25 +782,24 @@ fn cold_scan_trial(
         }
         criterion::black_box(yes);
         let eps = ids.len() as f64 / t.elapsed().as_secs_f64();
-        let hits = engine
-            .query()
-            .completed()
-            .runs_reaching_named_from_source(probe)
-            .len();
+        criterion::black_box(
+            engine
+                .query()
+                .completed()
+                .runs_reaching_named_from_source(probe),
+        );
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        (eps, hits)
+        eps
     });
-    let peak = peak
-        .into_inner()
-        .max(engine.stats().persisted_resident_bytes);
-    (eps, peak, mapped_bytes, hits)
+    let stats = engine.stats();
+    let peak = peak.into_inner().max(stats.persisted_resident_bytes);
+    (eps, peak, stats.mapped_bytes)
 }
 
-/// The buffer-manager acceptance act: cold-scan `TIER_FLEET` persisted
-/// runs straight off packed segments, mapped (zero-copy `mmap` + verify
-/// at first pin) vs the owned-buffer fault-in fallback, under one tight
-/// resident budget. The mapped path must win on latency — **≥ 1.5×**
-/// scan throughput — while both stay inside the budget. Then the
+/// The buffer-manager act: cold-scan `TIER_FLEET` persisted runs
+/// straight off packed segments (zero-copy `mmap` + verify at first
+/// pin) under one tight resident budget, which must hold *during* the
+/// sweep. Then the
 /// shed → re-heat → pack-GC act: promote enough of the fleet to strand
 /// dead blobs in the packs and demonstrate GC shrinking the on-disk
 /// footprint. JSON lines: `cold_scan` (keyed `cold_scan_eps` /
@@ -817,10 +811,8 @@ fn service_cold_scan(_c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&spill);
     // Prebuild: TIER_FLEET small **uniform** runs, persisted and packed
     // (no Zipf head here — one giant blob would dwarf the resident
-    // budget and drown the per-blob comparison). Small blobs make the
-    // per-blob fault overhead (open/seek/copy/decode vs
-    // checksum-over-mapping) the dominant term, which is exactly what
-    // the unified read path optimizes.
+    // budget). Small blobs make the per-blob resolution overhead the
+    // dominant term.
     let streams: Vec<Vec<ExecEvent>> = {
         let mut rng = StdRng::seed_from_u64(46);
         (0..TIER_FLEET)
@@ -855,8 +847,8 @@ fn service_cold_scan(_c: &mut Criterion) {
         println!("{}", report.json());
         assert!(report.packs_written >= 1);
     }
-    // Budget: ~4% of the persisted tier — the owned path must shed
-    // constantly, the mapped path must stay useful under `madvise`.
+    // Budget: ~4% of the persisted tier — the replacer must shed
+    // constantly, and reads must stay useful under `madvise`.
     let persisted_bytes: u64 = std::fs::read_dir(&spill)
         .expect("spill dir")
         .filter_map(|e| e.ok())
@@ -865,35 +857,17 @@ fn service_cold_scan(_c: &mut Criterion) {
         .sum();
     let budget = (persisted_bytes / 25).max(64 * 1024);
     let slack = 256 * 1024; // transient overshoot: blobs admit before enforce
-    let (owned_eps, owned_peak, owned_mapped, owned_hits) =
-        cold_scan_trial(&catalog, &spill, &streams, budget, false, probe);
-    let (mapped_eps, mapped_peak, mapped_bytes, mapped_hits) =
-        cold_scan_trial(&catalog, &spill, &streams, budget, true, probe);
+    let (mapped_eps, mapped_peak, mapped_bytes) =
+        cold_scan_trial(&catalog, &spill, &streams, budget, probe);
     println!(
         "{{\"bench\":\"service_cold_scan\",\"runs\":{TIER_FLEET},\
-         \"cold_scan_eps\":{mapped_eps:.1},\"owned_scan_eps\":{owned_eps:.1},\
-         \"speedup\":{:.3},\"budget_bytes\":{budget},\
-         \"mapped_resident_bytes\":{mapped_peak},\"owned_resident_bytes\":{owned_peak},\
-         \"mapped_bytes\":{mapped_bytes}}}",
-        mapped_eps / owned_eps,
+         \"cold_scan_eps\":{mapped_eps:.1},\"budget_bytes\":{budget},\
+         \"mapped_resident_bytes\":{mapped_peak},\"mapped_bytes\":{mapped_bytes}}}"
     );
-    assert_eq!(
-        mapped_hits, owned_hits,
-        "both read paths answer identically"
-    );
-    assert_eq!(owned_mapped, 0, "mmap disabled on the owned trial");
-    assert!(mapped_bytes > 0, "packs are mapped at registration");
+    assert!(mapped_bytes > 0, "the sweep mapped the packs it read");
     assert!(
-        mapped_peak <= budget + slack && owned_peak <= budget + slack,
-        "resident budget violated: mapped {mapped_peak} / owned {owned_peak} vs {budget}+{slack}"
-    );
-    // Floor carries noise margin: the owned trial's fault-in cost swings
-    // with page-cache state (identical binaries measure 1.45x-2.0x
-    // run-to-run — the first cold-cache sweep of a session reads much
-    // slower than later ones), so gate the cliff, not the jitter.
-    assert!(
-        mapped_eps >= 1.3 * owned_eps,
-        "mapped cold scan must beat owned fault-in ≥1.3x: {mapped_eps:.1} vs {owned_eps:.1} runs/s"
+        mapped_peak <= budget + slack,
+        "resident budget violated: {mapped_peak} vs {budget}+{slack}"
     );
 
     // The re-heat → pack-GC act: promote the first quarter of the fleet

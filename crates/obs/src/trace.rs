@@ -24,7 +24,7 @@ pub fn next_span_id() -> u64 {
 pub struct TraceEvent {
     /// Nanoseconds since the ring was created (engine start).
     pub ts_ns: u64,
-    /// Event kind, e.g. `"freeze"`, `"fault_in"`, `"shed"`.
+    /// Event kind, e.g. `"freeze"`, `"pack_pin"`, `"shed"`.
     pub kind: &'static str,
     /// Run the event concerns, when applicable.
     pub run_id: Option<u64>,
@@ -267,7 +267,7 @@ mod tests {
     fn event_json_shape() {
         let e = TraceEvent {
             ts_ns: 12,
-            kind: "fault_in",
+            kind: "pack_pin",
             run_id: Some(7),
             tier: Some("persisted"),
             dur_ns: 3400,
@@ -278,7 +278,7 @@ mod tests {
         };
         assert_eq!(
             e.json(),
-            "{\"ts_ns\":12,\"kind\":\"fault_in\",\"run\":7,\"tier\":\"persisted\",\
+            "{\"ts_ns\":12,\"kind\":\"pack_pin\",\"run\":7,\"tier\":\"persisted\",\
              \"dur_ns\":3400,\"trace\":9,\"span\":11,\"parent\":9,\"detail\":\"bytes=128\"}"
         );
         let bare = TraceEvent {

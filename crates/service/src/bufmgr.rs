@@ -1,46 +1,39 @@
 //! **wf-bufmgr** — the mmap buffer manager under the persisted tier.
 //!
-//! PR 5's read path faulted every cold query through an owned
-//! `Vec<u8>`: seek, read, allocate, checksum, *decode every label* —
-//! per run, per fault. At 10⁵ persisted runs a cold cross-run scan is
-//! bounded by memcpys and allocator churn, not disk. This module turns
-//! packed segment files into a page-cache-speed storage engine:
+//! Every file in the spill directory is a pack: one or more
+//! self-checksummed segment blobs back to back (a fresh spill writes a
+//! pack of one; compaction and pack GC write bigger ones). Packs are
+//! immutable by construction (temp file → fsync → rename; never modified
+//! in place), so each one can be mapped once, checksummed once per blob
+//! and read in place for as long as it is registered:
 //!
-//! * [`PackMapping`] — each `pack-<seq>.wfseg` is `mmap`'d **once** at
-//!   registration (read-only, shared). Packs are immutable by
-//!   construction (temp file → fsync → rename; never modified in
-//!   place), so a mapping stays byte-identical for its whole life and
-//!   checksums need verifying only once, at first pin.
+//! * [`PackFile`] — one registered pack. The file is `mmap`'d **at first
+//!   pin**, not at registration (one shared `OnceLock` per file), so a
+//!   pack nobody reads costs no VMA and no address space.
+//! * [`PackMapping`] — the mapping itself (read-only, shared). It stays
+//!   byte-identical for its whole life, so checksums need verifying only
+//!   once, at first pin.
 //! * [`MappedRun`] — one run's blob resolved to a pinned byte range
 //!   *inside* the mapping: a parsed header plus absolute slot/arena
 //!   offsets. Queries binary-search the slot table and Elias-gamma
 //!   decode labels **straight off the mapping** — no copy, no
-//!   allocation, no eager whole-arena validation.
-//! * [`Replacer`] — the victim-selection policy behind the store's
-//!   `SegmentLru`, made pluggable and **pin-aware**: entries with live
-//!   [`crate::snapshot::SegmentPin`]s are never victims, owned arenas
-//!   are dropped, and mapped ranges are evicted with
-//!   `madvise(MADV_DONTNEED)` — the pages go back to the kernel, the
+//!   allocation, no eager whole-arena validation. Eviction is
+//!   `madvise(MADV_DONTNEED)`: the pages go back to the kernel, the
 //!   metadata stays, and the next pin re-faults at page-cache speed.
 //! * [`EpochRegistry`] — the version lifecycle for pack files. Pack GC
 //!   and compaction rewrite packs while scans are mid-flight; every
 //!   cross-run scan pins the current epoch, a rewrite retires the old
 //!   files under the *next* epoch, and a retired file is unlinked only
 //!   once no guard from an earlier epoch survives. In-flight readers
-//!   therefore always see the pre-rewrite pack set, whichever path
-//!   (mapped or owned fault-in) they resolve through.
-//!
-//! Loose `run-<id>.wfseg` files keep the owned-buffer fault-in path:
-//! they are transient (compaction packs them away), so mapping each one
-//! would cost a VMA per run for no steady-state win.
+//!   therefore always see the pre-rewrite pack set.
 
-use crate::snapshot::{verify_segment_bytes, PersistedRun, SegmentHeader, SnapshotError};
+use crate::snapshot::{verify_segment_bytes, SegmentHeader, SnapshotError, HEADER_LEN};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use wf_drl::{decode_label, ArenaSlot, DrlLabel, LabelArena};
 use wf_graph::{NameId, VertexId};
 
@@ -73,7 +66,7 @@ mod ffi {
 
 /// How a pack file's bytes are held: a real `mmap` on unix, or the
 /// whole file read into an owned buffer where mapping is unavailable
-/// (non-unix targets, or an `mmap` that failed at registration). Both
+/// (non-unix targets, or an `mmap` that refused). Both
 /// variants serve the identical zero-copy [`MappedRun`] read path; only
 /// eviction differs (`madvise` vs nothing — the owned fallback frees
 /// with the mapping itself).
@@ -96,13 +89,54 @@ impl std::fmt::Debug for PackBytes {
     }
 }
 
-/// One pack file mapped for the life of its registration. Dropped when
-/// the last [`MappedRun`] (or retired-pack record) referencing it goes
-/// — unmapping then is safe even if GC already unlinked the file (the
+/// One pack file of the spill directory, shared by every run registered
+/// in it. Registration only names the file; the mapping is established
+/// by the first pin that needs bytes and then lives as long as any
+/// registration, [`MappedRun`] or retired-pack record holds this handle
+/// — unmapping is safe even after a rewrite unlinked the file (the
 /// inode survives until the final `munmap`).
 #[derive(Debug)]
-pub struct PackMapping {
+pub struct PackFile {
     path: PathBuf,
+    /// `None` once an open failed: sticky, so a vanished file is not
+    /// re-opened on every query.
+    mapping: OnceLock<Option<Arc<PackMapping>>>,
+    /// The store's `mapped_bytes` gauge, handed to the mapping.
+    gauge: Arc<AtomicU64>,
+}
+
+impl PackFile {
+    pub(crate) fn new(path: PathBuf, gauge: Arc<AtomicU64>) -> Arc<Self> {
+        Arc::new(Self {
+            path,
+            mapping: OnceLock::new(),
+            gauge,
+        })
+    }
+
+    /// The file this handle names.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The file's mapping, established on first call.
+    pub(crate) fn mapping(&self) -> Option<Arc<PackMapping>> {
+        self.mapping
+            .get_or_init(|| PackMapping::open(&self.path, Arc::clone(&self.gauge)).ok())
+            .clone()
+    }
+
+    /// On-disk size, with a fallback when the file cannot be stat'd
+    /// (already retired under a newer epoch, exotic filesystem).
+    pub(crate) fn disk_len(&self, fallback: u64) -> u64 {
+        fs::metadata(&self.path).map_or(fallback, |m| m.len())
+    }
+}
+
+/// One pack file mapped read-only, from first pin until the last
+/// [`PackFile`] handle or [`MappedRun`] referencing it drops.
+#[derive(Debug)]
+pub struct PackMapping {
     bytes: PackBytes,
     /// Shared gauge of live mapped bytes (the store's `mapped_bytes`):
     /// incremented on map, decremented on drop.
@@ -117,8 +151,8 @@ unsafe impl Sync for PackMapping {}
 impl PackMapping {
     /// Map `path` read-only. Falls back to reading the whole file into
     /// an owned buffer when `mmap` is unavailable or refuses (empty
-    /// file, exotic filesystem) — registration never fails over the
-    /// mapping strategy, only over unreadable bytes.
+    /// file, exotic filesystem) — a pin never fails over the mapping
+    /// strategy, only over unreadable bytes.
     pub fn open(path: &Path, gauge: Arc<AtomicU64>) -> io::Result<Arc<Self>> {
         let file = fs::File::open(path)?;
         let len = file.metadata()?.len() as usize;
@@ -134,11 +168,7 @@ impl PackMapping {
                 PackBytes::Owned(buf.into_boxed_slice())
             }
         };
-        Ok(Arc::new(Self {
-            path: path.to_path_buf(),
-            bytes,
-            gauge,
-        }))
+        Ok(Arc::new(Self { bytes, gauge }))
     }
 
     #[cfg(unix)]
@@ -169,11 +199,6 @@ impl PackMapping {
     #[cfg(not(unix))]
     fn map(_file: &fs::File, _len: usize) -> Option<PackBytes> {
         None
-    }
-
-    /// The file this mapping covers.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// True when the bytes are a real `mmap` (vs the owned fallback).
@@ -242,8 +267,7 @@ impl Drop for PackMapping {
     }
 }
 
-/// One persisted run resolved to a byte range inside a [`PackMapping`]:
-/// the zero-copy replacement for the owned `FrozenRun` fault-in.
+/// One persisted run resolved to a byte range inside a [`PackMapping`].
 /// Constructed once per registration — the construction runs the full
 /// framing + checksum verification (§ "checksums verify once at first
 /// pin") — then reused across every later pin; eviction only drops the
@@ -280,7 +304,7 @@ impl MappedRun {
             .slice(offset, len)
             .ok_or_else(|| SnapshotError::Format("blob range outside mapped pack".into()))?;
         let header = verify_segment_bytes(blob)?;
-        let slots_off = offset as usize + header.len();
+        let slots_off = offset as usize + HEADER_LEN;
         let bytes_off = slots_off + header.count as usize * ArenaSlot::WIRE_BYTES;
         Ok(Self {
             map,
@@ -310,9 +334,9 @@ impl MappedRun {
     }
 
     /// Binary search the on-disk slot table (sorted by vertex — the
-    /// invariant `verify_segment_bytes` leaves to the encoder and the
-    /// owned path re-checks in `LabelArena::from_parts`; a violation
-    /// here merely misses a lookup).
+    /// invariant `verify_segment_bytes` leaves to the encoder and
+    /// `LabelArena::from_parts` re-checks on re-heat; a violation here
+    /// merely misses a lookup).
     fn find(&self, v: VertexId) -> Option<usize> {
         let count = self.header.count as usize;
         let (mut lo, mut hi) = (0usize, count);
@@ -378,34 +402,14 @@ impl MappedRun {
     }
 }
 
-/// The victim-selection policy behind the segment replacer: given the
-/// *evictable* residents (unpinned — entries under a live
-/// [`crate::snapshot::SegmentPin`] are filtered out before this is
-/// called), order them cheapest-to-lose **first**. The enforcement loop
-/// sheds in rank order until the resident-byte budget holds.
-pub(crate) trait Replacer: Send + Sync + std::fmt::Debug {
-    fn rank(&self, victims: &mut Vec<Arc<PersistedRun>>);
-}
-
-/// The default policy (PR 5's `SegmentLru` ordering): least recently
-/// queried first, oldest freeze time breaking ties.
-#[derive(Debug, Default)]
-pub(crate) struct RecencyReplacer;
-
-impl Replacer for RecencyReplacer {
-    fn rank(&self, victims: &mut Vec<Arc<PersistedRun>>) {
-        victims.sort_by_key(|p| (p.last_access.load(Ordering::Relaxed), p.frozen_at));
-    }
-}
-
 /// The pack-set version lifecycle: readers pin the current epoch for
 /// the duration of a scan; a rewrite (compaction or pack GC) retires
 /// the files it replaced under a **new** epoch; retired files are
 /// unlinked only when no reader pinned at or before their retirement
 /// epoch survives. Readers therefore always finish against the pack
-/// set they started with — mapped readers trivially (the `mmap`
-/// outlives the unlink), owned-fallback readers because the *file*
-/// outlives their guard.
+/// set they started with: a reader that already mapped a retired file
+/// keeps its `mmap` past the unlink, and one that has not yet can still
+/// open it, because the *file* outlives their guard.
 #[derive(Debug, Default)]
 pub(crate) struct EpochRegistry {
     inner: Mutex<EpochInner>,
@@ -418,9 +422,9 @@ struct EpochInner {
     /// Live guard count per pinned epoch.
     pins: BTreeMap<u64, usize>,
     /// Files awaiting deletion, stamped with the epoch that retired
-    /// them. A held mapping rides along so `munmap` is deferred with
-    /// the unlink.
-    retired: Vec<(u64, PathBuf, Option<Arc<PackMapping>>)>,
+    /// them. The handle carries the file's mapping, so `munmap` is
+    /// deferred with the unlink.
+    retired: Vec<(u64, Arc<PackFile>)>,
 }
 
 impl EpochRegistry {
@@ -453,17 +457,14 @@ impl EpochRegistry {
     /// A rewrite replaced `files`: advance the epoch and queue the old
     /// files for deletion once every guard pinned at the pre-advance
     /// epoch (or earlier) has dropped. Returns the new current epoch.
-    pub(crate) fn retire(
-        &self,
-        files: impl IntoIterator<Item = (PathBuf, Option<Arc<PackMapping>>)>,
-    ) -> u64 {
+    pub(crate) fn retire(&self, files: impl IntoIterator<Item = Arc<PackFile>>) -> u64 {
         let (next, collectable) = {
             let mut inner = self.inner.lock().expect("epoch registry poisoned");
             let stamp = inner.current;
             inner.current += 1;
-            for (path, map) in files {
-                inner.retired.push((stamp, path, map));
-            }
+            inner
+                .retired
+                .extend(files.into_iter().map(|file| (stamp, file)));
             (inner.current, Self::drain_collectable(&mut inner))
         };
         Self::delete(collectable);
@@ -471,25 +472,21 @@ impl EpochRegistry {
     }
 
     /// Retired entries whose epoch precedes every live pin.
-    fn drain_collectable(inner: &mut EpochInner) -> Vec<(PathBuf, Option<Arc<PackMapping>>)> {
+    fn drain_collectable(inner: &mut EpochInner) -> Vec<Arc<PackFile>> {
         let min_pinned = inner.pins.keys().next().copied();
-        let mut out = Vec::new();
-        inner.retired.retain_mut(|(epoch, path, map)| {
-            let safe = min_pinned.is_none_or(|min| *epoch < min);
-            if safe {
-                out.push((std::mem::take(path), map.take()));
-            }
-            !safe
-        });
-        out
+        let (safe, blocked): (Vec<_>, Vec<_>) = std::mem::take(&mut inner.retired)
+            .into_iter()
+            .partition(|(epoch, _)| min_pinned.is_none_or(|min| *epoch < min));
+        inner.retired = blocked;
+        safe.into_iter().map(|(_, file)| file).collect()
     }
 
-    fn delete(files: Vec<(PathBuf, Option<Arc<PackMapping>>)>) {
-        for (path, map) in files {
-            // Unlink first, then drop the mapping: a mapped reader that
-            // still holds its own Arc keeps the inode alive regardless.
-            let _ = fs::remove_file(&path);
-            drop(map);
+    fn delete(files: Vec<Arc<PackFile>>) {
+        for file in files {
+            // Unlink first, then drop the handle (and with it, possibly,
+            // the mapping): a mapped reader that still holds its own Arc
+            // keeps the inode alive regardless.
+            let _ = fs::remove_file(file.path());
         }
     }
 
@@ -501,7 +498,7 @@ impl EpochRegistry {
             .expect("epoch registry poisoned")
             .retired
             .iter()
-            .map(|(_, path, _)| path.clone())
+            .map(|(_, file)| file.path().to_path_buf())
             .collect()
     }
 }
@@ -542,7 +539,7 @@ impl Drop for EpochGuard {
 mod tests {
     use super::*;
 
-    fn temp_file(tag: &str) -> PathBuf {
+    fn temp_file(tag: &str) -> Arc<PackFile> {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "wf-epoch-{tag}-{}-{}.wfseg",
@@ -550,7 +547,7 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         fs::write(&path, b"retired pack bytes").unwrap();
-        path
+        PackFile::new(path, Arc::default())
     }
 
     /// A file retired while a reader holds a pin stays on disk until
@@ -559,9 +556,10 @@ mod tests {
     #[test]
     fn retired_files_wait_for_prior_pins() {
         let reg = Arc::new(EpochRegistry::default());
-        let path = temp_file("wait");
+        let file = temp_file("wait");
+        let path = file.path().to_path_buf();
         let scan = reg.pin(); // pinned at epoch 0, before the rewrite
-        reg.retire([(path.clone(), None)]);
+        reg.retire([file]);
         let late = reg.pin(); // epoch 1 — after the rewrite
         assert_eq!((scan.epoch(), late.epoch()), (0, 1));
         assert!(path.exists(), "pre-rewrite reader still needs the file");
@@ -582,8 +580,9 @@ mod tests {
         assert_eq!(reg.current(), 5);
         reg.seed(3); // stale manifest cannot roll the clock back
         assert_eq!(reg.current(), 5);
-        let path = temp_file("now");
-        assert_eq!(reg.retire([(path.clone(), None)]), 6);
+        let file = temp_file("now");
+        let path = file.path().to_path_buf();
+        assert_eq!(reg.retire([file]), 6);
         assert!(!path.exists());
         assert!(reg.deferred_paths().is_empty());
     }
@@ -594,10 +593,10 @@ mod tests {
     fn stacked_rewrites_collect_together() {
         let reg = Arc::new(EpochRegistry::default());
         let scan = reg.pin();
-        let a = temp_file("a");
-        let b = temp_file("b");
-        reg.retire([(a.clone(), None)]);
-        reg.retire([(b.clone(), None)]);
+        let (fa, fb) = (temp_file("a"), temp_file("b"));
+        let (a, b) = (fa.path().to_path_buf(), fb.path().to_path_buf());
+        reg.retire([fa]);
+        reg.retire([fb]);
         assert_eq!(reg.deferred_paths().len(), 2);
         assert!(a.exists() && b.exists());
         drop(scan);

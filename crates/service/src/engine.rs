@@ -9,13 +9,12 @@
 //! `Arc` allocation its slot co-owns — the single `unsafe` in the
 //! workspace, with the invariants documented at the site.
 
-use crate::bufmgr::{EpochRegistry, PackMapping};
 use crate::freeze::freeze_slot;
 use crate::handle::RunHandle;
 use crate::index::LabelIndex;
 use crate::ingest::{BatchTracker, Envelope, IngestPool};
 use crate::query::CrossRunQuery;
-use crate::snapshot::{self, PersistedRun};
+use crate::spill::{file_stats, CompactionReport, FileStat, PackGcReport, SpillDir};
 use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::sub::{SubHub, SubPredicate, Subscription, DEFAULT_SUB_QUEUE_CAPACITY};
@@ -46,25 +45,6 @@ pub const DEFAULT_MAX_VERTEX_ID: u32 = (1 << 24) - 1;
 /// How many recent fire-and-forget ingest errors the engine retains for
 /// [`WfEngine::take_ingest_errors`].
 const INGEST_ERROR_RING: usize = 256;
-
-/// Default dead-blob ratio above which pack GC rewrites a pack file:
-/// once 30% of a pack's bytes belong to runs that left the persisted
-/// tier (re-heated or evicted), rewriting the live remainder wins back
-/// more disk than the copy costs.
-pub const DEFAULT_PACK_GC_DEAD_RATIO: f64 = 0.3;
-
-/// Whether `path` names a packed multi-run segment file.
-fn is_pack_file(path: &Path) -> bool {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n.starts_with("pack-") && n.ends_with(".wfseg"))
-}
-
-/// On-disk size of `path`, with a fallback when it cannot be stat'd
-/// (already retired under a newer epoch, exotic filesystem).
-fn file_size(path: &Path, fallback: u64) -> u64 {
-    std::fs::metadata(path).map_or(fallback, |m| m.len())
-}
 
 /// A labeler that co-owns the [`SpecContext`] it borrows from — the
 /// self-referential cell that lets per-run labeling state live inside an
@@ -275,8 +255,8 @@ pub(crate) struct TierPolicy {
     /// `LabelIndex`) once it has answered this many queries — sustained
     /// traffic earns the full in-memory representation back.
     pub(crate) hot_reheat_after: Option<u64>,
-    /// Run a compaction pass once this many *loose* segment files (files
-    /// below [`snapshot::MIN_PACK_RUNS`] runs) have accumulated.
+    /// Run a compaction pass once this many underfull pack files (fewer
+    /// than [`crate::snapshot::MIN_PACK_RUNS`] runs) have accumulated.
     pub(crate) compact_after: Option<usize>,
     /// Automatically GC packs whose dead-blob ratio exceeds the
     /// configured threshold.
@@ -291,104 +271,6 @@ impl TierPolicy {
             || self.hot_reheat_after.is_some()
             || self.compact_after.is_some()
             || self.pack_gc
-    }
-}
-
-/// Spill configuration: where segments go, plus the lock serializing
-/// segment + manifest writes and the pack-file sequence counter.
-pub(crate) struct SpillState {
-    pub(crate) dir: PathBuf,
-    pub(crate) manifest: Mutex<()>,
-    /// Next `pack-<seq>.wfseg` number (seeded past any packs already in
-    /// the directory, so restarts never reuse a name).
-    pub(crate) pack_seq: AtomicU64,
-}
-
-/// What one compaction pass did: how many segment files and logical
-/// bytes the persisted tier referenced before and after, and how many
-/// runs moved into freshly written packs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Distinct segment files referenced before the pass.
-    pub files_before: usize,
-    /// Distinct segment files referenced after the pass.
-    pub files_after: usize,
-    /// Sum of **on-disk file bytes** referenced before the pass. (Earlier
-    /// versions summed per-run blob bytes instead, which double-counted a
-    /// re-compacted pack's live blobs against the loose segments packed
-    /// alongside it while hiding its dead bytes entirely.)
-    pub bytes_before: u64,
-    /// Sum of on-disk file bytes referenced after the pass.
-    pub bytes_after: u64,
-    /// Dead blob bytes reclaimed by deleting migrated files — bytes that
-    /// belonged to re-heated or evicted runs and were carried by a
-    /// repacked file without being referenced. Reported separately so
-    /// packing (which moves live bytes) and GC (which drops dead ones)
-    /// never mix in one number.
-    pub dead_bytes_reclaimed: u64,
-    /// Runs rewritten into packs by this pass.
-    pub runs_packed: usize,
-    /// Pack files this pass wrote.
-    pub packs_written: usize,
-}
-
-impl CompactionReport {
-    /// One JSON line with the before/after file-count and byte stats —
-    /// what CI uploads as the `compaction-<sha>` artifact.
-    pub fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"metric\":\"compaction\",",
-                "\"files_before\":{},\"files_after\":{},",
-                "\"bytes_before\":{},\"bytes_after\":{},",
-                "\"dead_bytes_reclaimed\":{},",
-                "\"runs_packed\":{},\"packs_written\":{}}}"
-            ),
-            self.files_before,
-            self.files_after,
-            self.bytes_before,
-            self.bytes_after,
-            self.dead_bytes_reclaimed,
-            self.runs_packed,
-            self.packs_written,
-        )
-    }
-}
-
-/// What one pack-GC pass did: packs rewritten because their dead-blob
-/// ratio crossed the threshold, live runs moved into the rewrites, and
-/// the byte accounting over **pack files only** (loose per-run files
-/// are compaction's business, not GC's).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PackGcReport {
-    /// Packs rewritten by this pass.
-    pub packs_rewritten: usize,
-    /// Live runs re-registered into the rewritten packs.
-    pub runs_moved: usize,
-    /// Sum of pack-file bytes on disk before the pass.
-    pub bytes_before: u64,
-    /// Sum of pack-file bytes on disk after the pass.
-    pub bytes_after: u64,
-    /// Dead blob bytes the rewrites dropped.
-    pub dead_bytes_reclaimed: u64,
-}
-
-impl PackGcReport {
-    /// One JSON line for the `pack-gc-<sha>` CI artifact.
-    pub fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"metric\":\"pack_gc\",",
-                "\"packs_rewritten\":{},\"runs_moved\":{},",
-                "\"bytes_before\":{},\"bytes_after\":{},",
-                "\"dead_bytes_reclaimed\":{}}}"
-            ),
-            self.packs_rewritten,
-            self.runs_moved,
-            self.bytes_before,
-            self.bytes_after,
-            self.dead_bytes_reclaimed,
-        )
     }
 }
 
@@ -464,15 +346,10 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     pub(crate) catalog: Box<[Arc<SpecContext<S>>]>,
     /// The tiered run registry (hot / frozen / persisted).
     pub(crate) store: LabelStore<S>,
-    /// The per-run vertex-id ceiling, behind a mutex so the freeze check
-    /// in [`WfEngine::set_max_vertex_id`] and the ceiling read in
-    /// `open_run` serialize: a run can never be sized against a ceiling
-    /// a concurrent (successful) reconfiguration disowns.
-    max_vertex_id: Mutex<u32>,
+    /// The per-run vertex-id ceiling every run's tables are sized
+    /// against.
+    max_vertex_id: u32,
     next_run: AtomicU64,
-    /// Where `next_run` started (above reloaded persisted history): the
-    /// config-freeze check compares against this, not zero.
-    first_run: u64,
     pub(crate) draining: AtomicBool,
     /// All observability state: counters, histograms, the trace ring.
     pub(crate) obs: Arc<Telemetry>,
@@ -489,8 +366,8 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     ingest_errors: Mutex<VecDeque<(RunId, ServiceError)>>,
     /// The automatic tiering policy.
     pub(crate) policy: TierPolicy,
-    /// Spill directory, when persistence is configured.
-    pub(crate) spill: Option<SpillState>,
+    /// The spill directory, when persistence is configured.
+    pub(crate) spill: Option<SpillDir>,
     /// The durable ingest log, when [`EngineBuilder::wal_dir`] is set:
     /// every open/insert/complete is appended *before* it is applied, so
     /// a crash loses at most the un-synced batch tail, never applied
@@ -512,24 +389,6 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     watchdog_stop: AtomicBool,
     watchdog_lock: Mutex<()>,
     watchdog_cv: Condvar,
-    /// Last spills+compactions+reheats sum the segment policy observed —
-    /// the cheap "did the persisted tier change shape" stamp that gates
-    /// the per-tick loose-file census. Starts at `u64::MAX` so the first
-    /// pass always counts (reloaded history may already need packing).
-    segment_policy_stamp: AtomicU64,
-    /// The pack-set epoch lifecycle: cross-run scans pin the current
-    /// epoch; compaction/GC rewrites retire replaced files under the
-    /// next one, deferring the unlink past every in-flight reader.
-    pub(crate) epochs: Arc<EpochRegistry>,
-    /// Whether pack files are `mmap`'d at registration (the zero-copy
-    /// read path); off = every fault-in is an owned buffer read.
-    pub(crate) mmap_packs: bool,
-    /// Dead-blob ratio above which pack GC rewrites a pack.
-    pub(crate) pack_gc_dead_ratio: f64,
-    /// One live mapping per pack file, shared by every run registered
-    /// in it. Entries leave when a rewrite retires the file (the
-    /// mapping then rides on the epoch registry until safe to drop).
-    pack_mappings: Mutex<HashMap<PathBuf, Arc<PackMapping>>>,
 }
 
 /// Fibonacci hash of a run id — the single routing function shared by
@@ -712,47 +571,23 @@ impl<S: SpecLabeling> EngineShared<S> {
         Ok(())
     }
 
-    /// Spill one run to disk: freeze it if still hot, write the segment
-    /// and manifest, and replace the in-memory arena with a lazily
-    /// loaded persisted entry. Idempotent for already-persisted runs.
+    /// Spill one run to disk: freeze it if still hot, write its pack
+    /// and the manifest, and replace the in-memory arena with a lazily
+    /// mapped persisted entry. Idempotent for already-persisted runs.
     pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
         let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
-        match self.store.view(run) {
-            Some(RunView::Persisted(_)) => return Ok(()),
-            Some(RunView::Hot(_)) => self.freeze(run)?,
-            Some(RunView::Frozen(_)) => {}
-            None => return Err(ServiceError::UnknownRun(run)),
+        if let Some(RunView::Hot(_)) = self.store.view(run) {
+            self.freeze(run)?;
         }
         let frozen = match self.store.view(run) {
             Some(RunView::Frozen(f)) => f,
             Some(RunView::Persisted(_)) => return Ok(()),
             _ => return Err(ServiceError::UnknownRun(run)),
         };
-        // One spill at a time: segment write + manifest rewrite are a
-        // unit, and the manifest always lists the full persisted set.
-        let _g = spill.manifest.lock().expect("manifest lock poisoned");
-        let span = self.obs.timer();
-        let (path, bytes) = snapshot::write_segment(&spill.dir, &frozen)
-            .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
-        let persisted = Arc::new(PersistedRun::from_frozen(
-            &frozen,
-            path.clone(),
-            bytes,
-            Arc::clone(&self.store.lru),
-        ));
-        if !self.store.promote_persisted(run, persisted) {
-            // The run left the frozen tier while the segment was being
-            // written (evicted, most likely): do not resurrect it — drop
-            // the orphan file instead.
-            let _ = std::fs::remove_file(&path);
-            return match self.store.view(run) {
-                Some(RunView::Persisted(_)) => Ok(()),
-                _ => Err(ServiceError::UnknownRun(run)),
-            };
+        if !spill.persist(&self.store, &frozen)? {
+            return Ok(());
         }
-        snapshot::write_manifest(&spill.dir, &self.manifest_entries(), self.epochs.current())
-            .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
-        // The run is durable in its segment + manifest: stamp a WAL
+        // The run is durable in its pack + manifest: stamp a WAL
         // checkpoint and compact the shard, so the log keeps only the
         // non-persisted suffix (recovery time ∝ hot state, not
         // history). A checkpoint failure is non-fatal — the spill
@@ -763,67 +598,13 @@ impl<S: SpecLabeling> EngineShared<S> {
                 self.push_ingest_error(run, ServiceError::Wal(e.to_string()));
             }
         }
-        self.obs.spills.inc();
-        self.obs.span(
-            &self.obs.h_spill,
-            "spill",
-            Some(run.0),
-            Some(tier_tag(Tier::Persisted)),
-            span,
-            true,
-            || format!("bytes={bytes}"),
-        );
         Ok(())
     }
 
-    /// The open mapping for `path`, creating and caching one when the
-    /// engine maps packs. Loose per-run files and mmap-off engines get
-    /// `None` (the owned fault-in path).
-    fn pack_mapping_for(&self, path: &Path) -> Option<Arc<PackMapping>> {
-        if !self.mmap_packs || !is_pack_file(path) {
-            return None;
-        }
-        let mut maps = self.pack_mappings.lock().expect("pack mappings poisoned");
-        if let Some(m) = maps.get(path) {
-            return Some(Arc::clone(m));
-        }
-        let m = PackMapping::open(path, Arc::clone(&self.store.lru.mapped_bytes)).ok()?;
-        maps.insert(path.to_path_buf(), Arc::clone(&m));
-        Some(m)
-    }
-
-    /// Unregister `path`'s mapping (its file is being retired); the
-    /// returned `Arc` is handed to the epoch registry so the `munmap`
-    /// defers with the unlink.
-    fn drop_pack_mapping(&self, path: &Path) -> Option<Arc<PackMapping>> {
-        self.pack_mappings
-            .lock()
-            .expect("pack mappings poisoned")
-            .remove(path)
-    }
-
-    /// The manifest lines for the current persisted set (call with the
-    /// spill manifest lock held).
-    fn manifest_entries(&self) -> Vec<snapshot::ManifestEntry> {
-        self.store
-            .persisted_runs()
-            .into_iter()
-            .filter_map(|p| {
-                let file = p.path().file_name()?.to_str()?.to_string();
-                Some(snapshot::ManifestEntry {
-                    run: p.run(),
-                    file,
-                    offset: p.offset(),
-                    bytes: p.disk_bytes(),
-                })
-            })
-            .collect()
-    }
-
-    /// **Re-heat** one persisted run: fault its arena in (if needed) and
-    /// promote it back to the frozen tier, where queries answer from the
-    /// resident arena with no LRU in the way. The segment stays on disk;
-    /// the run simply stops being registered against it until the next
+    /// **Re-heat** one persisted run: decode its arena out of the mapping
+    /// and promote it back to the frozen tier, where queries answer from
+    /// the resident arena with no LRU in the way. The segment stays on
+    /// disk; the run simply stops being registered against it until the next
     /// [`Self::persist`]. Idempotent for hot/frozen runs.
     pub(crate) fn reheat(&self, run: RunId) -> Result<(), ServiceError> {
         let persisted = match self.store.view(run) {
@@ -865,9 +646,8 @@ impl<S: SpecLabeling> EngineShared<S> {
 
     /// **Full re-heat to the hot tier**: rebuild a decoded
     /// [`LabelIndex`] straight from the pinned segment bytes (zero-copy
-    /// off the mapping when the blob lives in a mapped pack) and
-    /// promote the run back to hot, where queries are two `Acquire`
-    /// loads. The run stays `Completed` — writes remain rejected — but
+    /// off the mapping) and promote the run back to hot, where queries
+    /// are two `Acquire` loads. The run stays `Completed` — writes remain rejected — but
     /// it leaves the persisted registry entirely, which is what turns
     /// its pack bytes dead and feeds pack GC. Idempotent for hot/frozen
     /// runs.
@@ -892,7 +672,7 @@ impl<S: SpecLabeling> EngineShared<S> {
             Arc::clone(ctx),
             persisted.spec,
             ctx.default_resolution(),
-            *self.max_vertex_id.lock().expect("config lock poisoned"),
+            self.max_vertex_id,
             1,
         )
         .map_err(|e| ServiceError::Labeler(run, e))?;
@@ -933,428 +713,17 @@ impl<S: SpecLabeling> EngineShared<S> {
         Ok(())
     }
 
-    /// **Compaction**: merge loose per-run segment files (and underfull
-    /// packs) into packed multi-run files, rewrite the manifest
-    /// atomically, swap the in-memory registrations, delete the migrated
-    /// files, then sweep any `.wfseg` the manifest no longer references
-    /// (orphans left by a crash between earlier steps). Crash-safe at
-    /// every step: until the new manifest is renamed into place the old
-    /// manifest and old files are intact; after it, the old files are
-    /// orphans the sweep (this pass's or any later one's) removes.
-    /// Memory is bounded: blobs stream through one pack buffer at a time
-    /// (≤ [`snapshot::PACK_TARGET_BYTES`] + one blob), never the whole
-    /// tier at once. Blobs are copied verbatim (each keeps its own
-    /// checksum and format version), so v1 and v2 segments pack side by
-    /// side.
-    pub(crate) fn compact_segments(&self) -> Result<CompactionReport, ServiceError> {
-        let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
-        let _g = spill.manifest.lock().expect("manifest lock poisoned");
-        let span = self.obs.timer();
-        let persisted = self.store.persisted_runs();
-        let mut by_file: HashMap<PathBuf, Vec<Arc<PersistedRun>>> = HashMap::new();
-        for p in &persisted {
-            by_file
-                .entry(p.path().to_path_buf())
-                .or_default()
-                .push(Arc::clone(p));
-        }
-        // Byte accounting is over on-disk file sizes: a loose per-run
-        // file is exactly its blob, so the all-loose case is identical
-        // to summing blobs — but a repacked pack counts its dead bytes
-        // once (in the file size) instead of never, and its live blobs
-        // once instead of twice.
-        let bytes_before: u64 = by_file
-            .iter()
-            .map(|(path, runs)| file_size(path, runs.iter().map(|p| p.disk_bytes()).sum()))
-            .sum();
-        let mut report = CompactionReport {
-            files_before: by_file.len(),
-            files_after: by_file.len(),
-            bytes_before,
-            bytes_after: bytes_before,
-            dead_bytes_reclaimed: 0,
-            runs_packed: 0,
-            packs_written: 0,
-        };
-        // Loose files: below the pack threshold. Packing fewer than two
-        // files together gains nothing — leave them.
-        let loose: HashSet<PathBuf> = by_file
-            .iter()
-            .filter(|(_, runs)| runs.len() < snapshot::MIN_PACK_RUNS)
-            .map(|(path, _)| path.clone())
-            .collect();
-        if loose.len() < 2 {
-            // Nothing to pack, but still reclaim crash orphans (packs or
-            // segments no manifest references).
-            self.sweep_orphans(spill, &self.manifest_entries());
-            return Ok(report);
-        }
-        // Candidate runs in id order (deterministic pack layout),
-        // streamed one blob at a time into the current pack buffer. A
-        // blob that fails to read back marks its whole file failed: that
-        // file is never deleted, and blobs already copied out of it are
-        // simply dead bytes there (the manifest re-points them).
-        let mut candidates: Vec<Arc<PersistedRun>> = persisted
-            .iter()
-            .filter(|p| loose.contains(p.path()))
-            .cloned()
-            .collect();
-        candidates.sort_by_key(|p| p.run());
-        type PackMember = (Arc<PersistedRun>, u64, u64);
-        let mut packs: Vec<(PathBuf, Vec<PackMember>)> = Vec::new();
-        let mut failed: HashSet<PathBuf> = HashSet::new();
-        let mut pack_bytes: Vec<u8> = Vec::new();
-        let mut members: Vec<PackMember> = Vec::new();
-        let mut write_pack =
-            |pack_bytes: &mut Vec<u8>, members: &mut Vec<PackMember>| -> Result<(), ServiceError> {
-                if members.is_empty() {
-                    return Ok(());
-                }
-                let seq = spill.pack_seq.fetch_add(1, Ordering::Relaxed);
-                let path = spill.dir.join(snapshot::pack_file_name(seq));
-                snapshot::write_blob_file(&spill.dir, &path, pack_bytes)
-                    .map_err(|e| ServiceError::Compaction(e.to_string()))?;
-                packs.push((path, std::mem::take(members)));
-                pack_bytes.clear();
-                Ok(())
-            };
-        for p in &candidates {
-            let blob = match snapshot::read_raw_range(p.path(), p.offset(), p.disk_bytes())
-                .and_then(|bytes| snapshot::verify_segment_bytes(&bytes).map(|_| bytes))
-            {
-                Ok(bytes) => bytes,
-                Err(_) => {
-                    failed.insert(p.path().to_path_buf());
-                    continue;
-                }
-            };
-            members.push((Arc::clone(p), pack_bytes.len() as u64, blob.len() as u64));
-            pack_bytes.extend_from_slice(&blob);
-            if members.len() >= snapshot::PACK_MAX_RUNS
-                || pack_bytes.len() as u64 >= snapshot::PACK_TARGET_BYTES
-            {
-                write_pack(&mut pack_bytes, &mut members)?;
-            }
-        }
-        write_pack(&mut pack_bytes, &mut members)?;
-        // Packed members whose source file later failed keep their old
-        // registration (their pack copy becomes dead bytes in the pack).
-        let packed: Vec<(PathBuf, Vec<PackMember>)> = packs
-            .into_iter()
-            .map(|(path, members)| {
-                let kept: Vec<PackMember> = members
-                    .into_iter()
-                    .filter(|(p, ..)| !failed.contains(p.path()))
-                    .collect();
-                (path, kept)
-            })
-            .collect();
-        if packed.iter().map(|(_, m)| m.len()).sum::<usize>() < 2 {
-            // Nothing (or one blob) actually migrated; leave the
-            // registry untouched. The written packs are unreferenced by
-            // the manifest and removed by the orphan sweep below.
-            self.sweep_orphans(spill, &self.manifest_entries());
-            return Ok(report);
-        }
-        // The new manifest: packed runs re-pointed, everything else kept.
-        let mut relocated: HashMap<u64, (PathBuf, u64, u64)> = HashMap::new();
-        for (path, members) in &packed {
-            for (p, offset, len) in members {
-                relocated.insert(p.run().0, (path.clone(), *offset, *len));
-            }
-        }
-        let entries: Vec<snapshot::ManifestEntry> = persisted
-            .iter()
-            .filter_map(|p| {
-                let (path, offset, bytes) = match relocated.get(&p.run().0) {
-                    Some((path, offset, len)) => (path.clone(), *offset, *len),
-                    None => (p.path().to_path_buf(), p.offset(), p.disk_bytes()),
-                };
-                let file = path.file_name()?.to_str()?.to_string();
-                Some(snapshot::ManifestEntry {
-                    run: p.run(),
-                    file,
-                    offset,
-                    bytes,
-                })
-            })
-            .collect();
-        // The manifest carries the epoch the retire below will advance
-        // to, so restarts seed a counter no surviving guard outranks.
-        snapshot::write_manifest(&spill.dir, &entries, self.epochs.current() + 1)
-            .map_err(|e| ServiceError::Compaction(e.to_string()))?;
-        // Swap the live registrations (new packs map immediately), then
-        // retire the migrated files: dead bytes are counted against the
-        // files before the epoch registry is allowed to unlink them.
-        for (path, members) in &packed {
-            let mapping = self.pack_mapping_for(path);
-            for (p, offset, len) in members {
-                let entry = Arc::new(PersistedRun::repacked(
-                    p,
-                    path.clone(),
-                    *offset,
-                    *len,
-                    mapping.clone(),
-                ));
-                if self.store.replace_persisted(p.run(), entry) {
-                    report.runs_packed += 1;
-                }
-            }
-        }
-        let migrated: Vec<(PathBuf, Option<Arc<PackMapping>>)> = loose
-            .iter()
-            .filter(|p| !failed.contains(*p))
-            .map(|p| (p.clone(), self.drop_pack_mapping(p)))
-            .collect();
-        for (path, _) in &migrated {
-            let live: u64 = by_file
-                .get(path)
-                .map_or(0, |runs| runs.iter().map(|p| p.disk_bytes()).sum());
-            report.dead_bytes_reclaimed += file_size(path, live).saturating_sub(live);
-        }
-        self.epochs.retire(migrated);
-        self.sweep_orphans(spill, &entries);
-        self.obs.compactions.inc();
-        report.packs_written = packed.len();
-        let after: HashSet<&str> = entries.iter().map(|e| e.file.as_str()).collect();
-        report.files_after = after.len();
-        report.bytes_after = after
-            .iter()
-            .map(|name| {
-                let live: u64 = entries
-                    .iter()
-                    .filter(|e| e.file == **name)
-                    .map(|e| e.bytes)
-                    .sum();
-                file_size(&spill.dir.join(name), live)
-            })
-            .sum();
-        self.obs.span(
-            &self.obs.h_compaction,
-            "compaction",
-            None,
-            Some(tier_tag(Tier::Persisted)),
-            span,
-            true,
-            || {
-                format!(
-                    "files={}->{} runs_packed={}",
-                    report.files_before, report.files_after, report.runs_packed
-                )
-            },
-        );
-        Ok(report)
-    }
-
-    /// Delete `.wfseg` files the manifest does not reference — leftovers
-    /// of a crash between a pack/manifest write and the old-file
-    /// deletion, or of this pass itself bailing out. Runs under the
-    /// manifest lock, so the entry list is authoritative; files still
-    /// registered in the live store are kept too (an evicted-then-kept
-    /// segment is not the sweep's to judge).
-    fn sweep_orphans(&self, spill: &SpillState, entries: &[snapshot::ManifestEntry]) {
-        let mut referenced: HashSet<String> = entries.iter().map(|e| e.file.clone()).collect();
-        for p in self.store.persisted_runs() {
-            if let Some(name) = p.path().file_name().and_then(|n| n.to_str()) {
-                referenced.insert(name.to_string());
-            }
-        }
-        // Files retired under an epoch some reader may still be pinned
-        // at are not orphans — the registry unlinks them itself once
-        // the last guard from before their retirement drops.
-        for path in self.epochs.deferred_paths() {
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                referenced.insert(name.to_string());
-            }
-        }
-        let Ok(dir) = std::fs::read_dir(&spill.dir) else {
-            return;
-        };
-        for entry in dir.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let is_segment =
-                (name.starts_with("run-") || name.starts_with("pack-")) && name.ends_with(".wfseg");
-            if is_segment && !referenced.contains(name) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-
-    /// **Pack garbage collection**: rewrite every pack whose dead-blob
-    /// ratio — bytes belonging to runs that re-heated or were evicted,
-    /// over the pack's file size — exceeds the configured threshold.
-    /// Live blobs stream verbatim into a fresh pack, the manifest is
-    /// rewritten under the next epoch, registrations swap to the new
-    /// locations, and the old pack (file + mapping) is retired through
-    /// the epoch registry: an in-flight scan pinned at the pre-rewrite
-    /// epoch keeps reading the old pack until its guard drops. A pack
-    /// whose live blob fails verification is kept untouched.
-    pub(crate) fn gc_packs_inner(&self) -> Result<PackGcReport, ServiceError> {
-        let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
-        let _g = spill.manifest.lock().expect("manifest lock poisoned");
-        let span = self.obs.timer();
-        let persisted = self.store.persisted_runs();
-        let mut by_file: HashMap<PathBuf, Vec<Arc<PersistedRun>>> = HashMap::new();
-        for p in &persisted {
-            if is_pack_file(p.path()) {
-                by_file
-                    .entry(p.path().to_path_buf())
-                    .or_default()
-                    .push(Arc::clone(p));
-            }
-        }
-        let mut report = PackGcReport::default();
-        let mut victims: Vec<(PathBuf, Vec<Arc<PersistedRun>>, u64)> = Vec::new();
-        for (path, runs) in &by_file {
-            let live: u64 = runs.iter().map(|p| p.disk_bytes()).sum();
-            let size = file_size(path, live);
-            report.bytes_before += size;
-            let dead = size.saturating_sub(live);
-            if size > 0 && dead as f64 / size as f64 > self.pack_gc_dead_ratio {
-                let mut runs = runs.clone();
-                runs.sort_by_key(|p| p.run());
-                victims.push((path.clone(), runs, size));
-            } else {
-                report.bytes_after += size;
-            }
-        }
-        if victims.is_empty() {
-            report.bytes_after = report.bytes_before;
-            return Ok(report);
-        }
-        type PackMember = (Arc<PersistedRun>, u64, u64);
-        let mut rewritten: Vec<(PathBuf, Vec<PackMember>)> = Vec::new();
-        let mut replaced: Vec<PathBuf> = Vec::new();
-        for (old_path, runs, size) in victims {
-            let mut pack_bytes: Vec<u8> = Vec::new();
-            let mut members: Vec<PackMember> = Vec::new();
-            let mut ok = true;
-            for p in &runs {
-                match snapshot::read_raw_range(p.path(), p.offset(), p.disk_bytes())
-                    .and_then(|bytes| snapshot::verify_segment_bytes(&bytes).map(|_| bytes))
-                {
-                    Ok(blob) => {
-                        members.push((Arc::clone(p), pack_bytes.len() as u64, blob.len() as u64));
-                        pack_bytes.extend_from_slice(&blob);
-                    }
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok || members.is_empty() {
-                report.bytes_after += size;
-                continue;
-            }
-            let seq = spill.pack_seq.fetch_add(1, Ordering::Relaxed);
-            let new_path = spill.dir.join(snapshot::pack_file_name(seq));
-            snapshot::write_blob_file(&spill.dir, &new_path, &pack_bytes)
-                .map_err(|e| ServiceError::PackGc(e.to_string()))?;
-            report.bytes_after += pack_bytes.len() as u64;
-            report.dead_bytes_reclaimed += size.saturating_sub(pack_bytes.len() as u64);
-            rewritten.push((new_path, members));
-            replaced.push(old_path);
-        }
-        if rewritten.is_empty() {
-            return Ok(report);
-        }
-        let mut relocated: HashMap<u64, (PathBuf, u64, u64)> = HashMap::new();
-        for (path, members) in &rewritten {
-            for (p, offset, len) in members {
-                relocated.insert(p.run().0, (path.clone(), *offset, *len));
-            }
-        }
-        let entries: Vec<snapshot::ManifestEntry> = persisted
-            .iter()
-            .filter_map(|p| {
-                let (path, offset, bytes) = match relocated.get(&p.run().0) {
-                    Some((path, offset, len)) => (path.clone(), *offset, *len),
-                    None => (p.path().to_path_buf(), p.offset(), p.disk_bytes()),
-                };
-                let file = path.file_name()?.to_str()?.to_string();
-                Some(snapshot::ManifestEntry {
-                    run: p.run(),
-                    file,
-                    offset,
-                    bytes,
-                })
-            })
-            .collect();
-        snapshot::write_manifest(&spill.dir, &entries, self.epochs.current() + 1)
-            .map_err(|e| ServiceError::PackGc(e.to_string()))?;
-        for (path, members) in &rewritten {
-            let mapping = self.pack_mapping_for(path);
-            for (p, offset, len) in members {
-                let entry = Arc::new(PersistedRun::repacked(
-                    p,
-                    path.clone(),
-                    *offset,
-                    *len,
-                    mapping.clone(),
-                ));
-                if self.store.replace_persisted(p.run(), entry) {
-                    report.runs_moved += 1;
-                }
-            }
-            report.packs_rewritten += 1;
-        }
-        let retired: Vec<(PathBuf, Option<Arc<PackMapping>>)> = replaced
-            .iter()
-            .map(|p| (p.clone(), self.drop_pack_mapping(p)))
-            .collect();
-        self.epochs.retire(retired);
-        self.sweep_orphans(spill, &entries);
-        self.obs.pack_gc_runs.add(report.runs_moved as u64);
-        self.obs.span(
-            &self.obs.h_pack_gc,
-            "pack_gc",
-            None,
-            Some(tier_tag(Tier::Persisted)),
-            span,
-            true,
-            || {
-                format!(
-                    "packs={} runs={} reclaimed={}",
-                    report.packs_rewritten, report.runs_moved, report.dead_bytes_reclaimed
-                )
-            },
-        );
-        Ok(report)
-    }
-
     /// One pass of the segment-level policy: promote query-hot persisted
-    /// runs ([`TierPolicy::reheat_after`]) and compact once enough loose
-    /// segment files pile up ([`TierPolicy::compact_after`]). One
-    /// allocation-free sweep of the registry serves both branches; the
-    /// loose-file census (which clones paths) only reruns after a
-    /// spill/compaction/re-heat changed the tier since the last pass.
+    /// runs ([`TierPolicy::reheat_after`] /
+    /// [`TierPolicy::hot_reheat_after`]) in one allocation-free sweep of
+    /// the registry, then let the spill directory compact and GC itself.
     pub(crate) fn apply_segment_policy(&self) {
         let reheat_th = self.policy.reheat_after;
         let hot_th = self.policy.hot_reheat_after;
-        let compact_th = if self.spill.is_some() {
-            self.policy.compact_after
-        } else {
-            None
-        };
-        let gc_active = self.policy.pack_gc && self.spill.is_some();
-        if reheat_th.is_none() && hot_th.is_none() && compact_th.is_none() && !gc_active {
-            return;
-        }
-        let stamp = self
-            .obs
-            .spills
-            .get()
-            .wrapping_add(self.obs.compactions.get())
-            .wrapping_add(self.obs.reheats.get());
-        let recount = (compact_th.is_some() || gc_active)
-            && self.segment_policy_stamp.swap(stamp, Ordering::Relaxed) != stamp;
         let mut to_reheat: Vec<RunId> = Vec::new();
         let mut to_reheat_hot: Vec<RunId> = Vec::new();
-        let mut file_runs: HashMap<PathBuf, usize> = HashMap::new();
-        self.store.for_each_persisted(|p| {
-            if reheat_th.is_some() || hot_th.is_some() {
+        if reheat_th.is_some() || hot_th.is_some() {
+            self.store.for_each_persisted(|p| {
                 // Threshold on traffic *since persisting* (the lifetime
                 // counter carries over for stats monotonicity — a run
                 // popular while hot must not bounce right back). Skip
@@ -1365,21 +734,19 @@ impl<S: SpecLabeling> EngineShared<S> {
                     .queries
                     .load(Ordering::Relaxed)
                     .saturating_sub(p.queries_at_persist);
-                if !p.is_load_failed() {
-                    if hot_th.is_some_and(|th| since >= th) {
-                        // Sustained traffic earns the full hot-index
-                        // rebuild; the frozen threshold (if also
-                        // crossed) is subsumed.
-                        to_reheat_hot.push(p.run());
-                    } else if reheat_th.is_some_and(|th| since >= th) {
-                        to_reheat.push(p.run());
-                    }
+                if p.is_load_failed() {
+                    return;
                 }
-            }
-            if recount {
-                *file_runs.entry(p.path().to_path_buf()).or_default() += 1;
-            }
-        });
+                if hot_th.is_some_and(|th| since >= th) {
+                    // Sustained traffic earns the full hot-index
+                    // rebuild; the frozen threshold (if also crossed)
+                    // is subsumed.
+                    to_reheat_hot.push(p.run());
+                } else if reheat_th.is_some_and(|th| since >= th) {
+                    to_reheat.push(p.run());
+                }
+            });
+        }
         for run in to_reheat_hot {
             if let Err(e) = self.reheat_hot(run) {
                 self.push_ingest_error(run, e);
@@ -1390,19 +757,9 @@ impl<S: SpecLabeling> EngineShared<S> {
                 self.push_ingest_error(run, e);
             }
         }
-        if let Some(threshold) = compact_th {
-            let loose = file_runs
-                .values()
-                .filter(|&&n| n < snapshot::MIN_PACK_RUNS)
-                .count();
-            if recount && loose >= threshold.max(2) {
-                if let Err(e) = self.compact_segments() {
-                    self.push_ingest_error(RunId(u64::MAX), e);
-                }
-            }
-        }
-        if gc_active && recount {
-            if let Err(e) = self.gc_packs_inner() {
+        if let Some(spill) = &self.spill {
+            for e in spill.apply_policy(&self.store, self.policy.compact_after, self.policy.pack_gc)
+            {
                 self.push_ingest_error(RunId(u64::MAX), e);
             }
         }
@@ -1732,15 +1089,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         EngineBuilder::new()
     }
 
-    /// An engine over `catalog` with default configuration.
-    pub fn new(catalog: impl IntoIterator<Item = SpecContext<S>>) -> Self {
-        let mut b = Self::builder();
-        for ctx in catalog {
-            b = b.context(ctx);
-        }
-        b.build()
-    }
-
     /// The shared specification catalog.
     pub fn catalog(&self) -> &[Arc<SpecContext<S>>] {
         &self.shared.catalog
@@ -1751,37 +1099,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         self.shared.catalog.get(spec.0)
     }
 
-    /// The per-run vertex-id ceiling.
+    /// The per-run vertex-id ceiling ([`EngineBuilder::max_vertex_id`]).
     pub fn max_vertex_id(&self) -> u32 {
-        *self
-            .shared
-            .max_vertex_id
-            .lock()
-            .expect("config lock poisoned")
-    }
-
-    /// Change the per-run vertex-id ceiling. Allowed only **before the
-    /// first run opens**: per-run tables are sized against the ceiling
-    /// at `open_run` time, so reconfiguring a populated engine would
-    /// make the bound mean different things for different runs. Returns
-    /// [`ServiceError::ConfigFrozen`] once any run has been opened —
-    /// prefer [`EngineBuilder::max_vertex_id`].
-    ///
-    /// The freeze check and the write happen under the config lock that
-    /// `open_run` reads the ceiling through (after claiming its run id),
-    /// so a success here guarantees no run was or will be sized against
-    /// the old value.
-    pub fn set_max_vertex_id(&self, max: u32) -> Result<(), ServiceError> {
-        let mut ceiling = self
-            .shared
-            .max_vertex_id
-            .lock()
-            .expect("config lock poisoned");
-        if self.shared.next_run.load(Ordering::Acquire) > self.shared.first_run {
-            return Err(ServiceError::ConfigFrozen);
-        }
-        *ceiling = max;
-        Ok(())
+        self.shared.max_vertex_id
     }
 
     /// Open a new run of specification `spec`. Resolution is name-based
@@ -2070,9 +1390,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// [`RunStatus::Evicted`]: an eviction must not let anything keep
     /// ingesting into state no new lookup can reach. New lookups fail
     /// with [`ServiceError::UnknownRun`]. Evicting a persisted run
-    /// forgets the registration; its segment file stays on disk until
-    /// the next manifest rewrite drops it and a compaction pass sweeps
-    /// the orphan.
+    /// forgets the registration; its blob stays on disk until the next
+    /// manifest rewrite drops it and a compaction or GC pass reclaims
+    /// the bytes.
     pub fn evict_run(&self, run: RunId) -> Result<(), ServiceError> {
         match self.shared.store.remove(run) {
             Some(RunView::Hot(slot)) => {
@@ -2100,18 +1420,18 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// **Spill** a run's frozen arena to disk (freezing it first if
-    /// needed): write a versioned snapshot segment + manifest under the
+    /// needed): write it as a pack of one plus the manifest under the
     /// configured [`EngineBuilder::spill_dir`], and replace the
-    /// in-memory arena with a lazily-loaded persisted entry. Requires a
+    /// in-memory arena with a lazily-mapped persisted entry. Requires a
     /// spill directory ([`ServiceError::NoSpillDir`] otherwise).
     pub fn persist_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.persist(run)
     }
 
-    /// **Re-heat** a persisted run: fault its arena back into memory and
-    /// promote it to the frozen (resident) tier, so subsequent queries
-    /// never touch disk and the LRU cannot shed it. The inverse of
-    /// [`Self::persist_run`] — the segment stays on disk, and persisting
+    /// **Re-heat** a persisted run: decode its arena back into memory
+    /// and promote it to the frozen (resident) tier, so subsequent
+    /// queries never touch disk and the LRU cannot shed it. The inverse
+    /// of [`Self::persist_run`] — the segment stays on disk, and persisting
     /// again later is cheap. No-op if the run is already hot or frozen.
     /// The tiering worker does this automatically for runs whose query
     /// count crosses [`EngineBuilder::reheat_after`].
@@ -2119,16 +1439,18 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         self.shared.reheat(run)
     }
 
-    /// **Compact** the persisted tier now: merge loose per-run segment
-    /// files into packed multi-run files (`pack-<seq>.wfseg`) with an
-    /// atomic, crash-safe manifest rewrite, cutting the spill
+    /// **Compact** the persisted tier now: merge underfull pack files —
+    /// every spill writes a pack of one — into full multi-run packs with
+    /// an atomic, crash-safe manifest rewrite, cutting the spill
     /// directory's file count — the difference between 10⁵ files and a
-    /// few hundred at fleet scale. Handles taken before a compaction
-    /// keep answering until they next fault (take fresh handles after).
-    /// The tiering worker runs this automatically once
-    /// [`EngineBuilder::compact_after`] loose files accumulate.
+    /// few hundred at fleet scale. A handle taken before a compaction
+    /// keeps answering if it already pinned its blob (the mapping
+    /// outlives the unlink); take fresh handles after. The tiering
+    /// worker runs this automatically once
+    /// [`EngineBuilder::compact_after`] underfull files accumulate.
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {
-        self.shared.compact_segments()
+        let spill = self.shared.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
+        spill.compact(&self.shared.store)
     }
 
     /// **Garbage-collect packs** now: rewrite every pack whose
@@ -2140,7 +1462,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// started before the rewrite. The tiering worker runs this
     /// automatically when [`EngineBuilder::pack_gc_dead_ratio`] is set.
     pub fn gc_packs(&self) -> Result<PackGcReport, ServiceError> {
-        self.shared.gc_packs_inner()
+        let spill = self.shared.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
+        spill.gc_packs(&self.shared.store)
     }
 
     /// **Re-heat a persisted run all the way to the hot tier**: rebuild
@@ -2181,7 +1504,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 
     /// The configured spill directory, if any.
     pub fn spill_dir(&self) -> Option<&Path> {
-        self.shared.spill.as_ref().map(|s| s.dir.as_path())
+        self.shared.spill.as_ref().map(SpillDir::dir)
     }
 
     /// The configured write-ahead log directory, if any. `None` also
@@ -2302,24 +1625,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         }
         let mut runs_persisted = 0u64;
         let mut persisted_bytes = 0u64;
-        let mut segment_paths: HashSet<PathBuf> = HashSet::new();
-        let mut pack_live: HashMap<PathBuf, u64> = HashMap::new();
-        for p in self.shared.store.persisted_runs() {
+        let persisted = self.shared.store.persisted_runs();
+        for p in &persisted {
             runs_persisted += 1;
             labels_published += p.published as u64;
             persisted_bytes += p.disk_bytes();
             queries_answered += p.queries.load(Ordering::Relaxed);
-            if is_pack_file(p.path()) {
-                *pack_live.entry(p.path().to_path_buf()).or_default() += p.disk_bytes();
-            }
-            segment_paths.insert(p.path().to_path_buf());
         }
-        // Dead bytes per pack: file size minus the live blobs registered
-        // in it (pack count is small — a stat per pack, not per run).
-        let pack_dead_bytes: u64 = pack_live
-            .iter()
-            .map(|(path, live)| file_size(path, *live).saturating_sub(*live))
-            .sum();
+        let pack_files = file_stats(&persisted);
         let obs = &self.shared.obs;
         let enqueued = self.shared.enqueued.load(Ordering::Acquire);
         let processed = self.shared.processed.load(Ordering::Acquire);
@@ -2355,12 +1668,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             frozen_label_bits,
             persisted_bytes,
             persisted_resident_bytes: self.shared.store.lru.resident_bytes(),
-            segment_files: segment_paths.len() as u64,
-            segment_loads: obs.segment_loads.get(),
+            segment_files: pack_files.len() as u64,
+            segment_loads: 0,
             segment_sheds: obs.segment_sheds.get(),
             pack_pins: obs.pack_pins.get(),
             pack_gc_runs: obs.pack_gc_runs.get(),
-            pack_dead_bytes,
+            pack_dead_bytes: pack_files.iter().map(FileStat::dead).sum(),
             mapped_bytes: self.shared.store.lru.mapped_bytes.load(Ordering::Relaxed),
             skl_relabeled: obs.skl_relabeled.get(),
             skl_bits_total: obs.skl_bits_total.get(),
@@ -2511,7 +1824,6 @@ pub struct EngineBuilder<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels
     reheat_after: Option<u64>,
     hot_reheat_after: Option<u64>,
     compact_after: Option<usize>,
-    mmap_packs: bool,
     pack_gc_dead_ratio: Option<f64>,
     telemetry: bool,
     slow_op_threshold: std::time::Duration,
@@ -2555,7 +1867,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             reheat_after: None,
             hot_reheat_after: None,
             compact_after: None,
-            mmap_packs: true,
             pack_gc_dead_ratio: None,
             telemetry: true,
             slow_op_threshold: DEFAULT_SLOW_OP_THRESHOLD,
@@ -2627,11 +1938,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     }
 
     /// **Spill directory**: frozen runs are snapshotted here (versioned
-    /// binary segments + manifest) and their in-memory arenas replaced
-    /// by lazily-loaded persisted entries. At build time any segments
-    /// already in the directory are registered, so historical runs from
-    /// previous engine lifetimes keep answering [`WfEngine::query`] —
-    /// with the **same catalog** (spec ids must mean the same thing
+    /// binary segments in pack files + manifest) and their in-memory
+    /// arenas replaced by lazily-mapped persisted entries. At build time
+    /// the segments its manifest lists are registered, so historical
+    /// runs from previous engine lifetimes keep answering
+    /// [`WfEngine::query`] — with the **same catalog** (spec ids must mean the same thing
     /// across lifetimes; segments naming unknown specs are skipped).
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
@@ -2664,11 +1975,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         self
     }
 
-    /// **Resident-byte budget of the persisted tier**: loaded segment
-    /// arenas are tracked by a size/age LRU, and once their total
-    /// exceeds `n` bytes the least-recently-queried arenas are shed back
-    /// to cold (oldest freeze time breaking ties). Unset = arenas stay
-    /// resident once faulted in (PR 3 behavior, minus the books).
+    /// **Resident-byte budget of the persisted tier**: pinned-in
+    /// segment blobs are tracked by a size/age LRU, and once their total
+    /// exceeds `n` bytes the least-recently-queried blobs are shed back
+    /// to cold (oldest freeze time breaking ties) by `madvise`. Unset =
+    /// blobs stay resident once pinned in.
     pub fn max_resident_bytes(mut self, n: u64) -> Self {
         self.max_resident_bytes = Some(n);
         self
@@ -2684,8 +1995,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     }
 
     /// **Automatic compaction threshold**: the tiering worker merges
-    /// loose per-run segment files into packs once `n` of them
-    /// accumulate (minimum 2). Unset = manual [`WfEngine::compact`]
+    /// underfull pack files into full ones once `n` of them accumulate
+    /// (minimum 2). Unset = manual [`WfEngine::compact`]
     /// only.
     pub fn compact_after(mut self, n: usize) -> Self {
         self.compact_after = Some(n);
@@ -2700,17 +2011,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// [`WfEngine::reheat_run_hot`] only.
     pub fn hot_reheat_after(mut self, n: u64) -> Self {
         self.hot_reheat_after = Some(n);
-        self
-    }
-
-    /// **Pack mapping toggle** (default on): each `pack-<seq>.wfseg` is
-    /// `mmap`'d once at registration, and persisted reads resolve to
-    /// pinned byte ranges inside the mapping — zero-copy, verify-once,
-    /// decode-per-query. Off = every fault-in reads an owned buffer and
-    /// eagerly decodes the whole arena (the PR 5 path; the cold-scan
-    /// bench measures the difference).
-    pub fn mmap_packs(mut self, enabled: bool) -> Self {
-        self.mmap_packs = enabled;
         self
     }
 
@@ -2734,9 +2034,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     }
 
     /// **Slow-op threshold** (default 25ms): any timed span — ingest
-    /// apply, flush barrier, fault-in, cross-run scan — whose duration
-    /// reaches this is promoted into the trace ring, so outliers are
-    /// visible in [`WfEngine::trace_dump`] without tracing every
+    /// apply, flush barrier, first pack pin, cross-run scan — whose
+    /// duration reaches this is promoted into the trace ring, so outliers
+    /// are visible in [`WfEngine::trace_dump`] without tracing every
     /// operation. `Duration::ZERO` traces every timed span.
     pub fn slow_op_threshold(mut self, threshold: std::time::Duration) -> Self {
         self.slow_op_threshold = threshold;
@@ -2792,42 +2092,13 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             reach_sample_shift: self.reach_sample_shift,
         }));
         // Reload persisted history from the spill directory's manifest:
-        // header-only reads; arenas fault in lazily at first query.
+        // header-only reads; files map lazily at first query.
         let lru = Arc::new(SegmentLru::new(self.max_resident_bytes, Arc::clone(&obs)));
-        let epochs = Arc::new(EpochRegistry::default());
-        let mut pack_mappings: HashMap<PathBuf, Arc<PackMapping>> = HashMap::new();
-        let mut persisted: Vec<Arc<PersistedRun>> = Vec::new();
-        if let Some(dir) = &self.spill_dir {
-            epochs.seed(snapshot::load_manifest_epoch(dir));
-            let entries = snapshot::load_manifest(dir).unwrap_or_default();
-            for entry in entries {
-                // Pack files are mapped once, at registration, and every
-                // run in the pack shares the mapping; loose files keep
-                // the owned fault-in path.
-                let path = dir.join(&entry.file);
-                let mapping = if self.mmap_packs && is_pack_file(&path) {
-                    match pack_mappings.get(&path) {
-                        Some(m) => Some(Arc::clone(m)),
-                        None => match PackMapping::open(&path, Arc::clone(&lru.mapped_bytes)) {
-                            Ok(m) => {
-                                pack_mappings.insert(path.clone(), Arc::clone(&m));
-                                Some(m)
-                            }
-                            Err(_) => None,
-                        },
-                    }
-                } else {
-                    None
-                };
-                let Ok(run) = PersistedRun::open_entry(dir, &entry, Arc::clone(&lru), mapping)
-                else {
-                    continue; // unreadable/corrupt segment: skip
-                };
-                if run.spec.0 < self.contexts.len() {
-                    persisted.push(Arc::new(run));
-                }
-            }
-        }
+        let (spill, persisted) = self
+            .spill_dir
+            .map(|dir| SpillDir::open(dir, self.pack_gc_dead_ratio, &lru, self.contexts.len()))
+            .unzip();
+        let persisted = persisted.unwrap_or_default();
         let mut first_run = persisted.iter().map(|p| p.run().0 + 1).max().unwrap_or(0);
         // Scan the WAL directory: decode surviving runs for replay, then
         // rewrite the log so it holds exactly what the rebuilt engine
@@ -2949,9 +2220,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             compact_after: self.compact_after,
             pack_gc: self.pack_gc_dead_ratio.is_some(),
         };
-        // Replay the §7.4 aggregates out of the v2 headers so a reloaded
-        // engine reports the same DRL-vs-SKL deltas its predecessor
-        // measured at freeze time (v1 segments contribute nothing).
+        // Replay the §7.4 aggregates out of the segment headers so a
+        // reloaded engine reports the same DRL-vs-SKL deltas its
+        // predecessor measured at freeze time.
         for p in &persisted {
             if let Some(r) = p.skl_report() {
                 obs.skl_relabeled.inc();
@@ -2968,9 +2239,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         let shared = Arc::new(EngineShared {
             catalog,
             store: LabelStore::new(self.shards, persisted, lru, subs),
-            max_vertex_id: Mutex::new(self.max_vertex_id),
+            max_vertex_id: self.max_vertex_id,
             next_run: AtomicU64::new(first_run),
-            first_run,
             obs,
             ingest_workers: self.ingest_workers,
             enqueued: AtomicU64::new(0),
@@ -2981,28 +2251,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             draining: AtomicBool::new(false),
             ingest_errors: Mutex::new(VecDeque::new()),
             policy,
-            spill: self.spill_dir.map(|dir| {
-                // Never reuse a pack name across engine lifetimes.
-                let next_pack = std::fs::read_dir(&dir)
-                    .ok()
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|e| {
-                        let name = e.ok()?.file_name();
-                        let name = name.to_str()?;
-                        name.strip_prefix("pack-")?
-                            .strip_suffix(".wfseg")?
-                            .parse::<u64>()
-                            .ok()
-                    })
-                    .max()
-                    .map_or(0, |m| m + 1);
-                SpillState {
-                    dir,
-                    manifest: Mutex::new(()),
-                    pack_seq: AtomicU64::new(next_pack),
-                }
-            }),
+            spill,
             wal,
             completed_order: Mutex::new(VecDeque::new()),
             tiering_stop: AtomicBool::new(false),
@@ -3018,13 +2267,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             watchdog_stop: AtomicBool::new(false),
             watchdog_lock: Mutex::new(()),
             watchdog_cv: Condvar::new(),
-            segment_policy_stamp: AtomicU64::new(u64::MAX),
-            epochs,
-            mmap_packs: self.mmap_packs,
-            pack_gc_dead_ratio: self
-                .pack_gc_dead_ratio
-                .unwrap_or(DEFAULT_PACK_GC_DEAD_RATIO),
-            pack_mappings: Mutex::new(pack_mappings),
         });
         // Replay recovered runs into the hot tier before the ingest pool
         // opens: applied directly (not via the logged_* write-ahead
@@ -3145,19 +2387,6 @@ mod tests {
                 .unwrap_err(),
             ServiceError::UnknownRun(RunId(3))
         );
-    }
-
-    #[test]
-    fn config_is_frozen_once_the_first_run_opens() {
-        let engine = engine();
-        engine.set_max_vertex_id(1 << 20).unwrap();
-        assert_eq!(engine.max_vertex_id(), 1 << 20);
-        let _run = engine.open_run(SpecId(0)).unwrap();
-        assert_eq!(
-            engine.set_max_vertex_id(1 << 10).unwrap_err(),
-            ServiceError::ConfigFrozen
-        );
-        assert_eq!(engine.max_vertex_id(), 1 << 20, "rejected write is a no-op");
     }
 
     #[test]
@@ -3573,7 +2802,7 @@ mod tests {
                 "query counter went backwards across tiering: {} < {queries_before}",
                 s.queries_answered
             );
-            // Still answers after the arena moved to disk (lazy reload).
+            // Still answers after the arena moved to disk (lazy mapping).
             let h = engine.handle(run).unwrap();
             assert_eq!(h.tier(), Tier::Persisted);
             let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
@@ -3716,10 +2945,10 @@ mod tests {
                 payloads.push((run, exec));
             }
             let before = engine.stats();
-            assert_eq!(before.segment_files, 6, "one loose file per run");
+            assert_eq!(before.segment_files, 6, "one pack of one per spill");
             let report = engine.compact().unwrap();
             assert_eq!(report.files_before, 6);
-            assert_eq!(report.files_after, 1, "six loose files → one pack");
+            assert_eq!(report.files_after, 1, "six packs of one → one pack");
             assert_eq!(report.runs_packed, 6);
             assert_eq!(report.packs_written, 1);
             assert_eq!(report.bytes_after, report.bytes_before, "blobs verbatim");
@@ -3727,7 +2956,7 @@ mod tests {
             let after = engine.stats();
             assert_eq!(after.segment_files, 1);
             assert_eq!(after.compactions, 1);
-            // A second pass has nothing loose left to merge.
+            // A second pass has one underfull pack: nothing to merge.
             let again = engine.compact().unwrap();
             assert_eq!(again.runs_packed, 0);
             // Queries answer through the packed offsets.
@@ -3738,13 +2967,14 @@ mod tests {
                 assert_eq!(h.reach(u, v), Some(true));
             }
         }
-        // The old per-run files are gone; only the pack + manifest stay.
+        // The six packs of one are gone; only the merged pack (the
+        // seventh name handed out) + manifest stay.
         let seg_files: Vec<String> = std::fs::read_dir(&dir.0)
             .unwrap()
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
             .filter(|n| n.ends_with(".wfseg"))
             .collect();
-        assert_eq!(seg_files, vec!["pack-0.wfseg".to_string()]);
+        assert_eq!(seg_files, vec!["pack-6.wfseg".to_string()]);
         // A fresh engine reloads everything from the packed manifest.
         let engine: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
         for (run, exec) in &payloads {
@@ -3782,11 +3012,11 @@ mod tests {
             s.queries_answered >= queries_before,
             "query counter survives the promotion"
         );
-        // Queries keep answering, and the loads counter stays flat: a
-        // re-heated run never faults the segment again.
-        let loads = s.segment_loads;
+        // Queries keep answering, and the pin counter stays flat: a
+        // re-heated run never touches the segment again.
+        let pins = s.pack_pins;
         assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
-        assert_eq!(engine.stats().segment_loads, loads);
+        assert_eq!(engine.stats().pack_pins, pins);
         // The round trip back to disk still works.
         engine.persist_run(run).unwrap();
         assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
@@ -3795,8 +3025,8 @@ mod tests {
     #[test]
     fn lru_sheds_resident_arenas_under_the_byte_budget() {
         let dir = TempDir::new("lru");
-        // A 1-byte budget: at most one arena survives each enforcement
-        // pass (the just-loaded one is protected).
+        // A 1-byte budget: at most one blob survives each enforcement
+        // pass (the just-pinned one is protected).
         let engine: WfEngine = WfEngine::builder()
             .spec(wf_spec::corpus::running_example())
             .ingest_workers(2)
@@ -3818,24 +3048,24 @@ mod tests {
             max_resident = max_resident.max(engine.stats().persisted_resident_bytes);
         }
         let s = engine.stats();
-        assert_eq!(s.segment_loads, 4, "each run faulted in once");
+        assert_eq!(s.pack_pins, 4, "each run pinned in once");
         assert!(
             s.segment_sheds >= 3,
-            "earlier arenas were shed: {} sheds",
+            "earlier blobs were shed: {} sheds",
             s.segment_sheds
         );
-        // The budget bounds residency to one arena at a time.
+        // The budget bounds residency to one blob at a time.
         let h = engine.handle(payloads[3].0).unwrap();
-        assert!(h.is_resident(), "most recent load survives");
+        assert!(h.is_resident(), "most recent pin survives");
         assert!(!engine.handle(payloads[0].0).unwrap().is_resident());
-        // Repeat queries on the resident run never re-fault it…
-        let loads = s.segment_loads;
+        // Repeat queries on the resident run never re-pin it…
+        let pins = s.pack_pins;
         let (run, exec) = &payloads[3];
         let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
         for _ in 0..8 {
             assert_eq!(engine.reach(*run, u, v).unwrap(), Some(true));
         }
-        assert_eq!(engine.stats().segment_loads, loads, "no re-fault");
+        assert_eq!(engine.stats().pack_pins, pins, "no re-pin");
         // …and the resident-only query scope sees exactly that run.
         assert_eq!(
             engine.query().resident().run_ids(),

@@ -11,7 +11,7 @@
 //! With the tiered label store a handle resolves to whichever tier held
 //! the run when the handle was taken: hot handles answer from the
 //! lock-free in-memory index (allocation-free), frozen handles decode
-//! from the compact arena, persisted handles lazily fault the snapshot
+//! from the compact arena, persisted handles lazily map the snapshot
 //! segment in. The query API is identical across tiers.
 
 use crate::engine::EngineShared;

@@ -37,8 +37,8 @@
 //!   ([`WfEngine::freeze_run`], optionally re-labeled with the static
 //!   SKL baseline to record the paper's §7.4 DRL-vs-SKL deltas), and
 //!   frozen runs **spill** to versioned disk snapshots
-//!   ([`WfEngine::persist_run`]) that reload at build time and fault in
-//!   lazily — with [`RunHandle::reach`] and [`WfEngine::query`]
+//!   ([`WfEngine::persist_run`]) that reload at build time and are
+//!   mapped lazily — with [`RunHandle::reach`] and [`WfEngine::query`]
 //!   answering tier-transparently. A background tiering worker enforces
 //!   [`EngineBuilder::freeze_after`] / [`EngineBuilder::max_hot_runs`] /
 //!   [`EngineBuilder::spill_dir`] in completion order;
@@ -92,21 +92,22 @@ pub mod index;
 mod ingest;
 mod query;
 pub mod snapshot;
+mod spill;
 mod stats;
 mod store;
 mod sub;
 mod telemetry;
 
 pub use engine::{
-    CompactionReport, EngineBuilder, EngineMetrics, Health, PackGcReport, StallCause, WfEngine,
-    DEFAULT_MAX_VERTEX_ID, DEFAULT_PACK_GC_DEAD_RATIO, DEFAULT_SLOW_OP_THRESHOLD,
-    DEFAULT_TRACE_CAPACITY,
+    EngineBuilder, EngineMetrics, Health, StallCause, WfEngine, DEFAULT_MAX_VERTEX_ID,
+    DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TRACE_CAPACITY,
 };
 pub use freeze::{FrozenRun, SklReport};
 pub use handle::RunHandle;
 pub use index::PublishedLabel;
 pub use query::{CrossRunQuery, ExplainQuery, Explained, SourceReach};
 pub use snapshot::SnapshotError;
+pub use spill::{CompactionReport, PackGcReport, DEFAULT_PACK_GC_DEAD_RATIO};
 pub use stats::{EngineStats, ServiceStats};
 pub use store::Tier;
 pub use sub::{Delta, SubPredicate, Subscription, Witness, DEFAULT_SUB_QUEUE_CAPACITY};
@@ -247,10 +248,6 @@ pub enum ServiceError {
     VertexOutOfBounds(RunId, VertexId),
     /// The underlying labeler rejected an event.
     Labeler(RunId, ExecError),
-    /// Configuration is frozen: engine parameters (the vertex-id
-    /// ceiling) can only change before the first run is opened —
-    /// afterwards, per-run state has already been sized against them.
-    ConfigFrozen,
     /// The ingest pool has been drained ([`WfEngine::drain`]); no new
     /// events are accepted. Queries keep working.
     ShuttingDown,
@@ -293,9 +290,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "{r}: vertex id {v:?} exceeds the engine bound")
             }
             ServiceError::Labeler(r, e) => write!(f, "{r}: {e}"),
-            ServiceError::ConfigFrozen => {
-                write!(f, "engine configuration is frozen once the first run opens")
-            }
             ServiceError::ShuttingDown => {
                 write!(f, "the ingest pool is drained; no new events are accepted")
             }

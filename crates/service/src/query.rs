@@ -6,7 +6,7 @@
 //! time predicate (Algorithm 4). The cross-run surface lifts that to the
 //! fleet: hot runs are scanned lock-free from their write-once chunk
 //! tables ([`crate::index::LabelIndex`]), frozen runs decode from their
-//! compact arenas, and persisted runs lazily fault their snapshot
+//! compact arenas, and persisted runs lazily map their snapshot
 //! segments in — one scan, three tiers, no writer blocked anywhere.
 //!
 //! The flagship question ("which completed runs of spec S have a vertex
@@ -111,8 +111,8 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
 
     /// Restrict the scope to runs whose labels are **resident in
     /// memory**: hot and frozen runs, plus persisted runs whose segment
-    /// arena is currently loaded. The memory-bounded scan — it never
-    /// faults a cold segment in (and so never grows the LRU's resident
+    /// blob is currently pinned in. The memory-bounded scan — it never
+    /// pins a cold segment in (and so never grows the LRU's resident
     /// set), at the price of skipping cold history.
     pub fn resident(mut self) -> Self {
         self.resident_only = true;
@@ -147,15 +147,14 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// and record per-tier aggregates (into the trace ring as `tier_scan`
     /// children when they clear the slow-op threshold, and into the
     /// active EXPLAIN profile, if any). The root span parents every
-    /// bufmgr `pack_pin`/`fault_in` leaf the scan triggers.
+    /// bufmgr `pack_pin` leaf the scan triggers.
     fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView<S>) -> Option<T>) -> Vec<T> {
         // Pin the pack-set epoch for the whole scan: a compaction or
         // pack-GC rewrite landing mid-scan retires the files it
         // replaced under a *later* epoch, so every blob this scan
-        // resolves — mapped or owned fault-in — stays readable until
-        // the guard drops. The scan answers from the pre-rewrite pack
-        // set it started against.
-        let _epoch = self.shared.epochs.pin();
+        // resolves stays readable until the guard drops. The scan
+        // answers from the pre-rewrite pack set it started against.
+        let _epoch = self.shared.spill.as_ref().map(|s| s.epochs.pin());
         let obs = &self.shared.obs;
         let root = obs.begin();
         let trace_id = root.ctx.trace;
@@ -292,8 +291,8 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// Switch this query into **EXPLAIN mode**: the same scope and
     /// methods, but every answer comes back wrapped in [`Explained`]
     /// with a [`QueryProfile`] of what the scan actually paid for —
-    /// runs per tier, bufmgr pins and fault-ins, bytes read, the WAL
-    /// barrier wait, and wall time per stage.
+    /// runs per tier, bufmgr pins, the WAL barrier wait, and wall time
+    /// per stage.
     pub fn explain(self) -> ExplainQuery<'e, S> {
         ExplainQuery(self)
     }
@@ -314,7 +313,7 @@ pub struct Explained<T> {
 /// durability barrier — the profile's `wal_barrier_wait_ns` — so the
 /// profiled scan covers every event already enqueued, then runs the
 /// scan with a thread-local profile installed that the bufmgr's
-/// pin/fault hooks feed.
+/// pin hooks feed.
 pub struct ExplainQuery<'e, S: SpecLabeling + Send + Sync + 'static = TclSpecLabels>(
     CrossRunQuery<'e, S>,
 );

@@ -2,7 +2,8 @@
 //! versioned binary segment format with a manifest, loadable at engine
 //! build time so historical runs keep answering cross-run queries.
 //!
-//! A *segment blob* holds one run. **Format v2** (current):
+//! A *segment blob* holds one run (format version 2, all integers
+//! little-endian):
 //!
 //! ```text
 //! magic     8 B   "WFTIERS1"
@@ -26,25 +27,24 @@
 //! checksum  u64   FNV-1a over everything above
 //! ```
 //!
-//! **Format v1** (PR 3) lacks the `frozen_at`/SKL fields; v1 blobs stay
-//! readable forever (the SKL report reloads as absent). All integers
-//! little-endian.
+//! Any other version — blob or manifest — is rejected with a typed
+//! [`SnapshotError::Format`], never guessed at.
 //!
-//! Blobs live either in a **per-run file** (`run-<id>.wfseg`, one blob
-//! at offset 0 — how spills write them) or in a **packed file**
-//! (`pack-<seq>.wfseg`, many blobs concatenated — what compaction
-//! produces to cut file count at 10⁵+ runs). Each blob carries its own
-//! checksum, so a pack needs no container framing: the manifest
-//! (`wf-tier-manifest.txt`, v2: `run file offset len` per line) is the
-//! directory. Segments and manifests are written to a temp file, fsynced,
-//! renamed into place, **and the directory is fsynced after the rename**
-//! — a crash cannot leave the manifest pointing at unsynced segments
-//! (sync failures surface as the typed [`SnapshotError::Sync`]). The
-//! loader verifies length, magic, version and checksum **and decodes
-//! every label** before accepting; a truncated or corrupted snapshot is
+//! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
+//! concatenated. A spill writes a pack of one; compaction and pack GC
+//! merge them into bigger ones to cut file count at 10⁵+ runs. Each blob
+//! carries its own checksum, so a pack needs no container framing: the
+//! manifest (`wf-tier-manifest.txt`: `run file offset len` per line) is
+//! the directory. Packs and manifests are written to a temp file,
+//! fsynced, renamed into place, **and the directory is fsynced after the
+//! rename** — a crash cannot leave the manifest pointing at unsynced
+//! segments (sync failures surface as the typed [`SnapshotError::Sync`]).
+//! Every persisted read goes through the file's mapping
+//! ([`crate::bufmgr`]): framing and checksum are verified once, at first
+//! pin, and labels decode on demand; a truncated or corrupted blob is
 //! rejected with a typed error, never a panic.
 
-use crate::bufmgr::{MappedRun, PackMapping};
+use crate::bufmgr::{MappedRun, PackFile};
 use crate::freeze::{FrozenRun, SklReport};
 use crate::store::SegmentLru;
 use crate::telemetry::with_profile;
@@ -52,7 +52,7 @@ use crate::{RunId, SpecId};
 use std::fmt;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use wf_drl::{ArenaSlot, DrlLabel, LabelArena};
@@ -60,27 +60,23 @@ use wf_graph::{NameId, VertexId};
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
-/// Current segment format version.
+/// The segment format version this engine reads and writes.
 pub const SEGMENT_VERSION: u32 = 2;
-/// The PR 3 segment format (no freeze metadata / SKL report persisted).
-pub const SEGMENT_VERSION_V1: u32 = 1;
 /// Manifest file name inside the spill directory.
 pub const MANIFEST_FILE: &str = "wf-tier-manifest.txt";
-/// Current manifest header line (`run file offset len` entries).
+/// The manifest header line (`run file offset len` entries follow).
 pub const MANIFEST_HEADER: &str = "wf-tier-manifest v2";
-/// The PR 3 manifest header (`run file bytes` entries, offset 0).
-pub const MANIFEST_HEADER_V1: &str = "wf-tier-manifest v1";
 
-/// A file holding at least this many runs is considered packed;
-/// compaction only repacks *loose* files below the threshold.
+/// A file holding fewer live runs than this is *underfull*: compaction
+/// merges underfull files and leaves the rest alone.
 pub const MIN_PACK_RUNS: usize = 64;
 /// Compaction closes a pack once it holds this many runs…
 pub const PACK_MAX_RUNS: usize = 1024;
 /// …or this many bytes, whichever comes first.
 pub const PACK_TARGET_BYTES: u64 = 64 << 20;
 
-const HEADER_LEN_V1: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8;
-const HEADER_LEN_V2: usize = HEADER_LEN_V1 + 8 + 4 + 5 * 8;
+/// Byte length of the fixed segment header.
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 5 * 8;
 const CHECKSUM_LEN: usize = 8;
 
 /// Errors reading or writing snapshot segments.
@@ -175,8 +171,6 @@ impl<'a> ByteReader<'a> {
 /// persisted run *without* reading its arena (the lazy-load metadata).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentHeader {
-    /// The format the blob was written with (1 or 2).
-    pub version: u32,
     /// The run the segment holds.
     pub run: RunId,
     /// Its specification (catalog index; must match across restarts).
@@ -191,19 +185,10 @@ pub struct SegmentHeader {
     pub arena_len: u64,
     /// DRL accounting bits (what the run cost in the hot tier).
     pub drl_bits: u64,
-    /// Unix seconds at freeze time (0 = unknown; always 0 for v1).
+    /// Unix seconds at freeze time (0 = unknown).
     pub frozen_at: u64,
-    /// The freeze-time SKL re-label deltas, when recorded (v2 only).
+    /// The freeze-time SKL re-label deltas, when recorded.
     pub skl: Option<SklReport>,
-}
-
-impl SegmentHeader {
-    pub(crate) fn len(&self) -> usize {
-        match self.version {
-            SEGMENT_VERSION_V1 => HEADER_LEN_V1,
-            _ => HEADER_LEN_V2,
-        }
-    }
 }
 
 fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
@@ -213,7 +198,7 @@ fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
         return Err(SnapshotError::Format("bad magic".into()));
     }
     let version = r.u32()?;
-    if version != SEGMENT_VERSION_V1 && version != SEGMENT_VERSION {
+    if version != SEGMENT_VERSION {
         return Err(SnapshotError::Format(format!(
             "unsupported segment version {version}"
         )));
@@ -228,28 +213,22 @@ fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
     let count = r.u32()?;
     let arena_len = r.u64()?;
     let drl_bits = r.u64()?;
-    let (frozen_at, skl) = if version >= SEGMENT_VERSION {
-        let frozen_at = r.u64()?;
-        let flag = r.u32()?;
-        let skl_bits_total = r.u64()?;
-        let build_ns = r.u64()?;
-        let drl_query_ns = r.u64()?;
-        let skl_query_ns = r.u64()?;
-        let pairs_sampled = r.u64()?;
-        let skl = (flag != 0).then_some(SklReport {
-            skl_bits: skl_bits_total,
-            drl_bits,
-            build_ns,
-            drl_query_ns,
-            skl_query_ns,
-            pairs_sampled,
-        });
-        (frozen_at, skl)
-    } else {
-        (0, None)
-    };
+    let frozen_at = r.u64()?;
+    let flag = r.u32()?;
+    let skl_bits_total = r.u64()?;
+    let build_ns = r.u64()?;
+    let drl_query_ns = r.u64()?;
+    let skl_query_ns = r.u64()?;
+    let pairs_sampled = r.u64()?;
+    let skl = (flag != 0).then_some(SklReport {
+        skl_bits: skl_bits_total,
+        drl_bits,
+        build_ns,
+        drl_query_ns,
+        skl_query_ns,
+        pairs_sampled,
+    });
     Ok(SegmentHeader {
-        version,
         run,
         spec,
         skl_bits,
@@ -262,30 +241,28 @@ fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
     })
 }
 
-/// Segment file name for a run spilled on its own.
-pub fn segment_file_name(run: RunId) -> String {
-    format!("run-{}.wfseg", run.0)
-}
-
-/// File name of the `seq`-th packed multi-run segment.
+/// File name of the `seq`-th pack file.
 pub fn pack_file_name(seq: u64) -> String {
     format!("pack-{seq}.wfseg")
 }
 
-/// One encoder for both format versions: the common prefix, the v2
-/// extension block when asked for, then slots + arena + checksum.
-fn encode_with_version(frozen: &FrozenRun, version: u32) -> Vec<u8> {
+/// Inverse of [`pack_file_name`]: the sequence number a spill-directory
+/// file name carries, `None` for anything that is not a pack.
+pub(crate) fn pack_file_seq(name: &str) -> Option<u64> {
+    name.strip_prefix("pack-")?
+        .strip_suffix(".wfseg")?
+        .parse()
+        .ok()
+}
+
+/// Serialize a frozen run into a segment blob.
+pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
     let arena = frozen.arena();
-    let header_len = if version >= SEGMENT_VERSION {
-        HEADER_LEN_V2
-    } else {
-        HEADER_LEN_V1
-    };
     let mut out = Vec::with_capacity(
-        header_len + arena.len() * ArenaSlot::WIRE_BYTES + arena.encoded_bytes() + CHECKSUM_LEN,
+        HEADER_LEN + arena.len() * ArenaSlot::WIRE_BYTES + arena.encoded_bytes() + CHECKSUM_LEN,
     );
     out.extend_from_slice(&SEGMENT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     out.extend_from_slice(&frozen.run().0.to_le_bytes());
     out.extend_from_slice(&(frozen.spec().0 as u32).to_le_bytes());
     out.extend_from_slice(&(arena.skl_bits() as u32).to_le_bytes());
@@ -293,25 +270,23 @@ fn encode_with_version(frozen: &FrozenRun, version: u32) -> Vec<u8> {
     out.extend_from_slice(&(arena.len() as u32).to_le_bytes());
     out.extend_from_slice(&(arena.encoded_bytes() as u64).to_le_bytes());
     out.extend_from_slice(&frozen.drl_bits().to_le_bytes());
-    if version >= SEGMENT_VERSION {
-        out.extend_from_slice(&frozen.frozen_at().to_le_bytes());
-        let report = frozen.skl_report();
-        out.extend_from_slice(&u32::from(report.is_some()).to_le_bytes());
-        let zero = SklReport {
-            skl_bits: 0,
-            drl_bits: 0,
-            build_ns: 0,
-            drl_query_ns: 0,
-            skl_query_ns: 0,
-            pairs_sampled: 0,
-        };
-        let r = report.unwrap_or(&zero);
-        out.extend_from_slice(&r.skl_bits.to_le_bytes());
-        out.extend_from_slice(&r.build_ns.to_le_bytes());
-        out.extend_from_slice(&r.drl_query_ns.to_le_bytes());
-        out.extend_from_slice(&r.skl_query_ns.to_le_bytes());
-        out.extend_from_slice(&r.pairs_sampled.to_le_bytes());
-    }
+    out.extend_from_slice(&frozen.frozen_at().to_le_bytes());
+    let report = frozen.skl_report();
+    out.extend_from_slice(&u32::from(report.is_some()).to_le_bytes());
+    let zero = SklReport {
+        skl_bits: 0,
+        drl_bits: 0,
+        build_ns: 0,
+        drl_query_ns: 0,
+        skl_query_ns: 0,
+        pairs_sampled: 0,
+    };
+    let r = report.unwrap_or(&zero);
+    out.extend_from_slice(&r.skl_bits.to_le_bytes());
+    out.extend_from_slice(&r.build_ns.to_le_bytes());
+    out.extend_from_slice(&r.drl_query_ns.to_le_bytes());
+    out.extend_from_slice(&r.skl_query_ns.to_le_bytes());
+    out.extend_from_slice(&r.pairs_sampled.to_le_bytes());
     for slot in arena.slots() {
         slot.write_le(&mut out);
     }
@@ -321,25 +296,12 @@ fn encode_with_version(frozen: &FrozenRun, version: u32) -> Vec<u8> {
     out
 }
 
-/// Serialize a frozen run into a format-v2 segment blob.
-pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
-    encode_with_version(frozen, SEGMENT_VERSION)
-}
-
-/// Serialize a frozen run into a **format-v1** blob — what PR 3 engines
-/// wrote (the common layout minus the v2 extension block). Kept so the
-/// v1→v2 migration path stays testable end-to-end; new spills always
-/// write v2.
-pub fn encode_segment_v1(frozen: &FrozenRun) -> Vec<u8> {
-    encode_with_version(frozen, SEGMENT_VERSION_V1)
-}
-
 /// Validate a blob's framing — length, magic, version, checksum — and
 /// return its header **without** decoding any label. This is the cheap
-/// integrity check compaction runs before copying a blob verbatim into a
-/// pack (the full label decode still happens at fault-in).
+/// integrity check a rewrite runs before copying a blob verbatim into a
+/// new pack, and the one pass a first pin pays (labels decode lazily).
 pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
-    if bytes.len() < HEADER_LEN_V1 + CHECKSUM_LEN {
+    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::Format("truncated segment".into()));
     }
     let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
@@ -351,8 +313,7 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
     let slots_len = (header.count as usize)
         .checked_mul(ArenaSlot::WIRE_BYTES)
         .ok_or_else(|| SnapshotError::Format("slot count overflow".into()))?;
-    let expected = header
-        .len()
+    let expected = HEADER_LEN
         .checked_add(slots_len)
         .and_then(|n| n.checked_add(header.arena_len as usize))
         .ok_or_else(|| SnapshotError::Format("length overflow".into()))?;
@@ -365,12 +326,12 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
     Ok(header)
 }
 
-/// Parse and fully validate segment bytes (either format version) back
-/// into a [`FrozenRun`]. v2 blobs restore their freeze-time SKL report;
-/// v1 blobs reload with `skl: None`.
+/// Parse and fully validate segment bytes — framing, checksum, **and
+/// every label** — back into a [`FrozenRun`], freeze-time SKL report
+/// included.
 pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
     let header = verify_segment_bytes(bytes)?;
-    let mut r = ByteReader::new(&bytes[header.len()..bytes.len() - CHECKSUM_LEN]);
+    let mut r = ByteReader::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
     let mut slots = Vec::with_capacity(header.count as usize);
     for _ in 0..header.count {
         let slot = ArenaSlot::read_le(r.take(ArenaSlot::WIRE_BYTES)?)
@@ -392,20 +353,10 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
     })
 }
 
-/// Atomically write a frozen run's segment into `dir` (temp file →
-/// fsync → rename → directory fsync). Returns the final path and the
-/// on-disk byte count.
-pub fn write_segment(dir: &Path, frozen: &FrozenRun) -> Result<(PathBuf, u64), SnapshotError> {
-    fs::create_dir_all(dir)?;
-    let bytes = encode_segment(frozen);
-    let path = dir.join(segment_file_name(frozen.run()));
-    write_blob_file(dir, &path, &bytes)?;
-    Ok((path, bytes.len() as u64))
-}
-
 /// Atomically materialize `bytes` at `path` inside `dir`: temp file,
 /// fsync, rename, directory fsync.
 pub(crate) fn write_blob_file(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    fs::create_dir_all(dir)?;
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -421,8 +372,8 @@ pub(crate) fn write_blob_file(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(
     fsync_dir(dir)
 }
 
-/// Read `len` raw bytes at `offset` of `path` (a blob's slice of a
-/// per-run or packed file), without validating them.
+/// Read `len` raw bytes at `offset` of `path` (one blob's slice of a
+/// pack), without validating them.
 pub(crate) fn read_raw_range(path: &Path, offset: u64, len: u64) -> Result<Vec<u8>, SnapshotError> {
     let mut f = fs::File::open(path)?;
     f.seek(SeekFrom::Start(offset))?;
@@ -432,31 +383,14 @@ pub(crate) fn read_raw_range(path: &Path, offset: u64, len: u64) -> Result<Vec<u
     Ok(buf)
 }
 
-/// Read and validate the blob at `[offset, offset+len)` of `path`.
-pub fn read_segment_range(path: &Path, offset: u64, len: u64) -> Result<FrozenRun, SnapshotError> {
-    decode_segment(&read_raw_range(path, offset, len)?)
-}
-
-/// Read and validate a whole segment file (one blob at offset 0).
-pub fn read_segment(path: &Path) -> Result<FrozenRun, SnapshotError> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode_segment(&bytes)
-}
-
-/// Read only the header of the blob at `offset` (the lazy-load
-/// registration path — no slots, no arena, no checksum).
+/// Read only the header of the blob at `offset` (the registration path
+/// — no slots, no arena, no checksum, no mapping).
 pub fn read_header_at(path: &Path, offset: u64) -> Result<SegmentHeader, SnapshotError> {
     let mut f = fs::File::open(path)?;
     f.seek(SeekFrom::Start(offset))?;
-    let mut buf = Vec::with_capacity(HEADER_LEN_V2);
-    f.take(HEADER_LEN_V2 as u64).read_to_end(&mut buf)?;
+    let mut buf = Vec::with_capacity(HEADER_LEN);
+    f.take(HEADER_LEN as u64).read_to_end(&mut buf)?;
     parse_header(&buf)
-}
-
-/// Read only a segment file's leading header.
-pub fn read_header(path: &Path) -> Result<SegmentHeader, SnapshotError> {
-    read_header_at(path, 0)
 }
 
 /// One manifest line: a persisted run and the byte range of its blob.
@@ -464,10 +398,9 @@ pub fn read_header(path: &Path) -> Result<SegmentHeader, SnapshotError> {
 pub struct ManifestEntry {
     /// The persisted run.
     pub run: RunId,
-    /// Blob file name (per-run or pack), relative to the spill dir.
+    /// Pack file name, relative to the spill dir.
     pub file: String,
-    /// Byte offset of the run's blob within the file (0 for per-run
-    /// files and for every v1 manifest entry).
+    /// Byte offset of the run's blob within the file.
     pub offset: u64,
     /// Length of the blob in bytes.
     pub bytes: u64,
@@ -481,15 +414,12 @@ pub struct ManifestEntry {
 /// The manifest is **epoch-versioned**: an `epoch <n>` line right after
 /// the header records which pack-set version the entries describe, so a
 /// restarted engine resumes the [`crate::bufmgr::EpochRegistry`] clock
-/// monotonically. The line is shaped so a pre-epoch loader skips it as
-/// malformed (its first token is not a run id) — old and new engines
-/// read each other's manifests.
+/// monotonically.
 pub fn write_manifest(
     dir: &Path,
     entries: &[ManifestEntry],
     epoch: u64,
 ) -> Result<(), SnapshotError> {
-    fs::create_dir_all(dir)?;
     let mut out = String::from(MANIFEST_HEADER);
     out.push('\n');
     out.push_str(&format!("epoch {epoch}\n"));
@@ -502,8 +432,8 @@ pub fn write_manifest(
     write_blob_file(dir, &dir.join(MANIFEST_FILE), out.as_bytes())
 }
 
-/// The pack-set epoch recorded in the manifest (0 when absent — every
-/// pre-epoch manifest, and a missing manifest, load as epoch 0).
+/// The pack-set epoch recorded in the manifest (0 when the line or the
+/// manifest is absent).
 pub fn load_manifest_epoch(dir: &Path) -> u64 {
     let Ok(text) = fs::read_to_string(dir.join(MANIFEST_FILE)) else {
         return 0;
@@ -519,10 +449,10 @@ pub fn load_manifest_epoch(dir: &Path) -> u64 {
     0
 }
 
-/// Load the manifest (either header version); a missing file is an empty
-/// manifest, malformed lines are skipped (the segment loader
-/// re-validates everything, so the manifest is an index, not a trust
-/// root). v1 lines (`run file bytes`) load with offset 0.
+/// Load the manifest; a missing file is an empty manifest, any header
+/// but [`MANIFEST_HEADER`] is a typed [`SnapshotError::Format`], and
+/// malformed lines are skipped (registration re-validates every blob
+/// header, so the manifest is an index, not a trust root).
 pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
     let path = dir.join(MANIFEST_FILE);
     let text = match fs::read_to_string(&path) {
@@ -531,65 +461,47 @@ pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
         Err(e) => return Err(e.into()),
     };
     let mut lines = text.lines();
-    let with_offset = match lines.next().map(str::trim) {
-        Some(h) if h == MANIFEST_HEADER => true,
-        Some(h) if h == MANIFEST_HEADER_V1 => false,
+    match lines.next().map(str::trim) {
+        Some(h) if h == MANIFEST_HEADER => {}
         other => {
             return Err(SnapshotError::Format(format!(
                 "bad manifest header {other:?}"
             )))
         }
-    };
+    }
     let mut entries = Vec::new();
     for line in lines {
         let mut parts = line.split_whitespace();
-        let (Some(run), Some(file)) = (parts.next(), parts.next()) else {
+        let (Some(run), Some(file), Some(offset), Some(bytes)) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             continue;
         };
-        let Ok(run) = run.parse::<u64>() else {
+        let (Ok(run), Ok(offset), Ok(bytes)) = (
+            run.parse::<u64>(),
+            offset.parse::<u64>(),
+            bytes.parse::<u64>(),
+        ) else {
             continue;
         };
-        let entry = if with_offset {
-            let (Some(offset), Some(bytes)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            let (Ok(offset), Ok(bytes)) = (offset.parse::<u64>(), bytes.parse::<u64>()) else {
-                continue;
-            };
-            ManifestEntry {
-                run: RunId(run),
-                file: file.to_string(),
-                offset,
-                bytes,
-            }
-        } else {
-            let Some(bytes) = parts.next() else { continue };
-            let Ok(bytes) = bytes.parse::<u64>() else {
-                continue;
-            };
-            ManifestEntry {
-                run: RunId(run),
-                file: file.to_string(),
-                offset: 0,
-                bytes,
-            }
-        };
-        entries.push(entry);
+        entries.push(ManifestEntry {
+            run: RunId(run),
+            file: file.to_string(),
+            offset,
+            bytes,
+        });
     }
     Ok(entries)
 }
 
-/// Load state of a persisted run's arena: cold, resident, or known-bad.
+/// Load state of a persisted run's blob: cold, resolved, or known-bad.
 #[derive(Debug)]
-pub(crate) enum LoadState {
-    /// Not in memory; the next query faults the blob in.
+enum LoadState {
+    /// Never pinned; the next query maps the file (if nobody has yet)
+    /// and verifies the blob.
     Unloaded,
-    /// Resident as an owned decoded arena — the fallback path for loose
-    /// per-run files (and for packs when mapping is disabled). Queries
-    /// answer without touching disk until the LRU sheds the arena.
-    Loaded(Arc<FrozenRun>),
-    /// Resolved to a byte range inside an `mmap`'d pack: verified once,
-    /// then served zero-copy forever. Eviction flips the range's
+    /// Resolved to a byte range inside the file's mapping: verified
+    /// once, then served zero-copy forever. Eviction flips the range's
     /// residency flag and `madvise`s the pages away, but this state —
     /// the parsed metadata — never degrades back to `Unloaded`.
     Mapped(Arc<MappedRun>),
@@ -600,13 +512,13 @@ pub(crate) enum LoadState {
 }
 
 /// A run living in the persisted tier: registered from a segment header
-/// at engine build (or at spill/compaction time), with the full arena
-/// **lazily faulted in** on first query. Unlike PR 3's write-once cache,
-/// the arena can be *shed* again: every fault-in registers with the
-/// store's [`SegmentLru`], which drops least-recently-used arenas when
-/// the resident-byte budget is exceeded — so a persisted run that turns
-/// hot re-heats to memory speed, and cools back to zero resident bytes
-/// when the traffic moves on.
+/// at engine build (or at spill/rewrite time), with its bytes **mapped
+/// and verified lazily** on first query. Residency is governed by the
+/// store's [`SegmentLru`]: every pin-in registers there, and when the
+/// resident-byte budget is exceeded the least-recently-used blobs have
+/// their pages `madvise`d away — so a persisted run that turns hot reads
+/// at page-cache speed, and cools back to zero resident bytes when the
+/// traffic moves on.
 #[derive(Debug)]
 pub struct PersistedRun {
     pub(crate) run: RunId,
@@ -616,18 +528,16 @@ pub struct PersistedRun {
     /// Length of this run's blob on disk (not the whole file: packs
     /// share one file among many runs).
     pub(crate) disk_bytes: u64,
-    pub(crate) path: PathBuf,
+    /// The pack file the blob lives in, shared with every other run
+    /// registered in it; reads resolve through its mapping.
+    pub(crate) file: Arc<PackFile>,
     pub(crate) offset: u64,
     pub(crate) frozen_at: u64,
-    /// The freeze-time SKL re-label deltas, straight from the v2 header
-    /// (absent for v1 blobs) — what lets a reloaded engine reproduce its
-    /// §7.4 report without faulting a single arena in.
+    /// The freeze-time SKL re-label deltas, straight from the header —
+    /// what lets a reloaded engine reproduce its §7.4 report without
+    /// mapping a single file.
     pub(crate) skl: Option<SklReport>,
     state: RwLock<LoadState>,
-    /// The pack mapping this run's blob lives in, when the engine maps
-    /// packs (`mmap_packs`): the pin path resolves through it instead
-    /// of faulting an owned copy. `None` for loose per-run files.
-    mapping: Option<Arc<PackMapping>>,
     /// Live [`SegmentPin`] count. A pinned blob is never a replacer
     /// victim, so a scan iterating labels off the mapping cannot have
     /// its pages `madvise`d away mid-visit.
@@ -635,8 +545,8 @@ pub struct PersistedRun {
     /// LRU recency stamp (the store's logical clock at last query).
     pub(crate) last_access: AtomicU64,
     /// Set when this registration leaves the persisted tier (evicted,
-    /// re-heated, or replaced by compaction): a fault-in that races the
-    /// departure must not pin the arena in the LRU afterwards.
+    /// re-heated, or replaced by a rewrite): a pin-in that races the
+    /// departure must not enter the LRU afterwards.
     pub(crate) retired: AtomicBool,
     lru: Arc<SegmentLru>,
     pub(crate) queries: AtomicU64,
@@ -650,17 +560,14 @@ pub struct PersistedRun {
 }
 
 impl PersistedRun {
-    /// Register a manifest entry by reading its blob header only. When
-    /// `mapping` is provided (the entry lives in a mapped pack), reads
-    /// resolve through the mapping instead of owned fault-ins.
+    /// Register a manifest entry of `file` by reading its blob header
+    /// only.
     pub(crate) fn open_entry(
-        dir: &Path,
+        file: Arc<PackFile>,
         entry: &ManifestEntry,
         lru: Arc<SegmentLru>,
-        mapping: Option<Arc<PackMapping>>,
     ) -> Result<Self, SnapshotError> {
-        let path = dir.join(&entry.file);
-        let header = read_header_at(&path, entry.offset)?;
+        let header = read_header_at(file.path(), entry.offset)?;
         if header.run != entry.run {
             return Err(SnapshotError::Format(format!(
                 "manifest names {} but the blob holds {}",
@@ -673,12 +580,11 @@ impl PersistedRun {
             source: header.source,
             published: header.count as usize,
             disk_bytes: entry.bytes,
-            path,
+            file,
             offset: entry.offset,
             frozen_at: header.frozen_at,
             skl: header.skl,
             state: RwLock::new(LoadState::Unloaded),
-            mapping,
             pins: AtomicU32::new(0),
             last_access: AtomicU64::new(0),
             retired: AtomicBool::new(false),
@@ -688,13 +594,13 @@ impl PersistedRun {
         })
     }
 
-    /// Register a segment that was just written from `frozen` (spill
-    /// path) — header facts come from the in-memory run; the arena still
-    /// reloads lazily from disk, which keeps the memory release of
-    /// persisting real.
+    /// Register the pack of one that was just written from `frozen`
+    /// (spill path) — header facts come from the in-memory run; the
+    /// bytes are read back through the mapping only when queried, which
+    /// keeps the memory release of persisting real.
     pub(crate) fn from_frozen(
         frozen: &FrozenRun,
-        path: PathBuf,
+        file: Arc<PackFile>,
         disk_bytes: u64,
         lru: Arc<SegmentLru>,
     ) -> Self {
@@ -704,14 +610,11 @@ impl PersistedRun {
             source: frozen.source(),
             published: frozen.published(),
             disk_bytes,
-            path,
+            file,
             offset: 0,
             frozen_at: frozen.frozen_at(),
             skl: frozen.skl_report().copied(),
             state: RwLock::new(LoadState::Unloaded),
-            // Spills write loose per-run files — the owned fault-in
-            // fallback; compaction later packs (and maps) them.
-            mapping: None,
             pins: AtomicU32::new(0),
             last_access: AtomicU64::new(0),
             retired: AtomicBool::new(false),
@@ -724,17 +627,15 @@ impl PersistedRun {
         }
     }
 
-    /// The compaction/GC swap: the same run re-registered at its new
-    /// blob location, carrying the per-run counters forward. Residency
-    /// starts cold (the old entry's arena is forgotten with the old
-    /// entry); the new pack's mapping rides in so reads resolve through
-    /// it immediately.
+    /// The rewrite swap: the same run re-registered at its new blob
+    /// location, carrying the per-run counters forward. Residency starts
+    /// cold (the old entry's resolved range is forgotten with the old
+    /// entry).
     pub(crate) fn repacked(
         old: &PersistedRun,
-        path: PathBuf,
+        file: Arc<PackFile>,
         offset: u64,
         bytes: u64,
-        mapping: Option<Arc<PackMapping>>,
     ) -> Self {
         Self {
             run: old.run,
@@ -742,12 +643,11 @@ impl PersistedRun {
             source: old.source,
             published: old.published,
             disk_bytes: bytes,
-            path,
+            file,
             offset,
             frozen_at: old.frozen_at,
             skl: old.skl,
             state: RwLock::new(LoadState::Unloaded),
-            mapping,
             pins: AtomicU32::new(0),
             last_access: AtomicU64::new(old.last_access.load(Ordering::Relaxed)),
             retired: AtomicBool::new(false),
@@ -767,9 +667,9 @@ impl PersistedRun {
         self.disk_bytes
     }
 
-    /// The blob's file (per-run segment or pack).
+    /// The pack file holding the blob.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// Byte offset of the blob within [`Self::path`].
@@ -777,132 +677,81 @@ impl PersistedRun {
         self.offset
     }
 
-    /// The freeze-time SKL re-label deltas persisted in the v2 header.
+    /// The freeze-time SKL re-label deltas persisted in the header.
     pub fn skl_report(&self) -> Option<&SklReport> {
         self.skl.as_ref()
     }
 
-    /// Pin the run's bytes for reading, resolving them on first use:
-    /// through the pack mapping when one is registered (verify once,
-    /// then zero-copy forever), through an owned fault-in otherwise.
-    /// The pin makes the blob ineligible for eviction until dropped;
-    /// `None` if the blob no longer reads back cleanly.
+    /// Pin an already-resolved range (call with the state lock held, so
+    /// the shed path cannot slip between the two steps). A range the
+    /// replacer `madvise`d away pins back in — the pages re-fault lazily
+    /// underneath — and must be re-admitted to the LRU: returns whether.
+    fn repin(&self, m: &MappedRun) -> bool {
+        self.pins.fetch_add(1, Ordering::AcqRel);
+        if m.resident.swap(true, Ordering::AcqRel) {
+            with_profile(|p| p.verifies_skipped += 1);
+            false
+        } else {
+            self.lru.obs.pack_pins.inc();
+            with_profile(|p| p.pack_pins += 1);
+            true
+        }
+    }
+
+    /// The slow path of [`Self::pin`], under the state write lock: map
+    /// the file (if no other run of the pack has yet), run the blob's
+    /// one verification pass — framing + checksum; labels decode lazily
+    /// later — and pin the resolved range. A failure is sticky.
+    fn first_pin(&self) -> Option<(Arc<MappedRun>, bool)> {
+        let mut g = self.state.write().expect("segment state poisoned");
+        match &*g {
+            LoadState::Mapped(m) => return Some((Arc::clone(m), self.repin(m))),
+            LoadState::Failed => return None,
+            LoadState::Unloaded => {}
+        }
+        let obs = &self.lru.obs;
+        let span = obs.timer();
+        let resolved = self
+            .file
+            .mapping()
+            .and_then(|map| MappedRun::resolve(map, self.offset, self.disk_bytes).ok());
+        let Some(m) = resolved else {
+            *g = LoadState::Failed;
+            return None;
+        };
+        obs.span(
+            &obs.h_pack_pin,
+            "pack_pin",
+            Some(self.run.0),
+            Some("persisted"),
+            span,
+            false,
+            || format!("bytes={}", self.disk_bytes),
+        );
+        let m = Arc::new(m);
+        *g = LoadState::Mapped(Arc::clone(&m));
+        let admit = self.repin(&m);
+        Some((m, admit))
+    }
+
+    /// Pin the run's bytes for reading. The first pin maps and verifies
+    /// ([`Self::first_pin`]); every later pin is zero-copy. The pin makes
+    /// the blob ineligible for eviction until dropped; `None` if the
+    /// blob no longer reads back cleanly.
     ///
     /// The pin count is taken while the state lock is held; the shed
     /// path re-checks it under the (try-)write lock, so a blob can
     /// never be evicted between resolve and pin.
     pub(crate) fn pin(self: &Arc<Self>) -> Option<SegmentPin> {
         self.last_access.store(self.lru.tick(), Ordering::Relaxed);
-        let mut admit = false;
-        let view = 'resolve: {
-            {
-                let g = self.state.read().expect("segment state poisoned");
-                match &*g {
-                    LoadState::Loaded(f) => {
-                        self.pins.fetch_add(1, Ordering::AcqRel);
-                        with_profile(|p| p.verifies_skipped += 1);
-                        break 'resolve PinView::Owned(Arc::clone(f));
-                    }
-                    LoadState::Mapped(m) => {
-                        self.pins.fetch_add(1, Ordering::AcqRel);
-                        // A range the replacer madvise'd away pins back
-                        // in (the pages re-fault lazily underneath).
-                        if !m.resident.swap(true, Ordering::AcqRel) {
-                            self.lru.obs.pack_pins.inc();
-                            with_profile(|p| p.pack_pins += 1);
-                            admit = true;
-                        } else {
-                            with_profile(|p| p.verifies_skipped += 1);
-                        }
-                        break 'resolve PinView::Mapped(Arc::clone(m));
-                    }
-                    LoadState::Failed => return None,
-                    LoadState::Unloaded => {}
-                }
-            }
-            let mut g = self.state.write().expect("segment state poisoned");
-            match &*g {
-                LoadState::Loaded(f) => {
-                    self.pins.fetch_add(1, Ordering::AcqRel);
-                    with_profile(|p| p.verifies_skipped += 1);
-                    break 'resolve PinView::Owned(Arc::clone(f));
-                }
-                LoadState::Mapped(m) => {
-                    self.pins.fetch_add(1, Ordering::AcqRel);
-                    if !m.resident.swap(true, Ordering::AcqRel) {
-                        self.lru.obs.pack_pins.inc();
-                        with_profile(|p| p.pack_pins += 1);
-                        admit = true;
-                    } else {
-                        with_profile(|p| p.verifies_skipped += 1);
-                    }
-                    break 'resolve PinView::Mapped(Arc::clone(m));
-                }
-                LoadState::Failed => return None,
-                LoadState::Unloaded => {}
-            }
-            let obs = &self.lru.obs;
-            if let Some(map) = &self.mapping {
-                // First pin of a mapped blob: the one verification pass
-                // (framing + checksum — labels decode lazily later).
-                let span = obs.timer();
-                match MappedRun::resolve(Arc::clone(map), self.offset, self.disk_bytes) {
-                    Ok(m) => {
-                        obs.span(
-                            &obs.h_pack_pin,
-                            "pack_pin",
-                            Some(self.run.0),
-                            Some("persisted"),
-                            span,
-                            false,
-                            || format!("bytes={}", self.disk_bytes),
-                        );
-                        let m = Arc::new(m);
-                        m.resident.store(true, Ordering::Release);
-                        obs.pack_pins.inc();
-                        with_profile(|p| p.pack_pins += 1);
-                        *g = LoadState::Mapped(Arc::clone(&m));
-                        self.pins.fetch_add(1, Ordering::AcqRel);
-                        admit = true;
-                        break 'resolve PinView::Mapped(m);
-                    }
-                    Err(_) => {
-                        *g = LoadState::Failed;
-                        return None;
-                    }
-                }
-            }
-            // The owned fault-in fallback — the only pin path that pays
-            // for a copy + full decode — so it alone feeds the fault-in
-            // histogram (slow faults are promoted into the trace ring).
-            let span = obs.timer();
-            match read_segment_range(&self.path, self.offset, self.disk_bytes) {
-                Ok(f) => {
-                    obs.segment_loads.inc();
-                    with_profile(|p| {
-                        p.fault_ins += 1;
-                        p.bytes_faulted += self.disk_bytes;
-                    });
-                    obs.span(
-                        &obs.h_fault_in,
-                        "fault_in",
-                        Some(self.run.0),
-                        Some("persisted"),
-                        span,
-                        false,
-                        || format!("bytes={}", self.disk_bytes),
-                    );
-                    let f = Arc::new(f);
-                    *g = LoadState::Loaded(Arc::clone(&f));
-                    self.pins.fetch_add(1, Ordering::AcqRel);
-                    admit = true;
-                    PinView::Owned(f)
-                }
-                Err(_) => {
-                    *g = LoadState::Failed;
-                    return None;
-                }
-            }
+        let resolved = match &*self.state.read().expect("segment state poisoned") {
+            LoadState::Mapped(m) => Some((Arc::clone(m), self.repin(m))),
+            LoadState::Failed => return None,
+            LoadState::Unloaded => None,
+        };
+        let (mapped, admit) = match resolved {
+            Some(r) => r,
+            None => self.first_pin()?,
         };
         // Register outside the state lock: the LRU's shed path takes
         // state locks under its own mutex, so nesting the other way
@@ -912,28 +761,19 @@ impl PersistedRun {
         }
         Some(SegmentPin {
             run: Arc::clone(self),
-            view,
+            mapped,
         })
     }
 
-    /// True while the blob is resident in memory — an owned arena, or a
-    /// mapped range whose pages have not been `madvise`d away.
+    /// True while the blob's mapped range is resident — pinned in and
+    /// not yet `madvise`d away.
     pub fn is_loaded(&self) -> bool {
-        match &*self.state.read().expect("segment state poisoned") {
-            LoadState::Loaded(_) => true,
-            LoadState::Mapped(m) => m.resident.load(Ordering::Acquire),
-            _ => false,
-        }
+        self.resident_bytes() > 0
     }
 
     /// Live pin count (replacer victim filtering).
     pub(crate) fn pinned(&self) -> bool {
         self.pins.load(Ordering::Acquire) > 0
-    }
-
-    /// Whether reads resolve through a pack mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.mapping.is_some()
     }
 
     /// True once a load has failed (sticky): the blob no longer reads
@@ -946,129 +786,82 @@ impl PersistedRun {
         )
     }
 
-    /// Resident bytes of the loaded blob (0 when cold or failed): the
-    /// decoded arena footprint for the owned path, the on-disk blob
-    /// length — the pages the mapping can fault — for the mapped path.
+    /// Resident bytes of the blob (0 when cold or failed): its on-disk
+    /// length — the pages the mapping can fault.
     pub(crate) fn resident_bytes(&self) -> u64 {
         match &*self.state.read().expect("segment state poisoned") {
-            LoadState::Loaded(f) => f.footprint_bytes() as u64,
             LoadState::Mapped(m) if m.resident.load(Ordering::Acquire) => self.disk_bytes,
             _ => 0,
         }
     }
 
-    /// Drop the resident blob (replacer eviction): the owned arena is
-    /// released to the allocator; a mapped range keeps its metadata but
-    /// hands its pages back to the kernel with `madvise(DONTNEED)`.
-    /// Non-blocking and pin-aware: returns `None` if the state lock is
-    /// contended (a fault-in or query is mid-flight), a pin is live, or
-    /// nothing is resident; the bytes freed otherwise.
+    /// Evict the resident blob (replacer eviction): the range keeps its
+    /// metadata but hands its pages back to the kernel with
+    /// `madvise(DONTNEED)`. Non-blocking and pin-aware: returns `None`
+    /// if the state lock is contended (a first pin or query is
+    /// mid-flight), a pin is live, or nothing is resident; the bytes
+    /// freed otherwise.
     pub(crate) fn shed(&self) -> Option<u64> {
-        let mut g = self.state.try_write().ok()?;
+        let g = self.state.try_write().ok()?;
         // Re-checked under the write lock: a pin taken under the read
         // lock has either completed (visible here) or is blocked on us.
         if self.pins.load(Ordering::Acquire) > 0 {
             return None;
         }
         match &*g {
-            LoadState::Mapped(m) => {
-                if m.resident.swap(false, Ordering::AcqRel) {
-                    m.advise_dont_need();
-                    Some(self.disk_bytes)
-                } else {
-                    None
-                }
+            LoadState::Mapped(m) if m.resident.swap(false, Ordering::AcqRel) => {
+                m.advise_dont_need();
+                Some(self.disk_bytes)
             }
-            LoadState::Loaded(_) => match std::mem::replace(&mut *g, LoadState::Unloaded) {
-                LoadState::Loaded(f) => Some(f.footprint_bytes() as u64),
-                _ => unreachable!("state changed under the write lock"),
-            },
             _ => None,
         }
     }
 }
 
-/// How a pinned blob's bytes are served.
-enum PinView {
-    /// Owned decoded arena (loose files / mapping disabled).
-    Owned(Arc<FrozenRun>),
-    /// Zero-copy range inside an `mmap`'d pack.
-    Mapped(Arc<MappedRun>),
-}
-
-/// A pinned view of one persisted run's labels — the unified read
-/// surface over both resolve paths. While the pin lives, the replacer
-/// will not evict the blob (owned arena or mapped pages); dropping it
-/// unpins. All label reads decode on demand, identically in both
-/// variants, so callers never know which path answered.
+/// A pinned view of one persisted run's labels. While the pin lives, the
+/// replacer will not evict the blob's pages; dropping it unpins. All
+/// label reads decode on demand, straight off the mapping.
 pub struct SegmentPin {
     run: Arc<PersistedRun>,
-    view: PinView,
+    mapped: Arc<MappedRun>,
 }
 
 impl SegmentPin {
     /// Decode the label of `v`.
     pub fn label(&self, v: VertexId) -> Option<DrlLabel> {
-        match &self.view {
-            PinView::Owned(f) => f.arena.get(v),
-            PinView::Mapped(m) => m.label(v),
-        }
+        self.mapped.label(v)
     }
 
     /// The module name `v` was published under.
     pub fn name(&self, v: VertexId) -> Option<NameId> {
-        match &self.view {
-            PinView::Owned(f) => f.arena.name(v),
-            PinView::Mapped(m) => m.name(v),
-        }
+        self.mapped.name(v)
     }
 
     /// Skeleton-pointer width the labels were encoded with.
     pub fn skl_bits(&self) -> usize {
-        match &self.view {
-            PinView::Owned(f) => f.arena.skl_bits(),
-            PinView::Mapped(m) => m.skl_bits(),
-        }
-    }
-
-    /// True when this pin serves straight off a pack mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.view, PinView::Mapped(_))
+        self.mapped.skl_bits()
     }
 
     /// Visit every published `(vertex, name, label)` of the run.
-    pub fn for_each_label(&self, mut f: impl FnMut(VertexId, NameId, &DrlLabel)) {
-        match &self.view {
-            PinView::Owned(fr) => {
-                for (v, name, label) in fr.arena.iter() {
-                    f(v, name, &label);
-                }
-            }
-            PinView::Mapped(m) => m.for_each_label(f),
-        }
+    pub fn for_each_label(&self, f: impl FnMut(VertexId, NameId, &DrlLabel)) {
+        self.mapped.for_each_label(f);
     }
 
-    /// Materialize an owned, fully re-validated [`FrozenRun`] — the
-    /// re-heat path. The owned variant shares its resident arena; the
-    /// mapped variant decodes one out of the mapping. `None` if the
-    /// mapped bytes no longer validate.
+    /// Materialize an owned, fully re-validated [`FrozenRun`] out of the
+    /// mapping — the re-heat path. `None` if the mapped bytes no longer
+    /// validate.
     pub(crate) fn to_frozen(&self) -> Option<Arc<FrozenRun>> {
-        match &self.view {
-            PinView::Owned(f) => Some(Arc::clone(f)),
-            PinView::Mapped(m) => {
-                let h = m.header();
-                Some(Arc::new(FrozenRun {
-                    run: self.run.run,
-                    spec: self.run.spec,
-                    source: h.source,
-                    arena: m.to_arena()?,
-                    drl_bits: h.drl_bits,
-                    frozen_at: h.frozen_at,
-                    skl: h.skl,
-                    queries: AtomicU64::new(0),
-                }))
-            }
-        }
+        let h = self.mapped.header();
+        Some(Arc::new(FrozenRun {
+            run: self.run.run,
+            spec: self.run.spec,
+            source: h.source,
+            arena: self.mapped.to_arena()?,
+            drl_bits: h.drl_bits,
+            frozen_at: h.frozen_at,
+            skl: h.skl,
+            queries: AtomicU64::new(0),
+        }))
     }
 }
 

@@ -1,0 +1,586 @@
+//! The **spill directory**: the one owner of everything on disk under
+//! the persisted tier — pack naming, the manifest lock, the pack-set
+//! epoch, and the three operations that write there.
+//!
+//! * [`SpillDir::persist`] writes one frozen run as a pack of one and
+//!   lists it in the manifest.
+//! * [`SpillDir::compact`] and [`SpillDir::gc_packs`] are two victim
+//!   selections over one rewrite pass (`rewrite_packs`): pick files,
+//!   stream their live blobs verbatim into fresh packs, land the
+//!   manifest under the next epoch, swap the registrations, retire the
+//!   old files through the [`EpochRegistry`], sweep orphans. Compaction
+//!   picks *underfull* files (fewer than [`MIN_PACK_RUNS`] live runs);
+//!   GC picks files whose dead-blob ratio crossed the threshold.
+//!
+//! Crash safety is the same at every step of every operation: until a
+//! new manifest is renamed into place the old manifest and old files are
+//! intact; after it, the old files are orphans the sweep (this pass's or
+//! any later one's) removes.
+
+use crate::bufmgr::{EpochRegistry, PackFile};
+use crate::freeze::FrozenRun;
+use crate::snapshot::{
+    self, ManifestEntry, PersistedRun, SnapshotError, MIN_PACK_RUNS, PACK_MAX_RUNS,
+    PACK_TARGET_BYTES,
+};
+use crate::store::{LabelStore, RunView, SegmentLru, Tier};
+use crate::telemetry::tier_tag;
+use crate::{RunId, ServiceError};
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use wf_skeleton::SpecLabeling;
+
+/// Default dead-blob ratio above which pack GC rewrites a pack file:
+/// once 30% of a pack's bytes belong to runs that left the persisted
+/// tier (re-heated or evicted), rewriting the live remainder wins back
+/// more disk than the copy costs.
+pub const DEFAULT_PACK_GC_DEAD_RATIO: f64 = 0.3;
+
+/// What one compaction pass did: how many pack files and on-disk bytes
+/// the persisted tier referenced before and after, and how many runs
+/// moved into freshly written packs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompactionReport {
+    /// Distinct pack files referenced before the pass.
+    pub files_before: usize,
+    /// Distinct pack files referenced after the pass.
+    pub files_after: usize,
+    /// Sum of **on-disk file bytes** referenced before the pass (a file
+    /// counts once, dead blobs included).
+    pub bytes_before: u64,
+    /// Sum of on-disk file bytes referenced after the pass.
+    pub bytes_after: u64,
+    /// Dead blob bytes reclaimed by retiring rewritten files — bytes that
+    /// belonged to re-heated or evicted runs and were carried by a file
+    /// without being referenced. Reported separately so packing (which
+    /// moves live bytes) and GC (which drops dead ones) never mix in one
+    /// number.
+    pub dead_bytes_reclaimed: u64,
+    /// Runs rewritten into packs by this pass.
+    pub runs_packed: usize,
+    /// Pack files this pass wrote.
+    pub packs_written: usize,
+}
+
+impl CompactionReport {
+    /// One JSON line with the before/after file-count and byte stats —
+    /// what CI uploads as the `compaction-<sha>` artifact.
+    pub fn json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"metric\":\"compaction\",",
+                "\"files_before\":{},\"files_after\":{},",
+                "\"bytes_before\":{},\"bytes_after\":{},",
+                "\"dead_bytes_reclaimed\":{},",
+                "\"runs_packed\":{},\"packs_written\":{}}}"
+            ),
+            self.files_before,
+            self.files_after,
+            self.bytes_before,
+            self.bytes_after,
+            self.dead_bytes_reclaimed,
+            self.runs_packed,
+            self.packs_written,
+        )
+    }
+}
+
+/// What one pack-GC pass did: packs rewritten because their dead-blob
+/// ratio crossed the threshold, live runs moved into the rewrites, and
+/// the on-disk byte accounting over every referenced pack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PackGcReport {
+    /// Packs rewritten (and retired) by this pass.
+    pub packs_rewritten: usize,
+    /// Live runs re-registered into the rewritten packs.
+    pub runs_moved: usize,
+    /// Sum of pack-file bytes on disk before the pass.
+    pub bytes_before: u64,
+    /// Sum of pack-file bytes on disk after the pass.
+    pub bytes_after: u64,
+    /// Dead blob bytes the rewrites dropped.
+    pub dead_bytes_reclaimed: u64,
+}
+
+impl PackGcReport {
+    /// One JSON line for the `pack-gc-<sha>` CI artifact.
+    pub fn json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"metric\":\"pack_gc\",",
+                "\"packs_rewritten\":{},\"runs_moved\":{},",
+                "\"bytes_before\":{},\"bytes_after\":{},",
+                "\"dead_bytes_reclaimed\":{}}}"
+            ),
+            self.packs_rewritten,
+            self.runs_moved,
+            self.bytes_before,
+            self.bytes_after,
+            self.dead_bytes_reclaimed,
+        )
+    }
+}
+
+/// One pack file the persisted tier references.
+pub(crate) struct FileStat {
+    file: Arc<PackFile>,
+    /// Live registrations in the file.
+    runs: Vec<Arc<PersistedRun>>,
+    /// On-disk size of the file.
+    size: u64,
+    /// Sum of the live blobs' bytes.
+    live: u64,
+}
+
+impl FileStat {
+    /// Bytes of blobs whose runs left the persisted tier.
+    pub(crate) fn dead(&self) -> u64 {
+        self.size.saturating_sub(self.live)
+    }
+}
+
+/// Group the persisted set by pack file (one `stat` per file, not per
+/// run).
+pub(crate) fn file_stats(persisted: &[Arc<PersistedRun>]) -> Vec<FileStat> {
+    let mut by_file: HashMap<&Path, Vec<Arc<PersistedRun>>> = HashMap::new();
+    for p in persisted {
+        by_file.entry(p.path()).or_default().push(Arc::clone(p));
+    }
+    by_file
+        .into_values()
+        .map(|runs| {
+            let live = runs.iter().map(|p| p.disk_bytes()).sum();
+            let file = Arc::clone(&runs[0].file);
+            FileStat {
+                size: file.disk_len(live),
+                file,
+                runs,
+                live,
+            }
+        })
+        .collect()
+}
+
+/// A rewrite gains something when it leaves fewer files behind or drops
+/// dead bytes; anything else is a copy for nothing.
+fn gains(files: &[FileStat], packs: usize) -> bool {
+    files.len() > packs || files.iter().any(|f| f.dead() > 0)
+}
+
+/// A run copied into a new pack: its old registration, and the blob's
+/// offset and length in the new file.
+type Member = (Arc<PersistedRun>, u64, u64);
+
+fn manifest_entry(run: RunId, path: &Path, offset: u64, bytes: u64) -> Option<ManifestEntry> {
+    Some(ManifestEntry {
+        run,
+        file: path.file_name()?.to_str()?.to_string(),
+        offset,
+        bytes,
+    })
+}
+
+/// The spill directory of one engine.
+pub(crate) struct SpillDir {
+    dir: PathBuf,
+    /// Serializes pack + manifest writes: each is a unit, and the
+    /// manifest always lists the full persisted set.
+    manifest: Mutex<()>,
+    /// Next `pack-<seq>.wfseg` number (seeded past any packs already in
+    /// the directory, so restarts never reuse a name).
+    pack_seq: AtomicU64,
+    /// The pack-set epoch lifecycle: cross-run scans pin the current
+    /// epoch; rewrites retire replaced files under the next one,
+    /// deferring the unlink past every in-flight reader.
+    pub(crate) epochs: Arc<EpochRegistry>,
+    /// The store's `mapped_bytes` gauge, handed to every file handle.
+    mapped_bytes: Arc<AtomicU64>,
+    /// Dead-blob ratio above which pack GC rewrites a pack.
+    gc_dead_ratio: f64,
+    /// Last spills+compactions+reheats sum [`Self::apply_policy`]
+    /// observed — the cheap "did the persisted tier change shape" stamp
+    /// that gates the per-tick file census. Starts at `u64::MAX` so the
+    /// first pass always counts (reloaded history may already need
+    /// packing).
+    policy_stamp: AtomicU64,
+}
+
+impl SpillDir {
+    /// Open `dir` and register the history its manifest lists, by
+    /// header-only reads (nothing is mapped until queried). Entries that
+    /// do not read back — or name a spec beyond the `specs` this catalog
+    /// has — are skipped; a manifest this engine cannot parse registers
+    /// nothing.
+    pub(crate) fn open(
+        dir: PathBuf,
+        gc_dead_ratio: Option<f64>,
+        lru: &Arc<SegmentLru>,
+        specs: usize,
+    ) -> (Self, Vec<Arc<PersistedRun>>) {
+        let epochs = Arc::new(EpochRegistry::default());
+        epochs.seed(snapshot::load_manifest_epoch(&dir));
+        let mapped_bytes = Arc::clone(&lru.mapped_bytes);
+        let mut files: HashMap<String, Arc<PackFile>> = HashMap::new();
+        let mut persisted = Vec::new();
+        for entry in snapshot::load_manifest(&dir).unwrap_or_default() {
+            let file = files
+                .entry(entry.file.clone())
+                .or_insert_with(|| PackFile::new(dir.join(&entry.file), Arc::clone(&mapped_bytes)));
+            match PersistedRun::open_entry(Arc::clone(file), &entry, Arc::clone(lru)) {
+                Ok(run) if run.spec.0 < specs => persisted.push(Arc::new(run)),
+                _ => {}
+            }
+        }
+        let next_pack = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .filter_map(|e| snapshot::pack_file_seq(e.ok()?.file_name().to_str()?))
+            .max()
+            .map_or(0, |m| m + 1);
+        let spill = Self {
+            dir,
+            manifest: Mutex::new(()),
+            pack_seq: AtomicU64::new(next_pack),
+            epochs,
+            mapped_bytes,
+            gc_dead_ratio: gc_dead_ratio.unwrap_or(DEFAULT_PACK_GC_DEAD_RATIO),
+            policy_stamp: AtomicU64::new(u64::MAX),
+        };
+        (spill, persisted)
+    }
+
+    pub(crate) fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Atomically write `bytes` as the next pack file.
+    fn write_pack(&self, bytes: &[u8]) -> Result<Arc<PackFile>, SnapshotError> {
+        let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
+        let path = self.dir.join(snapshot::pack_file_name(seq));
+        snapshot::write_blob_file(&self.dir, &path, bytes)?;
+        Ok(PackFile::new(path, Arc::clone(&self.mapped_bytes)))
+    }
+
+    /// The manifest lines for the current persisted set (call with the
+    /// manifest lock held).
+    fn manifest_entries<S: SpecLabeling>(&self, store: &LabelStore<S>) -> Vec<ManifestEntry> {
+        store
+            .persisted_runs()
+            .iter()
+            .filter_map(|p| manifest_entry(p.run(), p.path(), p.offset(), p.disk_bytes()))
+            .collect()
+    }
+
+    /// Spill one frozen run: write it as a pack of one, swap its
+    /// in-memory arena for a lazily mapped persisted entry, and list it
+    /// in the manifest. `Ok(false)` when the run left the frozen tier
+    /// while the pack was being written and someone else persisted it.
+    pub(crate) fn persist<S: SpecLabeling>(
+        &self,
+        store: &LabelStore<S>,
+        frozen: &FrozenRun,
+    ) -> Result<bool, ServiceError> {
+        let run = frozen.run();
+        let failed = |e: SnapshotError| ServiceError::Snapshot(run, e.to_string());
+        let _g = self.manifest.lock().expect("manifest lock poisoned");
+        let obs = &store.lru.obs;
+        let span = obs.timer();
+        let blob = snapshot::encode_segment(frozen);
+        let bytes = blob.len() as u64;
+        let file = self.write_pack(&blob).map_err(failed)?;
+        let persisted = Arc::new(PersistedRun::from_frozen(
+            frozen,
+            Arc::clone(&file),
+            bytes,
+            Arc::clone(&store.lru),
+        ));
+        if !store.promote_persisted(run, persisted) {
+            // The run left the frozen tier while the pack was being
+            // written (evicted, most likely): do not resurrect it — drop
+            // the orphan file instead.
+            let _ = std::fs::remove_file(file.path());
+            return match store.view(run) {
+                Some(RunView::Persisted(_)) => Ok(false),
+                _ => Err(ServiceError::UnknownRun(run)),
+            };
+        }
+        snapshot::write_manifest(
+            &self.dir,
+            &self.manifest_entries(store),
+            self.epochs.current(),
+        )
+        .map_err(failed)?;
+        obs.spills.inc();
+        obs.span(
+            &obs.h_spill,
+            "spill",
+            Some(run.0),
+            Some(tier_tag(Tier::Persisted)),
+            span,
+            true,
+            || format!("bytes={bytes}"),
+        );
+        Ok(true)
+    }
+
+    /// **Compaction**: merge underfull packs — fresh spills are packs of
+    /// one — into full ones, cutting the directory's file count.
+    pub(crate) fn compact<S: SpecLabeling>(
+        &self,
+        store: &LabelStore<S>,
+    ) -> Result<CompactionReport, ServiceError> {
+        let obs = &store.lru.obs;
+        let span = obs.timer();
+        let report = self
+            .rewrite_packs(store, |f| f.runs.len() < MIN_PACK_RUNS)
+            .map_err(|e| ServiceError::Compaction(e.to_string()))?;
+        if report.packs_written > 0 {
+            obs.compactions.inc();
+            obs.span(
+                &obs.h_compaction,
+                "compaction",
+                None,
+                Some(tier_tag(Tier::Persisted)),
+                span,
+                true,
+                || {
+                    format!(
+                        "files={}->{} runs_packed={}",
+                        report.files_before, report.files_after, report.runs_packed
+                    )
+                },
+            );
+        }
+        Ok(report)
+    }
+
+    /// **Pack garbage collection**: rewrite every pack whose dead-blob
+    /// ratio — bytes belonging to runs that re-heated or were evicted,
+    /// over the pack's file size — exceeds the configured threshold.
+    pub(crate) fn gc_packs<S: SpecLabeling>(
+        &self,
+        store: &LabelStore<S>,
+    ) -> Result<PackGcReport, ServiceError> {
+        let obs = &store.lru.obs;
+        let span = obs.timer();
+        let ratio = self.gc_dead_ratio;
+        let r = self
+            .rewrite_packs(store, |f| {
+                f.size > 0 && f.dead() as f64 / f.size as f64 > ratio
+            })
+            .map_err(|e| ServiceError::PackGc(e.to_string()))?;
+        let report = PackGcReport {
+            packs_rewritten: r.files_before + r.packs_written - r.files_after,
+            runs_moved: r.runs_packed,
+            bytes_before: r.bytes_before,
+            bytes_after: r.bytes_after,
+            dead_bytes_reclaimed: r.dead_bytes_reclaimed,
+        };
+        if r.packs_written > 0 {
+            obs.pack_gc_runs.add(report.runs_moved as u64);
+            obs.span(
+                &obs.h_pack_gc,
+                "pack_gc",
+                None,
+                Some(tier_tag(Tier::Persisted)),
+                span,
+                true,
+                || {
+                    format!(
+                        "packs={} runs={} reclaimed={}",
+                        report.packs_rewritten, report.runs_moved, report.dead_bytes_reclaimed
+                    )
+                },
+            );
+        }
+        Ok(report)
+    }
+
+    /// The one rewrite pass behind compaction and pack GC, reported in
+    /// compaction's terms (the GC report is a view of it). Victim files
+    /// are copied whole or not at all: a file with a blob that fails to
+    /// read back is left exactly as it was. Memory is bounded — blobs
+    /// stream through one pack buffer (≤ [`PACK_TARGET_BYTES`] plus one
+    /// victim file), never the whole tier at once — and blobs are
+    /// copied verbatim, each keeping its own checksum. An in-flight scan
+    /// pinned at the pre-rewrite epoch keeps reading the old files until
+    /// its guard drops.
+    fn rewrite_packs<S: SpecLabeling>(
+        &self,
+        store: &LabelStore<S>,
+        is_victim: impl Fn(&FileStat) -> bool,
+    ) -> Result<CompactionReport, SnapshotError> {
+        let _g = self.manifest.lock().expect("manifest lock poisoned");
+        let persisted = store.persisted_runs();
+        let files = file_stats(&persisted);
+        let bytes_before = files.iter().map(|f| f.size).sum();
+        let mut out = CompactionReport {
+            files_before: files.len(),
+            files_after: files.len(),
+            bytes_before,
+            bytes_after: bytes_before,
+            dead_bytes_reclaimed: 0,
+            runs_packed: 0,
+            packs_written: 0,
+        };
+        let mut victims: Vec<FileStat> = files.into_iter().filter(is_victim).collect();
+        if !gains(&victims, 1) {
+            return Ok(out);
+        }
+        // Ascending run id within a file, lowest first across files: a
+        // deterministic pack layout.
+        for victim in &mut victims {
+            victim.runs.sort_by_key(|p| p.run());
+        }
+        victims.sort_by_key(|f| f.runs[0].run());
+        let mut packs: Vec<(Arc<PackFile>, Vec<Member>)> = Vec::new();
+        let mut copied: Vec<FileStat> = Vec::new();
+        let mut buf: Vec<u8> = Vec::new();
+        let mut members: Vec<Member> = Vec::new();
+        for victim in victims {
+            let mark = (buf.len(), members.len());
+            let whole = victim.runs.iter().try_for_each(|p| {
+                let blob = snapshot::read_raw_range(p.path(), p.offset(), p.disk_bytes())?;
+                snapshot::verify_segment_bytes(&blob)?;
+                members.push((Arc::clone(p), buf.len() as u64, blob.len() as u64));
+                buf.extend_from_slice(&blob);
+                Ok::<(), SnapshotError>(())
+            });
+            if whole.is_err() {
+                buf.truncate(mark.0);
+                members.truncate(mark.1);
+                continue;
+            }
+            copied.push(victim);
+            if members.len() >= PACK_MAX_RUNS || buf.len() as u64 >= PACK_TARGET_BYTES {
+                packs.push((self.write_pack(&buf)?, std::mem::take(&mut members)));
+                buf.clear();
+            }
+        }
+        if !members.is_empty() {
+            packs.push((self.write_pack(&buf)?, members));
+        }
+        if !gains(&copied, packs.len()) {
+            // Leave the registry and the manifest untouched; nothing
+            // references the packs just written.
+            for (file, _) in &packs {
+                let _ = std::fs::remove_file(file.path());
+            }
+            return Ok(out);
+        }
+        // The new manifest: copied runs re-pointed, everything else kept.
+        let mut relocated: HashMap<u64, (&Path, u64, u64)> = HashMap::new();
+        for (file, members) in &packs {
+            for (p, offset, len) in members {
+                relocated.insert(p.run().0, (file.path(), *offset, *len));
+            }
+        }
+        let entries: Vec<ManifestEntry> = persisted
+            .iter()
+            .filter_map(|p| {
+                let (path, offset, bytes) = relocated.get(&p.run().0).copied().unwrap_or((
+                    p.path(),
+                    p.offset(),
+                    p.disk_bytes(),
+                ));
+                manifest_entry(p.run(), path, offset, bytes)
+            })
+            .collect();
+        // The manifest carries the epoch the retire below will advance
+        // to, so restarts seed a counter no surviving guard outranks.
+        snapshot::write_manifest(&self.dir, &entries, self.epochs.current() + 1)?;
+        // Swap the live registrations, then retire the copied files.
+        for (file, members) in &packs {
+            for (p, offset, len) in members {
+                let entry = PersistedRun::repacked(p, Arc::clone(file), *offset, *len);
+                if store.replace_persisted(p.run(), Arc::new(entry)) {
+                    out.runs_packed += 1;
+                }
+            }
+        }
+        // Each retired file's live bytes moved verbatim, so the footprint
+        // shrinks by exactly the dead ones.
+        out.dead_bytes_reclaimed = copied.iter().map(FileStat::dead).sum();
+        out.bytes_after -= out.dead_bytes_reclaimed;
+        out.files_after = out.files_before - copied.len() + packs.len();
+        out.packs_written = packs.len();
+        self.epochs.retire(copied.into_iter().map(|f| f.file));
+        self.sweep_orphans(store, &entries);
+        Ok(out)
+    }
+
+    /// Delete pack files the manifest just written does not reference —
+    /// blobs of evicted or re-heated runs, and leftovers of a crash
+    /// between a pack/manifest write and the old-file deletion. Runs
+    /// under the manifest lock, right after `entries` landed on disk, so
+    /// the entry list is authoritative; files still registered in the
+    /// live store are kept too (an evicted-then-kept segment is not the
+    /// sweep's to judge).
+    fn sweep_orphans<S: SpecLabeling>(&self, store: &LabelStore<S>, entries: &[ManifestEntry]) {
+        let mut referenced: HashSet<PathBuf> =
+            entries.iter().map(|e| self.dir.join(&e.file)).collect();
+        referenced.extend(
+            store
+                .persisted_runs()
+                .iter()
+                .map(|p| p.path().to_path_buf()),
+        );
+        // Files retired under an epoch some reader may still be pinned
+        // at are not orphans — the registry unlinks them itself once
+        // the last guard from before their retirement drops.
+        referenced.extend(self.epochs.deferred_paths());
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in dir.flatten() {
+            let is_pack = entry
+                .file_name()
+                .to_str()
+                .is_some_and(|n| snapshot::pack_file_seq(n).is_some());
+            if is_pack && !referenced.contains(&entry.path()) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+    }
+
+    /// One pass of the directory's own policy: compact once
+    /// `compact_after` underfull files pile up, and GC dead-heavy packs
+    /// when `gc` is on. The file census only reruns after a spill,
+    /// compaction or re-heat changed the tier since the last pass.
+    /// Returns what failed.
+    pub(crate) fn apply_policy<S: SpecLabeling>(
+        &self,
+        store: &LabelStore<S>,
+        compact_after: Option<usize>,
+        gc: bool,
+    ) -> Vec<ServiceError> {
+        let mut errors = Vec::new();
+        if compact_after.is_none() && !gc {
+            return errors;
+        }
+        let obs = &store.lru.obs;
+        let stamp = obs
+            .spills
+            .get()
+            .wrapping_add(obs.compactions.get())
+            .wrapping_add(obs.reheats.get());
+        if self.policy_stamp.swap(stamp, Ordering::Relaxed) == stamp {
+            return errors;
+        }
+        if let Some(threshold) = compact_after {
+            // Runs of one pack share one file handle.
+            let mut file_runs: HashMap<*const PackFile, usize> = HashMap::new();
+            store.for_each_persisted(|p| *file_runs.entry(Arc::as_ptr(&p.file)).or_default() += 1);
+            let underfull = file_runs.values().filter(|&&n| n < MIN_PACK_RUNS).count();
+            if underfull >= threshold.max(2) {
+                errors.extend(self.compact(store).err());
+            }
+        }
+        if gc {
+            errors.extend(self.gc_packs(store).err());
+        }
+        errors
+    }
+}

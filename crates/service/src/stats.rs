@@ -79,21 +79,21 @@ pub struct ServiceStats {
     pub frozen_label_bits: u64,
     /// **Persisted tier** footprint in bytes: segment blobs on disk.
     pub persisted_bytes: u64,
-    /// **Persisted tier** resident bytes: segment arenas currently
-    /// faulted into memory (governed by
+    /// **Persisted tier** resident bytes: segment blobs currently
+    /// pinned into memory (governed by
     /// [`crate::EngineBuilder::max_resident_bytes`]).
     pub persisted_resident_bytes: u64,
-    /// Distinct segment files (per-run + packs) the persisted tier
-    /// references — what compaction exists to keep small.
+    /// Distinct pack files the persisted tier references — what
+    /// compaction exists to keep small.
     pub segment_files: u64,
-    /// Cumulative segment fault-ins (cold or post-shed loads).
+    /// Always 0: counted owned-buffer fault-ins, a read path that no
+    /// longer exists (every load is a [`Self::pack_pins`] pin). Kept so
+    /// wfbench, which sums the two, builds; goes with that read.
     pub segment_loads: u64,
-    /// Cumulative arenas shed by the resident-byte LRU.
+    /// Cumulative blobs shed by the resident-byte LRU.
     pub segment_sheds: u64,
-    /// Cumulative mapped pack blobs pinned in (first resolve against the
-    /// mapping, or re-residency after a `madvise` shed). The mmap
-    /// counterpart of [`Self::segment_loads`], which counts only owned
-    /// fault-ins.
+    /// Cumulative persisted blobs pinned in (first resolve against the
+    /// mapping, or re-residency after a `madvise` shed).
     pub pack_pins: u64,
     /// Live runs moved by pack garbage collection (rewrites of packs
     /// whose dead-blob ratio crossed the GC threshold).

@@ -9,7 +9,8 @@
 //!   the price of a decode per label access.
 //! * **Persisted** — frozen arenas snapshotted to disk
 //!   ([`crate::snapshot::PersistedRun`]): zero resident bytes until the
-//!   first query lazily faults the segment back in.
+//!   first query maps the run's pack file and pins its blob; read in
+//!   place from then on, under the [`SegmentLru`] residency budget.
 //!
 //! Every reader — [`crate::RunHandle::reach`], [`crate::WfEngine::query`],
 //! the stats — resolves runs through [`LabelStore::view`], which returns
@@ -17,7 +18,6 @@
 //! tier answered. Lookup checks hot first, so a live run costs exactly
 //! what it cost before tiering existed.
 
-use crate::bufmgr::{RecencyReplacer, Replacer};
 use crate::engine::{route_hash, RunSlot};
 use crate::freeze::FrozenRun;
 use crate::snapshot::PersistedRun;
@@ -31,15 +31,15 @@ use wf_drl::{DrlLabel, DrlPredicate};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
 
-/// The **size/age LRU over loaded segments**: every persisted arena that
-/// faults into memory registers here, and when the resident total
+/// The **size/age LRU over resident segments**: every persisted blob
+/// that pins into memory registers here, and when the resident total
 /// exceeds the configured budget ([`crate::EngineBuilder::max_resident_bytes`])
-/// the least-recently-queried arenas are shed back to cold — oldest
+/// the least-recently-queried blobs are shed back to cold — oldest
 /// freeze time breaking recency ties. Without a budget the LRU only
-/// keeps the books (loads, sheds, resident bytes for the stats).
+/// keeps the books (pins, sheds, resident bytes for the stats).
 ///
 /// Locking: `resident` (this mutex) may be held while *try*-locking a
-/// run's load state; a fault-in holds its own load state lock and then
+/// run's load state; a first pin holds its own load state lock and then
 /// takes `resident` — the try-lock is what makes that safe (the shed
 /// path skips contended victims instead of blocking on them).
 #[derive(Debug)]
@@ -48,13 +48,10 @@ pub(crate) struct SegmentLru {
     clock: AtomicU64,
     resident: Mutex<HashMap<u64, Arc<PersistedRun>>>,
     resident_bytes: AtomicU64,
-    /// Victim-selection policy: pinned entries are filtered here in
-    /// `enforce`, the policy only orders the evictable remainder.
-    policy: Box<dyn Replacer>,
     /// Bytes currently `mmap`'d across pack files (shared with every
     /// [`crate::bufmgr::PackMapping`], which keeps it on map/unmap).
     pub(crate) mapped_bytes: Arc<AtomicU64>,
-    /// Engine telemetry: fault-in/shed counters, the fault-in latency
+    /// Engine telemetry: pin/shed counters, the first-pin latency
     /// histogram, and the trace ring shed events feed into.
     pub(crate) obs: Arc<Telemetry>,
 }
@@ -66,7 +63,6 @@ impl SegmentLru {
             clock: AtomicU64::new(0),
             resident: Mutex::new(HashMap::new()),
             resident_bytes: AtomicU64::new(0),
-            policy: Box::new(RecencyReplacer),
             mapped_bytes: Arc::new(AtomicU64::new(0)),
             obs,
         }
@@ -90,10 +86,10 @@ impl SegmentLru {
             });
     }
 
-    /// A segment finished faulting in: account for it, then enforce the
-    /// budget (never shedding the segment just loaded). A registration
-    /// retired while the fault was in flight is dropped again instead of
-    /// pinned (the admit/forget race), and a displaced same-id entry's
+    /// A segment finished pinning in: account for it, then enforce the
+    /// budget (never shedding the segment just pinned). A registration
+    /// retired while the pin was in flight is shed again instead of
+    /// kept (the admit/forget race), and a displaced same-id entry's
     /// bytes come off the books.
     pub(crate) fn admit(&self, run: Arc<PersistedRun>) {
         let id = run.run().0;
@@ -101,9 +97,9 @@ impl SegmentLru {
             let mut map = self.resident.lock().expect("lru map poisoned");
             if run.retired.load(Ordering::Acquire) {
                 // The registration left the persisted tier while the
-                // fault was in flight (forget_entry's retire store
+                // pin was in flight (forget_entry's retire store
                 // happens before its map removal, which serializes on
-                // this lock): drop the arena instead of pinning it.
+                // this lock): give the pages back instead of keeping it.
                 drop(map);
                 let _ = run.shed();
                 return;
@@ -118,11 +114,10 @@ impl SegmentLru {
     }
 
     /// Drop a registration from the books (evicted, re-heated, or
-    /// replaced by compaction). Marks the entry retired first, so a
-    /// fault-in racing this call cannot re-pin it afterwards; only this
+    /// replaced by a rewrite). Marks the entry retired first, so a
+    /// pin-in racing this call cannot re-admit it afterwards; only this
     /// exact registration is removed (a newer same-id registration that
-    /// already admitted stays). The arena itself goes with the entry's
-    /// last `Arc`.
+    /// already admitted stays).
     pub(crate) fn forget_entry(&self, run: &PersistedRun) {
         run.retired.store(true, Ordering::Release);
         let mut map = self.resident.lock().expect("lru map poisoned");
@@ -135,12 +130,12 @@ impl SegmentLru {
         }
     }
 
-    /// Shed replacer-ranked victims until the budget holds. Pinned
-    /// entries (a scan mid-iteration) are never candidates; each
-    /// remaining candidate is tried once per pass (a contended victim —
-    /// one being queried or faulted right now — is skipped, not waited
-    /// on). Owned arenas free to the allocator; mapped ranges free by
-    /// `madvise(DONTNEED)`.
+    /// Shed victims — least recently queried first, oldest freeze time
+    /// breaking ties — until the budget holds. Pinned entries (a scan
+    /// mid-iteration) are never candidates; each remaining candidate is
+    /// tried once per pass (a contended victim — one being queried or
+    /// pinned right now — is skipped, not waited on). Shedding is
+    /// `madvise(DONTNEED)` on the blob's mapped range.
     fn enforce(&self, protect: Option<u64>) {
         let Some(budget) = self.max_resident else {
             return;
@@ -154,7 +149,7 @@ impl SegmentLru {
             .filter(|p| Some(p.run().0) != protect && !p.pinned())
             .cloned()
             .collect();
-        self.policy.rank(&mut victims);
+        victims.sort_by_key(|p| (p.last_access.load(Ordering::Relaxed), p.frozen_at));
         for victim in victims {
             if self.resident_bytes.load(Ordering::Relaxed) <= budget {
                 break;
@@ -179,7 +174,7 @@ pub enum Tier {
     Hot,
     /// Encoded in-memory arena (completed runs).
     Frozen,
-    /// On-disk snapshot segment, lazily loaded for queries.
+    /// On-disk snapshot segment, mapped and pinned lazily for queries.
     Persisted,
 }
 
@@ -250,8 +245,8 @@ impl<S: SpecLabeling> RunView<S> {
     }
 
     /// True when answering from this view costs no disk fault: hot and
-    /// frozen runs always, persisted runs only while their arena is
-    /// resident (loaded and not yet shed by the LRU).
+    /// frozen runs always, persisted runs only while their blob is
+    /// resident (pinned in and not yet shed by the LRU).
     pub(crate) fn is_resident(&self) -> bool {
         match self {
             RunView::Hot(_) | RunView::Frozen(_) => true,
@@ -268,7 +263,7 @@ impl<S: SpecLabeling> RunView<S> {
     }
 
     /// The label of `v` — borrowed-then-cloned from the hot index,
-    /// decoded from an arena (owned or mapped) otherwise.
+    /// decoded from an arena (in memory or mapped) otherwise.
     pub(crate) fn label(&self, v: VertexId) -> Option<DrlLabel> {
         match self {
             RunView::Hot(s) => s.indexed.get(v).cloned(),
@@ -528,9 +523,9 @@ impl<S: SpecLabeling> LabelStore<S> {
         true
     }
 
-    /// Swap a persisted run's registration for a new one (compaction
-    /// re-pointing the run at its packed blob). Conditional: a run that
-    /// left the persisted tier mid-compaction is not resurrected.
+    /// Swap a persisted run's registration for a new one (a rewrite
+    /// re-pointing the run at its blob's new pack). Conditional: a run
+    /// that left the persisted tier mid-rewrite is not resurrected.
     #[must_use]
     pub(crate) fn replace_persisted(&self, run: RunId, entry: Arc<PersistedRun>) -> bool {
         let old = {

@@ -43,7 +43,7 @@ thread_local! {
     /// into the worker).
     static CURRENT_SPAN: Cell<SpanCtx> = const { Cell::new(SpanCtx::NONE) };
     /// The query profile being filled in by an EXPLAIN run on this
-    /// thread, if any. Pin/fault/barrier hooks accumulate into it.
+    /// thread, if any. Pin/barrier hooks accumulate into it.
     static PROFILE: RefCell<Option<QueryProfile>> = const { RefCell::new(None) };
 }
 
@@ -142,7 +142,6 @@ pub(crate) struct Telemetry {
     pub spills: Counter,
     pub reheats: Counter,
     pub compactions: Counter,
-    pub segment_loads: Counter,
     pub segment_sheds: Counter,
     pub pack_pins: Counter,
     pub pack_gc_runs: Counter,
@@ -181,7 +180,6 @@ pub(crate) struct Telemetry {
     pub h_freeze_encode: Arc<Histogram>,
     pub h_skl_build: Arc<Histogram>,
     pub h_spill: Arc<Histogram>,
-    pub h_fault_in: Arc<Histogram>,
     pub h_pack_pin: Arc<Histogram>,
     pub h_pack_gc: Arc<Histogram>,
     pub h_reheat: Arc<Histogram>,
@@ -235,14 +233,13 @@ impl Telemetry {
             spills: counter("wf_spills_total", "frozen runs spilled to disk"),
             reheats: counter("wf_reheats_total", "persisted runs re-heated to frozen"),
             compactions: counter("wf_compactions_total", "segment compaction passes"),
-            segment_loads: counter("wf_segment_loads_total", "persisted segment fault-ins"),
             segment_sheds: counter(
                 "wf_segment_sheds_total",
                 "resident segments shed by the LRU",
             ),
             pack_pins: counter(
                 "wf_pack_pins_total",
-                "mapped pack blobs pinned in (first resolve or re-residency)",
+                "persisted blobs pinned in (first resolve or re-residency)",
             ),
             pack_gc_runs: counter(
                 "wf_pack_gc_runs_total",
@@ -294,9 +291,9 @@ impl Telemetry {
             g_hot_bytes: gauge("wf_hot_bytes", "estimated hot-tier label bytes"),
             g_persisted_resident_bytes: gauge(
                 "wf_persisted_resident_bytes",
-                "persisted-tier bytes faulted in and resident",
+                "persisted-tier bytes pinned in and resident",
             ),
-            g_segment_files: gauge("wf_segment_files", "segment files on disk"),
+            g_segment_files: gauge("wf_segment_files", "pack files on disk"),
             g_pack_dead_bytes: gauge(
                 "wf_pack_dead_bytes",
                 "dead blob bytes in packs awaiting garbage collection",
@@ -317,10 +314,9 @@ impl Telemetry {
             h_freeze_encode: hist("wf_freeze_encode_ns", "label arena encode during freeze"),
             h_skl_build: hist("wf_skl_build_ns", "SKL relabel build during freeze"),
             h_spill: hist("wf_spill_ns", "segment write of one frozen run"),
-            h_fault_in: hist("wf_fault_in_ns", "persisted segment fault-in from disk"),
             h_pack_pin: hist(
                 "wf_pack_pin_ns",
-                "first pin of a mapped pack blob (verify + resolve)",
+                "first pin of a persisted blob (map + verify + resolve)",
             ),
             h_pack_gc: hist("wf_pack_gc_ns", "one pack garbage-collection pass"),
             h_reheat: hist("wf_reheat_ns", "persisted run promoted back to frozen"),
@@ -624,12 +620,9 @@ pub struct QueryProfile {
     /// Hot-tier index chunks spanned by the scanned labels (the index is
     /// a doubling chunk array; a scan of n labels walks ~log2(n) chunks).
     pub chunks_touched: u64,
-    /// Mapped pack blobs pinned in (checksum verify + pointer resolve).
+    /// Persisted blobs pinned in: first resolves (map + checksum verify)
+    /// and re-residencies after a shed.
     pub pack_pins: u64,
-    /// Persisted segments faulted in from disk into the heap.
-    pub fault_ins: u64,
-    /// Bytes read from disk by those fault-ins.
-    pub bytes_faulted: u64,
     /// Pins satisfied by an already-verified resident segment (checksum
     /// verify skipped).
     pub verifies_skipped: u64,
@@ -656,7 +649,8 @@ impl QueryProfile {
 
     /// CPU time attributed to query stages (snapshot + per-tier scans),
     /// ns. The query runs single-threaded, so `wall_ns - cpu_ns()` is
-    /// time spent off-CPU: disk fault-ins and the WAL barrier.
+    /// time spent off-CPU: page faults off the mappings and the WAL
+    /// barrier.
     #[must_use]
     pub fn cpu_ns(&self) -> u64 {
         self.snapshot_ns + self.scan_hot_ns + self.scan_frozen_ns + self.scan_persisted_ns
@@ -670,8 +664,8 @@ impl QueryProfile {
         let _ = write!(
             out,
             "{{\"trace_id\":{},\"runs\":{{\"hot\":{},\"frozen\":{},\"persisted\":{}}},\
-             \"labels_scanned\":{},\"chunks_touched\":{},\"pack_pins\":{},\"fault_ins\":{},\
-             \"bytes_faulted\":{},\"verifies_skipped\":{},\"wal_barrier_wait_ns\":{},\
+             \"labels_scanned\":{},\"chunks_touched\":{},\"pack_pins\":{},\
+             \"verifies_skipped\":{},\"wal_barrier_wait_ns\":{},\
              \"stages_ns\":{{\"snapshot\":{},\"scan_hot\":{},\"scan_frozen\":{},\
              \"scan_persisted\":{}}},\"cpu_ns\":{},\"wall_ns\":{}}}",
             self.trace_id,
@@ -681,8 +675,6 @@ impl QueryProfile {
             self.labels_scanned,
             self.chunks_touched,
             self.pack_pins,
-            self.fault_ins,
-            self.bytes_faulted,
             self.verifies_skipped,
             self.wal_barrier_wait_ns,
             self.snapshot_ns,
@@ -713,8 +705,8 @@ impl QueryProfile {
         );
         let _ = writeln!(
             out,
-            "  bufmgr            pins={} fault_ins={} bytes_faulted={} verifies_skipped={}",
-            self.pack_pins, self.fault_ins, self.bytes_faulted, self.verifies_skipped
+            "  bufmgr            pack_pins={} verifies_skipped={}",
+            self.pack_pins, self.verifies_skipped
         );
         let _ = writeln!(out, "  wal barrier wait  {} ns", self.wal_barrier_wait_ns);
         let _ = writeln!(
@@ -732,7 +724,7 @@ impl QueryProfile {
     }
 }
 
-/// Install a fresh profile on this thread; subsequent pin/fault/barrier
+/// Install a fresh profile on this thread; subsequent pin/barrier
 /// hooks accumulate into it until [`take_profile`] removes it.
 pub(crate) fn install_profile() {
     PROFILE.with(|p| *p.borrow_mut() = Some(QueryProfile::default()));
@@ -745,7 +737,7 @@ pub(crate) fn take_profile() -> Option<QueryProfile> {
 
 /// Mutate this thread's active profile; no-op (one thread-local read)
 /// when no EXPLAIN is running — which is every non-EXPLAIN query, so
-/// hooks in pin/fault paths stay off the hot path.
+/// hooks in the pin path stay off the hot path.
 #[inline]
 pub(crate) fn with_profile(f: impl FnOnce(&mut QueryProfile)) {
     PROFILE.with(|p| {

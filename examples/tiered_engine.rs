@@ -137,14 +137,14 @@ fn main() {
     let stats = engine.stats();
     println!(
         "memory: hot {} B resident ({} B accounting) | frozen {} B | \
-         disk {} B in {} files ({} B resident, {} loads, {} sheds)",
+         disk {} B in {} files ({} B resident, {} pins, {} sheds)",
         stats.hot_resident_bytes,
         stats.hot_bytes(),
         stats.frozen_bytes,
         stats.persisted_bytes,
         stats.segment_files,
         stats.persisted_resident_bytes,
-        stats.segment_loads,
+        stats.pack_pins,
         stats.segment_sheds,
     );
 
@@ -232,9 +232,9 @@ fn main() {
     // ---- Act 3: shed → cold scan → pack GC (the buffer manager). ----
     //
     // A fleet is persisted and packed, then the engine is dropped — the
-    // next build starts fully cold, with the packs `mmap`'d at
-    // registration. The cross-run scan resolves every blob to a pinned
-    // byte range inside the mapping (verify once, zero copies), the
+    // next build starts fully cold, nothing mapped. The cross-run scan
+    // maps each pack at its first pin and resolves every blob to a byte
+    // range inside the mapping (verify once, zero copies), the
     // replacer sheds pages by `madvise` under the resident budget, and
     // re-heating half the fleet to the **hot** tier strands enough dead
     // blobs for pack GC to rewrite the pack and shrink the directory.
@@ -278,11 +278,10 @@ fn main() {
     let stats = engine.stats();
     println!(
         "cold scan: {} persisted runs in {cold_ms:.1} ms ({} hits) — \
-         {} pack pins, {} owned fault-ins, {} B mapped",
+         {} pack pins, {} B mapped",
         ids.len(),
         hits.len(),
         stats.pack_pins,
-        stats.segment_loads,
         stats.mapped_bytes,
     );
 
@@ -330,7 +329,7 @@ fn main() {
     // A fully instrumented engine: a zero slow-op threshold so every
     // span lands in the ring, a 25ms watchdog refreshing `health()`,
     // and a WAL so the EXPLAIN barrier is real. One run is persisted
-    // cold, then a profiled fleet query pays the fault-in on stage —
+    // cold, then a profiled fleet query pays the first pin on stage —
     // the `QueryProfile` table shows where the time went, and the whole
     // causal forest exports as Chrome `trace_event` JSON
     // (`chrome://tracing` / Perfetto loads it) into `WF_OBS_DUMP_DIR`.

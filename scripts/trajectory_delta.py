@@ -224,29 +224,20 @@ def main():
             warnings.append(label)
 
     # Cold-scan line: the buffer-manager sweep over the packed persisted
-    # tier. `cold_scan_eps` (the mapped read path) carries the soft gate
-    # like the tiering benches; the owned baseline, the mapped/owned
-    # speedup, and the residency numbers ride along informationally.
+    # tier. `cold_scan_eps` carries the soft gate like the tiering
+    # benches; the residency numbers ride along informationally.
     cur, prev = current.get("service_cold_scan", {}), previous.get("service_cold_scan", {})
-    for metric, gated in (
-        ("cold_scan_eps", True),
-        ("owned_scan_eps", False),
-        ("speedup", False),
-    ):
-        c, p = cur.get(metric), prev.get(metric)
-        if c is None:
-            continue
+    c, p = cur.get("cold_scan_eps"), prev.get("cold_scan_eps")
+    if c is not None:
         d = delta_pct(p, c)
-        rows.append((f"service_cold_scan.{metric}", p, c, d))
-        if d is None:
-            continue
-        drop = -d  # throughput / ratio: a drop regresses
-        label = f"service_cold_scan {metric}: {d:+.1f}%"
-        if gated and drop > GATE_DROP_PCT:
-            failures.append(label)
-        elif drop > WARN_DROP_PCT:
-            warnings.append(label)
-    for f in ("mapped_resident_bytes", "owned_resident_bytes", "budget_bytes", "mapped_bytes"):
+        rows.append(("service_cold_scan.cold_scan_eps", p, c, d))
+        if d is not None:
+            label = f"service_cold_scan cold_scan_eps: {d:+.1f}%"
+            if -d > GATE_DROP_PCT:  # throughput: a drop regresses
+                failures.append(label)
+            elif -d > WARN_DROP_PCT:
+                warnings.append(label)
+    for f in ("mapped_resident_bytes", "budget_bytes", "mapped_bytes"):
         if f in cur:
             rows.append((f"service_cold_scan.{f}", prev.get(f), cur.get(f), delta_pct(prev.get(f), cur.get(f))))
 

@@ -1,9 +1,10 @@
-//! Buffer-manager read path: mmap'd packs vs owned fault-ins, pack
-//! garbage collection under concurrent scans, hot re-heating, and the
-//! compaction byte-accounting regression.
+//! Buffer-manager read path: packs mapped at first pin (packs of one
+//! straight out of a spill included), pack garbage collection under
+//! concurrent scans, hot re-heating, and the compaction byte-accounting
+//! regression.
 //!
-//! The acceptance bar mirrors tiering.rs: whatever the storage path —
-//! owned copy, zero-copy mapping, mid-GC epoch-pinned scan — a run must
+//! The acceptance bar mirrors tiering.rs: wherever the blob lives —
+//! pack of one, compacted pack, mid-GC epoch-pinned scan — a run must
 //! answer `reach()` exactly per [`NaiveDynamicDag`] replay, and a
 //! corrupted blob must degrade to "no labels" with a typed rejection,
 //! never a SIGBUS or panic.
@@ -98,23 +99,19 @@ fn wfseg_bytes(dir: &PathBuf) -> u64 {
         .sum()
 }
 
-/// Per-run loose segment file sizes, before compaction erases them.
-fn loose_sizes(dir: &std::path::Path, fleet: &[FleetRun]) -> Vec<(RunId, u64)> {
-    fleet
+/// Per-run blob sizes, as the manifest lists them.
+fn blob_sizes(dir: &std::path::Path) -> Vec<(RunId, u64)> {
+    wf_service::snapshot::load_manifest(dir)
+        .unwrap()
         .iter()
-        .map(|(run, ..)| {
-            let path = dir.join(wf_service::snapshot::segment_file_name(*run));
-            (*run, std::fs::metadata(path).unwrap().len())
-        })
+        .map(|e| (e.run, e.bytes))
         .collect()
 }
 
-/// The mapped (zero-copy) read path and the owned fault-in fallback
-/// answer bit-identically, and each feeds its own counter family:
-/// `pack_pins`/`mapped_bytes` for the mapping, `segment_loads` for the
-/// owned copies.
+/// A compacted pack reloaded by a fresh engine is registered without
+/// being mapped, maps at the first pin, and answers exactly per replay.
 #[test]
-fn mapped_and_owned_pack_reads_agree() {
+fn mapped_pack_reads_match_replay() {
     let dir = TempDir::new("mapped");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(4096);
@@ -127,42 +124,91 @@ fn mapped_and_owned_pack_reads_agree() {
     assert_eq!(report.packs_written, 1);
     drop(engine);
 
-    let mapped: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let owned: WfEngine = WfEngine::builder()
-        .spec(spec)
-        .spill_dir(&dir.0)
-        .mmap_packs(false)
-        .build();
-
-    // The mapping is established at registration, before any query.
-    assert!(mapped.stats().mapped_bytes > 0, "pack mmap'd at build");
-    assert_eq!(owned.stats().mapped_bytes, 0, "mmap disabled");
-
+    let mapped: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
+    assert_eq!(mapped.stats().mapped_bytes, 0, "registration maps nothing");
     assert_answers(&mapped, &fleet);
-    assert_answers(&owned, &fleet);
+    let s = mapped.stats();
+    assert_eq!(
+        s.pack_pins, 6,
+        "each blob resolved against the mapping once"
+    );
+    assert_eq!(s.mapped_bytes, wfseg_bytes(&dir.0), "one pack, mapped once");
 
-    // Counter split: mapped pins never count as owned fault-ins.
-    let (ms, os) = (mapped.stats(), owned.stats());
-    assert!(ms.pack_pins >= 1, "first resolve pinned the mapping in");
-    assert_eq!(ms.segment_loads, 0, "no owned copies on the mapped path");
-    assert!(os.segment_loads >= 1, "owned path faulted blobs in");
-    assert_eq!(os.pack_pins, 0, "no mapping to pin");
-
-    // The cross-run surface agrees between the two engines.
+    // The cross-run surface reads through the same pins.
     let name = fleet[0].1.events()[1].name;
     assert_eq!(
         mapped
             .query()
             .completed()
-            .runs_reaching_named_from_source(name),
-        owned
-            .query()
-            .completed()
-            .runs_reaching_named_from_source(name),
+            .runs_reaching_named_from_source(name)
+            .len(),
+        fleet
+            .iter()
+            .filter(|(_, exec, naive)| {
+                let src = exec.events()[0].vertex;
+                exec.events()
+                    .iter()
+                    .any(|e| e.name == name && naive.reaches(src, e.vertex))
+            })
+            .count(),
     );
+}
+
+/// An **uncompacted** spill is a pack of one and reads like any other
+/// pack: nothing is mapped at registration, the first `reach` maps the
+/// file and verifies the blob, and under a resident-byte budget the
+/// single-run files are shed by `madvise` and pinned back in without a
+/// second verification pass.
+#[test]
+fn uncompacted_spills_read_through_the_mapping() {
+    let dir = TempDir::new("pack-of-one");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(512);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let fleet = persist_fleet(&engine, &spec, 4, &mut rng);
+    let s = engine.stats();
+    assert_eq!((s.segment_files, s.mapped_bytes, s.pack_pins), (4, 0, 0));
+    // One query maps exactly the file it reads.
+    let (run, exec, naive) = &fleet[0];
+    let (u, v) = (exec.events()[0].vertex, exec.events()[2].vertex);
+    assert_eq!(engine.reach(*run, u, v).unwrap(), Some(naive.reaches(u, v)));
+    let s = engine.stats();
+    assert_eq!(s.pack_pins, 1);
+    let sizes = blob_sizes(&dir.0);
+    let (_, blob) = sizes.iter().find(|(r, _)| r == run).unwrap();
+    assert_eq!(s.mapped_bytes, *blob, "a pack of one");
+    assert_answers(&engine, &fleet);
+    assert_eq!(engine.stats().mapped_bytes, wfseg_bytes(&dir.0));
+    drop(engine);
+
+    // A fresh lifetime with a 1-byte budget: registration maps nothing,
+    // every pin sheds the previous file's pages.
+    let tight: WfEngine = WfEngine::builder()
+        .spec(spec)
+        .spill_dir(&dir.0)
+        .max_resident_bytes(1)
+        .build();
+    assert_eq!(tight.stats().mapped_bytes, 0, "nothing mapped at build()");
+    for _ in 0..3 {
+        assert_answers(&tight, &fleet);
+    }
+    let s = tight.stats();
+    assert_eq!(s.pack_pins, 12, "three sweeps of four cold files");
+    assert!(s.segment_sheds >= 11, "{} sheds", s.segment_sheds);
+    assert_eq!(s.segment_loads, 0);
+    assert!(s.persisted_resident_bytes <= sizes.iter().map(|b| b.1).max().unwrap());
+    assert_eq!(
+        s.mapped_bytes,
+        wfseg_bytes(&dir.0),
+        "shed pages, kept mappings"
+    );
+    // The first-pin histogram times the verification pass: four blobs,
+    // four passes, however often they were shed and pinned back.
+    let verified = tight.metrics().histogram("wf_pack_pin_ns").unwrap();
+    assert_eq!(verified.count(), 4, "re-pins skip the checksum");
 }
 
 /// A bit flip inside a pack is caught by the per-blob checksum at first
@@ -292,7 +338,7 @@ fn hot_reheat_rebuilds_equivalent_index() {
     );
 }
 
-/// Regression: when a pack is re-compacted alongside loose segments,
+/// Regression: when a pack is re-compacted alongside fresh spills,
 /// `CompactionReport` byte accounting is over on-disk **file sizes** —
 /// the pack counts once, not once per member blob — and the bytes the
 /// dead blobs occupied surface in `dead_bytes_reclaimed` instead of
@@ -311,14 +357,14 @@ fn recompaction_reports_dead_bytes_separately() {
     assert_eq!(first.packs_written, 1);
     assert_eq!(
         first.bytes_after, first.bytes_before,
-        "all-loose compaction moves every byte"
+        "compacting fresh spills moves every byte"
     );
     assert_eq!(first.dead_bytes_reclaimed, 0);
 
     // Kill two members: their blobs stay in the pack as dead bytes.
     engine.evict_run(fleet[0].0).unwrap();
     engine.evict_run(fleet[1].0).unwrap();
-    // Two fresh loose segments so the next pass packs pack + loose.
+    // Two fresh packs of one, so the next pass merges three files.
     let fresh = persist_fleet(&engine, &spec, 2, &mut rng);
 
     let disk_before = wfseg_bytes(&dir.0);
@@ -355,7 +401,7 @@ fn pack_gc_shrinks_disk_above_threshold() {
         .spill_dir(&dir.0)
         .build();
     let fleet = persist_fleet(&engine, &spec, 6, &mut rng);
-    let mut sizes = loose_sizes(&dir.0, &fleet);
+    let mut sizes = blob_sizes(&dir.0);
     engine.compact().unwrap();
 
     // Evict the smallest member: dead ratio ≤ 1/6, below the 0.3

@@ -3,9 +3,9 @@
 //!
 //! The acceptance bar: `render_prometheus()` must be valid text
 //! exposition format (checked by a small parser here, not by grepping)
-//! with at least 8 histogram families; a persisted-segment fault-in
-//! must provably land in `trace_dump()` when the slow-op threshold is
-//! zero; stats stay correct with telemetry disabled.
+//! with at least 8 histogram families; a persisted segment's first
+//! pin must provably land in `trace_dump()` when the slow-op threshold
+//! is zero; stats stay correct with telemetry disabled.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -214,12 +214,12 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
 }
 
 #[test]
-fn slow_fault_in_lands_in_the_trace_ring() {
-    let dir = TempDir::new("fault");
+fn slow_pack_pin_lands_in_the_trace_ring() {
+    let dir = TempDir::new("pin");
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())
         .spill_dir(&dir.0)
-        // Zero threshold: every span is "slow", so the fault-in is
+        // Zero threshold: every span is "slow", so the first pin is
         // promoted into the ring deterministically.
         .slow_op_threshold(Duration::ZERO)
         .build();
@@ -227,25 +227,27 @@ fn slow_fault_in_lands_in_the_trace_ring() {
     engine.persist_run(run).unwrap();
     assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
 
-    // The persisted registration starts cold; this query pays the disk
-    // fault the histogram and ring must witness.
+    // The persisted registration starts cold; this query pays the map +
+    // verify pass the histogram and ring must witness.
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     assert!(engine.reach(run, u, v).unwrap().is_some());
 
     let trace = engine.trace_dump();
-    let fault = trace
+    let pin = trace
         .iter()
-        .find(|e| e.kind == "fault_in")
-        .unwrap_or_else(|| panic!("no fault_in event in {} traced events", trace.len()));
-    assert_eq!(fault.run_id, Some(run.0));
-    assert_eq!(fault.tier, Some("persisted"));
-    assert!(fault.detail.contains("bytes="), "detail: {}", fault.detail);
+        .find(|e| e.kind == "pack_pin")
+        .unwrap_or_else(|| panic!("no pack_pin event in {} traced events", trace.len()));
+    assert_eq!(pin.run_id, Some(run.0));
+    assert_eq!(pin.tier, Some("persisted"));
+    assert!(pin.detail.contains("bytes="), "detail: {}", pin.detail);
     // The lifecycle events around it are traced too, in timestamp order.
     assert!(trace.iter().any(|e| e.kind == "freeze"));
     assert!(trace.iter().any(|e| e.kind == "spill"));
     assert!(trace.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    // And the fault-in histogram counted exactly one disk read.
-    let h = engine.metrics().histogram("wf_fault_in_ns").unwrap();
+    // And the first-pin histogram counted exactly one verification,
+    // however many queries follow.
+    assert!(engine.reach(run, v, u).unwrap().is_some());
+    let h = engine.metrics().histogram("wf_pack_pin_ns").unwrap();
     assert_eq!(h.count(), 1);
 }
 
@@ -366,7 +368,7 @@ fn chrome_trace_export_is_loadable_trace_event_json() {
     }
     assert!(
         complete > 0,
-        "the fault-in span exports as a complete event"
+        "the first-pin span exports as a complete event"
     );
 }
 
@@ -460,16 +462,16 @@ fn query_root_span_parents_bufmgr_pin_leaves() {
         .find(|e| e.kind == "cross_run_scan")
         .expect("the query root span is traced");
     assert_eq!(scan.parent_id, 0, "the query span is a root");
-    let fault = trace
+    let pin = trace
         .iter()
-        .find(|e| e.kind == "fault_in")
-        .expect("the cold segment faults in under the scan");
+        .find(|e| e.kind == "pack_pin")
+        .expect("the cold segment pins in under the scan");
     assert_eq!(
-        fault.trace_id, scan.trace_id,
+        pin.trace_id, scan.trace_id,
         "the bufmgr leaf joins the query's trace"
     );
     assert_eq!(
-        fault.parent_id, scan.span_id,
+        pin.parent_id, scan.span_id,
         "the bufmgr leaf parents under the query root"
     );
 }
@@ -497,8 +499,8 @@ fn explain_profile_reports_cold_costs_then_a_warm_second_run() {
     );
     assert_eq!(cold.profile.runs_persisted, 1);
     assert_eq!(cold.profile.runs_scanned(), 1);
-    assert!(cold.profile.fault_ins >= 1, "a cold scan pays the fault-in");
-    assert!(cold.profile.bytes_faulted > 0);
+    assert_eq!(cold.profile.pack_pins, 1, "a cold scan pays the pin");
+    assert_eq!(cold.profile.verifies_skipped, 0);
     assert!(cold.profile.labels_scanned > 0);
     assert_ne!(cold.profile.trace_id, 0, "the profile names its trace");
 
@@ -509,8 +511,6 @@ fn explain_profile_reports_cold_costs_then_a_warm_second_run() {
         .runs_reaching_named_from_source(name);
     assert_eq!(warm.value, cold.value, "EXPLAIN is deterministic");
     assert_eq!(warm.profile.pack_pins, 0, "second run is warm: no pins");
-    assert_eq!(warm.profile.fault_ins, 0, "second run is warm: no faults");
-    assert_eq!(warm.profile.bytes_faulted, 0);
     assert!(
         warm.profile.verifies_skipped > 0,
         "warm pins skip the verify pass"
@@ -525,9 +525,9 @@ fn explain_profile_reports_cold_costs_then_a_warm_second_run() {
         &serde_json::Value::U64(1)
     );
     assert!(v.get("stages_ns").unwrap().get("scan_persisted").is_some());
-    assert!(v.get("wall_ns").is_some() && v.get("fault_ins").is_some());
+    assert!(v.get("wall_ns").is_some() && v.get("pack_pins").is_some());
     let table = cold.profile.table();
-    for needle in ["runs scanned", "fault_ins", "wall"] {
+    for needle in ["runs scanned", "pack_pins", "wall"] {
         assert!(table.contains(needle), "table misses {needle:?}:\n{table}");
     }
 }

@@ -6,8 +6,9 @@
 //! the frozen arena, and a persisted segment reloaded by a *different*
 //! engine — verified here against [`NaiveDynamicDag`], the paper's
 //! ground-truth dynamic scheme, for every sampled vertex pair. A
-//! truncated or bit-flipped segment must be rejected cleanly at load
-//! (typed error, no panic), with queries degrading to "no labels".
+//! truncated or bit-flipped segment — or one in a format version this
+//! engine does not write — must be rejected cleanly at load (typed
+//! error, no panic), with queries degrading to "no labels".
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,6 +51,27 @@ fn spec_for(seed: u64) -> Specification {
     } else {
         wf_spec::corpus::bioaid_nonrecursive()
     }
+}
+
+/// The pack file the manifest lists for `run`.
+fn pack_path(dir: &std::path::Path, run: RunId) -> PathBuf {
+    let entries = snapshot::load_manifest(dir).unwrap();
+    let entry = entries
+        .iter()
+        .find(|e| e.run == run)
+        .expect("manifest lists the run");
+    dir.join(&entry.file)
+}
+
+/// Ingest `exec` as a fresh run of spec 0, complete it and spill it.
+fn persist_one(engine: &WfEngine, exec: &Execution) -> RunId {
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    engine.persist_run(run).unwrap();
+    run
 }
 
 proptest! {
@@ -101,6 +123,7 @@ proptest! {
 
         engine.persist_run(run).unwrap();
         prop_assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+        let spilled = engine.stats();
         drop(engine);
 
         // Reload in a fresh engine and compare against naive again.
@@ -109,6 +132,14 @@ proptest! {
             .spill_dir(&dir.0)
             .build();
         prop_assert_eq!(reloaded.run_status(run).unwrap(), RunStatus::Completed);
+        // The freeze-time §7.4 report rides the segment header: the
+        // reloaded engine reports the deltas its predecessor measured.
+        let stats = reloaded.stats();
+        prop_assert_eq!(
+            (stats.skl_relabeled, stats.skl_bits_total, stats.skl_pairs_sampled),
+            (spilled.skl_relabeled, spilled.skl_bits_total, spilled.skl_pairs_sampled)
+        );
+        prop_assert_eq!(stats.skl_relabeled, u64::from(!seed.is_multiple_of(2)));
         let h = reloaded.handle(run).unwrap();
         prop_assert_eq!(h.published(), exec.len());
         for a in vertices.iter().step_by(2) {
@@ -126,125 +157,103 @@ proptest! {
     }
 }
 
-/// An engine built over a **mixed v1/v2 spill directory** answers
-/// identically to naive replay for every run: v1 segments (PR 3's
-/// format, re-created here byte-for-byte via `encode_segment_v1`) load
-/// without an SKL report, v2 segments reload theirs — and compaction
-/// packs both formats verbatim into one file that still round-trips
-/// across another engine lifetime.
+/// FNV-1a, the segment checksum — restated here so the test can frame a
+/// blob the engine has no encoder for.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The format-v1 blob of a v2 blob: same common header with `version =
+/// 1`, no `frozen_at`/SKL extension block, same slots and arena, fresh
+/// checksum — byte for byte what a PR 3 engine wrote.
+fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
+    const COMMON: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8;
+    const EXTENSION: usize = 8 + 4 + 5 * 8;
+    let mut v1 = v2[..COMMON].to_vec();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&v2[COMMON + EXTENSION..v2.len() - 8]);
+    let checksum = fnv1a(&v1);
+    v1.extend_from_slice(&checksum.to_le_bytes());
+    v1
+}
+
+/// There is one segment format and one manifest format. A well-formed
+/// **v1 blob** and a **v1-header manifest** are each rejected with a
+/// typed [`SnapshotError::Format`] — never guessed at — and an engine
+/// built over either still comes up and serves fresh runs.
 #[test]
-fn v1_and_v2_segments_migrate_and_compact_together() {
-    let dir = TempDir::new("migrate");
-    let spec = wf_spec::corpus::bioaid_nonrecursive();
+fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
+    let dir = TempDir::new("v1");
+    let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(2027);
-    let mut naive_for = Vec::new();
-
-    // Two runs, both with derivations, persisted as v2 segments.
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .ingest_workers(2)
-        .spill_dir(&dir.0)
-        .build();
-    for _ in 0..2 {
-        let run = engine.open_run(SpecId(0)).unwrap();
-        let gen = RunGenerator::new(&spec)
-            .target_size(60)
-            .generate_run(&mut rng);
-        let exec = Execution::deterministic(&gen.graph, &gen.origin);
-        let mut naive = NaiveDynamicDag::new();
-        for ev in exec.events() {
-            engine.submit(run, ev).unwrap();
-            naive.insert(ev.vertex, &ev.preds);
-        }
-        engine
-            .provide_derivation(run, gen.derivation.clone())
-            .unwrap();
-        engine.complete_run(run).unwrap();
-        engine.persist_run(run).unwrap();
-        naive_for.push((run, exec, naive));
-    }
-    drop(engine);
-
-    // Downgrade run A's segment to format v1 and the manifest to the
-    // PR 3 layout (`run file bytes`), exactly what an old engine left.
-    let (run_a, ..) = naive_for[0];
-    let (run_b, ..) = naive_for[1];
-    let path_a = dir.0.join(snapshot::segment_file_name(run_a));
-    let frozen_a = snapshot::read_segment(&path_a).unwrap();
+    let gen = RunGenerator::new(&spec)
+        .target_size(60)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let run = persist_one(&build(), &exec);
+    let path = pack_path(&dir.0, run);
+    let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
+    let v2 = std::fs::read(&path).unwrap();
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
     assert!(
-        frozen_a.skl_report().is_some() && frozen_a.frozen_at() > 0,
-        "v2 round-trips the freeze metadata"
+        snapshot::decode_segment(&v2).is_ok(),
+        "the v2 blob is sound"
     );
-    let v1_bytes = snapshot::encode_segment_v1(&frozen_a);
-    let v1_back = snapshot::decode_segment(&v1_bytes).unwrap();
-    assert!(v1_back.skl_report().is_none(), "v1 has nowhere to keep it");
-    assert_eq!(v1_back.frozen_at(), 0);
-    std::fs::write(&path_a, &v1_bytes).unwrap();
-    let len_b = std::fs::metadata(dir.0.join(snapshot::segment_file_name(run_b)))
-        .unwrap()
-        .len();
+
+    // The v1 blob: framing and checksum are intact, only the version is
+    // one this engine does not read.
+    let v1 = downgrade_to_v1(&v2);
+    for res in [
+        snapshot::verify_segment_bytes(&v1).map(|_| ()),
+        snapshot::decode_segment(&v1).map(|_| ()),
+    ] {
+        match res {
+            Err(SnapshotError::Format(msg)) => assert!(msg.contains("version"), "{msg}"),
+            other => panic!("v1 blob not rejected as a format error: {other:?}"),
+        }
+    }
+    // An engine over a directory holding it skips the run and works.
+    std::fs::write(&path, &v1).unwrap();
     std::fs::write(
-        dir.0.join(snapshot::MANIFEST_FILE),
-        format!(
-            "{}\n{} {} {}\n{} {} {}\n",
-            snapshot::MANIFEST_HEADER_V1,
-            run_a.0,
-            snapshot::segment_file_name(run_a),
-            v1_bytes.len(),
-            run_b.0,
-            snapshot::segment_file_name(run_b),
-            len_b,
-        ),
+        &manifest_path,
+        manifest.replace(&format!(" {}\n", v2.len()), &format!(" {}\n", v1.len())),
     )
     .unwrap();
+    let engine = build();
+    assert_eq!(
+        engine.run_tier(run).unwrap_err(),
+        wf_service::ServiceError::UnknownRun(run)
+    );
+    let fresh = persist_one(&engine, &exec);
+    assert_eq!(engine.run_tier(fresh).unwrap(), Tier::Persisted);
+    drop(engine);
 
-    // A reloaded engine over the mixed directory: both runs answer
-    // exactly like replay, and the v2 run's §7.4 report survived.
-    let reloaded: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let s = reloaded.stats();
-    assert_eq!(s.runs_persisted, 2);
-    assert_eq!(s.skl_relabeled, 1, "only the v2 header carries the report");
-    assert!(s.skl_bits_total > 0, "reloaded engine reports SKL deltas");
-    assert!(s.skl_pairs_sampled > 0);
-    for (run, exec, naive) in &naive_for {
-        let h = reloaded.handle(*run).unwrap();
-        assert_eq!(h.tier(), Tier::Persisted);
-        for a in exec.events().iter().step_by(2) {
-            for b in exec.events().iter().step_by(3) {
-                assert_eq!(
-                    h.reach(a.vertex, b.vertex),
-                    Some(naive.reaches(a.vertex, b.vertex)),
-                    "{run} {:?};{:?}",
-                    a.vertex,
-                    b.vertex
-                );
-            }
-        }
+    // The v1 manifest: `run file bytes` lines under the v1 header.
+    std::fs::write(&path, &v2).unwrap();
+    let name = path.file_name().unwrap().to_str().unwrap();
+    std::fs::write(
+        &manifest_path,
+        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v2.len()),
+    )
+    .unwrap();
+    match snapshot::load_manifest(&dir.0) {
+        Err(SnapshotError::Format(msg)) => assert!(msg.contains("header"), "{msg}"),
+        other => panic!("v1 manifest not rejected as a format error: {other:?}"),
     }
-    // Compaction packs the v1 and v2 blobs verbatim into one file…
-    let report = reloaded.compact().unwrap();
-    assert_eq!((report.files_before, report.files_after), (2, 1));
-    assert_eq!(report.runs_packed, 2);
-    drop(reloaded);
-    // …and a third engine lifetime reads both out of the pack, v2
-    // metadata intact.
-    let packed: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
-    assert_eq!(packed.stats().segment_files, 1);
-    assert_eq!(packed.stats().skl_relabeled, 1);
-    for (run, exec, naive) in &naive_for {
-        let h = packed.handle(*run).unwrap();
-        for a in exec.events().iter().step_by(3) {
-            for b in exec.events().iter().step_by(2) {
-                assert_eq!(
-                    h.reach(a.vertex, b.vertex),
-                    Some(naive.reaches(a.vertex, b.vertex))
-                );
-            }
-        }
-    }
+    let engine = build();
+    assert_eq!(engine.stats().runs_persisted, 0, "nothing is guessed at");
+    let fresh = persist_one(&engine, &exec);
+    let h = engine.handle(fresh).unwrap();
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    assert_eq!(h.reach(u, v), Some(true));
 }
 
 proptest! {
@@ -353,18 +362,13 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
         .spec(spec.clone())
         .spill_dir(&dir.0)
         .build();
-    let run = engine.open_run(SpecId(0)).unwrap();
-    for ev in exec.events() {
-        engine.submit(run, ev).unwrap();
-    }
-    engine.complete_run(run).unwrap();
-    engine.persist_run(run).unwrap();
+    let run = persist_one(&engine, &exec);
     drop(engine);
 
-    let seg_path = dir.0.join(snapshot::segment_file_name(run));
+    let seg_path = pack_path(&dir.0, run);
     let bytes = std::fs::read(&seg_path).unwrap();
     assert!(
-        snapshot::read_segment(&seg_path).is_ok(),
+        snapshot::decode_segment(&bytes).is_ok(),
         "intact segment loads"
     );
 
@@ -406,13 +410,17 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
     }
     assert_eq!(engine.handle(fresh).unwrap().published(), exec.len());
 
-    // Truncation *after* registration (header reads fine, body gone):
-    // queries degrade to "no labels", never a panic.
+    // In-place truncation *after* registration (header read fine, body
+    // gone): the file is mapped at first pin, at its truncated length,
+    // so the blob's range check fails — queries degrade to a typed "no
+    // labels", never a SIGBUS, never a panic.
     std::fs::write(&seg_path, &bytes).unwrap();
     let engine2: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
     assert_eq!(engine2.run_tier(run).unwrap(), Tier::Persisted);
+    assert_eq!(engine2.stats().mapped_bytes, 0, "registered, not mapped");
     std::fs::write(&seg_path, &bytes[..bytes.len() / 3]).unwrap();
     let h = engine2.handle(run).unwrap();
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     assert_eq!(h.reach(u, v), None, "broken segment degrades, not panics");
+    assert_eq!(h.reach(u, v), None, "and stays degraded");
 }
