@@ -98,9 +98,11 @@ impl std::fmt::Debug for PackBytes {
 #[derive(Debug)]
 pub struct PackFile {
     path: PathBuf,
-    /// `None` once an open failed: sticky, so a vanished file is not
-    /// re-opened on every query.
-    mapping: OnceLock<Option<Arc<PackMapping>>>,
+    /// Set by the first open that succeeds. A failed open is not cached
+    /// here — it may be transient (`EMFILE`, `ENOMEM`), and the file is
+    /// shared by up to a pack's worth of runs; the run whose pin failed
+    /// remembers that for itself.
+    mapping: OnceLock<Arc<PackMapping>>,
     /// The store's `mapped_bytes` gauge, handed to the mapping.
     gauge: Arc<AtomicU64>,
 }
@@ -119,11 +121,15 @@ impl PackFile {
         &self.path
     }
 
-    /// The file's mapping, established on first call.
-    pub(crate) fn mapping(&self) -> Option<Arc<PackMapping>> {
-        self.mapping
-            .get_or_init(|| PackMapping::open(&self.path, Arc::clone(&self.gauge)).ok())
-            .clone()
+    /// The file's mapping, established by the first call that can open
+    /// the file. (Two first pins racing may both open it; the loser's
+    /// mapping is dropped again.)
+    pub(crate) fn mapping(&self) -> io::Result<Arc<PackMapping>> {
+        if let Some(map) = self.mapping.get() {
+            return Ok(Arc::clone(map));
+        }
+        let opened = PackMapping::open(&self.path, Arc::clone(&self.gauge))?;
+        Ok(Arc::clone(self.mapping.get_or_init(|| opened)))
     }
 
     /// On-disk size, with a fallback when the file cannot be stat'd
@@ -199,15 +205,6 @@ impl PackMapping {
     #[cfg(not(unix))]
     fn map(_file: &fs::File, _len: usize) -> Option<PackBytes> {
         None
-    }
-
-    /// True when the bytes are a real `mmap` (vs the owned fallback).
-    pub fn is_mapped(&self) -> bool {
-        match &self.bytes {
-            #[cfg(unix)]
-            PackBytes::Mapped { .. } => true,
-            PackBytes::Owned(_) => false,
-        }
     }
 
     /// The whole file as one immutable slice.
@@ -409,7 +406,10 @@ impl MappedRun {
 /// epoch survives. Readers therefore always finish against the pack
 /// set they started with: a reader that already mapped a retired file
 /// keeps its `mmap` past the unlink, and one that has not yet can still
-/// open it, because the *file* outlives their guard.
+/// open it, because the *file* outlives their guard. Holders that take
+/// no guard — a `RunHandle`'s cached registration, a point query — are
+/// covered at the unlink itself: a file with other holders is mapped
+/// first.
 #[derive(Debug, Default)]
 pub(crate) struct EpochRegistry {
     inner: Mutex<EpochInner>,
@@ -483,9 +483,14 @@ impl EpochRegistry {
 
     fn delete(files: Vec<Arc<PackFile>>) {
         for file in files {
-            // Unlink first, then drop the handle (and with it, possibly,
-            // the mapping): a mapped reader that still holds its own Arc
-            // keeps the inode alive regardless.
+            // A registration from before the rewrite — a `RunHandle`'s
+            // cached view, a point query mid-flight; neither takes an
+            // epoch guard — may pin this file for the first time after
+            // the unlink. Map it for them now: the inode then survives
+            // until the last such holder drops the handle.
+            if Arc::strong_count(&file) > 1 {
+                let _ = file.mapping();
+            }
             let _ = fs::remove_file(file.path());
         }
     }
@@ -509,14 +514,6 @@ impl EpochRegistry {
 pub(crate) struct EpochGuard {
     registry: Arc<EpochRegistry>,
     epoch: u64,
-}
-
-impl EpochGuard {
-    /// The pinned epoch (tests assert scan/GC interleavings with it).
-    #[allow(dead_code)]
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 impl Drop for EpochGuard {
@@ -561,7 +558,7 @@ mod tests {
         let scan = reg.pin(); // pinned at epoch 0, before the rewrite
         reg.retire([file]);
         let late = reg.pin(); // epoch 1 — after the rewrite
-        assert_eq!((scan.epoch(), late.epoch()), (0, 1));
+        assert_eq!((scan.epoch, late.epoch), (0, 1));
         assert!(path.exists(), "pre-rewrite reader still needs the file");
         assert_eq!(reg.deferred_paths(), vec![path.clone()]);
         drop(late);
@@ -585,6 +582,22 @@ mod tests {
         assert_eq!(reg.retire([file]), 6);
         assert!(!path.exists());
         assert!(reg.deferred_paths().is_empty());
+    }
+
+    /// A failed open is not remembered by the file handle (the file is
+    /// shared by every run of the pack and the failure may be
+    /// transient); a successful one is.
+    #[test]
+    fn only_a_successful_open_is_cached() {
+        let file = temp_file("retry");
+        let bytes = fs::read(file.path()).unwrap();
+        fs::remove_file(file.path()).unwrap();
+        assert!(file.mapping().is_err());
+        fs::write(file.path(), &bytes).unwrap();
+        let map = file.mapping().expect("second open succeeds");
+        fs::remove_file(file.path()).unwrap();
+        assert!(Arc::ptr_eq(&map, &file.mapping().unwrap()));
+        assert_eq!(map.bytes(), bytes);
     }
 
     /// Two rewrites under one long scan: both retired sets wait for the

@@ -1444,8 +1444,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// an atomic, crash-safe manifest rewrite, cutting the spill
     /// directory's file count — the difference between 10⁵ files and a
     /// few hundred at fleet scale. A handle taken before a compaction
-    /// keeps answering if it already pinned its blob (the mapping
-    /// outlives the unlink); take fresh handles after. The tiering
+    /// keeps answering — a replaced file someone still holds is mapped
+    /// before its unlink, and the mapping outlives it. The tiering
     /// worker runs this automatically once
     /// [`EngineBuilder::compact_after`] underfull files accumulate.
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {

@@ -701,7 +701,8 @@ impl PersistedRun {
     /// The slow path of [`Self::pin`], under the state write lock: map
     /// the file (if no other run of the pack has yet), run the blob's
     /// one verification pass — framing + checksum; labels decode lazily
-    /// later — and pin the resolved range. A failure is sticky.
+    /// later — and pin the resolved range. A failure is sticky for this
+    /// run only; the file handle caches nothing but a successful map.
     fn first_pin(&self) -> Option<(Arc<MappedRun>, bool)> {
         let mut g = self.state.write().expect("segment state poisoned");
         match &*g {
@@ -714,8 +715,9 @@ impl PersistedRun {
         let resolved = self
             .file
             .mapping()
-            .and_then(|map| MappedRun::resolve(map, self.offset, self.disk_bytes).ok());
-        let Some(m) = resolved else {
+            .map_err(SnapshotError::from)
+            .and_then(|map| MappedRun::resolve(map, self.offset, self.disk_bytes));
+        let Ok(m) = resolved else {
             *g = LoadState::Failed;
             return None;
         };

@@ -30,6 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use wf_obs::Histogram;
 use wf_skeleton::SpecLabeling;
 
 /// Default dead-blob ratio above which pack GC rewrites a pack file:
@@ -141,15 +142,23 @@ impl FileStat {
     }
 }
 
-/// Group the persisted set by pack file (one `stat` per file, not per
-/// run).
-pub(crate) fn file_stats(persisted: &[Arc<PersistedRun>]) -> Vec<FileStat> {
-    let mut by_file: HashMap<&Path, Vec<Arc<PersistedRun>>> = HashMap::new();
+/// Group the persisted set by pack file: the runs of one pack share one
+/// file handle.
+fn group_by_file(persisted: &[Arc<PersistedRun>]) -> impl Iterator<Item = Vec<Arc<PersistedRun>>> {
+    let mut by_file: HashMap<*const PackFile, Vec<Arc<PersistedRun>>> = HashMap::new();
     for p in persisted {
-        by_file.entry(p.path()).or_default().push(Arc::clone(p));
+        by_file
+            .entry(Arc::as_ptr(&p.file))
+            .or_default()
+            .push(Arc::clone(p));
     }
-    by_file
-        .into_values()
+    by_file.into_values()
+}
+
+/// The persisted set's files with their sizes (one `stat` per file, not
+/// per run).
+pub(crate) fn file_stats(persisted: &[Arc<PersistedRun>]) -> Vec<FileStat> {
+    group_by_file(persisted)
         .map(|runs| {
             let live = runs.iter().map(|p| p.disk_bytes()).sum();
             let file = Arc::clone(&runs[0].file);
@@ -332,26 +341,13 @@ impl SpillDir {
         store: &LabelStore<S>,
     ) -> Result<CompactionReport, ServiceError> {
         let obs = &store.lru.obs;
-        let span = obs.timer();
         let report = self
-            .rewrite_packs(store, |f| f.runs.len() < MIN_PACK_RUNS)
+            .rewrite_packs(store, "compaction", &obs.h_compaction, |f| {
+                f.runs.len() < MIN_PACK_RUNS
+            })
             .map_err(|e| ServiceError::Compaction(e.to_string()))?;
         if report.packs_written > 0 {
             obs.compactions.inc();
-            obs.span(
-                &obs.h_compaction,
-                "compaction",
-                None,
-                Some(tier_tag(Tier::Persisted)),
-                span,
-                true,
-                || {
-                    format!(
-                        "files={}->{} runs_packed={}",
-                        report.files_before, report.files_after, report.runs_packed
-                    )
-                },
-            );
         }
         Ok(report)
     }
@@ -364,54 +360,43 @@ impl SpillDir {
         store: &LabelStore<S>,
     ) -> Result<PackGcReport, ServiceError> {
         let obs = &store.lru.obs;
-        let span = obs.timer();
         let ratio = self.gc_dead_ratio;
         let r = self
-            .rewrite_packs(store, |f| {
+            .rewrite_packs(store, "pack_gc", &obs.h_pack_gc, |f| {
                 f.size > 0 && f.dead() as f64 / f.size as f64 > ratio
             })
             .map_err(|e| ServiceError::PackGc(e.to_string()))?;
-        let report = PackGcReport {
+        obs.pack_gc_runs.add(r.runs_packed as u64);
+        Ok(PackGcReport {
             packs_rewritten: r.files_before + r.packs_written - r.files_after,
             runs_moved: r.runs_packed,
             bytes_before: r.bytes_before,
             bytes_after: r.bytes_after,
             dead_bytes_reclaimed: r.dead_bytes_reclaimed,
-        };
-        if r.packs_written > 0 {
-            obs.pack_gc_runs.add(report.runs_moved as u64);
-            obs.span(
-                &obs.h_pack_gc,
-                "pack_gc",
-                None,
-                Some(tier_tag(Tier::Persisted)),
-                span,
-                true,
-                || {
-                    format!(
-                        "packs={} runs={} reclaimed={}",
-                        report.packs_rewritten, report.runs_moved, report.dead_bytes_reclaimed
-                    )
-                },
-            );
-        }
-        Ok(report)
+        })
     }
 
     /// The one rewrite pass behind compaction and pack GC, reported in
     /// compaction's terms (the GC report is a view of it). Victim files
     /// are copied whole or not at all: a file with a blob that fails to
     /// read back is left exactly as it was. Memory is bounded — blobs
-    /// stream through one pack buffer (≤ [`PACK_TARGET_BYTES`] plus one
-    /// victim file), never the whole tier at once — and blobs are
-    /// copied verbatim, each keeping its own checksum. An in-flight scan
-    /// pinned at the pre-rewrite epoch keeps reading the old files until
-    /// its guard drops.
+    /// stream through one pack buffer (≤ [`PACK_TARGET_BYTES`] and
+    /// [`PACK_MAX_RUNS`], unless a single victim is bigger), never the
+    /// whole tier at once — and blobs are copied verbatim, each keeping
+    /// its own checksum. An in-flight scan pinned at the pre-rewrite
+    /// epoch keeps reading the old files until its guard drops. Every
+    /// exit sweeps orphans, so a pass with nothing to rewrite still
+    /// reclaims the packs of evicted runs and crash leftovers. A pass
+    /// that rewrote something is traced as one `kind` span into `hist`.
     fn rewrite_packs<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
+        kind: &'static str,
+        hist: &Histogram,
         is_victim: impl Fn(&FileStat) -> bool,
     ) -> Result<CompactionReport, SnapshotError> {
+        let obs = &store.lru.obs;
+        let span = obs.timer();
         let _g = self.manifest.lock().expect("manifest lock poisoned");
         let persisted = store.persisted_runs();
         let files = file_stats(&persisted);
@@ -427,6 +412,7 @@ impl SpillDir {
         };
         let mut victims: Vec<FileStat> = files.into_iter().filter(is_victim).collect();
         if !gains(&victims, 1) {
+            self.sweep_orphans(store, &self.manifest_entries(store));
             return Ok(out);
         }
         // Ascending run id within a file, lowest first across files: a
@@ -440,6 +426,13 @@ impl SpillDir {
         let mut buf: Vec<u8> = Vec::new();
         let mut members: Vec<Member> = Vec::new();
         for victim in victims {
+            if !members.is_empty()
+                && (members.len() + victim.runs.len() > PACK_MAX_RUNS
+                    || buf.len() as u64 + victim.live > PACK_TARGET_BYTES)
+            {
+                packs.push((self.write_pack(&buf)?, std::mem::take(&mut members)));
+                buf.clear();
+            }
             let mark = (buf.len(), members.len());
             let whole = victim.runs.iter().try_for_each(|p| {
                 let blob = snapshot::read_raw_range(p.path(), p.offset(), p.disk_bytes())?;
@@ -454,20 +447,14 @@ impl SpillDir {
                 continue;
             }
             copied.push(victim);
-            if members.len() >= PACK_MAX_RUNS || buf.len() as u64 >= PACK_TARGET_BYTES {
-                packs.push((self.write_pack(&buf)?, std::mem::take(&mut members)));
-                buf.clear();
-            }
         }
         if !members.is_empty() {
             packs.push((self.write_pack(&buf)?, members));
         }
         if !gains(&copied, packs.len()) {
             // Leave the registry and the manifest untouched; nothing
-            // references the packs just written.
-            for (file, _) in &packs {
-                let _ = std::fs::remove_file(file.path());
-            }
+            // references the packs just written, so the sweep takes them.
+            self.sweep_orphans(store, &self.manifest_entries(store));
             return Ok(out);
         }
         // The new manifest: copied runs re-pointed, everything else kept.
@@ -480,11 +467,8 @@ impl SpillDir {
         let entries: Vec<ManifestEntry> = persisted
             .iter()
             .filter_map(|p| {
-                let (path, offset, bytes) = relocated.get(&p.run().0).copied().unwrap_or((
-                    p.path(),
-                    p.offset(),
-                    p.disk_bytes(),
-                ));
+                let kept = (p.path(), p.offset(), p.disk_bytes());
+                let (path, offset, bytes) = relocated.get(&p.run().0).copied().unwrap_or(kept);
                 manifest_entry(p.run(), path, offset, bytes)
             })
             .collect();
@@ -506,8 +490,19 @@ impl SpillDir {
         out.bytes_after -= out.dead_bytes_reclaimed;
         out.files_after = out.files_before - copied.len() + packs.len();
         out.packs_written = packs.len();
+        // Let go of every pre-rewrite registration this pass held: a
+        // retired file someone else still holds is mapped before its
+        // unlink, and only holders outside this pass should count.
+        drop((persisted, packs));
         self.epochs.retire(copied.into_iter().map(|f| f.file));
         self.sweep_orphans(store, &entries);
+        let tier = Some(tier_tag(Tier::Persisted));
+        obs.span(hist, kind, None, tier, span, true, || {
+            format!(
+                "files={}->{} runs={} reclaimed={}",
+                out.files_before, out.files_after, out.runs_packed, out.dead_bytes_reclaimed
+            )
+        });
         Ok(out)
     }
 
@@ -570,10 +565,9 @@ impl SpillDir {
             return errors;
         }
         if let Some(threshold) = compact_after {
-            // Runs of one pack share one file handle.
-            let mut file_runs: HashMap<*const PackFile, usize> = HashMap::new();
-            store.for_each_persisted(|p| *file_runs.entry(Arc::as_ptr(&p.file)).or_default() += 1);
-            let underfull = file_runs.values().filter(|&&n| n < MIN_PACK_RUNS).count();
+            let underfull = group_by_file(&store.persisted_runs())
+                .filter(|runs| runs.len() < MIN_PACK_RUNS)
+                .count();
             if underfull >= threshold.max(2) {
                 errors.extend(self.compact(store).err());
             }

@@ -211,6 +211,98 @@ fn uncompacted_spills_read_through_the_mapping() {
     assert_eq!(verified.count(), 4, "re-pins skip the checksum");
 }
 
+/// A handle taken before a rewrite caches its registration and takes no
+/// epoch guard. If it never pinned its blob, its first pin comes after
+/// the rewrite unlinked the file — and must still answer: a retired file
+/// someone still holds is mapped before the unlink. A rewrite nobody
+/// was watching maps nothing.
+#[test]
+fn handles_taken_before_a_rewrite_answer_after_it() {
+    let dir = TempDir::new("stale-handle");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(77);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let mut fleet = persist_fleet(&engine, &spec, 3, &mut rng);
+    let file_of = |run: RunId| {
+        let listed = wf_service::snapshot::load_manifest(&dir.0).unwrap();
+        listed.into_iter().find(|e| e.run == run).unwrap().file
+    };
+    // Out of a pack of one…
+    let (loose, loose_file) = (engine.handle(fleet[0].0).unwrap(), file_of(fleet[0].0));
+    assert_eq!(engine.compact().unwrap().packs_written, 1);
+    // …and out of a compacted pack that the next pass rewrites.
+    let (packed, packed_file) = (engine.handle(fleet[1].0).unwrap(), file_of(fleet[1].0));
+    fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
+    let report = engine.compact().unwrap();
+    assert_eq!((report.files_before, report.files_after), (2, 1));
+    for old in [&loose_file, &packed_file] {
+        assert!(!dir.0.join(old).exists(), "{old} was unlinked");
+    }
+
+    for (h, (run, exec, naive)) in [(&loose, &fleet[0]), (&packed, &fleet[1])] {
+        for a in exec.events().iter().step_by(3) {
+            for b in exec.events().iter().step_by(2) {
+                assert_eq!(
+                    h.reach(a.vertex, b.vertex),
+                    Some(naive.reaches(a.vertex, b.vertex)),
+                    "{run:?} through a pre-rewrite handle"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        engine.stats().pack_pins,
+        2,
+        "one first pin per stale handle"
+    );
+    drop((loose, packed));
+    assert_eq!(engine.stats().mapped_bytes, 0, "unlinked files unmapped");
+
+    // Nobody holds a pre-rewrite registration: the pass maps nothing.
+    fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
+    assert_eq!(engine.compact().unwrap().packs_written, 1);
+    assert_eq!(engine.stats().mapped_bytes, 0);
+    assert_answers(&engine, &fleet);
+}
+
+/// A pass with nothing to rewrite still sweeps: the pack of an evicted
+/// run — referenced by no manifest line and no registration — is gone
+/// after `compact()`, and so is a crash leftover.
+#[test]
+fn a_pass_with_no_victims_still_sweeps_orphans() {
+    let dir = TempDir::new("sweep");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(9);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let fleet = persist_fleet(&engine, &spec, 2, &mut rng);
+    engine.evict_run(fleet[0].0).unwrap();
+    let leftover = dir.0.join("pack-999.wfseg");
+    std::fs::write(&leftover, b"a pack no manifest ever listed").unwrap();
+    let kept = blob_sizes(&dir.0)
+        .iter()
+        .find(|(r, _)| *r == fleet[1].0)
+        .unwrap()
+        .1;
+    assert!(wfseg_bytes(&dir.0) > kept);
+
+    let report = engine.compact().unwrap();
+    assert_eq!(report.packs_written, 0, "one live file: nothing to merge");
+    assert!(!leftover.exists());
+    assert_eq!(
+        wfseg_bytes(&dir.0),
+        kept,
+        "only the live run's pack remains"
+    );
+    assert_eq!(engine.gc_packs().unwrap().packs_rewritten, 0);
+    assert_answers(&engine, &fleet[1..]);
+}
+
 /// A bit flip inside a pack is caught by the per-blob checksum at first
 /// pin: the damaged run degrades to "no labels" (typed, no SIGBUS, no
 /// panic), while every other blob in the same pack keeps answering.
