@@ -1,5 +1,6 @@
-//! The owned engine: catalog, run registry, lifecycle, and the blocking
-//! compatibility wrappers over the pipelined ingest path.
+//! The owned engine: catalog, run registry, the public API, and the
+//! blocking compatibility wrappers over the pipelined ingest path. (The
+//! tier lifecycle lives in [`crate::lifecycle`].)
 //!
 //! Engine API v2's core move is *ownership*: [`WfEngine`] holds its
 //! [`SpecContext`] catalog behind `Arc`s instead of borrowing a caller's
@@ -9,18 +10,18 @@
 //! `Arc` allocation its slot co-owns — the single `unsafe` in the
 //! workspace, with the invariants documented at the site.
 
-use crate::freeze::freeze_slot;
 use crate::handle::RunHandle;
 use crate::index::LabelIndex;
 use crate::ingest::{BatchTracker, Envelope, IngestPool};
+use crate::lifecycle::{TierPolicy, Tiering};
 use crate::query::CrossRunQuery;
+use crate::snapshot::PersistedRun;
 use crate::spill::{file_stats, CompactionReport, FileStat, PackGcReport, SpillDir};
 use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::sub::{SubHub, SubPredicate, Subscription, DEFAULT_SUB_QUEUE_CAPACITY};
 use crate::telemetry::{
-    tier_tag, SpanCtx, SpanHandle, Telemetry, TelemetryConfig, WalTelemetry,
-    DEFAULT_REACH_SAMPLE_SHIFT,
+    SpanCtx, SpanHandle, Telemetry, TelemetryConfig, WalTelemetry, DEFAULT_REACH_SAMPLE_SHIFT,
 };
 use crate::{
     BatchOutcome, RunId, RunOp, RunStatus, ServiceError, ServiceEvent, SpecContext, SpecId,
@@ -90,7 +91,10 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     pub(crate) spec: SpecId,
     pub(crate) skl_bits: usize,
     max_vertex_id: u32,
-    writer: Mutex<OwnedLabeler<S>>,
+    /// The run's labeler, for as long as the run can still be written:
+    /// completion drops it, and a run re-heated to the hot tier never
+    /// has one.
+    writer: Mutex<Option<OwnedLabeler<S>>>,
     pub(crate) indexed: LabelIndex,
     /// The run's source vertex (its first inserted event — the labeler
     /// guarantees that is the start graph's source). Write-once, read by
@@ -132,11 +136,10 @@ impl<S: SpecLabeling> RunSlot<S> {
             return Err(ServiceError::VertexOutOfBounds(run, ev.vertex));
         }
         let mut w = self.writer.lock().expect("writer lock poisoned");
-        match self.status() {
-            RunStatus::Live => {}
-            s => return Err(ServiceError::RunNotLive(run, s)),
-        }
-        let labeler = w.get();
+        let labeler = match (self.status(), w.as_mut()) {
+            (RunStatus::Live, Some(w)) => w.get(),
+            (s, _) => return Err(ServiceError::RunNotLive(run, s)),
+        };
         if let Err(e) = labeler.insert(ev) {
             self.status
                 .store(RunStatus::Failed.as_u8(), Ordering::Release);
@@ -159,7 +162,7 @@ impl<S: SpecLabeling> RunSlot<S> {
     pub(crate) fn complete(&self, run: RunId) -> Result<(), ServiceError> {
         // Take the writer lock so completion serializes with in-flight
         // inserts (see `apply_insert`).
-        let _w = self.writer.lock().expect("writer lock poisoned");
+        let mut w = self.writer.lock().expect("writer lock poisoned");
         self.status
             .compare_exchange(
                 RunStatus::Live.as_u8(),
@@ -167,8 +170,56 @@ impl<S: SpecLabeling> RunSlot<S> {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             )
-            .map(|_| ())
-            .map_err(|s| ServiceError::RunNotLive(run, RunStatus::from_u8(s)))
+            .map_err(|s| ServiceError::RunNotLive(run, RunStatus::from_u8(s)))?;
+        // A completed run can no longer be written: let the labeler go
+        // now rather than at freeze time.
+        *w = None;
+        Ok(())
+    }
+
+    fn new(
+        spec: SpecId,
+        skl_bits: usize,
+        max_vertex_id: u32,
+        writer: Option<OwnedLabeler<S>>,
+        next_wal_seq: u64,
+    ) -> Self {
+        let status = if writer.is_some() {
+            RunStatus::Live
+        } else {
+            RunStatus::Completed
+        };
+        Self {
+            spec,
+            skl_bits,
+            max_vertex_id,
+            writer: Mutex::new(writer),
+            indexed: LabelIndex::new(),
+            source: OnceLock::new(),
+            status: AtomicU8::new(status.as_u8()),
+            events: AtomicU64::new(0),
+            queries: AtomicU64::new(0),
+            derivation: Mutex::new(None),
+            wal_seq: AtomicU64::new(next_wal_seq),
+        }
+    }
+
+    /// The slot of a run re-heated to the hot tier: `Completed` from the
+    /// start, so it holds no labeler; the caller publishes the run's
+    /// `labels` labels into [`Self::indexed`] before registering it.
+    pub(crate) fn completed(
+        spec: SpecId,
+        skl_bits: usize,
+        max_vertex_id: u32,
+        source: Option<VertexId>,
+        labels: u64,
+    ) -> Self {
+        let slot = Self::new(spec, skl_bits, max_vertex_id, None, 1);
+        if let Some(source) = source {
+            let _ = slot.source.set(source);
+        }
+        slot.events.store(labels, Ordering::Relaxed);
+        slot
     }
 }
 
@@ -184,19 +235,13 @@ fn new_slot<S: SpecLabeling + 'static>(
 ) -> Result<Arc<RunSlot<S>>, ExecError> {
     let mut writer = OwnedLabeler::new(ctx, resolution)?;
     let skl_bits = writer.get().skl_bits();
-    Ok(Arc::new(RunSlot {
+    Ok(Arc::new(RunSlot::new(
         spec,
         skl_bits,
         max_vertex_id,
-        writer: Mutex::new(writer),
-        indexed: LabelIndex::new(),
-        source: OnceLock::new(),
-        status: AtomicU8::new(RunStatus::Live.as_u8()),
-        events: AtomicU64::new(0),
-        queries: AtomicU64::new(0),
-        derivation: Mutex::new(None),
-        wal_seq: AtomicU64::new(next_wal_seq),
-    }))
+        Some(writer),
+        next_wal_seq,
+    )))
 }
 
 /// `RunOpen` payload: the spec id (u32 LE) plus the resolution mode tag —
@@ -236,42 +281,6 @@ struct ReplayRun {
     completed: bool,
     /// Highest WAL seq the run had; its slot resumes numbering above it.
     max_seq: u64,
-}
-
-/// The automatic hot→frozen(→persisted) policy the background tiering
-/// worker enforces. All knobs optional; unset means manual-only tiering.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TierPolicy {
-    /// Keep at most this many *completed* runs hot; older completions
-    /// freeze in completion order (the recency bound).
-    pub(crate) freeze_after: Option<usize>,
-    /// Hard cap on hot-tier runs: when exceeded, completed runs freeze
-    /// even within the recency bound (live runs are never frozen).
-    pub(crate) max_hot_runs: Option<usize>,
-    /// Re-heat a persisted run to the frozen (resident) tier once it has
-    /// answered this many queries — the cold-run-turned-hot promotion.
-    pub(crate) reheat_after: Option<u64>,
-    /// Re-heat a persisted run all the way to the **hot** tier (decoded
-    /// `LabelIndex`) once it has answered this many queries — sustained
-    /// traffic earns the full in-memory representation back.
-    pub(crate) hot_reheat_after: Option<u64>,
-    /// Run a compaction pass once this many underfull pack files (fewer
-    /// than [`crate::snapshot::MIN_PACK_RUNS`] runs) have accumulated.
-    pub(crate) compact_after: Option<usize>,
-    /// Automatically GC packs whose dead-blob ratio exceeds the
-    /// configured threshold.
-    pub(crate) pack_gc: bool,
-}
-
-impl TierPolicy {
-    pub(crate) fn is_active(&self) -> bool {
-        self.freeze_after.is_some()
-            || self.max_hot_runs.is_some()
-            || self.reheat_after.is_some()
-            || self.hot_reheat_after.is_some()
-            || self.compact_after.is_some()
-            || self.pack_gc
-    }
 }
 
 /// One cause of a pipeline stall, as diagnosed by the watchdog.
@@ -348,7 +357,7 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     pub(crate) store: LabelStore<S>,
     /// The per-run vertex-id ceiling every run's tables are sized
     /// against.
-    max_vertex_id: u32,
+    pub(crate) max_vertex_id: u32,
     next_run: AtomicU64,
     pub(crate) draining: AtomicBool,
     /// All observability state: counters, histograms, the trace ring.
@@ -364,8 +373,8 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     /// Recent failures from the fire-and-forget ingest path (bounded);
     /// the background tiering worker reports here too.
     ingest_errors: Mutex<VecDeque<(RunId, ServiceError)>>,
-    /// The automatic tiering policy.
-    pub(crate) policy: TierPolicy,
+    /// The tiering policy, its completion queue and its worker.
+    pub(crate) tiering: Tiering,
     /// The spill directory, when persistence is configured.
     pub(crate) spill: Option<SpillDir>,
     /// The durable ingest log, when [`EngineBuilder::wal_dir`] is set:
@@ -373,13 +382,6 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     /// a crash loses at most the un-synced batch tail, never applied
     /// state the log cannot replay.
     pub(crate) wal: Option<WalWriter>,
-    /// Completed runs in completion order — the tiering worker's freeze
-    /// queue (stale entries are skipped when popped).
-    completed_order: Mutex<VecDeque<RunId>>,
-    /// Tiering worker shutdown flag + wakeup.
-    tiering_stop: AtomicBool,
-    tiering_lock: Mutex<()>,
-    tiering_cv: Condvar,
     /// Per-worker ingest watermarks for the stall watchdog (one slot per
     /// pool worker, indexed like the pool's senders).
     pub(crate) worker_marks: Box<[WorkerMark]>,
@@ -398,16 +400,26 @@ pub(crate) fn route_hash(run: RunId) -> u64 {
     run.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
 }
 
+/// The one of `workers` ingest workers `run` is pinned to — and with it
+/// the run's queue, its watermark slot and its WAL shard.
+pub(crate) fn route_worker(run: RunId, workers: usize) -> usize {
+    (route_hash(run) % workers.max(1) as u64) as usize
+}
+
 impl<S: SpecLabeling> EngineShared<S> {
     /// The *writable* slot of `run`: its hot-tier state. A run that has
     /// left the hot tier rejects writes with its lifecycle status (it is
     /// still known — queries keep working through [`LabelStore::view`]).
     pub(crate) fn slot(&self, run: RunId) -> Result<Arc<RunSlot<S>>, ServiceError> {
-        match self.store.view(run) {
-            Some(RunView::Hot(slot)) => Ok(slot),
-            Some(view) => Err(ServiceError::RunNotLive(run, view.status())),
-            None => Err(ServiceError::UnknownRun(run)),
+        match self.view(run)? {
+            RunView::Hot(slot) => Ok(slot),
+            view => Err(ServiceError::RunNotLive(run, view.status())),
         }
+    }
+
+    /// The run's current representation, whatever its tier.
+    pub(crate) fn view(&self, run: RunId) -> Result<RunView<S>, ServiceError> {
+        self.store.view(run).ok_or(ServiceError::UnknownRun(run))
     }
 
     /// Shared ingest bookkeeping for every submit path (pooled or
@@ -431,16 +443,7 @@ impl<S: SpecLabeling> EngineShared<S> {
             // The status CAS fired exactly once, so this fan-out is
             // edge-triggered: subscribers see one RunCompleted per run.
             self.store.subs.notify_complete(run, spec);
-            // The completion queue feeds the tiering worker; without a
-            // policy nothing ever drains it, so don't grow it (and skip
-            // the pointless lock + notify on every completion).
-            if self.policy.is_active() {
-                self.completed_order
-                    .lock()
-                    .expect("completed queue poisoned")
-                    .push_back(run);
-                self.wake_tiering();
-            }
+            self.tiering.note_completed(run);
         }
     }
 
@@ -448,7 +451,7 @@ impl<S: SpecLabeling> EngineShared<S> {
     /// pinning as the ingest pool, so a run's appends happen on one
     /// worker thread and the shard file sees them in apply order.
     pub(crate) fn wal_shard(&self, run: RunId) -> usize {
-        (route_hash(run) % self.ingest_workers.max(1) as u64) as usize
+        route_worker(run, self.ingest_workers)
     }
 
     /// **Write-ahead apply** for one insertion: journal the event, then
@@ -463,23 +466,45 @@ impl<S: SpecLabeling> EngineShared<S> {
         slot: &RunSlot<S>,
         ev: &ExecEvent,
     ) -> Result<(), ServiceError> {
-        if let Some(wal) = &self.wal {
+        if self.wal.is_some() {
             if ev.vertex.0 > slot.max_vertex_id {
                 return Err(ServiceError::VertexOutOfBounds(run, ev.vertex));
             }
             let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
             let mut payload = Vec::new();
             wf_drl::encode::write_event(&mut payload, ev);
-            let rec = Record {
-                kind: RecordKind::Event,
-                run: run.0,
-                seq,
-                payload,
-            };
-            wal.append(self.wal_shard(run), &rec)
-                .map_err(|e| ServiceError::Wal(e.to_string()))?;
+            self.journal(run, RecordKind::Event, seq, payload)?;
         }
         slot.apply_insert(run, ev)
+    }
+
+    /// Append one record to `run`'s WAL shard (a no-op without a WAL).
+    fn journal(
+        &self,
+        run: RunId,
+        kind: RecordKind,
+        seq: u64,
+        payload: Vec<u8>,
+    ) -> Result<(), ServiceError> {
+        let Some(wal) = &self.wal else { return Ok(()) };
+        let rec = Record {
+            kind,
+            run: run.0,
+            seq,
+            payload,
+        };
+        wal.append(self.wal_shard(run), &rec)
+            .map_err(|e| ServiceError::Wal(e.to_string()))
+    }
+
+    /// Force every record appended so far to disk (a no-op without a
+    /// WAL); a failure goes to the error ring.
+    fn wal_barrier(&self) {
+        if let Some(wal) = &self.wal {
+            if let Err(e) = wal.barrier() {
+                self.push_ingest_error(RunId(u64::MAX), ServiceError::Wal(e.to_string()));
+            }
+        }
     }
 
     /// **Write-ahead completion**: journal the completion, then apply
@@ -489,336 +514,9 @@ impl<S: SpecLabeling> EngineShared<S> {
         run: RunId,
         slot: &RunSlot<S>,
     ) -> Result<(), ServiceError> {
-        if let Some(wal) = &self.wal {
-            let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
-            let rec = Record {
-                kind: RecordKind::Complete,
-                run: run.0,
-                seq,
-                payload: Vec::new(),
-            };
-            wal.append(self.wal_shard(run), &rec)
-                .map_err(|e| ServiceError::Wal(e.to_string()))?;
-        }
+        let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
+        self.journal(run, RecordKind::Complete, seq, Vec::new())?;
         slot.complete(run)
-    }
-
-    fn wake_tiering(&self) {
-        let _g = self.tiering_lock.lock().expect("tiering lock poisoned");
-        self.tiering_cv.notify_all();
-    }
-
-    /// Freeze one completed run: compact its published labels into an
-    /// encoded arena (plus the optional SKL re-label), publish it in the
-    /// frozen tier, drop the hot slot. Idempotent for already-cold runs.
-    ///
-    /// The compaction runs **without** the slot's writer lock: once a
-    /// run is `Completed` its index is final (completion and inserts
-    /// serialize on the writer lock), so the only races are with an
-    /// eviction or another freeze — both resolved by the store's
-    /// conditional [`LabelStore::promote_frozen`], so a stale queued
-    /// event never stalls behind a multi-millisecond SKL re-label.
-    pub(crate) fn freeze(&self, run: RunId) -> Result<(), ServiceError> {
-        let slot = match self.store.view(run) {
-            Some(RunView::Hot(slot)) => slot,
-            Some(_) => return Ok(()), // already frozen or persisted
-            None => return Err(ServiceError::UnknownRun(run)),
-        };
-        match slot.status() {
-            RunStatus::Completed => {}
-            s => return Err(ServiceError::NotCompleted(run, s)),
-        }
-        let derivation = slot
-            .derivation
-            .lock()
-            .expect("derivation lock poisoned")
-            .take();
-        let span = self.obs.timer();
-        let ctx = &self.catalog[slot.spec.0];
-        let frozen = freeze_slot(run, &slot, ctx, derivation.as_ref(), &self.obs);
-        let report = frozen.skl_report().copied();
-        let labels = frozen.arena().len() as u64;
-        if !self.store.promote_frozen(run, Arc::new(frozen)) {
-            // Lost the race: either another freeze won (the run is cold
-            // now — fine) or an eviction removed it (report that).
-            return match self.store.view(run) {
-                Some(_) => Ok(()),
-                None => Err(ServiceError::UnknownRun(run)),
-            };
-        }
-        self.obs.freezes.inc();
-        if let Some(report) = report {
-            self.obs.skl_relabeled.inc();
-            self.obs.skl_bits_total.add(report.skl_bits);
-            self.obs.skl_drl_bits_total.add(report.drl_bits);
-            self.obs.skl_build_ns_total.add(report.build_ns);
-            self.obs.skl_query_ns_total.add(report.skl_query_ns);
-            self.obs.frozen_query_ns_total.add(report.drl_query_ns);
-            self.obs.skl_pairs_sampled.add(report.pairs_sampled);
-        }
-        self.obs.span(
-            &self.obs.h_freeze,
-            "freeze",
-            Some(run.0),
-            Some(tier_tag(Tier::Frozen)),
-            span,
-            true,
-            || match report {
-                Some(r) => format!("labels={labels} skl_bits={}", r.skl_bits),
-                None => format!("labels={labels}"),
-            },
-        );
-        Ok(())
-    }
-
-    /// Spill one run to disk: freeze it if still hot, write its pack
-    /// and the manifest, and replace the in-memory arena with a lazily
-    /// mapped persisted entry. Idempotent for already-persisted runs.
-    pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
-        let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
-        if let Some(RunView::Hot(_)) = self.store.view(run) {
-            self.freeze(run)?;
-        }
-        let frozen = match self.store.view(run) {
-            Some(RunView::Frozen(f)) => f,
-            Some(RunView::Persisted(_)) => return Ok(()),
-            _ => return Err(ServiceError::UnknownRun(run)),
-        };
-        if !spill.persist(&self.store, &frozen)? {
-            return Ok(());
-        }
-        // The run is durable in its pack + manifest: stamp a WAL
-        // checkpoint and compact the shard, so the log keeps only the
-        // non-persisted suffix (recovery time ∝ hot state, not
-        // history). A checkpoint failure is non-fatal — the spill
-        // succeeded; recovery would simply skip the run's stale records
-        // because the manifest already lists it.
-        if let Some(wal) = &self.wal {
-            if let Err(e) = wal.checkpoint(self.wal_shard(run), run.0) {
-                self.push_ingest_error(run, ServiceError::Wal(e.to_string()));
-            }
-        }
-        Ok(())
-    }
-
-    /// **Re-heat** one persisted run: decode its arena out of the mapping
-    /// and promote it back to the frozen tier, where queries answer from
-    /// the resident arena with no LRU in the way. The segment stays on
-    /// disk; the run simply stops being registered against it until the next
-    /// [`Self::persist`]. Idempotent for hot/frozen runs.
-    pub(crate) fn reheat(&self, run: RunId) -> Result<(), ServiceError> {
-        let persisted = match self.store.view(run) {
-            Some(RunView::Persisted(p)) => p,
-            Some(_) => return Ok(()), // already resident
-            None => return Err(ServiceError::UnknownRun(run)),
-        };
-        let span = self.obs.timer();
-        let Some(frozen) = persisted.pin().and_then(|pin| pin.to_frozen()) else {
-            return Err(ServiceError::Snapshot(
-                run,
-                "segment no longer reads back cleanly".into(),
-            ));
-        };
-        // Carry the persisted-tier query count so `queries_answered`
-        // stays monotone across the promotion (mirrors freeze_slot).
-        frozen
-            .queries
-            .store(persisted.queries.load(Ordering::Relaxed), Ordering::Relaxed);
-        if !self.store.promote_reheated(run, frozen) {
-            // Raced an eviction or another re-heat; report honestly.
-            return match self.store.view(run) {
-                Some(_) => Ok(()),
-                None => Err(ServiceError::UnknownRun(run)),
-            };
-        }
-        self.obs.reheats.inc();
-        self.obs.span(
-            &self.obs.h_reheat,
-            "reheat",
-            Some(run.0),
-            Some(tier_tag(Tier::Frozen)),
-            span,
-            true,
-            || format!("bytes={}", persisted.disk_bytes()),
-        );
-        Ok(())
-    }
-
-    /// **Full re-heat to the hot tier**: rebuild a decoded
-    /// [`LabelIndex`] straight from the pinned segment bytes (zero-copy
-    /// off the mapping) and promote the run back to hot, where queries
-    /// are two `Acquire` loads. The run stays `Completed` — writes remain rejected — but
-    /// it leaves the persisted registry entirely, which is what turns
-    /// its pack bytes dead and feeds pack GC. Idempotent for hot/frozen
-    /// runs.
-    pub(crate) fn reheat_hot(&self, run: RunId) -> Result<(), ServiceError> {
-        let persisted = match self.store.view(run) {
-            Some(RunView::Persisted(p)) => p,
-            Some(_) => return Ok(()), // already resident
-            None => return Err(ServiceError::UnknownRun(run)),
-        };
-        let ctx = self
-            .catalog
-            .get(persisted.spec.0)
-            .ok_or(ServiceError::UnknownSpec(persisted.spec))?;
-        let span = self.obs.timer();
-        let Some(pin) = persisted.pin() else {
-            return Err(ServiceError::Snapshot(
-                run,
-                "segment no longer reads back cleanly".into(),
-            ));
-        };
-        let slot = new_slot(
-            Arc::clone(ctx),
-            persisted.spec,
-            ctx.default_resolution(),
-            self.max_vertex_id,
-            1,
-        )
-        .map_err(|e| ServiceError::Labeler(run, e))?;
-        let skl_bits = slot.skl_bits;
-        let mut published = 0u64;
-        pin.for_each_label(|v, name, label| {
-            slot.indexed.publish(v, name, label.clone(), skl_bits);
-            published += 1;
-        });
-        if let Some(source) = persisted.source {
-            let _ = slot.source.set(source);
-        }
-        slot.status
-            .store(RunStatus::Completed.as_u8(), Ordering::Release);
-        slot.events.store(published, Ordering::Relaxed);
-        // Carry the query count so `queries_answered` stays monotone
-        // across the promotion (mirrors the frozen re-heat).
-        slot.queries
-            .store(persisted.queries.load(Ordering::Relaxed), Ordering::Relaxed);
-        drop(pin);
-        if !self.store.promote_hot(run, slot) {
-            // Raced an eviction or another re-heat; report honestly.
-            return match self.store.view(run) {
-                Some(_) => Ok(()),
-                None => Err(ServiceError::UnknownRun(run)),
-            };
-        }
-        self.obs.reheats.inc();
-        self.obs.span(
-            &self.obs.h_reheat,
-            "reheat_hot",
-            Some(run.0),
-            Some(tier_tag(Tier::Hot)),
-            span,
-            true,
-            || format!("labels={published}"),
-        );
-        Ok(())
-    }
-
-    /// One pass of the segment-level policy: promote query-hot persisted
-    /// runs ([`TierPolicy::reheat_after`] /
-    /// [`TierPolicy::hot_reheat_after`]) in one allocation-free sweep of
-    /// the registry, then let the spill directory compact and GC itself.
-    pub(crate) fn apply_segment_policy(&self) {
-        let reheat_th = self.policy.reheat_after;
-        let hot_th = self.policy.hot_reheat_after;
-        let mut to_reheat: Vec<RunId> = Vec::new();
-        let mut to_reheat_hot: Vec<RunId> = Vec::new();
-        if reheat_th.is_some() || hot_th.is_some() {
-            self.store.for_each_persisted(|p| {
-                // Threshold on traffic *since persisting* (the lifetime
-                // counter carries over for stats monotonicity — a run
-                // popular while hot must not bounce right back). Skip
-                // registrations whose load already failed (sticky):
-                // retrying every pass would only flood the error ring
-                // with duplicates of an error already reported once.
-                let since = p
-                    .queries
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(p.queries_at_persist);
-                if p.is_load_failed() {
-                    return;
-                }
-                if hot_th.is_some_and(|th| since >= th) {
-                    // Sustained traffic earns the full hot-index
-                    // rebuild; the frozen threshold (if also crossed)
-                    // is subsumed.
-                    to_reheat_hot.push(p.run());
-                } else if reheat_th.is_some_and(|th| since >= th) {
-                    to_reheat.push(p.run());
-                }
-            });
-        }
-        for run in to_reheat_hot {
-            if let Err(e) = self.reheat_hot(run) {
-                self.push_ingest_error(run, e);
-            }
-        }
-        for run in to_reheat {
-            if let Err(e) = self.reheat(run) {
-                self.push_ingest_error(run, e);
-            }
-        }
-        if let Some(spill) = &self.spill {
-            for e in spill.apply_policy(&self.store, self.policy.compact_after, self.policy.pack_gc)
-            {
-                self.push_ingest_error(RunId(u64::MAX), e);
-            }
-        }
-    }
-
-    /// One pass of the automatic tiering policy: freeze (and spill) the
-    /// oldest completed hot runs until the policy is satisfied.
-    pub(crate) fn apply_tier_policy(&self) {
-        if !self.policy.is_active() {
-            return;
-        }
-        loop {
-            let mut hot_total = 0usize;
-            let mut hot_completed = 0usize;
-            self.store.for_each_hot_slot(|_, slot| {
-                hot_total += 1;
-                if slot.status() == RunStatus::Completed {
-                    hot_completed += 1;
-                }
-            });
-            let mut to_freeze = 0usize;
-            if let Some(k) = self.policy.freeze_after {
-                to_freeze = to_freeze.max(hot_completed.saturating_sub(k));
-            }
-            if let Some(m) = self.policy.max_hot_runs {
-                to_freeze = to_freeze.max(hot_total.saturating_sub(m).min(hot_completed));
-            }
-            if to_freeze == 0 {
-                return;
-            }
-            // Oldest completed run that is still hot (stale queue
-            // entries — evicted or manually frozen runs — are skipped).
-            let run = {
-                let mut q = self
-                    .completed_order
-                    .lock()
-                    .expect("completed queue poisoned");
-                loop {
-                    match q.pop_front() {
-                        None => break None,
-                        Some(r) if self.store.hot_slot(r).is_some() => break Some(r),
-                        Some(_) => {}
-                    }
-                }
-            };
-            let Some(run) = run else { return };
-            let res = self.freeze(run).and_then(|()| {
-                if self.spill.is_some() {
-                    self.persist(run)
-                } else {
-                    Ok(())
-                }
-            });
-            if let Err(e) = res {
-                // Surface tiering failures the same way fire-and-forget
-                // ingest failures surface: through the bounded ring.
-                self.push_ingest_error(run, e);
-            }
-        }
     }
 
     /// Remember a failure from the fire-and-forget path so callers that
@@ -862,28 +560,6 @@ impl<S: SpecLabeling> EngineShared<S> {
         drop(g);
         self.flush_waiters.fetch_sub(1, Ordering::AcqRel);
         self.processed.load(Ordering::Acquire)
-    }
-}
-
-/// Body of the background tiering worker: apply the policy whenever a
-/// completion (or the periodic tick) wakes it, until shutdown.
-fn tiering_loop<S: SpecLabeling + Send + Sync + 'static>(shared: &EngineShared<S>) {
-    loop {
-        shared.apply_tier_policy();
-        shared.apply_segment_policy();
-        if shared.tiering_stop.load(Ordering::Acquire) {
-            return;
-        }
-        let g = shared.tiering_lock.lock().expect("tiering lock poisoned");
-        if shared.tiering_stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Timed wait as a backstop, like the flush condvar: correctness
-        // never depends on a perfectly-delivered notification.
-        let _ = shared
-            .tiering_cv
-            .wait_timeout(g, std::time::Duration::from_millis(20))
-            .expect("tiering lock poisoned");
     }
 }
 
@@ -963,12 +639,9 @@ fn watchdog_loop<S: SpecLabeling + Send + Sync + 'static>(
         }
         // Tiering: a completion backlog that keeps (or grows) past the
         // floor while the policy is active means the worker fell behind.
-        let backlog = shared
-            .completed_order
-            .lock()
-            .expect("completed queue poisoned")
-            .len();
-        if shared.policy.is_active() && backlog > TIERING_BACKLOG_FLOOR && backlog >= last_backlog {
+        let backlog = shared.tiering.backlog();
+        if shared.tiering.is_active() && backlog > TIERING_BACKLOG_FLOOR && backlog >= last_backlog
+        {
             violated.push(StallCause::TieringBacklog);
         }
         last_backlog = backlog;
@@ -1019,29 +692,11 @@ fn watchdog_loop<S: SpecLabeling + Send + Sync + 'static>(
 pub struct WfEngine<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
     shared: Arc<EngineShared<S>>,
     pool: IngestPool<S>,
-    /// The background tiering worker, when a policy is configured.
-    tiering: Option<JoinHandle<()>>,
     /// The stall watchdog, when an interval is configured.
     watchdog: Option<JoinHandle<()>>,
 }
 
 impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
-    /// Stop and join the tiering worker (idempotent).
-    fn stop_tiering(&mut self) {
-        self.shared.tiering_stop.store(true, Ordering::Release);
-        {
-            let _g = self
-                .shared
-                .tiering_lock
-                .lock()
-                .expect("tiering lock poisoned");
-            self.shared.tiering_cv.notify_all();
-        }
-        if let Some(worker) = self.tiering.take() {
-            let _ = worker.join();
-        }
-    }
-
     /// Stop and join the stall watchdog (idempotent).
     fn stop_watchdog(&mut self) {
         self.shared.watchdog_stop.store(true, Ordering::Release);
@@ -1067,7 +722,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> Drop for WfEngine<S> {
         // working off the reference-counted slots).
         self.shared.draining.store(true, Ordering::Release);
         self.stop_watchdog();
-        self.stop_tiering();
+        self.shared.tiering.stop();
     }
 }
 
@@ -1134,17 +789,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         // Journal the open before the run becomes visible: the `RunOpen`
         // record (seq 0) happens-before any event enqueue, so recovery
         // always finds it ahead of the run's events.
-        if let Some(wal) = &self.shared.wal {
-            let rec = Record {
-                kind: RecordKind::RunOpen,
-                run: run.0,
-                seq: 0,
-                payload: run_open_payload(spec, resolution),
-            };
-            wal.append(self.shared.wal_shard(run), &rec)
-                .map_err(|e| ServiceError::Wal(e.to_string()))?;
-        }
-        self.shared.store.insert_hot(run, slot);
+        let open = run_open_payload(spec, resolution);
+        self.shared.journal(run, RecordKind::RunOpen, 0, open)?;
+        self.shared.store.insert(run, RunView::Hot(slot));
         self.shared.obs.runs_opened.inc();
         Ok(run)
     }
@@ -1185,7 +832,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         };
         env.span = root.ctx;
         let run = env.run;
-        let worker = (route_hash(run) % self.shared.worker_marks.len().max(1) as u64) as usize;
+        let worker = route_worker(run, self.shared.worker_marks.len());
         self.shared.enqueued.fetch_add(1, Ordering::AcqRel);
         let res = match self.pool.send(env) {
             Ok(()) => {
@@ -1322,12 +969,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         // Durability barrier: every event applied below the watermark was
         // appended to the WAL *before* it was applied (write-ahead order),
         // so one group-commit fsync here makes the whole prefix durable.
-        if let Some(wal) = &self.shared.wal {
-            if let Err(e) = wal.barrier() {
-                self.shared
-                    .push_ingest_error(RunId(u64::MAX), ServiceError::Wal(e.to_string()));
-            }
-        }
+        self.shared.wal_barrier();
         obs.span(
             &obs.h_flush_wait,
             "flush_barrier",
@@ -1351,13 +993,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         self.pool.shutdown();
         // The workers are gone, so the WAL has seen its last event
         // append: force the tail to disk before reporting drained.
-        if let Some(wal) = &self.shared.wal {
-            if let Err(e) = wal.barrier() {
-                self.shared
-                    .push_ingest_error(RunId(u64::MAX), ServiceError::Wal(e.to_string()));
-            }
-        }
-        self.stop_tiering();
+        self.shared.wal_barrier();
+        self.shared.tiering.stop();
         // One final policy pass on this thread, after the ingest pool
         // and the worker have both stopped: runs completed by the
         // draining workers deterministically tier out (the worker's own
@@ -1394,17 +1031,25 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// manifest rewrite drops it and a compaction or GC pass reclaims
     /// the bytes.
     pub fn evict_run(&self, run: RunId) -> Result<(), ServiceError> {
-        match self.shared.store.remove(run) {
-            Some(RunView::Hot(slot)) => {
-                // Serialize with any in-flight insert (writer lock).
-                let _w = slot.writer.lock().expect("writer lock poisoned");
-                slot.status
-                    .store(RunStatus::Evicted.as_u8(), Ordering::Release);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(ServiceError::UnknownRun(run)),
+        let view = self
+            .shared
+            .store
+            .remove(run)
+            .ok_or(ServiceError::UnknownRun(run))?;
+        if let RunView::Hot(slot) = &view {
+            // Serialize with any in-flight insert (writer lock).
+            let _w = slot.writer.lock().expect("writer lock poisoned");
+            slot.status
+                .store(RunStatus::Evicted.as_u8(), Ordering::Release);
         }
+        if view.tier() != Tier::Persisted {
+            // A hot or frozen run's open/event records are still in the
+            // log (only persisting checkpoints them): checkpoint them
+            // now, or the next `build()` would replay the evicted run
+            // back into the hot tier.
+            self.shared.checkpoint_wal(run);
+        }
+        Ok(())
     }
 
     /// **Freeze** a completed run now: compact its published labels into
@@ -1428,15 +1073,17 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         self.shared.persist(run)
     }
 
-    /// **Re-heat** a persisted run: decode its arena back into memory
+    /// **Re-heat** a persisted run: copy its arena back into memory
     /// and promote it to the frozen (resident) tier, so subsequent
     /// queries never touch disk and the LRU cannot shed it. The inverse
-    /// of [`Self::persist_run`] — the segment stays on disk, and persisting
-    /// again later is cheap. No-op if the run is already hot or frozen.
-    /// The tiering worker does this automatically for runs whose query
-    /// count crosses [`EngineBuilder::reheat_after`].
+    /// of [`Self::persist_run`]: the run leaves the persisted registry,
+    /// its blob turns dead (reclaimed by [`Self::gc_packs`]), and
+    /// persisting it again writes a fresh pack. No-op if the run is
+    /// already hot or frozen. The tiering worker does this
+    /// automatically for runs whose query count crosses
+    /// [`EngineBuilder::reheat_after`].
     pub fn reheat_run(&self, run: RunId) -> Result<(), ServiceError> {
-        self.shared.reheat(run)
+        self.shared.reheat(run, Tier::Frozen)
     }
 
     /// **Compact** the persisted tier now: merge underfull pack files —
@@ -1471,20 +1118,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// (zero-copy off the pack mapping) and promote it to hot, where a
     /// label lookup is two `Acquire` loads. The run stays `Completed` —
     /// writes remain rejected — but its pack bytes turn dead, which is
-    /// what feeds [`Self::gc_packs`]. No-op for hot/frozen runs. The
-    /// tiering worker does this automatically for runs crossing
-    /// [`EngineBuilder::hot_reheat_after`].
+    /// what feeds [`Self::gc_packs`]. No-op for hot/frozen runs.
     pub fn reheat_run_hot(&self, run: RunId) -> Result<(), ServiceError> {
-        self.shared.reheat_hot(run)
+        self.shared.reheat(run, Tier::Hot)
     }
 
     /// Which storage tier currently serves `run`.
     pub fn run_tier(&self, run: RunId) -> Result<Tier, ServiceError> {
-        self.shared
-            .store
-            .view(run)
-            .map(|v| v.tier())
-            .ok_or(ServiceError::UnknownRun(run))
+        self.shared.view(run).map(|v| v.tier())
     }
 
     /// Record the derivation that produced `run` (e.g. from the workflow
@@ -1542,11 +1183,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// a fresh handle after a freeze to query the compact
     /// representation.
     pub fn handle(&self, run: RunId) -> Result<RunHandle<S>, ServiceError> {
-        let view = self
-            .shared
-            .store
-            .view(run)
-            .ok_or(ServiceError::UnknownRun(run))?;
+        let view = self.shared.view(run)?;
         let ctx = Arc::clone(&self.shared.catalog[view.spec().0]);
         Ok(RunHandle::new(Arc::clone(&self.shared), ctx, run, view))
     }
@@ -1572,11 +1209,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// Status of a run (tier-transparent: frozen and persisted runs are
     /// `Completed`).
     pub fn run_status(&self, run: RunId) -> Result<RunStatus, ServiceError> {
-        self.shared
-            .store
-            .view(run)
-            .map(|v| v.status())
-            .ok_or(ServiceError::UnknownRun(run))
+        self.shared.view(run).map(|v| v.status())
     }
 
     /// Point-in-time engine statistics, including the per-tier byte
@@ -1597,41 +1230,38 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 
     fn stats_at(&self, advance_window: bool) -> ServiceStats {
         let mut labels_published = 0u64;
+        let mut labels_hot = 0u64;
         let mut hot_label_bits = 0u64;
         let mut hot_resident_bytes = 0u64;
         let mut queries_answered = 0u64;
         let mut live = 0u64;
-        let mut runs_hot = 0u64;
-        self.shared.store.for_each_hot_slot(|_, slot| {
-            runs_hot += 1;
-            labels_published += slot.indexed.len() as u64;
-            hot_label_bits += slot.indexed.total_bits();
-            hot_resident_bytes += slot.indexed.resident_bytes();
-            queries_answered += slot.queries.load(Ordering::Relaxed);
-            if slot.status() == RunStatus::Live {
-                live += 1;
-            }
-        });
-        let labels_hot = labels_published;
-        let mut runs_frozen = 0u64;
         let mut frozen_bytes = 0u64;
         let mut frozen_label_bits = 0u64;
-        for f in self.shared.store.frozen_runs() {
-            runs_frozen += 1;
-            labels_published += f.published() as u64;
-            frozen_bytes += f.footprint_bytes() as u64;
-            frozen_label_bits += f.drl_bits();
-            queries_answered += f.queries.load(Ordering::Relaxed);
-        }
-        let mut runs_persisted = 0u64;
         let mut persisted_bytes = 0u64;
-        let persisted = self.shared.store.persisted_runs();
-        for p in &persisted {
-            runs_persisted += 1;
-            labels_published += p.published as u64;
-            persisted_bytes += p.disk_bytes();
-            queries_answered += p.queries.load(Ordering::Relaxed);
-        }
+        let mut persisted: Vec<Arc<PersistedRun>> = Vec::new();
+        let store = &self.shared.store;
+        store.for_each(|_, view| {
+            labels_published += view.published() as u64;
+            queries_answered += view.queries().load(Ordering::Relaxed);
+            match view {
+                RunView::Hot(slot) => {
+                    labels_hot += slot.indexed.len() as u64;
+                    hot_label_bits += slot.indexed.total_bits();
+                    hot_resident_bytes += slot.indexed.resident_bytes();
+                    if slot.status() == RunStatus::Live {
+                        live += 1;
+                    }
+                }
+                RunView::Frozen(f) => {
+                    frozen_bytes += f.footprint_bytes() as u64;
+                    frozen_label_bits += f.drl_bits();
+                }
+                RunView::Persisted(p) => {
+                    persisted_bytes += p.disk_bytes();
+                    persisted.push(Arc::clone(p));
+                }
+            }
+        });
         let pack_files = file_stats(&persisted);
         let obs = &self.shared.obs;
         let enqueued = self.shared.enqueued.load(Ordering::Acquire);
@@ -1657,9 +1287,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             labels_hot,
             label_bits_total: hot_label_bits,
             hot_resident_bytes,
-            runs_hot,
-            runs_frozen,
-            runs_persisted,
+            runs_hot: store.tier_count(Tier::Hot) as u64,
+            runs_frozen: store.tier_count(Tier::Frozen) as u64,
+            runs_persisted: store.tier_count(Tier::Persisted) as u64,
             freezes: obs.freezes.get(),
             spills: obs.spills.get(),
             reheats: obs.reheats.get(),
@@ -1667,14 +1297,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             frozen_bytes,
             frozen_label_bits,
             persisted_bytes,
-            persisted_resident_bytes: self.shared.store.lru.resident_bytes(),
+            persisted_resident_bytes: store.lru.resident_bytes(),
             segment_files: pack_files.len() as u64,
             segment_loads: 0,
             segment_sheds: obs.segment_sheds.get(),
             pack_pins: obs.pack_pins.get(),
             pack_gc_runs: obs.pack_gc_runs.get(),
             pack_dead_bytes: pack_files.iter().map(FileStat::dead).sum(),
-            mapped_bytes: self.shared.store.lru.mapped_bytes.load(Ordering::Relaxed),
+            mapped_bytes: store.lru.mapped_bytes.load(Ordering::Relaxed),
             skl_relabeled: obs.skl_relabeled.get(),
             skl_bits_total: obs.skl_bits_total.get(),
             skl_drl_bits_total: obs.skl_drl_bits_total.get(),
@@ -1815,15 +1445,11 @@ pub struct EngineBuilder<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels
     ingest_workers: usize,
     queue_capacity: usize,
     max_vertex_id: u32,
-    freeze_after: Option<usize>,
-    max_hot_runs: Option<usize>,
+    policy: TierPolicy,
     spill_dir: Option<PathBuf>,
     wal_dir: Option<PathBuf>,
     wal_sync: WalSync,
     max_resident_bytes: Option<u64>,
-    reheat_after: Option<u64>,
-    hot_reheat_after: Option<u64>,
-    compact_after: Option<usize>,
     pack_gc_dead_ratio: Option<f64>,
     telemetry: bool,
     slow_op_threshold: std::time::Duration,
@@ -1858,15 +1484,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             ingest_workers: parallelism.clamp(1, 8),
             queue_capacity: 1024,
             max_vertex_id: DEFAULT_MAX_VERTEX_ID,
-            freeze_after: None,
-            max_hot_runs: None,
+            policy: TierPolicy::default(),
             spill_dir: None,
             wal_dir: None,
             wal_sync: WalSync::default(),
             max_resident_bytes: None,
-            reheat_after: None,
-            hot_reheat_after: None,
-            compact_after: None,
             pack_gc_dead_ratio: None,
             telemetry: true,
             slow_op_threshold: DEFAULT_SLOW_OP_THRESHOLD,
@@ -1924,7 +1546,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// SKL re-label) by the background tiering worker, in completion
     /// order. `0` freezes every run as soon as it completes.
     pub fn freeze_after(mut self, n: usize) -> Self {
-        self.freeze_after = Some(n);
+        self.policy.freeze_after = Some(n);
         self
     }
 
@@ -1933,7 +1555,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// within the [`Self::freeze_after`] bound (live runs are never
     /// frozen).
     pub fn max_hot_runs(mut self, n: usize) -> Self {
-        self.max_hot_runs = Some(n);
+        self.policy.max_hot_runs = Some(n);
         self
     }
 
@@ -1987,10 +1609,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
 
     /// **Automatic re-heat threshold**: the tiering worker promotes a
     /// persisted run back to the frozen (resident) tier once it has
-    /// answered `n` queries — query traffic turns a cold run hot again.
-    /// Unset = manual [`WfEngine::reheat_run`] only.
+    /// answered `n` queries since it was persisted — query traffic
+    /// turns a cold run resident again. Unset = manual
+    /// [`WfEngine::reheat_run`] / [`WfEngine::reheat_run_hot`] only.
     pub fn reheat_after(mut self, n: u64) -> Self {
-        self.reheat_after = Some(n);
+        self.policy.reheat_after = Some(n);
         self
     }
 
@@ -1999,18 +1622,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// (minimum 2). Unset = manual [`WfEngine::compact`]
     /// only.
     pub fn compact_after(mut self, n: usize) -> Self {
-        self.compact_after = Some(n);
-        self
-    }
-
-    /// **Hot re-heat threshold**: the tiering worker promotes a
-    /// persisted run **all the way to the hot tier** (decoded
-    /// `LabelIndex`, two-load queries) once it has answered `n` queries
-    /// since persisting — set it above [`Self::reheat_after`] so
-    /// sustained traffic escalates frozen → hot. Unset = manual
-    /// [`WfEngine::reheat_run_hot`] only.
-    pub fn hot_reheat_after(mut self, n: u64) -> Self {
-        self.hot_reheat_after = Some(n);
+        self.policy.compact_after = Some(n);
         self
     }
 
@@ -2021,6 +1633,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// [`DEFAULT_PACK_GC_DEAD_RATIO`].
     pub fn pack_gc_dead_ratio(mut self, ratio: f64) -> Self {
         self.pack_gc_dead_ratio = Some(ratio.clamp(0.0, 1.0));
+        self.policy.pack_gc = true;
         self
     }
 
@@ -2185,14 +1798,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
                         max_seq: r.max_seq,
                     });
                 }
-                let workers = self.ingest_workers.max(1) as u64;
+                let workers = self.ingest_workers;
                 match WalWriter::reset(
                     dir,
                     self.ingest_workers,
                     self.wal_sync,
                     Box::new(WalTelemetry(Arc::clone(&obs))),
                     &survivors,
-                    |run| (route_hash(RunId(run)) % workers) as usize,
+                    |run| route_worker(RunId(run), workers),
                 ) {
                     Ok(w) => wal = Some(w),
                     Err(e) => {
@@ -2212,26 +1825,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
                 });
             }
         }
-        let policy = TierPolicy {
-            freeze_after: self.freeze_after,
-            max_hot_runs: self.max_hot_runs,
-            reheat_after: self.reheat_after,
-            hot_reheat_after: self.hot_reheat_after,
-            compact_after: self.compact_after,
-            pack_gc: self.pack_gc_dead_ratio.is_some(),
-        };
         // Replay the §7.4 aggregates out of the segment headers so a
         // reloaded engine reports the same DRL-vs-SKL deltas its
         // predecessor measured at freeze time.
         for p in &persisted {
             if let Some(r) = p.skl_report() {
-                obs.skl_relabeled.inc();
-                obs.skl_bits_total.add(r.skl_bits);
-                obs.skl_drl_bits_total.add(r.drl_bits);
-                obs.skl_build_ns_total.add(r.build_ns);
-                obs.skl_query_ns_total.add(r.skl_query_ns);
-                obs.frozen_query_ns_total.add(r.drl_query_ns);
-                obs.skl_pairs_sampled.add(r.pairs_sampled);
+                obs.record_skl(r);
             }
         }
         let catalog: Box<[Arc<SpecContext<S>>]> = self.contexts.into_boxed_slice();
@@ -2250,13 +1849,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             flush_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             ingest_errors: Mutex::new(VecDeque::new()),
-            policy,
+            tiering: Tiering::new(self.policy),
             spill,
             wal,
-            completed_order: Mutex::new(VecDeque::new()),
-            tiering_stop: AtomicBool::new(false),
-            tiering_lock: Mutex::new(()),
-            tiering_cv: Condvar::new(),
             worker_marks: (0..self.ingest_workers.max(1))
                 .map(|_| WorkerMark {
                     enqueued: AtomicU64::new(0),
@@ -2309,7 +1904,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
                 let res = slot.complete(r.run);
                 shared.record_complete_outcome(r.run, r.spec, &res);
             }
-            shared.store.insert_hot(r.run, slot);
+            shared.store.insert(r.run, RunView::Hot(slot));
             shared.obs.runs_opened.inc();
             shared.obs.wal_recovered_runs.inc();
             shared.obs.wal_recovered_records.add(records);
@@ -2319,13 +1914,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             self.ingest_workers,
             self.queue_capacity,
         );
-        let tiering = policy.is_active().then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("wf-tiering".into())
-                .spawn(move || tiering_loop(&shared))
-                .expect("spawn tiering worker")
-        });
+        Tiering::spawn(&shared);
         let watchdog = self.watchdog.map(|interval| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -2336,7 +1925,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         WfEngine {
             shared,
             pool,
-            tiering,
             watchdog,
         }
     }
@@ -2995,31 +2583,38 @@ mod tests {
             .build();
         let run = engine.open_run(SpecId(0)).unwrap();
         let exec = ingest_run(&engine, run, SpecId(0), 9, 40);
-        engine.persist_run(run).unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
         let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
-        // One query through the persisted tier, then promote.
-        assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
-        let queries_before = engine.stats().queries_answered;
-        engine.reheat_run(run).unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
-        engine.reheat_run(run).unwrap(); // idempotent
-        let s = engine.stats();
-        assert_eq!(s.reheats, 1);
-        assert_eq!((s.runs_frozen, s.runs_persisted), (1, 0));
-        assert!(s.frozen_bytes > 0, "arena resident again");
-        assert!(
-            s.queries_answered >= queries_before,
-            "query counter survives the promotion"
-        );
-        // Queries keep answering, and the pin counter stays flat: a
-        // re-heated run never touches the segment again.
-        let pins = s.pack_pins;
-        assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
-        assert_eq!(engine.stats().pack_pins, pins);
-        // The round trip back to disk still works.
-        engine.persist_run(run).unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+        // Both targets, one after the other: the round trip back to
+        // disk works from either resident tier.
+        for (n, target) in [(1, Tier::Frozen), (2, Tier::Hot)] {
+            let reheat = || match target {
+                Tier::Hot => engine.reheat_run_hot(run),
+                _ => engine.reheat_run(run),
+            };
+            engine.persist_run(run).unwrap();
+            assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+            // One query through the persisted tier, then promote.
+            assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
+            let queries_before = engine.stats().queries_answered;
+            reheat().unwrap();
+            assert_eq!(engine.run_tier(run).unwrap(), target);
+            assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
+            reheat().unwrap(); // idempotent
+            let s = engine.stats();
+            assert_eq!(s.reheats, n);
+            assert_eq!(s.runs_hot + s.runs_frozen, 1);
+            assert_eq!(s.runs_persisted, 0);
+            assert!(s.frozen_bytes + s.hot_resident_bytes > 0, "resident again");
+            assert_eq!(
+                s.queries_answered, queries_before,
+                "query counter survives the promotion"
+            );
+            // Queries keep answering, and the pin counter stays flat: a
+            // re-heated run never touches the segment again.
+            let pins = s.pack_pins;
+            assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
+            assert_eq!(engine.stats().pack_pins, pins);
+        }
     }
 
     #[test]

@@ -61,11 +61,12 @@ pub struct FrozenRun {
     pub(crate) arena: LabelArena,
     /// DRL accounting bits the hot tier was charging for this run.
     pub(crate) drl_bits: u64,
-    /// Unix seconds at freeze time (0 = unknown, e.g. a reloaded v1
-    /// segment). The persisted tier's LRU breaks recency ties on it.
+    /// Unix seconds at freeze time (0 if the clock read before the
+    /// epoch). The persisted tier's LRU breaks recency ties on it.
     pub(crate) frozen_at: u64,
     pub(crate) skl: Option<SklReport>,
-    /// Queries answered against this frozen run.
+    /// Queries answered over the run's lifetime (carried in by the
+    /// store's tier transition).
     pub(crate) queries: AtomicU64,
 }
 
@@ -117,8 +118,8 @@ impl FrozenRun {
         &self.arena
     }
 
-    /// Unix seconds at freeze time (0 when unknown — reloaded v1
-    /// segments predate the field).
+    /// Unix seconds at freeze time (0 if the clock read before the
+    /// epoch).
     pub fn frozen_at(&self) -> u64 {
         self.frozen_at
     }
@@ -174,9 +175,7 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         drl_bits,
         frozen_at: unix_now(),
         skl,
-        // Carry the hot-tier query count forward so engine-wide
-        // `queries_answered` does not drop when a run changes tier.
-        queries: AtomicU64::new(slot.queries.load(std::sync::atomic::Ordering::Relaxed)),
+        queries: AtomicU64::new(0),
     }
 }
 

@@ -21,7 +21,7 @@
 //! Either way the worker advances the engine's processed watermark,
 //! which is what [`crate::WfEngine::flush`] waits on.
 
-use crate::engine::{EngineShared, RunSlot};
+use crate::engine::{route_worker, EngineShared, RunSlot};
 use crate::telemetry::SpanCtx;
 use crate::{BatchOutcome, RunId, RunOp, ServiceError};
 use std::collections::HashSet;
@@ -177,10 +177,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
     /// [`ServiceError::ShuttingDown`] once the pool is closed.
     pub(crate) fn send(&self, env: Envelope<S>) -> Result<(), ServiceError> {
         let senders = self.senders.as_ref().ok_or(ServiceError::ShuttingDown)?;
-        // Same Fibonacci hash as the registry shards: spreads sequential
-        // run ids evenly, pins each run to exactly one worker.
-        let h = crate::engine::route_hash(env.run);
-        let tx = &senders[(h % senders.len() as u64) as usize];
+        let tx = &senders[route_worker(env.run, senders.len())];
         // Fast path first: `try_send` avoids the blocking machinery when
         // the queue has room (the common case).
         match tx.try_send(env) {

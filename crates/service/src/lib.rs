@@ -90,6 +90,7 @@ mod freeze;
 mod handle;
 pub mod index;
 mod ingest;
+mod lifecycle;
 mod query;
 pub mod snapshot;
 mod spill;

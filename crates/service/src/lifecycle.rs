@@ -1,0 +1,392 @@
+//! The **run lifecycle**: the three operations that move a completed
+//! run between tiers, and the background worker that applies the
+//! automatic policy.
+//!
+//! A run's labels never change once published; what changes is their
+//! representation. Each operation builds the next representation off to
+//! the side — no registry lock held — and then asks the store to swap it
+//! in with one conditional [`LabelStore::transition`]:
+//!
+//! | operation                     | from → to             |
+//! |-------------------------------|-----------------------|
+//! | [`EngineShared::freeze`]      | hot → frozen          |
+//! | [`EngineShared::persist`]     | frozen → persisted    |
+//! | [`EngineShared::reheat`]      | persisted → frozen    |
+//! | [`EngineShared::reheat`]      | persisted → hot       |
+//! | pack rewrite (`spill.rs`)     | persisted → persisted |
+//!
+//! A mover that loses its race — the run was evicted, or someone else
+//! moved it first — reports through the one [`EngineShared::lost_race`]
+//! epilogue. [`Tiering`] owns everything the background worker needs:
+//! the policy, the completion queue with the thread's stop flag, its
+//! wakeup and its join handle.
+
+use crate::engine::{EngineShared, RunSlot};
+use crate::freeze::freeze_slot;
+use crate::store::{RunView, Tier};
+use crate::telemetry::tier_tag;
+use crate::{RunId, RunStatus, ServiceError};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use wf_skeleton::SpecLabeling;
+
+/// The automatic hot→frozen(→persisted) policy the background tiering
+/// worker enforces. All knobs optional; unset means manual-only tiering.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TierPolicy {
+    /// Keep at most this many *completed* runs hot; older completions
+    /// freeze in completion order (the recency bound).
+    pub(crate) freeze_after: Option<usize>,
+    /// Hard cap on hot-tier runs: when exceeded, completed runs freeze
+    /// even within the recency bound (live runs are never frozen).
+    pub(crate) max_hot_runs: Option<usize>,
+    /// Re-heat a persisted run to the frozen (resident) tier once it has
+    /// answered this many queries — the cold-run-turned-hot promotion.
+    pub(crate) reheat_after: Option<u64>,
+    /// Run a compaction pass once this many underfull pack files (fewer
+    /// than [`crate::snapshot::MIN_PACK_RUNS`] runs) have accumulated.
+    pub(crate) compact_after: Option<usize>,
+    /// Automatically GC packs whose dead-blob ratio exceeds the
+    /// configured threshold.
+    pub(crate) pack_gc: bool,
+}
+
+/// The tiering worker's state: the policy it enforces, the completion
+/// queue that feeds it, and its thread.
+pub(crate) struct Tiering {
+    policy: TierPolicy,
+    queue: Mutex<TieringQueue>,
+    /// Signalled after every queued completion and on stop.
+    cv: Condvar,
+    worker: Mutex<Option<JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct TieringQueue {
+    /// Completed runs in completion order — the freeze queue (stale
+    /// entries are skipped when popped).
+    completed: VecDeque<RunId>,
+    stop: bool,
+}
+
+impl Tiering {
+    pub(crate) fn new(policy: TierPolicy) -> Self {
+        Self {
+            policy,
+            queue: Mutex::default(),
+            cv: Condvar::new(),
+            worker: Mutex::new(None),
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, TieringQueue> {
+        self.queue.lock().expect("tiering queue poisoned")
+    }
+
+    /// True when any automatic policy is configured (and so a worker
+    /// drains the completion queue).
+    pub(crate) fn is_active(&self) -> bool {
+        let p = &self.policy;
+        p.freeze_after.is_some()
+            || p.max_hot_runs.is_some()
+            || p.reheat_after.is_some()
+            || p.compact_after.is_some()
+            || p.pack_gc
+    }
+
+    /// A run completed: queue it for the worker and wake it. Without a
+    /// policy nothing ever drains the queue, so don't grow it.
+    pub(crate) fn note_completed(&self, run: RunId) {
+        if self.is_active() {
+            self.queue().completed.push_back(run);
+            self.cv.notify_all();
+        }
+    }
+
+    /// Completions not yet looked at by the worker (the watchdog's
+    /// tiering-backlog sample).
+    pub(crate) fn backlog(&self) -> usize {
+        self.queue().completed.len()
+    }
+
+    /// Start the background worker when a policy is configured.
+    pub(crate) fn spawn<S: SpecLabeling + Send + Sync + 'static>(shared: &Arc<EngineShared<S>>) {
+        if !shared.tiering.is_active() {
+            return;
+        }
+        let worker = {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new()
+                .name("wf-tiering".into())
+                .spawn(move || tiering_loop(&shared))
+                .expect("spawn tiering worker")
+        };
+        *shared
+            .tiering
+            .worker
+            .lock()
+            .expect("tiering worker poisoned") = Some(worker);
+    }
+
+    /// Stop and join the worker (idempotent).
+    pub(crate) fn stop(&self) {
+        self.queue().stop = true;
+        self.cv.notify_all();
+        let worker = self.worker.lock().expect("tiering worker poisoned").take();
+        if let Some(worker) = worker {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// Body of the background tiering worker: apply the policy whenever a
+/// completion (or the periodic tick) wakes it, until shutdown.
+fn tiering_loop<S: SpecLabeling + Send + Sync + 'static>(shared: &EngineShared<S>) {
+    let tiering = &shared.tiering;
+    loop {
+        shared.apply_tier_policy();
+        shared.apply_segment_policy();
+        let queue = tiering.queue();
+        if queue.stop {
+            return;
+        }
+        // Timed wait as a backstop, like the flush condvar: correctness
+        // never depends on a perfectly-delivered notification.
+        let _ = tiering
+            .cv
+            .wait_timeout(queue, std::time::Duration::from_millis(20))
+            .expect("tiering queue poisoned");
+    }
+}
+
+impl<S: SpecLabeling> EngineShared<S> {
+    /// A conditional transition found the run no longer where the mover
+    /// saw it: either someone else moved it (it is still registered —
+    /// nothing left to do) or an eviction removed it (report that).
+    fn lost_race(&self, run: RunId) -> Result<(), ServiceError> {
+        self.view(run).map(|_| ())
+    }
+
+    /// Freeze one completed run: compact its published labels into an
+    /// encoded arena (plus the optional SKL re-label) and swap it in for
+    /// the hot slot. Idempotent for already-cold runs.
+    ///
+    /// The compaction runs **without** the slot's writer lock: once a
+    /// run is `Completed` its index is final (completion and inserts
+    /// serialize on the writer lock), so the only races are with an
+    /// eviction or another freeze — both resolved by the conditional
+    /// transition, so a stale queued event never stalls behind a
+    /// multi-millisecond SKL re-label.
+    pub(crate) fn freeze(&self, run: RunId) -> Result<(), ServiceError> {
+        let RunView::Hot(slot) = self.view(run)? else {
+            return Ok(()); // already frozen or persisted
+        };
+        match slot.status() {
+            RunStatus::Completed => {}
+            s => return Err(ServiceError::NotCompleted(run, s)),
+        }
+        let derivation = slot
+            .derivation
+            .lock()
+            .expect("derivation lock poisoned")
+            .take();
+        let span = self.obs.timer();
+        let ctx = &self.catalog[slot.spec.0];
+        let frozen = freeze_slot(run, &slot, ctx, derivation.as_ref(), &self.obs);
+        let report = frozen.skl_report().copied();
+        let labels = frozen.arena().len() as u64;
+        if !self
+            .store
+            .transition(run, Tier::Hot, RunView::Frozen(Arc::new(frozen)))
+        {
+            return self.lost_race(run);
+        }
+        self.obs.freezes.inc();
+        if let Some(report) = &report {
+            self.obs.record_skl(report);
+        }
+        self.obs.span(
+            &self.obs.h_freeze,
+            "freeze",
+            Some(run.0),
+            Some(tier_tag(Tier::Frozen)),
+            span,
+            true,
+            || match report {
+                Some(r) => format!("labels={labels} skl_bits={}", r.skl_bits),
+                None => format!("labels={labels}"),
+            },
+        );
+        Ok(())
+    }
+
+    /// Spill one run to disk: freeze it if still hot, write its pack
+    /// and the manifest, and replace the in-memory arena with a lazily
+    /// mapped persisted entry. Idempotent for already-persisted runs.
+    pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
+        let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
+        self.freeze(run)?;
+        let RunView::Frozen(frozen) = self.view(run)? else {
+            return Ok(()); // already persisted (or re-heated since)
+        };
+        if !spill.persist(&self.store, &frozen)? {
+            return self.lost_race(run);
+        }
+        // The run is durable in its pack + manifest: stamp a WAL
+        // checkpoint and compact the shard, so the log keeps only the
+        // non-persisted suffix (recovery time ∝ hot state, not
+        // history). A checkpoint failure is non-fatal — the spill
+        // succeeded; recovery would simply skip the run's stale records
+        // because the manifest already lists it.
+        self.checkpoint_wal(run);
+        Ok(())
+    }
+
+    /// Stamp a WAL checkpoint for `run`: recovery skips a checkpointed
+    /// run's records. A failure goes to the error ring.
+    pub(crate) fn checkpoint_wal(&self, run: RunId) {
+        if let Some(wal) = &self.wal {
+            if let Err(e) = wal.checkpoint(self.wal_shard(run), run.0) {
+                self.push_ingest_error(run, ServiceError::Wal(e.to_string()));
+            }
+        }
+    }
+
+    /// **Re-heat** one persisted run into a resident tier, straight off
+    /// its pinned mapping. `target` picks the representation:
+    /// [`Tier::Frozen`] copies the encoded arena out (queries decode per
+    /// label, with no LRU in the way); [`Tier::Hot`] rebuilds the fully
+    /// decoded [`crate::index::LabelIndex`] (queries are two `Acquire`
+    /// loads). Either way the run stays `Completed`, and it leaves the
+    /// persisted registry — its pack bytes turn dead, which is what
+    /// feeds pack GC. Idempotent for runs already resident.
+    pub(crate) fn reheat(&self, run: RunId, target: Tier) -> Result<(), ServiceError> {
+        let RunView::Persisted(persisted) = self.view(run)? else {
+            return Ok(()); // already resident
+        };
+        let span = self.obs.timer();
+        let unreadable =
+            || ServiceError::Snapshot(run, "segment no longer reads back cleanly".into());
+        let pin = persisted.pin().ok_or_else(unreadable)?;
+        let resident = match target {
+            Tier::Frozen => RunView::Frozen(pin.to_frozen().ok_or_else(unreadable)?),
+            Tier::Hot => {
+                let slot = RunSlot::completed(
+                    persisted.spec,
+                    pin.skl_bits(),
+                    self.max_vertex_id,
+                    persisted.source,
+                    persisted.published as u64,
+                );
+                pin.for_each_label(|v, name, label| {
+                    slot.indexed.publish(v, name, label.clone(), slot.skl_bits);
+                });
+                RunView::Hot(Arc::new(slot))
+            }
+            Tier::Persisted => return Ok(()),
+        };
+        drop(pin);
+        if !self.store.transition(run, Tier::Persisted, resident) {
+            return self.lost_race(run);
+        }
+        self.obs.reheats.inc();
+        self.obs.span(
+            &self.obs.h_reheat,
+            "reheat",
+            Some(run.0),
+            Some(tier_tag(target)),
+            span,
+            true,
+            || format!("bytes={}", persisted.disk_bytes()),
+        );
+        Ok(())
+    }
+
+    /// One pass of the segment-level policy: promote query-hot persisted
+    /// runs ([`TierPolicy::reheat_after`]), then let the spill directory
+    /// compact and GC itself.
+    pub(crate) fn apply_segment_policy(&self) {
+        let policy = &self.tiering.policy;
+        if let Some(threshold) = policy.reheat_after {
+            let mut to_reheat: Vec<RunId> = Vec::new();
+            self.store.for_each(|run, view| {
+                let RunView::Persisted(p) = view else { return };
+                // Threshold on traffic *since persisting* (the lifetime
+                // counter carries over for stats monotonicity — a run
+                // popular while hot must not bounce right back). Skip
+                // registrations whose load already failed (sticky):
+                // retrying every pass would only flood the error ring
+                // with duplicates of an error already reported once.
+                let since = p
+                    .queries
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(p.queries_at_persist);
+                if since >= threshold && !p.is_load_failed() {
+                    to_reheat.push(run);
+                }
+            });
+            for run in to_reheat {
+                if let Err(e) = self.reheat(run, Tier::Frozen) {
+                    self.push_ingest_error(run, e);
+                }
+            }
+        }
+        if let Some(spill) = &self.spill {
+            for e in spill.apply_policy(&self.store, policy.compact_after, policy.pack_gc) {
+                self.push_ingest_error(RunId(u64::MAX), e);
+            }
+        }
+    }
+
+    /// One pass of the automatic tiering policy: freeze (and spill) the
+    /// oldest completed hot runs until the policy is satisfied. The hot
+    /// tier is counted once per pass; completions landing mid-pass wake
+    /// the worker for the next one.
+    pub(crate) fn apply_tier_policy(&self) {
+        let policy = &self.tiering.policy;
+        let hot = self.store.tier_count(Tier::Hot);
+        // Completed hot runs ≤ hot runs: while the whole tier fits both
+        // bounds there is nothing to freeze, and an idle tick ends here
+        // without walking the registry.
+        if policy.freeze_after.is_none_or(|k| hot <= k)
+            && policy.max_hot_runs.is_none_or(|m| hot <= m)
+        {
+            return;
+        }
+        let mut hot_completed = 0usize;
+        self.store.for_each(|_, view| {
+            if matches!(view, RunView::Hot(slot) if slot.status() == RunStatus::Completed) {
+                hot_completed += 1;
+            }
+        });
+        let mut to_freeze = 0usize;
+        if let Some(k) = policy.freeze_after {
+            to_freeze = to_freeze.max(hot_completed.saturating_sub(k));
+        }
+        if let Some(m) = policy.max_hot_runs {
+            to_freeze = to_freeze.max(hot.saturating_sub(m).min(hot_completed));
+        }
+        for _ in 0..to_freeze {
+            // Oldest completed run that is still hot (stale queue
+            // entries — evicted or manually frozen runs — are skipped).
+            let run = {
+                let mut queue = self.tiering.queue();
+                std::iter::from_fn(|| queue.completed.pop_front())
+                    .find(|r| matches!(self.store.view(*r), Some(RunView::Hot(_))))
+            };
+            let Some(run) = run else { return };
+            let res = if self.spill.is_some() {
+                self.persist(run)
+            } else {
+                self.freeze(run)
+            };
+            if let Err(e) = res {
+                // Surface tiering failures the same way fire-and-forget
+                // ingest failures surface: through the bounded ring.
+                self.push_ingest_error(run, e);
+            }
+        }
+    }
+}

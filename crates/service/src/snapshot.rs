@@ -549,11 +549,12 @@ pub struct PersistedRun {
     /// departure must not enter the LRU afterwards.
     pub(crate) retired: AtomicBool,
     lru: Arc<SegmentLru>,
+    /// Queries answered over the run's lifetime (the store's tier
+    /// transition carries the count from one representation to the
+    /// next, so engine-wide `queries_answered` stays monotone).
     pub(crate) queries: AtomicU64,
-    /// The query counter's value when the run entered the persisted
-    /// tier. `queries` carries the run's lifetime count across tier
-    /// changes (so engine-wide `queries_answered` stays monotone), but
-    /// policy decisions — the auto-re-heat threshold — must only see
+    /// The lifetime count when the run entered the persisted tier.
+    /// Policy decisions — the auto-re-heat threshold — must only see
     /// traffic received *since* persisting, or every popular run would
     /// bounce straight back to memory after each spill.
     pub(crate) queries_at_persist: u64,
@@ -619,18 +620,14 @@ impl PersistedRun {
             last_access: AtomicU64::new(0),
             retired: AtomicBool::new(false),
             lru,
-            // Carry the query count across the tier change so the
-            // engine-wide `queries_answered` stays monotone; the policy
-            // baseline starts here.
-            queries: AtomicU64::new(frozen.queries.load(Ordering::Relaxed)),
+            queries: AtomicU64::new(0),
             queries_at_persist: frozen.queries.load(Ordering::Relaxed),
         }
     }
 
     /// The rewrite swap: the same run re-registered at its new blob
-    /// location, carrying the per-run counters forward. Residency starts
-    /// cold (the old entry's resolved range is forgotten with the old
-    /// entry).
+    /// location. Residency starts cold (the old entry's resolved range
+    /// is forgotten with the old entry).
     pub(crate) fn repacked(
         old: &PersistedRun,
         file: Arc<PackFile>,
@@ -652,7 +649,7 @@ impl PersistedRun {
             last_access: AtomicU64::new(old.last_access.load(Ordering::Relaxed)),
             retired: AtomicBool::new(false),
             lru: Arc::clone(&old.lru),
-            queries: AtomicU64::new(old.queries.load(Ordering::Relaxed)),
+            queries: AtomicU64::new(0),
             queries_at_persist: old.queries_at_persist,
         }
     }

@@ -142,6 +142,17 @@ impl FileStat {
     }
 }
 
+/// The persisted tier's current registrations.
+fn persisted_set<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Arc<PersistedRun>> {
+    let mut out = Vec::with_capacity(store.tier_count(Tier::Persisted));
+    store.for_each(|_, view| {
+        if let RunView::Persisted(p) = view {
+            out.push(Arc::clone(p));
+        }
+    });
+    out
+}
+
 /// Group the persisted set by pack file: the runs of one pack share one
 /// file handle.
 fn group_by_file(persisted: &[Arc<PersistedRun>]) -> impl Iterator<Item = Vec<Arc<PersistedRun>>> {
@@ -275,8 +286,7 @@ impl SpillDir {
     /// The manifest lines for the current persisted set (call with the
     /// manifest lock held).
     fn manifest_entries<S: SpecLabeling>(&self, store: &LabelStore<S>) -> Vec<ManifestEntry> {
-        store
-            .persisted_runs()
+        persisted_set(store)
             .iter()
             .filter_map(|p| manifest_entry(p.run(), p.path(), p.offset(), p.disk_bytes()))
             .collect()
@@ -285,7 +295,8 @@ impl SpillDir {
     /// Spill one frozen run: write it as a pack of one, swap its
     /// in-memory arena for a lazily mapped persisted entry, and list it
     /// in the manifest. `Ok(false)` when the run left the frozen tier
-    /// while the pack was being written and someone else persisted it.
+    /// while the pack was being written (the caller reports where it
+    /// went).
     pub(crate) fn persist<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
@@ -305,15 +316,12 @@ impl SpillDir {
             bytes,
             Arc::clone(&store.lru),
         ));
-        if !store.promote_persisted(run, persisted) {
+        if !store.transition(run, Tier::Frozen, RunView::Persisted(persisted)) {
             // The run left the frozen tier while the pack was being
             // written (evicted, most likely): do not resurrect it — drop
             // the orphan file instead.
             let _ = std::fs::remove_file(file.path());
-            return match store.view(run) {
-                Some(RunView::Persisted(_)) => Ok(false),
-                _ => Err(ServiceError::UnknownRun(run)),
-            };
+            return Ok(false);
         }
         snapshot::write_manifest(
             &self.dir,
@@ -398,7 +406,7 @@ impl SpillDir {
         let obs = &store.lru.obs;
         let span = obs.timer();
         let _g = self.manifest.lock().expect("manifest lock poisoned");
-        let persisted = store.persisted_runs();
+        let persisted = persisted_set(store);
         let files = file_stats(&persisted);
         let bytes_before = files.iter().map(|f| f.size).sum();
         let mut out = CompactionReport {
@@ -479,7 +487,13 @@ impl SpillDir {
         for (file, members) in &packs {
             for (p, offset, len) in members {
                 let entry = PersistedRun::repacked(p, Arc::clone(file), *offset, *len);
-                if store.replace_persisted(p.run(), Arc::new(entry)) {
+                // Conditional: a run that left the persisted tier
+                // mid-rewrite is not resurrected.
+                if store.transition(
+                    p.run(),
+                    Tier::Persisted,
+                    RunView::Persisted(Arc::new(entry)),
+                ) {
                     out.runs_packed += 1;
                 }
             }
@@ -516,12 +530,7 @@ impl SpillDir {
     fn sweep_orphans<S: SpecLabeling>(&self, store: &LabelStore<S>, entries: &[ManifestEntry]) {
         let mut referenced: HashSet<PathBuf> =
             entries.iter().map(|e| self.dir.join(&e.file)).collect();
-        referenced.extend(
-            store
-                .persisted_runs()
-                .iter()
-                .map(|p| p.path().to_path_buf()),
-        );
+        referenced.extend(persisted_set(store).iter().map(|p| p.path().to_path_buf()));
         // Files retired under an epoch some reader may still be pinned
         // at are not orphans — the registry unlinks them itself once
         // the last guard from before their retirement drops.
@@ -565,7 +574,7 @@ impl SpillDir {
             return errors;
         }
         if let Some(threshold) = compact_after {
-            let underfull = group_by_file(&store.persisted_runs())
+            let underfull = group_by_file(&persisted_set(store))
                 .filter(|runs| runs.len() < MIN_PACK_RUNS)
                 .count();
             if underfull >= threshold.max(2) {

@@ -67,7 +67,7 @@ pub struct ServiceStats {
     pub freezes: u64,
     /// Cumulative frozen→persisted transitions (snapshot writes).
     pub spills: u64,
-    /// Cumulative persisted→frozen re-heat promotions.
+    /// Cumulative re-heat promotions (persisted → frozen or hot).
     pub reheats: u64,
     /// Cumulative compaction passes that wrote packs.
     pub compactions: u64,

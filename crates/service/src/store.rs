@@ -1,9 +1,9 @@
 //! The tiered **label store**: one registry, three tiers, one read path.
 //!
-//! * **Hot** — in-flight (and recently completed) runs: full labeler
-//!   state plus the lock-free write-once [`crate::index::LabelIndex`].
-//!   Labels are decoded in memory; queries are two `Acquire` loads and a
-//!   constant-time predicate.
+//! * **Hot** — in-flight (and recently completed) runs: the lock-free
+//!   write-once [`crate::index::LabelIndex`], plus the labeler while the
+//!   run is live. Labels are decoded in memory; queries are two
+//!   `Acquire` loads and a constant-time predicate.
 //! * **Frozen** — completed runs compacted into contiguous encoded
 //!   arenas ([`crate::FrozenRun`]): ~an order of magnitude smaller, at
 //!   the price of a decode per label access.
@@ -12,11 +12,14 @@
 //!   first query maps the run's pack file and pins its blob; read in
 //!   place from then on, under the [`SegmentLru`] residency budget.
 //!
-//! Every reader — [`crate::RunHandle::reach`], [`crate::WfEngine::query`],
-//! the stats — resolves runs through [`LabelStore::view`], which returns
-//! a tier-transparent [`RunView`]; callers never know (or care) which
-//! tier answered. Lookup checks hot first, so a live run costs exactly
-//! what it cost before tiering existed.
+//! A run's published labels are one immutable thing whose
+//! *representation* changes, so the registry holds **one entry per
+//! run** — a [`RunView`] whose variant is the tier — in one sharded map.
+//! Every reader ([`crate::RunHandle::reach`], [`crate::WfEngine::query`],
+//! the stats) resolves runs through [`LabelStore::view`]: one shard read
+//! lock and an `Arc` clone whatever the tier. Every tier change is
+//! [`LabelStore::transition`]: one shard write lock, conditional on the
+//! tier the mover saw.
 
 use crate::engine::{route_hash, RunSlot};
 use crate::freeze::FrozenRun;
@@ -24,7 +27,7 @@ use crate::snapshot::PersistedRun;
 use crate::sub::{SubHub, SubPredicate, Subscription};
 use crate::telemetry::{bump, Telemetry};
 use crate::{RunId, RunStatus, SpecId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use wf_drl::{DrlLabel, DrlPredicate};
@@ -188,9 +191,9 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// Registry shard for the hot tier: one `RwLock`ed map per shard keeps
-/// run lookup contention independent of the number of concurrent runs.
-type Shard<S> = RwLock<HashMap<u64, Arc<RunSlot<S>>>>;
+/// Registry shard: one `RwLock`ed map per shard keeps run lookup
+/// contention independent of the number of concurrent runs.
+type Shard<S> = RwLock<HashMap<u64, RunView<S>>>;
 
 /// A tier-transparent, reference-counted view of one run — everything
 /// the read path needs, with the tier dispatch in one place.
@@ -302,7 +305,7 @@ impl<S: SpecLabeling> RunView<S> {
                 predicate.reaches(&pin.label(u)?, &pin.label(v)?)
             }
         };
-        self.note_query();
+        bump(self.queries());
         Some(answer)
     }
 
@@ -332,36 +335,42 @@ impl<S: SpecLabeling> RunView<S> {
         }
     }
 
-    /// Bump the run's per-tier query counter (kept per run so the query
-    /// hot path never contends on an engine-wide cache line).
-    pub(crate) fn note_query(&self) {
+    /// The run's query counter (kept per run so the query hot path
+    /// never contends on an engine-wide cache line; `stats()` sums it).
+    /// It counts the run's lifetime: [`LabelStore::transition`] carries
+    /// it from one representation to the next.
+    pub(crate) fn queries(&self) -> &AtomicU64 {
         match self {
-            RunView::Hot(s) => bump(&s.queries),
-            RunView::Frozen(f) => bump(&f.queries),
-            RunView::Persisted(p) => bump(&p.queries),
+            RunView::Hot(s) => &s.queries,
+            RunView::Frozen(f) => &f.queries,
+            RunView::Persisted(p) => &p.queries,
         }
     }
 }
 
-/// The engine's run registry across all three tiers. Hot stays sharded
-/// (lookup contention scales with concurrent live runs); the cold tiers
-/// are single maps (mutated only by the much rarer freeze/spill
-/// transitions).
+/// The engine's run registry: **one sharded map**, one entry per run,
+/// whose value's variant *is* the run's tier. A tier change swaps the
+/// value in place ([`Self::transition`]), so a lookup is one shard read
+/// lock whatever the tier, a reader sees exactly one representation of
+/// a run — never two, never none — and there is no lock order to keep.
 pub(crate) struct LabelStore<S: SpecLabeling + 'static> {
+    /// A power-of-two number of shards.
     shards: Box<[Shard<S>]>,
-    shard_mask: u64,
-    frozen: RwLock<HashMap<u64, Arc<FrozenRun>>>,
-    persisted: RwLock<HashMap<u64, Arc<PersistedRun>>>,
+    /// Entries per tier (indexed by `Tier as usize`), kept by
+    /// [`Self::insert`] / [`Self::transition`] / [`Self::remove`]: the
+    /// stats and the idle tiering tick read a tier's size without
+    /// walking the registry.
+    tier_counts: [AtomicU64; 3],
     /// Residency governor shared by every persisted run in this store.
     pub(crate) lru: Arc<SegmentLru>,
     /// Standing-query fan-out. Lives on the store so tier transitions
-    /// can notify from inside their lock regions (tier deltas inherit
-    /// the per-run transition order).
+    /// can notify from inside the shard lock (tier deltas inherit the
+    /// per-run transition order).
     pub(crate) subs: SubHub<S>,
 }
 
 impl<S: SpecLabeling> LabelStore<S> {
-    /// An empty store with `shards` hot shards (rounded up to a power of
+    /// An empty store with `shards` shards (rounded up to a power of
     /// two), pre-seeded with persisted segments loaded from disk.
     pub(crate) fn new(
         shards: usize,
@@ -370,14 +379,16 @@ impl<S: SpecLabeling> LabelStore<S> {
         subs: SubHub<S>,
     ) -> Self {
         let n = shards.max(1).next_power_of_two();
-        Self {
+        let store = Self {
             shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            shard_mask: (n - 1) as u64,
-            frozen: RwLock::new(HashMap::new()),
-            persisted: RwLock::new(persisted.into_iter().map(|p| (p.run.0, p)).collect()),
+            tier_counts: Default::default(),
             lru,
             subs,
+        };
+        for p in persisted {
+            store.insert(p.run, RunView::Persisted(p));
         }
+        store
     }
 
     /// Register a standing query: the new subscription is inserted into
@@ -407,18 +418,26 @@ impl<S: SpecLabeling> LabelStore<S> {
     }
 
     fn shard(&self, run: RunId) -> &Shard<S> {
-        &self.shards[(route_hash(run) & self.shard_mask) as usize]
+        &self.shards[route_hash(run) as usize & (self.shards.len() - 1)]
     }
 
-    pub(crate) fn insert_hot(&self, run: RunId, slot: Arc<RunSlot<S>>) {
+    /// Register a run the store has not seen: freshly opened, replayed
+    /// from the WAL, or listed by the spill directory's manifest.
+    pub(crate) fn insert(&self, run: RunId, view: RunView<S>) {
+        self.tier_counts[view.tier() as usize].fetch_add(1, Ordering::Relaxed);
         self.shard(run)
             .write()
             .expect("shard lock poisoned")
-            .insert(run.0, slot);
+            .insert(run.0, view);
     }
 
-    /// The hot slot of `run`, if it is in the hot tier.
-    pub(crate) fn hot_slot(&self, run: RunId) -> Option<Arc<RunSlot<S>>> {
+    /// How many runs `tier` holds right now.
+    pub(crate) fn tier_count(&self, tier: Tier) -> usize {
+        self.tier_counts[tier as usize].load(Ordering::Relaxed) as usize
+    }
+
+    /// The run's current representation, whatever its tier.
+    pub(crate) fn view(&self, run: RunId) -> Option<RunView<S>> {
         self.shard(run)
             .read()
             .expect("shard lock poisoned")
@@ -426,228 +445,74 @@ impl<S: SpecLabeling> LabelStore<S> {
             .cloned()
     }
 
-    /// Tier-transparent lookup: hot shadows frozen shadows persisted.
-    pub(crate) fn view(&self, run: RunId) -> Option<RunView<S>> {
-        if let Some(slot) = self.hot_slot(run) {
-            return Some(RunView::Hot(slot));
-        }
-        if let Some(f) = self
-            .frozen
-            .read()
-            .expect("frozen lock poisoned")
-            .get(&run.0)
-        {
-            return Some(RunView::Frozen(Arc::clone(f)));
-        }
-        self.persisted
-            .read()
-            .expect("persisted lock poisoned")
-            .get(&run.0)
-            .map(|p| RunView::Persisted(Arc::clone(p)))
-    }
-
-    /// Move a run into the frozen tier — **conditional**: succeeds only
-    /// if the run is still hot, so a freeze racing an eviction (or
-    /// another freeze) cannot resurrect a removed run. Both locks are
-    /// held across the move (shard → frozen, the store's fixed lock
-    /// order), so a concurrent lookup sees exactly one tier, never a
-    /// gap.
+    /// **The one tier transition**: swap `run`'s entry for `to` —
+    /// conditional on the entry still being in tier `from`, so a move
+    /// racing an eviction (or another move) never resurrects a removed
+    /// run or overwrites a newer representation. A pack rewrite is
+    /// `Persisted → Persisted`. The swap happens under the shard write
+    /// lock: a concurrent lookup sees the old value or the new one,
+    /// tier deltas reach subscribers in per-run transition order, and
+    /// the run's query count moves old → new where no `stats()` walk
+    /// can see both or neither.
     #[must_use]
-    pub(crate) fn promote_frozen(&self, run: RunId, frozen: Arc<FrozenRun>) -> bool {
-        let mut shard = self.shard(run).write().expect("shard lock poisoned");
-        let mut cold = self.frozen.write().expect("frozen lock poisoned");
-        if shard.remove(&run.0).is_none() {
-            return false;
-        }
-        cold.insert(run.0, frozen);
-        self.subs.tier_moved(run, Tier::Frozen);
-        true
-    }
-
-    /// Move a run into the persisted tier — conditional on it still
-    /// being frozen, with both locks held across the move (frozen →
-    /// persisted, the fixed lock order), like [`Self::promote_frozen`].
-    #[must_use]
-    pub(crate) fn promote_persisted(&self, run: RunId, persisted: Arc<PersistedRun>) -> bool {
-        let mut cold = self.frozen.write().expect("frozen lock poisoned");
-        let mut disk = self.persisted.write().expect("persisted lock poisoned");
-        if cold.remove(&run.0).is_none() {
-            return false;
-        }
-        disk.insert(run.0, persisted);
-        self.subs.tier_moved(run, Tier::Persisted);
-        true
-    }
-
-    /// Promote a persisted run back to the **frozen (resident) tier** —
-    /// the re-heat transition. Conditional on the run still being
-    /// persisted, with both locks held across the move (frozen →
-    /// persisted, the fixed lock order), like [`Self::promote_persisted`]
-    /// in reverse. The segment file stays on disk; only the registry
-    /// moves.
-    #[must_use]
-    pub(crate) fn promote_reheated(&self, run: RunId, frozen: Arc<FrozenRun>) -> bool {
-        let old = {
-            let mut cold = self.frozen.write().expect("frozen lock poisoned");
-            let mut disk = self.persisted.write().expect("persisted lock poisoned");
-            let Some(old) = disk.remove(&run.0) else {
-                return false;
-            };
-            cold.insert(run.0, frozen);
-            self.subs.tier_moved(run, Tier::Frozen);
-            old
-        };
-        self.lru.forget_entry(&old);
-        true
-    }
-
-    /// Promote a persisted run **all the way to the hot tier** — the
-    /// sustained-traffic re-heat: a fully decoded `LabelIndex` rebuilt
-    /// from the arena, restored under the run's shard. Conditional on
-    /// the run still being persisted; both locks are held across the
-    /// move (shard → persisted, consistent with hot shadowing cold in
-    /// `view`), so a concurrent lookup never sees a gap.
-    #[must_use]
-    pub(crate) fn promote_hot(&self, run: RunId, slot: Arc<RunSlot<S>>) -> bool {
+    pub(crate) fn transition(&self, run: RunId, from: Tier, to: RunView<S>) -> bool {
+        let target = to.tier();
         let old = {
             let mut shard = self.shard(run).write().expect("shard lock poisoned");
-            let mut disk = self.persisted.write().expect("persisted lock poisoned");
-            let Some(old) = disk.remove(&run.0) else {
+            let Some(entry) = shard.get_mut(&run.0).filter(|e| e.tier() == from) else {
                 return false;
             };
-            shard.insert(run.0, slot);
-            self.subs.tier_moved(run, Tier::Hot);
-            old
+            to.queries()
+                .store(entry.queries().load(Ordering::Relaxed), Ordering::Relaxed);
+            if target != from {
+                self.tier_counts[from as usize].fetch_sub(1, Ordering::Relaxed);
+                self.tier_counts[target as usize].fetch_add(1, Ordering::Relaxed);
+                self.subs.tier_moved(run, target);
+            }
+            std::mem::replace(entry, to)
         };
-        self.lru.forget_entry(&old);
+        // Outside the shard lock (the LRU takes its own): the outgoing
+        // registration's residency comes off the books.
+        if let RunView::Persisted(p) = &old {
+            self.lru.forget_entry(p);
+        }
         true
     }
 
-    /// Swap a persisted run's registration for a new one (a rewrite
-    /// re-pointing the run at its blob's new pack). Conditional: a run
-    /// that left the persisted tier mid-rewrite is not resurrected.
-    #[must_use]
-    pub(crate) fn replace_persisted(&self, run: RunId, entry: Arc<PersistedRun>) -> bool {
-        let old = {
-            let mut disk = self.persisted.write().expect("persisted lock poisoned");
-            let Some(slot) = disk.get_mut(&run.0) else {
-                return false;
-            };
-            std::mem::replace(slot, entry)
-        };
-        // Forget the *old* entry's residency (the new one starts cold).
-        self.lru.forget_entry(&old);
-        true
-    }
-
-    /// Evict a run from whichever tier holds it; returns the hot slot if
-    /// the run was hot (the caller marks it evicted under its writer
-    /// lock).
+    /// Evict a run, returning the representation it had (the caller
+    /// marks a hot slot evicted under its writer lock).
     pub(crate) fn remove(&self, run: RunId) -> Option<RunView<S>> {
-        let hot = self
+        let old = self
             .shard(run)
             .write()
             .expect("shard lock poisoned")
-            .remove(&run.0);
-        if let Some(slot) = hot {
-            self.subs.evicted(run);
-            return Some(RunView::Hot(slot));
+            .remove(&run.0)?;
+        self.tier_counts[old.tier() as usize].fetch_sub(1, Ordering::Relaxed);
+        if let RunView::Persisted(p) = &old {
+            self.lru.forget_entry(p);
         }
-        let frozen = self
-            .frozen
-            .write()
-            .expect("frozen lock poisoned")
-            .remove(&run.0);
-        if let Some(f) = frozen {
-            self.subs.evicted(run);
-            return Some(RunView::Frozen(f));
-        }
-        let removed = self
-            .persisted
-            .write()
-            .expect("persisted lock poisoned")
-            .remove(&run.0);
-        if let Some(p) = removed {
-            self.lru.forget_entry(&p);
-            self.subs.evicted(run);
-            return Some(RunView::Persisted(p));
-        }
-        None
+        self.subs.evicted(run);
+        Some(old)
     }
 
-    /// Point-in-time snapshot of every registered run across all tiers
-    /// (unordered) — the scope the cross-run query surface scans. Locks
-    /// are held only long enough to clone `Arc`s. The scan visits the
-    /// tiers in sequence, so a run mid-promotion could appear in two
-    /// maps; the warmest sighting wins (each run appears exactly once).
+    /// Point-in-time snapshot of every registered run (unordered) — the
+    /// scope the cross-run query surface scans. Locks are held only
+    /// long enough to clone `Arc`s.
     pub(crate) fn snapshot_views(&self) -> Vec<(RunId, RunView<S>)> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for shard in self.shards.iter() {
-            for (id, slot) in shard.read().expect("shard lock poisoned").iter() {
-                if seen.insert(*id) {
-                    out.push((RunId(*id), RunView::Hot(Arc::clone(slot))));
-                }
-            }
-        }
-        for (id, f) in self.frozen.read().expect("frozen lock poisoned").iter() {
-            if seen.insert(*id) {
-                out.push((RunId(*id), RunView::Frozen(Arc::clone(f))));
-            }
-        }
-        for (id, p) in self
-            .persisted
-            .read()
-            .expect("persisted lock poisoned")
-            .iter()
-        {
-            if seen.insert(*id) {
-                out.push((RunId(*id), RunView::Persisted(Arc::clone(p))));
-            }
-        }
+        let runs = self.tier_counts.iter().map(|c| c.load(Ordering::Relaxed));
+        let mut out = Vec::with_capacity(runs.sum::<u64>() as usize);
+        self.for_each(|run, view| out.push((run, view.clone())));
         out
     }
 
-    /// Visit every hot slot without allocating (stats, tiering policy).
-    pub(crate) fn for_each_hot_slot(&self, mut f: impl FnMut(RunId, &RunSlot<S>)) {
+    /// Visit every registered run without allocating (stats, the policy
+    /// passes, the spill directory's census). Each shard's read lock is
+    /// held while its entries are visited, so keep `f` cheap.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(RunId, &RunView<S>)) {
         for shard in self.shards.iter() {
-            for (id, slot) in shard.read().expect("shard lock poisoned").iter() {
-                f(RunId(*id), slot);
+            for (id, view) in shard.read().expect("shard lock poisoned").iter() {
+                f(RunId(*id), view);
             }
-        }
-    }
-
-    /// The frozen tier's current membership.
-    pub(crate) fn frozen_runs(&self) -> Vec<Arc<FrozenRun>> {
-        self.frozen
-            .read()
-            .expect("frozen lock poisoned")
-            .values()
-            .cloned()
-            .collect()
-    }
-
-    /// The persisted tier's current membership.
-    pub(crate) fn persisted_runs(&self) -> Vec<Arc<PersistedRun>> {
-        self.persisted
-            .read()
-            .expect("persisted lock poisoned")
-            .values()
-            .cloned()
-            .collect()
-    }
-
-    /// Visit every persisted entry without allocating (the tiering
-    /// worker's per-tick scans; the read lock is held for the visit, so
-    /// keep `f` cheap).
-    pub(crate) fn for_each_persisted(&self, mut f: impl FnMut(&Arc<PersistedRun>)) {
-        for p in self
-            .persisted
-            .read()
-            .expect("persisted lock poisoned")
-            .values()
-        {
-            f(p);
         }
     }
 }

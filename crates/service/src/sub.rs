@@ -31,12 +31,12 @@
 //! happens-before that subscriber's catch-up scan — which then reads the
 //! already-published label. Both firing is harmless: the matcher's
 //! per-vertex `seen` set makes every feed idempotent. Tier transitions
-//! fan out from *inside* the store's tier-lock regions, inheriting the
+//! fan out from *inside* the store's shard write lock, inheriting the
 //! per-run total order of transitions; eviction is tombstoned so a
 //! delayed notify cannot resurrect a removed run's deltas.
 
 use crate::store::{RunView, Tier};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{bump, Telemetry};
 use crate::{RunId, RunStatus, SpecContext, SpecId};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -427,7 +427,7 @@ pub(crate) fn scan_view<S: SpecLabeling>(
             v,
             n,
             label,
-            &mut || view.note_query(),
+            &mut || bump(view.queries()),
             &mut |w| emit(w),
         );
     });
@@ -895,7 +895,7 @@ impl<S: SpecLabeling> SubHub<S> {
     }
 
     /// Fan out a tier transition, called from **inside** the store's
-    /// tier-lock region so per-run transitions arrive in order. Only
+    /// shard write lock so per-run transitions arrive in order. Only
     /// tier-scoped subscriptions track tiers; for them the entry is
     /// created on demand (tier transitions only happen to completed
     /// runs, so a missing entry just means "no matches yet recorded" —
@@ -981,7 +981,7 @@ impl<S: SpecLabeling> SubHub<S> {
                     v,
                     n,
                     label,
-                    &mut || view.note_query(),
+                    &mut || bump(view.queries()),
                     &mut |w| matches.push(w),
                 );
             });

@@ -17,6 +17,7 @@
 //!   apply — are additionally *sampled* (1 in 64) because even two
 //!   cycle counter reads would be a measurable tax on them.
 
+use crate::freeze::SklReport;
 use crate::store::Tier;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,7 +232,10 @@ impl Telemetry {
             flushes: counter("wf_flushes_total", "flush barriers completed"),
             freezes: counter("wf_freezes_total", "hot runs frozen"),
             spills: counter("wf_spills_total", "frozen runs spilled to disk"),
-            reheats: counter("wf_reheats_total", "persisted runs re-heated to frozen"),
+            reheats: counter(
+                "wf_reheats_total",
+                "persisted runs re-heated to a resident tier (frozen or hot)",
+            ),
             compactions: counter("wf_compactions_total", "segment compaction passes"),
             segment_sheds: counter(
                 "wf_segment_sheds_total",
@@ -319,7 +323,10 @@ impl Telemetry {
                 "first pin of a persisted blob (map + verify + resolve)",
             ),
             h_pack_gc: hist("wf_pack_gc_ns", "one pack garbage-collection pass"),
-            h_reheat: hist("wf_reheat_ns", "persisted run promoted back to frozen"),
+            h_reheat: hist(
+                "wf_reheat_ns",
+                "persisted run promoted back to a resident tier (frozen or hot)",
+            ),
             h_compaction: hist("wf_compaction_ns", "one segment compaction pass"),
             h_reach: hist("wf_reach_ns", "reachability probe (sampled 1 in 64)"),
             h_cross_run_scan: hist("wf_cross_run_scan_ns", "cross-run query scan"),
@@ -336,6 +343,19 @@ impl Telemetry {
 
             registry,
         }
+    }
+
+    /// Add one run's freeze-time §7.4 report to the DRL-vs-SKL
+    /// aggregates (at freeze, and again when a reloaded engine replays
+    /// the reports out of its segment headers).
+    pub(crate) fn record_skl(&self, r: &SklReport) {
+        self.skl_relabeled.inc();
+        self.skl_bits_total.add(r.skl_bits);
+        self.skl_drl_bits_total.add(r.drl_bits);
+        self.skl_build_ns_total.add(r.build_ns);
+        self.skl_query_ns_total.add(r.skl_query_ns);
+        self.frozen_query_ns_total.add(r.drl_query_ns);
+        self.skl_pairs_sampled.add(r.pairs_sampled);
     }
 
     /// Start a span timer; `None` when telemetry is disabled (the span

@@ -289,7 +289,7 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
 /// the persisted tier does not own keep their records — and a rebuild
 /// serves persisted runs from segments, unfrozen ones from replay.
 #[test]
-fn checkpoint_truncation_bounds_log_to_unfrozen_runs() {
+fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
     let dir = TempDir::new("ckpt");
     let wal_dir = dir.0.join("wal");
     let spill_dir = dir.0.join("spill");
@@ -366,6 +366,62 @@ fn checkpoint_truncation_bounds_log_to_unfrozen_runs() {
         let h = reloaded.handle(*run).unwrap();
         assert_prefix_answers(&h, exec.events(), exec.len());
     }
+}
+
+/// An eviction is durable: the evicted run's open/event records are
+/// still in the log when it is evicted from the hot or the frozen tier
+/// (only persisting checkpoints them), so the eviction itself must
+/// checkpoint them — or the next engine lifetime replays the run back.
+#[test]
+fn evicted_runs_stay_evicted_across_a_restart() {
+    let dir = TempDir::new("evict");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(77);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(2)
+            .wal_dir(&dir.0)
+            .wal_sync(WalSync::Always)
+            .build()
+    };
+    let engine = build();
+    let mut fleet = Vec::new();
+    for _ in 0..3 {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let gen = RunGenerator::new(&spec)
+            .target_size(40)
+            .generate_run(&mut rng);
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        fleet.push((run, exec));
+    }
+    engine.flush();
+    let (hot, frozen, kept) = (fleet[0].0, fleet[1].0, fleet[2].0);
+    engine.complete_run(frozen).unwrap();
+    engine.freeze_run(frozen).unwrap();
+    engine.evict_run(hot).unwrap();
+    engine.evict_run(frozen).unwrap();
+    assert!(engine.take_ingest_errors().is_empty());
+    drop(engine);
+
+    let rebuilt = build();
+    for gone in [hot, frozen] {
+        assert_eq!(
+            rebuilt.run_status(gone).unwrap_err(),
+            ServiceError::UnknownRun(gone),
+            "{gone} was evicted, yet the restart replayed it"
+        );
+    }
+    assert_eq!(rebuilt.stats().wal_recovered_runs, 1);
+    let exec = &fleet[2].1;
+    let h = rebuilt.handle(kept).unwrap();
+    assert_eq!(h.status(), RunStatus::Live);
+    assert_prefix_answers(&h, exec.events(), exec.len());
+    // A fresh run never reuses an evicted id.
+    assert!(rebuilt.open_run(SpecId(0)).unwrap() > kept);
 }
 
 /// A real crash: a child process aborts mid-ingest (no drop, no drain,

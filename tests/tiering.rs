@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wf_provenance::prelude::*;
-use wf_service::{snapshot, SnapshotError, Tier};
+use wf_service::{snapshot, ServiceError, SnapshotError, Tier};
 
 /// A temp dir that cleans up after itself (no tempfile crate offline).
 /// Honors `WF_TIER_TEST_DIR` so CI can point the round-trip at a
@@ -423,4 +423,157 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     assert_eq!(h.reach(u, v), None, "broken segment degrades, not panics");
     assert_eq!(h.reach(u, v), None, "and stays degraded");
+}
+
+/// A sampled execution of the running example, its ground truth, and a
+/// few `(u, v, u ; v)` probes over its vertices.
+fn probed_run(seed: u64) -> (Execution, Vec<(VertexId, VertexId, bool)>) {
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gen = RunGenerator::new(&spec)
+        .target_size(60)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let mut naive = NaiveDynamicDag::new();
+    for ev in exec.events() {
+        naive.insert(ev.vertex, &ev.preds);
+    }
+    let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
+    let probes = vertices
+        .iter()
+        .step_by(3)
+        .flat_map(|a| vertices.iter().step_by(5).map(move |b| (*a, *b)))
+        .map(|(a, b)| (a, b, naive.reaches(a, b)))
+        .collect();
+    (exec, probes)
+}
+
+/// `reheat_after(n)`: the tiering worker promotes a persisted run to
+/// the frozen tier once it has answered `n` queries since it was
+/// persisted — and not one query earlier. Every answer, before and
+/// after the promotion, equals [`NaiveDynamicDag`].
+#[test]
+fn reheat_after_promotes_a_queried_persisted_run_to_frozen() {
+    const N: usize = 48;
+    let dir = TempDir::new("reheat-after");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(2)
+        .spill_dir(&dir.0)
+        .reheat_after(N as u64)
+        .build();
+    let (busy_exec, busy_probes) = probed_run(5);
+    let (quiet_exec, quiet_probes) = probed_run(6);
+    let busy = persist_one(&engine, &busy_exec);
+    let quiet = persist_one(&engine, &quiet_exec);
+
+    // The quiet run stops one query short of the threshold *before* the
+    // busy run crosses it, so the sweep that promotes the busy run has
+    // seen the quiet run's final count.
+    let ask = |run: RunId, probes: &[(VertexId, VertexId, bool)], n: usize| {
+        let h = engine.handle(run).unwrap();
+        for (u, v, expected) in probes.iter().cycle().take(n) {
+            assert_eq!(h.reach(*u, *v), Some(*expected));
+        }
+    };
+    ask(quiet, &quiet_probes, N - 1);
+    ask(busy, &busy_probes, N);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while engine.run_tier(busy).unwrap() != Tier::Frozen {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{N} queries never re-heated the run"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(engine.run_tier(quiet).unwrap(), Tier::Persisted);
+    assert_eq!(engine.stats().reheats, 1);
+    assert!(engine.take_ingest_errors().is_empty());
+    ask(busy, &busy_probes, busy_probes.len());
+}
+
+/// One completed run cycled through every tier transition while other
+/// threads look it up: a run is always registered exactly once, in
+/// exactly one tier, with the right answers — until it is evicted, and
+/// never after — and the engine-wide query count never steps backwards
+/// across a transition.
+#[test]
+fn lookups_racing_tier_transitions_see_the_run_exactly_once() {
+    use std::sync::atomic::AtomicBool;
+    let dir = TempDir::new("transitions");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(2)
+        .spill_dir(&dir.0)
+        .build();
+    let (exec, probes) = probed_run(11);
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+
+    // `evicting` is raised before the eviction starts and `evicted`
+    // after it returned: a lookup that finished with `evicting` still
+    // down must have found the run; one that began with `evicted` up
+    // must not have.
+    let (evicting, evicted) = (AtomicBool::new(false), AtomicBool::new(false));
+    let start = std::sync::Barrier::new(4);
+    let unknown = ServiceError::UnknownRun(run);
+    std::thread::scope(|s| {
+        for reader in 0..2 {
+            let (engine, probes, start) = (&engine, &probes, &start);
+            let (evicting, evicted, unknown) = (&evicting, &evicted, &unknown);
+            s.spawn(move || {
+                start.wait();
+                for (u, v, expected) in probes.iter().cycle().skip(reader) {
+                    let gone = evicted.load(Ordering::SeqCst);
+                    let tier = engine.run_tier(run);
+                    let answer = engine.handle(run).map(|h| h.reach(*u, *v));
+                    let ids = engine.query().run_ids();
+                    if !evicting.load(Ordering::SeqCst) {
+                        assert!(tier.is_ok(), "registered run not found: {tier:?}");
+                        assert_eq!(answer.as_ref().ok(), Some(&Some(*expected)));
+                        assert_eq!(ids, vec![run], "listed once, in one tier");
+                    }
+                    if gone {
+                        assert_eq!(tier.as_ref().err(), Some(unknown));
+                        assert_eq!(answer.as_ref().err(), Some(unknown));
+                        assert!(ids.is_empty());
+                        return;
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            start.wait();
+            let mut last = 0;
+            loop {
+                let answered = engine.stats().queries_answered;
+                if evicting.load(Ordering::SeqCst) {
+                    return; // an eviction legitimately removes the run's count
+                }
+                assert!(
+                    answered >= last,
+                    "queries_answered fell {last} -> {answered}"
+                );
+                last = answered;
+            }
+        });
+        start.wait();
+        for _ in 0..40 {
+            engine.freeze_run(run).unwrap();
+            engine.persist_run(run).unwrap();
+            engine.reheat_run(run).unwrap();
+            assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
+            engine.persist_run(run).unwrap();
+            engine.reheat_run_hot(run).unwrap();
+            assert_eq!(engine.run_tier(run).unwrap(), Tier::Hot);
+        }
+        evicting.store(true, Ordering::SeqCst);
+        engine.evict_run(run).unwrap();
+        evicted.store(true, Ordering::SeqCst);
+    });
+    assert_eq!(engine.run_tier(run).unwrap_err(), unknown);
+    assert_eq!(engine.stats().reheats, 80);
 }
