@@ -16,7 +16,9 @@ use wf_spec::Specification;
 /// before the next step arrives, and labels are never modified
 /// (Definition 9).
 pub struct DerivationLabeler<'s, S: SpecLabeling> {
-    core: LabelerCore<'s, S>,
+    spec: &'s Specification,
+    skeleton: &'s S,
+    core: LabelerCore,
     builder: RunBuilder<'s>,
     /// Label per run slot (composite vertices keep their labels even
     /// after being replaced — Remark 1 labels them too, and intermediate
@@ -34,12 +36,8 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
     /// `Linear` for linear recursive grammars, `CompressFirst` (the §6
     /// adaptation) otherwise.
     pub fn new(spec: &'s Specification, skeleton: &'s S) -> Self {
-        let mode = if spec.analysis().class().is_linear() {
-            RecursionMode::Linear
-        } else {
-            RecursionMode::CompressFirst
-        };
-        Self::with_mode(spec, skeleton, mode).expect("auto mode always fits the grammar")
+        Self::with_mode(spec, skeleton, RecursionMode::auto(spec))
+            .expect("auto mode always fits the grammar")
     }
 
     /// Label-only variant: identical labels, but the internal run graph
@@ -48,12 +46,8 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
     /// paper reports labeling time and graph-update time as separate
     /// quantities (§7.2). `graph()` then exposes vertices but no edges.
     pub fn label_only(spec: &'s Specification, skeleton: &'s S) -> Self {
-        let mode = if spec.analysis().class().is_linear() {
-            RecursionMode::Linear
-        } else {
-            RecursionMode::CompressFirst
-        };
-        Self::build(spec, skeleton, mode, false).expect("auto mode always fits the grammar")
+        Self::build(spec, skeleton, RecursionMode::auto(spec), false)
+            .expect("auto mode always fits the grammar")
     }
 
     /// Create a labeler with an explicit recursion mode (fails if
@@ -72,7 +66,7 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
         mode: RecursionMode,
         track_edges: bool,
     ) -> Result<Self, DrlError> {
-        let mut core = LabelerCore::new(spec, skeleton, mode)?;
+        let mut core = LabelerCore::new(spec, mode)?;
         let builder = if track_edges {
             RunBuilder::new(spec)
         } else {
@@ -84,11 +78,13 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
         let mut fresh = Vec::new();
         for rv in builder.graph().vertices() {
             let (_, sv) = builder.origin(rv);
-            labels[rv.idx()] = Some(core.label_for(root, sv));
+            labels[rv.idx()] = Some(core.label_for(skeleton, root, sv));
             context[rv.idx()] = Some(root);
             fresh.push(rv);
         }
         Ok(Self {
+            spec,
+            skeleton,
             core,
             builder,
             labels,
@@ -112,6 +108,7 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
 
         let applied = self.builder.apply(step)?;
         let expansion = self.core.expand(
+            self.skeleton,
             y,
             u_spec,
             applied.head_class,
@@ -123,11 +120,11 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
 
         self.labels.resize(self.builder.graph().slot_count(), None);
         self.context.resize(self.builder.graph().slot_count(), None);
-        let body = self.core.spec().graph(step.production.body);
+        let body = self.spec.graph(step.production.body);
         for (x, map) in members.iter().zip(applied.copies.iter()) {
             for sv in body.vertices() {
                 let rv = map[sv.idx()].unwrap();
-                self.labels[rv.idx()] = Some(self.core.label_for(*x, sv));
+                self.labels[rv.idx()] = Some(self.core.label_for(self.skeleton, *x, sv));
                 self.context[rv.idx()] = Some(*x);
                 self.fresh.push(rv);
             }
@@ -170,7 +167,7 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
 
     /// The predicate `πg` over this run's labels.
     pub fn predicate(&self) -> DrlPredicate<'_, S> {
-        DrlPredicate::new(self.core.skeleton())
+        DrlPredicate::new(self.skeleton)
     }
 
     /// Convenience: decide `u ;g v` directly from the two vertices.

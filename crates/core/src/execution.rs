@@ -102,9 +102,18 @@ enum ExpandHandle {
     Done,
 }
 
-/// The execution-based labeler.
-pub struct ExecutionLabeler<'s, S: SpecLabeling> {
-    core: LabelerCore<'s, S>,
+/// The execution-based labeler's state, free of borrows: everything an
+/// insertion reads or mutates except the immutable context (the
+/// specification and its skeleton labels), which [`Self::insert`] takes
+/// per call. A caller that owns its context — `wf-service` keeps an
+/// `Arc` next to each run's state — holds this directly;
+/// [`ExecutionLabeler`] is the same state next to two plain borrows.
+///
+/// Every `insert` must be given the specification the state was built
+/// from and the skeleton built for it; another one yields wrong labels
+/// or an index panic.
+pub struct ExecutionState {
+    core: LabelerCore,
     resolution: ResolutionMode,
     /// Placement per external vertex slot: `(tree node, spec vertex)`.
     placement: Vec<Option<(NodeId, VertexId)>>,
@@ -113,45 +122,21 @@ pub struct ExecutionLabeler<'s, S: SpecLabeling> {
     /// Name-based helper: implementation source name → body graph.
     source_of: HashMap<NameId, GraphId>,
     count: usize,
-    /// Vertices labeled since the last [`Self::take_fresh`] — the
+    /// Vertices labeled since the last [`Self::drain_fresh`] — the
     /// incremental snapshot export consumed by `wf-service`.
     fresh: Vec<VertexId>,
 }
 
-impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
-    /// Name-based labeler with automatic recursion mode.
-    pub fn new(spec: &'s Specification, skeleton: &'s S) -> Result<Self, ExecError> {
-        Self::with_modes(
-            spec,
-            skeleton,
-            Self::auto_mode(spec),
-            ResolutionMode::NameBased,
-        )
-    }
-
-    /// Log-based labeler with automatic recursion mode (no Conditions
-    /// 1–2 required).
-    pub fn new_log_based(spec: &'s Specification, skeleton: &'s S) -> Result<Self, ExecError> {
-        Self::with_modes(
-            spec,
-            skeleton,
-            Self::auto_mode(spec),
-            ResolutionMode::LogBased,
-        )
-    }
-
-    fn auto_mode(spec: &Specification) -> RecursionMode {
-        if spec.analysis().class().is_linear() {
-            RecursionMode::Linear
-        } else {
-            RecursionMode::CompressFirst
-        }
+impl ExecutionState {
+    /// State for labeling one run of `spec`, with automatic recursion
+    /// mode.
+    pub fn new(spec: &Specification, resolution: ResolutionMode) -> Result<Self, ExecError> {
+        Self::with_modes(spec, RecursionMode::auto(spec), resolution)
     }
 
     /// Fully explicit construction.
     pub fn with_modes(
-        spec: &'s Specification,
-        skeleton: &'s S,
+        spec: &Specification,
         recursion: RecursionMode,
         resolution: ResolutionMode,
     ) -> Result<Self, ExecError> {
@@ -159,7 +144,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
             spec.check_execution_conditions()
                 .map_err(ExecError::ConditionsViolated)?;
         }
-        let core = LabelerCore::new(spec, skeleton, recursion)?;
+        let core = LabelerCore::new(spec, recursion)?;
         let mut source_of = HashMap::new();
         for gid in spec.graph_ids().skip(1) {
             let g = spec.graph(gid);
@@ -179,7 +164,12 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
 
     /// Process one insertion `g_i = g_{i-1} + (v_i, C_i)`, assigning the
     /// vertex's permanent label (O(1) amortized — Theorem 3.2a).
-    pub fn insert(&mut self, ev: &ExecEvent) -> Result<(), ExecError> {
+    pub fn insert<S: SpecLabeling>(
+        &mut self,
+        spec: &Specification,
+        skeleton: &S,
+        ev: &ExecEvent,
+    ) -> Result<(), ExecError> {
         if self
             .placement
             .get(ev.vertex.idx())
@@ -189,7 +179,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
         }
         if self.core.tree.is_empty() {
             // First event: must be g0's source.
-            let g0 = self.core.spec().start_graph();
+            let g0 = spec.start_graph();
             let s = g0.source().expect("two-terminal");
             let ok = ev.preds.is_empty()
                 && match self.resolution {
@@ -200,28 +190,32 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
                 return Err(ExecError::FirstEventMustBeStartSource);
             }
             let root = self.core.create_root();
-            self.place(ev.vertex, root, s);
+            self.place(skeleton, ev.vertex, root, s);
             return Ok(());
         }
         let source_body = match self.resolution {
             ResolutionMode::NameBased => self.source_of.get(&ev.name).copied(),
             ResolutionMode::LogBased => {
                 let (gid, sv) = ev.origin;
-                (gid != GraphId::START && self.core.spec().graph(gid).source() == Ok(sv))
-                    .then_some(gid)
+                (gid != GraphId::START && spec.graph(gid).source() == Ok(sv)).then_some(gid)
             }
         };
         match source_body {
-            Some(body) => self.resolve_source(ev, body),
-            None => self.resolve_internal(ev),
+            Some(body) => self.resolve_source(spec, skeleton, ev, body),
+            None => self.resolve_internal(spec, skeleton, ev),
         }
     }
 
     /// A source vertex of implementation `body` arrived: find the
     /// composite vertex being expanded and update the tree (Algorithm 2,
     /// incremental form).
-    fn resolve_source(&mut self, ev: &ExecEvent, body: GraphId) -> Result<(), ExecError> {
-        let spec = self.core.spec();
+    fn resolve_source<S: SpecLabeling>(
+        &mut self,
+        spec: &Specification,
+        skeleton: &S,
+        ev: &ExecEvent,
+        body: GraphId,
+    ) -> Result<(), ExecError> {
         let head = spec.head(body).expect("implementation graphs have heads");
         let body_source = spec.graph(body).source().expect("two-terminal");
         for &c in &ev.preds {
@@ -256,7 +250,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
                 if let Some(special) = fork_branch {
                     // New parallel branch of an expanding fork.
                     let member = self.core.add_replica(special);
-                    self.place(ev.vertex, member, body_source);
+                    self.place(skeleton, ev.vertex, member, body_source);
                     return Ok(());
                 }
                 match fresh.len() {
@@ -264,7 +258,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
                     1 => {
                         let u = fresh[0];
                         let head_class = spec.class(head);
-                        let expansion = self.core.expand(y, u, head_class, body, 1);
+                        let expansion = self.core.expand(skeleton, y, u, head_class, body, 1);
                         let (member, handle) = match &expansion {
                             crate::machinery::Expansion::Replicated { special, members } => {
                                 (members[0], ExpandHandle::Replicated(*special))
@@ -273,7 +267,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
                             | crate::machinery::Expansion::Instance(m) => (*m, ExpandHandle::Done),
                         };
                         self.expansions.insert((y, u), handle);
-                        self.place(ev.vertex, member, body_source);
+                        self.place(skeleton, ev.vertex, member, body_source);
                         return Ok(());
                     }
                     _ => return Err(ExecError::AmbiguousExpansion(ev.vertex)),
@@ -296,7 +290,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
                                     "iterations extend the last copy"
                                 );
                                 let member = self.core.add_replica(p);
-                                self.place(ev.vertex, member, body_source);
+                                self.place(skeleton, ev.vertex, member, body_source);
                                 return Ok(());
                             }
                         }
@@ -315,8 +309,12 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
 
     /// An internal atomic vertex arrived: find its instance and spec
     /// vertex among the successors of a predecessor's frame.
-    fn resolve_internal(&mut self, ev: &ExecEvent) -> Result<(), ExecError> {
-        let spec = self.core.spec();
+    fn resolve_internal<S: SpecLabeling>(
+        &mut self,
+        spec: &Specification,
+        skeleton: &S,
+        ev: &ExecEvent,
+    ) -> Result<(), ExecError> {
         for &c in &ev.preds {
             let Some(mut frame) = self.placement.get(c.idx()).copied().flatten() else {
                 return Err(ExecError::UnknownPredecessor(c));
@@ -337,7 +335,7 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
                     }
                 };
                 if let Some(sv) = found {
-                    self.place(ev.vertex, y, sv);
+                    self.place(skeleton, ev.vertex, y, sv);
                     return Ok(());
                 }
                 let sink = g.sink().expect("two-terminal");
@@ -353,38 +351,27 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
         Err(ExecError::InferenceFailed(ev.vertex))
     }
 
-    fn place(&mut self, ext: VertexId, node: NodeId, sv: VertexId) {
+    fn place<S: SpecLabeling>(&mut self, skeleton: &S, ext: VertexId, node: NodeId, sv: VertexId) {
         if self.placement.len() <= ext.idx() {
             self.placement.resize(ext.idx() + 1, None);
             self.labels.resize(ext.idx() + 1, None);
         }
         debug_assert!(self.placement[ext.idx()].is_none());
         self.placement[ext.idx()] = Some((node, sv));
-        self.labels[ext.idx()] = Some(self.core.label_for(node, sv));
+        self.labels[ext.idx()] = Some(self.core.label_for(skeleton, node, sv));
         self.count += 1;
         self.fresh.push(ext);
     }
 
-    /// Incremental snapshot export: the vertices labeled since the last
-    /// call, in labeling order. Labels are immutable once assigned
-    /// (Definition 8), so a consumer can publish `(v, label(v))` for the
-    /// returned vertices into a concurrent read index while ingestion
-    /// continues — this is what `wf-service` does after each insert
-    /// batch.
-    ///
-    /// Callers that never export pay one `VertexId` per labeled vertex
-    /// — bounded by the run size, the same order as the label store
-    /// itself.
-    pub fn take_fresh(&mut self) -> Vec<VertexId> {
-        std::mem::take(&mut self.fresh)
-    }
-
-    /// Allocation-free variant of [`Self::take_fresh`]: invoke `f` with
-    /// each vertex labeled since the last export (in labeling order) and
-    /// its immutable label, then clear the export buffer *keeping its
-    /// capacity*. This is the publish hook `wf-service`'s ingest workers
-    /// call after every applied event — the hot path pays no `Vec`
-    /// round-trip per insertion.
+    /// Incremental snapshot export: invoke `f` with each vertex labeled
+    /// since the last export (in labeling order) and its label, then
+    /// clear the export buffer *keeping its capacity*. Labels are
+    /// immutable once assigned (Definition 8), so a consumer can publish
+    /// `(v, label(v))` into a concurrent read index while ingestion
+    /// continues — this is the publish hook `wf-service` calls after
+    /// every applied event; the hot path pays no `Vec` round-trip per
+    /// insertion. Callers that never export pay one `VertexId` per
+    /// labeled vertex — bounded by the run size.
     pub fn drain_fresh(&mut self, mut f: impl FnMut(VertexId, &DrlLabel)) {
         for &v in &self.fresh {
             let label = self.labels[v.idx()]
@@ -405,16 +392,6 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
         self.label(v).map(|l| l.bit_len(self.core.skl_bits()))
     }
 
-    /// The predicate `πg`.
-    pub fn predicate(&self) -> DrlPredicate<'_, S> {
-        DrlPredicate::new(self.core.skeleton())
-    }
-
-    /// Convenience: decide `u ;g v` from two inserted vertices.
-    pub fn reaches(&self, u: VertexId, v: VertexId) -> Option<bool> {
-        Some(self.predicate().reaches(self.label(u)?, self.label(v)?))
-    }
-
     /// Number of inserted vertices.
     pub fn len(&self) -> usize {
         self.count
@@ -433,6 +410,103 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
     /// The explicit parse tree built so far.
     pub fn tree(&self) -> &crate::tree::ExplicitTree {
         &self.core.tree
+    }
+}
+
+/// The execution-based labeler: an [`ExecutionState`] next to the
+/// borrowed context it labels against.
+pub struct ExecutionLabeler<'s, S: SpecLabeling> {
+    spec: &'s Specification,
+    skeleton: &'s S,
+    state: ExecutionState,
+}
+
+impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
+    /// Name-based labeler with automatic recursion mode.
+    pub fn new(spec: &'s Specification, skeleton: &'s S) -> Result<Self, ExecError> {
+        Self::with_modes(
+            spec,
+            skeleton,
+            RecursionMode::auto(spec),
+            ResolutionMode::NameBased,
+        )
+    }
+
+    /// Log-based labeler with automatic recursion mode (no Conditions
+    /// 1–2 required).
+    pub fn new_log_based(spec: &'s Specification, skeleton: &'s S) -> Result<Self, ExecError> {
+        Self::with_modes(
+            spec,
+            skeleton,
+            RecursionMode::auto(spec),
+            ResolutionMode::LogBased,
+        )
+    }
+
+    /// Fully explicit construction.
+    pub fn with_modes(
+        spec: &'s Specification,
+        skeleton: &'s S,
+        recursion: RecursionMode,
+        resolution: ResolutionMode,
+    ) -> Result<Self, ExecError> {
+        let state = ExecutionState::with_modes(spec, recursion, resolution)?;
+        Ok(Self {
+            spec,
+            skeleton,
+            state,
+        })
+    }
+
+    /// Process one insertion `g_i = g_{i-1} + (v_i, C_i)`, assigning the
+    /// vertex's permanent label (O(1) amortized — Theorem 3.2a).
+    pub fn insert(&mut self, ev: &ExecEvent) -> Result<(), ExecError> {
+        self.state.insert(self.spec, self.skeleton, ev)
+    }
+
+    /// See [`ExecutionState::drain_fresh`].
+    pub fn drain_fresh(&mut self, f: impl FnMut(VertexId, &DrlLabel)) {
+        self.state.drain_fresh(f);
+    }
+
+    /// The label assigned to vertex `v` (by the caller's external id).
+    pub fn label(&self, v: VertexId) -> Option<&DrlLabel> {
+        self.state.label(v)
+    }
+
+    /// Label length in bits.
+    pub fn label_bits(&self, v: VertexId) -> Option<usize> {
+        self.state.label_bits(v)
+    }
+
+    /// The predicate `πg`.
+    pub fn predicate(&self) -> DrlPredicate<'_, S> {
+        DrlPredicate::new(self.skeleton)
+    }
+
+    /// Convenience: decide `u ;g v` from two inserted vertices.
+    pub fn reaches(&self, u: VertexId, v: VertexId) -> Option<bool> {
+        Some(self.predicate().reaches(self.label(u)?, self.label(v)?))
+    }
+
+    /// Number of inserted vertices.
+    pub fn len(&self) -> usize {
+        self.state.len()
+    }
+
+    /// True before the first insertion.
+    pub fn is_empty(&self) -> bool {
+        self.state.is_empty()
+    }
+
+    /// Width of skeleton pointers in bits.
+    pub fn skl_bits(&self) -> usize {
+        self.state.skl_bits()
+    }
+
+    /// The explicit parse tree built so far.
+    pub fn tree(&self) -> &crate::tree::ExplicitTree {
+        self.state.tree()
     }
 }
 

@@ -26,6 +26,8 @@
 //! [`RecursionMode::NoRNodes`]), at the cost of label lengths that grow
 //! with the recursion depth.
 
+#![forbid(unsafe_code)]
+
 pub mod derivation;
 pub mod encode;
 pub mod entry;
@@ -39,7 +41,7 @@ pub mod tree;
 pub use derivation::DerivationLabeler;
 pub use encode::{decode_label, encode_label, ArenaSlot, LabelArena};
 pub use entry::{Entry, NodeKind, SklPtr};
-pub use execution::{ExecError, ExecutionLabeler, ResolutionMode};
+pub use execution::{ExecError, ExecutionLabeler, ExecutionState, ResolutionMode};
 pub use label::DrlLabel;
 pub use machinery::{DrlError, Expansion, LabelerCore, RecursionMode};
 pub use predicate::DrlPredicate;
@@ -57,5 +59,6 @@ fn assert_thread_safety(spec: &wf_spec::Specification, skeleton: &wf_skeleton::T
     send_sync(&naive::NaiveDynamicDag::new());
     fn send_sync_ty<T: Send + Sync>() {}
     send_sync_ty::<DrlLabel>();
-    send_sync_ty::<ExecutionLabeler<'static, wf_skeleton::BfsSpecLabels>>();
+    send_sync_ty::<ExecutionLabeler<'_, wf_skeleton::BfsSpecLabels>>();
+    send_sync_ty::<ExecutionState>();
 }

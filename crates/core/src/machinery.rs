@@ -29,6 +29,18 @@ pub enum RecursionMode {
     NoRNodes,
 }
 
+impl RecursionMode {
+    /// The mode the labelers pick on their own: `Linear` for linear
+    /// recursive grammars, `CompressFirst` (the §6 adaptation) otherwise.
+    pub fn auto(spec: &Specification) -> Self {
+        if spec.analysis().class().is_linear() {
+            RecursionMode::Linear
+        } else {
+            RecursionMode::CompressFirst
+        }
+    }
+}
+
 /// Errors raised when constructing or driving a labeler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DrlError {
@@ -82,12 +94,14 @@ impl Expansion {
     }
 }
 
-/// Shared state of both dynamic labelers: the specification, the skeleton
-/// labels, the recursion-mode-resolved designated-vertex table and the
-/// explicit parse tree.
-pub struct LabelerCore<'s, S: SpecLabeling> {
-    spec: &'s Specification,
-    skeleton: &'s S,
+/// Shared state of both dynamic labelers: the recursion-mode-resolved
+/// designated-vertex table and the explicit parse tree. Owns nothing
+/// borrowed — the specification is read once at construction and the
+/// skeleton labels are passed to each call that consults them, so the
+/// state can live next to an `Arc`-owned context as well as next to
+/// plain borrows. Every call must be given the skeleton built for the
+/// specification the core was constructed from.
+pub struct LabelerCore {
     mode: RecursionMode,
     /// Per spec graph: the designated recursive vertex (chain
     /// continuation point), per the recursion mode.
@@ -97,14 +111,10 @@ pub struct LabelerCore<'s, S: SpecLabeling> {
     skl_bits: usize,
 }
 
-impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
+impl LabelerCore {
     /// Build the core; fails only if `Linear` mode is requested for a
     /// non-linear grammar.
-    pub fn new(
-        spec: &'s Specification,
-        skeleton: &'s S,
-        mode: RecursionMode,
-    ) -> Result<Self, DrlError> {
+    pub fn new(spec: &Specification, mode: RecursionMode) -> Result<Self, DrlError> {
         let analysis = spec.analysis();
         if mode == RecursionMode::Linear && !analysis.class().is_linear() {
             return Err(DrlError::NotLinearRecursive(analysis.class()));
@@ -135,23 +145,11 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
         let ng = spec.max_graph_size().max(2);
         let skl_bits = (usize::BITS - (ng - 1).leading_zeros()) as usize;
         Ok(Self {
-            spec,
-            skeleton,
             mode,
             designated,
             tree: ExplicitTree::new(),
             skl_bits,
         })
-    }
-
-    /// The specification.
-    pub fn spec(&self) -> &'s Specification {
-        self.spec
-    }
-
-    /// The skeleton labeling.
-    pub fn skeleton(&self) -> &'s S {
-        self.skeleton
     }
 
     /// The active recursion mode.
@@ -178,16 +176,13 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
     /// and `u` a vertex of `Annt(x)`: index, kind, skeleton pointer, and
     /// — when `Annt(x)` has a designated recursive vertex `w` — the
     /// recursion flags `(πG(u, w), πG(w, u))`.
-    pub fn make_entry(&self, x: NodeId, u: VertexId) -> Entry {
+    pub fn make_entry<S: SpecLabeling>(&self, skeleton: &S, x: NodeId, u: VertexId) -> Entry {
         let node = self.tree.node(x);
         debug_assert_eq!(node.kind, NodeKind::N);
         let gid = node.ann.expect("N nodes carry annotations");
-        let rec = node.designated.map(|w| {
-            (
-                self.skeleton.reaches(gid, u, w),
-                self.skeleton.reaches(gid, w, u),
-            )
-        });
+        let rec = node
+            .designated
+            .map(|w| (skeleton.reaches(gid, u, w), skeleton.reaches(gid, w, u)));
         Entry {
             index: node.index,
             kind: NodeKind::N,
@@ -199,11 +194,11 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
     /// The (immutable) label of the vertex instantiating spec vertex
     /// `sv` in instance node `x`: the node's shared prefix plus one final
     /// entry (Algorithm 3's single append).
-    pub fn label_for(&self, x: NodeId, sv: VertexId) -> DrlLabel {
+    pub fn label_for<S: SpecLabeling>(&self, skeleton: &S, x: NodeId, sv: VertexId) -> DrlLabel {
         let node = self.tree.node(x);
         let mut entries = Vec::with_capacity(node.prefix.len() + 1);
         entries.extend_from_slice(&node.prefix);
-        entries.push(self.make_entry(x, sv));
+        entries.push(self.make_entry(skeleton, x, sv));
         DrlLabel::new(entries)
     }
 
@@ -216,8 +211,9 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
     /// chain); the head is a loop/fork name (L/F node with `copies`
     /// children); otherwise a plain instance, wrapped in a fresh R node
     /// when the body itself has a designated recursive vertex.
-    pub fn expand(
+    pub fn expand<S: SpecLabeling>(
         &mut self,
+        skeleton: &S,
         y: NodeId,
         u_spec: VertexId,
         head_class: NameClass,
@@ -249,7 +245,7 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
             );
             return Expansion::ChainMember(member);
         }
-        let edge_entry = self.make_entry(y, u_spec);
+        let edge_entry = self.make_entry(skeleton, y, u_spec);
         match head_class {
             NameClass::Loop | NameClass::Fork => {
                 // Case 1a. The special node remembers the body graph (in
@@ -263,7 +259,7 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
                 let special =
                     self.tree
                         .attach(y, kind, Some(body), None, edge_entry, Some((y, u_spec)));
-                let members = (0..copies).map(|_| self.replica(special)).collect();
+                let members = (0..copies).map(|_| self.add_replica(special)).collect();
                 Expansion::Replicated { special, members }
             }
             NameClass::Composite => {
@@ -304,10 +300,6 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
     /// Attach one more copy under an existing L/F node (loop iteration /
     /// fork branch discovered by the execution-based labeler).
     pub fn add_replica(&mut self, special: NodeId) -> NodeId {
-        self.replica(special)
-    }
-
-    fn replica(&mut self, special: NodeId) -> NodeId {
         let s = self.tree.node(special);
         let kind = s.kind;
         debug_assert!(matches!(kind, NodeKind::L | NodeKind::F));
@@ -328,39 +320,35 @@ impl<'s, S: SpecLabeling> LabelerCore<'s, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wf_skeleton::TclSpecLabels;
 
     #[test]
     fn linear_mode_rejects_nonlinear_grammar() {
         let spec = wf_spec::corpus::theorem1();
-        let skeleton = TclSpecLabels::build(&spec);
-        let err = LabelerCore::new(&spec, &skeleton, RecursionMode::Linear)
+        let err = LabelerCore::new(&spec, RecursionMode::Linear)
             .err()
             .expect("nonlinear grammar must be rejected");
         assert!(matches!(err, DrlError::NotLinearRecursive(_)));
         // The other modes accept it.
-        assert!(LabelerCore::new(&spec, &skeleton, RecursionMode::CompressFirst).is_ok());
-        assert!(LabelerCore::new(&spec, &skeleton, RecursionMode::NoRNodes).is_ok());
+        assert!(LabelerCore::new(&spec, RecursionMode::CompressFirst).is_ok());
+        assert!(LabelerCore::new(&spec, RecursionMode::NoRNodes).is_ok());
     }
 
     #[test]
     fn designated_vertices_follow_mode() {
         let spec = wf_spec::corpus::running_example();
-        let skeleton = TclSpecLabels::build(&spec);
         let a = spec.name_id("A").unwrap();
         let h3 = spec.implementations(a)[0];
-        let linear = LabelerCore::new(&spec, &skeleton, RecursionMode::Linear).unwrap();
+        let linear = LabelerCore::new(&spec, RecursionMode::Linear).unwrap();
         assert!(linear.designated(h3).is_some());
         assert!(linear.designated(GraphId::START).is_none());
-        let nor = LabelerCore::new(&spec, &skeleton, RecursionMode::NoRNodes).unwrap();
+        let nor = LabelerCore::new(&spec, RecursionMode::NoRNodes).unwrap();
         assert!(nor.designated(h3).is_none());
     }
 
     #[test]
     fn skl_bits_covers_the_largest_spec_graph() {
         let spec = wf_spec::corpus::bioaid();
-        let skeleton = TclSpecLabels::build(&spec);
-        let core = LabelerCore::new(&spec, &skeleton, RecursionMode::Linear).unwrap();
+        let core = LabelerCore::new(&spec, RecursionMode::Linear).unwrap();
         // Theorem-3 accounting: log nG bits per skeleton pointer.
         assert!(1usize << core.skl_bits() >= spec.max_graph_size());
         assert!(core.skl_bits() <= 8, "BioAID sub-workflows are tiny");

@@ -1,0 +1,67 @@
+//! The labeler's state is independent of how its context is held: an
+//! [`ExecutionState`] fed from an `Arc`-owned `(Specification, skeleton)`
+//! — the shape `wf-service` keeps per run, moved across a thread here to
+//! show nothing in it borrows — emits exactly the labels the borrowed
+//! [`ExecutionLabeler`] does.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use wf_drl::{encode_label, ExecutionLabeler, ExecutionState, ResolutionMode};
+use wf_run::{Execution, RunGenerator};
+use wf_skeleton::{SpecLabeling, TclSpecLabels};
+use wf_spec::Specification;
+
+#[test]
+fn arc_owned_and_borrowed_contexts_emit_identical_labels() {
+    let corpus: [(&str, Specification); 2] = [
+        ("running_example", wf_spec::corpus::running_example()),
+        ("bioaid", wf_spec::corpus::bioaid()),
+    ];
+    for (name, spec) in corpus {
+        let skeleton = TclSpecLabels::build(&spec);
+        let ctx = Arc::new((spec, skeleton));
+        let (spec, skeleton) = (&ctx.0, &ctx.1);
+        let mut rng = StdRng::seed_from_u64(2011);
+        let run = RunGenerator::new(spec)
+            .target_size(400)
+            .generate_run(&mut rng);
+        let exec = Execution::random(&run.graph, &run.origin, &mut rng);
+        for resolution in [ResolutionMode::NameBased, ResolutionMode::LogBased] {
+            let mut borrowed = match resolution {
+                ResolutionMode::NameBased => ExecutionLabeler::new(spec, skeleton),
+                ResolutionMode::LogBased => ExecutionLabeler::new_log_based(spec, skeleton),
+            }
+            .unwrap();
+            for ev in exec.events() {
+                borrowed.insert(ev).unwrap();
+            }
+
+            let owner = Arc::clone(&ctx);
+            let events = exec.events().to_vec();
+            let owned: ExecutionState = std::thread::spawn(move || {
+                let mut state = ExecutionState::new(&owner.0, resolution).unwrap();
+                for ev in &events {
+                    state.insert(&owner.0, &owner.1, ev).unwrap();
+                }
+                state
+            })
+            .join()
+            .unwrap();
+
+            assert_eq!(owned.len(), borrowed.len());
+            assert_eq!(owned.skl_bits(), borrowed.skl_bits());
+            for ev in exec.events() {
+                let (a, b) = (owned.label(ev.vertex), borrowed.label(ev.vertex));
+                assert_eq!(a, b, "{name} {resolution:?} {:?}", ev.vertex);
+                let bits = owned.skl_bits();
+                assert_eq!(
+                    encode_label(a.unwrap(), bits),
+                    encode_label(b.unwrap(), bits),
+                    "{name} {resolution:?} {:?}: encoded bits differ",
+                    ev.vertex
+                );
+            }
+        }
+    }
+}

@@ -1,0 +1,320 @@
+//! [`EngineBuilder`]: every engine knob, fixed at construction, and the
+//! `build()` that wires the subsystems together — telemetry, the spill
+//! directory's reloaded history, WAL recovery, the shared state, the
+//! ingest pool and the two background threads, in that order.
+
+use crate::engine::{EngineShared, WfEngine};
+use crate::ingest::{Ingest, IngestPool};
+use crate::lifecycle::{Ticker, TierPolicy, Tiering};
+use crate::recovery::{self, Recovered};
+use crate::spill::SpillDir;
+use crate::store::{LabelStore, SegmentLru};
+use crate::sub::{SubHub, DEFAULT_SUB_QUEUE_CAPACITY};
+use crate::telemetry::{Telemetry, TelemetryConfig};
+use crate::watchdog::{self, Health};
+use crate::SpecContext;
+use std::path::PathBuf;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use wf_skeleton::{SpecLabeling, TclSpecLabels};
+use wf_spec::Specification;
+use wf_wal::WalSync;
+
+/// Configures and builds a [`WfEngine`] — every knob is fixed at
+/// construction, which removes v1's `&mut self` post-construction
+/// configuration footgun.
+pub struct EngineBuilder<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
+    contexts: Vec<Arc<SpecContext<S>>>,
+    shards: usize,
+    ingest_workers: usize,
+    queue_capacity: usize,
+    policy: TierPolicy,
+    spill_dir: Option<PathBuf>,
+    wal_dir: Option<PathBuf>,
+    wal_sync: WalSync,
+    max_resident_bytes: Option<u64>,
+    pack_gc_dead_ratio: Option<f64>,
+    telemetry: bool,
+    slow_op_threshold: std::time::Duration,
+    trace_capacity: usize,
+    watchdog: Option<std::time::Duration>,
+    sub_queue_capacity: usize,
+}
+
+/// Default slow-op threshold: spans at or above this are promoted into
+/// the trace ring even on otherwise-untracked fast paths.
+pub const DEFAULT_SLOW_OP_THRESHOLD: std::time::Duration = std::time::Duration::from_millis(25);
+
+/// Default bounded trace-ring capacity (events retained).
+pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
+
+impl<S: SpecLabeling + Send + Sync + 'static> Default for EngineBuilder<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
+    /// A builder with default configuration and an empty catalog.
+    pub fn new() -> Self {
+        let parallelism = std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(4);
+        Self {
+            contexts: Vec::new(),
+            shards: 16,
+            ingest_workers: parallelism.clamp(1, 8),
+            queue_capacity: 1024,
+            policy: TierPolicy::default(),
+            spill_dir: None,
+            wal_dir: None,
+            wal_sync: WalSync::default(),
+            max_resident_bytes: None,
+            pack_gc_dead_ratio: None,
+            telemetry: true,
+            slow_op_threshold: DEFAULT_SLOW_OP_THRESHOLD,
+            trace_capacity: DEFAULT_TRACE_CAPACITY,
+            watchdog: None,
+            sub_queue_capacity: DEFAULT_SUB_QUEUE_CAPACITY,
+        }
+    }
+
+    /// Add a specification to the catalog, building its skeleton labels
+    /// (§5.1 preprocessing) here, once.
+    pub fn spec(self, spec: Specification) -> Self {
+        self.context(SpecContext::from_spec(spec))
+    }
+
+    /// Add a prebuilt catalog entry. Accepts `SpecContext` or
+    /// `Arc<SpecContext>` — pass the `Arc` to share one preprocessed
+    /// spec across several engines (benchmarks do this).
+    pub fn context(mut self, ctx: impl Into<Arc<SpecContext<S>>>) -> Self {
+        self.contexts.push(ctx.into());
+        self
+    }
+
+    /// Registry shard count (rounded up to a power of two). More shards
+    /// = less run-lookup contention at high run counts.
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = n;
+        self
+    }
+
+    /// Number of persistent ingest workers. Each run is pinned to one
+    /// worker (per-run order), so this bounds cross-run ingest
+    /// parallelism.
+    pub fn ingest_workers(mut self, n: usize) -> Self {
+        self.ingest_workers = n.max(1);
+        self
+    }
+
+    /// Bounded depth of each worker's event queue — the backpressure
+    /// knob: enqueues block when the target worker is this far behind.
+    pub fn queue_capacity(mut self, n: usize) -> Self {
+        self.queue_capacity = n.max(1);
+        self
+    }
+
+    /// **Recency bound of the hot tier**: keep at most `n` *completed*
+    /// runs hot; older completions are frozen (encoded arena, optional
+    /// SKL re-label) by the background tiering worker, in completion
+    /// order. `0` freezes every run as soon as it completes.
+    pub fn freeze_after(mut self, n: usize) -> Self {
+        self.policy.freeze_after = Some(n);
+        self
+    }
+
+    /// **Hard cap on hot-tier runs**: when the hot tier exceeds `n`
+    /// runs, the tiering worker freezes the oldest completed runs even
+    /// within the [`Self::freeze_after`] bound (live runs are never
+    /// frozen).
+    pub fn max_hot_runs(mut self, n: usize) -> Self {
+        self.policy.max_hot_runs = Some(n);
+        self
+    }
+
+    /// **Spill directory**: frozen runs are snapshotted here (versioned
+    /// binary segments in pack files + manifest) and their in-memory
+    /// arenas replaced by lazily-mapped persisted entries. At build time
+    /// the segments its manifest lists are registered, so historical
+    /// runs from previous engine lifetimes keep answering
+    /// [`WfEngine::query`] — with the **same catalog** (spec ids must mean the same thing
+    /// across lifetimes; segments naming unknown specs are skipped).
+    pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.spill_dir = Some(dir.into());
+        self
+    }
+
+    /// **Write-ahead log directory**: every ingest operation — run open,
+    /// event, completion — is journaled here *before* it is applied, in
+    /// one append-only shard file per ingest worker. At build time the
+    /// directory is scanned and surviving runs are replayed back into
+    /// the hot tier (crash recovery); a torn tail — the partial record
+    /// of an append that was cut mid-write — is truncated away, keeping
+    /// the valid prefix. Runs already persisted to the
+    /// [spill directory](Self::spill_dir) are not replayed (their WAL
+    /// history was checkpoint-truncated). Unset = no durability for hot
+    /// runs (pre-WAL behavior).
+    pub fn wal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.wal_dir = Some(dir.into());
+        self
+    }
+
+    /// **WAL sync policy** (default [`WalSync::GroupCommit`] with a 2ms
+    /// window): when appends reach stable storage. `Always` fsyncs every
+    /// append (strongest, slowest); `GroupCommit` batches fsyncs on a
+    /// dedicated committer thread — [`WfEngine::flush`] doubles as the
+    /// durability barrier; `Never` leaves durability to the OS page
+    /// cache. No effect without [`Self::wal_dir`].
+    pub fn wal_sync(mut self, policy: WalSync) -> Self {
+        self.wal_sync = policy;
+        self
+    }
+
+    /// **Resident-byte budget of the persisted tier**: pinned-in
+    /// segment blobs are tracked by a size/age LRU, and once their total
+    /// exceeds `n` bytes the least-recently-queried blobs are shed back
+    /// to cold (oldest freeze time breaking ties) by `madvise`. Unset =
+    /// blobs stay resident once pinned in.
+    pub fn max_resident_bytes(mut self, n: u64) -> Self {
+        self.max_resident_bytes = Some(n);
+        self
+    }
+
+    /// **Automatic re-heat threshold**: the tiering worker promotes a
+    /// persisted run back to the frozen (resident) tier once it has
+    /// answered `n` queries since it was persisted — query traffic
+    /// turns a cold run resident again. Unset = manual
+    /// [`WfEngine::reheat_run`] / [`WfEngine::reheat_run_hot`] only.
+    pub fn reheat_after(mut self, n: u64) -> Self {
+        self.policy.reheat_after = Some(n);
+        self
+    }
+
+    /// **Automatic compaction threshold**: the tiering worker merges
+    /// underfull pack files into full ones once `n` of them accumulate
+    /// (minimum 2). Unset = manual [`WfEngine::compact`]
+    /// only.
+    pub fn compact_after(mut self, n: usize) -> Self {
+        self.policy.compact_after = Some(n);
+        self
+    }
+
+    /// **Automatic pack-GC threshold**: the tiering worker rewrites any
+    /// pack whose dead-blob ratio (bytes of re-heated/evicted runs over
+    /// file size) exceeds `ratio` (clamped to `[0, 1]`). Unset = manual
+    /// [`WfEngine::gc_packs`] only, which then uses
+    /// [`crate::DEFAULT_PACK_GC_DEAD_RATIO`].
+    pub fn pack_gc_dead_ratio(mut self, ratio: f64) -> Self {
+        self.pack_gc_dead_ratio = Some(ratio.clamp(0.0, 1.0));
+        self.policy.pack_gc = true;
+        self
+    }
+
+    /// **Telemetry toggle** (default on): when off, span timing,
+    /// histograms, and trace recording are skipped — only the plain
+    /// lifetime counters behind [`WfEngine::stats`] keep running. The
+    /// tiering bench uses this to measure instrumentation overhead.
+    pub fn telemetry(mut self, enabled: bool) -> Self {
+        self.telemetry = enabled;
+        self
+    }
+
+    /// **Slow-op threshold** (default 25ms): any timed span — ingest
+    /// apply, flush barrier, first pack pin, cross-run scan — whose
+    /// duration reaches this is promoted into the trace ring, so outliers
+    /// are visible in [`WfEngine::trace_dump`] without tracing every
+    /// operation. `Duration::ZERO` traces every timed span.
+    pub fn slow_op_threshold(mut self, threshold: std::time::Duration) -> Self {
+        self.slow_op_threshold = threshold;
+        self
+    }
+
+    /// **Trace ring capacity** (default 1024): how many structured
+    /// events [`WfEngine::trace_dump`] retains; the oldest are
+    /// overwritten first.
+    pub fn trace_capacity(mut self, events: usize) -> Self {
+        self.trace_capacity = events;
+        self
+    }
+
+    /// **Stall watchdog** (default off): spawn a monitor thread that
+    /// samples every subsystem's progress watermark each `interval` —
+    /// per-worker queue depth vs applied count, WAL committer flush lag,
+    /// tiering backlog, LRU shed-thrash rate. Violations are promoted
+    /// into the trace ring as `stall` events and escalate
+    /// [`WfEngine::health`] to `Degraded` after one violating interval
+    /// and `Stalled` after two consecutive ones.
+    pub fn watchdog(mut self, interval: std::time::Duration) -> Self {
+        self.watchdog = Some(interval.max(std::time::Duration::from_millis(1)));
+        self
+    }
+
+    /// **Subscription queue bound** (default
+    /// [`DEFAULT_SUB_QUEUE_CAPACITY`]): how many deltas each standing
+    /// query buffers before overflowing drop-oldest (the consumer then
+    /// receives a [`crate::Delta::Lagged`] with the exact drop count).
+    pub fn sub_queue_capacity(mut self, n: usize) -> Self {
+        self.sub_queue_capacity = n.max(1);
+        self
+    }
+
+    /// Build the engine and start its ingest worker pool (and the
+    /// background tiering worker, when a tiering policy is configured).
+    pub fn build(self) -> WfEngine<S> {
+        let obs = Arc::new(Telemetry::new(TelemetryConfig {
+            enabled: self.telemetry,
+            slow_op_ns: u64::try_from(self.slow_op_threshold.as_nanos()).unwrap_or(u64::MAX),
+            trace_capacity: self.trace_capacity,
+        }));
+        // Reload persisted history from the spill directory's manifest:
+        // header-only reads; files map lazily at first query.
+        let lru = Arc::new(SegmentLru::new(self.max_resident_bytes, Arc::clone(&obs)));
+        let (spill, persisted) = self
+            .spill_dir
+            .map(|dir| SpillDir::open(dir, self.pack_gc_dead_ratio, &lru, self.contexts.len()))
+            .unzip();
+        let persisted = persisted.unwrap_or_default();
+        // Replay the §7.4 aggregates out of the segment headers so a
+        // reloaded engine reports the same DRL-vs-SKL deltas its
+        // predecessor measured at freeze time.
+        for p in &persisted {
+            if let Some(r) = p.skl_report() {
+                obs.record_skl(r);
+            }
+        }
+        // Crash recovery, first half: scan and rewrite the log now (the
+        // reopened writer is part of the shared state)…
+        let recovered = match &self.wal_dir {
+            Some(dir) => {
+                let (workers, specs) = (self.ingest_workers, self.contexts.len());
+                recovery::scan(dir, workers, self.wal_sync, &obs, &persisted, specs)
+            }
+            None => Recovered::default(),
+        };
+        // Fresh run ids start above everything either directory has seen.
+        let persisted_next = persisted.iter().map(|p| p.run().0 + 1).max().unwrap_or(0);
+        let catalog: Box<[Arc<SpecContext<S>>]> = self.contexts.into_boxed_slice();
+        let subs = SubHub::new(catalog.clone(), Arc::clone(&obs), self.sub_queue_capacity);
+        let shared = Arc::new(EngineShared {
+            catalog,
+            store: LabelStore::new(self.shards, persisted, lru, subs),
+            next_run: AtomicU64::new(persisted_next.max(recovered.next_run)),
+            obs,
+            ingest: Ingest::new(self.ingest_workers),
+            tiering: Tiering::new(self.policy),
+            spill,
+            wal: recovered.wal,
+            watchdog: Ticker::new(Health::Healthy),
+        });
+        // …second half: replay the surviving runs into the hot tier
+        // before the ingest pool opens.
+        recovery::replay(&shared, recovered.replay);
+        let pool = IngestPool::start(&shared, self.queue_capacity);
+        Tiering::spawn(&shared);
+        if let Some(interval) = self.watchdog {
+            watchdog::spawn(&shared, interval);
+        }
+        WfEngine { shared, pool }
+    }
+}

@@ -18,7 +18,7 @@
 //! exactly the trade the paper measures between dynamic labels that can
 //! be assigned on-the-fly and static labels that need the whole run.
 
-use crate::engine::RunSlot;
+use crate::slot::RunSlot;
 use crate::telemetry::Telemetry;
 use crate::{RunId, SpecContext, SpecId};
 use std::hint::black_box;

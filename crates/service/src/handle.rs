@@ -15,6 +15,7 @@
 //! segment in. The query API is identical across tiers.
 
 use crate::engine::EngineShared;
+use crate::ingest::{apply, Entry, Op};
 use crate::store::{RunView, Tier};
 use crate::{RunId, RunStatus, ServiceError, SpecContext};
 use std::sync::atomic::Ordering;
@@ -93,9 +94,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     pub fn reach(&self, u: VertexId, v: VertexId) -> Option<bool> {
         let obs = &self.shared.obs;
         // Sampled probe: time it and feed the latency histogram. The
-        // unsampled path (the other 2^shift - 1 of 2^shift) costs one
-        // branch and a thread-local increment; a single `view.reach`
-        // call site keeps the hot path's code layout tight.
+        // unsampled path (the other 63 of 64) costs one branch and a
+        // thread-local increment; a single `view.reach` call site keeps
+        // the hot path's code layout tight.
         let span = if obs.reach_sampled() {
             obs.timer()
         } else {
@@ -128,59 +129,23 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     /// Handles over frozen/persisted views reject writes with the run's
     /// `Completed` status.
     pub fn submit(&self, ev: &ExecEvent) -> Result<(), ServiceError> {
-        if self.shared.draining.load(Ordering::Acquire) {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let RunView::Hot(slot) = &self.view else {
-            return Err(ServiceError::RunNotLive(self.run, self.view.status()));
-        };
-        let obs = &self.shared.obs;
-        // Sampled applies open a root span (this path has no enqueue
-        // parent) so the WAL append inside traces as their child.
-        let apply = if obs.apply_sampled() {
-            obs.begin()
-        } else {
-            crate::telemetry::SpanHandle::inert()
-        };
-        let res = self.shared.logged_apply_insert(self.run, slot, ev);
-        if res.is_ok() {
-            // Fan out to standing queries inside the apply span, so
-            // sampled notifies trace as its children.
-            self.shared.store.subs.notify_insert(
-                self.run,
-                slot.spec,
-                slot.source.get().copied(),
-                ev.vertex,
-                ev.name,
-                &slot.indexed,
-            );
-        }
-        obs.finish(
-            apply,
-            &obs.h_ingest_apply,
-            "ingest_apply",
-            Some(self.run.0),
-            Some("hot"),
-            true,
-            String::new,
-        );
-        self.shared.record_insert_outcome(&res);
-        res
+        self.write(Op::Insert(ev))
     }
 
     /// Mark the run complete, synchronously (see [`Self::submit`] for
     /// ordering with the pipelined path and drain behavior).
     pub fn complete(&self) -> Result<(), ServiceError> {
-        if self.shared.draining.load(Ordering::Acquire) {
-            return Err(ServiceError::ShuttingDown);
-        }
+        self.write(Op::Complete)
+    }
+
+    /// Both synchronous writes: the same apply body the pool workers
+    /// run, on the caller's thread.
+    fn write(&self, op: Op<'_>) -> Result<(), ServiceError> {
+        self.shared.ingest.check_open()?;
         let RunView::Hot(slot) = &self.view else {
             return Err(ServiceError::RunNotLive(self.run, self.view.status()));
         };
-        let res = self.shared.logged_complete(self.run, slot);
-        self.shared
-            .record_complete_outcome(self.run, slot.spec, &res);
-        res
+        apply(&self.shared, self.run, slot, op, Entry::Handle)
     }
 
     /// The published label of `v`, if any — cloned from the hot index or

@@ -1,35 +1,350 @@
-//! The persistent, channel-fed ingest worker pool.
+//! The write path: the one apply body every write goes through, the
+//! ingest state it is accounted in, and the persistent worker pool.
 //!
-//! v1 spun up scoped threads per `submit_batch` call; v2 keeps a fixed
-//! pool of workers alive for the engine's lifetime, each owning one
-//! **bounded** FIFO queue (`std::sync::mpsc::sync_channel`, so a
-//! saturated worker applies backpressure by blocking enqueues). Every
-//! run is pinned to one worker by a hash of its id, which preserves
-//! per-run event order with no coordination at all: one queue, one
-//! consumer, FIFO.
+//! **One apply body.** The paper's write side is one step — `g_i =
+//! g_{i-1} + (v_i, C_i)` gives `v_i` its permanent label — and [`apply`]
+//! is the one place the engine performs it: journal the op, apply it to
+//! the run's [`RunSlot`], notify standing queries, record the counters
+//! and the sampled span. Its three callers differ only in the [`Entry`]
+//! they name: a pool worker, the synchronous [`crate::RunHandle`], and
+//! WAL recovery (which enters past the journal step — its records are
+//! already in the rewritten log). Each run is written from one thread at
+//! a time (pinned to one worker, or owned by one handle), so the slot's
+//! writer lock plus this ordering is the whole argument for "the log
+//! never trails memory, and no event slips in after a completion or an
+//! eviction".
 //!
-//! Two delivery modes share the same path:
+//! **[`Ingest`]** owns everything the pipeline is accounted in: the
+//! drain flag, the enqueued/processed watermarks and the flush condvar,
+//! the per-worker marks the watchdog samples, and the bounded error
+//! ring of the fire-and-forget path.
+//!
+//! **[`IngestPool`]** is the producer end: a fixed pool of workers alive
+//! for the engine's lifetime, each owning one **bounded** FIFO queue
+//! (`std::sync::mpsc::sync_channel`, so a saturated worker applies
+//! backpressure by blocking enqueues). Every run is pinned to one worker
+//! by a hash of its id, which preserves per-run event order with no
+//! coordination at all: one queue, one consumer, FIFO. Two delivery
+//! modes share the path:
 //!
 //! * **fire-and-forget** ([`crate::WfEngine::ingest`]): the envelope
 //!   carries no tracker; failures are recorded on the run and in the
-//!   engine's bounded error ring;
+//!   error ring;
 //! * **acknowledged** (the blocking `submit` / `submit_batch` wrappers):
-//!   the envelope carries an [`BatchTracker`] the caller waits on — the
+//!   the envelope carries a [`BatchTracker`] the caller waits on — the
 //!   worker records each op's outcome and wakes the caller when the
 //!   whole batch has been processed.
 //!
-//! Either way the worker advances the engine's processed watermark,
-//! which is what [`crate::WfEngine::flush`] waits on.
+//! Either way the worker advances the processed watermark, which is
+//! what [`crate::WfEngine::flush`] waits on.
 
-use crate::engine::{route_worker, EngineShared, RunSlot};
-use crate::telemetry::SpanCtx;
-use crate::{BatchOutcome, RunId, RunOp, ServiceError};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::engine::{route_worker, EngineShared, DEFAULT_MAX_VERTEX_ID};
+use crate::slot::RunSlot;
+use crate::telemetry::{SpanCtx, SpanHandle};
+use crate::{BatchOutcome, RunId, RunOp, ServiceError, SpecId};
+use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use wf_run::ExecEvent;
 use wf_skeleton::SpecLabeling;
+use wf_wal::RecordKind;
+
+/// How many recent fire-and-forget ingest errors the engine retains for
+/// [`crate::WfEngine::take_ingest_errors`].
+const INGEST_ERROR_RING: usize = 256;
+
+/// One write, by reference — what an entry point hands [`apply`].
+#[derive(Clone, Copy)]
+pub(crate) enum Op<'a> {
+    Insert(&'a ExecEvent),
+    Complete,
+}
+
+impl<'a> From<&'a RunOp> for Op<'a> {
+    fn from(op: &'a RunOp) -> Self {
+        match op {
+            RunOp::Insert(ev) => Op::Insert(ev),
+            RunOp::Complete => Op::Complete,
+        }
+    }
+}
+
+/// Which entry point is applying: decides whether the op is journaled
+/// and where a sampled apply span hangs.
+#[derive(Clone, Copy)]
+pub(crate) enum Entry {
+    /// A pool worker. The sampling decision was made on the producer
+    /// side: the context is [`SpanCtx::NONE`] for all but the 1-in-64
+    /// sampled enqueues, whose apply span parents under it.
+    Pool(SpanCtx),
+    /// [`crate::RunHandle::submit`] / `complete`, on the caller's thread:
+    /// a sampled apply opens a root span (there is no enqueue parent).
+    Handle,
+    /// WAL recovery: the record is already in the rewritten log, so the
+    /// op is applied without being journaled again.
+    Replay,
+}
+
+/// **The one apply body**: journal `op`, apply it to the run's slot,
+/// fan out to standing queries, record counters and the sampled span.
+pub(crate) fn apply<S: SpecLabeling>(
+    shared: &EngineShared<S>,
+    run: RunId,
+    slot: &RunSlot<S>,
+    op: Op<'_>,
+    entry: Entry,
+) -> Result<(), ServiceError> {
+    let obs = &shared.obs;
+    // Only inserts are timed (sampled — the apply itself is a few
+    // hundred ns). While the span is open the WAL append and the
+    // subscription notify trace as its children.
+    let span = match (op, entry) {
+        (Op::Complete, _) => SpanHandle::inert(),
+        (Op::Insert(_), Entry::Pool(parent)) => obs.begin_under(parent),
+        (Op::Insert(_), _) if obs.apply_sampled() => obs.begin(),
+        (Op::Insert(_), _) => SpanHandle::inert(),
+    };
+    let res = log_then_apply(shared, run, slot, op, entry);
+    match op {
+        Op::Insert(ev) => {
+            if res.is_ok() {
+                shared.store.subs.notify_insert(
+                    run,
+                    slot.spec,
+                    slot.source.get().copied(),
+                    ev.vertex,
+                    ev.name,
+                    &slot.indexed,
+                );
+            }
+            obs.finish(
+                span,
+                &obs.h_ingest_apply,
+                "ingest_apply",
+                Some(run.0),
+                Some("hot"),
+                true,
+                String::new,
+            );
+            record_insert_outcome(shared, &res);
+        }
+        Op::Complete => record_complete_outcome(shared, run, slot.spec, &res),
+    }
+    res
+}
+
+/// **Write-ahead order**: journal the op, then apply it. A garbage
+/// vertex id is rejected first, without a log write (the rejection is
+/// deterministic, so nothing about it needs replaying — and both the
+/// labeler and the label index size tables to the id); a failed append
+/// rejects the op without applying it, so the in-memory state never
+/// runs ahead of the log.
+fn log_then_apply<S: SpecLabeling>(
+    shared: &EngineShared<S>,
+    run: RunId,
+    slot: &RunSlot<S>,
+    op: Op<'_>,
+    entry: Entry,
+) -> Result<(), ServiceError> {
+    if let Op::Insert(ev) = op {
+        if ev.vertex.0 > DEFAULT_MAX_VERTEX_ID {
+            return Err(ServiceError::VertexOutOfBounds(run, ev.vertex));
+        }
+    }
+    if shared.wal.is_some() && !matches!(entry, Entry::Replay) {
+        let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
+        let mut payload = Vec::new();
+        let kind = match op {
+            Op::Insert(ev) => {
+                wf_drl::encode::write_event(&mut payload, ev);
+                RecordKind::Event
+            }
+            Op::Complete => RecordKind::Complete,
+        };
+        shared.journal(run, kind, seq, payload)?;
+    }
+    match op {
+        Op::Insert(ev) => slot.apply_insert(run, ev),
+        Op::Complete => slot.complete(run),
+    }
+}
+
+/// Which counters an insert's outcome bumps.
+fn record_insert_outcome<S: SpecLabeling>(
+    shared: &EngineShared<S>,
+    res: &Result<(), ServiceError>,
+) {
+    match res {
+        Ok(()) => shared.obs.events_ingested.inc(),
+        Err(ServiceError::Labeler(..)) => shared.obs.runs_failed.inc(),
+        Err(_) => {}
+    }
+}
+
+fn record_complete_outcome<S: SpecLabeling>(
+    shared: &EngineShared<S>,
+    run: RunId,
+    spec: SpecId,
+    res: &Result<(), ServiceError>,
+) {
+    if res.is_ok() {
+        shared.obs.runs_completed.inc();
+        // The status CAS fired exactly once, so this fan-out is
+        // edge-triggered: subscribers see one RunCompleted per run.
+        shared.store.subs.notify_complete(run, spec);
+        shared.tiering.note_completed(run);
+    }
+}
+
+/// A counter bumped once per event, on a cache line of its own. The
+/// producers bump `enqueued` and the workers `processed` / `applied`
+/// for every event, and both read the pointers around them for every
+/// event too: left to share lines — with each other, or with whatever
+/// the allocator places next to them — each bump invalidates the other
+/// thread's line (measured, together with the alignment of
+/// [`RunSlot`]: −8 % solo-ingest events/s without, in or out depending
+/// on nothing but field order and where `malloc` put the struct).
+#[repr(align(64))]
+pub(crate) struct EventCounter(AtomicU64);
+
+impl EventCounter {
+    fn new() -> Self {
+        Self(AtomicU64::new(0))
+    }
+}
+
+impl std::ops::Deref for EventCounter {
+    type Target = AtomicU64;
+
+    fn deref(&self) -> &AtomicU64 {
+        &self.0
+    }
+}
+
+/// Per-worker ingest progress watermarks, fed by the enqueue path and
+/// the worker loop, read by the watchdog. Two relaxed counters: the
+/// watchdog tolerates torn reads (it only compares successive samples).
+pub(crate) struct WorkerMark {
+    pub(crate) enqueued: EventCounter,
+    pub(crate) applied: EventCounter,
+}
+
+/// The ingest pipeline's shared state — what producers, workers,
+/// handles, `flush()` and the watchdog all account in.
+pub(crate) struct Ingest {
+    /// Set once by [`Self::close`]: ingest is closed in every flavor.
+    draining: AtomicBool,
+    /// Envelopes handed to the pool…
+    enqueued: EventCounter,
+    /// …and envelopes the workers finished (applied, failed or skipped).
+    processed: EventCounter,
+    flush_waiters: AtomicUsize,
+    flush_lock: Mutex<()>,
+    flush_cv: Condvar,
+    /// One slot per pool worker, indexed like the pool's senders.
+    marks: Box<[WorkerMark]>,
+    /// Recent failures from the fire-and-forget path (bounded); the
+    /// background tiering worker reports here too.
+    errors: Mutex<VecDeque<(RunId, ServiceError)>>,
+}
+
+impl Ingest {
+    pub(crate) fn new(workers: usize) -> Self {
+        Self {
+            draining: AtomicBool::new(false),
+            enqueued: EventCounter::new(),
+            processed: EventCounter::new(),
+            flush_waiters: AtomicUsize::new(0),
+            flush_lock: Mutex::new(()),
+            flush_cv: Condvar::new(),
+            marks: (0..workers.max(1))
+                .map(|_| WorkerMark {
+                    enqueued: EventCounter::new(),
+                    applied: EventCounter::new(),
+                })
+                .collect(),
+            errors: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// The per-worker marks; their count is the pool's worker count.
+    pub(crate) fn marks(&self) -> &[WorkerMark] {
+        &self.marks
+    }
+
+    /// `(enqueued, processed)` — their difference is the backlog.
+    pub(crate) fn watermarks(&self) -> (u64, u64) {
+        (
+            self.enqueued.load(Ordering::Acquire),
+            self.processed.load(Ordering::Acquire),
+        )
+    }
+
+    /// Stop accepting writes (drain or drop).
+    pub(crate) fn close(&self) {
+        self.draining.store(true, Ordering::Release);
+    }
+
+    /// [`ServiceError::ShuttingDown`] once ingest is closed.
+    pub(crate) fn check_open(&self) -> Result<(), ServiceError> {
+        if self.draining.load(Ordering::Acquire) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        Ok(())
+    }
+
+    /// Remember a failure from the fire-and-forget path so callers that
+    /// never block on acks can still observe what went wrong.
+    pub(crate) fn push_error(&self, run: RunId, err: ServiceError) {
+        let mut ring = self.errors.lock().expect("error ring poisoned");
+        if ring.len() == INGEST_ERROR_RING {
+            ring.pop_front();
+        }
+        ring.push_back((run, err));
+    }
+
+    /// Drain the error ring.
+    pub(crate) fn take_errors(&self) -> Vec<(RunId, ServiceError)> {
+        let mut ring = self.errors.lock().expect("error ring poisoned");
+        ring.drain(..).collect()
+    }
+
+    /// One envelope finished: advance the watermark and wake flushers.
+    fn note_processed(&self) {
+        self.processed.fetch_add(1, Ordering::Release);
+        if self.flush_waiters.load(Ordering::Acquire) > 0 {
+            // Take the lock before notifying so a flusher between its
+            // watermark check and its wait cannot miss the wakeup.
+            let _g = self.flush_lock.lock().expect("flush lock poisoned");
+            self.flush_cv.notify_all();
+        }
+    }
+
+    /// Block until everything enqueued before this call has been
+    /// processed; returns the processed watermark observed on exit.
+    pub(crate) fn flush(&self) -> u64 {
+        let target = self.enqueued.load(Ordering::Acquire);
+        if self.processed.load(Ordering::Acquire) >= target {
+            return self.processed.load(Ordering::Acquire);
+        }
+        self.flush_waiters.fetch_add(1, Ordering::AcqRel);
+        let mut g = self.flush_lock.lock().expect("flush lock poisoned");
+        while self.processed.load(Ordering::Acquire) < target {
+            // Timed wait as a backstop: correctness never depends on a
+            // perfectly-delivered notification.
+            let (g2, _) = self
+                .flush_cv
+                .wait_timeout(g, std::time::Duration::from_millis(25))
+                .expect("flush lock poisoned");
+            g = g2;
+        }
+        drop(g);
+        self.flush_waiters.fetch_sub(1, Ordering::AcqRel);
+        self.processed.load(Ordering::Acquire)
+    }
+}
 
 /// One routed unit of work: the op, the pre-resolved run slot (so
 /// workers never touch the registry), and an optional ack tracker.
@@ -42,6 +357,23 @@ pub(crate) struct Envelope<S: SpecLabeling + 'static> {
     /// ([`SpanCtx::NONE`] otherwise): the worker's apply span parents
     /// under it, stitching the trace across the thread boundary.
     pub(crate) span: SpanCtx,
+}
+
+impl<S: SpecLabeling> Envelope<S> {
+    pub(crate) fn new(
+        run: RunId,
+        slot: Arc<RunSlot<S>>,
+        op: RunOp,
+        tracker: Option<Arc<BatchTracker>>,
+    ) -> Self {
+        Self {
+            run,
+            slot,
+            op,
+            tracker,
+            span: SpanCtx::NONE,
+        }
+    }
 }
 
 /// Completion tracking for a blocking submission: counts outstanding
@@ -107,13 +439,10 @@ impl BatchTracker {
         self.finish_one();
     }
 
-    /// An envelope that never reached a worker (enqueue failed): shrink
-    /// the expected count so `wait` still terminates.
-    pub(crate) fn cancel_one(&self) {
-        self.finish_one();
-    }
-
-    fn finish_one(&self) {
+    /// One expected envelope is accounted for — processed by a worker,
+    /// or never enqueued (the caller shrinks the count so `wait` still
+    /// terminates). The last one wakes the waiter.
+    pub(crate) fn finish_one(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let mut done = self.done.lock().expect("tracker lock poisoned");
             *done = true;
@@ -146,19 +475,15 @@ pub(crate) struct IngestPool<S: SpecLabeling + Send + Sync + 'static> {
 }
 
 impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
-    /// Spawn `workers` persistent threads, each consuming a bounded
-    /// queue of `queue_capacity` envelopes.
-    pub(crate) fn start(
-        shared: Arc<EngineShared<S>>,
-        workers: usize,
-        queue_capacity: usize,
-    ) -> Self {
-        let workers = workers.max(1);
+    /// Spawn one persistent thread per [`Ingest`] worker mark, each
+    /// consuming a bounded queue of `queue_capacity` envelopes.
+    pub(crate) fn start(shared: &Arc<EngineShared<S>>, queue_capacity: usize) -> Self {
+        let workers = shared.ingest.marks.len();
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Envelope<S>>(queue_capacity);
-            let shared = Arc::clone(&shared);
+            let shared = Arc::clone(shared);
             let handle = std::thread::Builder::new()
                 .name(format!("wf-ingest-{i}"))
                 .spawn(move || worker_loop(&shared, &rx, i))
@@ -172,12 +497,54 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
         }
     }
 
-    /// Route an envelope to its run's worker, blocking if the worker's
-    /// queue is full (backpressure). Fails with
+    /// **Enqueue** one envelope on its run's worker, blocking if the
+    /// worker's queue is full (backpressure). Fails with
     /// [`ServiceError::ShuttingDown`] once the pool is closed.
-    pub(crate) fn send(&self, env: Envelope<S>) -> Result<(), ServiceError> {
+    pub(crate) fn enqueue(
+        &self,
+        shared: &EngineShared<S>,
+        mut env: Envelope<S>,
+    ) -> Result<(), ServiceError> {
+        let (obs, ingest) = (&shared.obs, &shared.ingest);
+        // Sampling decision happens here, on the producer side: a
+        // sampled ingest opens the trace's root span, and its context
+        // rides the envelope so the worker's apply span (and the WAL
+        // append under it) parent correctly across the thread hop.
+        let root = if obs.apply_sampled() {
+            obs.begin()
+        } else {
+            SpanHandle::inert()
+        };
+        env.span = root.ctx;
+        let run = env.run;
+        let worker = route_worker(run, ingest.marks.len());
+        ingest.enqueued.fetch_add(1, Ordering::AcqRel);
+        let res = self.send(worker, env);
+        match res {
+            Ok(()) => {
+                ingest.marks[worker]
+                    .enqueued
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                ingest.enqueued.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
+        obs.finish(
+            root,
+            &obs.h_ingest_enqueue,
+            "ingest",
+            Some(run.0),
+            None,
+            true,
+            String::new,
+        );
+        res
+    }
+
+    fn send(&self, worker: usize, env: Envelope<S>) -> Result<(), ServiceError> {
         let senders = self.senders.as_ref().ok_or(ServiceError::ShuttingDown)?;
-        let tx = &senders[route_worker(env.run, senders.len())];
+        let tx = &senders[worker];
         // Fast path first: `try_send` avoids the blocking machinery when
         // the queue has room (the common case).
         match tx.try_send(env) {
@@ -204,8 +571,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> Drop for IngestPool<S> {
 }
 
 /// Worker body: consume envelopes until the channel closes. A panic
-/// while applying one envelope (e.g. a lock poisoned by an earlier
-/// panic) must neither kill the worker nor strand callers — the
+/// while applying one envelope must neither kill the worker nor strand
+/// callers — the
 /// [`Settle`] guard inside `process` still advances the watermark and
 /// completes any tracker, and the loop moves on to the next envelope.
 fn worker_loop<S: SpecLabeling + Send + Sync>(
@@ -220,45 +587,47 @@ fn worker_loop<S: SpecLabeling + Send + Sync>(
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(shared, env)));
         // Progress watermark for the stall watchdog: one relaxed add per
         // envelope, panic or not (the Settle guard already ran).
-        shared.worker_marks[index]
+        shared.ingest.marks[index]
             .applied
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Settles one envelope's accounting exactly once — on the normal path
-/// *and* if applying the op panics. Dropping the guard advances the
-/// processed watermark **before** delivering the outcome, so a caller
-/// woken by its own blocking submit observes its event as processed
-/// (zero backlog), and neither `flush()` nor a `BatchTracker::wait` can
-/// hang on an envelope that died mid-apply.
+/// *and* if applying the op panics — so neither `flush()` nor a
+/// `BatchTracker::wait` can hang on an envelope that died mid-apply.
+/// The processed watermark advances **before** an acknowledged outcome
+/// is delivered (a caller woken by its own blocking submit observes its
+/// event as processed: zero backlog) and **after** a fire-and-forget
+/// failure reaches the error ring (a `flush()` that covers the event
+/// returns with its error already in the ring).
 struct Settle<'a, S: SpecLabeling + 'static> {
     shared: &'a EngineShared<S>,
     tracker: Option<Arc<BatchTracker>>,
     run: RunId,
-    /// `None` at drop time means the op never produced a result: either
-    /// an intentional dead-run skip (`skipped`) or a panic.
+    /// `Ok(applied an insert?)`; `None` at drop time means the op never
+    /// produced a result — it panicked.
     outcome: Option<Result<bool, ServiceError>>,
-    skipped: bool,
 }
 
 impl<S: SpecLabeling> Drop for Settle<'_, S> {
     fn drop(&mut self) {
-        self.shared.note_processed();
-        let outcome = match self.outcome.take() {
-            Some(res) => res,
-            None if self.skipped => {
-                if let Some(tracker) = &self.tracker {
-                    tracker.cancel_one();
-                }
-                return;
+        let ingest = &self.shared.ingest;
+        let outcome = self
+            .outcome
+            .take()
+            .unwrap_or(Err(ServiceError::WorkerPanicked(self.run)));
+        match &self.tracker {
+            Some(tracker) => {
+                ingest.note_processed();
+                tracker.record(self.run, outcome);
             }
-            None => Err(ServiceError::WorkerPanicked(self.run)),
-        };
-        match (&self.tracker, outcome) {
-            (Some(tracker), res) => tracker.record(self.run, res),
-            (None, Err(e)) => self.shared.push_ingest_error(self.run, e),
-            (None, Ok(_)) => {}
+            None => {
+                if let Err(e) = outcome {
+                    ingest.push_error(self.run, e);
+                }
+                ingest.note_processed();
+            }
         }
     }
 }
@@ -277,54 +646,14 @@ fn process<S: SpecLabeling + Send + Sync>(shared: &EngineShared<S>, env: Envelop
         tracker,
         run,
         outcome: None,
-        skipped: false,
     };
-    if let Some(tracker) = &settle.tracker {
-        if tracker.is_dead(run) {
-            // A previous op of this batch killed the run: skip, but
-            // still account for the envelope so the waiter wakes.
-            settle.skipped = true;
-            return;
-        }
-    }
-    settle.outcome = Some(match &op {
-        RunOp::Insert(ev) => {
-            let obs = &shared.obs;
-            // The sampling decision was made on the producer side: the
-            // envelope carries a context only for the 1-in-64 sampled
-            // ingests, and `begin_under` is inert for the rest. While
-            // the apply span is open, the WAL append inside
-            // `logged_apply_insert` traces as its child.
-            let apply = obs.begin_under(enqueue_span);
-            let res = shared.logged_apply_insert(run, &slot, ev);
-            if res.is_ok() {
-                // Fan out to standing queries while the apply span is
-                // open, so sampled notifies trace as its children.
-                shared.store.subs.notify_insert(
-                    run,
-                    slot.spec,
-                    slot.source.get().copied(),
-                    ev.vertex,
-                    ev.name,
-                    &slot.indexed,
-                );
-            }
-            obs.finish(
-                apply,
-                &obs.h_ingest_apply,
-                "ingest_apply",
-                Some(run.0),
-                Some("hot"),
-                true,
-                String::new,
-            );
-            shared.record_insert_outcome(&res);
-            res.map(|()| true)
-        }
-        RunOp::Complete => {
-            let res = shared.logged_complete(run, &slot);
-            shared.record_complete_outcome(run, slot.spec, &res);
-            res.map(|()| false)
-        }
+    // A previous op of this batch killed the run: skip this one (nothing
+    // applied), but still account for the envelope so the waiter wakes.
+    let dead = settle.tracker.as_ref().is_some_and(|t| t.is_dead(run));
+    settle.outcome = Some(if dead {
+        Ok(false)
+    } else {
+        apply(shared, run, &slot, Op::from(&op), Entry::Pool(enqueue_span))
+            .map(|()| matches!(op, RunOp::Insert(_)))
     });
 }

@@ -84,7 +84,12 @@
 //! assert!(engine.stats().events_ingested > 0);
 //! ```
 
+#![deny(unsafe_code)]
+
+// The mmap FFI: the crate's one exemption from the lint above.
+#[allow(unsafe_code)]
 pub mod bufmgr;
+mod builder;
 mod engine;
 mod freeze;
 mod handle;
@@ -92,17 +97,18 @@ pub mod index;
 mod ingest;
 mod lifecycle;
 mod query;
+mod recovery;
+mod slot;
 pub mod snapshot;
 mod spill;
 mod stats;
 mod store;
 mod sub;
 mod telemetry;
+mod watchdog;
 
-pub use engine::{
-    EngineBuilder, EngineMetrics, Health, StallCause, WfEngine, DEFAULT_MAX_VERTEX_ID,
-    DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TRACE_CAPACITY,
-};
+pub use builder::{EngineBuilder, DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TRACE_CAPACITY};
+pub use engine::{EngineMetrics, WfEngine, DEFAULT_MAX_VERTEX_ID};
 pub use freeze::{FrozenRun, SklReport};
 pub use handle::RunHandle;
 pub use index::PublishedLabel;
@@ -113,6 +119,7 @@ pub use stats::{EngineStats, ServiceStats};
 pub use store::Tier;
 pub use sub::{Delta, SubPredicate, Subscription, Witness, DEFAULT_SUB_QUEUE_CAPACITY};
 pub use telemetry::QueryProfile;
+pub use watchdog::{Health, StallCause};
 pub use wf_obs::{HistogramSnapshot, TraceEvent};
 pub use wf_wal as wal;
 pub use wf_wal::{WalError, WalSync};
@@ -243,7 +250,7 @@ pub enum ServiceError {
     /// The run no longer accepts events.
     RunNotLive(RunId, RunStatus),
     /// The event's vertex id exceeds the engine's per-run bound
-    /// ([`WfEngine::max_vertex_id`]). Vertex ids size internal tables,
+    /// ([`DEFAULT_MAX_VERTEX_ID`]). Vertex ids size internal tables,
     /// so an absurd id from a buggy engine must not allocate
     /// proportionally before validation.
     VertexOutOfBounds(RunId, VertexId),
@@ -252,10 +259,11 @@ pub enum ServiceError {
     /// The ingest pool has been drained ([`WfEngine::drain`]); no new
     /// events are accepted. Queries keep working.
     ShuttingDown,
-    /// The worker applying this event panicked (e.g. over a lock
-    /// poisoned by an earlier panic). The op did not complete and the
-    /// run's writer state may be unusable; published labels remain
-    /// queryable.
+    /// A writer panicked applying an event of this run: either this op's
+    /// own worker, or an earlier one that left the run's writer lock
+    /// poisoned. The op did not complete, the run is `Failed` (its
+    /// labeler state cannot be trusted), and it can still be evicted;
+    /// published labels remain queryable.
     WorkerPanicked(RunId),
     /// Only completed runs can be frozen: freezing discards the dynamic
     /// labeler state, which a live run still needs for the next event.

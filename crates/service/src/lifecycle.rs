@@ -5,7 +5,7 @@
 //! A run's labels never change once published; what changes is their
 //! representation. Each operation builds the next representation off to
 //! the side — no registry lock held — and then asks the store to swap it
-//! in with one conditional [`LabelStore::transition`]:
+//! in with one conditional [`crate::store::LabelStore::transition`]:
 //!
 //! | operation                     | from → to             |
 //! |-------------------------------|-----------------------|
@@ -18,11 +18,12 @@
 //! A mover that loses its race — the run was evicted, or someone else
 //! moved it first — reports through the one [`EngineShared::lost_race`]
 //! epilogue. [`Tiering`] owns everything the background worker needs:
-//! the policy, the completion queue with the thread's stop flag, its
-//! wakeup and its join handle.
+//! the policy and a [`Ticker`] — the completion queue with the thread's
+//! stop flag, its wakeup and its join handle.
 
-use crate::engine::{EngineShared, RunSlot};
+use crate::engine::EngineShared;
 use crate::freeze::freeze_slot;
+use crate::slot::RunSlot;
 use crate::store::{RunView, Tier};
 use crate::telemetry::tier_tag;
 use crate::{RunId, RunStatus, ServiceError};
@@ -53,36 +54,98 @@ pub(crate) struct TierPolicy {
     pub(crate) pack_gc: bool,
 }
 
-/// The tiering worker's state: the policy it enforces, the completion
-/// queue that feeds it, and its thread.
-pub(crate) struct Tiering {
-    policy: TierPolicy,
-    queue: Mutex<TieringQueue>,
-    /// Signalled after every queued completion and on stop.
+/// The controls of one background thread that wakes on a period or a
+/// nudge until told to stop: the state it shares with the rest of the
+/// engine and its stop flag behind one mutex, the condvar that wakes
+/// it, and its join handle. The tiering worker and the stall watchdog
+/// are both one of these.
+pub(crate) struct Ticker<T> {
+    state: Mutex<Ticked<T>>,
     cv: Condvar,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
-#[derive(Default)]
-struct TieringQueue {
-    /// Completed runs in completion order — the freeze queue (stale
-    /// entries are skipped when popped).
-    completed: VecDeque<RunId>,
+/// What a [`Ticker`]'s mutex guards.
+pub(crate) struct Ticked<T> {
+    /// The state the thread shares with the rest of the engine.
+    pub(crate) shared: T,
     stop: bool,
+}
+
+impl<T> Ticker<T> {
+    pub(crate) fn new(shared: T) -> Self {
+        Self {
+            state: Mutex::new(Ticked {
+                shared,
+                stop: false,
+            }),
+            cv: Condvar::new(),
+            worker: Mutex::new(None),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Ticked<T>> {
+        self.state.lock().expect("ticker state poisoned")
+    }
+
+    /// Cut the thread's current sleep short.
+    pub(crate) fn wake(&self) {
+        self.cv.notify_all();
+    }
+
+    /// Start the thread (named `name`) and keep its join handle.
+    pub(crate) fn spawn(&self, name: &str, body: impl FnOnce() + Send + 'static) {
+        let worker = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(body)
+            .expect("spawn background worker");
+        *self.worker.lock().expect("ticker worker poisoned") = Some(worker);
+    }
+
+    /// Called by the thread between passes: sleep up to `period` (a
+    /// [`Self::wake`] cuts it short); `false` once [`Self::stop`] was
+    /// called. The flag is checked under the lock the wait releases, so
+    /// a stop can never fall between the check and the wait; the timeout
+    /// is a backstop — correctness never depends on a perfectly
+    /// delivered notification.
+    pub(crate) fn sleep(&self, period: std::time::Duration) -> bool {
+        let guard = self.lock();
+        if guard.stop {
+            return false;
+        }
+        let (guard, _) = self
+            .cv
+            .wait_timeout(guard, period)
+            .expect("ticker state poisoned");
+        !guard.stop
+    }
+
+    /// Stop and join the thread (idempotent).
+    pub(crate) fn stop(&self) {
+        self.lock().stop = true;
+        self.wake();
+        let worker = self.worker.lock().expect("ticker worker poisoned").take();
+        if let Some(worker) = worker {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// The tiering worker's state: the policy it enforces, the completion
+/// queue that feeds it, and its thread.
+pub(crate) struct Tiering {
+    policy: TierPolicy,
+    /// Completed runs in completion order — the freeze queue (stale
+    /// entries are skipped when popped). A completion wakes the worker.
+    ticker: Ticker<VecDeque<RunId>>,
 }
 
 impl Tiering {
     pub(crate) fn new(policy: TierPolicy) -> Self {
         Self {
             policy,
-            queue: Mutex::default(),
-            cv: Condvar::new(),
-            worker: Mutex::new(None),
+            ticker: Ticker::new(VecDeque::new()),
         }
-    }
-
-    fn queue(&self) -> MutexGuard<'_, TieringQueue> {
-        self.queue.lock().expect("tiering queue poisoned")
     }
 
     /// True when any automatic policy is configured (and so a worker
@@ -100,64 +163,38 @@ impl Tiering {
     /// policy nothing ever drains the queue, so don't grow it.
     pub(crate) fn note_completed(&self, run: RunId) {
         if self.is_active() {
-            self.queue().completed.push_back(run);
-            self.cv.notify_all();
+            self.ticker.lock().shared.push_back(run);
+            self.ticker.wake();
         }
     }
 
     /// Completions not yet looked at by the worker (the watchdog's
     /// tiering-backlog sample).
     pub(crate) fn backlog(&self) -> usize {
-        self.queue().completed.len()
+        self.ticker.lock().shared.len()
     }
 
-    /// Start the background worker when a policy is configured.
+    /// Start the background worker when a policy is configured: apply
+    /// the policy whenever a completion (or the periodic tick) wakes it,
+    /// until shutdown.
     pub(crate) fn spawn<S: SpecLabeling + Send + Sync + 'static>(shared: &Arc<EngineShared<S>>) {
         if !shared.tiering.is_active() {
             return;
         }
-        let worker = {
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name("wf-tiering".into())
-                .spawn(move || tiering_loop(&shared))
-                .expect("spawn tiering worker")
-        };
-        *shared
-            .tiering
-            .worker
-            .lock()
-            .expect("tiering worker poisoned") = Some(worker);
+        let worker = Arc::clone(shared);
+        shared.tiering.ticker.spawn("wf-tiering", move || loop {
+            worker.apply_tier_policy();
+            worker.apply_segment_policy();
+            let tick = std::time::Duration::from_millis(20);
+            if !worker.tiering.ticker.sleep(tick) {
+                return;
+            }
+        });
     }
 
     /// Stop and join the worker (idempotent).
     pub(crate) fn stop(&self) {
-        self.queue().stop = true;
-        self.cv.notify_all();
-        let worker = self.worker.lock().expect("tiering worker poisoned").take();
-        if let Some(worker) = worker {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Body of the background tiering worker: apply the policy whenever a
-/// completion (or the periodic tick) wakes it, until shutdown.
-fn tiering_loop<S: SpecLabeling + Send + Sync + 'static>(shared: &EngineShared<S>) {
-    let tiering = &shared.tiering;
-    loop {
-        shared.apply_tier_policy();
-        shared.apply_segment_policy();
-        let queue = tiering.queue();
-        if queue.stop {
-            return;
-        }
-        // Timed wait as a backstop, like the flush condvar: correctness
-        // never depends on a perfectly-delivered notification.
-        let _ = tiering
-            .cv
-            .wait_timeout(queue, std::time::Duration::from_millis(20))
-            .expect("tiering queue poisoned");
+        self.ticker.stop();
     }
 }
 
@@ -249,7 +286,8 @@ impl<S: SpecLabeling> EngineShared<S> {
     pub(crate) fn checkpoint_wal(&self, run: RunId) {
         if let Some(wal) = &self.wal {
             if let Err(e) = wal.checkpoint(self.wal_shard(run), run.0) {
-                self.push_ingest_error(run, ServiceError::Wal(e.to_string()));
+                self.ingest
+                    .push_error(run, ServiceError::Wal(e.to_string()));
             }
         }
     }
@@ -274,9 +312,9 @@ impl<S: SpecLabeling> EngineShared<S> {
             Tier::Frozen => RunView::Frozen(pin.to_frozen().ok_or_else(unreadable)?),
             Tier::Hot => {
                 let slot = RunSlot::completed(
+                    Arc::clone(&self.catalog[persisted.spec.0]),
                     persisted.spec,
                     pin.skl_bits(),
-                    self.max_vertex_id,
                     persisted.source,
                     persisted.published as u64,
                 );
@@ -329,13 +367,13 @@ impl<S: SpecLabeling> EngineShared<S> {
             });
             for run in to_reheat {
                 if let Err(e) = self.reheat(run, Tier::Frozen) {
-                    self.push_ingest_error(run, e);
+                    self.ingest.push_error(run, e);
                 }
             }
         }
         if let Some(spill) = &self.spill {
             for e in spill.apply_policy(&self.store, policy.compact_after, policy.pack_gc) {
-                self.push_ingest_error(RunId(u64::MAX), e);
+                self.ingest.push_error(RunId(u64::MAX), e);
             }
         }
     }
@@ -372,8 +410,8 @@ impl<S: SpecLabeling> EngineShared<S> {
             // Oldest completed run that is still hot (stale queue
             // entries — evicted or manually frozen runs — are skipped).
             let run = {
-                let mut queue = self.tiering.queue();
-                std::iter::from_fn(|| queue.completed.pop_front())
+                let mut queue = self.tiering.ticker.lock();
+                std::iter::from_fn(|| queue.shared.pop_front())
                     .find(|r| matches!(self.store.view(*r), Some(RunView::Hot(_))))
             };
             let Some(run) = run else { return };
@@ -385,7 +423,7 @@ impl<S: SpecLabeling> EngineShared<S> {
             if let Err(e) = res {
                 // Surface tiering failures the same way fire-and-forget
                 // ingest failures surface: through the bounded ring.
-                self.push_ingest_error(run, e);
+                self.ingest.push_error(run, e);
             }
         }
     }

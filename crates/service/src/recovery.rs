@@ -1,0 +1,220 @@
+//! **Crash recovery** from the write-ahead log, in the two steps
+//! `EngineBuilder::build` needs them: [`scan`] before the engine's
+//! shared state exists, [`replay`] right after.
+//!
+//! This module owns the path from a WAL directory to a rebuilt hot
+//! tier: the scan ([`wf_wal::recover`], torn tails truncated to their
+//! valid prefix), the survivor filter (which runs are replayable), the
+//! log rewrite ([`WalWriter::reset`] — the reopened log holds exactly
+//! what the rebuilt engine holds hot, re-homed if the worker count
+//! changed), the replay itself, and the `RunOpen` payload codec both
+//! sides of a lifetime boundary must agree on. Replay applies events
+//! through [`crate::ingest::apply`] like every other write, entering
+//! past the journal step: the records are already in the rewritten log.
+//!
+//! Failures degrade — the engine comes up without a WAL rather than not
+//! at all — and are traced.
+
+use crate::engine::{route_worker, EngineShared};
+use crate::ingest::{apply, Entry, Op};
+use crate::slot::RunSlot;
+use crate::snapshot::PersistedRun;
+use crate::store::RunView;
+use crate::telemetry::{Telemetry, WalTelemetry};
+use crate::{RunId, RunStatus, SpecId};
+use std::collections::HashSet;
+use std::path::Path;
+use std::sync::Arc;
+use wf_drl::ResolutionMode;
+use wf_run::ExecEvent;
+use wf_skeleton::SpecLabeling;
+use wf_wal::{Record, RecordKind, WalSync, WalWriter};
+
+/// `RunOpen` payload: the spec id (u32 LE) plus the resolution mode tag —
+/// everything recovery needs to rebuild the slot.
+pub(crate) fn run_open_payload(spec: SpecId, resolution: ResolutionMode) -> Vec<u8> {
+    let mut p = Vec::with_capacity(5);
+    p.extend_from_slice(&(spec.0 as u32).to_le_bytes());
+    p.push(match resolution {
+        ResolutionMode::NameBased => 0,
+        ResolutionMode::LogBased => 1,
+    });
+    p
+}
+
+/// Inverse of [`run_open_payload`]; `None` on malformed or unknown bytes
+/// (the run is then skipped at recovery rather than misinterpreted).
+fn parse_run_open(payload: &[u8]) -> Option<(SpecId, ResolutionMode)> {
+    let (spec, tag) = payload.split_first_chunk::<4>()?;
+    let resolution = match tag {
+        [0] => ResolutionMode::NameBased,
+        [1] => ResolutionMode::LogBased,
+        _ => return None,
+    };
+    Some((SpecId(u32::from_le_bytes(*spec) as usize), resolution))
+}
+
+/// One run the WAL scan deemed replayable: decoded and validated before
+/// the engine's shared state exists, applied right after it does.
+pub(crate) struct ReplayRun {
+    run: RunId,
+    spec: SpecId,
+    resolution: ResolutionMode,
+    events: Vec<ExecEvent>,
+    completed: bool,
+    /// Highest WAL seq the run had; its slot resumes numbering above it.
+    max_seq: u64,
+}
+
+/// What [`scan`] found.
+#[derive(Default)]
+pub(crate) struct Recovered {
+    /// The reopened log; `None` when the scan or the rewrite failed (the
+    /// engine then runs non-durable, and nothing is replayed).
+    pub(crate) wal: Option<WalWriter>,
+    /// The runs to [`replay`].
+    pub(crate) replay: Vec<ReplayRun>,
+    /// One past the highest run id the log has seen — never reused, even
+    /// for runs the scan skipped.
+    pub(crate) next_run: u64,
+}
+
+/// Decode one scanned run into a [`ReplayRun`], or say why not. A
+/// replayable run starts with a parseable `RunOpen` naming a spec this
+/// catalog has; anything else is an orphaned tail (e.g. its `RunOpen`
+/// sat in a torn region) and is dropped, not guessed at.
+fn decode_run(r: &wf_wal::RecoveredRun, catalog_len: usize) -> Result<ReplayRun, Option<&str>> {
+    let (first, rest) = r.records.split_first().ok_or(None)?;
+    if first.kind != RecordKind::RunOpen || first.seq != 0 {
+        return Err(None);
+    }
+    let (spec, resolution) = parse_run_open(&first.payload).ok_or(None)?;
+    if spec.0 >= catalog_len {
+        return Err(None);
+    }
+    let mut events = Vec::new();
+    let mut completed = false;
+    for rr in rest {
+        match rr.kind {
+            RecordKind::Event => events.push(
+                wf_drl::encode::read_event(&rr.payload).ok_or(Some("undecodable event payload"))?,
+            ),
+            RecordKind::Complete => completed = true,
+            RecordKind::RunOpen | RecordKind::Checkpoint => {}
+        }
+    }
+    Ok(ReplayRun {
+        run: RunId(r.run),
+        spec,
+        resolution,
+        events,
+        completed,
+        max_seq: r.max_seq,
+    })
+}
+
+/// Scan the WAL directory: decode surviving runs for replay, then
+/// rewrite the log so it holds exactly those runs (checkpointed history
+/// dropped, records re-homed onto `workers` shards).
+pub(crate) fn scan(
+    dir: &Path,
+    workers: usize,
+    sync: WalSync,
+    obs: &Arc<Telemetry>,
+    persisted: &[Arc<PersistedRun>],
+    catalog_len: usize,
+) -> Recovered {
+    let rec = match wf_wal::recover(dir) {
+        Ok(rec) => rec,
+        Err(e) => {
+            obs.event("wal_recover_failed", None, None, || e.to_string());
+            return Recovered::default();
+        }
+    };
+    for t in &rec.torn {
+        obs.event("wal_torn_tail", None, None, || {
+            format!("file={} valid_bytes={} {}", t.file, t.valid_bytes, t.detail)
+        });
+    }
+    let mut out = Recovered {
+        next_run: rec.runs.iter().map(|r| r.run + 1).max().unwrap_or(0),
+        ..Recovered::default()
+    };
+    let persisted: HashSet<u64> = persisted.iter().map(|p| p.run().0).collect();
+    let mut survivors: Vec<Record> = Vec::new();
+    for r in &rec.runs {
+        // Checkpointed runs are durable in their segment; runs in the
+        // manifest likewise (belt and braces — a crash between segment
+        // write and checkpoint stamp leaves the manifest authoritative).
+        if r.checkpointed || persisted.contains(&r.run) {
+            continue;
+        }
+        match decode_run(r, catalog_len) {
+            Ok(run) => {
+                survivors.extend(r.records.iter().cloned());
+                out.replay.push(run);
+            }
+            Err(Some(why)) => obs.event("wal_skip_run", Some(r.run), None, || why.into()),
+            Err(None) => {}
+        }
+    }
+    match WalWriter::reset(
+        dir,
+        workers,
+        sync,
+        Box::new(WalTelemetry(Arc::clone(obs))),
+        &survivors,
+        |run| route_worker(RunId(run), workers),
+    ) {
+        Ok(wal) => out.wal = Some(wal),
+        Err(e) => {
+            obs.event("wal_reset_failed", None, None, || e.to_string());
+            out.replay.clear();
+        }
+    }
+    obs.event("wal_recover", None, None, || {
+        format!(
+            "files={} bytes={} records={} runs_replayed={} torn={}",
+            rec.files,
+            rec.bytes,
+            rec.records,
+            out.replay.len(),
+            rec.torn.len()
+        )
+    });
+    out
+}
+
+/// Replay the scanned runs into the hot tier, before the ingest pool
+/// opens.
+pub(crate) fn replay<S: SpecLabeling>(shared: &EngineShared<S>, runs: Vec<ReplayRun>) {
+    let obs = &shared.obs;
+    for r in runs {
+        let ctx = Arc::clone(&shared.catalog[r.spec.0]);
+        let slot = match RunSlot::open(ctx, r.spec, r.resolution, r.max_seq + 1) {
+            Ok(slot) => Arc::new(slot),
+            Err(e) => {
+                obs.event("wal_skip_run", Some(r.run.0), None, || e.to_string());
+                continue;
+            }
+        };
+        for ev in &r.events {
+            if let Err(e) = apply(shared, r.run, &slot, Op::Insert(ev), Entry::Replay) {
+                // The log held an event this lifetime cannot apply (the
+                // one the run failed on, before the crash): keep what
+                // did apply, mark the run failed, and say why.
+                obs.event("wal_replay_error", Some(r.run.0), None, || e.to_string());
+                slot.fail();
+                break;
+            }
+        }
+        if r.completed && slot.status() == RunStatus::Live {
+            let _ = apply(shared, r.run, &slot, Op::Complete, Entry::Replay);
+        }
+        shared.store.insert(r.run, RunView::Hot(slot));
+        obs.runs_opened.inc();
+        obs.wal_recovered_runs.inc();
+        obs.wal_recovered_records
+            .add(1 + r.events.len() as u64 + u64::from(r.completed));
+    }
+}

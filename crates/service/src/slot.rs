@@ -1,0 +1,253 @@
+//! The hot-tier state of one run: its labeler behind the writer lock,
+//! and the lock-free published-label index the query path reads.
+//!
+//! Every lifecycle transition of a hot run — an insert, completion,
+//! failure, eviction — happens under the slot's writer lock, so the
+//! `Live` check of an insert cannot race a completion or an eviction:
+//! once a run reports `Completed` or `Evicted`, no event slips in after
+//! it. The labeler is plain owned state ([`ExecutionState`]) next to the
+//! `Arc<SpecContext>` it is fed from on every call.
+
+use crate::index::LabelIndex;
+use crate::{RunId, RunStatus, ServiceError, SpecContext, SpecId};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use wf_drl::{ExecError, ExecutionState, ResolutionMode};
+use wf_graph::VertexId;
+use wf_run::{Derivation, ExecEvent};
+use wf_skeleton::SpecLabeling;
+
+/// Per-run state: the single-writer labeler behind a mutex, and the
+/// lock-free published-label index the query path reads.
+///
+/// Cache-line aligned, which puts the slot's data a full line past the
+/// `Arc` header it lives behind. Every pooled event clones that `Arc`
+/// on the producer thread and drops it on the worker, so the reference
+/// counts must not share a line with the writer lock and the labeler
+/// state the worker is busy in; which fields land next to the header is
+/// otherwise the compiler's choice (measured, together with
+/// [`crate::ingest::EventCounter`]: −8 % solo-ingest events/s without).
+#[repr(align(64))]
+pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
+    pub(crate) spec: SpecId,
+    pub(crate) skl_bits: usize,
+    /// The context the labeler reads on every insert.
+    ctx: Arc<SpecContext<S>>,
+    /// The run's labeler, for as long as the run can still be written:
+    /// completion drops it, and a run re-heated to the hot tier never
+    /// has one.
+    writer: Mutex<Option<ExecutionState>>,
+    pub(crate) indexed: LabelIndex,
+    /// The run's source vertex (its first inserted event — the labeler
+    /// guarantees that is the start graph's source). Write-once, read by
+    /// the cross-run query surface.
+    pub(crate) source: OnceLock<VertexId>,
+    status: AtomicU8,
+    pub(crate) events: AtomicU64,
+    /// Queries answered against this run. Per-slot (each slot is its own
+    /// allocation) so the query hot path never contends on a single
+    /// engine-wide cache line with ingest writers; `stats()` sums it.
+    pub(crate) queries: AtomicU64,
+    /// The run's derivation, when the caller recorded it
+    /// ([`crate::WfEngine::provide_derivation`]) — what unlocks the SKL
+    /// re-label at freeze time.
+    pub(crate) derivation: Mutex<Option<Derivation>>,
+    /// Next WAL sequence number for this run (0 is the `RunOpen`
+    /// record). Monotone per run; recovery replays in this order, so
+    /// the numbers align with the flush watermark: everything appended
+    /// before a barrier is durably replayable after it.
+    pub(crate) wal_seq: AtomicU64,
+}
+
+impl<S: SpecLabeling> RunSlot<S> {
+    /// The slot of a run that can be written: `Live`, with a fresh
+    /// labeler. `next_wal_seq` is 1 for newly opened runs (the `RunOpen`
+    /// record takes seq 0) and `max_seq + 1` when rebuilding a run from
+    /// WAL replay.
+    pub(crate) fn open(
+        ctx: Arc<SpecContext<S>>,
+        spec: SpecId,
+        resolution: ResolutionMode,
+        next_wal_seq: u64,
+    ) -> Result<Self, ExecError> {
+        let writer = ExecutionState::new(&ctx.spec, resolution)?;
+        let skl_bits = writer.skl_bits();
+        Ok(Self::new(
+            ctx,
+            spec,
+            skl_bits,
+            Some(writer),
+            RunStatus::Live,
+            next_wal_seq,
+        ))
+    }
+
+    /// The slot of a run re-heated to the hot tier: `Completed` from the
+    /// start, so it holds no labeler; the caller publishes the run's
+    /// `labels` labels into [`Self::indexed`] before registering it.
+    pub(crate) fn completed(
+        ctx: Arc<SpecContext<S>>,
+        spec: SpecId,
+        skl_bits: usize,
+        source: Option<VertexId>,
+        labels: u64,
+    ) -> Self {
+        let slot = Self::new(ctx, spec, skl_bits, None, RunStatus::Completed, 1);
+        if let Some(source) = source {
+            let _ = slot.source.set(source);
+        }
+        slot.events.store(labels, Ordering::Relaxed);
+        slot
+    }
+
+    fn new(
+        ctx: Arc<SpecContext<S>>,
+        spec: SpecId,
+        skl_bits: usize,
+        writer: Option<ExecutionState>,
+        status: RunStatus,
+        next_wal_seq: u64,
+    ) -> Self {
+        Self {
+            spec,
+            skl_bits,
+            ctx,
+            writer: Mutex::new(writer),
+            indexed: LabelIndex::new(),
+            source: OnceLock::new(),
+            status: AtomicU8::new(status.as_u8()),
+            events: AtomicU64::new(0),
+            queries: AtomicU64::new(0),
+            derivation: Mutex::new(None),
+            wal_seq: AtomicU64::new(next_wal_seq),
+        }
+    }
+
+    pub(crate) fn status(&self) -> RunStatus {
+        RunStatus::from_u8(self.status.load(Ordering::Acquire))
+    }
+
+    /// Mark a live run `Failed` (a no-op in any other state, so a run
+    /// fails at most once and a completion or eviction is never undone).
+    pub(crate) fn fail(&self) {
+        let _ = self.status.compare_exchange(
+            RunStatus::Live.as_u8(),
+            RunStatus::Failed.as_u8(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+    }
+
+    /// Take the writer lock. A poisoned lock means an earlier writer
+    /// panicked mid-update, so the labeler behind it cannot be trusted:
+    /// the run is marked `Failed` and every write entry point reports
+    /// [`ServiceError::WorkerPanicked`] instead of panicking its caller.
+    fn writer(&self, run: RunId) -> Result<MutexGuard<'_, Option<ExecutionState>>, ServiceError> {
+        self.writer.lock().map_err(|_| {
+            self.fail();
+            ServiceError::WorkerPanicked(run)
+        })
+    }
+
+    /// Apply one insertion under the writer lock, then publish the fresh
+    /// label to the lock-free index. The caller has bounds-checked
+    /// `ev.vertex` (both the labeler and the index size tables to it).
+    pub(crate) fn apply_insert(&self, run: RunId, ev: &ExecEvent) -> Result<(), ServiceError> {
+        let mut w = self.writer(run)?;
+        let labeler = match (self.status(), w.as_mut()) {
+            (RunStatus::Live, Some(labeler)) => labeler,
+            (s, _) => return Err(ServiceError::RunNotLive(run, s)),
+        };
+        if let Err(e) = labeler.insert(&self.ctx.spec, &self.ctx.skeleton, ev) {
+            self.fail();
+            return Err(ServiceError::Labeler(run, e));
+        }
+        if self.source.get().is_none() {
+            // First applied event of the run: by Definition 8 it is the
+            // start graph's source (the labeler rejects anything else).
+            let _ = self.source.set(ev.vertex);
+        }
+        labeler.drain_fresh(|v, label| {
+            debug_assert_eq!(v, ev.vertex, "one insertion labels one vertex");
+            self.indexed
+                .publish(v, ev.name, label.clone(), self.skl_bits);
+        });
+        self.events.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// `Live → Completed`, serialized with in-flight inserts by the
+    /// writer lock. A completed run can no longer be written, so its
+    /// labeler goes now rather than at freeze time.
+    pub(crate) fn complete(&self, run: RunId) -> Result<(), ServiceError> {
+        let mut w = self.writer(run)?;
+        self.status
+            .compare_exchange(
+                RunStatus::Live.as_u8(),
+                RunStatus::Completed.as_u8(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map_err(|s| ServiceError::RunNotLive(run, RunStatus::from_u8(s)))?;
+        *w = None;
+        Ok(())
+    }
+
+    /// Mark the run `Evicted`, serialized with any in-flight insert. A
+    /// poisoned writer lock does not stop an eviction: the guard is
+    /// recovered, because only the status is stored — the labeler state
+    /// a panic may have left half-updated is never read again.
+    pub(crate) fn evict(&self) {
+        let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.status
+            .store(RunStatus::Evicted.as_u8(), Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wf_run::{Execution, RunGenerator};
+
+    /// A writer that panicked under the lock fails the run once; every
+    /// later write reports `WorkerPanicked` to its caller instead of
+    /// panicking it, and the run can still be evicted.
+    #[test]
+    fn a_poisoned_writer_lock_fails_the_run_and_still_evicts() {
+        let ctx: Arc<SpecContext> =
+            Arc::new(SpecContext::from_spec(wf_spec::corpus::running_example()));
+        let mut rng = StdRng::seed_from_u64(3);
+        let gen = RunGenerator::new(&ctx.spec)
+            .target_size(20)
+            .generate_run(&mut rng);
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let run = RunId(7);
+        let slot = RunSlot::open(ctx, SpecId(0), ResolutionMode::NameBased, 1).unwrap();
+        slot.apply_insert(run, &exec.events()[0]).unwrap();
+
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _w = slot.writer.lock().unwrap();
+                panic!("poison the writer lock on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(slot.writer.is_poisoned());
+
+        let panicked = ServiceError::WorkerPanicked(run);
+        assert_eq!(
+            slot.apply_insert(run, &exec.events()[1]),
+            Err(panicked.clone())
+        );
+        assert_eq!(slot.status(), RunStatus::Failed);
+        assert_eq!(slot.complete(run), Err(panicked.clone()));
+        assert_eq!(slot.apply_insert(run, &exec.events()[1]), Err(panicked));
+        assert_eq!(slot.status(), RunStatus::Failed, "fails once, stays failed");
+        // Published labels survive; eviction recovers the guard.
+        assert_eq!(slot.indexed.len(), 1);
+        slot.evict();
+        assert_eq!(slot.status(), RunStatus::Evicted);
+    }
+}

@@ -25,15 +25,17 @@ pub struct ServiceStats {
     /// Runs whose ingestion hit an error.
     pub runs_failed: u64,
     /// Envelopes handed to the ingest worker pool (inserts and
-    /// completions, successful or not). **Pool-only**: the synchronous
-    /// [`crate::RunHandle::submit`] path never enqueues, so this can be
-    /// smaller than `events_ingested` when both paths are in use.
+    /// completions, successful or not) — the queue's input side. A
+    /// write through [`crate::RunHandle::submit`] is applied on the
+    /// caller's thread and never queued, so it shows up in
+    /// `events_ingested` only.
     pub events_enqueued: u64,
-    /// Insertion events successfully applied across all runs, through
-    /// *either* path (pooled or synchronous handle submits).
+    /// Insertion events successfully applied across all runs. Every
+    /// write — pooled, synchronous, or replayed from the WAL at build
+    /// time — goes through the one apply body that counts here.
     pub events_ingested: u64,
     /// Envelopes enqueued but not yet processed by a worker — the live
-    /// depth of the pipeline (pool-only, like `events_enqueued`).
+    /// depth of the queues.
     pub ingest_backlog: u64,
     /// Batches accepted by [`crate::WfEngine::submit_batch`].
     pub batches_ingested: u64,

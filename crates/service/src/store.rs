@@ -21,8 +21,9 @@
 //! [`LabelStore::transition`]: one shard write lock, conditional on the
 //! tier the mover saw.
 
-use crate::engine::{route_hash, RunSlot};
+use crate::engine::route_hash;
 use crate::freeze::FrozenRun;
+use crate::slot::RunSlot;
 use crate::snapshot::PersistedRun;
 use crate::sub::{SubHub, SubPredicate, Subscription};
 use crate::telemetry::{bump, Telemetry};

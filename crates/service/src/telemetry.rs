@@ -26,13 +26,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 use wf_obs::{clock, next_span_id, Counter, Gauge, Histogram, MetricsRegistry, TraceRing};
 
-/// Sample 1 operation in 64 for latency recording on the sub-µs ingest
-/// apply hot path. The reach probe's rate is a builder knob
-/// (`reach_sample_shift`); this one stays fixed.
+/// Sample 1 operation in 64 for latency recording on the two sub-µs
+/// hot paths (the reach probe and the ingest apply).
 const SAMPLE_MASK: u32 = 63;
-
-/// Default `reach_sample_shift`: sample 1 reach probe in 2^6 = 64.
-pub(crate) const DEFAULT_REACH_SAMPLE_SHIFT: u32 = 6;
 
 thread_local! {
     static REACH_SAMPLE: Cell<u32> = const { Cell::new(0) };
@@ -66,6 +62,14 @@ impl SpanCtx {
     pub fn is_none(self) -> bool {
         self.span == 0
     }
+}
+
+/// Advance one per-thread sampling counter; true on every 64th tick.
+#[inline]
+fn sample_tick(counter: &Cell<u32>) -> bool {
+    let n = counter.get().wrapping_add(1);
+    counter.set(n);
+    n & SAMPLE_MASK == 0
 }
 
 /// The span context the calling thread is currently under.
@@ -112,8 +116,6 @@ pub(crate) struct TelemetryConfig {
     pub enabled: bool,
     pub slow_op_ns: u64,
     pub trace_capacity: usize,
-    /// Reach probes are latency-sampled 1 in `2^shift` per thread.
-    pub reach_sample_shift: u32,
 }
 
 /// All engine observability state: lifetime counters (the former
@@ -122,9 +124,6 @@ pub(crate) struct TelemetryConfig {
 pub(crate) struct Telemetry {
     pub enabled: bool,
     pub slow_op_ns: u64,
-    /// Per-thread reach sampling mask: probe is timed when
-    /// `counter & reach_mask == 0`, i.e. 1 in `reach_mask + 1`.
-    pub reach_mask: u32,
     pub started: Instant,
     pub registry: MetricsRegistry,
     pub trace: TraceRing,
@@ -208,18 +207,9 @@ impl Telemetry {
         let counter = |name: &str, help: &str| registry.counter(name, help);
         let gauge = |name: &str, help: &str| registry.gauge(name, help);
         let hist = |name: &str, help: &str| registry.histogram(name, help);
-        // Shift ≥ 32 would overflow the u32 counter mask; clamp to "every
-        // 2^31st probe", which is already effectively off.
-        let reach_mask = (1u32 << config.reach_sample_shift.min(31)) - 1;
-        let g_reach_sample_interval = gauge(
-            "wf_reach_sample_interval",
-            "reach probes per latency sample (1-in-N); dashboards rescale p99s by this",
-        );
-        g_reach_sample_interval.set(u64::from(reach_mask) + 1);
         Self {
             enabled: config.enabled,
             slow_op_ns: config.slow_op_ns,
-            reach_mask,
             started: Instant::now(),
             trace: TraceRing::new(config.trace_capacity),
             window: Mutex::new((Instant::now(), 0)),
@@ -512,16 +502,11 @@ impl Telemetry {
         }
     }
 
-    /// Whether this reach probe should be timed (1 in `2^reach_sample_shift`
-    /// per thread, and only when telemetry is enabled).
+    /// Whether this reach probe should be timed (1 in 64 per thread, and
+    /// only when telemetry is enabled).
     #[inline]
     pub fn reach_sampled(&self) -> bool {
-        self.enabled
-            && REACH_SAMPLE.with(|c| {
-                let n = c.get().wrapping_add(1);
-                c.set(n);
-                n & self.reach_mask == 0
-            })
+        self.enabled && REACH_SAMPLE.with(sample_tick)
     }
 
     /// Whether this ingest apply should be timed (1 in 64 per thread,
@@ -530,12 +515,7 @@ impl Telemetry {
     /// cycle-counter reads per event would be a double-digit tax.
     #[inline]
     pub fn apply_sampled(&self) -> bool {
-        self.enabled
-            && APPLY_SAMPLE.with(|c| {
-                let n = c.get().wrapping_add(1);
-                c.set(n);
-                n & SAMPLE_MASK == 0
-            })
+        self.enabled && APPLY_SAMPLE.with(sample_tick)
     }
 
     /// Advance the windowed-rate snapshot: returns `(events since the
@@ -546,18 +526,6 @@ impl Telemetry {
         let mut window = self.window.lock().expect("telemetry window poisoned");
         let (prev_at, prev_events) = *window;
         *window = (now, events);
-        (
-            events.saturating_sub(prev_events),
-            now.duration_since(prev_at),
-        )
-    }
-
-    /// Read the windowed-rate snapshot without advancing it.
-    pub fn peek_window(&self) -> (u64, std::time::Duration) {
-        let now = Instant::now();
-        let events = self.events_ingested.get();
-        let window = self.window.lock().expect("telemetry window poisoned");
-        let (prev_at, prev_events) = *window;
         (
             events.saturating_sub(prev_events),
             now.duration_since(prev_at),

@@ -1,0 +1,196 @@
+//! The **stall watchdog**: a monitor thread that samples every
+//! subsystem's progress watermark each interval and publishes a liveness
+//! verdict.
+//!
+//! This module owns the verdict types ([`Health`], [`StallCause`]), the
+//! thresholds and the sampling loop; its state is one [`Ticker`] — the
+//! latest verdict together with the thread's stop flag, wakeup and join
+//! handle. It reads the other subsystems only through what they publish:
+//! the ingest worker marks, the WAL's sync lag, the tiering backlog and
+//! two telemetry counters.
+
+use crate::engine::EngineShared;
+use crate::lifecycle::Ticker;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+use wf_skeleton::SpecLabeling;
+
+/// One cause of a pipeline stall, as diagnosed by the watchdog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StallCause {
+    /// An ingest worker has queued envelopes but its applied watermark
+    /// did not advance across a whole watchdog interval.
+    IngestWorker,
+    /// The WAL group-commit committer is not draining: the oldest
+    /// buffered append has waited longer than half the watchdog
+    /// interval for an fsync pass.
+    WalCommitLag,
+    /// The tiering worker's completion backlog keeps growing.
+    TieringBacklog,
+    /// The segment LRU is shedding at thrash rate (re-faulting what it
+    /// just evicted).
+    ShedThrash,
+    /// Standing-query subscribers are lagging: their bounded notify
+    /// queues dropped deltas faster than [`SUB_LAG_PER_TICK`] per
+    /// watchdog interval.
+    SubLag,
+}
+
+impl StallCause {
+    /// Stable lowercase tag, used in `stall` trace events.
+    #[must_use]
+    pub fn tag(self) -> &'static str {
+        match self {
+            StallCause::IngestWorker => "ingest_worker",
+            StallCause::WalCommitLag => "wal_commit_lag",
+            StallCause::TieringBacklog => "tiering_backlog",
+            StallCause::ShedThrash => "shed_thrash",
+            StallCause::SubLag => "sub_lag",
+        }
+    }
+}
+
+/// Engine liveness verdict, refreshed by the stall watchdog every
+/// interval ([`crate::EngineBuilder::watchdog`]). A cause appears in
+/// `Degraded` after one violating interval and escalates to `Stalled`
+/// after two consecutive ones; it clears as soon as an interval passes
+/// clean. Without a watchdog the engine always reports `Healthy`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Health {
+    /// Every watermark is advancing.
+    Healthy,
+    /// At least one violation observed in the last interval.
+    Degraded {
+        /// The violated watermarks.
+        causes: Vec<StallCause>,
+    },
+    /// At least one violation persisted across two consecutive
+    /// intervals — the pipeline is not making progress.
+    Stalled {
+        /// The persistently violated watermarks.
+        causes: Vec<StallCause>,
+    },
+}
+
+/// How many consecutive violating intervals escalate a cause from
+/// `Degraded` to `Stalled`.
+const STALL_ESCALATION_TICKS: u32 = 2;
+/// Completion-queue length below which the tiering backlog is never a
+/// violation (bursts of completions are normal).
+const TIERING_BACKLOG_FLOOR: usize = 16;
+/// LRU sheds per watchdog tick that count as thrash.
+const SHED_THRASH_PER_TICK: u64 = 64;
+/// Subscription deltas dropped per watchdog tick that count as lag.
+const SUB_LAG_PER_TICK: u64 = 64;
+
+/// Every cause the watchdog can diagnose, in streak-array order.
+const WATCHDOG_CAUSES: [StallCause; 5] = [
+    StallCause::IngestWorker,
+    StallCause::WalCommitLag,
+    StallCause::TieringBacklog,
+    StallCause::ShedThrash,
+    StallCause::SubLag,
+];
+
+/// The watchdog's state in [`EngineShared`]: the latest verdict
+/// (`Healthy` until a watchdog ever runs) together with the monitor
+/// thread's controls.
+pub(crate) type Watchdog = Ticker<Health>;
+
+/// Start the monitor thread, sampling every `interval`.
+pub(crate) fn spawn<S: SpecLabeling + Send + Sync + 'static>(
+    shared: &Arc<EngineShared<S>>,
+    interval: Duration,
+) {
+    let worker = Arc::clone(shared);
+    shared
+        .watchdog
+        .spawn("wf-watchdog", move || watchdog_loop(&worker, interval));
+}
+
+/// Body of the stall watchdog: every `interval`, sample each subsystem's
+/// progress watermark, promote violations into the trace ring as `stall`
+/// events, and publish the escalated verdict.
+fn watchdog_loop<S: SpecLabeling>(shared: &EngineShared<S>, interval: Duration) {
+    let interval_ns = interval.as_nanos() as u64;
+    let marks = shared.ingest.marks();
+    let mut last_applied: Vec<u64> = marks
+        .iter()
+        .map(|m| m.applied.load(Ordering::Relaxed))
+        .collect();
+    let mut last_backlog = 0usize;
+    let mut last_sheds = shared.obs.segment_sheds.get();
+    let mut last_sub_lagged = shared.obs.sub_lagged.get();
+    let mut streaks = [0u32; WATCHDOG_CAUSES.len()];
+    while shared.watchdog.sleep(interval) {
+        let mut violated: Vec<StallCause> = Vec::new();
+        // Ingest: a worker with queued envelopes whose applied watermark
+        // did not move across the whole interval is wedged.
+        let mut ingest_wedged = false;
+        for (m, last) in marks.iter().zip(&mut last_applied) {
+            let applied = m.applied.load(Ordering::Relaxed);
+            let enqueued = m.enqueued.load(Ordering::Relaxed);
+            if enqueued > applied && applied == *last {
+                ingest_wedged = true;
+            }
+            *last = applied;
+        }
+        if ingest_wedged {
+            violated.push(StallCause::IngestWorker);
+        }
+        // WAL: buffered appends should reach disk within one group-commit
+        // window; half a watchdog interval of lag means the committer is
+        // not draining.
+        if let Some(wal) = &shared.wal {
+            if wal.sync_lag_ns() > interval_ns / 2 {
+                violated.push(StallCause::WalCommitLag);
+            }
+        }
+        // Tiering: a completion backlog that keeps (or grows) past the
+        // floor while the policy is active means the worker fell behind.
+        let backlog = shared.tiering.backlog();
+        if shared.tiering.is_active() && backlog > TIERING_BACKLOG_FLOOR && backlog >= last_backlog
+        {
+            violated.push(StallCause::TieringBacklog);
+        }
+        last_backlog = backlog;
+        // Bufmgr: shedding dozens of segments per tick means the LRU
+        // budget is too small for the working set (evict/re-fault churn).
+        let sheds = shared.obs.segment_sheds.get();
+        if sheds.saturating_sub(last_sheds) >= SHED_THRASH_PER_TICK {
+            violated.push(StallCause::ShedThrash);
+        }
+        last_sheds = sheds;
+        // Subscriptions: sustained drop-oldest overflow means consumers
+        // (or their queues) cannot keep up with the delta rate.
+        let sub_lagged = shared.obs.sub_lagged.get();
+        if sub_lagged.saturating_sub(last_sub_lagged) >= SUB_LAG_PER_TICK {
+            violated.push(StallCause::SubLag);
+        }
+        last_sub_lagged = sub_lagged;
+
+        let mut stalled: Vec<StallCause> = Vec::new();
+        for (i, cause) in WATCHDOG_CAUSES.iter().enumerate() {
+            if violated.contains(cause) {
+                streaks[i] = streaks[i].saturating_add(1);
+                shared.obs.event("stall", None, None, || {
+                    format!("cause={} streak={}", cause.tag(), streaks[i])
+                });
+                if streaks[i] >= STALL_ESCALATION_TICKS {
+                    stalled.push(*cause);
+                }
+            } else {
+                streaks[i] = 0;
+            }
+        }
+        let verdict = if !stalled.is_empty() {
+            Health::Stalled { causes: stalled }
+        } else if !violated.is_empty() {
+            Health::Degraded { causes: violated }
+        } else {
+            Health::Healthy
+        };
+        shared.watchdog.lock().shared = verdict;
+    }
+}

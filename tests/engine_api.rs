@@ -1,0 +1,767 @@
+//! The engine's public API, one behaviour per test: lifecycle and
+//! stats, batch isolation, bounds rejection, eviction, pipelined ingest
+//! with its error ring, drain, and every tier operation (freeze,
+//! persist/reload, the tiering policy, compaction, re-heat, the LRU).
+//! Public API only — these were `engine.rs`'s in-file tests, moved here
+//! so tier-1 (`cargo test -q` at the root) runs them.
+
+use rand::rngs::StdRng;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use wf_provenance::prelude::*;
+
+fn engine() -> WfEngine {
+    WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .spec(wf_spec::corpus::theorem1())
+        .ingest_workers(2)
+        .build()
+}
+
+fn sample(engine: &WfEngine, spec: SpecId, seed: u64, target: usize) -> Execution {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gen = RunGenerator::new(&engine.context(spec).unwrap().spec)
+        .target_size(target)
+        .generate_run(&mut rng);
+    Execution::deterministic(&gen.graph, &gen.origin)
+}
+
+#[test]
+fn unknown_ids_are_rejected() {
+    let engine = engine();
+    assert_eq!(
+        engine.open_run(SpecId(9)).unwrap_err(),
+        ServiceError::UnknownSpec(SpecId(9))
+    );
+    assert_eq!(
+        engine
+            .reach(RunId(3), VertexId(0), VertexId(1))
+            .unwrap_err(),
+        ServiceError::UnknownRun(RunId(3))
+    );
+    assert_eq!(
+        engine
+            .ingest(ServiceEvent {
+                run: RunId(3),
+                op: RunOp::Complete,
+            })
+            .unwrap_err(),
+        ServiceError::UnknownRun(RunId(3))
+    );
+}
+
+#[test]
+fn lifecycle_and_stats() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    assert_eq!(engine.run_status(run).unwrap(), RunStatus::Live);
+
+    let exec = sample(&engine, SpecId(0), 1, 50);
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
+    // Completed runs reject further events but keep answering.
+    assert!(matches!(
+        engine.submit(run, &exec.events()[0]).unwrap_err(),
+        ServiceError::RunNotLive(_, RunStatus::Completed)
+    ));
+    let s = engine.stats();
+    assert_eq!(s.runs_opened, 1);
+    assert_eq!(s.runs_completed, 1);
+    assert_eq!(s.events_ingested as usize, exec.len());
+    assert_eq!(s.labels_published as usize, exec.len());
+    assert!(s.label_bits_total > 0);
+    assert_eq!(s.ingest_backlog, 0, "blocking submits leave no backlog");
+    assert_eq!(s.ingest_workers, 2);
+
+    // Eviction removes the registry entry.
+    engine.evict_run(run).unwrap();
+    assert_eq!(
+        engine.run_status(run).unwrap_err(),
+        ServiceError::UnknownRun(run)
+    );
+}
+
+#[test]
+fn batch_preserves_per_run_order_and_isolates_failures() {
+    let engine = engine();
+    let mut rng = StdRng::seed_from_u64(5);
+    // Four healthy runs (two per spec) and one poisoned run whose
+    // first event is invalid.
+    let runs: Vec<RunId> = (0..4)
+        .map(|i| engine.open_run(SpecId(i % 2)).unwrap())
+        .collect();
+    let poisoned = engine.open_run(SpecId(0)).unwrap();
+
+    let mut batch = Vec::new();
+    let mut execs = Vec::new();
+    for (i, &run) in runs.iter().enumerate() {
+        let spec = SpecId(i % 2);
+        let gen = RunGenerator::new(&engine.context(spec).unwrap().spec)
+            .target_size(80)
+            .generate_run(&mut rng);
+        let exec = Execution::random(&gen.graph, &gen.origin, &mut rng);
+        for ev in exec.events() {
+            batch.push(ServiceEvent {
+                run,
+                op: RunOp::Insert(ev.clone()),
+            });
+        }
+        batch.push(ServiceEvent {
+            run,
+            op: RunOp::Complete,
+        });
+        execs.push((run, gen, exec));
+    }
+    // The poisoned run starts with a non-source event.
+    batch.push(ServiceEvent {
+        run: poisoned,
+        op: RunOp::Insert(execs[0].2.events()[1].clone()),
+    });
+    let outcome = engine.submit_batch(&batch);
+    assert_eq!(outcome.failures.len(), 1);
+    assert_eq!(outcome.failures[0].0, poisoned);
+    assert_eq!(engine.run_status(poisoned).unwrap(), RunStatus::Failed);
+
+    // Every healthy run: fully applied, completed, and every pair
+    // answers exactly like the ground-truth oracle.
+    for (run, gen, exec) in &execs {
+        assert_eq!(engine.run_status(*run).unwrap(), RunStatus::Completed);
+        let h = engine.handle(*run).unwrap();
+        assert_eq!(h.published(), exec.len());
+        let oracle = wf_graph::reach::ReachOracle::new(&gen.graph);
+        for a in gen.graph.vertices() {
+            for b in gen.graph.vertices() {
+                assert_eq!(h.reach(a, b), Some(oracle.reaches(a, b)), "{a:?};{b:?}");
+            }
+        }
+    }
+    let s = engine.stats();
+    assert_eq!(s.runs_failed, 1);
+    assert_eq!(s.runs_completed, 4);
+    assert!(s.queries_answered > 0);
+}
+
+#[test]
+fn absurd_vertex_ids_are_rejected_before_allocation() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 13, 30);
+    // A forged event with a near-u32::MAX id must bounce with a
+    // typed error instead of sizing tables to the id.
+    let mut forged = exec.events()[0].clone();
+    forged.vertex = VertexId(u32::MAX - 1);
+    assert_eq!(
+        engine.submit(run, &forged).unwrap_err(),
+        ServiceError::VertexOutOfBounds(run, forged.vertex)
+    );
+    // The run is unharmed: the real stream still applies.
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+}
+
+#[test]
+fn batch_survives_per_event_rejections() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 17, 40);
+    // Forge an out-of-bounds event into the middle of an otherwise
+    // healthy single-run batch ending in Complete.
+    let mut forged = exec.events()[1].clone();
+    forged.vertex = VertexId(u32::MAX - 7);
+    let mut batch: Vec<ServiceEvent> = Vec::new();
+    for (i, ev) in exec.events().iter().enumerate() {
+        if i == exec.len() / 2 {
+            batch.push(ServiceEvent {
+                run,
+                op: RunOp::Insert(forged.clone()),
+            });
+        }
+        batch.push(ServiceEvent {
+            run,
+            op: RunOp::Insert(ev.clone()),
+        });
+    }
+    batch.push(ServiceEvent {
+        run,
+        op: RunOp::Complete,
+    });
+    let outcome = engine.submit_batch(&batch);
+    // The rejection is reported, but the rest of the run — including
+    // its Complete — still lands.
+    assert_eq!(
+        outcome.failures,
+        vec![(run, ServiceError::VertexOutOfBounds(run, forged.vertex))]
+    );
+    assert_eq!(outcome.applied, exec.len());
+    assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
+    assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+}
+
+#[test]
+fn handles_stay_valid_for_queries_but_reject_writes_after_eviction() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 11, 30);
+    let handle = engine.handle(run).unwrap();
+    for ev in &exec.events()[..exec.len() - 1] {
+        handle.submit(ev).unwrap();
+    }
+    engine.evict_run(run).unwrap();
+    // The Arc keeps the slot alive: queries still work…
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    assert!(handle.reach(u, v).is_some());
+    assert_eq!(handle.status(), RunStatus::Evicted);
+    // …but writes through the stale handle are rejected — otherwise
+    // they would ingest into state no new lookup can reach and skew
+    // the engine counters forever.
+    assert_eq!(
+        handle.submit(&exec.events()[exec.len() - 1]).unwrap_err(),
+        ServiceError::RunNotLive(run, RunStatus::Evicted)
+    );
+    assert_eq!(
+        handle.complete().unwrap_err(),
+        ServiceError::RunNotLive(run, RunStatus::Evicted)
+    );
+}
+
+#[test]
+fn pipelined_ingest_flush_and_error_ring() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 23, 60);
+    // Fire-and-forget the whole stream, plus one forged event whose
+    // failure must surface through the error ring, not a panic.
+    let mut forged = exec.events()[1].clone();
+    forged.vertex = VertexId(u32::MAX - 3);
+    for ev in exec.events() {
+        engine
+            .ingest(ServiceEvent {
+                run,
+                op: RunOp::Insert(ev.clone()),
+            })
+            .unwrap();
+    }
+    engine
+        .ingest(ServiceEvent {
+            run,
+            op: RunOp::Insert(forged.clone()),
+        })
+        .unwrap();
+    let watermark = engine.flush();
+    assert!(
+        watermark >= (exec.len() + 1) as u64,
+        "flush watermark {watermark} covers everything enqueued before it"
+    );
+    assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+    assert_eq!(
+        engine.take_ingest_errors(),
+        vec![(run, ServiceError::VertexOutOfBounds(run, forged.vertex))]
+    );
+    assert!(engine.take_ingest_errors().is_empty(), "ring drains");
+    let s = engine.stats();
+    assert_eq!(s.ingest_backlog, 0);
+    assert_eq!(s.flushes, 1);
+}
+
+#[test]
+fn drain_closes_ingest_but_not_queries() {
+    let mut engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 29, 40);
+    for ev in exec.events() {
+        engine
+            .ingest(ServiceEvent {
+                run,
+                op: RunOp::Insert(ev.clone()),
+            })
+            .unwrap();
+    }
+    let handle = engine.handle(run).unwrap();
+    engine.drain();
+    assert!(engine.is_draining());
+    // Everything queued before the drain was applied.
+    assert_eq!(handle.published(), exec.len());
+    // Ingest is closed, in every flavor…
+    assert_eq!(
+        engine
+            .ingest(ServiceEvent {
+                run,
+                op: RunOp::Complete,
+            })
+            .unwrap_err(),
+        ServiceError::ShuttingDown
+    );
+    assert_eq!(
+        engine.submit(run, &exec.events()[0]).unwrap_err(),
+        ServiceError::ShuttingDown
+    );
+    let outcome = engine.submit_batch(&[ServiceEvent {
+        run,
+        op: RunOp::Complete,
+    }]);
+    assert_eq!(outcome.failures, vec![(run, ServiceError::ShuttingDown)]);
+    // …including the synchronous handle path.
+    assert_eq!(
+        handle.submit(&exec.events()[0]).unwrap_err(),
+        ServiceError::ShuttingDown
+    );
+    assert_eq!(handle.complete().unwrap_err(), ServiceError::ShuttingDown);
+    // …but queries — handle and cross-run — still answer.
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    assert_eq!(handle.reach(u, v), Some(true));
+    assert_eq!(engine.query().run_ids(), vec![run]);
+    // flush() on a drained engine returns immediately.
+    assert_eq!(engine.flush(), exec.len() as u64);
+}
+
+/// A temp dir that cleans up after itself (no tempfile crate in the
+/// offline workspace).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "wf-tier-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Ingest a full sampled run and complete it; returns the execution.
+fn ingest_run(engine: &WfEngine, run: RunId, spec: SpecId, seed: u64, n: usize) -> Execution {
+    let exec = sample(engine, spec, seed, n);
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    exec
+}
+
+#[test]
+fn freeze_preserves_every_answer_and_shrinks_the_footprint() {
+    // A non-recursive spec so the freeze-time SKL re-label applies
+    // (SKL rejects recursion — that is DRL's whole edge).
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::bioaid_nonrecursive())
+        .ingest_workers(2)
+        .build();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let mut rng = StdRng::seed_from_u64(41);
+    let gen = RunGenerator::new(&engine.context(SpecId(0)).unwrap().spec)
+        .target_size(120)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    // Freezing a live run is refused — the labeler is still needed.
+    assert_eq!(
+        engine.freeze_run(run).unwrap_err(),
+        ServiceError::NotCompleted(run, RunStatus::Live)
+    );
+    engine
+        .provide_derivation(run, gen.derivation.clone())
+        .unwrap();
+    engine.complete_run(run).unwrap();
+
+    // Record the hot answers, then freeze.
+    let hot = engine.handle(run).unwrap();
+    assert_eq!(hot.tier(), Tier::Hot);
+    let before = engine.stats();
+    assert!(before.label_bits_total > 0);
+    engine.freeze_run(run).unwrap();
+    engine.freeze_run(run).unwrap(); // idempotent
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
+    assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
+
+    // The old hot handle still answers; a fresh handle decodes from
+    // the arena; both agree with the ground-truth oracle everywhere.
+    let frozen = engine.handle(run).unwrap();
+    assert_eq!(frozen.tier(), Tier::Frozen);
+    assert_eq!(frozen.published(), exec.len());
+    let oracle = wf_graph::reach::ReachOracle::new(&gen.graph);
+    for a in gen.graph.vertices() {
+        for b in gen.graph.vertices() {
+            let want = Some(oracle.reaches(a, b));
+            assert_eq!(frozen.reach(a, b), want, "frozen {a:?};{b:?}");
+            assert_eq!(hot.reach(a, b), want, "stale hot handle {a:?};{b:?}");
+        }
+    }
+    // Writes through any handle are rejected with Completed.
+    assert!(matches!(
+        frozen.submit(&exec.events()[0]).unwrap_err(),
+        ServiceError::RunNotLive(_, RunStatus::Completed)
+    ));
+
+    // Per-tier stats: the run moved out of the hot columns, and the
+    // SKL re-label (derivation was provided) recorded its deltas.
+    let after = engine.stats();
+    assert_eq!(after.runs_frozen, 1);
+    assert_eq!(after.freezes, 1);
+    assert_eq!(after.label_bits_total, 0, "hot tier emptied");
+    assert!(after.frozen_bytes > 0);
+    assert_eq!(after.frozen_label_bits, before.label_bits_total);
+    assert_eq!(after.labels_published as usize, exec.len());
+    assert_eq!(after.skl_relabeled, 1);
+    assert!(after.skl_bits_total > 0);
+    assert_eq!(after.skl_drl_bits_total, before.label_bits_total);
+    assert!(after.skl_bits_ratio().is_some());
+    assert!(after.skl_pairs_sampled > 0);
+    assert!(after.tier_footprint_json().contains("\"runs_frozen\":1"));
+}
+
+#[test]
+fn persist_and_reload_across_engine_lifetimes() {
+    let dir = TempDir::new("reload");
+    let (run, gen, exec, name) = {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(2)
+            .spill_dir(&dir.0)
+            .build();
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let mut rng = StdRng::seed_from_u64(53);
+        let gen = RunGenerator::new(&engine.context(SpecId(0)).unwrap().spec)
+            .target_size(90)
+            .generate_run(&mut rng);
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+        // Answer a few queries while hot, then tier out: the
+        // engine-wide query counter must stay monotone across both
+        // transitions (it travels with the run).
+        let hot = engine.handle(run).unwrap();
+        for ev in &exec.events()[..4] {
+            hot.reach(exec.events()[0].vertex, ev.vertex).unwrap();
+        }
+        let queries_before = engine.stats().queries_answered;
+        assert!(queries_before >= 4);
+        engine.persist_run(run).unwrap(); // freezes, then spills
+        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+        let s = engine.stats();
+        assert_eq!((s.freezes, s.spills, s.runs_persisted), (1, 1, 1));
+        assert!(s.persisted_bytes > 0);
+        assert!(
+            s.queries_answered >= queries_before,
+            "query counter went backwards across tiering: {} < {queries_before}",
+            s.queries_answered
+        );
+        // Still answers after the arena moved to disk (lazy mapping).
+        let h = engine.handle(run).unwrap();
+        assert_eq!(h.tier(), Tier::Persisted);
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        assert_eq!(h.reach(u, v), Some(true));
+        let name = exec.events()[1].name;
+        (run, gen, exec, name)
+    };
+    // A brand-new engine over the same spill dir sees the history.
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .spill_dir(&dir.0)
+        .build();
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+    assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
+    let h = engine.handle(run).unwrap();
+    assert_eq!(h.published(), exec.len());
+    let oracle = wf_graph::reach::ReachOracle::new(&gen.graph);
+    for a in gen.graph.vertices() {
+        for b in gen.graph.vertices() {
+            assert_eq!(h.reach(a, b), Some(oracle.reaches(a, b)), "{a:?};{b:?}");
+        }
+    }
+    // Cross-run queries span the reloaded history…
+    assert_eq!(
+        engine
+            .query()
+            .completed()
+            .runs_reaching_named_from_source(name),
+        vec![run]
+    );
+    // …and new runs get fresh ids above it.
+    let next = engine.open_run(SpecId(0)).unwrap();
+    assert!(next.0 > run.0, "fresh ids start above reloaded history");
+}
+
+#[test]
+fn tiering_worker_enforces_the_recency_bound() {
+    let dir = TempDir::new("policy");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(2)
+        .freeze_after(2)
+        .spill_dir(&dir.0)
+        .build();
+    let mut runs = Vec::new();
+    for i in 0..5 {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        ingest_run(&engine, run, SpecId(0), 100 + i, 40);
+        runs.push(run);
+    }
+    // The worker keeps ≤2 completed runs hot; the 3 oldest spill all
+    // the way to disk. Poll briefly (the worker is asynchronous).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let s = engine.stats();
+        if s.runs_persisted == 3 && s.runs_hot == 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "tiering worker never converged: {s}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    // Oldest completions went first.
+    assert_eq!(engine.run_tier(runs[0]).unwrap(), Tier::Persisted);
+    assert_eq!(engine.run_tier(runs[1]).unwrap(), Tier::Persisted);
+    assert_eq!(engine.run_tier(runs[2]).unwrap(), Tier::Persisted);
+    assert_eq!(engine.run_tier(runs[3]).unwrap(), Tier::Hot);
+    assert_eq!(engine.run_tier(runs[4]).unwrap(), Tier::Hot);
+    assert!(
+        engine.take_ingest_errors().is_empty(),
+        "no tiering failures"
+    );
+    // Every run still answers its own queries.
+    for &run in &runs {
+        let h = engine.handle(run).unwrap();
+        let src = h.source().unwrap();
+        assert_eq!(h.reach(src, src), Some(true));
+    }
+    // The cross-run surface sees all five, tier-transparently.
+    assert_eq!(engine.query().completed().run_ids().len(), 5);
+    assert_eq!(engine.query().tier(Tier::Persisted).run_ids().len(), 3);
+}
+
+#[test]
+fn max_hot_runs_freezes_even_recent_completions() {
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(2)
+        .max_hot_runs(1)
+        .build();
+    let a = engine.open_run(SpecId(0)).unwrap();
+    ingest_run(&engine, a, SpecId(0), 7, 30);
+    let b = engine.open_run(SpecId(0)).unwrap(); // stays live
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while engine.run_tier(a).unwrap() != Tier::Frozen {
+        assert!(std::time::Instant::now() < deadline, "run a never froze");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    // The live run is never frozen, even over the cap.
+    assert_eq!(engine.run_tier(b).unwrap(), Tier::Hot);
+    assert_eq!(engine.run_status(b).unwrap(), RunStatus::Live);
+}
+
+#[test]
+fn persist_without_spill_dir_is_rejected() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    ingest_run(&engine, run, SpecId(0), 3, 30);
+    assert_eq!(
+        engine.persist_run(run).unwrap_err(),
+        ServiceError::NoSpillDir
+    );
+    assert_eq!(engine.spill_dir(), None);
+    // Eviction works from the frozen tier too.
+    engine.freeze_run(run).unwrap();
+    engine.evict_run(run).unwrap();
+    assert_eq!(
+        engine.run_tier(run).unwrap_err(),
+        ServiceError::UnknownRun(run)
+    );
+}
+
+#[test]
+fn compaction_packs_segments_and_survives_restart() {
+    let dir = TempDir::new("compact");
+    let spec = wf_spec::corpus::running_example();
+    let mut payloads = Vec::new();
+    {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(2)
+            .spill_dir(&dir.0)
+            .build();
+        for i in 0..6u64 {
+            let run = engine.open_run(SpecId(0)).unwrap();
+            let exec = ingest_run(&engine, run, SpecId(0), 200 + i, 40);
+            engine.persist_run(run).unwrap();
+            payloads.push((run, exec));
+        }
+        let before = engine.stats();
+        assert_eq!(before.segment_files, 6, "one pack of one per spill");
+        let report = engine.compact().unwrap();
+        assert_eq!(report.files_before, 6);
+        assert_eq!(report.files_after, 1, "six packs of one → one pack");
+        assert_eq!(report.runs_packed, 6);
+        assert_eq!(report.packs_written, 1);
+        assert_eq!(report.bytes_after, report.bytes_before, "blobs verbatim");
+        assert!(report.json().contains("\"files_after\":1"));
+        let after = engine.stats();
+        assert_eq!(after.segment_files, 1);
+        assert_eq!(after.compactions, 1);
+        // A second pass has one underfull pack: nothing to merge.
+        let again = engine.compact().unwrap();
+        assert_eq!(again.runs_packed, 0);
+        // Queries answer through the packed offsets.
+        for (run, exec) in &payloads {
+            let h = engine.handle(*run).unwrap();
+            assert_eq!(h.tier(), Tier::Persisted);
+            let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+            assert_eq!(h.reach(u, v), Some(true));
+        }
+    }
+    // The six packs of one are gone; only the merged pack (the
+    // seventh name handed out) + manifest stay.
+    let seg_files: Vec<String> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".wfseg"))
+        .collect();
+    assert_eq!(seg_files, vec!["pack-6.wfseg".to_string()]);
+    // A fresh engine reloads everything from the packed manifest.
+    let engine: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
+    for (run, exec) in &payloads {
+        assert_eq!(engine.run_tier(*run).unwrap(), Tier::Persisted);
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        assert_eq!(engine.reach(*run, u, v).unwrap(), Some(true));
+    }
+    assert_eq!(engine.stats().segment_files, 1);
+}
+
+#[test]
+fn reheat_promotes_a_persisted_run_to_resident() {
+    let dir = TempDir::new("reheat");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(2)
+        .spill_dir(&dir.0)
+        .build();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = ingest_run(&engine, run, SpecId(0), 9, 40);
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    // Both targets, one after the other: the round trip back to
+    // disk works from either resident tier.
+    for (n, target) in [(1, Tier::Frozen), (2, Tier::Hot)] {
+        let reheat = || match target {
+            Tier::Hot => engine.reheat_run_hot(run),
+            _ => engine.reheat_run(run),
+        };
+        engine.persist_run(run).unwrap();
+        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+        // One query through the persisted tier, then promote.
+        assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
+        let queries_before = engine.stats().queries_answered;
+        reheat().unwrap();
+        assert_eq!(engine.run_tier(run).unwrap(), target);
+        assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
+        reheat().unwrap(); // idempotent
+        let s = engine.stats();
+        assert_eq!(s.reheats, n);
+        assert_eq!(s.runs_hot + s.runs_frozen, 1);
+        assert_eq!(s.runs_persisted, 0);
+        assert!(s.frozen_bytes + s.hot_resident_bytes > 0, "resident again");
+        assert_eq!(
+            s.queries_answered, queries_before,
+            "query counter survives the promotion"
+        );
+        // Queries keep answering, and the pin counter stays flat: a
+        // re-heated run never touches the segment again.
+        let pins = s.pack_pins;
+        assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
+        assert_eq!(engine.stats().pack_pins, pins);
+    }
+}
+
+#[test]
+fn lru_sheds_resident_arenas_under_the_byte_budget() {
+    let dir = TempDir::new("lru");
+    // A 1-byte budget: at most one blob survives each enforcement
+    // pass (the just-pinned one is protected).
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(2)
+        .spill_dir(&dir.0)
+        .max_resident_bytes(1)
+        .build();
+    let mut payloads = Vec::new();
+    for i in 0..4u64 {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let exec = ingest_run(&engine, run, SpecId(0), 300 + i, 40);
+        engine.persist_run(run).unwrap();
+        payloads.push((run, exec));
+    }
+    assert_eq!(engine.stats().persisted_resident_bytes, 0, "all cold");
+    let mut max_resident = 0;
+    for (run, exec) in &payloads {
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        assert_eq!(engine.reach(*run, u, v).unwrap(), Some(true));
+        max_resident = max_resident.max(engine.stats().persisted_resident_bytes);
+    }
+    let s = engine.stats();
+    assert_eq!(s.pack_pins, 4, "each run pinned in once");
+    assert!(
+        s.segment_sheds >= 3,
+        "earlier blobs were shed: {} sheds",
+        s.segment_sheds
+    );
+    // The budget bounds residency to one blob at a time.
+    let h = engine.handle(payloads[3].0).unwrap();
+    assert!(h.is_resident(), "most recent pin survives");
+    assert!(!engine.handle(payloads[0].0).unwrap().is_resident());
+    // Repeat queries on the resident run never re-pin it…
+    let pins = s.pack_pins;
+    let (run, exec) = &payloads[3];
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    for _ in 0..8 {
+        assert_eq!(engine.reach(*run, u, v).unwrap(), Some(true));
+    }
+    assert_eq!(engine.stats().pack_pins, pins, "no re-pin");
+    // …and the resident-only query scope sees exactly that run.
+    assert_eq!(
+        engine.query().resident().run_ids(),
+        vec![*run],
+        "resident scope skips cold segments without faulting them"
+    );
+    assert_eq!(engine.query().completed().run_ids().len(), 4);
+}
+
+#[test]
+fn handles_are_cloneable_and_outlive_the_engine() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 31, 30);
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    let handle = engine.handle(run).unwrap();
+    let clone = handle.clone();
+    drop(engine); // implicit drain: joins the pool, closes ingest
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    // Both clones still answer from the reference-counted slot…
+    assert_eq!(handle.reach(u, v), Some(true));
+    assert_eq!(clone.reach(u, v), Some(true));
+    assert_eq!(clone.source(), Some(u));
+    // …but cannot keep writing into the orphaned registry.
+    assert_eq!(
+        clone.submit(&exec.events()[0]).unwrap_err(),
+        ServiceError::ShuttingDown
+    );
+}

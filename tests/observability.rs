@@ -599,46 +599,6 @@ fn watchdog_escalates_a_paused_wal_committer_to_stalled() {
 }
 
 #[test]
-fn reach_sample_shift_knob_controls_sampling_and_exports_the_rate() {
-    // Shift 0: every probe is sampled, so the histogram count equals the
-    // probe count exactly (no 1-in-64 dice).
-    let engine: WfEngine = WfEngine::builder()
-        .spec(wf_spec::corpus::running_example())
-        .reach_sample_shift(0)
-        .build();
-    let (run, exec) = run_one(&engine, 97);
-    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
-    for _ in 0..37 {
-        let _ = engine.reach(run, u, v).unwrap();
-    }
-    let h = engine.metrics().histogram("wf_reach_ns").unwrap();
-    assert_eq!(h.count(), 37, "shift 0 samples every probe");
-
-    // The effective rate is exported so dashboards can rescale.
-    let json: serde_json::Value = serde_json::from_str(&engine.metrics().render_json()).unwrap();
-    assert_eq!(
-        json.get("gauges")
-            .unwrap()
-            .get("wf_reach_sample_interval")
-            .unwrap(),
-        &serde_json::Value::U64(1)
-    );
-
-    // The default stays 1-in-64 and says so.
-    let engine: WfEngine = WfEngine::builder()
-        .spec(wf_spec::corpus::running_example())
-        .build();
-    let json: serde_json::Value = serde_json::from_str(&engine.metrics().render_json()).unwrap();
-    assert_eq!(
-        json.get("gauges")
-            .unwrap()
-            .get("wf_reach_sample_interval")
-            .unwrap(),
-        &serde_json::Value::U64(64)
-    );
-}
-
-#[test]
 fn disabling_telemetry_keeps_stats_but_stops_histograms_and_traces() {
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())

@@ -549,3 +549,143 @@ fn cross_run_queries_match_naive_multi_run_replay() {
         vec![RunId(0), RunId(2), RunId(4)]
     );
 }
+
+/// What one engine ended up holding for a set of streams: every
+/// vertex's label, plus the two counters every write path must agree on.
+type Outcome = (Vec<Option<DrlLabel>>, u64, u64);
+
+/// Check every pair of every run against `NaiveDynamicDag`, check the
+/// subscription saw exactly one `RunCompleted` per run, and return the
+/// engine's labels and counters for comparison across entry points.
+fn settle_outcome(
+    engine: &WfEngine,
+    sub: &Subscription,
+    runs: &[RunId],
+    streams: &[(usize, Execution)],
+    via: &str,
+) -> Outcome {
+    let mut labels = Vec::new();
+    for (&run, (_, exec)) in runs.iter().zip(streams) {
+        assert_eq!(
+            engine.run_status(run).unwrap(),
+            RunStatus::Completed,
+            "{via}"
+        );
+        let h = engine.handle(run).unwrap();
+        let mut naive = NaiveDynamicDag::new();
+        for ev in exec.events() {
+            naive.insert(ev.vertex, &ev.preds);
+            labels.push(h.label(ev.vertex));
+        }
+        for a in exec.events() {
+            for b in exec.events() {
+                assert_eq!(
+                    h.reach(a.vertex, b.vertex),
+                    Some(naive.reaches(a.vertex, b.vertex)),
+                    "{via} {run}: {:?} ; {:?}",
+                    a.vertex,
+                    b.vertex
+                );
+            }
+        }
+    }
+    let mut completed: Vec<RunId> = Vec::new();
+    while let Some(delta) = sub.try_recv() {
+        match delta {
+            Delta::RunCompleted { run } => completed.push(run),
+            Delta::Lagged { dropped } => panic!("{via}: subscription dropped {dropped} deltas"),
+            Delta::Added { .. } | Delta::Removed { .. } => {}
+        }
+    }
+    completed.sort_unstable();
+    assert_eq!(completed, runs, "{via}: one RunCompleted per run");
+    assert!(engine.take_ingest_errors().is_empty(), "{via}");
+    let s = engine.stats();
+    (labels, s.events_ingested, s.runs_completed)
+}
+
+/// One write path, three doors: the same event streams through pooled
+/// `ingest`, through the synchronous `RunHandle::submit`, and through a
+/// WAL kill-and-recover (events replayed at `build()`, runs completed
+/// after it) must leave identical labels, identical counters, one
+/// `RunCompleted` delta per run, and only oracle-true `reach` answers.
+#[test]
+fn three_entry_points_one_outcome() {
+    let specs = [
+        wf_spec::corpus::running_example(),
+        wf_spec::corpus::bioaid(),
+    ];
+    let streams: Vec<(usize, Execution)> = [(0usize, 71u64), (1, 72), (0, 73)]
+        .into_iter()
+        .map(|(spec, seed)| (spec, sample(&specs[spec], seed, 110).1))
+        .collect();
+    let events: u64 = streams.iter().map(|(_, e)| e.len() as u64).sum();
+    let watched = streams[0].1.events()[1].name;
+    let build = |wal: Option<&std::path::Path>| -> WfEngine {
+        let mut b = WfEngine::builder().ingest_workers(2);
+        for spec in &specs {
+            b = b.spec(spec.clone());
+        }
+        if let Some(dir) = wal {
+            b = b.wal_dir(dir).wal_sync(WalSync::Always);
+        }
+        b.build()
+    };
+    let open_all = |engine: &WfEngine| -> Vec<RunId> {
+        streams
+            .iter()
+            .map(|(spec, _)| engine.open_run(SpecId(*spec)).unwrap())
+            .collect()
+    };
+    let ingest_all = |engine: &WfEngine, runs: &[RunId], complete: bool| {
+        for (&run, (_, exec)) in runs.iter().zip(&streams) {
+            let ops = exec.events().iter().cloned().map(RunOp::Insert);
+            for op in ops.chain(complete.then_some(RunOp::Complete)) {
+                engine.ingest(ServiceEvent { run, op }).unwrap();
+            }
+        }
+        engine.flush();
+    };
+
+    // Door 1: the worker pool.
+    let pooled = build(None);
+    let sub = pooled.subscribe(SubPredicate::vertices_named(watched));
+    let runs = open_all(&pooled);
+    ingest_all(&pooled, &runs, true);
+    let want = settle_outcome(&pooled, &sub, &runs, &streams, "pooled");
+    assert_eq!((want.1, want.2), (events, runs.len() as u64));
+
+    // Door 2: the synchronous handle, on this thread.
+    let direct = build(None);
+    let sub = direct.subscribe(SubPredicate::vertices_named(watched));
+    let runs = open_all(&direct);
+    for (&run, (_, exec)) in runs.iter().zip(&streams) {
+        let h = direct.handle(run).unwrap();
+        for ev in exec.events() {
+            h.submit(ev).unwrap();
+        }
+        h.complete().unwrap();
+    }
+    let got = settle_outcome(&direct, &sub, &runs, &streams, "handle");
+    assert_eq!(got, want, "handle vs pooled");
+
+    // Door 3: recovery. Lifetime 1 journals every event and is then
+    // "killed" — never completed, drained or dropped before lifetime 2
+    // reads its WAL directory; lifetime 2 replays the events at build
+    // time and completes the runs under a live subscription.
+    let dir = std::env::temp_dir().join(format!("wf-three-doors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let killed = build(Some(&dir));
+    let runs = open_all(&killed);
+    ingest_all(&killed, &runs, false);
+    let recovered = build(Some(&dir));
+    assert_eq!(recovered.stats().wal_recovered_runs, runs.len() as u64);
+    let sub = recovered.subscribe(SubPredicate::vertices_named(watched));
+    for &run in &runs {
+        recovered.complete_run(run).unwrap();
+    }
+    let got = settle_outcome(&recovered, &sub, &runs, &streams, "recovered");
+    assert_eq!(got, want, "recovered vs pooled");
+    drop((killed, recovered));
+    let _ = std::fs::remove_dir_all(&dir);
+}
