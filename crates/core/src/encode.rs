@@ -1,4 +1,5 @@
-//! Self-delimiting binary encoding of DRL labels.
+//! Self-delimiting binary encoding of DRL labels, and the one reader of
+//! it.
 //!
 //! [`DrlLabel::bit_len`] reports the paper's *accounting* size (proof of
 //! Theorem 3). This module provides an actual wire format so labels can
@@ -8,6 +9,15 @@
 //! exceeds the accounting size (self-delimiting gamma overhead plus the
 //! graph ids, which the accounting charges to the index prefix), and a
 //! round-trip is exact.
+//!
+//! Reading has one path at each level. One label: [`EntryCursor`], a bit
+//! cursor that yields entries without allocating ([`decode_label`] is
+//! that cursor collected); callers hold a [`LabelRef`] — decoded entries
+//! or encoded bytes — and never need to know which. One run:
+//! [`ArenaRef`], a sorted slot table over a heap of encoded labels (the
+//! slotted-page shape), borrowed from a [`LabelArena`] that owns its
+//! buffers or from a mapped segment file; it holds the only directory
+//! search and the only "label at offset" in the workspace.
 
 use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
@@ -214,41 +224,143 @@ pub fn encode_label(label: &DrlLabel, skl_bits: usize) -> Vec<u8> {
 }
 
 /// Decode a label previously written by [`encode_label`] with the same
-/// `skl_bits`. Returns `None` on malformed input.
+/// `skl_bits`. Returns `None` on malformed input. This is an
+/// [`EntryCursor`] collected — the workspace has one entry decoder.
 pub fn decode_label(bytes: &[u8], skl_bits: usize) -> Option<DrlLabel> {
-    let mut r = BitReader::new(bytes);
-    let depth = r.read_gamma()? as usize;
-    if depth == 0 || depth > 1_000_000 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(depth);
-    for _ in 0..depth {
-        let index = (r.read_gamma()? - 1) as u32;
-        let kind = code_kind(r.read_bits(2)?)?;
-        let (skl, rec) = if kind == NodeKind::N {
-            let g = GraphId((r.read_gamma()? - 1) as u32);
-            let v = VertexId(r.read_bits(skl_bits)? as u32);
-            let rec = if r.read_bit()? {
-                Some((r.read_bit()?, r.read_bit()?))
-            } else {
-                None
-            };
-            (Some((g, v)), rec)
-        } else {
-            (None, None)
-        };
-        entries.push(Entry {
-            index,
-            kind,
-            skl,
-            rec,
-        });
-    }
-    Some(DrlLabel::new(entries))
+    LabelRef::Encoded(bytes, skl_bits).to_label()
 }
 
-/// Directory entry of one vertex inside a [`LabelArena`]: where its
-/// encoded label starts, and the module name it was published under.
+/// A **borrowed label**: what every reader of a published label takes,
+/// whichever tier holds it. Either the decoded entries of an in-memory
+/// [`DrlLabel`], or the encoded bytes of one label inside an arena
+/// (plus the `skl_bits` they were written with), which an
+/// [`EntryCursor`] turns into the same [`Entry`] values one at a time —
+/// so the predicate ([`crate::DrlPredicate::reaches_ref`]) and the scans
+/// never need an owned label on a read.
+#[derive(Debug, Clone, Copy)]
+pub enum LabelRef<'a> {
+    /// Decoded entries, root first.
+    Entries(&'a [Entry]),
+    /// One encoded label starting at the first byte (labels are
+    /// self-delimiting, so trailing bytes are ignored), and the
+    /// skeleton-pointer width it was encoded with.
+    Encoded(&'a [u8], usize),
+}
+
+impl LabelRef<'_> {
+    /// An owned copy — for the few places that *keep* a label. `None`
+    /// when the bytes do not decode (or the entry list is empty).
+    pub fn to_label(self) -> Option<DrlLabel> {
+        match self {
+            LabelRef::Entries(entries) => {
+                (!entries.is_empty()).then(|| DrlLabel::new(entries.to_vec()))
+            }
+            LabelRef::Encoded(bytes, skl_bits) => {
+                let cursor = EntryCursor::new(bytes, skl_bits);
+                let mut entries = Vec::with_capacity(cursor.remaining);
+                for entry in cursor {
+                    entries.push(entry?);
+                }
+                Some(DrlLabel::new(entries))
+            }
+        }
+    }
+
+    /// Label length in bits, the Theorem-3 accounting of
+    /// [`DrlLabel::bit_len`]; `None` when the bytes do not decode.
+    pub fn bit_len(self, skl_bits: usize) -> Option<usize> {
+        match self {
+            LabelRef::Entries(entries) => Some(entries.iter().map(|e| e.bit_len(skl_bits)).sum()),
+            LabelRef::Encoded(bytes, encoded_with) => EntryCursor::new(bytes, encoded_with)
+                .try_fold(0, |bits, e| Some(bits + e?.bit_len(skl_bits))),
+        }
+    }
+}
+
+/// **The one entry decoder**: a bit cursor over one encoded label that
+/// yields its entries root first, allocating nothing. An item of `None`
+/// means the bytes stopped decoding at that entry; the cursor is
+/// exhausted afterwards, so a consumer that stops at the first `None`
+/// never acts on a half-read label.
+#[derive(Debug, Clone)]
+pub struct EntryCursor<'a> {
+    r: BitReader<'a>,
+    /// Entries still to come (0 once decoding has failed).
+    remaining: usize,
+    skl_bits: usize,
+}
+
+impl<'a> EntryCursor<'a> {
+    /// Start reading the label at the front of `bytes`.
+    pub fn new(bytes: &'a [u8], skl_bits: usize) -> Self {
+        let mut r = BitReader::new(bytes);
+        let remaining = match r.read_gamma() {
+            // An entry costs at least 3 bits (a 1-bit index, 2 kind
+            // bits): a depth the buffer cannot hold is rejected before
+            // anything is sized from it.
+            Some(depth) if depth >= 1 && depth <= bytes.len() as u64 * 8 / 3 => depth as usize,
+            // A malformed prefix reads as one entry that fails to
+            // decode: nothing is left for it in an empty buffer.
+            _ => {
+                r = BitReader::new(&[]);
+                1
+            }
+        };
+        Self {
+            r,
+            remaining,
+            skl_bits,
+        }
+    }
+}
+
+impl Iterator for EntryCursor<'_> {
+    type Item = Option<Entry>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Option<Entry>> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let entry = read_entry(&mut self.r, self.skl_bits);
+        self.remaining = if entry.is_some() {
+            self.remaining - 1
+        } else {
+            0
+        };
+        Some(entry)
+    }
+}
+
+/// Read one entry as [`encode_label`] wrote it. Forced inline: left to
+/// the heuristic it stays a call that returns the entry through memory,
+/// which costs a third of a label's decode time.
+#[inline(always)]
+fn read_entry(r: &mut BitReader<'_>, skl_bits: usize) -> Option<Entry> {
+    let index = u32::try_from(r.read_gamma()? - 1).ok()?;
+    let kind = code_kind(r.read_bits(2)?)?;
+    let (skl, rec) = if kind == NodeKind::N {
+        let g = GraphId(u32::try_from(r.read_gamma()? - 1).ok()?);
+        let v = VertexId(r.read_bits(skl_bits)? as u32);
+        let rec = if r.read_bit()? {
+            Some((r.read_bit()?, r.read_bit()?))
+        } else {
+            None
+        };
+        (Some((g, v)), rec)
+    } else {
+        (None, None)
+    };
+    Some(Entry {
+        index,
+        kind,
+        skl,
+        rec,
+    })
+}
+
+/// Directory entry of one vertex inside a label arena: where its encoded
+/// label starts, and the module name it was published under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaSlot {
     /// The run vertex.
@@ -257,31 +369,147 @@ pub struct ArenaSlot {
     /// alone, without the run's writer state).
     pub name: NameId,
     /// Byte offset of the encoded label in the arena. Labels are
-    /// self-delimiting ([`decode_label`] reads exactly one), so no
-    /// length is stored.
+    /// self-delimiting, so no length is stored.
     pub offset: u32,
 }
 
 impl ArenaSlot {
-    /// On-disk size of one directory entry (three little-endian `u32`s).
-    /// The slot wire format belongs to the arena, not to any particular
-    /// snapshot container: every segment format version shares it.
+    /// Size of one directory entry (three little-endian `u32`s), in
+    /// memory and on disk. The slot wire format belongs to the arena,
+    /// not to any particular snapshot container.
     pub const WIRE_BYTES: usize = 12;
 
     /// Append the slot's little-endian wire form.
-    pub fn write_le(&self, out: &mut Vec<u8>) {
+    fn write_le(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.vertex.0.to_le_bytes());
         out.extend_from_slice(&self.name.0.to_le_bytes());
         out.extend_from_slice(&self.offset.to_le_bytes());
     }
 
-    /// Parse one slot from the first [`Self::WIRE_BYTES`] of `bytes`.
-    pub fn read_le(bytes: &[u8]) -> Option<Self> {
-        let b: &[u8; Self::WIRE_BYTES] = bytes.get(..Self::WIRE_BYTES)?.try_into().ok()?;
-        Some(Self {
-            vertex: VertexId(u32::from_le_bytes(b[0..4].try_into().ok()?)),
-            name: NameId(u32::from_le_bytes(b[4..8].try_into().ok()?)),
-            offset: u32::from_le_bytes(b[8..12].try_into().ok()?),
+    /// Parse one slot from exactly [`Self::WIRE_BYTES`] bytes.
+    fn read_le(b: &[u8]) -> Self {
+        let word = |i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        Self {
+            vertex: VertexId(word(0)),
+            name: NameId(word(1)),
+            offset: word(2),
+        }
+    }
+}
+
+/// **The arena reader**: a borrowed slot table (sorted by vertex id, in
+/// the 12-byte wire layout) plus the byte heap of encoded labels it
+/// points into — the slotted-page shape. Every label read of a completed
+/// run goes through this one type, whether the bytes are owned by a
+/// [`LabelArena`] or sit in a mapped segment file; it never allocates.
+///
+/// The view itself trusts nothing: an unsorted directory merely misses
+/// lookups, an out-of-range offset or a label that no longer decodes
+/// surfaces as a malformed [`LabelRef`] (a `None` from its cursor),
+/// never a panic. [`Self::to_arena`] is the validating copy.
+#[derive(Debug, Clone, Copy)]
+pub struct ArenaRef<'a> {
+    slots: &'a [u8],
+    bytes: &'a [u8],
+    skl_bits: usize,
+}
+
+impl<'a> ArenaRef<'a> {
+    /// View `slots` (whole [`ArenaSlot::WIRE_BYTES`] records; a trailing
+    /// partial record is ignored) over the label heap `bytes`.
+    pub fn new(slots: &'a [u8], bytes: &'a [u8], skl_bits: usize) -> Self {
+        let whole = slots.len() - slots.len() % ArenaSlot::WIRE_BYTES;
+        Self {
+            slots: &slots[..whole],
+            bytes,
+            skl_bits,
+        }
+    }
+
+    /// Number of labeled vertices.
+    pub fn len(&self) -> usize {
+        self.slots.len() / ArenaSlot::WIRE_BYTES
+    }
+
+    /// True for the empty run.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The skeleton-pointer width the labels were encoded with.
+    pub fn skl_bits(&self) -> usize {
+        self.skl_bits
+    }
+
+    /// The `i`-th directory entry (`i < len`).
+    fn slot(&self, i: usize) -> ArenaSlot {
+        ArenaSlot::read_le(&self.slots[i * ArenaSlot::WIRE_BYTES..][..ArenaSlot::WIRE_BYTES])
+    }
+
+    /// The encoded label a directory entry points at (an empty buffer,
+    /// which decodes to nothing, when the offset is out of range).
+    fn bytes_at(&self, slot: &ArenaSlot) -> &'a [u8] {
+        self.bytes.get(slot.offset as usize..).unwrap_or(&[])
+    }
+
+    /// Binary-search the directory for `v`.
+    pub fn find(&self, v: VertexId) -> Option<ArenaSlot> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.slot(mid).vertex < v {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < self.len())
+            .then(|| self.slot(lo))
+            .filter(|s| s.vertex == v)
+    }
+
+    /// The module name `v` was published under.
+    pub fn name(&self, v: VertexId) -> Option<NameId> {
+        self.find(v).map(|s| s.name)
+    }
+
+    /// The label of `v`, if the run labeled it.
+    pub fn label(&self, v: VertexId) -> Option<LabelRef<'a>> {
+        self.find(v)
+            .map(|s| LabelRef::Encoded(self.bytes_at(&s), self.skl_bits))
+    }
+
+    /// Every `(vertex, name, label)`, in directory order. Nothing is
+    /// decoded until a label's cursor is walked.
+    pub fn iter(self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'a>)> {
+        (0..self.len()).map(move |i| {
+            let slot = self.slot(i);
+            let label = LabelRef::Encoded(self.bytes_at(&slot), self.skl_bits);
+            (slot.vertex, slot.name, label)
+        })
+    }
+
+    /// A validated owned copy (what loading a snapshot or re-heating a
+    /// mapped run does). `None` unless the directory is strictly sorted
+    /// with in-bounds, non-decreasing offsets **and every label
+    /// decodes** — a truncated or corrupted buffer is rejected here, not
+    /// at query time.
+    pub fn to_arena(&self) -> Option<LabelArena> {
+        let mut prev: Option<ArenaSlot> = None;
+        for i in 0..self.len() {
+            let slot = self.slot(i);
+            if prev.is_some_and(|p| p.vertex >= slot.vertex || p.offset > slot.offset) {
+                return None;
+            }
+            if !EntryCursor::new(self.bytes_at(&slot), self.skl_bits).all(|e| e.is_some()) {
+                return None;
+            }
+            prev = Some(slot);
+        }
+        Some(LabelArena {
+            slots: self.slots.into(),
+            bytes: self.bytes.into(),
+            skl_bits: self.skl_bits,
         })
     }
 }
@@ -293,13 +521,16 @@ impl ArenaSlot {
 /// This is the compact at-rest representation of a finished run — the
 /// static end state of the paper's dynamic scheme. Compared to the
 /// in-memory decoded labels it trades two pointer-free, cache-friendly
-/// buffers (directory + arena) against a decode on every access, which
-/// is exactly the trade a hot/frozen tiering policy wants to make for
-/// runs that stopped growing.
+/// buffers (directory + arena) against walking a bit cursor on every
+/// access, which is exactly the trade a hot/frozen tiering policy wants
+/// to make for runs that stopped growing. It only *owns* the bytes:
+/// reads go through [`Self::view`], the same [`ArenaRef`] a mapped
+/// segment hands out, and the directory is kept in its wire layout so a
+/// snapshot is a straight copy of both buffers.
 #[derive(Debug, Clone)]
 pub struct LabelArena {
-    /// Sorted by vertex id (strictly increasing).
-    slots: Box<[ArenaSlot]>,
+    /// [`ArenaSlot`] records, sorted by vertex id (strictly increasing).
+    slots: Box<[u8]>,
     bytes: Box<[u8]>,
     skl_bits: usize,
 }
@@ -314,16 +545,17 @@ impl LabelArena {
     ) -> Self {
         let mut staged: Vec<(VertexId, NameId, &DrlLabel)> = labels.into_iter().collect();
         staged.sort_by_key(|(v, ..)| *v);
-        let mut slots = Vec::with_capacity(staged.len());
+        let mut slots = Vec::with_capacity(staged.len() * ArenaSlot::WIRE_BYTES);
         let mut bytes = Vec::new();
         for (vertex, name, label) in staged {
             let offset = u32::try_from(bytes.len()).expect("arena exceeds 4 GiB");
             bytes.extend_from_slice(&encode_label(label, skl_bits));
-            slots.push(ArenaSlot {
+            ArenaSlot {
                 vertex,
                 name,
                 offset,
-            });
+            }
+            .write_le(&mut slots);
         }
         Self {
             slots: slots.into_boxed_slice(),
@@ -332,61 +564,14 @@ impl LabelArena {
         }
     }
 
-    /// Reassemble an arena from its raw parts (a deserialized snapshot).
-    /// Returns `None` unless the directory is strictly sorted with
-    /// in-bounds, non-decreasing offsets **and every label decodes** —
-    /// a truncated or corrupted buffer is rejected here, not at query
-    /// time.
-    pub fn from_parts(skl_bits: usize, slots: Vec<ArenaSlot>, bytes: Vec<u8>) -> Option<Self> {
-        for pair in slots.windows(2) {
-            if pair[0].vertex >= pair[1].vertex || pair[0].offset > pair[1].offset {
-                return None;
-            }
-        }
-        if let Some(last) = slots.last() {
-            if (last.offset as usize) >= bytes.len() {
-                return None;
-            }
-        }
-        let arena = Self {
-            slots: slots.into_boxed_slice(),
-            bytes: bytes.into_boxed_slice(),
-            skl_bits,
-        };
-        for slot in arena.slots.iter() {
-            decode_label(&arena.bytes[slot.offset as usize..], skl_bits)?;
-        }
-        Some(arena)
-    }
-
-    fn slot(&self, v: VertexId) -> Option<&ArenaSlot> {
-        let i = self.slots.binary_search_by_key(&v, |s| s.vertex).ok()?;
-        Some(&self.slots[i])
-    }
-
-    /// Decode the label of `v`, if the run labeled it.
-    pub fn get(&self, v: VertexId) -> Option<DrlLabel> {
-        let slot = self.slot(v)?;
-        decode_label(&self.bytes[slot.offset as usize..], self.skl_bits)
-    }
-
-    /// The module name `v` was published under.
-    pub fn name(&self, v: VertexId) -> Option<NameId> {
-        self.slot(v).map(|s| s.name)
-    }
-
-    /// Decode every label, in vertex-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, NameId, DrlLabel)> + '_ {
-        self.slots.iter().map(|s| {
-            let label = decode_label(&self.bytes[s.offset as usize..], self.skl_bits)
-                .expect("arena labels are validated at construction");
-            (s.vertex, s.name, label)
-        })
+    /// The reader over this arena's buffers.
+    pub fn view(&self) -> ArenaRef<'_> {
+        ArenaRef::new(&self.slots, &self.bytes, self.skl_bits)
     }
 
     /// Number of labeled vertices.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.view().len()
     }
 
     /// True for the empty run.
@@ -404,13 +589,14 @@ impl LabelArena {
         self.bytes.len()
     }
 
-    /// Total in-memory footprint: arena bytes plus the directory.
+    /// Total in-memory footprint: arena bytes plus the directory
+    /// ([`ArenaSlot::WIRE_BYTES`] per label).
     pub fn footprint_bytes(&self) -> usize {
-        self.bytes.len() + self.slots.len() * std::mem::size_of::<ArenaSlot>()
+        self.bytes.len() + self.slots.len()
     }
 
-    /// The raw directory (snapshot serialization).
-    pub fn slots(&self) -> &[ArenaSlot] {
+    /// The raw directory, in wire layout (snapshot serialization).
+    pub fn slots(&self) -> &[u8] {
         &self.slots
     }
 
@@ -528,6 +714,51 @@ mod tests {
         let mut w = BitWriter::new();
         w.push_gamma(9);
         assert!(decode_label(&w.into_bytes(), 4).is_none());
+        // A prefix claiming 999 999 entries over a buffer that could hold
+        // a dozen: rejected from the length alone — nothing is sized from
+        // the claim (`tests/alloc_free_reads.rs` counts the allocation).
+        let mut w = BitWriter::new();
+        w.push_gamma(999_999);
+        let lying = w.into_bytes();
+        assert_eq!(EntryCursor::new(&lying, 4).collect::<Vec<_>>(), [None]);
+        assert!(decode_label(&lying, 4).is_none());
+        assert!(LabelRef::Encoded(&lying, 4).bit_len(4).is_none());
+    }
+
+    /// The cursor over encoded bytes yields the entries that were
+    /// encoded; a label cut mid-entry yields its intact prefix, one
+    /// `None`, and then ends.
+    #[test]
+    fn cursors_agree_and_stop_at_the_cut() {
+        let label = DrlLabel::new(vec![
+            Entry {
+                index: 0,
+                kind: NodeKind::N,
+                skl: Some((GraphId(0), VertexId(1))),
+                rec: None,
+            },
+            Entry::special(1, NodeKind::R),
+            Entry {
+                index: 700,
+                kind: NodeKind::N,
+                skl: Some((GraphId(3), VertexId(9))),
+                rec: Some((true, false)),
+            },
+        ]);
+        let bytes = encode_label(&label, 5);
+        let encoded = LabelRef::Encoded(&bytes, 5);
+        assert!(EntryCursor::new(&bytes, 5).eq(label.entries().iter().map(|e| Some(*e))));
+        assert_eq!(encoded.to_label().as_ref(), Some(&label));
+        assert_eq!(encoded.bit_len(5), Some(label.bit_len(5)));
+        assert_eq!(label.view().bit_len(5), Some(label.bit_len(5)));
+        let cut: Vec<_> = EntryCursor::new(&bytes[..2], 5).collect();
+        assert_eq!(cut.last(), Some(&None));
+        assert!(cut.len() <= label.depth());
+        assert!(cut[..cut.len() - 1]
+            .iter()
+            .zip(label.entries())
+            .all(|(got, want)| got.as_ref() == Some(want)));
+        assert!(LabelRef::Entries(&[]).to_label().is_none());
     }
 
     #[test]
@@ -551,30 +782,36 @@ mod tests {
             .map(|&v| (v, NameId(v.0 % 5), labeler.label(v).unwrap()))
             .collect();
         let arena = LabelArena::build(skl_bits, labeled);
+        let view = arena.view();
         assert_eq!(arena.len(), vertices.len());
+        let get = |a: ArenaRef<'_>, v| a.label(v).and_then(LabelRef::to_label);
         for &v in &vertices {
-            assert_eq!(arena.get(v).as_ref(), labeler.label(v), "{v:?}");
-            assert_eq!(arena.name(v), Some(NameId(v.0 % 5)));
+            assert_eq!(get(view, v).as_ref(), labeler.label(v), "{v:?}");
+            assert_eq!(view.name(v), Some(NameId(v.0 % 5)));
         }
-        assert!(arena.get(VertexId(1 << 30)).is_none());
+        assert!(view.label(VertexId(1 << 30)).is_none());
         // iter is vertex-ordered and complete.
-        let order: Vec<u32> = arena.iter().map(|(v, ..)| v.0).collect();
+        let order: Vec<u32> = view.iter().map(|(v, ..)| v.0).collect();
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(order, sorted);
         assert_eq!(order.len(), vertices.len());
-        // Raw-parts round-trip (what a disk snapshot does).
-        let back = LabelArena::from_parts(skl_bits, arena.slots().to_vec(), arena.bytes().to_vec())
+        // A validated copy of the raw parts (what a disk snapshot does).
+        let back = ArenaRef::new(arena.slots(), arena.bytes(), skl_bits)
+            .to_arena()
             .unwrap();
         for &v in &vertices {
-            assert_eq!(back.get(v).as_ref(), labeler.label(v));
+            assert_eq!(get(back.view(), v).as_ref(), labeler.label(v));
         }
         assert_eq!(back.encoded_bytes(), arena.encoded_bytes());
-        assert!(arena.footprint_bytes() > arena.encoded_bytes());
+        assert_eq!(
+            arena.footprint_bytes(),
+            arena.encoded_bytes() + ArenaSlot::WIRE_BYTES * vertices.len()
+        );
     }
 
     #[test]
-    fn arena_from_parts_rejects_corruption() {
+    fn validated_copy_rejects_corruption() {
         let label = DrlLabel::new(vec![Entry {
             index: 3,
             kind: NodeKind::N,
@@ -582,16 +819,18 @@ mod tests {
             rec: None,
         }]);
         let arena = LabelArena::build(4, vec![(VertexId(0), NameId(0), &label)]);
-        let slots = arena.slots().to_vec();
-        let bytes = arena.bytes().to_vec();
+        let (slots, bytes) = (arena.slots(), arena.bytes());
         // Intact parts reassemble.
-        assert!(LabelArena::from_parts(4, slots.clone(), bytes.clone()).is_some());
-        // Truncated arena: the label no longer decodes.
-        assert!(LabelArena::from_parts(4, slots.clone(), vec![]).is_none());
+        assert!(ArenaRef::new(slots, bytes, 4).to_arena().is_some());
+        // Truncated arena: the label no longer decodes — the reader
+        // degrades to a malformed label, the validating copy refuses.
+        let cut = ArenaRef::new(slots, &[], 4);
+        assert!(cut.label(VertexId(0)).unwrap().to_label().is_none());
+        assert!(cut.to_arena().is_none());
         // Out-of-bounds offset.
-        let mut bad = slots.clone();
-        bad[0].offset = bytes.len() as u32 + 7;
-        assert!(LabelArena::from_parts(4, bad, bytes.clone()).is_none());
+        let mut bad = slots.to_vec();
+        bad[8..12].copy_from_slice(&(bytes.len() as u32 + 7).to_le_bytes());
+        assert!(ArenaRef::new(&bad, bytes, 4).to_arena().is_none());
         // Unsorted directory.
         let two = LabelArena::build(
             4,
@@ -601,7 +840,7 @@ mod tests {
             ],
         );
         let mut swapped = two.slots().to_vec();
-        swapped.swap(0, 1);
-        assert!(LabelArena::from_parts(4, swapped, two.bytes().to_vec()).is_none());
+        swapped.rotate_left(ArenaSlot::WIRE_BYTES);
+        assert!(ArenaRef::new(&swapped, two.bytes(), 4).to_arena().is_none());
     }
 }

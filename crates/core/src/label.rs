@@ -1,5 +1,6 @@
 //! DRL reachability labels: immutable entry lists.
 
+use crate::encode::LabelRef;
 use crate::entry::Entry;
 use serde::{Deserialize, Serialize};
 
@@ -27,6 +28,11 @@ impl DrlLabel {
     /// The entries, root first.
     pub fn entries(&self) -> &[Entry] {
         &self.entries
+    }
+
+    /// This label as the borrowed view every reader takes.
+    pub fn view(&self) -> LabelRef<'_> {
+        LabelRef::Entries(&self.entries)
     }
 
     /// Number of entries (≤ tree depth + 1; bounded by `2|Σ\Δ| + 1` for

@@ -39,7 +39,9 @@ pub mod predicate;
 pub mod tree;
 
 pub use derivation::DerivationLabeler;
-pub use encode::{decode_label, encode_label, ArenaSlot, LabelArena};
+pub use encode::{
+    decode_label, encode_label, ArenaRef, ArenaSlot, EntryCursor, LabelArena, LabelRef,
+};
 pub use entry::{Entry, NodeKind, SklPtr};
 pub use execution::{ExecError, ExecutionLabeler, ExecutionState, ResolutionMode};
 pub use label::DrlLabel;

@@ -1,7 +1,16 @@
 //! The reachability predicate `πg` (Algorithm 4): constant-time decoding
 //! of two DRL labels.
+//!
+//! The predicate decides at the first entry where the two labels differ,
+//! so it has two ways of *finding* that entry — an indexed walk over two
+//! decoded entry slices, and a streaming walk over two entry streams
+//! ([`EntryCursor`]s over encoded bytes) that holds only the previous
+//! and current entries (what lets a completed run answer straight off
+//! its encoded arena) — and **one** case analysis,
+//! [`DrlPredicate::decide`], that both reach.
 
-use crate::entry::NodeKind;
+use crate::encode::{EntryCursor, LabelRef};
+use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
 use wf_skeleton::SpecLabeling;
 
@@ -25,10 +34,14 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// Runs in O(dt) index comparisons plus at most one skeleton query —
     /// constant time for a fixed grammar (Theorem 3.3).
     pub fn reaches(&self, a: &DrlLabel, b: &DrlLabel) -> bool {
-        let ea = a.entries();
-        let eb = b.entries();
-        // Longest common prefix of the context paths: the index sequences
-        // are Dewey labels, so equal prefixes = same tree nodes (Line 1).
+        self.reaches_entries(a.entries(), b.entries())
+    }
+
+    /// The indexed walk: longest common prefix of the context paths. The
+    /// index sequences are Dewey labels, so equal prefixes = same tree
+    /// nodes (Line 1).
+    #[inline]
+    fn reaches_entries(&self, ea: &[Entry], eb: &[Entry]) -> bool {
         let m = ea.len().min(eb.len());
         let mut j = 0;
         while j < m && ea[j].index == eb[j].index {
@@ -40,36 +53,103 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
             debug_assert!(false, "labels do not share a root");
             return false;
         }
-        let i = j - 1; // position of LCA(x, x')
-        match ea[i].kind {
+        // j - 1 is the position of LCA(x, x').
+        self.decide(&ea[j - 1], &eb[j - 1], ea.get(j), eb.get(j))
+            .expect("labels assigned by a labeler are well-formed")
+    }
+
+    /// [`Self::reaches`] over borrowed labels, whichever form each is
+    /// in. Two decoded labels take the indexed walk; otherwise the two
+    /// cursors advance in lock step and only the previous and current
+    /// entries are held — no label is materialised. `None` when a label
+    /// stops decoding before the answer is known (or is not a label of
+    /// the same run): encoded bytes are outside input, so a malformed
+    /// label is an absent answer, never a wrong one.
+    #[inline]
+    pub fn reaches_ref(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        use LabelRef::{Encoded, Entries};
+        fn decoded(entries: &[Entry]) -> impl Iterator<Item = Option<Entry>> + '_ {
+            entries.iter().map(|e| Some(*e))
+        }
+        match (a, b) {
+            (Entries(ea), Entries(eb)) => {
+                (!ea.is_empty() && !eb.is_empty()).then(|| self.reaches_entries(ea, eb))
+            }
+            (Entries(ea), Encoded(bb, kb)) => self.walk(decoded(ea), EntryCursor::new(bb, kb)),
+            (Encoded(ba, ka), Entries(eb)) => self.walk(EntryCursor::new(ba, ka), decoded(eb)),
+            (Encoded(ba, ka), Encoded(bb, kb)) => {
+                self.walk(EntryCursor::new(ba, ka), EntryCursor::new(bb, kb))
+            }
+        }
+    }
+
+    /// The streaming walk: advance both entry streams while the indexes
+    /// agree, remembering only the last agreeing pair (the LCA's
+    /// entries). A decode failure ends the walk without an answer.
+    fn walk(
+        &self,
+        mut ca: impl Iterator<Item = Option<Entry>>,
+        mut cb: impl Iterator<Item = Option<Entry>>,
+    ) -> Option<bool> {
+        /// The stream's next entry (`Some(None)` at its end); `None`
+        /// when the entry fails to decode.
+        fn step(it: &mut impl Iterator<Item = Option<Entry>>) -> Option<Option<Entry>> {
+            it.next().map_or(Some(None), |entry| entry.map(Some))
+        }
+        let mut lca: Option<(Entry, Entry)> = None;
+        loop {
+            let (next_a, next_b) = (step(&mut ca)?, step(&mut cb)?);
+            match (next_a, next_b) {
+                (Some(x), Some(y)) if x.index == y.index => lca = Some((x, y)),
+                _ => {
+                    let (x, y) = lca?;
+                    return self.decide(&x, &y, next_a.as_ref(), next_b.as_ref());
+                }
+            }
+        }
+    }
+
+    /// Lemma 4.2's case analysis at the lowest common ancestor: `lca_a`
+    /// and `lca_b` are the two labels' entries for that tree node (same
+    /// index, so same node), `next_a` / `next_b` the entries right after
+    /// it, where the labels part ways (`None` where a label ends at the
+    /// LCA). `None` for shapes no labeler produces — an N entry without
+    /// its skeleton pointer, a special LCA one label ends at.
+    #[inline]
+    fn decide(
+        &self,
+        lca_a: &Entry,
+        lca_b: &Entry,
+        next_a: Option<&Entry>,
+        next_b: Option<&Entry>,
+    ) -> Option<bool> {
+        match lca_a.kind {
             NodeKind::N => {
-                // Lemma 4.2, last case: compare the origins' skeleton
-                // labels within Annt(LCA). Also covers the
-                // ancestor-context and same-context cases, where the
-                // scan exhausted the shorter label.
-                let (g1, u) = ea[i].skl.expect("N entries carry skeleton pointers");
-                let (g2, v) = eb[i].skl.expect("N entries carry skeleton pointers");
+                // Last case: compare the origins' skeleton labels within
+                // Annt(LCA). Also covers the ancestor-context and
+                // same-context cases, where the walk exhausted the
+                // shorter label.
+                let (g1, u) = lca_a.skl?;
+                let (g2, v) = lca_b.skl?;
                 debug_assert_eq!(g1, g2, "same tree node ⇒ same annotation");
-                self.skeleton.reaches(g1, u, v)
+                Some(self.skeleton.reaches(g1, u, v))
             }
-            NodeKind::L => {
-                // Distinct copies of a loop body, combined in series:
-                // earlier copy reaches later copy (Lemma 4.2, L case).
-                debug_assert!(j < m, "special LCA implies both paths continue");
-                ea[i + 1].index < eb[i + 1].index
-            }
-            NodeKind::F => false, // parallel fork branches never reach each other
+            // Distinct copies of a loop body, combined in series:
+            // earlier copy reaches later copy (L case).
+            NodeKind::L => Some(next_a?.index < next_b?.index),
+            // Parallel fork branches never reach each other.
+            NodeKind::F => Some(false),
             NodeKind::R => {
                 // Distinct members of a recursion chain: the left member
                 // wholly contains the right one's derivation, so the
                 // answer is the precomputed flag against the recursive
-                // vertex (Lemma 4.2, R case).
-                debug_assert!(j < m, "special LCA implies both paths continue");
-                if ea[i + 1].index < eb[i + 1].index {
-                    ea[i + 1].rec.map(|r| r.0).unwrap_or(false)
+                // vertex (R case).
+                let (na, nb) = (next_a?, next_b?);
+                Some(if na.index < nb.index {
+                    na.rec.is_some_and(|r| r.0)
                 } else {
-                    eb[i + 1].rec.map(|r| r.1).unwrap_or(false)
-                }
+                    nb.rec.is_some_and(|r| r.1)
+                })
             }
         }
     }
@@ -216,5 +296,74 @@ mod tests {
         assert!(p.reaches(&member(2, s3), &member(1, t3)));
         // …but never member 1's s3 (C does not reach s3).
         assert!(!p.reaches(&member(2, s3), &member(1, s3)));
+    }
+
+    /// The streaming walk reaches the same case analysis: every pair of
+    /// the hand-built labels above, in every mix of decoded and encoded
+    /// operands, answers like `reaches`; a label cut mid-entry answers
+    /// `None`, never a wrong `Some`.
+    #[test]
+    fn streaming_walk_agrees_and_refuses_truncated_labels() {
+        use crate::encode::{encode_label, LabelRef};
+        let (spec, skeleton) = setup();
+        let p = DrlPredicate::new(&skeleton);
+        let g0 = GraphId::START;
+        let h1 = spec.implementations(spec.name_id("L").unwrap())[0];
+        let h3 = spec.implementations(spec.name_id("A").unwrap())[0];
+        let under = |kind, i, g, v, rec| {
+            DrlLabel::new(vec![
+                n_entry(0, g0, 1),
+                Entry::special(1, kind),
+                Entry {
+                    rec,
+                    ..n_entry(i, g, v)
+                },
+            ])
+        };
+        let labels = [
+            DrlLabel::new(vec![n_entry(0, g0, 0)]),
+            DrlLabel::new(vec![n_entry(0, g0, 2)]),
+            under(NodeKind::L, 1, h1, 0, None),
+            under(NodeKind::L, 2, h1, 1, None),
+            under(NodeKind::F, 1, h1, 0, None),
+            under(NodeKind::F, 2, h1, 0, None),
+            under(NodeKind::R, 1, h3, 1, Some((true, false))),
+            under(NodeKind::R, 2, h3, 0, Some((false, true))),
+        ];
+        let skl_bits = 4;
+        let bytes: Vec<Vec<u8>> = labels.iter().map(|l| encode_label(l, skl_bits)).collect();
+        for (a, ab) in labels.iter().zip(&bytes) {
+            for (b, bb) in labels.iter().zip(&bytes) {
+                // Labels under different special nodes at the same
+                // position never co-occur in one run.
+                if a.depth() == 3 && b.depth() == 3 && a.entries()[1].kind != b.entries()[1].kind {
+                    continue;
+                }
+                let want = Some(p.reaches(a, b));
+                let (ea, eb) = (
+                    LabelRef::Encoded(ab, skl_bits),
+                    LabelRef::Encoded(bb, skl_bits),
+                );
+                assert_eq!(p.reaches_ref(a.view(), b.view()), want);
+                assert_eq!(p.reaches_ref(ea, eb), want);
+                assert_eq!(p.reaches_ref(a.view(), eb), want);
+                assert_eq!(p.reaches_ref(ea, b.view()), want);
+            }
+        }
+        // Two labels sharing a prefix, one cut inside its last entry
+        // (whose 39-bit index alone spans the two dropped bytes).
+        let deep = encode_label(&under(NodeKind::L, 900_000, h1, 1, None), skl_bits);
+        let cut = LabelRef::Encoded(&deep[..deep.len() - 2], skl_bits);
+        assert!(cut.to_label().is_none());
+        let full = LabelRef::Encoded(&bytes[2], skl_bits);
+        assert_eq!(p.reaches_ref(full, cut), None);
+        assert_eq!(p.reaches_ref(cut, full), None);
+        assert_eq!(p.reaches_ref(labels[2].view(), cut), None);
+        // …while a difference *before* the cut still decides.
+        assert_eq!(p.reaches_ref(labels[0].view(), cut), Some(true));
+        assert_eq!(
+            p.reaches_ref(labels[0].view(), LabelRef::Entries(&[])),
+            None
+        );
     }
 }

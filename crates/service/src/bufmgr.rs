@@ -14,9 +14,11 @@
 //!   byte-identical for its whole life, so checksums need verifying only
 //!   once, at first pin.
 //! * [`MappedRun`] — one run's blob resolved to a pinned byte range
-//!   *inside* the mapping: a parsed header plus absolute slot/arena
-//!   offsets. Queries binary-search the slot table and Elias-gamma
-//!   decode labels **straight off the mapping** — no copy, no
+//!   *inside* the mapping: the range, the parsed header, and a
+//!   residency flag. It reads nothing itself: [`MappedRun::arena`] hands
+//!   out the same [`wf_drl::ArenaRef`] a frozen run's owned arena does,
+//!   over the mapped bytes, so queries search the slot table and walk
+//!   label cursors **straight off the mapping** — no copy, no
 //!   allocation, no eager whole-arena validation. Eviction is
 //!   `madvise(MADV_DONTNEED)`: the pages go back to the kernel, the
 //!   metadata stays, and the next pin re-faults at page-cache speed.
@@ -34,8 +36,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use wf_drl::{decode_label, ArenaSlot, DrlLabel, LabelArena};
-use wf_graph::{NameId, VertexId};
+use wf_drl::{ArenaRef, ArenaSlot};
 
 /// Page granularity assumed for `madvise` range rounding. A constant
 /// (not `sysconf`) keeps the offline build free of libc: rounding to a
@@ -276,11 +277,6 @@ pub struct MappedRun {
     offset: u64,
     len: u64,
     header: SegmentHeader,
-    /// Absolute offset of the slot table inside the mapping.
-    slots_off: usize,
-    /// Absolute offset / length of the encoded arena bytes.
-    bytes_off: usize,
-    bytes_len: usize,
     /// Whether the range is currently accounted as resident in the
     /// replacer (set on pin-in, cleared by `madvise` eviction).
     pub(crate) resident: AtomicBool,
@@ -291,7 +287,8 @@ impl MappedRun {
     /// the blob at `[offset, offset+len)` of `map`. This is the one
     /// integrity pass the mapped path ever runs: the labels themselves
     /// decode lazily, per query, and a byte that rots *after* this
-    /// check degrades to `None` at decode, never to a panic.
+    /// check degrades to a malformed label at its cursor, never to a
+    /// panic.
     pub(crate) fn resolve(
         map: Arc<PackMapping>,
         offset: u64,
@@ -301,16 +298,11 @@ impl MappedRun {
             .slice(offset, len)
             .ok_or_else(|| SnapshotError::Format("blob range outside mapped pack".into()))?;
         let header = verify_segment_bytes(blob)?;
-        let slots_off = offset as usize + HEADER_LEN;
-        let bytes_off = slots_off + header.count as usize * ArenaSlot::WIRE_BYTES;
         Ok(Self {
             map,
             offset,
             len,
             header,
-            slots_off,
-            bytes_off,
-            bytes_len: header.arena_len as usize,
             resident: AtomicBool::new(false),
         })
     }
@@ -320,77 +312,17 @@ impl MappedRun {
         &self.header
     }
 
-    /// Skeleton-pointer width the labels were encoded with.
-    pub fn skl_bits(&self) -> usize {
-        self.header.skl_bits as usize
-    }
-
-    fn slot(&self, i: usize) -> Option<ArenaSlot> {
-        let start = self.slots_off + i * ArenaSlot::WIRE_BYTES;
-        ArenaSlot::read_le(self.map.bytes().get(start..start + ArenaSlot::WIRE_BYTES)?)
-    }
-
-    /// Binary search the on-disk slot table (sorted by vertex — the
-    /// invariant `verify_segment_bytes` leaves to the encoder and
-    /// `LabelArena::from_parts` re-checks on re-heat; a violation here
-    /// merely misses a lookup).
-    fn find(&self, v: VertexId) -> Option<usize> {
-        let count = self.header.count as usize;
-        let (mut lo, mut hi) = (0usize, count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.slot(mid)?.vertex < v {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo < count && self.slot(lo)?.vertex == v).then_some(lo)
-    }
-
-    fn decode_at(&self, slot: &ArenaSlot) -> Option<DrlLabel> {
-        let arena = self
-            .map
-            .bytes()
-            .get(self.bytes_off..self.bytes_off + self.bytes_len)?;
-        decode_label(arena.get(slot.offset as usize..)?, self.skl_bits())
-    }
-
-    /// Decode the label of `v` straight off the mapping.
-    pub fn label(&self, v: VertexId) -> Option<DrlLabel> {
-        self.decode_at(&self.slot(self.find(v)?)?)
-    }
-
-    /// The module name `v` was published under.
-    pub fn name(&self, v: VertexId) -> Option<NameId> {
-        Some(self.slot(self.find(v)?)?.name)
-    }
-
-    /// Visit every published `(vertex, name, label)`, decoding each
-    /// label from the mapped arena. A slot whose label no longer
-    /// decodes is skipped (degraded, not fatal).
-    pub fn for_each_label(&self, mut f: impl FnMut(VertexId, NameId, &DrlLabel)) {
-        for i in 0..self.header.count as usize {
-            let Some(slot) = self.slot(i) else { continue };
-            let Some(label) = self.decode_at(&slot) else {
-                continue;
-            };
-            f(slot.vertex, slot.name, &label);
-        }
-    }
-
-    /// Materialize a fully validated owned [`LabelArena`] from the
-    /// mapped bytes — the re-heat path out of the mapped tier (frozen
-    /// re-heat keeps the arena; hot re-heat decodes it further into a
-    /// `LabelIndex`).
-    pub(crate) fn to_arena(&self) -> Option<LabelArena> {
-        let bytes = self.map.bytes();
-        let mut slots = Vec::with_capacity(self.header.count as usize);
-        for i in 0..self.header.count as usize {
-            slots.push(self.slot(i)?);
-        }
-        let arena = bytes.get(self.bytes_off..self.bytes_off + self.bytes_len)?;
-        LabelArena::from_parts(self.skl_bits(), slots, arena.to_vec())
+    /// The run's labels, read in place: the slot table and the label
+    /// heap sit back to back after the header (`resolve` checked that
+    /// the blob is exactly header + slots + arena + checksum long).
+    pub(crate) fn arena(&self) -> ArenaRef<'_> {
+        let body = &self.map.bytes()[self.offset as usize + HEADER_LEN..];
+        let (slots, rest) = body.split_at(self.header.count as usize * ArenaSlot::WIRE_BYTES);
+        ArenaRef::new(
+            slots,
+            &rest[..self.header.arena_len as usize],
+            self.header.skl_bits as usize,
+        )
     }
 
     /// Drop the kernel pages behind this blob (mapped-tier eviction).

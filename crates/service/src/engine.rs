@@ -396,7 +396,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// **Freeze** a completed run now: compact its published labels into
-    /// a contiguous encoded arena (decode-on-read), re-label with the
+    /// a contiguous encoded arena (read in place), re-label with the
     /// static SKL baseline when a derivation was
     /// [provided](Self::provide_derivation) (recording the DRL-vs-SKL
     /// bit/latency delta in [`Self::stats`]), and drop the hot labeler
@@ -502,20 +502,25 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// against concurrent ingestion. `Ok(None)` means at least one of
     /// the two vertices has not been labeled yet (its event is still in
     /// flight); because labels and pairwise answers are immutable once
-    /// published, any `Some` answer remains valid forever.
+    /// published, any `Some` answer remains valid forever. A persisted
+    /// run whose pack no longer loads (checksum mismatch, vanished file)
+    /// is [`ServiceError::Snapshot`] with the cause, not `Ok(None)`.
     pub fn reach(
         &self,
         run: RunId,
         u: VertexId,
         v: VertexId,
     ) -> Result<Option<bool>, ServiceError> {
-        Ok(self.handle(run)?.reach(u, v))
+        let handle = self.handle(run)?;
+        handle.checked(handle.reach(u, v))
     }
 
-    /// The published label of `v`, if any (decoded from the run's
-    /// current tier).
+    /// The published label of `v`, if any (an owned copy, decoded from
+    /// the run's current tier). Fails like [`Self::reach`] when the
+    /// run's pack no longer loads.
     pub fn label(&self, run: RunId, v: VertexId) -> Result<Option<wf_drl::DrlLabel>, ServiceError> {
-        Ok(self.handle(run)?.label(v))
+        let handle = self.handle(run)?;
+        handle.checked(handle.label(v))
     }
 
     /// A cloneable, lifetime-free handle for hot paths on one run:

@@ -6,9 +6,10 @@
 //! completes, that machinery is pure overhead: the labels are final, so
 //! the run can be *frozen* into the compact at-rest form
 //! ([`wf_drl::LabelArena`]) and its writer state dropped. Queries keep
-//! working (decode two labels, apply the same constant-time predicate);
-//! memory shrinks from decoded entry lists in a chunk table to one
-//! contiguous byte buffer.
+//! working — the same constant-time predicate walks two label cursors
+//! over the arena bytes ([`wf_drl::ArenaRef`], the reader the persisted
+//! tier shares), materialising neither label; memory shrinks from
+//! decoded entry lists in a chunk table to one contiguous byte buffer.
 //!
 //! Freezing is also the moment the engine can afford the paper's §7.4
 //! comparison *per run*: when the run's derivation is available (and the
@@ -24,7 +25,7 @@ use crate::{RunId, SpecContext, SpecId};
 use std::hint::black_box;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
-use wf_drl::{DrlLabel, DrlPredicate, LabelArena};
+use wf_drl::{ArenaRef, DrlPredicate, LabelArena};
 use wf_graph::VertexId;
 use wf_run::Derivation;
 use wf_skeleton::SpecLabeling;
@@ -42,7 +43,8 @@ pub struct SklReport {
     /// Wall-clock to build the SKL labeling from the derivation.
     pub build_ns: u64,
     /// Wall-clock for the sampled pairs answered from the *frozen* DRL
-    /// arena (decode + constant-time predicate).
+    /// arena (slot lookup + the constant-time predicate over two label
+    /// cursors).
     pub drl_query_ns: u64,
     /// Wall-clock for the same pairs through `SklLabeling::reaches`.
     pub skl_query_ns: u64,
@@ -89,11 +91,6 @@ impl FrozenRun {
     /// Number of labeled vertices.
     pub fn published(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Decode the label of `v`.
-    pub fn label(&self, v: VertexId) -> Option<DrlLabel> {
-        self.arena.get(v)
     }
 
     /// In-memory footprint of the frozen representation in bytes
@@ -161,7 +158,7 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         String::new,
     );
     let drl_bits = slot.indexed.total_bits();
-    let skl = derivation.and_then(|d| skl_report(ctx, d, &arena, drl_bits));
+    let skl = derivation.and_then(|d| skl_report(ctx, d, arena.view(), drl_bits));
     if obs.enabled {
         if let Some(report) = &skl {
             obs.h_skl_build.record(report.build_ns);
@@ -185,7 +182,7 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
 fn skl_report<S: SpecLabeling>(
     ctx: &SpecContext<S>,
     derivation: &Derivation,
-    arena: &LabelArena,
+    arena: ArenaRef<'_>,
     drl_bits: u64,
 ) -> Option<SklReport> {
     let t0 = Instant::now();
@@ -199,10 +196,9 @@ fn skl_report<S: SpecLabeling>(
     let predicate = DrlPredicate::new(&ctx.skeleton);
     let t = Instant::now();
     for &u in &sample {
-        let lu = arena.get(u)?;
+        let lu = arena.label(u)?;
         for &v in &sample {
-            let lv = arena.get(v)?;
-            black_box(predicate.reaches(&lu, &lv));
+            black_box(predicate.reaches_ref(lu, arena.label(v)?)?);
         }
     }
     let drl_query_ns = t.elapsed().as_nanos() as u64;

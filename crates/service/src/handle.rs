@@ -10,9 +10,10 @@
 //!
 //! With the tiered label store a handle resolves to whichever tier held
 //! the run when the handle was taken: hot handles answer from the
-//! lock-free in-memory index (allocation-free), frozen handles decode
-//! from the compact arena, persisted handles lazily map the snapshot
-//! segment in. The query API is identical across tiers.
+//! lock-free in-memory index, frozen handles walk the compact arena,
+//! persisted handles lazily map the snapshot segment in and walk that —
+//! allocation-free in every tier. The query API is identical across
+//! tiers.
 
 use crate::engine::EngineShared;
 use crate::ingest::{apply, Entry, Op};
@@ -89,8 +90,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     }
 
     /// Constant-time `u ; v` from published labels; `None` until both
-    /// vertices' events have been applied. Hot handles stay
-    /// allocation-free; colder tiers decode the two labels first.
+    /// vertices' events have been applied. Allocation-free in every
+    /// tier: the colder ones walk two label cursors over the arena bytes
+    /// instead of decoding the two labels.
     pub fn reach(&self, u: VertexId, v: VertexId) -> Option<bool> {
         let obs = &self.shared.obs;
         // Sampled probe: time it and feed the latency histogram. The
@@ -148,10 +150,20 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
         apply(&self.shared, self.run, slot, op, Entry::Handle)
     }
 
-    /// The published label of `v`, if any — cloned from the hot index or
-    /// decoded from the run's arena.
+    /// The published label of `v`, if any — an owned copy, cloned from
+    /// the hot index or decoded from the run's arena.
     pub fn label(&self, v: VertexId) -> Option<DrlLabel> {
         self.view.label(v)
+    }
+
+    /// Tell an empty read ("not labeled yet", `Ok(None)`) from a broken
+    /// one: an error when nothing was read because the run's pack no
+    /// longer loads.
+    pub(crate) fn checked<T>(&self, read: Option<T>) -> Result<Option<T>, ServiceError> {
+        match read {
+            None => self.view.load_failure(self.run).map_or(Ok(None), Err),
+            some => Ok(some),
+        }
     }
 
     /// The module name `v` was published under, if labeled yet.
@@ -162,12 +174,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     /// Published label length in bits (the accounting size, identical
     /// across tiers — encoding does not change the label).
     pub fn label_bits(&self, v: VertexId) -> Option<usize> {
-        let skl_bits = match &self.view {
-            RunView::Hot(slot) => slot.skl_bits,
-            RunView::Frozen(f) => f.arena().skl_bits(),
-            RunView::Persisted(p) => p.pin()?.skl_bits(),
-        };
-        self.label(v).map(|l| l.bit_len(skl_bits))
+        self.view.label_bits(v)
     }
 
     /// The run's source vertex (first applied event), once ingested.

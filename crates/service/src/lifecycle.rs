@@ -294,33 +294,40 @@ impl<S: SpecLabeling> EngineShared<S> {
 
     /// **Re-heat** one persisted run into a resident tier, straight off
     /// its pinned mapping. `target` picks the representation:
-    /// [`Tier::Frozen`] copies the encoded arena out (queries decode per
-    /// label, with no LRU in the way); [`Tier::Hot`] rebuilds the fully
-    /// decoded [`crate::index::LabelIndex`] (queries are two `Acquire`
-    /// loads). Either way the run stays `Completed`, and it leaves the
-    /// persisted registry — its pack bytes turn dead, which is what
-    /// feeds pack GC. Idempotent for runs already resident.
+    /// [`Tier::Frozen`] copies the encoded arena out (same reader, no
+    /// LRU in the way); [`Tier::Hot`] rebuilds the fully decoded
+    /// [`crate::index::LabelIndex`] (queries are two `Acquire` loads).
+    /// Either way the run stays `Completed`, and it leaves the persisted
+    /// registry — its pack bytes turn dead, which is what feeds pack GC.
+    /// Idempotent for runs already resident.
     pub(crate) fn reheat(&self, run: RunId, target: Tier) -> Result<(), ServiceError> {
-        let RunView::Persisted(persisted) = self.view(run)? else {
+        let view = self.view(run)?;
+        let RunView::Persisted(persisted) = &view else {
             return Ok(()); // already resident
         };
         let span = self.obs.timer();
-        let unreadable =
-            || ServiceError::Snapshot(run, "segment no longer reads back cleanly".into());
+        // A first pin that failed names its cause; a label that rots
+        // under a verified checksum has none better than this.
+        let unreadable = || {
+            view.load_failure(run)
+                .unwrap_or_else(|| ServiceError::Snapshot(run, "a label no longer decodes".into()))
+        };
         let pin = persisted.pin().ok_or_else(unreadable)?;
         let resident = match target {
             Tier::Frozen => RunView::Frozen(pin.to_frozen().ok_or_else(unreadable)?),
             Tier::Hot => {
+                let arena = pin.arena();
                 let slot = RunSlot::completed(
                     Arc::clone(&self.catalog[persisted.spec.0]),
                     persisted.spec,
-                    pin.skl_bits(),
+                    arena.skl_bits(),
                     persisted.source,
                     persisted.published as u64,
                 );
-                pin.for_each_label(|v, name, label| {
-                    slot.indexed.publish(v, name, label.clone(), slot.skl_bits);
-                });
+                for (v, name, label) in arena.iter() {
+                    let label = label.to_label().ok_or_else(unreadable)?;
+                    slot.indexed.publish(v, name, label, slot.skl_bits);
+                }
                 RunView::Hot(Arc::new(slot))
             }
             Tier::Persisted => return Ok(()),
@@ -361,7 +368,7 @@ impl<S: SpecLabeling> EngineShared<S> {
                     .queries
                     .load(Ordering::Relaxed)
                     .saturating_sub(p.queries_at_persist);
-                if since >= threshold && !p.is_load_failed() {
+                if since >= threshold && p.load_failure().is_none() {
                     to_reheat.push(run);
                 }
             });

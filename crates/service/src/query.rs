@@ -5,9 +5,12 @@
 //! Per-run queries resolve two labels and apply the paper's constant-
 //! time predicate (Algorithm 4). The cross-run surface lifts that to the
 //! fleet: hot runs are scanned lock-free from their write-once chunk
-//! tables ([`crate::index::LabelIndex`]), frozen runs decode from their
-//! compact arenas, and persisted runs lazily map their snapshot
-//! segments in — one scan, three tiers, no writer blocked anywhere.
+//! tables ([`crate::index::LabelIndex`]); frozen and persisted runs are
+//! scanned through one arena reader ([`wf_drl::ArenaRef`]) over the
+//! in-memory arena or the lazily mapped segment — one scan, three tiers,
+//! no writer blocked anywhere. The matcher is handed borrowed labels
+//! ([`wf_drl::LabelRef`]): a name-scoped scan reads the slot table's
+//! names and touches label bytes only for vertices whose name matches.
 //!
 //! The flagship question ("which completed runs of spec S have a vertex
 //! named N reachable from their source?") composes three write-once

@@ -41,8 +41,10 @@
 //! segments (sync failures surface as the typed [`SnapshotError::Sync`]).
 //! Every persisted read goes through the file's mapping
 //! ([`crate::bufmgr`]): framing and checksum are verified once, at first
-//! pin, and labels decode on demand; a truncated or corrupted blob is
-//! rejected with a typed error, never a panic.
+//! pin, and labels are read in place through the same
+//! [`wf_drl::ArenaRef`] a frozen run uses; a truncated or corrupted blob
+//! is rejected with a typed error — kept on the registration, so every
+//! later read names the cause — never a panic.
 
 use crate::bufmgr::{MappedRun, PackFile};
 use crate::freeze::{FrozenRun, SklReport};
@@ -55,8 +57,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use wf_drl::{ArenaSlot, DrlLabel, LabelArena};
-use wf_graph::{NameId, VertexId};
+use wf_drl::{ArenaRef, ArenaSlot};
+use wf_graph::VertexId;
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
@@ -258,9 +260,7 @@ pub(crate) fn pack_file_seq(name: &str) -> Option<u64> {
 /// Serialize a frozen run into a segment blob.
 pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
     let arena = frozen.arena();
-    let mut out = Vec::with_capacity(
-        HEADER_LEN + arena.len() * ArenaSlot::WIRE_BYTES + arena.encoded_bytes() + CHECKSUM_LEN,
-    );
+    let mut out = Vec::with_capacity(HEADER_LEN + arena.footprint_bytes() + CHECKSUM_LEN);
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     out.extend_from_slice(&frozen.run().0.to_le_bytes());
@@ -287,9 +287,7 @@ pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
     out.extend_from_slice(&r.drl_query_ns.to_le_bytes());
     out.extend_from_slice(&r.skl_query_ns.to_le_bytes());
     out.extend_from_slice(&r.pairs_sampled.to_le_bytes());
-    for slot in arena.slots() {
-        slot.write_le(&mut out);
-    }
+    out.extend_from_slice(arena.slots());
     out.extend_from_slice(arena.bytes());
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -332,14 +330,10 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
 pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
     let header = verify_segment_bytes(bytes)?;
     let mut r = ByteReader::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
-    let mut slots = Vec::with_capacity(header.count as usize);
-    for _ in 0..header.count {
-        let slot = ArenaSlot::read_le(r.take(ArenaSlot::WIRE_BYTES)?)
-            .ok_or_else(|| SnapshotError::Format("truncated slot".into()))?;
-        slots.push(slot);
-    }
-    let arena_bytes = r.take(header.arena_len as usize)?.to_vec();
-    let arena = LabelArena::from_parts(header.skl_bits as usize, slots, arena_bytes)
+    let slots = r.take(header.count as usize * ArenaSlot::WIRE_BYTES)?;
+    let arena_bytes = r.take(header.arena_len as usize)?;
+    let arena = ArenaRef::new(slots, arena_bytes, header.skl_bits as usize)
+        .to_arena()
         .ok_or_else(|| SnapshotError::Format("arena validation failed".into()))?;
     Ok(FrozenRun {
         run: header.run,
@@ -506,9 +500,10 @@ enum LoadState {
     /// the parsed metadata — never degrades back to `Unloaded`.
     Mapped(Arc<MappedRun>),
     /// A load failed (the blob vanished or was corrupted after
-    /// registration); cached so queries degrade to "no labels" instead
-    /// of re-reading a broken file.
-    Failed,
+    /// registration); cached with its cause, so queries degrade to "no
+    /// labels" instead of re-reading a broken file and the engine's
+    /// fallible reads can say why.
+    Failed(SnapshotError),
 }
 
 /// A run living in the persisted tier: registered from a segment header
@@ -704,7 +699,7 @@ impl PersistedRun {
         let mut g = self.state.write().expect("segment state poisoned");
         match &*g {
             LoadState::Mapped(m) => return Some((Arc::clone(m), self.repin(m))),
-            LoadState::Failed => return None,
+            LoadState::Failed(_) => return None,
             LoadState::Unloaded => {}
         }
         let obs = &self.lru.obs;
@@ -714,9 +709,18 @@ impl PersistedRun {
             .mapping()
             .map_err(SnapshotError::from)
             .and_then(|map| MappedRun::resolve(map, self.offset, self.disk_bytes));
-        let Ok(m) = resolved else {
-            *g = LoadState::Failed;
-            return None;
+        let m = match resolved {
+            Ok(m) => m,
+            Err(cause) => {
+                obs.event(
+                    "pack_pin_failed",
+                    Some(self.run.0),
+                    Some("persisted"),
+                    || format!("file={} cause={cause}", self.file.path().display()),
+                );
+                *g = LoadState::Failed(cause);
+                return None;
+            }
         };
         obs.span(
             &obs.h_pack_pin,
@@ -745,7 +749,7 @@ impl PersistedRun {
         self.last_access.store(self.lru.tick(), Ordering::Relaxed);
         let resolved = match &*self.state.read().expect("segment state poisoned") {
             LoadState::Mapped(m) => Some((Arc::clone(m), self.repin(m))),
-            LoadState::Failed => return None,
+            LoadState::Failed(_) => return None,
             LoadState::Unloaded => None,
         };
         let (mapped, admit) = match resolved {
@@ -775,14 +779,14 @@ impl PersistedRun {
         self.pins.load(Ordering::Acquire) > 0
     }
 
-    /// True once a load has failed (sticky): the blob no longer reads
-    /// back cleanly, so retrying — e.g. the auto-re-heat policy — is
-    /// pointless until the registration changes.
-    pub fn is_load_failed(&self) -> bool {
-        matches!(
-            &*self.state.read().expect("segment state poisoned"),
-            LoadState::Failed
-        )
+    /// Why the run's first pin failed, once it has (sticky): the blob no
+    /// longer reads back cleanly, so retrying — e.g. the auto-re-heat
+    /// policy — is pointless until the registration changes.
+    pub fn load_failure(&self) -> Option<SnapshotError> {
+        match &*self.state.read().expect("segment state poisoned") {
+            LoadState::Failed(cause) => Some(cause.clone()),
+            _ => None,
+        }
     }
 
     /// Resident bytes of the blob (0 when cold or failed): its on-disk
@@ -819,31 +823,16 @@ impl PersistedRun {
 
 /// A pinned view of one persisted run's labels. While the pin lives, the
 /// replacer will not evict the blob's pages; dropping it unpins. All
-/// label reads decode on demand, straight off the mapping.
+/// label reads go through [`Self::arena`], straight off the mapping.
 pub struct SegmentPin {
     run: Arc<PersistedRun>,
     mapped: Arc<MappedRun>,
 }
 
 impl SegmentPin {
-    /// Decode the label of `v`.
-    pub fn label(&self, v: VertexId) -> Option<DrlLabel> {
-        self.mapped.label(v)
-    }
-
-    /// The module name `v` was published under.
-    pub fn name(&self, v: VertexId) -> Option<NameId> {
-        self.mapped.name(v)
-    }
-
-    /// Skeleton-pointer width the labels were encoded with.
-    pub fn skl_bits(&self) -> usize {
-        self.mapped.skl_bits()
-    }
-
-    /// Visit every published `(vertex, name, label)` of the run.
-    pub fn for_each_label(&self, f: impl FnMut(VertexId, NameId, &DrlLabel)) {
-        self.mapped.for_each_label(f);
+    /// The run's labels, read in place.
+    pub(crate) fn arena(&self) -> ArenaRef<'_> {
+        self.mapped.arena()
     }
 
     /// Materialize an owned, fully re-validated [`FrozenRun`] out of the
@@ -855,7 +844,7 @@ impl SegmentPin {
             run: self.run.run,
             spec: self.run.spec,
             source: h.source,
-            arena: self.mapped.to_arena()?,
+            arena: self.arena().to_arena()?,
             drl_bits: h.drl_bits,
             frozen_at: h.frozen_at,
             skl: h.skl,

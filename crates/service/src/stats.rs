@@ -116,8 +116,9 @@ pub struct ServiceStats {
     pub skl_build_ns: u64,
     /// Sampled query time through SKL labels.
     pub skl_query_ns: u64,
-    /// Sampled query time through frozen DRL labels (decode +
-    /// constant-time predicate), over the same pairs.
+    /// Sampled query time through frozen DRL labels (slot lookup + the
+    /// constant-time predicate over two label cursors), over the same
+    /// pairs.
     pub frozen_query_ns: u64,
     /// Pairs sampled for the latency comparison.
     pub skl_pairs_sampled: u64,

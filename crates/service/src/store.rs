@@ -6,11 +6,17 @@
 //!   `Acquire` loads and a constant-time predicate.
 //! * **Frozen** — completed runs compacted into contiguous encoded
 //!   arenas ([`crate::FrozenRun`]): ~an order of magnitude smaller, at
-//!   the price of a decode per label access.
+//!   the price of walking a bit cursor per label access.
 //! * **Persisted** — frozen arenas snapshotted to disk
 //!   ([`crate::snapshot::PersistedRun`]): zero resident bytes until the
 //!   first query maps the run's pack file and pins its blob; read in
 //!   place from then on, under the [`SegmentLru`] residency budget.
+//!
+//! The read path has **two arms, not three**: a hot run hands out
+//! borrowed entries from its index, and both cold tiers hand out the
+//! same [`wf_drl::ArenaRef`] — over the frozen run's owned buffers or
+//! over the pinned mapping. Every reader takes a borrowed [`LabelRef`];
+//! an owned `DrlLabel` is built only where one is kept.
 //!
 //! A run's published labels are one immutable thing whose
 //! *representation* changes, so the registry holds **one entry per
@@ -27,11 +33,11 @@ use crate::slot::RunSlot;
 use crate::snapshot::PersistedRun;
 use crate::sub::{SubHub, SubPredicate, Subscription};
 use crate::telemetry::{bump, Telemetry};
-use crate::{RunId, RunStatus, SpecId};
+use crate::{RunId, RunStatus, ServiceError, SpecId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use wf_drl::{DrlLabel, DrlPredicate};
+use wf_drl::{ArenaRef, DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
 
@@ -266,13 +272,36 @@ impl<S: SpecLabeling> RunView<S> {
         }
     }
 
-    /// The label of `v` — borrowed-then-cloned from the hot index,
-    /// decoded from an arena (in memory or mapped) otherwise.
+    /// The cold tiers' one reader, borrowed for one read: a frozen run's
+    /// owned arena or a persisted run's pinned mapping, as the same
+    /// [`ArenaRef`]. `None` for a hot run (it reads its index instead)
+    /// and for a persisted run whose blob no longer pins. The pin holds
+    /// for the whole of `f`: a scan iterating labels straight off the
+    /// mapping cannot have its pages `madvise`d away mid-run.
+    fn with_arena<R>(&self, f: impl FnOnce(ArenaRef<'_>) -> R) -> Option<R> {
+        match self {
+            RunView::Hot(_) => None,
+            RunView::Frozen(fr) => Some(f(fr.arena.view())),
+            RunView::Persisted(p) => {
+                let pin = p.pin()?;
+                Some(f(pin.arena()))
+            }
+        }
+    }
+
+    /// An owned copy of `v`'s label, for a caller that keeps it.
     pub(crate) fn label(&self, v: VertexId) -> Option<DrlLabel> {
         match self {
             RunView::Hot(s) => s.indexed.get(v).cloned(),
-            RunView::Frozen(f) => f.arena.get(v),
-            RunView::Persisted(p) => p.pin()?.label(v),
+            _ => self.with_arena(|a| a.label(v)?.to_label())?,
+        }
+    }
+
+    /// Published label length of `v` in bits (the accounting size).
+    pub(crate) fn label_bits(&self, v: VertexId) -> Option<usize> {
+        match self {
+            RunView::Hot(s) => s.indexed.get(v).map(|l| l.bit_len(s.skl_bits)),
+            _ => self.with_arena(|a| a.label(v)?.bit_len(a.skl_bits()))?,
         }
     }
 
@@ -280,14 +309,13 @@ impl<S: SpecLabeling> RunView<S> {
     pub(crate) fn name(&self, v: VertexId) -> Option<NameId> {
         match self {
             RunView::Hot(s) => s.indexed.get_published(v).map(|p| p.name),
-            RunView::Frozen(f) => f.arena.name(v),
-            RunView::Persisted(p) => p.pin()?.name(v),
+            _ => self.with_arena(|a| a.name(v))?,
         }
     }
 
-    /// Constant-time `u ; v`, answered from this tier. The hot path
-    /// stays allocation-free (two borrowed labels); the cold tiers
-    /// decode the two labels first.
+    /// Constant-time `u ; v`, answered from this tier without
+    /// allocating: two borrowed decoded labels (hot), or two cursors
+    /// walked in lock step off the arena bytes (cold).
     pub(crate) fn reach(
         &self,
         predicate: &DrlPredicate<'_, S>,
@@ -295,44 +323,37 @@ impl<S: SpecLabeling> RunView<S> {
         v: VertexId,
     ) -> Option<bool> {
         let answer = match self {
-            RunView::Hot(s) => {
-                let lu = s.indexed.get(u)?;
-                let lv = s.indexed.get(v)?;
-                predicate.reaches(lu, lv)
-            }
-            RunView::Frozen(f) => predicate.reaches(&f.arena.get(u)?, &f.arena.get(v)?),
-            RunView::Persisted(p) => {
-                let pin = p.pin()?;
-                predicate.reaches(&pin.label(u)?, &pin.label(v)?)
-            }
+            RunView::Hot(s) => predicate.reaches(s.indexed.get(u)?, s.indexed.get(v)?),
+            _ => self.with_arena(|a| predicate.reaches_ref(a.label(u)?, a.label(v)?))??,
         };
         bump(self.queries());
         Some(answer)
     }
 
-    /// Visit every published `(vertex, name, label)` of the run. Hot
-    /// labels are passed by reference straight from the index; cold
-    /// labels decode into a scratch value per visit.
-    pub(crate) fn for_each_label(&self, mut f: impl FnMut(VertexId, NameId, &DrlLabel)) {
+    /// Visit every published `(vertex, name, label)` of the run. Labels
+    /// are passed borrowed; a cold label is decoded only as far as the
+    /// visitor walks it.
+    pub(crate) fn for_each_label(&self, mut f: impl FnMut(VertexId, NameId, LabelRef<'_>)) {
         match self {
             RunView::Hot(s) => {
                 for (v, p) in s.indexed.iter() {
-                    f(v, p.name, &p.label);
+                    f(v, p.name, p.label.view());
                 }
             }
-            RunView::Frozen(fr) => {
-                for (v, name, label) in fr.arena.iter() {
-                    f(v, name, &label);
-                }
+            _ => {
+                self.with_arena(|a| a.iter().for_each(|(v, name, label)| f(v, name, label)));
             }
-            RunView::Persisted(p) => {
-                // The pin holds for the whole visit: a cross-run scan
-                // iterates labels straight off the mapping without the
-                // replacer madvise'ing its pages away mid-run.
-                if let Some(pin) = p.pin() {
-                    pin.for_each_label(|v, name, label| f(v, name, label));
-                }
-            }
+        }
+    }
+
+    /// Why every read of this run comes back empty, when it is a
+    /// persisted registration whose first pin failed.
+    pub(crate) fn load_failure(&self, run: RunId) -> Option<ServiceError> {
+        match self {
+            RunView::Persisted(p) => p
+                .load_failure()
+                .map(|cause| ServiceError::Snapshot(run, cause.to_string())),
+            _ => None,
         }
     }
 

@@ -43,7 +43,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
-use wf_drl::{DrlLabel, DrlPredicate};
+use wf_drl::{DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
 
@@ -290,28 +290,31 @@ impl RunMatcher {
         &mut self,
         predicate: &DrlPredicate<'_, S>,
         v: VertexId,
-        label: &DrlLabel,
+        label: LabelRef<'_>,
         note: &mut dyn FnMut(),
         emit: &mut dyn FnMut(Witness),
     ) {
         if !matches!(self.kind, PredKind::Reaching(_)) || self.source.is_some() {
             return;
         }
+        let Some(src) = label.to_label() else { return };
         self.seen.insert(v.0);
-        self.source = Some(label.clone());
-        let src = self.source.as_ref().expect("just set");
         for (t, tl) in std::mem::take(&mut self.pending) {
             note();
-            if predicate.reaches(src, &tl) {
+            if predicate.reaches(&src, &tl) {
                 emit(Witness::Reach { target: t });
             }
         }
+        self.source = Some(src);
     }
 
     /// Advance the matcher with one published `(vertex, name, label)`.
-    /// `note` fires once per constant-time predicate evaluation (the
-    /// pull path bumps the run's query counter with it); `emit` receives
-    /// each fresh witness, in discovery order.
+    /// The label is borrowed — a cold tier's is still encoded — and is
+    /// walked only if the name makes the vertex relevant, copied only if
+    /// the matcher must keep it. A label that no longer decodes is
+    /// treated as never published. `note` fires once per constant-time
+    /// predicate evaluation (the pull path bumps the run's query counter
+    /// with it); `emit` receives each fresh witness, in discovery order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn feed<S: SpecLabeling>(
         &mut self,
@@ -319,7 +322,7 @@ impl RunMatcher {
         source_hint: Option<VertexId>,
         v: VertexId,
         name: NameId,
-        label: &DrlLabel,
+        label: LabelRef<'_>,
         note: &mut dyn FnMut(),
         emit: &mut dyn FnMut(Witness),
     ) {
@@ -336,23 +339,18 @@ impl RunMatcher {
                     return;
                 }
                 if is_source {
-                    self.source = Some(label.clone());
-                    let src = self.source.as_ref().expect("just set");
-                    for (t, tl) in std::mem::take(&mut self.pending) {
-                        note();
-                        if predicate.reaches(src, &tl) {
-                            emit(Witness::Reach { target: t });
-                        }
-                    }
+                    // Delegates the install-and-drain; `seen` is already
+                    // marked, which `feed_source` repeats harmlessly.
+                    self.feed_source(predicate, v, label, note, emit);
                 }
                 if is_candidate {
                     if let Some(src) = &self.source {
                         note();
-                        if predicate.reaches(src, label) {
+                        if predicate.reaches_ref(src.view(), label) == Some(true) {
                             emit(Witness::Reach { target: v });
                         }
-                    } else {
-                        self.pending.push((v, label.clone()));
+                    } else if let Some(owned) = label.to_label() {
+                        self.pending.push((v, owned));
                     }
                 }
             }
@@ -371,7 +369,7 @@ impl RunMatcher {
                             continue;
                         }
                         note();
-                        if predicate.reaches(label, ul) {
+                        if predicate.reaches_ref(label, ul.view()) == Some(true) {
                             self.linked = true;
                             emit(Witness::Link { from: v, to: *u });
                             break;
@@ -384,7 +382,7 @@ impl RunMatcher {
                             continue;
                         }
                         note();
-                        if predicate.reaches(ul, label) {
+                        if predicate.reaches_ref(ul.view(), label) == Some(true) {
                             self.linked = true;
                             emit(Witness::Link { from: *u, to: v });
                             break;
@@ -397,10 +395,10 @@ impl RunMatcher {
                     self.tos = Vec::new();
                 } else {
                     if is_from {
-                        self.froms.push((v, label.clone()));
+                        self.froms.extend(label.to_label().map(|l| (v, l)));
                     }
                     if is_to {
-                        self.tos.push((v, label.clone()));
+                        self.tos.extend(label.to_label().map(|l| (v, l)));
                     }
                 }
             }
@@ -795,7 +793,7 @@ impl<S: SpecLabeling> SubHub<S> {
             None
         };
         let subs = self.registry.read().expect("sub registry poisoned");
-        let mut label: Option<&DrlLabel> = None;
+        let mut label: Option<LabelRef<'_>> = None;
         for e in subs.iter() {
             // Precheck on the inlined row first: the common case (no
             // subscription cares about this event) touches no `Arc`.
@@ -806,7 +804,7 @@ impl<S: SpecLabeling> SubHub<S> {
                 continue;
             }
             if label.is_none() {
-                label = index.get(v);
+                label = index.get(v).map(DrlLabel::view);
             }
             let Some(label) = label else { break };
             // A reaching-matcher that has not yet installed its source
@@ -814,7 +812,9 @@ impl<S: SpecLabeling> SubHub<S> {
             // skip when this event *is* the source — `feed` handles the
             // source-doubles-as-candidate case itself.
             let src = match (e.kind, source) {
-                (PredKind::Reaching(_), Some(sv)) if sv != v => index.get(sv).map(|l| (sv, l)),
+                (PredKind::Reaching(_), Some(sv)) if sv != v => {
+                    index.get(sv).map(|l| (sv, l.view()))
+                }
                 _ => None,
             };
             self.offer(&e.core, run, spec, source, v, name, label, src);
@@ -846,8 +846,8 @@ impl<S: SpecLabeling> SubHub<S> {
         source: Option<VertexId>,
         v: VertexId,
         name: NameId,
-        label: &DrlLabel,
-        src: Option<(VertexId, &DrlLabel)>,
+        label: LabelRef<'_>,
+        src: Option<(VertexId, LabelRef<'_>)>,
     ) {
         let ctx = &self.catalog[spec.0];
         let predicate = DrlPredicate::new(&ctx.skeleton);

@@ -1,0 +1,209 @@
+//! Reads build no label: a `reach` allocates nothing in any tier, and a
+//! name-scoped scan allocates per *match*, not per visited label.
+//!
+//! The paper's predicate decides "using only the two labels" at the
+//! first entry where they differ, so a completed run can answer by
+//! walking two bit cursors over its encoded arena — in memory or mapped
+//! — without materialising either label. This file pins that down with
+//! a counting allocator: the counters are thread-local, so the engine's
+//! background threads and other tests never disturb a measurement.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+use std::time::Duration;
+use wf_provenance::prelude::*;
+
+struct Counting;
+
+thread_local! {
+    /// `(allocations, bytes)` requested by this thread.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCATED.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only added
+// work is a thread-local counter bump, which never allocates (a `const`
+// initialised `Cell` with no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(allocations, bytes)` this thread requested while running `f`.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    let after = ALLOCATED.with(Cell::get);
+    ((after.0 - before.0, after.1 - before.1), out)
+}
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("wf-alloc-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// An engine whose only trace events are lifecycle ones: a `reach` that
+/// the scheduler happens to stall must not count as a "slow op" and push
+/// an event from the measured thread.
+fn engine(spec: &Specification, dir: &TempDir) -> WfEngine {
+    WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .slow_op_threshold(Duration::from_secs(3600))
+        .build()
+}
+
+/// Ingest and complete one run of `exec`, then move it to `tier`.
+fn run_in_tier(engine: &WfEngine, exec: &Execution, tier: Tier) -> RunId {
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    match tier {
+        Tier::Hot => {}
+        Tier::Frozen => engine.freeze_run(run).unwrap(),
+        Tier::Persisted => engine.persist_run(run).unwrap(),
+    }
+    assert_eq!(engine.run_tier(run).unwrap(), tier);
+    run
+}
+
+fn generate(spec: &Specification, size: usize, seed: u64) -> Execution {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gen = RunGenerator::new(spec)
+        .target_size(size)
+        .generate_run(&mut rng);
+    Execution::deterministic(&gen.graph, &gen.origin)
+}
+
+#[test]
+fn reach_allocates_nothing_in_any_tier() {
+    let dir = TempDir::new("reach");
+    let spec = wf_spec::corpus::running_example();
+    let exec = generate(&spec, 200, 41);
+    let mut naive = NaiveDynamicDag::new();
+    for ev in exec.events() {
+        naive.insert(ev.vertex, &ev.preds);
+    }
+    let engine = engine(&spec, &dir);
+    let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
+    let pairs: Vec<(VertexId, VertexId)> = (0..1000)
+        .map(|i| {
+            (
+                vertices[i * 7 % vertices.len()],
+                vertices[i * 13 % vertices.len()],
+            )
+        })
+        .collect();
+    for tier in [Tier::Hot, Tier::Frozen, Tier::Persisted] {
+        let run = run_in_tier(&engine, &exec, tier);
+        let handle = engine.handle(run).unwrap();
+        // Warm-up: the first pin maps and verifies the pack; the
+        // sampling counters and profile slots of this thread exist.
+        for &(u, v) in &pairs {
+            assert_eq!(handle.reach(u, v), Some(naive.reaches(u, v)), "{tier}");
+        }
+        let ((allocations, _), answered) = allocated_by(|| {
+            pairs
+                .iter()
+                .filter(|&&(u, v)| handle.reach(u, v).is_some())
+                .count()
+        });
+        assert_eq!(answered, pairs.len());
+        assert_eq!(allocations, 0, "1000 reach calls on a {tier} run");
+    }
+}
+
+#[test]
+fn name_scoped_scans_allocate_per_match_not_per_label() {
+    let dir = TempDir::new("scan");
+    let spec = wf_spec::corpus::running_example();
+    let exec = generate(&spec, 1500, 43);
+    let engine = engine(&spec, &dir);
+    let runs = [
+        run_in_tier(&engine, &exec, Tier::Frozen),
+        run_in_tier(&engine, &exec, Tier::Persisted),
+    ];
+    // The rarest module name of the run: few matches among many labels.
+    let mut by_name = std::collections::HashMap::<NameId, usize>::new();
+    for ev in exec.events() {
+        *by_name.entry(ev.name).or_default() += 1;
+    }
+    let (&name, &matches) = by_name.iter().min_by_key(|(n, c)| (**c, n.0)).unwrap();
+    let labels = exec.len() * runs.len();
+    assert!(matches * 50 < exec.len(), "{matches} of {}", exec.len());
+
+    let scan = || engine.query().vertices_named(name);
+    let warm = scan();
+    assert_eq!(warm.len(), runs.len());
+    assert!(warm.iter().all(|(_, vs)| vs.len() == matches));
+    let ((allocations, _), again) = allocated_by(scan);
+    assert_eq!(again, warm);
+    // Per scan: the view snapshot, the result rows; per run: the
+    // matcher's dedup set and witness list growing to `matches` entries.
+    // Nothing per visited label — the parent decoded every one into a
+    // fresh box, matching name or not.
+    let budget = 16 + runs.len() as u64 * (8 + 2 * matches as u64);
+    assert!(
+        allocations <= budget && allocations * 10 < labels as u64,
+        "{allocations} allocations over {labels} labels ({matches} matches per run, budget {budget})"
+    );
+}
+
+/// A depth prefix is outside input: nothing may be sized from it before
+/// the buffer is known to be able to hold that many entries.
+#[test]
+fn a_lying_depth_prefix_sizes_no_allocation() {
+    let mut prefix = wf_provenance::drl::encode::BitWriter::new();
+    prefix.push_gamma(999_999);
+    let lying = prefix.into_bytes();
+    let ((_, bytes), decoded) = allocated_by(|| decode_label(&lying, 4));
+    assert!(decoded.is_none());
+    // At most the one entry a malformed prefix is read as — not the
+    // claimed 999 999 (≈ 24 MB at the parent).
+    assert!(
+        bytes as usize <= std::mem::size_of::<wf_provenance::drl::Entry>(),
+        "{bytes} bytes allocated for a {}-byte buffer",
+        lying.len()
+    );
+}

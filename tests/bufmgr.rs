@@ -319,19 +319,15 @@ fn corrupt_mapped_pack_degrades_cleanly() {
     engine.compact().unwrap();
     drop(engine);
 
-    let pack = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("pack-") && n.ends_with(".wfseg"))
-        })
-        .expect("compaction wrote a pack");
+    // Flip one bit inside the label bytes of one blob of the compacted
+    // pack (the manifest says where each blob lies): past the header the
+    // loader reads at registration, so the damage is found by the
+    // checksum pass of the blob's first pin.
+    let manifest = wf_service::snapshot::load_manifest(&dir.0).unwrap();
+    let victim = &manifest[manifest.len() / 2];
+    let pack = dir.0.join(&victim.file);
     let mut bytes = std::fs::read(&pack).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
+    bytes[(victim.offset + victim.bytes) as usize - 16] ^= 0x10;
     std::fs::write(&pack, &bytes).unwrap();
 
     let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
@@ -357,9 +353,45 @@ fn corrupt_mapped_pack_degrades_cleanly() {
             }
         }
         degraded += this_degraded as usize;
+        // The fallible surface tells a broken pack from "not labeled
+        // yet": a typed error naming the cause, from every entry point,
+        // where the infallible handle above could only say `None`.
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        if this_degraded {
+            for err in [
+                reloaded.reach(*run, u, v).map(drop).unwrap_err(),
+                reloaded.label(*run, u).map(drop).unwrap_err(),
+                reloaded.reheat_run(*run).unwrap_err(),
+                reloaded.reheat_run_hot(*run).unwrap_err(),
+            ] {
+                match err {
+                    wf_service::ServiceError::Snapshot(r, cause) => {
+                        assert_eq!(r, *run);
+                        assert!(cause.contains("checksum mismatch"), "{cause}");
+                    }
+                    other => panic!("expected a snapshot error, got {other:?}"),
+                }
+            }
+            assert_eq!(reloaded.run_tier(*run).unwrap(), Tier::Persisted);
+        } else {
+            assert_eq!(
+                reloaded.reach(*run, u, v),
+                Ok(Some(naive.reaches(u, v))),
+                "an intact blob of the damaged pack still answers"
+            );
+            assert!(reloaded.label(*run, u).unwrap().is_some());
+        }
     }
     assert!(degraded >= 1, "the flipped blob was rejected at pin");
     assert!(degraded < fleet.len(), "intact blobs keep answering");
+    // One trace event on the `Unloaded → Failed` edge per rejected blob,
+    // however many reads bounced off it afterwards.
+    let failed_pins = reloaded
+        .trace_dump()
+        .iter()
+        .filter(|e| e.kind == "pack_pin_failed")
+        .count();
+    assert_eq!(failed_pins, degraded);
 }
 
 /// Full hot re-heat: the rebuilt in-memory [`LabelIndex`] answers

@@ -222,6 +222,69 @@ proptest! {
         }
     }
 
+    /// One predicate under every label representation: the streaming
+    /// walk over two *encoded* [`LabelRef`](wf_drl::LabelRef)s, `reaches`
+    /// over the decoded labels, and the naive Ω(n)-bit scheme agree on
+    /// every sampled pair — both corpus grammars, both resolution modes —
+    /// and the borrowed view decodes to exactly what `decode_label`
+    /// returns.
+    #[test]
+    fn streaming_predicate_matches_decoded_and_naive(
+        seed in 0u64..400,
+        target in 20usize..120,
+        bioaid in 0u8..2,
+        log_based in 0u8..2,
+    ) {
+        use wf_drl::LabelRef;
+        let spec = if bioaid == 1 {
+            wf_spec::corpus::bioaid()
+        } else {
+            wf_spec::corpus::running_example()
+        };
+        let skeleton = TclSpecLabels::build(&spec);
+        let run = wf_run::RunGenerator::new(&spec)
+            .target_size(target)
+            .generate_run(&mut StdRng::seed_from_u64(seed));
+        let exec = Execution::deterministic(&run.graph, &run.origin);
+        let mut labeler = if log_based == 1 {
+            ExecutionLabeler::new_log_based(&spec, &skeleton)
+        } else {
+            ExecutionLabeler::new(&spec, &skeleton)
+        }
+        .unwrap();
+        let mut naive = NaiveDynamicDag::new();
+        for ev in exec.events() {
+            labeler.insert(ev).unwrap();
+            naive.insert(ev.vertex, &ev.preds);
+        }
+        let bits = labeler.skl_bits();
+        let predicate = DrlPredicate::new(&skeleton);
+        let labeled: Vec<(VertexId, &DrlLabel, Vec<u8>)> = exec
+            .events()
+            .iter()
+            .map(|ev| {
+                let label = labeler.label(ev.vertex).unwrap();
+                (ev.vertex, label, wf_drl::encode_label(label, bits))
+            })
+            .collect();
+        for (_, label, bytes) in &labeled {
+            let view = LabelRef::Encoded(bytes, bits);
+            prop_assert_eq!(view.to_label(), wf_drl::decode_label(bytes, bits));
+            prop_assert_eq!(view.to_label().as_ref(), Some(*label));
+            prop_assert_eq!(view.bit_len(bits), Some(label.bit_len(bits)));
+        }
+        for (u, lu, bu) in labeled.iter().step_by(2) {
+            for (v, lv, bv) in labeled.iter().step_by(3) {
+                let truth = naive.reaches(*u, *v);
+                prop_assert_eq!(predicate.reaches(lu, lv), truth);
+                let (eu, ev) = (LabelRef::Encoded(bu, bits), LabelRef::Encoded(bv, bits));
+                prop_assert_eq!(predicate.reaches_ref(eu, ev), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(lu.view(), ev), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(eu, lv.view()), Some(truth));
+            }
+        }
+    }
+
     /// The naive dynamic-DAG scheme is exact for arbitrary insertion
     /// orders of arbitrary DAGs, with labels of exactly i−1 bits.
     #[test]

@@ -179,6 +179,99 @@ fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
     v1
 }
 
+/// The segment body is still the parent format, byte for byte: restated
+/// here from the labels alone — `count` × (vertex, name, offset) in
+/// vertex order, then every `encode_label` back to back — it equals what
+/// the engine spilled; a blob decodes and re-encodes to itself; and a
+/// directory assembled by hand from such bytes (what any earlier engine
+/// of this format left behind) opens and answers every oracle pair.
+#[test]
+fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
+    const HEADER: usize = 104;
+    let dir = TempDir::new("golden");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(1611);
+    let gen = RunGenerator::new(&spec)
+        .target_size(90)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let build = |dir: &TempDir| -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let run = persist_one(&build(&dir), &exec);
+    let blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
+
+    let skeleton = TclSpecLabels::build(&spec);
+    let mut labeler = ExecutionLabeler::new(&spec, &skeleton).unwrap();
+    let mut naive = NaiveDynamicDag::new();
+    for ev in exec.events() {
+        labeler.insert(ev).unwrap();
+        naive.insert(ev.vertex, &ev.preds);
+    }
+    let skl_bits = u32::from_le_bytes(blob[24..28].try_into().unwrap()) as usize;
+    assert_eq!(skl_bits, labeler.skl_bits());
+    let mut events: Vec<&ExecEvent> = exec.events().iter().collect();
+    events.sort_by_key(|ev| ev.vertex);
+    let (mut slots, mut arena) = (Vec::new(), Vec::new());
+    for ev in events {
+        for word in [ev.vertex.0, ev.name.0, arena.len() as u32] {
+            slots.extend_from_slice(&word.to_le_bytes());
+        }
+        arena.extend(encode_label(labeler.label(ev.vertex).unwrap(), skl_bits));
+    }
+    let body = &blob[HEADER..blob.len() - 8];
+    assert!(body == [slots, arena].concat(), "slot table + label heap");
+    assert_eq!(
+        blob[blob.len() - 8..],
+        fnv1a(&blob[..blob.len() - 8]).to_le_bytes()
+    );
+    let frozen = snapshot::decode_segment(&blob).unwrap();
+    assert!(snapshot::encode_segment(&frozen) == blob, "re-encode");
+    assert_eq!(frozen.footprint_bytes(), body.len());
+
+    // A directory written by hand: the blob twice in one pack (a second
+    // registration under a run id patched into its header), one manifest.
+    let other = TempDir::new("golden-reopen");
+    let twin = RunId(run.0 + 7);
+    let mut second = blob.clone();
+    second[12..20].copy_from_slice(&twin.0.to_le_bytes());
+    let end = second.len() - 8;
+    let checksum = fnv1a(&second[..end]);
+    second[end..].copy_from_slice(&checksum.to_le_bytes());
+    let file = snapshot::pack_file_name(0);
+    std::fs::write(other.0.join(&file), [blob.clone(), second].concat()).unwrap();
+    let entry = |run, offset| snapshot::ManifestEntry {
+        run,
+        file: file.clone(),
+        offset,
+        bytes: blob.len() as u64,
+    };
+    snapshot::write_manifest(
+        &other.0,
+        &[entry(run, 0), entry(twin, blob.len() as u64)],
+        0,
+    )
+    .unwrap();
+    let reopened = build(&other);
+    for id in [run, twin] {
+        assert_eq!(reopened.run_tier(id).unwrap(), Tier::Persisted);
+        let h = reopened.handle(id).unwrap();
+        for a in exec.events() {
+            for b in exec.events() {
+                assert_eq!(
+                    h.reach(a.vertex, b.vertex),
+                    Some(naive.reaches(a.vertex, b.vertex))
+                );
+            }
+            assert_eq!(h.label(a.vertex).as_ref(), labeler.label(a.vertex));
+            assert_eq!(h.name(a.vertex), Some(a.name));
+        }
+    }
+}
+
 /// There is one segment format and one manifest format. A well-formed
 /// **v1 blob** and a **v1-header manifest** are each rejected with a
 /// typed [`SnapshotError::Format`] — never guessed at — and an engine
