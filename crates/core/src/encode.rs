@@ -105,8 +105,12 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    /// Read `width` bits, LSB first.
+    /// Read `width` bits, LSB first; `None` for a width no `u64` holds
+    /// (the width can come from a segment header).
     pub fn read_bits(&mut self, width: usize) -> Option<u64> {
+        if width > 64 {
+            return None;
+        }
         let mut v = 0u64;
         for i in 0..width {
             if self.read_bit()? {
@@ -633,6 +637,23 @@ mod tests {
         while let Some(bit) = r.read_bit() {
             assert!(!bit, "padding bits are zero");
         }
+    }
+
+    /// A skeleton-pointer width no `u64` holds — it can only come from a
+    /// damaged header — fails the decode instead of overflowing a shift.
+    #[test]
+    fn a_width_over_64_bits_does_not_decode() {
+        let mut w = BitWriter::new();
+        w.push_gamma(1); // depth: one entry
+        w.push_gamma(1); // index 0
+        w.push_bits(0, 2); // kind N: a skeleton pointer follows
+        w.push_gamma(1); // graph 0
+        w.push_bits(u64::MAX, 64);
+        w.push_bits(u64::MAX, 64);
+        let bytes = w.into_bytes();
+        assert!(decode_label(&bytes, 64).is_some());
+        assert_eq!(decode_label(&bytes, 65), None);
+        assert_eq!(BitReader::new(&bytes).read_bits(65), None);
     }
 
     #[test]

@@ -13,29 +13,31 @@
 //! * [`PackMapping`] — the mapping itself (read-only, shared). It stays
 //!   byte-identical for its whole life, so checksums need verifying only
 //!   once, at first pin.
-//! * [`MappedRun`] — one run's blob resolved to a pinned byte range
-//!   *inside* the mapping: the range, the parsed header, and a
-//!   residency flag. It reads nothing itself: [`MappedRun::arena`] hands
-//!   out the same [`wf_drl::ArenaRef`] a frozen run's owned arena does,
-//!   over the mapped bytes, so queries search the slot table and walk
-//!   label cursors **straight off the mapping** — no copy, no
-//!   allocation, no eager whole-arena validation. Eviction is
+//! * [`MappedRun`] — one run's blob resolved to a byte range *inside*
+//!   the mapping: the range and the parsed header. It reads nothing
+//!   itself: [`MappedRun::arena`] hands out the same
+//!   [`wf_drl::ArenaRef`] a frozen run's owned arena does, over the
+//!   mapped bytes, so queries search the slot table and walk label
+//!   cursors **straight off the mapping** — no copy, no allocation, no
+//!   eager whole-arena validation. Eviction is
 //!   `madvise(MADV_DONTNEED)`: the pages go back to the kernel, the
 //!   metadata stays, and the next pin re-faults at page-cache speed.
-//! * [`EpochRegistry`] — the version lifecycle for pack files. Pack GC
-//!   and compaction rewrite packs while scans are mid-flight; every
-//!   cross-run scan pins the current epoch, a rewrite retires the old
-//!   files under the *next* epoch, and a retired file is unlinked only
-//!   once no guard from an earlier epoch survives. In-flight readers
-//!   therefore always see the pre-rewrite pack set.
+//!
+//! There is no version clock over the pack set. A mapping lives as long
+//! as anything holds it — the [`PackFile`] of a registered pack, or a
+//! [`MappedRun`] some reader pinned — and outlives the file's unlink
+//! (the inode survives until the final `munmap`). Compaction and pack GC
+//! move blobs by telling each registration its new place
+//! ([`crate::snapshot::PersistedRun::relocate`]) and only then unlink
+//! what they copied, so a reader mid-flight finishes on the mapping it
+//! resolved and the next one opens the new file.
 
 use crate::snapshot::{verify_segment_bytes, SegmentHeader, SnapshotError, HEADER_LEN};
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use wf_drl::{ArenaRef, ArenaSlot};
 
 /// Page granularity assumed for `madvise` range rounding. A constant
@@ -93,9 +95,9 @@ impl std::fmt::Debug for PackBytes {
 /// One pack file of the spill directory, shared by every run registered
 /// in it. Registration only names the file; the mapping is established
 /// by the first pin that needs bytes and then lives as long as any
-/// registration, [`MappedRun`] or retired-pack record holds this handle
-/// — unmapping is safe even after a rewrite unlinked the file (the
-/// inode survives until the final `munmap`).
+/// registration or [`MappedRun`] holds this handle — unmapping is safe
+/// even after a rewrite unlinked the file (the inode survives until the
+/// final `munmap`).
 #[derive(Debug)]
 pub struct PackFile {
     path: PathBuf,
@@ -134,7 +136,8 @@ impl PackFile {
     }
 
     /// On-disk size, with a fallback when the file cannot be stat'd
-    /// (already retired under a newer epoch, exotic filesystem).
+    /// (unlinked by a rewrite since the caller looked, exotic
+    /// filesystem).
     pub(crate) fn disk_len(&self, fallback: u64) -> u64 {
         fs::metadata(&self.path).map_or(fallback, |m| m.len())
     }
@@ -266,10 +269,10 @@ impl Drop for PackMapping {
 }
 
 /// One persisted run resolved to a byte range inside a [`PackMapping`].
-/// Constructed once per registration — the construction runs the full
-/// framing + checksum verification (§ "checksums verify once at first
-/// pin") — then reused across every later pin; eviction only drops the
-/// *pages*, never this metadata.
+/// Constructed once per place a blob has — the construction runs the
+/// full framing + checksum verification (§ "checksums verify once at
+/// first pin") — then reused across every later pin; eviction only
+/// drops the *pages*, never this metadata.
 #[derive(Debug)]
 pub struct MappedRun {
     map: Arc<PackMapping>,
@@ -277,9 +280,6 @@ pub struct MappedRun {
     offset: u64,
     len: u64,
     header: SegmentHeader,
-    /// Whether the range is currently accounted as resident in the
-    /// replacer (set on pin-in, cleared by `madvise` eviction).
-    pub(crate) resident: AtomicBool,
 }
 
 impl MappedRun {
@@ -303,7 +303,6 @@ impl MappedRun {
             offset,
             len,
             header,
-            resident: AtomicBool::new(false),
         })
     }
 
@@ -331,139 +330,6 @@ impl MappedRun {
     }
 }
 
-/// The pack-set version lifecycle: readers pin the current epoch for
-/// the duration of a scan; a rewrite (compaction or pack GC) retires
-/// the files it replaced under a **new** epoch; retired files are
-/// unlinked only when no reader pinned at or before their retirement
-/// epoch survives. Readers therefore always finish against the pack
-/// set they started with: a reader that already mapped a retired file
-/// keeps its `mmap` past the unlink, and one that has not yet can still
-/// open it, because the *file* outlives their guard. Holders that take
-/// no guard — a `RunHandle`'s cached registration, a point query — are
-/// covered at the unlink itself: a file with other holders is mapped
-/// first.
-#[derive(Debug, Default)]
-pub(crate) struct EpochRegistry {
-    inner: Mutex<EpochInner>,
-}
-
-#[derive(Debug, Default)]
-struct EpochInner {
-    /// The epoch new readers pin.
-    current: u64,
-    /// Live guard count per pinned epoch.
-    pins: BTreeMap<u64, usize>,
-    /// Files awaiting deletion, stamped with the epoch that retired
-    /// them. The handle carries the file's mapping, so `munmap` is
-    /// deferred with the unlink.
-    retired: Vec<(u64, Arc<PackFile>)>,
-}
-
-impl EpochRegistry {
-    /// Seed the epoch counter (from the manifest at engine build, so
-    /// epochs stay monotone across restarts).
-    pub(crate) fn seed(&self, epoch: u64) {
-        let mut inner = self.inner.lock().expect("epoch registry poisoned");
-        inner.current = inner.current.max(epoch);
-    }
-
-    /// The epoch a reader pinning right now would observe.
-    pub(crate) fn current(&self) -> u64 {
-        self.inner.lock().expect("epoch registry poisoned").current
-    }
-
-    /// Pin the current epoch for the duration of the returned guard.
-    pub(crate) fn pin(self: &Arc<Self>) -> EpochGuard {
-        let epoch = {
-            let mut inner = self.inner.lock().expect("epoch registry poisoned");
-            let epoch = inner.current;
-            *inner.pins.entry(epoch).or_insert(0) += 1;
-            epoch
-        };
-        EpochGuard {
-            registry: Arc::clone(self),
-            epoch,
-        }
-    }
-
-    /// A rewrite replaced `files`: advance the epoch and queue the old
-    /// files for deletion once every guard pinned at the pre-advance
-    /// epoch (or earlier) has dropped. Returns the new current epoch.
-    pub(crate) fn retire(&self, files: impl IntoIterator<Item = Arc<PackFile>>) -> u64 {
-        let (next, collectable) = {
-            let mut inner = self.inner.lock().expect("epoch registry poisoned");
-            let stamp = inner.current;
-            inner.current += 1;
-            inner
-                .retired
-                .extend(files.into_iter().map(|file| (stamp, file)));
-            (inner.current, Self::drain_collectable(&mut inner))
-        };
-        Self::delete(collectable);
-        next
-    }
-
-    /// Retired entries whose epoch precedes every live pin.
-    fn drain_collectable(inner: &mut EpochInner) -> Vec<Arc<PackFile>> {
-        let min_pinned = inner.pins.keys().next().copied();
-        let (safe, blocked): (Vec<_>, Vec<_>) = std::mem::take(&mut inner.retired)
-            .into_iter()
-            .partition(|(epoch, _)| min_pinned.is_none_or(|min| *epoch < min));
-        inner.retired = blocked;
-        safe.into_iter().map(|(_, file)| file).collect()
-    }
-
-    fn delete(files: Vec<Arc<PackFile>>) {
-        for file in files {
-            // A registration from before the rewrite — a `RunHandle`'s
-            // cached view, a point query mid-flight; neither takes an
-            // epoch guard — may pin this file for the first time after
-            // the unlink. Map it for them now: the inode then survives
-            // until the last such holder drops the handle.
-            if Arc::strong_count(&file) > 1 {
-                let _ = file.mapping();
-            }
-            let _ = fs::remove_file(file.path());
-        }
-    }
-
-    /// Paths awaiting a safe unlink — the orphan sweep must leave these
-    /// alone (an epoch-pinned reader may still fault from them).
-    pub(crate) fn deferred_paths(&self) -> Vec<PathBuf> {
-        self.inner
-            .lock()
-            .expect("epoch registry poisoned")
-            .retired
-            .iter()
-            .map(|(_, file)| file.path().to_path_buf())
-            .collect()
-    }
-}
-
-/// An epoch pinned by a reader; dropping it may unlink packs whose
-/// retirement it was blocking.
-#[derive(Debug)]
-pub(crate) struct EpochGuard {
-    registry: Arc<EpochRegistry>,
-    epoch: u64,
-}
-
-impl Drop for EpochGuard {
-    fn drop(&mut self) {
-        let collectable = {
-            let mut inner = self.registry.inner.lock().expect("epoch registry poisoned");
-            match inner.pins.get_mut(&self.epoch) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    inner.pins.remove(&self.epoch);
-                }
-            }
-            EpochRegistry::drain_collectable(&mut inner)
-        };
-        EpochRegistry::delete(collectable);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,49 +337,12 @@ mod tests {
     fn temp_file(tag: &str) -> Arc<PackFile> {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
-            "wf-epoch-{tag}-{}-{}.wfseg",
+            "wf-pack-{tag}-{}-{}.wfseg",
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&path, b"retired pack bytes").unwrap();
+        fs::write(&path, b"pack bytes").unwrap();
         PackFile::new(path, Arc::default())
-    }
-
-    /// A file retired while a reader holds a pin stays on disk until
-    /// that pin drops; readers pinning *after* the retire never block
-    /// it.
-    #[test]
-    fn retired_files_wait_for_prior_pins() {
-        let reg = Arc::new(EpochRegistry::default());
-        let file = temp_file("wait");
-        let path = file.path().to_path_buf();
-        let scan = reg.pin(); // pinned at epoch 0, before the rewrite
-        reg.retire([file]);
-        let late = reg.pin(); // epoch 1 — after the rewrite
-        assert_eq!((scan.epoch, late.epoch), (0, 1));
-        assert!(path.exists(), "pre-rewrite reader still needs the file");
-        assert_eq!(reg.deferred_paths(), vec![path.clone()]);
-        drop(late);
-        assert!(path.exists(), "a post-rewrite pin never blocks deletion");
-        drop(scan);
-        assert!(!path.exists(), "last pre-rewrite pin unlinks on drop");
-        assert!(reg.deferred_paths().is_empty());
-    }
-
-    /// With no pins outstanding, retirement unlinks immediately; the
-    /// epoch advances once per rewrite and seeding never regresses it.
-    #[test]
-    fn unpinned_retire_deletes_immediately() {
-        let reg = Arc::new(EpochRegistry::default());
-        reg.seed(5);
-        assert_eq!(reg.current(), 5);
-        reg.seed(3); // stale manifest cannot roll the clock back
-        assert_eq!(reg.current(), 5);
-        let file = temp_file("now");
-        let path = file.path().to_path_buf();
-        assert_eq!(reg.retire([file]), 6);
-        assert!(!path.exists());
-        assert!(reg.deferred_paths().is_empty());
     }
 
     /// A failed open is not remembered by the file handle (the file is
@@ -530,21 +359,5 @@ mod tests {
         fs::remove_file(file.path()).unwrap();
         assert!(Arc::ptr_eq(&map, &file.mapping().unwrap()));
         assert_eq!(map.bytes(), bytes);
-    }
-
-    /// Two rewrites under one long scan: both retired sets wait for the
-    /// scan, then a single drop collects everything at once.
-    #[test]
-    fn stacked_rewrites_collect_together() {
-        let reg = Arc::new(EpochRegistry::default());
-        let scan = reg.pin();
-        let (fa, fb) = (temp_file("a"), temp_file("b"));
-        let (a, b) = (fa.path().to_path_buf(), fb.path().to_path_buf());
-        reg.retire([fa]);
-        reg.retire([fb]);
-        assert_eq!(reg.deferred_paths().len(), 2);
-        assert!(a.exists() && b.exists());
-        drop(scan);
-        assert!(!a.exists() && !b.exists());
     }
 }

@@ -201,8 +201,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     }
 
     /// **Automatic pack-GC threshold**: the tiering worker rewrites any
-    /// pack whose dead-blob ratio (bytes of re-heated/evicted runs over
-    /// file size) exceeds `ratio` (clamped to `[0, 1]`). Unset = manual
+    /// pack whose dead-blob ratio (bytes of evicted runs over file
+    /// size) exceeds `ratio` (clamped to `[0, 1]`). Unset = manual
     /// [`WfEngine::gc_packs`] only, which then uses
     /// [`crate::DEFAULT_PACK_GC_DEAD_RATIO`].
     pub fn pack_gc_dead_ratio(mut self, ratio: f64) -> Self {

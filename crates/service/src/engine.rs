@@ -372,10 +372,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// already queued in the pool — are rejected with
     /// [`RunStatus::Evicted`]: an eviction must not let anything keep
     /// ingesting into state no new lookup can reach. New lookups fail
-    /// with [`ServiceError::UnknownRun`]. Evicting a persisted run
-    /// forgets the registration; its blob stays on disk until the next
-    /// manifest rewrite drops it and a compaction or GC pass reclaims
-    /// the bytes.
+    /// with [`ServiceError::UnknownRun`]. The eviction is durable in
+    /// every tier: a run that has a blob on disk — persisted, or
+    /// re-heated since — loses its manifest line before this returns
+    /// (a failure to rewrite the manifest is reported, the run is gone
+    /// from memory regardless), and the blob's bytes turn dead until a
+    /// compaction or GC pass reclaims them.
     pub fn evict_run(&self, run: RunId) -> Result<(), ServiceError> {
         let view = self
             .shared
@@ -392,7 +394,10 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             // back into the hot tier.
             self.shared.checkpoint_wal(run);
         }
-        Ok(())
+        match &self.shared.spill {
+            Some(spill) if view.home().is_some() => spill.forget(&self.shared.store, run),
+            _ => Ok(()),
+        }
     }
 
     /// **Freeze** a completed run now: compact its published labels into
@@ -418,12 +423,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 
     /// **Re-heat** a persisted run: copy its arena back into memory
     /// and promote it to the frozen (resident) tier, so subsequent
-    /// queries never touch disk and the LRU cannot shed it. The inverse
-    /// of [`Self::persist_run`]: the run leaves the persisted registry,
-    /// its blob turns dead (reclaimed by [`Self::gc_packs`]), and
-    /// persisting it again writes a fresh pack. No-op if the run is
-    /// already hot or frozen. The tiering worker does this
-    /// automatically for runs whose query count crosses
+    /// queries never touch disk and the LRU cannot shed it. The run
+    /// keeps its pack and its manifest line — a restart brings it back
+    /// persisted — and [`Self::persist_run`] is the inverse: a
+    /// transition back to that blob, with nothing encoded or written.
+    /// No-op if the run is already hot or frozen. The tiering worker
+    /// does this automatically for runs whose query count crosses
     /// [`EngineBuilder::reheat_after`].
     pub fn reheat_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.reheat(run, Tier::Frozen)
@@ -434,8 +439,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// an atomic, crash-safe manifest rewrite, cutting the spill
     /// directory's file count — the difference between 10⁵ files and a
     /// few hundred at fleet scale. A handle taken before a compaction
-    /// keeps answering — a replaced file someone still holds is mapped
-    /// before its unlink, and the mapping outlives it. The tiering
+    /// keeps answering: it holds the run's registration, which the pass
+    /// points at the new pack before it unlinks the old one. The tiering
     /// worker runs this automatically once
     /// [`EngineBuilder::compact_after`] underfull files accumulate.
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {
@@ -444,13 +449,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// **Garbage-collect packs** now: rewrite every pack whose
-    /// dead-blob ratio (bytes of re-heated/evicted runs over file size)
-    /// exceeds [`EngineBuilder::pack_gc_dead_ratio`] (or
+    /// dead-blob ratio (bytes of evicted runs over file size) exceeds
+    /// [`EngineBuilder::pack_gc_dead_ratio`] (or
     /// [`crate::DEFAULT_PACK_GC_DEAD_RATIO`]), shrinking the spill directory.
-    /// In-flight cross-run scans keep reading the pre-rewrite packs —
-    /// the epoch registry defers each unlink past every scan that
-    /// started before the rewrite. The tiering worker runs this
-    /// automatically when [`EngineBuilder::pack_gc_dead_ratio`] is set.
+    /// In-flight cross-run scans and handles follow: every surviving
+    /// run's registration is pointed at the rewritten pack before the
+    /// old one is unlinked, and a blob already pinned stays mapped until
+    /// its reader is done. The tiering worker runs this automatically
+    /// when [`EngineBuilder::pack_gc_dead_ratio`] is set.
     pub fn gc_packs(&self) -> Result<PackGcReport, ServiceError> {
         let spill = self.shared.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         spill.gc_packs(&self.shared.store)
@@ -460,8 +466,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// its decoded [`crate::index::LabelIndex`] straight from the segment bytes
     /// (zero-copy off the pack mapping) and promote it to hot, where a
     /// label lookup is two `Acquire` loads. The run stays `Completed` —
-    /// writes remain rejected — but its pack bytes turn dead, which is
-    /// what feeds [`Self::gc_packs`]. No-op for hot/frozen runs.
+    /// writes remain rejected — and, as with [`Self::reheat_run`], keeps
+    /// its pack and its manifest line. No-op for hot/frozen runs.
     pub fn reheat_run_hot(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.reheat(run, Tier::Hot)
     }
@@ -587,11 +593,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         let mut frozen_bytes = 0u64;
         let mut frozen_label_bits = 0u64;
         let mut persisted_bytes = 0u64;
-        let mut persisted: Vec<Arc<PersistedRun>> = Vec::new();
+        let mut registered: Vec<Arc<PersistedRun>> = Vec::new();
         let store = &self.shared.store;
         store.for_each(|_, view| {
             labels_published += view.published() as u64;
             queries_answered += view.queries().load(Ordering::Relaxed);
+            registered.extend(view.home().cloned());
             match view {
                 RunView::Hot(slot) => {
                     labels_hot += slot.indexed.len() as u64;
@@ -605,13 +612,10 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
                     frozen_bytes += f.footprint_bytes() as u64;
                     frozen_label_bits += f.drl_bits();
                 }
-                RunView::Persisted(p) => {
-                    persisted_bytes += p.disk_bytes();
-                    persisted.push(Arc::clone(p));
-                }
+                RunView::Persisted(p) => persisted_bytes += p.disk_bytes(),
             }
         });
-        let pack_files = file_stats(&persisted);
+        let pack_files = file_stats(&registered);
         let obs = &self.shared.obs;
         let (enqueued, processed) = self.shared.ingest.watermarks();
         ServiceStats {

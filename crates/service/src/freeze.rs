@@ -20,10 +20,12 @@
 //! be assigned on-the-fly and static labels that need the whole run.
 
 use crate::slot::RunSlot;
+use crate::snapshot::{PersistedRun, SegmentHeader};
 use crate::telemetry::Telemetry;
 use crate::{RunId, SpecContext, SpecId};
 use std::hint::black_box;
 use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 use std::time::Instant;
 use wf_drl::{ArenaRef, DrlPredicate, LabelArena};
 use wf_graph::VertexId;
@@ -70,6 +72,10 @@ pub struct FrozenRun {
     /// Queries answered over the run's lifetime (carried in by the
     /// store's tier transition).
     pub(crate) queries: AtomicU64,
+    /// The run's registration in the spill directory, when this arena
+    /// was re-heated out of a pack: the blob stays live and listed, and
+    /// persisting the run again is a transition back to it.
+    pub(crate) home: Option<Arc<PersistedRun>>,
 }
 
 impl FrozenRun {
@@ -119,6 +125,21 @@ impl FrozenRun {
     /// epoch).
     pub fn frozen_at(&self) -> u64 {
         self.frozen_at
+    }
+
+    /// The header of the segment blob this run encodes to.
+    pub(crate) fn header(&self) -> SegmentHeader {
+        SegmentHeader {
+            run: self.run,
+            spec: self.spec,
+            skl_bits: self.arena.skl_bits() as u32,
+            source: self.source,
+            count: self.arena.len() as u32,
+            arena_len: self.arena.encoded_bytes() as u64,
+            drl_bits: self.drl_bits,
+            frozen_at: self.frozen_at,
+            skl: self.skl,
+        }
     }
 }
 
@@ -173,6 +194,7 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         frozen_at: unix_now(),
         skl,
         queries: AtomicU64::new(0),
+        home: slot.home.clone(),
     }
 }
 

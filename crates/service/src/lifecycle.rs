@@ -13,7 +13,15 @@
 //! | [`EngineShared::persist`]     | frozen → persisted    |
 //! | [`EngineShared::reheat`]      | persisted → frozen    |
 //! | [`EngineShared::reheat`]      | persisted → hot       |
-//! | pack rewrite (`spill.rs`)     | persisted → persisted |
+//!
+//! A run's blob on disk is not a representation that comes and goes: it
+//! is written once, at the first persist, and the registration naming
+//! it ([`crate::snapshot::PersistedRun`]) then stays with the run — a
+//! re-heated run's resident representation keeps it (`home`), so the
+//! blob stays live and listed in the manifest, and persisting the run
+//! again is a transition back to that registration: nothing is encoded
+//! or written. A pack rewrite is not a transition at all: it tells the
+//! registration where the blob went.
 //!
 //! A mover that loses its race — the run was evicted, or someone else
 //! moved it first — reports through the one [`EngineShared::lost_race`]
@@ -261,13 +269,24 @@ impl<S: SpecLabeling> EngineShared<S> {
 
     /// Spill one run to disk: freeze it if still hot, write its pack
     /// and the manifest, and replace the in-memory arena with a lazily
-    /// mapped persisted entry. Idempotent for already-persisted runs.
+    /// mapped persisted entry. A re-heated run already has its pack and
+    /// its manifest line: it goes back to the registration it was read
+    /// from, and nothing is written. Idempotent for already-persisted
+    /// runs.
     pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
         let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         self.freeze(run)?;
         let RunView::Frozen(frozen) = self.view(run)? else {
             return Ok(()); // already persisted (or re-heated since)
         };
+        if let Some(home) = &frozen.home {
+            let back = RunView::Persisted(Arc::clone(home));
+            return if self.store.transition(run, Tier::Frozen, back) {
+                Ok(())
+            } else {
+                self.lost_race(run)
+            };
+        }
         if !spill.persist(&self.store, &frozen)? {
             return self.lost_race(run);
         }
@@ -297,9 +316,10 @@ impl<S: SpecLabeling> EngineShared<S> {
     /// [`Tier::Frozen`] copies the encoded arena out (same reader, no
     /// LRU in the way); [`Tier::Hot`] rebuilds the fully decoded
     /// [`crate::index::LabelIndex`] (queries are two `Acquire` loads).
-    /// Either way the run stays `Completed`, and it leaves the persisted
-    /// registry — its pack bytes turn dead, which is what feeds pack GC.
-    /// Idempotent for runs already resident.
+    /// Either way the run stays `Completed`, and the resident
+    /// representation keeps the registration it was read from: the blob
+    /// stays live, the manifest keeps its line, and a crash brings the
+    /// run back persisted. Idempotent for runs already resident.
     pub(crate) fn reheat(&self, run: RunId, target: Tier) -> Result<(), ServiceError> {
         let view = self.view(run)?;
         let RunView::Persisted(persisted) = &view else {
@@ -319,10 +339,8 @@ impl<S: SpecLabeling> EngineShared<S> {
                 let arena = pin.arena();
                 let slot = RunSlot::completed(
                     Arc::clone(&self.catalog[persisted.spec.0]),
-                    persisted.spec,
                     arena.skl_bits(),
-                    persisted.source,
-                    persisted.published as u64,
+                    Arc::clone(persisted),
                 );
                 for (v, name, label) in arena.iter() {
                     let label = label.to_label().ok_or_else(unreadable)?;
@@ -367,7 +385,7 @@ impl<S: SpecLabeling> EngineShared<S> {
                 let since = p
                     .queries
                     .load(Ordering::Relaxed)
-                    .saturating_sub(p.queries_at_persist);
+                    .saturating_sub(p.queries_at_persist.load(Ordering::Relaxed));
                 if since >= threshold && p.load_failure().is_none() {
                     to_reheat.push(run);
                 }

@@ -145,19 +145,17 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
         self.views().into_iter().map(|(run, _)| run).collect()
     }
 
-    /// Drive one whole fleet scan: pin the pack-set epoch, open the
-    /// query's root span, visit every in-scope view through `per_view`,
+    /// Drive one whole fleet scan: open the query's root span, snapshot
+    /// the in-scope views, visit every one of them through `per_view`,
     /// and record per-tier aggregates (into the trace ring as `tier_scan`
     /// children when they clear the slow-op threshold, and into the
     /// active EXPLAIN profile, if any). The root span parents every
-    /// bufmgr `pack_pin` leaf the scan triggers.
+    /// bufmgr `pack_pin` leaf the scan triggers. The scan answers from
+    /// exactly the runs it snapshotted: a persisted view *is* the run's
+    /// registration, which a compaction or pack-GC rewrite landing
+    /// mid-scan relocates in place — the pin that follows reads the blob
+    /// where it is by then.
     fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView<S>) -> Option<T>) -> Vec<T> {
-        // Pin the pack-set epoch for the whole scan: a compaction or
-        // pack-GC rewrite landing mid-scan retires the files it
-        // replaced under a *later* epoch, so every blob this scan
-        // resolves stays readable until the guard drops. The scan
-        // answers from the pre-rewrite pack set it started against.
-        let _epoch = self.shared.spill.as_ref().map(|s| s.epochs.pin());
         let obs = &self.shared.obs;
         let root = obs.begin();
         let trace_id = root.ctx.trace;

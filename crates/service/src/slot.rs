@@ -9,6 +9,7 @@
 //! `Arc<SpecContext>` it is fed from on every call.
 
 use crate::index::LabelIndex;
+use crate::snapshot::PersistedRun;
 use crate::{RunId, RunStatus, ServiceError, SpecContext, SpecId};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -57,6 +58,10 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     /// the numbers align with the flush watermark: everything appended
     /// before a barrier is durably replayable after it.
     pub(crate) wal_seq: AtomicU64,
+    /// The run's registration in the spill directory, when this slot was
+    /// re-heated out of a pack (see [`crate::FrozenRun`]'s field of the
+    /// same name).
+    pub(crate) home: Option<Arc<PersistedRun>>,
 }
 
 impl<S: SpecLabeling> RunSlot<S> {
@@ -82,21 +87,21 @@ impl<S: SpecLabeling> RunSlot<S> {
         ))
     }
 
-    /// The slot of a run re-heated to the hot tier: `Completed` from the
-    /// start, so it holds no labeler; the caller publishes the run's
-    /// `labels` labels into [`Self::indexed`] before registering it.
+    /// The slot of a run re-heated to the hot tier out of `home`:
+    /// `Completed` from the start, so it holds no labeler; the caller
+    /// publishes the run's labels into [`Self::indexed`] before
+    /// registering it.
     pub(crate) fn completed(
         ctx: Arc<SpecContext<S>>,
-        spec: SpecId,
         skl_bits: usize,
-        source: Option<VertexId>,
-        labels: u64,
+        home: Arc<PersistedRun>,
     ) -> Self {
-        let slot = Self::new(ctx, spec, skl_bits, None, RunStatus::Completed, 1);
-        if let Some(source) = source {
+        let mut slot = Self::new(ctx, home.spec, skl_bits, None, RunStatus::Completed, 1);
+        if let Some(source) = home.source {
             let _ = slot.source.set(source);
         }
-        slot.events.store(labels, Ordering::Relaxed);
+        slot.events.store(home.published as u64, Ordering::Relaxed);
+        slot.home = Some(home);
         slot
     }
 
@@ -120,6 +125,7 @@ impl<S: SpecLabeling> RunSlot<S> {
             queries: AtomicU64::new(0),
             derivation: Mutex::new(None),
             wal_seq: AtomicU64::new(next_wal_seq),
+            home: None,
         }
     }
 

@@ -45,6 +45,14 @@
 //! [`wf_drl::ArenaRef`] a frozen run uses; a truncated or corrupted blob
 //! is rejected with a typed error — kept on the registration, so every
 //! later read names the cause — never a panic.
+//!
+//! A run has **one registration** ([`PersistedRun`]) for as long as it
+//! has a blob on disk. The blob is immutable; what a rewrite changes is
+//! where it lies, and the registration is told so in place
+//! ([`PersistedRun::relocate`]) under the same lock a first pin reads the
+//! location through. That lock plus the `Arc` a [`SegmentPin`] holds on
+//! the mapping it resolved is the whole reader protection: whoever holds
+//! a registration can read it to the end, wherever the blob has moved.
 
 use crate::bufmgr::{MappedRun, PackFile};
 use crate::freeze::{FrozenRun, SklReport};
@@ -260,19 +268,19 @@ pub(crate) fn pack_file_seq(name: &str) -> Option<u64> {
 /// Serialize a frozen run into a segment blob.
 pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
     let arena = frozen.arena();
+    let h = frozen.header();
     let mut out = Vec::with_capacity(HEADER_LEN + arena.footprint_bytes() + CHECKSUM_LEN);
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    out.extend_from_slice(&frozen.run().0.to_le_bytes());
-    out.extend_from_slice(&(frozen.spec().0 as u32).to_le_bytes());
-    out.extend_from_slice(&(arena.skl_bits() as u32).to_le_bytes());
-    out.extend_from_slice(&frozen.source().map_or(u32::MAX, |v| v.0).to_le_bytes());
-    out.extend_from_slice(&(arena.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(arena.encoded_bytes() as u64).to_le_bytes());
-    out.extend_from_slice(&frozen.drl_bits().to_le_bytes());
-    out.extend_from_slice(&frozen.frozen_at().to_le_bytes());
-    let report = frozen.skl_report();
-    out.extend_from_slice(&u32::from(report.is_some()).to_le_bytes());
+    out.extend_from_slice(&h.run.0.to_le_bytes());
+    out.extend_from_slice(&(h.spec.0 as u32).to_le_bytes());
+    out.extend_from_slice(&h.skl_bits.to_le_bytes());
+    out.extend_from_slice(&h.source.map_or(u32::MAX, |v| v.0).to_le_bytes());
+    out.extend_from_slice(&h.count.to_le_bytes());
+    out.extend_from_slice(&h.arena_len.to_le_bytes());
+    out.extend_from_slice(&h.drl_bits.to_le_bytes());
+    out.extend_from_slice(&h.frozen_at.to_le_bytes());
+    out.extend_from_slice(&u32::from(h.skl.is_some()).to_le_bytes());
     let zero = SklReport {
         skl_bits: 0,
         drl_bits: 0,
@@ -281,7 +289,7 @@ pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
         skl_query_ns: 0,
         pairs_sampled: 0,
     };
-    let r = report.unwrap_or(&zero);
+    let r = h.skl.unwrap_or(zero);
     out.extend_from_slice(&r.skl_bits.to_le_bytes());
     out.extend_from_slice(&r.build_ns.to_le_bytes());
     out.extend_from_slice(&r.drl_query_ns.to_le_bytes());
@@ -308,6 +316,14 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
         return Err(SnapshotError::Format("checksum mismatch".into()));
     }
     let header = parse_header(body)?;
+    // A skeleton pointer is a `u32` vertex index: a wider field is not
+    // something this engine ever wrote, whatever the checksum says.
+    if header.skl_bits > 32 {
+        return Err(SnapshotError::Format(format!(
+            "skeleton pointer width {} exceeds 32 bits",
+            header.skl_bits
+        )));
+    }
     let slots_len = (header.count as usize)
         .checked_mul(ArenaSlot::WIRE_BYTES)
         .ok_or_else(|| SnapshotError::Format("slot count overflow".into()))?;
@@ -344,6 +360,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
         frozen_at: header.frozen_at,
         skl: header.skl,
         queries: AtomicU64::new(0),
+        home: None,
     })
 }
 
@@ -400,23 +417,13 @@ pub struct ManifestEntry {
     pub bytes: u64,
 }
 
-/// Atomically rewrite the manifest with the full persisted set: temp
+/// Atomically rewrite the manifest with every registered blob: temp
 /// file, fsync, rename, directory fsync — after this returns, a crash
 /// cannot resurrect the previous manifest or leave the new one pointing
 /// at unsynced data.
-///
-/// The manifest is **epoch-versioned**: an `epoch <n>` line right after
-/// the header records which pack-set version the entries describe, so a
-/// restarted engine resumes the [`crate::bufmgr::EpochRegistry`] clock
-/// monotonically.
-pub fn write_manifest(
-    dir: &Path,
-    entries: &[ManifestEntry],
-    epoch: u64,
-) -> Result<(), SnapshotError> {
+pub fn write_manifest(dir: &Path, entries: &[ManifestEntry]) -> Result<(), SnapshotError> {
     let mut out = String::from(MANIFEST_HEADER);
     out.push('\n');
-    out.push_str(&format!("epoch {epoch}\n"));
     for e in entries {
         out.push_str(&format!(
             "{} {} {} {}\n",
@@ -426,27 +433,11 @@ pub fn write_manifest(
     write_blob_file(dir, &dir.join(MANIFEST_FILE), out.as_bytes())
 }
 
-/// The pack-set epoch recorded in the manifest (0 when the line or the
-/// manifest is absent).
-pub fn load_manifest_epoch(dir: &Path) -> u64 {
-    let Ok(text) = fs::read_to_string(dir.join(MANIFEST_FILE)) else {
-        return 0;
-    };
-    for line in text.lines().skip(1) {
-        let mut parts = line.split_whitespace();
-        if parts.next() == Some("epoch") {
-            if let Some(Ok(epoch)) = parts.next().map(str::parse::<u64>) {
-                return epoch;
-            }
-        }
-    }
-    0
-}
-
 /// Load the manifest; a missing file is an empty manifest, any header
 /// but [`MANIFEST_HEADER`] is a typed [`SnapshotError::Format`], and
-/// malformed lines are skipped (registration re-validates every blob
-/// header, so the manifest is an index, not a trust root).
+/// malformed lines are skipped — among them the `epoch <n>` line earlier
+/// engines wrote — (registration re-validates every blob header, so the
+/// manifest is an index, not a trust root).
 pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
     let path = dir.join(MANIFEST_FILE);
     let text = match fs::read_to_string(&path) {
@@ -491,13 +482,12 @@ pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
 /// Load state of a persisted run's blob: cold, resolved, or known-bad.
 #[derive(Debug)]
 enum LoadState {
-    /// Never pinned; the next query maps the file (if nobody has yet)
-    /// and verifies the blob.
+    /// Never pinned at this place; the next query maps the file (if
+    /// nobody has yet) and verifies the blob.
     Unloaded,
     /// Resolved to a byte range inside the file's mapping: verified
-    /// once, then served zero-copy forever. Eviction flips the range's
-    /// residency flag and `madvise`s the pages away, but this state —
-    /// the parsed metadata — never degrades back to `Unloaded`.
+    /// once, then served zero-copy. Eviction `madvise`s the pages away,
+    /// but this state — the parsed metadata — stays until the blob moves.
     Mapped(Arc<MappedRun>),
     /// A load failed (the blob vanished or was corrupted after
     /// registration); cached with its cause, so queries degrade to "no
@@ -506,14 +496,31 @@ enum LoadState {
     Failed(SnapshotError),
 }
 
-/// A run living in the persisted tier: registered from a segment header
-/// at engine build (or at spill/rewrite time), with its bytes **mapped
-/// and verified lazily** on first query. Residency is governed by the
-/// store's [`SegmentLru`]: every pin-in registers there, and when the
-/// resident-byte budget is exceeded the least-recently-used blobs have
-/// their pages `madvise`d away — so a persisted run that turns hot reads
-/// at page-cache speed, and cools back to zero resident bytes when the
-/// traffic moves on.
+/// Where a registration's blob is right now, and what has been resolved
+/// there. One lock guards all of it, so a reader opens the location it
+/// read and a rewrite moves the blob between two reads, never during
+/// one.
+#[derive(Debug)]
+struct Place {
+    /// The pack file the blob lives in, shared with every other run
+    /// registered in it; reads resolve through its mapping.
+    file: Arc<PackFile>,
+    offset: u64,
+    state: LoadState,
+}
+
+/// A run's **registration** in the spill directory: created when its
+/// blob is first written (or from a manifest line at engine build),
+/// *relocated in place* when a rewrite moves the blob
+/// ([`Self::relocate`]), kept by the run's resident representation
+/// across a re-heat, dropped at eviction — one per run for as long as
+/// the run has a blob on disk, whichever tier serves it. Its bytes are
+/// **mapped and verified lazily** on first query. Residency is governed
+/// by the store's [`SegmentLru`]: every pin-in registers there, and when
+/// the resident-byte budget is exceeded the least-recently-used blobs
+/// have their pages `madvise`d away — so a persisted run that turns hot
+/// reads at page-cache speed, and cools back to zero resident bytes when
+/// the traffic moves on.
 #[derive(Debug)]
 pub struct PersistedRun {
     pub(crate) run: RunId,
@@ -521,41 +528,75 @@ pub struct PersistedRun {
     pub(crate) source: Option<VertexId>,
     pub(crate) published: usize,
     /// Length of this run's blob on disk (not the whole file: packs
-    /// share one file among many runs).
-    pub(crate) disk_bytes: u64,
-    /// The pack file the blob lives in, shared with every other run
-    /// registered in it; reads resolve through its mapping.
-    pub(crate) file: Arc<PackFile>,
-    pub(crate) offset: u64,
+    /// share one file among many runs). A rewrite copies blobs verbatim,
+    /// so the length never changes with the place.
+    disk_bytes: u64,
     pub(crate) frozen_at: u64,
     /// The freeze-time SKL re-label deltas, straight from the header —
     /// what lets a reloaded engine reproduce its §7.4 report without
     /// mapping a single file.
-    pub(crate) skl: Option<SklReport>,
-    state: RwLock<LoadState>,
+    skl: Option<SklReport>,
+    place: RwLock<Place>,
     /// Live [`SegmentPin`] count. A pinned blob is never a replacer
     /// victim, so a scan iterating labels off the mapping cannot have
     /// its pages `madvise`d away mid-visit.
     pins: AtomicU32,
+    /// Whether the blob counts as resident in the replacer. Only
+    /// [`Self::set_resident`] flips it, and every flip moves the LRU's
+    /// byte total by the blob's length, so the two cannot drift.
+    resident: AtomicBool,
     /// LRU recency stamp (the store's logical clock at last query).
     pub(crate) last_access: AtomicU64,
-    /// Set when this registration leaves the persisted tier (evicted,
-    /// re-heated, or replaced by a rewrite): a pin-in that races the
-    /// departure must not enter the LRU afterwards.
+    /// Set while the run is served from memory (re-heated) or gone
+    /// (evicted), cleared when it is served from here again: a pin-in
+    /// through a stale handle must not enter the LRU meanwhile.
     pub(crate) retired: AtomicBool,
     lru: Arc<SegmentLru>,
     /// Queries answered over the run's lifetime (the store's tier
     /// transition carries the count from one representation to the
     /// next, so engine-wide `queries_answered` stays monotone).
     pub(crate) queries: AtomicU64,
-    /// The lifetime count when the run entered the persisted tier.
+    /// The lifetime count when the run last entered the persisted tier.
     /// Policy decisions — the auto-re-heat threshold — must only see
     /// traffic received *since* persisting, or every popular run would
     /// bounce straight back to memory after each spill.
-    pub(crate) queries_at_persist: u64,
+    pub(crate) queries_at_persist: AtomicU64,
 }
 
 impl PersistedRun {
+    /// Register the blob described by `header`, `len` bytes at `offset`
+    /// of `file`. Nothing is read: the bytes are mapped only when
+    /// queried, which keeps the memory release of persisting real.
+    pub(crate) fn new(
+        header: &SegmentHeader,
+        file: Arc<PackFile>,
+        offset: u64,
+        len: u64,
+        lru: Arc<SegmentLru>,
+    ) -> Self {
+        Self {
+            run: header.run,
+            spec: header.spec,
+            source: header.source,
+            published: header.count as usize,
+            disk_bytes: len,
+            frozen_at: header.frozen_at,
+            skl: header.skl,
+            place: RwLock::new(Place {
+                file,
+                offset,
+                state: LoadState::Unloaded,
+            }),
+            pins: AtomicU32::new(0),
+            resident: AtomicBool::new(false),
+            last_access: AtomicU64::new(0),
+            retired: AtomicBool::new(false),
+            lru,
+            queries: AtomicU64::new(0),
+            queries_at_persist: AtomicU64::new(0),
+        }
+    }
+
     /// Register a manifest entry of `file` by reading its blob header
     /// only.
     pub(crate) fn open_entry(
@@ -570,83 +611,7 @@ impl PersistedRun {
                 entry.run, header.run
             )));
         }
-        Ok(Self {
-            run: header.run,
-            spec: header.spec,
-            source: header.source,
-            published: header.count as usize,
-            disk_bytes: entry.bytes,
-            file,
-            offset: entry.offset,
-            frozen_at: header.frozen_at,
-            skl: header.skl,
-            state: RwLock::new(LoadState::Unloaded),
-            pins: AtomicU32::new(0),
-            last_access: AtomicU64::new(0),
-            retired: AtomicBool::new(false),
-            lru,
-            queries: AtomicU64::new(0),
-            queries_at_persist: 0,
-        })
-    }
-
-    /// Register the pack of one that was just written from `frozen`
-    /// (spill path) — header facts come from the in-memory run; the
-    /// bytes are read back through the mapping only when queried, which
-    /// keeps the memory release of persisting real.
-    pub(crate) fn from_frozen(
-        frozen: &FrozenRun,
-        file: Arc<PackFile>,
-        disk_bytes: u64,
-        lru: Arc<SegmentLru>,
-    ) -> Self {
-        Self {
-            run: frozen.run(),
-            spec: frozen.spec(),
-            source: frozen.source(),
-            published: frozen.published(),
-            disk_bytes,
-            file,
-            offset: 0,
-            frozen_at: frozen.frozen_at(),
-            skl: frozen.skl_report().copied(),
-            state: RwLock::new(LoadState::Unloaded),
-            pins: AtomicU32::new(0),
-            last_access: AtomicU64::new(0),
-            retired: AtomicBool::new(false),
-            lru,
-            queries: AtomicU64::new(0),
-            queries_at_persist: frozen.queries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The rewrite swap: the same run re-registered at its new blob
-    /// location. Residency starts cold (the old entry's resolved range
-    /// is forgotten with the old entry).
-    pub(crate) fn repacked(
-        old: &PersistedRun,
-        file: Arc<PackFile>,
-        offset: u64,
-        bytes: u64,
-    ) -> Self {
-        Self {
-            run: old.run,
-            spec: old.spec,
-            source: old.source,
-            published: old.published,
-            disk_bytes: bytes,
-            file,
-            offset,
-            frozen_at: old.frozen_at,
-            skl: old.skl,
-            state: RwLock::new(LoadState::Unloaded),
-            pins: AtomicU32::new(0),
-            last_access: AtomicU64::new(old.last_access.load(Ordering::Relaxed)),
-            retired: AtomicBool::new(false),
-            lru: Arc::clone(&old.lru),
-            queries: AtomicU64::new(0),
-            queries_at_persist: old.queries_at_persist,
-        }
+        Ok(Self::new(&header, file, entry.offset, entry.bytes, lru))
     }
 
     /// The run this segment holds.
@@ -659,14 +624,32 @@ impl PersistedRun {
         self.disk_bytes
     }
 
-    /// The pack file holding the blob.
-    pub fn path(&self) -> &Path {
-        self.file.path()
+    /// Where the blob is right now: its pack file, and its byte offset
+    /// and length within it.
+    pub fn place(&self) -> (Arc<PackFile>, u64, u64) {
+        let g = self.place.read().expect("segment place poisoned");
+        (Arc::clone(&g.file), g.offset, self.disk_bytes)
     }
 
-    /// Byte offset of the blob within [`Self::path`].
-    pub fn offset(&self) -> u64 {
-        self.offset
+    /// A rewrite copied the blob to `offset` of `file`: point the
+    /// registration there. Every holder — the store, a handle, a scan's
+    /// snapshot — follows, because they hold this object and the next
+    /// first pin reads the place under the same lock; a [`SegmentPin`]
+    /// taken before the move keeps the mapping it resolved until it
+    /// drops. The caller unlinks the old file only after this returns,
+    /// so no reader ever opens a location that is gone.
+    pub(crate) fn relocate(&self, file: Arc<PackFile>, offset: u64) {
+        let mut g = self.place.write().expect("segment place poisoned");
+        *g = Place {
+            file,
+            offset,
+            state: LoadState::Unloaded,
+        };
+        // The old range's pages are no longer reachable from here. No
+        // pin can flip the flag back while the place lock is held; the
+        // entry this may leave in the LRU's candidate map has nothing to
+        // shed and is dropped the next time the run exits.
+        self.set_resident(false);
     }
 
     /// The freeze-time SKL re-label deltas persisted in the header.
@@ -674,41 +657,54 @@ impl PersistedRun {
         self.skl.as_ref()
     }
 
-    /// Pin an already-resolved range (call with the state lock held, so
-    /// the shed path cannot slip between the two steps). A range the
-    /// replacer `madvise`d away pins back in — the pages re-fault lazily
-    /// underneath — and must be re-admitted to the LRU: returns whether.
-    fn repin(&self, m: &MappedRun) -> bool {
+    /// Flip the residency flag, moving the LRU's byte total with it.
+    /// Returns whether the flag changed.
+    pub(crate) fn set_resident(&self, on: bool) -> bool {
+        if self.resident.swap(on, Ordering::AcqRel) == on {
+            return false;
+        }
+        self.lru.account(self.disk_bytes, on);
+        true
+    }
+
+    /// Pin an already-resolved range (call with the place lock held, so
+    /// neither the shed path nor a relocation can slip between the two
+    /// steps). A range the replacer `madvise`d away pins back in — the
+    /// pages re-fault lazily underneath — and must be re-admitted to the
+    /// LRU: returns whether. A retired registration (read through a
+    /// stale handle) is not the replacer's business.
+    fn repin(&self) -> bool {
         self.pins.fetch_add(1, Ordering::AcqRel);
-        if m.resident.swap(true, Ordering::AcqRel) {
-            with_profile(|p| p.verifies_skipped += 1);
-            false
-        } else {
+        if !self.retired.load(Ordering::Acquire) && self.set_resident(true) {
             self.lru.obs.pack_pins.inc();
             with_profile(|p| p.pack_pins += 1);
             true
+        } else {
+            with_profile(|p| p.verifies_skipped += 1);
+            false
         }
     }
 
-    /// The slow path of [`Self::pin`], under the state write lock: map
-    /// the file (if no other run of the pack has yet), run the blob's
-    /// one verification pass — framing + checksum; labels decode lazily
-    /// later — and pin the resolved range. A failure is sticky for this
-    /// run only; the file handle caches nothing but a successful map.
+    /// The slow path of [`Self::pin`], under the place write lock: map
+    /// the file the blob is in *now* (if no other run of the pack has
+    /// yet), run the blob's one verification pass — framing + checksum;
+    /// labels decode lazily later — and pin the resolved range. A
+    /// failure is sticky for this place only; the file handle caches
+    /// nothing but a successful map.
     fn first_pin(&self) -> Option<(Arc<MappedRun>, bool)> {
-        let mut g = self.state.write().expect("segment state poisoned");
-        match &*g {
-            LoadState::Mapped(m) => return Some((Arc::clone(m), self.repin(m))),
+        let mut g = self.place.write().expect("segment place poisoned");
+        match &g.state {
+            LoadState::Mapped(m) => return Some((Arc::clone(m), self.repin())),
             LoadState::Failed(_) => return None,
             LoadState::Unloaded => {}
         }
         let obs = &self.lru.obs;
         let span = obs.timer();
-        let resolved = self
+        let resolved = g
             .file
             .mapping()
             .map_err(SnapshotError::from)
-            .and_then(|map| MappedRun::resolve(map, self.offset, self.disk_bytes));
+            .and_then(|map| MappedRun::resolve(map, g.offset, self.disk_bytes));
         let m = match resolved {
             Ok(m) => m,
             Err(cause) => {
@@ -716,9 +712,9 @@ impl PersistedRun {
                     "pack_pin_failed",
                     Some(self.run.0),
                     Some("persisted"),
-                    || format!("file={} cause={cause}", self.file.path().display()),
+                    || format!("file={} cause={cause}", g.file.path().display()),
                 );
-                *g = LoadState::Failed(cause);
+                g.state = LoadState::Failed(cause);
                 return None;
             }
         };
@@ -732,9 +728,8 @@ impl PersistedRun {
             || format!("bytes={}", self.disk_bytes),
         );
         let m = Arc::new(m);
-        *g = LoadState::Mapped(Arc::clone(&m));
-        let admit = self.repin(&m);
-        Some((m, admit))
+        g.state = LoadState::Mapped(Arc::clone(&m));
+        Some((m, self.repin()))
     }
 
     /// Pin the run's bytes for reading. The first pin maps and verifies
@@ -742,13 +737,13 @@ impl PersistedRun {
     /// the blob ineligible for eviction until dropped; `None` if the
     /// blob no longer reads back cleanly.
     ///
-    /// The pin count is taken while the state lock is held; the shed
+    /// The pin count is taken while the place lock is held; the shed
     /// path re-checks it under the (try-)write lock, so a blob can
     /// never be evicted between resolve and pin.
     pub(crate) fn pin(self: &Arc<Self>) -> Option<SegmentPin> {
         self.last_access.store(self.lru.tick(), Ordering::Relaxed);
-        let resolved = match &*self.state.read().expect("segment state poisoned") {
-            LoadState::Mapped(m) => Some((Arc::clone(m), self.repin(m))),
+        let resolved = match &self.place.read().expect("segment place poisoned").state {
+            LoadState::Mapped(m) => Some((Arc::clone(m), self.repin())),
             LoadState::Failed(_) => return None,
             LoadState::Unloaded => None,
         };
@@ -756,8 +751,8 @@ impl PersistedRun {
             Some(r) => r,
             None => self.first_pin()?,
         };
-        // Register outside the state lock: the LRU's shed path takes
-        // state locks under its own mutex, so nesting the other way
+        // Register outside the place lock: the LRU's shed path takes
+        // place locks under its own mutex, so nesting the other way
         // around here would risk an ordering inversion.
         if admit {
             self.lru.admit(Arc::clone(self));
@@ -768,10 +763,10 @@ impl PersistedRun {
         })
     }
 
-    /// True while the blob's mapped range is resident — pinned in and
-    /// not yet `madvise`d away.
+    /// True while the blob counts as resident — pinned in and not yet
+    /// `madvise`d away.
     pub fn is_loaded(&self) -> bool {
-        self.resident_bytes() > 0
+        self.resident.load(Ordering::Acquire)
     }
 
     /// Live pin count (replacer victim filtering).
@@ -781,38 +776,29 @@ impl PersistedRun {
 
     /// Why the run's first pin failed, once it has (sticky): the blob no
     /// longer reads back cleanly, so retrying — e.g. the auto-re-heat
-    /// policy — is pointless until the registration changes.
+    /// policy — is pointless until the blob moves.
     pub fn load_failure(&self) -> Option<SnapshotError> {
-        match &*self.state.read().expect("segment state poisoned") {
+        match &self.place.read().expect("segment place poisoned").state {
             LoadState::Failed(cause) => Some(cause.clone()),
             _ => None,
-        }
-    }
-
-    /// Resident bytes of the blob (0 when cold or failed): its on-disk
-    /// length — the pages the mapping can fault.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        match &*self.state.read().expect("segment state poisoned") {
-            LoadState::Mapped(m) if m.resident.load(Ordering::Acquire) => self.disk_bytes,
-            _ => 0,
         }
     }
 
     /// Evict the resident blob (replacer eviction): the range keeps its
     /// metadata but hands its pages back to the kernel with
     /// `madvise(DONTNEED)`. Non-blocking and pin-aware: returns `None`
-    /// if the state lock is contended (a first pin or query is
+    /// if the place lock is contended (a first pin or query is
     /// mid-flight), a pin is live, or nothing is resident; the bytes
     /// freed otherwise.
     pub(crate) fn shed(&self) -> Option<u64> {
-        let g = self.state.try_write().ok()?;
+        let g = self.place.try_write().ok()?;
         // Re-checked under the write lock: a pin taken under the read
         // lock has either completed (visible here) or is blocked on us.
         if self.pins.load(Ordering::Acquire) > 0 {
             return None;
         }
-        match &*g {
-            LoadState::Mapped(m) if m.resident.swap(false, Ordering::AcqRel) => {
+        match &g.state {
+            LoadState::Mapped(m) if self.set_resident(false) => {
                 m.advise_dont_need();
                 Some(self.disk_bytes)
             }
@@ -836,7 +822,8 @@ impl SegmentPin {
     }
 
     /// Materialize an owned, fully re-validated [`FrozenRun`] out of the
-    /// mapping — the re-heat path. `None` if the mapped bytes no longer
+    /// mapping — the re-heat path; the copy keeps the registration it
+    /// was read from as its home. `None` if the mapped bytes no longer
     /// validate.
     pub(crate) fn to_frozen(&self) -> Option<Arc<FrozenRun>> {
         let h = self.mapped.header();
@@ -849,6 +836,7 @@ impl SegmentPin {
             frozen_at: h.frozen_at,
             skl: h.skl,
             queries: AtomicU64::new(0),
+            home: Some(Arc::clone(&self.run)),
         }))
     }
 }

@@ -1,23 +1,30 @@
 //! The **spill directory**: the one owner of everything on disk under
-//! the persisted tier — pack naming, the manifest lock, the pack-set
-//! epoch, and the three operations that write there.
+//! the persisted tier — pack naming, the manifest lock, and the
+//! operations that write there.
+//!
+//! Everything here works on the store's **registrations**: every run
+//! that has a blob on disk — persisted, or re-heated and served from
+//! memory since — holds one [`PersistedRun`], and the manifest lists
+//! exactly those. A blob is dead only once its run is evicted.
 //!
 //! * [`SpillDir::persist`] writes one frozen run as a pack of one and
 //!   lists it in the manifest.
+//! * [`SpillDir::forget`] rewrites the manifest after an eviction, so
+//!   the evicted run stays gone across a restart.
 //! * [`SpillDir::compact`] and [`SpillDir::gc_packs`] are two victim
 //!   selections over one rewrite pass (`rewrite_packs`): pick files,
 //!   stream their live blobs verbatim into fresh packs, land the
-//!   manifest under the next epoch, swap the registrations, retire the
-//!   old files through the [`EpochRegistry`], sweep orphans. Compaction
-//!   picks *underfull* files (fewer than [`MIN_PACK_RUNS`] live runs);
-//!   GC picks files whose dead-blob ratio crossed the threshold.
+//!   manifest, relocate the registrations in place, unlink the copied
+//!   files, sweep orphans. Compaction picks *underfull* files (fewer
+//!   than [`MIN_PACK_RUNS`] live runs); GC picks files whose dead-blob
+//!   ratio crossed the threshold.
 //!
 //! Crash safety is the same at every step of every operation: until a
 //! new manifest is renamed into place the old manifest and old files are
 //! intact; after it, the old files are orphans the sweep (this pass's or
 //! any later one's) removes.
 
-use crate::bufmgr::{EpochRegistry, PackFile};
+use crate::bufmgr::PackFile;
 use crate::freeze::FrozenRun;
 use crate::snapshot::{
     self, ManifestEntry, PersistedRun, SnapshotError, MIN_PACK_RUNS, PACK_MAX_RUNS,
@@ -34,9 +41,8 @@ use wf_obs::Histogram;
 use wf_skeleton::SpecLabeling;
 
 /// Default dead-blob ratio above which pack GC rewrites a pack file:
-/// once 30% of a pack's bytes belong to runs that left the persisted
-/// tier (re-heated or evicted), rewriting the live remainder wins back
-/// more disk than the copy costs.
+/// once 30% of a pack's bytes belong to evicted runs, rewriting the live
+/// remainder wins back more disk than the copy costs.
 pub const DEFAULT_PACK_GC_DEAD_RATIO: f64 = 0.3;
 
 /// What one compaction pass did: how many pack files and on-disk bytes
@@ -53,9 +59,9 @@ pub struct CompactionReport {
     pub bytes_before: u64,
     /// Sum of on-disk file bytes referenced after the pass.
     pub bytes_after: u64,
-    /// Dead blob bytes reclaimed by retiring rewritten files — bytes that
-    /// belonged to re-heated or evicted runs and were carried by a file
-    /// without being referenced. Reported separately so packing (which
+    /// Dead blob bytes reclaimed by unlinking rewritten files — bytes
+    /// that belonged to evicted runs and were carried by a file without
+    /// being referenced. Reported separately so packing (which
     /// moves live bytes) and GC (which drops dead ones) never mix in one
     /// number.
     pub dead_bytes_reclaimed: u64,
@@ -93,9 +99,9 @@ impl CompactionReport {
 /// the on-disk byte accounting over every referenced pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PackGcReport {
-    /// Packs rewritten (and retired) by this pass.
+    /// Packs rewritten (and unlinked) by this pass.
     pub packs_rewritten: usize,
-    /// Live runs re-registered into the rewritten packs.
+    /// Live runs relocated into the rewritten packs.
     pub runs_moved: usize,
     /// Sum of pack-file bytes on disk before the pass.
     pub bytes_before: u64,
@@ -124,61 +130,57 @@ impl PackGcReport {
     }
 }
 
-/// One pack file the persisted tier references.
+/// One pack file the registrations reference.
 pub(crate) struct FileStat {
     file: Arc<PackFile>,
-    /// Live registrations in the file.
-    runs: Vec<Arc<PersistedRun>>,
-    /// On-disk size of the file.
+    /// The registrations in the file, each with its blob's offset.
+    runs: Vec<(Arc<PersistedRun>, u64)>,
+    /// On-disk size of the file ([`file_stats`] fills it in).
     size: u64,
-    /// Sum of the live blobs' bytes.
+    /// Sum of the registered blobs' bytes.
     live: u64,
 }
 
 impl FileStat {
-    /// Bytes of blobs whose runs left the persisted tier.
+    /// Bytes of blobs whose runs were evicted.
     pub(crate) fn dead(&self) -> u64 {
         self.size.saturating_sub(self.live)
     }
 }
 
-/// The persisted tier's current registrations.
-fn persisted_set<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Arc<PersistedRun>> {
+/// Every registration the store holds: the persisted runs' own, and the
+/// ones re-heated runs keep.
+fn registrations<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Arc<PersistedRun>> {
     let mut out = Vec::with_capacity(store.tier_count(Tier::Persisted));
-    store.for_each(|_, view| {
-        if let RunView::Persisted(p) = view {
-            out.push(Arc::clone(p));
-        }
-    });
+    store.for_each(|_, view| out.extend(view.home().cloned()));
     out
 }
 
-/// Group the persisted set by pack file: the runs of one pack share one
-/// file handle.
-fn group_by_file(persisted: &[Arc<PersistedRun>]) -> impl Iterator<Item = Vec<Arc<PersistedRun>>> {
-    let mut by_file: HashMap<*const PackFile, Vec<Arc<PersistedRun>>> = HashMap::new();
-    for p in persisted {
-        by_file
-            .entry(Arc::as_ptr(&p.file))
-            .or_default()
-            .push(Arc::clone(p));
+/// Group registrations by pack file (the runs of one pack share one
+/// file handle), reading each one's place once.
+fn group_by_file(registered: &[Arc<PersistedRun>]) -> impl Iterator<Item = FileStat> {
+    let mut by_file: HashMap<*const PackFile, FileStat> = HashMap::new();
+    for p in registered {
+        let (file, offset, len) = p.place();
+        let stat = by_file.entry(Arc::as_ptr(&file)).or_insert(FileStat {
+            file,
+            runs: Vec::new(),
+            size: 0,
+            live: 0,
+        });
+        stat.runs.push((Arc::clone(p), offset));
+        stat.live += len;
     }
     by_file.into_values()
 }
 
-/// The persisted set's files with their sizes (one `stat` per file, not
+/// The registrations' files with their sizes (one `stat` per file, not
 /// per run).
-pub(crate) fn file_stats(persisted: &[Arc<PersistedRun>]) -> Vec<FileStat> {
-    group_by_file(persisted)
-        .map(|runs| {
-            let live = runs.iter().map(|p| p.disk_bytes()).sum();
-            let file = Arc::clone(&runs[0].file);
-            FileStat {
-                size: file.disk_len(live),
-                file,
-                runs,
-                live,
-            }
+pub(crate) fn file_stats(registered: &[Arc<PersistedRun>]) -> Vec<FileStat> {
+    group_by_file(registered)
+        .map(|f| FileStat {
+            size: f.file.disk_len(f.live),
+            ..f
         })
         .collect()
 }
@@ -189,9 +191,9 @@ fn gains(files: &[FileStat], packs: usize) -> bool {
     files.len() > packs || files.iter().any(|f| f.dead() > 0)
 }
 
-/// A run copied into a new pack: its old registration, and the blob's
-/// offset and length in the new file.
-type Member = (Arc<PersistedRun>, u64, u64);
+/// A run copied into a new pack: its registration, and the blob's
+/// offset in the new file.
+type Member = (Arc<PersistedRun>, u64);
 
 fn manifest_entry(run: RunId, path: &Path, offset: u64, bytes: u64) -> Option<ManifestEntry> {
     Some(ManifestEntry {
@@ -211,19 +213,15 @@ pub(crate) struct SpillDir {
     /// Next `pack-<seq>.wfseg` number (seeded past any packs already in
     /// the directory, so restarts never reuse a name).
     pack_seq: AtomicU64,
-    /// The pack-set epoch lifecycle: cross-run scans pin the current
-    /// epoch; rewrites retire replaced files under the next one,
-    /// deferring the unlink past every in-flight reader.
-    pub(crate) epochs: Arc<EpochRegistry>,
     /// The store's `mapped_bytes` gauge, handed to every file handle.
     mapped_bytes: Arc<AtomicU64>,
     /// Dead-blob ratio above which pack GC rewrites a pack.
     gc_dead_ratio: f64,
-    /// Last spills+compactions+reheats sum [`Self::apply_policy`]
-    /// observed — the cheap "did the persisted tier change shape" stamp
-    /// that gates the per-tick file census. Starts at `u64::MAX` so the
-    /// first pass always counts (reloaded history may already need
-    /// packing).
+    /// Last spills+compactions sum [`Self::apply_policy`] observed — the
+    /// cheap "did the directory change shape" stamp that gates the
+    /// per-tick file census. Starts at `u64::MAX` so the first pass
+    /// always counts (reloaded history may already need packing), and
+    /// an eviction resets it there (its blob just turned dead).
     policy_stamp: AtomicU64,
 }
 
@@ -239,8 +237,6 @@ impl SpillDir {
         lru: &Arc<SegmentLru>,
         specs: usize,
     ) -> (Self, Vec<Arc<PersistedRun>>) {
-        let epochs = Arc::new(EpochRegistry::default());
-        epochs.seed(snapshot::load_manifest_epoch(&dir));
         let mapped_bytes = Arc::clone(&lru.mapped_bytes);
         let mut files: HashMap<String, Arc<PackFile>> = HashMap::new();
         let mut persisted = Vec::new();
@@ -263,7 +259,6 @@ impl SpillDir {
             dir,
             manifest: Mutex::new(()),
             pack_seq: AtomicU64::new(next_pack),
-            epochs,
             mapped_bytes,
             gc_dead_ratio: gc_dead_ratio.unwrap_or(DEFAULT_PACK_GC_DEAD_RATIO),
             policy_stamp: AtomicU64::new(u64::MAX),
@@ -283,20 +278,23 @@ impl SpillDir {
         Ok(PackFile::new(path, Arc::clone(&self.mapped_bytes)))
     }
 
-    /// The manifest lines for the current persisted set (call with the
+    /// The manifest lines for the current registrations (call with the
     /// manifest lock held).
     fn manifest_entries<S: SpecLabeling>(&self, store: &LabelStore<S>) -> Vec<ManifestEntry> {
-        persisted_set(store)
+        registrations(store)
             .iter()
-            .filter_map(|p| manifest_entry(p.run(), p.path(), p.offset(), p.disk_bytes()))
+            .filter_map(|p| {
+                let (file, offset, len) = p.place();
+                manifest_entry(p.run(), file.path(), offset, len)
+            })
             .collect()
     }
 
-    /// Spill one frozen run: write it as a pack of one, swap its
-    /// in-memory arena for a lazily mapped persisted entry, and list it
-    /// in the manifest. `Ok(false)` when the run left the frozen tier
-    /// while the pack was being written (the caller reports where it
-    /// went).
+    /// Spill one frozen run that has no blob yet: write it as a pack of
+    /// one, swap its in-memory arena for a lazily mapped persisted
+    /// entry, and list it in the manifest. `Ok(false)` when the run left
+    /// the frozen tier while the pack was being written (the caller
+    /// reports where it went).
     pub(crate) fn persist<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
@@ -310,9 +308,10 @@ impl SpillDir {
         let blob = snapshot::encode_segment(frozen);
         let bytes = blob.len() as u64;
         let file = self.write_pack(&blob).map_err(failed)?;
-        let persisted = Arc::new(PersistedRun::from_frozen(
-            frozen,
+        let persisted = Arc::new(PersistedRun::new(
+            &frozen.header(),
             Arc::clone(&file),
+            0,
             bytes,
             Arc::clone(&store.lru),
         ));
@@ -323,12 +322,7 @@ impl SpillDir {
             let _ = std::fs::remove_file(file.path());
             return Ok(false);
         }
-        snapshot::write_manifest(
-            &self.dir,
-            &self.manifest_entries(store),
-            self.epochs.current(),
-        )
-        .map_err(failed)?;
+        snapshot::write_manifest(&self.dir, &self.manifest_entries(store)).map_err(failed)?;
         obs.spills.inc();
         obs.span(
             &obs.h_spill,
@@ -340,6 +334,22 @@ impl SpillDir {
             || format!("bytes={bytes}"),
         );
         Ok(true)
+    }
+
+    /// `run`, which had a registration, was evicted: rewrite the
+    /// manifest without its line, so a restart does not register it
+    /// again, and let the next policy pass count the bytes that just
+    /// turned dead.
+    pub(crate) fn forget<S: SpecLabeling>(
+        &self,
+        store: &LabelStore<S>,
+        run: RunId,
+    ) -> Result<(), ServiceError> {
+        let _g = self.manifest.lock().expect("manifest lock poisoned");
+        snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
+            .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
+        self.policy_stamp.store(u64::MAX, Ordering::Relaxed);
+        Ok(())
     }
 
     /// **Compaction**: merge underfull packs — fresh spills are packs of
@@ -361,8 +371,8 @@ impl SpillDir {
     }
 
     /// **Pack garbage collection**: rewrite every pack whose dead-blob
-    /// ratio — bytes belonging to runs that re-heated or were evicted,
-    /// over the pack's file size — exceeds the configured threshold.
+    /// ratio — bytes belonging to evicted runs, over the pack's file
+    /// size — exceeds the configured threshold.
     pub(crate) fn gc_packs<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
@@ -391,11 +401,14 @@ impl SpillDir {
     /// stream through one pack buffer (≤ [`PACK_TARGET_BYTES`] and
     /// [`PACK_MAX_RUNS`], unless a single victim is bigger), never the
     /// whole tier at once — and blobs are copied verbatim, each keeping
-    /// its own checksum. An in-flight scan pinned at the pre-rewrite
-    /// epoch keeps reading the old files until its guard drops. Every
-    /// exit sweeps orphans, so a pass with nothing to rewrite still
-    /// reclaims the packs of evicted runs and crash leftovers. A pass
-    /// that rewrote something is traced as one `kind` span into `hist`.
+    /// its own checksum. Once the new manifest has landed every copied
+    /// registration is relocated in place, and only then are the copied
+    /// files unlinked: a reader holding a registration reads the old
+    /// place before its relocation and the new one after, and a pin
+    /// taken before keeps its mapping past the unlink. Every exit sweeps
+    /// orphans, so a pass with nothing to rewrite still reclaims the
+    /// packs of evicted runs and crash leftovers. A pass that rewrote
+    /// something is traced as one `kind` span into `hist`.
     fn rewrite_packs<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
@@ -406,8 +419,8 @@ impl SpillDir {
         let obs = &store.lru.obs;
         let span = obs.timer();
         let _g = self.manifest.lock().expect("manifest lock poisoned");
-        let persisted = persisted_set(store);
-        let files = file_stats(&persisted);
+        let registered = registrations(store);
+        let files = file_stats(&registered);
         let bytes_before = files.iter().map(|f| f.size).sum();
         let mut out = CompactionReport {
             files_before: files.len(),
@@ -420,15 +433,15 @@ impl SpillDir {
         };
         let mut victims: Vec<FileStat> = files.into_iter().filter(is_victim).collect();
         if !gains(&victims, 1) {
-            self.sweep_orphans(store, &self.manifest_entries(store));
+            self.sweep_orphans(&registered);
             return Ok(out);
         }
         // Ascending run id within a file, lowest first across files: a
         // deterministic pack layout.
         for victim in &mut victims {
-            victim.runs.sort_by_key(|p| p.run());
+            victim.runs.sort_by_key(|(p, _)| p.run());
         }
-        victims.sort_by_key(|f| f.runs[0].run());
+        victims.sort_by_key(|f| f.runs[0].0.run());
         let mut packs: Vec<(Arc<PackFile>, Vec<Member>)> = Vec::new();
         let mut copied: Vec<FileStat> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
@@ -442,10 +455,10 @@ impl SpillDir {
                 buf.clear();
             }
             let mark = (buf.len(), members.len());
-            let whole = victim.runs.iter().try_for_each(|p| {
-                let blob = snapshot::read_raw_range(p.path(), p.offset(), p.disk_bytes())?;
+            let whole = victim.runs.iter().try_for_each(|(p, offset)| {
+                let blob = snapshot::read_raw_range(victim.file.path(), *offset, p.disk_bytes())?;
                 snapshot::verify_segment_bytes(&blob)?;
-                members.push((Arc::clone(p), buf.len() as u64, blob.len() as u64));
+                members.push((Arc::clone(p), buf.len() as u64));
                 buf.extend_from_slice(&blob);
                 Ok::<(), SnapshotError>(())
             });
@@ -460,56 +473,45 @@ impl SpillDir {
             packs.push((self.write_pack(&buf)?, members));
         }
         if !gains(&copied, packs.len()) {
-            // Leave the registry and the manifest untouched; nothing
+            // Leave the registrations and the manifest untouched; nothing
             // references the packs just written, so the sweep takes them.
-            self.sweep_orphans(store, &self.manifest_entries(store));
+            self.sweep_orphans(&registered);
             return Ok(out);
         }
-        // The new manifest: copied runs re-pointed, everything else kept.
-        let mut relocated: HashMap<u64, (&Path, u64, u64)> = HashMap::new();
+        // The new manifest: copied runs at their new place, everything
+        // else where it is.
+        let mut moved: HashMap<u64, (&Arc<PackFile>, u64)> = HashMap::new();
         for (file, members) in &packs {
-            for (p, offset, len) in members {
-                relocated.insert(p.run().0, (file.path(), *offset, *len));
+            for (p, offset) in members {
+                moved.insert(p.run().0, (file, *offset));
             }
         }
-        let entries: Vec<ManifestEntry> = persisted
+        let entries: Vec<ManifestEntry> = registered
             .iter()
             .filter_map(|p| {
-                let kept = (p.path(), p.offset(), p.disk_bytes());
-                let (path, offset, bytes) = relocated.get(&p.run().0).copied().unwrap_or(kept);
-                manifest_entry(p.run(), path, offset, bytes)
+                let (file, offset, len) = p.place();
+                let (file, offset) = moved.get(&p.run().0).copied().unwrap_or((&file, offset));
+                manifest_entry(p.run(), file.path(), offset, len)
             })
             .collect();
-        // The manifest carries the epoch the retire below will advance
-        // to, so restarts seed a counter no surviving guard outranks.
-        snapshot::write_manifest(&self.dir, &entries, self.epochs.current() + 1)?;
-        // Swap the live registrations, then retire the copied files.
+        snapshot::write_manifest(&self.dir, &entries)?;
+        // Move the registrations, and only then unlink what they left.
         for (file, members) in &packs {
-            for (p, offset, len) in members {
-                let entry = PersistedRun::repacked(p, Arc::clone(file), *offset, *len);
-                // Conditional: a run that left the persisted tier
-                // mid-rewrite is not resurrected.
-                if store.transition(
-                    p.run(),
-                    Tier::Persisted,
-                    RunView::Persisted(Arc::new(entry)),
-                ) {
-                    out.runs_packed += 1;
-                }
+            for (p, offset) in members {
+                p.relocate(Arc::clone(file), *offset);
             }
+            out.runs_packed += members.len();
         }
-        // Each retired file's live bytes moved verbatim, so the footprint
-        // shrinks by exactly the dead ones.
+        for old in &copied {
+            let _ = std::fs::remove_file(old.file.path());
+        }
+        // Each unlinked file's live bytes moved verbatim, so the
+        // footprint shrinks by exactly the dead ones.
         out.dead_bytes_reclaimed = copied.iter().map(FileStat::dead).sum();
         out.bytes_after -= out.dead_bytes_reclaimed;
         out.files_after = out.files_before - copied.len() + packs.len();
         out.packs_written = packs.len();
-        // Let go of every pre-rewrite registration this pass held: a
-        // retired file someone else still holds is mapped before its
-        // unlink, and only holders outside this pass should count.
-        drop((persisted, packs));
-        self.epochs.retire(copied.into_iter().map(|f| f.file));
-        self.sweep_orphans(store, &entries);
+        self.sweep_orphans(&registered);
         let tier = Some(tier_tag(Tier::Persisted));
         obs.span(hist, kind, None, tier, span, true, || {
             format!(
@@ -520,21 +522,17 @@ impl SpillDir {
         Ok(out)
     }
 
-    /// Delete pack files the manifest just written does not reference —
-    /// blobs of evicted or re-heated runs, and leftovers of a crash
+    /// Delete pack files none of `registered` — the pass's snapshot of
+    /// the store's registrations, at the places they have by now —
+    /// references: blobs of evicted runs, and leftovers of a crash
     /// between a pack/manifest write and the old-file deletion. Runs
-    /// under the manifest lock, right after `entries` landed on disk, so
-    /// the entry list is authoritative; files still registered in the
-    /// live store are kept too (an evicted-then-kept segment is not the
-    /// sweep's to judge).
-    fn sweep_orphans<S: SpecLabeling>(&self, store: &LabelStore<S>, entries: &[ManifestEntry]) {
-        let mut referenced: HashSet<PathBuf> =
-            entries.iter().map(|e| self.dir.join(&e.file)).collect();
-        referenced.extend(persisted_set(store).iter().map(|p| p.path().to_path_buf()));
-        // Files retired under an epoch some reader may still be pinned
-        // at are not orphans — the registry unlinks them itself once
-        // the last guard from before their retirement drops.
-        referenced.extend(self.epochs.deferred_paths());
+    /// under the manifest lock the snapshot was taken under, so no spill
+    /// has registered a pack since.
+    fn sweep_orphans(&self, registered: &[Arc<PersistedRun>]) {
+        let referenced: HashSet<PathBuf> = registered
+            .iter()
+            .map(|p| p.place().0.path().to_path_buf())
+            .collect();
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -551,9 +549,9 @@ impl SpillDir {
 
     /// One pass of the directory's own policy: compact once
     /// `compact_after` underfull files pile up, and GC dead-heavy packs
-    /// when `gc` is on. The file census only reruns after a spill,
-    /// compaction or re-heat changed the tier since the last pass.
-    /// Returns what failed.
+    /// when `gc` is on. The file census only reruns after a spill, a
+    /// compaction or an eviction changed the directory since the last
+    /// pass. Returns what failed.
     pub(crate) fn apply_policy<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
@@ -565,17 +563,13 @@ impl SpillDir {
             return errors;
         }
         let obs = &store.lru.obs;
-        let stamp = obs
-            .spills
-            .get()
-            .wrapping_add(obs.compactions.get())
-            .wrapping_add(obs.reheats.get());
+        let stamp = obs.spills.get().wrapping_add(obs.compactions.get());
         if self.policy_stamp.swap(stamp, Ordering::Relaxed) == stamp {
             return errors;
         }
         if let Some(threshold) = compact_after {
-            let underfull = group_by_file(&persisted_set(store))
-                .filter(|runs| runs.len() < MIN_PACK_RUNS)
+            let underfull = group_by_file(&registrations(store))
+                .filter(|f| f.runs.len() < MIN_PACK_RUNS)
                 .count();
             if underfull >= threshold.max(2) {
                 errors.extend(self.compact(store).err());

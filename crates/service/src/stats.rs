@@ -85,8 +85,8 @@ pub struct ServiceStats {
     /// pinned into memory (governed by
     /// [`crate::EngineBuilder::max_resident_bytes`]).
     pub persisted_resident_bytes: u64,
-    /// Distinct pack files the persisted tier references — what
-    /// compaction exists to keep small.
+    /// Distinct pack files holding a registered blob (a persisted run's,
+    /// or a re-heated run's) — what compaction exists to keep small.
     pub segment_files: u64,
     /// Always 0: counted owned-buffer fault-ins, a read path that no
     /// longer exists (every load is a [`Self::pack_pins`] pin). Kept so
@@ -100,8 +100,8 @@ pub struct ServiceStats {
     /// Live runs moved by pack garbage collection (rewrites of packs
     /// whose dead-blob ratio crossed the GC threshold).
     pub pack_gc_runs: u64,
-    /// Bytes inside current pack files owned by dropped (dead) blobs —
-    /// what pack GC exists to reclaim.
+    /// Bytes inside current pack files owned by the (dead) blobs of
+    /// evicted runs — what pack GC exists to reclaim.
     pub pack_dead_bytes: u64,
     /// Pack bytes currently mmap'd by the buffer manager (virtual
     /// reservation; resident pages are governed by the LRU).

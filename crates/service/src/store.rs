@@ -26,6 +26,13 @@
 //! lock and an `Arc` clone whatever the tier. Every tier change is
 //! [`LabelStore::transition`]: one shard write lock, conditional on the
 //! tier the mover saw.
+//!
+//! A run that has been spilled also has a blob on disk, and **one
+//! registration** naming it ([`PersistedRun`]) for as long as it does:
+//! the persisted entry *is* that registration, a re-heated run's frozen
+//! or hot entry keeps it ([`RunView::home`]), and a pack rewrite
+//! relocates it in place — so the spill directory's manifest, its dead
+//! byte census and its orphan sweep are all "every view's `home()`".
 
 use crate::engine::route_hash;
 use crate::freeze::FrozenRun;
@@ -48,10 +55,18 @@ use wf_skeleton::SpecLabeling;
 /// freeze time breaking recency ties. Without a budget the LRU only
 /// keeps the books (pins, sheds, resident bytes for the stats).
 ///
-/// Locking: `resident` (this mutex) may be held while *try*-locking a
-/// run's load state; a first pin holds its own load state lock and then
-/// takes `resident` — the try-lock is what makes that safe (the shed
-/// path skips contended victims instead of blocking on them).
+/// The books are two things. `resident_bytes` moves only when a
+/// registration's residency flag flips
+/// ([`PersistedRun::set_resident`]), so it is always the sum over set
+/// flags. `resident` is the replacer's *candidate* map — the
+/// registrations that pinned in since they last left it; an entry whose
+/// blob was relocated since has nothing to shed and is skipped.
+///
+/// Locking: a shard write lock may be held while taking `resident`
+/// (this mutex), which may be held while *try*-locking a run's place; a
+/// first pin holds its own place lock and only then takes `resident` —
+/// the try-lock is what makes that safe (the shed path skips contended
+/// victims instead of blocking on them).
 #[derive(Debug)]
 pub(crate) struct SegmentLru {
     max_resident: Option<u64>,
@@ -88,55 +103,50 @@ impl SegmentLru {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
-    fn sub_bytes(&self, bytes: u64) {
-        let _ = self
-            .resident_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(bytes))
-            });
+    /// A blob of `bytes` turned resident (`on`) or stopped being so.
+    pub(crate) fn account(&self, bytes: u64, on: bool) {
+        if on {
+            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+        } else {
+            self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        }
     }
 
-    /// A segment finished pinning in: account for it, then enforce the
-    /// budget (never shedding the segment just pinned). A registration
-    /// retired while the pin was in flight is shed again instead of
-    /// kept (the admit/forget race), and a displaced same-id entry's
-    /// bytes come off the books.
+    /// A segment finished pinning in: make it a shed candidate, then
+    /// enforce the budget (never shedding the segment just pinned). A
+    /// registration that left the persisted tier while the pin was in
+    /// flight stops counting as resident instead (the admit/forget
+    /// race).
     pub(crate) fn admit(&self, run: Arc<PersistedRun>) {
         let id = run.run().0;
         {
             let mut map = self.resident.lock().expect("lru map poisoned");
             if run.retired.load(Ordering::Acquire) {
-                // The registration left the persisted tier while the
-                // pin was in flight (forget_entry's retire store
-                // happens before its map removal, which serializes on
-                // this lock): give the pages back instead of keeping it.
-                drop(map);
-                let _ = run.shed();
+                // forget_entry's retire store happens before its map
+                // removal, which serializes on this lock: whichever of
+                // the two comes second clears the flag. (Should the run
+                // re-enter the tier and be pinned between the load above
+                // and this store, that pin goes uncounted until the next
+                // one sets the flag again.)
+                run.set_resident(false);
                 return;
             }
-            let bytes = run.resident_bytes();
-            if let Some(old) = map.insert(id, Arc::clone(&run)) {
-                self.sub_bytes(old.resident_bytes());
-            }
-            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+            map.insert(id, run);
         }
         self.enforce(Some(id));
     }
 
-    /// Drop a registration from the books (evicted, re-heated, or
-    /// replaced by a rewrite). Marks the entry retired first, so a
-    /// pin-in racing this call cannot re-admit it afterwards; only this
-    /// exact registration is removed (a newer same-id registration that
-    /// already admitted stays).
+    /// A registration stops serving its run (re-heated or evicted): mark
+    /// it retired first, so a pin-in racing this call cannot re-admit it
+    /// afterwards, take it out of the candidates, and hand its pages
+    /// back — or, when a reader still has them pinned, just stop
+    /// counting them.
     pub(crate) fn forget_entry(&self, run: &PersistedRun) {
         run.retired.store(true, Ordering::Release);
-        let mut map = self.resident.lock().expect("lru map poisoned");
-        let ours = map
-            .get(&run.run().0)
-            .is_some_and(|p| std::ptr::eq(Arc::as_ptr(p), std::ptr::from_ref(run)));
-        if ours {
-            let p = map.remove(&run.run().0).expect("checked above");
-            self.sub_bytes(p.resident_bytes());
+        let id = run.run().0;
+        self.resident.lock().expect("lru map poisoned").remove(&id);
+        if run.shed().is_none() {
+            run.set_resident(false);
         }
     }
 
@@ -166,7 +176,6 @@ impl SegmentLru {
             }
             if let Some(freed) = victim.shed() {
                 map.remove(&victim.run().0);
-                self.sub_bytes(freed);
                 self.obs.segment_sheds.inc();
                 self.obs
                     .event("shed", Some(victim.run().0), Some("persisted"), || {
@@ -261,6 +270,17 @@ impl<S: SpecLabeling> RunView<S> {
         match self {
             RunView::Hot(_) | RunView::Frozen(_) => true,
             RunView::Persisted(p) => p.is_loaded(),
+        }
+    }
+
+    /// The run's registration in the spill directory, whatever tier
+    /// serves it: a persisted run's own, or the one a re-heated run was
+    /// read out of and keeps until it is evicted.
+    pub(crate) fn home(&self) -> Option<&Arc<PersistedRun>> {
+        match self {
+            RunView::Hot(s) => s.home.as_ref(),
+            RunView::Frozen(f) => f.home.as_ref(),
+            RunView::Persisted(p) => Some(p),
         }
     }
 
@@ -470,33 +490,34 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// **The one tier transition**: swap `run`'s entry for `to` —
     /// conditional on the entry still being in tier `from`, so a move
     /// racing an eviction (or another move) never resurrects a removed
-    /// run or overwrites a newer representation. A pack rewrite is
-    /// `Persisted → Persisted`. The swap happens under the shard write
-    /// lock: a concurrent lookup sees the old value or the new one,
-    /// tier deltas reach subscribers in per-run transition order, and
-    /// the run's query count moves old → new where no `stats()` walk
-    /// can see both or neither.
+    /// run or overwrites a newer representation. The swap happens under
+    /// the shard write lock: a concurrent lookup sees the old value or
+    /// the new one, tier deltas reach subscribers in per-run transition
+    /// order, and the run's query count moves old → new where no
+    /// `stats()` walk can see both or neither. A run's registration is
+    /// one object that leaves the persisted tier at a re-heat and comes
+    /// back at the next persist, so its exit (out of the LRU) and its
+    /// re-entry (recency baseline reset) happen under that lock too: the
+    /// two cannot reorder.
     #[must_use]
     pub(crate) fn transition(&self, run: RunId, from: Tier, to: RunView<S>) -> bool {
         let target = to.tier();
-        let old = {
-            let mut shard = self.shard(run).write().expect("shard lock poisoned");
-            let Some(entry) = shard.get_mut(&run.0).filter(|e| e.tier() == from) else {
-                return false;
-            };
-            to.queries()
-                .store(entry.queries().load(Ordering::Relaxed), Ordering::Relaxed);
-            if target != from {
-                self.tier_counts[from as usize].fetch_sub(1, Ordering::Relaxed);
-                self.tier_counts[target as usize].fetch_add(1, Ordering::Relaxed);
-                self.subs.tier_moved(run, target);
-            }
-            std::mem::replace(entry, to)
+        debug_assert_ne!(from, target, "a rewrite relocates, it does not transition");
+        let mut shard = self.shard(run).write().expect("shard lock poisoned");
+        let Some(entry) = shard.get_mut(&run.0).filter(|e| e.tier() == from) else {
+            return false;
         };
-        // Outside the shard lock (the LRU takes its own): the outgoing
-        // registration's residency comes off the books.
-        if let RunView::Persisted(p) = &old {
-            self.lru.forget_entry(p);
+        let carried = entry.queries().load(Ordering::Relaxed);
+        to.queries().store(carried, Ordering::Relaxed);
+        self.tier_counts[from as usize].fetch_sub(1, Ordering::Relaxed);
+        self.tier_counts[target as usize].fetch_add(1, Ordering::Relaxed);
+        self.subs.tier_moved(run, target);
+        if let RunView::Persisted(p) = &to {
+            p.queries_at_persist.store(carried, Ordering::Relaxed);
+            p.retired.store(false, Ordering::Release);
+        }
+        if let RunView::Persisted(p) = std::mem::replace(entry, to) {
+            self.lru.forget_entry(&p);
         }
         true
     }

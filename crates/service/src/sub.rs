@@ -38,7 +38,6 @@
 use crate::store::{RunView, Tier};
 use crate::telemetry::{bump, Telemetry};
 use crate::{RunId, RunStatus, SpecContext, SpecId};
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -50,23 +49,6 @@ use wf_skeleton::SpecLabeling;
 /// Default bound of each subscription's notify queue
 /// ([`crate::EngineBuilder::sub_queue_capacity`]).
 pub const DEFAULT_SUB_QUEUE_CAPACITY: usize = 1024;
-
-/// Fan-out latency is sampled 1 in 64 per thread, like the ingest apply
-/// it rides behind — the notify itself is tens of ns when nothing
-/// matches.
-const SUB_SAMPLE_MASK: u32 = 63;
-
-thread_local! {
-    static SUB_SAMPLE: Cell<u32> = const { Cell::new(0) };
-}
-
-fn sub_sampled() -> bool {
-    SUB_SAMPLE.with(|c| {
-        let n = c.get().wrapping_add(1);
-        c.set(n);
-        n & SUB_SAMPLE_MASK == 0
-    })
-}
 
 /// The predicate forms shared by the pull queries and subscriptions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -787,7 +769,7 @@ impl<S: SpecLabeling> SubHub<S> {
         if self.interest.load(Ordering::Relaxed) & (1u64 << (name.0 & 63)) == 0 {
             return;
         }
-        let start = if self.obs.enabled && sub_sampled() {
+        let start = if self.obs.notify_sampled() {
             self.obs.timer()
         } else {
             None

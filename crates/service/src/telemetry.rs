@@ -26,13 +26,15 @@ use std::sync::Mutex;
 use std::time::Instant;
 use wf_obs::{clock, next_span_id, Counter, Gauge, Histogram, MetricsRegistry, TraceRing};
 
-/// Sample 1 operation in 64 for latency recording on the two sub-µs
-/// hot paths (the reach probe and the ingest apply).
+/// Sample 1 operation in 64 for latency recording on the three sub-µs
+/// hot paths (the reach probe, the ingest apply and the subscription
+/// notify behind it).
 const SAMPLE_MASK: u32 = 63;
 
 thread_local! {
     static REACH_SAMPLE: Cell<u32> = const { Cell::new(0) };
     static APPLY_SAMPLE: Cell<u32> = const { Cell::new(0) };
+    static NOTIFY_SAMPLE: Cell<u32> = const { Cell::new(0) };
     /// The span the current thread is executing under; [`SpanCtx::NONE`]
     /// outside any span. Child spans and leaf trace events read this for
     /// parentage; [`Telemetry::begin_under`] seeds it across thread
@@ -516,6 +518,14 @@ impl Telemetry {
     #[inline]
     pub fn apply_sampled(&self) -> bool {
         self.enabled && APPLY_SAMPLE.with(sample_tick)
+    }
+
+    /// Whether this subscription fan-out should be timed (1 in 64 per
+    /// thread, and only when telemetry is enabled): the notify itself is
+    /// tens of ns when nothing matches.
+    #[inline]
+    pub fn notify_sampled(&self) -> bool {
+        self.enabled && NOTIFY_SAMPLE.with(sample_tick)
     }
 
     /// Advance the windowed-rate snapshot: returns `(events since the

@@ -178,7 +178,7 @@ impl Default for WalSync {
 }
 
 /// Typed WAL failures.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum WalError {
     /// An I/O error, with the operation that failed.
     Io(String),
@@ -435,6 +435,10 @@ struct CommitState {
     /// Barrier generations requested / completed.
     requested: u64,
     completed: u64,
+    /// The latest committer pass that failed: the barrier generations
+    /// it covers and what went wrong. A barrier of one of them returns
+    /// the error — its appends are not on stable storage.
+    failed: Option<(std::ops::RangeInclusive<u64>, WalError)>,
     stop: bool,
 }
 
@@ -620,6 +624,7 @@ impl WalWriter {
             commit: Mutex::new(CommitState {
                 requested: 0,
                 completed: 0,
+                failed: None,
                 stop: false,
             }),
             commit_cv: Condvar::new(),
@@ -718,8 +723,10 @@ impl WalWriter {
     }
 
     /// Durability barrier: every append that happened-before this call
-    /// is on stable storage when it returns (under `Never`, only in the
-    /// OS page cache — that is the contract the caller opted into).
+    /// is on stable storage when it returns `Ok` (under `Never`, only in
+    /// the OS page cache — that is the contract the caller opted into).
+    /// A write or fsync that failed in the pass covering this call is
+    /// returned, not swallowed.
     pub fn barrier(&self) -> Result<(), WalError> {
         match self.inner.policy {
             // `Always` appends fsync inline; `Never` never fsyncs. In
@@ -742,7 +749,10 @@ impl WalWriter {
                         st = inner.commit_cv.wait(st).expect("wal commit lock poisoned");
                     }
                     if st.completed >= my_gen {
-                        return Ok(());
+                        return match &st.failed {
+                            Some((covered, e)) if covered.contains(&my_gen) => Err(e.clone()),
+                            _ => Ok(()),
+                        };
                     }
                 }
                 // Stopped before our generation completed: sync inline.
@@ -851,7 +861,7 @@ impl Drop for WalWriter {
 
 /// Committer body: once per window (or immediately on a barrier
 /// request), flush + fsync every dirty shard and publish the completed
-/// generation.
+/// generation — with the pass's error, when it had one.
 fn committer_loop(inner: &WalInner, window: Duration) {
     loop {
         let (snapshot, stop, dirty, paused) = {
@@ -885,14 +895,24 @@ fn committer_loop(inner: &WalInner, window: Duration) {
                     || st.stop);
             (st.requested, st.stop, dirty, paused)
         };
-        if dirty {
-            let _ = inner.sync_all();
+        let failure = if dirty { inner.sync_all().err() } else { None };
+        if let Some(e) = &failure {
+            inner.obs.lifecycle("wal_sync_failed", e.to_string());
         }
         {
             let mut st = inner.commit.lock().expect("wal commit lock poisoned");
             // A paused committer must not publish barrier completions it
             // never earned with an fsync pass.
             if !paused {
+                if let Some(e) = failure {
+                    // The pass stands for every generation up to its
+                    // snapshot — and, when nobody was waiting, for the
+                    // next one: that barrier's caller may have appended
+                    // what this pass failed to sync, and a later fsync
+                    // succeeding says nothing about those bytes.
+                    let first = st.completed + 1;
+                    st.failed = Some((first..=snapshot.max(first), e));
+                }
                 st.completed = st.completed.max(snapshot);
             }
             inner.commit_cv.notify_all();
@@ -1078,6 +1098,44 @@ mod tests {
         let runs: Vec<u64> = recovery.runs.iter().map(|r| r.run).collect();
         assert_eq!(runs, vec![0, 2, 4, 6]);
         assert_eq!(recovery.runs[0].records.len(), 2);
+    }
+
+    /// A committer pass whose write fails (the shard file is `/dev/full`,
+    /// so the flush gets `ENOSPC`) must fail the barrier waiting on it —
+    /// the caller was promised stable storage — and say so once.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_group_commit_pass_fails_the_barrier() {
+        struct SyncFailures(Arc<AtomicU64>);
+        impl WalObserver for SyncFailures {
+            fn lifecycle(&self, kind: &'static str, _detail: String) {
+                if kind == "wal_sync_failed" {
+                    self.0.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        let dir = TempDir::new("devfull");
+        std::os::unix::fs::symlink("/dev/full", dir.path().join(shard_file_name(0))).unwrap();
+        let reported = Arc::new(AtomicU64::new(0));
+        let w = WalWriter::open(
+            dir.path(),
+            1,
+            WalSync::GroupCommit {
+                window: Duration::from_secs(3600), // only the barrier runs a pass
+            },
+            Box::new(SyncFailures(Arc::clone(&reported))),
+        )
+        .unwrap();
+        w.append(0, &rec(RecordKind::Event, 3, 0, &[1, 2, 3]))
+            .unwrap();
+        match w.barrier() {
+            Err(WalError::Io(e)) => assert!(e.contains("write"), "{e}"),
+            other => panic!("a barrier over a failed write returned {other:?}"),
+        }
+        assert_eq!(reported.load(Ordering::SeqCst), 1);
     }
 
     #[test]

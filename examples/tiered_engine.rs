@@ -234,11 +234,12 @@ fn main() {
     // A fleet is persisted and packed, then the engine is dropped — the
     // next build starts fully cold, nothing mapped. The cross-run scan
     // maps each pack at its first pin and resolves every blob to a byte
-    // range inside the mapping (verify once, zero copies), the
-    // replacer sheds pages by `madvise` under the resident budget, and
-    // re-heating half the fleet to the **hot** tier strands enough dead
-    // blobs for pack GC to rewrite the pack and shrink the directory.
-    // The `pack_gc` JSON line is the CI artifact.
+    // range inside the mapping (verify once, zero copies), and the
+    // replacer sheds pages by `madvise` under the resident budget.
+    // Re-heating half the fleet to the **hot** tier strands nothing —
+    // a re-heated run keeps its blob — but evicting a third of the
+    // fleet does: enough dead blobs for pack GC to rewrite the pack and
+    // shrink the directory. The `pack_gc` JSON line is the CI artifact.
     let spill = std::env::temp_dir().join(format!("wf-tiered-bufmgr-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spill);
     let spec = wf_spec::corpus::bioaid_nonrecursive();
@@ -286,11 +287,18 @@ fn main() {
     );
 
     // Sustained traffic on half the fleet: promote those runs all the
-    // way back to hot, stranding their pack blobs as dead bytes…
+    // way back to hot. Their blobs stay live (and listed in the
+    // manifest: a crash now would bring them back persisted)…
     for run in &ids[..ids.len() / 2] {
         engine
             .reheat_run_hot(*run)
             .expect("persisted run re-heats hot");
+    }
+    assert_eq!(engine.stats().pack_dead_bytes, 0, "re-heats strand nothing");
+    // …evicting is what kills a blob, whichever tier the run is in…
+    let (evicted, kept) = ids.split_at(ids.len() / 3);
+    for run in evicted {
+        engine.evict_run(*run).expect("registered run evicts");
     }
     let dead = engine.stats().pack_dead_bytes;
     // …then let pack GC rewrite the pack without them.
@@ -308,7 +316,10 @@ fn main() {
         .filter(|e| e.path().extension().is_some_and(|x| x == "wfseg"))
         .map(|e| e.metadata().unwrap().len())
         .sum();
-    assert!(gc.dead_bytes_reclaimed > 0, "half the pack was dead");
+    assert_eq!(
+        gc.dead_bytes_reclaimed, dead,
+        "a third of the pack was dead"
+    );
     assert!(disk_after < disk_before, "GC shrinks the spill dir");
     println!(
         "pack GC: {dead} dead B across packs → rewrote {} pack(s), \
@@ -317,7 +328,7 @@ fn main() {
     );
     // Survivors still answer after the rewrite, hot returnees from
     // their rebuilt indexes.
-    for run in &ids {
+    for run in kept {
         assert!(engine.run_tier(*run).is_ok());
     }
     println!("{}", engine.stats().tier_footprint_json());
@@ -411,7 +422,8 @@ fn main() {
     //
     // Subscribers registered *before any ingest* watch a fleet soak
     // through ingest → complete → freeze → persist → compact → re-heat
-    // → pack GC, while a consumer thread drains concurrently. The
+    // → re-persist → compact again, while a consumer thread drains
+    // concurrently. The
     // unscoped subscriber's `Added` stream must equal the pull query's
     // answer exactly — no duplicates, no drops, no spurious
     // retractions — and the Frozen-scoped subscriber must net out to
@@ -506,18 +518,34 @@ fn main() {
             }
         }
         engine.compact().expect("spill dir configured");
-        // Re-heat half the persisted runs all the way to hot — their
-        // pack blobs go dead — then GC the packs under the live subs.
+        // Re-heat half the persisted runs all the way to hot, then send
+        // them back: each still has its blob, so nothing is written.
         let persisted: Vec<RunId> = runs
             .iter()
             .copied()
             .filter(|&r| engine.run_tier(r).unwrap() == Tier::Persisted)
             .collect();
-        for run in &persisted[..persisted.len() / 2] {
+        let reheated = &persisted[..persisted.len() / 2];
+        for run in reheated {
             engine.reheat_run_hot(*run).unwrap();
         }
-        let gc = engine.gc_packs().expect("spill dir configured");
-        assert!(gc.dead_bytes_reclaimed > 0, "re-heats strand dead blobs");
+        let before = engine.stats();
+        for run in reheated {
+            engine.persist_run(*run).unwrap();
+        }
+        let after = engine.stats();
+        assert_eq!(
+            (after.spills, after.segment_files, after.pack_dead_bytes),
+            (before.spills, before.segment_files, 0),
+            "re-persisting a re-heated run writes nothing"
+        );
+        // Spill the hot third and compact again: a rewrite moves every
+        // persisted blob under the live subscriptions.
+        for run in runs.iter().step_by(3) {
+            engine.persist_run(*run).unwrap();
+        }
+        let report = engine.compact().expect("spill dir configured");
+        assert_eq!((report.files_after, report.packs_written), (1, 1));
         done.store(true, Ordering::Release);
         consumer.join().unwrap()
     });

@@ -4,7 +4,7 @@
 //! regression.
 //!
 //! The acceptance bar mirrors tiering.rs: wherever the blob lives —
-//! pack of one, compacted pack, mid-GC epoch-pinned scan — a run must
+//! pack of one, compacted pack, a pack rewritten mid-scan — a run must
 //! answer `reach()` exactly per [`NaiveDynamicDag`] replay, and a
 //! corrupted blob must degrade to "no labels" with a typed rejection,
 //! never a SIGBUS or panic.
@@ -211,11 +211,11 @@ fn uncompacted_spills_read_through_the_mapping() {
     assert_eq!(verified.count(), 4, "re-pins skip the checksum");
 }
 
-/// A handle taken before a rewrite caches its registration and takes no
-/// epoch guard. If it never pinned its blob, its first pin comes after
-/// the rewrite unlinked the file — and must still answer: a retired file
-/// someone still holds is mapped before the unlink. A rewrite nobody
-/// was watching maps nothing.
+/// A handle taken before a rewrite holds its run's registration, and the
+/// rewrite relocates that registration in place. If the handle never
+/// pinned its blob, its first pin comes after the rewrite unlinked the
+/// file — and follows the blob to the pack it lives in now: nothing
+/// unlinked is ever mapped.
 #[test]
 fn handles_taken_before_a_rewrite_answer_after_it() {
     let dir = TempDir::new("stale-handle");
@@ -253,19 +253,66 @@ fn handles_taken_before_a_rewrite_answer_after_it() {
             }
         }
     }
+    let s = engine.stats();
+    assert_eq!(s.pack_pins, 2, "one first pin per stale handle");
     assert_eq!(
-        engine.stats().pack_pins,
-        2,
-        "one first pin per stale handle"
+        s.mapped_bytes,
+        wfseg_bytes(&dir.0),
+        "both read the one pack on disk"
     );
     drop((loose, packed));
-    assert_eq!(engine.stats().mapped_bytes, 0, "unlinked files unmapped");
 
-    // Nobody holds a pre-rewrite registration: the pass maps nothing.
+    // A rewrite maps nothing itself, and the pack it replaced is
+    // unmapped once unlinked: no pin is live on it.
     fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
     assert_eq!(engine.compact().unwrap().packs_written, 1);
     assert_eq!(engine.stats().mapped_bytes, 0);
     assert_answers(&engine, &fleet);
+}
+
+/// The replacer's books follow a registration through everything that
+/// can happen to it: it counts while its run is read from disk, stops
+/// when the run is re-heated, counts again — same blob, nothing written
+/// — once the run is persisted back and read, starts from cold at the
+/// place a rewrite moved the blob to, and is gone with an eviction.
+#[test]
+fn resident_bytes_follow_a_registration_through_reheat_and_relocation() {
+    let dir = TempDir::new("books");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(808);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let fleet = persist_fleet(&engine, &spec, 2, &mut rng);
+    let sizes = blob_sizes(&dir.0);
+    let size_of = |run: RunId| sizes.iter().find(|(r, _)| *r == run).unwrap().1;
+    let (a, b) = (fleet[0].0, fleet[1].0);
+    let resident = || engine.stats().persisted_resident_bytes;
+
+    assert_answers(&engine, &fleet[..1]);
+    assert_eq!(resident(), size_of(a));
+    engine.reheat_run(a).unwrap();
+    assert_eq!(resident(), 0, "a re-heated run is read from memory");
+    assert_answers(&engine, &fleet[..1]);
+    assert_eq!(resident(), 0);
+
+    engine.persist_run(a).unwrap();
+    assert_eq!(resident(), 0, "back on disk, not read yet");
+    assert_answers(&engine, &fleet[..1]);
+    assert_eq!(resident(), size_of(a));
+
+    assert_eq!(engine.compact().unwrap().runs_packed, 2);
+    assert_eq!(resident(), 0, "nothing is resident at the new place yet");
+    assert_answers(&engine, &fleet);
+    assert_eq!(resident(), size_of(a) + size_of(b));
+    engine.evict_run(a).unwrap();
+    assert_eq!(resident(), size_of(b));
+    assert_eq!(
+        engine.stats().pack_pins,
+        4,
+        "a pinned in three times, b once"
+    );
 }
 
 /// A pass with nothing to rewrite still sweeps: the pack of an evicted
@@ -569,17 +616,155 @@ fn pack_gc_shrinks_disk_above_threshold() {
     assert_answers(&engine, &survivors);
     drop(engine);
 
-    // The epoch-stamped manifest reloads into a consistent engine.
+    // The rewritten manifest reloads into a consistent engine.
     let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
     assert_eq!(reloaded.stats().runs_persisted, 3);
     assert_answers(&reloaded, &survivors);
 }
 
+/// The manifest is `run file offset len` lines under its header and
+/// nothing else. Engines before this one also wrote an `epoch <n>` line;
+/// a manifest with one loads exactly like one without (the loader skips
+/// every line that is not four fields), and is written back without it.
+#[test]
+fn a_manifest_with_or_without_an_epoch_line_loads() {
+    let dir = TempDir::new("epoch-line");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(23);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let engine = build();
+    let mut fleet = persist_fleet(&engine, &spec, 3, &mut rng);
+    engine.compact().unwrap();
+    drop(engine);
+
+    let path = dir.0.join(wf_service::snapshot::MANIFEST_FILE);
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert!(!written.contains("epoch"), "{written}");
+    let listed = wf_service::snapshot::load_manifest(&dir.0).unwrap();
+    assert_eq!(listed.len(), 3);
+    let (header, lines) = written.split_once('\n').unwrap();
+    std::fs::write(&path, format!("{header}\nepoch 7\n{lines}")).unwrap();
+    assert_eq!(wf_service::snapshot::load_manifest(&dir.0).unwrap(), listed);
+
+    let engine = build();
+    assert_eq!(engine.stats().runs_persisted, 3);
+    assert_answers(&engine, &fleet);
+    fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
+    let rewritten = std::fs::read_to_string(&path).unwrap();
+    assert!(!rewritten.contains("epoch"), "{rewritten}");
+    assert_eq!(rewritten.lines().count(), 1 + fleet.len());
+}
+
+/// Cross-run label scans racing pack rewrites: scanners hold nothing but
+/// the views they snapshotted, and every rewrite moves the blobs those
+/// views read — a compaction merging fresh spills into the pack, then a
+/// GC pass dropping the blobs of the runs evicted since. Whatever the
+/// interleaving, a scan returns for every surviving run exactly the
+/// vertices its event stream published under the name (a run evicted
+/// mid-scan may be missing, never wrong).
+#[test]
+fn label_scans_racing_rewrites_match_the_streams() {
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
+    const SCANNERS: usize = 3;
+    const REWRITES: usize = 20;
+    const SCANS_EACH: u64 = 20;
+
+    let dir = TempDir::new("scan-race");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(1217);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let survivors = persist_fleet(&engine, &spec, 4, &mut rng);
+    let name = survivors[0].1.events()[1].name;
+    let named = |exec: &Execution| -> Vec<VertexId> {
+        let mut vs: Vec<VertexId> = exec
+            .events()
+            .iter()
+            .filter(|ev| ev.name == name)
+            .map(|ev| ev.vertex)
+            .collect();
+        vs.sort();
+        vs
+    };
+    // What each run must answer, written before the run can be seen.
+    let expected: Mutex<HashMap<RunId, Vec<VertexId>>> = Mutex::new(
+        survivors
+            .iter()
+            .map(|(run, exec, _)| (*run, named(exec)))
+            .collect(),
+    );
+    let survivor_ids: Vec<RunId> = survivors.iter().map(|(run, ..)| *run).collect();
+    assert!(survivor_ids
+        .iter()
+        .all(|run| !expected.lock().unwrap()[run].is_empty()));
+
+    let done = AtomicBool::new(false);
+    let scans: Vec<AtomicU64> = (0..SCANNERS).map(|_| AtomicU64::new(0)).collect();
+    std::thread::scope(|s| {
+        for count in &scans {
+            let (engine, expected, done, survivor_ids) = (&engine, &expected, &done, &survivor_ids);
+            s.spawn(move || {
+                while !done.load(Ordering::Acquire) {
+                    let hits = engine.query().completed().vertices_named(name);
+                    let expected = expected.lock().unwrap();
+                    for (run, vs) in &hits {
+                        assert_eq!(Some(vs), expected.get(run), "{run:?} mid-rewrite");
+                    }
+                    for run in survivor_ids {
+                        assert!(hits.iter().any(|(r, _)| r == run), "{run:?} missed");
+                    }
+                    count.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        // Twice the survivors' bytes die every round: GC always fires.
+        let mut rewrites = 0;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        while rewrites < REWRITES || scans.iter().any(|c| c.load(Ordering::Acquire) < SCANS_EACH) {
+            assert!(std::time::Instant::now() < deadline, "scanners starved");
+            let mut victims = Vec::new();
+            for _ in 0..4 {
+                let run = engine.open_run(SpecId(0)).unwrap();
+                let gen = RunGenerator::new(&spec)
+                    .target_size(80)
+                    .generate_run(&mut rng);
+                let exec = Execution::deterministic(&gen.graph, &gen.origin);
+                expected.lock().unwrap().insert(run, named(&exec));
+                for ev in exec.events() {
+                    engine.submit(run, ev).unwrap();
+                }
+                engine.complete_run(run).unwrap();
+                engine.persist_run(run).unwrap();
+                victims.push(run);
+            }
+            assert_eq!(engine.compact().unwrap().files_after, 1);
+            for run in victims {
+                engine.evict_run(run).unwrap();
+            }
+            let gc = engine.gc_packs().unwrap();
+            assert_eq!((gc.packs_rewritten, gc.runs_moved), (1, 4));
+            rewrites += 1;
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert_eq!(engine.stats().pack_dead_bytes, 0);
+    assert_answers(&engine, &survivors);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pack GC racing scans, re-heats and queries: epoch-pinned readers
-    /// finish against the pack set they started with, so mid-GC answers
+    /// Pack GC racing scans, re-heats and queries: readers hold the
+    /// registrations a rewrite relocates in place, so mid-GC answers
     /// match naive replay exactly (never a miss, never a lie), and the
     /// settled engine + a reload both stay consistent.
     #[test]
@@ -610,14 +795,14 @@ proptest! {
                 }
             });
             s.spawn(|| {
-                // A re-heat mid-GC strands fresh dead bytes in whichever
-                // pack holds the run — GC must cope either way.
+                // A run re-heated mid-GC keeps its registration: GC
+                // moves its blob like any other live one.
                 let _ = engine.reheat_run(survivor_ids[0]);
             });
             s.spawn(|| {
                 for _ in 0..4 {
-                    // The cross-run scan pins an epoch: it sees exactly
-                    // the surviving runs and answers per replay.
+                    // The cross-run scan sees exactly the surviving
+                    // runs and answers per replay.
                     let ids = engine.query().completed().run_ids();
                     assert_eq!(ids, survivor_ids);
                     for (run, exec, naive) in survivors {
@@ -633,12 +818,11 @@ proptest! {
         assert_answers(&engine, survivors);
         prop_assert!(wfseg_bytes(&dir.0) < disk_before);
         prop_assert!(engine.stats().pack_gc_runs > 0);
-        // The re-heated run may have left the persisted set before a GC
-        // manifest rewrite; spill it again so the reload sees the whole
-        // surviving fleet (a no-op if it is still persisted).
-        engine.persist_run(survivor_ids[0]).unwrap();
+        // The re-heated run kept its manifest line: the reload sees the
+        // whole surviving fleet, that run persisted again.
         drop(engine);
         let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
+        prop_assert_eq!(reloaded.run_tier(survivor_ids[0]).unwrap(), Tier::Persisted);
         assert_answers(&reloaded, survivors);
     }
 }

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use wf_provenance::prelude::*;
-use wf_service::wal;
+use wf_service::{wal, Tier};
 
 /// A temp dir that cleans up after itself (no tempfile crate offline).
 /// Honors `WF_TIER_TEST_DIR` so CI can point the round-trip at a
@@ -368,10 +368,13 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
     }
 }
 
-/// An eviction is durable: the evicted run's open/event records are
-/// still in the log when it is evicted from the hot or the frozen tier
-/// (only persisting checkpoints them), so the eviction itself must
-/// checkpoint them — or the next engine lifetime replays the run back.
+/// An eviction is durable in every tier. The evicted run's open/event
+/// records are still in the log when it is evicted from the hot or the
+/// frozen tier (only persisting checkpoints them), so the eviction
+/// itself must checkpoint them — or the next engine lifetime replays
+/// the run back. A run that has a blob on disk — persisted, or
+/// re-heated since — is in the manifest, so the eviction itself must
+/// drop its line — or the next lifetime registers it again.
 #[test]
 fn evicted_runs_stay_evicted_across_a_restart() {
     let dir = TempDir::new("evict");
@@ -381,13 +384,14 @@ fn evicted_runs_stay_evicted_across_a_restart() {
         WfEngine::builder()
             .spec(spec.clone())
             .ingest_workers(2)
-            .wal_dir(&dir.0)
+            .wal_dir(dir.0.join("wal"))
             .wal_sync(WalSync::Always)
+            .spill_dir(dir.0.join("spill"))
             .build()
     };
     let engine = build();
     let mut fleet = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..5 {
         let run = engine.open_run(SpecId(0)).unwrap();
         let gen = RunGenerator::new(&spec)
             .target_size(40)
@@ -400,28 +404,119 @@ fn evicted_runs_stay_evicted_across_a_restart() {
     }
     engine.flush();
     let (hot, frozen, kept) = (fleet[0].0, fleet[1].0, fleet[2].0);
-    engine.complete_run(frozen).unwrap();
+    let (persisted, reheated) = (fleet[3].0, fleet[4].0);
+    for run in [frozen, persisted, reheated] {
+        engine.complete_run(run).unwrap();
+    }
     engine.freeze_run(frozen).unwrap();
-    engine.evict_run(hot).unwrap();
-    engine.evict_run(frozen).unwrap();
+    engine.persist_run(persisted).unwrap();
+    engine.persist_run(reheated).unwrap();
+    engine.reheat_run(reheated).unwrap();
+    for run in [hot, frozen, persisted, reheated] {
+        engine.evict_run(run).unwrap();
+    }
     assert!(engine.take_ingest_errors().is_empty());
     drop(engine);
 
     let rebuilt = build();
-    for gone in [hot, frozen] {
+    for gone in [hot, frozen, persisted, reheated] {
         assert_eq!(
             rebuilt.run_status(gone).unwrap_err(),
             ServiceError::UnknownRun(gone),
-            "{gone} was evicted, yet the restart replayed it"
+            "{gone} was evicted, yet the restart brought it back"
         );
     }
-    assert_eq!(rebuilt.stats().wal_recovered_runs, 1);
+    let s = rebuilt.stats();
+    assert_eq!((s.wal_recovered_runs, s.runs_persisted), (1, 0));
     let exec = &fleet[2].1;
     let h = rebuilt.handle(kept).unwrap();
     assert_eq!(h.status(), RunStatus::Live);
     assert_prefix_answers(&h, exec.events(), exec.len());
     // A fresh run never reuses an evicted id.
     assert!(rebuilt.open_run(SpecId(0)).unwrap() > kept);
+}
+
+/// A re-heated run is as durable as a persisted one. Its WAL records
+/// were checkpointed away when it was first persisted, so its pack and
+/// its manifest line are all that is left of it: they must outlive the
+/// re-heat — through another run's spill, a compaction and the orphan
+/// sweep that comes with it — and a restart brings the run back
+/// persisted. Re-heating strands no dead bytes, and persisting the run
+/// again goes back to the blob it already has: nothing is written.
+#[test]
+fn a_reheated_run_survives_a_restart() {
+    type Reheat = fn(&WfEngine, RunId) -> Result<(), ServiceError>;
+    let targets: [(Reheat, Tier); 2] = [
+        (|e, run| e.reheat_run(run), Tier::Frozen),
+        (|e, run| e.reheat_run_hot(run), Tier::Hot),
+    ];
+    for (reheat, resident) in targets {
+        let dir = TempDir::new("reheat");
+        let spill = dir.0.join("spill");
+        let spec = wf_spec::corpus::running_example();
+        let mut rng = StdRng::seed_from_u64(1706);
+        let build = || -> WfEngine {
+            WfEngine::builder()
+                .spec(spec.clone())
+                .ingest_workers(2)
+                .wal_dir(dir.0.join("wal"))
+                .wal_sync(WalSync::Always)
+                .spill_dir(&spill)
+                .build()
+        };
+        let engine = build();
+        let mut persist_one = || {
+            let run = engine.open_run(SpecId(0)).unwrap();
+            let gen = RunGenerator::new(&spec)
+                .target_size(50)
+                .generate_run(&mut rng);
+            let exec = Execution::deterministic(&gen.graph, &gen.origin);
+            for ev in exec.events() {
+                engine.submit(run, ev).unwrap();
+            }
+            engine.complete_run(run).unwrap();
+            engine.persist_run(run).unwrap();
+            (run, exec)
+        };
+        let files = || -> Vec<std::ffi::OsString> {
+            let mut names: Vec<_> = std::fs::read_dir(&spill)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+
+        let (run, exec) = persist_one();
+        reheat(&engine, run).unwrap();
+        assert_eq!(engine.run_tier(run).unwrap(), resident);
+        assert_eq!(engine.stats().pack_dead_bytes, 0, "the blob is still live");
+
+        // Every later write to the directory keeps the run's blob.
+        let (other, other_exec) = persist_one();
+        assert_eq!(engine.compact().unwrap().runs_packed, 2);
+
+        // Persisting again is a way back, not a spill.
+        let (spills, before) = (engine.stats().spills, files());
+        engine.persist_run(run).unwrap();
+        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+        assert_eq!((engine.stats().spills, files()), (spills, before));
+        let h = engine.handle(run).unwrap();
+        assert_prefix_answers(&h, exec.events(), exec.len());
+
+        // The restart finds the run re-heated.
+        reheat(&engine, run).unwrap();
+        assert!(engine.take_ingest_errors().is_empty());
+        drop(engine);
+        let rebuilt = build();
+        for (run, exec) in [(run, &exec), (other, &other_exec)] {
+            assert_eq!(rebuilt.run_status(run), Ok(RunStatus::Completed));
+            assert_eq!(rebuilt.run_tier(run).unwrap(), Tier::Persisted);
+            let h = rebuilt.handle(run).unwrap();
+            assert_prefix_answers(&h, exec.events(), exec.len());
+        }
+        assert_eq!(rebuilt.stats().wal_recovered_runs, 0);
+    }
 }
 
 /// A real crash: a child process aborts mid-ingest (no drop, no drain,

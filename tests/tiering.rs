@@ -249,12 +249,7 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         offset,
         bytes: blob.len() as u64,
     };
-    snapshot::write_manifest(
-        &other.0,
-        &[entry(run, 0), entry(twin, blob.len() as u64)],
-        0,
-    )
-    .unwrap();
+    snapshot::write_manifest(&other.0, &[entry(run, 0), entry(twin, blob.len() as u64)]).unwrap();
     let reopened = build(&other);
     for id in [run, twin] {
         assert_eq!(reopened.run_tier(id).unwrap(), Tier::Persisted);
@@ -516,6 +511,51 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     assert_eq!(h.reach(u, v), None, "broken segment degrades, not panics");
     assert_eq!(h.reach(u, v), None, "and stays degraded");
+}
+
+/// A blob header's `skl_bits` is checked, not trusted: a skeleton pointer
+/// is a `u32` vertex index, so a wider field — under a checksum that
+/// vouches for it — is a typed format error naming the width, from the
+/// decoder and from the first pin of an engine that registered the blob,
+/// never a shift overflow in the label reader.
+#[test]
+fn a_header_skl_bits_over_32_is_a_typed_format_error() {
+    let dir = TempDir::new("skl-bits");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(32);
+    let gen = RunGenerator::new(&spec)
+        .target_size(40)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let run = persist_one(&build(), &exec);
+    let path = pack_path(&dir.0, run);
+    let mut blob = std::fs::read(&path).unwrap();
+    blob[24..28].copy_from_slice(&200u32.to_le_bytes());
+    let end = blob.len() - 8;
+    let checksum = fnv1a(&blob[..end]);
+    blob[end..].copy_from_slice(&checksum.to_le_bytes());
+
+    match snapshot::decode_segment(&blob) {
+        Err(SnapshotError::Format(msg)) => assert!(msg.contains("width 200"), "{msg}"),
+        other => panic!("skl_bits = 200 not rejected as a format error: {other:?}"),
+    }
+    std::fs::write(&path, &blob).unwrap();
+    let engine = build();
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    match engine.reach(run, u, v) {
+        Err(ServiceError::Snapshot(r, cause)) => {
+            assert_eq!(r, run);
+            assert!(cause.contains("width 200"), "{cause}");
+        }
+        other => panic!("expected a snapshot error, got {other:?}"),
+    }
 }
 
 /// A sampled execution of the running example, its ground truth, and a
