@@ -22,6 +22,14 @@
 //!
 //! The labels produced are **identical** to the derivation-based
 //! labeler's (verified exhaustively in the integration tests).
+//!
+//! **Who keeps a label.** [`ExecutionState::insert`] *returns* the label
+//! it assigns and retains none: a label never changes once assigned
+//! (Definition 8), and no later insertion reads one back — resolution
+//! runs on placements and the parse tree alone. So the caller holds the
+//! one copy: `wf-service` moves it into its published-label index, and
+//! the borrowed [`ExecutionLabeler`] wrapper keeps it in the table it
+//! answers `label` / `reaches` from.
 
 use crate::entry::NodeKind;
 use crate::label::DrlLabel;
@@ -107,7 +115,8 @@ enum ExpandHandle {
 /// specification and its skeleton labels), which [`Self::insert`] takes
 /// per call. A caller that owns its context — `wf-service` keeps an
 /// `Arc` next to each run's state — holds this directly;
-/// [`ExecutionLabeler`] is the same state next to two plain borrows.
+/// [`ExecutionLabeler`] is the same state next to two plain borrows and
+/// the labels it handed out.
 ///
 /// Every `insert` must be given the specification the state was built
 /// from and the skeleton built for it; another one yields wrong labels
@@ -117,14 +126,10 @@ pub struct ExecutionState {
     resolution: ResolutionMode,
     /// Placement per external vertex slot: `(tree node, spec vertex)`.
     placement: Vec<Option<(NodeId, VertexId)>>,
-    labels: Vec<Option<DrlLabel>>,
     expansions: HashMap<(NodeId, VertexId), ExpandHandle>,
     /// Name-based helper: implementation source name → body graph.
     source_of: HashMap<NameId, GraphId>,
     count: usize,
-    /// Vertices labeled since the last [`Self::drain_fresh`] — the
-    /// incremental snapshot export consumed by `wf-service`.
-    fresh: Vec<VertexId>,
 }
 
 impl ExecutionState {
@@ -154,22 +159,21 @@ impl ExecutionState {
             core,
             resolution,
             placement: Vec::new(),
-            labels: Vec::new(),
             expansions: HashMap::new(),
             source_of,
             count: 0,
-            fresh: Vec::new(),
         })
     }
 
-    /// Process one insertion `g_i = g_{i-1} + (v_i, C_i)`, assigning the
-    /// vertex's permanent label (O(1) amortized — Theorem 3.2a).
+    /// Process one insertion `g_i = g_{i-1} + (v_i, C_i)` and return the
+    /// vertex's permanent label (O(1) amortized — Theorem 3.2a). The
+    /// state keeps no copy: the label is the caller's to store.
     pub fn insert<S: SpecLabeling>(
         &mut self,
         spec: &Specification,
         skeleton: &S,
         ev: &ExecEvent,
-    ) -> Result<(), ExecError> {
+    ) -> Result<DrlLabel, ExecError> {
         if self
             .placement
             .get(ev.vertex.idx())
@@ -190,8 +194,7 @@ impl ExecutionState {
                 return Err(ExecError::FirstEventMustBeStartSource);
             }
             let root = self.core.create_root();
-            self.place(skeleton, ev.vertex, root, s);
-            return Ok(());
+            return Ok(self.place(skeleton, ev.vertex, root, s));
         }
         let source_body = match self.resolution {
             ResolutionMode::NameBased => self.source_of.get(&ev.name).copied(),
@@ -215,7 +218,7 @@ impl ExecutionState {
         skeleton: &S,
         ev: &ExecEvent,
         body: GraphId,
-    ) -> Result<(), ExecError> {
+    ) -> Result<DrlLabel, ExecError> {
         let head = spec.head(body).expect("implementation graphs have heads");
         let body_source = spec.graph(body).source().expect("two-terminal");
         for &c in &ev.preds {
@@ -250,8 +253,7 @@ impl ExecutionState {
                 if let Some(special) = fork_branch {
                     // New parallel branch of an expanding fork.
                     let member = self.core.add_replica(special);
-                    self.place(skeleton, ev.vertex, member, body_source);
-                    return Ok(());
+                    return Ok(self.place(skeleton, ev.vertex, member, body_source));
                 }
                 match fresh.len() {
                     0 => {}
@@ -267,8 +269,7 @@ impl ExecutionState {
                             | crate::machinery::Expansion::Instance(m) => (*m, ExpandHandle::Done),
                         };
                         self.expansions.insert((y, u), handle);
-                        self.place(skeleton, ev.vertex, member, body_source);
-                        return Ok(());
+                        return Ok(self.place(skeleton, ev.vertex, member, body_source));
                     }
                     _ => return Err(ExecError::AmbiguousExpansion(ev.vertex)),
                 }
@@ -290,8 +291,7 @@ impl ExecutionState {
                                     "iterations extend the last copy"
                                 );
                                 let member = self.core.add_replica(p);
-                                self.place(skeleton, ev.vertex, member, body_source);
-                                return Ok(());
+                                return Ok(self.place(skeleton, ev.vertex, member, body_source));
                             }
                         }
                     }
@@ -314,7 +314,7 @@ impl ExecutionState {
         spec: &Specification,
         skeleton: &S,
         ev: &ExecEvent,
-    ) -> Result<(), ExecError> {
+    ) -> Result<DrlLabel, ExecError> {
         for &c in &ev.preds {
             let Some(mut frame) = self.placement.get(c.idx()).copied().flatten() else {
                 return Err(ExecError::UnknownPredecessor(c));
@@ -335,8 +335,7 @@ impl ExecutionState {
                     }
                 };
                 if let Some(sv) = found {
-                    self.place(skeleton, ev.vertex, y, sv);
-                    return Ok(());
+                    return Ok(self.place(skeleton, ev.vertex, y, sv));
                 }
                 let sink = g.sink().expect("two-terminal");
                 if w == sink {
@@ -351,45 +350,21 @@ impl ExecutionState {
         Err(ExecError::InferenceFailed(ev.vertex))
     }
 
-    fn place<S: SpecLabeling>(&mut self, skeleton: &S, ext: VertexId, node: NodeId, sv: VertexId) {
+    /// Record where `ext` sits in the parse tree and build its label.
+    fn place<S: SpecLabeling>(
+        &mut self,
+        skeleton: &S,
+        ext: VertexId,
+        node: NodeId,
+        sv: VertexId,
+    ) -> DrlLabel {
         if self.placement.len() <= ext.idx() {
             self.placement.resize(ext.idx() + 1, None);
-            self.labels.resize(ext.idx() + 1, None);
         }
         debug_assert!(self.placement[ext.idx()].is_none());
         self.placement[ext.idx()] = Some((node, sv));
-        self.labels[ext.idx()] = Some(self.core.label_for(skeleton, node, sv));
         self.count += 1;
-        self.fresh.push(ext);
-    }
-
-    /// Incremental snapshot export: invoke `f` with each vertex labeled
-    /// since the last export (in labeling order) and its label, then
-    /// clear the export buffer *keeping its capacity*. Labels are
-    /// immutable once assigned (Definition 8), so a consumer can publish
-    /// `(v, label(v))` into a concurrent read index while ingestion
-    /// continues — this is the publish hook `wf-service` calls after
-    /// every applied event; the hot path pays no `Vec` round-trip per
-    /// insertion. Callers that never export pay one `VertexId` per
-    /// labeled vertex — bounded by the run size.
-    pub fn drain_fresh(&mut self, mut f: impl FnMut(VertexId, &DrlLabel)) {
-        for &v in &self.fresh {
-            let label = self.labels[v.idx()]
-                .as_ref()
-                .expect("fresh vertices carry labels");
-            f(v, label);
-        }
-        self.fresh.clear();
-    }
-
-    /// The label assigned to vertex `v` (by the caller's external id).
-    pub fn label(&self, v: VertexId) -> Option<&DrlLabel> {
-        self.labels.get(v.idx()).and_then(|l| l.as_ref())
-    }
-
-    /// Label length in bits.
-    pub fn label_bits(&self, v: VertexId) -> Option<usize> {
-        self.label(v).map(|l| l.bit_len(self.core.skl_bits()))
+        self.core.label_for(skeleton, node, sv)
     }
 
     /// Number of inserted vertices.
@@ -414,11 +389,14 @@ impl ExecutionState {
 }
 
 /// The execution-based labeler: an [`ExecutionState`] next to the
-/// borrowed context it labels against.
+/// borrowed context it labels against, and the labels it has assigned.
 pub struct ExecutionLabeler<'s, S: SpecLabeling> {
     spec: &'s Specification,
     skeleton: &'s S,
     state: ExecutionState,
+    /// Label per external vertex slot, as [`ExecutionState::insert`]
+    /// returned it.
+    labels: Vec<Option<DrlLabel>>,
 }
 
 impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
@@ -455,28 +433,30 @@ impl<'s, S: SpecLabeling> ExecutionLabeler<'s, S> {
             spec,
             skeleton,
             state,
+            labels: Vec::new(),
         })
     }
 
     /// Process one insertion `g_i = g_{i-1} + (v_i, C_i)`, assigning the
     /// vertex's permanent label (O(1) amortized — Theorem 3.2a).
     pub fn insert(&mut self, ev: &ExecEvent) -> Result<(), ExecError> {
-        self.state.insert(self.spec, self.skeleton, ev)
-    }
-
-    /// See [`ExecutionState::drain_fresh`].
-    pub fn drain_fresh(&mut self, f: impl FnMut(VertexId, &DrlLabel)) {
-        self.state.drain_fresh(f);
+        let label = self.state.insert(self.spec, self.skeleton, ev)?;
+        let slot = ev.vertex.idx();
+        if self.labels.len() <= slot {
+            self.labels.resize(slot + 1, None);
+        }
+        self.labels[slot] = Some(label);
+        Ok(())
     }
 
     /// The label assigned to vertex `v` (by the caller's external id).
     pub fn label(&self, v: VertexId) -> Option<&DrlLabel> {
-        self.state.label(v)
+        self.labels.get(v.idx()).and_then(|l| l.as_ref())
     }
 
     /// Label length in bits.
     pub fn label_bits(&self, v: VertexId) -> Option<usize> {
-        self.state.label_bits(v)
+        self.label(v).map(|l| l.bit_len(self.skl_bits()))
     }
 
     /// The predicate `πg`.

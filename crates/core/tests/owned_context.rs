@@ -1,13 +1,13 @@
 //! The labeler's state is independent of how its context is held: an
 //! [`ExecutionState`] fed from an `Arc`-owned `(Specification, skeleton)`
 //! — the shape `wf-service` keeps per run, moved across a thread here to
-//! show nothing in it borrows — emits exactly the labels the borrowed
-//! [`ExecutionLabeler`] does.
+//! show nothing in it borrows — returns from each `insert` exactly the
+//! label the borrowed [`ExecutionLabeler`] retains for that vertex.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use wf_drl::{encode_label, ExecutionLabeler, ExecutionState, ResolutionMode};
+use wf_drl::{encode_label, DrlLabel, ExecutionLabeler, ExecutionState, ResolutionMode};
 use wf_run::{Execution, RunGenerator};
 use wf_skeleton::{SpecLabeling, TclSpecLabels};
 use wf_spec::Specification;
@@ -39,25 +39,28 @@ fn arc_owned_and_borrowed_contexts_emit_identical_labels() {
 
             let owner = Arc::clone(&ctx);
             let events = exec.events().to_vec();
-            let owned: ExecutionState = std::thread::spawn(move || {
-                let mut state = ExecutionState::new(&owner.0, resolution).unwrap();
-                for ev in &events {
-                    state.insert(&owner.0, &owner.1, ev).unwrap();
-                }
-                state
-            })
-            .join()
-            .unwrap();
+            let (owned, returned): (ExecutionState, Vec<DrlLabel>) =
+                std::thread::spawn(move || {
+                    let mut state = ExecutionState::new(&owner.0, resolution).unwrap();
+                    let labels = events
+                        .iter()
+                        .map(|ev| state.insert(&owner.0, &owner.1, ev).unwrap())
+                        .collect();
+                    (state, labels)
+                })
+                .join()
+                .unwrap();
 
             assert_eq!(owned.len(), borrowed.len());
             assert_eq!(owned.skl_bits(), borrowed.skl_bits());
-            for ev in exec.events() {
-                let (a, b) = (owned.label(ev.vertex), borrowed.label(ev.vertex));
+            assert_eq!(returned.len(), exec.events().len());
+            for (ev, a) in exec.events().iter().zip(&returned) {
+                let b = borrowed.label(ev.vertex).unwrap();
                 assert_eq!(a, b, "{name} {resolution:?} {:?}", ev.vertex);
                 let bits = owned.skl_bits();
                 assert_eq!(
-                    encode_label(a.unwrap(), bits),
-                    encode_label(b.unwrap(), bits),
+                    encode_label(a, bits),
+                    encode_label(b, bits),
                     "{name} {resolution:?} {:?}: encoded bits differ",
                     ev.vertex
                 );

@@ -54,16 +54,17 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     pub(crate) next_run: AtomicU64,
     /// All observability state: counters, histograms, the trace ring.
     pub(crate) obs: Arc<Telemetry>,
-    /// The ingest pipeline's watermarks, drain flag and error ring.
+    /// The ingest pipeline's per-worker progress marks, drain flag and
+    /// error ring.
     pub(crate) ingest: Ingest,
     /// The tiering policy, its completion queue and its worker.
     pub(crate) tiering: Tiering,
     /// The spill directory, when persistence is configured.
     pub(crate) spill: Option<SpillDir>,
     /// The durable ingest log, when [`EngineBuilder::wal_dir`] is set:
-    /// every open/insert/complete is appended *before* it is applied, so
-    /// a crash loses at most the un-synced batch tail, never applied
-    /// state the log cannot replay.
+    /// every open/insert/complete the engine admits is appended *before*
+    /// it is applied, so a crash loses at most the un-synced batch tail,
+    /// never applied state the log cannot replay.
     pub(crate) wal: Option<WalWriter>,
     /// The stall watchdog's verdict and its monitor thread.
     pub(crate) watchdog: Watchdog,
@@ -309,9 +310,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// **Watermark barrier**: block until every event enqueued before
-    /// this call has been applied (or rejected) by the worker pool.
-    /// Returns the processed watermark — always ≥ the number of events
-    /// enqueued before the call.
+    /// this call has been applied (or rejected) by the worker it is
+    /// pinned to. Returns the applied watermark, summed over the
+    /// workers — always ≥ the number of events enqueued before the call.
     pub fn flush(&self) -> u64 {
         let obs = &self.shared.obs;
         obs.flushes.inc();
@@ -617,7 +618,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         });
         let pack_files = file_stats(&registered);
         let obs = &self.shared.obs;
-        let (enqueued, processed) = self.shared.ingest.watermarks();
+        let (enqueued, applied) = self.shared.ingest.watermarks();
         ServiceStats {
             runs_opened: obs.runs_opened.get(),
             runs_live: live,
@@ -625,7 +626,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             runs_failed: obs.runs_failed.get(),
             events_enqueued: enqueued,
             events_ingested: obs.events_ingested.get(),
-            ingest_backlog: enqueued.saturating_sub(processed),
+            ingest_backlog: enqueued.saturating_sub(applied),
             batches_ingested: obs.batches_ingested.get(),
             flushes: obs.flushes.get(),
             ingest_workers: self.shared.ingest.marks().len() as u64,

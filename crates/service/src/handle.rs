@@ -19,7 +19,6 @@ use crate::engine::EngineShared;
 use crate::ingest::{apply, Entry, Op};
 use crate::store::{RunView, Tier};
 use crate::{RunId, RunStatus, ServiceError, SpecContext};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wf_drl::{DrlLabel, DrlPredicate};
 use wf_graph::{NameId, VertexId};
@@ -141,7 +140,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     }
 
     /// Both synchronous writes: the same apply body the pool workers
-    /// run, on the caller's thread.
+    /// run, on the caller's thread — admitted, journaled and applied
+    /// under the run's writer lock, so a `complete()` here racing a
+    /// pooled insert of the same run orders log and memory identically.
     fn write(&self, op: Op<'_>) -> Result<(), ServiceError> {
         self.shared.ingest.check_open()?;
         let RunView::Hot(slot) = &self.view else {
@@ -182,19 +183,10 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
         self.view.source()
     }
 
-    /// Number of labels published so far (monotone under ingestion;
-    /// final once the run froze).
+    /// Number of labels published so far — one per applied insertion
+    /// (monotone under ingestion; final once the run froze).
     pub fn published(&self) -> usize {
         self.view.published()
-    }
-
-    /// Events applied so far (hot tier only; a frozen run reports its
-    /// published label count — one applied insertion per label).
-    pub fn events_applied(&self) -> u64 {
-        match &self.view {
-            RunView::Hot(slot) => slot.events.load(Ordering::Relaxed),
-            _ => self.view.published() as u64,
-        }
     }
 
     /// The run's lifecycle status.

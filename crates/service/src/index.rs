@@ -163,7 +163,11 @@ impl LabelIndex {
     /// plus per-cell headers; excludes the chunk table itself). This is
     /// the memory freezing actually releases — typically several times
     /// the accounting size, since a decoded [`wf_drl::Entry`] spends a
-    /// machine word where the accounting charges a few bits.
+    /// machine word where the accounting charges a few bits. The labels
+    /// counted are the run's only copy (the ingest path moves each one
+    /// in; the labeler keeps none), so for a completed run this plus the
+    /// chunk table is the run's label memory; a live run's labeler state
+    /// — parse tree, placements, expansion map — is not counted here.
     pub fn resident_bytes(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
     }

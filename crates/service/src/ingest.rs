@@ -3,21 +3,22 @@
 //!
 //! **One apply body.** The paper's write side is one step — `g_i =
 //! g_{i-1} + (v_i, C_i)` gives `v_i` its permanent label — and [`apply`]
-//! is the one place the engine performs it: journal the op, apply it to
-//! the run's [`RunSlot`], notify standing queries, record the counters
+//! is the one place the engine performs it: hand the op and its journal
+//! step to the run's [`RunSlot`] (which admits, journals and applies
+//! under its writer lock), notify standing queries, record the counters
 //! and the sampled span. Its three callers differ only in the [`Entry`]
 //! they name: a pool worker, the synchronous [`crate::RunHandle`], and
-//! WAL recovery (which enters past the journal step — its records are
-//! already in the rewritten log). Each run is written from one thread at
-//! a time (pinned to one worker, or owned by one handle), so the slot's
-//! writer lock plus this ordering is the whole argument for "the log
-//! never trails memory, and no event slips in after a completion or an
-//! eviction".
+//! WAL recovery (whose journal step is empty — its records are already
+//! in the rewritten log). The slot's writer lock around admission →
+//! journal → apply is the whole argument for "a record is in the log iff
+//! the op was admitted, the log orders a run's ops as memory does, and
+//! no event slips in after a completion or an eviction".
 //!
 //! **[`Ingest`]** owns everything the pipeline is accounted in: the
-//! drain flag, the enqueued/processed watermarks and the flush condvar,
-//! the per-worker marks the watchdog samples, and the bounded error
-//! ring of the fire-and-forget path.
+//! drain flag, the per-worker enqueued/applied marks — the one progress
+//! ledger `flush()`, `stats()` and the watchdog all read — with the
+//! flush condvar, and the bounded error ring of the fire-and-forget
+//! path.
 //!
 //! **[`IngestPool`]** is the producer end: a fixed pool of workers alive
 //! for the engine's lifetime, each owning one **bounded** FIFO queue
@@ -35,8 +36,8 @@
 //!   worker records each op's outcome and wakes the caller when the
 //!   whole batch has been processed.
 //!
-//! Either way the worker advances the processed watermark, which is
-//! what [`crate::WfEngine::flush`] waits on.
+//! Either way the envelope's [`Settle`] guard advances its worker's
+//! `applied` mark, which is what [`crate::WfEngine::flush`] waits on.
 
 use crate::engine::{route_worker, EngineShared, DEFAULT_MAX_VERTEX_ID};
 use crate::slot::RunSlot;
@@ -45,7 +46,7 @@ use crate::{BatchOutcome, RunId, RunOp, ServiceError, SpecId};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use wf_run::ExecEvent;
 use wf_skeleton::SpecLabeling;
@@ -87,8 +88,9 @@ pub(crate) enum Entry {
     Replay,
 }
 
-/// **The one apply body**: journal `op`, apply it to the run's slot,
-/// fan out to standing queries, record counters and the sampled span.
+/// **The one apply body**: journal and apply `op` under the run's writer
+/// lock, fan out to standing queries, record counters and the sampled
+/// span.
 pub(crate) fn apply<S: SpecLabeling>(
     shared: &EngineShared<S>,
     run: RunId,
@@ -135,12 +137,15 @@ pub(crate) fn apply<S: SpecLabeling>(
     res
 }
 
-/// **Write-ahead order**: journal the op, then apply it. A garbage
-/// vertex id is rejected first, without a log write (the rejection is
-/// deterministic, so nothing about it needs replaying — and both the
-/// labeler and the label index size tables to the id); a failed append
-/// rejects the op without applying it, so the in-memory state never
-/// runs ahead of the log.
+/// **Write-ahead order, admission first**: the slot runs `journal`
+/// under its writer lock, after it has admitted the op and before it
+/// applies it. A garbage vertex id is rejected ahead of all that (the
+/// rejection is deterministic, so nothing about it needs replaying —
+/// and both the labeler and the label index size tables to the id); an
+/// op the run's status rejects is never journaled, so recovery cannot
+/// replay what its caller was told was refused; a failed append rejects
+/// the op without applying it, so the in-memory state never runs ahead
+/// of the log.
 fn log_then_apply<S: SpecLabeling>(
     shared: &EngineShared<S>,
     run: RunId,
@@ -153,7 +158,10 @@ fn log_then_apply<S: SpecLabeling>(
             return Err(ServiceError::VertexOutOfBounds(run, ev.vertex));
         }
     }
-    if shared.wal.is_some() && !matches!(entry, Entry::Replay) {
+    let journal = || {
+        if shared.wal.is_none() || matches!(entry, Entry::Replay) {
+            return Ok(());
+        }
         let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
         let mut payload = Vec::new();
         let kind = match op {
@@ -163,11 +171,11 @@ fn log_then_apply<S: SpecLabeling>(
             }
             Op::Complete => RecordKind::Complete,
         };
-        shared.journal(run, kind, seq, payload)?;
-    }
+        shared.journal(run, kind, seq, payload)
+    };
     match op {
-        Op::Insert(ev) => slot.apply_insert(run, ev),
-        Op::Complete => slot.complete(run),
+        Op::Insert(ev) => slot.apply_insert(run, ev, journal),
+        Op::Complete => slot.complete(run, journal),
     }
 }
 
@@ -198,11 +206,11 @@ fn record_complete_outcome<S: SpecLabeling>(
     }
 }
 
-/// A counter bumped once per event, on a cache line of its own. The
-/// producers bump `enqueued` and the workers `processed` / `applied`
-/// for every event, and both read the pointers around them for every
-/// event too: left to share lines — with each other, or with whatever
-/// the allocator places next to them — each bump invalidates the other
+/// A counter bumped once per event, on a cache line of its own. There
+/// are two per worker: the producers bump its `enqueued`, the worker its
+/// `applied`, and both read the pointers around them for every event
+/// too: left to share lines — with each other, or with whatever the
+/// allocator places next to them — each bump invalidates the other
 /// thread's line (measured, together with the alignment of
 /// [`RunSlot`]: −8 % solo-ingest events/s without, in or out depending
 /// on nothing but field order and where `malloc` put the struct).
@@ -223,11 +231,14 @@ impl std::ops::Deref for EventCounter {
     }
 }
 
-/// Per-worker ingest progress watermarks, fed by the enqueue path and
-/// the worker loop, read by the watchdog. Two relaxed counters: the
-/// watchdog tolerates torn reads (it only compares successive samples).
+/// One worker's line of the progress ledger — the only per-event
+/// progress counters there are. `applied ≤ enqueued` at all times: the
+/// producer counts an envelope before it sends it, the worker after it
+/// has settled it.
 pub(crate) struct WorkerMark {
+    /// Envelopes handed to this worker's queue…
     pub(crate) enqueued: EventCounter,
+    /// …and envelopes it finished (applied, failed or skipped).
     pub(crate) applied: EventCounter,
 }
 
@@ -236,10 +247,6 @@ pub(crate) struct WorkerMark {
 pub(crate) struct Ingest {
     /// Set once by [`Self::close`]: ingest is closed in every flavor.
     draining: AtomicBool,
-    /// Envelopes handed to the pool…
-    enqueued: EventCounter,
-    /// …and envelopes the workers finished (applied, failed or skipped).
-    processed: EventCounter,
     flush_waiters: AtomicUsize,
     flush_lock: Mutex<()>,
     flush_cv: Condvar,
@@ -254,8 +261,6 @@ impl Ingest {
     pub(crate) fn new(workers: usize) -> Self {
         Self {
             draining: AtomicBool::new(false),
-            enqueued: EventCounter::new(),
-            processed: EventCounter::new(),
             flush_waiters: AtomicUsize::new(0),
             flush_lock: Mutex::new(()),
             flush_cv: Condvar::new(),
@@ -274,12 +279,15 @@ impl Ingest {
         &self.marks
     }
 
-    /// `(enqueued, processed)` — their difference is the backlog.
+    /// `(enqueued, applied)` summed over the workers — their difference
+    /// is the backlog.
     pub(crate) fn watermarks(&self) -> (u64, u64) {
-        (
-            self.enqueued.load(Ordering::Acquire),
-            self.processed.load(Ordering::Acquire),
-        )
+        self.marks.iter().fold((0, 0), |(enqueued, applied), m| {
+            // `applied` first: a worker's never passes its `enqueued`,
+            // so read in this order neither do the sums.
+            let a = m.applied.load(Ordering::Acquire);
+            (enqueued + m.enqueued.load(Ordering::Acquire), applied + a)
+        })
     }
 
     /// Stop accepting writes (drain or drop).
@@ -311,9 +319,12 @@ impl Ingest {
         ring.drain(..).collect()
     }
 
-    /// One envelope finished: advance the watermark and wake flushers.
-    fn note_processed(&self) {
-        self.processed.fetch_add(1, Ordering::Release);
+    /// One of `worker`'s envelopes finished: advance its mark and wake
+    /// flushers. `Release` pairs with the `Acquire` loads in
+    /// [`Self::flush`]: a flusher that sees the count sees the label (or
+    /// the error-ring entry) published before it.
+    fn note_applied(&self, worker: usize) {
+        self.marks[worker].applied.fetch_add(1, Ordering::Release);
         if self.flush_waiters.load(Ordering::Acquire) > 0 {
             // Take the lock before notifying so a flusher between its
             // watermark check and its wait cannot miss the wakeup.
@@ -322,27 +333,36 @@ impl Ingest {
         }
     }
 
-    /// Block until everything enqueued before this call has been
-    /// processed; returns the processed watermark observed on exit.
+    /// Block until every worker has finished what was enqueued on it
+    /// before this call; returns the applied watermark observed on exit.
     pub(crate) fn flush(&self) -> u64 {
-        let target = self.enqueued.load(Ordering::Acquire);
-        if self.processed.load(Ordering::Acquire) >= target {
-            return self.processed.load(Ordering::Acquire);
+        let targets: Vec<u64> = self
+            .marks
+            .iter()
+            .map(|m| m.enqueued.load(Ordering::Acquire))
+            .collect();
+        let reached = || {
+            self.marks
+                .iter()
+                .zip(&targets)
+                .all(|(m, target)| m.applied.load(Ordering::Acquire) >= *target)
+        };
+        if !reached() {
+            self.flush_waiters.fetch_add(1, Ordering::AcqRel);
+            let mut g = self.flush_lock.lock().expect("flush lock poisoned");
+            while !reached() {
+                // Timed wait as a backstop: correctness never depends on
+                // a perfectly-delivered notification.
+                let (g2, _) = self
+                    .flush_cv
+                    .wait_timeout(g, std::time::Duration::from_millis(25))
+                    .expect("flush lock poisoned");
+                g = g2;
+            }
+            drop(g);
+            self.flush_waiters.fetch_sub(1, Ordering::AcqRel);
         }
-        self.flush_waiters.fetch_add(1, Ordering::AcqRel);
-        let mut g = self.flush_lock.lock().expect("flush lock poisoned");
-        while self.processed.load(Ordering::Acquire) < target {
-            // Timed wait as a backstop: correctness never depends on a
-            // perfectly-delivered notification.
-            let (g2, _) = self
-                .flush_cv
-                .wait_timeout(g, std::time::Duration::from_millis(25))
-                .expect("flush lock poisoned");
-            g = g2;
-        }
-        drop(g);
-        self.flush_waiters.fetch_sub(1, Ordering::AcqRel);
-        self.processed.load(Ordering::Acquire)
+        self.watermarks().1
     }
 }
 
@@ -378,16 +398,19 @@ impl<S: SpecLabeling> Envelope<S> {
 
 /// Completion tracking for a blocking submission: counts outstanding
 /// envelopes, collects failures, and remembers which runs died mid-batch
-/// so their remaining ops are skipped (v1's isolation semantics).
+/// so their remaining ops are skipped (v1's isolation semantics). One
+/// lock: every tracked op takes it once to ask [`Self::is_dead`] and
+/// once to [`Self::record`] its outcome.
 pub(crate) struct BatchTracker {
-    remaining: AtomicUsize,
-    applied: AtomicUsize,
     state: Mutex<TrackerState>,
-    done: Mutex<bool>,
     cv: Condvar,
 }
 
 struct TrackerState {
+    /// Expected envelopes not yet accounted for; zero wakes the waiter.
+    remaining: usize,
+    /// Insertions applied so far.
+    applied: usize,
     failures: Vec<(RunId, ServiceError)>,
     /// Runs that hit a fatal error in this batch; later ops are skipped.
     dead: HashSet<u64>,
@@ -396,56 +419,54 @@ struct TrackerState {
 impl BatchTracker {
     pub(crate) fn new(expected: usize) -> Self {
         Self {
-            remaining: AtomicUsize::new(expected),
-            applied: AtomicUsize::new(0),
             state: Mutex::new(TrackerState {
+                remaining: expected,
+                applied: 0,
                 failures: Vec::new(),
                 dead: HashSet::new(),
             }),
-            done: Mutex::new(expected == 0),
             cv: Condvar::new(),
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, TrackerState> {
+        self.state.lock().expect("tracker lock poisoned")
     }
 
     /// Should this run's op be skipped (a previous op in the batch
     /// killed the run)?
     fn is_dead(&self, run: RunId) -> bool {
-        self.state
-            .lock()
-            .expect("tracker lock poisoned")
-            .dead
-            .contains(&run.0)
+        self.state().dead.contains(&run.0)
     }
 
-    /// Record one op's outcome. `applied` marks a successful insertion.
+    /// Record one op's outcome. `Ok(true)` marks a successful insertion.
     fn record(&self, run: RunId, res: Result<bool, ServiceError>) {
+        let mut s = self.state();
         match res {
-            Ok(true) => {
-                self.applied.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(false) => {}
+            Ok(applied) => s.applied += usize::from(applied),
             Err(e) => {
                 // A per-event rejection (an out-of-bounds vertex id)
                 // leaves the run healthy; anything else means the run
                 // cannot make progress in this batch.
-                let fatal = !matches!(e, ServiceError::VertexOutOfBounds(..));
-                let mut s = self.state.lock().expect("tracker lock poisoned");
-                s.failures.push((run, e));
-                if fatal {
+                if !matches!(e, ServiceError::VertexOutOfBounds(..)) {
                     s.dead.insert(run.0);
                 }
+                s.failures.push((run, e));
             }
         }
-        self.finish_one();
+        self.finish(s);
     }
 
     /// One expected envelope is accounted for — processed by a worker,
     /// or never enqueued (the caller shrinks the count so `wait` still
     /// terminates). The last one wakes the waiter.
     pub(crate) fn finish_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = self.done.lock().expect("tracker lock poisoned");
-            *done = true;
+        self.finish(self.state());
+    }
+
+    fn finish(&self, mut s: MutexGuard<'_, TrackerState>) {
+        s.remaining -= 1;
+        if s.remaining == 0 {
             self.cv.notify_all();
         }
     }
@@ -453,14 +474,12 @@ impl BatchTracker {
     /// Block until every expected envelope has been processed, then
     /// collect the outcome.
     pub(crate) fn wait(&self) -> BatchOutcome {
-        let mut done = self.done.lock().expect("tracker lock poisoned");
-        while !*done {
-            done = self.cv.wait(done).expect("tracker lock poisoned");
+        let mut s = self.state();
+        while s.remaining > 0 {
+            s = self.cv.wait(s).expect("tracker lock poisoned");
         }
-        drop(done);
-        let mut s = self.state.lock().expect("tracker lock poisoned");
         BatchOutcome {
-            applied: self.applied.load(Ordering::Relaxed),
+            applied: s.applied,
             failures: std::mem::take(&mut s.failures),
         }
     }
@@ -518,17 +537,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
         env.span = root.ctx;
         let run = env.run;
         let worker = route_worker(run, ingest.marks.len());
-        ingest.enqueued.fetch_add(1, Ordering::AcqRel);
+        // Counted before the send, so the worker's `applied` can never
+        // pass it; taken back if the envelope was never queued, so no
+        // flush waits on it.
+        let enqueued = &ingest.marks[worker].enqueued;
+        enqueued.fetch_add(1, Ordering::AcqRel);
         let res = self.send(worker, env);
-        match res {
-            Ok(()) => {
-                ingest.marks[worker]
-                    .enqueued
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                ingest.enqueued.fetch_sub(1, Ordering::AcqRel);
-            }
+        if res.is_err() {
+            enqueued.fetch_sub(1, Ordering::AcqRel);
         }
         obs.finish(
             root,
@@ -572,9 +588,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> Drop for IngestPool<S> {
 
 /// Worker body: consume envelopes until the channel closes. A panic
 /// while applying one envelope must neither kill the worker nor strand
-/// callers — the
-/// [`Settle`] guard inside `process` still advances the watermark and
-/// completes any tracker, and the loop moves on to the next envelope.
+/// callers — the [`Settle`] guard inside `process` still advances the
+/// worker's mark and completes any tracker, and the loop moves on to the
+/// next envelope.
 fn worker_loop<S: SpecLabeling + Send + Sync>(
     shared: &EngineShared<S>,
     rx: &Receiver<Envelope<S>>,
@@ -584,25 +600,24 @@ fn worker_loop<S: SpecLabeling + Send + Sync>(
         // AssertUnwindSafe: all state `process` touches is behind
         // poisoning mutexes or atomics; a half-applied op marks itself
         // via lock poisoning, which later ops surface as errors.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(shared, env)));
-        // Progress watermark for the stall watchdog: one relaxed add per
-        // envelope, panic or not (the Settle guard already ran).
-        shared.ingest.marks[index]
-            .applied
-            .fetch_add(1, Ordering::Relaxed);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            process(shared, index, env);
+        }));
     }
 }
 
 /// Settles one envelope's accounting exactly once — on the normal path
 /// *and* if applying the op panics — so neither `flush()` nor a
 /// `BatchTracker::wait` can hang on an envelope that died mid-apply.
-/// The processed watermark advances **before** an acknowledged outcome
-/// is delivered (a caller woken by its own blocking submit observes its
-/// event as processed: zero backlog) and **after** a fire-and-forget
-/// failure reaches the error ring (a `flush()` that covers the event
-/// returns with its error already in the ring).
+/// The worker's `applied` mark advances **before** an acknowledged
+/// outcome is delivered (a caller woken by its own blocking submit
+/// observes its event as processed: zero backlog) and **after** a
+/// fire-and-forget failure reaches the error ring (a `flush()` that
+/// covers the event returns with its error already in the ring).
 struct Settle<'a, S: SpecLabeling + 'static> {
     shared: &'a EngineShared<S>,
+    /// The worker whose mark this envelope is counted on.
+    worker: usize,
     tracker: Option<Arc<BatchTracker>>,
     run: RunId,
     /// `Ok(applied an insert?)`; `None` at drop time means the op never
@@ -619,21 +634,25 @@ impl<S: SpecLabeling> Drop for Settle<'_, S> {
             .unwrap_or(Err(ServiceError::WorkerPanicked(self.run)));
         match &self.tracker {
             Some(tracker) => {
-                ingest.note_processed();
+                ingest.note_applied(self.worker);
                 tracker.record(self.run, outcome);
             }
             None => {
                 if let Err(e) = outcome {
                     ingest.push_error(self.run, e);
                 }
-                ingest.note_processed();
+                ingest.note_applied(self.worker);
             }
         }
     }
 }
 
 /// Apply one envelope and stage its outcome on the [`Settle`] guard.
-fn process<S: SpecLabeling + Send + Sync>(shared: &EngineShared<S>, env: Envelope<S>) {
+fn process<S: SpecLabeling + Send + Sync>(
+    shared: &EngineShared<S>,
+    worker: usize,
+    env: Envelope<S>,
+) {
     let Envelope {
         run,
         slot,
@@ -643,6 +662,7 @@ fn process<S: SpecLabeling + Send + Sync>(shared: &EngineShared<S>, env: Envelop
     } = env;
     let mut settle = Settle {
         shared,
+        worker,
         tracker,
         run,
         outcome: None,
@@ -656,4 +676,74 @@ fn process<S: SpecLabeling + Send + Sync>(shared: &EngineShared<S>, env: Envelop
         apply(shared, run, &slot, Op::from(&op), Entry::Pool(enqueue_span))
             .map(|()| matches!(op, RunOp::Insert(_)))
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RunStatus, ServiceEvent, WfEngine};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wf_drl::ResolutionMode;
+    use wf_run::{Execution, RunGenerator};
+    use wf_spec::GraphId;
+
+    /// An apply that panics — a log-based event naming a graph the
+    /// specification does not have is an index panic inside the labeler —
+    /// settles like any other envelope: its worker's `applied` advances
+    /// exactly once (no flush hangs, no backlog is left standing), the
+    /// outcome is `WorkerPanicked` whichever way it is delivered, and the
+    /// worker lives on to serve the next envelope.
+    #[test]
+    fn a_panicking_apply_advances_its_mark_once_and_settles_its_tracker() {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(2)
+            .build();
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(20)
+            .generate_run(&mut StdRng::seed_from_u64(5));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let (first, second) = (&exec.events()[0], &exec.events()[1]);
+        let mut bad = second.clone();
+        bad.origin.0 = GraphId(u32::MAX);
+
+        let ingest = &engine.shared.ingest;
+        for acknowledged in [true, false] {
+            let run = engine
+                .open_run_with(SpecId(0), ResolutionMode::LogBased)
+                .unwrap();
+            let mark = &ingest.marks[route_worker(run, ingest.marks.len())];
+            let progress = || {
+                (
+                    mark.enqueued.load(Ordering::Acquire),
+                    mark.applied.load(Ordering::Acquire),
+                )
+            };
+            engine.submit(run, first).unwrap();
+            let (enqueued, applied) = progress();
+            assert_eq!(enqueued, applied);
+
+            let panicked = ServiceError::WorkerPanicked(run);
+            if acknowledged {
+                assert_eq!(engine.submit(run, &bad), Err(panicked.clone()));
+            } else {
+                let op = RunOp::Insert(bad.clone());
+                engine.ingest(ServiceEvent { run, op }).unwrap();
+                engine.flush();
+                assert_eq!(engine.take_ingest_errors(), [(run, panicked.clone())]);
+            }
+            assert_eq!(progress(), (enqueued + 1, applied + 1));
+            assert_eq!(engine.stats().ingest_backlog, 0);
+
+            // The panic poisoned the run's writer lock; the worker itself
+            // is fine and reports that for the run's next event.
+            assert_eq!(engine.submit(run, second), Err(panicked));
+            assert_eq!(engine.run_status(run), Ok(RunStatus::Failed));
+            assert_eq!(progress(), (enqueued + 2, applied + 2));
+        }
+        assert_eq!(ingest.watermarks(), (6, 6));
+        assert_eq!(engine.flush(), 6);
+    }
 }

@@ -20,9 +20,10 @@
 //!   [`WfEngine::submit_batch`] survive as thin wrappers over the same
 //!   pipelined path (per-run event order is always preserved: one run is
 //!   pinned to one worker's FIFO queue);
-//! * the **query path** is lock-free: every applied insertion publishes
-//!   the vertex's immutable [`DrlLabel`](wf_drl::DrlLabel) into a
-//!   write-once [`index::LabelIndex`], and a cloneable, lifetime-free
+//! * the **query path** is lock-free: every applied insertion moves
+//!   the vertex's immutable [`DrlLabel`](wf_drl::DrlLabel) — the one
+//!   copy the engine holds — into a write-once [`index::LabelIndex`],
+//!   and a cloneable, lifetime-free
 //!   [`RunHandle`] resolves `u ; v` from two published labels plus the
 //!   shared skeleton predicate — constant time, no locks, concurrent
 //!   with ingestion (labels never change once assigned, Definitions

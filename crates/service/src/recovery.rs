@@ -9,8 +9,13 @@
 //! what the rebuilt engine holds hot, re-homed if the worker count
 //! changed), the replay itself, and the `RunOpen` payload codec both
 //! sides of a lifetime boundary must agree on. Replay applies events
-//! through [`crate::ingest::apply`] like every other write, entering
-//! past the journal step: the records are already in the rewritten log.
+//! through [`crate::ingest::apply`] like every other write, with an
+//! empty journal step: the records are already in the rewritten log.
+//! The write path journals an op only once the run has admitted it, so
+//! the log holds nothing a caller was told was rejected; a run's records
+//! past its `Complete` — which only a log written by an earlier build
+//! can hold — are dropped at the scan, traced, and not carried into the
+//! rewritten log.
 //!
 //! Failures degrade — the engine comes up without a WAL rather than not
 //! at all — and are traced.
@@ -79,12 +84,25 @@ pub(crate) struct Recovered {
     pub(crate) next_run: u64,
 }
 
-/// Decode one scanned run into a [`ReplayRun`], or say why not. A
-/// replayable run starts with a parseable `RunOpen` naming a spec this
-/// catalog has; anything else is an orphaned tail (e.g. its `RunOpen`
-/// sat in a torn region) and is dropped, not guessed at.
-fn decode_run(r: &wf_wal::RecoveredRun, catalog_len: usize) -> Result<ReplayRun, Option<&str>> {
-    let (first, rest) = r.records.split_first().ok_or(None)?;
+/// A run's records up to and including its `Complete`. Records are
+/// seq-sorted and a `Complete` is the last op a run admits, so whatever
+/// follows it was journaled for an op the engine then rejected (builds
+/// before "admission before journal" did that).
+fn admitted(records: &[Record]) -> &[Record] {
+    let complete = records.iter().position(|r| r.kind == RecordKind::Complete);
+    &records[..complete.map_or(records.len(), |i| i + 1)]
+}
+
+/// Decode one scanned run's `records` into a [`ReplayRun`], or say why
+/// not. A replayable run starts with a parseable `RunOpen` naming a spec
+/// this catalog has; anything else is an orphaned tail (e.g. its
+/// `RunOpen` sat in a torn region) and is dropped, not guessed at.
+fn decode_run(
+    r: &wf_wal::RecoveredRun,
+    records: &[Record],
+    catalog_len: usize,
+) -> Result<ReplayRun, Option<&'static str>> {
+    let (first, rest) = records.split_first().ok_or(None)?;
     if first.kind != RecordKind::RunOpen || first.seq != 0 {
         return Err(None);
     }
@@ -149,9 +167,16 @@ pub(crate) fn scan(
         if r.checkpointed || persisted.contains(&r.run) {
             continue;
         }
-        match decode_run(r, catalog_len) {
+        let records = admitted(&r.records);
+        match decode_run(r, records, catalog_len) {
             Ok(run) => {
-                survivors.extend(r.records.iter().cloned());
+                if records.len() < r.records.len() {
+                    obs.event("wal_skip_record", Some(r.run), None, || {
+                        let dropped = r.records.len() - records.len();
+                        format!("dropped={dropped} after_complete")
+                    });
+                }
+                survivors.extend(records.iter().cloned());
                 out.replay.push(run);
             }
             Err(Some(why)) => obs.event("wal_skip_run", Some(r.run), None, || why.into()),

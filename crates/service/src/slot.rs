@@ -5,8 +5,14 @@
 //! failure, eviction — happens under the slot's writer lock, so the
 //! `Live` check of an insert cannot race a completion or an eviction:
 //! once a run reports `Completed` or `Evicted`, no event slips in after
-//! it. The labeler is plain owned state ([`ExecutionState`]) next to the
-//! `Arc<SpecContext>` it is fed from on every call.
+//! it. Both writes run **admission → journal → change** under that one
+//! lock: the caller's journal step (a closure — the WAL append, or
+//! nothing on replay) runs only for an op the run's status admits, and
+//! before the labeler or the status is touched, so a record is in the
+//! log iff its op was admitted and the log orders a run's ops as memory
+//! does. The labeler is plain owned state ([`ExecutionState`]) next to
+//! the `Arc<SpecContext>` it is fed from on every call; the label an
+//! insert returns is moved into [`LabelIndex`], the run's only copy.
 
 use crate::index::LabelIndex;
 use crate::snapshot::PersistedRun;
@@ -44,7 +50,6 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     /// the cross-run query surface.
     pub(crate) source: OnceLock<VertexId>,
     status: AtomicU8,
-    pub(crate) events: AtomicU64,
     /// Queries answered against this run. Per-slot (each slot is its own
     /// allocation) so the query hot path never contends on a single
     /// engine-wide cache line with ingest writers; `stats()` sums it.
@@ -100,7 +105,6 @@ impl<S: SpecLabeling> RunSlot<S> {
         if let Some(source) = home.source {
             let _ = slot.source.set(source);
         }
-        slot.events.store(home.published as u64, Ordering::Relaxed);
         slot.home = Some(home);
         slot
     }
@@ -121,7 +125,6 @@ impl<S: SpecLabeling> RunSlot<S> {
             indexed: LabelIndex::new(),
             source: OnceLock::new(),
             status: AtomicU8::new(status.as_u8()),
-            events: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             derivation: Mutex::new(None),
             wal_seq: AtomicU64::new(next_wal_seq),
@@ -155,48 +158,74 @@ impl<S: SpecLabeling> RunSlot<S> {
         })
     }
 
-    /// Apply one insertion under the writer lock, then publish the fresh
-    /// label to the lock-free index. The caller has bounds-checked
-    /// `ev.vertex` (both the labeler and the index size tables to it).
-    pub(crate) fn apply_insert(&self, run: RunId, ev: &ExecEvent) -> Result<(), ServiceError> {
-        let mut w = self.writer(run)?;
-        let labeler = match (self.status(), w.as_mut()) {
-            (RunStatus::Live, Some(labeler)) => labeler,
-            (s, _) => return Err(ServiceError::RunNotLive(run, s)),
-        };
-        if let Err(e) = labeler.insert(&self.ctx.spec, &self.ctx.skeleton, ev) {
-            self.fail();
-            return Err(ServiceError::Labeler(run, e));
+    /// Admission, under the writer lock: a write is accepted only while
+    /// the run is `Live` (which implies it still has its labeler).
+    fn admit<'w>(
+        &self,
+        run: RunId,
+        writer: &'w mut Option<ExecutionState>,
+    ) -> Result<&'w mut ExecutionState, ServiceError> {
+        match (self.status(), writer.as_mut()) {
+            (RunStatus::Live, Some(labeler)) => Ok(labeler),
+            (s, _) => Err(ServiceError::RunNotLive(run, s)),
         }
+    }
+
+    /// Apply one insertion under the writer lock — admission, `journal`,
+    /// the labeler — and move the label it returns into the lock-free
+    /// index. A failed `journal` rejects the event unapplied. The caller
+    /// has bounds-checked `ev.vertex` (both the labeler and the index
+    /// size tables to it).
+    pub(crate) fn apply_insert(
+        &self,
+        run: RunId,
+        ev: &ExecEvent,
+        journal: impl FnOnce() -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError> {
+        let mut w = self.writer(run)?;
+        let labeler = self.admit(run, &mut w)?;
+        journal()?;
+        let label = labeler
+            .insert(&self.ctx.spec, &self.ctx.skeleton, ev)
+            .map_err(|e| {
+                self.fail();
+                ServiceError::Labeler(run, e)
+            })?;
         if self.source.get().is_none() {
             // First applied event of the run: by Definition 8 it is the
             // start graph's source (the labeler rejects anything else).
             let _ = self.source.set(ev.vertex);
         }
-        labeler.drain_fresh(|v, label| {
-            debug_assert_eq!(v, ev.vertex, "one insertion labels one vertex");
-            self.indexed
-                .publish(v, ev.name, label.clone(), self.skl_bits);
-        });
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.indexed
+            .publish(ev.vertex, ev.name, label, self.skl_bits);
         Ok(())
     }
 
     /// `Live → Completed`, serialized with in-flight inserts by the
-    /// writer lock. A completed run can no longer be written, so its
-    /// labeler goes now rather than at freeze time.
-    pub(crate) fn complete(&self, run: RunId) -> Result<(), ServiceError> {
+    /// writer lock: admission, `journal`, then the status. A completed
+    /// run can no longer be written, so its labeler goes now rather than
+    /// at freeze time.
+    pub(crate) fn complete(
+        &self,
+        run: RunId,
+        journal: impl FnOnce() -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError> {
         let mut w = self.writer(run)?;
+        self.admit(run, &mut w)?;
+        journal()?;
+        // Admitted as `Live` under the lock every other transition of a
+        // live run takes, so this is the one that moves it.
         self.status
-            .compare_exchange(
-                RunStatus::Live.as_u8(),
-                RunStatus::Completed.as_u8(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .map_err(|s| ServiceError::RunNotLive(run, RunStatus::from_u8(s)))?;
+            .store(RunStatus::Completed.as_u8(), Ordering::Release);
         *w = None;
         Ok(())
+    }
+
+    /// Hold the writer lock, as an apply in progress would: how the
+    /// watchdog's test wedges the worker this run is pinned to.
+    #[cfg(test)]
+    pub(crate) fn hold_writer(&self) -> MutexGuard<'_, Option<ExecutionState>> {
+        self.writer.lock().expect("writer lock poisoned")
     }
 
     /// Mark the run `Evicted`, serialized with any in-flight insert. A
@@ -231,7 +260,8 @@ mod tests {
         let exec = Execution::deterministic(&gen.graph, &gen.origin);
         let run = RunId(7);
         let slot = RunSlot::open(ctx, SpecId(0), ResolutionMode::NameBased, 1).unwrap();
-        slot.apply_insert(run, &exec.events()[0]).unwrap();
+        slot.apply_insert(run, &exec.events()[0], || Ok(()))
+            .unwrap();
 
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
@@ -243,13 +273,19 @@ mod tests {
         assert!(slot.writer.is_poisoned());
 
         let panicked = ServiceError::WorkerPanicked(run);
+        // Rejected before anything is written: the journal step of a
+        // write that meets the poisoned lock never runs.
+        let no_journal = || -> Result<(), ServiceError> { panic!("journaled a rejected op") };
         assert_eq!(
-            slot.apply_insert(run, &exec.events()[1]),
+            slot.apply_insert(run, &exec.events()[1], no_journal),
             Err(panicked.clone())
         );
         assert_eq!(slot.status(), RunStatus::Failed);
-        assert_eq!(slot.complete(run), Err(panicked.clone()));
-        assert_eq!(slot.apply_insert(run, &exec.events()[1]), Err(panicked));
+        assert_eq!(slot.complete(run, no_journal), Err(panicked.clone()));
+        assert_eq!(
+            slot.apply_insert(run, &exec.events()[1], no_journal),
+            Err(panicked)
+        );
         assert_eq!(slot.status(), RunStatus::Failed, "fails once, stays failed");
         // Published labels survive; eviction recovers the guard.
         assert_eq!(slot.indexed.len(), 1);

@@ -25,17 +25,20 @@ pub struct ServiceStats {
     /// Runs whose ingestion hit an error.
     pub runs_failed: u64,
     /// Envelopes handed to the ingest worker pool (inserts and
-    /// completions, successful or not) — the queue's input side. A
-    /// write through [`crate::RunHandle::submit`] is applied on the
-    /// caller's thread and never queued, so it shows up in
-    /// `events_ingested` only.
+    /// completions, successful or not) — the queue's input side, summed
+    /// over the per-worker `enqueued` marks. A write through
+    /// [`crate::RunHandle::submit`] is applied on the caller's thread
+    /// and never queued, so it shows up in `events_ingested` only.
     pub events_enqueued: u64,
     /// Insertion events successfully applied across all runs. Every
     /// write — pooled, synchronous, or replayed from the WAL at build
     /// time — goes through the one apply body that counts here.
     pub events_ingested: u64,
-    /// Envelopes enqueued but not yet processed by a worker — the live
-    /// depth of the queues.
+    /// Envelopes enqueued but not yet settled by their worker — the
+    /// live depth of the queues: `events_enqueued` minus the sum of the
+    /// per-worker `applied` marks (the same ledger `flush()` waits on
+    /// and the watchdog samples, so a caller woken by its own blocking
+    /// submit reads 0 here).
     pub ingest_backlog: u64,
     /// Batches accepted by [`crate::WfEngine::submit_batch`].
     pub batches_ingested: u64,
@@ -57,7 +60,13 @@ pub struct ServiceStats {
     pub label_bits_total: u64,
     /// **Hot tier** estimated resident bytes (decoded entry arrays +
     /// label headers) — the memory a freeze actually releases, typically
-    /// several times [`Self::hot_bytes`].
+    /// several times [`Self::hot_bytes`]. It covers the *only* copy of a
+    /// hot run's labels: the index is where an applied label lives. It
+    /// excludes the index's chunk tables and, until `complete()` drops
+    /// it, what a live run's labeler holds beside the labels — the
+    /// explicit parse tree with its per-node prefixes, the placements,
+    /// the expansion map (measured on a live 6 000-label run: ≈ 408 B of
+    /// heap per label against 167 B reported here, 231 B once completed).
     pub hot_resident_bytes: u64,
     /// Runs currently in the hot tier (any status).
     pub runs_hot: u64,

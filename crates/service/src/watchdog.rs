@@ -6,8 +6,9 @@
 //! thresholds and the sampling loop; its state is one [`Ticker`] — the
 //! latest verdict together with the thread's stop flag, wakeup and join
 //! handle. It reads the other subsystems only through what they publish:
-//! the ingest worker marks, the WAL's sync lag, the tiering backlog and
-//! two telemetry counters.
+//! the per-worker enqueued/applied marks (the same ledger `flush()` and
+//! `stats()` read — there is no other ingest progress counter), the
+//! WAL's sync lag, the tiering backlog and two telemetry counters.
 
 use crate::engine::EngineShared;
 use crate::lifecycle::Ticker;
@@ -192,5 +193,83 @@ fn watchdog_loop<S: SpecLabeling>(shared: &EngineShared<S>, interval: Duration) 
             Health::Healthy
         };
         shared.watchdog.lock().shared = verdict;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RunOp, ServiceEvent, SpecId, WfEngine};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wf_run::{Execution, RunGenerator};
+
+    /// Poll the verdict until `want` holds (the watchdog publishes on its
+    /// own clock; ten seconds is two orders of magnitude of slack).
+    fn await_health(engine: &WfEngine, interval: Duration, want: impl Fn(&Health) -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let verdict = engine.health();
+            if want(&verdict) {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "watchdog never got there; last verdict {verdict:?}"
+            );
+            std::thread::sleep(interval / 4);
+        }
+    }
+
+    /// `IngestWorker` is diagnosed from the ledger alone: a worker whose
+    /// `enqueued` is ahead of an `applied` that stands still. Wedge one —
+    /// its next envelope's apply blocks on a writer lock this test holds —
+    /// and the verdict goes `Degraded`, then `Stalled`; let go, and the
+    /// envelope lands, the flush returns and the verdict heals.
+    #[test]
+    fn a_wedged_ingest_worker_degrades_then_stalls_then_heals() {
+        let interval = Duration::from_millis(20);
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(2)
+            .watchdog(interval)
+            .build();
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(20)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let slot = engine.shared.slot(run).unwrap();
+        assert_eq!(engine.health(), Health::Healthy);
+
+        let wedge = slot.hold_writer();
+        let op = RunOp::Insert(exec.events()[0].clone());
+        engine.ingest(ServiceEvent { run, op }).unwrap();
+        let stalled = Health::Stalled {
+            causes: vec![StallCause::IngestWorker],
+        };
+        await_health(&engine, interval, |h| *h == stalled);
+        assert_eq!(engine.stats().ingest_backlog, 1);
+        // The escalation, tick by tick: streak 1 published `Degraded`,
+        // streak 2 `Stalled` (the ring is the witness a poll can miss).
+        let streaks: Vec<String> = engine
+            .trace_dump()
+            .into_iter()
+            .filter(|e| e.kind == "stall")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(
+            streaks[..2],
+            [
+                "cause=ingest_worker streak=1",
+                "cause=ingest_worker streak=2"
+            ]
+        );
+
+        drop(wedge);
+        assert_eq!(engine.flush(), 1, "the wedged envelope lands");
+        assert_eq!(slot.indexed.len(), 1);
+        await_health(&engine, interval, |h| *h == Health::Healthy);
     }
 }

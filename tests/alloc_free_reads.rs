@@ -1,5 +1,7 @@
 //! Reads build no label: a `reach` allocates nothing in any tier, and a
-//! name-scoped scan allocates per *match*, not per visited label.
+//! name-scoped scan allocates per *match*, not per visited label. Writes
+//! build each label once: applying an event through the engine allocates
+//! what the bare labeler allocates for it.
 //!
 //! The paper's predicate decides "using only the two labels" at the
 //! first entry where they differ, so a completed run can answer by
@@ -187,6 +189,48 @@ fn name_scoped_scans_allocate_per_match_not_per_label() {
     assert!(
         allocations <= budget && allocations * 10 < labels as u64,
         "{allocations} allocations over {labels} labels ({matches} matches per run, budget {budget})"
+    );
+}
+
+/// Definition 8 gives an insertion one permanent label, and the engine
+/// holds one copy of it: the label `ExecutionState::insert` returns is
+/// moved into the run's index. So a live run fed through the apply body
+/// allocates what the bare `ExecutionLabeler` — which keeps that same one
+/// copy in its own table — allocates for the same stream, give or take
+/// the index's chunk tables (the parent cloned every label into the
+/// index and kept the original too: one allocation per event more).
+#[test]
+fn an_applied_event_allocates_no_more_than_the_bare_labeler() {
+    let spec = wf_spec::corpus::running_example();
+    let exec = generate(&spec, 6000, 47);
+    let skeleton = TclSpecLabels::build(&spec);
+    let ((bare, _), labeler) = allocated_by(|| {
+        let mut labeler = ExecutionLabeler::new(&spec, &skeleton).unwrap();
+        for ev in exec.events() {
+            labeler.insert(ev).unwrap();
+        }
+        labeler
+    });
+    assert_eq!(labeler.len(), exec.len());
+
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .slow_op_threshold(Duration::from_secs(3600))
+        .build();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let handle = engine.handle(run).unwrap();
+    let ((applied, _), ()) = allocated_by(|| {
+        for ev in exec.events() {
+            handle.submit(ev).unwrap();
+        }
+    });
+    assert_eq!(handle.published(), exec.len());
+    // The index's ≤ 14 chunk tables for a run this size; the sampled
+    // apply spans allocate nothing.
+    assert!(
+        applied <= bare + 64,
+        "{applied} allocations applying {} events through the engine, {bare} in the bare labeler",
+        exec.len()
     );
 }
 

@@ -519,6 +519,138 @@ fn a_reheated_run_survives_a_restart() {
     }
 }
 
+/// A record is in the log iff its op was admitted. An event submitted
+/// after the run completed is rejected — and must then leave no trace: a
+/// journaled copy would be replayed by the next lifetime, labeling a
+/// vertex whose caller was told "rejected". Through both blocking entry
+/// points: the pool and the handle.
+#[test]
+fn a_rejected_op_is_neither_journaled_nor_replayed() {
+    type Submit = fn(&WfEngine, &RunHandle, &ExecEvent) -> Result<(), ServiceError>;
+    let entries: [(&str, Submit); 2] = [
+        ("pool", |e, h, ev| e.submit(h.run(), ev)),
+        ("handle", |_, h, ev| h.submit(ev)),
+    ];
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(1811);
+    let gen = RunGenerator::new(&spec)
+        .target_size(80)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let (last, admitted) = exec.events().split_last().unwrap();
+    for (entry, submit) in entries {
+        let dir = TempDir::new("rejected");
+        let build = || -> WfEngine {
+            WfEngine::builder()
+                .spec(spec.clone())
+                .ingest_workers(2)
+                .wal_dir(&dir.0)
+                .wal_sync(WalSync::Always)
+                .build()
+        };
+        let engine = build();
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let h = engine.handle(run).unwrap();
+        for ev in admitted {
+            submit(&engine, &h, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+
+        let journaled = engine.stats().wal_records;
+        assert_eq!(journaled, 1 + admitted.len() as u64 + 1, "{entry}");
+        let not_live = ServiceError::RunNotLive(run, RunStatus::Completed);
+        assert_eq!(submit(&engine, &h, last), Err(not_live.clone()), "{entry}");
+        assert_eq!(engine.complete_run(run), Err(not_live.clone()), "{entry}");
+        assert_eq!(h.complete(), Err(not_live), "{entry}");
+        assert_eq!(engine.stats().wal_records, journaled, "{entry}: journaled");
+        assert_eq!(h.published(), admitted.len(), "{entry}");
+
+        // "Crash" (no drain, no drop) and recover: the next lifetime
+        // holds exactly what this one acknowledged.
+        let rebuilt = build();
+        let h2 = rebuilt.handle(run).unwrap();
+        assert_eq!(h2.published(), h.published(), "{entry}: replayed a reject");
+        assert_eq!(rebuilt.run_status(run), engine.run_status(run), "{entry}");
+        assert_eq!(h2.label(last.vertex), None, "{entry}");
+        assert_prefix_answers(&h, exec.events(), admitted.len());
+        assert_prefix_answers(&h2, exec.events(), admitted.len());
+        assert_eq!(
+            rebuilt.stats().wal_recovered_records,
+            journaled,
+            "{entry}: the log held exactly the admitted ops"
+        );
+    }
+}
+
+/// Logs written before "admission before journal" can hold an `Event`
+/// past a run's `Complete` (an op the engine rejected after journaling
+/// it). Recovery stops at the `Complete`: the stray record is neither
+/// replayed nor carried into the rewritten log, and the drop is traced.
+#[test]
+fn records_after_a_complete_are_not_replayed() {
+    let dir = TempDir::new("after-complete");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(1812);
+    let gen = RunGenerator::new(&spec)
+        .target_size(60)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let (last, admitted) = exec.events().split_last().unwrap();
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(1)
+            .wal_dir(&dir.0)
+            .wal_sync(WalSync::Always)
+            .build()
+    };
+    let engine = build();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in admitted {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    drop(engine);
+
+    // What an earlier build left behind: the rejected event's frame,
+    // numbered after the `Complete` (seq 0 is the `RunOpen`).
+    let mut payload = Vec::new();
+    wf_drl::encode::write_event(&mut payload, last);
+    let stray = wal::Record {
+        kind: wal::RecordKind::Event,
+        run: run.0,
+        seq: admitted.len() as u64 + 2,
+        payload,
+    };
+    let writer =
+        wal::WalWriter::open(&dir.0, 1, WalSync::Always, Box::new(wal::NullObserver)).unwrap();
+    writer.append(0, &stray).unwrap();
+    drop(writer);
+    let records = |dir: &std::path::Path| wal::recover(dir).unwrap().runs[0].records.len();
+    assert_eq!(records(&dir.0), 1 + admitted.len() + 2);
+
+    let rebuilt = build();
+    assert_eq!(rebuilt.run_status(run), Ok(RunStatus::Completed));
+    let h = rebuilt.handle(run).unwrap();
+    assert_eq!(
+        h.published(),
+        admitted.len(),
+        "the stray event was replayed"
+    );
+    assert_eq!(h.label(last.vertex), None);
+    assert_prefix_answers(&h, exec.events(), admitted.len());
+    let skipped: Vec<_> = rebuilt
+        .trace_dump()
+        .into_iter()
+        .filter(|e| e.kind == "wal_skip_record")
+        .collect();
+    assert_eq!(skipped.len(), 1, "one event per run, naming the count");
+    assert_eq!(skipped[0].run_id, Some(run.0));
+    assert!(skipped[0].detail.contains("dropped=1"), "{:?}", skipped[0]);
+    // The rewritten log no longer holds it: nothing to skip next time.
+    assert_eq!(records(&dir.0), 1 + admitted.len() + 1);
+}
+
 /// A real crash: a child process aborts mid-ingest (no drop, no drain,
 /// no atexit), and the parent recovers its WAL directory. Under
 /// `Always`, every `submit` that returned is durable — the child tells

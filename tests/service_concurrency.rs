@@ -424,6 +424,83 @@ fn flush_watermark_and_graceful_drain() {
     assert!(engine.take_ingest_errors().is_empty());
 }
 
+/// The flush ledger under concurrency: the watermark is summed from
+/// per-worker marks, so a `flush()` must wait for *every* worker its
+/// caller fed, not for a global count that other producers' progress
+/// could satisfy. Four producers, each owning eight runs spread over the
+/// four workers, interleave bursts of `ingest()` with `flush()`: after
+/// every flush, everything that thread enqueued before it is visible,
+/// and the watermark covers it and never steps back.
+#[test]
+fn flush_covers_what_its_caller_enqueued_on_every_worker() {
+    const PRODUCERS: usize = 4;
+    const RUNS_EACH: usize = 8;
+    let engine = engine();
+    let spec = &engine.context(SpecId(0)).unwrap().spec;
+    let fleets: Vec<Vec<(RunHandle, Execution)>> = (0..PRODUCERS)
+        .map(|p| {
+            (0..RUNS_EACH)
+                .map(|r| {
+                    let run = engine.open_run(SpecId(0)).unwrap();
+                    let seed = 5000 + (p * RUNS_EACH + r) as u64;
+                    (engine.handle(run).unwrap(), sample(spec, seed, 70).1)
+                })
+                .collect()
+        })
+        .collect();
+    let total: usize = fleets.iter().flatten().map(|(_, exec)| exec.len()).sum();
+
+    let start = std::sync::Barrier::new(PRODUCERS);
+    std::thread::scope(|scope| {
+        for (p, fleet) in fleets.iter().enumerate() {
+            let (engine, start) = (&engine, &start);
+            scope.spawn(move || {
+                let mut sent = [0usize; RUNS_EACH];
+                let (mut mine, mut last_watermark) = (0u64, 0u64);
+                start.wait();
+                // Round-robin over this producer's runs, a burst of 1–7
+                // events at a time, a flush after every burst.
+                for round in 0.. {
+                    let r = round % RUNS_EACH;
+                    let (handle, exec) = &fleet[r];
+                    let burst = 1 + (round + p) % 7;
+                    for ev in exec.events().iter().skip(sent[r]).take(burst) {
+                        let op = RunOp::Insert(ev.clone());
+                        let run = handle.run();
+                        engine.ingest(ServiceEvent { run, op }).unwrap();
+                        sent[r] += 1;
+                        mine += 1;
+                    }
+                    let watermark = engine.flush();
+                    assert!(watermark >= mine, "flush {watermark} < own {mine}");
+                    assert!(watermark >= last_watermark, "watermark stepped back");
+                    last_watermark = watermark;
+                    // Only this thread feeds these runs, so "everything
+                    // enqueued before the flush" is exactly `sent`.
+                    for ((handle, exec), &n) in fleet.iter().zip(&sent) {
+                        assert_eq!(handle.published(), n, "{} after flush", handle.run());
+                        if let Some(newest) = n.checked_sub(1) {
+                            let (source, v) =
+                                (exec.events()[0].vertex, exec.events()[newest].vertex);
+                            assert_eq!(handle.reach(source, v), Some(true));
+                        }
+                    }
+                    if fleet.iter().zip(&sent).all(|((_, e), &n)| n == e.len()) {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+
+    let s = engine.stats();
+    assert_eq!(s.events_enqueued, total as u64);
+    assert_eq!(s.events_ingested, total as u64);
+    assert_eq!(s.ingest_backlog, 0);
+    assert_eq!(engine.flush(), total as u64, "a drained engine's watermark");
+    assert!(engine.take_ingest_errors().is_empty());
+}
+
 /// The cross-run query surface against a naive multi-run replay: for
 /// every module name appearing anywhere, "which completed runs of spec
 /// S have a vertex of that name reachable from their source?" must
