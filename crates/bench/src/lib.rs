@@ -9,9 +9,6 @@
 //! cargo run -p wf-bench --release --bin experiments -- fig14 --samples 20
 //! ```
 //!
-//! Timing-centric experiments (construction, query, specification
-//! overhead) also exist as Criterion benches (`cargo bench`).
-//!
 //! Absolute numbers differ from the paper's 2011 Java/Pentium testbed;
 //! the reproduction targets are the *shapes*: logarithmic label growth
 //! with slope ≈ 1 for DRL vs ≈ 3 for SKL, linear construction time,

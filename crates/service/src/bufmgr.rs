@@ -2,7 +2,7 @@
 //!
 //! Every file in the spill directory is a pack: one or more
 //! self-checksummed segment blobs back to back (a fresh spill writes a
-//! pack of one; compaction and pack GC write bigger ones). Packs are
+//! pack of one; compaction writes bigger ones). Packs are
 //! immutable by construction (temp file → fsync → rename; never modified
 //! in place), so each one can be mapped once, checksummed once per blob
 //! and read in place for as long as it is registered:
@@ -26,8 +26,8 @@
 //! There is no version clock over the pack set. A mapping lives as long
 //! as anything holds it — the [`PackFile`] of a registered pack, or a
 //! [`MappedRun`] some reader pinned — and outlives the file's unlink
-//! (the inode survives until the final `munmap`). Compaction and pack GC
-//! move blobs by telling each registration its new place
+//! (the inode survives until the final `munmap`). Compaction
+//! moves blobs by telling each registration its new place
 //! ([`crate::snapshot::PersistedRun::relocate`]) and only then unlink
 //! what they copied, so a reader mid-flight finishes on the mapping it
 //! resolved and the next one opens the new file.

@@ -33,7 +33,6 @@ pub struct EngineBuilder<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels
     wal_dir: Option<PathBuf>,
     wal_sync: WalSync,
     max_resident_bytes: Option<u64>,
-    pack_gc_dead_ratio: Option<f64>,
     telemetry: bool,
     slow_op_threshold: std::time::Duration,
     trace_capacity: usize,
@@ -70,7 +69,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             wal_dir: None,
             wal_sync: WalSync::default(),
             max_resident_bytes: None,
-            pack_gc_dead_ratio: None,
             telemetry: true,
             slow_op_threshold: DEFAULT_SLOW_OP_THRESHOLD,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
@@ -191,23 +189,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         self
     }
 
-    /// **Automatic compaction threshold**: the tiering worker merges
-    /// underfull pack files into full ones once `n` of them accumulate
-    /// (minimum 2). Unset = manual [`WfEngine::compact`]
-    /// only.
+    /// **Automatic compaction threshold**: the tiering worker runs the
+    /// [`WfEngine::compact`] pass once `n` underfull pack files
+    /// accumulate (minimum 2) or a pack turns dead-heavy. Unset = manual
+    /// [`WfEngine::compact`] only.
     pub fn compact_after(mut self, n: usize) -> Self {
         self.policy.compact_after = Some(n);
-        self
-    }
-
-    /// **Automatic pack-GC threshold**: the tiering worker rewrites any
-    /// pack whose dead-blob ratio (bytes of evicted runs over file
-    /// size) exceeds `ratio` (clamped to `[0, 1]`). Unset = manual
-    /// [`WfEngine::gc_packs`] only, which then uses
-    /// [`crate::DEFAULT_PACK_GC_DEAD_RATIO`].
-    pub fn pack_gc_dead_ratio(mut self, ratio: f64) -> Self {
-        self.pack_gc_dead_ratio = Some(ratio.clamp(0.0, 1.0));
-        self.policy.pack_gc = true;
         self
     }
 
@@ -272,7 +259,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         let lru = Arc::new(SegmentLru::new(self.max_resident_bytes, Arc::clone(&obs)));
         let (spill, persisted) = self
             .spill_dir
-            .map(|dir| SpillDir::open(dir, self.pack_gc_dead_ratio, &lru, self.contexts.len()))
+            .map(|dir| SpillDir::open(dir, &lru, self.contexts.len()))
             .unzip();
         let persisted = persisted.unwrap_or_default();
         // Replay the §7.4 aggregates out of the segment headers so a

@@ -19,7 +19,7 @@ use crate::query::CrossRunQuery;
 use crate::recovery::run_open_payload;
 use crate::slot::RunSlot;
 use crate::snapshot::PersistedRun;
-use crate::spill::{file_stats, CompactionReport, FileStat, PackGcReport, SpillDir};
+use crate::spill::{file_stats, CompactionReport, FileStat, SpillDir};
 use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, Tier};
 use crate::sub::{SubPredicate, Subscription};
@@ -378,7 +378,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// re-heated since — loses its manifest line before this returns
     /// (a failure to rewrite the manifest is reported, the run is gone
     /// from memory regardless), and the blob's bytes turn dead until a
-    /// compaction or GC pass reclaims them.
+    /// compaction pass reclaims them.
     pub fn evict_run(&self, run: RunId) -> Result<(), ServiceError> {
         let view = self
             .shared
@@ -435,32 +435,23 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         self.shared.reheat(run, Tier::Frozen)
     }
 
-    /// **Compact** the persisted tier now: merge underfull pack files —
-    /// every spill writes a pack of one — into full multi-run packs with
-    /// an atomic, crash-safe manifest rewrite, cutting the spill
-    /// directory's file count — the difference between 10⁵ files and a
-    /// few hundred at fleet scale. A handle taken before a compaction
-    /// keeps answering: it holds the run's registration, which the pass
-    /// points at the new pack before it unlinks the old one. The tiering
-    /// worker runs this automatically once
-    /// [`EngineBuilder::compact_after`] underfull files accumulate.
+    /// **Compact** the persisted tier now — the spill directory's one
+    /// maintenance pass, with an atomic, crash-safe manifest rewrite. It
+    /// merges underfull pack files — every spill writes a pack of one —
+    /// into full multi-run packs, cutting the directory's file count
+    /// (the difference between 10⁵ files and a few hundred at fleet
+    /// scale), and rewrites every pack more than
+    /// [`DEAD_HEAVY_RATIO`](crate::snapshot::DEAD_HEAVY_RATIO) of whose
+    /// bytes belong to evicted runs, cutting its bytes. In-flight
+    /// cross-run scans and handles follow: every copied run's
+    /// registration is pointed at the new pack before the old one is
+    /// unlinked, and a blob already pinned stays mapped until its reader
+    /// is done. The tiering worker runs this automatically once
+    /// [`EngineBuilder::compact_after`] underfull files accumulate or a
+    /// file turns dead-heavy.
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {
         let spill = self.shared.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         spill.compact(&self.shared.store)
-    }
-
-    /// **Garbage-collect packs** now: rewrite every pack whose
-    /// dead-blob ratio (bytes of evicted runs over file size) exceeds
-    /// [`EngineBuilder::pack_gc_dead_ratio`] (or
-    /// [`crate::DEFAULT_PACK_GC_DEAD_RATIO`]), shrinking the spill directory.
-    /// In-flight cross-run scans and handles follow: every surviving
-    /// run's registration is pointed at the rewritten pack before the
-    /// old one is unlinked, and a blob already pinned stays mapped until
-    /// its reader is done. The tiering worker runs this automatically
-    /// when [`EngineBuilder::pack_gc_dead_ratio`] is set.
-    pub fn gc_packs(&self) -> Result<PackGcReport, ServiceError> {
-        let spill = self.shared.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
-        spill.gc_packs(&self.shared.store)
     }
 
     /// **Re-heat a persisted run all the way to the hot tier**: rebuild
@@ -650,7 +641,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             segment_loads: 0,
             segment_sheds: obs.segment_sheds.get(),
             pack_pins: obs.pack_pins.get(),
-            pack_gc_runs: obs.pack_gc_runs.get(),
             pack_dead_bytes: pack_files.iter().map(FileStat::dead).sum(),
             mapped_bytes: store.lru.mapped_bytes.load(Ordering::Relaxed),
             skl_relabeled: obs.skl_relabeled.get(),

@@ -115,7 +115,7 @@ pub use handle::RunHandle;
 pub use index::PublishedLabel;
 pub use query::{CrossRunQuery, ExplainQuery, Explained, SourceReach};
 pub use snapshot::SnapshotError;
-pub use spill::{CompactionReport, PackGcReport, DEFAULT_PACK_GC_DEAD_RATIO};
+pub use spill::CompactionReport;
 pub use stats::{EngineStats, ServiceStats};
 pub use store::Tier;
 pub use sub::{Delta, SubPredicate, Subscription, Witness, DEFAULT_SUB_QUEUE_CAPACITY};
@@ -279,10 +279,6 @@ pub enum ServiceError {
     /// IO/format/sync error). The persisted tier is untouched: until the
     /// new manifest renames into place the old files stay live.
     Compaction(String),
-    /// A pack garbage-collection pass failed (message carries the
-    /// underlying IO/format/sync error). Like compaction, the pass is
-    /// atomic: the old packs stay live until the new manifest lands.
-    PackGc(String),
     /// A write-ahead-log append or barrier failed (message carries the
     /// underlying [`WalError`]). The op was **not** applied: the WAL is
     /// written before the in-memory state, so a run never holds events
@@ -317,7 +313,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Snapshot(r, e) => write!(f, "{r}: snapshot failed: {e}"),
             ServiceError::Compaction(e) => write!(f, "compaction failed: {e}"),
-            ServiceError::PackGc(e) => write!(f, "pack gc failed: {e}"),
             ServiceError::Wal(e) => write!(f, "write-ahead log failed: {e}"),
         }
     }

@@ -55,11 +55,9 @@ pub(crate) struct TierPolicy {
     /// answered this many queries — the cold-run-turned-hot promotion.
     pub(crate) reheat_after: Option<u64>,
     /// Run a compaction pass once this many underfull pack files (fewer
-    /// than [`crate::snapshot::MIN_PACK_RUNS`] runs) have accumulated.
+    /// than [`crate::snapshot::MIN_PACK_RUNS`] runs) have accumulated,
+    /// or a file has turned dead-heavy.
     pub(crate) compact_after: Option<usize>,
-    /// Automatically GC packs whose dead-blob ratio exceeds the
-    /// configured threshold.
-    pub(crate) pack_gc: bool,
 }
 
 /// The controls of one background thread that wakes on a period or a
@@ -164,7 +162,6 @@ impl Tiering {
             || p.max_hot_runs.is_some()
             || p.reheat_after.is_some()
             || p.compact_after.is_some()
-            || p.pack_gc
     }
 
     /// A run completed: queue it for the worker and wake it. Without a
@@ -369,7 +366,7 @@ impl<S: SpecLabeling> EngineShared<S> {
 
     /// One pass of the segment-level policy: promote query-hot persisted
     /// runs ([`TierPolicy::reheat_after`]), then let the spill directory
-    /// compact and GC itself.
+    /// compact itself.
     pub(crate) fn apply_segment_policy(&self) {
         let policy = &self.tiering.policy;
         if let Some(threshold) = policy.reheat_after {
@@ -397,7 +394,7 @@ impl<S: SpecLabeling> EngineShared<S> {
             }
         }
         if let Some(spill) = &self.spill {
-            for e in spill.apply_policy(&self.store, policy.compact_after, policy.pack_gc) {
+            if let Some(e) = spill.apply_policy(&self.store, policy.compact_after) {
                 self.ingest.push_error(RunId(u64::MAX), e);
             }
         }

@@ -152,7 +152,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// active EXPLAIN profile, if any). The root span parents every
     /// bufmgr `pack_pin` leaf the scan triggers. The scan answers from
     /// exactly the runs it snapshotted: a persisted view *is* the run's
-    /// registration, which a compaction or pack-GC rewrite landing
+    /// registration, which a compaction rewrite landing
     /// mid-scan relocates in place — the pin that follows reads the blob
     /// where it is by then.
     fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView<S>) -> Option<T>) -> Vec<T> {

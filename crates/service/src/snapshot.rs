@@ -31,14 +31,18 @@
 //! [`SnapshotError::Format`], never guessed at.
 //!
 //! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
-//! concatenated. A spill writes a pack of one; compaction and pack GC
-//! merge them into bigger ones to cut file count at 10⁵+ runs. Each blob
-//! carries its own checksum, so a pack needs no container framing: the
-//! manifest (`wf-tier-manifest.txt`: `run file offset len` per line) is
-//! the directory. Packs and manifests are written to a temp file,
-//! fsynced, renamed into place, **and the directory is fsynced after the
-//! rename** — a crash cannot leave the manifest pointing at unsynced
-//! segments (sync failures surface as the typed [`SnapshotError::Sync`]).
+//! concatenated. A spill writes a pack of one; compaction merges them
+//! into bigger ones to cut file count at 10⁵+ runs. Each blob carries
+//! its own checksum ([`wf_wal::fnv1a`], the one the WAL frames use), so a
+//! pack needs no container framing: the manifest
+//! (`wf-tier-manifest.txt`: `run file offset len` per line) is the
+//! directory. Packs and manifests all go to disk through
+//! `write_blob_file`: the one crash-safe replace
+//! ([`wf_wal::replace_file`] — temp file, fsync, rename; a failed write
+//! leaves no temp file) **and a directory fsync after the rename**
+//! ([`wf_wal::fsync_dir`]) — a crash cannot leave the manifest pointing
+//! at unsynced segments (sync failures surface as the typed
+//! [`SnapshotError::Sync`]).
 //! Every persisted read goes through the file's mapping
 //! ([`crate::bufmgr`]): framing and checksum are verified once, at first
 //! pin, and labels are read in place through the same
@@ -61,12 +65,13 @@ use crate::telemetry::with_profile;
 use crate::{RunId, SpecId};
 use std::fmt;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use wf_drl::{ArenaRef, ArenaSlot};
 use wf_graph::VertexId;
+use wf_wal::fnv1a;
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
@@ -78,8 +83,12 @@ pub const MANIFEST_FILE: &str = "wf-tier-manifest.txt";
 pub const MANIFEST_HEADER: &str = "wf-tier-manifest v2";
 
 /// A file holding fewer live runs than this is *underfull*: compaction
-/// merges underfull files and leaves the rest alone.
+/// merges underfull files…
 pub const MIN_PACK_RUNS: usize = 64;
+/// …and rewrites *dead-heavy* ones: once more than this share of a
+/// file's bytes belongs to evicted runs, copying the live remainder wins
+/// back more disk than the copy costs. Every other file is left alone.
+pub const DEAD_HEAVY_RATIO: f64 = 0.3;
 /// Compaction closes a pack once it holds this many runs…
 pub const PACK_MAX_RUNS: usize = 1024;
 /// …or this many bytes, whichever comes first.
@@ -120,31 +129,6 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e.to_string())
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Fsync `dir` so a rename inside it survives a crash. On non-unix
-/// platforms directory handles cannot be opened for sync; the rename
-/// alone is the best available guarantee there.
-fn fsync_dir(dir: &Path) -> Result<(), SnapshotError> {
-    #[cfg(unix)]
-    {
-        let f = fs::File::open(dir)
-            .map_err(|e| SnapshotError::Sync(format!("{}: {e}", dir.display())))?;
-        f.sync_all()
-            .map_err(|e| SnapshotError::Sync(format!("{}: {e}", dir.display())))?;
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
 }
 
 struct ByteReader<'a> {
@@ -348,39 +332,47 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
     let mut r = ByteReader::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
     let slots = r.take(header.count as usize * ArenaSlot::WIRE_BYTES)?;
     let arena_bytes = r.take(header.arena_len as usize)?;
-    let arena = ArenaRef::new(slots, arena_bytes, header.skl_bits as usize)
-        .to_arena()
-        .ok_or_else(|| SnapshotError::Format("arena validation failed".into()))?;
-    Ok(FrozenRun {
+    let arena = ArenaRef::new(slots, arena_bytes, header.skl_bits as usize);
+    frozen_from(&header, arena, None)
+        .ok_or_else(|| SnapshotError::Format("arena validation failed".into()))
+}
+
+/// The one blob → [`FrozenRun`] constructor: the run `header` describes,
+/// over an owned, fully re-validated copy of the labels `arena` lends.
+/// `None` if a label does not validate.
+fn frozen_from(
+    header: &SegmentHeader,
+    arena: ArenaRef<'_>,
+    home: Option<Arc<PersistedRun>>,
+) -> Option<FrozenRun> {
+    Some(FrozenRun {
         run: header.run,
         spec: header.spec,
         source: header.source,
-        arena,
+        arena: arena.to_arena()?,
         drl_bits: header.drl_bits,
         frozen_at: header.frozen_at,
         skl: header.skl,
         queries: AtomicU64::new(0),
-        home: None,
+        home,
     })
 }
 
-/// Atomically materialize `bytes` at `path` inside `dir`: temp file,
-/// fsync, rename, directory fsync.
+/// Atomically materialize `bytes` at `path` inside `dir`: the one
+/// crash-safe replace, then the directory fsync that makes its rename
+/// durable. `path` holds its old contents (or nothing) or the new ones,
+/// and a failed write leaves no temp file behind.
 pub(crate) fn write_blob_file(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     fs::create_dir_all(dir)?;
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| SnapshotError::Io("segment path has no file name".into()))?;
-    let tmp = dir.join(format!(".{file_name}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()
-            .map_err(|e| SnapshotError::Sync(format!("{}: {e}", tmp.display())))?;
-    }
-    fs::rename(&tmp, path)?;
-    fsync_dir(dir)
+    wf_wal::replace_file(path, bytes).map_err(|e| {
+        let cause = format!("{} {}: {}", e.op, path.display(), e.source);
+        if e.op == "fsync" {
+            SnapshotError::Sync(cause)
+        } else {
+            SnapshotError::Io(cause)
+        }
+    })?;
+    wf_wal::fsync_dir(dir).map_err(|e| SnapshotError::Sync(format!("{}: {e}", dir.display())))
 }
 
 /// Read `len` raw bytes at `offset` of `path` (one blob's slice of a
@@ -417,10 +409,9 @@ pub struct ManifestEntry {
     pub bytes: u64,
 }
 
-/// Atomically rewrite the manifest with every registered blob: temp
-/// file, fsync, rename, directory fsync — after this returns, a crash
-/// cannot resurrect the previous manifest or leave the new one pointing
-/// at unsynced data.
+/// Atomically rewrite the manifest with every registered blob
+/// (`write_blob_file`) — after this returns, a crash cannot resurrect
+/// the previous manifest or leave the new one pointing at unsynced data.
 pub fn write_manifest(dir: &Path, entries: &[ManifestEntry]) -> Result<(), SnapshotError> {
     let mut out = String::from(MANIFEST_HEADER);
     out.push('\n');
@@ -826,18 +817,8 @@ impl SegmentPin {
     /// was read from as its home. `None` if the mapped bytes no longer
     /// validate.
     pub(crate) fn to_frozen(&self) -> Option<Arc<FrozenRun>> {
-        let h = self.mapped.header();
-        Some(Arc::new(FrozenRun {
-            run: self.run.run,
-            spec: self.run.spec,
-            source: h.source,
-            arena: self.arena().to_arena()?,
-            drl_bits: h.drl_bits,
-            frozen_at: h.frozen_at,
-            skl: h.skl,
-            queries: AtomicU64::new(0),
-            home: Some(Arc::clone(&self.run)),
-        }))
+        let home = Some(Arc::clone(&self.run));
+        frozen_from(self.mapped.header(), self.arena(), home).map(Arc::new)
     }
 }
 

@@ -11,24 +11,27 @@
 //!   lists it in the manifest.
 //! * [`SpillDir::forget`] rewrites the manifest after an eviction, so
 //!   the evicted run stays gone across a restart.
-//! * [`SpillDir::compact`] and [`SpillDir::gc_packs`] are two victim
-//!   selections over one rewrite pass (`rewrite_packs`): pick files,
-//!   stream their live blobs verbatim into fresh packs, land the
-//!   manifest, relocate the registrations in place, unlink the copied
-//!   files, sweep orphans. Compaction picks *underfull* files (fewer
-//!   than [`MIN_PACK_RUNS`] live runs); GC picks files whose dead-blob
-//!   ratio crossed the threshold.
+//! * [`SpillDir::compact`] is the directory's one maintenance pass
+//!   (`rewrite_packs`): pick files, stream their live blobs verbatim
+//!   into fresh packs, land the manifest, relocate the registrations in
+//!   place, unlink the copied files, sweep orphans. A file is picked for
+//!   one of two reasons: it is *underfull* (fewer than [`MIN_PACK_RUNS`]
+//!   live runs) or *dead-heavy* (more than [`DEAD_HEAVY_RATIO`] of its
+//!   bytes belong to evicted runs).
 //!
-//! Crash safety is the same at every step of every operation: until a
-//! new manifest is renamed into place the old manifest and old files are
-//! intact; after it, the old files are orphans the sweep (this pass's or
-//! any later one's) removes.
+//! Every file written here — pack or manifest — goes through
+//! `snapshot::write_blob_file`, the crash-safe replace plus directory
+//! fsync of `wf-wal`. Crash safety is the same at every step of every
+//! operation: until a new manifest is renamed into place the old
+//! manifest and old files are intact; after it, the old files are
+//! orphans the sweep (this pass's or any later one's) removes, along
+//! with the temp file of a replace the crash interrupted.
 
 use crate::bufmgr::PackFile;
 use crate::freeze::FrozenRun;
 use crate::snapshot::{
-    self, ManifestEntry, PersistedRun, SnapshotError, MIN_PACK_RUNS, PACK_MAX_RUNS,
-    PACK_TARGET_BYTES,
+    self, ManifestEntry, PersistedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS,
+    PACK_MAX_RUNS, PACK_TARGET_BYTES,
 };
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::telemetry::tier_tag;
@@ -37,13 +40,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use wf_obs::Histogram;
 use wf_skeleton::SpecLabeling;
-
-/// Default dead-blob ratio above which pack GC rewrites a pack file:
-/// once 30% of a pack's bytes belong to evicted runs, rewriting the live
-/// remainder wins back more disk than the copy costs.
-pub const DEFAULT_PACK_GC_DEAD_RATIO: f64 = 0.3;
 
 /// What one compaction pass did: how many pack files and on-disk bytes
 /// the persisted tier referenced before and after, and how many runs
@@ -61,9 +58,8 @@ pub struct CompactionReport {
     pub bytes_after: u64,
     /// Dead blob bytes reclaimed by unlinking rewritten files — bytes
     /// that belonged to evicted runs and were carried by a file without
-    /// being referenced. Reported separately so packing (which
-    /// moves live bytes) and GC (which drops dead ones) never mix in one
-    /// number.
+    /// being referenced. Reported separately so the live bytes a pass
+    /// moves and the dead ones it drops never mix in one number.
     pub dead_bytes_reclaimed: u64,
     /// Runs rewritten into packs by this pass.
     pub runs_packed: usize,
@@ -94,48 +90,12 @@ impl CompactionReport {
     }
 }
 
-/// What one pack-GC pass did: packs rewritten because their dead-blob
-/// ratio crossed the threshold, live runs moved into the rewrites, and
-/// the on-disk byte accounting over every referenced pack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PackGcReport {
-    /// Packs rewritten (and unlinked) by this pass.
-    pub packs_rewritten: usize,
-    /// Live runs relocated into the rewritten packs.
-    pub runs_moved: usize,
-    /// Sum of pack-file bytes on disk before the pass.
-    pub bytes_before: u64,
-    /// Sum of pack-file bytes on disk after the pass.
-    pub bytes_after: u64,
-    /// Dead blob bytes the rewrites dropped.
-    pub dead_bytes_reclaimed: u64,
-}
-
-impl PackGcReport {
-    /// One JSON line for the `pack-gc-<sha>` CI artifact.
-    pub fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"metric\":\"pack_gc\",",
-                "\"packs_rewritten\":{},\"runs_moved\":{},",
-                "\"bytes_before\":{},\"bytes_after\":{},",
-                "\"dead_bytes_reclaimed\":{}}}"
-            ),
-            self.packs_rewritten,
-            self.runs_moved,
-            self.bytes_before,
-            self.bytes_after,
-            self.dead_bytes_reclaimed,
-        )
-    }
-}
-
 /// One pack file the registrations reference.
 pub(crate) struct FileStat {
     file: Arc<PackFile>,
     /// The registrations in the file, each with its blob's offset.
     runs: Vec<(Arc<PersistedRun>, u64)>,
-    /// On-disk size of the file ([`file_stats`] fills it in).
+    /// On-disk size of the file.
     size: u64,
     /// Sum of the registered blobs' bytes.
     live: u64,
@@ -145,6 +105,16 @@ impl FileStat {
     /// Bytes of blobs whose runs were evicted.
     pub(crate) fn dead(&self) -> u64 {
         self.size.saturating_sub(self.live)
+    }
+
+    /// Too few live runs to be worth a file of its own.
+    fn underfull(&self) -> bool {
+        self.runs.len() < MIN_PACK_RUNS
+    }
+
+    /// Enough dead bytes that copying the live ones pays.
+    fn dead_heavy(&self) -> bool {
+        self.dead() as f64 > DEAD_HEAVY_RATIO * self.size as f64
     }
 }
 
@@ -156,9 +126,10 @@ fn registrations<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Arc<PersistedRun
     out
 }
 
-/// Group registrations by pack file (the runs of one pack share one
-/// file handle), reading each one's place once.
-fn group_by_file(registered: &[Arc<PersistedRun>]) -> impl Iterator<Item = FileStat> {
+/// The registrations grouped by pack file (the runs of one pack share
+/// one file handle), reading each one's place once, with the files'
+/// sizes (one `stat` per file, not per run).
+pub(crate) fn file_stats(registered: &[Arc<PersistedRun>]) -> Vec<FileStat> {
     let mut by_file: HashMap<*const PackFile, FileStat> = HashMap::new();
     for p in registered {
         let (file, offset, len) = p.place();
@@ -171,18 +142,11 @@ fn group_by_file(registered: &[Arc<PersistedRun>]) -> impl Iterator<Item = FileS
         stat.runs.push((Arc::clone(p), offset));
         stat.live += len;
     }
-    by_file.into_values()
-}
-
-/// The registrations' files with their sizes (one `stat` per file, not
-/// per run).
-pub(crate) fn file_stats(registered: &[Arc<PersistedRun>]) -> Vec<FileStat> {
-    group_by_file(registered)
-        .map(|f| FileStat {
-            size: f.file.disk_len(f.live),
-            ..f
-        })
-        .collect()
+    let mut files: Vec<FileStat> = by_file.into_values().collect();
+    for f in &mut files {
+        f.size = f.file.disk_len(f.live);
+    }
+    files
 }
 
 /// A rewrite gains something when it leaves fewer files behind or drops
@@ -215,8 +179,6 @@ pub(crate) struct SpillDir {
     pack_seq: AtomicU64,
     /// The store's `mapped_bytes` gauge, handed to every file handle.
     mapped_bytes: Arc<AtomicU64>,
-    /// Dead-blob ratio above which pack GC rewrites a pack.
-    gc_dead_ratio: f64,
     /// Last spills+compactions sum [`Self::apply_policy`] observed — the
     /// cheap "did the directory change shape" stamp that gates the
     /// per-tick file census. Starts at `u64::MAX` so the first pass
@@ -233,7 +195,6 @@ impl SpillDir {
     /// nothing.
     pub(crate) fn open(
         dir: PathBuf,
-        gc_dead_ratio: Option<f64>,
         lru: &Arc<SegmentLru>,
         specs: usize,
     ) -> (Self, Vec<Arc<PersistedRun>>) {
@@ -260,7 +221,6 @@ impl SpillDir {
             manifest: Mutex::new(()),
             pack_seq: AtomicU64::new(next_pack),
             mapped_bytes,
-            gc_dead_ratio: gc_dead_ratio.unwrap_or(DEFAULT_PACK_GC_DEAD_RATIO),
             policy_stamp: AtomicU64::new(u64::MAX),
         };
         (spill, persisted)
@@ -352,50 +312,24 @@ impl SpillDir {
         Ok(())
     }
 
-    /// **Compaction**: merge underfull packs — fresh spills are packs of
-    /// one — into full ones, cutting the directory's file count.
+    /// **Compaction**, the one maintenance pass: merge underfull packs —
+    /// fresh spills are packs of one — into full ones, cutting the
+    /// directory's file count, and rewrite dead-heavy packs without the
+    /// blobs of evicted runs, cutting its bytes.
     pub(crate) fn compact<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
     ) -> Result<CompactionReport, ServiceError> {
-        let obs = &store.lru.obs;
         let report = self
-            .rewrite_packs(store, "compaction", &obs.h_compaction, |f| {
-                f.runs.len() < MIN_PACK_RUNS
-            })
+            .rewrite_packs(store)
             .map_err(|e| ServiceError::Compaction(e.to_string()))?;
         if report.packs_written > 0 {
-            obs.compactions.inc();
+            store.lru.obs.compactions.inc();
         }
         Ok(report)
     }
 
-    /// **Pack garbage collection**: rewrite every pack whose dead-blob
-    /// ratio — bytes belonging to evicted runs, over the pack's file
-    /// size — exceeds the configured threshold.
-    pub(crate) fn gc_packs<S: SpecLabeling>(
-        &self,
-        store: &LabelStore<S>,
-    ) -> Result<PackGcReport, ServiceError> {
-        let obs = &store.lru.obs;
-        let ratio = self.gc_dead_ratio;
-        let r = self
-            .rewrite_packs(store, "pack_gc", &obs.h_pack_gc, |f| {
-                f.size > 0 && f.dead() as f64 / f.size as f64 > ratio
-            })
-            .map_err(|e| ServiceError::PackGc(e.to_string()))?;
-        obs.pack_gc_runs.add(r.runs_packed as u64);
-        Ok(PackGcReport {
-            packs_rewritten: r.files_before + r.packs_written - r.files_after,
-            runs_moved: r.runs_packed,
-            bytes_before: r.bytes_before,
-            bytes_after: r.bytes_after,
-            dead_bytes_reclaimed: r.dead_bytes_reclaimed,
-        })
-    }
-
-    /// The one rewrite pass behind compaction and pack GC, reported in
-    /// compaction's terms (the GC report is a view of it). Victim files
+    /// The rewrite pass behind [`Self::compact`]. Victim files
     /// are copied whole or not at all: a file with a blob that fails to
     /// read back is left exactly as it was. Memory is bounded — blobs
     /// stream through one pack buffer (≤ [`PACK_TARGET_BYTES`] and
@@ -408,13 +342,10 @@ impl SpillDir {
     /// taken before keeps its mapping past the unlink. Every exit sweeps
     /// orphans, so a pass with nothing to rewrite still reclaims the
     /// packs of evicted runs and crash leftovers. A pass that rewrote
-    /// something is traced as one `kind` span into `hist`.
+    /// something is traced as one `compaction` span.
     fn rewrite_packs<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
-        kind: &'static str,
-        hist: &Histogram,
-        is_victim: impl Fn(&FileStat) -> bool,
     ) -> Result<CompactionReport, SnapshotError> {
         let obs = &store.lru.obs;
         let span = obs.timer();
@@ -431,7 +362,10 @@ impl SpillDir {
             runs_packed: 0,
             packs_written: 0,
         };
-        let mut victims: Vec<FileStat> = files.into_iter().filter(is_victim).collect();
+        let mut victims: Vec<FileStat> = files
+            .into_iter()
+            .filter(|f| f.underfull() || f.dead_heavy())
+            .collect();
         if !gains(&victims, 1) {
             self.sweep_orphans(&registered);
             return Ok(out);
@@ -512,8 +446,8 @@ impl SpillDir {
         out.files_after = out.files_before - copied.len() + packs.len();
         out.packs_written = packs.len();
         self.sweep_orphans(&registered);
-        let tier = Some(tier_tag(Tier::Persisted));
-        obs.span(hist, kind, None, tier, span, true, || {
+        let (hist, tier) = (&obs.h_compaction, Some(tier_tag(Tier::Persisted)));
+        obs.span(hist, "compaction", None, tier, span, true, || {
             format!(
                 "files={}->{} runs={} reclaimed={}",
                 out.files_before, out.files_after, out.runs_packed, out.dead_bytes_reclaimed
@@ -525,9 +459,11 @@ impl SpillDir {
     /// Delete pack files none of `registered` — the pass's snapshot of
     /// the store's registrations, at the places they have by now —
     /// references: blobs of evicted runs, and leftovers of a crash
-    /// between a pack/manifest write and the old-file deletion. Runs
-    /// under the manifest lock the snapshot was taken under, so no spill
-    /// has registered a pack since.
+    /// between a pack/manifest write and the old-file deletion — among
+    /// them the `*.tmp` file of a replace the crash cut short. Runs
+    /// under the manifest lock the snapshot was taken under and every
+    /// write takes, so no spill has registered a pack since and no temp
+    /// file is in flight.
     fn sweep_orphans(&self, registered: &[Arc<PersistedRun>]) {
         let referenced: HashSet<PathBuf> = registered
             .iter()
@@ -537,47 +473,38 @@ impl SpillDir {
             return;
         };
         for entry in dir.flatten() {
-            let is_pack = entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| snapshot::pack_file_seq(n).is_some());
-            if is_pack && !referenced.contains(&entry.path()) {
+            let orphan = entry.file_name().to_str().is_some_and(|n| {
+                n.ends_with(".tmp")
+                    || (snapshot::pack_file_seq(n).is_some() && !referenced.contains(&entry.path()))
+            });
+            if orphan {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
     }
 
-    /// One pass of the directory's own policy: compact once
-    /// `compact_after` underfull files pile up, and GC dead-heavy packs
-    /// when `gc` is on. The file census only reruns after a spill, a
+    /// One pass of the directory's own policy: run [`Self::compact`]
+    /// once `compact_after` underfull files have piled up or any file is
+    /// dead-heavy. The file census only reruns after a spill, a
     /// compaction or an eviction changed the directory since the last
     /// pass. Returns what failed.
     pub(crate) fn apply_policy<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
         compact_after: Option<usize>,
-        gc: bool,
-    ) -> Vec<ServiceError> {
-        let mut errors = Vec::new();
-        if compact_after.is_none() && !gc {
-            return errors;
-        }
+    ) -> Option<ServiceError> {
+        let threshold = compact_after?;
         let obs = &store.lru.obs;
         let stamp = obs.spills.get().wrapping_add(obs.compactions.get());
         if self.policy_stamp.swap(stamp, Ordering::Relaxed) == stamp {
-            return errors;
+            return None;
         }
-        if let Some(threshold) = compact_after {
-            let underfull = group_by_file(&registrations(store))
-                .filter(|f| f.runs.len() < MIN_PACK_RUNS)
-                .count();
-            if underfull >= threshold.max(2) {
-                errors.extend(self.compact(store).err());
-            }
+        let files = file_stats(&registrations(store));
+        let underfull = files.iter().filter(|f| f.underfull()).count();
+        if underfull >= threshold.max(2) || files.iter().any(FileStat::dead_heavy) {
+            self.compact(store).err()
+        } else {
+            None
         }
-        if gc {
-            errors.extend(self.gc_packs(store).err());
-        }
-        errors
     }
 }

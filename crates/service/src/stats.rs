@@ -106,11 +106,8 @@ pub struct ServiceStats {
     /// Cumulative persisted blobs pinned in (first resolve against the
     /// mapping, or re-residency after a `madvise` shed).
     pub pack_pins: u64,
-    /// Live runs moved by pack garbage collection (rewrites of packs
-    /// whose dead-blob ratio crossed the GC threshold).
-    pub pack_gc_runs: u64,
     /// Bytes inside current pack files owned by the (dead) blobs of
-    /// evicted runs — what pack GC exists to reclaim.
+    /// evicted runs — what a dead-heavy rewrite exists to reclaim.
     pub pack_dead_bytes: u64,
     /// Pack bytes currently mmap'd by the buffer manager (virtual
     /// reservation; resident pages are governed by the LRU).
@@ -174,7 +171,6 @@ struct TierFootprint {
     segment_loads: u64,
     segment_sheds: u64,
     pack_pins: u64,
-    pack_gc_runs: u64,
     pack_dead_bytes: u64,
     mapped_bytes: u64,
     hot_label_bits: u64,
@@ -256,7 +252,6 @@ impl ServiceStats {
             segment_loads: self.segment_loads,
             segment_sheds: self.segment_sheds,
             pack_pins: self.pack_pins,
-            pack_gc_runs: self.pack_gc_runs,
             pack_dead_bytes: self.pack_dead_bytes,
             mapped_bytes: self.mapped_bytes,
             hot_label_bits: self.label_bits_total,

@@ -146,7 +146,6 @@ pub(crate) struct Telemetry {
     pub compactions: Counter,
     pub segment_sheds: Counter,
     pub pack_pins: Counter,
-    pub pack_gc_runs: Counter,
     pub skl_relabeled: Counter,
     pub skl_bits_total: Counter,
     pub skl_drl_bits_total: Counter,
@@ -183,7 +182,6 @@ pub(crate) struct Telemetry {
     pub h_skl_build: Arc<Histogram>,
     pub h_spill: Arc<Histogram>,
     pub h_pack_pin: Arc<Histogram>,
-    pub h_pack_gc: Arc<Histogram>,
     pub h_reheat: Arc<Histogram>,
     pub h_compaction: Arc<Histogram>,
     pub h_reach: Arc<Histogram>,
@@ -236,10 +234,6 @@ impl Telemetry {
             pack_pins: counter(
                 "wf_pack_pins_total",
                 "persisted blobs pinned in (first resolve or re-residency)",
-            ),
-            pack_gc_runs: counter(
-                "wf_pack_gc_runs_total",
-                "live runs moved by pack garbage collection",
             ),
             skl_relabeled: counter("wf_skl_relabeled_total", "frozen runs relabeled with SKL"),
             skl_bits_total: counter("wf_skl_bits_total", "total SKL label bits"),
@@ -314,7 +308,6 @@ impl Telemetry {
                 "wf_pack_pin_ns",
                 "first pin of a persisted blob (map + verify + resolve)",
             ),
-            h_pack_gc: hist("wf_pack_gc_ns", "one pack garbage-collection pass"),
             h_reheat: hist(
                 "wf_reheat_ns",
                 "persisted run promoted back to a resident tier (frozen or hot)",

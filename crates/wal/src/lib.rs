@@ -31,6 +31,16 @@
 //!   compacts the shard in place, dropping every record of checkpointed
 //!   runs — the log retains only the non-checkpointed suffix, keeping
 //!   recovery time proportional to hot state, not history.
+//! - **The disk idioms, once each.** Everything the engine keeps on disk
+//!   is either an append to a log or an immutable blob whose *name* is
+//!   swapped atomically. [`WalWriter::append`] is the one append body:
+//!   whatever the policy, *a failed append leaves the shard buffer as it
+//!   found it* — the rejected record's frame is never written later.
+//!   [`replace_file`] is the one crash-safe replace (the shard rewrites
+//!   here, every pack and manifest of the service's spill directory):
+//!   the path holds *its old contents or the new ones, and no temp file
+//!   is left behind* by a replace that returned. [`fsync_dir`] is the one
+//!   directory fsync and [`fnv1a`] the one checksum.
 //!
 //! The crate is dependency-free; telemetry flows out through the
 //! [`WalObserver`] trait so the service can bridge into its registry
@@ -39,7 +49,7 @@
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,8 +72,9 @@ pub const GROUP_COMMIT_BYTE_BUDGET: usize = 256 * 1024;
 /// they are durable in a segment and can never re-ingest).
 pub const CHECKPOINT_SEQ: u64 = u64::MAX;
 
-/// FNV-1a over a byte slice — same polynomial as the segment format, so
-/// the two on-disk formats share corruption-detection behaviour.
+/// FNV-1a over a byte slice — the integrity check of WAL frames and of
+/// the service's segment blobs, so the two on-disk formats share
+/// corruption-detection behaviour.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -244,10 +255,45 @@ fn is_shard_file(name: &str) -> bool {
     name.starts_with("wal-") && name.ends_with(".wflog")
 }
 
-/// fsync a directory so renames inside it are durable.
-fn fsync_dir(dir: &Path) -> Result<(), WalError> {
-    let f = File::open(dir).map_err(|e| io_err("open dir", dir, &e))?;
-    f.sync_all().map_err(|e| io_err("fsync dir", dir, &e))
+/// The step of a [`replace_file`] that failed, and how.
+#[derive(Debug)]
+pub struct ReplaceError {
+    /// `"create"`, `"write"`, `"fsync"` or `"rename"`.
+    pub op: &'static str,
+    pub source: io::Error,
+}
+
+/// Crash-safe replace: write `bytes` to a temp file next to `path`,
+/// fsync it, and rename it over `path` — a reader (or a crash) sees the
+/// old contents or the new, never a mix. The temp file is removed on any
+/// failure; one a crash strands ends in `.tmp`, which is what the sweeps
+/// of the directories' owners look for. The rename is durable once the
+/// caller has [`fsync_dir`]ed the directory.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), ReplaceError> {
+    let step = |op| move |source| ReplaceError { op, source };
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.tmp"));
+    let replaced = (|| {
+        let mut f = File::create(&tmp).map_err(step("create"))?;
+        f.write_all(bytes).map_err(step("write"))?;
+        f.sync_all().map_err(step("fsync"))?;
+        fs::rename(&tmp, path).map_err(step("rename"))
+    })();
+    if replaced.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    replaced
+}
+
+/// Fsync `dir` so a rename inside it survives a crash. On non-unix
+/// platforms directory handles cannot be opened for sync; the rename
+/// alone is the best available guarantee there.
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +454,8 @@ struct ShardFile {
     file: File,
     /// Bytes written through to the OS (not counting `buf`).
     len: u64,
-    /// Group-commit user-space buffer; empty under `Always`/`Never`.
+    /// Frames encoded but not yet written through: the group-commit
+    /// batch; empty between appends under `Always`/`Never`.
     buf: Vec<u8>,
 }
 
@@ -543,83 +590,10 @@ impl WalWriter {
                 })
             })
             .collect::<Result<Vec<_>, WalError>>()?;
-        Self::start(dir, shards.into_boxed_slice(), policy, obs)
-    }
-
-    /// Rewrite the WAL directory from scratch: shard `records` across
-    /// `shards` files via `route` (run id → shard index), durably
-    /// replace the old files, delete any stale shard/temp files, then
-    /// open for appending. This is how recovery normalizes the log —
-    /// it drops checkpointed history and re-homes records when the
-    /// worker count changed across restarts.
-    pub fn reset(
-        dir: &Path,
-        shards: usize,
-        policy: WalSync,
-        obs: Box<dyn WalObserver>,
-        records: &[Record],
-        route: impl Fn(u64) -> usize,
-    ) -> Result<Self, WalError> {
-        fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
-        let shards = shards.max(1);
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); shards];
-        for rec in records {
-            rec.encode_into(&mut bufs[route(rec.run) % shards]);
-        }
-        // Durable-replace each shard file: tmp → fsync → rename.
-        for (i, buf) in bufs.iter().enumerate() {
-            let final_path = dir.join(shard_file_name(i));
-            let tmp_path = dir.join(format!("{}.tmp", shard_file_name(i)));
-            let mut f = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, &e))?;
-            f.write_all(buf)
-                .map_err(|e| io_err("write", &tmp_path, &e))?;
-            f.sync_data().map_err(|e| io_err("fsync", &tmp_path, &e))?;
-            fs::rename(&tmp_path, &final_path).map_err(|e| io_err("rename", &tmp_path, &e))?;
-        }
-        // Drop shard files beyond the new count and orphaned temp files.
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let stale = name.ends_with(".tmp")
-                    || (is_shard_file(name) && !(0..shards).any(|i| shard_file_name(i) == name));
-                if stale {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
-        fsync_dir(dir)?;
-        obs.lifecycle(
-            "wal_reset",
-            format!("shards={shards} records={}", records.len()),
-        );
-        let shards = (0..shards)
-            .map(|i| {
-                let path = dir.join(shard_file_name(i));
-                let (file, len) = WalInner::open_append(&path)?;
-                Ok(Shard {
-                    path,
-                    state: Mutex::new(ShardFile {
-                        file,
-                        len,
-                        buf: Vec::new(),
-                    }),
-                })
-            })
-            .collect::<Result<Vec<_>, WalError>>()?;
-        Self::start(dir, shards.into_boxed_slice(), policy, obs)
-    }
-
-    fn start(
-        dir: &Path,
-        shards: Box<[Shard]>,
-        policy: WalSync,
-        obs: Box<dyn WalObserver>,
-    ) -> Result<Self, WalError> {
         let inner = Arc::new(WalInner {
             dir: dir.to_path_buf(),
             policy,
-            shards,
+            shards: shards.into_boxed_slice(),
             obs,
             commit: Mutex::new(CommitState {
                 requested: 0,
@@ -650,6 +624,51 @@ impl WalWriter {
         })
     }
 
+    /// Rewrite the WAL directory from scratch: shard `records` across
+    /// `shards` files via `route` (run id → shard index), durably
+    /// replace the old files, delete any stale shard/temp files, then
+    /// open for appending. This is how recovery normalizes the log —
+    /// it drops checkpointed history and re-homes records when the
+    /// worker count changed across restarts.
+    pub fn reset(
+        dir: &Path,
+        shards: usize,
+        policy: WalSync,
+        obs: Box<dyn WalObserver>,
+        records: &[Record],
+        route: impl Fn(u64) -> usize,
+    ) -> Result<Self, WalError> {
+        fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
+        let shards = shards.max(1);
+        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); shards];
+        for rec in records {
+            rec.encode_into(&mut bufs[route(rec.run) % shards]);
+        }
+        for (i, buf) in bufs.iter().enumerate() {
+            let path = dir.join(shard_file_name(i));
+            replace_file(&path, buf).map_err(|e| io_err(e.op, &path, &e.source))?;
+        }
+        // Drop shard files beyond the new count and the temp files a
+        // crashed replace left behind.
+        if let Ok(entries) = fs::read_dir(dir) {
+            for entry in entries.filter_map(Result::ok) {
+                let name = entry.file_name();
+                let Some(name) = name.to_str() else { continue };
+                let stale = name.ends_with(".tmp")
+                    || (is_shard_file(name) && !(0..shards).any(|i| shard_file_name(i) == name));
+                if stale {
+                    let _ = fs::remove_file(entry.path());
+                }
+            }
+        }
+        fsync_dir(dir).map_err(|e| io_err("fsync dir", dir, &e))?;
+        obs.lifecycle(
+            "wal_reset",
+            format!("shards={shards} records={}", records.len()),
+        );
+        Self::open(dir, shards, policy, obs)
+    }
+
     /// Number of shard files.
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -665,7 +684,12 @@ impl WalWriter {
     /// Append one record to `shard`. Under `Always` the record is
     /// durable on return; under `GroupCommit` it is durable after the
     /// next committer pass or [`barrier`](Self::barrier); under `Never`
-    /// it is in the OS page cache.
+    /// it is in the OS page cache. Every policy encodes the record
+    /// straight into the shard's buffer and differs only in what follows
+    /// under the same shard lock; on an error the buffer is cut back to
+    /// where this record began, so a rejected record is never written
+    /// later (frames buffered before it belong to applied ops and stay
+    /// for the committer to retry).
     pub fn append(&self, shard: usize, rec: &Record) -> Result<(), WalError> {
         let inner = &self.inner;
         let shard_ref = &inner.shards[shard % inner.shards.len()];
@@ -673,36 +697,27 @@ impl WalWriter {
         let frame_len = rec.encoded_len() as u64;
         {
             let mut f = shard_ref.state.lock().expect("wal shard lock poisoned");
-            match inner.policy {
-                WalSync::Always => {
-                    let mut frame = Vec::with_capacity(rec.encoded_len());
-                    rec.encode_into(&mut frame);
-                    f.file
-                        .write_all(&frame)
-                        .map_err(|e| io_err("write", &shard_ref.path, &e))?;
-                    f.len += frame.len() as u64;
+            let mark = f.buf.len();
+            rec.encode_into(&mut f.buf);
+            let written = match inner.policy {
+                WalSync::Always => f.flush_buf(&shard_ref.path).and_then(|()| {
                     let fsync_start = Instant::now();
                     f.file
                         .sync_data()
                         .map_err(|e| io_err("fsync", &shard_ref.path, &e))?;
                     inner.obs.fsync(fsync_start.elapsed().as_nanos() as u64);
+                    Ok(())
+                }),
+                WalSync::Never => f.flush_buf(&shard_ref.path),
+                // The fsync still waits for the committer.
+                WalSync::GroupCommit { .. } if f.buf.len() >= GROUP_COMMIT_BYTE_BUDGET => {
+                    f.flush_buf(&shard_ref.path)
                 }
-                WalSync::GroupCommit { .. } => {
-                    // Encode straight into the shard buffer: the hot
-                    // path is one memcpy, no per-record allocation.
-                    rec.encode_into(&mut f.buf);
-                    if f.buf.len() >= GROUP_COMMIT_BYTE_BUDGET {
-                        f.flush_buf(&shard_ref.path)?;
-                    }
-                }
-                WalSync::Never => {
-                    let mut frame = Vec::with_capacity(rec.encoded_len());
-                    rec.encode_into(&mut frame);
-                    f.file
-                        .write_all(&frame)
-                        .map_err(|e| io_err("write", &shard_ref.path, &e))?;
-                    f.len += frame.len() as u64;
-                }
+                WalSync::GroupCommit { .. } => Ok(()),
+            };
+            if let Err(e) = written {
+                f.buf.truncate(mark);
+                return Err(e);
             }
         }
         if matches!(inner.policy, WalSync::GroupCommit { .. }) {
@@ -818,14 +833,9 @@ impl WalWriter {
                 rec.encode_into(&mut buf);
             }
         }
-        let tmp_path = shard_ref.path.with_extension("wflog.tmp");
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, &e))?;
-        tmp.write_all(&buf)
-            .map_err(|e| io_err("write", &tmp_path, &e))?;
-        tmp.sync_data()
-            .map_err(|e| io_err("fsync", &tmp_path, &e))?;
-        fs::rename(&tmp_path, &shard_ref.path).map_err(|e| io_err("rename", &tmp_path, &e))?;
-        fsync_dir(&inner.dir)?;
+        replace_file(&shard_ref.path, &buf)
+            .map_err(|e| io_err(e.op, &shard_ref.path, &e.source))?;
+        fsync_dir(&inner.dir).map_err(|e| io_err("fsync dir", &inner.dir, &e))?;
         let (file, len) = WalInner::open_append(&shard_ref.path)?;
         f.file = file;
         f.len = len;
@@ -968,17 +978,29 @@ mod tests {
         for policy in [
             WalSync::Always,
             WalSync::GroupCommit {
-                window: Duration::from_millis(1),
+                window: Duration::from_secs(3600), // only the barrier runs a pass
             },
             WalSync::Never,
         ] {
             let dir = TempDir::new("roundtrip");
             let w = WalWriter::open(dir.path(), 2, policy, Box::new(NullObserver)).unwrap();
-            w.append(0, &rec(RecordKind::RunOpen, 1, 0, &[7, 7]))
-                .unwrap();
-            w.append(0, &rec(RecordKind::Event, 1, 1, b"payload"))
-                .unwrap();
-            w.append(1, &rec(RecordKind::Event, 2, 1, &[])).unwrap();
+            // `Always` and `Never` write each frame through on append;
+            // group commit holds it in the shard buffer until a pass.
+            let mut on_disk = [0u64; 2];
+            for (shard, r) in [
+                (0, rec(RecordKind::RunOpen, 1, 0, &[7, 7])),
+                (0, rec(RecordKind::Event, 1, 1, b"payload")),
+                (1, rec(RecordKind::Event, 2, 1, &[])),
+            ] {
+                w.append(shard, &r).unwrap();
+                if !matches!(policy, WalSync::GroupCommit { .. }) {
+                    on_disk[shard] += r.encoded_len() as u64;
+                }
+                let len = std::fs::metadata(dir.path().join(shard_file_name(shard)))
+                    .unwrap()
+                    .len();
+                assert_eq!(len, on_disk[shard], "{policy:?} shard {shard}");
+            }
             w.barrier().unwrap();
             w.shutdown();
             let rec0 = recover(dir.path()).unwrap();
@@ -1136,6 +1158,69 @@ mod tests {
             other => panic!("a barrier over a failed write returned {other:?}"),
         }
         assert_eq!(reported.load(Ordering::SeqCst), 1);
+    }
+
+    /// A rejected append must not be written later: the caller was told
+    /// the op failed (and may retry it), so its frame may not reach the
+    /// log on the next pass that succeeds. The shard file is `/dev/full`,
+    /// so every write-through gets `ENOSPC`.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_append_leaves_no_frame_behind() {
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        let open = |policy| {
+            let dir = TempDir::new("devfull-append");
+            std::os::unix::fs::symlink("/dev/full", dir.path().join(shard_file_name(0))).unwrap();
+            let w = WalWriter::open(dir.path(), 1, policy, Box::new(NullObserver)).unwrap();
+            (dir, w)
+        };
+        let buffered = |w: &WalWriter| w.inner.shards[0].state.lock().unwrap().buf.len();
+        // Group commit: the third 100 KiB record crosses the byte budget,
+        // its inline write-through fails, and only the two frames of the
+        // appends that succeeded stay buffered.
+        let (_dir, w) = open(WalSync::GroupCommit {
+            window: Duration::from_secs(3600),
+        });
+        let big = rec(RecordKind::Event, 3, 0, &[0xCC; 100 * 1024]);
+        w.append(0, &big).unwrap();
+        w.append(0, &big).unwrap();
+        match w.append(0, &big) {
+            Err(WalError::Io(e)) => assert!(e.contains("write"), "{e}"),
+            other => panic!("an append past the budget onto a full disk returned {other:?}"),
+        }
+        assert_eq!(buffered(&w), 2 * big.encoded_len());
+        for policy in [WalSync::Always, WalSync::Never] {
+            let (_dir, w) = open(policy);
+            assert!(w.append(0, &rec(RecordKind::Event, 3, 0, &[1])).is_err());
+            assert_eq!(buffered(&w), 0, "{policy:?}");
+        }
+    }
+
+    /// A replace that fails leaves the target as it was and no temp file
+    /// behind, and the next replace in the directory works.
+    #[test]
+    fn a_failed_replace_removes_its_temp_file() {
+        let dir = TempDir::new("replace");
+        let squatter = dir.path().join("blob");
+        std::fs::create_dir(&squatter).unwrap();
+        std::fs::write(squatter.join("inside"), b"x").unwrap();
+        let err = replace_file(&squatter, b"new contents").unwrap_err();
+        assert_eq!(err.op, "rename", "{err:?}");
+        let names: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["blob"], "no temp file left");
+        assert!(squatter.join("inside").exists());
+
+        let free = dir.path().join("free");
+        replace_file(&free, b"first").unwrap();
+        replace_file(&free, b"second").unwrap();
+        fsync_dir(dir.path()).unwrap();
+        assert_eq!(std::fs::read(&free).unwrap(), b"second");
+        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 2);
     }
 
     #[test]

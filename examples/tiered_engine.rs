@@ -229,7 +229,7 @@ fn main() {
     drop(engine);
     let _ = std::fs::remove_dir_all(&wal);
 
-    // ---- Act 3: shed → cold scan → pack GC (the buffer manager). ----
+    // ---- Act 3: shed → cold scan → dead-heavy rewrite (the buffer manager). ----
     //
     // A fleet is persisted and packed, then the engine is dropped — the
     // next build starts fully cold, nothing mapped. The cross-run scan
@@ -238,8 +238,9 @@ fn main() {
     // replacer sheds pages by `madvise` under the resident budget.
     // Re-heating half the fleet to the **hot** tier strands nothing —
     // a re-heated run keeps its blob — but evicting a third of the
-    // fleet does: enough dead blobs for pack GC to rewrite the pack and
-    // shrink the directory. The `pack_gc` JSON line is the CI artifact.
+    // fleet does: enough dead blobs for `compact()` to rewrite the pack
+    // without them and shrink the directory. Its `compaction` JSON line
+    // (the second of this example) is the CI artifact.
     let spill = std::env::temp_dir().join(format!("wf-tiered-bufmgr-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spill);
     let spec = wf_spec::corpus::bioaid_nonrecursive();
@@ -301,15 +302,15 @@ fn main() {
         engine.evict_run(*run).expect("registered run evicts");
     }
     let dead = engine.stats().pack_dead_bytes;
-    // …then let pack GC rewrite the pack without them.
+    // …then let compaction rewrite the dead-heavy pack without them.
     let disk_before: u64 = std::fs::read_dir(&spill)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().is_some_and(|x| x == "wfseg"))
         .map(|e| e.metadata().unwrap().len())
         .sum();
-    let gc = engine.gc_packs().expect("spill dir configured");
-    println!("{}", gc.json());
+    let report = engine.compact().expect("spill dir configured");
+    println!("{}", report.json());
     let disk_after: u64 = std::fs::read_dir(&spill)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -317,14 +318,17 @@ fn main() {
         .map(|e| e.metadata().unwrap().len())
         .sum();
     assert_eq!(
-        gc.dead_bytes_reclaimed, dead,
+        report.dead_bytes_reclaimed, dead,
         "a third of the pack was dead"
     );
-    assert!(disk_after < disk_before, "GC shrinks the spill dir");
+    assert!(
+        disk_after < disk_before,
+        "the rewrite shrinks the spill dir"
+    );
     println!(
-        "pack GC: {dead} dead B across packs → rewrote {} pack(s), \
+        "dead-heavy rewrite: {dead} dead B across packs → wrote {} pack(s), \
          moved {} runs, disk {disk_before} B → {disk_after} B",
-        gc.packs_rewritten, gc.runs_moved,
+        report.packs_written, report.runs_packed,
     );
     // Survivors still answer after the rewrite, hot returnees from
     // their rebuilt indexes.

@@ -1,5 +1,5 @@
 //! Buffer-manager read path: packs mapped at first pin (packs of one
-//! straight out of a spill included), pack garbage collection under
+//! straight out of a spill included), rewrites of dead-heavy packs under
 //! concurrent scans, hot re-heating, and the compaction byte-accounting
 //! regression.
 //!
@@ -52,10 +52,23 @@ fn persist_fleet(
     n: usize,
     rng: &mut StdRng,
 ) -> Vec<FleetRun> {
+    persist_fleet_of(engine, spec, n, 40, rng)
+}
+
+/// [`persist_fleet`] with the runs' target size chosen.
+fn persist_fleet_of(
+    engine: &WfEngine,
+    spec: &Specification,
+    n: usize,
+    target_size: usize,
+    rng: &mut StdRng,
+) -> Vec<FleetRun> {
     let mut fleet = Vec::new();
     for _ in 0..n {
         let run = engine.open_run(SpecId(0)).unwrap();
-        let gen = RunGenerator::new(spec).target_size(40).generate_run(rng);
+        let gen = RunGenerator::new(spec)
+            .target_size(target_size)
+            .generate_run(rng);
         let exec = Execution::deterministic(&gen.graph, &gen.origin);
         let mut naive = NaiveDynamicDag::new();
         for ev in exec.events() {
@@ -89,7 +102,7 @@ fn assert_answers(engine: &WfEngine, fleet: &[FleetRun]) {
 }
 
 /// Sum of `.wfseg` file sizes in the spill dir (the on-disk footprint
-/// pack GC exists to shrink).
+/// a dead-heavy rewrite exists to shrink).
 fn wfseg_bytes(dir: &PathBuf) -> u64 {
     std::fs::read_dir(dir)
         .unwrap()
@@ -317,7 +330,8 @@ fn resident_bytes_follow_a_registration_through_reheat_and_relocation() {
 
 /// A pass with nothing to rewrite still sweeps: the pack of an evicted
 /// run — referenced by no manifest line and no registration — is gone
-/// after `compact()`, and so is a crash leftover.
+/// after `compact()`, and so are a crash's leftovers: a pack no manifest
+/// lists and the temp file of a replace that never got to its rename.
 #[test]
 fn a_pass_with_no_victims_still_sweeps_orphans() {
     let dir = TempDir::new("sweep");
@@ -331,6 +345,8 @@ fn a_pass_with_no_victims_still_sweeps_orphans() {
     engine.evict_run(fleet[0].0).unwrap();
     let leftover = dir.0.join("pack-999.wfseg");
     std::fs::write(&leftover, b"a pack no manifest ever listed").unwrap();
+    let leftover_tmp = dir.0.join(".pack-998.wfseg.tmp");
+    std::fs::write(&leftover_tmp, b"half a pack").unwrap();
     let kept = blob_sizes(&dir.0)
         .iter()
         .find(|(r, _)| *r == fleet[1].0)
@@ -341,12 +357,17 @@ fn a_pass_with_no_victims_still_sweeps_orphans() {
     let report = engine.compact().unwrap();
     assert_eq!(report.packs_written, 0, "one live file: nothing to merge");
     assert!(!leftover.exists());
+    assert!(!leftover_tmp.exists());
     assert_eq!(
         wfseg_bytes(&dir.0),
         kept,
         "only the live run's pack remains"
     );
-    assert_eq!(engine.gc_packs().unwrap().packs_rewritten, 0);
+    assert_eq!(
+        engine.compact().unwrap().packs_written,
+        0,
+        "a second pass writes nothing"
+    );
     assert_answers(&engine, &fleet[1..]);
 }
 
@@ -559,12 +580,13 @@ fn recompaction_reports_dead_bytes_separately() {
     assert_answers(&engine, &survivors);
 }
 
-/// Pack GC honors the dead-ratio threshold, shrinks the on-disk
-/// footprint when it fires, and survivors answer exactly — including
-/// through a fresh engine over the rewritten manifest.
+/// Compaction drops the blobs of evicted runs out of an underfull pack
+/// whatever their share of it, shrinks the on-disk footprint by exactly
+/// the dead bytes, and survivors answer exactly — including through a
+/// fresh engine over the rewritten manifest.
 #[test]
-fn pack_gc_shrinks_disk_above_threshold() {
-    let dir = TempDir::new("gc");
+fn compaction_drops_dead_blobs_and_shrinks_the_disk() {
+    let dir = TempDir::new("dead-blobs");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(31);
     let engine: WfEngine = WfEngine::builder()
@@ -575,38 +597,41 @@ fn pack_gc_shrinks_disk_above_threshold() {
     let mut sizes = blob_sizes(&dir.0);
     engine.compact().unwrap();
 
-    // Evict the smallest member: dead ratio ≤ 1/6, below the 0.3
-    // default — GC must leave the pack alone.
+    // Evict the smallest member: dead ratio ≤ 1/6, below the 0.3 that
+    // makes a pack dead-heavy — but a pack of five is underfull, and an
+    // underfull pack with dead bytes is rewritten without them.
     sizes.sort_by_key(|(_, size)| *size);
-    let (smallest, _) = sizes[0];
+    let (smallest, smallest_bytes) = sizes[0];
     engine.evict_run(smallest).unwrap();
-    let quiet = engine.gc_packs().unwrap();
-    assert_eq!(quiet.packs_rewritten, 0);
-    assert_eq!(quiet.bytes_after, quiet.bytes_before);
-    assert_eq!(quiet.dead_bytes_reclaimed, 0);
+    let first = engine.compact().unwrap();
+    assert_eq!((first.packs_written, first.runs_packed), (1, 5));
+    assert_eq!(first.dead_bytes_reclaimed, smallest_bytes);
+    assert_eq!(
+        first.bytes_after,
+        first.bytes_before - first.dead_bytes_reclaimed
+    );
 
-    // Evict the two largest as well: dead ratio ≥ 3/6 — GC fires.
+    // Evict the two largest as well: dead ratio ≥ 2/5.
     for (run, _) in sizes.iter().rev().take(2) {
         engine.evict_run(*run).unwrap();
     }
     let disk_before = wfseg_bytes(&dir.0);
     assert!(engine.stats().pack_dead_bytes > 0);
-    let report = engine.gc_packs().unwrap();
-    assert_eq!(report.packs_rewritten, 1);
-    assert_eq!(report.runs_moved, 3);
+    let report = engine.compact().unwrap();
+    assert_eq!(report.packs_written, 1);
+    assert_eq!(report.runs_packed, 3);
     assert!(report.dead_bytes_reclaimed > 0);
     assert_eq!(
         report.bytes_after,
         report.bytes_before - report.dead_bytes_reclaimed
     );
     assert!(wfseg_bytes(&dir.0) < disk_before, "the rewrite shrank disk");
-    assert_eq!(engine.stats().pack_gc_runs, 3);
     assert_eq!(
         engine.stats().pack_dead_bytes,
         0,
-        "no dead bytes survive GC"
+        "no dead bytes survive the rewrite"
     );
-    assert!(report.json().contains("\"metric\":\"pack_gc\""));
+    assert!(report.json().contains("\"metric\":\"compaction\""));
 
     let survivors: Vec<FleetRun> = fleet
         .into_iter()
@@ -620,6 +645,79 @@ fn pack_gc_shrinks_disk_above_threshold() {
     let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
     assert_eq!(reloaded.stats().runs_persisted, 3);
     assert_answers(&reloaded, &survivors);
+}
+
+/// The dead-byte share decides only for a **full** pack (an underfull
+/// one is a victim anyway): a pack of 96 with 3 members evicted is left
+/// alone, bytes and all; once more than `DEAD_HEAVY_RATIO` of its bytes
+/// are dead — the survivors still a full pack's worth — the next pass
+/// rewrites exactly that pack, and the pass after it writes nothing.
+#[test]
+fn a_full_pack_is_rewritten_only_once_it_is_dead_heavy() {
+    use wf_service::snapshot::{DEAD_HEAVY_RATIO, MIN_PACK_RUNS};
+    let dir = TempDir::new("dead-heavy");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(96);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let mut fleet = persist_fleet_of(&engine, &spec, 96, 20, &mut rng);
+    let first = engine.compact().unwrap();
+    assert_eq!((first.packs_written, first.files_after), (1, 1));
+    let pack_bytes = wfseg_bytes(&dir.0);
+    let mut sizes = blob_sizes(&dir.0);
+    sizes.sort_by_key(|(_, size)| *size);
+    let evict = |run: RunId, fleet: &mut Vec<FleetRun>| {
+        engine.evict_run(run).unwrap();
+        fleet.retain(|(r, ..)| *r != run);
+    };
+
+    // The three smallest blobs die: ~3 % of a full pack.
+    let mut dead = 0u64;
+    for (run, size) in sizes.drain(..3) {
+        evict(run, &mut fleet);
+        dead += size;
+    }
+    assert!((dead as f64) < DEAD_HEAVY_RATIO * pack_bytes as f64 / 2.0);
+    let quiet = engine.compact().unwrap();
+    assert_eq!((quiet.packs_written, quiet.runs_packed), (0, 0));
+    assert_eq!(quiet.bytes_after, quiet.bytes_before);
+    assert_eq!(wfseg_bytes(&dir.0), pack_bytes, "the bytes did not move");
+    assert_eq!(engine.stats().pack_dead_bytes, dead);
+
+    // Largest first until the pack is dead-heavy: at most 32 of 96 die.
+    while dead as f64 <= DEAD_HEAVY_RATIO * pack_bytes as f64 {
+        let (run, size) = sizes.pop().unwrap();
+        evict(run, &mut fleet);
+        dead += size;
+    }
+    assert!(
+        fleet.len() >= MIN_PACK_RUNS,
+        "{} survivors: still a full pack",
+        fleet.len()
+    );
+    assert_eq!(engine.stats().pack_dead_bytes, dead);
+    let report = engine.compact().unwrap();
+    assert_eq!(
+        (
+            report.files_before,
+            report.packs_written,
+            report.files_after
+        ),
+        (1, 1, 1)
+    );
+    assert_eq!(report.runs_packed, fleet.len());
+    assert_eq!(report.dead_bytes_reclaimed, dead);
+    assert_eq!(report.bytes_after, pack_bytes - dead);
+    assert_eq!(wfseg_bytes(&dir.0), pack_bytes - dead);
+    assert_eq!(engine.stats().pack_dead_bytes, 0);
+    assert_answers(&engine, &fleet);
+
+    let again = engine.compact().unwrap();
+    assert_eq!(again.packs_written, 0, "nothing left to gain");
+    assert_eq!(again.bytes_after, again.bytes_before);
+    assert_eq!(wfseg_bytes(&dir.0), pack_bytes - dead);
 }
 
 /// The manifest is `run file offset len` lines under its header and
@@ -662,8 +760,8 @@ fn a_manifest_with_or_without_an_epoch_line_loads() {
 
 /// Cross-run label scans racing pack rewrites: scanners hold nothing but
 /// the views they snapshotted, and every rewrite moves the blobs those
-/// views read — a compaction merging fresh spills into the pack, then a
-/// GC pass dropping the blobs of the runs evicted since. Whatever the
+/// views read — a compaction merging fresh spills into the pack, then
+/// one dropping the blobs of the runs evicted since. Whatever the
 /// interleaving, a scan returns for every surviving run exactly the
 /// vertices its event stream published under the name (a run evicted
 /// mid-scan may be missing, never wrong).
@@ -726,7 +824,8 @@ fn label_scans_racing_rewrites_match_the_streams() {
                 }
             });
         }
-        // Twice the survivors' bytes die every round: GC always fires.
+        // Twice the survivors' bytes die every round, out of a pack of
+        // eight: the second pass always rewrites it.
         let mut rewrites = 0;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
         while rewrites < REWRITES || scans.iter().any(|c| c.load(Ordering::Acquire) < SCANS_EACH) {
@@ -750,8 +849,8 @@ fn label_scans_racing_rewrites_match_the_streams() {
             for run in victims {
                 engine.evict_run(run).unwrap();
             }
-            let gc = engine.gc_packs().unwrap();
-            assert_eq!((gc.packs_rewritten, gc.runs_moved), (1, 4));
+            let report = engine.compact().unwrap();
+            assert_eq!((report.packs_written, report.runs_packed), (1, 4));
             rewrites += 1;
         }
         done.store(true, Ordering::Release);
@@ -763,25 +862,24 @@ fn label_scans_racing_rewrites_match_the_streams() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pack GC racing scans, re-heats and queries: readers hold the
-    /// registrations a rewrite relocates in place, so mid-GC answers
-    /// match naive replay exactly (never a miss, never a lie), and the
-    /// settled engine + a reload both stay consistent.
+    /// A dead-heavy rewrite racing scans, re-heats and queries: readers
+    /// hold the registrations a rewrite relocates in place, so answers
+    /// mid-rewrite match naive replay exactly (never a miss, never a
+    /// lie), and the settled engine + a reload both stay consistent.
+    /// The engine has no automatic policy: no background pass exists to
+    /// get to the dead bytes before the explicit ones.
     #[test]
-    fn scans_during_pack_gc_match_replay(seed in 0u64..1_000) {
-        let dir = TempDir::new("gc-race");
+    fn scans_during_a_dead_heavy_rewrite_match_replay(seed in 0u64..1_000) {
+        let dir = TempDir::new("rewrite-race");
         let spec = wf_spec::corpus::running_example();
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(17).wrapping_add(3));
         let engine: WfEngine = WfEngine::builder()
             .spec(spec.clone())
             .spill_dir(&dir.0)
-            // Low threshold so 3 dead blobs of 8 fire GC regardless of
-            // how the per-run blob sizes came out.
-            .pack_gc_dead_ratio(0.15)
             .build();
         let fleet = persist_fleet(&engine, &spec, 8, &mut rng);
         engine.compact().unwrap();
-        // Three dead members out of eight: ratio ≈ 3/8 → GC fires.
+        // Three dead members out of eight: the pass has bytes to drop.
         for (run, ..) in &fleet[..3] {
             engine.evict_run(*run).unwrap();
         }
@@ -791,12 +889,12 @@ proptest! {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..3 {
-                    engine.gc_packs().unwrap();
+                    engine.compact().unwrap();
                 }
             });
             s.spawn(|| {
-                // A run re-heated mid-GC keeps its registration: GC
-                // moves its blob like any other live one.
+                // A run re-heated mid-rewrite keeps its registration:
+                // the pass moves its blob like any other live one.
                 let _ = engine.reheat_run(survivor_ids[0]);
             });
             s.spawn(|| {
@@ -808,16 +906,16 @@ proptest! {
                     for (run, exec, naive) in survivors {
                         let (u, v) = (exec.events()[0].vertex, exec.events()[2].vertex);
                         let got = engine.reach(*run, u, v).unwrap();
-                        assert_eq!(got, Some(naive.reaches(u, v)), "{run:?} mid-GC");
+                        assert_eq!(got, Some(naive.reaches(u, v)), "{run:?} mid-rewrite");
                     }
                 }
             });
         });
-        // Settled: every survivor answers exactly, and the GC pass (the
-        // first one to win the manifest lock) shrank the footprint.
+        // Settled: every survivor answers exactly, and the first pass
+        // shrank the footprint by every dead byte.
         assert_answers(&engine, survivors);
         prop_assert!(wfseg_bytes(&dir.0) < disk_before);
-        prop_assert!(engine.stats().pack_gc_runs > 0);
+        prop_assert_eq!(engine.stats().pack_dead_bytes, 0);
         // The re-heated run kept its manifest line: the reload sees the
         // whole surviving fleet, that run persisted again.
         drop(engine);
