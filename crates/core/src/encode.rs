@@ -20,7 +20,9 @@
 //! search and the only "label at offset" in the workspace.
 
 use crate::entry::{Entry, NodeKind};
-use crate::label::DrlLabel;
+use crate::label::{prefix_array_bytes, DrlLabel};
+use std::collections::HashSet;
+use std::sync::Arc;
 use wf_graph::{NameId, VertexId};
 use wf_spec::GraphId;
 
@@ -235,16 +237,17 @@ pub fn decode_label(bytes: &[u8], skl_bits: usize) -> Option<DrlLabel> {
 }
 
 /// A **borrowed label**: what every reader of a published label takes,
-/// whichever tier holds it. Either the decoded entries of an in-memory
-/// [`DrlLabel`], or the encoded bytes of one label inside an arena
+/// whichever tier holds it. Either an in-memory [`DrlLabel`] — its
+/// shared prefix array and its own entry, lent together — or the
+/// encoded bytes of one label inside an arena
 /// (plus the `skl_bits` they were written with), which an
 /// [`EntryCursor`] turns into the same [`Entry`] values one at a time —
 /// so the predicate ([`crate::DrlPredicate::reaches_ref`]) and the scans
 /// never need an owned label on a read.
 #[derive(Debug, Clone, Copy)]
 pub enum LabelRef<'a> {
-    /// Decoded entries, root first.
-    Entries(&'a [Entry]),
+    /// A decoded label: prefix array plus own entry.
+    Entries(&'a DrlLabel),
     /// One encoded label starting at the first byte (labels are
     /// self-delimiting, so trailing bytes are ignored), and the
     /// skeleton-pointer width it was encoded with.
@@ -252,20 +255,25 @@ pub enum LabelRef<'a> {
 }
 
 impl LabelRef<'_> {
-    /// An owned copy — for the few places that *keep* a label. `None`
-    /// when the bytes do not decode (or the entry list is empty).
+    /// An owned copy — for the few places that *keep* a label: a decoded
+    /// label is cloned (one reference count, the prefix array stays
+    /// shared), encoded bytes are decoded into a private one. `None`
+    /// when the bytes do not decode.
     pub fn to_label(self) -> Option<DrlLabel> {
         match self {
-            LabelRef::Entries(entries) => {
-                (!entries.is_empty()).then(|| DrlLabel::new(entries.to_vec()))
-            }
+            LabelRef::Entries(label) => Some(label.clone()),
             LabelRef::Encoded(bytes, skl_bits) => {
-                let cursor = EntryCursor::new(bytes, skl_bits);
-                let mut entries = Vec::with_capacity(cursor.remaining);
-                for entry in cursor {
-                    entries.push(entry?);
-                }
-                Some(DrlLabel::new(entries))
+                let mut cursor = EntryCursor::new(bytes, skl_bits);
+                // All entries but the last, collected straight into the
+                // prefix allocation (a mapped range knows its length). A
+                // cursor that fails is exhausted, so the stand-ins for
+                // what it could not read never leave this function: no
+                // last entry follows them.
+                let unread = Entry::special(0, NodeKind::L);
+                let prefix = (1..cursor.remaining)
+                    .map(|_| cursor.next().flatten().unwrap_or(unread))
+                    .collect();
+                Some(DrlLabel::from_parts(prefix, cursor.next()??))
             }
         }
     }
@@ -274,10 +282,62 @@ impl LabelRef<'_> {
     /// [`DrlLabel::bit_len`]; `None` when the bytes do not decode.
     pub fn bit_len(self, skl_bits: usize) -> Option<usize> {
         match self {
-            LabelRef::Entries(entries) => Some(entries.iter().map(|e| e.bit_len(skl_bits)).sum()),
+            LabelRef::Entries(label) => Some(label.bit_len(skl_bits)),
             LabelRef::Encoded(bytes, encoded_with) => EntryCursor::new(bytes, encoded_with)
                 .try_fold(0, |bits, e| Some(bits + e?.bit_len(skl_bits))),
         }
+    }
+}
+
+/// Rebuilds the sharing of a run's labels when they are decoded back
+/// into memory: a labeler gives every label of one context node the same
+/// prefix array, the encoding flattens that away, and a label decoded on
+/// its own ([`LabelRef::to_label`]) gets a private array. Fed all labels
+/// of one run, the interner keeps one array per distinct prefix *value*
+/// — at most what the labeler held (sibling contexts with equal prefixes
+/// now share too). The table is local to one rebuild; the labels keep
+/// their arrays alive after it is dropped.
+#[derive(Debug, Default)]
+pub struct LabelInterner {
+    prefixes: HashSet<Arc<[Entry]>>,
+    /// The label being decoded.
+    scratch: Vec<Entry>,
+    prefix_bytes: u64,
+}
+
+impl LabelInterner {
+    /// An owned copy of `label` whose prefix array is shared with every
+    /// equal-prefixed label interned before. `None` when the bytes do
+    /// not decode.
+    pub fn intern(&mut self, label: LabelRef<'_>) -> Option<DrlLabel> {
+        self.scratch.clear();
+        match label {
+            LabelRef::Entries(label) => self.scratch.extend(label.entries()),
+            LabelRef::Encoded(bytes, skl_bits) => {
+                for entry in EntryCursor::new(bytes, skl_bits) {
+                    self.scratch.push(entry?);
+                }
+            }
+        }
+        let last = self.scratch.pop()?;
+        let prefix = match self.prefixes.get(&self.scratch[..]) {
+            Some(known) => Arc::clone(known),
+            None => {
+                let fresh: Arc<[Entry]> = self.scratch[..].into();
+                self.prefix_bytes += prefix_array_bytes(&fresh) as u64;
+                self.prefixes.insert(Arc::clone(&fresh));
+                fresh
+            }
+        };
+        Some(DrlLabel::from_parts(prefix, last))
+    }
+
+    /// Heap bytes of the distinct prefix arrays handed out so far, each
+    /// counted once — the counterpart of
+    /// [`crate::tree::ExplicitTree::label_prefix_bytes`] for a decoded
+    /// run.
+    pub fn prefix_bytes(&self) -> u64 {
+        self.prefix_bytes
     }
 }
 
@@ -768,7 +828,7 @@ mod tests {
         ]);
         let bytes = encode_label(&label, 5);
         let encoded = LabelRef::Encoded(&bytes, 5);
-        assert!(EntryCursor::new(&bytes, 5).eq(label.entries().iter().map(|e| Some(*e))));
+        assert!(EntryCursor::new(&bytes, 5).eq(label.entries().map(|e| Some(*e))));
         assert_eq!(encoded.to_label().as_ref(), Some(&label));
         assert_eq!(encoded.bit_len(5), Some(label.bit_len(5)));
         assert_eq!(label.view().bit_len(5), Some(label.bit_len(5)));
@@ -779,7 +839,6 @@ mod tests {
             .iter()
             .zip(label.entries())
             .all(|(got, want)| got.as_ref() == Some(want)));
-        assert!(LabelRef::Entries(&[]).to_label().is_none());
     }
 
     #[test]
@@ -829,6 +888,31 @@ mod tests {
             arena.footprint_bytes(),
             arena.encoded_bytes() + ArenaSlot::WIRE_BYTES * vertices.len()
         );
+        // Decoded through an interner the labels come back equal, with
+        // one array per distinct prefix value, each counted once; a
+        // borrowed decoded label interns like its bytes.
+        let mut interner = LabelInterner::default();
+        let interned: Vec<DrlLabel> = view
+            .iter()
+            .map(|(v, _, label)| {
+                let owned = interner.intern(label).unwrap();
+                assert_eq!(Some(&owned), labeler.label(v));
+                owned
+            })
+            .collect();
+        let arrays: HashSet<*const [Entry]> = interned
+            .iter()
+            .map(|l| std::ptr::from_ref(l.prefix()))
+            .collect();
+        let values: HashSet<&[Entry]> = interned.iter().map(|l| l.prefix()).collect();
+        assert!(arrays.len() == values.len() && values.len() * 3 < interned.len());
+        let bytes: usize = values.iter().map(|p| prefix_array_bytes(p)).sum();
+        assert_eq!(interner.prefix_bytes(), bytes as u64);
+        let again = interner.intern(labeler.label(vertices[0]).unwrap().view());
+        assert_eq!(again.as_ref(), labeler.label(vertices[0]));
+        assert!(arrays.contains(&std::ptr::from_ref(again.unwrap().prefix())));
+        assert_eq!(interner.prefix_bytes(), bytes as u64);
+        assert!(interner.intern(LabelRef::Encoded(&[], skl_bits)).is_none());
     }
 
     #[test]

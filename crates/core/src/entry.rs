@@ -37,7 +37,7 @@ pub enum NodeKind {
 pub type SklPtr = (GraphId, VertexId);
 
 /// One entry of a DRL label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Entry {
     /// Index of the tree node among its parent's children (root = 0,
     /// children start at 1).

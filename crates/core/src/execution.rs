@@ -29,7 +29,10 @@
 //! runs on placements and the parse tree alone. So the caller holds the
 //! one copy: `wf-service` moves it into its published-label index, and
 //! the borrowed [`ExecutionLabeler`] wrapper keeps it in the table it
-//! answers `label` / `reaches` from.
+//! answers `label` / `reaches` from. What the state does keep is each
+//! context node's *prefix array*, which the node's labels share by
+//! reference count (see [`crate::label`]): issuing a label allocates
+//! nothing.
 
 use crate::entry::NodeKind;
 use crate::label::DrlLabel;

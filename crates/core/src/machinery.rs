@@ -7,6 +7,7 @@ use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
 use crate::tree::{ExplicitTree, NodeId};
 use std::fmt;
+use std::sync::Arc;
 use wf_graph::VertexId;
 use wf_skeleton::SpecLabeling;
 use wf_spec::{GraphId, NameClass, RecursionClass, Specification};
@@ -192,14 +193,12 @@ impl LabelerCore {
     }
 
     /// The (immutable) label of the vertex instantiating spec vertex
-    /// `sv` in instance node `x`: the node's shared prefix plus one final
-    /// entry (Algorithm 3's single append).
+    /// `sv` in instance node `x`: the node's prefix array, shared, plus
+    /// one final entry (Algorithm 3's single append) — no allocation and
+    /// no copy, whatever the depth of `x`.
     pub fn label_for<S: SpecLabeling>(&self, skeleton: &S, x: NodeId, sv: VertexId) -> DrlLabel {
-        let node = self.tree.node(x);
-        let mut entries = Vec::with_capacity(node.prefix.len() + 1);
-        entries.extend_from_slice(&node.prefix);
-        entries.push(self.make_entry(skeleton, x, sv));
-        DrlLabel::new(entries)
+        let prefix = Arc::clone(&self.tree.node(x).prefix);
+        DrlLabel::from_parts(prefix, self.make_entry(skeleton, x, sv))
     }
 
     /// Algorithm 2: update the tree for the expansion of composite

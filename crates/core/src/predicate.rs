@@ -3,11 +3,12 @@
 //!
 //! The predicate decides at the first entry where the two labels differ,
 //! so it has two ways of *finding* that entry — an indexed walk over two
-//! decoded entry slices, and a streaming walk over two entry streams
-//! ([`EntryCursor`]s over encoded bytes) that holds only the previous
-//! and current entries (what lets a completed run answer straight off
-//! its encoded arena) — and **one** case analysis,
-//! [`DrlPredicate::decide`], that both reach.
+//! decoded labels (their shared prefix arrays compared as slices, or not
+//! at all when both labels carry the *same* array), and a streaming walk
+//! over two entry streams ([`EntryCursor`]s over encoded bytes) that
+//! holds only the previous and current entries (what lets a completed
+//! run answer straight off its encoded arena) — and **one** case
+//! analysis, [`DrlPredicate::decide`], that both reach.
 
 use crate::encode::{EntryCursor, LabelRef};
 use crate::entry::{Entry, NodeKind};
@@ -34,17 +35,24 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// Runs in O(dt) index comparisons plus at most one skeleton query —
     /// constant time for a fixed grammar (Theorem 3.3).
     pub fn reaches(&self, a: &DrlLabel, b: &DrlLabel) -> bool {
-        self.reaches_entries(a.entries(), b.entries())
-    }
-
-    /// The indexed walk: longest common prefix of the context paths. The
-    /// index sequences are Dewey labels, so equal prefixes = same tree
-    /// nodes (Line 1).
-    #[inline]
-    fn reaches_entries(&self, ea: &[Entry], eb: &[Entry]) -> bool {
-        let m = ea.len().min(eb.len());
-        let mut j = 0;
-        while j < m && ea[j].index == eb[j].index {
+        let (pa, pb) = (a.prefix(), b.prefix());
+        let shared = pa.len().min(pb.len());
+        // The indexed walk: longest common prefix of the context paths.
+        // The index sequences are Dewey labels, so equal prefixes = same
+        // tree nodes (Line 1). Two labels carrying the same array — same
+        // context, or copies under one loop/fork/chain node: the common
+        // case inside a sub-workflow — agree on all of it without a look.
+        let mut j = if std::ptr::eq(pa, pb) {
+            shared
+        } else {
+            pa.iter()
+                .zip(pb)
+                .take_while(|(x, y)| x.index == y.index)
+                .count()
+        };
+        // Past the shorter prefix the shorter label has one position
+        // left: its own entry.
+        if j == shared && a.at(j).index == b.at(j).index {
             j += 1;
         }
         if j == 0 {
@@ -54,7 +62,7 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
             return false;
         }
         // j - 1 is the position of LCA(x, x').
-        self.decide(&ea[j - 1], &eb[j - 1], ea.get(j), eb.get(j))
+        self.decide(a.at(j - 1), b.at(j - 1), a.entry(j), b.entry(j))
             .expect("labels assigned by a labeler are well-formed")
     }
 
@@ -68,15 +76,13 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     #[inline]
     pub fn reaches_ref(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         use LabelRef::{Encoded, Entries};
-        fn decoded(entries: &[Entry]) -> impl Iterator<Item = Option<Entry>> + '_ {
-            entries.iter().map(|e| Some(*e))
+        fn decoded(label: &DrlLabel) -> impl Iterator<Item = Option<Entry>> + '_ {
+            label.entries().map(|e| Some(*e))
         }
         match (a, b) {
-            (Entries(ea), Entries(eb)) => {
-                (!ea.is_empty() && !eb.is_empty()).then(|| self.reaches_entries(ea, eb))
-            }
-            (Entries(ea), Encoded(bb, kb)) => self.walk(decoded(ea), EntryCursor::new(bb, kb)),
-            (Encoded(ba, ka), Entries(eb)) => self.walk(EntryCursor::new(ba, ka), decoded(eb)),
+            (Entries(la), Entries(lb)) => Some(self.reaches(la, lb)),
+            (Entries(la), Encoded(bb, kb)) => self.walk(decoded(la), EntryCursor::new(bb, kb)),
+            (Encoded(ba, ka), Entries(lb)) => self.walk(EntryCursor::new(ba, ka), decoded(lb)),
             (Encoded(ba, ka), Encoded(bb, kb)) => {
                 self.walk(EntryCursor::new(ba, ka), EntryCursor::new(bb, kb))
             }
@@ -336,7 +342,10 @@ mod tests {
             for (b, bb) in labels.iter().zip(&bytes) {
                 // Labels under different special nodes at the same
                 // position never co-occur in one run.
-                if a.depth() == 3 && b.depth() == 3 && a.entries()[1].kind != b.entries()[1].kind {
+                if a.depth() == 3
+                    && b.depth() == 3
+                    && a.entry(1).unwrap().kind != b.entry(1).unwrap().kind
+                {
                     continue;
                 }
                 let want = Some(p.reaches(a, b));
@@ -361,9 +370,69 @@ mod tests {
         assert_eq!(p.reaches_ref(labels[2].view(), cut), None);
         // …while a difference *before* the cut still decides.
         assert_eq!(p.reaches_ref(labels[0].view(), cut), Some(true));
+    }
+
+    /// Labels as a labeler issues them — prefix arrays shared by the
+    /// labels of a context, and by the copies under one loop node —
+    /// answer like private rebuilds of the same entries, whether the pair
+    /// shares an array (same context: the skeleton decides; sibling
+    /// copies: their own entries' indexes do — no walk either way),
+    /// carries equal arrays in two allocations (issued against rebuilt:
+    /// the walk runs their whole length), or differs earlier.
+    #[test]
+    fn shared_prefix_arrays_answer_like_private_copies() {
+        use crate::label::prefix_array_bytes;
+        use crate::machinery::{LabelerCore, RecursionMode};
+        use wf_spec::NameClass;
+        let (spec, skeleton) = setup();
+        let p = DrlPredicate::new(&skeleton);
+        let g0 = spec.start_graph();
+        let l = spec.name_id("L").unwrap();
+        let h1 = spec.implementations(l)[0];
+        let l_vertex = g0.find_by_name(l).unwrap();
+        let mut core = LabelerCore::new(&spec, RecursionMode::Linear).unwrap();
+        let root = core.create_root();
+        let copies = core
+            .expand(&skeleton, root, l_vertex, NameClass::Loop, h1, 3)
+            .members();
+        let mut issued = Vec::new();
+        for x in std::iter::once(root).chain(copies) {
+            let gid = core.tree.node(x).ann.unwrap();
+            for sv in spec.graph(gid).vertices() {
+                issued.push(core.label_for(&skeleton, x, sv));
+            }
+        }
+        let rebuilt: Vec<DrlLabel> = issued
+            .iter()
+            .map(|l| DrlLabel::new(l.entries().copied().collect()))
+            .collect();
+        let mut same_array = 0;
+        for (a, ra) in issued.iter().zip(&rebuilt) {
+            for (b, rb) in issued.iter().zip(&rebuilt) {
+                assert!(!std::ptr::eq(ra.prefix(), rb.prefix()) || std::ptr::eq(ra, rb));
+                assert!(!std::ptr::eq(a.prefix(), rb.prefix()));
+                assert_eq!(
+                    std::ptr::eq(a.prefix(), b.prefix()),
+                    a.prefix() == b.prefix()
+                );
+                same_array += usize::from(std::ptr::eq(a.prefix(), b.prefix()));
+                let want = p.reaches(ra, rb);
+                assert_eq!(p.reaches(a, b), want, "{a:?} ; {b:?}");
+                assert_eq!(p.reaches(a, rb), want);
+                assert_eq!(p.reaches(ra, b), want);
+                assert_eq!(p.reaches_ref(a.view(), b.view()), Some(want));
+            }
+        }
+        let (n0, n1) = (g0.vertex_count(), spec.graph(h1).vertex_count());
+        // The root's array, and one for the three loop copies together.
+        assert_eq!(same_array, n0 * n0 + (3 * n1) * (3 * n1));
         assert_eq!(
-            p.reaches_ref(labels[0].view(), LabelRef::Entries(&[])),
-            None
+            core.tree.label_prefix_bytes(),
+            (prefix_array_bytes(issued[0].prefix()) + prefix_array_bytes(issued[n0].prefix()))
+                as u64
         );
+        // Loop copies in series: copy 1's source reaches copy 3's, not back.
+        assert!(p.reaches(&issued[n0], &issued[n0 + 2 * n1]));
+        assert!(!p.reaches(&issued[n0 + 2 * n1], &issued[n0]));
     }
 }

@@ -8,8 +8,22 @@
 //! entries accumulated along its root path — appending one entry to the
 //! parent's prefix is exactly how Algorithm 3 builds labels in O(1) per
 //! entry.
+//!
+//! A prefix is written once, when its node is attached, and never
+//! changes, so it is an `Arc<[Entry]>` that the node's labels share
+//! rather than copy: the node keeps the array alive while the run is
+//! being labeled, the labels carrying it keep it alive after the tree is
+//! gone. The copies under one special node — loop iterations, fork
+//! branches, chain members — all see the same root path, so they share
+//! *one* array among them. Only `N` nodes are contexts of vertices, and
+//! both labelers label an `N` node's first vertices in the step that
+//! creates it; the arrays of the special `L`/`F`/`R` nodes themselves no
+//! label ever carries, and they go with the tree
+//! ([`ExplicitTree::label_prefix_bytes`] counts the former).
 
 use crate::entry::{Entry, NodeKind};
+use crate::label::prefix_array_bytes;
+use std::sync::Arc;
 use wf_graph::VertexId;
 use wf_spec::GraphId;
 
@@ -44,7 +58,7 @@ pub struct Node {
     pub designated: Option<VertexId>,
     /// Shared label prefix: entries for all *proper* ancestors, computed
     /// with the edge annotations of this node's root path.
-    pub prefix: Vec<Entry>,
+    pub prefix: Arc<[Entry]>,
     /// The frame in which this instance's completion is visible: the
     /// node and spec vertex whose successors follow this instance's sink
     /// in the run (used by the execution-based labeler's frame walk,
@@ -56,6 +70,8 @@ pub struct Node {
 #[derive(Debug, Default)]
 pub struct ExplicitTree {
     nodes: Vec<Node>,
+    /// See [`Self::label_prefix_bytes`].
+    label_prefix_bytes: u64,
 }
 
 impl ExplicitTree {
@@ -97,9 +113,10 @@ impl ExplicitTree {
             children: Vec::new(),
             ann: Some(ann),
             designated: None, // the start graph is not a production body
-            prefix: Vec::new(),
+            prefix: Arc::new([]),
             host: None,
         });
+        self.label_prefix_bytes += prefix_array_bytes(&[]) as u64;
         NodeId(0)
     }
 
@@ -110,7 +127,9 @@ impl ExplicitTree {
     /// skeleton pointer of the composite vertex annotated on the
     /// connecting edge (Algorithm 1); for special parents it is
     /// `Entry::special`. The child's prefix = parent's prefix +
-    /// `parent_entry` — the single-append of Algorithm 3.
+    /// `parent_entry` — the single-append of Algorithm 3. Under a special
+    /// parent that is the same list for every child, so later children
+    /// take the first one's array.
     pub fn attach(
         &mut self,
         parent: NodeId,
@@ -123,9 +142,18 @@ impl ExplicitTree {
         debug_assert_eq!(parent_entry.index, self.nodes[parent.idx()].index);
         debug_assert_eq!(parent_entry.kind, self.nodes[parent.idx()].kind);
         let index = self.nodes[parent.idx()].children.len() as u32 + 1;
-        let mut prefix = Vec::with_capacity(self.nodes[parent.idx()].prefix.len() + 1);
-        prefix.extend_from_slice(&self.nodes[parent.idx()].prefix);
-        prefix.push(parent_entry);
+        let p = &self.nodes[parent.idx()];
+        let prefix = match p.children.first() {
+            Some(sibling) if p.kind != NodeKind::N => Arc::clone(&self.nodes[sibling.idx()].prefix),
+            _ => {
+                let fresh: Arc<[Entry]> = p.prefix.iter().copied().chain([parent_entry]).collect();
+                if kind == NodeKind::N {
+                    self.label_prefix_bytes += prefix_array_bytes(&fresh) as u64;
+                }
+                fresh
+            }
+        };
+        debug_assert_eq!(prefix.last(), Some(&parent_entry));
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind,
@@ -139,6 +167,16 @@ impl ExplicitTree {
         });
         self.nodes[parent.idx()].children.push(id);
         id
+    }
+
+    /// Heap bytes of the prefix arrays that labels carry — those of the
+    /// `N` nodes, entries plus `Arc` header, an array shared by sibling
+    /// copies counted once. An `N` node exists only once its first
+    /// vertices are labeled, so between insertions this is exactly what
+    /// the issued labels keep alive beside their own inline entries:
+    /// what a holder of every label adds to its per-label cells.
+    pub fn label_prefix_bytes(&self) -> u64 {
+        self.label_prefix_bytes
     }
 
     /// Depth of a node (root = 0).
@@ -167,6 +205,13 @@ mod tests {
 
     #[test]
     fn prefixes_accumulate_parent_entries() {
+        // c1's entry as seen from a child expanded at its spec vertex `u`.
+        let child_entry_of = |u| Entry {
+            index: 1,
+            kind: NodeKind::N,
+            skl: Some((GraphId(1), VertexId(u))),
+            rec: None,
+        };
         let mut t = ExplicitTree::new();
         let root = t.create_root(GraphId(0));
         let root_entry = Entry {
@@ -177,19 +222,45 @@ mod tests {
         };
         let l = t.attach(root, NodeKind::L, None, None, root_entry, None);
         assert_eq!(t.node(l).index, 1);
-        assert_eq!(t.node(l).prefix, vec![root_entry]);
+        assert_eq!(t.node(l).prefix[..], [root_entry]);
         let child_entry = Entry::special(1, NodeKind::L);
         let c1 = t.attach(l, NodeKind::N, Some(GraphId(1)), None, child_entry, None);
         let c2 = t.attach(l, NodeKind::N, Some(GraphId(1)), None, child_entry, None);
         assert_eq!(t.node(c1).index, 1);
         assert_eq!(t.node(c2).index, 2);
-        assert_eq!(t.node(c2).prefix, vec![root_entry, child_entry]);
+        assert_eq!(t.node(c2).prefix[..], [root_entry, child_entry]);
+        // One array for the copies under the L node, counted once; the
+        // L node's own is never a label's.
+        assert!(Arc::ptr_eq(&t.node(c1).prefix, &t.node(c2).prefix));
+        let labelled = prefix_array_bytes(&[]) + prefix_array_bytes(&t.node(c2).prefix);
+        assert_eq!(t.label_prefix_bytes(), labelled as u64);
         assert_eq!(t.depth(c2), 2);
         assert_eq!(t.max_depth(), 2);
         assert_eq!(t.max_fanout(), 2);
         assert_eq!(t.node(l).children, vec![c1, c2]);
         assert_eq!(t.root(), root);
         assert_eq!(t.len(), 4);
+        // Children of a non-special node hang off different composite
+        // vertices: each has its own root path, so its own array.
+        let other = t.attach(
+            c1,
+            NodeKind::N,
+            Some(GraphId(2)),
+            None,
+            child_entry_of(1),
+            None,
+        );
+        let twin = t.attach(
+            c1,
+            NodeKind::N,
+            Some(GraphId(2)),
+            None,
+            child_entry_of(2),
+            None,
+        );
+        assert!(!Arc::ptr_eq(&t.node(other).prefix, &t.node(twin).prefix));
+        let grown = labelled + 2 * prefix_array_bytes(&t.node(twin).prefix);
+        assert_eq!(t.label_prefix_bytes(), grown as u64);
     }
 
     #[test]

@@ -734,7 +734,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineMetrics<'_, S> {
         obs.g_runs_frozen.set(stats.runs_frozen);
         obs.g_runs_persisted.set(stats.runs_persisted);
         obs.g_ingest_backlog.set(stats.ingest_backlog);
-        obs.g_hot_bytes.set(stats.hot_bytes());
+        obs.g_hot_bytes.set(stats.hot_resident_bytes);
         obs.g_persisted_resident_bytes
             .set(stats.persisted_resident_bytes);
         obs.g_segment_files.set(stats.segment_files);

@@ -11,31 +11,73 @@
 //! queries against whatever prefix of labels has been published, with no
 //! locks and no retries.
 //!
-//! The table is a doubling chunk array (chunk `k` holds `2^k` slots), so
-//! slots never move once allocated — readers can hold [`PublishedLabel`]
-//! borrows while the writer keeps appending. Both levels use
-//! [`OnceLock`]: reads are a single `Acquire` load per level, writes
-//! initialize each cell at most once. No `unsafe` required.
+//! The table is a chunk array that grows by an eighth of itself at a
+//! time (eight equal chunks per doubling of the capacity), so slots never
+//! move once allocated — readers can hold [`PublishedLabel`] borrows
+//! while the writer keeps appending — and at most an eighth of the table
+//! is room the run has not reached. Both levels use [`OnceLock`]: reads
+//! are a single `Acquire` load per level, writes initialize each cell at
+//! most once. No `unsafe` required.
 //!
 //! Each cell carries the vertex's **module name** next to its label, so
 //! the cross-run query surface ([`crate::CrossRunQuery`]) can scan the
 //! published chunks lock-free — "every vertex named N published so far"
 //! — without touching the run's writer state.
+//!
+//! **What a cell holds, and what is shared.** A [`DrlLabel`] is its
+//! context's prefix array — one `Arc<[Entry]>` per parse-tree node,
+//! shared by the node's labels — plus the vertex's own entry inline, so a
+//! cell is name + pointer + one entry and owns no allocation of its own.
+//! While the run is live its labeler's parse tree holds every prefix
+//! array too; once `complete()` drops the labeler (and for a run
+//! re-heated from a pack, from the start) the cells are the arrays' only
+//! holders, and a freeze that drops the index frees them. The writer
+//! tells the index how many bytes those distinct arrays take
+//! ([`LabelIndex::set_prefix_bytes`]): the index cannot see, label by
+//! label, which array it has met before.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use wf_drl::DrlLabel;
 use wf_graph::{NameId, VertexId};
 
-/// Number of doubling chunks: covers every `u32` vertex id.
-const CHUNKS: usize = 33;
+/// log₂ of the chunks per doubling of the table: group `g` is eight
+/// chunks of `2^(BASE_BITS + g)` cells each, so the table grows by an
+/// eighth of what it already holds — the unreached tail of a run's last
+/// chunk, which a cell several words wide makes worth bounding.
+const STEP_BITS: usize = 3;
+/// log₂ of the cells per chunk in group 0.
+const BASE_BITS: usize = 5;
+/// Cells in group 0, and the offset that turns a slot into a *position*:
+/// group `g` then covers positions `[ORIGIN · 2^g, ORIGIN · 2^(g+1))`,
+/// so a position's leading one names its group and the `STEP_BITS` bits
+/// after it name the chunk within the group.
+const ORIGIN: usize = 1 << (STEP_BITS + BASE_BITS);
+/// Number of chunks: 25 groups cover every `u32` vertex id.
+const CHUNKS: usize = 25 << STEP_BITS;
 
-/// Chunk and offset for a slot: chunk `k` covers `[2^k − 1, 2^{k+1} − 1)`.
+/// Cells in chunk `chunk`.
+#[inline]
+fn chunk_len(chunk: usize) -> usize {
+    1 << (BASE_BITS + (chunk >> STEP_BITS))
+}
+
+/// First slot of chunk `chunk`.
+#[inline]
+fn chunk_start(chunk: usize) -> usize {
+    let step = (1 << STEP_BITS) + (chunk & ((1 << STEP_BITS) - 1));
+    step * chunk_len(chunk) - ORIGIN
+}
+
+/// Chunk and offset for a slot.
 #[inline]
 fn locate(slot: usize) -> (usize, usize) {
-    let pos = slot + 1;
-    let chunk = (usize::BITS - 1 - pos.leading_zeros()) as usize;
-    (chunk, pos - (1 << chunk))
+    let pos = slot + ORIGIN;
+    // log₂ of the chunk's length: what is left of the position below
+    // its leading one and the step bits.
+    let bits = pos.ilog2() as usize - STEP_BITS;
+    let chunk = ((bits - BASE_BITS) << STEP_BITS) + (pos >> bits) - (1 << STEP_BITS);
+    (chunk, pos & ((1 << bits) - 1))
 }
 
 /// What the ingest writer publishes per vertex: the module name from the
@@ -58,9 +100,9 @@ pub struct LabelIndex {
     published: AtomicUsize,
     /// Total bits across published labels (service-level stats).
     bits: AtomicU64,
-    /// Estimated resident bytes of the decoded labels (entry arrays +
-    /// label headers) — what freezing actually releases.
-    resident: AtomicU64,
+    /// Bytes of the distinct prefix arrays the published labels share,
+    /// as the writer last reported them.
+    prefix_bytes: AtomicU64,
 }
 
 impl Default for LabelIndex {
@@ -76,7 +118,7 @@ impl LabelIndex {
             chunks: std::array::from_fn(|_| OnceLock::new()),
             published: AtomicUsize::new(0),
             bits: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
+            prefix_bytes: AtomicU64::new(0),
         }
     }
 
@@ -86,17 +128,14 @@ impl LabelIndex {
     pub fn publish(&self, v: VertexId, name: NameId, label: DrlLabel, skl_bits: usize) {
         let (chunk, offset) = locate(v.idx());
         let cells = self.chunks[chunk].get_or_init(|| {
-            (0..1usize << chunk)
+            (0..chunk_len(chunk))
                 .map(|_| OnceLock::new())
                 .collect::<Vec<_>>()
                 .into_boxed_slice()
         });
         let bits = label.bit_len(skl_bits) as u64;
-        let resident = (std::mem::size_of::<PublishedLabel>()
-            + label.depth() * std::mem::size_of::<wf_drl::Entry>()) as u64;
         if cells[offset].set(PublishedLabel { name, label }).is_ok() {
             self.bits.fetch_add(bits, Ordering::Relaxed);
-            self.resident.fetch_add(resident, Ordering::Relaxed);
             self.published.fetch_add(1, Ordering::Release);
         } else {
             debug_assert!(false, "label for {v:?} published twice");
@@ -131,10 +170,15 @@ impl LabelIndex {
                 .iter()
                 .enumerate()
                 .filter_map(move |(offset, cell)| {
-                    let v = VertexId(((1usize << k) - 1 + offset) as u32);
+                    let v = VertexId((chunk_start(k) + offset) as u32);
                     cell.get().map(|p| (v, p))
                 })
         })
+    }
+
+    /// Chunks allocated so far — what [`Self::iter`] walks.
+    pub fn chunks_allocated(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
 
     /// Number of labels published so far.
@@ -159,17 +203,29 @@ impl LabelIndex {
         self.total_bits().div_ceil(8)
     }
 
-    /// Estimated **resident** bytes of the decoded labels (entry arrays
-    /// plus per-cell headers; excludes the chunk table itself). This is
-    /// the memory freezing actually releases — typically several times
-    /// the accounting size, since a decoded [`wf_drl::Entry`] spends a
+    /// Record the heap bytes of the distinct prefix arrays the published
+    /// labels carry, each array counted once. Called by the index's one
+    /// writer with the running total of whatever issued the labels
+    /// ([`wf_drl::tree::ExplicitTree::label_prefix_bytes`] on ingest,
+    /// [`wf_drl::LabelInterner::prefix_bytes`] on a re-heat).
+    pub fn set_prefix_bytes(&self, total: u64) {
+        self.prefix_bytes.store(total, Ordering::Relaxed);
+    }
+
+    /// **Resident** bytes of the decoded labels: the bytes of label
+    /// storage the index keeps alive, excluding the chunk table itself —
+    /// one cell per published label (name, prefix pointer, the label's
+    /// own entry) plus every distinct shared prefix array once. This is
+    /// the memory freezing actually releases — several times the
+    /// accounting size, since a decoded [`wf_drl::Entry`] spends a
     /// machine word where the accounting charges a few bits. The labels
     /// counted are the run's only copy (the ingest path moves each one
     /// in; the labeler keeps none), so for a completed run this plus the
     /// chunk table is the run's label memory; a live run's labeler state
     /// — parse tree, placements, expansion map — is not counted here.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        (self.len() * std::mem::size_of::<PublishedLabel>()) as u64
+            + self.prefix_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -200,15 +256,29 @@ mod tests {
     #[test]
     fn locate_covers_slots_without_overlap() {
         let mut seen = std::collections::HashSet::new();
+        let mut cells = 0;
         for slot in 0..10_000 {
             let (chunk, offset) = locate(slot);
-            assert!(offset < 1 << chunk, "offset in range");
+            assert!(offset < chunk_len(chunk), "offset in range");
+            assert_eq!(chunk_start(chunk) + offset, slot, "iter() names the slot");
             assert!(seen.insert((chunk, offset)), "no overlap at {slot}");
+            cells = cells.max(chunk_start(chunk) + chunk_len(chunk));
+            // Never more than an eighth of the table (or the first
+            // chunk) beyond the slots in use.
+            assert!(
+                cells <= (slot + 1) + (slot + 1) / 8 + 32,
+                "{cells} cells for {slot}"
+            );
         }
         assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(1), (1, 0));
-        assert_eq!(locate(2), (1, 1));
-        assert_eq!(locate(3), (2, 0));
+        assert_eq!(locate(31), (0, 31));
+        assert_eq!(locate(32), (1, 0));
+        assert_eq!(locate(255), (7, 31));
+        assert_eq!(locate(256), (8, 0));
+        assert_eq!(locate(256 + 64), (9, 0));
+        // The last chunk ends past the last `u32` id.
+        let (chunk, offset) = locate(u32::MAX as usize);
+        assert!(chunk < CHUNKS && offset < chunk_len(chunk));
     }
 
     #[test]
@@ -225,6 +295,12 @@ mod tests {
         }
         assert!(idx.get(VertexId(2)).is_none());
         assert!(idx.total_bits() > 0);
+        // One cell per label, plus whatever the writer reports for the
+        // arrays the labels share.
+        let cells = 5 * std::mem::size_of::<PublishedLabel>() as u64;
+        assert_eq!(idx.resident_bytes(), cells);
+        idx.set_prefix_bytes(80);
+        assert_eq!(idx.resident_bytes(), cells + 80);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use wf_drl::LabelInterner;
 use wf_skeleton::SpecLabeling;
 
 /// The automatic hot→frozen(→persisted) policy the background tiering
@@ -312,7 +313,9 @@ impl<S: SpecLabeling> EngineShared<S> {
     /// its pinned mapping. `target` picks the representation:
     /// [`Tier::Frozen`] copies the encoded arena out (same reader, no
     /// LRU in the way); [`Tier::Hot`] rebuilds the fully decoded
-    /// [`crate::index::LabelIndex`] (queries are two `Acquire` loads).
+    /// [`crate::index::LabelIndex`] (queries are two `Acquire` loads),
+    /// its labels sharing prefix arrays again as they did before the
+    /// freeze.
     /// Either way the run stays `Completed`, and the resident
     /// representation keeps the registration it was read from: the blob
     /// stays live, the manifest keeps its line, and a crash brings the
@@ -339,10 +342,14 @@ impl<S: SpecLabeling> EngineShared<S> {
                     arena.skl_bits(),
                     Arc::clone(persisted),
                 );
+                // Labels of one context come back sharing one prefix
+                // array, as the labeler issued them.
+                let mut interner = LabelInterner::default();
                 for (v, name, label) in arena.iter() {
-                    let label = label.to_label().ok_or_else(unreadable)?;
+                    let label = interner.intern(label).ok_or_else(unreadable)?;
                     slot.indexed.publish(v, name, label, slot.skl_bits);
                 }
+                slot.indexed.set_prefix_bytes(interner.prefix_bytes());
                 RunView::Hot(Arc::new(slot))
             }
             Tier::Persisted => return Ok(()),

@@ -179,10 +179,10 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
             runs[ti] += 1;
             let labels = view.published() as u64;
             labels_scanned += labels;
-            if tier == Tier::Hot && labels > 0 {
-                // The hot index is a doubling chunk array: a scan of n
-                // labels walks every populated chunk, floor(log2(n))+1.
-                chunks_touched += u64::from(u64::BITS - labels.leading_zeros());
+            if let RunView::Hot(slot) = view {
+                // A scan of the hot index walks every chunk it has
+                // allocated.
+                chunks_touched += slot.indexed.chunks_allocated() as u64;
             }
             if let Some(v) = res {
                 out.push(v);

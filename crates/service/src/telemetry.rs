@@ -278,7 +278,10 @@ impl Telemetry {
             g_runs_frozen: gauge("wf_runs_frozen", "runs in the frozen tier"),
             g_runs_persisted: gauge("wf_runs_persisted", "runs in the persisted tier"),
             g_ingest_backlog: gauge("wf_ingest_backlog", "enqueued-but-unapplied envelopes"),
-            g_hot_bytes: gauge("wf_hot_bytes", "estimated hot-tier label bytes"),
+            g_hot_bytes: gauge(
+                "wf_hot_bytes",
+                "hot-tier bytes resident in decoded labels (cells + shared prefix arrays)",
+            ),
             g_persisted_resident_bytes: gauge(
                 "wf_persisted_resident_bytes",
                 "persisted-tier bytes pinned in and resident",

@@ -244,24 +244,25 @@ impl Graph {
         self.live_count > 0 && self.sources().len() == 1 && self.sinks().len() == 1
     }
 
+    /// The one live vertex with no neighbours in `adjacency` (the
+    /// in-lists for the source, the out-lists for the sink). Allocates
+    /// nothing: the labelers ask on every frame they walk out of.
+    fn terminal(&self, adjacency: &[Vec<VertexId>]) -> Result<VertexId, GraphError> {
+        let mut ends = self.vertices().filter(|v| adjacency[v.idx()].is_empty());
+        match (ends.next(), ends.next()) {
+            (Some(v), None) => Ok(v),
+            _ => Err(GraphError::NotTwoTerminal),
+        }
+    }
+
     /// The unique source of a two-terminal graph, `s(g)`.
     pub fn source(&self) -> Result<VertexId, GraphError> {
-        let s = self.sources();
-        if s.len() == 1 {
-            Ok(s[0])
-        } else {
-            Err(GraphError::NotTwoTerminal)
-        }
+        self.terminal(&self.inn)
     }
 
     /// The unique sink of a two-terminal graph, `t(g)`.
     pub fn sink(&self) -> Result<VertexId, GraphError> {
-        let t = self.sinks();
-        if t.len() == 1 {
-            Ok(t[0])
-        } else {
-            Err(GraphError::NotTwoTerminal)
-        }
+        self.terminal(&self.out)
     }
 
     /// Full acyclicity check (Kahn's algorithm).

@@ -151,6 +151,8 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
         .build();
     let (run, exec) = run_one(&engine, 11);
     engine.freeze_run(run).unwrap();
+    // A second run that stays hot, so the hot-tier gauge has bytes to show.
+    let _ = run_one(&engine, 12);
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     for _ in 0..256 {
         // Enough probes that the 1-in-64 latency sampler certainly fires.
@@ -200,6 +202,13 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
         exp.single_value("wf_runs_frozen").unwrap() as u64,
         stats.runs_frozen
     );
+    // The hot-tier gauge is real bytes, like its persisted neighbour —
+    // not the Theorem-3 accounting size, an order of magnitude below.
+    assert_eq!(
+        exp.single_value("wf_hot_bytes").unwrap() as u64,
+        stats.hot_resident_bytes
+    );
+    assert!(stats.hot_resident_bytes > 4 * stats.hot_bytes() && stats.hot_bytes() > 0);
 
     // The JSON rendering parses and mirrors the same families.
     let json: serde_json::Value = serde_json::from_str(&engine.metrics().render_json()).unwrap();

@@ -224,10 +224,12 @@ proptest! {
 
     /// One predicate under every label representation: the streaming
     /// walk over two *encoded* [`LabelRef`](wf_drl::LabelRef)s, `reaches`
-    /// over the decoded labels, and the naive Ω(n)-bit scheme agree on
-    /// every sampled pair — both corpus grammars, both resolution modes —
-    /// and the borrowed view decodes to exactly what `decode_label`
-    /// returns.
+    /// over the decoded labels — as the labeler issued them, sharing
+    /// prefix arrays, and rebuilt from their flat entry lists, sharing
+    /// nothing — and the naive Ω(n)-bit scheme agree on every pair, both
+    /// corpus grammars, both resolution modes; the three forms of a label
+    /// have one bit length and one encoding, and the borrowed view
+    /// decodes to exactly what `decode_label` returns.
     #[test]
     fn streaming_predicate_matches_decoded_and_naive(
         seed in 0u64..400,
@@ -259,28 +261,38 @@ proptest! {
         }
         let bits = labeler.skl_bits();
         let predicate = DrlPredicate::new(&skeleton);
-        let labeled: Vec<(VertexId, &DrlLabel, Vec<u8>)> = exec
+        let labeled: Vec<(VertexId, &DrlLabel, DrlLabel, Vec<u8>)> = exec
             .events()
             .iter()
             .map(|ev| {
                 let label = labeler.label(ev.vertex).unwrap();
-                (ev.vertex, label, wf_drl::encode_label(label, bits))
+                let rebuilt = DrlLabel::new(label.entries().copied().collect());
+                (ev.vertex, label, rebuilt, wf_drl::encode_label(label, bits))
             })
             .collect();
-        for (_, label, bytes) in &labeled {
+        for (_, label, rebuilt, bytes) in &labeled {
             let view = LabelRef::Encoded(bytes, bits);
             prop_assert_eq!(view.to_label(), wf_drl::decode_label(bytes, bits));
             prop_assert_eq!(view.to_label().as_ref(), Some(*label));
             prop_assert_eq!(view.bit_len(bits), Some(label.bit_len(bits)));
+            prop_assert_eq!(rebuilt, *label);
+            prop_assert_eq!(rebuilt.bit_len(bits), label.bit_len(bits));
+            prop_assert_eq!(rebuilt.view().bit_len(bits), Some(label.bit_len(bits)));
+            prop_assert_eq!(&wf_drl::encode_label(rebuilt, bits), bytes);
         }
-        for (u, lu, bu) in labeled.iter().step_by(2) {
-            for (v, lv, bv) in labeled.iter().step_by(3) {
+        for (u, lu, ru, bu) in &labeled {
+            for (v, lv, rv, bv) in &labeled {
                 let truth = naive.reaches(*u, *v);
                 prop_assert_eq!(predicate.reaches(lu, lv), truth);
+                prop_assert_eq!(predicate.reaches(ru, rv), truth);
+                prop_assert_eq!(predicate.reaches(lu, rv), truth);
                 let (eu, ev) = (LabelRef::Encoded(bu, bits), LabelRef::Encoded(bv, bits));
                 prop_assert_eq!(predicate.reaches_ref(eu, ev), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(lu.view(), lv.view()), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(lu.view(), ev), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(eu, lv.view()), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(ru.view(), ev), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(eu, rv.view()), Some(truth));
             }
         }
     }

@@ -87,3 +87,28 @@ fn labels_roundtrip_and_still_answer_queries() {
         }
     }
 }
+
+/// The serialised form of a label is its flat entry list, whatever the
+/// label looks like in memory: a fixture written by the build before
+/// labels shared their context's prefix array still reads, re-serialises
+/// byte for byte, and equals the labels the labeler issues today.
+#[test]
+fn labels_written_before_the_shared_prefix_still_read() {
+    let fixture = include_str!("fixtures/labels_pr19.json").trim_end();
+    let stored: Vec<(u32, DrlLabel)> = serde_json::from_str(fixture).unwrap();
+    assert!(stored.len() >= 8);
+    assert_eq!(serde_json::to_string(&stored).unwrap(), fixture);
+
+    let spec = wf_spec::corpus::running_example();
+    let skeleton = TclSpecLabels::build(&spec);
+    let run = wf_run::RunGenerator::new(&spec)
+        .target_size(80)
+        .generate_run(&mut StdRng::seed_from_u64(2));
+    let mut labeler = DerivationLabeler::new(&spec, &skeleton);
+    for step in run.derivation.steps() {
+        labeler.apply(step).unwrap();
+    }
+    for (v, label) in &stored {
+        assert_eq!(labeler.label(wf_graph::VertexId(*v)), Some(label));
+    }
+}

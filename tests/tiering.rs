@@ -625,6 +625,66 @@ fn reheat_after_promotes_a_queried_persisted_run_to_frozen() {
     ask(busy, &busy_probes, busy_probes.len());
 }
 
+/// A run re-heated all the way to hot holds what it held before it was
+/// frozen: the encoding flattens the labels' shared prefix arrays away,
+/// and the rebuild interns them back, so `hot_resident_bytes` returns to
+/// within 10 % of its pre-freeze figure (never above it: equal prefixes
+/// of sibling contexts merge too) — with every answer unchanged.
+#[test]
+fn a_run_reheated_to_hot_shares_prefixes_as_before_the_freeze() {
+    let dir = TempDir::new("reheat-hot");
+    for (spec, seed) in [
+        (wf_spec::corpus::running_example(), 21),
+        (wf_spec::corpus::bioaid(), 22),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gen = RunGenerator::new(&spec)
+            .target_size(1500)
+            .generate_run(&mut rng);
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let engine: WfEngine = WfEngine::builder()
+            .spec(spec)
+            .spill_dir(dir.0.join(seed.to_string()))
+            .build();
+        let run = engine.open_run(SpecId(0)).unwrap();
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+        let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
+        let answers = |engine: &WfEngine| -> Vec<Option<bool>> {
+            let h = engine.handle(run).unwrap();
+            vertices
+                .iter()
+                .step_by(7)
+                .flat_map(|a| vertices.iter().step_by(11).map(move |b| (*a, *b)))
+                .map(|(a, b)| h.reach(a, b))
+                .collect()
+        };
+        let (before, hot_answers) = (engine.stats(), answers(&engine));
+        assert_eq!(before.labels_hot, exec.len() as u64);
+        assert!(hot_answers.iter().all(Option::is_some));
+
+        engine.persist_run(run).unwrap();
+        assert_eq!(engine.stats().hot_resident_bytes, 0);
+        assert_eq!(answers(&engine), hot_answers);
+        engine.reheat_run_hot(run).unwrap();
+        assert_eq!(engine.run_tier(run).unwrap(), Tier::Hot);
+
+        let after = engine.stats();
+        assert_eq!(after.labels_hot, before.labels_hot);
+        assert_eq!(after.label_bits_total, before.label_bits_total);
+        assert!(
+            after.hot_resident_bytes <= before.hot_resident_bytes
+                && after.hot_resident_bytes * 10 >= before.hot_resident_bytes * 9,
+            "{} B resident before the freeze, {} B re-heated",
+            before.hot_resident_bytes,
+            after.hot_resident_bytes
+        );
+        assert_eq!(answers(&engine), hot_answers);
+    }
+}
+
 /// One completed run cycled through every tier transition while other
 /// threads look it up: a run is always registered exactly once, in
 /// exactly one tier, with the right answers — until it is evicted, and
