@@ -26,9 +26,6 @@ pub struct DerivationLabeler<'s, S: SpecLabeling> {
     labels: Vec<Option<DrlLabel>>,
     /// Context node per run slot.
     context: Vec<Option<NodeId>>,
-    /// Vertices labeled since the last [`Self::take_fresh`] — the
-    /// incremental snapshot export consumed by `wf-service`.
-    fresh: Vec<VertexId>,
 }
 
 impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
@@ -75,12 +72,10 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
         let root = core.create_root();
         let mut labels = vec![None; builder.graph().slot_count()];
         let mut context = vec![None; builder.graph().slot_count()];
-        let mut fresh = Vec::new();
         for rv in builder.graph().vertices() {
             let (_, sv) = builder.origin(rv);
             labels[rv.idx()] = Some(core.label_for(skeleton, root, sv));
             context[rv.idx()] = Some(root);
-            fresh.push(rv);
         }
         Ok(Self {
             spec,
@@ -89,7 +84,6 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
             builder,
             labels,
             context,
-            fresh,
         })
     }
 
@@ -126,22 +120,9 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
                 let rv = map[sv.idx()].unwrap();
                 self.labels[rv.idx()] = Some(self.core.label_for(self.skeleton, *x, sv));
                 self.context[rv.idx()] = Some(*x);
-                self.fresh.push(rv);
             }
         }
         Ok(applied)
-    }
-
-    /// Incremental snapshot export: the vertices labeled since the last
-    /// call, in labeling order. Labels are immutable once assigned
-    /// (Definition 9), so the returned vertices can be published into a
-    /// concurrent read index while the derivation continues.
-    ///
-    /// Callers that never export pay one `VertexId` per labeled vertex
-    /// — bounded by the run size, the same order as the label store
-    /// itself.
-    pub fn take_fresh(&mut self) -> Vec<VertexId> {
-        std::mem::take(&mut self.fresh)
     }
 
     /// The current (possibly intermediate) run graph.
@@ -199,40 +180,6 @@ mod tests {
     use wf_graph::reach::ReachOracle;
     use wf_run::RunGenerator;
     use wf_skeleton::{BfsSpecLabels, TclSpecLabels};
-
-    /// The incremental snapshot export covers every labeled vertex
-    /// exactly once, in labeling order, and drains on each call.
-    #[test]
-    fn take_fresh_exports_each_vertex_once() {
-        let spec = wf_spec::corpus::running_example();
-        let skeleton = TclSpecLabels::build(&spec);
-        let mut rng = StdRng::seed_from_u64(77);
-        let run = RunGenerator::new(&spec)
-            .target_size(70)
-            .generate_run(&mut rng);
-        let mut labeler = DerivationLabeler::new(&spec, &skeleton);
-        let mut exported = labeler.take_fresh();
-        assert!(!exported.is_empty(), "the start graph is labeled up front");
-        for step in run.derivation.steps() {
-            labeler.apply(step).unwrap();
-            let fresh = labeler.take_fresh();
-            for &v in &fresh {
-                assert!(labeler.label(v).is_some(), "exported vertices are labeled");
-            }
-            exported.extend(fresh);
-            assert!(labeler.take_fresh().is_empty(), "drained until new labels");
-        }
-        let mut unique = exported.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), exported.len(), "no vertex exported twice");
-        // Every slot ever labeled (live or replaced) was exported.
-        let labeled = (0..run.graph.slot_count() as u32)
-            .map(VertexId)
-            .filter(|&v| labeler.label(v).is_some())
-            .count();
-        assert_eq!(exported.len(), labeled);
-    }
 
     /// Exhaustive correctness on the final graph *and* every intermediate
     /// graph: the defining property of a dynamic scheme.

@@ -114,9 +114,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     }
 
     /// **Recency bound of the hot tier**: keep at most `n` *completed*
-    /// runs hot; older completions are frozen (encoded arena, optional
-    /// SKL re-label) by the background tiering worker, in completion
-    /// order. `0` freezes every run as soon as it completes.
+    /// runs hot; older completions are frozen (encoded arena) by the
+    /// background tiering worker, in completion order. `0` freezes every
+    /// run as soon as it completes.
     pub fn freeze_after(mut self, n: usize) -> Self {
         self.policy.freeze_after = Some(n);
         self
@@ -262,14 +262,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             .map(|dir| SpillDir::open(dir, &lru, self.contexts.len()))
             .unzip();
         let persisted = persisted.unwrap_or_default();
-        // Replay the §7.4 aggregates out of the segment headers so a
-        // reloaded engine reports the same DRL-vs-SKL deltas its
-        // predecessor measured at freeze time.
-        for p in &persisted {
-            if let Some(r) = p.skl_report() {
-                obs.record_skl(r);
-            }
-        }
         // Crash recovery, first half: scan and rewrite the log now (the
         // reopened writer is part of the shared state)…
         let recovered = match &self.wal_dir {

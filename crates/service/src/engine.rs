@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wf_drl::ResolutionMode;
 use wf_graph::VertexId;
-use wf_run::{Derivation, ExecEvent};
+use wf_run::ExecEvent;
 use wf_skeleton::{SpecLabeling, TclSpecLabels};
 use wf_wal::{Record, RecordKind, WalWriter};
 
@@ -402,13 +402,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// **Freeze** a completed run now: compact its published labels into
-    /// a contiguous encoded arena (read in place), re-label with the
-    /// static SKL baseline when a derivation was
-    /// [provided](Self::provide_derivation) (recording the DRL-vs-SKL
-    /// bit/latency delta in [`Self::stats`]), and drop the hot labeler
-    /// state. Queries — [`Self::reach`], handles, [`Self::query`] — keep
-    /// answering tier-transparently. No-op if the run is already frozen
-    /// or persisted; [`ServiceError::NotCompleted`] while it is live.
+    /// a contiguous encoded arena (read in place) and drop the hot
+    /// labeler state. Queries — [`Self::reach`], handles,
+    /// [`Self::query`] — keep answering tier-transparently. No-op if the
+    /// run is already frozen or persisted;
+    /// [`ServiceError::NotCompleted`] while it is live.
     pub fn freeze_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.freeze(run)
     }
@@ -467,21 +465,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// Which storage tier currently serves `run`.
     pub fn run_tier(&self, run: RunId) -> Result<Tier, ServiceError> {
         self.shared.view(run).map(|v| v.tier())
-    }
-
-    /// Record the derivation that produced `run` (e.g. from the workflow
-    /// engine's log). Freezing uses it to re-label the finished run with
-    /// the static SKL baseline for the §7.4 memory/latency comparison;
-    /// without it the run still freezes, just without the SKL report.
-    /// Only hot runs accept a derivation.
-    pub fn provide_derivation(
-        &self,
-        run: RunId,
-        derivation: Derivation,
-    ) -> Result<(), ServiceError> {
-        let slot = self.shared.slot(run)?;
-        *slot.derivation.lock().expect("derivation lock poisoned") = Some(derivation);
-        Ok(())
     }
 
     /// The configured spill directory, if any.
@@ -643,13 +626,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             pack_pins: obs.pack_pins.get(),
             pack_dead_bytes: pack_files.iter().map(FileStat::dead).sum(),
             mapped_bytes: store.lru.mapped_bytes.load(Ordering::Relaxed),
-            skl_relabeled: obs.skl_relabeled.get(),
-            skl_bits_total: obs.skl_bits_total.get(),
-            skl_drl_bits_total: obs.skl_drl_bits_total.get(),
-            skl_build_ns: obs.skl_build_ns_total.get(),
-            skl_query_ns: obs.skl_query_ns_total.get(),
-            frozen_query_ns: obs.frozen_query_ns_total.get(),
-            skl_pairs_sampled: obs.skl_pairs_sampled.get(),
             wal_records: obs.wal_records.get(),
             wal_bytes: obs.wal_bytes.get(),
             wal_truncations: obs.wal_truncations.get(),

@@ -1,5 +1,5 @@
 //! The **frozen tier**: completed runs compacted into encoded label
-//! arenas, optionally re-labeled with the static SKL baseline.
+//! arenas.
 //!
 //! A live run needs the paper's *dynamic* machinery — labels must be
 //! assignable the moment a vertex arrives (Definition 8). Once the run
@@ -11,52 +11,23 @@
 //! tier shares), materialising neither label; memory shrinks from
 //! decoded entry lists in a chunk table to one contiguous byte buffer.
 //!
-//! Freezing is also the moment the engine can afford the paper's §7.4
-//! comparison *per run*: when the run's derivation is available (and the
-//! spec is non-recursive), the freezer re-labels the finished run with
-//! [`SklLabeling`] and records the DRL-vs-SKL bit and latency deltas in
-//! the engine stats — the SKL baseline served from inside the service,
-//! exactly the trade the paper measures between dynamic labels that can
-//! be assigned on-the-fly and static labels that need the whole run.
+//! Freezing encodes the arena and nothing else. The paper's §7.4
+//! comparison against the static SKL baseline lives beside the engine,
+//! not in it: `experiments fig20 fig21 fig22` in `wf-bench`.
 
 use crate::slot::RunSlot;
 use crate::snapshot::{PersistedRun, SegmentHeader};
 use crate::telemetry::Telemetry;
-use crate::{RunId, SpecContext, SpecId};
-use std::hint::black_box;
+use crate::{RunId, SpecId};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
-use wf_drl::{ArenaRef, DrlPredicate, LabelArena};
+use wf_drl::LabelArena;
 use wf_graph::VertexId;
-use wf_run::Derivation;
 use wf_skeleton::SpecLabeling;
-use wf_skl::SklLabeling;
-
-/// The DRL-vs-SKL delta recorded when a frozen run is re-labeled with
-/// the static baseline (§7.4, measured per completed run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SklReport {
-    /// Total SKL label bits across the run (eq. (4): slope ≈ 3·log n).
-    pub skl_bits: u64,
-    /// Total DRL label bits for the same run (accounting size, slope
-    /// ≈ log n).
-    pub drl_bits: u64,
-    /// Wall-clock to build the SKL labeling from the derivation.
-    pub build_ns: u64,
-    /// Wall-clock for the sampled pairs answered from the *frozen* DRL
-    /// arena (slot lookup + the constant-time predicate over two label
-    /// cursors).
-    pub drl_query_ns: u64,
-    /// Wall-clock for the same pairs through `SklLabeling::reaches`.
-    pub skl_query_ns: u64,
-    /// Number of `(u, v)` pairs timed.
-    pub pairs_sampled: u64,
-}
 
 /// A completed run compacted into the frozen tier: the encoded label
-/// arena, the metadata queries need (spec, source), and the optional
-/// SKL re-label report. Immutable once built; shared by `Arc`.
+/// arena and the metadata queries need (spec, source). Immutable once
+/// built; shared by `Arc`.
 #[derive(Debug)]
 pub struct FrozenRun {
     pub(crate) run: RunId,
@@ -68,7 +39,6 @@ pub struct FrozenRun {
     /// Unix seconds at freeze time (0 if the clock read before the
     /// epoch). The persisted tier's LRU breaks recency ties on it.
     pub(crate) frozen_at: u64,
-    pub(crate) skl: Option<SklReport>,
     /// Queries answered over the run's lifetime (carried in by the
     /// store's tier transition).
     pub(crate) queries: AtomicU64,
@@ -110,12 +80,6 @@ impl FrozenRun {
         self.drl_bits
     }
 
-    /// The SKL re-label report, when the derivation was available and
-    /// the spec admits SKL (non-recursive).
-    pub fn skl_report(&self) -> Option<&SklReport> {
-        self.skl.as_ref()
-    }
-
     /// The encoded arena.
     pub fn arena(&self) -> &LabelArena {
         &self.arena
@@ -138,7 +102,6 @@ impl FrozenRun {
             arena_len: self.arena.encoded_bytes() as u64,
             drl_bits: self.drl_bits,
             frozen_at: self.frozen_at,
-            skl: self.skl,
         }
     }
 }
@@ -157,8 +120,6 @@ pub(crate) fn unix_now() -> u64 {
 pub(crate) fn freeze_slot<S: SpecLabeling>(
     run: RunId,
     slot: &RunSlot<S>,
-    ctx: &SpecContext<S>,
-    derivation: Option<&Derivation>,
     obs: &Telemetry,
 ) -> FrozenRun {
     let skl_bits = slot.skl_bits;
@@ -178,65 +139,14 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         false,
         String::new,
     );
-    let drl_bits = slot.indexed.total_bits();
-    let skl = derivation.and_then(|d| skl_report(ctx, d, arena.view(), drl_bits));
-    if obs.enabled {
-        if let Some(report) = &skl {
-            obs.h_skl_build.record(report.build_ns);
-        }
-    }
     FrozenRun {
         run,
         spec: slot.spec,
         source: slot.source.get().copied(),
         arena,
-        drl_bits,
+        drl_bits: slot.indexed.total_bits(),
         frozen_at: unix_now(),
-        skl,
         queries: AtomicU64::new(0),
         home: slot.home.clone(),
     }
-}
-
-/// Re-label the finished run with the static SKL baseline and time both
-/// schemes on a sampled pair set. `None` when SKL does not apply (the
-/// spec is recursive) or the derivation does not replay.
-fn skl_report<S: SpecLabeling>(
-    ctx: &SpecContext<S>,
-    derivation: &Derivation,
-    arena: ArenaRef<'_>,
-    drl_bits: u64,
-) -> Option<SklReport> {
-    let t0 = Instant::now();
-    let skl: SklLabeling = SklLabeling::build(&ctx.spec, derivation).ok()?;
-    let build_ns = t0.elapsed().as_nanos() as u64;
-    let skl_bits = skl.total_label_bits() as u64;
-
-    // Sample the first k labeled vertices, all pairs: enough signal for
-    // a per-run latency delta without a measurable freeze cost.
-    let sample: Vec<VertexId> = arena.iter().take(16).map(|(v, ..)| v).collect();
-    let predicate = DrlPredicate::new(&ctx.skeleton);
-    let t = Instant::now();
-    for &u in &sample {
-        let lu = arena.label(u)?;
-        for &v in &sample {
-            black_box(predicate.reaches_ref(lu, arena.label(v)?)?);
-        }
-    }
-    let drl_query_ns = t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    for &u in &sample {
-        for &v in &sample {
-            black_box(skl.reaches_vertices(u, v));
-        }
-    }
-    let skl_query_ns = t.elapsed().as_nanos() as u64;
-    Some(SklReport {
-        skl_bits,
-        drl_bits,
-        build_ns,
-        drl_query_ns,
-        skl_query_ns,
-        pairs_sampled: (sample.len() * sample.len()) as u64,
-    })
 }

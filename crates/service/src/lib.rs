@@ -35,17 +35,16 @@
 //! * the run registry is a **tiered label store** ([`Tier`]): live runs
 //!   are **hot** (decoded labels, allocation-free queries), completed
 //!   runs **freeze** into contiguous encoded arenas
-//!   ([`WfEngine::freeze_run`], optionally re-labeled with the static
-//!   SKL baseline to record the paper's §7.4 DRL-vs-SKL deltas), and
-//!   frozen runs **spill** to versioned disk snapshots
-//!   ([`WfEngine::persist_run`]) that reload at build time and are
-//!   mapped lazily — with [`RunHandle::reach`] and [`WfEngine::query`]
-//!   answering tier-transparently. A background tiering worker enforces
+//!   ([`WfEngine::freeze_run`]), and frozen runs **spill** to versioned
+//!   disk snapshots ([`WfEngine::persist_run`]) that reload at build
+//!   time and are mapped lazily — with [`RunHandle::reach`] and
+//!   [`WfEngine::query`] answering tier-transparently. A background
+//!   tiering worker enforces
 //!   [`EngineBuilder::freeze_after`] / [`EngineBuilder::max_hot_runs`] /
 //!   [`EngineBuilder::spill_dir`] in completion order;
 //! * [`WfEngine::stats`] reports engine-level activity (runs live and
 //!   completed, events enqueued/ingested, ingest backlog, label bits)
-//!   plus the per-tier byte footprints and freeze-time SKL deltas
+//!   plus the per-tier byte footprints
 //!   ([`ServiceStats::tier_footprint_json`]).
 //!
 //! ```
@@ -110,13 +109,13 @@ mod watchdog;
 
 pub use builder::{EngineBuilder, DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TRACE_CAPACITY};
 pub use engine::{EngineMetrics, WfEngine, DEFAULT_MAX_VERTEX_ID};
-pub use freeze::{FrozenRun, SklReport};
+pub use freeze::FrozenRun;
 pub use handle::RunHandle;
 pub use index::PublishedLabel;
 pub use query::{CrossRunQuery, ExplainQuery, Explained, SourceReach};
 pub use snapshot::SnapshotError;
 pub use spill::CompactionReport;
-pub use stats::{EngineStats, ServiceStats};
+pub use stats::ServiceStats;
 pub use store::Tier;
 pub use sub::{Delta, SubPredicate, Subscription, Witness, DEFAULT_SUB_QUEUE_CAPACITY};
 pub use telemetry::QueryProfile;

@@ -213,15 +213,16 @@ impl<S: SpecLabeling> EngineShared<S> {
     }
 
     /// Freeze one completed run: compact its published labels into an
-    /// encoded arena (plus the optional SKL re-label) and swap it in for
-    /// the hot slot. Idempotent for already-cold runs.
+    /// encoded arena and swap it in for the hot slot. Idempotent for
+    /// already-cold runs.
     ///
-    /// The compaction runs **without** the slot's writer lock: once a
-    /// run is `Completed` its index is final (completion and inserts
-    /// serialize on the writer lock), so the only races are with an
-    /// eviction or another freeze — both resolved by the conditional
-    /// transition, so a stale queued event never stalls behind a
-    /// multi-millisecond SKL re-label.
+    /// The encode runs **without** the slot's writer lock: once a run is
+    /// `Completed` its index is final (completion and inserts serialize
+    /// on the writer lock), so the only races are with an eviction or
+    /// another freeze — both resolved by the conditional transition —
+    /// and the encode is linear in the run's labels, so a stale queued
+    /// event for the run is rejected at once instead of waiting out the
+    /// arena build of a 10⁵-vertex run.
     pub(crate) fn freeze(&self, run: RunId) -> Result<(), ServiceError> {
         let RunView::Hot(slot) = self.view(run)? else {
             return Ok(()); // already frozen or persisted
@@ -230,15 +231,8 @@ impl<S: SpecLabeling> EngineShared<S> {
             RunStatus::Completed => {}
             s => return Err(ServiceError::NotCompleted(run, s)),
         }
-        let derivation = slot
-            .derivation
-            .lock()
-            .expect("derivation lock poisoned")
-            .take();
         let span = self.obs.timer();
-        let ctx = &self.catalog[slot.spec.0];
-        let frozen = freeze_slot(run, &slot, ctx, derivation.as_ref(), &self.obs);
-        let report = frozen.skl_report().copied();
+        let frozen = freeze_slot(run, &slot, &self.obs);
         let labels = frozen.arena().len() as u64;
         if !self
             .store
@@ -247,9 +241,6 @@ impl<S: SpecLabeling> EngineShared<S> {
             return self.lost_race(run);
         }
         self.obs.freezes.inc();
-        if let Some(report) = &report {
-            self.obs.record_skl(report);
-        }
         self.obs.span(
             &self.obs.h_freeze,
             "freeze",
@@ -257,10 +248,7 @@ impl<S: SpecLabeling> EngineShared<S> {
             Some(tier_tag(Tier::Frozen)),
             span,
             true,
-            || match report {
-                Some(r) => format!("labels={labels} skl_bits={}", r.skl_bits),
-                None => format!("labels={labels}"),
-            },
+            || format!("labels={labels}"),
         );
         Ok(())
     }

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use wf_drl::{ExecError, ExecutionState, ResolutionMode};
 use wf_graph::VertexId;
-use wf_run::{Derivation, ExecEvent};
+use wf_run::ExecEvent;
 use wf_skeleton::SpecLabeling;
 
 /// Per-run state: the single-writer labeler behind a mutex, and the
@@ -56,10 +56,6 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     /// allocation) so the query hot path never contends on a single
     /// engine-wide cache line with ingest writers; `stats()` sums it.
     pub(crate) queries: AtomicU64,
-    /// The run's derivation, when the caller recorded it
-    /// ([`crate::WfEngine::provide_derivation`]) — what unlocks the SKL
-    /// re-label at freeze time.
-    pub(crate) derivation: Mutex<Option<Derivation>>,
     /// Next WAL sequence number for this run (0 is the `RunOpen`
     /// record). Monotone per run; recovery replays in this order, so
     /// the numbers align with the flush watermark: everything appended
@@ -128,7 +124,6 @@ impl<S: SpecLabeling> RunSlot<S> {
             source: OnceLock::new(),
             status: AtomicU8::new(status.as_u8()),
             queries: AtomicU64::new(0),
-            derivation: Mutex::new(None),
             wal_seq: AtomicU64::new(next_wal_seq),
             home: None,
         }

@@ -2,12 +2,12 @@
 //! versioned binary segment format with a manifest, loadable at engine
 //! build time so historical runs keep answering cross-run queries.
 //!
-//! A *segment blob* holds one run (format version 2, all integers
+//! A *segment blob* holds one run (format version 3, all integers
 //! little-endian):
 //!
 //! ```text
 //! magic     8 B   "WFTIERS1"
-//! version   u32   2
+//! version   u32   3
 //! run       u64
 //! spec      u32
 //! skl_bits  u32
@@ -16,19 +16,15 @@
 //! arena     u64   arena byte length
 //! drl_bits  u64   DRL accounting bits (hot-tier footprint, for stats)
 //! frozen_at u64   unix seconds at freeze time (0 = unknown)
-//! skl_flag  u32   1 = the five SKL-report fields below are live
-//! skl_bits_total u64 ┐
-//! skl_build_ns   u64 │ the freeze-time §7.4 SKL re-label deltas, so a
-//! drl_query_ns   u64 │ reloaded engine reproduces its DRL-vs-SKL
-//! skl_query_ns   u64 │ report (all zero when skl_flag = 0)
-//! skl_pairs      u64 ┘
 //! slots     count × 12 (vertex u32, name u32, offset u32)
 //! bytes     arena encoded labels
 //! checksum  u64   FNV-1a over everything above
 //! ```
 //!
 //! Any other version — blob or manifest — is rejected with a typed
-//! [`SnapshotError::Format`], never guessed at.
+//! [`SnapshotError::Format`], never guessed at: version 2 carried 44
+//! more header bytes (a freeze-time SKL report) and is refused by its
+//! version word exactly as version 1 is.
 //!
 //! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
 //! concatenated. A spill writes a pack of one; compaction merges them
@@ -59,7 +55,7 @@
 //! a registration can read it to the end, wherever the blob has moved.
 
 use crate::bufmgr::{MappedRun, PackFile};
-use crate::freeze::{FrozenRun, SklReport};
+use crate::freeze::FrozenRun;
 use crate::store::SegmentLru;
 use crate::telemetry::with_profile;
 use crate::{RunId, SpecId};
@@ -76,7 +72,7 @@ use wf_wal::fnv1a;
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
 /// The segment format version this engine reads and writes.
-pub const SEGMENT_VERSION: u32 = 2;
+pub const SEGMENT_VERSION: u32 = 3;
 /// Manifest file name inside the spill directory.
 pub const MANIFEST_FILE: &str = "wf-tier-manifest.txt";
 /// The manifest header line (`run file offset len` entries follow).
@@ -95,7 +91,7 @@ pub const PACK_MAX_RUNS: usize = 1024;
 pub const PACK_TARGET_BYTES: u64 = 64 << 20;
 
 /// Byte length of the fixed segment header.
-pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 5 * 8;
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8;
 const CHECKSUM_LEN: usize = 8;
 
 /// Errors reading or writing snapshot segments.
@@ -181,8 +177,6 @@ pub struct SegmentHeader {
     pub drl_bits: u64,
     /// Unix seconds at freeze time (0 = unknown).
     pub frozen_at: u64,
-    /// The freeze-time SKL re-label deltas, when recorded.
-    pub skl: Option<SklReport>,
 }
 
 fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
@@ -208,20 +202,6 @@ fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
     let arena_len = r.u64()?;
     let drl_bits = r.u64()?;
     let frozen_at = r.u64()?;
-    let flag = r.u32()?;
-    let skl_bits_total = r.u64()?;
-    let build_ns = r.u64()?;
-    let drl_query_ns = r.u64()?;
-    let skl_query_ns = r.u64()?;
-    let pairs_sampled = r.u64()?;
-    let skl = (flag != 0).then_some(SklReport {
-        skl_bits: skl_bits_total,
-        drl_bits,
-        build_ns,
-        drl_query_ns,
-        skl_query_ns,
-        pairs_sampled,
-    });
     Ok(SegmentHeader {
         run,
         spec,
@@ -231,7 +211,6 @@ fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
         arena_len,
         drl_bits,
         frozen_at,
-        skl,
     })
 }
 
@@ -264,21 +243,6 @@ pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
     out.extend_from_slice(&h.arena_len.to_le_bytes());
     out.extend_from_slice(&h.drl_bits.to_le_bytes());
     out.extend_from_slice(&h.frozen_at.to_le_bytes());
-    out.extend_from_slice(&u32::from(h.skl.is_some()).to_le_bytes());
-    let zero = SklReport {
-        skl_bits: 0,
-        drl_bits: 0,
-        build_ns: 0,
-        drl_query_ns: 0,
-        skl_query_ns: 0,
-        pairs_sampled: 0,
-    };
-    let r = h.skl.unwrap_or(zero);
-    out.extend_from_slice(&r.skl_bits.to_le_bytes());
-    out.extend_from_slice(&r.build_ns.to_le_bytes());
-    out.extend_from_slice(&r.drl_query_ns.to_le_bytes());
-    out.extend_from_slice(&r.skl_query_ns.to_le_bytes());
-    out.extend_from_slice(&r.pairs_sampled.to_le_bytes());
     out.extend_from_slice(arena.slots());
     out.extend_from_slice(arena.bytes());
     let checksum = fnv1a(&out);
@@ -325,8 +289,7 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
 }
 
 /// Parse and fully validate segment bytes — framing, checksum, **and
-/// every label** — back into a [`FrozenRun`], freeze-time SKL report
-/// included.
+/// every label** — back into a [`FrozenRun`].
 pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
     let header = verify_segment_bytes(bytes)?;
     let mut r = ByteReader::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
@@ -352,7 +315,6 @@ fn frozen_from(
         arena: arena.to_arena()?,
         drl_bits: header.drl_bits,
         frozen_at: header.frozen_at,
-        skl: header.skl,
         queries: AtomicU64::new(0),
         home,
     })
@@ -523,10 +485,6 @@ pub struct PersistedRun {
     /// so the length never changes with the place.
     disk_bytes: u64,
     pub(crate) frozen_at: u64,
-    /// The freeze-time SKL re-label deltas, straight from the header —
-    /// what lets a reloaded engine reproduce its §7.4 report without
-    /// mapping a single file.
-    skl: Option<SklReport>,
     place: RwLock<Place>,
     /// Live [`SegmentPin`] count. A pinned blob is never a replacer
     /// victim, so a scan iterating labels off the mapping cannot have
@@ -572,7 +530,6 @@ impl PersistedRun {
             published: header.count as usize,
             disk_bytes: len,
             frozen_at: header.frozen_at,
-            skl: header.skl,
             place: RwLock::new(Place {
                 file,
                 offset,
@@ -641,11 +598,6 @@ impl PersistedRun {
         // entry this may leave in the LRU's candidate map has nothing to
         // shed and is dropped the next time the run exits.
         self.set_resident(false);
-    }
-
-    /// The freeze-time SKL re-label deltas persisted in the header.
-    pub fn skl_report(&self) -> Option<&SklReport> {
-        self.skl.as_ref()
     }
 
     /// Flip the residency flag, moving the LRU's byte total with it.

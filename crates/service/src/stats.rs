@@ -12,7 +12,7 @@ use serde::Serialize;
 use std::time::Duration;
 
 /// A point-in-time snapshot of engine activity across all three label
-/// tiers. Also exported as [`EngineStats`].
+/// tiers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceStats {
     /// Runs ever opened.
@@ -117,22 +117,6 @@ pub struct ServiceStats {
     /// Pack bytes currently mmap'd by the buffer manager (virtual
     /// reservation; resident pages are governed by the LRU).
     pub mapped_bytes: u64,
-    /// Frozen runs re-labeled with the static SKL baseline.
-    pub skl_relabeled: u64,
-    /// Total SKL bits across re-labeled runs (§7.4: slope ≈ 3·log n).
-    pub skl_bits_total: u64,
-    /// Total DRL bits across the same runs (slope ≈ log n).
-    pub skl_drl_bits_total: u64,
-    /// Wall-clock spent building SKL labelings at freeze time.
-    pub skl_build_ns: u64,
-    /// Sampled query time through SKL labels.
-    pub skl_query_ns: u64,
-    /// Sampled query time through frozen DRL labels (slot lookup + the
-    /// constant-time predicate over two label cursors), over the same
-    /// pairs.
-    pub frozen_query_ns: u64,
-    /// Pairs sampled for the latency comparison.
-    pub skl_pairs_sampled: u64,
     /// WAL records appended this lifetime (run opens, events,
     /// completions, checkpoint stamps). 0 without a
     /// [`crate::EngineBuilder::wal_dir`].
@@ -155,9 +139,6 @@ pub struct ServiceStats {
     /// Wall-clock since the engine started.
     pub uptime: Duration,
 }
-
-/// The engine-level name for [`ServiceStats`].
-pub type EngineStats = ServiceStats;
 
 /// The `tier_footprint` JSON line, serialized through the serde shim so
 /// the field list cannot drift from what is actually emitted.
@@ -184,13 +165,6 @@ struct TierFootprint {
     spills: u64,
     reheats: u64,
     compactions: u64,
-    skl_relabeled: u64,
-    skl_bits: u64,
-    skl_drl_bits: u64,
-    skl_build_ns: u64,
-    skl_query_ns: u64,
-    frozen_query_ns: u64,
-    skl_pairs: u64,
 }
 
 impl ServiceStats {
@@ -228,16 +202,9 @@ impl ServiceStats {
 
     /// Hot-tier label storage in bytes (accounting bits, rounded up) —
     /// the same unit as the frozen/persisted footprints, so the
-    /// SKL-vs-DRL / hot-vs-frozen memory comparison is a one-liner.
+    /// hot-vs-frozen memory comparison is a one-liner.
     pub fn hot_bytes(&self) -> u64 {
         self.label_bits_total.div_ceil(8)
-    }
-
-    /// SKL-to-DRL label size ratio over the re-labeled runs (the paper
-    /// measures ≈ 3; `None` until a run has been SKL re-labeled).
-    pub fn skl_bits_ratio(&self) -> Option<f64> {
-        (self.skl_drl_bits_total > 0)
-            .then(|| self.skl_bits_total as f64 / self.skl_drl_bits_total as f64)
     }
 
     /// One JSON line with the per-tier run counts and byte footprints —
@@ -265,13 +232,6 @@ impl ServiceStats {
             spills: self.spills,
             reheats: self.reheats,
             compactions: self.compactions,
-            skl_relabeled: self.skl_relabeled,
-            skl_bits: self.skl_bits_total,
-            skl_drl_bits: self.skl_drl_bits_total,
-            skl_build_ns: self.skl_build_ns,
-            skl_query_ns: self.skl_query_ns,
-            frozen_query_ns: self.frozen_query_ns,
-            skl_pairs: self.skl_pairs_sampled,
         };
         serde_json::to_string(&line).expect("footprint serialization is infallible")
     }

@@ -17,7 +17,6 @@
 //!   apply — are additionally *sampled* (1 in 64) because even two
 //!   cycle counter reads would be a measurable tax on them.
 
-use crate::freeze::SklReport;
 use crate::store::Tier;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,13 +145,6 @@ pub(crate) struct Telemetry {
     pub compactions: Counter,
     pub segment_sheds: Counter,
     pub pack_pins: Counter,
-    pub skl_relabeled: Counter,
-    pub skl_bits_total: Counter,
-    pub skl_drl_bits_total: Counter,
-    pub skl_build_ns_total: Counter,
-    pub skl_query_ns_total: Counter,
-    pub frozen_query_ns_total: Counter,
-    pub skl_pairs_sampled: Counter,
     pub wal_records: Counter,
     pub wal_bytes: Counter,
     pub wal_truncations: Counter,
@@ -179,7 +171,6 @@ pub(crate) struct Telemetry {
     pub h_flush_wait: Arc<Histogram>,
     pub h_freeze: Arc<Histogram>,
     pub h_freeze_encode: Arc<Histogram>,
-    pub h_skl_build: Arc<Histogram>,
     pub h_spill: Arc<Histogram>,
     pub h_pack_pin: Arc<Histogram>,
     pub h_reheat: Arc<Histogram>,
@@ -235,22 +226,6 @@ impl Telemetry {
                 "wf_pack_pins_total",
                 "persisted blobs pinned in (first resolve or re-residency)",
             ),
-            skl_relabeled: counter("wf_skl_relabeled_total", "frozen runs relabeled with SKL"),
-            skl_bits_total: counter("wf_skl_bits_total", "total SKL label bits"),
-            skl_drl_bits_total: counter("wf_skl_drl_bits_total", "DRL bits of SKL-relabeled runs"),
-            skl_build_ns_total: counter("wf_skl_build_ns_total", "cumulative SKL build time"),
-            skl_query_ns_total: counter(
-                "wf_skl_query_ns_total",
-                "cumulative sampled SKL query time",
-            ),
-            frozen_query_ns_total: counter(
-                "wf_frozen_query_ns_total",
-                "cumulative sampled frozen-arena query time",
-            ),
-            skl_pairs_sampled: counter(
-                "wf_skl_pairs_sampled_total",
-                "vertex pairs sampled per SKL build",
-            ),
             wal_records: counter("wf_wal_records_total", "records appended to the WAL"),
             wal_bytes: counter("wf_wal_bytes_total", "bytes appended to the WAL"),
             wal_truncations: counter(
@@ -300,12 +275,8 @@ impl Telemetry {
             ),
             h_ingest_apply: hist("wf_ingest_apply_ns", "one event applied to a hot run"),
             h_flush_wait: hist("wf_flush_wait_ns", "flush barrier wait"),
-            h_freeze: hist(
-                "wf_freeze_ns",
-                "freeze of one hot run (encode + SKL + promote)",
-            ),
+            h_freeze: hist("wf_freeze_ns", "freeze of one hot run (encode + promote)"),
             h_freeze_encode: hist("wf_freeze_encode_ns", "label arena encode during freeze"),
-            h_skl_build: hist("wf_skl_build_ns", "SKL relabel build during freeze"),
             h_spill: hist("wf_spill_ns", "segment write of one frozen run"),
             h_pack_pin: hist(
                 "wf_pack_pin_ns",
@@ -331,19 +302,6 @@ impl Telemetry {
 
             registry,
         }
-    }
-
-    /// Add one run's freeze-time §7.4 report to the DRL-vs-SKL
-    /// aggregates (at freeze, and again when a reloaded engine replays
-    /// the reports out of its segment headers).
-    pub(crate) fn record_skl(&self, r: &SklReport) {
-        self.skl_relabeled.inc();
-        self.skl_bits_total.add(r.skl_bits);
-        self.skl_drl_bits_total.add(r.drl_bits);
-        self.skl_build_ns_total.add(r.build_ns);
-        self.skl_query_ns_total.add(r.skl_query_ns);
-        self.frozen_query_ns_total.add(r.drl_query_ns);
-        self.skl_pairs_sampled.add(r.pairs_sampled);
     }
 
     /// Start a span timer; `None` when telemetry is disabled (the span

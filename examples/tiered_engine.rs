@@ -1,5 +1,5 @@
 //! Run lifecycle across the tiered label store:
-//! open → completed → **frozen** (encoded arena + SKL re-label) →
+//! open → completed → **frozen** (encoded arena) →
 //! **persisted** (disk snapshot) → **re-heated** (resident again under
 //! query traffic) — with queries answered identically at every stage,
 //! the persisted segments **compacted** into packed files, and the
@@ -11,9 +11,8 @@
 //!
 //! Three machine-readable stdout lines feed CI artifacts: the
 //! `compaction` JSON (before/after file-count + byte stats), the
-//! engine's `tier_footprint` JSON (per-tier bytes plus the SKL-vs-DRL
-//! deltas recorded at freeze time — which format-v2 segments persist,
-//! so they survive engine restarts), and the `wal_recovery` JSON from
+//! engine's `tier_footprint` JSON (per-tier bytes and transition
+//! counts), and the `wal_recovery` JSON from
 //! the second act: a WAL-backed engine is killed mid-run
 //! (`std::mem::forget` — no drain, no Drop, exactly what SIGKILL
 //! leaves behind) and a fresh build over the same log resurrects the
@@ -23,8 +22,6 @@ use std::sync::Arc;
 use wf_provenance::prelude::*;
 
 fn main() {
-    // A non-recursive workflow so the freeze-time SKL re-label applies
-    // (§7.4's static baseline rejects recursion — DRL's whole edge).
     let spec = wf_spec::corpus::bioaid_nonrecursive();
     let spill = std::env::temp_dir().join(format!("wf-tiered-engine-{}", std::process::id()));
 
@@ -37,8 +34,7 @@ fn main() {
         .build();
     let ctx = Arc::clone(engine.context(SpecId(0)).unwrap());
 
-    // A fleet of 32 runs: ingest, hand the engine each run's derivation
-    // (unlocking the SKL re-label), complete.
+    // A fleet of 32 runs: ingest, complete.
     let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
     let mut runs = Vec::new();
     let mut probe = None;
@@ -57,9 +53,6 @@ fn main() {
                 .unwrap();
         }
         engine.flush();
-        engine
-            .provide_derivation(run, gen.derivation.clone())
-            .unwrap();
         engine.complete_run(run).unwrap();
         probe.get_or_insert(exec.events()[1].name);
         runs.push((run, exec));
@@ -114,22 +107,6 @@ fn main() {
         let h = engine.handle(*run).unwrap();
         let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
         assert_eq!(h.reach(u, v), Some(true), "{run} ({:?} tier)", h.tier());
-    }
-
-    // The DRL-vs-SKL comparison the freezer recorded (§7.4, per run).
-    if stats.skl_relabeled > 0 {
-        println!(
-            "SKL re-label over {} frozen runs: {} SKL bits vs {} DRL bits \
-             (ratio {:.2}; paper's eq. 4 predicts ≈3 asymptotically); \
-             sampled queries: SKL {} ns vs frozen-DRL {} ns over {} pairs",
-            stats.skl_relabeled,
-            stats.skl_bits_total,
-            stats.skl_drl_bits_total,
-            stats.skl_bits_ratio().unwrap(),
-            stats.skl_query_ns,
-            stats.frozen_query_ns,
-            stats.skl_pairs_sampled,
-        );
     }
 
     // Per-tier memory: hot resident vs frozen arena vs disk segments,

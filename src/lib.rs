@@ -112,11 +112,10 @@ pub mod prelude {
     pub use wf_graph::{Graph, NameId, VertexId};
     pub use wf_run::{CanonicalParseTree, Derivation, ExecEvent, Execution, RunGenerator};
     pub use wf_service::{
-        CompactionReport, CrossRunQuery, Delta, EngineBuilder, EngineMetrics, EngineStats,
-        ExplainQuery, Explained, FrozenRun, Health, HistogramSnapshot, QueryProfile, RunHandle,
-        RunId, RunOp, RunStatus, ServiceError, ServiceEvent, ServiceStats, SklReport, SourceReach,
-        SpecContext, SpecId, StallCause, SubPredicate, Subscription, Tier, TraceEvent, WalSync,
-        WfEngine, Witness,
+        CompactionReport, CrossRunQuery, Delta, EngineBuilder, EngineMetrics, ExplainQuery,
+        Explained, FrozenRun, Health, HistogramSnapshot, QueryProfile, RunHandle, RunId, RunOp,
+        RunStatus, ServiceError, ServiceEvent, ServiceStats, SourceReach, SpecContext, SpecId,
+        StallCause, SubPredicate, Subscription, Tier, TraceEvent, WalSync, WfEngine, Witness,
     };
     pub use wf_skeleton::{BfsSpecLabels, SpecLabeling, TclSpecLabels};
     pub use wf_skl::{SklBfs, SklLabeling};

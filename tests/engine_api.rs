@@ -354,8 +354,6 @@ fn ingest_run(engine: &WfEngine, run: RunId, spec: SpecId, seed: u64, n: usize) 
 
 #[test]
 fn freeze_preserves_every_answer_and_shrinks_the_footprint() {
-    // A non-recursive spec so the freeze-time SKL re-label applies
-    // (SKL rejects recursion — that is DRL's whole edge).
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::bioaid_nonrecursive())
         .ingest_workers(2)
@@ -374,9 +372,6 @@ fn freeze_preserves_every_answer_and_shrinks_the_footprint() {
         engine.freeze_run(run).unwrap_err(),
         ServiceError::NotCompleted(run, RunStatus::Live)
     );
-    engine
-        .provide_derivation(run, gen.derivation.clone())
-        .unwrap();
     engine.complete_run(run).unwrap();
 
     // Record the hot answers, then freeze.
@@ -408,8 +403,7 @@ fn freeze_preserves_every_answer_and_shrinks_the_footprint() {
         ServiceError::RunNotLive(_, RunStatus::Completed)
     ));
 
-    // Per-tier stats: the run moved out of the hot columns, and the
-    // SKL re-label (derivation was provided) recorded its deltas.
+    // Per-tier stats: the run moved out of the hot columns.
     let after = engine.stats();
     assert_eq!(after.runs_frozen, 1);
     assert_eq!(after.freezes, 1);
@@ -417,11 +411,6 @@ fn freeze_preserves_every_answer_and_shrinks_the_footprint() {
     assert!(after.frozen_bytes > 0);
     assert_eq!(after.frozen_label_bits, before.label_bits_total);
     assert_eq!(after.labels_published as usize, exec.len());
-    assert_eq!(after.skl_relabeled, 1);
-    assert!(after.skl_bits_total > 0);
-    assert_eq!(after.skl_drl_bits_total, before.label_bits_total);
-    assert!(after.skl_bits_ratio().is_some());
-    assert!(after.skl_pairs_sampled > 0);
     assert!(after.tier_footprint_json().contains("\"runs_frozen\":1"));
 }
 

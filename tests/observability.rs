@@ -222,6 +222,51 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
     assert!(apply.get("count").is_some() && apply.get("p99").is_some());
 }
 
+/// README and the registry name the same metrics: every `wf_…` name the
+/// README mentions (Rust paths such as `wf_drl::…` aside) is a family the
+/// engine registers, and every histogram family is in the README — a
+/// documented metric cannot outlive its deletion, and a new histogram
+/// cannot ship undocumented.
+#[test]
+fn readme_metric_names_and_the_registry_agree() {
+    const README: &str = include_str!("../README.md");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .build();
+    let json: serde_json::Value = serde_json::from_str(&engine.metrics().render_json()).unwrap();
+    let families = |kind: &str| -> Vec<&str> {
+        let map = json.get(kind).unwrap().as_map().unwrap();
+        map.iter().map(|(name, _)| name.as_str()).collect()
+    };
+    let histograms = families("histograms");
+    let registered = [families("counters"), families("gauges"), histograms.clone()].concat();
+
+    let is_name = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+    let mut mentioned = Vec::new();
+    for (at, _) in README.match_indices("wf_") {
+        if README[..at].ends_with(is_name) {
+            continue; // the middle of a longer identifier
+        }
+        let rest = &README[at..];
+        let name = &rest[..rest.find(|c| !is_name(c)).unwrap_or(rest.len())];
+        if name.len() > "wf_".len() && !rest[name.len()..].starts_with("::") {
+            mentioned.push(name);
+        }
+    }
+    for name in &mentioned {
+        assert!(
+            registered.contains(name),
+            "README mentions `{name}`, which is not a registered metric family"
+        );
+    }
+    for name in &histograms {
+        assert!(
+            mentioned.contains(name),
+            "histogram family `{name}` is missing from README's table"
+        );
+    }
+}
+
 #[test]
 fn slow_pack_pin_lands_in_the_trace_ring() {
     let dir = TempDir::new("pin");

@@ -79,7 +79,7 @@ proptest! {
 
     /// freeze → snapshot → reload → query agrees with [`NaiveDynamicDag`]
     /// replay for every vertex pair sampled, across both a recursive and
-    /// a non-recursive spec (the latter exercising the SKL re-label).
+    /// a non-recursive spec.
     #[test]
     fn frozen_and_persisted_answers_match_naive_replay(
         seed in 0u64..10_000,
@@ -107,7 +107,6 @@ proptest! {
         for ev in exec.events() {
             engine.submit(run, ev).unwrap();
         }
-        engine.provide_derivation(run, gen.derivation.clone()).unwrap();
         engine.complete_run(run).unwrap();
         engine.freeze_run(run).unwrap();
         prop_assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
@@ -123,7 +122,6 @@ proptest! {
 
         engine.persist_run(run).unwrap();
         prop_assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
-        let spilled = engine.stats();
         drop(engine);
 
         // Reload in a fresh engine and compare against naive again.
@@ -132,14 +130,6 @@ proptest! {
             .spill_dir(&dir.0)
             .build();
         prop_assert_eq!(reloaded.run_status(run).unwrap(), RunStatus::Completed);
-        // The freeze-time §7.4 report rides the segment header: the
-        // reloaded engine reports the deltas its predecessor measured.
-        let stats = reloaded.stats();
-        prop_assert_eq!(
-            (stats.skl_relabeled, stats.skl_bits_total, stats.skl_pairs_sampled),
-            (spilled.skl_relabeled, spilled.skl_bits_total, spilled.skl_pairs_sampled)
-        );
-        prop_assert_eq!(stats.skl_relabeled, u64::from(!seed.is_multiple_of(2)));
         let h = reloaded.handle(run).unwrap();
         prop_assert_eq!(h.published(), exec.len());
         for a in vertices.iter().step_by(2) {
@@ -165,21 +155,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The format-v1 blob of a v2 blob: same common header with `version =
-/// 1`, no `frozen_at`/SKL extension block, same slots and arena, fresh
-/// checksum — byte for byte what a PR 3 engine wrote.
-fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
+/// The format-v1 or format-v2 blob of a v3 blob: the same 52 common
+/// header bytes under the older `version`, then what that format put
+/// before the slot table — nothing in v1 (what a PR 3 engine wrote);
+/// `frozen_at` plus the 44-byte SKL report block, here with its flag
+/// clear, in v2 (what every engine up to PR 20 wrote for a run with no
+/// derivation) — then the same slots and arena and a fresh checksum.
+fn downgrade(v3: &[u8], version: u32) -> Vec<u8> {
     const COMMON: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8;
-    const EXTENSION: usize = 8 + 4 + 5 * 8;
-    let mut v1 = v2[..COMMON].to_vec();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&v2[COMMON + EXTENSION..v2.len() - 8]);
-    let checksum = fnv1a(&v1);
-    v1.extend_from_slice(&checksum.to_le_bytes());
-    v1
+    const HEADER: usize = COMMON + 8;
+    const SKL_BLOCK: usize = 4 + 5 * 8;
+    let mut old = v3[..COMMON].to_vec();
+    old[8..12].copy_from_slice(&version.to_le_bytes());
+    if version == 2 {
+        old.extend_from_slice(&v3[COMMON..HEADER]);
+        old.extend_from_slice(&[0; SKL_BLOCK]);
+    }
+    old.extend_from_slice(&v3[HEADER..v3.len() - 8]);
+    let checksum = fnv1a(&old);
+    old.extend_from_slice(&checksum.to_le_bytes());
+    old
 }
 
-/// The segment body is still the parent format, byte for byte: restated
+/// Behind its 60-byte header the segment is still the parent format,
+/// byte for byte: restated
 /// here from the labels alone — `count` × (vertex, name, offset) in
 /// vertex order, then every `encode_label` back to back — it equals what
 /// the engine spilled; a blob decodes and re-encodes to itself; and a
@@ -187,7 +186,7 @@ fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
 /// of this format left behind) opens and answers every oracle pair.
 #[test]
 fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
-    const HEADER: usize = 104;
+    const HEADER: usize = 60;
     let dir = TempDir::new("golden");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(1611);
@@ -268,9 +267,10 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
 }
 
 /// There is one segment format and one manifest format. A well-formed
-/// **v1 blob** and a **v1-header manifest** are each rejected with a
-/// typed [`SnapshotError::Format`] — never guessed at — and an engine
-/// built over either still comes up and serves fresh runs.
+/// **v1 blob**, a well-formed **v2 blob** and a **v1-header manifest**
+/// are each rejected with a typed [`SnapshotError::Format`] — never
+/// guessed at — and an engine built over any of them still comes up and
+/// serves fresh runs.
 #[test]
 fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let dir = TempDir::new("v1");
@@ -289,47 +289,48 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
     let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
-    let v2 = std::fs::read(&path).unwrap();
+    let v3 = std::fs::read(&path).unwrap();
     let manifest = std::fs::read_to_string(&manifest_path).unwrap();
     assert!(
-        snapshot::decode_segment(&v2).is_ok(),
-        "the v2 blob is sound"
+        snapshot::decode_segment(&v3).is_ok(),
+        "the v3 blob is sound"
     );
 
-    // The v1 blob: framing and checksum are intact, only the version is
-    // one this engine does not read.
-    let v1 = downgrade_to_v1(&v2);
-    for res in [
-        snapshot::verify_segment_bytes(&v1).map(|_| ()),
-        snapshot::decode_segment(&v1).map(|_| ()),
-    ] {
-        match res {
-            Err(SnapshotError::Format(msg)) => assert!(msg.contains("version"), "{msg}"),
-            other => panic!("v1 blob not rejected as a format error: {other:?}"),
+    for version in [1, 2] {
+        // The older blob: framing and checksum are intact, only the
+        // version is one this engine does not read.
+        let old = downgrade(&v3, version);
+        for res in [
+            snapshot::verify_segment_bytes(&old).map(|_| ()),
+            snapshot::decode_segment(&old).map(|_| ()),
+        ] {
+            match res {
+                Err(SnapshotError::Format(msg)) => assert!(msg.contains("version"), "{msg}"),
+                other => panic!("v{version} blob not rejected as a format error: {other:?}"),
+            }
         }
+        // An engine over a directory holding it skips the run and works.
+        std::fs::write(&path, &old).unwrap();
+        std::fs::write(
+            &manifest_path,
+            manifest.replace(&format!(" {}\n", v3.len()), &format!(" {}\n", old.len())),
+        )
+        .unwrap();
+        let engine = build();
+        assert_eq!(
+            engine.run_tier(run).unwrap_err(),
+            wf_service::ServiceError::UnknownRun(run)
+        );
+        let fresh = persist_one(&engine, &exec);
+        assert_eq!(engine.run_tier(fresh).unwrap(), Tier::Persisted);
     }
-    // An engine over a directory holding it skips the run and works.
-    std::fs::write(&path, &v1).unwrap();
-    std::fs::write(
-        &manifest_path,
-        manifest.replace(&format!(" {}\n", v2.len()), &format!(" {}\n", v1.len())),
-    )
-    .unwrap();
-    let engine = build();
-    assert_eq!(
-        engine.run_tier(run).unwrap_err(),
-        wf_service::ServiceError::UnknownRun(run)
-    );
-    let fresh = persist_one(&engine, &exec);
-    assert_eq!(engine.run_tier(fresh).unwrap(), Tier::Persisted);
-    drop(engine);
 
     // The v1 manifest: `run file bytes` lines under the v1 header.
-    std::fs::write(&path, &v2).unwrap();
+    std::fs::write(&path, &v3).unwrap();
     let name = path.file_name().unwrap().to_str().unwrap();
     std::fs::write(
         &manifest_path,
-        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v2.len()),
+        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v3.len()),
     )
     .unwrap();
     match snapshot::load_manifest(&dir.0) {
