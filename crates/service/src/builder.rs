@@ -283,6 +283,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             ingest: Ingest::new(self.ingest_workers),
             tiering: Tiering::new(self.policy),
             spill,
+            wal_unavailable: self.wal_dir.is_some() && recovered.wal.is_none(),
             wal: recovered.wal,
             watchdog: Ticker::new(Health::Healthy),
         });

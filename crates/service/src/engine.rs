@@ -24,7 +24,7 @@ use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, Tier};
 use crate::sub::{SubPredicate, Subscription};
 use crate::telemetry::Telemetry;
-use crate::watchdog::{Health, Watchdog};
+use crate::watchdog::{Health, StallCause, Watchdog};
 use crate::{
     BatchOutcome, RunId, RunOp, RunStatus, ServiceError, ServiceEvent, SpecContext, SpecId,
 };
@@ -37,7 +37,7 @@ use wf_drl::ResolutionMode;
 use wf_graph::VertexId;
 use wf_run::ExecEvent;
 use wf_skeleton::{SpecLabeling, TclSpecLabels};
-use wf_wal::{Record, RecordKind, WalWriter};
+use wf_wal::{RecordKind, WalWriter};
 
 /// The per-run vertex-id ceiling: 2²⁴ ≈ 16M vertices, far beyond the
 /// paper's 32K-vertex runs yet small enough that a garbage id from a
@@ -66,6 +66,10 @@ pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     /// it is applied, so a crash loses at most the un-synced batch tail,
     /// never applied state the log cannot replay.
     pub(crate) wal: Option<WalWriter>,
+    /// A [`EngineBuilder::wal_dir`] was configured and its log could not
+    /// be opened: the engine runs, and nothing it acknowledges is
+    /// durable. Set once at build; [`WfEngine::health`] reports it.
+    pub(crate) wal_unavailable: bool,
     /// The stall watchdog's verdict and its monitor thread.
     pub(crate) watchdog: Watchdog,
 }
@@ -106,22 +110,18 @@ impl<S: SpecLabeling> EngineShared<S> {
         route_worker(run, self.ingest.marks().len())
     }
 
-    /// Append one record to `run`'s WAL shard (a no-op without a WAL).
+    /// Append one record to `run`'s WAL shard (a no-op without a WAL);
+    /// `payload` writes the record's payload straight into the shard's
+    /// buffer.
     pub(crate) fn journal(
         &self,
         run: RunId,
         kind: RecordKind,
         seq: u64,
-        payload: Vec<u8>,
+        payload: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), ServiceError> {
         let Some(wal) = &self.wal else { return Ok(()) };
-        let rec = Record {
-            kind,
-            run: run.0,
-            seq,
-            payload,
-        };
-        wal.append(self.wal_shard(run), &rec)
+        wal.append_with(self.wal_shard(run), kind, run.0, seq, payload)
             .map_err(|e| ServiceError::Wal(e.to_string()))
     }
 
@@ -208,8 +208,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         // Journal the open before the run becomes visible: the `RunOpen`
         // record (seq 0) happens-before any event enqueue, so recovery
         // always finds it ahead of the run's events.
-        let open = run_open_payload(spec, resolution);
-        self.shared.journal(run, RecordKind::RunOpen, 0, open)?;
+        self.shared.journal(run, RecordKind::RunOpen, 0, |out| {
+            run_open_payload(out, spec, resolution);
+        })?;
         self.shared.store.insert(run, RunView::Hot(Arc::new(slot)));
         self.shared.obs.runs_opened.inc();
         Ok(run)
@@ -474,7 +475,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 
     /// The configured write-ahead log directory, if any. `None` also
     /// when a [`EngineBuilder::wal_dir`] was set but the log could not
-    /// be opened at build time (the engine degrades to non-durable).
+    /// be opened at build time (the engine degrades to non-durable, and
+    /// [`Self::health`] names [`StallCause::WalUnavailable`]).
     pub fn wal_dir(&self) -> Option<&Path> {
         self.shared.wal.as_ref().map(wf_wal::WalWriter::dir)
     }
@@ -664,12 +666,27 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// The stall watchdog's latest verdict (see
-    /// [`EngineBuilder::watchdog`]); always [`Health::Healthy`] when no
-    /// watchdog is configured. Suitable for a readiness probe: `Stalled`
-    /// means some pipeline watermark has not advanced for two
-    /// consecutive intervals.
+    /// [`EngineBuilder::watchdog`]; [`Health::Healthy`] when none is
+    /// configured), plus the one cause that needs no watchdog: an engine
+    /// whose configured WAL could not be opened is at best `Degraded`
+    /// with [`StallCause::WalUnavailable`], for its whole lifetime.
+    /// Suitable for a readiness probe: `Stalled` means some pipeline
+    /// watermark has not advanced for two consecutive intervals.
     pub fn health(&self) -> Health {
-        self.shared.watchdog.lock().shared.clone()
+        let mut verdict = self.shared.watchdog.lock().shared.clone();
+        if self.shared.wal_unavailable {
+            match &mut verdict {
+                Health::Healthy => {
+                    verdict = Health::Degraded {
+                        causes: vec![StallCause::WalUnavailable],
+                    };
+                }
+                Health::Degraded { causes } | Health::Stalled { causes } => {
+                    causes.push(StallCause::WalUnavailable);
+                }
+            }
+        }
+        verdict
     }
 
     /// Fault injection for stall testing: pause (or resume) the WAL

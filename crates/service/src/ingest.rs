@@ -163,15 +163,12 @@ fn log_then_apply<S: SpecLabeling>(
             return Ok(());
         }
         let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
-        let mut payload = Vec::new();
-        let kind = match op {
-            Op::Insert(ev) => {
-                wf_drl::encode::write_event(&mut payload, ev);
-                RecordKind::Event
-            }
-            Op::Complete => RecordKind::Complete,
-        };
-        shared.journal(run, kind, seq, payload)
+        match op {
+            Op::Insert(ev) => shared.journal(run, RecordKind::Event, seq, |out| {
+                wf_drl::encode::write_event(out, ev);
+            }),
+            Op::Complete => shared.journal(run, RecordKind::Complete, seq, |_| {}),
+        }
     };
     match op {
         Op::Insert(ev) => slot.apply_insert(run, ev, journal),

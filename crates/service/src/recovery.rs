@@ -18,7 +18,12 @@
 //! rewritten log.
 //!
 //! Failures degrade — the engine comes up without a WAL rather than not
-//! at all — and are traced.
+//! at all — and are traced; `health()` then names
+//! [`crate::StallCause::WalUnavailable`] for as long as the engine lives.
+//! A log this build cannot read (another format version, a stray file
+//! under a shard's name) is such a failure, and is left on disk byte for
+//! byte: the scan fails before the rewrite, and the rewrite checks every
+//! file it would replace.
 
 use crate::engine::{route_worker, EngineShared};
 use crate::ingest::{apply, Entry, Op};
@@ -37,14 +42,12 @@ use wf_wal::{Record, RecordKind, WalSync, WalWriter};
 
 /// `RunOpen` payload: the spec id (u32 LE) plus the resolution mode tag —
 /// everything recovery needs to rebuild the slot.
-pub(crate) fn run_open_payload(spec: SpecId, resolution: ResolutionMode) -> Vec<u8> {
-    let mut p = Vec::with_capacity(5);
-    p.extend_from_slice(&(spec.0 as u32).to_le_bytes());
-    p.push(match resolution {
+pub(crate) fn run_open_payload(out: &mut Vec<u8>, spec: SpecId, resolution: ResolutionMode) {
+    out.extend_from_slice(&(spec.0 as u32).to_le_bytes());
+    out.push(match resolution {
         ResolutionMode::NameBased => 0,
         ResolutionMode::LogBased => 1,
     });
-    p
 }
 
 /// Inverse of [`run_open_payload`]; `None` on malformed or unknown bytes
@@ -75,7 +78,8 @@ pub(crate) struct ReplayRun {
 #[derive(Default)]
 pub(crate) struct Recovered {
     /// The reopened log; `None` when the scan or the rewrite failed (the
-    /// engine then runs non-durable, and nothing is replayed).
+    /// engine then runs non-durable, says so in `health()`, and nothing
+    /// is replayed).
     pub(crate) wal: Option<WalWriter>,
     /// The runs to [`replay`].
     pub(crate) replay: Vec<ReplayRun>,

@@ -36,6 +36,14 @@ pub enum StallCause {
     /// queues dropped deltas faster than [`SUB_LAG_PER_TICK`] per
     /// watchdog interval.
     SubLag,
+    /// A WAL directory was configured and its log could not be opened
+    /// at build time (unreadable, or written in a format this build does
+    /// not read): the engine is running without one, and what `flush()`
+    /// acknowledges is not durable. Not sampled by the watchdog — it is
+    /// decided once, at build, and [`crate::WfEngine::health`] reports
+    /// it with or without one; it never escalates to `Stalled` on its
+    /// own and never clears.
+    WalUnavailable,
 }
 
 impl StallCause {
@@ -48,6 +56,7 @@ impl StallCause {
             StallCause::TieringBacklog => "tiering_backlog",
             StallCause::ShedThrash => "shed_thrash",
             StallCause::SubLag => "sub_lag",
+            StallCause::WalUnavailable => "wal_unavailable",
         }
     }
 }
@@ -56,7 +65,8 @@ impl StallCause {
 /// interval ([`crate::EngineBuilder::watchdog`]). A cause appears in
 /// `Degraded` after one violating interval and escalates to `Stalled`
 /// after two consecutive ones; it clears as soon as an interval passes
-/// clean. Without a watchdog the engine always reports `Healthy`.
+/// clean. Without a watchdog the engine reports `Healthy` — unless its
+/// configured WAL could not be opened ([`StallCause::WalUnavailable`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Health {
     /// Every watermark is advancing.
@@ -85,7 +95,7 @@ const SHED_THRASH_PER_TICK: u64 = 64;
 /// Subscription deltas dropped per watchdog tick that count as lag.
 const SUB_LAG_PER_TICK: u64 = 64;
 
-/// Every cause the watchdog can diagnose, in streak-array order.
+/// Every cause the watchdog samples, in streak-array order.
 const WATCHDOG_CAUSES: [StallCause; 5] = [
     StallCause::IngestWorker,
     StallCause::WalCommitLag,

@@ -6,11 +6,21 @@
 //! crate puts an append-only durable history *in front of* that mutable
 //! working set:
 //!
-//! - **Framing.** Each record is `[len: u32 LE][fnv1a: u64 LE][body]`
-//!   where the checksum covers the body and the body is
-//!   `[kind: u8][run: u64 LE][seq: u64 LE][payload…]`. The payload is
+//! - **Framing (format version 2).** A shard file starts with the 8-byte
+//!   [`FILE_HEADER`] (magic + version); a file that starts with anything
+//!   else is refused with [`WalError::Unsupported`] and never modified,
+//!   while an empty file or a strict prefix of the header (a crash while
+//!   the file was being created) is an empty log. Each record after it
+//!   is `[body_len: varint][fnv1a: u64 LE][body]` where the checksum
+//!   covers the whole body and the body is
+//!   `[kind: u8][run: varint][seq + 1 (wrapping): varint][payload…]` —
+//!   varints are LEB128, minimal, at most 10 bytes; `seq + 1` makes a
+//!   checkpoint's [`CHECKPOINT_SEQ`] the one-byte `0`. A frame is
+//!   self-contained (no state carried from the frame before), so
+//!   truncation and re-homing move records one by one. The payload is
 //!   opaque to this crate; the service layer encodes run-open metadata
-//!   and execution events into it.
+//!   and execution events into it — [`WalWriter::append_with`] lets it
+//!   do so straight into the shard buffer.
 //! - **Sharding.** One log file per ingest worker (`wal-NNNN.wflog`).
 //!   The service routes a run's records to the shard of the worker the
 //!   run is pinned to, so per-run record order on disk follows the
@@ -25,7 +35,9 @@
 //! - **Recovery.** [`recover`] scans a WAL directory, truncates each
 //!   file's view at the first bad length/checksum (a torn tail is data
 //!   loss bounded by the last barrier, not corruption), groups records
-//!   by run and orders them by sequence number.
+//!   by run and orders them by sequence number. A file of another
+//!   format fails the whole scan: nothing is guessed at, nothing is
+//!   rewritten.
 //! - **Checkpoint truncation.** When the service has made a run durable
 //!   elsewhere (spilled a segment), it stamps a `Checkpoint` record and
 //!   compacts the shard in place, dropping every record of checkpointed
@@ -33,7 +45,8 @@
 //!   recovery time proportional to hot state, not history.
 //! - **The disk idioms, once each.** Everything the engine keeps on disk
 //!   is either an append to a log or an immutable blob whose *name* is
-//!   swapped atomically. [`WalWriter::append`] is the one append body:
+//!   swapped atomically. [`WalWriter::append_with`] is the one append
+//!   body ([`WalWriter::append`] hands it a payload that already exists):
 //!   whatever the policy, *a failed append leaves the shard buffer as it
 //!   found it* — the rejected record's frame is never written later.
 //!   [`replace_file`] is the one crash-safe replace (the shard rewrites
@@ -56,10 +69,20 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Frame header: `u32` body length + `u64` FNV-1a checksum of the body.
-pub const FRAME_HEADER_BYTES: usize = 12;
-/// Fixed body prefix: kind byte + run id + sequence number.
-pub const BODY_PREFIX_BYTES: usize = 17;
+/// The on-disk format this crate writes and the only one it reads.
+pub const FORMAT_VERSION: u32 = 2;
+/// What every shard file starts with: the magic `WFWL`, then
+/// [`FORMAT_VERSION`] as a `u32` LE.
+pub const FILE_HEADER: [u8; 8] = {
+    let v = FORMAT_VERSION.to_le_bytes();
+    [b'W', b'F', b'W', b'L', v[0], v[1], v[2], v[3]]
+};
+/// Bytes of a frame ahead of its body besides the length varint: the
+/// `u64` FNV-1a checksum of the body.
+const CHECKSUM_BYTES: usize = 8;
+/// Lower bound on one record body: the kind byte and two one-byte
+/// varints (run, `seq + 1`); shorter claims are treated as torn.
+pub const MIN_BODY_BYTES: usize = 3;
 /// Upper bound on one record body; longer frames are treated as torn.
 pub const MAX_BODY_BYTES: usize = 1 << 26;
 /// Byte budget per shard buffer under group commit: once a shard's
@@ -83,6 +106,44 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// LEB128: seven bits a byte, low group first, the top bit set on every
+/// byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The varint at the front of `bytes` and its width. `None` when the
+/// bytes end inside it, when it does not fit a `u64` (an eleventh byte,
+/// or bits past the 64th in the tenth) or when it is not the minimal
+/// encoding of its value (a trailing zero byte) — every value has
+/// exactly one accepted encoding.
+fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    for (i, &b) in bytes.iter().enumerate().take(MAX_VARINT_BYTES) {
+        let bits = u64::from(b & 0x7f);
+        if i == MAX_VARINT_BYTES - 1 && bits > 1 {
+            return None;
+        }
+        v |= bits << (7 * i);
+        if b & 0x80 == 0 {
+            return (b != 0 || i == 0).then_some((v, i + 1));
+        }
+    }
+    None
 }
 
 /// What a record means to the service layer.
@@ -142,27 +203,95 @@ impl Record {
         }
     }
 
-    /// Bytes this record occupies on disk, header included.
+    /// Bytes this record's frame occupies on disk.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        FRAME_HEADER_BYTES + BODY_PREFIX_BYTES + self.payload.len()
+        let body_len =
+            1 + varint_len(self.run) + varint_len(self.seq.wrapping_add(1)) + self.payload.len();
+        varint_len(body_len as u64) + CHECKSUM_BYTES + body_len
     }
 
     /// Append the framed record to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let body_len = BODY_PREFIX_BYTES + self.payload.len();
-        out.reserve(FRAME_HEADER_BYTES + body_len);
-        let frame_start = out.len();
-        out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // checksum patched below
-        let body_start = out.len();
-        out.push(self.kind.as_u8());
-        out.extend_from_slice(&self.run.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let crc = fnv1a(&out[body_start..]);
-        out[frame_start + 4..frame_start + 12].copy_from_slice(&crc.to_le_bytes());
+        encode_frame(out, self.kind, self.run, self.seq, |out| {
+            out.extend_from_slice(&self.payload);
+        });
     }
+}
+
+/// Append one frame to `out`, its payload written in place by `payload`
+/// (which must only append). The length and the checksum go in front of
+/// a body whose size is not known until it is written: one length byte is
+/// set aside — enough for every body under 128 bytes, which is every
+/// record the engine writes — and a longer length is written behind the
+/// frame and rotated to its front.
+fn encode_frame(
+    out: &mut Vec<u8>,
+    kind: RecordKind,
+    run: u64,
+    seq: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let frame_at = out.len();
+    out.extend_from_slice(&[0u8; 1 + CHECKSUM_BYTES]);
+    let body_at = out.len();
+    out.push(kind.as_u8());
+    put_varint(out, run);
+    put_varint(out, seq.wrapping_add(1));
+    payload(out);
+    let crc = fnv1a(&out[body_at..]);
+    out[frame_at + 1..body_at].copy_from_slice(&crc.to_le_bytes());
+    let body_len = out.len() - body_at;
+    if body_len < 0x80 {
+        out[frame_at] = body_len as u8;
+    } else {
+        out.remove(frame_at);
+        put_varint(out, body_len as u64);
+        out[frame_at..].rotate_right(varint_len(body_len as u64));
+    }
+}
+
+/// Parse the frame at the front of `bytes`: the record and the bytes it
+/// took, or why the bytes are not a frame.
+fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
+    let (claimed, len_bytes) =
+        get_varint(bytes).ok_or_else(|| "unreadable body length".to_string())?;
+    let body_len = usize::try_from(claimed)
+        .ok()
+        .filter(|len| (MIN_BODY_BYTES..=MAX_BODY_BYTES).contains(len))
+        .ok_or_else(|| format!("implausible body length {claimed}"))?;
+    let body_at = len_bytes + CHECKSUM_BYTES;
+    let crc = bytes
+        .get(len_bytes..body_at)
+        .ok_or_else(|| format!("short header: {} bytes", bytes.len()))?;
+    let body = bytes.get(body_at..body_at + body_len).ok_or_else(|| {
+        format!(
+            "short body: want {body_len}, have {}",
+            bytes.len() - body_at
+        )
+    })?;
+    if fnv1a(body).to_le_bytes() != crc {
+        return Err("checksum mismatch".to_string());
+    }
+    let kind =
+        RecordKind::from_u8(body[0]).ok_or_else(|| format!("unknown record kind {}", body[0]))?;
+    let mut at = 1;
+    let mut field = |name| {
+        let (v, n) = get_varint(&body[at..]).ok_or_else(|| format!("unreadable {name}"))?;
+        at += n;
+        Ok::<u64, String>(v)
+    };
+    let run = field("run id")?;
+    let seq = field("sequence number")?.wrapping_sub(1);
+    Ok((
+        Record {
+            kind,
+            run,
+            seq,
+            payload: body[at..].to_vec(),
+        },
+        body_at + body_len,
+    ))
 }
 
 /// When appends become durable.
@@ -199,6 +328,14 @@ pub enum WalError {
         offset: u64,
         detail: String,
     },
+    /// A shard file that does not start with [`FILE_HEADER`] — a log of
+    /// another format version, or not a log at all. It is refused whole
+    /// and left byte for byte as it was found.
+    Unsupported {
+        file: String,
+        /// What the file starts with instead.
+        found: String,
+    },
     /// The writer is shutting down and cannot accept appends.
     ShuttingDown,
 }
@@ -214,6 +351,10 @@ impl std::fmt::Display for WalError {
             } => write!(
                 f,
                 "wal corrupt frame in {file} at offset {offset}: {detail}"
+            ),
+            WalError::Unsupported { file, found } => write!(
+                f,
+                "wal file {file} is not a version-{FORMAT_VERSION} log ({found}); left untouched"
             ),
             WalError::ShuttingDown => write!(f, "wal writer is shutting down"),
         }
@@ -309,56 +450,109 @@ pub struct TornTail {
     pub detail: String,
 }
 
-/// Parse every valid frame of one WAL file. Corruption mid-file is not
-/// an error: the valid prefix is returned along with a [`TornTail`]
-/// describing the cut (a crash can tear the last frame; anything after
-/// the first bad frame is untrusted).
-pub fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
+/// Hold the first bytes of a shard file (`head`: up to
+/// [`FILE_HEADER`]'s length of them) against the header. `Ok(true)` for
+/// the whole header, `Ok(false)` for an empty file or a strict prefix of
+/// it — the file was being created when the process died, and holds no
+/// record — and [`WalError::Unsupported`] for anything else.
+fn check_header(path: &Path, head: &[u8]) -> Result<bool, WalError> {
+    if FILE_HEADER.starts_with(head) {
+        return Ok(head.len() == FILE_HEADER.len());
+    }
+    let found = match head.strip_prefix(&FILE_HEADER[..4]) {
+        Some(&[a, b, c, d]) => format!("format version {}", u32::from_le_bytes([a, b, c, d])),
+        _ => format!("no log header; the file starts {head:02x?}"),
+    };
+    Err(WalError::Unsupported {
+        file: path.display().to_string(),
+        found,
+    })
+}
+
+/// [`check_header`] on an open file; returns its length.
+fn verify_header(file: &mut File, path: &Path) -> Result<u64, WalError> {
+    let len = file.metadata().map_err(|e| io_err("stat", path, &e))?.len();
+    let mut head = [0u8; FILE_HEADER.len()];
+    let head = &mut head[..len.min(FILE_HEADER.len() as u64) as usize];
+    file.read_exact(head)
+        .map_err(|e| io_err("read", path, &e))?;
+    check_header(path, head)?;
+    Ok(len)
+}
+
+/// One shard file, parsed.
+struct Scanned {
+    records: Vec<Record>,
+    /// Bytes that parsed cleanly, header included.
+    valid_bytes: u64,
+    torn: Option<TornTail>,
+}
+
+fn scan_file(path: &Path) -> Result<Scanned, WalError> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| io_err("read", path, &e))?;
+    let head = &bytes[..bytes.len().min(FILE_HEADER.len())];
     let mut records = Vec::new();
     let mut at = 0usize;
-    let torn = loop {
-        if at == bytes.len() {
-            break None;
+    let mut detail = None;
+    if check_header(path, head)? {
+        at = FILE_HEADER.len();
+        while at < bytes.len() {
+            match parse_frame(&bytes[at..]) {
+                Ok((rec, len)) => {
+                    records.push(rec);
+                    at += len;
+                }
+                Err(why) => {
+                    detail = Some(why);
+                    break;
+                }
+            }
         }
-        let tear = |detail: String| TornTail {
+    } else if !head.is_empty() {
+        detail = Some(format!("short file header: {} bytes", head.len()));
+    }
+    Ok(Scanned {
+        records,
+        valid_bytes: at as u64,
+        torn: detail.map(|detail| TornTail {
             file: path.display().to_string(),
             valid_bytes: at as u64,
             detail,
-        };
-        let Some(header) = bytes.get(at..at + FRAME_HEADER_BYTES) else {
-            break Some(tear(format!("short header: {} bytes", bytes.len() - at)));
-        };
-        let body_len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let crc = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        if !(BODY_PREFIX_BYTES..=MAX_BODY_BYTES).contains(&body_len) {
-            break Some(tear(format!("implausible body length {body_len}")));
-        }
-        let body_at = at + FRAME_HEADER_BYTES;
-        let Some(body) = bytes.get(body_at..body_at + body_len) else {
-            break Some(tear(format!(
-                "short body: want {body_len}, have {}",
-                bytes.len() - body_at
-            )));
-        };
-        if fnv1a(body) != crc {
-            break Some(tear("checksum mismatch".to_string()));
-        }
-        let Some(kind) = RecordKind::from_u8(body[0]) else {
-            break Some(tear(format!("unknown record kind {}", body[0])));
-        };
-        records.push(Record {
-            kind,
-            run: u64::from_le_bytes(body[1..9].try_into().unwrap()),
-            seq: u64::from_le_bytes(body[9..17].try_into().unwrap()),
-            payload: body[BODY_PREFIX_BYTES..].to_vec(),
-        });
-        at = body_at + body_len;
+        }),
+    })
+}
+
+/// Parse every valid frame of one WAL file. Corruption mid-file is not
+/// an error: the valid prefix is returned along with a [`TornTail`]
+/// describing the cut (a crash can tear the last frame; anything after
+/// the first bad frame is untrusted). A file that does not start with
+/// [`FILE_HEADER`] is an error — a log of another format is not a tail
+/// torn at offset 0.
+pub fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
+    scan_file(path).map(|s| (s.records, s.torn))
+}
+
+/// The shard files of `dir`, sorted by name; none when `dir` is missing.
+fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, WalError> {
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(io_err("read dir", dir, &e)),
     };
-    Ok((records, torn))
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(is_shard_file)
+        })
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 /// One run's surviving records after a directory scan.
@@ -390,35 +584,18 @@ pub struct Recovery {
 }
 
 /// Scan `dir` for shard files and reassemble per-run record streams.
-/// A missing directory is an empty recovery, not an error.
+/// A missing directory is an empty recovery, not an error; a shard file
+/// of another format is ([`WalError::Unsupported`]), whatever the other
+/// files hold.
 pub fn recover(dir: &Path) -> Result<Recovery, WalError> {
     let mut out = Recovery::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err("read dir", dir, &e)),
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(is_shard_file)
-        })
-        .collect();
-    paths.sort();
     let mut by_run: BTreeMap<u64, RecoveredRun> = BTreeMap::new();
-    for path in &paths {
+    for path in &shard_paths(dir)? {
         out.files += 1;
-        let (records, torn) = read_records(path)?;
-        if let Some(t) = torn {
-            out.bytes += t.valid_bytes;
-            out.torn.push(t);
-        } else {
-            out.bytes += records.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
-        }
-        for rec in records {
+        let scanned = scan_file(path)?;
+        out.bytes += scanned.valid_bytes;
+        out.torn.extend(scanned.torn);
+        for rec in scanned.records {
             out.records += 1;
             let entry = by_run.entry(rec.run).or_insert_with(|| RecoveredRun {
                 run: rec.run,
@@ -460,9 +637,17 @@ struct ShardFile {
 }
 
 impl ShardFile {
-    /// Write the buffer through to the OS (no fsync).
+    /// Write the buffer through to the OS (no fsync). A file gets its
+    /// header with the first bytes it ever holds; what it has of one is
+    /// a prefix ([`WalInner::open_append`] checked).
     fn flush_buf(&mut self, path: &Path) -> Result<(), WalError> {
         if !self.buf.is_empty() {
+            if self.len < FILE_HEADER.len() as u64 {
+                self.file
+                    .write_all(&FILE_HEADER[self.len as usize..])
+                    .map_err(|e| io_err("write", path, &e))?;
+                self.len = FILE_HEADER.len() as u64;
+            }
             self.file
                 .write_all(&self.buf)
                 .map_err(|e| io_err("write", path, &e))?;
@@ -513,13 +698,17 @@ struct WalInner {
 }
 
 impl WalInner {
+    /// Open a shard file for appending, creating it if need be. A file
+    /// that is not a log of this format is refused before a byte is
+    /// appended to it.
     fn open_append(path: &Path) -> Result<(File, u64), WalError> {
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
+            .read(true)
             .append(true)
             .create(true)
             .open(path)
             .map_err(|e| io_err("open", path, &e))?;
-        let len = file.metadata().map_err(|e| io_err("stat", path, &e))?.len();
+        let len = verify_header(&mut file, path)?;
         Ok((file, len))
     }
 
@@ -629,7 +818,9 @@ impl WalWriter {
     /// replace the old files, delete any stale shard/temp files, then
     /// open for appending. This is how recovery normalizes the log —
     /// it drops checkpointed history and re-homes records when the
-    /// worker count changed across restarts.
+    /// worker count changed across restarts. Every file it would replace
+    /// or delete must be a log of this format (or empty): one that is
+    /// not fails the reset before anything is written.
     pub fn reset(
         dir: &Path,
         shards: usize,
@@ -639,8 +830,12 @@ impl WalWriter {
         route: impl Fn(u64) -> usize,
     ) -> Result<Self, WalError> {
         fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
+        for path in shard_paths(dir)? {
+            let mut file = File::open(&path).map_err(|e| io_err("open", &path, &e))?;
+            verify_header(&mut file, &path)?;
+        }
         let shards = shards.max(1);
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); shards];
+        let mut bufs: Vec<Vec<u8>> = vec![FILE_HEADER.to_vec(); shards];
         for rec in records {
             rec.encode_into(&mut bufs[route(rec.run) % shards]);
         }
@@ -681,24 +876,43 @@ impl WalWriter {
         &self.inner.dir
     }
 
-    /// Append one record to `shard`. Under `Always` the record is
-    /// durable on return; under `GroupCommit` it is durable after the
-    /// next committer pass or [`barrier`](Self::barrier); under `Never`
-    /// it is in the OS page cache. Every policy encodes the record
-    /// straight into the shard's buffer and differs only in what follows
-    /// under the same shard lock; on an error the buffer is cut back to
-    /// where this record began, so a rejected record is never written
-    /// later (frames buffered before it belong to applied ops and stay
-    /// for the committer to retry).
+    /// Append one record to `shard`: [`append_with`](Self::append_with)
+    /// for a payload that already exists as bytes.
     pub fn append(&self, shard: usize, rec: &Record) -> Result<(), WalError> {
+        self.append_with(shard, rec.kind, rec.run, rec.seq, |out| {
+            out.extend_from_slice(&rec.payload);
+        })
+    }
+
+    /// Append one record to `shard`, its payload written by `payload`
+    /// under the shard lock, straight into the shard's buffer (it must
+    /// only append to the `Vec` it is handed) — a record costs no
+    /// allocation and no copy beyond its own frame. Under `Always` the
+    /// record is durable on return; under `GroupCommit` it is durable
+    /// after the next committer pass or [`barrier`](Self::barrier); under
+    /// `Never` it is in the OS page cache. Every policy encodes the
+    /// frame in place and differs only in what follows under the same
+    /// shard lock; on an error the buffer is cut back to where this
+    /// record began, so a rejected record is never written later (frames
+    /// buffered before it belong to applied ops and stay for the
+    /// committer to retry).
+    pub fn append_with(
+        &self,
+        shard: usize,
+        kind: RecordKind,
+        run: u64,
+        seq: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WalError> {
         let inner = &self.inner;
         let shard_ref = &inner.shards[shard % inner.shards.len()];
         let start = Instant::now();
-        let frame_len = rec.encoded_len() as u64;
+        let frame_len;
         {
             let mut f = shard_ref.state.lock().expect("wal shard lock poisoned");
             let mark = f.buf.len();
-            rec.encode_into(&mut f.buf);
+            encode_frame(&mut f.buf, kind, run, seq, payload);
+            frame_len = (f.buf.len() - mark) as u64;
             let written = match inner.policy {
                 WalSync::Always => f.flush_buf(&shard_ref.path).and_then(|()| {
                     let fsync_start = Instant::now();
@@ -827,7 +1041,7 @@ impl WalWriter {
             .filter(|r| r.kind == RecordKind::Checkpoint)
             .map(|r| r.run)
             .collect();
-        let mut buf = Vec::new();
+        let mut buf = FILE_HEADER.to_vec();
         for rec in &records {
             if !checkpointed.contains(&rec.run) {
                 rec.encode_into(&mut buf);
@@ -984,7 +1198,8 @@ mod tests {
         ] {
             let dir = TempDir::new("roundtrip");
             let w = WalWriter::open(dir.path(), 2, policy, Box::new(NullObserver)).unwrap();
-            // `Always` and `Never` write each frame through on append;
+            // `Always` and `Never` write each frame through on append —
+            // behind the file header, which goes out with the first one;
             // group commit holds it in the shard buffer until a pass.
             let mut on_disk = [0u64; 2];
             for (shard, r) in [
@@ -994,6 +1209,9 @@ mod tests {
             ] {
                 w.append(shard, &r).unwrap();
                 if !matches!(policy, WalSync::GroupCommit { .. }) {
+                    if on_disk[shard] == 0 {
+                        on_disk[shard] = FILE_HEADER.len() as u64;
+                    }
                     on_disk[shard] += r.encoded_len() as u64;
                 }
                 let len = std::fs::metadata(dir.path().join(shard_file_name(shard)))
@@ -1015,42 +1233,233 @@ mod tests {
         }
     }
 
+    /// The format, byte for byte: a change to the header, the frame
+    /// layout or a varint shows up here before it shows up as a log the
+    /// previous build cannot read.
+    #[test]
+    fn frame_layout_is_pinned() {
+        assert_eq!(FILE_HEADER, [b'W', b'F', b'W', b'L', 2, 0, 0, 0]);
+        let golden: [(Record, &[u8]); 3] = [
+            (
+                rec(RecordKind::RunOpen, 1, 0, &[7, 0, 0, 0, 1]),
+                &[
+                    0x08, // body length
+                    0xc5, 0x42, 0xc5, 0x36, 0xaf, 0x51, 0x76, 0xff, // FNV-1a of the body
+                    0x00, 0x01, 0x01, // kind, run 1, seq 0 as 0 + 1
+                    0x07, 0x00, 0x00, 0x00, 0x01, // payload
+                ],
+            ),
+            (
+                rec(RecordKind::Event, 300, 129, &[0xaa, 0xbb, 0xcc]),
+                &[
+                    0x08, //
+                    0x68, 0x18, 0xee, 0x94, 0x63, 0xb7, 0xa9, 0xfd, //
+                    0x01, 0xac, 0x02, 0x82, 0x01, // kind, run 300, seq 129 as 130
+                    0xaa, 0xbb, 0xcc,
+                ],
+            ),
+            (
+                Record::checkpoint(5),
+                &[
+                    0x03, //
+                    0x2f, 0x9e, 0x05, 0x71, 0x18, 0x8b, 0x07, 0xe2, //
+                    0x03, 0x05, 0x00, // kind, run 5, `CHECKPOINT_SEQ` as 0
+                ],
+            ),
+        ];
+        let dir = TempDir::new("golden");
+        let w = WalWriter::open(dir.path(), 1, WalSync::Never, Box::new(NullObserver)).unwrap();
+        let mut file = FILE_HEADER.to_vec();
+        for (record, bytes) in &golden {
+            let mut framed = Vec::new();
+            record.encode_into(&mut framed);
+            assert_eq!(framed, *bytes, "{record:?}");
+            assert_eq!(record.encoded_len(), bytes.len(), "{record:?}");
+            assert_eq!(parse_frame(bytes), Ok((record.clone(), bytes.len())));
+            w.append(0, record).unwrap();
+            file.extend_from_slice(bytes);
+        }
+        drop(w);
+        assert_eq!(
+            std::fs::read(dir.path().join(shard_file_name(0))).unwrap(),
+            file
+        );
+        // A body of 128 bytes or more takes a longer length prefix, and
+        // `encoded_len` knows.
+        for payload in [124, 125, 16_381, 16_382] {
+            let long = rec(RecordKind::Event, 0, 0, &vec![0x5a; payload]);
+            let mut framed = Vec::new();
+            long.encode_into(&mut framed);
+            assert_eq!(framed.len(), long.encoded_len(), "{payload}");
+            assert_eq!(parse_frame(&framed), Ok((long, framed.len())), "{payload}");
+        }
+    }
+
+    #[test]
+    fn varints_have_one_encoding_each() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, v);
+            assert_eq!(bytes.len(), varint_len(v), "{v}");
+            assert_eq!(get_varint(&bytes), Some((v, bytes.len())), "{v}");
+            // Bytes after it are not its business; bytes missing are.
+            bytes.push(0xff);
+            assert_eq!(get_varint(&bytes), Some((v, bytes.len() - 1)), "{v}");
+            assert_eq!(get_varint(&bytes[..bytes.len() - 2]), None, "{v}");
+        }
+        // Not minimal, an eleventh byte, a 65th bit.
+        assert_eq!(get_varint(&[0x80, 0x00]), None);
+        assert_eq!(get_varint(&[0xff; 11]), None);
+        let mut wide = [0xff; 10];
+        wide[9] = 0x02;
+        assert_eq!(get_varint(&wide), None);
+    }
+
+    /// Cut a small multi-record shard at every byte and flip every bit
+    /// of it, file header included: the reader returns a prefix of what
+    /// was written — with a tear reported unless the cut fell on a frame
+    /// boundary — or refuses the file by its header. It never returns a
+    /// record that was not written.
     #[test]
     fn torn_tail_truncates_at_first_bad_frame() {
         let dir = TempDir::new("torn");
         let w = WalWriter::open(dir.path(), 1, WalSync::Always, Box::new(NullObserver)).unwrap();
-        for seq in 0..4 {
-            w.append(0, &rec(RecordKind::Event, 9, seq, &[seq as u8; 16]))
-                .unwrap();
+        let written = [
+            rec(RecordKind::RunOpen, 9, 0, &[0, 0, 0, 0, 1]),
+            rec(RecordKind::Event, 9, 1, &[1; 16]),
+            rec(RecordKind::Event, 300, 129, &[2; 3]),
+            rec(RecordKind::Event, 9, 2, &[3; 130]),
+            rec(RecordKind::Complete, 9, 3, &[]),
+            Record::checkpoint(300),
+        ];
+        for r in &written {
+            w.append(0, r).unwrap();
         }
-        w.shutdown();
         drop(w);
         let path = dir.path().join(shard_file_name(0));
         let full = std::fs::read(&path).unwrap();
-        let frame_len = full.len() / 4;
-        // Cut at every byte boundary of the final frame: each cut keeps
-        // the first three records and reports a torn tail (except the
-        // clean full-length case).
-        for cut in (3 * frame_len)..full.len() {
+        // Offsets at which a whole number of frames ends.
+        let mut boundaries = vec![FILE_HEADER.len()];
+        for r in &written {
+            boundaries.push(boundaries.last().unwrap() + r.encoded_len());
+        }
+        assert_eq!(*boundaries.last().unwrap(), full.len());
+
+        for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let (records, torn) = read_records(&path).unwrap();
-            if cut == 3 * frame_len {
-                // Clean cut at a frame boundary: no tear to report.
-                assert!(torn.is_none());
-            } else {
-                let torn = torn.expect("mid-frame cut must report a tear");
-                assert_eq!(torn.valid_bytes, (3 * frame_len) as u64);
+            let whole = boundaries.iter().rposition(|&b| b <= cut).unwrap_or(0);
+            assert_eq!(records, written[..whole], "cut at {cut}");
+            match torn {
+                None => assert!(cut == 0 || boundaries.contains(&cut), "cut at {cut}"),
+                Some(torn) => {
+                    let valid = if cut < FILE_HEADER.len() {
+                        0
+                    } else {
+                        boundaries[whole]
+                    };
+                    assert_eq!(torn.valid_bytes, valid as u64, "cut at {cut}");
+                    assert!(!boundaries.contains(&cut), "cut at {cut}");
+                }
             }
-            assert_eq!(records.len(), 3);
         }
-        // Bit flips anywhere corrupt exactly one frame's suffix.
-        for byte in (0..full.len()).step_by(7) {
+        for bit in 0..full.len() * 8 {
             let mut flipped = full.clone();
-            flipped[byte] ^= 0x10;
+            flipped[bit / 8] ^= 1 << (bit % 8);
             std::fs::write(&path, &flipped).unwrap();
+            match read_records(&path) {
+                Ok((records, torn)) => {
+                    // The frame holding the flipped bit is where it ends.
+                    let hit = boundaries.iter().rposition(|&b| b <= bit / 8).unwrap();
+                    assert_eq!(records, written[..hit], "bit {bit}");
+                    assert_eq!(torn.unwrap().valid_bytes, boundaries[hit] as u64);
+                }
+                Err(WalError::Unsupported { file, .. }) => {
+                    assert!(bit / 8 < FILE_HEADER.len(), "bit {bit}");
+                    assert_eq!(file, path.display().to_string());
+                }
+                Err(e) => panic!("bit {bit}: {e}"),
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                flipped,
+                "bit {bit}: rewritten"
+            );
+        }
+    }
+
+    /// A shard file that is not a version-2 log — a version-1 one (frames
+    /// from offset 0, no header), a later version, a stray file — is
+    /// refused by every door, named in the error, and left as it was;
+    /// an empty file or the first bytes of a header is a log with no
+    /// records, completed by the first append.
+    #[test]
+    fn a_file_of_another_format_is_refused_and_left_untouched() {
+        let mut v1 = 22u32.to_le_bytes().to_vec(); // `[len: u32][fnv: u64][body]`
+        v1.extend_from_slice(&[0x11; 8 + 22]);
+        let mut v3 = FILE_HEADER.to_vec();
+        v3[4] = 3;
+        for (alien, found) in [
+            (v1.as_slice(), "no log header"),
+            (v3.as_slice(), "format version 3"),
+            (&b"WFW?"[..], "no log header"),
+        ] {
+            let dir = TempDir::new("alien");
+            let path = dir.path().join(shard_file_name(1));
+            std::fs::write(&path, alien).unwrap();
+            let refused = |res: Result<(), WalError>| match res {
+                Err(WalError::Unsupported { file, found: f }) => {
+                    assert_eq!(file, path.display().to_string());
+                    assert!(f.contains(found), "{f}");
+                    assert_eq!(std::fs::read(&path).unwrap(), alien);
+                }
+                other => panic!("{found}: {other:?}"),
+            };
+            refused(read_records(&path).map(drop));
+            refused(recover(dir.path()).map(drop));
+            let open = |shards| {
+                WalWriter::open(dir.path(), shards, WalSync::Never, Box::new(NullObserver))
+            };
+            refused(open(2).map(drop));
+            // One shard: the alien file is a stale one the reset would
+            // delete; two: one it would replace.
+            for shards in [1, 2] {
+                refused(
+                    WalWriter::reset(
+                        dir.path(),
+                        shards,
+                        WalSync::Never,
+                        Box::new(NullObserver),
+                        &[],
+                        |run| run as usize,
+                    )
+                    .map(drop),
+                );
+            }
+        }
+        for created in 0..FILE_HEADER.len() {
+            let dir = TempDir::new("created");
+            let path = dir.path().join(shard_file_name(0));
+            std::fs::write(&path, &FILE_HEADER[..created]).unwrap();
             let (records, torn) = read_records(&path).unwrap();
-            assert!(torn.is_some(), "flip at {byte} must tear");
-            assert_eq!(records.len(), byte / frame_len);
+            assert!(records.is_empty());
+            assert_eq!(torn.is_some(), created > 0);
+            let w = WalWriter::open(dir.path(), 1, WalSync::Never, Box::new(NullObserver)).unwrap();
+            let first = rec(RecordKind::RunOpen, 4, 0, &[9]);
+            w.append(0, &first).unwrap();
+            drop(w);
+            assert_eq!(read_records(&path).unwrap().0, [first], "{created}");
         }
     }
 

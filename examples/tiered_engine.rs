@@ -12,7 +12,8 @@
 //! Three machine-readable stdout lines feed CI artifacts: the
 //! `compaction` JSON (before/after file-count + byte stats), the
 //! engine's `tier_footprint` JSON (per-tier bytes and transition
-//! counts), and the `wal_recovery` JSON from
+//! counts), and the `wal_recovery` JSON (with what the log cost:
+//! `wal_bytes` and `bytes_per_event` as journaled before the kill) from
 //! the second act: a WAL-backed engine is killed mid-run
 //! (`std::mem::forget` — no drain, no Drop, exactly what SIGKILL
 //! leaves behind) and a fresh build over the same log resurrects the
@@ -142,7 +143,7 @@ fn main() {
     let wal = std::env::temp_dir().join(format!("wf-tiered-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal);
     let window = std::time::Duration::from_millis(2);
-    let (run, exec, cut) = {
+    let (run, exec, cut, journaled) = {
         let engine: WfEngine = WfEngine::builder()
             .spec(wf_spec::corpus::bioaid_nonrecursive())
             .ingest_workers(2)
@@ -165,8 +166,9 @@ fn main() {
                 .unwrap();
         }
         engine.flush(); // durability barrier: everything above is on disk
+        let journaled = engine.stats();
         std::mem::forget(engine); // "SIGKILL" — no drain, no Drop
-        (run, exec, cut)
+        (run, exec, cut, journaled)
     };
 
     // A fresh engine over the same WAL dir resurrects the crashed run…
@@ -193,11 +195,13 @@ fn main() {
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     assert_eq!(h.reach(u, v), Some(true));
     println!(
-        "{{\"metric\":\"wal_recovery\",\"recovered_runs\":{},\"recovered_records\":{},\"resumed_at\":{},\"events\":{}}}",
+        "{{\"metric\":\"wal_recovery\",\"recovered_runs\":{},\"recovered_records\":{},\"resumed_at\":{},\"events\":{},\"wal_bytes\":{},\"bytes_per_event\":{:.2}}}",
         stats.wal_recovered_runs,
         stats.wal_recovered_records,
         cut,
-        exec.events().len()
+        exec.events().len(),
+        journaled.wal_bytes,
+        journaled.wal_bytes as f64 / journaled.wal_records as f64
     );
     println!(
         "recovery: {run} resurrected with {cut}/{} acknowledged events, resumed and completed",

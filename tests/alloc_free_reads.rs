@@ -258,6 +258,50 @@ fn an_applied_event_allocates_no_more_than_the_bare_labeler() {
     );
 }
 
+/// Journaling an event is encoding it: `log_then_apply` hands the WAL a
+/// closure that writes the event's bytes under the shard lock, straight
+/// into the shard's buffer, so the same stream costs the same allocations
+/// with a log as without — plus the buffer's handful of doublings. The
+/// parent built a `Vec` payload per event: ~6 000 more. (Telemetry is off
+/// on both sides: a sampled apply — 1 in 64 — traces its `wal_append`
+/// child with a rendered detail string, which is tracing's allocation,
+/// not journaling's.)
+#[test]
+fn a_journaled_event_allocates_no_more_than_an_unjournaled_one() {
+    let dir = TempDir::new("journaled");
+    let spec = wf_spec::corpus::running_example();
+    let exec = generate(&spec, 6000, 47);
+    let submit_all = |wal: bool| {
+        let mut builder = WfEngine::builder().spec(spec.clone()).telemetry(false);
+        if wal {
+            builder = builder.wal_dir(&dir.0).wal_sync(WalSync::GroupCommit {
+                window: Duration::from_millis(2),
+            });
+        }
+        let engine: WfEngine = builder.build();
+        assert_eq!(engine.wal_dir().is_some(), wal);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let handle = engine.handle(run).unwrap();
+        let ((allocations, _), ()) = allocated_by(|| {
+            for ev in exec.events() {
+                handle.submit(ev).unwrap();
+            }
+        });
+        assert_eq!(handle.published(), exec.len());
+        assert_eq!(
+            engine.stats().wal_records,
+            if wal { 1 + exec.len() as u64 } else { 0 }
+        );
+        allocations
+    };
+    let (without_wal, with_wal) = (submit_all(false), submit_all(true));
+    assert!(
+        with_wal <= without_wal + 64,
+        "{with_wal} allocations journaling and applying {} events, {without_wal} applying them",
+        exec.len()
+    );
+}
+
 /// An insert into a context that is already open — the next vertex of a
 /// long fork or loop body, most of a `bioaid` run — creates no parse-tree
 /// node, so it allocates nothing: its label borrows the node's prefix
@@ -349,4 +393,9 @@ fn a_lying_depth_prefix_sizes_no_allocation() {
         "{bytes} bytes allocated for a {}-byte buffer",
         lying.len()
     );
+    // The journaled form of an event makes the same promise about its
+    // predecessor count: `u32::MAX` of them claimed over two bytes.
+    let lying = [1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0];
+    let ((allocations, _), read) = allocated_by(|| wf_drl::encode::read_event(&lying));
+    assert_eq!((read, allocations), (None, 0));
 }

@@ -202,10 +202,13 @@ fn flush_is_the_group_commit_durability_barrier() {
     drop(engine);
 }
 
-/// A torn tail — the file cut mid-frame at *any* byte — or a flipped
-/// bit recovers the longest valid prefix: no panic, answers identical
-/// to naive replay of however many events survived, and the engine
-/// stays usable for fresh runs.
+/// A torn tail — the file cut at *every* byte, the file header's
+/// included — or a flipped bit in any byte recovers the longest valid
+/// prefix: no panic, answers identical to naive replay of however many
+/// events survived, never an event that was not written, and the engine
+/// stays usable for fresh runs. A flip inside the file header is the one
+/// case with no prefix to trust: the log is refused whole, `health()`
+/// says so, and the file is left as it was found.
 #[test]
 fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     let dir = TempDir::new("torn");
@@ -232,41 +235,71 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     drop(engine);
     let shard = dir.0.join(wal::shard_file_name(0));
     let bytes = std::fs::read(&shard).unwrap();
+    let header = wal::FILE_HEADER.len();
+    assert_eq!(bytes[..header], wal::FILE_HEADER);
 
-    let verify_prefix = |tag: &str| {
+    // Recover over `damaged`; how many events came back, `None` when
+    // the log was refused instead.
+    let verify_prefix = |tag: &str, damaged: &[u8]| -> Option<usize> {
+        std::fs::write(&shard, damaged).unwrap();
         let engine: WfEngine = WfEngine::builder()
             .spec(spec.clone())
             .ingest_workers(1)
             .wal_dir(&dir.0)
             .wal_sync(WalSync::Always)
             .build();
+        if engine.health() != Health::Healthy {
+            let unavailable = Health::Degraded {
+                causes: vec![StallCause::WalUnavailable],
+            };
+            assert_eq!(engine.health(), unavailable, "{tag}");
+            assert!(engine.wal_dir().is_none(), "{tag}");
+            assert_eq!(std::fs::read(&shard).unwrap(), damaged, "{tag}: rewritten");
+            return None;
+        }
         match engine.handle(run) {
             Ok(h) => {
                 let n = h.published();
                 assert!(n <= events.len(), "{tag}: phantom events");
                 assert_prefix_answers(&h, events, n);
-                n
+                Some(n)
             }
             // The cut beheaded the RunOpen record: the run is gone,
             // which is a valid (empty-prefix) crash state.
-            Err(ServiceError::UnknownRun(_)) => 0,
+            Err(ServiceError::UnknownRun(_)) => Some(0),
             Err(e) => panic!("{tag}: unexpected error {e}"),
         }
     };
 
-    // Every 13th cut point, plus the last byte.
-    for cut in (0..bytes.len()).step_by(13).chain([bytes.len() - 1]) {
-        std::fs::write(&shard, &bytes[..cut]).unwrap();
-        verify_prefix(&format!("cut at {cut}"));
+    // Every cut point: a cut inside the header is a file that was still
+    // being created, and later cuts never bring back fewer events.
+    let mut longest = 0;
+    for cut in 0..bytes.len() {
+        let n = verify_prefix(&format!("cut at {cut}"), &bytes[..cut]);
+        let n = n.unwrap_or_else(|| panic!("cut at {cut}: a torn log was refused"));
+        assert!(
+            n >= longest && (cut >= header || n == 0),
+            "cut at {cut}: {n}"
+        );
+        longest = n;
     }
-    // Bit flips at sampled positions: the checksum cuts the prefix at
-    // the poisoned frame.
-    for pos in [4, 21, bytes.len() / 2, bytes.len() - 5] {
+    assert_eq!(
+        longest,
+        events.len() - 1,
+        "the last cut tears the last event"
+    );
+    // One bit of every byte: the checksum cuts the prefix at the
+    // poisoned frame, the header check refuses the file.
+    for pos in 0..bytes.len() {
         let mut bad = bytes.clone();
-        bad[pos] ^= 0x10;
-        std::fs::write(&shard, &bad).unwrap();
-        let n = verify_prefix(&format!("bit flip at {pos}"));
-        assert!(n < events.len(), "flip at {pos} shortened nothing");
+        bad[pos] ^= 1 << (pos % 8);
+        match verify_prefix(&format!("bit flip at {pos}"), &bad) {
+            Some(n) => assert!(
+                pos >= header && n < events.len(),
+                "flip at {pos} shortened nothing"
+            ),
+            None => assert!(pos < header, "flip at {pos}: the log was refused"),
+        }
     }
     // Intact bytes restore the full run, and the engine still ingests.
     std::fs::write(&shard, &bytes).unwrap();
@@ -282,6 +315,95 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     }
     engine.flush();
     assert_eq!(engine.handle(fresh).unwrap().published(), events.len());
+}
+
+/// A log this build cannot read must not silently turn durability off.
+/// Over a directory holding one shard file that is not a version-2 log —
+/// version-1 frames with no file header, or a header with another
+/// version word — the engine still comes up (fresh runs open, ingest and
+/// answer `reach`), but `health()` names `WalUnavailable` with or without
+/// a watchdog, and the file is byte for byte what it was: after `build()`
+/// and after the engine is dropped. Without the header check the reader
+/// takes such a file for a tail torn at offset 0 and the log rewrite
+/// replaces it with an empty one.
+#[test]
+fn an_unreadable_log_degrades_health_and_is_left_untouched() {
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(2207);
+    let gen = RunGenerator::new(&spec)
+        .target_size(40)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+
+    // Two version-1 frames, `[len: u32][fnv1a: u64][kind][run: u64][seq: u64][payload]`.
+    let mut v1 = Vec::new();
+    for (kind, seq, payload) in [(0u8, 0u64, &[0u8, 0, 0, 0, 0][..]), (2, 1, &[])] {
+        let mut body = vec![kind];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&seq.to_le_bytes());
+        body.extend_from_slice(payload);
+        v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&wal::fnv1a(&body).to_le_bytes());
+        v1.extend_from_slice(&body);
+    }
+    let mut v3 = wal::FILE_HEADER.to_vec();
+    v3[4] += 1;
+    v3.extend_from_slice(b"whatever version 3 puts here");
+
+    for (tag, alien) in [("v1", v1), ("v3", v3)] {
+        for watchdog in [None, Some(Duration::from_millis(5))] {
+            let dir = TempDir::new("alien");
+            let shard = dir.0.join(wal::shard_file_name(1));
+            std::fs::write(&shard, &alien).unwrap();
+            let mut builder = WfEngine::builder()
+                .spec(spec.clone())
+                .ingest_workers(2)
+                .wal_dir(&dir.0);
+            if let Some(interval) = watchdog {
+                builder = builder.watchdog(interval);
+            }
+            let engine: WfEngine = builder.build();
+            let unavailable = Health::Degraded {
+                causes: vec![StallCause::WalUnavailable],
+            };
+            assert_eq!(engine.health(), unavailable, "{tag}");
+            assert_eq!(StallCause::WalUnavailable.tag(), "wal_unavailable");
+            assert!(engine.wal_dir().is_none(), "{tag}");
+            let refused = engine
+                .trace_dump()
+                .into_iter()
+                .find(|e| e.kind == "wal_recover_failed")
+                .unwrap_or_else(|| panic!("{tag}: the refusal was not traced"));
+            assert!(
+                refused.detail.contains(shard.to_str().unwrap()),
+                "{tag}: {}",
+                refused.detail
+            );
+            assert_eq!(std::fs::read(&shard).unwrap(), alien, "{tag}: after build");
+
+            let run = engine.open_run(SpecId(0)).unwrap();
+            for ev in exec.events() {
+                let op = RunOp::Insert(ev.clone());
+                engine.ingest(ServiceEvent { run, op }).unwrap();
+            }
+            engine.flush();
+            let h = engine.handle(run).unwrap();
+            assert_prefix_answers(&h, exec.events(), exec.len());
+            if let Some(interval) = watchdog {
+                // Ticks that find nothing wrong do not clear the cause.
+                std::thread::sleep(4 * interval);
+            }
+            assert_eq!(engine.health(), unavailable, "{tag}");
+            assert_eq!(engine.stats().wal_records, 0, "{tag}");
+            drop(engine);
+            assert_eq!(std::fs::read(&shard).unwrap(), alien, "{tag}: after drop");
+            let names: Vec<_> = std::fs::read_dir(&dir.0)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names, [shard.file_name().unwrap()], "{tag}");
+        }
+    }
 }
 
 /// Checkpoint truncation provably bounds the log: once a run is spilled

@@ -222,6 +222,38 @@ proptest! {
         }
     }
 
+    /// The journaled form of an event (`wf_drl::encode::write_event`)
+    /// reads back as that event and as nothing else: ids of every varint
+    /// width up to `u32::MAX`, predecessors on either side of the vertex
+    /// (the differences span ±`u32::MAX`), 0–64 of them; every strict
+    /// prefix and every one-byte extension of an encoding is refused.
+    #[test]
+    fn event_wire_form_roundtrips_and_refuses_its_neighbours(seed in 0u64..1_000_000, preds in 0usize..65) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut id = || match rng.gen_range(0u32..34) {
+            33 => u32::MAX,
+            bits => (rng.gen_range(0u64..1 << 32) >> (32 - bits)) as u32,
+        };
+        let ev = ExecEvent {
+            vertex: VertexId(id()),
+            name: NameId(id()),
+            origin: (wf_spec::GraphId(id()), VertexId(id())),
+            preds: (0..preds).map(|_| VertexId(id())).collect(),
+        };
+        let mut bytes = Vec::new();
+        wf_drl::encode::write_event(&mut bytes, &ev);
+        prop_assert_eq!(wf_drl::encode::read_event(&bytes), Some(ev));
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(wf_drl::encode::read_event(&bytes[..cut]), None);
+        }
+        bytes.push(0);
+        for extra in 0..=u8::MAX {
+            *bytes.last_mut().unwrap() = extra;
+            prop_assert_eq!(wf_drl::encode::read_event(&bytes), None);
+        }
+    }
+
     /// One predicate under every label representation: the streaming
     /// walk over two *encoded* [`LabelRef`](wf_drl::LabelRef)s, `reaches`
     /// over the decoded labels — as the labeler issued them, sharing
