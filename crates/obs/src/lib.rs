@@ -4,15 +4,13 @@
 //!
 //! The crate is deliberately self-contained (std only, no shims, no
 //! network) so every layer of the engine can depend on it without
-//! dragging in serialization machinery. Three pieces:
+//! dragging in serialization machinery. Two pieces, one clock
+//! (`std::time::Instant`) under both:
 //!
-//! - [`clock`] — cycle-cheap monotonic timers. Reading the counter is a
-//!   single `rdtsc`/`cntvct_el0` instruction on x86-64/aarch64 (an
-//!   `Instant` anchor elsewhere); conversion to nanoseconds is a
-//!   fixed-point multiply calibrated once per process.
-//! - [`metrics`] — [`MetricsRegistry`] holding named [`Counter`]s,
-//!   [`Gauge`]s, and 64-bucket log2 [`Histogram`]s with lock-free
-//!   recording, merge, percentile estimation, and snapshots.
+//! - [`metrics`] — [`MetricsRegistry`] holding named [`Counter`]s and
+//!   64-bucket log2 [`Histogram`]s with lock-free recording, percentile
+//!   estimation, and snapshots. Point-in-time values (gauges) are not
+//!   stored: the caller hands the renderers the rows it computed.
 //! - [`trace`] — [`TraceRing`], a bounded in-memory ring of structured
 //!   [`TraceEvent`]s with overwrite-oldest semantics, for per-subsystem
 //!   spans and slow-op promotion.
@@ -20,12 +18,13 @@
 //! Export surfaces: [`MetricsRegistry::render_prometheus`] (text
 //! exposition format) and [`MetricsRegistry::render_json`].
 
-pub mod clock;
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, HISTOGRAM_BUCKETS,
+    Counter, GaugeRow, Histogram, HistogramSnapshot, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 pub use trace::{chrome_trace_json, next_span_id, TraceEvent, TraceRing};
 

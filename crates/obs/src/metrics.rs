@@ -1,10 +1,12 @@
-//! Lock-free metrics: counters, gauges, and log2 latency histograms
-//! behind a name-indexed [`MetricsRegistry`].
+//! Lock-free metrics: counters and log2 latency histograms behind a
+//! name-indexed [`MetricsRegistry`].
 //!
-//! Recording never blocks: counters and gauges are single relaxed
-//! atomics, a histogram record is three. Registration (get-or-create by
-//! name) takes a registry write lock, so handles are meant to be looked
-//! up once at startup and cached.
+//! Recording never blocks: a counter is a single relaxed atomic, a
+//! histogram record is three. Registration (get-or-create by name) takes
+//! a registry write lock, so handles are meant to be looked up once at
+//! startup and cached. A gauge is not an instrument here: a
+//! point-in-time value has its home in whatever state it is read from,
+//! and reaches the renderers as a [`GaugeRow`] computed at export time.
 
 use crate::json_escape_into;
 use std::fmt::Write as _;
@@ -44,11 +46,6 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter detached from any registry (useful in tests).
-    pub fn detached() -> Self {
-        Self(Arc::new(AtomicU64::new(0)))
-    }
-
     /// Increment by one.
     #[inline]
     pub fn inc(&self) {
@@ -68,28 +65,9 @@ impl Counter {
     }
 }
 
-/// Last-write-wins gauge. Cheap to clone; clones share state.
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A gauge detached from any registry (useful in tests).
-    pub fn detached() -> Self {
-        Self(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+/// One gauge family as the renderers take it: `(name, help, value)`,
+/// the value read by the caller at export time.
+pub type GaugeRow = (&'static str, &'static str, u64);
 
 /// Fixed-bucket log2 latency histogram with lock-free recording.
 #[derive(Debug)]
@@ -128,18 +106,6 @@ impl Histogram {
     /// Sum of all recorded values.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Fold every observation of `other` into `self`.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// A point-in-time copy. Concurrent recording may tear `sum` against
@@ -213,14 +179,6 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Fold another snapshot into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-    }
 }
 
 struct Family<T: ?Sized> {
@@ -254,7 +212,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Family<T> {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<Vec<Family<AtomicU64>>>,
-    gauges: RwLock<Vec<Family<AtomicU64>>>,
     histograms: RwLock<Vec<Family<Histogram>>>,
 }
 
@@ -275,17 +232,6 @@ impl MetricsRegistry {
         Counter(cell)
     }
 
-    /// Get or register the gauge `name`.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut families = self.gauges.write().expect("registry poisoned");
-        if let Some(f) = families.iter().find(|f| f.name == name) {
-            return Gauge(Arc::clone(&f.value));
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        families.push(Family::new(name, help, Arc::clone(&cell)));
-        Gauge(cell)
-    }
-
     /// Get or register the histogram `name`.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
         let mut families = self.histograms.write().expect("registry poisoned");
@@ -295,24 +241,6 @@ impl MetricsRegistry {
         let hist = Arc::new(Histogram::new());
         families.push(Family::new(name, help, Arc::clone(&hist)));
         hist
-    }
-
-    /// Current value of the counter `name`, if registered.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        let families = self.counters.read().expect("registry poisoned");
-        families
-            .iter()
-            .find(|f| f.name == name)
-            .map(|f| f.value.load(Ordering::Relaxed))
-    }
-
-    /// Current value of the gauge `name`, if registered.
-    pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        let families = self.gauges.read().expect("registry poisoned");
-        families
-            .iter()
-            .find(|f| f.name == name)
-            .map(|f| f.value.load(Ordering::Relaxed))
     }
 
     /// Snapshot of the histogram `name`, if registered.
@@ -330,21 +258,23 @@ impl MetricsRegistry {
         families.iter().map(|f| f.name.clone()).collect()
     }
 
-    /// Render every family in the Prometheus text exposition format.
+    /// Render every family, and the caller's `gauges` between the
+    /// counters and the histograms, in the Prometheus text exposition
+    /// format.
     ///
     /// Histograms emit cumulative `_bucket{le=...}` samples up to the
     /// highest non-empty bucket plus `le="+Inf"`, then `_sum`/`_count`.
-    pub fn render_prometheus(&self) -> String {
+    pub fn render_prometheus(&self, gauges: &[GaugeRow]) -> String {
         let mut out = String::new();
         for f in self.counters.read().expect("registry poisoned").iter() {
             let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
             let _ = writeln!(out, "# TYPE {} counter", f.name);
             let _ = writeln!(out, "{} {}", f.name, f.value.load(Ordering::Relaxed));
         }
-        for f in self.gauges.read().expect("registry poisoned").iter() {
-            let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
-            let _ = writeln!(out, "# TYPE {} gauge", f.name);
-            let _ = writeln!(out, "{} {}", f.name, f.value.load(Ordering::Relaxed));
+        for (name, help, value) in gauges {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "{name} {value}");
         }
         for f in self.histograms.read().expect("registry poisoned").iter() {
             let snap = f.value.snapshot();
@@ -375,9 +305,9 @@ impl MetricsRegistry {
         out
     }
 
-    /// Render every family as one JSON object:
+    /// Render every family and the caller's `gauges` as one JSON object:
     /// `{"counters":{..},"gauges":{..},"histograms":{name:{count,sum,p50,p90,p99,buckets:[[le,n],..]}}}`.
-    pub fn render_json(&self) -> String {
+    pub fn render_json(&self, gauges: &[GaugeRow]) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, f) in self
             .counters
@@ -393,18 +323,12 @@ impl MetricsRegistry {
             let _ = write!(out, ":{}", f.value.load(Ordering::Relaxed));
         }
         out.push_str("},\"gauges\":{");
-        for (i, f) in self
-            .gauges
-            .read()
-            .expect("registry poisoned")
-            .iter()
-            .enumerate()
-        {
+        for (i, (name, _, value)) in gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json_escape_into(&mut out, &f.name);
-            let _ = write!(out, ":{}", f.value.load(Ordering::Relaxed));
+            json_escape_into(&mut out, name);
+            let _ = write!(out, ":{value}");
         }
         out.push_str("},\"histograms\":{");
         for (i, f) in self
@@ -503,57 +427,34 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_observations() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [1u64, 5, 9] {
-            a.record(v);
-        }
-        for v in [100u64, 200] {
-            b.record(v);
-        }
-        a.merge_from(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count(), 5);
-        assert_eq!(s.sum, 315);
-        let mut sa = Histogram::new().snapshot();
-        sa.merge(&s);
-        assert_eq!(sa, s);
-    }
-
-    #[test]
     fn registry_get_or_create_shares_state() {
         let reg = MetricsRegistry::new();
         let c1 = reg.counter("wf_test_total", "a test counter");
         let c2 = reg.counter("wf_test_total", "a test counter");
         c1.add(3);
         c2.inc();
-        assert_eq!(reg.counter_value("wf_test_total"), Some(4));
-        let g = reg.gauge("wf_test_gauge", "a gauge");
-        g.set(17);
-        assert_eq!(reg.gauge_value("wf_test_gauge"), Some(17));
+        assert_eq!((c1.get(), c2.get()), (4, 4));
         let h = reg.histogram("wf_test_ns", "a histogram");
         h.record(42);
         assert_eq!(
             reg.histogram_snapshot("wf_test_ns").map(|s| s.count()),
             Some(1)
         );
-        assert_eq!(reg.counter_value("missing"), None);
+        assert_eq!(reg.histogram_snapshot("missing"), None);
     }
 
     #[test]
     fn prometheus_rendering_shape() {
         let reg = MetricsRegistry::new();
         reg.counter("wf_ops_total", "ops").add(7);
-        reg.gauge("wf_depth", "queue depth").set(3);
         let h = reg.histogram("wf_lat_ns", "latency");
         h.record(0);
         h.record(5);
         h.record(700);
-        let text = reg.render_prometheus();
+        let text = reg.render_prometheus(&[("wf_depth", "queue depth", 3)]);
         assert!(text.contains("# TYPE wf_ops_total counter"));
         assert!(text.contains("wf_ops_total 7"));
-        assert!(text.contains("# TYPE wf_depth gauge"));
+        assert!(text.contains("# HELP wf_depth queue depth\n# TYPE wf_depth gauge\nwf_depth 3\n"));
         assert!(text.contains("# TYPE wf_lat_ns histogram"));
         assert!(text.contains("wf_lat_ns_bucket{le=\"0\"} 1"));
         assert!(text.contains("wf_lat_ns_bucket{le=\"+Inf\"} 3"));
@@ -573,9 +474,10 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("wf_a_total", "a").inc();
         reg.histogram("wf_b_ns", "b").record(9);
-        let json = reg.render_json();
+        let json = reg.render_json(&[("wf_depth", "queue depth", 3)]);
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"wf_a_total\":1"));
+        assert!(json.contains("\"gauges\":{\"wf_depth\":3}"));
         assert!(json.contains("\"wf_b_ns\":{\"count\":1,\"sum\":9"));
         assert!(json.ends_with("}}"));
     }

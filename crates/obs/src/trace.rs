@@ -5,10 +5,11 @@
 //! per-operation fast path (callers only trace lifecycle transitions and
 //! slow-op outliers), so a short critical section is fine there.
 
-use crate::{clock, json_escape_into};
+use crate::json_escape_into;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Process-global span id allocator. Ids start at 1 so `0` can mean
 /// "no span" in [`TraceEvent`] and in propagated contexts.
@@ -127,7 +128,7 @@ struct RingInner {
 #[derive(Debug)]
 pub struct TraceRing {
     capacity: usize,
-    start: clock::Ticks,
+    start: Instant,
     inner: Mutex<RingInner>,
 }
 
@@ -146,7 +147,7 @@ impl TraceRing {
         let capacity = capacity.max(1);
         Self {
             capacity,
-            start: clock::now(),
+            start: Instant::now(),
             inner: Mutex::new(RingInner {
                 buf: VecDeque::with_capacity(capacity),
                 dropped: 0,
@@ -189,7 +190,7 @@ impl TraceRing {
         detail: String,
     ) {
         let event = TraceEvent {
-            ts_ns: clock::elapsed_ns(self.start),
+            ts_ns: self.start.elapsed().as_nanos() as u64,
             kind,
             run_id,
             tier,

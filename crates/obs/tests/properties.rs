@@ -56,26 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_equals_recording_everything_in_one(
-        a in proptest::collection::vec(0u64..(1 << 30), 0..200),
-        b in proptest::collection::vec(0u64..(1 << 30), 0..200),
-    ) {
-        let ha = Histogram::new();
-        let hb = Histogram::new();
-        let hall = Histogram::new();
-        for &v in &a {
-            ha.record(v);
-            hall.record(v);
-        }
-        for &v in &b {
-            hb.record(v);
-            hall.record(v);
-        }
-        ha.merge_from(&hb);
-        prop_assert_eq!(ha.snapshot(), hall.snapshot());
-    }
-
-    #[test]
     fn trace_ring_keeps_newest(cap in 1usize..64, n in 0usize..200) {
         let ring = TraceRing::new(cap);
         for i in 0..n {

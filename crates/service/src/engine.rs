@@ -32,7 +32,6 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use wf_drl::ResolutionMode;
 use wf_graph::VertexId;
 use wf_run::ExecEvent;
@@ -306,7 +305,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         let pooled = tracker.wait();
         outcome.applied = pooled.applied;
         outcome.failures.extend(pooled.failures);
-        self.shared.obs.batches_ingested.inc();
         outcome
     }
 
@@ -323,15 +321,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         // appended to the WAL *before* it was applied (write-ahead order),
         // so one group-commit fsync here makes the whole prefix durable.
         self.shared.wal_barrier();
-        obs.span(
-            &obs.h_flush_wait,
-            "flush_barrier",
-            None,
-            None,
-            span,
-            false,
-            || format!("watermark={watermark}"),
-        );
+        obs.finish(span, &obs.h_flush_wait, None, None, || {
+            format!("watermark={watermark}")
+        });
         watermark
     }
 
@@ -547,20 +539,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// footprints. Per-run quantities (labels, label bits, queries) are
     /// summed over *registered* runs — evicting a run removes its
     /// contribution; freezing a run moves it from the hot columns to the
-    /// frozen ones.
+    /// frozen ones. A pure read: it changes nothing, so any number of
+    /// callers (and the metrics exporter, which renders its gauges from
+    /// one) can take snapshots, and a rate over an interval is the
+    /// difference of two of them.
     pub fn stats(&self) -> ServiceStats {
-        let (window_events, window) = self.shared.obs.advance_window();
-        ServiceStats {
-            window_events,
-            window,
-            ..self.snapshot()
-        }
-    }
-
-    /// Everything in [`Self::stats`] but the windowed rate (left zero):
-    /// the metrics exporter refreshes its gauges from this, so a scrape
-    /// never perturbs the window an application is watching.
-    fn snapshot(&self) -> ServiceStats {
         let mut labels_published = 0u64;
         let mut labels_hot = 0u64;
         let mut hot_label_bits = 0u64;
@@ -603,7 +586,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             events_enqueued: enqueued,
             events_ingested: obs.events_ingested.get(),
             ingest_backlog: enqueued.saturating_sub(applied),
-            batches_ingested: obs.batches_ingested.get(),
             flushes: obs.flushes.get(),
             ingest_workers: self.shared.ingest.marks().len() as u64,
             queries_answered,
@@ -633,15 +615,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             wal_truncations: obs.wal_truncations.get(),
             wal_recovered_runs: obs.wal_recovered_runs.get(),
             wal_recovered_records: obs.wal_recovered_records.get(),
-            window_events: 0,
-            window: Duration::ZERO,
+            subscriptions: store.subs.active() as u64,
             uptime: obs.started.elapsed(),
         }
     }
 
     /// The metrics export surface: Prometheus text exposition and a JSON
-    /// snapshot, both rendered from the live registry (gauges are
-    /// refreshed from a stats snapshot at render time).
+    /// snapshot, both rendered from the live registry plus the gauge
+    /// rows of a [`Self::stats`] snapshot taken at render time.
     pub fn metrics(&self) -> EngineMetrics<'_, S> {
         EngineMetrics { engine: self }
     }
@@ -710,45 +691,26 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 }
 
 /// Borrowed export surface over the engine's metrics registry, obtained
-/// from [`WfEngine::metrics`]. Rendering refreshes the tier gauges from
-/// a fresh (non-window-advancing) stats snapshot first, so exported
-/// gauges always reflect the moment of the scrape.
+/// from [`WfEngine::metrics`]. Counters and histograms come from the
+/// registry; the gauges are [`ServiceStats::gauges`] of a snapshot taken
+/// at render time, so they reflect the moment of the scrape.
 pub struct EngineMetrics<'e, S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
     engine: &'e WfEngine<S>,
 }
 
 impl<S: SpecLabeling + Send + Sync + 'static> EngineMetrics<'_, S> {
-    /// Walk the store once and push the point-in-time quantities into
-    /// the registry gauges, so both render paths agree with `stats()`.
-    fn refresh_gauges(&self) {
-        let stats = self.engine.snapshot();
-        let obs = &self.engine.shared.obs;
-        obs.g_runs_hot.set(stats.runs_hot);
-        obs.g_runs_frozen.set(stats.runs_frozen);
-        obs.g_runs_persisted.set(stats.runs_persisted);
-        obs.g_ingest_backlog.set(stats.ingest_backlog);
-        obs.g_hot_bytes.set(stats.hot_resident_bytes);
-        obs.g_persisted_resident_bytes
-            .set(stats.persisted_resident_bytes);
-        obs.g_segment_files.set(stats.segment_files);
-        obs.g_pack_dead_bytes.set(stats.pack_dead_bytes);
-        obs.g_mapped_bytes.set(stats.mapped_bytes);
-        obs.g_subscriptions
-            .set(self.engine.shared.store.subs.active() as u64);
-    }
-
-    /// Render the registry in Prometheus text exposition format
+    /// Render every family in Prometheus text exposition format
     /// (`# HELP` / `# TYPE` lines, cumulative histogram buckets).
     pub fn render_prometheus(&self) -> String {
-        self.refresh_gauges();
-        self.engine.shared.obs.registry.render_prometheus()
+        let gauges = self.engine.stats().gauges();
+        self.engine.shared.obs.registry.render_prometheus(&gauges)
     }
 
-    /// Render the registry as one JSON object
+    /// Render every family as one JSON object
     /// (`{"counters":…,"gauges":…,"histograms":…}`).
     pub fn render_json(&self) -> String {
-        self.refresh_gauges();
-        self.engine.shared.obs.registry.render_json()
+        let gauges = self.engine.stats().gauges();
+        self.engine.shared.obs.registry.render_json(&gauges)
     }
 
     /// Snapshot one latency histogram by registry name (e.g.
@@ -760,5 +722,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineMetrics<'_, S> {
     /// Registered histogram family names, in registration order.
     pub fn histogram_names(&self) -> Vec<String> {
         self.engine.shared.obs.registry.histogram_names()
+    }
+
+    /// Every trace-event kind [`WfEngine::trace_dump`] can hold: the
+    /// span kind of each latency instrument (in the order of
+    /// [`Self::histogram_names`]), then the lifecycle kinds.
+    pub fn trace_kinds(&self) -> Vec<&'static str> {
+        self.engine.shared.obs.trace_kinds().collect()
     }
 }

@@ -128,15 +128,11 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         skl_bits,
         slot.indexed.iter().map(|(v, p)| (v, p.name, &p.label)),
     );
-    // Encode is a sub-span of the freeze span the engine opens; no trace
-    // event of its own unless it alone crosses the slow-op threshold.
-    obs.span(
+    obs.finish(
+        encode,
         &obs.h_freeze_encode,
-        "freeze_encode",
         Some(run.0),
         Some("frozen"),
-        encode,
-        false,
         String::new,
     );
     FrozenRun {

@@ -18,6 +18,7 @@
 use crate::engine::EngineShared;
 use crate::ingest::{apply, Entry, Op};
 use crate::store::{RunView, Tier};
+use crate::telemetry::{tier_tag, SpanHandle};
 use crate::{RunId, RunStatus, ServiceError, SpecContext};
 use std::sync::Arc;
 use wf_drl::{DrlLabel, DrlPredicate};
@@ -101,19 +102,17 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
         let span = if obs.reach_sampled() {
             obs.timer()
         } else {
-            None
+            SpanHandle::inert()
         };
         let answer = self
             .view
             .reach(&DrlPredicate::new(&self.ctx.skeleton), u, v);
-        if span.is_some() {
-            obs.span(
-                &obs.h_reach,
-                "reach",
-                Some(self.run.0),
-                Some(crate::telemetry::tier_tag(self.view.tier())),
+        if span.is_live() {
+            obs.finish(
                 span,
-                false,
+                &obs.h_reach,
+                Some(self.run.0),
+                Some(tier_tag(self.view.tier())),
                 String::new,
             );
         }

@@ -124,10 +124,8 @@ pub(crate) fn apply<S: SpecLabeling>(
             obs.finish(
                 span,
                 &obs.h_ingest_apply,
-                "ingest_apply",
                 Some(run.0),
                 Some("hot"),
-                true,
                 String::new,
             );
             record_insert_outcome(shared, &res);
@@ -543,15 +541,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
         if res.is_err() {
             enqueued.fetch_sub(1, Ordering::AcqRel);
         }
-        obs.finish(
-            root,
-            &obs.h_ingest_enqueue,
-            "ingest",
-            Some(run.0),
-            None,
-            true,
-            String::new,
-        );
+        obs.finish(root, &obs.h_ingest_enqueue, Some(run.0), None, String::new);
         res
     }
 

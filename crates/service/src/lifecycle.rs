@@ -241,13 +241,11 @@ impl<S: SpecLabeling> EngineShared<S> {
             return self.lost_race(run);
         }
         self.obs.freezes.inc();
-        self.obs.span(
+        self.obs.finish(
+            span,
             &self.obs.h_freeze,
-            "freeze",
             Some(run.0),
             Some(tier_tag(Tier::Frozen)),
-            span,
-            true,
             || format!("labels={labels}"),
         );
         Ok(())
@@ -347,13 +345,11 @@ impl<S: SpecLabeling> EngineShared<S> {
             return self.lost_race(run);
         }
         self.obs.reheats.inc();
-        self.obs.span(
+        self.obs.finish(
+            span,
             &self.obs.h_reheat,
-            "reheat",
             Some(run.0),
             Some(tier_tag(target)),
-            span,
-            true,
             || format!("bytes={}", persisted.disk_bytes()),
         );
         Ok(())

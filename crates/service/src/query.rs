@@ -45,7 +45,6 @@ use crate::sub::{scan_view, PredKind, Witness};
 use crate::telemetry::{self, QueryProfile};
 use crate::{RunId, RunStatus, SpecId, Tier};
 use wf_graph::{NameId, VertexId};
-use wf_obs::clock;
 use wf_skeleton::{SpecLabeling, TclSpecLabels};
 
 /// One run's answer to a "reachable from source" question: the source
@@ -161,7 +160,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
         let trace_id = root.ctx.trace;
         let snap_start = obs.timer();
         let views = self.views();
-        let snapshot_ns = snap_start.map_or(0, clock::elapsed_ns);
+        let snapshot_ns = snap_start.elapsed_ns();
         // [hot, frozen, persisted]
         let mut runs = [0u64; 3];
         let mut tier_ns = [0u64; 3];
@@ -173,9 +172,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
             let ti = tier as usize;
             let t0 = obs.timer();
             let res = per_view(*run, view);
-            if let Some(t0) = t0 {
-                tier_ns[ti] += clock::elapsed_ns(t0);
-            }
+            tier_ns[ti] += t0.elapsed_ns();
             runs[ti] += 1;
             let labels = view.published() as u64;
             labels_scanned += labels;
@@ -201,15 +198,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
                 }
             }
         }
-        let wall_ns = obs.finish(
-            root,
-            &obs.h_cross_run_scan,
-            "cross_run_scan",
-            None,
-            None,
-            false,
-            String::new,
-        );
+        let wall_ns = obs.finish(root, &obs.h_cross_run_scan, None, None, String::new);
         telemetry::with_profile(|p| {
             p.trace_id = trace_id;
             p.runs_hot += runs[0];

@@ -661,13 +661,11 @@ impl PersistedRun {
                 return None;
             }
         };
-        obs.span(
+        obs.finish(
+            span,
             &obs.h_pack_pin,
-            "pack_pin",
             Some(self.run.0),
             Some("persisted"),
-            span,
-            false,
             || format!("bytes={}", self.disk_bytes),
         );
         let m = Arc::new(m);

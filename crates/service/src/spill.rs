@@ -284,13 +284,11 @@ impl SpillDir {
         }
         snapshot::write_manifest(&self.dir, &self.manifest_entries(store)).map_err(failed)?;
         obs.spills.inc();
-        obs.span(
+        obs.finish(
+            span,
             &obs.h_spill,
-            "spill",
             Some(run.0),
             Some(tier_tag(Tier::Persisted)),
-            span,
-            true,
             || format!("bytes={bytes}"),
         );
         Ok(true)
@@ -446,8 +444,8 @@ impl SpillDir {
         out.files_after = out.files_before - copied.len() + packs.len();
         out.packs_written = packs.len();
         self.sweep_orphans(&registered);
-        let (hist, tier) = (&obs.h_compaction, Some(tier_tag(Tier::Persisted)));
-        obs.span(hist, "compaction", None, tier, span, true, || {
+        let tier = Some(tier_tag(Tier::Persisted));
+        obs.finish(span, &obs.h_compaction, None, tier, || {
             format!(
                 "files={}->{} runs={} reclaimed={}",
                 out.files_before, out.files_after, out.runs_packed, out.dead_bytes_reclaimed

@@ -1,14 +1,18 @@
 //! Point-in-time snapshot of engine activity, including the per-tier
-//! byte footprints of the label store.
+//! byte footprints of the label store — the one home of every value
+//! that is read rather than counted.
 //!
-//! The atomic counters behind this snapshot live in the engine's
-//! [`crate::telemetry::Telemetry`] registry (`wf_*_total` families), so
-//! the same numbers flow to `stats()`, `render_prometheus()`, and
-//! `render_json()` without double bookkeeping. `ServiceStats` is the
-//! compatibility view: a flat `Copy` struct, stable across telemetry
-//! being enabled or disabled.
+//! [`crate::WfEngine::stats`] is a pure read: lifetime totals come from
+//! the atomic counters of the engine's [`crate::telemetry::Telemetry`]
+//! registry (the `wf_*_total` families — counted once, read here and by
+//! the exporters), point-in-time values from one walk of the run
+//! registry. Nothing else stores the latter: the gauges
+//! `render_prometheus()` / `render_json()` export are
+//! [`ServiceStats::gauges`] of a snapshot, and the CI footprint line is
+//! [`ServiceStats::tier_footprint_json`] of one. A flat `Copy` struct,
+//! the same with telemetry enabled or disabled.
 
-use serde::Serialize;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// A point-in-time snapshot of engine activity across all three label
@@ -40,8 +44,6 @@ pub struct ServiceStats {
     /// and the watchdog samples, so a caller woken by its own blocking
     /// submit reads 0 here).
     pub ingest_backlog: u64,
-    /// Batches accepted by [`crate::WfEngine::submit_batch`].
-    pub batches_ingested: u64,
     /// Watermark barriers taken ([`crate::WfEngine::flush`]).
     pub flushes: u64,
     /// Persistent ingest workers in the pool.
@@ -131,61 +133,22 @@ pub struct ServiceStats {
     pub wal_recovered_runs: u64,
     /// WAL records replayed while resurrecting those runs.
     pub wal_recovered_records: u64,
-    /// Events applied since the previous `stats()` snapshot (since
-    /// engine start for the first snapshot).
-    pub window_events: u64,
-    /// Wall-clock covered by [`Self::window_events`].
-    pub window: Duration,
+    /// Open standing-query subscriptions
+    /// ([`crate::WfEngine::subscribe`] handles not yet dropped).
+    pub subscriptions: u64,
     /// Wall-clock since the engine started.
     pub uptime: Duration,
 }
 
-/// The `tier_footprint` JSON line, serialized through the serde shim so
-/// the field list cannot drift from what is actually emitted.
-#[derive(Serialize)]
-struct TierFootprint {
-    metric: &'static str,
-    runs_hot: u64,
-    runs_frozen: u64,
-    runs_persisted: u64,
-    hot_bytes: u64,
-    hot_resident_bytes: u64,
-    frozen_bytes: u64,
-    persisted_bytes: u64,
-    persisted_resident_bytes: u64,
-    segment_files: u64,
-    segment_loads: u64,
-    segment_sheds: u64,
-    pack_pins: u64,
-    pack_dead_bytes: u64,
-    mapped_bytes: u64,
-    hot_label_bits: u64,
-    frozen_label_bits: u64,
-    freezes: u64,
-    spills: u64,
-    reheats: u64,
-    compactions: u64,
-}
-
 impl ServiceStats {
     /// Average ingest throughput since the engine started, in events
-    /// per second. Misleading after idle periods — prefer
-    /// [`Self::events_per_sec_windowed`] for "what is happening now".
+    /// per second. Misleading after idle periods — for "what is
+    /// happening now" take two snapshots and divide the difference of
+    /// their `events_ingested` by the difference of their `uptime`.
     pub fn events_per_sec(&self) -> f64 {
         let secs = self.uptime.as_secs_f64();
         if secs > 0.0 {
             self.events_ingested as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Ingest throughput over the window since the previous `stats()`
-    /// snapshot, in events per second. 0.0 when the window is empty.
-    pub fn events_per_sec_windowed(&self) -> f64 {
-        let secs = self.window.as_secs_f64();
-        if secs > 0.0 {
-            self.window_events as f64 / secs
         } else {
             0.0
         }
@@ -207,33 +170,93 @@ impl ServiceStats {
         self.label_bits_total.div_ceil(8)
     }
 
+    /// The gauge families of the metrics export, `(family, help,
+    /// value)` — declared here and nowhere else: both renderings take
+    /// these rows from a snapshot, so an exported gauge cannot disagree
+    /// with the field it names.
+    pub fn gauges(&self) -> [wf_obs::GaugeRow; 10] {
+        [
+            ("wf_runs_hot", "runs in the hot tier", self.runs_hot),
+            (
+                "wf_runs_frozen",
+                "runs in the frozen tier",
+                self.runs_frozen,
+            ),
+            (
+                "wf_runs_persisted",
+                "runs in the persisted tier",
+                self.runs_persisted,
+            ),
+            (
+                "wf_ingest_backlog",
+                "enqueued-but-unapplied envelopes",
+                self.ingest_backlog,
+            ),
+            (
+                "wf_hot_bytes",
+                "hot-tier bytes resident in decoded labels (cells + shared prefix arrays)",
+                self.hot_resident_bytes,
+            ),
+            (
+                "wf_persisted_resident_bytes",
+                "persisted-tier bytes pinned in and resident",
+                self.persisted_resident_bytes,
+            ),
+            ("wf_segment_files", "pack files on disk", self.segment_files),
+            (
+                "wf_pack_dead_bytes",
+                "dead blob bytes in packs awaiting garbage collection",
+                self.pack_dead_bytes,
+            ),
+            (
+                "wf_mapped_bytes",
+                "pack bytes currently mmap'd",
+                self.mapped_bytes,
+            ),
+            (
+                "wf_subscriptions",
+                "open standing-query subscriptions",
+                self.subscriptions,
+            ),
+        ]
+    }
+
     /// One JSON line with the per-tier run counts and byte footprints —
-    /// what CI uploads next to the bench artifact.
+    /// what CI uploads next to the bench artifact (its `grep` matches
+    /// the leading `"metric":"tier_footprint"`, its `jq` the keys).
     pub fn tier_footprint_json(&self) -> String {
-        let line = TierFootprint {
-            metric: "tier_footprint",
-            runs_hot: self.runs_hot,
-            runs_frozen: self.runs_frozen,
-            runs_persisted: self.runs_persisted,
-            hot_bytes: self.hot_bytes(),
-            hot_resident_bytes: self.hot_resident_bytes,
-            frozen_bytes: self.frozen_bytes,
-            persisted_bytes: self.persisted_bytes,
-            persisted_resident_bytes: self.persisted_resident_bytes,
-            segment_files: self.segment_files,
-            segment_loads: self.segment_loads,
-            segment_sheds: self.segment_sheds,
-            pack_pins: self.pack_pins,
-            pack_dead_bytes: self.pack_dead_bytes,
-            mapped_bytes: self.mapped_bytes,
-            hot_label_bits: self.label_bits_total,
-            frozen_label_bits: self.frozen_label_bits,
-            freezes: self.freezes,
-            spills: self.spills,
-            reheats: self.reheats,
-            compactions: self.compactions,
-        };
-        serde_json::to_string(&line).expect("footprint serialization is infallible")
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"metric\":\"tier_footprint\",\"runs_hot\":{},\"runs_frozen\":{},\
+             \"runs_persisted\":{},\"hot_bytes\":{},\"hot_resident_bytes\":{},\
+             \"frozen_bytes\":{},\"persisted_bytes\":{},\"persisted_resident_bytes\":{},\
+             \"segment_files\":{},\"segment_loads\":{},\"segment_sheds\":{},\"pack_pins\":{},\
+             \"pack_dead_bytes\":{},\"mapped_bytes\":{},\"hot_label_bits\":{},\
+             \"frozen_label_bits\":{},\"freezes\":{},\"spills\":{},\"reheats\":{},\
+             \"compactions\":{}}}",
+            self.runs_hot,
+            self.runs_frozen,
+            self.runs_persisted,
+            self.hot_bytes(),
+            self.hot_resident_bytes,
+            self.frozen_bytes,
+            self.persisted_bytes,
+            self.persisted_resident_bytes,
+            self.segment_files,
+            self.segment_loads,
+            self.segment_sheds,
+            self.pack_pins,
+            self.pack_dead_bytes,
+            self.mapped_bytes,
+            self.label_bits_total,
+            self.frozen_label_bits,
+            self.freezes,
+            self.spills,
+            self.reheats,
+            self.compactions,
+        );
+        out
     }
 }
 
@@ -243,7 +266,7 @@ impl std::fmt::Display for ServiceStats {
             f,
             "runs: {} live / {} completed / {} failed (of {} opened); \
              tiers: {} hot ({} B) / {} frozen ({} B) / {} persisted ({} B); \
-             events: {} applied ({:.0}/s lifetime, {:.0}/s windowed; \
+             events: {} applied ({:.0}/s lifetime; \
              pool: {} enqueued, backlog {}); \
              workers: {}; queries: {}; labels: {} ({:.1} bits avg)",
             self.runs_live,
@@ -258,7 +281,6 @@ impl std::fmt::Display for ServiceStats {
             self.persisted_bytes,
             self.events_ingested,
             self.events_per_sec(),
-            self.events_per_sec_windowed(),
             self.events_enqueued,
             self.ingest_backlog,
             self.ingest_workers,

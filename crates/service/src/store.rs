@@ -447,15 +447,9 @@ impl<S: SpecLabeling> LabelStore<S> {
         for (run, view) in &views {
             labels += self.subs.catch_up(&core, *run, view);
         }
-        obs.span(
-            &obs.h_sub_match,
-            "sub_match",
-            None,
-            None,
-            start,
-            true,
-            || format!("runs={runs} labels={labels}"),
-        );
+        obs.finish(start, &obs.h_sub_match, None, None, || {
+            format!("runs={runs} labels={labels}")
+        });
         SubHub::<S>::handle(core)
     }
 

@@ -34,13 +34,27 @@
 //! fan out from *inside* the store's shard write lock, inheriting the
 //! per-run total order of transitions; eviction is tombstoned so a
 //! delayed notify cannot resurrect a removed run's deltas.
+//!
+//! ## A panic costs one subscription
+//!
+//! The fan-outs run on ingest workers and inside the store's shard write
+//! lock, so nothing here may panic on a poisoned lock: that would turn
+//! one subscription's fault into a poisoned registry shard or a worker
+//! reporting `WorkerPanicked` for an event that *was* applied. A
+//! poisoned per-subscription lock (`state`, `queue`) means a thread
+//! panicked part-way through that subscription's matcher or queue, so
+//! its stream can no longer be trusted: [`SubCore::own`], the one way
+//! either is taken, closes the subscription — its consumers see the
+//! stream end — and every fan-out skips it. The two hub-wide locks
+//! (`registry`, `tombstones`) guard a `Vec` push / retain and a
+//! `HashSet` insert, valid at every step, so their guards are recovered.
 
 use crate::store::{RunView, Tier};
-use crate::telemetry::{bump, Telemetry};
+use crate::telemetry::{bump, SpanHandle, Telemetry};
 use crate::{RunId, RunStatus, SpecContext, SpecId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use wf_drl::{DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
@@ -448,7 +462,6 @@ struct SubQueue {
     deque: VecDeque<Delta>,
     /// Deltas dropped since the last receive (surfaced as one `Lagged`).
     dropped: u64,
-    capacity: usize,
 }
 
 /// Shared core of one subscription: predicate, per-run delta state, and
@@ -460,6 +473,8 @@ pub(crate) struct SubCore {
     /// taking a store or registry lock.
     state: Mutex<HashMap<u64, RunSubState>>,
     queue: Mutex<SubQueue>,
+    /// Bound of `queue`.
+    capacity: usize,
     cv: Condvar,
     /// Outstanding `Subscription` handles; the last drop closes the core.
     handles: AtomicUsize,
@@ -481,11 +496,27 @@ impl SubCore {
         }
     }
 
+    /// The guard of one of this subscription's own locks; `None` — and
+    /// the subscription closed — if a thread panicked while holding it.
+    fn own<'a, T>(&self, lock: &'a Mutex<T>) -> Option<MutexGuard<'a, T>> {
+        self.closing(lock.lock())
+    }
+
+    /// `own` for a guard handed back by the condvar.
+    fn closing<G>(&self, guard: Result<G, PoisonError<G>>) -> Option<G> {
+        if guard.is_err() {
+            self.close();
+        }
+        guard.ok()
+    }
+
     /// Enqueue one delta, dropping the oldest on overflow.
     fn push(&self, delta: Delta, obs: &Telemetry) {
         {
-            let mut q = self.queue.lock().expect("sub queue poisoned");
-            if q.deque.len() >= q.capacity {
+            let Some(mut q) = self.own(&self.queue) else {
+                return;
+            };
+            if q.deque.len() >= self.capacity {
                 q.deque.pop_front();
                 q.dropped += 1;
                 obs.sub_lagged.inc();
@@ -564,14 +595,15 @@ impl Subscription {
 
     /// The next delta without blocking; `None` when the queue is empty.
     pub fn try_recv(&self) -> Option<Delta> {
-        let mut q = self.core.queue.lock().expect("sub queue poisoned");
+        let mut q = self.core.own(&self.core.queue)?;
         Self::pop_locked(&mut q)
     }
 
     /// Block until a delta arrives; `None` once the stream is closed
-    /// (engine dropped) *and* fully drained.
+    /// (engine dropped, or a panic under this subscription's own state)
+    /// *and* fully drained.
     pub fn recv(&self) -> Option<Delta> {
-        let mut q = self.core.queue.lock().expect("sub queue poisoned");
+        let mut q = self.core.own(&self.core.queue)?;
         loop {
             if let Some(d) = Self::pop_locked(&mut q) {
                 return Some(d);
@@ -579,7 +611,7 @@ impl Subscription {
             if self.core.is_closed() {
                 return None;
             }
-            q = self.core.cv.wait(q).expect("sub queue poisoned");
+            q = self.core.closing(self.core.cv.wait(q))?;
         }
     }
 
@@ -588,7 +620,7 @@ impl Subscription {
     /// [`is_closed`](Self::is_closed)).
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Delta> {
         let deadline = Instant::now() + timeout;
-        let mut q = self.core.queue.lock().expect("sub queue poisoned");
+        let mut q = self.core.own(&self.core.queue)?;
         loop {
             if let Some(d) = Self::pop_locked(&mut q) {
                 return Some(d);
@@ -600,31 +632,22 @@ impl Subscription {
             let left = deadline
                 .checked_duration_since(now)
                 .filter(|d| !d.is_zero())?;
-            let (guard, _timeout) = self
-                .core
-                .cv
-                .wait_timeout(q, left)
-                .expect("sub queue poisoned");
-            q = guard;
+            q = self.core.closing(self.core.cv.wait_timeout(q, left))?.0;
         }
     }
 
     /// Deltas currently buffered (not counting a pending `Lagged`).
     pub fn pending(&self) -> usize {
-        self.core
-            .queue
-            .lock()
-            .expect("sub queue poisoned")
-            .deque
-            .len()
+        self.core.own(&self.core.queue).map_or(0, |q| q.deque.len())
     }
 
     /// The queue bound this subscription was created with.
     pub fn capacity(&self) -> usize {
-        self.core.queue.lock().expect("sub queue poisoned").capacity
+        self.core.capacity
     }
 
-    /// True once the engine is gone (no further deltas will arrive).
+    /// True once no further deltas will arrive: the engine is gone, or
+    /// a thread panicked under this subscription's own state.
     pub fn is_closed(&self) -> bool {
         self.core.is_closed()
     }
@@ -709,14 +732,17 @@ impl<S: SpecLabeling> SubHub<S> {
             queue: Mutex::new(SubQueue {
                 deque: VecDeque::new(),
                 dropped: 0,
-                capacity: self.queue_capacity,
             }),
+            capacity: self.queue_capacity,
             cv: Condvar::new(),
             handles: AtomicUsize::new(1),
             closed: AtomicBool::new(false),
             active: Arc::clone(&self.active),
         });
-        let mut reg = self.registry.write().expect("sub registry poisoned");
+        let mut reg = self
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         reg.retain(|e| !e.core.is_closed());
         reg.push(SubEntry {
             kind,
@@ -741,8 +767,13 @@ impl<S: SpecLabeling> SubHub<S> {
     fn is_tombstoned(&self, run: RunId) -> bool {
         self.tombstones
             .lock()
-            .expect("sub tombstones poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .contains(&run.0)
+    }
+
+    /// The registry rows, for a fan-out.
+    fn rows(&self) -> std::sync::RwLockReadGuard<'_, Vec<SubEntry>> {
+        self.registry.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fan out one applied insertion. Called by the ingest paths right
@@ -772,9 +803,9 @@ impl<S: SpecLabeling> SubHub<S> {
         let start = if self.obs.notify_sampled() {
             self.obs.timer()
         } else {
-            None
+            SpanHandle::inert()
         };
-        let subs = self.registry.read().expect("sub registry poisoned");
+        let subs = self.rows();
         let mut label: Option<LabelRef<'_>> = None;
         for e in subs.iter() {
             // Precheck on the inlined row first: the common case (no
@@ -802,14 +833,12 @@ impl<S: SpecLabeling> SubHub<S> {
             self.offer(&e.core, run, spec, source, v, name, label, src);
         }
         drop(subs);
-        if start.is_some() {
-            self.obs.span(
+        if start.is_live() {
+            self.obs.finish(
+                start,
                 &self.obs.h_sub_notify,
-                "sub_notify",
                 Some(run.0),
                 Some("hot"),
-                start,
-                false,
                 String::new,
             );
         }
@@ -833,7 +862,9 @@ impl<S: SpecLabeling> SubHub<S> {
     ) {
         let ctx = &self.catalog[spec.0];
         let predicate = DrlPredicate::new(&ctx.skeleton);
-        let mut map = core.state.lock().expect("sub state poisoned");
+        let Some(mut map) = core.own(&core.state) else {
+            return;
+        };
         if self.is_tombstoned(run) {
             return;
         }
@@ -859,14 +890,16 @@ impl<S: SpecLabeling> SubHub<S> {
         if self.active.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.registry.read().expect("sub registry poisoned");
+        let subs = self.rows();
         for e in subs.iter() {
             if e.spec.is_some_and(|s| s != spec) || e.core.is_closed() {
                 continue;
             }
             let core = &e.core;
             {
-                let mut map = core.state.lock().expect("sub state poisoned");
+                let Some(mut map) = core.own(&core.state) else {
+                    continue;
+                };
                 if let Some(st) = map.get_mut(&run.0) {
                     st.completed = true;
                     core.sync_emission(run, st, &self.obs);
@@ -886,13 +919,15 @@ impl<S: SpecLabeling> SubHub<S> {
         if self.active.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.registry.read().expect("sub registry poisoned");
+        let subs = self.rows();
         for e in subs.iter() {
             if e.tier.is_none() || e.core.is_closed() {
                 continue;
             }
             let core = &e.core;
-            let mut map = core.state.lock().expect("sub state poisoned");
+            let Some(mut map) = core.own(&core.state) else {
+                continue;
+            };
             let st = map
                 .entry(run.0)
                 .or_insert_with(|| RunSubState::new(e.kind, to, true));
@@ -907,18 +942,20 @@ impl<S: SpecLabeling> SubHub<S> {
     pub(crate) fn evicted(&self, run: RunId) {
         self.tombstones
             .lock()
-            .expect("sub tombstones poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(run.0);
         if self.active.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.registry.read().expect("sub registry poisoned");
+        let subs = self.rows();
         for e in subs.iter() {
             let core = &e.core;
             if core.is_closed() {
                 continue;
             }
-            let mut map = core.state.lock().expect("sub state poisoned");
+            let Some(mut map) = core.own(&core.state) else {
+                continue;
+            };
             if let Some(st) = map.remove(&run.0) {
                 for w in st.matches[..st.emitted].iter().cloned() {
                     core.push(Delta::Removed { run, witness: w }, &self.obs);
@@ -939,7 +976,9 @@ impl<S: SpecLabeling> SubHub<S> {
         let ctx = &self.catalog[spec.0];
         let predicate = DrlPredicate::new(&ctx.skeleton);
         let source = view.source();
-        let mut map = core.state.lock().expect("sub state poisoned");
+        let Some(mut map) = core.own(&core.state) else {
+            return 0;
+        };
         if self.is_tombstoned(run) {
             return 0;
         }
@@ -987,9 +1026,146 @@ impl<S: SpecLabeling> Drop for SubHub<S> {
     fn drop(&mut self) {
         // The engine is going away: close every stream so blocked
         // receivers wake with `None` after draining.
-        let reg = self.registry.get_mut().expect("sub registry poisoned");
+        let reg = self
+            .registry
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         for e in reg.iter() {
             e.core.close();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RunOp, ServiceEvent, WfEngine};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wf_run::{Execution, RunGenerator};
+
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _g = lock.lock().unwrap();
+                panic!("poison a subscription lock on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    fn added(sub: &Subscription, run: RunId) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        while let Some(delta) = sub.try_recv() {
+            if let Delta::Added { run: r, witness } = delta {
+                let Witness::Vertex(v) = witness else {
+                    panic!("a vertices_named subscription yields vertices")
+                };
+                assert_eq!(r, run);
+                out.push(v);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// A thread that panicked under one subscription's `state` or
+    /// `queue` lock costs that subscription — closed, its stream ended —
+    /// and nothing else: every fan-out (on an ingest worker, under the
+    /// store's shard write lock, on the subscribing thread) returns, the
+    /// events and tier moves behind them succeed, and sibling
+    /// subscriptions keep receiving their deltas.
+    #[test]
+    fn a_poisoned_subscription_lock_costs_that_subscription_only() {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(1)
+            .build();
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(40)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let name = exec.events()[1].name;
+        let mut named: Vec<VertexId> = exec
+            .events()
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.vertex)
+            .collect();
+        named.sort_unstable();
+
+        // Tier-scoped, so the tier fan-out takes its state lock too.
+        let pred = SubPredicate::vertices_named(name).tier(Tier::Frozen);
+        let live = engine.subscribe(SubPredicate::vertices_named(name));
+        let scoped = engine.subscribe(pred.clone());
+        let poisoned = || {
+            let sub = engine.subscribe(pred.clone());
+            poison(&sub.core.state);
+            assert!(!sub.is_closed(), "closed by the first fan-out to meet it");
+            sub
+        };
+        // Closed: a blocking consumer drains what was queued and then
+        // sees the end of the stream instead of waiting.
+        let ended = |sub: &Subscription| {
+            sub.is_closed() && std::iter::from_fn(|| sub.recv()).count() <= named.len()
+        };
+
+        // notify_insert, on the ingest worker: every event is applied
+        // and counted, none is reported as a worker panic.
+        let victim = poisoned();
+        let run = engine.open_run(SpecId(0)).unwrap();
+        for ev in exec.events() {
+            let op = RunOp::Insert(ev.clone());
+            engine.ingest(ServiceEvent { run, op }).unwrap();
+        }
+        engine.flush();
+        assert_eq!(engine.take_ingest_errors(), []);
+        assert_eq!(engine.stats().events_ingested, exec.len() as u64);
+        assert!(ended(&victim));
+        assert_eq!(added(&live, run), named);
+
+        // notify_complete.
+        let victim = poisoned();
+        engine.complete_run(run).unwrap();
+        assert!(ended(&victim));
+
+        // tier_moved, inside the store's shard write lock: the shard
+        // survives it, so the run is still there to look up.
+        let victim = poisoned();
+        engine.freeze_run(run).unwrap();
+        assert!(ended(&victim));
+        assert_eq!(engine.run_tier(run), Ok(Tier::Frozen));
+        assert_eq!(added(&scoped, run), named, "the sibling saw the freeze");
+
+        // catch_up, on a subscribing thread.
+        let victim = poisoned();
+        let view = engine.shared.view(run).unwrap();
+        assert_eq!(
+            engine.shared.store.subs.catch_up(&victim.core, run, &view),
+            0
+        );
+        assert!(ended(&victim));
+
+        // A poisoned queue ends the stream for producer and consumer.
+        let victim = engine.subscribe(SubPredicate::vertices_named(name));
+        assert_eq!(victim.pending(), named.len(), "caught up on the frozen run");
+        poison(&victim.core.queue);
+        assert_eq!((victim.try_recv(), victim.pending()), (None, 0));
+        assert!(ended(&victim));
+
+        // evicted.
+        let victim = poisoned();
+        engine.evict_run(run).unwrap();
+        assert!(ended(&victim));
+        let retracted = |sub: &Subscription| {
+            std::iter::from_fn(|| sub.try_recv())
+                .filter(|d| matches!(d, Delta::Removed { .. }))
+                .count()
+        };
+        assert_eq!(retracted(&scoped), named.len());
+        assert_eq!(retracted(&live), named.len());
+        assert_eq!(engine.stats().subscriptions, 2, "live and scoped");
     }
 }

@@ -1,29 +1,33 @@
-//! Engine-wide telemetry: registry-backed counters, latency histograms,
+//! Engine-wide telemetry: registry-backed counters, latency instruments,
 //! and the structured trace ring, shared by every subsystem through
 //! `EngineShared::obs`.
 //!
 //! Two cost tiers, so instrumentation stays off the critical path:
 //!
-//! - **Counters always run.** They are single relaxed atomic adds —
-//!   exactly what the old `Counters` struct cost — and `ServiceStats`
-//!   depends on them, so `EngineBuilder::telemetry(false)` does not turn
-//!   them off.
-//! - **Timers, histograms, and traces are gated** on the `enabled` flag.
-//!   Span timing uses the cycle counter ([`wf_obs::clock`]), histograms
-//!   are three relaxed atomics, and trace events are recorded only for
-//!   lifecycle transitions (freeze/spill/shed/re-heat/compaction) or
-//!   when a span exceeds the slow-op threshold. The two sub-µs hot
-//!   paths — the ~40ns reachability probe and the few-hundred-ns ingest
-//!   apply — are additionally *sampled* (1 in 64) because even two
-//!   cycle counter reads would be a measurable tax on them.
+//! - **Counters always run.** They are single relaxed atomic adds, and
+//!   `ServiceStats` reads them, so `EngineBuilder::telemetry(false)` does
+//!   not turn them off.
+//! - **Spans, histograms, and traces are gated** on the `enabled` flag.
+//!   There is one clock, `std::time::Instant` (a vDSO read, ~20 ns);
+//!   histograms are three relaxed atomics, and trace events are recorded
+//!   only for lifecycle transitions (freeze/spill/shed/re-heat/
+//!   compaction) or when a span exceeds the slow-op threshold. The three
+//!   sub-µs hot paths — the ~40 ns reachability probe, the
+//!   few-hundred-ns ingest apply and the subscription notify behind it —
+//!   are *sampled* (1 in 64), which is what makes that clock affordable
+//!   there: a sampled pooled ingest reads it four times (the producer's
+//!   enqueue span and the worker's apply span), so ≤ 4 reads per 64
+//!   events; the other 63 pay one branch and a thread-local increment.
+//!
+//! Point-in-time values are not kept here: their one home is
+//! [`crate::ServiceStats`], whose `gauges()` table the exporters render.
 
 use crate::store::Tier;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::Instant;
-use wf_obs::{clock, next_span_id, Counter, Gauge, Histogram, MetricsRegistry, TraceRing};
+use wf_obs::{next_span_id, Counter, Histogram, MetricsRegistry, TraceRing};
 
 /// Sample 1 operation in 64 for latency recording on the three sub-µs
 /// hot paths (the reach probe, the ingest apply and the subscription
@@ -79,15 +83,18 @@ pub(crate) fn current_span() -> SpanCtx {
     CURRENT_SPAN.with(Cell::get)
 }
 
-/// An open span: carries its identity, the context it replaced (restored
-/// on [`Telemetry::finish`]), and the start tick. An *inert* handle
-/// (telemetry disabled, or an unsampled operation) carries nothing and
-/// makes `finish` a no-op.
+/// An open span: its start time and, for one opened by
+/// [`Telemetry::begin`] / [`Telemetry::begin_under`], its identity and
+/// the context it replaced (restored on [`Telemetry::finish`]). A *leaf*
+/// handle ([`Telemetry::timer`]) has no identity of its own and installs
+/// no context: it traces under whatever span is current when it closes.
+/// An *inert* handle (telemetry disabled, or an unsampled operation)
+/// carries nothing and makes `finish` a no-op.
 #[must_use = "finish the span with Telemetry::finish"]
 pub(crate) struct SpanHandle {
     pub ctx: SpanCtx,
     prev: SpanCtx,
-    start: Option<clock::Ticks>,
+    start: Option<Instant>,
     parent: u64,
 }
 
@@ -100,6 +107,18 @@ impl SpanHandle {
             start: None,
             parent: 0,
         }
+    }
+
+    /// Whether closing this handle records anything.
+    #[inline]
+    pub fn is_live(&self) -> bool {
+        self.start.is_some()
+    }
+
+    /// Nanoseconds since the span opened (0 for inert handles) — for a
+    /// stage that is timed but has no instrument of its own.
+    pub fn elapsed_ns(&self) -> u64 {
+        self.start.map_or(0, |s| s.elapsed().as_nanos() as u64)
     }
 }
 
@@ -119,25 +138,55 @@ pub(crate) struct TelemetryConfig {
     pub trace_capacity: usize,
 }
 
-/// All engine observability state: lifetime counters (the former
-/// `Counters` struct, now registry-backed), latency histograms, gauges
-/// refreshed at export time, and the trace ring.
+/// One latency instrument: a histogram declared together with the
+/// trace-event kind every span recorded into it closes under, and
+/// whether each such span is traced (`always`: lifecycle transitions and
+/// the already-sampled ingest spans) or only the slow ones.
+pub(crate) struct Instrument {
+    hist: Arc<Histogram>,
+    kind: &'static str,
+    always: bool,
+}
+
+/// Trace-event kinds recorded without an instrument: instantaneous
+/// lifecycle events, plus `tier_scan` (a per-tier share of the
+/// cross-run scan's span). With the instruments' kinds this is every
+/// kind the ring can hold; [`Telemetry::record_leaf`] holds emitters to
+/// it in debug builds, and `tests/observability.rs` holds README and
+/// `scripts/obsdump` to it.
+const LIFECYCLE_KINDS: [&str; 14] = [
+    "shed",
+    "stall",
+    "pack_pin_failed",
+    "tier_scan",
+    "wal_truncate",
+    "wal_reset",
+    "wal_reset_failed",
+    "wal_sync_failed",
+    "wal_recover",
+    "wal_recover_failed",
+    "wal_torn_tail",
+    "wal_skip_record",
+    "wal_skip_run",
+    "wal_replay_error",
+];
+
+/// All engine observability state: lifetime counters, latency
+/// instruments, and the trace ring.
 pub(crate) struct Telemetry {
     pub enabled: bool,
     pub slow_op_ns: u64,
     pub started: Instant,
     pub registry: MetricsRegistry,
     pub trace: TraceRing,
-    /// `(instant, events_ingested)` at the previous `stats()` snapshot,
-    /// for the windowed ingest rate.
-    pub window: Mutex<(Instant, u64)>,
+    /// The instruments' trace kinds, in declaration order.
+    span_kinds: Vec<&'static str>,
 
     // Lifetime counters (always recorded; ServiceStats reads them).
     pub runs_opened: Counter,
     pub runs_completed: Counter,
     pub runs_failed: Counter,
     pub events_ingested: Counter,
-    pub batches_ingested: Counter,
     pub flushes: Counter,
     pub freezes: Counter,
     pub spills: Counter,
@@ -153,34 +202,22 @@ pub(crate) struct Telemetry {
     pub sub_deltas: Counter,
     pub sub_lagged: Counter,
 
-    // Gauges, refreshed from a stats snapshot at export time.
-    pub g_runs_hot: Gauge,
-    pub g_runs_frozen: Gauge,
-    pub g_runs_persisted: Gauge,
-    pub g_ingest_backlog: Gauge,
-    pub g_hot_bytes: Gauge,
-    pub g_persisted_resident_bytes: Gauge,
-    pub g_segment_files: Gauge,
-    pub g_pack_dead_bytes: Gauge,
-    pub g_mapped_bytes: Gauge,
-    pub g_subscriptions: Gauge,
-
-    // Latency histograms (recorded only when `enabled`).
-    pub h_ingest_enqueue: Arc<Histogram>,
-    pub h_ingest_apply: Arc<Histogram>,
-    pub h_flush_wait: Arc<Histogram>,
-    pub h_freeze: Arc<Histogram>,
-    pub h_freeze_encode: Arc<Histogram>,
-    pub h_spill: Arc<Histogram>,
-    pub h_pack_pin: Arc<Histogram>,
-    pub h_reheat: Arc<Histogram>,
-    pub h_compaction: Arc<Histogram>,
-    pub h_reach: Arc<Histogram>,
-    pub h_cross_run_scan: Arc<Histogram>,
-    pub h_wal_append: Arc<Histogram>,
-    pub h_wal_fsync: Arc<Histogram>,
-    pub h_sub_notify: Arc<Histogram>,
-    pub h_sub_match: Arc<Histogram>,
+    // Latency instruments (recorded only when `enabled`).
+    pub h_ingest_enqueue: Instrument,
+    pub h_ingest_apply: Instrument,
+    pub h_flush_wait: Instrument,
+    pub h_freeze: Instrument,
+    pub h_freeze_encode: Instrument,
+    pub h_spill: Instrument,
+    pub h_pack_pin: Instrument,
+    pub h_reheat: Instrument,
+    pub h_compaction: Instrument,
+    pub h_reach: Instrument,
+    pub h_cross_run_scan: Instrument,
+    pub h_wal_append: Instrument,
+    pub h_wal_fsync: Instrument,
+    pub h_sub_notify: Instrument,
+    pub h_sub_match: Instrument,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -196,20 +233,25 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         let registry = MetricsRegistry::new();
         let counter = |name: &str, help: &str| registry.counter(name, help);
-        let gauge = |name: &str, help: &str| registry.gauge(name, help);
-        let hist = |name: &str, help: &str| registry.histogram(name, help);
+        let mut span_kinds = Vec::new();
+        let mut span = |name: &str, kind: &'static str, always: bool, help: &str| {
+            span_kinds.push(kind);
+            Instrument {
+                hist: registry.histogram(name, help),
+                kind,
+                always,
+            }
+        };
         Self {
             enabled: config.enabled,
             slow_op_ns: config.slow_op_ns,
             started: Instant::now(),
             trace: TraceRing::new(config.trace_capacity),
-            window: Mutex::new((Instant::now(), 0)),
 
             runs_opened: counter("wf_runs_opened_total", "runs opened"),
             runs_completed: counter("wf_runs_completed_total", "runs completed"),
             runs_failed: counter("wf_runs_failed_total", "run operations rejected"),
             events_ingested: counter("wf_events_ingested_total", "events applied to hot runs"),
-            batches_ingested: counter("wf_batches_ingested_total", "ingest batches submitted"),
             flushes: counter("wf_flushes_total", "flush barriers completed"),
             freezes: counter("wf_freezes_total", "hot runs frozen"),
             spills: counter("wf_spills_total", "frozen runs spilled to disk"),
@@ -249,92 +291,126 @@ impl Telemetry {
                 "subscription deltas dropped by bounded notify queues (drop-oldest)",
             ),
 
-            g_runs_hot: gauge("wf_runs_hot", "runs in the hot tier"),
-            g_runs_frozen: gauge("wf_runs_frozen", "runs in the frozen tier"),
-            g_runs_persisted: gauge("wf_runs_persisted", "runs in the persisted tier"),
-            g_ingest_backlog: gauge("wf_ingest_backlog", "enqueued-but-unapplied envelopes"),
-            g_hot_bytes: gauge(
-                "wf_hot_bytes",
-                "hot-tier bytes resident in decoded labels (cells + shared prefix arrays)",
-            ),
-            g_persisted_resident_bytes: gauge(
-                "wf_persisted_resident_bytes",
-                "persisted-tier bytes pinned in and resident",
-            ),
-            g_segment_files: gauge("wf_segment_files", "pack files on disk"),
-            g_pack_dead_bytes: gauge(
-                "wf_pack_dead_bytes",
-                "dead blob bytes in packs awaiting garbage collection",
-            ),
-            g_mapped_bytes: gauge("wf_mapped_bytes", "pack bytes currently mmap'd"),
-            g_subscriptions: gauge("wf_subscriptions", "open standing-query subscriptions"),
-
-            h_ingest_enqueue: hist(
+            h_ingest_enqueue: span(
                 "wf_ingest_enqueue_ns",
+                "ingest",
+                true,
                 "one event routed and enqueued to an ingest worker (sampled 1 in 64)",
             ),
-            h_ingest_apply: hist("wf_ingest_apply_ns", "one event applied to a hot run"),
-            h_flush_wait: hist("wf_flush_wait_ns", "flush barrier wait"),
-            h_freeze: hist("wf_freeze_ns", "freeze of one hot run (encode + promote)"),
-            h_freeze_encode: hist("wf_freeze_encode_ns", "label arena encode during freeze"),
-            h_spill: hist("wf_spill_ns", "segment write of one frozen run"),
-            h_pack_pin: hist(
+            h_ingest_apply: span(
+                "wf_ingest_apply_ns",
+                "ingest_apply",
+                true,
+                "one event applied to a hot run",
+            ),
+            h_flush_wait: span(
+                "wf_flush_wait_ns",
+                "flush_barrier",
+                false,
+                "flush barrier wait",
+            ),
+            h_freeze: span(
+                "wf_freeze_ns",
+                "freeze",
+                true,
+                "freeze of one hot run (encode + promote)",
+            ),
+            // A sub-span of `freeze`: no trace event of its own unless
+            // it alone crosses the slow-op threshold.
+            h_freeze_encode: span(
+                "wf_freeze_encode_ns",
+                "freeze_encode",
+                false,
+                "label arena encode during freeze",
+            ),
+            h_spill: span(
+                "wf_spill_ns",
+                "spill",
+                true,
+                "segment write of one frozen run",
+            ),
+            h_pack_pin: span(
                 "wf_pack_pin_ns",
+                "pack_pin",
+                false,
                 "first pin of a persisted blob (map + verify + resolve)",
             ),
-            h_reheat: hist(
+            h_reheat: span(
                 "wf_reheat_ns",
+                "reheat",
+                true,
                 "persisted run promoted back to a resident tier (frozen or hot)",
             ),
-            h_compaction: hist("wf_compaction_ns", "one segment compaction pass"),
-            h_reach: hist("wf_reach_ns", "reachability probe (sampled 1 in 64)"),
-            h_cross_run_scan: hist("wf_cross_run_scan_ns", "cross-run query scan"),
-            h_wal_append: hist("wf_wal_append_ns", "one WAL record framed and written"),
-            h_wal_fsync: hist("wf_wal_fsync_ns", "one WAL fsync (inline or group commit)"),
-            h_sub_notify: hist(
+            h_compaction: span(
+                "wf_compaction_ns",
+                "compaction",
+                true,
+                "one segment compaction pass",
+            ),
+            h_reach: span(
+                "wf_reach_ns",
+                "reach",
+                false,
+                "reachability probe (sampled 1 in 64)",
+            ),
+            h_cross_run_scan: span(
+                "wf_cross_run_scan_ns",
+                "cross_run_scan",
+                false,
+                "cross-run query scan",
+            ),
+            h_wal_append: span(
+                "wf_wal_append_ns",
+                "wal_append",
+                false,
+                "one WAL record framed and written",
+            ),
+            h_wal_fsync: span(
+                "wf_wal_fsync_ns",
+                "wal_fsync",
+                false,
+                "one WAL fsync (inline or group commit)",
+            ),
+            h_sub_notify: span(
                 "wf_sub_notify_ns",
+                "sub_notify",
+                false,
                 "subscription fan-out after one applied event (sampled 1 in 64)",
             ),
-            h_sub_match: hist(
+            h_sub_match: span(
                 "wf_sub_match_ns",
+                "sub_match",
+                true,
                 "subscription catch-up scan at registration",
             ),
 
+            span_kinds,
             registry,
         }
     }
 
-    /// Start a span timer; `None` when telemetry is disabled (the span
-    /// then costs one branch).
+    /// Every trace-event kind the ring can hold: the instruments' kinds
+    /// in declaration order, then [`LIFECYCLE_KINDS`].
+    pub fn trace_kinds(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.span_kinds.iter().copied().chain(LIFECYCLE_KINDS)
+    }
+
+    /// Open a leaf span: starts the clock and nothing else. Inert when
+    /// telemetry is disabled (the span then costs one branch).
     #[inline]
-    pub fn timer(&self) -> Option<clock::Ticks> {
-        if self.enabled {
-            Some(clock::now())
-        } else {
-            None
+    pub fn timer(&self) -> SpanHandle {
+        SpanHandle {
+            start: self.enabled.then(Instant::now),
+            ..SpanHandle::inert()
         }
     }
 
     /// Open a root span on this thread: allocates ids, installs the
-    /// context as [`CURRENT_SPAN`], and starts the timer. Inert when
+    /// context as [`CURRENT_SPAN`], and starts the clock. Inert when
     /// telemetry is disabled. Close with [`finish`](Self::finish).
     #[inline]
     pub fn begin(&self) -> SpanHandle {
-        if !self.enabled {
-            return SpanHandle::inert();
-        }
-        let id = next_span_id();
-        let ctx = SpanCtx {
-            trace: id,
-            span: id,
-        };
-        let prev = CURRENT_SPAN.with(|c| c.replace(ctx));
-        SpanHandle {
-            ctx,
-            prev,
-            start: Some(clock::now()),
-            parent: 0,
-        }
+        self.open(SpanCtx::NONE)
     }
 
     /// Open a child span under an explicit parent context — the
@@ -343,54 +419,76 @@ impl Telemetry {
     /// none (the producer did not sample this operation).
     #[inline]
     pub fn begin_under(&self, parent: SpanCtx) -> SpanHandle {
-        if !self.enabled || parent.is_none() {
+        if parent.is_none() {
             return SpanHandle::inert();
         }
-        let ctx = SpanCtx {
-            trace: parent.trace,
-            span: next_span_id(),
-        };
+        self.open(parent)
+    }
+
+    /// A span with its own identity: a child of `parent`, or the root of
+    /// a new trace when `parent` is none.
+    #[inline]
+    fn open(&self, parent: SpanCtx) -> SpanHandle {
+        if !self.enabled {
+            return SpanHandle::inert();
+        }
+        let span = next_span_id();
+        let trace = if parent.is_none() { span } else { parent.trace };
+        let ctx = SpanCtx { trace, span };
         let prev = CURRENT_SPAN.with(|c| c.replace(ctx));
         SpanHandle {
             ctx,
             prev,
-            start: Some(clock::now()),
+            start: Some(Instant::now()),
             parent: parent.span,
         }
     }
 
-    /// Close a span opened by [`begin`](Self::begin) /
-    /// [`begin_under`](Self::begin_under): restores the previous thread
-    /// context, records the duration into `hist`, and traces the span
-    /// (with its causal ids) when `always` is set or the duration
-    /// reaches the slow-op threshold. Returns the duration in ns (0 for
-    /// inert handles).
-    #[allow(clippy::too_many_arguments)]
+    /// Close a span: record its duration into the instrument's histogram
+    /// and trace it under the instrument's kind when the instrument
+    /// always traces or the duration reaches the slow-op threshold. A
+    /// span with its own identity restores the thread context it
+    /// replaced and traces with its causal ids; a leaf parents under the
+    /// calling thread's current span, if any. `detail` is only rendered
+    /// when the event is actually traced. Returns the duration in ns (0
+    /// for inert handles).
+    ///
+    /// Never inlined: every caller is a sampled (1 in 64) or a
+    /// per-lifecycle-operation path, where a call is free, while the
+    /// body inlined into `RunHandle::reach` grew that function's frame
+    /// for the 63 probes that never get here — `reach_hot_qps` −6 % on
+    /// every wfbench workload until this attribute went on.
+    #[inline(never)]
     pub fn finish(
         &self,
         handle: SpanHandle,
-        hist: &Histogram,
-        kind: &'static str,
+        inst: &Instrument,
         run_id: Option<u64>,
         tier: Option<&'static str>,
-        always: bool,
         detail: impl FnOnce() -> String,
     ) -> u64 {
         let Some(start) = handle.start else { return 0 };
-        CURRENT_SPAN.with(|c| c.set(handle.prev));
-        let dur_ns = clock::elapsed_ns(start);
-        hist.record(dur_ns);
-        if always || dur_ns >= self.slow_op_ns {
-            self.trace.record_span(
-                kind,
-                run_id,
-                tier,
-                dur_ns,
-                handle.ctx.trace,
-                handle.ctx.span,
-                handle.parent,
-                detail(),
-            );
+        let SpanCtx { trace, span } = handle.ctx;
+        if span != 0 {
+            CURRENT_SPAN.with(|c| c.set(handle.prev));
+        }
+        let dur_ns = start.elapsed().as_nanos() as u64;
+        inst.hist.record(dur_ns);
+        if inst.always || dur_ns >= self.slow_op_ns {
+            if span != 0 {
+                self.trace.record_span(
+                    inst.kind,
+                    run_id,
+                    tier,
+                    dur_ns,
+                    trace,
+                    span,
+                    handle.parent,
+                    detail(),
+                );
+            } else {
+                self.record_leaf(inst.kind, run_id, tier, dur_ns, detail());
+            }
         }
         dur_ns
     }
@@ -407,6 +505,10 @@ impl Telemetry {
         dur_ns: u64,
         detail: String,
     ) {
+        debug_assert!(
+            self.trace_kinds().any(|k| k == kind),
+            "trace kind {kind:?} is not declared in telemetry.rs"
+        );
         let cur = current_span();
         let id = next_span_id();
         let (trace, parent) = if cur.is_none() {
@@ -416,32 +518,6 @@ impl Telemetry {
         };
         self.trace
             .record_span(kind, run_id, tier, dur_ns, trace, id, parent, detail);
-    }
-
-    /// Close a span: record its duration into `hist` and into the trace
-    /// ring when `always` is set (lifecycle events) or the duration
-    /// reaches the slow-op threshold. The traced event is a *leaf*: it
-    /// parents under the calling thread's current span, if any. `detail`
-    /// is only rendered when the event is actually traced. Returns the
-    /// duration in ns (0 when disabled).
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &self,
-        hist: &Histogram,
-        kind: &'static str,
-        run_id: Option<u64>,
-        tier: Option<&'static str>,
-        start: Option<clock::Ticks>,
-        always: bool,
-        detail: impl FnOnce() -> String,
-    ) -> u64 {
-        let Some(start) = start else { return 0 };
-        let dur_ns = clock::elapsed_ns(start);
-        hist.record(dur_ns);
-        if always || dur_ns >= self.slow_op_ns {
-            self.record_leaf(kind, run_id, tier, dur_ns, detail());
-        }
-        dur_ns
     }
 
     /// Record an instantaneous lifecycle event (no duration), parented
@@ -467,8 +543,8 @@ impl Telemetry {
 
     /// Whether this ingest apply should be timed (1 in 64 per thread,
     /// and only when telemetry is enabled). Sampled for the same reason
-    /// as reach: the apply itself is a few hundred ns, so even two
-    /// cycle-counter reads per event would be a double-digit tax.
+    /// as reach: the apply itself is a few hundred ns, so two clock
+    /// reads per event would be a double-digit tax.
     #[inline]
     pub fn apply_sampled(&self) -> bool {
         self.enabled && APPLY_SAMPLE.with(sample_tick)
@@ -482,18 +558,17 @@ impl Telemetry {
         self.enabled && NOTIFY_SAMPLE.with(sample_tick)
     }
 
-    /// Advance the windowed-rate snapshot: returns `(events since the
-    /// previous call, wall time since the previous call)`.
-    pub fn advance_window(&self) -> (u64, std::time::Duration) {
-        let now = Instant::now();
-        let events = self.events_ingested.get();
-        let mut window = self.window.lock().expect("telemetry window poisoned");
-        let (prev_at, prev_events) = *window;
-        *window = (now, events);
-        (
-            events.saturating_sub(prev_events),
-            now.duration_since(prev_at),
-        )
+    /// Record a duration the WAL measured itself. It ran synchronously
+    /// inside the worker's apply span, so tracing whenever a span is
+    /// open (the sampled 1-in-64 applies) keeps the causal tree complete
+    /// without changing the `WalObserver` trait.
+    fn observe_wal(&self, inst: &Instrument, dur_ns: u64, detail: impl FnOnce() -> String) {
+        if self.enabled {
+            inst.hist.record(dur_ns);
+            if dur_ns >= self.slow_op_ns || !current_span().is_none() {
+                self.record_leaf(inst.kind, None, None, dur_ns, detail());
+            }
+        }
     }
 }
 
@@ -509,43 +584,24 @@ impl wf_wal::WalObserver for WalTelemetry {
         let t = &self.0;
         t.wal_records.inc();
         t.wal_bytes.add(bytes);
-        if t.enabled {
-            t.h_wal_append.record(dur_ns);
-            // The append runs synchronously inside the worker's apply
-            // span, so tracing whenever a span is open (the sampled
-            // 1-in-64 applies) keeps the causal tree complete without
-            // changing the `WalObserver` trait.
-            if dur_ns >= t.slow_op_ns || !current_span().is_none() {
-                t.record_leaf("wal_append", None, None, dur_ns, format!("bytes={bytes}"));
-            }
-        }
+        t.observe_wal(&t.h_wal_append, dur_ns, || format!("bytes={bytes}"));
     }
 
     fn fsync(&self, dur_ns: u64) {
         let t = &self.0;
-        if t.enabled {
-            t.h_wal_fsync.record(dur_ns);
-            if dur_ns >= t.slow_op_ns || !current_span().is_none() {
-                t.record_leaf("wal_fsync", None, None, dur_ns, String::new());
-            }
-        }
+        t.observe_wal(&t.h_wal_fsync, dur_ns, String::new);
     }
 
     fn truncation(&self, shard: usize, bytes_before: u64, bytes_after: u64) {
-        let t = &self.0;
-        t.wal_truncations.inc();
-        if t.enabled {
-            t.trace.record(
-                "wal_truncate",
-                None,
-                None,
-                0,
-                format!("shard={shard} bytes={bytes_before}->{bytes_after}"),
-            );
-        }
+        self.0.wal_truncations.inc();
+        self.lifecycle(
+            "wal_truncate",
+            format!("shard={shard} bytes={bytes_before}->{bytes_after}"),
+        );
     }
 
     fn lifecycle(&self, kind: &'static str, detail: String) {
+        debug_assert!(LIFECYCLE_KINDS.contains(&kind), "undeclared kind {kind:?}");
         if self.0.enabled {
             self.0.trace.record(kind, None, None, 0, detail);
         }

@@ -1,5 +1,5 @@
 //! Engine observability: the metrics export surface, the structured
-//! trace ring, and the windowed ingest rate.
+//! trace ring, and `stats()` as the one pure reading both are held to.
 //!
 //! The acceptance bar: `render_prometheus()` must be valid text
 //! exposition format (checked by a small parser here, not by grepping)
@@ -164,6 +164,9 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
         .completed()
         .runs_reaching_named_from_source(name);
 
+    // One open subscription, so that gauge has something to show too.
+    let _sub = engine.subscribe(SubPredicate::vertices_named(name));
+
     let text = engine.metrics().render_prometheus();
     let exp = parse_exposition(&text);
     let hists = exp.histogram_families();
@@ -192,26 +195,53 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
         assert!(exp.single_value(&format!("{family}_sum")).is_some());
     }
 
-    // Counters and the export-time-refreshed gauges agree with stats.
+    // Counters agree with stats, and so does every gauge: the engine is
+    // quiescent, so the snapshot the scrape took equals this one.
+    let json: serde_json::Value = serde_json::from_str(&engine.metrics().render_json()).unwrap();
     let stats = engine.stats();
     assert_eq!(
         exp.single_value("wf_events_ingested_total").unwrap() as u64,
         stats.events_ingested
     );
-    assert_eq!(
-        exp.single_value("wf_runs_frozen").unwrap() as u64,
-        stats.runs_frozen
-    );
     // The hot-tier gauge is real bytes, like its persisted neighbour —
     // not the Theorem-3 accounting size, an order of magnitude below.
+    let gauge_fields = [
+        ("wf_runs_hot", stats.runs_hot),
+        ("wf_runs_frozen", stats.runs_frozen),
+        ("wf_runs_persisted", stats.runs_persisted),
+        ("wf_ingest_backlog", stats.ingest_backlog),
+        ("wf_hot_bytes", stats.hot_resident_bytes),
+        (
+            "wf_persisted_resident_bytes",
+            stats.persisted_resident_bytes,
+        ),
+        ("wf_segment_files", stats.segment_files),
+        ("wf_pack_dead_bytes", stats.pack_dead_bytes),
+        ("wf_mapped_bytes", stats.mapped_bytes),
+        ("wf_subscriptions", stats.subscriptions),
+    ];
+    let table = stats.gauges();
     assert_eq!(
-        exp.single_value("wf_hot_bytes").unwrap() as u64,
-        stats.hot_resident_bytes
+        table.map(|(name, _, value)| (name, value)),
+        gauge_fields,
+        "the gauge table names these families, each with its stats() field"
     );
     assert!(stats.hot_resident_bytes > 4 * stats.hot_bytes() && stats.hot_bytes() > 0);
+    assert_eq!((stats.runs_frozen, stats.subscriptions), (1, 1));
+    let json_gauges = json.get("gauges").unwrap().as_map().unwrap();
+    assert_eq!(json_gauges.len(), table.len());
+    for (family, help, value) in table {
+        assert_eq!(exp.types.get(family).map(String::as_str), Some("gauge"));
+        assert!(text.contains(&format!("# HELP {family} {help}\n")));
+        assert_eq!(exp.single_value(family).unwrap() as u64, value, "{family}");
+        assert_eq!(
+            json.get("gauges").unwrap().get(family),
+            Some(&serde_json::Value::U64(value)),
+            "{family} in the JSON rendering"
+        );
+    }
 
     // The JSON rendering parses and mirrors the same families.
-    let json: serde_json::Value = serde_json::from_str(&engine.metrics().render_json()).unwrap();
     let hist_map = json.get("histograms").unwrap().as_map().unwrap();
     assert!(hist_map.len() >= 8);
     let apply = json
@@ -265,6 +295,75 @@ fn readme_metric_names_and_the_registry_agree() {
             "histogram family `{name}` is missing from README's table"
         );
     }
+}
+
+/// The trace-kind twin of the test above: the engine's own list of the
+/// kinds it can record (each instrument's span kind, then the lifecycle
+/// kinds — emitters are held to it by a debug assertion), README's
+/// trace table and `scripts/obsdump`'s `KINDS` name exactly the same
+/// kinds, and the two documents agree on each kind's layer.
+#[test]
+fn trace_kinds_in_readme_obsdump_and_the_engine_agree() {
+    const README: &str = include_str!("../README.md");
+    const OBSDUMP: &str = include_str!("../scripts/obsdump");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .build();
+    let kinds = engine.metrics().trace_kinds();
+    let distinct: std::collections::HashSet<_> = kinds.iter().collect();
+    assert_eq!(kinds.len(), distinct.len(), "a kind is declared twice");
+    // Every instrument contributes its span kind, and the lifecycle
+    // kinds the watchdog, the buffer manager and the log record follow.
+    assert!(kinds.len() > engine.metrics().histogram_names().len());
+    for kind in [
+        "shed",
+        "stall",
+        "pack_pin_failed",
+        "wal_truncate",
+        "wal_recover_failed",
+        "wal_append",
+        "wal_fsync",
+    ] {
+        assert!(kinds.contains(&kind), "{kind} is not declared");
+    }
+
+    let between = |text: &'static str, from: &str, to: &str| -> &'static str {
+        let rest = &text[text.find(from).unwrap_or_else(|| panic!("no {from:?}")) + from.len()..];
+        &rest[..rest.find(to).unwrap_or_else(|| panic!("no {to:?}"))]
+    };
+    // README: `| `kind` | layer | recorded |` rows between the markers.
+    let mut declared: Vec<(String, String)> = Vec::new();
+    for row in between(
+        README,
+        "<!-- trace-kinds:begin -->",
+        "<!-- trace-kinds:end -->",
+    )
+    .lines()
+    {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        if let [_, kind, layer, ..] = cells[..] {
+            if let Some(kind) = kind.strip_prefix('`').and_then(|k| k.strip_suffix('`')) {
+                declared.push((kind.to_string(), layer.to_string()));
+            }
+        }
+    }
+    // obsdump: `    "kind": "layer",` lines of the KINDS dict.
+    let mut handled: Vec<(String, String)> = Vec::new();
+    for line in between(OBSDUMP, "\nKINDS = {\n", "\n}\n").lines() {
+        let quoted: Vec<&str> = line.split('"').collect();
+        if let [_, kind, _, layer, _] = quoted[..] {
+            handled.push((kind.to_string(), layer.to_string()));
+        }
+    }
+    assert_eq!(
+        declared, handled,
+        "README's trace table and obsdump's KINDS differ"
+    );
+    let documented: Vec<&str> = declared.iter().map(|(kind, _)| kind.as_str()).collect();
+    assert_eq!(
+        documented, kinds,
+        "README / obsdump name other kinds than the engine declares"
+    );
 }
 
 #[test]
@@ -325,33 +424,39 @@ fn trace_ring_stays_bounded_at_the_configured_capacity() {
 }
 
 #[test]
-fn windowed_rate_counts_events_since_the_previous_snapshot() {
+fn stats_is_a_pure_read_and_a_rate_is_two_snapshots() {
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())
         .build();
     let (_, first) = run_one(&engine, 41);
     let s1 = engine.stats();
-    assert_eq!(
-        s1.window_events,
-        first.len() as u64,
-        "first window = since start"
-    );
+    assert_eq!(s1.events_ingested, first.len() as u64);
 
-    let (_, second) = run_one(&engine, 42);
+    // Reading changes nothing: a quiescent engine gives the same
+    // snapshot twice, whatever scrapes in between — only time moves.
+    let _ = engine.metrics().render_prometheus();
+    let _ = engine.metrics().render_json();
     let s2 = engine.stats();
+    assert!(s2.uptime >= s1.uptime);
     assert_eq!(
-        s2.window_events,
-        second.len() as u64,
-        "second window counts only the delta"
+        s2,
+        ServiceStats {
+            uptime: s2.uptime,
+            ..s1
+        }
     );
-    assert!(s2.window <= s2.uptime);
-    assert!(s2.events_per_sec_windowed() > 0.0);
 
-    // An idle window reports zero rate instead of the lifetime average.
+    // What happened over an interval is the difference of the snapshots
+    // at its two ends: the second run's events over the time it took,
+    // and nothing over an idle one (where the lifetime average decays
+    // but never reaches zero).
+    let (_, second) = run_one(&engine, 42);
     let s3 = engine.stats();
-    assert_eq!(s3.window_events, 0);
-    assert_eq!(s3.events_per_sec_windowed(), 0.0);
-    assert!(s3.events_per_sec() > 0.0);
+    assert_eq!(s3.events_ingested - s2.events_ingested, second.len() as u64);
+    assert!(s3.uptime > s2.uptime);
+    let s4 = engine.stats();
+    assert_eq!(s4.events_ingested - s3.events_ingested, 0);
+    assert!(s4.events_per_sec() > 0.0);
 }
 
 #[test]
@@ -365,12 +470,51 @@ fn tier_footprint_line_is_parseable_json() {
     let (_b, _) = run_one(&engine, 52);
     engine.freeze_run(a).unwrap();
 
-    let line = engine.stats().tier_footprint_json();
+    let stats = engine.stats();
+    let line = stats.tier_footprint_json();
     let v: serde_json::Value = serde_json::from_str(&line).unwrap();
-    assert_eq!(v.get("metric").unwrap().as_str(), Some("tier_footprint"));
     assert_eq!(v.get("runs_frozen").unwrap(), &serde_json::Value::U64(1));
     assert_eq!(v.get("freezes").unwrap(), &serde_json::Value::U64(1));
-    assert!(v.get("hot_bytes").is_some() && v.get("frozen_bytes").is_some());
+
+    // The golden: CI greps the leading `"metric":"tier_footprint"` and
+    // stamps the line with `jq`, dashboards read the keys — so the key
+    // order and the value types are pinned, and each value is the
+    // `stats()` field the key names.
+    assert!(line.starts_with("{\"metric\":\"tier_footprint\",\"runs_hot\":"));
+    let golden = [
+        ("runs_hot", stats.runs_hot),
+        ("runs_frozen", stats.runs_frozen),
+        ("runs_persisted", stats.runs_persisted),
+        ("hot_bytes", stats.hot_bytes()),
+        ("hot_resident_bytes", stats.hot_resident_bytes),
+        ("frozen_bytes", stats.frozen_bytes),
+        ("persisted_bytes", stats.persisted_bytes),
+        ("persisted_resident_bytes", stats.persisted_resident_bytes),
+        ("segment_files", stats.segment_files),
+        ("segment_loads", stats.segment_loads),
+        ("segment_sheds", stats.segment_sheds),
+        ("pack_pins", stats.pack_pins),
+        ("pack_dead_bytes", stats.pack_dead_bytes),
+        ("mapped_bytes", stats.mapped_bytes),
+        ("hot_label_bits", stats.label_bits_total),
+        ("frozen_label_bits", stats.frozen_label_bits),
+        ("freezes", stats.freezes),
+        ("spills", stats.spills),
+        ("reheats", stats.reheats),
+        ("compactions", stats.compactions),
+    ];
+    let mut fields = v.as_map().unwrap().iter();
+    let (key, metric) = fields.next().unwrap();
+    assert_eq!(
+        (key.as_str(), metric.as_str()),
+        ("metric", Some("tier_footprint"))
+    );
+    for (key, value) in golden {
+        let (got, got_value) = fields.next().unwrap_or_else(|| panic!("{key} is missing"));
+        assert_eq!(got, key, "key order");
+        assert_eq!(got_value, &serde_json::Value::U64(value), "{key}");
+    }
+    assert!(fields.next().is_none(), "no key beyond the golden");
 }
 
 #[test]
