@@ -20,9 +20,7 @@
 //! search and the only "label at offset" in the workspace.
 
 use crate::entry::{Entry, NodeKind};
-use crate::label::{prefix_array_bytes, DrlLabel};
-use std::collections::HashSet;
-use std::sync::Arc;
+use crate::label::DrlLabel;
 use wf_graph::{NameId, VertexId};
 use wf_spec::GraphId;
 
@@ -321,58 +319,6 @@ impl LabelRef<'_> {
             LabelRef::Encoded(bytes, encoded_with) => EntryCursor::new(bytes, encoded_with)
                 .try_fold(0, |bits, e| Some(bits + e?.bit_len(skl_bits))),
         }
-    }
-}
-
-/// Rebuilds the sharing of a run's labels when they are decoded back
-/// into memory: a labeler gives every label of one context node the same
-/// prefix array, the encoding flattens that away, and a label decoded on
-/// its own ([`LabelRef::to_label`]) gets a private array. Fed all labels
-/// of one run, the interner keeps one array per distinct prefix *value*
-/// — at most what the labeler held (sibling contexts with equal prefixes
-/// now share too). The table is local to one rebuild; the labels keep
-/// their arrays alive after it is dropped.
-#[derive(Debug, Default)]
-pub struct LabelInterner {
-    prefixes: HashSet<Arc<[Entry]>>,
-    /// The label being decoded.
-    scratch: Vec<Entry>,
-    prefix_bytes: u64,
-}
-
-impl LabelInterner {
-    /// An owned copy of `label` whose prefix array is shared with every
-    /// equal-prefixed label interned before. `None` when the bytes do
-    /// not decode.
-    pub fn intern(&mut self, label: LabelRef<'_>) -> Option<DrlLabel> {
-        self.scratch.clear();
-        match label {
-            LabelRef::Entries(label) => self.scratch.extend(label.entries()),
-            LabelRef::Encoded(bytes, skl_bits) => {
-                for entry in EntryCursor::new(bytes, skl_bits) {
-                    self.scratch.push(entry?);
-                }
-            }
-        }
-        let last = self.scratch.pop()?;
-        let prefix = match self.prefixes.get(&self.scratch[..]) {
-            Some(known) => Arc::clone(known),
-            None => {
-                let fresh: Arc<[Entry]> = self.scratch[..].into();
-                self.prefix_bytes += prefix_array_bytes(&fresh) as u64;
-                self.prefixes.insert(Arc::clone(&fresh));
-                fresh
-            }
-        };
-        Some(DrlLabel::from_parts(prefix, last))
-    }
-
-    /// Heap bytes of the distinct prefix arrays handed out so far, each
-    /// counted once — the counterpart of
-    /// [`crate::tree::ExplicitTree::label_prefix_bytes`] for a decoded
-    /// run.
-    pub fn prefix_bytes(&self) -> u64 {
-        self.prefix_bytes
     }
 }
 
@@ -945,31 +891,6 @@ mod tests {
             arena.footprint_bytes(),
             arena.encoded_bytes() + ArenaSlot::WIRE_BYTES * vertices.len()
         );
-        // Decoded through an interner the labels come back equal, with
-        // one array per distinct prefix value, each counted once; a
-        // borrowed decoded label interns like its bytes.
-        let mut interner = LabelInterner::default();
-        let interned: Vec<DrlLabel> = view
-            .iter()
-            .map(|(v, _, label)| {
-                let owned = interner.intern(label).unwrap();
-                assert_eq!(Some(&owned), labeler.label(v));
-                owned
-            })
-            .collect();
-        let arrays: HashSet<*const [Entry]> = interned
-            .iter()
-            .map(|l| std::ptr::from_ref(l.prefix()))
-            .collect();
-        let values: HashSet<&[Entry]> = interned.iter().map(|l| l.prefix()).collect();
-        assert!(arrays.len() == values.len() && values.len() * 3 < interned.len());
-        let bytes: usize = values.iter().map(|p| prefix_array_bytes(p)).sum();
-        assert_eq!(interner.prefix_bytes(), bytes as u64);
-        let again = interner.intern(labeler.label(vertices[0]).unwrap().view());
-        assert_eq!(again.as_ref(), labeler.label(vertices[0]));
-        assert!(arrays.contains(&std::ptr::from_ref(again.unwrap().prefix())));
-        assert_eq!(interner.prefix_bytes(), bytes as u64);
-        assert!(interner.intern(LabelRef::Encoded(&[], skl_bits)).is_none());
     }
 
     #[test]

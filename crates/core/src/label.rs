@@ -16,10 +16,11 @@
 //! labeler is dropped the labels alone do, and it goes with the last of
 //! them. A label rebuilt from a flat entry list ([`DrlLabel::new`]:
 //! decode, serde, hand-built test labels) owns a private prefix array;
-//! [`crate::encode::LabelInterner`] rebuilds the sharing for a whole
-//! run. The flat list stays the label's *value*: equality, the bit
-//! accounting, the wire encoding and the serialised form see entries,
-//! never the split.
+//! nothing rebuilds the sharing of a whole run, because a run never
+//! comes back from its encoded form as decoded labels — the cold tiers
+//! read the bytes in place. The flat list stays the label's *value*:
+//! equality, the bit accounting, the wire encoding and the serialised
+//! form see entries, never the split.
 
 use crate::encode::LabelRef;
 use crate::entry::Entry;

@@ -113,21 +113,13 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         self
     }
 
-    /// **Recency bound of the hot tier**: keep at most `n` *completed*
-    /// runs hot; older completions are frozen (encoded arena) by the
-    /// background tiering worker, in completion order. `0` freezes every
-    /// run as soon as it completes.
+    /// **Recency bound of the hot tier** — its one bound: keep at most
+    /// `n` *completed* runs hot; older completions are frozen (encoded
+    /// arena) by the background tiering worker, in completion order. `0`
+    /// freezes every run as soon as it completes. Live runs are never
+    /// frozen, however many there are.
     pub fn freeze_after(mut self, n: usize) -> Self {
         self.policy.freeze_after = Some(n);
-        self
-    }
-
-    /// **Hard cap on hot-tier runs**: when the hot tier exceeds `n`
-    /// runs, the tiering worker freezes the oldest completed runs even
-    /// within the [`Self::freeze_after`] bound (live runs are never
-    /// frozen).
-    pub fn max_hot_runs(mut self, n: usize) -> Self {
-        self.policy.max_hot_runs = Some(n);
         self
     }
 
@@ -172,20 +164,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// **Resident-byte budget of the persisted tier**: pinned-in
     /// segment blobs are tracked by a size/age LRU, and once their total
     /// exceeds `n` bytes the least-recently-queried blobs are shed back
-    /// to cold (oldest freeze time breaking ties) by `madvise`. Unset =
-    /// blobs stay resident once pinned in.
+    /// to cold (oldest freeze time breaking ties) by `madvise` — so the
+    /// runs queries keep touching are the ones that stay resident.
+    /// Unset = blobs stay resident once pinned in.
     pub fn max_resident_bytes(mut self, n: u64) -> Self {
         self.max_resident_bytes = Some(n);
-        self
-    }
-
-    /// **Automatic re-heat threshold**: the tiering worker promotes a
-    /// persisted run back to the frozen (resident) tier once it has
-    /// answered `n` queries since it was persisted — query traffic
-    /// turns a cold run resident again. Unset = manual
-    /// [`WfEngine::reheat_run`] / [`WfEngine::reheat_run_hot`] only.
-    pub fn reheat_after(mut self, n: u64) -> Self {
-        self.policy.reheat_after = Some(n);
         self
     }
 

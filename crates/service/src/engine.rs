@@ -413,17 +413,18 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         self.shared.persist(run)
     }
 
-    /// **Re-heat** a persisted run: copy its arena back into memory
-    /// and promote it to the frozen (resident) tier, so subsequent
-    /// queries never touch disk and the LRU cannot shed it. The run
-    /// keeps its pack and its manifest line — a restart brings it back
-    /// persisted — and [`Self::persist_run`] is the inverse: a
-    /// transition back to that blob, with nothing encoded or written.
-    /// No-op if the run is already hot or frozen. The tiering worker
-    /// does this automatically for runs whose query count crosses
-    /// [`EngineBuilder::reheat_after`].
+    /// **Re-heat** a persisted run — the one way back from disk: copy
+    /// its arena back into memory and promote it to the frozen
+    /// (resident) tier, so subsequent queries never touch disk and the
+    /// LRU cannot shed it. The run keeps its pack and its manifest line
+    /// — a restart brings it back persisted — and [`Self::persist_run`]
+    /// is the inverse: a transition back to that blob, with nothing
+    /// encoded or written. No-op if the run is already hot or frozen.
+    /// Nothing re-heats automatically: under
+    /// [`EngineBuilder::max_resident_bytes`] the LRU keeps a queried
+    /// persisted run's blob resident instead.
     pub fn reheat_run(&self, run: RunId) -> Result<(), ServiceError> {
-        self.shared.reheat(run, Tier::Frozen)
+        self.shared.reheat(run)
     }
 
     /// **Compact** the persisted tier now — the spill directory's one
@@ -443,16 +444,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {
         let spill = self.shared.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         spill.compact(&self.shared.store)
-    }
-
-    /// **Re-heat a persisted run all the way to the hot tier**: rebuild
-    /// its decoded [`crate::index::LabelIndex`] straight from the segment bytes
-    /// (zero-copy off the pack mapping) and promote it to hot, where a
-    /// label lookup is two `Acquire` loads. The run stays `Completed` —
-    /// writes remain rejected — and, as with [`Self::reheat_run`], keeps
-    /// its pack and its manifest line. No-op for hot/frozen runs.
-    pub fn reheat_run_hot(&self, run: RunId) -> Result<(), ServiceError> {
-        self.shared.reheat(run, Tier::Hot)
     }
 
     /// Which storage tier currently serves `run`.
@@ -522,9 +513,10 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// [`Self::query`], maintained incrementally instead of rescanned.
     /// The returned [`Subscription`] first receives `Added` deltas for
     /// every existing match (the catch-up scan), then live deltas as
-    /// ingest publishes labels, runs complete, and the tiering worker
-    /// moves runs between tiers. See [`crate::SubPredicate`] for scoping
-    /// and [`crate::Delta`] for the event vocabulary.
+    /// ingest publishes labels, runs complete and runs are evicted — a
+    /// tier move changes no match, so it sends none. See
+    /// [`crate::SubPredicate`] for scoping and [`crate::Delta`] for the
+    /// event vocabulary.
     pub fn subscribe(&self, predicate: SubPredicate) -> Subscription {
         self.shared.store.subscribe(predicate)
     }

@@ -143,6 +143,6 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         drl_bits: slot.indexed.total_bits(),
         frozen_at: unix_now(),
         queries: AtomicU64::new(0),
-        home: slot.home.clone(),
+        home: None,
     }
 }

@@ -29,9 +29,10 @@
 //! shared by the node's labels — plus the vertex's own entry inline, so a
 //! cell is name + pointer + one entry and owns no allocation of its own.
 //! While the run is live its labeler's parse tree holds every prefix
-//! array too; once `complete()` drops the labeler (and for a run
-//! re-heated from a pack, from the start) the cells are the arrays' only
-//! holders, and a freeze that drops the index frees them. The writer
+//! array too; once `complete()` drops the labeler the cells are the
+//! arrays' only holders, and a freeze that drops the index frees them.
+//! An index is only ever filled by ingest: a run that leaves the hot
+//! tier never comes back to it. The writer
 //! tells the index how many bytes those distinct arrays take
 //! ([`LabelIndex::set_prefix_bytes`]): the index cannot see, label by
 //! label, which array it has met before.
@@ -205,9 +206,8 @@ impl LabelIndex {
 
     /// Record the heap bytes of the distinct prefix arrays the published
     /// labels carry, each array counted once. Called by the index's one
-    /// writer with the running total of whatever issued the labels
-    /// ([`wf_drl::tree::ExplicitTree::label_prefix_bytes`] on ingest,
-    /// [`wf_drl::LabelInterner::prefix_bytes`] on a re-heat).
+    /// writer with the running total of the labeler that issued the
+    /// labels ([`wf_drl::tree::ExplicitTree::label_prefix_bytes`]).
     pub fn set_prefix_bytes(&self, total: u64) {
         self.prefix_bytes.store(total, Ordering::Relaxed);
     }

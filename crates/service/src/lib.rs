@@ -39,9 +39,9 @@
 //!   disk snapshots ([`WfEngine::persist_run`]) that reload at build
 //!   time and are mapped lazily — with [`RunHandle::reach`] and
 //!   [`WfEngine::query`] answering tier-transparently. A background
-//!   tiering worker enforces
-//!   [`EngineBuilder::freeze_after`] / [`EngineBuilder::max_hot_runs`] /
-//!   [`EngineBuilder::spill_dir`] in completion order;
+//!   tiering worker enforces [`EngineBuilder::freeze_after`] /
+//!   [`EngineBuilder::spill_dir`] in completion order, and
+//!   [`WfEngine::reheat_run`] brings a persisted run back to frozen;
 //! * [`WfEngine::stats`] reports engine-level activity (runs live and
 //!   completed, events enqueued/ingested, ingest backlog, label bits)
 //!   plus the per-tier byte footprints

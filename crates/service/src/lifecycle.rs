@@ -12,16 +12,15 @@
 //! | [`EngineShared::freeze`]      | hot → frozen          |
 //! | [`EngineShared::persist`]     | frozen → persisted    |
 //! | [`EngineShared::reheat`]      | persisted → frozen    |
-//! | [`EngineShared::reheat`]      | persisted → hot       |
 //!
 //! A run's blob on disk is not a representation that comes and goes: it
 //! is written once, at the first persist, and the registration naming
 //! it ([`crate::snapshot::PersistedRun`]) then stays with the run — a
-//! re-heated run's resident representation keeps it (`home`), so the
-//! blob stays live and listed in the manifest, and persisting the run
-//! again is a transition back to that registration: nothing is encoded
-//! or written. A pack rewrite is not a transition at all: it tells the
-//! registration where the blob went.
+//! re-heated run's frozen arena keeps it (`home`), so the blob stays
+//! live and listed in the manifest, and persisting the run again is a
+//! transition back to that registration: nothing is encoded or written.
+//! A pack rewrite is not a transition at all: it tells the registration
+//! where the blob went.
 //!
 //! A mover that loses its race — the run was evicted, or someone else
 //! moved it first — reports through the one [`EngineShared::lost_race`]
@@ -31,15 +30,12 @@
 
 use crate::engine::EngineShared;
 use crate::freeze::freeze_slot;
-use crate::slot::RunSlot;
 use crate::store::{RunView, Tier};
 use crate::telemetry::tier_tag;
 use crate::{RunId, RunStatus, ServiceError};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use wf_drl::LabelInterner;
 use wf_skeleton::SpecLabeling;
 
 /// The automatic hot→frozen(→persisted) policy the background tiering
@@ -47,14 +43,9 @@ use wf_skeleton::SpecLabeling;
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct TierPolicy {
     /// Keep at most this many *completed* runs hot; older completions
-    /// freeze in completion order (the recency bound).
+    /// freeze in completion order (the recency bound — the one bound on
+    /// the hot tier; live runs are never frozen).
     pub(crate) freeze_after: Option<usize>,
-    /// Hard cap on hot-tier runs: when exceeded, completed runs freeze
-    /// even within the recency bound (live runs are never frozen).
-    pub(crate) max_hot_runs: Option<usize>,
-    /// Re-heat a persisted run to the frozen (resident) tier once it has
-    /// answered this many queries — the cold-run-turned-hot promotion.
-    pub(crate) reheat_after: Option<u64>,
     /// Run a compaction pass once this many underfull pack files (fewer
     /// than [`crate::snapshot::MIN_PACK_RUNS`] runs) have accumulated,
     /// or a file has turned dead-heavy.
@@ -158,11 +149,7 @@ impl Tiering {
     /// True when any automatic policy is configured (and so a worker
     /// drains the completion queue).
     pub(crate) fn is_active(&self) -> bool {
-        let p = &self.policy;
-        p.freeze_after.is_some()
-            || p.max_hot_runs.is_some()
-            || p.reheat_after.is_some()
-            || p.compact_after.is_some()
+        self.policy.freeze_after.is_some() || self.policy.compact_after.is_some()
     }
 
     /// A run completed: queue it for the worker and wake it. Without a
@@ -295,18 +282,13 @@ impl<S: SpecLabeling> EngineShared<S> {
         }
     }
 
-    /// **Re-heat** one persisted run into a resident tier, straight off
-    /// its pinned mapping. `target` picks the representation:
-    /// [`Tier::Frozen`] copies the encoded arena out (same reader, no
-    /// LRU in the way); [`Tier::Hot`] rebuilds the fully decoded
-    /// [`crate::index::LabelIndex`] (queries are two `Acquire` loads),
-    /// its labels sharing prefix arrays again as they did before the
-    /// freeze.
-    /// Either way the run stays `Completed`, and the resident
-    /// representation keeps the registration it was read from: the blob
-    /// stays live, the manifest keeps its line, and a crash brings the
-    /// run back persisted. Idempotent for runs already resident.
-    pub(crate) fn reheat(&self, run: RunId, target: Tier) -> Result<(), ServiceError> {
+    /// **Re-heat** one persisted run back to the frozen tier, straight
+    /// off its pinned mapping: the encoded arena is copied out (same
+    /// reader, no LRU in the way). The run stays `Completed`, and the
+    /// arena keeps the registration it was read from: the blob stays
+    /// live, the manifest keeps its line, and a crash brings the run
+    /// back persisted. Idempotent for runs already resident.
+    pub(crate) fn reheat(&self, run: RunId) -> Result<(), ServiceError> {
         let view = self.view(run)?;
         let RunView::Persisted(persisted) = &view else {
             return Ok(()); // already resident
@@ -319,29 +301,12 @@ impl<S: SpecLabeling> EngineShared<S> {
                 .unwrap_or_else(|| ServiceError::Snapshot(run, "a label no longer decodes".into()))
         };
         let pin = persisted.pin().ok_or_else(unreadable)?;
-        let resident = match target {
-            Tier::Frozen => RunView::Frozen(pin.to_frozen().ok_or_else(unreadable)?),
-            Tier::Hot => {
-                let arena = pin.arena();
-                let slot = RunSlot::completed(
-                    Arc::clone(&self.catalog[persisted.spec.0]),
-                    arena.skl_bits(),
-                    Arc::clone(persisted),
-                );
-                // Labels of one context come back sharing one prefix
-                // array, as the labeler issued them.
-                let mut interner = LabelInterner::default();
-                for (v, name, label) in arena.iter() {
-                    let label = interner.intern(label).ok_or_else(unreadable)?;
-                    slot.indexed.publish(v, name, label, slot.skl_bits);
-                }
-                slot.indexed.set_prefix_bytes(interner.prefix_bytes());
-                RunView::Hot(Arc::new(slot))
-            }
-            Tier::Persisted => return Ok(()),
-        };
+        let frozen = pin.to_frozen().ok_or_else(unreadable)?;
         drop(pin);
-        if !self.store.transition(run, Tier::Persisted, resident) {
+        if !self
+            .store
+            .transition(run, Tier::Persisted, RunView::Frozen(frozen))
+        {
             return self.lost_race(run);
         }
         self.obs.reheats.inc();
@@ -349,61 +314,35 @@ impl<S: SpecLabeling> EngineShared<S> {
             span,
             &self.obs.h_reheat,
             Some(run.0),
-            Some(tier_tag(target)),
+            Some(tier_tag(Tier::Frozen)),
             || format!("bytes={}", persisted.disk_bytes()),
         );
         Ok(())
     }
 
-    /// One pass of the segment-level policy: promote query-hot persisted
-    /// runs ([`TierPolicy::reheat_after`]), then let the spill directory
+    /// One pass of the segment-level policy: let the spill directory
     /// compact itself.
     pub(crate) fn apply_segment_policy(&self) {
-        let policy = &self.tiering.policy;
-        if let Some(threshold) = policy.reheat_after {
-            let mut to_reheat: Vec<RunId> = Vec::new();
-            self.store.for_each(|run, view| {
-                let RunView::Persisted(p) = view else { return };
-                // Threshold on traffic *since persisting* (the lifetime
-                // counter carries over for stats monotonicity — a run
-                // popular while hot must not bounce right back). Skip
-                // registrations whose load already failed (sticky):
-                // retrying every pass would only flood the error ring
-                // with duplicates of an error already reported once.
-                let since = p
-                    .queries
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(p.queries_at_persist.load(Ordering::Relaxed));
-                if since >= threshold && p.load_failure().is_none() {
-                    to_reheat.push(run);
-                }
-            });
-            for run in to_reheat {
-                if let Err(e) = self.reheat(run, Tier::Frozen) {
-                    self.ingest.push_error(run, e);
-                }
-            }
-        }
         if let Some(spill) = &self.spill {
-            if let Some(e) = spill.apply_policy(&self.store, policy.compact_after) {
+            if let Some(e) = spill.apply_policy(&self.store, self.tiering.policy.compact_after) {
                 self.ingest.push_error(RunId(u64::MAX), e);
             }
         }
     }
 
     /// One pass of the automatic tiering policy: freeze (and spill) the
-    /// oldest completed hot runs until the policy is satisfied. The hot
-    /// tier is counted once per pass; completions landing mid-pass wake
-    /// the worker for the next one.
+    /// oldest completed hot runs until at most
+    /// [`TierPolicy::freeze_after`] remain. The hot tier is counted once
+    /// per pass; completions landing mid-pass wake the worker for the
+    /// next one.
     pub(crate) fn apply_tier_policy(&self) {
-        let policy = &self.tiering.policy;
-        let hot = self.store.tier_count(Tier::Hot);
-        // Completed hot runs ≤ hot runs: while the whole tier fits both
-        // bounds there is nothing to freeze, and an idle tick ends here
+        let Some(keep) = self.tiering.policy.freeze_after else {
+            return;
+        };
+        // Completed hot runs ≤ hot runs: while the whole tier fits the
+        // bound there is nothing to freeze, and an idle tick ends here
         // without walking the registry.
-        if policy.freeze_after.is_none_or(|k| hot <= k)
-            && policy.max_hot_runs.is_none_or(|m| hot <= m)
-        {
+        if self.store.tier_count(Tier::Hot) <= keep {
             return;
         }
         let mut hot_completed = 0usize;
@@ -412,14 +351,7 @@ impl<S: SpecLabeling> EngineShared<S> {
                 hot_completed += 1;
             }
         });
-        let mut to_freeze = 0usize;
-        if let Some(k) = policy.freeze_after {
-            to_freeze = to_freeze.max(hot_completed.saturating_sub(k));
-        }
-        if let Some(m) = policy.max_hot_runs {
-            to_freeze = to_freeze.max(hot.saturating_sub(m).min(hot_completed));
-        }
-        for _ in 0..to_freeze {
+        for _ in 0..hot_completed.saturating_sub(keep) {
             // Oldest completed run that is still hot (stale queue
             // entries — evicted or manually frozen runs — are skipped).
             let run = {

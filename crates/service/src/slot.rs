@@ -17,7 +17,6 @@
 //! with it.
 
 use crate::index::LabelIndex;
-use crate::snapshot::PersistedRun;
 use crate::{RunId, RunStatus, ServiceError, SpecContext, SpecId};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -43,8 +42,7 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     /// The context the labeler reads on every insert.
     ctx: Arc<SpecContext<S>>,
     /// The run's labeler, for as long as the run can still be written:
-    /// completion drops it, and a run re-heated to the hot tier never
-    /// has one.
+    /// completion drops it.
     writer: Mutex<Option<ExecutionState>>,
     pub(crate) indexed: LabelIndex,
     /// The run's source vertex (its first inserted event — the labeler
@@ -61,10 +59,6 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     /// the numbers align with the flush watermark: everything appended
     /// before a barrier is durably replayable after it.
     pub(crate) wal_seq: AtomicU64,
-    /// The run's registration in the spill directory, when this slot was
-    /// re-heated out of a pack (see [`crate::FrozenRun`]'s field of the
-    /// same name).
-    pub(crate) home: Option<Arc<PersistedRun>>,
 }
 
 impl<S: SpecLabeling> RunSlot<S> {
@@ -79,54 +73,17 @@ impl<S: SpecLabeling> RunSlot<S> {
         next_wal_seq: u64,
     ) -> Result<Self, ExecError> {
         let writer = ExecutionState::new(&ctx.spec, resolution)?;
-        let skl_bits = writer.skl_bits();
-        Ok(Self::new(
-            ctx,
+        Ok(Self {
             spec,
-            skl_bits,
-            Some(writer),
-            RunStatus::Live,
-            next_wal_seq,
-        ))
-    }
-
-    /// The slot of a run re-heated to the hot tier out of `home`:
-    /// `Completed` from the start, so it holds no labeler; the caller
-    /// publishes the run's labels into [`Self::indexed`] before
-    /// registering it.
-    pub(crate) fn completed(
-        ctx: Arc<SpecContext<S>>,
-        skl_bits: usize,
-        home: Arc<PersistedRun>,
-    ) -> Self {
-        let mut slot = Self::new(ctx, home.spec, skl_bits, None, RunStatus::Completed, 1);
-        if let Some(source) = home.source {
-            let _ = slot.source.set(source);
-        }
-        slot.home = Some(home);
-        slot
-    }
-
-    fn new(
-        ctx: Arc<SpecContext<S>>,
-        spec: SpecId,
-        skl_bits: usize,
-        writer: Option<ExecutionState>,
-        status: RunStatus,
-        next_wal_seq: u64,
-    ) -> Self {
-        Self {
-            spec,
-            skl_bits,
+            skl_bits: writer.skl_bits(),
             ctx,
-            writer: Mutex::new(writer),
+            writer: Mutex::new(Some(writer)),
             indexed: LabelIndex::new(),
             source: OnceLock::new(),
-            status: AtomicU8::new(status.as_u8()),
+            status: AtomicU8::new(RunStatus::Live.as_u8()),
             queries: AtomicU64::new(0),
             wal_seq: AtomicU64::new(next_wal_seq),
-            home: None,
-        }
+        })
     }
 
     pub(crate) fn status(&self) -> RunStatus {

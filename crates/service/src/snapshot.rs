@@ -465,8 +465,8 @@ struct Place {
 /// A run's **registration** in the spill directory: created when its
 /// blob is first written (or from a manifest line at engine build),
 /// *relocated in place* when a rewrite moves the blob
-/// ([`Self::relocate`]), kept by the run's resident representation
-/// across a re-heat, dropped at eviction — one per run for as long as
+/// ([`Self::relocate`]), kept by the run's frozen arena across a
+/// re-heat, dropped at eviction — one per run for as long as
 /// the run has a blob on disk, whichever tier serves it. Its bytes are
 /// **mapped and verified lazily** on first query. Residency is governed
 /// by the store's [`SegmentLru`]: every pin-in registers there, and when
@@ -505,11 +505,6 @@ pub struct PersistedRun {
     /// transition carries the count from one representation to the
     /// next, so engine-wide `queries_answered` stays monotone).
     pub(crate) queries: AtomicU64,
-    /// The lifetime count when the run last entered the persisted tier.
-    /// Policy decisions — the auto-re-heat threshold — must only see
-    /// traffic received *since* persisting, or every popular run would
-    /// bounce straight back to memory after each spill.
-    pub(crate) queries_at_persist: AtomicU64,
 }
 
 impl PersistedRun {
@@ -541,7 +536,6 @@ impl PersistedRun {
             retired: AtomicBool::new(false),
             lru,
             queries: AtomicU64::new(0),
-            queries_at_persist: AtomicU64::new(0),
         }
     }
 
@@ -716,8 +710,8 @@ impl PersistedRun {
     }
 
     /// Why the run's first pin failed, once it has (sticky): the blob no
-    /// longer reads back cleanly, so retrying — e.g. the auto-re-heat
-    /// policy — is pointless until the blob moves.
+    /// longer reads back cleanly, so retrying is pointless until the
+    /// blob moves.
     pub fn load_failure(&self) -> Option<SnapshotError> {
         match &self.place.read().expect("segment place poisoned").state {
             LoadState::Failed(cause) => Some(cause.clone()),

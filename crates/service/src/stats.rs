@@ -85,7 +85,7 @@ pub struct ServiceStats {
     pub freezes: u64,
     /// Cumulative frozen→persisted transitions (snapshot writes).
     pub spills: u64,
-    /// Cumulative re-heat promotions (persisted → frozen or hot).
+    /// Cumulative re-heat promotions (persisted → frozen).
     pub reheats: u64,
     /// Cumulative compaction passes that wrote packs.
     pub compactions: u64,

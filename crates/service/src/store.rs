@@ -30,9 +30,13 @@
 //! A run that has been spilled also has a blob on disk, and **one
 //! registration** naming it ([`PersistedRun`]) for as long as it does:
 //! the persisted entry *is* that registration, a re-heated run's frozen
-//! or hot entry keeps it ([`RunView::home`]), and a pack rewrite
-//! relocates it in place — so the spill directory's manifest, its dead
-//! byte census and its orphan sweep are all "every view's `home()`".
+//! entry keeps it ([`RunView::home`]), and a pack rewrite relocates it in
+//! place — so the spill directory's manifest, its dead byte census and
+//! its orphan sweep are all "every view's `home()`".
+//!
+//! The store runs no subscription code under its locks: a tier change
+//! is not a lineage delta, so a transition tells no subscriber, and an
+//! eviction fans out only after the shard lock is released.
 
 use crate::engine::route_hash;
 use crate::freeze::FrozenRun;
@@ -275,10 +279,10 @@ impl<S: SpecLabeling> RunView<S> {
 
     /// The run's registration in the spill directory, whatever tier
     /// serves it: a persisted run's own, or the one a re-heated run was
-    /// read out of and keeps until it is evicted.
+    /// read out of and keeps until it is evicted. A hot run has none.
     pub(crate) fn home(&self) -> Option<&Arc<PersistedRun>> {
         match self {
-            RunView::Hot(s) => s.home.as_ref(),
+            RunView::Hot(_) => None,
             RunView::Frozen(f) => f.home.as_ref(),
             RunView::Persisted(p) => Some(p),
         }
@@ -405,9 +409,8 @@ pub(crate) struct LabelStore<S: SpecLabeling + 'static> {
     tier_counts: [AtomicU64; 3],
     /// Residency governor shared by every persisted run in this store.
     pub(crate) lru: Arc<SegmentLru>,
-    /// Standing-query fan-out. Lives on the store so tier transitions
-    /// can notify from inside the shard lock (tier deltas inherit the
-    /// per-run transition order).
+    /// Standing-query fan-out: a subscription's catch-up scans the
+    /// registry, and an eviction retracts what it delivered.
     pub(crate) subs: SubHub<S>,
 }
 
@@ -486,13 +489,11 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// racing an eviction (or another move) never resurrects a removed
     /// run or overwrites a newer representation. The swap happens under
     /// the shard write lock: a concurrent lookup sees the old value or
-    /// the new one, tier deltas reach subscribers in per-run transition
-    /// order, and the run's query count moves old → new where no
+    /// the new one, and the run's query count moves old → new where no
     /// `stats()` walk can see both or neither. A run's registration is
     /// one object that leaves the persisted tier at a re-heat and comes
     /// back at the next persist, so its exit (out of the LRU) and its
-    /// re-entry (recency baseline reset) happen under that lock too: the
-    /// two cannot reorder.
+    /// re-entry happen under that lock too: the two cannot reorder.
     #[must_use]
     pub(crate) fn transition(&self, run: RunId, from: Tier, to: RunView<S>) -> bool {
         let target = to.tier();
@@ -505,9 +506,7 @@ impl<S: SpecLabeling> LabelStore<S> {
         to.queries().store(carried, Ordering::Relaxed);
         self.tier_counts[from as usize].fetch_sub(1, Ordering::Relaxed);
         self.tier_counts[target as usize].fetch_add(1, Ordering::Relaxed);
-        self.subs.tier_moved(run, target);
         if let RunView::Persisted(p) = &to {
-            p.queries_at_persist.store(carried, Ordering::Relaxed);
             p.retired.store(false, Ordering::Release);
         }
         if let RunView::Persisted(p) = std::mem::replace(entry, to) {

@@ -16,9 +16,10 @@
 //! machine fed exactly one `(vertex, name, label)` triple per applied
 //! event — the same state machine the pull API now drives with a full
 //! scan ([`scan_view`]), so the incremental and rescan answers cannot
-//! drift. `Removed` deltas exist only for *scope* exits: a tier-scoped
-//! subscription sees `Removed` when a run leaves its tier, and every
-//! subscription sees `Removed` when a run is evicted.
+//! drift. A run leaves a subscription's scope only when it is evicted,
+//! so that is the one source of `Removed` deltas. A storage tier is not
+//! a scope: a freeze, spill or re-heat changes how a run's labels are
+//! stored, never what they answer, so it sends no delta.
 //!
 //! ## Delivery, backpressure, and the no-dup/no-drop argument
 //!
@@ -30,17 +31,16 @@
 //! `subscribe`'s insert, so a notify that misses a new subscriber
 //! happens-before that subscriber's catch-up scan — which then reads the
 //! already-published label. Both firing is harmless: the matcher's
-//! per-vertex `seen` set makes every feed idempotent. Tier transitions
-//! fan out from *inside* the store's shard write lock, inheriting the
-//! per-run total order of transitions; eviction is tombstoned so a
-//! delayed notify cannot resurrect a removed run's deltas.
+//! per-vertex `seen` set makes every feed idempotent. Eviction is
+//! tombstoned so a delayed notify cannot resurrect a removed run's
+//! deltas.
 //!
 //! ## A panic costs one subscription
 //!
-//! The fan-outs run on ingest workers and inside the store's shard write
-//! lock, so nothing here may panic on a poisoned lock: that would turn
-//! one subscription's fault into a poisoned registry shard or a worker
-//! reporting `WorkerPanicked` for an event that *was* applied. A
+//! The fan-outs run on ingest workers, on the evicting thread and on the
+//! subscribing thread — under no store lock — so nothing here may panic
+//! on a poisoned lock: that would turn one subscription's fault into a
+//! worker reporting `WorkerPanicked` for an event that *was* applied. A
 //! poisoned per-subscription lock (`state`, `queue`) means a thread
 //! panicked part-way through that subscription's matcher or queue, so
 //! its stream can no longer be trusted: [`SubCore::own`], the one way
@@ -49,7 +49,7 @@
 //! (`registry`, `tombstones`) guard a `Vec` push / retain and a
 //! `HashSet` insert, valid at every step, so their guards are recovered.
 
-use crate::store::{RunView, Tier};
+use crate::store::RunView;
 use crate::telemetry::{bump, SpanHandle, Telemetry};
 use crate::{RunId, RunStatus, SpecContext, SpecId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -109,11 +109,12 @@ impl PredKind {
 }
 
 /// A standing lineage predicate: one of the three cross-run query forms,
-/// optionally scoped by specification, completion status, and storage
-/// tier — the same axes as [`crate::CrossRunQuery`].
+/// optionally scoped by specification and completion status — the
+/// lineage axes of [`crate::CrossRunQuery`]. (Its storage-tier axis is
+/// not one: a tier move changes no match.)
 ///
 /// ```
-/// # use wf_service::{SubPredicate, SpecId, Tier};
+/// # use wf_service::{SubPredicate, SpecId};
 /// # use wf_graph::NameId;
 /// let pred = SubPredicate::runs_linking(NameId(3), NameId(7))
 ///     .spec(SpecId(0))
@@ -124,7 +125,6 @@ pub struct SubPredicate {
     pub(crate) kind: PredKind,
     pub(crate) spec: Option<SpecId>,
     pub(crate) completed_only: bool,
-    pub(crate) tier: Option<Tier>,
 }
 
 impl SubPredicate {
@@ -133,7 +133,6 @@ impl SubPredicate {
             kind,
             spec: None,
             completed_only: false,
-            tier: None,
         }
     }
 
@@ -171,15 +170,6 @@ impl SubPredicate {
         self.completed_only = true;
         self
     }
-
-    /// Restrict to one storage tier: matches emit `Added` when the run
-    /// enters the tier and `Removed` when it leaves, from match state
-    /// retained at publish time (tier transitions never rescan).
-    #[must_use]
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
 }
 
 /// Evidence carried by `Added`/`Removed` deltas — the same witnesses the
@@ -215,8 +205,8 @@ pub enum Delta {
         /// The evidence.
         witness: Witness,
     },
-    /// A previously-`Added` match left the scope (tier exit or
-    /// eviction) — never emitted for a witness that was not delivered.
+    /// A previously-`Added` match left the scope: its run was evicted.
+    /// Never emitted for a witness that was not delivered.
     Removed {
         /// The run.
         run: RunId,
@@ -434,23 +424,19 @@ struct RunSubState {
     matcher: RunMatcher,
     /// All witnesses discovered, in discovery order (append-only).
     matches: Vec<Witness>,
-    /// `matches[..emitted]` have an outstanding `Added`; scope exits
-    /// retract exactly this prefix.
+    /// `matches[..emitted]` have an outstanding `Added`; an eviction
+    /// retracts exactly this prefix.
     emitted: usize,
-    /// Last tier reported for this run (updated by tier fan-outs, which
-    /// inherit the store's per-run transition order).
-    tier: Tier,
     completed: bool,
 }
 
 impl RunSubState {
-    fn new(kind: PredKind, tier: Tier, completed: bool) -> Self {
+    fn new(kind: PredKind) -> Self {
         Self {
             matcher: RunMatcher::new(kind),
             matches: Vec::new(),
             emitted: 0,
-            tier,
-            completed,
+            completed: false,
         }
     }
 }
@@ -470,7 +456,8 @@ struct SubQueue {
 pub(crate) struct SubCore {
     pred: SubPredicate,
     /// Per-run state, keyed by run id. Leaf lock: never held while
-    /// taking a store or registry lock.
+    /// taking a store or registry lock. Emptied when the last handle
+    /// drops; take it through [`Self::runs`].
     state: Mutex<HashMap<u64, RunSubState>>,
     queue: Mutex<SubQueue>,
     /// Bound of `queue`.
@@ -510,6 +497,14 @@ impl SubCore {
         guard.ok()
     }
 
+    /// The per-run state, for a fan-out; `None` once the subscription is
+    /// closed. Checked under the lock: a fan-out racing the last
+    /// handle's drop either finishes before the drop empties the state
+    /// or finds the core closed — it never refills what was emptied.
+    fn runs(&self) -> Option<MutexGuard<'_, HashMap<u64, RunSubState>>> {
+        self.own(&self.state).filter(|_| !self.is_closed())
+    }
+
     /// Enqueue one delta, dropping the oldest on overflow.
     fn push(&self, delta: Delta, obs: &Telemetry) {
         {
@@ -527,25 +522,18 @@ impl SubCore {
         self.cv.notify_one();
     }
 
-    /// Reconcile delivery with the subscription's scope: in scope, every
-    /// undelivered match becomes `Added`; out of scope, the delivered
-    /// prefix is retracted as `Removed`. Idempotent, so racing callers
-    /// (notify vs. tier fan-out vs. catch-up) converge on set semantics.
+    /// Deliver every undelivered match as `Added` once the run is in
+    /// the subscription's scope (a `completed()` subscription's once the
+    /// run completes). Idempotent, so racing callers (notify vs.
+    /// completion vs. catch-up) converge on set semantics.
     fn sync_emission(&self, run: RunId, st: &mut RunSubState, obs: &Telemetry) {
-        let p = &self.pred;
-        let in_scope = p.tier.is_none_or(|t| t == st.tier) && (!p.completed_only || st.completed);
-        if in_scope {
-            while st.emitted < st.matches.len() {
-                let w = st.matches[st.emitted].clone();
-                st.emitted += 1;
-                self.push(Delta::Added { run, witness: w }, obs);
-            }
-        } else if st.emitted > 0 {
-            let retract: Vec<Witness> = st.matches[..st.emitted].to_vec();
-            st.emitted = 0;
-            for w in retract {
-                self.push(Delta::Removed { run, witness: w }, obs);
-            }
+        if self.pred.completed_only && !st.completed {
+            return;
+        }
+        while st.emitted < st.matches.len() {
+            let w = st.matches[st.emitted].clone();
+            st.emitted += 1;
+            self.push(Delta::Added { run, witness: w }, obs);
         }
     }
 }
@@ -570,6 +558,16 @@ impl Drop for Subscription {
     fn drop(&mut self) {
         if self.core.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.core.close();
+            // The registry row keeps the core until the next
+            // registration prunes it; the matchers and their label
+            // copies go now. Not in `close()`: `own()` calls that with
+            // the poisoned guard held.
+            let mut state = self
+                .core
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            *state = HashMap::new();
         }
     }
 }
@@ -654,7 +652,7 @@ impl Subscription {
 }
 
 /// One registry row: the notify fast path's precheck data (predicate
-/// kind, spec filter, tier interest) inlined next to the core pointer,
+/// kind, spec filter) inlined next to the core pointer,
 /// so fanning an irrelevant event across N subscriptions walks one
 /// contiguous vector of `Copy` data and never dereferences a per-
 /// subscription `Arc` — N pointer chases per ingested event is exactly
@@ -662,16 +660,15 @@ impl Subscription {
 struct SubEntry {
     kind: PredKind,
     spec: Option<SpecId>,
-    tier: Option<Tier>,
     core: Arc<SubCore>,
 }
 
 /// The subscription registry and fan-out engine, owned by the label
-/// store so tier transitions can notify from inside their lock regions.
+/// store, whose catch-up scan and eviction feed it.
 ///
-/// Lock hierarchy (outermost first): store tier locks → `registry` →
-/// per-sub `state` → {`queue`, `tombstones`}. Subscription code never
-/// takes a store lock while holding any of its own.
+/// Lock hierarchy (outermost first): `registry` → per-sub `state` →
+/// {`queue`, `tombstones`}. No fan-out runs under a store lock, and
+/// subscription code never takes one while holding any of its own.
 pub(crate) struct SubHub<S: SpecLabeling + 'static> {
     catalog: Box<[Arc<SpecContext<S>>]>,
     pub(crate) obs: Arc<Telemetry>,
@@ -725,7 +722,7 @@ impl<S: SpecLabeling> SubHub<S> {
     /// Register a new subscription core (catch-up is the store's job —
     /// it needs the tier snapshot, which this hub must not take itself).
     pub(crate) fn register(&self, pred: SubPredicate) -> Arc<SubCore> {
-        let (kind, spec, tier) = (pred.kind, pred.spec, pred.tier);
+        let (kind, spec) = (pred.kind, pred.spec);
         let core = Arc::new(SubCore {
             pred,
             state: Mutex::new(HashMap::new()),
@@ -747,7 +744,6 @@ impl<S: SpecLabeling> SubHub<S> {
         reg.push(SubEntry {
             kind,
             spec,
-            tier,
             core: Arc::clone(&core),
         });
         // Recompute the interest filter from scratch while we hold the
@@ -862,7 +858,7 @@ impl<S: SpecLabeling> SubHub<S> {
     ) {
         let ctx = &self.catalog[spec.0];
         let predicate = DrlPredicate::new(&ctx.skeleton);
-        let Some(mut map) = core.own(&core.state) else {
+        let Some(mut map) = core.runs() else {
             return;
         };
         if self.is_tombstoned(run) {
@@ -870,7 +866,7 @@ impl<S: SpecLabeling> SubHub<S> {
         }
         let st = map
             .entry(run.0)
-            .or_insert_with(|| RunSubState::new(core.pred.kind, Tier::Hot, false));
+            .or_insert_with(|| RunSubState::new(core.pred.kind));
         let RunSubState {
             matcher, matches, ..
         } = st;
@@ -897,7 +893,7 @@ impl<S: SpecLabeling> SubHub<S> {
             }
             let core = &e.core;
             {
-                let Some(mut map) = core.own(&core.state) else {
+                let Some(mut map) = core.runs() else {
                     continue;
                 };
                 if let Some(st) = map.get_mut(&run.0) {
@@ -906,33 +902,6 @@ impl<S: SpecLabeling> SubHub<S> {
                 }
             }
             core.push(Delta::RunCompleted { run }, &self.obs);
-        }
-    }
-
-    /// Fan out a tier transition, called from **inside** the store's
-    /// shard write lock so per-run transitions arrive in order. Only
-    /// tier-scoped subscriptions track tiers; for them the entry is
-    /// created on demand (tier transitions only happen to completed
-    /// runs, so a missing entry just means "no matches yet recorded" —
-    /// the catch-up or delayed notifies fill it in under this tier).
-    pub(crate) fn tier_moved(&self, run: RunId, to: Tier) {
-        if self.active.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let subs = self.rows();
-        for e in subs.iter() {
-            if e.tier.is_none() || e.core.is_closed() {
-                continue;
-            }
-            let core = &e.core;
-            let Some(mut map) = core.own(&core.state) else {
-                continue;
-            };
-            let st = map
-                .entry(run.0)
-                .or_insert_with(|| RunSubState::new(e.kind, to, true));
-            st.tier = to;
-            core.sync_emission(run, st, &self.obs);
         }
     }
 
@@ -953,7 +922,7 @@ impl<S: SpecLabeling> SubHub<S> {
             if core.is_closed() {
                 continue;
             }
-            let Some(mut map) = core.own(&core.state) else {
+            let Some(mut map) = core.runs() else {
                 continue;
             };
             if let Some(st) = map.remove(&run.0) {
@@ -976,7 +945,7 @@ impl<S: SpecLabeling> SubHub<S> {
         let ctx = &self.catalog[spec.0];
         let predicate = DrlPredicate::new(&ctx.skeleton);
         let source = view.source();
-        let Some(mut map) = core.own(&core.state) else {
+        let Some(mut map) = core.runs() else {
             return 0;
         };
         if self.is_tombstoned(run) {
@@ -984,7 +953,7 @@ impl<S: SpecLabeling> SubHub<S> {
         }
         let st = map
             .entry(run.0)
-            .or_insert_with(|| RunSubState::new(core.pred.kind, view.tier(), false));
+            .or_insert_with(|| RunSubState::new(core.pred.kind));
         // Status reads through a hot view are *live* (the slot's atomic),
         // so a completion between the snapshot and now is not missed; a
         // completion after this read updates the entry via its fan-out.
@@ -1039,7 +1008,7 @@ impl<S: SpecLabeling> Drop for SubHub<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RunOp, ServiceEvent, WfEngine};
+    use crate::{RunOp, ServiceEvent, Tier, WfEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wf_run::{Execution, RunGenerator};
@@ -1072,10 +1041,10 @@ mod tests {
 
     /// A thread that panicked under one subscription's `state` or
     /// `queue` lock costs that subscription — closed, its stream ended —
-    /// and nothing else: every fan-out (on an ingest worker, under the
-    /// store's shard write lock, on the subscribing thread) returns, the
-    /// events and tier moves behind them succeed, and sibling
-    /// subscriptions keep receiving their deltas.
+    /// and nothing else: every fan-out (on an ingest worker, on the
+    /// evicting thread, on the subscribing thread) returns, the events
+    /// and the eviction behind them succeed, and sibling subscriptions
+    /// keep receiving their deltas. A tier move is not a fan-out at all.
     #[test]
     fn a_poisoned_subscription_lock_costs_that_subscription_only() {
         let engine: WfEngine = WfEngine::builder()
@@ -1096,8 +1065,8 @@ mod tests {
             .collect();
         named.sort_unstable();
 
-        // Tier-scoped, so the tier fan-out takes its state lock too.
-        let pred = SubPredicate::vertices_named(name).tier(Tier::Frozen);
+        // Completion-scoped, so the completion fan-out delivers to it.
+        let pred = SubPredicate::vertices_named(name).completed();
         let live = engine.subscribe(SubPredicate::vertices_named(name));
         let scoped = engine.subscribe(pred.clone());
         let poisoned = || {
@@ -1130,14 +1099,17 @@ mod tests {
         let victim = poisoned();
         engine.complete_run(run).unwrap();
         assert!(ended(&victim));
+        assert_eq!(added(&scoped, run), named, "the sibling saw the completion");
 
-        // tier_moved, inside the store's shard write lock: the shard
-        // survives it, so the run is still there to look up.
+        // A freeze runs no subscription code under the store's shard
+        // lock: a poisoned subscription is not even looked at. Its last
+        // handle's drop recovers the poisoned guard.
         let victim = poisoned();
         engine.freeze_run(run).unwrap();
-        assert!(ended(&victim));
         assert_eq!(engine.run_tier(run), Ok(Tier::Frozen));
-        assert_eq!(added(&scoped, run), named, "the sibling saw the freeze");
+        assert!(!victim.is_closed(), "the freeze took a subscription lock");
+        assert_eq!(scoped.pending(), 0, "a tier move is no delta");
+        drop(victim);
 
         // catch_up, on a subscribing thread.
         let victim = poisoned();
@@ -1167,5 +1139,75 @@ mod tests {
         assert_eq!(retracted(&scoped), named.len());
         assert_eq!(retracted(&live), named.len());
         assert_eq!(engine.stats().subscriptions, 2, "live and scoped");
+    }
+
+    /// Runs with state in `core`, and the label copies its matchers keep.
+    fn held(core: &SubCore) -> (usize, usize) {
+        let map = core.state.lock().unwrap();
+        let copies = map.values().map(|st| {
+            let m = &st.matcher;
+            usize::from(m.source.is_some()) + m.pending.len() + m.froms.len() + m.tos.len()
+        });
+        (map.len(), copies.sum())
+    }
+
+    /// The last handle's drop empties the subscription's per-run state:
+    /// the matcher's label copies go then, not at the next registration,
+    /// and evicting the run they matched brings none back. A sibling
+    /// subscription's deltas are untouched.
+    #[test]
+    fn the_last_handle_drop_frees_the_match_state() {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(1)
+            .build();
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(200)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let name = exec.events()[1].name;
+        let mut named: Vec<VertexId> = exec
+            .events()
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.vertex)
+            .collect();
+        named.sort_unstable();
+
+        let sibling = engine.subscribe(SubPredicate::vertices_named(name));
+        let linking = engine.subscribe(SubPredicate::runs_linking(name, NameId(u32::MAX)));
+        let core = Arc::clone(&linking.core);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        for ev in exec.events() {
+            let op = RunOp::Insert(ev.clone());
+            engine.ingest(ServiceEvent { run, op }).unwrap();
+        }
+        engine.flush();
+        assert_eq!(held(&core), (1, named.len()), "one `from` copy per match");
+
+        drop(linking);
+        assert!(core.is_closed());
+        assert_eq!(held(&core), (0, 0), "freed with the last handle");
+        engine.evict_run(run).unwrap();
+        assert_eq!(held(&core), (0, 0), "the eviction brings nothing back");
+
+        let (mut adds, mut removes) = (Vec::new(), Vec::new());
+        while let Some(delta) = sibling.try_recv() {
+            match delta {
+                Delta::Added {
+                    run: r,
+                    witness: Witness::Vertex(v),
+                } if r == run => adds.push(v),
+                Delta::Removed {
+                    run: r,
+                    witness: Witness::Vertex(v),
+                } if r == run => removes.push(v),
+                other => panic!("the sibling saw {other:?}"),
+            }
+        }
+        adds.sort_unstable();
+        removes.sort_unstable();
+        assert_eq!((adds, removes), (named.clone(), named));
     }
 }

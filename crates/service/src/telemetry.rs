@@ -257,7 +257,7 @@ impl Telemetry {
             spills: counter("wf_spills_total", "frozen runs spilled to disk"),
             reheats: counter(
                 "wf_reheats_total",
-                "persisted runs re-heated to a resident tier (frozen or hot)",
+                "persisted runs re-heated to the frozen tier",
             ),
             compactions: counter("wf_compactions_total", "segment compaction passes"),
             segment_sheds: counter(
@@ -339,7 +339,7 @@ impl Telemetry {
                 "wf_reheat_ns",
                 "reheat",
                 true,
-                "persisted run promoted back to a resident tier (frozen or hot)",
+                "persisted run promoted back to the frozen tier",
             ),
             h_compaction: span(
                 "wf_compaction_ns",

@@ -1,7 +1,7 @@
 //! Run lifecycle across the tiered label store:
 //! open → completed → **frozen** (encoded arena) →
-//! **persisted** (disk snapshot) → **re-heated** (resident again under
-//! query traffic) — with queries answered identically at every stage,
+//! **persisted** (disk snapshot) → **re-heated** (frozen again, resident
+//! for query traffic) — with queries answered identically at every stage,
 //! the persisted segments **compacted** into packed files, and the
 //! per-tier footprint JSON CI harvests.
 //!
@@ -217,8 +217,8 @@ fn main() {
     // maps each pack at its first pin and resolves every blob to a byte
     // range inside the mapping (verify once, zero copies), and the
     // replacer sheds pages by `madvise` under the resident budget.
-    // Re-heating half the fleet to the **hot** tier strands nothing —
-    // a re-heated run keeps its blob — but evicting a third of the
+    // Re-heating half the fleet back to the frozen tier strands nothing
+    // — a re-heated run keeps its blob — but evicting a third of the
     // fleet does: enough dead blobs for `compact()` to rewrite the pack
     // without them and shrink the directory. Its `compaction` JSON line
     // (the second of this example) is the CI artifact.
@@ -268,13 +268,11 @@ fn main() {
         stats.mapped_bytes,
     );
 
-    // Sustained traffic on half the fleet: promote those runs all the
-    // way back to hot. Their blobs stay live (and listed in the
-    // manifest: a crash now would bring them back persisted)…
+    // Sustained traffic on half the fleet: re-heat those runs back into
+    // memory. Their blobs stay live (and listed in the manifest: a crash
+    // now would bring them back persisted)…
     for run in &ids[..ids.len() / 2] {
-        engine
-            .reheat_run_hot(*run)
-            .expect("persisted run re-heats hot");
+        engine.reheat_run(*run).expect("persisted run re-heats");
     }
     assert_eq!(engine.stats().pack_dead_bytes, 0, "re-heats strand nothing");
     // …evicting is what kills a blob, whichever tier the run is in…
@@ -311,8 +309,8 @@ fn main() {
          moved {} runs, disk {disk_before} B → {disk_after} B",
         report.packs_written, report.runs_packed,
     );
-    // Survivors still answer after the rewrite, hot returnees from
-    // their rebuilt indexes.
+    // Survivors still answer after the rewrite, re-heated ones from the
+    // arenas they copied out.
     for run in kept {
         assert!(engine.run_tier(*run).is_ok());
     }
@@ -411,10 +409,10 @@ fn main() {
     // concurrently. The
     // unscoped subscriber's `Added` stream must equal the pull query's
     // answer exactly — no duplicates, no drops, no spurious
-    // retractions — and the Frozen-scoped subscriber must net out to
-    // exactly the frozen tier's final contents after the churn. The
-    // `sub_soak` JSON line (deltas delivered, pull-oracle count, max
-    // completion lag seen by the consumer) is the CI artifact.
+    // retractions — and the completion-scoped subscriber must net out
+    // to exactly the completed runs' matches: the tier churn sends no
+    // delta. The `sub_soak` JSON line (deltas delivered, pull-oracle
+    // count, max completion lag seen by the consumer) is the CI artifact.
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
@@ -442,7 +440,7 @@ fn main() {
         .collect();
     let probe = execs[0].events()[1].name;
     let sub_all = engine.subscribe(SubPredicate::vertices_named(probe));
-    let sub_frozen = engine.subscribe(SubPredicate::vertices_named(probe).tier(Tier::Frozen));
+    let sub_completed = engine.subscribe(SubPredicate::vertices_named(probe).completed());
 
     let stamps: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
     let done = AtomicBool::new(false);
@@ -503,8 +501,8 @@ fn main() {
             }
         }
         engine.compact().expect("spill dir configured");
-        // Re-heat half the persisted runs all the way to hot, then send
-        // them back: each still has its blob, so nothing is written.
+        // Re-heat half the persisted runs, then send them back: each
+        // still has its blob, so nothing is written.
         let persisted: Vec<RunId> = runs
             .iter()
             .copied()
@@ -512,7 +510,7 @@ fn main() {
             .collect();
         let reheated = &persisted[..persisted.len() / 2];
         for run in reheated {
-            engine.reheat_run_hot(*run).unwrap();
+            engine.reheat_run(*run).unwrap();
         }
         let before = engine.stats();
         for run in reheated {
@@ -547,35 +545,35 @@ fn main() {
     assert_eq!(removed, 0, "nothing was evicted, nothing retracts");
     assert_eq!(completions, 24, "every completion is delivered");
 
-    // The Frozen-scoped stream nets out to the frozen tier's final
-    // contents: freezes added witnesses, persists/re-heats of runs that
-    // were never frozen added nothing.
-    let (mut f_added, mut f_removed) = (0i64, 0i64);
-    while let Some(d) = sub_frozen.try_recv() {
+    // The completion-scoped stream nets out to the completed runs'
+    // matches: each completion added its run's witnesses, and no freeze,
+    // spill, re-heat or rewrite added or retracted one.
+    let (mut c_added, mut c_removed) = (0i64, 0i64);
+    while let Some(d) = sub_completed.try_recv() {
         match d {
-            Delta::Added { .. } => f_added += 1,
-            Delta::Removed { .. } => f_removed += 1,
+            Delta::Added { .. } => c_added += 1,
+            Delta::Removed { .. } => c_removed += 1,
             Delta::RunCompleted { .. } => {}
-            Delta::Lagged { dropped } => panic!("frozen sub overflowed (dropped {dropped})"),
+            Delta::Lagged { dropped } => panic!("completed sub overflowed (dropped {dropped})"),
         }
     }
-    let frozen_oracle: usize = engine
+    let completed_oracle: usize = engine
         .query()
-        .tier(Tier::Frozen)
+        .completed()
         .vertices_named(probe)
         .iter()
         .map(|(_, vs)| vs.len())
         .sum();
     assert_eq!(
-        (f_added - f_removed) as usize,
-        frozen_oracle,
-        "tier-scoped stream nets to the frozen tier's final contents"
+        (c_added - c_removed) as usize,
+        completed_oracle,
+        "completion-scoped stream nets to the completed runs' matches"
     );
 
     println!(
         "{{\"metric\":\"sub_soak\",\"deltas\":{total},\"oracle\":{oracle},\
-         \"max_lag_ns\":{max_lag_ns},\"frozen_net\":{},\"frozen_oracle\":{frozen_oracle}}}",
-        f_added - f_removed
+         \"max_lag_ns\":{max_lag_ns},\"completed_net\":{},\"completed_oracle\":{completed_oracle}}}",
+        c_added - c_removed
     );
     println!(
         "sub-soak: {added} adds + {completions} completions delivered across the churn, \
@@ -583,7 +581,7 @@ fn main() {
         max_lag_ns as f64 / 1e6
     );
     drop(sub_all);
-    drop(sub_frozen);
+    drop(sub_completed);
     drop(engine);
     let _ = std::fs::remove_dir_all(&spill);
 }

@@ -1,6 +1,6 @@
 //! Buffer-manager read path: packs mapped at first pin (packs of one
 //! straight out of a spill included), rewrites of dead-heavy packs under
-//! concurrent scans, hot re-heating, and the compaction byte-accounting
+//! concurrent scans, re-heating, and the compaction byte-accounting
 //! regression.
 //!
 //! The acceptance bar mirrors tiering.rs: wherever the blob lives —
@@ -430,7 +430,6 @@ fn corrupt_mapped_pack_degrades_cleanly() {
                 reloaded.reach(*run, u, v).map(drop).unwrap_err(),
                 reloaded.label(*run, u).map(drop).unwrap_err(),
                 reloaded.reheat_run(*run).unwrap_err(),
-                reloaded.reheat_run_hot(*run).unwrap_err(),
             ] {
                 match err {
                     wf_service::ServiceError::Snapshot(r, cause) => {
@@ -462,12 +461,13 @@ fn corrupt_mapped_pack_degrades_cleanly() {
     assert_eq!(failed_pins, degraded);
 }
 
-/// Full hot re-heat: the rebuilt in-memory [`LabelIndex`] answers
-/// bit-identically to a never-persisted control run of the same
-/// execution, at hot-tier latency (the run really is `Tier::Hot`).
+/// A re-heat rebuilds an equivalent run: the frozen arena copied out of
+/// the mapping answers label by label — label, name, `label_bits` — and
+/// pair by pair identically to a never-persisted control run of the
+/// same execution, and still rejects writes.
 #[test]
-fn hot_reheat_rebuilds_equivalent_index() {
-    let dir = TempDir::new("reheat-hot");
+fn reheat_rebuilds_an_equivalent_frozen_run() {
+    let dir = TempDir::new("reheat");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(7);
     let gen = RunGenerator::new(&spec)
@@ -489,7 +489,7 @@ fn hot_reheat_rebuilds_equivalent_index() {
         engine.submit(control, ev).unwrap();
     }
     engine.complete_run(control).unwrap();
-    // Subject: persisted, then promoted straight back to hot.
+    // Subject: persisted, then re-heated.
     let run = engine.open_run(SpecId(0)).unwrap();
     for ev in exec.events() {
         engine.submit(run, ev).unwrap();
@@ -498,8 +498,8 @@ fn hot_reheat_rebuilds_equivalent_index() {
     engine.persist_run(run).unwrap();
     assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
 
-    engine.reheat_run_hot(run).unwrap();
-    assert_eq!(engine.run_tier(run).unwrap(), Tier::Hot);
+    engine.reheat_run(run).unwrap();
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
     assert_eq!(engine.stats().reheats, 1);
 
     let (h, c) = (engine.handle(run).unwrap(), engine.handle(control).unwrap());
@@ -518,16 +518,14 @@ fn hot_reheat_rebuilds_equivalent_index() {
             );
         }
     }
-    // Completed stays completed: the re-heated slot rejects writes.
+    // Completed stays completed: the re-heated run rejects writes.
     assert!(matches!(
         h.submit(&exec.events()[0]),
         Err(wf_service::ServiceError::RunNotLive(..))
     ));
-    // Both runs visible to the cross-run surface, both hot.
-    assert_eq!(
-        engine.query().completed().tier(Tier::Hot).run_ids(),
-        vec![control, run]
-    );
+    // Both runs visible to the cross-run surface, each in its tier.
+    assert_eq!(engine.query().completed().run_ids(), vec![control, run]);
+    assert_eq!(engine.query().tier(Tier::Frozen).run_ids(), vec![run]);
 }
 
 /// Regression: when a pack is re-compacted alongside fresh spills,

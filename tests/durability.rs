@@ -567,78 +567,71 @@ fn evicted_runs_stay_evicted_across_a_restart() {
 /// again goes back to the blob it already has: nothing is written.
 #[test]
 fn a_reheated_run_survives_a_restart() {
-    type Reheat = fn(&WfEngine, RunId) -> Result<(), ServiceError>;
-    let targets: [(Reheat, Tier); 2] = [
-        (|e, run| e.reheat_run(run), Tier::Frozen),
-        (|e, run| e.reheat_run_hot(run), Tier::Hot),
-    ];
-    for (reheat, resident) in targets {
-        let dir = TempDir::new("reheat");
-        let spill = dir.0.join("spill");
-        let spec = wf_spec::corpus::running_example();
-        let mut rng = StdRng::seed_from_u64(1706);
-        let build = || -> WfEngine {
-            WfEngine::builder()
-                .spec(spec.clone())
-                .ingest_workers(2)
-                .wal_dir(dir.0.join("wal"))
-                .wal_sync(WalSync::Always)
-                .spill_dir(&spill)
-                .build()
-        };
-        let engine = build();
-        let mut persist_one = || {
-            let run = engine.open_run(SpecId(0)).unwrap();
-            let gen = RunGenerator::new(&spec)
-                .target_size(50)
-                .generate_run(&mut rng);
-            let exec = Execution::deterministic(&gen.graph, &gen.origin);
-            for ev in exec.events() {
-                engine.submit(run, ev).unwrap();
-            }
-            engine.complete_run(run).unwrap();
-            engine.persist_run(run).unwrap();
-            (run, exec)
-        };
-        let files = || -> Vec<std::ffi::OsString> {
-            let mut names: Vec<_> = std::fs::read_dir(&spill)
-                .unwrap()
-                .map(|e| e.unwrap().file_name())
-                .collect();
-            names.sort();
-            names
-        };
-
-        let (run, exec) = persist_one();
-        reheat(&engine, run).unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), resident);
-        assert_eq!(engine.stats().pack_dead_bytes, 0, "the blob is still live");
-
-        // Every later write to the directory keeps the run's blob.
-        let (other, other_exec) = persist_one();
-        assert_eq!(engine.compact().unwrap().runs_packed, 2);
-
-        // Persisting again is a way back, not a spill.
-        let (spills, before) = (engine.stats().spills, files());
-        engine.persist_run(run).unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
-        assert_eq!((engine.stats().spills, files()), (spills, before));
-        let h = engine.handle(run).unwrap();
-        assert_prefix_answers(&h, exec.events(), exec.len());
-
-        // The restart finds the run re-heated.
-        reheat(&engine, run).unwrap();
-        assert!(engine.take_ingest_errors().is_empty());
-        drop(engine);
-        let rebuilt = build();
-        for (run, exec) in [(run, &exec), (other, &other_exec)] {
-            assert_eq!(rebuilt.run_status(run), Ok(RunStatus::Completed));
-            assert_eq!(rebuilt.run_tier(run).unwrap(), Tier::Persisted);
-            let h = rebuilt.handle(run).unwrap();
-            assert_prefix_answers(&h, exec.events(), exec.len());
+    let dir = TempDir::new("reheat");
+    let spill = dir.0.join("spill");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(1706);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(2)
+            .wal_dir(dir.0.join("wal"))
+            .wal_sync(WalSync::Always)
+            .spill_dir(&spill)
+            .build()
+    };
+    let engine = build();
+    let mut persist_one = || {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let gen = RunGenerator::new(&spec)
+            .target_size(50)
+            .generate_run(&mut rng);
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
         }
-        assert_eq!(rebuilt.stats().wal_recovered_runs, 0);
+        engine.complete_run(run).unwrap();
+        engine.persist_run(run).unwrap();
+        (run, exec)
+    };
+    let files = || -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = std::fs::read_dir(&spill)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let (run, exec) = persist_one();
+    engine.reheat_run(run).unwrap();
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
+    assert_eq!(engine.stats().pack_dead_bytes, 0, "the blob is still live");
+
+    // Every later write to the directory keeps the run's blob.
+    let (other, other_exec) = persist_one();
+    assert_eq!(engine.compact().unwrap().runs_packed, 2);
+
+    // Persisting again is a way back, not a spill.
+    let (spills, before) = (engine.stats().spills, files());
+    engine.persist_run(run).unwrap();
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+    assert_eq!((engine.stats().spills, files()), (spills, before));
+    let h = engine.handle(run).unwrap();
+    assert_prefix_answers(&h, exec.events(), exec.len());
+
+    // The restart finds the run re-heated.
+    engine.reheat_run(run).unwrap();
+    assert!(engine.take_ingest_errors().is_empty());
+    drop(engine);
+    let rebuilt = build();
+    for (run, exec) in [(run, &exec), (other, &other_exec)] {
+        assert_eq!(rebuilt.run_status(run), Ok(RunStatus::Completed));
+        assert_eq!(rebuilt.run_tier(run).unwrap(), Tier::Persisted);
+        let h = rebuilt.handle(run).unwrap();
+        assert_prefix_answers(&h, exec.events(), exec.len());
     }
+    assert_eq!(rebuilt.stats().wal_recovered_runs, 0);
 }
 
 /// A record is in the log iff its op was admitted. An event submitted

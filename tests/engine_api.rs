@@ -503,12 +503,15 @@ fn tiering_worker_enforces_the_recency_bound() {
         ingest_run(&engine, run, SpecId(0), 100 + i, 40);
         runs.push(run);
     }
+    // One more run that stays live: it counts toward the hot tier, never
+    // toward the bound, so it is never frozen however far over it.
+    let live = engine.open_run(SpecId(0)).unwrap();
     // The worker keeps ≤2 completed runs hot; the 3 oldest spill all
     // the way to disk. Poll briefly (the worker is asynchronous).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let s = engine.stats();
-        if s.runs_persisted == 3 && s.runs_hot == 2 {
+        if s.runs_persisted == 3 && s.runs_hot == 3 {
             break;
         }
         assert!(
@@ -523,6 +526,8 @@ fn tiering_worker_enforces_the_recency_bound() {
     assert_eq!(engine.run_tier(runs[2]).unwrap(), Tier::Persisted);
     assert_eq!(engine.run_tier(runs[3]).unwrap(), Tier::Hot);
     assert_eq!(engine.run_tier(runs[4]).unwrap(), Tier::Hot);
+    assert_eq!(engine.run_tier(live).unwrap(), Tier::Hot);
+    assert_eq!(engine.run_status(live).unwrap(), RunStatus::Live);
     assert!(
         engine.take_ingest_errors().is_empty(),
         "no tiering failures"
@@ -536,26 +541,6 @@ fn tiering_worker_enforces_the_recency_bound() {
     // The cross-run surface sees all five, tier-transparently.
     assert_eq!(engine.query().completed().run_ids().len(), 5);
     assert_eq!(engine.query().tier(Tier::Persisted).run_ids().len(), 3);
-}
-
-#[test]
-fn max_hot_runs_freezes_even_recent_completions() {
-    let engine: WfEngine = WfEngine::builder()
-        .spec(wf_spec::corpus::running_example())
-        .ingest_workers(2)
-        .max_hot_runs(1)
-        .build();
-    let a = engine.open_run(SpecId(0)).unwrap();
-    ingest_run(&engine, a, SpecId(0), 7, 30);
-    let b = engine.open_run(SpecId(0)).unwrap(); // stays live
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while engine.run_tier(a).unwrap() != Tier::Frozen {
-        assert!(std::time::Instant::now() < deadline, "run a never froze");
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    // The live run is never frozen, even over the cap.
-    assert_eq!(engine.run_tier(b).unwrap(), Tier::Hot);
-    assert_eq!(engine.run_status(b).unwrap(), RunStatus::Live);
 }
 
 #[test]
@@ -646,27 +631,21 @@ fn reheat_promotes_a_persisted_run_to_resident() {
     let run = engine.open_run(SpecId(0)).unwrap();
     let exec = ingest_run(&engine, run, SpecId(0), 9, 40);
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
-    // Both targets, one after the other: the round trip back to
-    // disk works from either resident tier.
-    for (n, target) in [(1, Tier::Frozen), (2, Tier::Hot)] {
-        let reheat = || match target {
-            Tier::Hot => engine.reheat_run_hot(run),
-            _ => engine.reheat_run(run),
-        };
+    // Twice: the round trip back to disk and up again repeats.
+    for n in 1..=2 {
         engine.persist_run(run).unwrap();
         assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
         // One query through the persisted tier, then promote.
         assert_eq!(engine.reach(run, u, v).unwrap(), Some(true));
         let queries_before = engine.stats().queries_answered;
-        reheat().unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), target);
+        engine.reheat_run(run).unwrap();
+        assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
         assert_eq!(engine.run_status(run).unwrap(), RunStatus::Completed);
-        reheat().unwrap(); // idempotent
+        engine.reheat_run(run).unwrap(); // idempotent
         let s = engine.stats();
         assert_eq!(s.reheats, n);
-        assert_eq!(s.runs_hot + s.runs_frozen, 1);
-        assert_eq!(s.runs_persisted, 0);
-        assert!(s.frozen_bytes + s.hot_resident_bytes > 0, "resident again");
+        assert_eq!((s.runs_hot, s.runs_frozen, s.runs_persisted), (0, 1, 0));
+        assert!(s.frozen_bytes > 0, "resident again");
         assert_eq!(
             s.queries_answered, queries_before,
             "query counter survives the promotion"

@@ -582,111 +582,7 @@ fn probed_run(seed: u64) -> (Execution, Vec<(VertexId, VertexId, bool)>) {
     (exec, probes)
 }
 
-/// `reheat_after(n)`: the tiering worker promotes a persisted run to
-/// the frozen tier once it has answered `n` queries since it was
-/// persisted — and not one query earlier. Every answer, before and
-/// after the promotion, equals [`NaiveDynamicDag`].
-#[test]
-fn reheat_after_promotes_a_queried_persisted_run_to_frozen() {
-    const N: usize = 48;
-    let dir = TempDir::new("reheat-after");
-    let engine: WfEngine = WfEngine::builder()
-        .spec(wf_spec::corpus::running_example())
-        .ingest_workers(2)
-        .spill_dir(&dir.0)
-        .reheat_after(N as u64)
-        .build();
-    let (busy_exec, busy_probes) = probed_run(5);
-    let (quiet_exec, quiet_probes) = probed_run(6);
-    let busy = persist_one(&engine, &busy_exec);
-    let quiet = persist_one(&engine, &quiet_exec);
-
-    // The quiet run stops one query short of the threshold *before* the
-    // busy run crosses it, so the sweep that promotes the busy run has
-    // seen the quiet run's final count.
-    let ask = |run: RunId, probes: &[(VertexId, VertexId, bool)], n: usize| {
-        let h = engine.handle(run).unwrap();
-        for (u, v, expected) in probes.iter().cycle().take(n) {
-            assert_eq!(h.reach(*u, *v), Some(*expected));
-        }
-    };
-    ask(quiet, &quiet_probes, N - 1);
-    ask(busy, &busy_probes, N);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while engine.run_tier(busy).unwrap() != Tier::Frozen {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "{N} queries never re-heated the run"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert_eq!(engine.run_tier(quiet).unwrap(), Tier::Persisted);
-    assert_eq!(engine.stats().reheats, 1);
-    assert!(engine.take_ingest_errors().is_empty());
-    ask(busy, &busy_probes, busy_probes.len());
-}
-
-/// A run re-heated all the way to hot holds what it held before it was
-/// frozen: the encoding flattens the labels' shared prefix arrays away,
-/// and the rebuild interns them back, so `hot_resident_bytes` returns to
-/// within 10 % of its pre-freeze figure (never above it: equal prefixes
-/// of sibling contexts merge too) — with every answer unchanged.
-#[test]
-fn a_run_reheated_to_hot_shares_prefixes_as_before_the_freeze() {
-    let dir = TempDir::new("reheat-hot");
-    for (spec, seed) in [
-        (wf_spec::corpus::running_example(), 21),
-        (wf_spec::corpus::bioaid(), 22),
-    ] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let gen = RunGenerator::new(&spec)
-            .target_size(1500)
-            .generate_run(&mut rng);
-        let exec = Execution::deterministic(&gen.graph, &gen.origin);
-        let engine: WfEngine = WfEngine::builder()
-            .spec(spec)
-            .spill_dir(dir.0.join(seed.to_string()))
-            .build();
-        let run = engine.open_run(SpecId(0)).unwrap();
-        for ev in exec.events() {
-            engine.submit(run, ev).unwrap();
-        }
-        engine.complete_run(run).unwrap();
-        let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
-        let answers = |engine: &WfEngine| -> Vec<Option<bool>> {
-            let h = engine.handle(run).unwrap();
-            vertices
-                .iter()
-                .step_by(7)
-                .flat_map(|a| vertices.iter().step_by(11).map(move |b| (*a, *b)))
-                .map(|(a, b)| h.reach(a, b))
-                .collect()
-        };
-        let (before, hot_answers) = (engine.stats(), answers(&engine));
-        assert_eq!(before.labels_hot, exec.len() as u64);
-        assert!(hot_answers.iter().all(Option::is_some));
-
-        engine.persist_run(run).unwrap();
-        assert_eq!(engine.stats().hot_resident_bytes, 0);
-        assert_eq!(answers(&engine), hot_answers);
-        engine.reheat_run_hot(run).unwrap();
-        assert_eq!(engine.run_tier(run).unwrap(), Tier::Hot);
-
-        let after = engine.stats();
-        assert_eq!(after.labels_hot, before.labels_hot);
-        assert_eq!(after.label_bits_total, before.label_bits_total);
-        assert!(
-            after.hot_resident_bytes <= before.hot_resident_bytes
-                && after.hot_resident_bytes * 10 >= before.hot_resident_bytes * 9,
-            "{} B resident before the freeze, {} B re-heated",
-            before.hot_resident_bytes,
-            after.hot_resident_bytes
-        );
-        assert_eq!(answers(&engine), hot_answers);
-    }
-}
-
-/// One completed run cycled through every tier transition while other
+/// One completed run frozen, then cycled persisted ⇄ frozen, while other
 /// threads look it up: a run is always registered exactly once, in
 /// exactly one tier, with the right answers — until it is evicted, and
 /// never after — and the engine-wide query count never steps backwards
@@ -694,6 +590,7 @@ fn a_run_reheated_to_hot_shares_prefixes_as_before_the_freeze() {
 #[test]
 fn lookups_racing_tier_transitions_see_the_run_exactly_once() {
     use std::sync::atomic::AtomicBool;
+    const CYCLES: u64 = 80;
     let dir = TempDir::new("transitions");
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())
@@ -755,19 +652,17 @@ fn lookups_racing_tier_transitions_see_the_run_exactly_once() {
             }
         });
         start.wait();
-        for _ in 0..40 {
-            engine.freeze_run(run).unwrap();
+        engine.freeze_run(run).unwrap();
+        for _ in 0..CYCLES {
             engine.persist_run(run).unwrap();
+            assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
             engine.reheat_run(run).unwrap();
             assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
-            engine.persist_run(run).unwrap();
-            engine.reheat_run_hot(run).unwrap();
-            assert_eq!(engine.run_tier(run).unwrap(), Tier::Hot);
         }
         evicting.store(true, Ordering::SeqCst);
         engine.evict_run(run).unwrap();
         evicted.store(true, Ordering::SeqCst);
     });
     assert_eq!(engine.run_tier(run).unwrap_err(), unknown);
-    assert_eq!(engine.stats().reheats, 80);
+    assert_eq!(engine.stats().reheats, CYCLES);
 }
