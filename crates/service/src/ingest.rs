@@ -112,14 +112,10 @@ pub(crate) fn apply<S: SpecLabeling>(
     match op {
         Op::Insert(ev) => {
             if res.is_ok() {
-                shared.store.subs.notify_insert(
-                    run,
-                    slot.spec,
-                    slot.source.get().copied(),
-                    ev.vertex,
-                    ev.name,
-                    &slot.indexed,
-                );
+                shared
+                    .store
+                    .subs
+                    .notify_insert(run, slot, ev.vertex, ev.name);
             }
             obs.finish(
                 span,

@@ -4,13 +4,15 @@
 //!
 //! Per-run queries resolve two labels and apply the paper's constant-
 //! time predicate (Algorithm 4). The cross-run surface lifts that to the
-//! fleet: hot runs are scanned lock-free from their write-once chunk
-//! tables ([`crate::index::LabelIndex`]); frozen and persisted runs are
-//! scanned through one arena reader ([`wf_drl::ArenaRef`]) over the
-//! in-memory arena or the lazily mapped segment — one scan, three tiers,
-//! no writer blocked anywhere. The matcher is handed borrowed labels
-//! ([`wf_drl::LabelRef`]): a name-scoped scan reads the slot table's
-//! names and touches label bytes only for vertices whose name matches.
+//! fleet: every run is scanned through its one borrowed label reader
+//! ([`crate::store::Labels`]) — lock-free over a hot run's write-once
+//! chunk tables ([`crate::index::LabelIndex`]), through one arena reader
+//! ([`wf_drl::ArenaRef`]) over a frozen run's in-memory arena or a
+//! persisted run's lazily mapped segment — one scan, three tiers, no
+//! writer blocked anywhere. The matcher is handed borrowed labels
+//! ([`wf_drl::LabelRef`]) and keeps only vertex ids: a name-scoped scan
+//! reads the slot table's names and touches label bytes only for
+//! vertices whose name matches.
 //!
 //! The flagship question ("which completed runs of spec S have a vertex
 //! named N reachable from their source?") composes three write-once

@@ -12,11 +12,13 @@
 //!   first query maps the run's pack file and pins its blob; read in
 //!   place from then on, under the [`SegmentLru`] residency budget.
 //!
-//! The read path has **two arms, not three**: a hot run hands out
-//! borrowed entries from its index, and both cold tiers hand out the
-//! same [`wf_drl::ArenaRef`] — over the frozen run's owned buffers or
-//! over the pinned mapping. Every reader takes a borrowed [`LabelRef`];
-//! an owned `DrlLabel` is built only where one is kept.
+//! Every label read goes through **one reader**, [`Labels`], borrowed
+//! from a run for one read by [`RunView::with_labels`]: a hot run lends
+//! its index, and both cold tiers lend the same [`wf_drl::ArenaRef`] —
+//! over the frozen run's owned buffers or over the pinned mapping. It
+//! hands out borrowed [`LabelRef`]s; an owned `DrlLabel` is built only
+//! where one is kept, and a standing query keeps none (it keeps vertex
+//! ids and asks the reader again).
 //!
 //! A run's published labels are one immutable thing whose
 //! *representation* changes, so the registry holds **one entry per
@@ -215,6 +217,68 @@ impl std::fmt::Display for Tier {
 /// contention independent of the number of concurrent runs.
 type Shard<S> = RwLock<HashMap<u64, RunView<S>>>;
 
+/// One run's published labels, borrowed for one read: the one reader
+/// behind every label, name and scan a run answers, whatever its tier.
+/// Labels are write-once, so what it lends stays valid for the borrow.
+pub(crate) enum Labels<'a, S: SpecLabeling + 'static> {
+    /// A hot run: its lock-free index and its write-once source.
+    Hot(&'a RunSlot<S>),
+    /// A completed run: its arena — a frozen run's owned buffers or a
+    /// persisted run's pinned mapping — and its source vertex.
+    Cold(ArenaRef<'a>, Option<VertexId>),
+}
+
+impl<'a, S: SpecLabeling> Labels<'a, S> {
+    /// The label of `v`, if the run published one.
+    pub(crate) fn label(&self, v: VertexId) -> Option<LabelRef<'a>> {
+        match self {
+            Labels::Hot(s) => s.indexed.get(v).map(DrlLabel::view),
+            Labels::Cold(a, _) => a.label(v),
+        }
+    }
+
+    /// The module name `v` was published under.
+    pub(crate) fn name(&self, v: VertexId) -> Option<NameId> {
+        match self {
+            Labels::Hot(s) => s.indexed.get_published(v).map(|p| p.name),
+            Labels::Cold(a, _) => a.name(v),
+        }
+    }
+
+    /// The skeleton-pointer width of the run's labels.
+    pub(crate) fn skl_bits(&self) -> usize {
+        match self {
+            Labels::Hot(s) => s.skl_bits,
+            Labels::Cold(a, _) => a.skl_bits(),
+        }
+    }
+
+    /// The label of the run's source. A hot run sets its source and
+    /// publishes the source's label before any other label
+    /// ([`RunSlot::apply_insert`], under the writer lock), so a reader
+    /// that sees any label of the run sees this one too.
+    pub(crate) fn source(&self) -> Option<LabelRef<'a>> {
+        let source = match self {
+            Labels::Hot(s) => s.source.get().copied(),
+            Labels::Cold(_, source) => *source,
+        };
+        self.label(source?)
+    }
+
+    /// Visit every published `(vertex, name, label)`. A cold label is
+    /// decoded only as far as the visitor walks it.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(VertexId, NameId, LabelRef<'a>)) {
+        match self {
+            Labels::Hot(s) => {
+                for (v, p) in s.indexed.iter() {
+                    f(v, p.name, p.label.view());
+                }
+            }
+            Labels::Cold(a, _) => a.iter().for_each(|(v, name, label)| f(v, name, label)),
+        }
+    }
+}
+
 /// A tier-transparent, reference-counted view of one run — everything
 /// the read path needs, with the tier dispatch in one place.
 pub(crate) enum RunView<S: SpecLabeling + 'static> {
@@ -296,45 +360,34 @@ impl<S: SpecLabeling> RunView<S> {
         }
     }
 
-    /// The cold tiers' one reader, borrowed for one read: a frozen run's
-    /// owned arena or a persisted run's pinned mapping, as the same
-    /// [`ArenaRef`]. `None` for a hot run (it reads its index instead)
-    /// and for a persisted run whose blob no longer pins. The pin holds
-    /// for the whole of `f`: a scan iterating labels straight off the
-    /// mapping cannot have its pages `madvise`d away mid-run.
-    fn with_arena<R>(&self, f: impl FnOnce(ArenaRef<'_>) -> R) -> Option<R> {
+    /// Lend the run's [`Labels`] reader to `f`. `None` for a persisted
+    /// run whose blob no longer pins. The pin holds for the whole of
+    /// `f`: a scan iterating labels straight off the mapping cannot have
+    /// its pages `madvise`d away mid-run.
+    pub(crate) fn with_labels<R>(&self, f: impl FnOnce(&Labels<'_, S>) -> R) -> Option<R> {
         match self {
-            RunView::Hot(_) => None,
-            RunView::Frozen(fr) => Some(f(fr.arena.view())),
+            RunView::Hot(s) => Some(f(&Labels::Hot(s))),
+            RunView::Frozen(fr) => Some(f(&Labels::Cold(fr.arena.view(), fr.source))),
             RunView::Persisted(p) => {
                 let pin = p.pin()?;
-                Some(f(pin.arena()))
+                Some(f(&Labels::Cold(pin.arena(), p.source)))
             }
         }
     }
 
     /// An owned copy of `v`'s label, for a caller that keeps it.
     pub(crate) fn label(&self, v: VertexId) -> Option<DrlLabel> {
-        match self {
-            RunView::Hot(s) => s.indexed.get(v).cloned(),
-            _ => self.with_arena(|a| a.label(v)?.to_label())?,
-        }
+        self.with_labels(|l| l.label(v)?.to_label())?
     }
 
     /// Published label length of `v` in bits (the accounting size).
     pub(crate) fn label_bits(&self, v: VertexId) -> Option<usize> {
-        match self {
-            RunView::Hot(s) => s.indexed.get(v).map(|l| l.bit_len(s.skl_bits)),
-            _ => self.with_arena(|a| a.label(v)?.bit_len(a.skl_bits()))?,
-        }
+        self.with_labels(|l| l.label(v)?.bit_len(l.skl_bits()))?
     }
 
     /// The module name `v` was published under.
     pub(crate) fn name(&self, v: VertexId) -> Option<NameId> {
-        match self {
-            RunView::Hot(s) => s.indexed.get_published(v).map(|p| p.name),
-            _ => self.with_arena(|a| a.name(v))?,
-        }
+        self.with_labels(|l| l.name(v))?
     }
 
     /// Constant-time `u ; v`, answered from this tier without
@@ -348,26 +401,10 @@ impl<S: SpecLabeling> RunView<S> {
     ) -> Option<bool> {
         let answer = match self {
             RunView::Hot(s) => predicate.reaches(s.indexed.get(u)?, s.indexed.get(v)?),
-            _ => self.with_arena(|a| predicate.reaches_ref(a.label(u)?, a.label(v)?))??,
+            _ => self.with_labels(|l| predicate.reaches_ref(l.label(u)?, l.label(v)?))??,
         };
         bump(self.queries());
         Some(answer)
-    }
-
-    /// Visit every published `(vertex, name, label)` of the run. Labels
-    /// are passed borrowed; a cold label is decoded only as far as the
-    /// visitor walks it.
-    pub(crate) fn for_each_label(&self, mut f: impl FnMut(VertexId, NameId, LabelRef<'_>)) {
-        match self {
-            RunView::Hot(s) => {
-                for (v, p) in s.indexed.iter() {
-                    f(v, p.name, p.label.view());
-                }
-            }
-            _ => {
-                self.with_arena(|a| a.iter().for_each(|(v, name, label)| f(v, name, label)));
-            }
-        }
     }
 
     /// Why every read of this run comes back empty, when it is a

@@ -14,12 +14,17 @@
 //! *monotone* while a run lives: a witness, once found, never un-matches.
 //! Maintenance therefore reduces to a per-run [`RunMatcher`] state
 //! machine fed exactly one `(vertex, name, label)` triple per applied
-//! event — the same state machine the pull API now drives with a full
-//! scan ([`scan_view`]), so the incremental and rescan answers cannot
-//! drift. A run leaves a subscription's scope only when it is evicted,
-//! so that is the one source of `Removed` deltas. A storage tier is not
-//! a scope: a freeze, spill or re-heat changes how a run's labels are
-//! stored, never what they answer, so it sends no delta.
+//! event — the same state machine, through the same one `feed`, that the
+//! subscribe-time catch-up and the pull API drive with a full scan
+//! ([`scan_view`]), so the incremental and rescan answers cannot drift.
+//! A matcher holds vertex ids, not labels: a label lives once, in its
+//! run, and is read back through the run's borrowed [`Labels`] reader
+//! whenever the matcher evaluates — a `u32` per relevant vertex, and no
+//! copy that could outlive the run. A run leaves a subscription's scope
+//! only when it is evicted, so that is the one source of `Removed`
+//! deltas. A storage tier is not a scope: a freeze, spill or re-heat
+//! changes how a run's labels are stored, never what they answer, so it
+//! sends no delta.
 //!
 //! ## Delivery, backpressure, and the no-dup/no-drop argument
 //!
@@ -49,8 +54,9 @@
 //! (`registry`, `tombstones`) guard a `Vec` push / retain and a
 //! `HashSet` insert, valid at every step, so their guards are recovered.
 
-use crate::store::RunView;
-use crate::telemetry::{bump, SpanHandle, Telemetry};
+use crate::slot::RunSlot;
+use crate::store::{Labels, RunView};
+use crate::telemetry::{SpanHandle, Telemetry};
 use crate::{RunId, RunStatus, SpecContext, SpecId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -86,12 +92,11 @@ impl PredKind {
     fn relevant(self, name: NameId) -> bool {
         match self {
             PredKind::Vertices(n) => name == n,
-            // The source label a `Reaching` matcher needs is *not*
-            // waited for here: it is resolved lazily from the write-once
-            // index when a name-matching candidate arrives (the source
-            // is always the run's first applied event, so its label is
-            // published by then). Idle reaching-subscriptions therefore
-            // cost nothing per run.
+            // The source is not an event a `Reaching` matcher waits
+            // for: its label is read from the run when a name-matching
+            // candidate arrives (the source is the run's first applied
+            // event, so its label is published by then). Idle
+            // reaching-subscriptions therefore cost nothing per run.
             PredKind::Reaching(n) => name == n,
             PredKind::Linking(a, b) => name == a || name == b,
         }
@@ -232,23 +237,21 @@ pub enum Delta {
 /// [`scan_view`], which is what keeps the two answer paths equal by
 /// construction.
 ///
-/// Feeding is idempotent per vertex (`seen`), so the subscribe-time
-/// catch-up scan and a concurrently racing per-event notify can overlap
-/// without duplicating a witness.
+/// It holds vertex ids, never labels: a label lives once, in its run,
+/// and the matcher asks the run's [`Labels`] reader for it each time it
+/// evaluates. Feeding is idempotent per vertex (`seen`), so the
+/// subscribe-time catch-up scan and a concurrently racing per-event
+/// notify can overlap without duplicating a witness.
 pub(crate) struct RunMatcher {
     kind: PredKind,
     /// Relevant vertices already fed (set-based dedup: the hot index
     /// iterates in vertex order, not publish order, so a count cursor
     /// would be unsound).
     seen: HashSet<u32>,
-    /// The source label, once the source vertex has been fed (Reaching).
-    source: Option<DrlLabel>,
-    /// Name-matching vertices fed before the source was known (Reaching).
-    pending: Vec<(VertexId, DrlLabel)>,
-    /// Accumulated `from`-named labels (Linking, until linked).
-    froms: Vec<(VertexId, DrlLabel)>,
-    /// Accumulated `to`-named labels (Linking, until linked).
-    tos: Vec<(VertexId, DrlLabel)>,
+    /// `from`-named vertices fed so far (Linking, until linked).
+    froms: Vec<VertexId>,
+    /// `to`-named vertices fed so far (Linking, until linked).
+    tos: Vec<VertexId>,
     linked: bool,
 }
 
@@ -257,139 +260,124 @@ impl RunMatcher {
         Self {
             kind,
             seen: HashSet::new(),
-            source: None,
-            pending: Vec::new(),
             froms: Vec::new(),
             tos: Vec::new(),
             linked: false,
         }
     }
 
-    /// Lazily install the run's source label (`Reaching` only). The push
-    /// path calls this instead of feeding the source *event*: by the
-    /// time a name-matching candidate is notified, the source — always
-    /// the run's first applied event — is already published in the
-    /// write-once index, so its label is fetched on demand rather than
-    /// fanned out to every reaching-subscription once per run. Drains
-    /// `pending` exactly like [`feed`](Self::feed)'s source arm.
-    pub(crate) fn feed_source<S: SpecLabeling>(
-        &mut self,
-        predicate: &DrlPredicate<'_, S>,
-        v: VertexId,
-        label: LabelRef<'_>,
-        note: &mut dyn FnMut(),
-        emit: &mut dyn FnMut(Witness),
-    ) {
-        if !matches!(self.kind, PredKind::Reaching(_)) || self.source.is_some() {
-            return;
-        }
-        let Some(src) = label.to_label() else { return };
-        self.seen.insert(v.0);
-        for (t, tl) in std::mem::take(&mut self.pending) {
-            note();
-            if predicate.reaches(&src, &tl) {
-                emit(Witness::Reach { target: t });
-            }
-        }
-        self.source = Some(src);
-    }
-
-    /// Advance the matcher with one published `(vertex, name, label)`.
-    /// The label is borrowed — a cold tier's is still encoded — and is
-    /// walked only if the name makes the vertex relevant, copied only if
-    /// the matcher must keep it. A label that no longer decodes is
-    /// treated as never published. `note` fires once per constant-time
-    /// predicate evaluation (the pull path bumps the run's query counter
-    /// with it); `emit` receives each fresh witness, in discovery order.
-    #[allow(clippy::too_many_arguments)]
+    /// Advance the matcher with one published `(vertex, name, label)` of
+    /// the run `labels` reads — the matcher's one entry point, for the
+    /// push notify, the catch-up and the pull scan alike. The label is
+    /// borrowed — a cold tier's is still encoded — and walked only if
+    /// the name makes the vertex relevant. A label that no longer
+    /// decodes is treated as never published. `emit` receives each fresh
+    /// witness, in discovery order; the return value is the number of
+    /// constant-time predicate evaluations (the pull path adds it to the
+    /// run's query counter).
     pub(crate) fn feed<S: SpecLabeling>(
         &mut self,
         predicate: &DrlPredicate<'_, S>,
-        source_hint: Option<VertexId>,
+        labels: &Labels<'_, S>,
         v: VertexId,
         name: NameId,
         label: LabelRef<'_>,
-        note: &mut dyn FnMut(),
         emit: &mut dyn FnMut(Witness),
-    ) {
+    ) -> u64 {
         match self.kind {
             PredKind::Vertices(n) => {
                 if name == n && self.seen.insert(v.0) {
                     emit(Witness::Vertex(v));
                 }
+                0
             }
             PredKind::Reaching(n) => {
-                let is_source = source_hint == Some(v) && self.source.is_none();
-                let is_candidate = name == n;
-                if (!is_source && !is_candidate) || !self.seen.insert(v.0) {
-                    return;
+                if name != n || !self.seen.insert(v.0) {
+                    return 0;
                 }
-                if is_source {
-                    // Delegates the install-and-drain; `seen` is already
-                    // marked, which `feed_source` repeats harmlessly.
-                    self.feed_source(predicate, v, label, note, emit);
+                // A visible candidate implies a visible source.
+                let Some(source) = labels.source() else {
+                    return 0;
+                };
+                if predicate.reaches_ref(source, label) == Some(true) {
+                    emit(Witness::Reach { target: v });
                 }
-                if is_candidate {
-                    if let Some(src) = &self.source {
-                        note();
-                        if predicate.reaches_ref(src.view(), label) == Some(true) {
-                            emit(Witness::Reach { target: v });
-                        }
-                    } else if let Some(owned) = label.to_label() {
-                        self.pending.push((v, owned));
-                    }
-                }
+                1
             }
             PredKind::Linking(a, b) => {
-                if self.linked {
-                    return;
+                let (is_from, is_to) = (name == a, name == b);
+                if self.linked || (!is_from && !is_to) || !self.seen.insert(v.0) {
+                    return 0;
                 }
-                let is_from = name == a;
-                let is_to = name == b;
-                if (!is_from && !is_to) || !self.seen.insert(v.0) {
-                    return;
-                }
+                // A cold label that meets more than one stored
+                // counterpart is decoded once, for this feed only — not
+                // walked from its bytes once per pair. Against a single
+                // counterpart the walk, which stops where the two
+                // labels part, costs less than a whole decode.
+                let pairs =
+                    usize::from(is_from) * self.tos.len() + usize::from(is_to) * self.froms.len();
+                let decoded = match label {
+                    LabelRef::Encoded(..) if pairs > 1 => label.to_label(),
+                    _ => None,
+                };
+                let label = decoded.as_ref().map_or(label, DrlLabel::view);
+                let (mut evaluated, mut link) = (0, None);
                 if is_from {
-                    for (u, ul) in &self.tos {
-                        if *u == v {
-                            continue;
-                        }
-                        note();
-                        if predicate.reaches_ref(label, ul.view()) == Some(true) {
-                            self.linked = true;
-                            emit(Witness::Link { from: v, to: *u });
-                            break;
-                        }
-                    }
+                    link = self.tos.iter().find_map(|&to| {
+                        evaluated += 1;
+                        let hit = predicate.reaches_ref(label, labels.label(to)?) == Some(true);
+                        hit.then_some(Witness::Link { from: v, to })
+                    });
                 }
-                if !self.linked && is_to {
-                    for (u, ul) in &self.froms {
-                        if *u == v {
-                            continue;
-                        }
-                        note();
-                        if predicate.reaches_ref(ul.view(), label) == Some(true) {
-                            self.linked = true;
-                            emit(Witness::Link { from: *u, to: v });
-                            break;
-                        }
-                    }
+                if link.is_none() && is_to {
+                    link = self.froms.iter().find_map(|&from| {
+                        evaluated += 1;
+                        let hit = predicate.reaches_ref(labels.label(from)?, label) == Some(true);
+                        hit.then_some(Witness::Link { from, to: v })
+                    });
                 }
-                if self.linked {
-                    // A run links at most once; free the scratch labels.
-                    self.froms = Vec::new();
-                    self.tos = Vec::new();
+                if let Some(w) = link {
+                    // A run links at most once; free the scratch ids.
+                    self.linked = true;
+                    (self.seen, self.froms, self.tos) = Default::default();
+                    emit(w);
                 } else {
                     if is_from {
-                        self.froms.extend(label.to_label().map(|l| (v, l)));
+                        self.froms.push(v);
                     }
                     if is_to {
-                        self.tos.extend(label.to_label().map(|l| (v, l)));
+                        self.tos.push(v);
                     }
                 }
+                evaluated
             }
         }
     }
+}
+
+/// Feed every published label of `view` to `matcher` and add its
+/// predicate evaluations to the run's query counter; the number of
+/// labels fed.
+fn feed_view<S: SpecLabeling>(
+    matcher: &mut RunMatcher,
+    predicate: &DrlPredicate<'_, S>,
+    view: &RunView<S>,
+    emit: &mut dyn FnMut(Witness),
+) -> u64 {
+    let (fed, evaluated) = view
+        .with_labels(|labels| {
+            let (mut fed, mut evaluated) = (0, 0);
+            labels.for_each(|v, n, label| {
+                fed += 1;
+                evaluated += matcher.feed(predicate, labels, v, n, label, emit);
+            });
+            (fed, evaluated)
+        })
+        .unwrap_or_default();
+    if evaluated > 0 {
+        view.queries().fetch_add(evaluated, Ordering::Relaxed);
+    }
+    fed
 }
 
 /// Drive a fresh [`RunMatcher`] over every published label of `view` —
@@ -402,19 +390,7 @@ pub(crate) fn scan_view<S: SpecLabeling>(
     mut emit: impl FnMut(Witness),
 ) {
     let predicate = DrlPredicate::new(&ctx.skeleton);
-    let source = view.source();
-    let mut matcher = RunMatcher::new(kind);
-    view.for_each_label(|v, n, label| {
-        matcher.feed(
-            &predicate,
-            source,
-            v,
-            n,
-            label,
-            &mut || bump(view.queries()),
-            &mut |w| emit(w),
-        );
-    });
+    feed_view(&mut RunMatcher::new(kind), &predicate, view, &mut emit);
 }
 
 /// Per-run delta state of one subscription: the matcher, every witness
@@ -479,6 +455,10 @@ impl SubCore {
     fn close(&self) {
         if !self.closed.swap(true, Ordering::AcqRel) {
             self.active.fetch_sub(1, Ordering::AcqRel);
+            // Through the queue lock: a receiver between its `is_closed`
+            // check and its wait holds it, so the wake-up cannot fall in
+            // between and leave it waiting for good.
+            drop(self.queue.lock());
             self.cv.notify_all();
         }
     }
@@ -489,12 +469,14 @@ impl SubCore {
         self.closing(lock.lock())
     }
 
-    /// `own` for a guard handed back by the condvar.
+    /// `own` for a guard handed back by the condvar. A poisoned guard is
+    /// released before `close` takes the queue lock.
     fn closing<G>(&self, guard: Result<G, PoisonError<G>>) -> Option<G> {
-        if guard.is_err() {
+        let guard = guard.ok();
+        if guard.is_none() {
             self.close();
         }
-        guard.ok()
+        guard
     }
 
     /// The per-run state, for a fan-out; `None` once the subscription is
@@ -559,9 +541,9 @@ impl Drop for Subscription {
         if self.core.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.core.close();
             // The registry row keeps the core until the next
-            // registration prunes it; the matchers and their label
-            // copies go now. Not in `close()`: `own()` calls that with
-            // the poisoned guard held.
+            // registration prunes it; the matchers and their witnesses
+            // go now. Not in `close()`: a fan-out that meets a poisoned
+            // queue calls that with the state lock held.
             let mut state = self
                 .core
                 .state
@@ -601,23 +583,20 @@ impl Subscription {
     /// (engine dropped, or a panic under this subscription's own state)
     /// *and* fully drained.
     pub fn recv(&self) -> Option<Delta> {
-        let mut q = self.core.own(&self.core.queue)?;
-        loop {
-            if let Some(d) = Self::pop_locked(&mut q) {
-                return Some(d);
-            }
-            if self.core.is_closed() {
-                return None;
-            }
-            q = self.core.closing(self.core.cv.wait(q))?;
-        }
+        self.wait(None)
     }
 
     /// [`recv`](Self::recv) with a deadline; `None` on timeout or on a
     /// closed-and-drained stream (disambiguate with
-    /// [`is_closed`](Self::is_closed)).
+    /// [`is_closed`](Self::is_closed)). A timeout too long to add to the
+    /// clock waits like `recv`.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Delta> {
-        let deadline = Instant::now() + timeout;
+        self.wait(Instant::now().checked_add(timeout))
+    }
+
+    /// The one wait loop: the next delta, blocking until `deadline`
+    /// (for good when there is none).
+    fn wait(&self, deadline: Option<Instant>) -> Option<Delta> {
         let mut q = self.core.own(&self.core.queue)?;
         loop {
             if let Some(d) = Self::pop_locked(&mut q) {
@@ -626,11 +605,15 @@ impl Subscription {
             if self.core.is_closed() {
                 return None;
             }
-            let now = Instant::now();
-            let left = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())?;
-            q = self.core.closing(self.core.cv.wait_timeout(q, left))?.0;
+            q = match deadline {
+                None => self.core.closing(self.core.cv.wait(q))?,
+                Some(deadline) => {
+                    let left = deadline
+                        .checked_duration_since(Instant::now())
+                        .filter(|d| !d.is_zero())?;
+                    self.core.closing(self.core.cv.wait_timeout(q, left))?.0
+                }
+            };
         }
     }
 
@@ -776,16 +759,9 @@ impl<S: SpecLabeling> SubHub<S> {
     /// after a successful apply, inside the apply span (so sampled
     /// notifies trace as children of the ingest trace) but outside the
     /// run's writer lock — out-of-order arrival is harmless under the
-    /// matcher's set semantics.
-    pub(crate) fn notify_insert(
-        &self,
-        run: RunId,
-        spec: SpecId,
-        source: Option<VertexId>,
-        v: VertexId,
-        name: NameId,
-        index: &crate::index::LabelIndex,
-    ) {
+    /// matcher's set semantics. `v`'s label is read from the slot once,
+    /// for every subscription it concerns.
+    pub(crate) fn notify_insert(&self, run: RunId, slot: &RunSlot<S>, v: VertexId, name: NameId) {
         if self.active.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -801,32 +777,39 @@ impl<S: SpecLabeling> SubHub<S> {
         } else {
             SpanHandle::inert()
         };
+        let predicate = DrlPredicate::new(&self.catalog[slot.spec.0].skeleton);
+        let labels = Labels::Hot(slot);
+        let mut label = None;
         let subs = self.rows();
-        let mut label: Option<LabelRef<'_>> = None;
         for e in subs.iter() {
             // Precheck on the inlined row first: the common case (no
             // subscription cares about this event) touches no `Arc`.
-            if e.spec.is_some_and(|s| s != spec) || !e.kind.relevant(name) {
+            if e.spec.is_some_and(|s| s != slot.spec) || !e.kind.relevant(name) {
                 continue;
             }
-            if e.core.is_closed() {
+            let core = &e.core;
+            if core.is_closed() {
                 continue;
             }
-            if label.is_none() {
-                label = index.get(v).map(DrlLabel::view);
-            }
-            let Some(label) = label else { break };
-            // A reaching-matcher that has not yet installed its source
-            // label resolves it from the index now (see `feed_source`);
-            // skip when this event *is* the source — `feed` handles the
-            // source-doubles-as-candidate case itself.
-            let src = match (e.kind, source) {
-                (PredKind::Reaching(_), Some(sv)) if sv != v => {
-                    index.get(sv).map(|l| (sv, l.view()))
-                }
-                _ => None,
+            let Some(label) = *label.get_or_insert_with(|| labels.label(v)) else {
+                break;
             };
-            self.offer(&e.core, run, spec, source, v, name, label, src);
+            // The tombstone check sits *inside* the state lock: if it
+            // misses a concurrent eviction, the eviction's fan-out is
+            // ordered after this critical section and cleans up the
+            // entry.
+            let Some(mut map) = core.runs() else {
+                continue;
+            };
+            if self.is_tombstoned(run) {
+                continue;
+            }
+            let st = map
+                .entry(run.0)
+                .or_insert_with(|| RunSubState::new(core.pred.kind));
+            let emit = &mut |w| st.matches.push(w);
+            st.matcher.feed(&predicate, &labels, v, name, label, emit);
+            core.sync_emission(run, st, &self.obs);
         }
         drop(subs);
         if start.is_live() {
@@ -838,45 +821,6 @@ impl<S: SpecLabeling> SubHub<S> {
                 String::new,
             );
         }
-    }
-
-    /// Feed one label into one subscription's per-run matcher and
-    /// reconcile delivery. The tombstone check sits *inside* the state
-    /// lock: if it misses a concurrent eviction, the eviction's fan-out
-    /// is ordered after this critical section and cleans up the entry.
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &self,
-        core: &SubCore,
-        run: RunId,
-        spec: SpecId,
-        source: Option<VertexId>,
-        v: VertexId,
-        name: NameId,
-        label: LabelRef<'_>,
-        src: Option<(VertexId, LabelRef<'_>)>,
-    ) {
-        let ctx = &self.catalog[spec.0];
-        let predicate = DrlPredicate::new(&ctx.skeleton);
-        let Some(mut map) = core.runs() else {
-            return;
-        };
-        if self.is_tombstoned(run) {
-            return;
-        }
-        let st = map
-            .entry(run.0)
-            .or_insert_with(|| RunSubState::new(core.pred.kind));
-        let RunSubState {
-            matcher, matches, ..
-        } = st;
-        if let Some((sv, sl)) = src {
-            matcher.feed_source(&predicate, sv, sl, &mut || (), &mut |w| matches.push(w));
-        }
-        matcher.feed(&predicate, source, v, name, label, &mut || (), &mut |w| {
-            matches.push(w)
-        });
-        core.sync_emission(run, st, &self.obs);
     }
 
     /// Fan out a run completion (edge-triggered: the status CAS fires
@@ -942,9 +886,7 @@ impl<S: SpecLabeling> SubHub<S> {
         if core.pred.spec.is_some_and(|s| s != spec) {
             return 0;
         }
-        let ctx = &self.catalog[spec.0];
-        let predicate = DrlPredicate::new(&ctx.skeleton);
-        let source = view.source();
+        let predicate = DrlPredicate::new(&self.catalog[spec.0].skeleton);
         let Some(mut map) = core.runs() else {
             return 0;
         };
@@ -958,24 +900,9 @@ impl<S: SpecLabeling> SubHub<S> {
         // so a completion between the snapshot and now is not missed; a
         // completion after this read updates the entry via its fan-out.
         st.completed = st.completed || view.status() == RunStatus::Completed;
-        let mut fed = 0u64;
-        {
-            let RunSubState {
-                matcher, matches, ..
-            } = st;
-            view.for_each_label(|v, n, label| {
-                fed += 1;
-                matcher.feed(
-                    &predicate,
-                    source,
-                    v,
-                    n,
-                    label,
-                    &mut || bump(view.queries()),
-                    &mut |w| matches.push(w),
-                );
-            });
-        }
+        let fed = feed_view(&mut st.matcher, &predicate, view, &mut |w| {
+            st.matches.push(w)
+        });
         // Re-check the tombstone before reconciling: an eviction that
         // landed mid-scan must not leave freshly-found witnesses behind.
         if self.is_tombstoned(run) {
@@ -1141,18 +1068,17 @@ mod tests {
         assert_eq!(engine.stats().subscriptions, 2, "live and scoped");
     }
 
-    /// Runs with state in `core`, and the label copies its matchers keep.
+    /// Runs with state in `core`, and the vertex ids its matchers keep.
     fn held(core: &SubCore) -> (usize, usize) {
         let map = core.state.lock().unwrap();
-        let copies = map.values().map(|st| {
-            let m = &st.matcher;
-            usize::from(m.source.is_some()) + m.pending.len() + m.froms.len() + m.tos.len()
-        });
-        (map.len(), copies.sum())
+        let ids = map
+            .values()
+            .map(|st| st.matcher.froms.len() + st.matcher.tos.len());
+        (map.len(), ids.sum())
     }
 
     /// The last handle's drop empties the subscription's per-run state:
-    /// the matcher's label copies go then, not at the next registration,
+    /// the matcher's vertex ids go then, not at the next registration,
     /// and evicting the run they matched brings none back. A sibling
     /// subscription's deltas are untouched.
     #[test]
@@ -1184,7 +1110,7 @@ mod tests {
             engine.ingest(ServiceEvent { run, op }).unwrap();
         }
         engine.flush();
-        assert_eq!(held(&core), (1, named.len()), "one `from` copy per match");
+        assert_eq!(held(&core), (1, named.len()), "one `from` id per match");
 
         drop(linking);
         assert!(core.is_closed());

@@ -167,9 +167,18 @@ fn reach_allocates_nothing_in_any_tier() {
     }
 }
 
-#[test]
-fn name_scoped_scans_allocate_per_match_not_per_label() {
-    let dir = TempDir::new("scan");
+/// One 1 500-event execution completed as two cold runs — frozen, then
+/// persisted — and how many of its events carry each module name.
+fn two_cold_runs(
+    tag: &str,
+) -> (
+    TempDir,
+    WfEngine,
+    Execution,
+    [RunId; 2],
+    std::collections::HashMap<NameId, usize>,
+) {
+    let dir = TempDir::new(tag);
     let spec = wf_spec::corpus::running_example();
     let exec = generate(&spec, 1500, 43);
     let engine = engine(&spec, &dir);
@@ -177,11 +186,17 @@ fn name_scoped_scans_allocate_per_match_not_per_label() {
         run_in_tier(&engine, &exec, Tier::Frozen),
         run_in_tier(&engine, &exec, Tier::Persisted),
     ];
-    // The rarest module name of the run: few matches among many labels.
     let mut by_name = std::collections::HashMap::<NameId, usize>::new();
     for ev in exec.events() {
         *by_name.entry(ev.name).or_default() += 1;
     }
+    (dir, engine, exec, runs, by_name)
+}
+
+#[test]
+fn name_scoped_scans_allocate_per_match_not_per_label() {
+    let (_dir, engine, exec, runs, by_name) = two_cold_runs("scan");
+    // The rarest module name of the run: few matches among many labels.
     let (&name, &matches) = by_name.iter().min_by_key(|(n, c)| (**c, n.0)).unwrap();
     let labels = exec.len() * runs.len();
     assert!(matches * 50 < exec.len(), "{matches} of {}", exec.len());
@@ -200,6 +215,46 @@ fn name_scoped_scans_allocate_per_match_not_per_label() {
     assert!(
         allocations <= budget && allocations * 10 < labels as u64,
         "{allocations} allocations over {labels} labels ({matches} matches per run, budget {budget})"
+    );
+}
+
+/// A standing query holds vertex ids, not labels: a label lives once, in
+/// its run, and the matcher reads it back when it evaluates. So a
+/// `runs_linking(n, absent)` scan over the two cold runs — every `n`
+/// vertex relevant, none ever meeting a counterpart — allocates only as
+/// its id set and id list double, O(log matches) per run, and a
+/// subscription caught up on both keeps a few bytes per relevant vertex.
+/// The parent decoded every `n` label into an owned copy and kept it:
+/// 408 allocations per scan, 73 942 B retained.
+#[test]
+fn cold_scans_and_catch_ups_hold_ids_not_decoded_labels() {
+    let (_dir, engine, exec, runs, by_name) = two_cold_runs("ids");
+    // The most frequent module name: the most relevant vertices.
+    let (&name, &matches) = by_name.iter().max_by_key(|(n, c)| (**c, n.0)).unwrap();
+    let absent = NameId(u32::MAX);
+    assert!(matches * 10 > exec.len(), "{matches} of {}", exec.len());
+
+    let scan = || engine.query().runs_linking(name, absent);
+    assert_eq!(scan(), []);
+    let ((allocations, bytes), linked) = allocated_by(scan);
+    assert_eq!(linked, []);
+    // Per scan: the view snapshot; per run: one allocation per doubling
+    // of the `seen` set and of the `from` list.
+    let doublings = u64::from(usize::BITS - matches.leading_zeros());
+    let budget = 8 + runs.len() as u64 * 2 * doublings;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations ({bytes} B) scanning {matches} relevant vertices per run, budget {budget}"
+    );
+
+    let before = LIVE.with(Cell::get);
+    let sub = engine.subscribe(SubPredicate::runs_linking(name, absent));
+    let retained = LIVE.with(Cell::get) - before;
+    assert_eq!(sub.pending(), 0);
+    let relevant = (runs.len() * matches) as i64;
+    assert!(
+        retained <= 32 * relevant,
+        "{retained} B retained by a subscription over {relevant} relevant vertices"
     );
 }
 

@@ -113,9 +113,10 @@ proptest! {
 
     /// Concurrent ingest + freeze/persist/re-heat churn + mid-stream
     /// registration, raced against the full-rescan pull oracle. Four
-    /// subscription flavors (plain, spec-scoped, completed-only,
-    /// mid-stream) must all converge on the pull answer with zero
-    /// duplicates and zero drops — the churn changes no match.
+    /// subscription flavors (plain, spec-scoped, completed-only, and
+    /// mid-stream on every predicate kind) must all converge on the pull
+    /// answer with zero duplicates and zero drops — the churn changes no
+    /// match.
     #[test]
     fn delta_streams_equal_full_rescan_oracle(
         seed in 0u64..10_000,
@@ -153,7 +154,7 @@ proptest! {
         }
         engine.complete_run(r0).unwrap();
 
-        let mid = std::thread::scope(|s| {
+        let (mid, mid_reaching, mid_linking) = std::thread::scope(|s| {
             let churn = s.spawn(|| {
                 // freeze → (persist → reheat) × 2 → persist: ends
                 // Persisted.
@@ -174,11 +175,16 @@ proptest! {
                 }
             });
             // Registered while both threads are live: catch-up races
-            // publishes and tier moves.
+            // publishes and tier moves. The reaching matcher reads each
+            // run's source back from the run as candidates arrive, so a
+            // candidate it sees must imply a source it sees.
             let mid = engine.subscribe(SubPredicate::vertices_named(n0));
+            let mid_reaching =
+                engine.subscribe(SubPredicate::runs_reaching_named_from_source(n0));
+            let mid_linking = engine.subscribe(SubPredicate::runs_linking(n0, n1));
             churn.join().unwrap();
             ingest.join().unwrap();
-            mid
+            (mid, mid_reaching, mid_linking)
         });
         engine.flush();
         prop_assert_eq!(engine.run_tier(r0).unwrap(), Tier::Persisted);
@@ -239,6 +245,18 @@ proptest! {
         let (acc, _, lagged) = accumulate(&drain(&mid));
         prop_assert_eq!(lagged, 0);
         prop_assert_eq!(&acc, &oracle_vertices);
+
+        // One spec, so the unscoped mid-stream reaching stream answers
+        // what the spec-scoped oracle does.
+        let (acc, _, lagged) = accumulate(&drain(&mid_reaching));
+        prop_assert_eq!(lagged, 0);
+        prop_assert_eq!(&acc, &oracle_reaching);
+
+        let (acc, _, lagged) = accumulate(&drain(&mid_linking));
+        prop_assert_eq!(lagged, 0);
+        let linked_runs: HashSet<RunId> = acc.iter().map(|(run, _)| *run).collect();
+        prop_assert_eq!(acc.len(), linked_runs.len());
+        prop_assert_eq!(&linked_runs, &oracle_linking);
     }
 }
 
@@ -381,6 +399,26 @@ fn engine_drop_closes_stream_after_drain() {
     }
     assert_eq!(seen, matches + 1); // Added per match + RunCompleted
     assert_eq!(sub.recv(), None);
+}
+
+/// A timeout too long to add to the clock has no deadline: it waits like
+/// `recv`, and the stream's end wakes it with `None` — it does not
+/// overflow the `Instant` it used to compute.
+#[test]
+fn recv_timeout_beyond_the_clock_waits_for_the_stream_to_end() {
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .ingest_workers(1)
+        .build();
+    let sub = engine.subscribe(SubPredicate::vertices_named(NameId(0)));
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(engine);
+        });
+        assert_eq!(sub.recv_timeout(std::time::Duration::MAX), None);
+    });
+    assert!(sub.is_closed());
 }
 
 /// Sustained overflow trips the watchdog's `SubLag` cause.
