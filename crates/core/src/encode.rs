@@ -21,6 +21,7 @@
 
 use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
+use std::sync::Arc;
 use wf_graph::{NameId, VertexId};
 use wf_spec::GraphId;
 
@@ -241,25 +242,47 @@ fn code_kind(code: u64) -> Option<NodeKind> {
 /// (`⌈log₂ nG⌉`, see `LabelerCore::skl_bits`).
 pub fn encode_label(label: &DrlLabel, skl_bits: usize) -> Vec<u8> {
     let mut w = BitWriter::new();
-    w.push_gamma(label.depth() as u64);
-    for e in label.entries() {
-        w.push_gamma(e.index as u64 + 1);
-        w.push_bits(kind_code(e.kind), 2);
-        if e.kind == NodeKind::N {
-            let (g, v) = e.skl.expect("N entries carry skeleton pointers");
-            w.push_gamma(g.0 as u64 + 1);
-            w.push_bits(v.0 as u64, skl_bits);
-            match e.rec {
-                None => w.push_bit(false),
-                Some((r1, r2)) => {
-                    w.push_bit(true);
-                    w.push_bit(r1);
-                    w.push_bit(r2);
-                }
+    write_label(&mut w, label.view(), skl_bits);
+    w.into_bytes()
+}
+
+/// Write one borrowed label: its depth, then its entries root first. An
+/// encoded label is re-encoded entry by entry, as far as it decodes — one
+/// that stops decoding is written as a label that stops decoding there.
+fn write_label(w: &mut BitWriter, label: LabelRef<'_>, skl_bits: usize) {
+    match label {
+        LabelRef::Entries { prefix, last } => {
+            w.push_gamma(prefix.len() as u64 + 1);
+            for e in prefix.iter().chain([last]) {
+                write_entry(w, e, skl_bits);
+            }
+        }
+        LabelRef::Encoded(bytes, encoded_with) => {
+            let cursor = EntryCursor::new(bytes, encoded_with);
+            w.push_gamma(cursor.remaining as u64);
+            for e in cursor.map_while(|e| e) {
+                write_entry(w, &e, skl_bits);
             }
         }
     }
-    w.into_bytes()
+}
+
+fn write_entry(w: &mut BitWriter, e: &Entry, skl_bits: usize) {
+    w.push_gamma(e.index as u64 + 1);
+    w.push_bits(kind_code(e.kind), 2);
+    if e.kind == NodeKind::N {
+        let (g, v) = e.skl.expect("N entries carry skeleton pointers");
+        w.push_gamma(g.0 as u64 + 1);
+        w.push_bits(v.0 as u64, skl_bits);
+        match e.rec {
+            None => w.push_bit(false),
+            Some((r1, r2)) => {
+                w.push_bit(true);
+                w.push_bit(r1);
+                w.push_bit(r2);
+            }
+        }
+    }
 }
 
 /// Decode a label previously written by [`encode_label`] with the same
@@ -270,17 +293,24 @@ pub fn decode_label(bytes: &[u8], skl_bits: usize) -> Option<DrlLabel> {
 }
 
 /// A **borrowed label**: what every reader of a published label takes,
-/// whichever tier holds it. Either an in-memory [`DrlLabel`] — its
-/// shared prefix array and its own entry, lent together — or the
+/// whichever tier holds it. Either a decoded label — its context's
+/// shared prefix array and its own entry, lent together, whether from a
+/// [`DrlLabel`] ([`DrlLabel::view`]) or from a table that keeps the
+/// arrays apart from the entries (the engine's hot index) — or the
 /// encoded bytes of one label inside an arena
 /// (plus the `skl_bits` they were written with), which an
 /// [`EntryCursor`] turns into the same [`Entry`] values one at a time —
-/// so the predicate ([`crate::DrlPredicate::reaches_ref`]) and the scans
-/// never need an owned label on a read.
+/// so the predicate ([`crate::DrlPredicate::reaches_ref`]), the scans and
+/// the arena builder never need an owned label on a read.
 #[derive(Debug, Clone, Copy)]
 pub enum LabelRef<'a> {
-    /// A decoded label: prefix array plus own entry.
-    Entries(&'a DrlLabel),
+    /// A decoded label: every entry but the last, then the last.
+    Entries {
+        /// The context's shared prefix array, root first.
+        prefix: &'a Arc<[Entry]>,
+        /// The vertex's own entry.
+        last: &'a Entry,
+    },
     /// One encoded label starting at the first byte (labels are
     /// self-delimiting, so trailing bytes are ignored), and the
     /// skeleton-pointer width it was encoded with.
@@ -289,12 +319,14 @@ pub enum LabelRef<'a> {
 
 impl LabelRef<'_> {
     /// An owned copy — for the few places that *keep* a label: a decoded
-    /// label is cloned (one reference count, the prefix array stays
-    /// shared), encoded bytes are decoded into a private one. `None`
-    /// when the bytes do not decode.
+    /// label shares its prefix array (one reference count, no number:
+    /// the copy is the keeper's, not the run's), encoded bytes are
+    /// decoded into a private one. `None` when the bytes do not decode.
     pub fn to_label(self) -> Option<DrlLabel> {
         match self {
-            LabelRef::Entries(label) => Some(label.clone()),
+            LabelRef::Entries { prefix, last } => {
+                Some(DrlLabel::from_parts(Arc::clone(prefix), *last, None))
+            }
             LabelRef::Encoded(bytes, skl_bits) => {
                 let mut cursor = EntryCursor::new(bytes, skl_bits);
                 // All entries but the last, collected straight into the
@@ -306,7 +338,7 @@ impl LabelRef<'_> {
                 let prefix = (1..cursor.remaining)
                     .map(|_| cursor.next().flatten().unwrap_or(unread))
                     .collect();
-                Some(DrlLabel::from_parts(prefix, cursor.next()??))
+                Some(DrlLabel::from_parts(prefix, cursor.next()??, None))
             }
         }
     }
@@ -315,7 +347,13 @@ impl LabelRef<'_> {
     /// [`DrlLabel::bit_len`]; `None` when the bytes do not decode.
     pub fn bit_len(self, skl_bits: usize) -> Option<usize> {
         match self {
-            LabelRef::Entries(label) => Some(label.bit_len(skl_bits)),
+            LabelRef::Entries { prefix, last } => Some(
+                prefix
+                    .iter()
+                    .chain([last])
+                    .map(|e| e.bit_len(skl_bits))
+                    .sum(),
+            ),
             LabelRef::Encoded(bytes, encoded_with) => EntryCursor::new(bytes, encoded_with)
                 .try_fold(0, |bits, e| Some(bits + e?.bit_len(skl_bits))),
         }
@@ -586,15 +624,17 @@ impl LabelArena {
     /// `skl_bits` must match the labeler's (`LabelerCore::skl_bits`).
     pub fn build<'a>(
         skl_bits: usize,
-        labels: impl IntoIterator<Item = (VertexId, NameId, &'a DrlLabel)>,
+        labels: impl IntoIterator<Item = (VertexId, NameId, LabelRef<'a>)>,
     ) -> Self {
-        let mut staged: Vec<(VertexId, NameId, &DrlLabel)> = labels.into_iter().collect();
+        let mut staged: Vec<(VertexId, NameId, LabelRef<'a>)> = labels.into_iter().collect();
         staged.sort_by_key(|(v, ..)| *v);
         let mut slots = Vec::with_capacity(staged.len() * ArenaSlot::WIRE_BYTES);
-        let mut bytes = Vec::new();
+        let mut w = BitWriter::new();
         for (vertex, name, label) in staged {
-            let offset = u32::try_from(bytes.len()).expect("arena exceeds 4 GiB");
-            bytes.extend_from_slice(&encode_label(label, skl_bits));
+            let offset = u32::try_from(w.len() / 8).expect("arena exceeds 4 GiB");
+            write_label(&mut w, label, skl_bits);
+            // Every label starts on a byte.
+            w.len = w.len.next_multiple_of(8);
             ArenaSlot {
                 vertex,
                 name,
@@ -604,7 +644,7 @@ impl LabelArena {
         }
         Self {
             slots: slots.into_boxed_slice(),
-            bytes: bytes.into_boxed_slice(),
+            bytes: w.into_bytes().into_boxed_slice(),
             skl_bits,
         }
     }
@@ -859,10 +899,10 @@ mod tests {
         let skl_bits = labeler.skl_bits();
         // Feed vertices in reverse order: build must sort.
         let vertices: Vec<_> = run.graph.vertices().collect();
-        let labeled: Vec<(VertexId, NameId, &DrlLabel)> = vertices
+        let labeled: Vec<(VertexId, NameId, LabelRef<'_>)> = vertices
             .iter()
             .rev()
-            .map(|&v| (v, NameId(v.0 % 5), labeler.label(v).unwrap()))
+            .map(|&v| (v, NameId(v.0 % 5), labeler.label(v).unwrap().view()))
             .collect();
         let arena = LabelArena::build(skl_bits, labeled);
         let view = arena.view();
@@ -887,6 +927,12 @@ mod tests {
             assert_eq!(get(back.view(), v).as_ref(), labeler.label(v));
         }
         assert_eq!(back.encoded_bytes(), arena.encoded_bytes());
+        // Built again from its own encoded labels: the same bytes.
+        let again = LabelArena::build(skl_bits, view.iter());
+        assert_eq!(
+            (again.slots(), again.bytes()),
+            (arena.slots(), arena.bytes())
+        );
         assert_eq!(
             arena.footprint_bytes(),
             arena.encoded_bytes() + ArenaSlot::WIRE_BYTES * vertices.len()
@@ -901,7 +947,7 @@ mod tests {
             skl: Some((GraphId(0), VertexId(1))),
             rec: None,
         }]);
-        let arena = LabelArena::build(4, vec![(VertexId(0), NameId(0), &label)]);
+        let arena = LabelArena::build(4, vec![(VertexId(0), NameId(0), label.view())]);
         let (slots, bytes) = (arena.slots(), arena.bytes());
         // Intact parts reassemble.
         assert!(ArenaRef::new(slots, bytes, 4).to_arena().is_some());
@@ -918,8 +964,8 @@ mod tests {
         let two = LabelArena::build(
             4,
             vec![
-                (VertexId(0), NameId(0), &label),
-                (VertexId(1), NameId(1), &label),
+                (VertexId(0), NameId(0), label.view()),
+                (VertexId(1), NameId(1), label.view()),
             ],
         );
         let mut swapped = two.slots().to_vec();

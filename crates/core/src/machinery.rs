@@ -193,12 +193,13 @@ impl LabelerCore {
     }
 
     /// The (immutable) label of the vertex instantiating spec vertex
-    /// `sv` in instance node `x`: the node's prefix array, shared, plus
-    /// one final entry (Algorithm 3's single append) — no allocation and
-    /// no copy, whatever the depth of `x`.
+    /// `sv` in instance node `x`: the node's prefix array, shared and
+    /// numbered, plus one final entry (Algorithm 3's single append) — no
+    /// allocation and no copy, whatever the depth of `x`.
     pub fn label_for<S: SpecLabeling>(&self, skeleton: &S, x: NodeId, sv: VertexId) -> DrlLabel {
-        let prefix = Arc::clone(&self.tree.node(x).prefix);
-        DrlLabel::from_parts(prefix, self.make_entry(skeleton, x, sv))
+        let node = self.tree.node(x);
+        let entry = self.make_entry(skeleton, x, sv);
+        DrlLabel::from_parts(Arc::clone(&node.prefix), entry, node.prefix_id)
     }
 
     /// Algorithm 2: update the tree for the expansion of composite

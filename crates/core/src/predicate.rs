@@ -3,16 +3,18 @@
 //!
 //! The predicate decides at the first entry where the two labels differ,
 //! so it has two ways of *finding* that entry — an indexed walk over two
-//! decoded labels (their shared prefix arrays compared as slices, or not
-//! at all when both labels carry the *same* array), and a streaming walk
-//! over two entry streams ([`EntryCursor`]s over encoded bytes) that
-//! holds only the previous and current entries (what lets a completed
-//! run answer straight off its encoded arena) — and **one** case
-//! analysis, [`DrlPredicate::decide`], that both reach.
+//! decoded labels (their prefix arrays compared as slices, or not at all
+//! when both labels lend the *same* array), and a streaming walk over two
+//! entry streams ([`EntryCursor`]s over encoded bytes) that holds only
+//! the previous and current entries (what lets a completed run answer
+//! straight off its encoded arena) — and **one** case analysis,
+//! [`DrlPredicate::decide`], that both reach. [`DrlPredicate::reaches_ref`]
+//! picks the walk; [`DrlPredicate::reaches`] is it over two owned labels.
 
 use crate::encode::{EntryCursor, LabelRef};
 use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
+use std::sync::Arc;
 use wf_skeleton::SpecLabeling;
 
 /// The binary predicate over DRL labels. Holds only a reference to the
@@ -34,14 +36,89 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     ///
     /// Runs in O(dt) index comparisons plus at most one skeleton query —
     /// constant time for a fixed grammar (Theorem 3.3).
+    ///
+    /// # Panics
+    /// On two labels no one labeler issued together.
     pub fn reaches(&self, a: &DrlLabel, b: &DrlLabel) -> bool {
-        let (pa, pb) = (a.prefix(), b.prefix());
+        self.reaches_ref(a.view(), b.view())
+            .expect("labels assigned by a labeler are well-formed")
+    }
+
+    /// [`Self::reaches`] over borrowed labels, whichever form each is
+    /// in. Two decoded labels take the indexed walk; otherwise the two
+    /// streams advance in lock step and only the previous and current
+    /// entries are held — no label is materialised. `None` when a label
+    /// stops decoding before the answer is known, or the two are not
+    /// labels of the same run: encoded bytes are outside input, so a
+    /// malformed label is an absent answer, never a wrong one.
+    #[inline(always)]
+    pub fn reaches_ref(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        match (a, b) {
+            (
+                LabelRef::Entries {
+                    prefix: pa,
+                    last: la,
+                },
+                LabelRef::Entries {
+                    prefix: pb,
+                    last: lb,
+                },
+            ) => self.indexed(pa, la, pb, lb),
+            _ => self.streamed(a, b),
+        }
+    }
+
+    /// [`Self::reaches`] for two labels of one context, from their own
+    /// entries alone: a holder that knows the two share their prefix
+    /// array and their own index (the same tree node) needs no look at
+    /// the array — the skeleton decides.
+    #[inline]
+    pub fn reaches_in_context(&self, a: &Entry, b: &Entry) -> Option<bool> {
+        debug_assert_eq!(a.index, b.index, "one context node");
+        self.decide(a, b, None, None)
+    }
+
+    /// The streaming walk's entry: at least one label is encoded, so both
+    /// are read as entry streams.
+    fn streamed(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        use LabelRef::{Encoded, Entries};
+        fn decoded<'e>(
+            prefix: &'e Arc<[Entry]>,
+            last: &'e Entry,
+        ) -> impl Iterator<Item = Option<Entry>> + 'e {
+            prefix.iter().chain([last]).map(|e| Some(*e))
+        }
+        match (a, b) {
+            (Entries { prefix, last }, Encoded(bb, kb)) => {
+                self.walk(decoded(prefix, last), EntryCursor::new(bb, kb))
+            }
+            (Encoded(ba, ka), Entries { prefix, last }) => {
+                self.walk(EntryCursor::new(ba, ka), decoded(prefix, last))
+            }
+            (Encoded(ba, ka), Encoded(bb, kb)) => {
+                self.walk(EntryCursor::new(ba, ka), EntryCursor::new(bb, kb))
+            }
+            (Entries { .. }, Entries { .. }) => self.reaches_ref(a, b),
+        }
+    }
+
+    /// The indexed walk: the longest common prefix of the two context
+    /// paths. The index sequences are Dewey labels, so equal prefixes =
+    /// same tree nodes (Line 1). Two labels lending the same array — same
+    /// context, or copies under one loop/fork/chain node: the common case
+    /// inside a sub-workflow — agree on all of it without a look.
+    #[inline(always)]
+    fn indexed(&self, pa: &[Entry], la: &Entry, pb: &[Entry], lb: &Entry) -> Option<bool> {
+        /// Position `i` of a label: a prefix entry, or its own entry one
+        /// past the prefix (the walk never goes further).
+        fn at<'e>(prefix: &'e [Entry], last: &'e Entry, i: usize) -> &'e Entry {
+            prefix.get(i).unwrap_or(last)
+        }
+        /// The entry after position `i - 1`, if the label goes on.
+        fn next<'e>(prefix: &'e [Entry], last: &'e Entry, i: usize) -> Option<&'e Entry> {
+            prefix.get(i).or((i == prefix.len()).then_some(last))
+        }
         let shared = pa.len().min(pb.len());
-        // The indexed walk: longest common prefix of the context paths.
-        // The index sequences are Dewey labels, so equal prefixes = same
-        // tree nodes (Line 1). Two labels carrying the same array — same
-        // context, or copies under one loop/fork/chain node: the common
-        // case inside a sub-workflow — agree on all of it without a look.
         let mut j = if std::ptr::eq(pa, pb) {
             shared
         } else {
@@ -52,41 +129,18 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
         };
         // Past the shorter prefix the shorter label has one position
         // left: its own entry.
-        if j == shared && a.at(j).index == b.at(j).index {
+        if j == shared && at(pa, la, j).index == at(pb, lb, j).index {
             j += 1;
         }
-        if j == 0 {
-            // Labels from different labelers/trees; roots always share
-            // index 0, so this cannot happen for labels of one run.
-            debug_assert!(false, "labels do not share a root");
-            return false;
-        }
-        // j - 1 is the position of LCA(x, x').
-        self.decide(a.at(j - 1), b.at(j - 1), a.entry(j), b.entry(j))
-            .expect("labels assigned by a labeler are well-formed")
-    }
-
-    /// [`Self::reaches`] over borrowed labels, whichever form each is
-    /// in. Two decoded labels take the indexed walk; otherwise the two
-    /// cursors advance in lock step and only the previous and current
-    /// entries are held — no label is materialised. `None` when a label
-    /// stops decoding before the answer is known (or is not a label of
-    /// the same run): encoded bytes are outside input, so a malformed
-    /// label is an absent answer, never a wrong one.
-    #[inline]
-    pub fn reaches_ref(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
-        use LabelRef::{Encoded, Entries};
-        fn decoded(label: &DrlLabel) -> impl Iterator<Item = Option<Entry>> + '_ {
-            label.entries().map(|e| Some(*e))
-        }
-        match (a, b) {
-            (Entries(la), Entries(lb)) => Some(self.reaches(la, lb)),
-            (Entries(la), Encoded(bb, kb)) => self.walk(decoded(la), EntryCursor::new(bb, kb)),
-            (Encoded(ba, ka), Entries(lb)) => self.walk(EntryCursor::new(ba, ka), decoded(lb)),
-            (Encoded(ba, ka), Encoded(bb, kb)) => {
-                self.walk(EntryCursor::new(ba, ka), EntryCursor::new(bb, kb))
-            }
-        }
+        // j - 1 is the position of LCA(x, x'); roots always share index
+        // 0, so only labels of two runs have none.
+        let lca = j.checked_sub(1)?;
+        self.decide(
+            at(pa, la, lca),
+            at(pb, lb, lca),
+            next(pa, la, j),
+            next(pb, lb, j),
+        )
     }
 
     /// The streaming walk: advance both entry streams while the indexes
@@ -378,10 +432,10 @@ mod tests {
     /// shares an array (same context: the skeleton decides; sibling
     /// copies: their own entries' indexes do — no walk either way),
     /// carries equal arrays in two allocations (issued against rebuilt:
-    /// the walk runs their whole length), or differs earlier.
+    /// the walk runs their whole length), or differs earlier. Two issued
+    /// labels carry one array exactly when they carry one number.
     #[test]
     fn shared_prefix_arrays_answer_like_private_copies() {
-        use crate::label::prefix_array_bytes;
         use crate::machinery::{LabelerCore, RecursionMode};
         use wf_spec::NameClass;
         let (spec, skeleton) = setup();
@@ -415,6 +469,11 @@ mod tests {
                     std::ptr::eq(a.prefix(), b.prefix()),
                     a.prefix() == b.prefix()
                 );
+                assert_eq!(
+                    std::ptr::eq(a.prefix(), b.prefix()),
+                    a.prefix_id() == b.prefix_id()
+                );
+                assert_eq!(rb.prefix_id(), None);
                 same_array += usize::from(std::ptr::eq(a.prefix(), b.prefix()));
                 let want = p.reaches(ra, rb);
                 assert_eq!(p.reaches(a, b), want, "{a:?} ; {b:?}");
@@ -426,10 +485,10 @@ mod tests {
         let (n0, n1) = (g0.vertex_count(), spec.graph(h1).vertex_count());
         // The root's array, and one for the three loop copies together.
         assert_eq!(same_array, n0 * n0 + (3 * n1) * (3 * n1));
+        assert_eq!(core.tree.prefix_ids(), 2);
         assert_eq!(
-            core.tree.label_prefix_bytes(),
-            (prefix_array_bytes(issued[0].prefix()) + prefix_array_bytes(issued[n0].prefix()))
-                as u64
+            (issued[0].prefix_id(), issued[n0].prefix_id()),
+            (Some(0), Some(1))
         );
         // Loop copies in series: copy 1's source reaches copy 3's, not back.
         assert!(p.reaches(&issued[n0], &issued[n0 + 2 * n1]));

@@ -18,11 +18,15 @@
 //! *one* array among them. Only `N` nodes are contexts of vertices, and
 //! both labelers label an `N` node's first vertices in the step that
 //! creates it; the arrays of the special `L`/`F`/`R` nodes themselves no
-//! label ever carries, and they go with the tree
-//! ([`ExplicitTree::label_prefix_bytes`] counts the former).
+//! label ever carries, and they go with the tree.
+//!
+//! The arrays labels carry are **numbered** where they are created —
+//! the root's, and each `N` node's that does not take a sibling's — in
+//! creation order from 0 ([`Node::prefix_id`]), so the numbers of one
+//! run are dense: a holder of every label keeps each array once, in a
+//! table indexed by the number ([`crate::DrlLabel::prefix_id`]).
 
 use crate::entry::{Entry, NodeKind};
-use crate::label::prefix_array_bytes;
 use std::sync::Arc;
 use wf_graph::VertexId;
 use wf_spec::GraphId;
@@ -59,6 +63,10 @@ pub struct Node {
     /// Shared label prefix: entries for all *proper* ancestors, computed
     /// with the edge annotations of this node's root path.
     pub prefix: Arc<[Entry]>,
+    /// The number of `prefix` among the arrays labels carry — shared,
+    /// like the array, by the copies under one special node; `None` for
+    /// the special nodes' own arrays, which no label carries.
+    pub prefix_id: Option<u32>,
     /// The frame in which this instance's completion is visible: the
     /// node and spec vertex whose successors follow this instance's sink
     /// in the run (used by the execution-based labeler's frame walk,
@@ -70,8 +78,8 @@ pub struct Node {
 #[derive(Debug, Default)]
 pub struct ExplicitTree {
     nodes: Vec<Node>,
-    /// See [`Self::label_prefix_bytes`].
-    label_prefix_bytes: u64,
+    /// See [`Self::prefix_ids`].
+    prefix_ids: u32,
 }
 
 impl ExplicitTree {
@@ -106,6 +114,7 @@ impl ExplicitTree {
     /// empty and its index 0.
     pub fn create_root(&mut self, ann: GraphId) -> NodeId {
         assert!(self.nodes.is_empty(), "root already exists");
+        let prefix_id = Some(self.number_prefix());
         self.nodes.push(Node {
             kind: NodeKind::N,
             parent: None,
@@ -114,9 +123,9 @@ impl ExplicitTree {
             ann: Some(ann),
             designated: None, // the start graph is not a production body
             prefix: Arc::new([]),
+            prefix_id,
             host: None,
         });
-        self.label_prefix_bytes += prefix_array_bytes(&[]) as u64;
         NodeId(0)
     }
 
@@ -129,7 +138,8 @@ impl ExplicitTree {
     /// `Entry::special`. The child's prefix = parent's prefix +
     /// `parent_entry` — the single-append of Algorithm 3. Under a special
     /// parent that is the same list for every child, so later children
-    /// take the first one's array.
+    /// take the first one's array, and its number. A fresh array of an
+    /// `N` node gets the next number.
     pub fn attach(
         &mut self,
         parent: NodeId,
@@ -143,14 +153,14 @@ impl ExplicitTree {
         debug_assert_eq!(parent_entry.kind, self.nodes[parent.idx()].kind);
         let index = self.nodes[parent.idx()].children.len() as u32 + 1;
         let p = &self.nodes[parent.idx()];
-        let prefix = match p.children.first() {
-            Some(sibling) if p.kind != NodeKind::N => Arc::clone(&self.nodes[sibling.idx()].prefix),
+        let (prefix, prefix_id) = match p.children.first() {
+            Some(sibling) if p.kind != NodeKind::N => {
+                let sibling = &self.nodes[sibling.idx()];
+                (Arc::clone(&sibling.prefix), sibling.prefix_id)
+            }
             _ => {
-                let fresh: Arc<[Entry]> = p.prefix.iter().copied().chain([parent_entry]).collect();
-                if kind == NodeKind::N {
-                    self.label_prefix_bytes += prefix_array_bytes(&fresh) as u64;
-                }
-                fresh
+                let fresh = p.prefix.iter().copied().chain([parent_entry]).collect();
+                (fresh, (kind == NodeKind::N).then(|| self.number_prefix()))
             }
         };
         debug_assert_eq!(prefix.last(), Some(&parent_entry));
@@ -163,20 +173,26 @@ impl ExplicitTree {
             ann,
             designated,
             prefix,
+            prefix_id,
             host,
         });
         self.nodes[parent.idx()].children.push(id);
         id
     }
 
-    /// Heap bytes of the prefix arrays that labels carry — those of the
-    /// `N` nodes, entries plus `Arc` header, an array shared by sibling
-    /// copies counted once. An `N` node exists only once its first
-    /// vertices are labeled, so between insertions this is exactly what
-    /// the issued labels keep alive beside their own inline entries:
-    /// what a holder of every label adds to its per-label cells.
-    pub fn label_prefix_bytes(&self) -> u64 {
-        self.label_prefix_bytes
+    /// The next array number.
+    fn number_prefix(&mut self) -> u32 {
+        self.prefix_ids += 1;
+        self.prefix_ids - 1
+    }
+
+    /// How many arrays have been numbered: those of the root and the `N`
+    /// nodes, an array shared by sibling copies once. An `N` node exists
+    /// only once its first vertices are labeled, so between insertions
+    /// this is exactly how many distinct arrays the issued labels carry,
+    /// numbered `0..prefix_ids()`.
+    pub fn prefix_ids(&self) -> u32 {
+        self.prefix_ids
     }
 
     /// Depth of a node (root = 0).
@@ -229,11 +245,14 @@ mod tests {
         assert_eq!(t.node(c1).index, 1);
         assert_eq!(t.node(c2).index, 2);
         assert_eq!(t.node(c2).prefix[..], [root_entry, child_entry]);
-        // One array for the copies under the L node, counted once; the
+        // One array for the copies under the L node, numbered once; the
         // L node's own is never a label's.
         assert!(Arc::ptr_eq(&t.node(c1).prefix, &t.node(c2).prefix));
-        let labelled = prefix_array_bytes(&[]) + prefix_array_bytes(&t.node(c2).prefix);
-        assert_eq!(t.label_prefix_bytes(), labelled as u64);
+        assert_eq!(t.node(root).prefix_id, Some(0));
+        assert_eq!(t.node(l).prefix_id, None);
+        assert_eq!(t.node(c1).prefix_id, Some(1));
+        assert_eq!(t.node(c2).prefix_id, Some(1));
+        assert_eq!(t.prefix_ids(), 2);
         assert_eq!(t.depth(c2), 2);
         assert_eq!(t.max_depth(), 2);
         assert_eq!(t.max_fanout(), 2);
@@ -259,8 +278,9 @@ mod tests {
             None,
         );
         assert!(!Arc::ptr_eq(&t.node(other).prefix, &t.node(twin).prefix));
-        let grown = labelled + 2 * prefix_array_bytes(&t.node(twin).prefix);
-        assert_eq!(t.label_prefix_bytes(), grown as u64);
+        assert_eq!(t.node(other).prefix_id, Some(2));
+        assert_eq!(t.node(twin).prefix_id, Some(3));
+        assert_eq!(t.prefix_ids(), 4);
     }
 
     #[test]

@@ -124,10 +124,7 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
 ) -> FrozenRun {
     let skl_bits = slot.skl_bits;
     let encode = obs.timer();
-    let arena = LabelArena::build(
-        skl_bits,
-        slot.indexed.iter().map(|(v, p)| (v, p.name, &p.label)),
-    );
+    let arena = LabelArena::build(skl_bits, slot.indexed.iter());
     obs.finish(
         encode,
         &obs.h_freeze_encode,

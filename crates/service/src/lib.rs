@@ -111,7 +111,6 @@ pub use builder::{EngineBuilder, DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TRACE_CAPACI
 pub use engine::{EngineMetrics, WfEngine, DEFAULT_MAX_VERTEX_ID};
 pub use freeze::FrozenRun;
 pub use handle::RunHandle;
-pub use index::PublishedLabel;
 pub use query::{CrossRunQuery, ExplainQuery, Explained, SourceReach};
 pub use snapshot::SnapshotError;
 pub use spill::CompactionReport;

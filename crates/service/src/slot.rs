@@ -12,9 +12,7 @@
 //! log iff its op was admitted and the log orders a run's ops as memory
 //! does. The labeler is plain owned state ([`ExecutionState`]) next to
 //! the `Arc<SpecContext>` it is fed from on every call; the label an
-//! insert returns is moved into [`LabelIndex`], the run's only copy, and
-//! the labeler's count of the prefix-array bytes its labels share goes
-//! with it.
+//! insert returns is moved into [`LabelIndex`], the run's only copy.
 
 use crate::index::LabelIndex;
 use crate::{RunId, RunStatus, ServiceError, SpecContext, SpecId};
@@ -127,9 +125,7 @@ impl<S: SpecLabeling> RunSlot<S> {
 
     /// Apply one insertion under the writer lock — admission, `journal`,
     /// the labeler — and move the label it returns into the lock-free
-    /// index, with the bytes of the prefix arrays issued so far (the new
-    /// label may be the first to carry its context's). A failed
-    /// `journal` rejects the event unapplied. The caller
+    /// index. A failed `journal` rejects the event unapplied. The caller
     /// has bounds-checked `ev.vertex` (both the labeler and the index
     /// size tables to it).
     pub(crate) fn apply_insert(
@@ -154,8 +150,6 @@ impl<S: SpecLabeling> RunSlot<S> {
         }
         self.indexed
             .publish(ev.vertex, ev.name, label, self.skl_bits);
-        self.indexed
-            .set_prefix_bytes(labeler.tree().label_prefix_bytes());
         Ok(())
     }
 

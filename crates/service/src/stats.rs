@@ -60,9 +60,10 @@ pub struct ServiceStats {
     /// **Hot tier** label storage in bits (the paper's label-length
     /// accounting, over decoded in-memory labels).
     pub label_bits_total: u64,
-    /// **Hot tier** resident bytes: one cell per decoded label (name,
-    /// prefix pointer, the label's own entry) plus each prefix array the
-    /// labels of a context share, once — the memory a freeze actually
+    /// **Hot tier** resident bytes: one cell slot per decoded label (name,
+    /// prefix slot, the label's own entry) plus, once each, the prefix
+    /// table's slot and the prefix array the labels of a context share,
+    /// every slot at its full `OnceLock` size — the memory a freeze actually
     /// releases, several times [`Self::hot_bytes`]. It covers the *only*
     /// copy of a hot run's labels: the index is where an applied label
     /// lives. It excludes the index's chunk tables (the cells' unreached
@@ -70,10 +71,10 @@ pub struct ServiceStats {
     /// until `complete()` drops it, what a live run's labeler holds
     /// beside the labels — the explicit parse tree, the placements, the
     /// expansion map. `tests/alloc_free_reads.rs` holds it against the
-    /// allocator: a live 6 000-label `running_example` run keeps ≈ 222 B
-    /// of heap per label against 75 B reported here, 112 B once
-    /// completed (408 / 167 / 231 B when every label boxed a private
-    /// copy of its prefix).
+    /// allocator: a live 6 000-label `running_example` run keeps ≈ 198 B
+    /// of heap per label against 64 B reported here, 83 B once completed
+    /// (222 / 75 / 112 B when each cell held a fat `Arc` to its prefix,
+    /// 408 / 167 / 231 B when every label boxed a private copy of it).
     pub hot_resident_bytes: u64,
     /// Runs currently in the hot tier (any status).
     pub runs_hot: u64,

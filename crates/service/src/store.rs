@@ -232,7 +232,7 @@ impl<'a, S: SpecLabeling> Labels<'a, S> {
     /// The label of `v`, if the run published one.
     pub(crate) fn label(&self, v: VertexId) -> Option<LabelRef<'a>> {
         match self {
-            Labels::Hot(s) => s.indexed.get(v).map(DrlLabel::view),
+            Labels::Hot(s) => s.indexed.get(v),
             Labels::Cold(a, _) => a.label(v),
         }
     }
@@ -240,7 +240,7 @@ impl<'a, S: SpecLabeling> Labels<'a, S> {
     /// The module name `v` was published under.
     pub(crate) fn name(&self, v: VertexId) -> Option<NameId> {
         match self {
-            Labels::Hot(s) => s.indexed.get_published(v).map(|p| p.name),
+            Labels::Hot(s) => s.indexed.name(v),
             Labels::Cold(a, _) => a.name(v),
         }
     }
@@ -265,16 +265,17 @@ impl<'a, S: SpecLabeling> Labels<'a, S> {
         self.label(source?)
     }
 
-    /// Visit every published `(vertex, name, label)`. A cold label is
-    /// decoded only as far as the visitor walks it.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(VertexId, NameId, LabelRef<'a>)) {
+    /// Visit every published `(vertex, name, label)`. A cold label comes
+    /// with the slot it is iterated from, decoded only as far as the
+    /// visitor walks it. A hot one is left to [`Self::label`] (`None`):
+    /// looking up a cell's prefix costs more than a visitor that only
+    /// reads names spends on the whole cell.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(VertexId, NameId, Option<LabelRef<'a>>)) {
         match self {
-            Labels::Hot(s) => {
-                for (v, p) in s.indexed.iter() {
-                    f(v, p.name, p.label.view());
-                }
-            }
-            Labels::Cold(a, _) => a.iter().for_each(|(v, name, label)| f(v, name, label)),
+            Labels::Hot(s) => s.indexed.names().for_each(|(v, name)| f(v, name, None)),
+            Labels::Cold(a, _) => a
+                .iter()
+                .for_each(|(v, name, label)| f(v, name, Some(label))),
         }
     }
 }
@@ -391,8 +392,8 @@ impl<S: SpecLabeling> RunView<S> {
     }
 
     /// Constant-time `u ; v`, answered from this tier without
-    /// allocating: two borrowed decoded labels (hot), or two cursors
-    /// walked in lock step off the arena bytes (cold).
+    /// allocating: two cells and their prefix arrays (hot), or two
+    /// cursors walked in lock step off the arena bytes (cold).
     pub(crate) fn reach(
         &self,
         predicate: &DrlPredicate<'_, S>,
@@ -400,7 +401,7 @@ impl<S: SpecLabeling> RunView<S> {
         v: VertexId,
     ) -> Option<bool> {
         let answer = match self {
-            RunView::Hot(s) => predicate.reaches(s.indexed.get(u)?, s.indexed.get(v)?),
+            RunView::Hot(s) => s.indexed.reach(predicate, u, v)?,
             _ => self.with_labels(|l| predicate.reaches_ref(l.label(u)?, l.label(v)?))??,
         };
         bump(self.queries());

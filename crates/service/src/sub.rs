@@ -270,18 +270,19 @@ impl RunMatcher {
     /// the run `labels` reads — the matcher's one entry point, for the
     /// push notify, the catch-up and the pull scan alike. The label is
     /// borrowed — a cold tier's is still encoded — and walked only if
-    /// the name makes the vertex relevant. A label that no longer
-    /// decodes is treated as never published. `emit` receives each fresh
-    /// witness, in discovery order; the return value is the number of
-    /// constant-time predicate evaluations (the pull path adds it to the
-    /// run's query counter).
+    /// the name makes the vertex relevant; `None` when the caller does
+    /// not hold it, and then it is read from `labels` only for a relevant
+    /// vertex. A label that no longer decodes is treated as never
+    /// published. `emit` receives each fresh witness, in discovery
+    /// order; the return value is the number of constant-time predicate
+    /// evaluations (the pull path adds it to the run's query counter).
     pub(crate) fn feed<S: SpecLabeling>(
         &mut self,
         predicate: &DrlPredicate<'_, S>,
         labels: &Labels<'_, S>,
         v: VertexId,
         name: NameId,
-        label: LabelRef<'_>,
+        label: Option<LabelRef<'_>>,
         emit: &mut dyn FnMut(Witness),
     ) -> u64 {
         match self.kind {
@@ -296,7 +297,9 @@ impl RunMatcher {
                     return 0;
                 }
                 // A visible candidate implies a visible source.
-                let Some(source) = labels.source() else {
+                let (Some(source), Some(label)) =
+                    (labels.source(), label.or_else(|| labels.label(v)))
+                else {
                     return 0;
                 };
                 if predicate.reaches_ref(source, label) == Some(true) {
@@ -309,6 +312,9 @@ impl RunMatcher {
                 if self.linked || (!is_from && !is_to) || !self.seen.insert(v.0) {
                     return 0;
                 }
+                let Some(label) = label.or_else(|| labels.label(v)) else {
+                    return 0;
+                };
                 // A cold label that meets more than one stored
                 // counterpart is decoded once, for this feed only — not
                 // walked from its bytes once per pair. Against a single
@@ -808,7 +814,8 @@ impl<S: SpecLabeling> SubHub<S> {
                 .entry(run.0)
                 .or_insert_with(|| RunSubState::new(core.pred.kind));
             let emit = &mut |w| st.matches.push(w);
-            st.matcher.feed(&predicate, &labels, v, name, label, emit);
+            st.matcher
+                .feed(&predicate, &labels, v, name, Some(label), emit);
             core.sync_emission(run, st, &self.obs);
         }
         drop(subs);

@@ -258,10 +258,13 @@ proptest! {
     /// walk over two *encoded* [`LabelRef`](wf_drl::LabelRef)s, `reaches`
     /// over the decoded labels — as the labeler issued them, sharing
     /// prefix arrays, and rebuilt from their flat entry lists, sharing
-    /// nothing — and the naive Ω(n)-bit scheme agree on every pair, both
-    /// corpus grammars, both resolution modes; the three forms of a label
-    /// have one bit length and one encoding, and the borrowed view
-    /// decodes to exactly what `decode_label` returns.
+    /// nothing — the engine's hot index, which keeps each array once in
+    /// its prefix table and lends a cell plus its table slot (or decides
+    /// two cells of one context from the cells alone), and the
+    /// naive Ω(n)-bit scheme agree on every pair, both corpus grammars,
+    /// both resolution modes; the four forms of a label have one bit
+    /// length and one encoding, and the borrowed views decode to exactly
+    /// what `decode_label` returns.
     #[test]
     fn streaming_predicate_matches_decoded_and_naive(
         seed in 0u64..400,
@@ -270,6 +273,7 @@ proptest! {
         log_based in 0u8..2,
     ) {
         use wf_drl::LabelRef;
+        use wf_provenance::service::index::LabelIndex;
         let spec = if bioaid == 1 {
             wf_spec::corpus::bioaid()
         } else {
@@ -293,6 +297,10 @@ proptest! {
         }
         let bits = labeler.skl_bits();
         let predicate = DrlPredicate::new(&skeleton);
+        let index = LabelIndex::new();
+        for ev in exec.events() {
+            index.publish(ev.vertex, ev.name, labeler.label(ev.vertex).unwrap().clone(), bits);
+        }
         let labeled: Vec<(VertexId, &DrlLabel, DrlLabel, Vec<u8>)> = exec
             .events()
             .iter()
@@ -302,7 +310,7 @@ proptest! {
                 (ev.vertex, label, rebuilt, wf_drl::encode_label(label, bits))
             })
             .collect();
-        for (_, label, rebuilt, bytes) in &labeled {
+        for (v, label, rebuilt, bytes) in &labeled {
             let view = LabelRef::Encoded(bytes, bits);
             prop_assert_eq!(view.to_label(), wf_drl::decode_label(bytes, bits));
             prop_assert_eq!(view.to_label().as_ref(), Some(*label));
@@ -311,9 +319,14 @@ proptest! {
             prop_assert_eq!(rebuilt.bit_len(bits), label.bit_len(bits));
             prop_assert_eq!(rebuilt.view().bit_len(bits), Some(label.bit_len(bits)));
             prop_assert_eq!(&wf_drl::encode_label(rebuilt, bits), bytes);
+            let held = index.get(*v).unwrap();
+            prop_assert_eq!(held.to_label().as_ref(), Some(*label));
+            prop_assert_eq!(held.bit_len(bits), Some(label.bit_len(bits)));
         }
         for (u, lu, ru, bu) in &labeled {
+            let hu = index.get(*u).unwrap();
             for (v, lv, rv, bv) in &labeled {
+                let hv = index.get(*v).unwrap();
                 let truth = naive.reaches(*u, *v);
                 prop_assert_eq!(predicate.reaches(lu, lv), truth);
                 prop_assert_eq!(predicate.reaches(ru, rv), truth);
@@ -325,6 +338,12 @@ proptest! {
                 prop_assert_eq!(predicate.reaches_ref(eu, lv.view()), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(ru.view(), ev), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(eu, rv.view()), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(hu, hv), Some(truth));
+                prop_assert_eq!(index.reach(&predicate, *u, *v), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(hu, ev), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(eu, hv), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(hu, rv.view()), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(ru.view(), hv), Some(truth));
             }
         }
     }
