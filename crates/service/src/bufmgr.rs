@@ -1,44 +1,44 @@
-//! **wf-bufmgr** — the mmap buffer manager under the persisted tier.
+//! **wf-bufmgr** — the mmap buffer manager under the sealed runs that
+//! are read from disk.
 //!
 //! Every file in the spill directory is a pack: one or more
 //! self-checksummed segment blobs back to back (a fresh spill writes a
 //! pack of one; compaction writes bigger ones). Packs are
 //! immutable by construction (temp file → fsync → rename; never modified
 //! in place), so each one can be mapped once, checksummed once per blob
-//! and read in place for as long as it is registered:
+//! and read in place for as long as a sealed run lies in it:
 //!
-//! * [`PackFile`] — one registered pack. The file is `mmap`'d **at first
-//!   pin**, not at registration (one shared `OnceLock` per file), so a
-//!   pack nobody reads costs no VMA and no address space.
+//! * [`PackFile`] — one pack. The file is `mmap`'d **at first pin**, not
+//!   at registration (one shared `OnceLock` per file), so a pack nobody
+//!   reads costs no VMA and no address space.
 //! * [`PackMapping`] — the mapping itself (read-only, shared). It stays
 //!   byte-identical for its whole life, so checksums need verifying only
 //!   once, at first pin.
-//! * [`MappedRun`] — one run's blob resolved to a byte range *inside*
-//!   the mapping: the range and the parsed header. It reads nothing
-//!   itself: [`MappedRun::arena`] hands out the same
-//!   [`wf_drl::ArenaRef`] a frozen run's owned arena does, over the
-//!   mapped bytes, so queries search the slot table and walk label
+//! * [`MappedRun`] — one run's blob resolved to a verified byte range
+//!   *inside* the mapping. It reads nothing itself: the sealed run lends
+//!   the same [`wf_drl::ArenaRef`] over these bytes that it lends over a
+//!   heap copy of them, so queries search the slot table and walk label
 //!   cursors **straight off the mapping** — no copy, no allocation, no
-//!   eager whole-arena validation. Eviction is
-//!   `madvise(MADV_DONTNEED)`: the pages go back to the kernel, the
-//!   metadata stays, and the next pin re-faults at page-cache speed.
+//!   eager whole-arena validation. A re-heat copies the range onto the
+//!   heap once. Shedding is `madvise(MADV_DONTNEED)`: the pages go back
+//!   to the kernel, the metadata stays, and the next pin re-faults at
+//!   page-cache speed.
 //!
 //! There is no version clock over the pack set. A mapping lives as long
-//! as anything holds it — the [`PackFile`] of a registered pack, or a
-//! [`MappedRun`] some reader pinned — and outlives the file's unlink
-//! (the inode survives until the final `munmap`). Compaction
-//! moves blobs by telling each registration its new place
-//! ([`crate::snapshot::PersistedRun::relocate`]) and only then unlink
-//! what they copied, so a reader mid-flight finishes on the mapping it
-//! resolved and the next one opens the new file.
+//! as anything holds it — the [`PackFile`] of a sealed run's location,
+//! or a [`MappedRun`] some reader pinned — and outlives the file's
+//! unlink (the inode survives until the final `munmap`). Compaction
+//! moves blobs by telling each sealed run its new place (under the run's
+//! place lock, the one a first pin reads the location through) and only
+//! then unlinks what they copied, so a reader mid-flight finishes on the
+//! mapping it resolved and the next one opens the new file.
 
-use crate::snapshot::{verify_segment_bytes, SegmentHeader, SnapshotError, HEADER_LEN};
+use crate::snapshot::{verify_segment_bytes, SegmentHeader, SnapshotError};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use wf_drl::{ArenaRef, ArenaSlot};
 
 /// Page granularity assumed for `madvise` range rounding. A constant
 /// (not `sysconf`) keeps the offline build free of libc: rounding to a
@@ -268,63 +268,49 @@ impl Drop for PackMapping {
     }
 }
 
-/// One persisted run resolved to a byte range inside a [`PackMapping`].
-/// Constructed once per place a blob has — the construction runs the
-/// full framing + checksum verification (§ "checksums verify once at
-/// first pin") — then reused across every later pin; eviction only
-/// drops the *pages*, never this metadata.
+/// One sealed run's blob resolved to a byte range inside a
+/// [`PackMapping`]. Constructed once per place a blob has — the
+/// construction runs the full framing + checksum verification (§
+/// "checksums verify once at first pin") — then reused across every
+/// later pin; a shed only drops the *pages*, never this metadata.
 #[derive(Debug)]
 pub struct MappedRun {
     map: Arc<PackMapping>,
     /// Blob range within the mapping.
     offset: u64,
     len: u64,
-    header: SegmentHeader,
 }
 
 impl MappedRun {
-    /// Resolve (and fully verify — length, magic, version, checksum)
-    /// the blob at `[offset, offset+len)` of `map`. This is the one
-    /// integrity pass the mapped path ever runs: the labels themselves
-    /// decode lazily, per query, and a byte that rots *after* this
-    /// check degrades to a malformed label at its cursor, never to a
-    /// panic.
+    /// Resolve (and fully verify — length, magic, version, checksum, and
+    /// that it is the blob `header` registered) the blob at
+    /// `[offset, offset+len)` of `map`. This is the one integrity pass the
+    /// mapped path ever runs: the labels themselves decode lazily, per
+    /// query, and a byte that rots *after* this check degrades to a
+    /// malformed label at its cursor, never to a panic.
     pub(crate) fn resolve(
         map: Arc<PackMapping>,
         offset: u64,
         len: u64,
+        header: &SegmentHeader,
     ) -> Result<Self, SnapshotError> {
         let blob = map
             .slice(offset, len)
             .ok_or_else(|| SnapshotError::Format("blob range outside mapped pack".into()))?;
-        let header = verify_segment_bytes(blob)?;
-        Ok(Self {
-            map,
-            offset,
-            len,
-            header,
-        })
+        if verify_segment_bytes(blob)? != *header {
+            return Err(SnapshotError::Format(
+                "the blob changed since its registration".into(),
+            ));
+        }
+        Ok(Self { map, offset, len })
     }
 
-    /// The parsed segment header.
-    pub(crate) fn header(&self) -> &SegmentHeader {
-        &self.header
+    /// The blob's bytes, read in place (`resolve` checked the range).
+    pub(crate) fn blob(&self) -> &[u8] {
+        &self.map.bytes()[self.offset as usize..(self.offset + self.len) as usize]
     }
 
-    /// The run's labels, read in place: the slot table and the label
-    /// heap sit back to back after the header (`resolve` checked that
-    /// the blob is exactly header + slots + arena + checksum long).
-    pub(crate) fn arena(&self) -> ArenaRef<'_> {
-        let body = &self.map.bytes()[self.offset as usize + HEADER_LEN..];
-        let (slots, rest) = body.split_at(self.header.count as usize * ArenaSlot::WIRE_BYTES);
-        ArenaRef::new(
-            slots,
-            &rest[..self.header.arena_len as usize],
-            self.header.skl_bits as usize,
-        )
-    }
-
-    /// Drop the kernel pages behind this blob (mapped-tier eviction).
+    /// Drop the kernel pages behind this blob (mapped-range shed).
     pub(crate) fn advise_dont_need(&self) {
         self.map.advise_dont_need(self.offset, self.len);
     }

@@ -123,9 +123,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         self
     }
 
-    /// **Spill directory**: frozen runs are snapshotted here (versioned
-    /// binary segments in pack files + manifest) and their in-memory
-    /// arenas replaced by lazily-mapped persisted entries. At build time
+    /// **Spill directory**: sealed runs' blobs are written here, byte for
+    /// byte (versioned binary segments in pack files + manifest), and
+    /// their heap copies dropped for the lazily-mapped packs. At build time
     /// the segments its manifest lists are registered, so historical
     /// runs from previous engine lifetimes keep answering
     /// [`WfEngine::query`] — with the **same catalog** (spec ids must mean the same thing

@@ -18,8 +18,7 @@ use crate::lifecycle::Tiering;
 use crate::query::CrossRunQuery;
 use crate::recovery::run_open_payload;
 use crate::slot::RunSlot;
-use crate::snapshot::PersistedRun;
-use crate::spill::{file_stats, CompactionReport, FileStat, SpillDir};
+use crate::spill::{file_stats, registrations, CompactionReport, FileStat, SpillDir};
 use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, Tier};
 use crate::sub::{SubPredicate, Subscription};
@@ -48,7 +47,7 @@ pub const DEFAULT_MAX_VERTEX_ID: u32 = (1 << 24) - 1;
 /// of the v2 API: nothing in here borrows from a caller.
 pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
     pub(crate) catalog: Box<[Arc<SpecContext<S>>]>,
-    /// The tiered run registry (hot / frozen / persisted).
+    /// The tiered run registry (hot / sealed).
     pub(crate) store: LabelStore<S>,
     pub(crate) next_run: AtomicU64,
     /// All observability state: counters, histograms, the trace ring.
@@ -367,62 +366,69 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// [`RunStatus::Evicted`]: an eviction must not let anything keep
     /// ingesting into state no new lookup can reach. New lookups fail
     /// with [`ServiceError::UnknownRun`]. The eviction is durable in
-    /// every tier: a run that has a blob on disk — persisted, or
+    /// every tier: a run that has a blob on disk — read from there, or
     /// re-heated since — loses its manifest line before this returns
     /// (a failure to rewrite the manifest is reported, the run is gone
     /// from memory regardless), and the blob's bytes turn dead until a
-    /// compaction pass reclaims them.
+    /// compaction pass reclaims them. A persist racing the eviction
+    /// loses: its run gets no manifest line, and the pack it wrote goes
+    /// at the next compaction.
     pub fn evict_run(&self, run: RunId) -> Result<(), ServiceError> {
         let view = self
             .shared
             .store
             .remove(run)
             .ok_or(ServiceError::UnknownRun(run))?;
-        if let RunView::Hot(slot) = &view {
-            slot.evict();
-        }
-        if view.tier() != Tier::Persisted {
-            // A hot or frozen run's open/event records are still in the
-            // log (only persisting checkpoints them): checkpoint them
-            // now, or the next `build()` would replay the evicted run
-            // back into the hot tier.
-            self.shared.checkpoint_wal(run);
-        }
+        let located = match &view {
+            RunView::Hot(slot) => {
+                slot.evict();
+                false
+            }
+            RunView::Sealed(sealed) => sealed.location().is_some(),
+        };
         match &self.shared.spill {
-            Some(spill) if view.home().is_some() => spill.forget(&self.shared.store, run),
-            _ => Ok(()),
+            Some(spill) if located => spill.forget(&self.shared.store, run),
+            _ => {
+                // A run with no blob on disk still has its open/event
+                // records in the log (only persisting checkpoints them):
+                // checkpoint them now, or the next `build()` would replay
+                // the evicted run back into the hot tier.
+                self.shared.checkpoint_wal(run);
+                Ok(())
+            }
         }
     }
 
-    /// **Freeze** a completed run now: compact its published labels into
-    /// a contiguous encoded arena (read in place) and drop the hot
+    /// **Freeze** a completed run now: seal its published labels into
+    /// its segment blob on the heap (read in place) and drop the hot
     /// labeler state. Queries — [`Self::reach`], handles,
     /// [`Self::query`] — keep answering tier-transparently. No-op if the
-    /// run is already frozen or persisted;
-    /// [`ServiceError::NotCompleted`] while it is live.
+    /// run is already sealed; [`ServiceError::NotCompleted`] while it is
+    /// live.
     pub fn freeze_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.freeze(run)
     }
 
-    /// **Spill** a run's frozen arena to disk (freezing it first if
-    /// needed): write it as a pack of one plus the manifest under the
-    /// configured [`EngineBuilder::spill_dir`], and replace the
-    /// in-memory arena with a lazily-mapped persisted entry. Requires a
-    /// spill directory ([`ServiceError::NoSpillDir`] otherwise).
+    /// **Spill** a run to disk (freezing it first if needed): write its
+    /// blob, byte for byte, as a pack of one plus the manifest under the
+    /// configured [`EngineBuilder::spill_dir`], and drop the heap copy —
+    /// the run is read from the lazily mapped pack from then on
+    /// ([`Tier::Persisted`]). A re-heated run is written already: only
+    /// its heap copy goes. Requires a spill directory
+    /// ([`ServiceError::NoSpillDir`] otherwise).
     pub fn persist_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.persist(run)
     }
 
-    /// **Re-heat** a persisted run — the one way back from disk: copy
-    /// its arena back into memory and promote it to the frozen
-    /// (resident) tier, so subsequent queries never touch disk and the
-    /// LRU cannot shed it. The run keeps its pack and its manifest line
-    /// — a restart brings it back persisted — and [`Self::persist_run`]
-    /// is the inverse: a transition back to that blob, with nothing
-    /// encoded or written. No-op if the run is already hot or frozen.
-    /// Nothing re-heats automatically: under
-    /// [`EngineBuilder::max_resident_bytes`] the LRU keeps a queried
-    /// persisted run's blob resident instead.
+    /// **Re-heat** a run read from disk — the one way back: copy its
+    /// verified blob onto the heap ([`Tier::Frozen`]), so subsequent
+    /// queries never touch disk and the LRU has nothing of it to shed.
+    /// The run keeps its pack and its manifest line — a restart brings
+    /// it back persisted — and [`Self::persist_run`] is the inverse:
+    /// the heap copy is dropped, nothing is encoded or written. No-op if
+    /// the run is hot or already holds a heap copy. Nothing re-heats
+    /// automatically: under [`EngineBuilder::max_resident_bytes`] the
+    /// LRU keeps a queried run's mapped blob resident instead.
     pub fn reheat_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.reheat(run)
     }
@@ -490,12 +496,13 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     }
 
     /// A cloneable, lifetime-free handle for hot paths on one run:
-    /// resolves the run's **tier view** once ([`crate::Tier`]); every
-    /// query on the handle is lock-free, and the handle stays valid (for
-    /// queries) even after the run is evicted, tiered out, or the engine
-    /// drained. A handle is pinned to the tier it was taken from — take
-    /// a fresh handle after a freeze to query the compact
-    /// representation.
+    /// resolves the run's view once; every query on the handle is
+    /// lock-free over a hot run, and the handle stays valid (for
+    /// queries) even after the run is evicted, frozen, or the engine
+    /// drained. A handle over a sealed run follows it through persist
+    /// and re-heat (it holds the one sealed run); a hot handle stays on
+    /// the hot index after a freeze — take a fresh handle to query the
+    /// sealed form.
     pub fn handle(&self, run: RunId) -> Result<RunHandle<S>, ServiceError> {
         let view = self.shared.view(run)?;
         let ctx = Arc::clone(&self.shared.catalog[view.spec().0]);
@@ -531,7 +538,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// footprints. Per-run quantities (labels, label bits, queries) are
     /// summed over *registered* runs — evicting a run removes its
     /// contribution; freezing a run moves it from the hot columns to the
-    /// frozen ones. A pure read: it changes nothing, so any number of
+    /// frozen ones, and persist and re-heat move a sealed run between
+    /// the frozen and the persisted ones. A pure read: it changes nothing, so any number of
     /// callers (and the metrics exporter, which renders its gauges from
     /// one) can take snapshots, and a rate over an interval is the
     /// difference of two of them.
@@ -545,12 +553,10 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         let mut frozen_bytes = 0u64;
         let mut frozen_label_bits = 0u64;
         let mut persisted_bytes = 0u64;
-        let mut registered: Vec<Arc<PersistedRun>> = Vec::new();
         let store = &self.shared.store;
         store.for_each(|_, view| {
             labels_published += view.published() as u64;
             queries_answered += view.queries().load(Ordering::Relaxed);
-            registered.extend(view.home().cloned());
             match view {
                 RunView::Hot(slot) => {
                     labels_hot += slot.indexed.len() as u64;
@@ -560,14 +566,14 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
                         live += 1;
                     }
                 }
-                RunView::Frozen(f) => {
-                    frozen_bytes += f.footprint_bytes() as u64;
-                    frozen_label_bits += f.drl_bits();
+                RunView::Sealed(sealed) if sealed.tier() == Tier::Frozen => {
+                    frozen_bytes += sealed.arena_bytes();
+                    frozen_label_bits += sealed.header().drl_bits;
                 }
-                RunView::Persisted(p) => persisted_bytes += p.disk_bytes(),
+                RunView::Sealed(sealed) => persisted_bytes += sealed.blob_len(),
             }
         });
-        let pack_files = file_stats(&registered);
+        let pack_files = file_stats(&registrations(store));
         let obs = &self.shared.obs;
         let (enqueued, applied) = self.shared.ingest.watermarks();
         ServiceStats {
@@ -585,9 +591,9 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             labels_hot,
             label_bits_total: hot_label_bits,
             hot_resident_bytes,
-            runs_hot: store.tier_count(Tier::Hot) as u64,
-            runs_frozen: store.tier_count(Tier::Frozen) as u64,
-            runs_persisted: store.tier_count(Tier::Persisted) as u64,
+            runs_hot: store.tiers.get(Tier::Hot) as u64,
+            runs_frozen: store.tiers.get(Tier::Frozen) as u64,
+            runs_persisted: store.tiers.get(Tier::Persisted) as u64,
             freezes: obs.freezes.get(),
             spills: obs.spills.get(),
             reheats: obs.reheats.get(),
@@ -595,7 +601,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             frozen_bytes,
             frozen_label_bits,
             persisted_bytes,
-            persisted_resident_bytes: store.lru.resident_bytes(),
+            persisted_resident_bytes: store.lru.resident_bytes.load(Ordering::Relaxed),
             segment_files: pack_files.len() as u64,
             segment_loads: 0,
             segment_sheds: obs.segment_sheds.get(),

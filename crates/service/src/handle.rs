@@ -8,12 +8,13 @@
 //! labels keep working; writes are rejected once the run is no longer
 //! live).
 //!
-//! With the tiered label store a handle resolves to whichever tier held
-//! the run when the handle was taken: hot handles answer from the
-//! lock-free in-memory index, frozen handles walk the compact arena,
-//! persisted handles lazily map the snapshot segment in and walk that —
-//! allocation-free in every tier. The query API is identical across
-//! tiers.
+//! A handle holds the run's view as it was when the handle was taken:
+//! a hot handle answers from the lock-free in-memory index (and keeps
+//! doing so after a freeze), a sealed handle holds the run's one sealed
+//! run and so follows it through persist and re-heat — it walks the
+//! blob's heap copy while there is one, and lazily maps the pack in and
+//! walks that otherwise. Allocation-free either way; the query API is
+//! identical across tiers.
 
 use crate::engine::EngineShared;
 use crate::ingest::{apply, Entry, Op};
@@ -75,16 +76,18 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
         &self.ctx
     }
 
-    /// The storage tier this handle resolved to when it was taken (the
-    /// run itself may have tiered further since; take a fresh handle
-    /// from the engine to follow it).
+    /// The storage tier this handle reads from now: `Hot` for a handle
+    /// taken before the run froze (take a fresh handle to follow the
+    /// freeze), and for a sealed run a reading of where its blob sits —
+    /// `Frozen` while a heap copy is held, `Persisted` otherwise — which
+    /// follows persist and re-heat.
     pub fn tier(&self) -> Tier {
         self.view.tier()
     }
 
     /// True while queries through this handle cost no disk fault: always
-    /// for hot/frozen views, and for persisted views while the segment
-    /// arena is resident (loaded and not shed by the LRU).
+    /// for a hot view; for a sealed one while it holds a heap copy or its
+    /// mapped blob is resident (pinned in and not shed by the LRU).
     pub fn is_resident(&self) -> bool {
         self.view.is_resident()
     }
@@ -126,8 +129,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     /// two yourself (e.g. with a `flush` between them). Rejected with
     /// [`ServiceError::ShuttingDown`] once the engine has drained:
     /// "ingest is closed" covers every flavor, including this one.
-    /// Handles over frozen/persisted views reject writes with the run's
-    /// `Completed` status.
+    /// Handles over sealed runs reject writes with the run's `Completed`
+    /// status.
     pub fn submit(&self, ev: &ExecEvent) -> Result<(), ServiceError> {
         self.write(Op::Insert(ev))
     }
@@ -151,7 +154,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     }
 
     /// The published label of `v`, if any — an owned copy, cloned from
-    /// the hot index or decoded from the run's arena.
+    /// the hot index or decoded from the run's blob.
     pub fn label(&self, v: VertexId) -> Option<DrlLabel> {
         self.view.label(v)
     }

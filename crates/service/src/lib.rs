@@ -34,14 +34,15 @@
 //!   source?"), answered by iterating published label chunks lock-free;
 //! * the run registry is a **tiered label store** ([`Tier`]): live runs
 //!   are **hot** (decoded labels, allocation-free queries), completed
-//!   runs **freeze** into contiguous encoded arenas
-//!   ([`WfEngine::freeze_run`]), and frozen runs **spill** to versioned
-//!   disk snapshots ([`WfEngine::persist_run`]) that reload at build
-//!   time and are mapped lazily — with [`RunHandle::reach`] and
+//!   runs **freeze** into one sealed segment blob each
+//!   ([`WfEngine::freeze_run`]), held on the heap until it **spills** to
+//!   a versioned disk pack ([`WfEngine::persist_run`]) that reloads at
+//!   build time and is mapped lazily — with [`RunHandle::reach`] and
 //!   [`WfEngine::query`] answering tier-transparently. A background
 //!   tiering worker enforces [`EngineBuilder::freeze_after`] /
 //!   [`EngineBuilder::spill_dir`] in completion order, and
-//!   [`WfEngine::reheat_run`] brings a persisted run back to frozen;
+//!   [`WfEngine::reheat_run`] copies a persisted run's blob back onto
+//!   the heap;
 //! * [`WfEngine::stats`] reports engine-level activity (runs live and
 //!   completed, events enqueued/ingested, ingest backlog, label bits)
 //!   plus the per-tier byte footprints
@@ -109,7 +110,6 @@ mod watchdog;
 
 pub use builder::{EngineBuilder, DEFAULT_SLOW_OP_THRESHOLD, DEFAULT_TRACE_CAPACITY};
 pub use engine::{EngineMetrics, WfEngine, DEFAULT_MAX_VERTEX_ID};
-pub use freeze::FrozenRun;
 pub use handle::RunHandle;
 pub use query::{CrossRunQuery, ExplainQuery, Explained, SourceReach};
 pub use snapshot::SnapshotError;

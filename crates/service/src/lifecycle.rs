@@ -1,32 +1,28 @@
-//! The **run lifecycle**: the three operations that move a completed
-//! run between tiers, and the background worker that applies the
-//! automatic policy.
+//! The **run lifecycle**: the one transition a run makes — hot →
+//! sealed — the two residency changes of a sealed run, and the
+//! background worker that applies the automatic policy.
 //!
-//! A run's labels never change once published; what changes is their
-//! representation. Each operation builds the next representation off to
-//! the side — no registry lock held — and then asks the store to swap it
-//! in with one conditional [`crate::store::LabelStore::transition`]:
+//! A run's labels never change once published; what changes is where
+//! their bytes sit:
 //!
-//! | operation                     | from → to             |
-//! |-------------------------------|-----------------------|
-//! | [`EngineShared::freeze`]      | hot → frozen          |
-//! | [`EngineShared::persist`]     | frozen → persisted    |
-//! | [`EngineShared::reheat`]      | persisted → frozen    |
+//! | operation                 | what changes                                   | under                       |
+//! |---------------------------|------------------------------------------------|-----------------------------|
+//! | [`EngineShared::freeze`]  | hot → sealed: the blob is encoded on the heap  | the store's shard lock      |
+//! | [`EngineShared::persist`] | the heap blob is written as a pack of one, then dropped | the run's place lock |
+//! | [`EngineShared::reheat`]  | the mapped blob is copied back onto the heap   | the run's place lock        |
 //!
-//! A run's blob on disk is not a representation that comes and goes: it
-//! is written once, at the first persist, and the registration naming
-//! it ([`crate::snapshot::PersistedRun`]) then stays with the run — a
-//! re-heated run's frozen arena keeps it (`home`), so the blob stays
-//! live and listed in the manifest, and persisting the run again is a
-//! transition back to that registration: nothing is encoded or written.
-//! A pack rewrite is not a transition at all: it tells the registration
-//! where the blob went.
+//! Freeze encodes the blob off to the side — no registry lock held — and
+//! then asks the store to swap it in with the one conditional
+//! [`crate::store::LabelStore::transition`]. Persist and re-heat take no
+//! registry lock: the sealed run is one object the registry, every
+//! handle and every scan share, so they all follow. A blob is written
+//! once, at the first persist; after a re-heat, persisting again only
+//! drops the heap copy. A pack rewrite is not a residency change either:
+//! it tells the sealed run where its blob went.
 //!
-//! A mover that loses its race — the run was evicted, or someone else
-//! moved it first — reports through the one [`EngineShared::lost_race`]
-//! epilogue. [`Tiering`] owns everything the background worker needs:
-//! the policy and a [`Ticker`] — the completion queue with the thread's
-//! stop flag, its wakeup and its join handle.
+//! [`Tiering`] owns everything the background worker needs: the policy
+//! and a [`Ticker`] — the completion queue with the thread's stop flag,
+//! its wakeup and its join handle.
 
 use crate::engine::EngineShared;
 use crate::freeze::freeze_slot;
@@ -192,16 +188,9 @@ impl Tiering {
 }
 
 impl<S: SpecLabeling> EngineShared<S> {
-    /// A conditional transition found the run no longer where the mover
-    /// saw it: either someone else moved it (it is still registered —
-    /// nothing left to do) or an eviction removed it (report that).
-    fn lost_race(&self, run: RunId) -> Result<(), ServiceError> {
-        self.view(run).map(|_| ())
-    }
-
-    /// Freeze one completed run: compact its published labels into an
-    /// encoded arena and swap it in for the hot slot. Idempotent for
-    /// already-cold runs.
+    /// Freeze one completed run: seal its published labels into a
+    /// segment blob on the heap and swap it in for the hot slot.
+    /// Idempotent for already-sealed runs.
     ///
     /// The encode runs **without** the slot's writer lock: once a run is
     /// `Completed` its index is final (completion and inserts serialize
@@ -209,23 +198,22 @@ impl<S: SpecLabeling> EngineShared<S> {
     /// another freeze — both resolved by the conditional transition —
     /// and the encode is linear in the run's labels, so a stale queued
     /// event for the run is rejected at once instead of waiting out the
-    /// arena build of a 10⁵-vertex run.
+    /// blob build of a 10⁵-vertex run.
     pub(crate) fn freeze(&self, run: RunId) -> Result<(), ServiceError> {
         let RunView::Hot(slot) = self.view(run)? else {
-            return Ok(()); // already frozen or persisted
+            return Ok(()); // already sealed
         };
         match slot.status() {
             RunStatus::Completed => {}
             s => return Err(ServiceError::NotCompleted(run, s)),
         }
         let span = self.obs.timer();
-        let frozen = freeze_slot(run, &slot, &self.obs);
-        let labels = frozen.arena().len() as u64;
-        if !self
-            .store
-            .transition(run, Tier::Hot, RunView::Frozen(Arc::new(frozen)))
-        {
-            return self.lost_race(run);
+        let sealed = freeze_slot(run, &slot, &self.store.lru);
+        let labels = sealed.header().count;
+        if !self.store.transition(run, Arc::new(sealed)) {
+            // Someone else sealed it first (nothing left to do), or an
+            // eviction removed it (report that).
+            return self.view(run).map(drop);
         }
         self.obs.freezes.inc();
         self.obs.finish(
@@ -238,36 +226,26 @@ impl<S: SpecLabeling> EngineShared<S> {
         Ok(())
     }
 
-    /// Spill one run to disk: freeze it if still hot, write its pack
-    /// and the manifest, and replace the in-memory arena with a lazily
-    /// mapped persisted entry. A re-heated run already has its pack and
-    /// its manifest line: it goes back to the registration it was read
-    /// from, and nothing is written. Idempotent for already-persisted
-    /// runs.
+    /// Spill one run to disk: freeze it if still hot, write its blob as a
+    /// pack of one plus the manifest, and drop the heap copy. A re-heated
+    /// run already has its pack and its manifest line: only its heap copy
+    /// goes, and nothing is written. Idempotent for runs read from disk.
     pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
         let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         self.freeze(run)?;
-        let RunView::Frozen(frozen) = self.view(run)? else {
-            return Ok(()); // already persisted (or re-heated since)
+        // A sealed run never turns hot again.
+        let RunView::Sealed(sealed) = self.view(run)? else {
+            return Ok(());
         };
-        if let Some(home) = &frozen.home {
-            let back = RunView::Persisted(Arc::clone(home));
-            return if self.store.transition(run, Tier::Frozen, back) {
-                Ok(())
-            } else {
-                self.lost_race(run)
-            };
+        if spill.persist(&self.store, &sealed)? {
+            // The run is durable in its pack + manifest: stamp a WAL
+            // checkpoint and compact the shard, so the log keeps only the
+            // non-persisted suffix (recovery time ∝ hot state, not
+            // history). A checkpoint failure is non-fatal — the spill
+            // succeeded; recovery would simply skip the run's stale
+            // records because the manifest already lists it.
+            self.checkpoint_wal(run);
         }
-        if !spill.persist(&self.store, &frozen)? {
-            return self.lost_race(run);
-        }
-        // The run is durable in its pack + manifest: stamp a WAL
-        // checkpoint and compact the shard, so the log keeps only the
-        // non-persisted suffix (recovery time ∝ hot state, not
-        // history). A checkpoint failure is non-fatal — the spill
-        // succeeded; recovery would simply skip the run's stale records
-        // because the manifest already lists it.
-        self.checkpoint_wal(run);
         Ok(())
     }
 
@@ -282,41 +260,27 @@ impl<S: SpecLabeling> EngineShared<S> {
         }
     }
 
-    /// **Re-heat** one persisted run back to the frozen tier, straight
-    /// off its pinned mapping: the encoded arena is copied out (same
-    /// reader, no LRU in the way). The run stays `Completed`, and the
-    /// arena keeps the registration it was read from: the blob stays
-    /// live, the manifest keeps its line, and a crash brings the run
-    /// back persisted. Idempotent for runs already resident.
+    /// **Re-heat** one sealed run read from disk: copy its verified
+    /// mapped blob onto the heap, so reads stop touching the mapping. The
+    /// run stays `Completed`, and keeps its location: the blob stays
+    /// live, the manifest keeps its line, and a crash brings the run back
+    /// persisted. Idempotent for runs already resident on the heap (and
+    /// for hot runs).
     pub(crate) fn reheat(&self, run: RunId) -> Result<(), ServiceError> {
-        let view = self.view(run)?;
-        let RunView::Persisted(persisted) = &view else {
-            return Ok(()); // already resident
+        let RunView::Sealed(sealed) = self.view(run)? else {
+            return Ok(()); // hot: in memory already
         };
         let span = self.obs.timer();
-        // A first pin that failed names its cause; a label that rots
-        // under a verified checksum has none better than this.
-        let unreadable = || {
-            view.load_failure(run)
-                .unwrap_or_else(|| ServiceError::Snapshot(run, "a label no longer decodes".into()))
-        };
-        let pin = persisted.pin().ok_or_else(unreadable)?;
-        let frozen = pin.to_frozen().ok_or_else(unreadable)?;
-        drop(pin);
-        if !self
-            .store
-            .transition(run, Tier::Persisted, RunView::Frozen(frozen))
-        {
-            return self.lost_race(run);
+        if sealed.reheat(&self.store.tiers)? {
+            self.obs.reheats.inc();
+            self.obs.finish(
+                span,
+                &self.obs.h_reheat,
+                Some(run.0),
+                Some(tier_tag(Tier::Frozen)),
+                || format!("bytes={}", sealed.blob_len()),
+            );
         }
-        self.obs.reheats.inc();
-        self.obs.finish(
-            span,
-            &self.obs.h_reheat,
-            Some(run.0),
-            Some(tier_tag(Tier::Frozen)),
-            || format!("bytes={}", persisted.disk_bytes()),
-        );
         Ok(())
     }
 
@@ -342,7 +306,7 @@ impl<S: SpecLabeling> EngineShared<S> {
         // Completed hot runs ≤ hot runs: while the whole tier fits the
         // bound there is nothing to freeze, and an idle tick ends here
         // without walking the registry.
-        if self.store.tier_count(Tier::Hot) <= keep {
+        if self.store.tiers.get(Tier::Hot) <= keep {
             return;
         }
         let mut hot_completed = 0usize;

@@ -7,9 +7,9 @@
 //! fleet: every run is scanned through its one borrowed label reader
 //! ([`crate::store::Labels`]) — lock-free over a hot run's write-once
 //! chunk tables ([`crate::index::LabelIndex`]), through one arena reader
-//! ([`wf_drl::ArenaRef`]) over a frozen run's in-memory arena or a
-//! persisted run's lazily mapped segment — one scan, three tiers, no
-//! writer blocked anywhere. The matcher is handed borrowed labels
+//! ([`wf_drl::ArenaRef`]) over a sealed run's blob, its heap copy or
+//! its lazily mapped pack range — one scan, every tier, no writer
+//! blocked anywhere. The matcher is handed borrowed labels
 //! ([`wf_drl::LabelRef`]) and keeps only vertex ids: a name-scoped scan
 //! reads the slot table's names and touches label bytes only for
 //! vertices whose name matches.
@@ -152,10 +152,10 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// children when they clear the slow-op threshold, and into the
     /// active EXPLAIN profile, if any). The root span parents every
     /// bufmgr `pack_pin` leaf the scan triggers. The scan answers from
-    /// exactly the runs it snapshotted: a persisted view *is* the run's
-    /// registration, which a compaction rewrite landing
-    /// mid-scan relocates in place — the pin that follows reads the blob
-    /// where it is by then.
+    /// exactly the runs it snapshotted: a sealed view *is* the run's one
+    /// sealed object, which a compaction rewrite landing mid-scan
+    /// relocates in place — the pin that follows reads the blob where it
+    /// is by then.
     fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView<S>) -> Option<T>) -> Vec<T> {
         let obs = &self.shared.obs;
         let root = obs.begin();

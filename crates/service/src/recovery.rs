@@ -28,7 +28,7 @@
 use crate::engine::{route_worker, EngineShared};
 use crate::ingest::{apply, Entry, Op};
 use crate::slot::RunSlot;
-use crate::snapshot::PersistedRun;
+use crate::snapshot::SealedRun;
 use crate::store::RunView;
 use crate::telemetry::{Telemetry, WalTelemetry};
 use crate::{RunId, RunStatus, SpecId};
@@ -143,7 +143,7 @@ pub(crate) fn scan(
     workers: usize,
     sync: WalSync,
     obs: &Arc<Telemetry>,
-    persisted: &[Arc<PersistedRun>],
+    persisted: &[Arc<SealedRun>],
     catalog_len: usize,
 ) -> Recovered {
     let rec = match wf_wal::recover(dir) {

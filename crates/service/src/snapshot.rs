@@ -1,6 +1,7 @@
-//! The **persisted tier**: frozen label arenas snapshotted to disk in a
-//! versioned binary segment format with a manifest, loadable at engine
-//! build time so historical runs keep answering cross-run queries.
+//! **Sealed runs**: a completed run is one immutable segment blob, in a
+//! versioned binary format with a manifest, whose bytes sit on the heap,
+//! in a pack file on disk, or both — loadable at engine build time so
+//! historical runs keep answering cross-run queries.
 //!
 //! A *segment blob* holds one run (format version 3, all integers
 //! little-endian):
@@ -39,33 +40,39 @@
 //! ([`wf_wal::fsync_dir`]) — a crash cannot leave the manifest pointing
 //! at unsynced segments (sync failures surface as the typed
 //! [`SnapshotError::Sync`]).
-//! Every persisted read goes through the file's mapping
+//! Every read from disk goes through the file's mapping
 //! ([`crate::bufmgr`]): framing and checksum are verified once, at first
 //! pin, and labels are read in place through the same
-//! [`wf_drl::ArenaRef`] a frozen run uses; a truncated or corrupted blob
-//! is rejected with a typed error — kept on the registration, so every
-//! later read names the cause — never a panic.
+//! [`wf_drl::ArenaRef`] a heap copy lends; a truncated or corrupted blob
+//! is rejected with a typed error — kept on the run, so every later read
+//! names the cause — never a panic.
 //!
-//! A run has **one registration** ([`PersistedRun`]) for as long as it
-//! has a blob on disk. The blob is immutable; what a rewrite changes is
-//! where it lies, and the registration is told so in place
-//! ([`PersistedRun::relocate`]) under the same lock a first pin reads the
-//! location through. That lock plus the `Arc` a [`SegmentPin`] holds on
-//! the mapping it resolved is the whole reader protection: whoever holds
-//! a registration can read it to the end, wherever the blob has moved.
+//! A completed run is **one object**, a `SealedRun`, from freeze to
+//! eviction. Freeze encodes its blob into one heap buffer; persisting
+//! writes those bytes, unchanged, as a pack of one and drops the heap
+//! copy; re-heating copies the verified mapped range back onto the heap.
+//! Persist and re-heat are residency changes of the same blob, made under
+//! the run's one *place lock*, and [`crate::Tier`] is a reading of it:
+//! `Frozen` while a heap copy is held, `Persisted` otherwise. The blob on
+//! disk is immutable; what a rewrite changes is where it lies, and the
+//! run is told so in place (`SealedRun::relocate`) under the same lock a
+//! first pin reads the location through. That lock plus the `Arc` a pin
+//! holds on the mapping it resolved is the whole reader protection:
+//! whoever holds a sealed run can read it to the end, wherever its bytes
+//! have moved. Eviction, a sealed run's only exit, is settled under that
+//! lock too.
 
 use crate::bufmgr::{MappedRun, PackFile};
-use crate::freeze::FrozenRun;
-use crate::store::SegmentLru;
+use crate::store::{SegmentLru, Tier, TierCounts};
 use crate::telemetry::with_profile;
-use crate::{RunId, SpecId};
+use crate::{RunId, ServiceError, SpecId};
 use std::fmt;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use wf_drl::{ArenaRef, ArenaSlot};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use wf_drl::{ArenaRef, ArenaSlot, LabelArena};
 use wf_graph::VertexId;
 use wf_wal::fnv1a;
 
@@ -91,7 +98,7 @@ pub const PACK_MAX_RUNS: usize = 1024;
 pub const PACK_TARGET_BYTES: u64 = 64 << 20;
 
 /// Byte length of the fixed segment header.
-pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8;
+const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8;
 const CHECKSUM_LEN: usize = 8;
 
 /// Errors reading or writing snapshot segments.
@@ -127,38 +134,8 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| SnapshotError::Format("truncated segment".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 /// Fixed-size segment header — everything the engine needs to register a
-/// persisted run *without* reading its arena (the lazy-load metadata).
+/// sealed run *without* reading its arena (the lazy-load metadata).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentHeader {
     /// The run the segment holds.
@@ -180,37 +157,29 @@ pub struct SegmentHeader {
 }
 
 fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
-    let mut r = ByteReader::new(bytes);
-    let magic = r.take(8)?;
-    if magic != SEGMENT_MAGIC {
+    let h = bytes
+        .get(..HEADER_LEN)
+        .ok_or_else(|| SnapshotError::Format("truncated segment".into()))?;
+    let u32_at = |i: usize| u32::from_le_bytes(h[i..i + 4].try_into().expect("4 header bytes"));
+    let u64_at = |i: usize| u64::from_le_bytes(h[i..i + 8].try_into().expect("8 header bytes"));
+    if h[..8] != SEGMENT_MAGIC {
         return Err(SnapshotError::Format("bad magic".into()));
     }
-    let version = r.u32()?;
+    let version = u32_at(8);
     if version != SEGMENT_VERSION {
         return Err(SnapshotError::Format(format!(
             "unsupported segment version {version}"
         )));
     }
-    let run = RunId(r.u64()?);
-    let spec = SpecId(r.u32()? as usize);
-    let skl_bits = r.u32()?;
-    let source = match r.u32()? {
-        u32::MAX => None,
-        v => Some(VertexId(v)),
-    };
-    let count = r.u32()?;
-    let arena_len = r.u64()?;
-    let drl_bits = r.u64()?;
-    let frozen_at = r.u64()?;
     Ok(SegmentHeader {
-        run,
-        spec,
-        skl_bits,
-        source,
-        count,
-        arena_len,
-        drl_bits,
-        frozen_at,
+        run: RunId(u64_at(12)),
+        spec: SpecId(u32_at(20) as usize),
+        skl_bits: u32_at(24),
+        source: Some(VertexId(u32_at(28))).filter(|v| v.0 != u32::MAX),
+        count: u32_at(32),
+        arena_len: u64_at(36),
+        drl_bits: u64_at(44),
+        frozen_at: u64_at(52),
     })
 }
 
@@ -228,10 +197,9 @@ pub(crate) fn pack_file_seq(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Serialize a frozen run into a segment blob.
-pub fn encode_segment(frozen: &FrozenRun) -> Vec<u8> {
-    let arena = frozen.arena();
-    let h = frozen.header();
+/// Serialize the header `h` and the label `arena` it describes into a
+/// segment blob — the one encoder, which freeze runs once per run.
+pub fn encode_segment(h: &SegmentHeader, arena: &LabelArena) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + arena.footprint_bytes() + CHECKSUM_LEN);
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
@@ -288,36 +256,27 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
     Ok(header)
 }
 
-/// Parse and fully validate segment bytes — framing, checksum, **and
-/// every label** — back into a [`FrozenRun`].
-pub fn decode_segment(bytes: &[u8]) -> Result<FrozenRun, SnapshotError> {
-    let header = verify_segment_bytes(bytes)?;
-    let mut r = ByteReader::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
-    let slots = r.take(header.count as usize * ArenaSlot::WIRE_BYTES)?;
-    let arena_bytes = r.take(header.arena_len as usize)?;
-    let arena = ArenaRef::new(slots, arena_bytes, header.skl_bits as usize);
-    frozen_from(&header, arena, None)
-        .ok_or_else(|| SnapshotError::Format("arena validation failed".into()))
+/// The labels of a blob whose framing matches `header`, read in place:
+/// the slot table and the label heap sit back to back after the header.
+/// The one blob → reader step, for a heap copy and a mapped range alike.
+fn blob_arena<'a>(blob: &'a [u8], header: &SegmentHeader) -> ArenaRef<'a> {
+    let body = &blob[HEADER_LEN..];
+    let (slots, rest) = body.split_at(header.count as usize * ArenaSlot::WIRE_BYTES);
+    ArenaRef::new(
+        slots,
+        &rest[..header.arena_len as usize],
+        header.skl_bits as usize,
+    )
 }
 
-/// The one blob → [`FrozenRun`] constructor: the run `header` describes,
-/// over an owned, fully re-validated copy of the labels `arena` lends.
-/// `None` if a label does not validate.
-fn frozen_from(
-    header: &SegmentHeader,
-    arena: ArenaRef<'_>,
-    home: Option<Arc<PersistedRun>>,
-) -> Option<FrozenRun> {
-    Some(FrozenRun {
-        run: header.run,
-        spec: header.spec,
-        source: header.source,
-        arena: arena.to_arena()?,
-        drl_bits: header.drl_bits,
-        frozen_at: header.frozen_at,
-        queries: AtomicU64::new(0),
-        home,
-    })
+/// Parse and fully validate segment bytes — framing, checksum, **and
+/// every label** — back into the header and an owned label arena.
+pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentHeader, LabelArena), SnapshotError> {
+    let header = verify_segment_bytes(bytes)?;
+    let arena = blob_arena(bytes, &header)
+        .to_arena()
+        .ok_or_else(|| SnapshotError::Format("arena validation failed".into()))?;
+    Ok((header, arena))
 }
 
 /// Atomically materialize `bytes` at `path` inside `dir`: the one
@@ -432,115 +391,153 @@ pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
     Ok(entries)
 }
 
-/// Load state of a persisted run's blob: cold, resolved, or known-bad.
+/// Load state of a blob at its pack location: cold, resolved, or
+/// known-bad.
 #[derive(Debug)]
 enum LoadState {
-    /// Never pinned at this place; the next query maps the file (if
-    /// nobody has yet) and verifies the blob.
+    /// Never pinned at this place; the next read from disk maps the file
+    /// (if nobody has yet) and verifies the blob.
     Unloaded,
     /// Resolved to a byte range inside the file's mapping: verified
-    /// once, then served zero-copy. Eviction `madvise`s the pages away,
+    /// once, then served zero-copy. A shed `madvise`s the pages away,
     /// but this state — the parsed metadata — stays until the blob moves.
     Mapped(Arc<MappedRun>),
     /// A load failed (the blob vanished or was corrupted after
-    /// registration); cached with its cause, so queries degrade to "no
+    /// registration); cached with its cause, so reads degrade to "no
     /// labels" instead of re-reading a broken file and the engine's
     /// fallible reads can say why.
     Failed(SnapshotError),
 }
 
-/// Where a registration's blob is right now, and what has been resolved
-/// there. One lock guards all of it, so a reader opens the location it
-/// read and a rewrite moves the blob between two reads, never during
-/// one.
+/// A blob's pack location, and what has been resolved there.
 #[derive(Debug)]
-struct Place {
+struct Disk {
     /// The pack file the blob lives in, shared with every other run
-    /// registered in it; reads resolve through its mapping.
+    /// written to it; reads resolve through its mapping.
     file: Arc<PackFile>,
     offset: u64,
     state: LoadState,
 }
 
-/// A run's **registration** in the spill directory: created when its
-/// blob is first written (or from a manifest line at engine build),
-/// *relocated in place* when a rewrite moves the blob
-/// ([`Self::relocate`]), kept by the run's frozen arena across a
-/// re-heat, dropped at eviction — one per run for as long as
-/// the run has a blob on disk, whichever tier serves it. Its bytes are
-/// **mapped and verified lazily** on first query. Residency is governed
-/// by the store's [`SegmentLru`]: every pin-in registers there, and when
-/// the resident-byte budget is exceeded the least-recently-used blobs
-/// have their pages `madvise`d away — so a persisted run that turns hot
-/// reads at page-cache speed, and cools back to zero resident bytes when
-/// the traffic moves on.
+impl Disk {
+    fn at(file: Arc<PackFile>, offset: u64) -> Self {
+        Self {
+            file,
+            offset,
+            state: LoadState::Unloaded,
+        }
+    }
+}
+
+/// Where a sealed run's blob is held. At least one of the two is set.
 #[derive(Debug)]
-pub struct PersistedRun {
-    pub(crate) run: RunId,
-    pub(crate) spec: SpecId,
-    pub(crate) source: Option<VertexId>,
-    pub(crate) published: usize,
-    /// Length of this run's blob on disk (not the whole file: packs
-    /// share one file among many runs). A rewrite copies blobs verbatim,
-    /// so the length never changes with the place.
-    disk_bytes: u64,
-    pub(crate) frozen_at: u64,
+struct Place {
+    /// The blob on the heap: from freeze until the first persist, and
+    /// again after a re-heat. Reads take it first, so while it is held
+    /// the run reads as [`Tier::Frozen`].
+    heap: Option<Arc<[u8]>>,
+    /// The blob's pack location, from the first persist (or the manifest
+    /// line the run was registered from) until the eviction.
+    disk: Option<Disk>,
+    /// Set once, by the eviction: nothing moves the run between tiers or
+    /// admits it to the replacer afterwards, while reads through a stale
+    /// handle go on.
+    evicted: bool,
+}
+
+impl Place {
+    fn tier(&self) -> Tier {
+        if self.heap.is_some() {
+            Tier::Frozen
+        } else {
+            Tier::Persisted
+        }
+    }
+
+    /// The resolved mapped range, if the blob has one.
+    fn mapped(&self) -> Option<&Arc<MappedRun>> {
+        match &self.disk.as_ref()?.state {
+            LoadState::Mapped(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// Why reads of a run served from disk come back empty, once its
+    /// first pin failed.
+    fn failure(&self) -> Option<&SnapshotError> {
+        match &self.disk.as_ref()?.state {
+            LoadState::Failed(cause) if self.heap.is_none() => Some(cause),
+            _ => None,
+        }
+    }
+}
+
+/// A **sealed run**: a completed run's one segment blob, held on the heap,
+/// at a pack location, or both, from freeze until eviction. Its bytes
+/// on disk are **mapped and verified lazily** at the first read that
+/// needs them. Residency of the mapped range is governed by the store's
+/// [`SegmentLru`]: every pin-in registers there, and when the
+/// resident-byte budget is exceeded the least-recently-used ranges have
+/// their pages `madvise`d away — so a persisted run that turns hot reads
+/// at page-cache speed, and cools back to zero resident bytes when the
+/// traffic moves on. A heap copy is not the replacer's business.
+#[derive(Debug)]
+pub(crate) struct SealedRun {
+    header: SegmentHeader,
+    /// Length of the blob (not of its pack: packs share one file among
+    /// many runs). A rewrite copies blobs verbatim, so it never changes.
+    len: u64,
     place: RwLock<Place>,
-    /// Live [`SegmentPin`] count. A pinned blob is never a replacer
+    /// Live [`SegmentPin`] count. A pinned range is never a replacer
     /// victim, so a scan iterating labels off the mapping cannot have
     /// its pages `madvise`d away mid-visit.
     pins: AtomicU32,
-    /// Whether the blob counts as resident in the replacer. Only
+    /// Whether the mapped range counts as resident in the replacer. Only
     /// [`Self::set_resident`] flips it, and every flip moves the LRU's
     /// byte total by the blob's length, so the two cannot drift.
     resident: AtomicBool,
-    /// LRU recency stamp (the store's logical clock at last query).
+    /// LRU recency stamp (the store's logical clock at last read from
+    /// disk).
     pub(crate) last_access: AtomicU64,
-    /// Set while the run is served from memory (re-heated) or gone
-    /// (evicted), cleared when it is served from here again: a pin-in
-    /// through a stale handle must not enter the LRU meanwhile.
-    pub(crate) retired: AtomicBool,
     lru: Arc<SegmentLru>,
-    /// Queries answered over the run's lifetime (the store's tier
-    /// transition carries the count from one representation to the
-    /// next, so engine-wide `queries_answered` stays monotone).
+    /// Queries answered over the run's lifetime (carried in from the hot
+    /// slot by the freeze transition, so engine-wide `queries_answered`
+    /// stays monotone).
     pub(crate) queries: AtomicU64,
 }
 
-impl PersistedRun {
-    /// Register the blob described by `header`, `len` bytes at `offset`
-    /// of `file`. Nothing is read: the bytes are mapped only when
-    /// queried, which keeps the memory release of persisting real.
-    pub(crate) fn new(
-        header: &SegmentHeader,
-        file: Arc<PackFile>,
-        offset: u64,
+impl SealedRun {
+    fn new(
+        header: SegmentHeader,
         len: u64,
+        heap: Option<Arc<[u8]>>,
+        disk: Option<Disk>,
         lru: Arc<SegmentLru>,
     ) -> Self {
         Self {
-            run: header.run,
-            spec: header.spec,
-            source: header.source,
-            published: header.count as usize,
-            disk_bytes: len,
-            frozen_at: header.frozen_at,
+            header,
+            len,
             place: RwLock::new(Place {
-                file,
-                offset,
-                state: LoadState::Unloaded,
+                heap,
+                disk,
+                evicted: false,
             }),
             pins: AtomicU32::new(0),
             resident: AtomicBool::new(false),
             last_access: AtomicU64::new(0),
-            retired: AtomicBool::new(false),
             lru,
             queries: AtomicU64::new(0),
         }
     }
 
+    /// A run just frozen: its encoded `blob` on the heap, no location yet.
+    pub(crate) fn on_heap(header: SegmentHeader, blob: Vec<u8>, lru: Arc<SegmentLru>) -> Self {
+        Self::new(header, blob.len() as u64, Some(blob.into()), None, lru)
+    }
+
     /// Register a manifest entry of `file` by reading its blob header
-    /// only.
+    /// only. Nothing else is read: the bytes are mapped only when
+    /// queried, which keeps the memory release of persisting real.
     pub(crate) fn open_entry(
         file: Arc<PackFile>,
         entry: &ManifestEntry,
@@ -553,155 +550,268 @@ impl PersistedRun {
                 entry.run, header.run
             )));
         }
-        Ok(Self::new(&header, file, entry.offset, entry.bytes, lru))
+        let disk = Disk::at(file, entry.offset);
+        Ok(Self::new(header, entry.bytes, None, Some(disk), lru))
     }
 
-    /// The run this segment holds.
-    pub fn run(&self) -> RunId {
-        self.run
+    /// The run this blob holds.
+    pub(crate) fn run(&self) -> RunId {
+        self.header.run
     }
 
-    /// On-disk size of the run's blob.
-    pub fn disk_bytes(&self) -> u64 {
-        self.disk_bytes
+    /// The blob's header.
+    pub(crate) fn header(&self) -> &SegmentHeader {
+        &self.header
     }
 
-    /// Where the blob is right now: its pack file, and its byte offset
-    /// and length within it.
-    pub fn place(&self) -> (Arc<PackFile>, u64, u64) {
-        let g = self.place.read().expect("segment place poisoned");
-        (Arc::clone(&g.file), g.offset, self.disk_bytes)
+    /// The blob's length, framing included.
+    pub(crate) fn blob_len(&self) -> u64 {
+        self.len
     }
 
-    /// A rewrite copied the blob to `offset` of `file`: point the
-    /// registration there. Every holder — the store, a handle, a scan's
-    /// snapshot — follows, because they hold this object and the next
-    /// first pin reads the place under the same lock; a [`SegmentPin`]
-    /// taken before the move keeps the mapping it resolved until it
-    /// drops. The caller unlinks the old file only after this returns,
-    /// so no reader ever opens a location that is gone.
-    pub(crate) fn relocate(&self, file: Arc<PackFile>, offset: u64) {
-        let mut g = self.place.write().expect("segment place poisoned");
-        *g = Place {
-            file,
-            offset,
-            state: LoadState::Unloaded,
-        };
-        // The old range's pages are no longer reachable from here. No
-        // pin can flip the flag back while the place lock is held; the
-        // entry this may leave in the LRU's candidate map has nothing to
-        // shed and is dropped the next time the run exits.
-        self.set_resident(false);
+    /// The slot table and label heap alone: what a heap copy holds beyond
+    /// the blob's fixed header and checksum.
+    pub(crate) fn arena_bytes(&self) -> u64 {
+        self.len.saturating_sub((HEADER_LEN + CHECKSUM_LEN) as u64)
     }
 
-    /// Flip the residency flag, moving the LRU's byte total with it.
-    /// Returns whether the flag changed.
-    pub(crate) fn set_resident(&self, on: bool) -> bool {
-        if self.resident.swap(on, Ordering::AcqRel) == on {
-            return false;
+    // A poisoned place lock is recovered, not propagated: every write
+    // under it is a single assignment or flag flip that leaves a readable
+    // place, so a holder that panicked left nothing half-done.
+    fn read(&self) -> RwLockReadGuard<'_, Place> {
+        self.place.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Place> {
+        self.place.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `Frozen` while a heap copy is held, `Persisted` otherwise.
+    pub(crate) fn tier(&self) -> Tier {
+        self.read().tier()
+    }
+
+    /// True when a read costs no disk fault: a heap copy is held, or the
+    /// mapped range is pinned in and not yet shed by the LRU.
+    pub(crate) fn is_resident(&self) -> bool {
+        self.read().heap.is_some() || self.resident.load(Ordering::Acquire)
+    }
+
+    /// Where the blob lies on disk, if it has been written: its pack file
+    /// and its byte offset within it.
+    pub(crate) fn location(&self) -> Option<(Arc<PackFile>, u64)> {
+        let place = self.read();
+        let disk = place.disk.as_ref()?;
+        Some((Arc::clone(&disk.file), disk.offset))
+    }
+
+    /// Why the run's first pin failed, while it is served from disk
+    /// (sticky): the blob no longer reads back cleanly, so retrying is
+    /// pointless until the blob moves.
+    pub(crate) fn load_failure(&self) -> Option<SnapshotError> {
+        self.read().failure().cloned()
+    }
+
+    /// Lend the run's labels to `f`: off the heap copy under the read
+    /// lock — no clock tick, no pin — or off the pinned mapping, which
+    /// stays pinned for the whole of `f`. `None` when the blob no longer
+    /// reads back cleanly from disk.
+    pub(crate) fn with_labels<R>(self: &Arc<Self>, f: impl FnOnce(ArenaRef<'_>) -> R) -> Option<R> {
+        let place = self.read();
+        if let Some(blob) = &place.heap {
+            return Some(f(blob_arena(blob, &self.header)));
         }
-        self.lru.account(self.disk_bytes, on);
-        true
+        self.last_access.store(self.lru.tick(), Ordering::Relaxed);
+        let pin = match place.mapped() {
+            Some(m) => self.pin(&place, m),
+            None => {
+                // The slow path, under the write lock: resolve, then pin.
+                drop(place);
+                let mut place = self.write();
+                let m = self.resolve(&mut place)?;
+                self.pin(&place, &m)
+            }
+        };
+        Some(f(blob_arena(pin.mapped.blob(), &self.header)))
     }
 
-    /// Pin an already-resolved range (call with the place lock held, so
-    /// neither the shed path nor a relocation can slip between the two
-    /// steps). A range the replacer `madvise`d away pins back in — the
-    /// pages re-fault lazily underneath — and must be re-admitted to the
-    /// LRU: returns whether. A retired registration (read through a
-    /// stale handle) is not the replacer's business.
-    fn repin(&self) -> bool {
+    /// Pin the resolved range `m`, with the place lock held, so neither a
+    /// shed, a relocation nor the eviction can slip in between. A range
+    /// that does not count as resident — never pinned at this place, or
+    /// shed since — enters the replacer, unless the run is read from the
+    /// heap or evicted: a read through a stale handle is not the
+    /// replacer's business.
+    fn pin(self: &Arc<Self>, place: &Place, m: &Arc<MappedRun>) -> SegmentPin<'_> {
         self.pins.fetch_add(1, Ordering::AcqRel);
-        if !self.retired.load(Ordering::Acquire) && self.set_resident(true) {
+        if place.heap.is_none() && !place.evicted && self.set_resident(true) {
             self.lru.obs.pack_pins.inc();
             with_profile(|p| p.pack_pins += 1);
-            true
+            self.lru.enter(Arc::clone(self));
         } else {
             with_profile(|p| p.verifies_skipped += 1);
-            false
+        }
+        SegmentPin {
+            run: self,
+            mapped: Arc::clone(m),
         }
     }
 
-    /// The slow path of [`Self::pin`], under the place write lock: map
-    /// the file the blob is in *now* (if no other run of the pack has
-    /// yet), run the blob's one verification pass — framing + checksum;
-    /// labels decode lazily later — and pin the resolved range. A
-    /// failure is sticky for this place only; the file handle caches
-    /// nothing but a successful map.
-    fn first_pin(&self) -> Option<(Arc<MappedRun>, bool)> {
-        let mut g = self.place.write().expect("segment place poisoned");
-        match &g.state {
-            LoadState::Mapped(m) => return Some((Arc::clone(m), self.repin())),
+    /// Under the place write lock: map the file the blob is in *now* (if
+    /// no other run of the pack has yet) and run the blob's one
+    /// verification pass — framing + checksum, and that it is the blob
+    /// registered here; labels decode lazily later. A failure is sticky
+    /// for this place only; the file handle caches nothing but a
+    /// successful map.
+    fn resolve(&self, place: &mut Place) -> Option<Arc<MappedRun>> {
+        let disk = place.disk.as_mut()?;
+        match &disk.state {
+            LoadState::Mapped(m) => return Some(Arc::clone(m)),
             LoadState::Failed(_) => return None,
             LoadState::Unloaded => {}
         }
         let obs = &self.lru.obs;
         let span = obs.timer();
-        let resolved = g
+        let resolved = disk
             .file
             .mapping()
             .map_err(SnapshotError::from)
-            .and_then(|map| MappedRun::resolve(map, g.offset, self.disk_bytes));
-        let m = match resolved {
-            Ok(m) => m,
+            .and_then(|map| MappedRun::resolve(map, disk.offset, self.len, &self.header));
+        match resolved {
+            Ok(m) => {
+                obs.finish(
+                    span,
+                    &obs.h_pack_pin,
+                    Some(self.run().0),
+                    Some("persisted"),
+                    || format!("bytes={}", self.len),
+                );
+                let m = Arc::new(m);
+                disk.state = LoadState::Mapped(Arc::clone(&m));
+                Some(m)
+            }
             Err(cause) => {
                 obs.event(
                     "pack_pin_failed",
-                    Some(self.run.0),
+                    Some(self.run().0),
                     Some("persisted"),
-                    || format!("file={} cause={cause}", g.file.path().display()),
+                    || format!("file={} cause={cause}", disk.file.path().display()),
                 );
-                g.state = LoadState::Failed(cause);
-                return None;
+                disk.state = LoadState::Failed(cause);
+                None
+            }
+        }
+    }
+
+    /// **Persist**: hand the heap blob to `write` — which lands it as a
+    /// pack of one — unless the run already has a location, then drop the
+    /// heap copy. `Ok(true)` when `write` ran. The write runs outside the
+    /// place lock, so readers keep reading the heap copy meanwhile; an
+    /// eviction that lands during it wins, and the pack just written is
+    /// an orphan the next compaction sweeps.
+    pub(crate) fn persist(
+        &self,
+        tiers: &TierCounts,
+        write: impl FnOnce(&[u8]) -> Result<Arc<PackFile>, SnapshotError>,
+    ) -> Result<bool, ServiceError> {
+        let gone = || ServiceError::UnknownRun(self.run());
+        let blob = {
+            let mut place = self.write();
+            if place.evicted {
+                return Err(gone());
+            }
+            if place.disk.is_some() {
+                if place.heap.take().is_some() {
+                    tiers.moved(Some(Tier::Frozen), Some(Tier::Persisted));
+                }
+                return Ok(false);
+            }
+            match &place.heap {
+                Some(blob) => Arc::clone(blob),
+                None => return Ok(false),
             }
         };
-        obs.finish(
-            span,
-            &obs.h_pack_pin,
-            Some(self.run.0),
-            Some("persisted"),
-            || format!("bytes={}", self.disk_bytes),
-        );
-        let m = Arc::new(m);
-        g.state = LoadState::Mapped(Arc::clone(&m));
-        Some((m, self.repin()))
-    }
-
-    /// Pin the run's bytes for reading. The first pin maps and verifies
-    /// ([`Self::first_pin`]); every later pin is zero-copy. The pin makes
-    /// the blob ineligible for eviction until dropped; `None` if the
-    /// blob no longer reads back cleanly.
-    ///
-    /// The pin count is taken while the place lock is held; the shed
-    /// path re-checks it under the (try-)write lock, so a blob can
-    /// never be evicted between resolve and pin.
-    pub(crate) fn pin(self: &Arc<Self>) -> Option<SegmentPin> {
-        self.last_access.store(self.lru.tick(), Ordering::Relaxed);
-        let resolved = match &self.place.read().expect("segment place poisoned").state {
-            LoadState::Mapped(m) => Some((Arc::clone(m), self.repin())),
-            LoadState::Failed(_) => return None,
-            LoadState::Unloaded => None,
-        };
-        let (mapped, admit) = match resolved {
-            Some(r) => r,
-            None => self.first_pin()?,
-        };
-        // Register outside the place lock: the LRU's shed path takes
-        // place locks under its own mutex, so nesting the other way
-        // around here would risk an ordering inversion.
-        if admit {
-            self.lru.admit(Arc::clone(self));
+        let file = write(&blob).map_err(|e| ServiceError::Snapshot(self.run(), e.to_string()))?;
+        let mut place = self.write();
+        if place.evicted {
+            return Err(gone());
         }
-        Some(SegmentPin {
-            run: Arc::clone(self),
-            mapped,
-        })
+        place.disk = Some(Disk::at(file, 0));
+        place.heap = None;
+        tiers.moved(Some(Tier::Frozen), Some(Tier::Persisted));
+        Ok(true)
     }
 
-    /// True while the blob counts as resident — pinned in and not yet
-    /// `madvise`d away.
-    pub fn is_loaded(&self) -> bool {
-        self.resident.load(Ordering::Acquire)
+    /// **Re-heat**: copy the verified mapped range onto the heap, so
+    /// reads stop touching the mapping. The location stays — the blob is
+    /// still listed, and a restart brings the run back persisted — and
+    /// the replacer stops counting the range (its pages are left to a
+    /// later pin or shed). `Ok(false)` when a heap copy is already held.
+    pub(crate) fn reheat(&self, tiers: &TierCounts) -> Result<bool, ServiceError> {
+        let mut place = self.write();
+        if place.evicted {
+            return Err(ServiceError::UnknownRun(self.run()));
+        }
+        if place.heap.is_some() {
+            return Ok(false);
+        }
+        let Some(m) = self.resolve(&mut place) else {
+            let cause = place
+                .failure()
+                .map_or("no blob".into(), SnapshotError::to_string);
+            return Err(ServiceError::Snapshot(self.run(), cause));
+        };
+        place.heap = Some(m.blob().into());
+        tiers.moved(Some(Tier::Persisted), Some(Tier::Frozen));
+        self.lru.leave(self.run());
+        self.set_resident(false);
+        Ok(true)
+    }
+
+    /// A rewrite copied the blob to `offset` of `file`: point the run
+    /// there. Every holder — the store, a handle, a scan's snapshot —
+    /// follows, because they hold this object and the next first pin
+    /// reads the place under the same lock; a [`SegmentPin`] taken
+    /// before the move keeps the mapping it resolved until it drops. The
+    /// caller unlinks the old file only after this returns, so no reader
+    /// ever opens a location that is gone.
+    pub(crate) fn relocate(&self, file: Arc<PackFile>, offset: u64) {
+        let mut place = self.write();
+        place.disk = Some(Disk::at(file, offset));
+        // Nothing is resident at the new place yet.
+        self.lru.leave(self.run());
+        self.set_resident(false);
+    }
+
+    /// **Evict**, a sealed run's only exit: leave its tier and the
+    /// replacer, and hand the mapped pages back unless a reader still has
+    /// them pinned. Settled under the place lock, so a pin through a
+    /// stale handle afterwards reads on without entering the replacer,
+    /// and a persist or re-heat after it changes nothing.
+    pub(crate) fn evict(&self, tiers: &TierCounts) {
+        let mut place = self.write();
+        place.evicted = true;
+        tiers.moved(Some(place.tier()), None);
+        self.lru.leave(self.run());
+        if self.set_resident(false) && !self.pinned() {
+            if let Some(m) = place.mapped() {
+                m.advise_dont_need();
+            }
+        }
+    }
+
+    /// Flip the residency flag, moving the LRU's byte total with it.
+    /// Returns whether the flag changed.
+    fn set_resident(&self, on: bool) -> bool {
+        if self.resident.swap(on, Ordering::AcqRel) == on {
+            return false;
+        }
+        let total = &self.lru.resident_bytes;
+        if on {
+            total.fetch_add(self.len, Ordering::Relaxed);
+        } else {
+            total.fetch_sub(self.len, Ordering::Relaxed);
+        }
+        true
     }
 
     /// Live pin count (replacer victim filtering).
@@ -709,64 +819,39 @@ impl PersistedRun {
         self.pins.load(Ordering::Acquire) > 0
     }
 
-    /// Why the run's first pin failed, once it has (sticky): the blob no
-    /// longer reads back cleanly, so retrying is pointless until the
-    /// blob moves.
-    pub fn load_failure(&self) -> Option<SnapshotError> {
-        match &self.place.read().expect("segment place poisoned").state {
-            LoadState::Failed(cause) => Some(cause.clone()),
-            _ => None,
-        }
-    }
-
-    /// Evict the resident blob (replacer eviction): the range keeps its
+    /// Shed the resident range (replacer eviction): the range keeps its
     /// metadata but hands its pages back to the kernel with
     /// `madvise(DONTNEED)`. Non-blocking and pin-aware: returns `None`
-    /// if the place lock is contended (a first pin or query is
+    /// if the place lock is contended (a first pin or a read is
     /// mid-flight), a pin is live, or nothing is resident; the bytes
     /// freed otherwise.
     pub(crate) fn shed(&self) -> Option<u64> {
-        let g = self.place.try_write().ok()?;
+        let place = match self.place.try_write() {
+            Ok(place) => place,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
         // Re-checked under the write lock: a pin taken under the read
         // lock has either completed (visible here) or is blocked on us.
-        if self.pins.load(Ordering::Acquire) > 0 {
+        if self.pinned() {
             return None;
         }
-        match &g.state {
-            LoadState::Mapped(m) if self.set_resident(false) => {
-                m.advise_dont_need();
-                Some(self.disk_bytes)
-            }
-            _ => None,
-        }
+        let m = place.mapped()?;
+        self.set_resident(false).then(|| {
+            m.advise_dont_need();
+            self.len
+        })
     }
 }
 
-/// A pinned view of one persisted run's labels. While the pin lives, the
-/// replacer will not evict the blob's pages; dropping it unpins. All
-/// label reads go through [`Self::arena`], straight off the mapping.
-pub struct SegmentPin {
-    run: Arc<PersistedRun>,
+/// A pinned mapped range of one sealed run. While the pin lives, the
+/// replacer will not shed its pages; dropping it unpins.
+struct SegmentPin<'a> {
+    run: &'a SealedRun,
     mapped: Arc<MappedRun>,
 }
 
-impl SegmentPin {
-    /// The run's labels, read in place.
-    pub(crate) fn arena(&self) -> ArenaRef<'_> {
-        self.mapped.arena()
-    }
-
-    /// Materialize an owned, fully re-validated [`FrozenRun`] out of the
-    /// mapping — the re-heat path; the copy keeps the registration it
-    /// was read from as its home. `None` if the mapped bytes no longer
-    /// validate.
-    pub(crate) fn to_frozen(&self) -> Option<Arc<FrozenRun>> {
-        let home = Some(Arc::clone(&self.run));
-        frozen_from(self.mapped.header(), self.arena(), home).map(Arc::new)
-    }
-}
-
-impl Drop for SegmentPin {
+impl Drop for SegmentPin<'_> {
     fn drop(&mut self) {
         self.run.pins.fetch_sub(1, Ordering::AcqRel);
     }

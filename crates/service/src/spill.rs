@@ -1,23 +1,23 @@
 //! The **spill directory**: the one owner of everything on disk under
-//! the persisted tier — pack naming, the manifest lock, and the
-//! operations that write there.
+//! the sealed runs — pack naming, the manifest lock, and the operations
+//! that write there.
 //!
-//! Everything here works on the store's **registrations**: every run
-//! that has a blob on disk — persisted, or re-heated and served from
-//! memory since — holds one [`PersistedRun`], and the manifest lists
-//! exactly those. A blob is dead only once its run is evicted.
+//! Everything here works on the store's **registrations**: every sealed
+//! run that has a location — read from disk, or re-heated and served from
+//! its heap copy since — and the manifest lists exactly those. A blob is
+//! dead only once its run is evicted.
 //!
-//! * [`SpillDir::persist`] writes one frozen run as a pack of one and
-//!   lists it in the manifest.
+//! * [`SpillDir::persist`] writes one sealed run's heap blob, as it is,
+//!   as a pack of one and lists it in the manifest.
 //! * [`SpillDir::forget`] rewrites the manifest after an eviction, so
 //!   the evicted run stays gone across a restart.
 //! * [`SpillDir::compact`] is the directory's one maintenance pass
 //!   (`rewrite_packs`): pick files, stream their live blobs verbatim
-//!   into fresh packs, land the manifest, relocate the registrations in
-//!   place, unlink the copied files, sweep orphans. A file is picked for
-//!   one of two reasons: it is *underfull* (fewer than [`MIN_PACK_RUNS`]
-//!   live runs) or *dead-heavy* (more than [`DEAD_HEAVY_RATIO`] of its
-//!   bytes belong to evicted runs).
+//!   into fresh packs, land the manifest, relocate the runs in place,
+//!   unlink the copied files, sweep orphans. A file is picked for one of
+//!   two reasons: it is *underfull* (fewer than [`MIN_PACK_RUNS`] live
+//!   runs) or *dead-heavy* (more than [`DEAD_HEAVY_RATIO`] of its bytes
+//!   belong to evicted runs).
 //!
 //! Every file written here — pack or manifest — goes through
 //! `snapshot::write_blob_file`, the crash-safe replace plus directory
@@ -25,13 +25,13 @@
 //! operation: until a new manifest is renamed into place the old
 //! manifest and old files are intact; after it, the old files are
 //! orphans the sweep (this pass's or any later one's) removes, along
-//! with the temp file of a replace the crash interrupted.
+//! with the temp file of a replace the crash interrupted — and with the
+//! pack of a run evicted while its persist was writing it.
 
 use crate::bufmgr::PackFile;
-use crate::freeze::FrozenRun;
 use crate::snapshot::{
-    self, ManifestEntry, PersistedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS,
-    PACK_MAX_RUNS, PACK_TARGET_BYTES,
+    self, ManifestEntry, SealedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS, PACK_MAX_RUNS,
+    PACK_TARGET_BYTES,
 };
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::telemetry::tier_tag;
@@ -39,7 +39,7 @@ use crate::{RunId, ServiceError};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use wf_skeleton::SpecLabeling;
 
 /// What one compaction pass did: how many pack files and on-disk bytes
@@ -90,11 +90,36 @@ impl CompactionReport {
     }
 }
 
+/// A registration: a sealed run that has a location, read once.
+pub(crate) struct Located {
+    run: Arc<SealedRun>,
+    file: Arc<PackFile>,
+    offset: u64,
+}
+
+/// Every registration the store holds — every sealed run that has a
+/// location.
+pub(crate) fn registrations<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Located> {
+    let mut out = Vec::with_capacity(store.tiers.get(Tier::Persisted));
+    store.for_each(|_, view| {
+        if let RunView::Sealed(run) = view {
+            if let Some((file, offset)) = run.location() {
+                out.push(Located {
+                    run: Arc::clone(run),
+                    file,
+                    offset,
+                });
+            }
+        }
+    });
+    out
+}
+
 /// One pack file the registrations reference.
 pub(crate) struct FileStat {
     file: Arc<PackFile>,
-    /// The registrations in the file, each with its blob's offset.
-    runs: Vec<(Arc<PersistedRun>, u64)>,
+    /// The runs in the file, each with its blob's offset.
+    runs: Vec<(Arc<SealedRun>, u64)>,
     /// On-disk size of the file.
     size: u64,
     /// Sum of the registered blobs' bytes.
@@ -118,29 +143,20 @@ impl FileStat {
     }
 }
 
-/// Every registration the store holds: the persisted runs' own, and the
-/// ones re-heated runs keep.
-fn registrations<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Arc<PersistedRun>> {
-    let mut out = Vec::with_capacity(store.tier_count(Tier::Persisted));
-    store.for_each(|_, view| out.extend(view.home().cloned()));
-    out
-}
-
 /// The registrations grouped by pack file (the runs of one pack share
-/// one file handle), reading each one's place once, with the files'
-/// sizes (one `stat` per file, not per run).
-pub(crate) fn file_stats(registered: &[Arc<PersistedRun>]) -> Vec<FileStat> {
+/// one file handle), with the files' sizes (one `stat` per file, not per
+/// run).
+pub(crate) fn file_stats(registered: &[Located]) -> Vec<FileStat> {
     let mut by_file: HashMap<*const PackFile, FileStat> = HashMap::new();
-    for p in registered {
-        let (file, offset, len) = p.place();
-        let stat = by_file.entry(Arc::as_ptr(&file)).or_insert(FileStat {
-            file,
+    for l in registered {
+        let stat = by_file.entry(Arc::as_ptr(&l.file)).or_insert(FileStat {
+            file: Arc::clone(&l.file),
             runs: Vec::new(),
             size: 0,
             live: 0,
         });
-        stat.runs.push((Arc::clone(p), offset));
-        stat.live += len;
+        stat.runs.push((Arc::clone(&l.run), l.offset));
+        stat.live += l.run.blob_len();
     }
     let mut files: Vec<FileStat> = by_file.into_values().collect();
     for f in &mut files {
@@ -155,16 +171,15 @@ fn gains(files: &[FileStat], packs: usize) -> bool {
     files.len() > packs || files.iter().any(|f| f.dead() > 0)
 }
 
-/// A run copied into a new pack: its registration, and the blob's
-/// offset in the new file.
-type Member = (Arc<PersistedRun>, u64);
+/// A run copied into a new pack, and the blob's offset in the new file.
+type Member = (Arc<SealedRun>, u64);
 
-fn manifest_entry(run: RunId, path: &Path, offset: u64, bytes: u64) -> Option<ManifestEntry> {
+fn manifest_entry(run: &SealedRun, path: &Path, offset: u64) -> Option<ManifestEntry> {
     Some(ManifestEntry {
-        run,
+        run: run.run(),
         file: path.file_name()?.to_str()?.to_string(),
         offset,
-        bytes,
+        bytes: run.blob_len(),
     })
 }
 
@@ -189,24 +204,30 @@ pub(crate) struct SpillDir {
 
 impl SpillDir {
     /// Open `dir` and register the history its manifest lists, by
-    /// header-only reads (nothing is mapped until queried). Entries that
-    /// do not read back — or name a spec beyond the `specs` this catalog
-    /// has — are skipped; a manifest this engine cannot parse registers
+    /// header-only reads (nothing is mapped until queried). A run listed
+    /// twice registers once, from its last line. Entries that do not
+    /// read back — or name a spec beyond the `specs` this catalog has —
+    /// are skipped; a manifest this engine cannot parse registers
     /// nothing.
     pub(crate) fn open(
         dir: PathBuf,
         lru: &Arc<SegmentLru>,
         specs: usize,
-    ) -> (Self, Vec<Arc<PersistedRun>>) {
+    ) -> (Self, Vec<Arc<SealedRun>>) {
         let mapped_bytes = Arc::clone(&lru.mapped_bytes);
+        let listed: HashMap<RunId, ManifestEntry> = snapshot::load_manifest(&dir)
+            .unwrap_or_default()
+            .into_iter()
+            .map(|entry| (entry.run, entry))
+            .collect();
         let mut files: HashMap<String, Arc<PackFile>> = HashMap::new();
         let mut persisted = Vec::new();
-        for entry in snapshot::load_manifest(&dir).unwrap_or_default() {
+        for entry in listed.values() {
             let file = files
                 .entry(entry.file.clone())
                 .or_insert_with(|| PackFile::new(dir.join(&entry.file), Arc::clone(&mapped_bytes)));
-            match PersistedRun::open_entry(Arc::clone(file), &entry, Arc::clone(lru)) {
-                Ok(run) if run.spec.0 < specs => persisted.push(Arc::new(run)),
+            match SealedRun::open_entry(Arc::clone(file), entry, Arc::clone(lru)) {
+                Ok(run) if run.header().spec.0 < specs => persisted.push(Arc::new(run)),
                 _ => {}
             }
         }
@@ -230,6 +251,13 @@ impl SpillDir {
         &self.dir
     }
 
+    /// Take the manifest lock. It guards no state — only the order of
+    /// pack and manifest writes — so a poisoned one is recovered: a
+    /// writer that panicked left at worst an orphan file the sweep takes.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.manifest.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Atomically write `bytes` as the next pack file.
     fn write_pack(&self, bytes: &[u8]) -> Result<Arc<PackFile>, SnapshotError> {
         let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
@@ -243,67 +271,48 @@ impl SpillDir {
     fn manifest_entries<S: SpecLabeling>(&self, store: &LabelStore<S>) -> Vec<ManifestEntry> {
         registrations(store)
             .iter()
-            .filter_map(|p| {
-                let (file, offset, len) = p.place();
-                manifest_entry(p.run(), file.path(), offset, len)
-            })
+            .filter_map(|l| manifest_entry(&l.run, l.file.path(), l.offset))
             .collect()
     }
 
-    /// Spill one frozen run that has no blob yet: write it as a pack of
-    /// one, swap its in-memory arena for a lazily mapped persisted
-    /// entry, and list it in the manifest. `Ok(false)` when the run left
-    /// the frozen tier while the pack was being written (the caller
-    /// reports where it went).
+    /// Persist one sealed run: write its heap blob, byte for byte, as a
+    /// pack of one and list it in the manifest — or, when it already has
+    /// a location (a re-heated run), only drop the heap copy. `Ok(true)`
+    /// when a pack was written.
     pub(crate) fn persist<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
-        frozen: &FrozenRun,
+        sealed: &SealedRun,
     ) -> Result<bool, ServiceError> {
-        let run = frozen.run();
-        let failed = |e: SnapshotError| ServiceError::Snapshot(run, e.to_string());
-        let _g = self.manifest.lock().expect("manifest lock poisoned");
+        let run = sealed.run();
+        let _g = self.lock();
         let obs = &store.lru.obs;
         let span = obs.timer();
-        let blob = snapshot::encode_segment(frozen);
-        let bytes = blob.len() as u64;
-        let file = self.write_pack(&blob).map_err(failed)?;
-        let persisted = Arc::new(PersistedRun::new(
-            &frozen.header(),
-            Arc::clone(&file),
-            0,
-            bytes,
-            Arc::clone(&store.lru),
-        ));
-        if !store.transition(run, Tier::Frozen, RunView::Persisted(persisted)) {
-            // The run left the frozen tier while the pack was being
-            // written (evicted, most likely): do not resurrect it — drop
-            // the orphan file instead.
-            let _ = std::fs::remove_file(file.path());
+        if !sealed.persist(&store.tiers, |blob| self.write_pack(blob))? {
             return Ok(false);
         }
-        snapshot::write_manifest(&self.dir, &self.manifest_entries(store)).map_err(failed)?;
+        snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
+            .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
         obs.spills.inc();
         obs.finish(
             span,
             &obs.h_spill,
             Some(run.0),
             Some(tier_tag(Tier::Persisted)),
-            || format!("bytes={bytes}"),
+            || format!("bytes={}", sealed.blob_len()),
         );
         Ok(true)
     }
 
-    /// `run`, which had a registration, was evicted: rewrite the
-    /// manifest without its line, so a restart does not register it
-    /// again, and let the next policy pass count the bytes that just
-    /// turned dead.
+    /// `run`, which had a location, was evicted: rewrite the manifest
+    /// without its line, so a restart does not register it again, and
+    /// let the next policy pass count the bytes that just turned dead.
     pub(crate) fn forget<S: SpecLabeling>(
         &self,
         store: &LabelStore<S>,
         run: RunId,
     ) -> Result<(), ServiceError> {
-        let _g = self.manifest.lock().expect("manifest lock poisoned");
+        let _g = self.lock();
         snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
             .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
         self.policy_stamp.store(u64::MAX, Ordering::Relaxed);
@@ -347,7 +356,7 @@ impl SpillDir {
     ) -> Result<CompactionReport, SnapshotError> {
         let obs = &store.lru.obs;
         let span = obs.timer();
-        let _g = self.manifest.lock().expect("manifest lock poisoned");
+        let _g = self.lock();
         let registered = registrations(store);
         let files = file_stats(&registered);
         let bytes_before = files.iter().map(|f| f.size).sum();
@@ -388,7 +397,7 @@ impl SpillDir {
             }
             let mark = (buf.len(), members.len());
             let whole = victim.runs.iter().try_for_each(|(p, offset)| {
-                let blob = snapshot::read_raw_range(victim.file.path(), *offset, p.disk_bytes())?;
+                let blob = snapshot::read_raw_range(victim.file.path(), *offset, p.blob_len())?;
                 snapshot::verify_segment_bytes(&blob)?;
                 members.push((Arc::clone(p), buf.len() as u64));
                 buf.extend_from_slice(&blob);
@@ -420,10 +429,12 @@ impl SpillDir {
         }
         let entries: Vec<ManifestEntry> = registered
             .iter()
-            .filter_map(|p| {
-                let (file, offset, len) = p.place();
-                let (file, offset) = moved.get(&p.run().0).copied().unwrap_or((&file, offset));
-                manifest_entry(p.run(), file.path(), offset, len)
+            .filter_map(|l| {
+                let (file, offset) = moved
+                    .get(&l.run.run().0)
+                    .copied()
+                    .unwrap_or((&l.file, l.offset));
+                manifest_entry(&l.run, file.path(), offset)
             })
             .collect();
         snapshot::write_manifest(&self.dir, &entries)?;
@@ -456,16 +467,17 @@ impl SpillDir {
 
     /// Delete pack files none of `registered` — the pass's snapshot of
     /// the store's registrations, at the places they have by now —
-    /// references: blobs of evicted runs, and leftovers of a crash
-    /// between a pack/manifest write and the old-file deletion — among
-    /// them the `*.tmp` file of a replace the crash cut short. Runs
-    /// under the manifest lock the snapshot was taken under and every
-    /// write takes, so no spill has registered a pack since and no temp
-    /// file is in flight.
-    fn sweep_orphans(&self, registered: &[Arc<PersistedRun>]) {
+    /// references: blobs of evicted runs, packs written for runs evicted
+    /// during their persist, and leftovers of a crash between a
+    /// pack/manifest write and the old-file deletion — among them the
+    /// `*.tmp` file of a replace the crash cut short. Runs under the
+    /// manifest lock the snapshot was taken under and every write takes,
+    /// so no spill has written a pack since and no temp file is in
+    /// flight.
+    fn sweep_orphans(&self, registered: &[Located]) {
         let referenced: HashSet<PathBuf> = registered
             .iter()
-            .map(|p| p.place().0.path().to_path_buf())
+            .filter_map(|l| Some(l.run.location()?.0.path().to_path_buf()))
             .collect();
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return;
@@ -504,5 +516,70 @@ impl SpillDir {
         } else {
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{SpecId, Tier, WfEngine};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wf_run::{Execution, RunGenerator};
+
+    /// Panic on a thread while `hold` holds a lock: the lock is poisoned.
+    fn poison<G>(hold: impl FnOnce() -> G + Send) {
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _g = hold();
+                panic!("poison a lock on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+    }
+
+    /// A thread that panicked under the manifest lock or the replacer's
+    /// candidate map left nothing half-done: persists, reads under a
+    /// resident budget, an eviction and a compaction after it all go on.
+    #[test]
+    fn poisoned_manifest_and_lru_locks_are_recovered() {
+        let dir = std::env::temp_dir().join(format!("wf-spill-poison-{}", std::process::id()));
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .spill_dir(&dir)
+            .max_resident_bytes(1)
+            .build();
+        let (spill, lru) = (
+            engine.shared.spill.as_ref().unwrap(),
+            &engine.shared.store.lru,
+        );
+        poison(|| spill.manifest.lock());
+        poison(|| lru.candidates());
+        assert!(spill.manifest.is_poisoned());
+
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            let gen = RunGenerator::new(spec)
+                .target_size(30)
+                .generate_run(&mut rng);
+            let exec = Execution::deterministic(&gen.graph, &gen.origin);
+            let run = engine.open_run(SpecId(0)).unwrap();
+            for ev in exec.events() {
+                engine.submit(run, ev).unwrap();
+            }
+            engine.complete_run(run).unwrap();
+            engine.persist_run(run).unwrap();
+            assert_eq!(engine.run_tier(run), Ok(Tier::Persisted));
+            let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+            assert_eq!(engine.reach(run, u, v), Ok(Some(true)));
+            runs.push(run);
+        }
+        assert!(engine.stats().segment_sheds >= 2, "each pin sheds the last");
+        engine.evict_run(runs[0]).unwrap();
+        let report = engine.compact().unwrap();
+        assert_eq!((report.files_after, report.runs_packed), (1, 2));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -78,20 +78,22 @@ pub struct ServiceStats {
     pub hot_resident_bytes: u64,
     /// Runs currently in the hot tier (any status).
     pub runs_hot: u64,
-    /// Runs currently in the frozen tier.
+    /// Sealed runs holding a heap copy of their blob (the frozen tier).
     pub runs_frozen: u64,
-    /// Runs currently in the persisted tier.
+    /// Sealed runs read from their pack on disk (the persisted tier).
     pub runs_persisted: u64,
-    /// Cumulative hot→frozen transitions.
+    /// Cumulative hot → sealed transitions.
     pub freezes: u64,
-    /// Cumulative frozen→persisted transitions (snapshot writes).
+    /// Cumulative blobs written to disk (a persist that only drops the
+    /// heap copy of a re-heated run writes none).
     pub spills: u64,
-    /// Cumulative re-heat promotions (persisted → frozen).
+    /// Cumulative re-heats (a mapped blob copied onto the heap).
     pub reheats: u64,
     /// Cumulative compaction passes that wrote packs.
     pub compactions: u64,
-    /// **Frozen tier** footprint in bytes: encoded arenas + vertex
-    /// directories.
+    /// **Frozen tier** footprint in bytes: each heap copy's slot table +
+    /// label heap (the blob's 68 header and checksum bytes are not
+    /// counted).
     pub frozen_bytes: u64,
     /// DRL accounting bits the frozen runs occupied while hot (the
     /// compaction numerator: `frozen_label_bits/8` vs `frozen_bytes`).
@@ -102,8 +104,8 @@ pub struct ServiceStats {
     /// pinned into memory (governed by
     /// [`crate::EngineBuilder::max_resident_bytes`]).
     pub persisted_resident_bytes: u64,
-    /// Distinct pack files holding a registered blob (a persisted run's,
-    /// or a re-heated run's) — what compaction exists to keep small.
+    /// Distinct pack files holding a live blob (a persisted run's, or a
+    /// re-heated run's) — what compaction exists to keep small.
     pub segment_files: u64,
     /// Always 0: counted owned-buffer fault-ins, a read path that no
     /// longer exists (every load is a [`Self::pack_pins`] pin). Kept so

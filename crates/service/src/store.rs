@@ -1,84 +1,81 @@
-//! The tiered **label store**: one registry, three tiers, one read path.
+//! The tiered **label store**: one registry, two kinds of run, one read
+//! path.
 //!
 //! * **Hot** — in-flight (and recently completed) runs: the lock-free
 //!   write-once [`crate::index::LabelIndex`], plus the labeler while the
 //!   run is live. Labels are decoded in memory; queries are two
 //!   `Acquire` loads and a constant-time predicate.
-//! * **Frozen** — completed runs compacted into contiguous encoded
-//!   arenas ([`crate::FrozenRun`]): ~an order of magnitude smaller, at
-//!   the price of walking a bit cursor per label access.
-//! * **Persisted** — frozen arenas snapshotted to disk
-//!   ([`crate::snapshot::PersistedRun`]): zero resident bytes until the
-//!   first query maps the run's pack file and pins its blob; read in
-//!   place from then on, under the [`SegmentLru`] residency budget.
+//! * **Sealed** — completed runs, each one segment blob
+//!   ([`crate::snapshot`]): ~an order of magnitude smaller, at the price
+//!   of walking a bit cursor per label access. The blob sits on the heap
+//!   (from freeze until it is persisted, and again after a re-heat), in a
+//!   pack file — zero resident bytes until the first query maps the pack
+//!   and pins the blob, read in place from then on under the
+//!   [`SegmentLru`] residency budget — or both. [`Tier`] is a reading of
+//!   where: `Frozen` while a heap copy is held, `Persisted` otherwise.
 //!
 //! Every label read goes through **one reader**, [`Labels`], borrowed
 //! from a run for one read by [`RunView::with_labels`]: a hot run lends
-//! its index, and both cold tiers lend the same [`wf_drl::ArenaRef`] —
-//! over the frozen run's owned buffers or over the pinned mapping. It
-//! hands out borrowed [`LabelRef`]s; an owned `DrlLabel` is built only
-//! where one is kept, and a standing query keeps none (it keeps vertex
-//! ids and asks the reader again).
+//! its index, and a sealed run lends one [`wf_drl::ArenaRef`] — over its
+//! heap copy or over the pinned mapping. It hands out borrowed
+//! [`LabelRef`]s; an owned `DrlLabel` is built only where one is kept,
+//! and a standing query keeps none (it keeps vertex ids and asks the
+//! reader again).
 //!
 //! A run's published labels are one immutable thing whose
-//! *representation* changes, so the registry holds **one entry per
-//! run** — a [`RunView`] whose variant is the tier — in one sharded map.
-//! Every reader ([`crate::RunHandle::reach`], [`crate::WfEngine::query`],
-//! the stats) resolves runs through [`LabelStore::view`]: one shard read
-//! lock and an `Arc` clone whatever the tier. Every tier change is
-//! [`LabelStore::transition`]: one shard write lock, conditional on the
-//! tier the mover saw.
-//!
-//! A run that has been spilled also has a blob on disk, and **one
-//! registration** naming it ([`PersistedRun`]) for as long as it does:
-//! the persisted entry *is* that registration, a re-heated run's frozen
-//! entry keeps it ([`RunView::home`]), and a pack rewrite relocates it in
-//! place — so the spill directory's manifest, its dead byte census and
-//! its orphan sweep are all "every view's `home()`".
+//! *representation* changes once, so the registry holds **one entry per
+//! run** — a [`RunView`] with two arms — in one sharded map. Every reader
+//! ([`crate::RunHandle::reach`], [`crate::WfEngine::query`], the stats)
+//! resolves runs through [`LabelStore::view`]: one shard read lock and an
+//! `Arc` clone whatever the tier. The one registry transition is the
+//! freeze, hot → sealed ([`LabelStore::transition`]); persist and re-heat
+//! change where one sealed run's bytes sit, under that run's place lock,
+//! and take no registry lock at all. The spill directory's registrations
+//! — its manifest, its dead byte census and its orphan sweep — are every
+//! sealed run that has a location.
 //!
 //! The store runs no subscription code under its locks: a tier change
 //! is not a lineage delta, so a transition tells no subscriber, and an
 //! eviction fans out only after the shard lock is released.
 
 use crate::engine::route_hash;
-use crate::freeze::FrozenRun;
 use crate::slot::RunSlot;
-use crate::snapshot::PersistedRun;
+use crate::snapshot::SealedRun;
 use crate::sub::{SubHub, SubPredicate, Subscription};
 use crate::telemetry::{bump, Telemetry};
 use crate::{RunId, RunStatus, ServiceError, SpecId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use wf_drl::{ArenaRef, DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
 
-/// The **size/age LRU over resident segments**: every persisted blob
-/// that pins into memory registers here, and when the resident total
-/// exceeds the configured budget ([`crate::EngineBuilder::max_resident_bytes`])
-/// the least-recently-queried blobs are shed back to cold — oldest
-/// freeze time breaking recency ties. Without a budget the LRU only
-/// keeps the books (pins, sheds, resident bytes for the stats).
+/// The **size/age LRU over resident mapped ranges**: every sealed run
+/// whose blob pins in from its pack registers here, and when the resident
+/// total exceeds the configured budget
+/// ([`crate::EngineBuilder::max_resident_bytes`]) the least-recently-
+/// queried ranges are shed back to cold — oldest freeze time breaking
+/// recency ties. Heap copies are not candidates. Without a budget the LRU
+/// only keeps the books (pins, sheds, resident bytes for the stats).
 ///
-/// The books are two things. `resident_bytes` moves only when a
-/// registration's residency flag flips
-/// ([`PersistedRun::set_resident`]), so it is always the sum over set
-/// flags. `resident` is the replacer's *candidate* map — the
-/// registrations that pinned in since they last left it; an entry whose
-/// blob was relocated since has nothing to shed and is skipped.
+/// The books are two things. `resident_bytes` moves only when a run's
+/// residency flag flips (`SealedRun::set_resident`), so it is always the
+/// sum over set flags. `resident` is the replacer's *candidate* map — the
+/// runs that pinned in since they last left it.
 ///
-/// Locking: a shard write lock may be held while taking `resident`
-/// (this mutex), which may be held while *try*-locking a run's place; a
-/// first pin holds its own place lock and only then takes `resident` —
-/// the try-lock is what makes that safe (the shed path skips contended
-/// victims instead of blocking on them).
+/// Locking: a run enters and leaves the map under its own place lock,
+/// and the shed path holds the map while *try*-locking a victim's place —
+/// the try-lock is what makes the two orders safe (the shed path skips
+/// contended victims instead of blocking on them).
 #[derive(Debug)]
 pub(crate) struct SegmentLru {
     max_resident: Option<u64>,
     clock: AtomicU64,
-    resident: Mutex<HashMap<u64, Arc<PersistedRun>>>,
-    resident_bytes: AtomicU64,
+    resident: Mutex<HashMap<u64, Arc<SealedRun>>>,
+    /// Bytes of the ranges counted resident, moved only by
+    /// `SealedRun::set_resident`.
+    pub(crate) resident_bytes: AtomicU64,
     /// Bytes currently `mmap`'d across pack files (shared with every
     /// [`crate::bufmgr::PackMapping`], which keeps it on map/unmap).
     pub(crate) mapped_bytes: Arc<AtomicU64>,
@@ -99,61 +96,30 @@ impl SegmentLru {
         }
     }
 
-    /// Advance the logical clock (every query on a persisted run ticks).
+    /// The candidate map. A poisoned lock is recovered: a `HashMap`
+    /// insert or remove leaves a valid map at every step.
+    pub(crate) fn candidates(&self) -> MutexGuard<'_, HashMap<u64, Arc<SealedRun>>> {
+        self.resident.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Advance the logical clock (every read from disk ticks).
     pub(crate) fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Current resident bytes across loaded segments.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        self.resident_bytes.load(Ordering::Relaxed)
-    }
-
-    /// A blob of `bytes` turned resident (`on`) or stopped being so.
-    pub(crate) fn account(&self, bytes: u64, on: bool) {
-        if on {
-            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-        } else {
-            self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// A segment finished pinning in: make it a shed candidate, then
-    /// enforce the budget (never shedding the segment just pinned). A
-    /// registration that left the persisted tier while the pin was in
-    /// flight stops counting as resident instead (the admit/forget
-    /// race).
-    pub(crate) fn admit(&self, run: Arc<PersistedRun>) {
+    /// A run's range pinned in (called under its place lock): make it a
+    /// shed candidate, then enforce the budget (never shedding the run
+    /// just pinned).
+    pub(crate) fn enter(&self, run: Arc<SealedRun>) {
         let id = run.run().0;
-        {
-            let mut map = self.resident.lock().expect("lru map poisoned");
-            if run.retired.load(Ordering::Acquire) {
-                // forget_entry's retire store happens before its map
-                // removal, which serializes on this lock: whichever of
-                // the two comes second clears the flag. (Should the run
-                // re-enter the tier and be pinned between the load above
-                // and this store, that pin goes uncounted until the next
-                // one sets the flag again.)
-                run.set_resident(false);
-                return;
-            }
-            map.insert(id, run);
-        }
+        self.candidates().insert(id, run);
         self.enforce(Some(id));
     }
 
-    /// A registration stops serving its run (re-heated or evicted): mark
-    /// it retired first, so a pin-in racing this call cannot re-admit it
-    /// afterwards, take it out of the candidates, and hand its pages
-    /// back — or, when a reader still has them pinned, just stop
-    /// counting them.
-    pub(crate) fn forget_entry(&self, run: &PersistedRun) {
-        run.retired.store(true, Ordering::Release);
-        let id = run.run().0;
-        self.resident.lock().expect("lru map poisoned").remove(&id);
-        if run.shed().is_none() {
-            run.set_resident(false);
-        }
+    /// A run's range stopped being a candidate — re-heated, relocated or
+    /// evicted (called under its place lock).
+    pub(crate) fn leave(&self, run: RunId) {
+        self.candidates().remove(&run.0);
     }
 
     /// Shed victims — least recently queried first, oldest freeze time
@@ -166,16 +132,16 @@ impl SegmentLru {
         let Some(budget) = self.max_resident else {
             return;
         };
-        let mut map = self.resident.lock().expect("lru map poisoned");
+        let mut map = self.candidates();
         if self.resident_bytes.load(Ordering::Relaxed) <= budget {
             return;
         }
-        let mut victims: Vec<Arc<PersistedRun>> = map
+        let mut victims: Vec<Arc<SealedRun>> = map
             .values()
             .filter(|p| Some(p.run().0) != protect && !p.pinned())
             .cloned()
             .collect();
-        victims.sort_by_key(|p| (p.last_access.load(Ordering::Relaxed), p.frozen_at));
+        victims.sort_by_key(|p| (p.last_access.load(Ordering::Relaxed), p.header().frozen_at));
         for victim in victims {
             if self.resident_bytes.load(Ordering::Relaxed) <= budget {
                 break;
@@ -192,14 +158,15 @@ impl SegmentLru {
     }
 }
 
-/// Which storage tier currently serves a run.
+/// Which storage tier currently serves a run: hot, or — for a sealed
+/// run — a reading of where its blob sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Live labeler state + decoded in-memory label index.
     Hot,
-    /// Encoded in-memory arena (completed runs).
+    /// A sealed run holding its blob on the heap (read in memory).
     Frozen,
-    /// On-disk snapshot segment, mapped and pinned lazily for queries.
+    /// A sealed run read from its pack on disk, mapped and pinned lazily.
     Persisted,
 }
 
@@ -213,6 +180,31 @@ impl std::fmt::Display for Tier {
     }
 }
 
+/// Runs per tier (indexed by `Tier as usize`), moved by every edge — an
+/// insert, the freeze transition, persist, re-heat and eviction, the
+/// last three under the sealed run's place lock — so the stats and the
+/// idle tiering tick read a tier's size without walking the registry.
+#[derive(Default)]
+pub(crate) struct TierCounts([AtomicU64; 3]);
+
+impl TierCounts {
+    /// A run left `from` (`None`: it was not registered) for `to`
+    /// (`None`: it is no longer).
+    pub(crate) fn moved(&self, from: Option<Tier>, to: Option<Tier>) {
+        if let Some(t) = from {
+            self.0[t as usize].fetch_sub(1, Ordering::Relaxed);
+        }
+        if let Some(t) = to {
+            self.0[t as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// How many runs `tier` holds right now.
+    pub(crate) fn get(&self, tier: Tier) -> usize {
+        self.0[tier as usize].load(Ordering::Relaxed) as usize
+    }
+}
+
 /// Registry shard: one `RwLock`ed map per shard keeps run lookup
 /// contention independent of the number of concurrent runs.
 type Shard<S> = RwLock<HashMap<u64, RunView<S>>>;
@@ -223,8 +215,8 @@ type Shard<S> = RwLock<HashMap<u64, RunView<S>>>;
 pub(crate) enum Labels<'a, S: SpecLabeling + 'static> {
     /// A hot run: its lock-free index and its write-once source.
     Hot(&'a RunSlot<S>),
-    /// A completed run: its arena — a frozen run's owned buffers or a
-    /// persisted run's pinned mapping — and its source vertex.
+    /// A sealed run: its arena — over the heap copy or the pinned
+    /// mapping — and its source vertex.
     Cold(ArenaRef<'a>, Option<VertexId>),
 }
 
@@ -281,19 +273,17 @@ impl<'a, S: SpecLabeling> Labels<'a, S> {
 }
 
 /// A tier-transparent, reference-counted view of one run — everything
-/// the read path needs, with the tier dispatch in one place.
+/// the read path needs, with the dispatch in one place.
 pub(crate) enum RunView<S: SpecLabeling + 'static> {
     Hot(Arc<RunSlot<S>>),
-    Frozen(Arc<FrozenRun>),
-    Persisted(Arc<PersistedRun>),
+    Sealed(Arc<SealedRun>),
 }
 
 impl<S: SpecLabeling> Clone for RunView<S> {
     fn clone(&self) -> Self {
         match self {
             RunView::Hot(s) => RunView::Hot(Arc::clone(s)),
-            RunView::Frozen(f) => RunView::Frozen(Arc::clone(f)),
-            RunView::Persisted(p) => RunView::Persisted(Arc::clone(p)),
+            RunView::Sealed(s) => RunView::Sealed(Arc::clone(s)),
         }
     }
 }
@@ -302,77 +292,58 @@ impl<S: SpecLabeling> RunView<S> {
     pub(crate) fn tier(&self) -> Tier {
         match self {
             RunView::Hot(_) => Tier::Hot,
-            RunView::Frozen(_) => Tier::Frozen,
-            RunView::Persisted(_) => Tier::Persisted,
+            RunView::Sealed(s) => s.tier(),
         }
     }
 
     pub(crate) fn spec(&self) -> SpecId {
         match self {
             RunView::Hot(s) => s.spec,
-            RunView::Frozen(f) => f.spec,
-            RunView::Persisted(p) => p.spec,
+            RunView::Sealed(s) => s.header().spec,
         }
     }
 
-    /// Lifecycle status. Only completed runs freeze, so the cold tiers
-    /// are `Completed` by construction.
+    /// Lifecycle status. Only completed runs freeze, so a sealed run is
+    /// `Completed` by construction.
     pub(crate) fn status(&self) -> RunStatus {
         match self {
             RunView::Hot(s) => s.status(),
-            RunView::Frozen(_) | RunView::Persisted(_) => RunStatus::Completed,
+            RunView::Sealed(_) => RunStatus::Completed,
         }
     }
 
     pub(crate) fn source(&self) -> Option<VertexId> {
         match self {
             RunView::Hot(s) => s.source.get().copied(),
-            RunView::Frozen(f) => f.source,
-            RunView::Persisted(p) => p.source,
+            RunView::Sealed(s) => s.header().source,
         }
     }
 
-    /// True when answering from this view costs no disk fault: hot and
-    /// frozen runs always, persisted runs only while their blob is
-    /// resident (pinned in and not yet shed by the LRU).
+    /// True when answering from this view costs no disk fault: hot runs
+    /// always, sealed runs while they hold a heap copy or their mapped
+    /// range is resident (pinned in and not yet shed by the LRU).
     pub(crate) fn is_resident(&self) -> bool {
         match self {
-            RunView::Hot(_) | RunView::Frozen(_) => true,
-            RunView::Persisted(p) => p.is_loaded(),
-        }
-    }
-
-    /// The run's registration in the spill directory, whatever tier
-    /// serves it: a persisted run's own, or the one a re-heated run was
-    /// read out of and keeps until it is evicted. A hot run has none.
-    pub(crate) fn home(&self) -> Option<&Arc<PersistedRun>> {
-        match self {
-            RunView::Hot(_) => None,
-            RunView::Frozen(f) => f.home.as_ref(),
-            RunView::Persisted(p) => Some(p),
+            RunView::Hot(_) => true,
+            RunView::Sealed(s) => s.is_resident(),
         }
     }
 
     pub(crate) fn published(&self) -> usize {
         match self {
             RunView::Hot(s) => s.indexed.len(),
-            RunView::Frozen(f) => f.arena.len(),
-            RunView::Persisted(p) => p.published,
+            RunView::Sealed(s) => s.header().count as usize,
         }
     }
 
-    /// Lend the run's [`Labels`] reader to `f`. `None` for a persisted
-    /// run whose blob no longer pins. The pin holds for the whole of
-    /// `f`: a scan iterating labels straight off the mapping cannot have
-    /// its pages `madvise`d away mid-run.
+    /// Lend the run's [`Labels`] reader to `f`. `None` for a sealed run
+    /// read from disk whose blob no longer pins. A pin holds for the
+    /// whole of `f`: a scan iterating labels straight off the mapping
+    /// cannot have its pages `madvise`d away mid-run.
     pub(crate) fn with_labels<R>(&self, f: impl FnOnce(&Labels<'_, S>) -> R) -> Option<R> {
         match self {
             RunView::Hot(s) => Some(f(&Labels::Hot(s))),
-            RunView::Frozen(fr) => Some(f(&Labels::Cold(fr.arena.view(), fr.source))),
-            RunView::Persisted(p) => {
-                let pin = p.pin()?;
-                Some(f(&Labels::Cold(pin.arena(), p.source)))
-            }
+            RunView::Sealed(s) => s.with_labels(|arena| f(&Labels::Cold(arena, s.header().source))),
         }
     }
 
@@ -391,9 +362,9 @@ impl<S: SpecLabeling> RunView<S> {
         self.with_labels(|l| l.name(v))?
     }
 
-    /// Constant-time `u ; v`, answered from this tier without
-    /// allocating: two cells and their prefix arrays (hot), or two
-    /// cursors walked in lock step off the arena bytes (cold).
+    /// Constant-time `u ; v`, answered without allocating: two cells and
+    /// their prefix arrays (hot), or two cursors walked in lock step off
+    /// the blob's bytes (sealed).
     pub(crate) fn reach(
         &self,
         predicate: &DrlPredicate<'_, S>,
@@ -402,50 +373,48 @@ impl<S: SpecLabeling> RunView<S> {
     ) -> Option<bool> {
         let answer = match self {
             RunView::Hot(s) => s.indexed.reach(predicate, u, v)?,
-            _ => self.with_labels(|l| predicate.reaches_ref(l.label(u)?, l.label(v)?))??,
+            RunView::Sealed(_) => {
+                self.with_labels(|l| predicate.reaches_ref(l.label(u)?, l.label(v)?))??
+            }
         };
         bump(self.queries());
         Some(answer)
     }
 
-    /// Why every read of this run comes back empty, when it is a
-    /// persisted registration whose first pin failed.
+    /// Why every read of this run comes back empty, when it is a sealed
+    /// run read from disk whose first pin failed.
     pub(crate) fn load_failure(&self, run: RunId) -> Option<ServiceError> {
         match self {
-            RunView::Persisted(p) => p
+            RunView::Sealed(s) => s
                 .load_failure()
                 .map(|cause| ServiceError::Snapshot(run, cause.to_string())),
-            _ => None,
+            RunView::Hot(_) => None,
         }
     }
 
     /// The run's query counter (kept per run so the query hot path
     /// never contends on an engine-wide cache line; `stats()` sums it).
     /// It counts the run's lifetime: [`LabelStore::transition`] carries
-    /// it from one representation to the next.
+    /// it from the hot slot to the sealed run.
     pub(crate) fn queries(&self) -> &AtomicU64 {
         match self {
             RunView::Hot(s) => &s.queries,
-            RunView::Frozen(f) => &f.queries,
-            RunView::Persisted(p) => &p.queries,
+            RunView::Sealed(s) => &s.queries,
         }
     }
 }
 
-/// The engine's run registry: **one sharded map**, one entry per run,
-/// whose value's variant *is* the run's tier. A tier change swaps the
-/// value in place ([`Self::transition`]), so a lookup is one shard read
-/// lock whatever the tier, a reader sees exactly one representation of
-/// a run — never two, never none — and there is no lock order to keep.
+/// The engine's run registry: **one sharded map**, one entry per run.
+/// The freeze swaps a hot entry for a sealed one in place
+/// ([`Self::transition`]), so a lookup is one shard read lock whatever
+/// the tier, a reader sees exactly one representation of a run — never
+/// two, never none — and there is no lock order to keep.
 pub(crate) struct LabelStore<S: SpecLabeling + 'static> {
     /// A power-of-two number of shards.
     shards: Box<[Shard<S>]>,
-    /// Entries per tier (indexed by `Tier as usize`), kept by
-    /// [`Self::insert`] / [`Self::transition`] / [`Self::remove`]: the
-    /// stats and the idle tiering tick read a tier's size without
-    /// walking the registry.
-    tier_counts: [AtomicU64; 3],
-    /// Residency governor shared by every persisted run in this store.
+    /// Runs per tier.
+    pub(crate) tiers: TierCounts,
+    /// Residency governor shared by every sealed run in this store.
     pub(crate) lru: Arc<SegmentLru>,
     /// Standing-query fan-out: a subscription's catch-up scans the
     /// registry, and an eviction retracts what it delivered.
@@ -454,22 +423,22 @@ pub(crate) struct LabelStore<S: SpecLabeling + 'static> {
 
 impl<S: SpecLabeling> LabelStore<S> {
     /// An empty store with `shards` shards (rounded up to a power of
-    /// two), pre-seeded with persisted segments loaded from disk.
+    /// two), pre-seeded with the sealed runs the spill directory lists.
     pub(crate) fn new(
         shards: usize,
-        persisted: Vec<Arc<PersistedRun>>,
+        persisted: Vec<Arc<SealedRun>>,
         lru: Arc<SegmentLru>,
         subs: SubHub<S>,
     ) -> Self {
         let n = shards.max(1).next_power_of_two();
         let store = Self {
             shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            tier_counts: Default::default(),
+            tiers: TierCounts::default(),
             lru,
             subs,
         };
         for p in persisted {
-            store.insert(p.run, RunView::Persisted(p));
+            store.insert(p.run(), RunView::Sealed(p));
         }
         store
     }
@@ -501,16 +470,11 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// Register a run the store has not seen: freshly opened, replayed
     /// from the WAL, or listed by the spill directory's manifest.
     pub(crate) fn insert(&self, run: RunId, view: RunView<S>) {
-        self.tier_counts[view.tier() as usize].fetch_add(1, Ordering::Relaxed);
+        self.tiers.moved(None, Some(view.tier()));
         self.shard(run)
             .write()
             .expect("shard lock poisoned")
             .insert(run.0, view);
-    }
-
-    /// How many runs `tier` holds right now.
-    pub(crate) fn tier_count(&self, tier: Tier) -> usize {
-        self.tier_counts[tier as usize].load(Ordering::Relaxed) as usize
     }
 
     /// The run's current representation, whatever its tier.
@@ -522,48 +486,41 @@ impl<S: SpecLabeling> LabelStore<S> {
             .cloned()
     }
 
-    /// **The one tier transition**: swap `run`'s entry for `to` —
-    /// conditional on the entry still being in tier `from`, so a move
-    /// racing an eviction (or another move) never resurrects a removed
-    /// run or overwrites a newer representation. The swap happens under
-    /// the shard write lock: a concurrent lookup sees the old value or
-    /// the new one, and the run's query count moves old → new where no
-    /// `stats()` walk can see both or neither. A run's registration is
-    /// one object that leaves the persisted tier at a re-heat and comes
-    /// back at the next persist, so its exit (out of the LRU) and its
-    /// re-entry happen under that lock too: the two cannot reorder.
+    /// **The one registry transition**, hot → sealed: swap `run`'s hot
+    /// slot for `sealed` — conditional on the entry still being hot, so a
+    /// freeze racing an eviction (or another freeze) never resurrects a
+    /// removed run or overwrites a sealed one. The swap happens under the
+    /// shard write lock: a concurrent lookup sees the slot or the sealed
+    /// run, and the run's query count moves across where no `stats()`
+    /// walk can see both or neither.
     #[must_use]
-    pub(crate) fn transition(&self, run: RunId, from: Tier, to: RunView<S>) -> bool {
-        let target = to.tier();
-        debug_assert_ne!(from, target, "a rewrite relocates, it does not transition");
+    pub(crate) fn transition(&self, run: RunId, sealed: Arc<SealedRun>) -> bool {
         let mut shard = self.shard(run).write().expect("shard lock poisoned");
-        let Some(entry) = shard.get_mut(&run.0).filter(|e| e.tier() == from) else {
+        let Some(entry) = shard
+            .get_mut(&run.0)
+            .filter(|e| matches!(e, RunView::Hot(_)))
+        else {
             return false;
         };
         let carried = entry.queries().load(Ordering::Relaxed);
-        to.queries().store(carried, Ordering::Relaxed);
-        self.tier_counts[from as usize].fetch_sub(1, Ordering::Relaxed);
-        self.tier_counts[target as usize].fetch_add(1, Ordering::Relaxed);
-        if let RunView::Persisted(p) = &to {
-            p.retired.store(false, Ordering::Release);
-        }
-        if let RunView::Persisted(p) = std::mem::replace(entry, to) {
-            self.lru.forget_entry(&p);
-        }
+        sealed.queries.store(carried, Ordering::Relaxed);
+        self.tiers.moved(Some(Tier::Hot), Some(sealed.tier()));
+        *entry = RunView::Sealed(sealed);
         true
     }
 
     /// Evict a run, returning the representation it had (the caller
-    /// marks a hot slot evicted under its writer lock).
+    /// marks a hot slot evicted under its writer lock; a sealed run
+    /// settles its own eviction under its place lock).
     pub(crate) fn remove(&self, run: RunId) -> Option<RunView<S>> {
         let old = self
             .shard(run)
             .write()
             .expect("shard lock poisoned")
             .remove(&run.0)?;
-        self.tier_counts[old.tier() as usize].fetch_sub(1, Ordering::Relaxed);
-        if let RunView::Persisted(p) = &old {
-            self.lru.forget_entry(p);
+        match &old {
+            RunView::Hot(_) => self.tiers.moved(Some(Tier::Hot), None),
+            RunView::Sealed(s) => s.evict(&self.tiers),
         }
         self.subs.evicted(run);
         Some(old)
@@ -573,8 +530,8 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// scope the cross-run query surface scans. Locks are held only
     /// long enough to clone `Arc`s.
     pub(crate) fn snapshot_views(&self) -> Vec<(RunId, RunView<S>)> {
-        let runs = self.tier_counts.iter().map(|c| c.load(Ordering::Relaxed));
-        let mut out = Vec::with_capacity(runs.sum::<u64>() as usize);
+        let runs = [Tier::Hot, Tier::Frozen, Tier::Persisted].map(|t| self.tiers.get(t));
+        let mut out = Vec::with_capacity(runs.iter().sum());
         self.for_each(|run, view| out.push((run, view.clone())));
         out
     }

@@ -83,8 +83,8 @@
 //! assert_eq!(hits, vec![run]);
 //! assert_eq!(engine.stats().runs_completed, 1);
 //!
-//! // Completed runs can be *frozen*: compacted into an encoded arena,
-//! // the dynamic labeler state dropped. Queries are tier-transparent.
+//! // Completed runs can be *frozen*: sealed into one encoded blob, the
+//! // dynamic labeler state dropped. Queries are tier-transparent.
 //! engine.freeze_run(run).unwrap();
 //! assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
 //! assert_eq!(
@@ -113,9 +113,9 @@ pub mod prelude {
     pub use wf_run::{CanonicalParseTree, Derivation, ExecEvent, Execution, RunGenerator};
     pub use wf_service::{
         CompactionReport, CrossRunQuery, Delta, EngineBuilder, EngineMetrics, ExplainQuery,
-        Explained, FrozenRun, Health, HistogramSnapshot, QueryProfile, RunHandle, RunId, RunOp,
-        RunStatus, ServiceError, ServiceEvent, ServiceStats, SourceReach, SpecContext, SpecId,
-        StallCause, SubPredicate, Subscription, Tier, TraceEvent, WalSync, WfEngine, Witness,
+        Explained, Health, HistogramSnapshot, QueryProfile, RunHandle, RunId, RunOp, RunStatus,
+        ServiceError, ServiceEvent, ServiceStats, SourceReach, SpecContext, SpecId, StallCause,
+        SubPredicate, Subscription, Tier, TraceEvent, WalSync, WfEngine, Witness,
     };
     pub use wf_skeleton::{BfsSpecLabels, SpecLabeling, TclSpecLabels};
     pub use wf_skl::{SklBfs, SklLabeling};

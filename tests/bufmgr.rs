@@ -497,10 +497,14 @@ fn reheat_rebuilds_an_equivalent_frozen_run() {
     engine.complete_run(run).unwrap();
     engine.persist_run(run).unwrap();
     assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+    let before = engine.handle(run).unwrap();
+    assert!(!before.is_resident(), "nothing read from disk yet");
 
     engine.reheat_run(run).unwrap();
     assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
     assert_eq!(engine.stats().reheats, 1);
+    // A handle over a sealed run follows its residency changes.
+    assert_eq!((before.tier(), before.is_resident()), (Tier::Frozen, true));
 
     let (h, c) = (engine.handle(run).unwrap(), engine.handle(control).unwrap());
     assert_eq!(h.published(), c.published());
@@ -526,6 +530,12 @@ fn reheat_rebuilds_an_equivalent_frozen_run() {
     // Both runs visible to the cross-run surface, each in its tier.
     assert_eq!(engine.query().completed().run_ids(), vec![control, run]);
     assert_eq!(engine.query().tier(Tier::Frozen).run_ids(), vec![run]);
+    // Persisting again drops the heap copy and writes nothing.
+    let packs = std::fs::read_dir(&dir.0).unwrap().count();
+    engine.persist_run(run).unwrap();
+    assert_eq!(before.tier(), Tier::Persisted);
+    assert_eq!(std::fs::read_dir(&dir.0).unwrap().count(), packs);
+    assert_eq!(engine.stats().spills, 1);
 }
 
 /// Regression: when a pack is re-compacted alongside fresh spills,

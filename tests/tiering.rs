@@ -3,8 +3,8 @@
 //!
 //! The acceptance bar for tiering is exactness: a completed run must
 //! answer `reach()` and `engine.query()` identically from the hot index,
-//! the frozen arena, and a persisted segment reloaded by a *different*
-//! engine — verified here against [`NaiveDynamicDag`], the paper's
+//! its sealed blob on the heap, and the same blob reloaded from its pack
+//! by a *different* engine — verified here against [`NaiveDynamicDag`], the paper's
 //! ground-truth dynamic scheme, for every sampled vertex pair. A
 //! truncated or bit-flipped segment — or one in a format version this
 //! engine does not write — must be rejected cleanly at load (typed
@@ -111,7 +111,7 @@ proptest! {
         engine.freeze_run(run).unwrap();
         prop_assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
 
-        // Sampled pairs (every pair for small runs) from the frozen arena.
+        // Sampled pairs (every pair for small runs) from the heap copy.
         let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
         let frozen = engine.handle(run).unwrap();
         for a in vertices.iter().step_by(3) {
@@ -119,6 +119,9 @@ proptest! {
                 prop_assert_eq!(frozen.reach(*a, *b), Some(naive.reaches(*a, *b)));
             }
         }
+        // The handle follows its run onto disk: keep the labels as the
+        // heap copy reads them, to compare the reload against.
+        let sampled: Vec<_> = vertices.iter().step_by(5).map(|&v| (v, frozen.label(v))).collect();
 
         engine.persist_run(run).unwrap();
         prop_assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
@@ -138,11 +141,10 @@ proptest! {
             }
         }
         // The cross-run surface sees the reloaded run, and its labels
-        // round-tripped bit-exactly through the segment (`frozen` still
-        // holds the pre-spill arena to compare against).
+        // round-tripped bit-exactly through the segment.
         prop_assert_eq!(reloaded.query().completed().run_ids(), vec![run]);
-        for &v in vertices.iter().step_by(5) {
-            prop_assert_eq!(reloaded.label(run, v).unwrap(), frozen.label(v));
+        for (v, label) in sampled {
+            prop_assert_eq!(reloaded.label(run, v).unwrap(), label);
         }
     }
 }
@@ -227,9 +229,12 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         blob[blob.len() - 8..],
         fnv1a(&blob[..blob.len() - 8]).to_le_bytes()
     );
-    let frozen = snapshot::decode_segment(&blob).unwrap();
-    assert!(snapshot::encode_segment(&frozen) == blob, "re-encode");
-    assert_eq!(frozen.footprint_bytes(), body.len());
+    let (header, arena) = snapshot::decode_segment(&blob).unwrap();
+    assert!(
+        snapshot::encode_segment(&header, &arena) == blob,
+        "re-encode"
+    );
+    assert_eq!(arena.footprint_bytes(), body.len());
 
     // A directory written by hand: the blob twice in one pack (a second
     // registration under a run id patched into its header), one manifest.
@@ -345,15 +350,40 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     assert_eq!(h.reach(u, v), Some(true));
 }
 
+/// Every run whose blob lies in a pack file of `dir`, live or dead: the
+/// packs are walked blob by blob, each header giving the next offset.
+fn runs_in_packs(dir: &std::path::Path) -> Vec<RunId> {
+    const FRAMING: u64 = 60 + 8;
+    let mut runs = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        if path.extension().is_none_or(|x| x != "wfseg") {
+            continue;
+        }
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut offset = 0;
+        while offset < len {
+            let h = snapshot::read_header_at(&path, offset).unwrap();
+            runs.push(h.run);
+            offset += FRAMING + 12 * u64::from(h.count) + h.arena_len;
+        }
+    }
+    runs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Compaction racing re-heats, evictions and queries: whatever
-    /// interleaving happens, surviving runs answer exactly per naive
-    /// replay (mid-race queries may transiently miss, but never lie),
-    /// and the manifest left behind reloads into a consistent engine.
+    /// Compaction racing re-heats, evictions, persists and queries:
+    /// whatever interleaving happens, surviving runs answer exactly per
+    /// naive replay (mid-race queries may transiently miss, but never
+    /// lie), an evicted run leaves no manifest line and — after a
+    /// compaction — no blob in any pack, even when its persist was
+    /// writing it as it went, and the manifest left behind reloads into
+    /// exactly the survivors.
     #[test]
     fn compaction_races_eviction_and_reheat(seed in 0u64..1_000) {
+        const PERSISTED: usize = 8;
         let dir = TempDir::new("race");
         let spec = spec_for(seed);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7));
@@ -363,8 +393,9 @@ proptest! {
             .spill_dir(&dir.0)
             .max_resident_bytes(4096)
             .build();
+        // Eight persisted runs, then two left frozen.
         let mut fleet = Vec::new();
-        for _ in 0..8 {
+        for i in 0..PERSISTED + 2 {
             let run = engine.open_run(SpecId(0)).unwrap();
             let gen = RunGenerator::new(&spec).target_size(36).generate_run(&mut rng);
             let exec = Execution::deterministic(&gen.graph, &gen.origin);
@@ -374,10 +405,14 @@ proptest! {
                 naive.insert(ev.vertex, &ev.preds);
             }
             engine.complete_run(run).unwrap();
-            engine.persist_run(run).unwrap();
+            if i < PERSISTED {
+                engine.persist_run(run).unwrap();
+            } else {
+                engine.freeze_run(run).unwrap();
+            }
             fleet.push((run, exec, naive));
         }
-        let evicted = fleet[0].0;
+        let (evicted, doomed, kept) = (fleet[0].0, fleet[PERSISTED].0, fleet[PERSISTED + 1].0);
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..3 {
@@ -389,9 +424,13 @@ proptest! {
                     let _ = engine.reheat_run(*run);
                 }
             });
+            s.spawn(|| engine.evict_run(evicted).unwrap());
+            // A persist racing the eviction of its run.
             s.spawn(|| {
-                let _ = engine.evict_run(evicted);
+                let _ = engine.persist_run(doomed);
+                engine.persist_run(kept).unwrap();
             });
+            s.spawn(|| engine.evict_run(doomed).unwrap());
             s.spawn(|| {
                 // Mid-race queries must never contradict the replay.
                 for (run, exec, naive) in &fleet[1..] {
@@ -402,8 +441,9 @@ proptest! {
                 }
             });
         });
+        let survivors: Vec<_> = fleet.iter().filter(|(run, ..)| ![evicted, doomed].contains(run)).collect();
         // Settled state: every surviving run answers exactly.
-        for (run, exec, naive) in &fleet[1..] {
+        for (run, exec, naive) in &survivors {
             let h = engine.handle(*run).unwrap();
             for a in exec.events().iter().step_by(3) {
                 for b in exec.events().iter().step_by(3) {
@@ -415,14 +455,21 @@ proptest! {
                 }
             }
         }
+        let listed: Vec<RunId> = snapshot::load_manifest(&dir.0).unwrap().iter().map(|e| e.run).collect();
+        prop_assert!(!listed.contains(&evicted) && !listed.contains(&doomed), "{:?}", listed);
+        engine.compact().unwrap();
+        let packed = runs_in_packs(&dir.0);
+        prop_assert!(!packed.contains(&evicted) && !packed.contains(&doomed), "{:?}", packed);
         drop(engine);
-        // The manifest on disk reloads into a consistent engine: every
-        // run it lists answers per replay (the evicted run may or may
-        // not resurrect depending on which manifest write won — both
-        // are valid crash states).
+        // The manifest on disk reloads into exactly the survivors, each
+        // answering per replay.
         let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
-        for (run, exec, naive) in &fleet {
-            let Ok(h) = reloaded.handle(*run) else { continue };
+        let mut expect: Vec<RunId> = survivors.iter().map(|(run, ..)| *run).collect();
+        expect.sort();
+        prop_assert_eq!(reloaded.query().run_ids(), expect);
+        prop_assert_eq!(reloaded.query().run_ids().len(), fleet.len() - 2);
+        for (run, exec, naive) in &survivors {
+            let h = reloaded.handle(*run).unwrap();
             for a in exec.events().iter().step_by(4) {
                 for b in exec.events().iter().step_by(3) {
                     prop_assert_eq!(
@@ -433,6 +480,41 @@ proptest! {
             }
         }
     }
+}
+
+/// A manifest that lists a run twice registers it once — its last line
+/// wins — so the tier counts agree with the registry, before and after
+/// the run is evicted.
+#[test]
+fn a_run_listed_twice_in_the_manifest_registers_once() {
+    let dir = TempDir::new("twice");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(60);
+    let gen = RunGenerator::new(&spec)
+        .target_size(60)
+        .generate_run(&mut rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let run = persist_one(&build(), &exec);
+    let path = dir.0.join(snapshot::MANIFEST_FILE);
+    let manifest = std::fs::read_to_string(&path).unwrap();
+    let line = manifest.lines().nth(1).unwrap();
+    std::fs::write(&path, format!("{manifest}{line}\n")).unwrap();
+    assert_eq!(snapshot::load_manifest(&dir.0).unwrap().len(), 2);
+
+    let engine = build();
+    assert_eq!(engine.query().run_ids(), vec![run]);
+    assert_eq!(engine.stats().runs_persisted, 1);
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    assert_eq!(engine.reach(run, u, v), Ok(Some(true)));
+    engine.evict_run(run).unwrap();
+    assert!(engine.query().run_ids().is_empty());
+    assert_eq!(engine.stats().runs_persisted, 0);
 }
 
 /// A truncated snapshot file is rejected cleanly (typed error, no
