@@ -10,19 +10,50 @@
 //! graph ids, which the accounting charges to the index prefix), and a
 //! round-trip is exact.
 //!
+//! A label is its context's prefix plus one own entry (Algorithm 3's
+//! single append), and the encoding keeps that split: a **prefix
+//! record** is the entry count plus one (γ), then the entries; a
+//! standalone label ([`encode_label`]) is its prefix record followed by
+//! its own entry.
+//!
 //! Reading has one path at each level. One label: [`EntryCursor`], a bit
-//! cursor that yields entries without allocating ([`decode_label`] is
-//! that cursor collected); callers hold a [`LabelRef`] — decoded entries
-//! or encoded bytes — and never need to know which. One run:
-//! [`ArenaRef`], a sorted slot table over a heap of encoded labels (the
-//! slotted-page shape), borrowed from a [`LabelArena`] that owns its
-//! buffers or from a mapped segment file; it holds the only directory
-//! search and the only "label at offset" in the workspace.
+//! cursor over a prefix record that yields entries without allocating
+//! ([`decode_label`] is that cursor collected, then the own entry);
+//! callers hold a [`LabelRef`] — a prefix plus an own entry, decoded or
+//! encoded — and never need to know which. One run: [`ArenaRef`], the
+//! reader of a **label arena**, borrowed from a [`LabelArena`] that owns
+//! its bytes or from a mapped segment file; it holds the only "label of
+//! vertex" in the workspace.
+//!
+//! **The label arena** — one completed run, all integers little-endian:
+//!
+//! ```text
+//! layout    span u32 (max vertex id + 1) · heap u32 (prefix-heap bytes)
+//!           · 7 × u8: the width of each cell field, in bits (≤ 32)
+//! presence  ⌈span / 64⌉ × (word u64: bit v % 64 set iff vertex v is
+//!           labeled · u32: the labeled vertices before the word)
+//! cells     one per labeled vertex, in vertex order, bit-packed at one
+//!           width per field: name · prefix offset · own index · kind ·
+//!           graph · skeleton vertex · rec (0 = none, 1–4)
+//! heap      each distinct prefix once, as a prefix record starting on
+//!           a byte; a cell's prefix offset is where its record starts
+//! ```
+//!
+//! Every field is exactly as wide as its largest value in the run, so a
+//! field that is 0 throughout — an own entry's kind is `N` — costs no
+//! bits. Finding a label is a presence test and a rank (the count before
+//! the word plus a popcount): no search. Reading a field is one
+//! unaligned 64-bit load. Only the prefix is decoded a bit at a time,
+//! and two labels of one context need not even that.
 
 use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
+use crate::predicate::DrlPredicate;
+use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 use wf_graph::{NameId, VertexId};
+use wf_skeleton::SpecLabeling;
 use wf_spec::GraphId;
 
 /// Append-only bit buffer.
@@ -59,11 +90,26 @@ impl BitWriter {
         self.len += 1;
     }
 
-    /// Write the low `width` bits of `value`, LSB first.
-    pub fn push_bits(&mut self, value: u64, width: usize) {
-        for i in 0..width {
-            self.push_bit((value >> i) & 1 == 1);
+    /// Write the low `width` bits of `value`, LSB first — up to a byte at
+    /// a time (an arena's cells are written with it).
+    pub fn push_bits(&mut self, mut value: u64, mut width: usize) {
+        while width > 0 {
+            let used = self.len % 8;
+            if used == 0 {
+                self.bytes.push(0);
+            }
+            let take = (8 - used).min(width);
+            let low = (value & ((1 << take) - 1)) as u8;
+            *self.bytes.last_mut().expect("a byte to write into") |= low << used;
+            value >>= take;
+            width -= take;
+            self.len += take;
         }
+    }
+
+    /// Skip to the next byte boundary.
+    fn pad_to_byte(&mut self) {
+        self.len = self.bytes.len() * 8;
     }
 
     /// Elias-gamma code for `value ≥ 1`: `⌊log₂ v⌋` zeros, then the
@@ -238,32 +284,42 @@ fn code_kind(code: u64) -> Option<NodeKind> {
     })
 }
 
-/// Encode a label. `skl_bits` must match the labeler's
+/// Encode a label: its prefix record, then its own entry — so the first
+/// γ code is the label's depth. `skl_bits` must match the labeler's
 /// (`⌈log₂ nG⌉`, see `LabelerCore::skl_bits`).
 pub fn encode_label(label: &DrlLabel, skl_bits: usize) -> Vec<u8> {
     let mut w = BitWriter::new();
-    write_label(&mut w, label.view(), skl_bits);
+    let view = label.view();
+    write_prefix(&mut w, view, skl_bits);
+    write_entry(&mut w, &view.last(), skl_bits);
     w.into_bytes()
 }
 
-/// Write one borrowed label: its depth, then its entries root first. An
-/// encoded label is re-encoded entry by entry, as far as it decodes — one
-/// that stops decoding is written as a label that stops decoding there.
-fn write_label(w: &mut BitWriter, label: LabelRef<'_>, skl_bits: usize) {
+/// Write the prefix record of one borrowed label. An encoded prefix is
+/// re-encoded entry by entry; one that does not decode is written as a
+/// record that does not either: 64 zero bits, more than any γ code
+/// starts with.
+fn write_prefix(w: &mut BitWriter, label: LabelRef<'_>, skl_bits: usize) {
     match label {
-        LabelRef::Entries { prefix, last } => {
+        LabelRef::Entries { prefix, .. } => {
             w.push_gamma(prefix.len() as u64 + 1);
-            for e in prefix.iter().chain([last]) {
+            for e in prefix.iter() {
                 write_entry(w, e, skl_bits);
             }
         }
-        LabelRef::Encoded(bytes, encoded_with) => {
-            let cursor = EntryCursor::new(bytes, encoded_with);
-            w.push_gamma(cursor.remaining as u64);
-            for e in cursor.map_while(|e| e) {
-                write_entry(w, &e, skl_bits);
+        LabelRef::Encoded {
+            prefix,
+            skl_bits: with,
+            ..
+        } => match EntryCursor::new(prefix, with) {
+            Some(cursor) if cursor.clone().all(|e| e.is_some()) => {
+                w.push_gamma(cursor.remaining as u64 + 1);
+                for e in cursor.flatten() {
+                    write_entry(w, &e, skl_bits);
+                }
             }
-        }
+            _ => w.push_bits(0, 64),
+        },
     }
 }
 
@@ -287,64 +343,84 @@ fn write_entry(w: &mut BitWriter, e: &Entry, skl_bits: usize) {
 
 /// Decode a label previously written by [`encode_label`] with the same
 /// `skl_bits`. Returns `None` on malformed input. This is an
-/// [`EntryCursor`] collected — the workspace has one entry decoder.
+/// [`EntryCursor`] collected, then the own entry read after it — the
+/// workspace has one entry decoder.
 pub fn decode_label(bytes: &[u8], skl_bits: usize) -> Option<DrlLabel> {
-    LabelRef::Encoded(bytes, skl_bits).to_label()
+    let (prefix, mut rest) = EntryCursor::new(bytes, skl_bits)?.collect_prefix()?;
+    let last = read_entry(&mut rest, skl_bits)?;
+    Some(DrlLabel::from_parts(prefix, last, None))
 }
 
 /// A **borrowed label**: what every reader of a published label takes,
-/// whichever tier holds it. Either a decoded label — its context's
-/// shared prefix array and its own entry, lent together, whether from a
+/// whichever tier holds it. Both forms are a context prefix plus the
+/// vertex's own entry. The prefix is either a decoded array — from a
 /// [`DrlLabel`] ([`DrlLabel::view`]) or from a table that keeps the
-/// arrays apart from the entries (the engine's hot index) — or the
-/// encoded bytes of one label inside an arena
-/// (plus the `skl_bits` they were written with), which an
-/// [`EntryCursor`] turns into the same [`Entry`] values one at a time —
-/// so the predicate ([`crate::DrlPredicate::reaches_ref`]), the scans and
-/// the arena builder never need an owned label on a read.
+/// arrays apart from the entries (the engine's hot index) — or a prefix
+/// record inside an arena's heap (plus the `skl_bits` it was written
+/// with), which an [`EntryCursor`] turns into the same [`Entry`] values
+/// one at a time. So the predicate ([`crate::DrlPredicate::reaches_ref`]),
+/// the scans and the arena builder never need an owned label on a read.
 #[derive(Debug, Clone, Copy)]
 pub enum LabelRef<'a> {
-    /// A decoded label: every entry but the last, then the last.
+    /// A decoded prefix and the own entry.
     Entries {
         /// The context's shared prefix array, root first.
         prefix: &'a Arc<[Entry]>,
         /// The vertex's own entry.
         last: &'a Entry,
     },
-    /// One encoded label starting at the first byte (labels are
-    /// self-delimiting, so trailing bytes are ignored), and the
-    /// skeleton-pointer width it was encoded with.
-    Encoded(&'a [u8], usize),
+    /// An encoded prefix and the own entry.
+    Encoded {
+        /// The prefix record, from its first byte (records are
+        /// self-delimiting, so trailing bytes are ignored).
+        prefix: &'a [u8],
+        /// The vertex's own entry, read from its cell.
+        last: Entry,
+        /// The skeleton-pointer width the record was written with.
+        skl_bits: usize,
+    },
 }
 
-impl LabelRef<'_> {
+impl<'a> LabelRef<'a> {
+    /// The vertex's own entry.
+    pub fn last(self) -> Entry {
+        match self {
+            LabelRef::Entries { last, .. } => *last,
+            LabelRef::Encoded { last, .. } => last,
+        }
+    }
+
+    /// Where the prefix is borrowed from: labels that lend one array, or
+    /// one record, lend one address.
+    fn prefix_address(self) -> usize {
+        match self {
+            LabelRef::Entries { prefix, .. } => prefix.as_ptr() as usize,
+            LabelRef::Encoded { prefix, .. } => prefix.as_ptr() as usize,
+        }
+    }
+
     /// An owned copy — for the few places that *keep* a label: a decoded
     /// label shares its prefix array (one reference count, no number:
-    /// the copy is the keeper's, not the run's), encoded bytes are
-    /// decoded into a private one. `None` when the bytes do not decode.
+    /// the copy is the keeper's, not the run's), an encoded prefix is
+    /// decoded into a private one. `None` when it does not decode.
     pub fn to_label(self) -> Option<DrlLabel> {
         match self {
             LabelRef::Entries { prefix, last } => {
                 Some(DrlLabel::from_parts(Arc::clone(prefix), *last, None))
             }
-            LabelRef::Encoded(bytes, skl_bits) => {
-                let mut cursor = EntryCursor::new(bytes, skl_bits);
-                // All entries but the last, collected straight into the
-                // prefix allocation (a mapped range knows its length). A
-                // cursor that fails is exhausted, so the stand-ins for
-                // what it could not read never leave this function: no
-                // last entry follows them.
-                let unread = Entry::special(0, NodeKind::L);
-                let prefix = (1..cursor.remaining)
-                    .map(|_| cursor.next().flatten().unwrap_or(unread))
-                    .collect();
-                Some(DrlLabel::from_parts(prefix, cursor.next()??, None))
+            LabelRef::Encoded {
+                prefix,
+                last,
+                skl_bits,
+            } => {
+                let (prefix, _) = EntryCursor::new(prefix, skl_bits)?.collect_prefix()?;
+                Some(DrlLabel::from_parts(prefix, last, None))
             }
         }
     }
 
     /// Label length in bits, the Theorem-3 accounting of
-    /// [`DrlLabel::bit_len`]; `None` when the bytes do not decode.
+    /// [`DrlLabel::bit_len`]; `None` when the prefix does not decode.
     pub fn bit_len(self, skl_bits: usize) -> Option<usize> {
         match self {
             LabelRef::Entries { prefix, last } => Some(
@@ -354,13 +430,19 @@ impl LabelRef<'_> {
                     .map(|e| e.bit_len(skl_bits))
                     .sum(),
             ),
-            LabelRef::Encoded(bytes, encoded_with) => EntryCursor::new(bytes, encoded_with)
-                .try_fold(0, |bits, e| Some(bits + e?.bit_len(skl_bits))),
+            LabelRef::Encoded {
+                prefix,
+                last,
+                skl_bits: encoded_with,
+            } => EntryCursor::new(prefix, encoded_with)?
+                .try_fold(last.bit_len(skl_bits), |bits, e| {
+                    Some(bits + e?.bit_len(skl_bits))
+                }),
         }
     }
 }
 
-/// **The one entry decoder**: a bit cursor over one encoded label that
+/// **The one entry decoder**: a bit cursor over one prefix record that
 /// yields its entries root first, allocating nothing. An item of `None`
 /// means the bytes stopped decoding at that entry; the cursor is
 /// exhausted afterwards, so a consumer that stops at the first `None`
@@ -374,26 +456,36 @@ pub struct EntryCursor<'a> {
 }
 
 impl<'a> EntryCursor<'a> {
-    /// Start reading the label at the front of `bytes`.
-    pub fn new(bytes: &'a [u8], skl_bits: usize) -> Self {
+    /// Start reading the prefix record at the front of `bytes`; `None`
+    /// when its entry count does not decode or promises more entries than
+    /// `bytes` can hold.
+    pub fn new(bytes: &'a [u8], skl_bits: usize) -> Option<Self> {
         let mut r = BitReader::new(bytes);
-        let remaining = match r.read_gamma() {
-            // An entry costs at least 3 bits (a 1-bit index, 2 kind
-            // bits): a depth the buffer cannot hold is rejected before
-            // anything is sized from it.
-            Some(depth) if depth >= 1 && depth <= bytes.len() as u64 * 8 / 3 => depth as usize,
-            // A malformed prefix reads as one entry that fails to
-            // decode: nothing is left for it in an empty buffer.
-            _ => {
-                r = BitReader::new(&[]);
-                1
-            }
-        };
-        Self {
+        let count = r.read_gamma()? - 1;
+        // An entry costs at least 3 bits (a 1-bit index, 2 kind bits): a
+        // count the buffer cannot hold is rejected before anything is
+        // sized from it.
+        (count <= bytes.len() as u64 * 8 / 3).then_some(Self {
             r,
-            remaining,
+            remaining: count as usize,
             skl_bits,
-        }
+        })
+    }
+
+    /// Every entry still to come, collected straight into one array (the
+    /// record knows its length), and the reader right after them; `None`
+    /// when one of them does not decode.
+    fn collect_prefix(mut self) -> Option<(Arc<[Entry]>, BitReader<'a>)> {
+        let mut whole = true;
+        let unread = Entry::special(0, NodeKind::L);
+        let prefix = (0..self.remaining)
+            .map(|_| {
+                let entry = self.next().flatten();
+                whole &= entry.is_some();
+                entry.unwrap_or(unread)
+            })
+            .collect();
+        whole.then_some((prefix, self.r))
     }
 }
 
@@ -442,216 +534,401 @@ fn read_entry(r: &mut BitReader<'_>, skl_bits: usize) -> Option<Entry> {
     })
 }
 
-/// Directory entry of one vertex inside a label arena: where its encoded
-/// label starts, and the module name it was published under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaSlot {
-    /// The run vertex.
-    pub vertex: VertexId,
-    /// Its module name (carried so name-scoped scans work off the arena
-    /// alone, without the run's writer state).
-    pub name: NameId,
-    /// Byte offset of the encoded label in the arena. Labels are
-    /// self-delimiting, so no length is stored.
-    pub offset: u32,
+/// Cell fields, in the order a cell holds them.
+const NAME: usize = 0;
+const PREFIX: usize = 1;
+const INDEX: usize = 2;
+const KIND: usize = 3;
+const GRAPH: usize = 4;
+const VERTEX: usize = 5;
+const REC: usize = 6;
+const FIELDS: usize = 7;
+/// The layout header: the id span, the prefix-heap length, a width per
+/// cell field.
+const LAYOUT_LEN: usize = 4 + 4 + FIELDS;
+/// One presence word and the count of labeled vertices before it.
+const GROUP_LEN: usize = 8 + 4;
+
+/// The fields of the cell of a label named `name` whose prefix record
+/// starts at heap offset `prefix`. As in the entry code, only an `N`
+/// entry carries a skeleton pointer and rec flags.
+fn cell_fields(name: NameId, prefix: u32, last: &Entry) -> [u32; FIELDS] {
+    let (graph, vertex, rec) = match (last.kind, last.skl) {
+        (NodeKind::N, Some((g, v))) => {
+            let rec = last
+                .rec
+                .map_or(0, |(r1, r2)| 1 + 2 * u32::from(r1) + u32::from(r2));
+            (g.0, v.0, rec)
+        }
+        _ => (0, 0, 0),
+    };
+    let kind = kind_code(last.kind) as u32;
+    [name.0, prefix, last.index, kind, graph, vertex, rec]
 }
 
-impl ArenaSlot {
-    /// Size of one directory entry (three little-endian `u32`s), in
-    /// memory and on disk. The slot wire format belongs to the arena,
-    /// not to any particular snapshot container.
-    pub const WIRE_BYTES: usize = 12;
+/// The own entry a cell's fields describe; `None` for a kind or rec code
+/// no cell is written with.
+fn cell_entry(field: impl Fn(usize) -> u32) -> Option<Entry> {
+    let kind = code_kind(u64::from(field(KIND)))?;
+    let (skl, rec) = if kind == NodeKind::N {
+        let rec = match field(REC) {
+            0 => None,
+            code @ 1..=4 => Some((code >= 3, code % 2 == 0)),
+            _ => return None,
+        };
+        (Some((GraphId(field(GRAPH)), VertexId(field(VERTEX)))), rec)
+    } else {
+        (None, None)
+    };
+    Some(Entry {
+        index: field(INDEX),
+        kind,
+        skl,
+        rec,
+    })
+}
 
-    /// Append the slot's little-endian wire form.
-    fn write_le(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.vertex.0.to_le_bytes());
-        out.extend_from_slice(&self.name.0.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
-    }
+/// Why bytes are not a label arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArenaError {
+    /// The bytes end before, or run past, the regions their layout
+    /// header sizes.
+    Length {
+        /// The length the layout calls for.
+        expected: usize,
+        /// The length found.
+        found: usize,
+    },
+    /// A cell field wider than the `u32` it holds.
+    Width(u8),
+    /// A presence word whose count of the labels before it is wrong.
+    Rank(usize),
+    /// A vertex whose cell or prefix record does not decode.
+    Label(VertexId),
+}
 
-    /// Parse one slot from exactly [`Self::WIRE_BYTES`] bytes.
-    fn read_le(b: &[u8]) -> Self {
-        let word = |i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().expect("4 bytes"));
-        Self {
-            vertex: VertexId(word(0)),
-            name: NameId(word(1)),
-            offset: word(2),
+impl fmt::Display for ArenaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArenaError::Length { expected, found } => write!(
+                f,
+                "arena length {found} does not match its layout (expected {expected})"
+            ),
+            ArenaError::Width(bits) => write!(f, "cell field width {bits} exceeds 32 bits"),
+            ArenaError::Rank(word) => write!(f, "presence word {word} has a wrong rank"),
+            ArenaError::Label(v) => write!(f, "the label of {v:?} does not decode"),
         }
     }
 }
 
-/// **The arena reader**: a borrowed slot table (sorted by vertex id, in
-/// the 12-byte wire layout) plus the byte heap of encoded labels it
-/// points into — the slotted-page shape. Every label read of a completed
-/// run goes through this one type, whether the bytes are owned by a
+impl std::error::Error for ArenaError {}
+
+/// **The arena reader**: every label read of a completed run goes
+/// through this one type, whether the bytes are owned by a
 /// [`LabelArena`] or sit in a mapped segment file; it never allocates.
 ///
-/// The view itself trusts nothing: an unsorted directory merely misses
-/// lookups, an out-of-range offset or a label that no longer decodes
-/// surfaces as a malformed [`LabelRef`] (a `None` from its cursor),
+/// [`Self::new`] checks the framing — the layout header, the widths, and
+/// that the regions it sizes fill the bytes exactly — in constant time,
+/// so a reader can be made per read. Past that it trusts nothing: a
+/// wrong rank reads another cell, an out-of-range cell reads zeros, and
+/// a prefix offset out of range or a record that no longer decodes
+/// surfaces as a malformed [`LabelRef`] (a `None` from its cursor) —
 /// never a panic. [`Self::to_arena`] is the validating copy.
 #[derive(Debug, Clone, Copy)]
 pub struct ArenaRef<'a> {
-    slots: &'a [u8],
     bytes: &'a [u8],
+    /// The presence words, each followed by its rank.
+    groups: &'a [u8],
+    cells: &'a [u8],
+    heap: &'a [u8],
+    width: [u8; FIELDS],
+    /// Each field's bit offset within a cell.
+    at: [u8; FIELDS],
+    cell_bits: usize,
     skl_bits: usize,
 }
 
 impl<'a> ArenaRef<'a> {
-    /// View `slots` (whole [`ArenaSlot::WIRE_BYTES`] records; a trailing
-    /// partial record is ignored) over the label heap `bytes`.
-    pub fn new(slots: &'a [u8], bytes: &'a [u8], skl_bits: usize) -> Self {
-        let whole = slots.len() - slots.len() % ArenaSlot::WIRE_BYTES;
-        Self {
-            slots: &slots[..whole],
-            bytes,
-            skl_bits,
+    /// Frame the label arena `bytes`, whose prefixes were written with
+    /// skeleton pointers `skl_bits` wide.
+    pub fn new(bytes: &'a [u8], skl_bits: usize) -> Result<Self, ArenaError> {
+        let length = |expected| ArenaError::Length {
+            expected,
+            found: bytes.len(),
+        };
+        let layout = bytes.get(..LAYOUT_LEN).ok_or(length(LAYOUT_LEN))?;
+        let word = |i: usize| u32::from_le_bytes(layout[i..i + 4].try_into().expect("4 bytes"));
+        let mut width = [0; FIELDS];
+        width.copy_from_slice(&layout[8..]);
+        if let Some(&bits) = width.iter().find(|&&bits| bits > 32) {
+            return Err(ArenaError::Width(bits));
         }
+        let (mut at, mut cell_bits) = ([0; FIELDS], 0);
+        for (at, &bits) in at.iter_mut().zip(&width) {
+            *at = cell_bits;
+            cell_bits += bits;
+        }
+        let groups_len = (word(0) as usize).div_ceil(64) * GROUP_LEN;
+        let framed = LAYOUT_LEN + groups_len + word(4) as usize;
+        let cells_len = bytes.len().checked_sub(framed).ok_or(length(framed))?;
+        let (groups, rest) = bytes[LAYOUT_LEN..].split_at(groups_len);
+        let (cells, heap) = rest.split_at(cells_len);
+        let view = Self {
+            bytes,
+            groups,
+            cells,
+            heap,
+            width,
+            at,
+            cell_bits: usize::from(cell_bits),
+            skl_bits,
+        };
+        let expected = framed + (view.len() * view.cell_bits).div_ceil(8);
+        if bytes.len() != expected {
+            return Err(length(expected));
+        }
+        Ok(view)
     }
 
-    /// Number of labeled vertices.
+    /// Number of labeled vertices: the last word's rank plus its bits.
     pub fn len(&self) -> usize {
-        self.slots.len() / ArenaSlot::WIRE_BYTES
+        let last = (self.groups.len() / GROUP_LEN).checked_sub(1);
+        last.and_then(|g| self.group(g))
+            .map_or(0, |(word, before)| before + word.count_ones() as usize)
     }
 
     /// True for the empty run.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
-    /// The skeleton-pointer width the labels were encoded with.
+    /// The skeleton-pointer width the prefixes were encoded with.
     pub fn skl_bits(&self) -> usize {
         self.skl_bits
     }
 
-    /// The `i`-th directory entry (`i < len`).
-    fn slot(&self, i: usize) -> ArenaSlot {
-        ArenaSlot::read_le(&self.slots[i * ArenaSlot::WIRE_BYTES..][..ArenaSlot::WIRE_BYTES])
+    /// Presence word `g` and the number of labeled vertices before it.
+    #[inline]
+    fn group(&self, g: usize) -> Option<(u64, usize)> {
+        let b = self.groups.get(g * GROUP_LEN..)?.get(..GROUP_LEN)?;
+        let word = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        let before = u32::from_le_bytes(b[8..].try_into().expect("4 bytes"));
+        Some((word, before as usize))
     }
 
-    /// The encoded label a directory entry points at (an empty buffer,
-    /// which decodes to nothing, when the offset is out of range).
-    fn bytes_at(&self, slot: &ArenaSlot) -> &'a [u8] {
-        self.bytes.get(slot.offset as usize..).unwrap_or(&[])
+    /// The cell of `v`: how many labeled vertices come before it.
+    #[inline]
+    fn rank(&self, v: VertexId) -> Option<usize> {
+        let (word, before) = self.group(v.0 as usize / 64)?;
+        let bit = v.0 % 64;
+        let below = (word & ((1 << bit) - 1)).count_ones() as usize;
+        ((word >> bit) & 1 == 1).then_some(before + below)
     }
 
-    /// Binary-search the directory for `v`.
-    pub fn find(&self, v: VertexId) -> Option<ArenaSlot> {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.slot(mid).vertex < v {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+    /// Field `k` of cell `r`: one unaligned little-endian load (the
+    /// bytes past the last cell read as zeros).
+    #[inline]
+    fn field(&self, r: usize, k: usize) -> u32 {
+        let bit = r
+            .saturating_mul(self.cell_bits)
+            .saturating_add(usize::from(self.at[k]));
+        let at = bit / 8;
+        let word = match self.cells.get(at..at + 8) {
+            Some(b) => u64::from_le_bytes(b.try_into().expect("8 bytes")),
+            None => {
+                let mut b = [0; 8];
+                let tail = self.cells.get(at..).unwrap_or_default();
+                b[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(b)
             }
+        };
+        ((word >> (bit % 8)) & ((1 << self.width[k]) - 1)) as u32
+    }
+
+    /// Cell `r`: its prefix's heap offset and its own entry.
+    #[inline]
+    fn cell(&self, r: usize) -> Option<(u32, Entry)> {
+        let field = |k| self.field(r, k);
+        Some((field(PREFIX), cell_entry(field)?))
+    }
+
+    /// A cell as the borrowed label it stands for.
+    #[inline]
+    fn labeled(&self, (offset, last): (u32, Entry)) -> LabelRef<'a> {
+        LabelRef::Encoded {
+            prefix: self.heap.get(offset as usize..).unwrap_or_default(),
+            last,
+            skl_bits: self.skl_bits,
         }
-        (lo < self.len())
-            .then(|| self.slot(lo))
-            .filter(|s| s.vertex == v)
     }
 
     /// The module name `v` was published under.
     pub fn name(&self, v: VertexId) -> Option<NameId> {
-        self.find(v).map(|s| s.name)
+        Some(NameId(self.field(self.rank(v)?, NAME)))
     }
 
     /// The label of `v`, if the run labeled it.
     pub fn label(&self, v: VertexId) -> Option<LabelRef<'a>> {
-        self.find(v)
-            .map(|s| LabelRef::Encoded(self.bytes_at(&s), self.skl_bits))
+        Some(self.labeled(self.cell(self.rank(v)?)?))
     }
 
-    /// Every `(vertex, name, label)`, in directory order. Nothing is
+    /// `u ; v`, or `None` unless both are labeled and decode. Two cells
+    /// of one context — one prefix record, one own index — decide from
+    /// their own entries, without a look at the heap, as two hot cells
+    /// of one prefix slot do.
+    #[inline]
+    pub fn reach<S: SpecLabeling>(
+        &self,
+        predicate: &DrlPredicate<'_, S>,
+        u: VertexId,
+        v: VertexId,
+    ) -> Option<bool> {
+        let (a, b) = (self.cell(self.rank(u)?)?, self.cell(self.rank(v)?)?);
+        if a.0 == b.0 && a.1.index == b.1.index {
+            return predicate.reaches_in_context(&a.1, &b.1);
+        }
+        predicate.reaches_ref(self.labeled(a), self.labeled(b))
+    }
+
+    /// Every labeled vertex and its cell, in vertex order.
+    fn cells(self) -> impl Iterator<Item = (VertexId, usize)> + Clone + 'a {
+        (0..self.groups.len() / GROUP_LEN)
+            .flat_map(move |g| {
+                let (word, _) = self.group(g).unwrap_or_default();
+                (0..word.count_ones()).scan(word, move |word, _| {
+                    let bit = word.trailing_zeros();
+                    *word &= *word - 1;
+                    Some(VertexId(g as u32 * 64 + bit))
+                })
+            })
+            .enumerate()
+            .map(|(r, v)| (v, r))
+    }
+
+    /// Every `(vertex, name)`, in vertex order; no label is read.
+    pub fn names(self) -> impl Iterator<Item = (VertexId, NameId)> + 'a {
+        self.cells()
+            .map(move |(v, r)| (v, NameId(self.field(r, NAME))))
+    }
+
+    /// Every `(vertex, name, label)`, in vertex order. No prefix is
     /// decoded until a label's cursor is walked.
-    pub fn iter(self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'a>)> {
-        (0..self.len()).map(move |i| {
-            let slot = self.slot(i);
-            let label = LabelRef::Encoded(self.bytes_at(&slot), self.skl_bits);
-            (slot.vertex, slot.name, label)
+    pub fn iter(self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'a>)> + Clone + 'a {
+        self.cells().filter_map(move |(v, r)| {
+            Some((v, NameId(self.field(r, NAME)), self.labeled(self.cell(r)?)))
         })
     }
 
-    /// A validated owned copy (what loading a snapshot or re-heating a
-    /// mapped run does). `None` unless the directory is strictly sorted
-    /// with in-bounds, non-decreasing offsets **and every label
-    /// decodes** — a truncated or corrupted buffer is rejected here, not
-    /// at query time.
-    pub fn to_arena(&self) -> Option<LabelArena> {
-        let mut prev: Option<ArenaSlot> = None;
-        for i in 0..self.len() {
-            let slot = self.slot(i);
-            if prev.is_some_and(|p| p.vertex >= slot.vertex || p.offset > slot.offset) {
-                return None;
+    /// A validated owned copy (what decoding a segment does): beyond the
+    /// framing, every rank counts the labels before its word, and every
+    /// cell and the prefix record it names decode — a corrupted arena is
+    /// rejected here, not at query time.
+    pub fn to_arena(&self) -> Result<LabelArena, ArenaError> {
+        let mut before = 0;
+        for g in 0..self.groups.len() / GROUP_LEN {
+            let (word, rank) = self.group(g).ok_or(ArenaError::Rank(g))?;
+            if rank != before {
+                return Err(ArenaError::Rank(g));
             }
-            if !EntryCursor::new(self.bytes_at(&slot), self.skl_bits).all(|e| e.is_some()) {
-                return None;
-            }
-            prev = Some(slot);
+            before += word.count_ones() as usize;
         }
-        Some(LabelArena {
-            slots: self.slots.into(),
+        for (v, r) in self.cells() {
+            let decodes = self
+                .cell(r)
+                .map(|cell| self.labeled(cell).bit_len(self.skl_bits));
+            if decodes.flatten().is_none() {
+                return Err(ArenaError::Label(v));
+            }
+        }
+        Ok(LabelArena {
             bytes: self.bytes.into(),
             skl_bits: self.skl_bits,
         })
     }
 }
 
-/// **Run-level framing**: every label of one completed run, encoded with
-/// [`encode_label`] into a single contiguous byte arena plus a sorted
-/// vertex directory.
+/// **Run-level framing**: every label of one completed run in one label
+/// arena (see the module docs for the layout) — the static end state of
+/// the paper's dynamic scheme, where each context prefix is encoded once
+/// and a label is one fixed-width cell naming it.
 ///
-/// This is the compact at-rest representation of a finished run — the
-/// static end state of the paper's dynamic scheme. Compared to the
-/// in-memory decoded labels it trades two pointer-free, cache-friendly
-/// buffers (directory + arena) against walking a bit cursor on every
-/// access, which is exactly the trade a hot/frozen tiering policy wants
-/// to make for runs that stopped growing. It only *owns* the bytes:
-/// reads go through [`Self::view`], the same [`ArenaRef`] a mapped
-/// segment hands out, and the directory is kept in its wire layout so a
-/// snapshot is a straight copy of both buffers.
+/// Compared to the in-memory decoded labels it trades one pointer-free,
+/// cache-friendly buffer against decoding a prefix on access, which is
+/// exactly the trade a tiering policy wants to make for runs that
+/// stopped growing. It only *owns* the bytes: reads go through
+/// [`Self::view`], the same [`ArenaRef`] a mapped segment hands out, so
+/// a snapshot is a straight copy of the buffer.
 #[derive(Debug, Clone)]
 pub struct LabelArena {
-    /// [`ArenaSlot`] records, sorted by vertex id (strictly increasing).
-    slots: Box<[u8]>,
     bytes: Box<[u8]>,
     skl_bits: usize,
 }
 
 impl LabelArena {
-    /// Encode every `(vertex, name, label)` into one arena. Input may
-    /// arrive in any order; the directory is sorted by vertex id.
-    /// `skl_bits` must match the labeler's (`LabelerCore::skl_bits`).
-    pub fn build<'a>(
-        skl_bits: usize,
-        labels: impl IntoIterator<Item = (VertexId, NameId, LabelRef<'a>)>,
-    ) -> Self {
-        let mut staged: Vec<(VertexId, NameId, LabelRef<'a>)> = labels.into_iter().collect();
-        staged.sort_by_key(|(v, ..)| *v);
-        let mut slots = Vec::with_capacity(staged.len() * ArenaSlot::WIRE_BYTES);
-        let mut w = BitWriter::new();
-        for (vertex, name, label) in staged {
-            let offset = u32::try_from(w.len() / 8).expect("arena exceeds 4 GiB");
-            write_label(&mut w, label, skl_bits);
-            // Every label starts on a byte.
-            w.len = w.len.next_multiple_of(8);
-            ArenaSlot {
-                vertex,
-                name,
-                offset,
+    /// Encode every `(vertex, name, label)`, in strictly increasing
+    /// vertex order, into one arena, in two passes over `labels`. The
+    /// first numbers each distinct prefix as it is first met — by the
+    /// address the label borrows it from, so an array (or a record) that
+    /// many labels share is encoded once — and writes it to the heap,
+    /// noting each field's largest value. The second writes the presence
+    /// words and one cell per label. `skl_bits` must match the labeler's
+    /// (`LabelerCore::skl_bits`).
+    ///
+    /// # Panics
+    /// On a vertex out of order or of id `u32::MAX`.
+    pub fn build<'a, I>(skl_bits: usize, labels: I) -> Self
+    where
+        I: Iterator<Item = (VertexId, NameId, LabelRef<'a>)> + Clone,
+    {
+        let mut heap = BitWriter::new();
+        let mut offsets = HashMap::new();
+        let (mut span, mut max) = (0u32, [0u32; FIELDS]);
+        for (v, name, label) in labels.clone() {
+            assert!(v.0 >= span, "labels arrive in increasing vertex order");
+            span = v.0.checked_add(1).expect("vertex ids below u32::MAX");
+            let offset = *offsets.entry(label.prefix_address()).or_insert_with(|| {
+                let offset = u32::try_from(heap.len() / 8).expect("prefix heap under 4 GiB");
+                write_prefix(&mut heap, label, skl_bits);
+                heap.pad_to_byte();
+                offset
+            });
+            for (max, field) in max.iter_mut().zip(cell_fields(name, offset, &label.last())) {
+                *max = (*max).max(field);
             }
-            .write_le(&mut slots);
         }
+        let width = max.map(|m| (u32::BITS - m.leading_zeros()) as u8);
+        let heap = heap.into_bytes();
+        let mut bytes = Vec::with_capacity(LAYOUT_LEN + (span as usize).div_ceil(64) * GROUP_LEN);
+        bytes.extend_from_slice(&span.to_le_bytes());
+        bytes.extend_from_slice(&(heap.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&width);
+        let mut words = vec![0u64; (span as usize).div_ceil(64)];
+        let mut cells = BitWriter::new();
+        for (v, name, label) in labels {
+            words[v.0 as usize / 64] |= 1 << (v.0 % 64);
+            let offset = offsets[&label.prefix_address()];
+            for (field, &bits) in cell_fields(name, offset, &label.last()).iter().zip(&width) {
+                cells.push_bits(u64::from(*field), usize::from(bits));
+            }
+        }
+        let mut before = 0u32;
+        for word in words {
+            bytes.extend_from_slice(&word.to_le_bytes());
+            bytes.extend_from_slice(&before.to_le_bytes());
+            before += word.count_ones();
+        }
+        bytes.extend_from_slice(&cells.into_bytes());
+        bytes.extend_from_slice(&heap);
         Self {
-            slots: slots.into_boxed_slice(),
-            bytes: w.into_bytes().into_boxed_slice(),
+            bytes: bytes.into_boxed_slice(),
             skl_bits,
         }
     }
 
-    /// The reader over this arena's buffers.
+    /// The reader over this arena's bytes.
     pub fn view(&self) -> ArenaRef<'_> {
-        ArenaRef::new(&self.slots, &self.bytes, self.skl_bits)
+        ArenaRef::new(&self.bytes, self.skl_bits)
+            .expect("an arena is built or validated before it is owned")
     }
 
     /// Number of labeled vertices.
@@ -661,31 +938,16 @@ impl LabelArena {
 
     /// True for the empty run.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
-    /// The skeleton-pointer width the labels were encoded with.
+    /// The skeleton-pointer width the prefixes were encoded with.
     pub fn skl_bits(&self) -> usize {
         self.skl_bits
     }
 
-    /// Size of the encoded label bytes alone.
-    pub fn encoded_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Total in-memory footprint: arena bytes plus the directory
-    /// ([`ArenaSlot::WIRE_BYTES`] per label).
-    pub fn footprint_bytes(&self) -> usize {
-        self.bytes.len() + self.slots.len()
-    }
-
-    /// The raw directory, in wire layout (snapshot serialization).
-    pub fn slots(&self) -> &[u8] {
-        &self.slots
-    }
-
-    /// The raw arena bytes (snapshot serialization).
+    /// The arena's bytes: its whole footprint, and what a segment blob
+    /// carries between its header and its checksum.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -844,14 +1106,21 @@ mod tests {
         let mut w = BitWriter::new();
         w.push_gamma(999_999);
         let lying = w.into_bytes();
-        assert_eq!(EntryCursor::new(&lying, 4).collect::<Vec<_>>(), [None]);
+        assert!(EntryCursor::new(&lying, 4).is_none());
         assert!(decode_label(&lying, 4).is_none());
-        assert!(LabelRef::Encoded(&lying, 4).bit_len(4).is_none());
+        let last = Entry::special(1, NodeKind::L);
+        let encoded = LabelRef::Encoded {
+            prefix: &lying,
+            last,
+            skl_bits: 4,
+        };
+        assert!(encoded.bit_len(4).is_none());
+        assert!(encoded.to_label().is_none());
     }
 
-    /// The cursor over encoded bytes yields the entries that were
-    /// encoded; a label cut mid-entry yields its intact prefix, one
-    /// `None`, and then ends.
+    /// The cursor over a label's bytes yields its prefix entries, and the
+    /// own entry follows them; a label cut mid-entry yields its intact
+    /// prefix, one `None`, and then ends.
     #[test]
     fn cursors_agree_and_stop_at_the_cut() {
         let label = DrlLabel::new(vec![
@@ -870,75 +1139,95 @@ mod tests {
             },
         ]);
         let bytes = encode_label(&label, 5);
-        let encoded = LabelRef::Encoded(&bytes, 5);
-        assert!(EntryCursor::new(&bytes, 5).eq(label.entries().map(|e| Some(*e))));
+        let cursor = EntryCursor::new(&bytes, 5).unwrap();
+        assert!(cursor.eq(label.entries().take(2).map(|e| Some(*e))));
+        let encoded = LabelRef::Encoded {
+            prefix: &bytes,
+            last: label.view().last(),
+            skl_bits: 5,
+        };
         assert_eq!(encoded.to_label().as_ref(), Some(&label));
         assert_eq!(encoded.bit_len(5), Some(label.bit_len(5)));
         assert_eq!(label.view().bit_len(5), Some(label.bit_len(5)));
-        let cut: Vec<_> = EntryCursor::new(&bytes[..2], 5).collect();
-        assert_eq!(cut.last(), Some(&None));
-        assert!(cut.len() <= label.depth());
-        assert!(cut[..cut.len() - 1]
-            .iter()
-            .zip(label.entries())
-            .all(|(got, want)| got.as_ref() == Some(want)));
+        let cut: Vec<_> = EntryCursor::new(&bytes[..2], 5).unwrap().collect();
+        assert_eq!(cut, [label.entry(0).copied(), None]);
+        assert!(decode_label(&bytes[..2], 5).is_none());
     }
 
-    #[test]
-    fn arena_roundtrips_a_whole_run() {
+    /// The labels of one run, as its labeler issued them, in vertex order.
+    fn labeled_run(seed: u64, size: usize) -> (usize, Vec<(VertexId, DrlLabel)>) {
         let spec = wf_spec::corpus::running_example();
         let skeleton = TclSpecLabels::build(&spec);
-        let mut rng = StdRng::seed_from_u64(99);
         let run = RunGenerator::new(&spec)
-            .target_size(200)
-            .generate_run(&mut rng);
+            .target_size(size)
+            .generate_run(&mut StdRng::seed_from_u64(seed));
         let mut labeler = crate::DerivationLabeler::new(&spec, &skeleton);
         for step in run.derivation.steps() {
             labeler.apply(step).unwrap();
         }
-        let skl_bits = labeler.skl_bits();
-        // Feed vertices in reverse order: build must sort.
-        let vertices: Vec<_> = run.graph.vertices().collect();
-        let labeled: Vec<(VertexId, NameId, LabelRef<'_>)> = vertices
-            .iter()
-            .rev()
-            .map(|&v| (v, NameId(v.0 % 5), labeler.label(v).unwrap().view()))
+        let labels = run
+            .graph
+            .vertices()
+            .map(|v| (v, labeler.label(v).unwrap().clone()))
             .collect();
-        let arena = LabelArena::build(skl_bits, labeled);
-        let view = arena.view();
-        assert_eq!(arena.len(), vertices.len());
-        let get = |a: ArenaRef<'_>, v| a.label(v).and_then(LabelRef::to_label);
-        for &v in &vertices {
-            assert_eq!(get(view, v).as_ref(), labeler.label(v), "{v:?}");
-            assert_eq!(view.name(v), Some(NameId(v.0 % 5)));
-        }
-        assert!(view.label(VertexId(1 << 30)).is_none());
-        // iter is vertex-ordered and complete.
-        let order: Vec<u32> = view.iter().map(|(v, ..)| v.0).collect();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(order, sorted);
-        assert_eq!(order.len(), vertices.len());
-        // A validated copy of the raw parts (what a disk snapshot does).
-        let back = ArenaRef::new(arena.slots(), arena.bytes(), skl_bits)
-            .to_arena()
-            .unwrap();
-        for &v in &vertices {
-            assert_eq!(get(back.view(), v).as_ref(), labeler.label(v));
-        }
-        assert_eq!(back.encoded_bytes(), arena.encoded_bytes());
-        // Built again from its own encoded labels: the same bytes.
-        let again = LabelArena::build(skl_bits, view.iter());
-        assert_eq!(
-            (again.slots(), again.bytes()),
-            (arena.slots(), arena.bytes())
-        );
-        assert_eq!(
-            arena.footprint_bytes(),
-            arena.encoded_bytes() + ArenaSlot::WIRE_BYTES * vertices.len()
-        );
+        (labeler.skl_bits(), labels)
     }
 
+    #[test]
+    fn arena_roundtrips_a_whole_run() {
+        let (skl_bits, labels) = labeled_run(99, 200);
+        let labeled = labels
+            .iter()
+            .map(|(v, label)| (*v, NameId(v.0 % 5), label.view()));
+        let arena = LabelArena::build(skl_bits, labeled.clone());
+        let view = arena.view();
+        assert_eq!(arena.len(), labels.len());
+        let get = |a: ArenaRef<'_>, v| a.label(v).and_then(LabelRef::to_label);
+        for (v, label) in &labels {
+            assert_eq!(get(view, *v).as_ref(), Some(label), "{v:?}");
+            assert_eq!(view.name(*v), Some(NameId(v.0 % 5)));
+        }
+        assert!(view.label(VertexId(1 << 30)).is_none());
+        assert!(view.label(VertexId(labels.len() as u32 + 1)).is_none());
+        // iter and names are vertex-ordered and complete.
+        assert!(view.iter().map(|(v, n, _)| (v, n)).eq(view.names()));
+        assert!(view
+            .names()
+            .map(|(v, _)| v)
+            .eq(labels.iter().map(|(v, _)| *v)));
+        // Each distinct prefix array is written once: far fewer records
+        // than labels, and a cell of a few bytes.
+        let distinct: std::collections::HashSet<_> =
+            labels.iter().map(|(_, l)| l.prefix_id()).collect();
+        assert!(
+            distinct.len() * 3 < labels.len(),
+            "{} prefixes",
+            distinct.len()
+        );
+        assert!(
+            arena.bytes().len() < 8 * labels.len(),
+            "{} B",
+            arena.bytes().len()
+        );
+        // A validated copy of the raw bytes (what a disk snapshot does).
+        let back = ArenaRef::new(arena.bytes(), skl_bits)
+            .unwrap()
+            .to_arena()
+            .unwrap();
+        assert_eq!(back.bytes(), arena.bytes());
+        // Built again from its own encoded labels: the same bytes.
+        let again = LabelArena::build(skl_bits, view.iter());
+        assert_eq!(again.bytes(), arena.bytes());
+        // The labels must come in vertex order.
+        let reversed: Vec<_> = labeled.rev().collect();
+        let unsorted =
+            std::panic::catch_unwind(|| LabelArena::build(skl_bits, reversed.into_iter()));
+        assert!(unsorted.is_err());
+    }
+
+    /// The framing is checked in constant time; the validating copy
+    /// checks every rank and label; the unvalidated reader answers
+    /// whatever the bytes say without panicking.
     #[test]
     fn validated_copy_rejects_corruption() {
         let label = DrlLabel::new(vec![Entry {
@@ -947,29 +1236,44 @@ mod tests {
             skl: Some((GraphId(0), VertexId(1))),
             rec: None,
         }]);
-        let arena = LabelArena::build(4, vec![(VertexId(0), NameId(0), label.view())]);
-        let (slots, bytes) = (arena.slots(), arena.bytes());
-        // Intact parts reassemble.
-        assert!(ArenaRef::new(slots, bytes, 4).to_arena().is_some());
-        // Truncated arena: the label no longer decodes — the reader
-        // degrades to a malformed label, the validating copy refuses.
-        let cut = ArenaRef::new(slots, &[], 4);
-        assert!(cut.label(VertexId(0)).unwrap().to_label().is_none());
-        assert!(cut.to_arena().is_none());
-        // Out-of-bounds offset.
-        let mut bad = slots.to_vec();
-        bad[8..12].copy_from_slice(&(bytes.len() as u32 + 7).to_le_bytes());
-        assert!(ArenaRef::new(&bad, bytes, 4).to_arena().is_none());
-        // Unsorted directory.
-        let two = LabelArena::build(
-            4,
-            vec![
-                (VertexId(0), NameId(0), label.view()),
-                (VertexId(1), NameId(1), label.view()),
-            ],
+        let labels =
+            [VertexId(0), VertexId(64), VertexId(130)].map(|v| (v, NameId(v.0), label.view()));
+        let arena = LabelArena::build(4, labels.into_iter());
+        let bytes = arena.bytes();
+        assert!(ArenaRef::new(bytes, 4).unwrap().to_arena().is_ok());
+        // Every truncation and every extension breaks the framing.
+        for cut in 0..bytes.len() {
+            assert!(matches!(
+                ArenaRef::new(&bytes[..cut], 4),
+                Err(ArenaError::Length { .. })
+            ));
+        }
+        let long = [bytes, &[0]].concat();
+        assert!(matches!(
+            ArenaRef::new(&long, 4),
+            Err(ArenaError::Length { .. })
+        ));
+        // A width no `u32` field has.
+        let mut wide = bytes.to_vec();
+        wide[LAYOUT_LEN - 1] = 33;
+        assert_eq!(ArenaRef::new(&wide, 4).unwrap_err(), ArenaError::Width(33));
+        // A wrong rank short of the last word (whose rank sizes the
+        // cells): the framing holds, the validating copy refuses.
+        let mut ranked = bytes.to_vec();
+        ranked[LAYOUT_LEN + GROUP_LEN + 8] = 5;
+        let reader = ArenaRef::new(&ranked, 4).unwrap();
+        assert_eq!(reader.to_arena().unwrap_err(), ArenaError::Rank(1));
+        for v in [0, 64, 130] {
+            let _ = reader.label(VertexId(v)).map(|l| l.to_label());
+        }
+        // A prefix record that no longer decodes.
+        let mut zeroed = bytes.to_vec();
+        *zeroed.last_mut().unwrap() = 0;
+        let reader = ArenaRef::new(&zeroed, 4).unwrap();
+        assert_eq!(
+            reader.to_arena().unwrap_err(),
+            ArenaError::Label(VertexId(0))
         );
-        let mut swapped = two.slots().to_vec();
-        swapped.rotate_left(ArenaSlot::WIRE_BYTES);
-        assert!(ArenaRef::new(&swapped, two.bytes(), 4).to_arena().is_none());
+        assert!(reader.label(VertexId(0)).unwrap().to_label().is_none());
     }
 }

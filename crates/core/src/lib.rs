@@ -40,7 +40,7 @@ pub mod tree;
 
 pub use derivation::DerivationLabeler;
 pub use encode::{
-    decode_label, encode_label, ArenaRef, ArenaSlot, EntryCursor, LabelArena, LabelRef,
+    decode_label, encode_label, ArenaError, ArenaRef, EntryCursor, LabelArena, LabelRef,
 };
 pub use entry::{Entry, NodeKind, SklPtr};
 pub use execution::{ExecError, ExecutionLabeler, ExecutionState, ResolutionMode};

@@ -5,10 +5,11 @@
 //! so it has two ways of *finding* that entry — an indexed walk over two
 //! decoded labels (their prefix arrays compared as slices, or not at all
 //! when both labels lend the *same* array), and a streaming walk over two
-//! entry streams ([`EntryCursor`]s over encoded bytes) that holds only
-//! the previous and current entries (what lets a completed run answer
-//! straight off its encoded arena) — and **one** case analysis,
-//! [`DrlPredicate::decide`], that both reach. [`DrlPredicate::reaches_ref`]
+//! entry streams (an [`EntryCursor`] over an encoded prefix record, then
+//! the own entry) that holds only the previous and current entries (what
+//! lets a completed run answer straight off its label arena; two labels
+//! lending the *same* record read it once) — and **one** case analysis,
+//! `DrlPredicate::decide`, that both reach. [`DrlPredicate::reaches_ref`]
 //! picks the walk; [`DrlPredicate::reaches`] is it over two owned labels.
 
 use crate::encode::{EntryCursor, LabelRef};
@@ -79,7 +80,8 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     }
 
     /// The streaming walk's entry: at least one label is encoded, so both
-    /// are read as entry streams.
+    /// are read as entry streams — a prefix, then the own entry. Two
+    /// labels lending one record share all of it, so it is read once.
     fn streamed(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         use LabelRef::{Encoded, Entries};
         fn decoded<'e>(
@@ -88,17 +90,44 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
         ) -> impl Iterator<Item = Option<Entry>> + 'e {
             prefix.iter().chain([last]).map(|e| Some(*e))
         }
+        /// An encoded label's stream; `None` for a decoded one, or a
+        /// prefix record whose entry count does not decode.
+        fn encoded(label: LabelRef<'_>) -> Option<impl Iterator<Item = Option<Entry>> + '_> {
+            let Encoded {
+                prefix,
+                last,
+                skl_bits,
+            } = label
+            else {
+                return None;
+            };
+            Some(EntryCursor::new(prefix, skl_bits)?.chain([Some(last)]))
+        }
         match (a, b) {
-            (Entries { prefix, last }, Encoded(bb, kb)) => {
-                self.walk(decoded(prefix, last), EntryCursor::new(bb, kb))
-            }
-            (Encoded(ba, ka), Entries { prefix, last }) => {
-                self.walk(EntryCursor::new(ba, ka), decoded(prefix, last))
-            }
-            (Encoded(ba, ka), Encoded(bb, kb)) => {
-                self.walk(EntryCursor::new(ba, ka), EntryCursor::new(bb, kb))
-            }
             (Entries { .. }, Entries { .. }) => self.reaches_ref(a, b),
+            (Entries { prefix, last }, _) => self.walk(decoded(prefix, last), encoded(b)?),
+            (_, Entries { prefix, last }) => self.walk(encoded(a)?, decoded(prefix, last)),
+            (
+                Encoded {
+                    prefix,
+                    last: la,
+                    skl_bits,
+                },
+                Encoded {
+                    prefix: pb,
+                    last: lb,
+                    ..
+                },
+            ) if std::ptr::eq(prefix, pb) => {
+                if la.index == lb.index {
+                    return self.decide(&la, &lb, None, None);
+                }
+                // The record's last entry is the LCA; a label of the root
+                // context has none, and then the two are of two runs.
+                let lca = EntryCursor::new(prefix, skl_bits)?.last()??;
+                self.decide(&lca, &lca, Some(&la), Some(&lb))
+            }
+            _ => self.walk(encoded(a)?, encoded(b)?),
         }
     }
 
@@ -191,8 +220,8 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                 // shorter label.
                 let (g1, u) = lca_a.skl?;
                 let (g2, v) = lca_b.skl?;
-                debug_assert_eq!(g1, g2, "same tree node ⇒ same annotation");
-                Some(self.skeleton.reaches(g1, u, v))
+                // Same tree node ⇒ same annotation, in labels of one run.
+                (g1 == g2).then(|| self.skeleton.reaches(g1, u, v))
             }
             // Distinct copies of a loop body, combined in series:
             // earlier copy reaches later copy (L case).
@@ -360,8 +389,8 @@ mod tests {
 
     /// The streaming walk reaches the same case analysis: every pair of
     /// the hand-built labels above, in every mix of decoded and encoded
-    /// operands, answers like `reaches`; a label cut mid-entry answers
-    /// `None`, never a wrong `Some`.
+    /// operands, answers like `reaches`; a label whose prefix is cut
+    /// mid-entry answers `None`, never a wrong `Some`.
     #[test]
     fn streaming_walk_agrees_and_refuses_truncated_labels() {
         use crate::encode::{encode_label, LabelRef};
@@ -391,7 +420,13 @@ mod tests {
             under(NodeKind::R, 2, h3, 0, Some((false, true))),
         ];
         let skl_bits = 4;
+        // A standalone label starts with its prefix record.
         let bytes: Vec<Vec<u8>> = labels.iter().map(|l| encode_label(l, skl_bits)).collect();
+        let encoded = |bytes, label: &DrlLabel| LabelRef::Encoded {
+            prefix: bytes,
+            last: label.view().last(),
+            skl_bits,
+        };
         for (a, ab) in labels.iter().zip(&bytes) {
             for (b, bb) in labels.iter().zip(&bytes) {
                 // Labels under different special nodes at the same
@@ -403,22 +438,25 @@ mod tests {
                     continue;
                 }
                 let want = Some(p.reaches(a, b));
-                let (ea, eb) = (
-                    LabelRef::Encoded(ab, skl_bits),
-                    LabelRef::Encoded(bb, skl_bits),
-                );
+                let (ea, eb) = (encoded(ab, a), encoded(bb, b));
                 assert_eq!(p.reaches_ref(a.view(), b.view()), want);
                 assert_eq!(p.reaches_ref(ea, eb), want);
                 assert_eq!(p.reaches_ref(a.view(), eb), want);
                 assert_eq!(p.reaches_ref(ea, b.view()), want);
             }
         }
-        // Two labels sharing a prefix, one cut inside its last entry
-        // (whose 39-bit index alone spans the two dropped bytes).
-        let deep = encode_label(&under(NodeKind::L, 900_000, h1, 1, None), skl_bits);
-        let cut = LabelRef::Encoded(&deep[..deep.len() - 2], skl_bits);
+        // A label sharing the loop's path, its prefix record cut inside
+        // a third entry (whose 39-bit index alone spans the cut).
+        let deep = DrlLabel::new(vec![
+            n_entry(0, g0, 1),
+            Entry::special(1, NodeKind::L),
+            n_entry(900_000, h1, 1),
+            n_entry(1, h1, 0),
+        ]);
+        let deep_bytes = encode_label(&deep, skl_bits);
+        let cut = encoded(&deep_bytes[..4], &deep);
         assert!(cut.to_label().is_none());
-        let full = LabelRef::Encoded(&bytes[2], skl_bits);
+        let full = encoded(&bytes[2], &labels[2]);
         assert_eq!(p.reaches_ref(full, cut), None);
         assert_eq!(p.reaches_ref(cut, full), None);
         assert_eq!(p.reaches_ref(labels[2].view(), cut), None);
@@ -432,8 +470,10 @@ mod tests {
     /// shares an array (same context: the skeleton decides; sibling
     /// copies: their own entries' indexes do — no walk either way),
     /// carries equal arrays in two allocations (issued against rebuilt:
-    /// the walk runs their whole length), or differs earlier. Two issued
-    /// labels carry one array exactly when they carry one number.
+    /// the walk runs their whole length), or differs earlier — and so do
+    /// their cells in a label arena, where labels that shared an array
+    /// share one prefix record. Two issued labels carry one array exactly
+    /// when they carry one number.
     #[test]
     fn shared_prefix_arrays_answer_like_private_copies() {
         use crate::machinery::{LabelerCore, RecursionMode};
@@ -460,9 +500,20 @@ mod tests {
             .iter()
             .map(|l| DrlLabel::new(l.entries().copied().collect()))
             .collect();
+        let vertex = |i: usize| wf_graph::VertexId(i as u32);
+        let labeled = issued.iter().enumerate();
+        let arena = crate::LabelArena::build(
+            core.skl_bits(),
+            labeled.map(|(i, l)| (vertex(i), wf_graph::NameId(0), l.view())),
+        );
+        let sealed = arena.view();
+        let record = |i| match sealed.label(vertex(i)) {
+            Some(crate::LabelRef::Encoded { prefix, .. }) => prefix.as_ptr(),
+            other => panic!("{other:?}"),
+        };
         let mut same_array = 0;
-        for (a, ra) in issued.iter().zip(&rebuilt) {
-            for (b, rb) in issued.iter().zip(&rebuilt) {
+        for (i, (a, ra)) in issued.iter().zip(&rebuilt).enumerate() {
+            for (j, (b, rb)) in issued.iter().zip(&rebuilt).enumerate() {
                 assert!(!std::ptr::eq(ra.prefix(), rb.prefix()) || std::ptr::eq(ra, rb));
                 assert!(!std::ptr::eq(a.prefix(), rb.prefix()));
                 assert_eq!(
@@ -480,6 +531,12 @@ mod tests {
                 assert_eq!(p.reaches(a, rb), want);
                 assert_eq!(p.reaches(ra, b), want);
                 assert_eq!(p.reaches_ref(a.view(), b.view()), Some(want));
+                assert_eq!(record(i) == record(j), std::ptr::eq(a.prefix(), b.prefix()));
+                let (si, sj) = (sealed.label(vertex(i)), sealed.label(vertex(j)));
+                assert_eq!(sealed.reach(&p, vertex(i), vertex(j)), Some(want));
+                assert_eq!(p.reaches_ref(si.unwrap(), sj.unwrap()), Some(want));
+                assert_eq!(p.reaches_ref(a.view(), sj.unwrap()), Some(want));
+                assert_eq!(p.reaches_ref(si.unwrap(), rb.view()), Some(want));
             }
         }
         let (n0, n1) = (g0.vertex_count(), spec.graph(h1).vertex_count());

@@ -17,9 +17,9 @@
 //! * [`MappedRun`] — one run's blob resolved to a verified byte range
 //!   *inside* the mapping. It reads nothing itself: the sealed run lends
 //!   the same [`wf_drl::ArenaRef`] over these bytes that it lends over a
-//!   heap copy of them, so queries search the slot table and walk label
-//!   cursors **straight off the mapping** — no copy, no allocation, no
-//!   eager whole-arena validation. A re-heat copies the range onto the
+//!   heap copy of them, so queries rank a vertex, read its cell and walk
+//!   its prefix's cursor **straight off the mapping** — no copy, no
+//!   allocation, no eager whole-arena validation. A re-heat copies the range onto the
 //!   heap once. Shedding is `madvise(MADV_DONTNEED)`: the pages go back
 //!   to the kernel, the metadata stays, and the next pin re-faults at
 //!   page-cache speed.

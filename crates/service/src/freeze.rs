@@ -4,13 +4,17 @@
 //! assignable the moment a vertex arrives (Definition 8). Once the run
 //! completes, that machinery is pure overhead: the labels are final, so
 //! the run can be *sealed* into the compact at-rest form — the segment
-//! blob of [`crate::snapshot`], header ‖ slot table ‖ label heap ‖
-//! checksum, in one heap buffer — and its writer state dropped. Queries
-//! keep working: the same constant-time predicate walks two label
-//! cursors over the blob's bytes ([`wf_drl::ArenaRef`]), materialising
-//! neither label; memory shrinks from decoded entry lists in a chunk
-//! table to one contiguous buffer, which persisting later writes to disk
-//! unchanged.
+//! blob of [`crate::snapshot`], header ‖ label arena ‖ checksum, in one
+//! heap buffer — and its writer state dropped. The arena stores each
+//! context prefix the index holds once, and one fixed-width cell per
+//! label that names it ([`wf_drl::LabelArena`]); encoding it is two
+//! passes over the index, one writing the prefixes and one the cells.
+//! Queries keep working: a label is found by a rank over the arena's
+//! presence words, its own entry read from its cell, and the same
+//! constant-time predicate walks its prefix's cursor
+//! ([`wf_drl::ArenaRef`]), materialising no label; memory shrinks from
+//! decoded entry lists in a chunk table to one contiguous buffer, which
+//! persisting later writes to disk unchanged.
 //!
 //! Freezing encodes the blob and nothing else. The paper's §7.4
 //! comparison against the static SKL baseline lives beside the engine,
@@ -50,7 +54,7 @@ pub(crate) fn freeze_slot<S: SpecLabeling>(
         skl_bits: arena.skl_bits() as u32,
         source: slot.source.get().copied(),
         count: arena.len() as u32,
-        arena_len: arena.encoded_bytes() as u64,
+        arena_len: arena.bytes().len() as u64,
         drl_bits: slot.indexed.total_bits(),
         frozen_at: unix_now(),
     };

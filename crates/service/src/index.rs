@@ -169,7 +169,7 @@ impl<T> Chunks<T> {
 
     /// Every set slot in slot order — whatever has been set at visit
     /// time, each value valid for the life of the table.
-    fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> + Clone + '_ {
         self.chunks.iter().enumerate().flat_map(|(k, chunk)| {
             chunk
                 .get()
@@ -363,8 +363,9 @@ impl LabelIndex {
     /// concurrent with the writer: walks the cells in vertex-id order
     /// and yields whatever has been published at visit time. Because
     /// labels are write-once, every yielded item stays valid for the life
-    /// of the index.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'_>)> + '_ {
+    /// of the index. A clone walks again (freeze's second pass over a
+    /// completed run).
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'_>)> + Clone + '_ {
         self.cells
             .iter()
             .filter_map(|(slot, c)| Some((VertexId(slot as u32), c.name, self.label(c)?)))

@@ -11,8 +11,8 @@
 //! its lazily mapped pack range — one scan, every tier, no writer
 //! blocked anywhere. The matcher is handed borrowed labels
 //! ([`wf_drl::LabelRef`]) and keeps only vertex ids: a name-scoped scan
-//! reads the slot table's names and touches label bytes only for
-//! vertices whose name matches.
+//! reads the cells' names and looks a label up — a rank, a cell, a
+//! prefix record — only for vertices whose name matches.
 //!
 //! The flagship question ("which completed runs of spec S have a vertex
 //! named N reachable from their source?") composes three write-once

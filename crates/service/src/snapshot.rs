@@ -3,12 +3,12 @@
 //! in a pack file on disk, or both — loadable at engine build time so
 //! historical runs keep answering cross-run queries.
 //!
-//! A *segment blob* holds one run (format version 3, all integers
+//! A *segment blob* holds one run (format version 4, all integers
 //! little-endian):
 //!
 //! ```text
 //! magic     8 B   "WFTIERS1"
-//! version   u32   3
+//! version   u32   4
 //! run       u64
 //! spec      u32
 //! skl_bits  u32
@@ -17,15 +17,19 @@
 //! arena     u64   arena byte length
 //! drl_bits  u64   DRL accounting bits (hot-tier footprint, for stats)
 //! frozen_at u64   unix seconds at freeze time (0 = unknown)
-//! slots     count × 12 (vertex u32, name u32, offset u32)
-//! bytes     arena encoded labels
+//! labels    arena the run's label arena (wf_drl::LabelArena: layout
+//!                 header ‖ presence words ‖ cells ‖ prefix heap)
 //! checksum  u64   FNV-1a over everything above
 //! ```
 //!
+//! The arena's layout is `wf-drl`'s: this module frames `arena` bytes and
+//! hands them to [`wf_drl::ArenaRef`], which checks them.
 //! Any other version — blob or manifest — is rejected with a typed
-//! [`SnapshotError::Format`], never guessed at: version 2 carried 44
-//! more header bytes (a freeze-time SKL report) and is refused by its
-//! version word exactly as version 1 is.
+//! [`SnapshotError::Format`], never guessed at: version 3 held a sorted
+//! 12-byte `(vertex, name, offset)` slot per label over a heap of whole
+//! encoded labels, version 2 carried 44 more header bytes (a freeze-time
+//! SKL report), and each is refused by its version word exactly as
+//! version 1 is.
 //!
 //! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
 //! concatenated. A spill writes a pack of one; compaction merges them
@@ -72,14 +76,14 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
-use wf_drl::{ArenaRef, ArenaSlot, LabelArena};
+use wf_drl::{ArenaRef, LabelArena};
 use wf_graph::VertexId;
 use wf_wal::fnv1a;
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
 /// The segment format version this engine reads and writes.
-pub const SEGMENT_VERSION: u32 = 3;
+pub const SEGMENT_VERSION: u32 = 4;
 /// Manifest file name inside the spill directory.
 pub const MANIFEST_FILE: &str = "wf-tier-manifest.txt";
 /// The manifest header line (`run file offset len` entries follow).
@@ -200,7 +204,7 @@ pub(crate) fn pack_file_seq(name: &str) -> Option<u64> {
 /// Serialize the header `h` and the label `arena` it describes into a
 /// segment blob — the one encoder, which freeze runs once per run.
 pub fn encode_segment(h: &SegmentHeader, arena: &LabelArena) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + arena.footprint_bytes() + CHECKSUM_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN + arena.bytes().len() + CHECKSUM_LEN);
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     out.extend_from_slice(&h.run.0.to_le_bytes());
@@ -211,7 +215,6 @@ pub fn encode_segment(h: &SegmentHeader, arena: &LabelArena) -> Vec<u8> {
     out.extend_from_slice(&h.arena_len.to_le_bytes());
     out.extend_from_slice(&h.drl_bits.to_le_bytes());
     out.extend_from_slice(&h.frozen_at.to_le_bytes());
-    out.extend_from_slice(arena.slots());
     out.extend_from_slice(arena.bytes());
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -240,12 +243,8 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
             header.skl_bits
         )));
     }
-    let slots_len = (header.count as usize)
-        .checked_mul(ArenaSlot::WIRE_BYTES)
-        .ok_or_else(|| SnapshotError::Format("slot count overflow".into()))?;
     let expected = HEADER_LEN
-        .checked_add(slots_len)
-        .and_then(|n| n.checked_add(header.arena_len as usize))
+        .checked_add(header.arena_len as usize)
         .ok_or_else(|| SnapshotError::Format("length overflow".into()))?;
     if body.len() != expected {
         return Err(SnapshotError::Format(format!(
@@ -253,29 +252,34 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
             body.len()
         )));
     }
+    let labels = blob_arena(bytes, &header)?.len();
+    if labels != header.count as usize {
+        return Err(SnapshotError::Format(format!(
+            "arena holds {labels} labels, header says {}",
+            header.count
+        )));
+    }
     Ok(header)
 }
 
-/// The labels of a blob whose framing matches `header`, read in place:
-/// the slot table and the label heap sit back to back after the header.
-/// The one blob → reader step, for a heap copy and a mapped range alike.
-fn blob_arena<'a>(blob: &'a [u8], header: &SegmentHeader) -> ArenaRef<'a> {
-    let body = &blob[HEADER_LEN..];
-    let (slots, rest) = body.split_at(header.count as usize * ArenaSlot::WIRE_BYTES);
-    ArenaRef::new(
-        slots,
-        &rest[..header.arena_len as usize],
-        header.skl_bits as usize,
-    )
+/// The label arena of a blob whose framing matches `header`, read in
+/// place — the one blob → reader step, for a heap copy and a mapped
+/// range alike. The arena checks its own layout.
+fn blob_arena<'a>(blob: &'a [u8], header: &SegmentHeader) -> Result<ArenaRef<'a>, SnapshotError> {
+    let arena = blob
+        .get(HEADER_LEN..)
+        .and_then(|body| body.get(..header.arena_len as usize))
+        .ok_or_else(|| SnapshotError::Format("truncated segment".into()))?;
+    ArenaRef::new(arena, header.skl_bits as usize).map_err(|e| SnapshotError::Format(e.to_string()))
 }
 
 /// Parse and fully validate segment bytes — framing, checksum, **and
 /// every label** — back into the header and an owned label arena.
 pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentHeader, LabelArena), SnapshotError> {
     let header = verify_segment_bytes(bytes)?;
-    let arena = blob_arena(bytes, &header)
+    let arena = blob_arena(bytes, &header)?
         .to_arena()
-        .ok_or_else(|| SnapshotError::Format("arena validation failed".into()))?;
+        .map_err(|e| SnapshotError::Format(e.to_string()))?;
     Ok((header, arena))
 }
 
@@ -569,8 +573,8 @@ impl SealedRun {
         self.len
     }
 
-    /// The slot table and label heap alone: what a heap copy holds beyond
-    /// the blob's fixed header and checksum.
+    /// The label arena alone: what a heap copy holds beyond the blob's
+    /// fixed header and checksum.
     pub(crate) fn arena_bytes(&self) -> u64 {
         self.len.saturating_sub((HEADER_LEN + CHECKSUM_LEN) as u64)
     }
@@ -619,7 +623,7 @@ impl SealedRun {
     pub(crate) fn with_labels<R>(self: &Arc<Self>, f: impl FnOnce(ArenaRef<'_>) -> R) -> Option<R> {
         let place = self.read();
         if let Some(blob) = &place.heap {
-            return Some(f(blob_arena(blob, &self.header)));
+            return Some(f(blob_arena(blob, &self.header).ok()?));
         }
         self.last_access.store(self.lru.tick(), Ordering::Relaxed);
         let pin = match place.mapped() {
@@ -632,7 +636,7 @@ impl SealedRun {
                 self.pin(&place, &m)
             }
         };
-        Some(f(blob_arena(pin.mapped.blob(), &self.header)))
+        Some(f(blob_arena(pin.mapped.blob(), &self.header).ok()?))
     }
 
     /// Pin the resolved range `m`, with the place lock held, so neither a

@@ -91,9 +91,9 @@ pub struct ServiceStats {
     pub reheats: u64,
     /// Cumulative compaction passes that wrote packs.
     pub compactions: u64,
-    /// **Frozen tier** footprint in bytes: each heap copy's slot table +
-    /// label heap (the blob's 68 header and checksum bytes are not
-    /// counted).
+    /// **Frozen tier** footprint in bytes: each heap copy's label arena —
+    /// layout header, presence words, cells and prefix heap (the blob's
+    /// 68 header and checksum bytes are not counted).
     pub frozen_bytes: u64,
     /// DRL accounting bits the frozen runs occupied while hot (the
     /// compaction numerator: `frozen_label_bits/8` vs `frozen_bytes`).

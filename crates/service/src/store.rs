@@ -6,8 +6,9 @@
 //!   run is live. Labels are decoded in memory; queries are two
 //!   `Acquire` loads and a constant-time predicate.
 //! * **Sealed** — completed runs, each one segment blob
-//!   ([`crate::snapshot`]): ~an order of magnitude smaller, at the price
-//!   of walking a bit cursor per label access. The blob sits on the heap
+//!   ([`crate::snapshot`]): an order of magnitude smaller — each context
+//!   prefix once, one fixed-width cell per label — at the price of
+//!   walking a prefix's bit cursor per label access. The blob sits on the heap
 //!   (from freeze until it is persisted, and again after a re-heat), in a
 //!   pack file — zero resident bytes until the first query maps the pack
 //!   and pins the blob, read in place from then on under the
@@ -46,7 +47,7 @@ use crate::telemetry::{bump, Telemetry};
 use crate::{RunId, RunStatus, ServiceError, SpecId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wf_drl::{ArenaRef, DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
@@ -209,6 +210,17 @@ impl TierCounts {
 /// contention independent of the number of concurrent runs.
 type Shard<S> = RwLock<HashMap<u64, RunView<S>>>;
 
+// A poisoned shard is recovered, not propagated: every write under it is
+// one map insert, remove or assignment plus relaxed counter adds, so a
+// holder that panicked left a valid map.
+fn read<S: SpecLabeling>(shard: &Shard<S>) -> RwLockReadGuard<'_, HashMap<u64, RunView<S>>> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<S: SpecLabeling>(shard: &Shard<S>) -> RwLockWriteGuard<'_, HashMap<u64, RunView<S>>> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One run's published labels, borrowed for one read: the one reader
 /// behind every label, name and scan a run answers, whatever its tier.
 /// Labels are write-once, so what it lends stays valid for the borrow.
@@ -257,17 +269,15 @@ impl<'a, S: SpecLabeling> Labels<'a, S> {
         self.label(source?)
     }
 
-    /// Visit every published `(vertex, name, label)`. A cold label comes
-    /// with the slot it is iterated from, decoded only as far as the
-    /// visitor walks it. A hot one is left to [`Self::label`] (`None`):
-    /// looking up a cell's prefix costs more than a visitor that only
-    /// reads names spends on the whole cell.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(VertexId, NameId, Option<LabelRef<'a>>)) {
+    /// Visit every published `(vertex, name)`, in vertex order. No label
+    /// is read: a visitor looks one up with [`Self::label`] for the
+    /// vertices its name makes relevant — a cell of either tier costs
+    /// more to turn into a label than a visitor that only reads names
+    /// spends on the whole cell.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(VertexId, NameId)) {
         match self {
-            Labels::Hot(s) => s.indexed.names().for_each(|(v, name)| f(v, name, None)),
-            Labels::Cold(a, _) => a
-                .iter()
-                .for_each(|(v, name, label)| f(v, name, Some(label))),
+            Labels::Hot(s) => s.indexed.names().for_each(|(v, name)| f(v, name)),
+            Labels::Cold(a, _) => a.names().for_each(|(v, name)| f(v, name)),
         }
     }
 }
@@ -362,9 +372,9 @@ impl<S: SpecLabeling> RunView<S> {
         self.with_labels(|l| l.name(v))?
     }
 
-    /// Constant-time `u ; v`, answered without allocating: two cells and
-    /// their prefix arrays (hot), or two cursors walked in lock step off
-    /// the blob's bytes (sealed).
+    /// Constant-time `u ; v`, answered without allocating: two cells and,
+    /// unless they share a context, their prefixes — arrays in the hot
+    /// index's table, or records walked off the blob's bytes (sealed).
     pub(crate) fn reach(
         &self,
         predicate: &DrlPredicate<'_, S>,
@@ -373,9 +383,7 @@ impl<S: SpecLabeling> RunView<S> {
     ) -> Option<bool> {
         let answer = match self {
             RunView::Hot(s) => s.indexed.reach(predicate, u, v)?,
-            RunView::Sealed(_) => {
-                self.with_labels(|l| predicate.reaches_ref(l.label(u)?, l.label(v)?))??
-            }
+            RunView::Sealed(s) => s.with_labels(|arena| arena.reach(predicate, u, v))??,
         };
         bump(self.queries());
         Some(answer)
@@ -471,19 +479,12 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// from the WAL, or listed by the spill directory's manifest.
     pub(crate) fn insert(&self, run: RunId, view: RunView<S>) {
         self.tiers.moved(None, Some(view.tier()));
-        self.shard(run)
-            .write()
-            .expect("shard lock poisoned")
-            .insert(run.0, view);
+        write(self.shard(run)).insert(run.0, view);
     }
 
     /// The run's current representation, whatever its tier.
     pub(crate) fn view(&self, run: RunId) -> Option<RunView<S>> {
-        self.shard(run)
-            .read()
-            .expect("shard lock poisoned")
-            .get(&run.0)
-            .cloned()
+        read(self.shard(run)).get(&run.0).cloned()
     }
 
     /// **The one registry transition**, hot → sealed: swap `run`'s hot
@@ -495,7 +496,7 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// walk can see both or neither.
     #[must_use]
     pub(crate) fn transition(&self, run: RunId, sealed: Arc<SealedRun>) -> bool {
-        let mut shard = self.shard(run).write().expect("shard lock poisoned");
+        let mut shard = write(self.shard(run));
         let Some(entry) = shard
             .get_mut(&run.0)
             .filter(|e| matches!(e, RunView::Hot(_)))
@@ -513,11 +514,7 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// marks a hot slot evicted under its writer lock; a sealed run
     /// settles its own eviction under its place lock).
     pub(crate) fn remove(&self, run: RunId) -> Option<RunView<S>> {
-        let old = self
-            .shard(run)
-            .write()
-            .expect("shard lock poisoned")
-            .remove(&run.0)?;
+        let old = write(self.shard(run)).remove(&run.0)?;
         match &old {
             RunView::Hot(_) => self.tiers.moved(Some(Tier::Hot), None),
             RunView::Sealed(s) => s.evict(&self.tiers),
@@ -541,9 +538,58 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// held while its entries are visited, so keep `f` cheap.
     pub(crate) fn for_each(&self, mut f: impl FnMut(RunId, &RunView<S>)) {
         for shard in self.shards.iter() {
-            for (id, view) in shard.read().expect("shard lock poisoned").iter() {
+            for (id, view) in read(shard).iter() {
                 f(RunId(*id), view);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{RunId, SpecId, Tier, WfEngine};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::atomic::Ordering;
+    use wf_run::{Execution, RunGenerator};
+
+    /// A thread that panicked under a registry shard's write lock left a
+    /// valid map: a run that lands in that shard still opens, ingests,
+    /// freezes, answers, lists and evicts.
+    #[test]
+    fn a_poisoned_shard_is_recovered() {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .build();
+        let store = &engine.shared.store;
+        let next = RunId(engine.shared.next_run.load(Ordering::Acquire));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _g = store.shard(next).write();
+                panic!("poison a shard on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(store.shard(next).is_poisoned());
+
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(30)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        assert_eq!(run, next);
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+        engine.freeze_run(run).unwrap();
+        assert_eq!(engine.run_tier(run), Ok(Tier::Frozen));
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        assert_eq!(engine.reach(run, u, v), Ok(Some(true)));
+        assert_eq!(engine.query().run_ids(), vec![run]);
+        engine.evict_run(run).unwrap();
+        assert!(engine.query().run_ids().is_empty());
+        assert_eq!(engine.stats().runs_frozen, 0);
     }
 }

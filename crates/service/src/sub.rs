@@ -323,7 +323,7 @@ impl RunMatcher {
                 let pairs =
                     usize::from(is_from) * self.tos.len() + usize::from(is_to) * self.froms.len();
                 let decoded = match label {
-                    LabelRef::Encoded(..) if pairs > 1 => label.to_label(),
+                    LabelRef::Encoded { .. } if pairs > 1 => label.to_label(),
                     _ => None,
                 };
                 let label = decoded.as_ref().map_or(label, DrlLabel::view);
@@ -373,9 +373,9 @@ fn feed_view<S: SpecLabeling>(
     let (fed, evaluated) = view
         .with_labels(|labels| {
             let (mut fed, mut evaluated) = (0, 0);
-            labels.for_each(|v, n, label| {
+            labels.for_each(|v, n| {
                 fed += 1;
-                evaluated += matcher.feed(predicate, labels, v, n, label, emit);
+                evaluated += matcher.feed(predicate, labels, v, n, None, emit);
             });
             (fed, evaluated)
         })

@@ -434,21 +434,44 @@ fn a_completed_hot_run_keeps_the_heap_its_stats_report() {
 }
 
 /// A depth prefix is outside input: nothing may be sized from it before
-/// the buffer is known to be able to hold that many entries.
+/// the buffer is known to be able to hold that many entries — neither in
+/// a standalone label nor in a prefix record of a label arena.
 #[test]
 fn a_lying_depth_prefix_sizes_no_allocation() {
+    use wf_provenance::drl::{ArenaRef, Entry, LabelArena, NodeKind};
     let mut prefix = wf_provenance::drl::encode::BitWriter::new();
     prefix.push_gamma(999_999);
     let lying = prefix.into_bytes();
     let ((_, bytes), decoded) = allocated_by(|| decode_label(&lying, 4));
     assert!(decoded.is_none());
-    // At most the one entry a malformed prefix is read as — not the
-    // claimed 999 999 (≈ 24 MB at the parent).
-    assert!(
-        bytes as usize <= std::mem::size_of::<wf_provenance::drl::Entry>(),
-        "{bytes} bytes allocated for a {}-byte buffer",
+    // Nothing — not the claimed 999 999 entries (≈ 24 MB once).
+    assert_eq!(
+        bytes,
+        0,
+        "bytes allocated for a {}-byte buffer",
         lying.len()
     );
+    // The same lie as the one prefix record of an arena, in place of a
+    // record of the same length.
+    let n = |index, g, v| Entry {
+        index,
+        kind: NodeKind::N,
+        skl: Some((wf_spec::GraphId(g), VertexId(v))),
+        rec: None,
+    };
+    let label = DrlLabel::new(vec![
+        n(0, 0, 1),
+        Entry::special(900, NodeKind::L),
+        n(1, 1, 0),
+    ]);
+    let arena = LabelArena::build(4, [(VertexId(0), NameId(0), label.view())].into_iter());
+    let mut patched = arena.bytes().to_vec();
+    let at = patched.len() - lying.len();
+    patched[at..].copy_from_slice(&lying);
+    let reader = ArenaRef::new(&patched, 4).unwrap();
+    let ((_, bytes), decoded) = allocated_by(|| reader.label(VertexId(0)).unwrap().to_label());
+    assert_eq!((decoded, bytes), (None, 0));
+    assert!(reader.to_arena().is_err());
     // The journaled form of an event makes the same promise about its
     // predecessor count: `u32::MAX` of them claimed over two bytes.
     let lying = [1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0];

@@ -254,17 +254,19 @@ proptest! {
         }
     }
 
-    /// One predicate under every label representation: the streaming
-    /// walk over two *encoded* [`LabelRef`](wf_drl::LabelRef)s, `reaches`
-    /// over the decoded labels — as the labeler issued them, sharing
-    /// prefix arrays, and rebuilt from their flat entry lists, sharing
-    /// nothing — the engine's hot index, which keeps each array once in
-    /// its prefix table and lends a cell plus its table slot (or decides
-    /// two cells of one context from the cells alone), and the
-    /// naive Ω(n)-bit scheme agree on every pair, both corpus grammars,
-    /// both resolution modes; the four forms of a label have one bit
-    /// length and one encoding, and the borrowed views decode to exactly
-    /// what `decode_label` returns.
+    /// One predicate under every label representation: `reaches` over the
+    /// decoded labels — as the labeler issued them, sharing prefix arrays,
+    /// and rebuilt from their flat entry lists, sharing nothing — the
+    /// engine's hot index, which keeps each array once in its prefix table
+    /// and lends a cell plus its table slot (or decides two cells of one
+    /// context from the cells alone), two label arenas — one sealed from
+    /// the hot index, each array one prefix record, and one from the
+    /// rebuilt labels, a record per label — read through their cells and
+    /// prefix cursors, and the naive Ω(n)-bit scheme agree on every pair,
+    /// arena × arena, arena × hot, arena × decoded and arena × rebuilt,
+    /// both corpus grammars, both resolution modes; every form of a label
+    /// has one name, one bit length and one encoding, and reads back as
+    /// exactly what `decode_label` returns.
     #[test]
     fn streaming_predicate_matches_decoded_and_naive(
         seed in 0u64..400,
@@ -272,7 +274,7 @@ proptest! {
         bioaid in 0u8..2,
         log_based in 0u8..2,
     ) {
-        use wf_drl::LabelRef;
+        use wf_drl::LabelArena;
         use wf_provenance::service::index::LabelIndex;
         let spec = if bioaid == 1 {
             wf_spec::corpus::bioaid()
@@ -301,20 +303,26 @@ proptest! {
         for ev in exec.events() {
             index.publish(ev.vertex, ev.name, labeler.label(ev.vertex).unwrap().clone(), bits);
         }
-        let labeled: Vec<(VertexId, &DrlLabel, DrlLabel, Vec<u8>)> = exec
+        let mut labeled: Vec<(VertexId, NameId, &DrlLabel, DrlLabel, Vec<u8>)> = exec
             .events()
             .iter()
             .map(|ev| {
                 let label = labeler.label(ev.vertex).unwrap();
                 let rebuilt = DrlLabel::new(label.entries().copied().collect());
-                (ev.vertex, label, rebuilt, wf_drl::encode_label(label, bits))
+                (ev.vertex, ev.name, label, rebuilt, wf_drl::encode_label(label, bits))
             })
             .collect();
-        for (v, label, rebuilt, bytes) in &labeled {
-            let view = LabelRef::Encoded(bytes, bits);
-            prop_assert_eq!(view.to_label(), wf_drl::decode_label(bytes, bits));
-            prop_assert_eq!(view.to_label().as_ref(), Some(*label));
-            prop_assert_eq!(view.bit_len(bits), Some(label.bit_len(bits)));
+        labeled.sort_by_key(|(v, ..)| *v);
+        let sealed = LabelArena::build(bits, index.iter());
+        let private = LabelArena::build(
+            bits,
+            labeled.iter().map(|(v, name, _, rebuilt, _)| (*v, *name, rebuilt.view())),
+        );
+        let (sealed, private) = (sealed.view(), private.view());
+        prop_assert_eq!((sealed.len(), private.len()), (labeled.len(), labeled.len()));
+        prop_assert!(sealed.iter().map(|(v, n, _)| (v, n)).eq(private.names()));
+        for (v, name, label, rebuilt, bytes) in &labeled {
+            prop_assert_eq!(wf_drl::decode_label(bytes, bits).as_ref(), Some(*label));
             prop_assert_eq!(rebuilt, *label);
             prop_assert_eq!(rebuilt.bit_len(bits), label.bit_len(bits));
             prop_assert_eq!(rebuilt.view().bit_len(bits), Some(label.bit_len(bits)));
@@ -322,28 +330,42 @@ proptest! {
             let held = index.get(*v).unwrap();
             prop_assert_eq!(held.to_label().as_ref(), Some(*label));
             prop_assert_eq!(held.bit_len(bits), Some(label.bit_len(bits)));
+            prop_assert_eq!(index.name(*v), Some(*name));
+            for arena in [sealed, private] {
+                let cell = arena.label(*v).unwrap();
+                prop_assert_eq!(cell.to_label().as_ref(), Some(*label));
+                prop_assert_eq!(cell.bit_len(bits), Some(label.bit_len(bits)));
+                prop_assert_eq!(arena.name(*v), Some(*name));
+            }
         }
-        for (u, lu, ru, bu) in &labeled {
-            let hu = index.get(*u).unwrap();
-            for (v, lv, rv, bv) in &labeled {
-                let hv = index.get(*v).unwrap();
+        for (u, _, lu, ru, _) in &labeled {
+            let (hu, su, pu) = (index.get(*u).unwrap(), sealed.label(*u).unwrap(), private.label(*u).unwrap());
+            for (v, _, lv, rv, _) in &labeled {
+                let (hv, sv, pv) = (index.get(*v).unwrap(), sealed.label(*v).unwrap(), private.label(*v).unwrap());
                 let truth = naive.reaches(*u, *v);
                 prop_assert_eq!(predicate.reaches(lu, lv), truth);
                 prop_assert_eq!(predicate.reaches(ru, rv), truth);
                 prop_assert_eq!(predicate.reaches(lu, rv), truth);
-                let (eu, ev) = (LabelRef::Encoded(bu, bits), LabelRef::Encoded(bv, bits));
-                prop_assert_eq!(predicate.reaches_ref(eu, ev), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(lu.view(), lv.view()), Some(truth));
-                prop_assert_eq!(predicate.reaches_ref(lu.view(), ev), Some(truth));
-                prop_assert_eq!(predicate.reaches_ref(eu, lv.view()), Some(truth));
-                prop_assert_eq!(predicate.reaches_ref(ru.view(), ev), Some(truth));
-                prop_assert_eq!(predicate.reaches_ref(eu, rv.view()), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(hu, hv), Some(truth));
                 prop_assert_eq!(index.reach(&predicate, *u, *v), Some(truth));
-                prop_assert_eq!(predicate.reaches_ref(hu, ev), Some(truth));
-                prop_assert_eq!(predicate.reaches_ref(eu, hv), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(hu, rv.view()), Some(truth));
                 prop_assert_eq!(predicate.reaches_ref(ru.view(), hv), Some(truth));
+                // Arena × arena, the cells' own shortcut included.
+                prop_assert_eq!(sealed.reach(&predicate, *u, *v), Some(truth));
+                prop_assert_eq!(private.reach(&predicate, *u, *v), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(su, sv), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(pu, pv), Some(truth));
+                prop_assert_eq!(predicate.reaches_ref(su, pv), Some(truth));
+                // Arena × hot, × decoded, × rebuilt.
+                for (arena_u, arena_v) in [(su, sv), (pu, pv)] {
+                    prop_assert_eq!(predicate.reaches_ref(arena_u, hv), Some(truth));
+                    prop_assert_eq!(predicate.reaches_ref(hu, arena_v), Some(truth));
+                    prop_assert_eq!(predicate.reaches_ref(arena_u, lv.view()), Some(truth));
+                    prop_assert_eq!(predicate.reaches_ref(lu.view(), arena_v), Some(truth));
+                    prop_assert_eq!(predicate.reaches_ref(arena_u, rv.view()), Some(truth));
+                    prop_assert_eq!(predicate.reaches_ref(ru.view(), arena_v), Some(truth));
+                }
             }
         }
     }

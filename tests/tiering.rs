@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use wf_drl::{Entry, NodeKind};
 use wf_provenance::prelude::*;
 use wf_service::{snapshot, ServiceError, SnapshotError, Tier};
 
@@ -159,10 +160,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The format-v1 or format-v2 blob of a v3 blob: the same 52 common
 /// header bytes under the older `version`, then what that format put
-/// before the slot table — nothing in v1 (what a PR 3 engine wrote);
-/// `frozen_at` plus the 44-byte SKL report block, here with its flag
-/// clear, in v2 (what every engine up to PR 20 wrote for a run with no
-/// derivation) — then the same slots and arena and a fresh checksum.
+/// before the slot table — nothing in v1; `frozen_at` plus the 44-byte
+/// SKL report block, here with its flag clear, in v2 (what engines of
+/// that format wrote for a run with no derivation) — then the same slots
+/// and arena and a fresh checksum.
 fn downgrade(v3: &[u8], version: u32) -> Vec<u8> {
     const COMMON: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8;
     const HEADER: usize = COMMON + 8;
@@ -179,13 +180,136 @@ fn downgrade(v3: &[u8], version: u32) -> Vec<u8> {
     old
 }
 
-/// Behind its 60-byte header the segment is still the parent format,
-/// byte for byte: restated
-/// here from the labels alone — `count` × (vertex, name, offset) in
-/// vertex order, then every `encode_label` back to back — it equals what
-/// the engine spilled; a blob decodes and re-encodes to itself; and a
-/// directory assembled by hand from such bytes (what any earlier engine
-/// of this format left behind) opens and answers every oracle pair.
+/// The labels an engine publishes for `exec`, in vertex order, by a
+/// labeler of its own; and the pointer width they are encoded with.
+fn labeled(spec: &Specification, exec: &Execution) -> (usize, Vec<(ExecEvent, DrlLabel)>) {
+    let skeleton = TclSpecLabels::build(spec);
+    let mut labeler = ExecutionLabeler::new(spec, &skeleton).unwrap();
+    for ev in exec.events() {
+        labeler.insert(ev).unwrap();
+    }
+    let mut labels: Vec<_> = exec
+        .events()
+        .iter()
+        .map(|ev| (ev.clone(), labeler.label(ev.vertex).unwrap().clone()))
+        .collect();
+    labels.sort_by_key(|(ev, _)| ev.vertex);
+    (labeler.skl_bits(), labels)
+}
+
+/// The entry code, restated: index + 1 (γ), two kind bits, and for an
+/// `N` entry its graph + 1 (γ), its skeleton vertex in `skl_bits` bits
+/// and its rec flags (one bit, two more when set).
+fn push_entry(w: &mut wf_drl::encode::BitWriter, e: &Entry, skl_bits: usize) {
+    w.push_gamma(u64::from(e.index) + 1);
+    w.push_bits(kind_code(e.kind), 2);
+    if let (NodeKind::N, Some((g, v))) = (e.kind, e.skl) {
+        w.push_gamma(u64::from(g.0) + 1);
+        w.push_bits(u64::from(v.0), skl_bits);
+        w.push_bit(e.rec.is_some());
+        if let Some((r1, r2)) = e.rec {
+            w.push_bit(r1);
+            w.push_bit(r2);
+        }
+    }
+}
+
+fn kind_code(kind: NodeKind) -> u64 {
+    match kind {
+        NodeKind::N => 0,
+        NodeKind::L => 1,
+        NodeKind::F => 2,
+        NodeKind::R => 3,
+    }
+}
+
+/// A v4 label arena restated from the labels alone, in vertex order: the
+/// layout header (id span, prefix-heap length, the width of each cell
+/// field), a presence word with its rank per 64 ids, one cell per label
+/// bit-packed at the widths of the run — name, prefix offset, own index,
+/// kind, graph, skeleton vertex, rec code — and each distinct prefix
+/// array once (labels carrying one array carry one number), as its
+/// entry count + 1 and its entries, from a byte boundary.
+fn restate_arena(labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
+    let mut heap = Vec::new();
+    let mut records = std::collections::HashMap::new();
+    let cells: Vec<[u32; 7]> = labels
+        .iter()
+        .map(|(ev, label)| {
+            let entries: Vec<Entry> = label.entries().copied().collect();
+            let (last, prefix) = entries.split_last().unwrap();
+            let offset = *records.entry(label.prefix_id()).or_insert_with(|| {
+                let mut w = wf_drl::encode::BitWriter::new();
+                w.push_gamma(prefix.len() as u64 + 1);
+                for e in prefix {
+                    push_entry(&mut w, e, skl_bits);
+                }
+                let offset = heap.len() as u32;
+                heap.extend(w.into_bytes());
+                offset
+            });
+            let (g, v) = last.skl.unwrap();
+            let rec = last
+                .rec
+                .map_or(0, |(r1, r2)| 1 + 2 * u32::from(r1) + u32::from(r2));
+            let kind = kind_code(last.kind) as u32;
+            [ev.name.0, offset, last.index, kind, g.0, v.0, rec]
+        })
+        .collect();
+    let widths: Vec<u8> = (0..7)
+        .map(|k| (32 - cells.iter().map(|c| c[k]).max().unwrap().leading_zeros()) as u8)
+        .collect();
+    let span = labels.last().unwrap().0.vertex.0 + 1;
+    let mut arena = [span.to_le_bytes(), (heap.len() as u32).to_le_bytes()].concat();
+    arena.extend(&widths);
+    let mut before = 0u32;
+    for word in 0..span.div_ceil(64) {
+        let bits = labels
+            .iter()
+            .map(|(ev, _)| ev.vertex.0)
+            .filter(|v| v / 64 == word)
+            .fold(0u64, |bits, v| bits | 1 << (v % 64));
+        arena.extend(bits.to_le_bytes());
+        arena.extend(before.to_le_bytes());
+        before += bits.count_ones();
+    }
+    let mut packed = wf_drl::encode::BitWriter::new();
+    for cell in &cells {
+        for (field, width) in cell.iter().zip(&widths) {
+            packed.push_bits(u64::from(*field), usize::from(*width));
+        }
+    }
+    arena.extend(packed.into_bytes());
+    arena.extend(heap);
+    arena
+}
+
+/// The format-v3 blob of the run a v4 blob holds: its header under
+/// version 3 and the v3 arena length, then the slot table — `count` ×
+/// (vertex, name, offset) in vertex order — over every `encode_label`
+/// back to back, and a fresh checksum.
+fn v3_blob(v4: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
+    let (mut slots, mut heap) = (Vec::new(), Vec::new());
+    for (ev, label) in labels {
+        for word in [ev.vertex.0, ev.name.0, heap.len() as u32] {
+            slots.extend_from_slice(&word.to_le_bytes());
+        }
+        heap.extend(encode_label(label, skl_bits));
+    }
+    let mut v3 = v4[..60].to_vec();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    v3[36..44].copy_from_slice(&(heap.len() as u64).to_le_bytes());
+    v3.extend([slots, heap].concat());
+    let checksum = fnv1a(&v3);
+    v3.extend_from_slice(&checksum.to_le_bytes());
+    v3
+}
+
+/// Behind its 60-byte header a segment is the v4 label arena, byte for
+/// byte: restated here from the labels alone it equals what the engine
+/// spilled; a blob decodes and re-encodes to itself; and a directory
+/// assembled by hand from such bytes (what any earlier engine of this
+/// format left behind) opens and answers every oracle pair.
 #[test]
 fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     const HEADER: usize = 60;
@@ -205,26 +329,24 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     let run = persist_one(&build(&dir), &exec);
     let blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
 
-    let skeleton = TclSpecLabels::build(&spec);
-    let mut labeler = ExecutionLabeler::new(&spec, &skeleton).unwrap();
+    let (skl_bits, labels) = labeled(&spec, &exec);
     let mut naive = NaiveDynamicDag::new();
     for ev in exec.events() {
-        labeler.insert(ev).unwrap();
         naive.insert(ev.vertex, &ev.preds);
     }
-    let skl_bits = u32::from_le_bytes(blob[24..28].try_into().unwrap()) as usize;
-    assert_eq!(skl_bits, labeler.skl_bits());
-    let mut events: Vec<&ExecEvent> = exec.events().iter().collect();
-    events.sort_by_key(|ev| ev.vertex);
-    let (mut slots, mut arena) = (Vec::new(), Vec::new());
-    for ev in events {
-        for word in [ev.vertex.0, ev.name.0, arena.len() as u32] {
-            slots.extend_from_slice(&word.to_le_bytes());
-        }
-        arena.extend(encode_label(labeler.label(ev.vertex).unwrap(), skl_bits));
-    }
+    let word = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+    assert_eq!(word(8), 4, "format version");
+    assert_eq!(word(24) as usize, skl_bits);
+    assert_eq!(word(32) as usize, labels.len(), "count");
     let body = &blob[HEADER..blob.len() - 8];
-    assert!(body == [slots, arena].concat(), "slot table + label heap");
+    assert_eq!(
+        u64::from_le_bytes(blob[36..44].try_into().unwrap()),
+        body.len() as u64
+    );
+    assert!(
+        body == restate_arena(&labels, skl_bits),
+        "layout ‖ presence ‖ cells ‖ prefix heap"
+    );
     assert_eq!(
         blob[blob.len() - 8..],
         fnv1a(&blob[..blob.len() - 8]).to_le_bytes()
@@ -234,7 +356,7 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         snapshot::encode_segment(&header, &arena) == blob,
         "re-encode"
     );
-    assert_eq!(arena.footprint_bytes(), body.len());
+    assert_eq!(arena.bytes(), body);
 
     // A directory written by hand: the blob twice in one pack (a second
     // registration under a run id patched into its header), one manifest.
@@ -258,24 +380,25 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     for id in [run, twin] {
         assert_eq!(reopened.run_tier(id).unwrap(), Tier::Persisted);
         let h = reopened.handle(id).unwrap();
-        for a in exec.events() {
-            for b in exec.events() {
+        for (a, label) in &labels {
+            for (b, _) in &labels {
                 assert_eq!(
                     h.reach(a.vertex, b.vertex),
                     Some(naive.reaches(a.vertex, b.vertex))
                 );
             }
-            assert_eq!(h.label(a.vertex).as_ref(), labeler.label(a.vertex));
+            assert_eq!(h.label(a.vertex).as_ref(), Some(label));
             assert_eq!(h.name(a.vertex), Some(a.name));
         }
     }
 }
 
 /// There is one segment format and one manifest format. A well-formed
-/// **v1 blob**, a well-formed **v2 blob** and a **v1-header manifest**
-/// are each rejected with a typed [`SnapshotError::Format`] — never
-/// guessed at — and an engine built over any of them still comes up and
-/// serves fresh runs.
+/// **v1**, **v2** and **v3 blob** — v3 being the slot table over whole
+/// encoded labels — and a **v1-header manifest** are each rejected with
+/// a typed [`SnapshotError::Format`] naming what it is — never guessed
+/// at — and an engine built over any of them still comes up and serves
+/// fresh runs.
 #[test]
 fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let dir = TempDir::new("v1");
@@ -294,23 +417,31 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
     let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
-    let v3 = std::fs::read(&path).unwrap();
+    let v4 = std::fs::read(&path).unwrap();
     let manifest = std::fs::read_to_string(&manifest_path).unwrap();
     assert!(
-        snapshot::decode_segment(&v3).is_ok(),
-        "the v3 blob is sound"
+        snapshot::decode_segment(&v4).is_ok(),
+        "the v4 blob is sound"
     );
+    let (skl_bits, labels) = labeled(&spec, &exec);
+    let v3 = v3_blob(&v4, &labels, skl_bits);
 
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         // The older blob: framing and checksum are intact, only the
         // version is one this engine does not read.
-        let old = downgrade(&v3, version);
+        let old = if version == 3 {
+            v3.clone()
+        } else {
+            downgrade(&v3, version)
+        };
         for res in [
             snapshot::verify_segment_bytes(&old).map(|_| ()),
             snapshot::decode_segment(&old).map(|_| ()),
         ] {
             match res {
-                Err(SnapshotError::Format(msg)) => assert!(msg.contains("version"), "{msg}"),
+                Err(SnapshotError::Format(msg)) => {
+                    assert!(msg.contains(&format!("version {version}")), "{msg}")
+                }
                 other => panic!("v{version} blob not rejected as a format error: {other:?}"),
             }
         }
@@ -318,7 +449,7 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
         std::fs::write(&path, &old).unwrap();
         std::fs::write(
             &manifest_path,
-            manifest.replace(&format!(" {}\n", v3.len()), &format!(" {}\n", old.len())),
+            manifest.replace(&format!(" {}\n", v4.len()), &format!(" {}\n", old.len())),
         )
         .unwrap();
         let engine = build();
@@ -328,14 +459,16 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
         );
         let fresh = persist_one(&engine, &exec);
         assert_eq!(engine.run_tier(fresh).unwrap(), Tier::Persisted);
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
     }
 
     // The v1 manifest: `run file bytes` lines under the v1 header.
-    std::fs::write(&path, &v3).unwrap();
+    std::fs::write(&path, &v4).unwrap();
     let name = path.file_name().unwrap().to_str().unwrap();
     std::fs::write(
         &manifest_path,
-        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v3.len()),
+        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v4.len()),
     )
     .unwrap();
     match snapshot::load_manifest(&dir.0) {
@@ -365,7 +498,7 @@ fn runs_in_packs(dir: &std::path::Path) -> Vec<RunId> {
         while offset < len {
             let h = snapshot::read_header_at(&path, offset).unwrap();
             runs.push(h.run);
-            offset += FRAMING + 12 * u64::from(h.count) + h.arena_len;
+            offset += FRAMING + h.arena_len;
         }
     }
     runs
@@ -596,11 +729,12 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
     assert_eq!(h.reach(u, v), None, "and stays degraded");
 }
 
-/// A blob header's `skl_bits` is checked, not trusted: a skeleton pointer
-/// is a `u32` vertex index, so a wider field — under a checksum that
+/// A blob header's `skl_bits` and an arena layout's field widths are
+/// checked, not trusted: a skeleton pointer is a `u32` vertex index and
+/// a cell field holds a `u32`, so a wider one — under a checksum that
 /// vouches for it — is a typed format error naming the width, from the
-/// decoder and from the first pin of an engine that registered the blob,
-/// never a shift overflow in the label reader.
+/// decoder and from the first pin of an engine that registered the
+/// blob, never a shift overflow in the label reader.
 #[test]
 fn a_header_skl_bits_over_32_is_a_typed_format_error() {
     let dir = TempDir::new("skl-bits");
@@ -618,27 +752,210 @@ fn a_header_skl_bits_over_32_is_a_typed_format_error() {
     };
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
-    let mut blob = std::fs::read(&path).unwrap();
-    blob[24..28].copy_from_slice(&200u32.to_le_bytes());
+    let sound = std::fs::read(&path).unwrap();
+    // The header's pointer width, then the layout's width of the cell's
+    // own-index field (after the id span and the heap length).
+    for (at, width, named) in [(24, 200u32, "width 200"), (60 + 8 + 2, 40, "width 40")] {
+        let mut blob = sound.clone();
+        if at == 24 {
+            blob[at..at + 4].copy_from_slice(&width.to_le_bytes());
+        } else {
+            blob[at] = width as u8;
+        }
+        restamp(&mut blob);
+
+        match snapshot::decode_segment(&blob) {
+            Err(SnapshotError::Format(msg)) => assert!(msg.contains(named), "{msg}"),
+            other => panic!("{named} not rejected as a format error: {other:?}"),
+        }
+        std::fs::write(&path, &blob).unwrap();
+        let engine = build();
+        assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        match engine.reach(run, u, v) {
+            Err(ServiceError::Snapshot(r, cause)) => {
+                assert_eq!(r, run);
+                assert!(cause.contains(named), "{cause}");
+            }
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
+}
+
+/// Re-stamp a blob's checksum over what precedes it.
+fn restamp(blob: &mut [u8]) {
     let end = blob.len() - 8;
     let checksum = fnv1a(&blob[..end]);
     blob[end..].copy_from_slice(&checksum.to_le_bytes());
+}
 
-    match snapshot::decode_segment(&blob) {
-        Err(SnapshotError::Format(msg)) => assert!(msg.contains("width 200"), "{msg}"),
-        other => panic!("skl_bits = 200 not rejected as a format error: {other:?}"),
-    }
-    std::fs::write(&path, &blob).unwrap();
-    let engine = build();
-    assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
-    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
-    match engine.reach(run, u, v) {
-        Err(ServiceError::Snapshot(r, cause)) => {
-            assert_eq!(r, run);
-            assert!(cause.contains("width 200"), "{cause}");
+/// Every cut and every single-bit flip of a ~40-label blob, its checksum
+/// re-stamped so the arena itself must answer for it: the decoder either
+/// refuses it with a typed format error or hands back an arena whose
+/// every read is total: each name and label reads back and decodes, and
+/// every pair whose skeleton pointers name spec vertices (the skeleton's
+/// own lookup trusts them) gets one answer from the cells and the walk —
+/// `None` for a shape no labeler issues, never a panic. The unvalidated
+/// reader over the same bytes (what a first pin serves once the framing
+/// holds) never panics either, whatever the cells and the prefix records
+/// say.
+#[test]
+fn every_cut_and_bit_flip_of_a_blob_is_refused_or_reads_totally() {
+    let dir = TempDir::new("corpus");
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(40)
+        .generate_run(&mut StdRng::seed_from_u64(41));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let run = persist_one(&engine, &exec);
+    let blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
+    let skeleton = TclSpecLabels::build(&spec);
+    let predicate = DrlPredicate::new(&skeleton);
+    let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
+    assert!(
+        (30..60).contains(&vertices.len()),
+        "{} labels",
+        vertices.len()
+    );
+    // A label that decodes, every skeleton pointer naming a spec vertex.
+    let sound = |label: Option<wf_drl::LabelRef<'_>>| {
+        label.and_then(|l| l.to_label()).is_some_and(|l| {
+            l.entries().all(|e| {
+                e.skl.is_none_or(|(g, v)| {
+                    (g.0 as usize) < spec.graph_count()
+                        && (v.0 as usize) < spec.graph(g).slot_count()
+                })
+            })
+        })
+    };
+    let (mut refused, mut accepted) = (0, 0);
+    let mut check = |bytes: &[u8]| {
+        match snapshot::decode_segment(bytes) {
+            Err(SnapshotError::Format(_)) => refused += 1,
+            Ok((header, arena)) => {
+                accepted += 1;
+                let view = arena.view();
+                for (v, name, label) in view.iter() {
+                    assert_eq!(view.name(v), Some(name));
+                    assert!(label.to_label().is_some(), "{v:?}");
+                    assert!(label.bit_len(header.skl_bits as usize).is_some());
+                }
+                let pointed: Vec<_> = view.iter().filter(|(_, _, l)| sound(Some(*l))).collect();
+                for &(u, _, a) in &pointed {
+                    for &(v, _, b) in pointed.iter().step_by(4) {
+                        let walked = predicate.reaches_ref(a, b);
+                        assert_eq!(view.reach(&predicate, u, v), walked, "{u:?} ; {v:?}");
+                    }
+                }
+            }
+            Err(other) => panic!("not a format error: {other:?}"),
         }
-        other => panic!("expected a snapshot error, got {other:?}"),
+        let Some(arena) = bytes.get(60..bytes.len().saturating_sub(8)) else {
+            return;
+        };
+        let skl_bits = u32::from_le_bytes(bytes[24..28].try_into().unwrap()) as usize;
+        if let Ok(reader) = wf_drl::ArenaRef::new(arena, skl_bits) {
+            let probes = vertices.iter().copied().chain([VertexId(1 << 20)]);
+            for u in probes.clone() {
+                let _ = (reader.name(u), reader.label(u).map(|l| l.bit_len(skl_bits)));
+            }
+            let pointed: Vec<VertexId> = probes.filter(|&u| sound(reader.label(u))).collect();
+            for &u in &pointed {
+                for &v in pointed.iter().step_by(4) {
+                    let _ = reader.reach(&predicate, u, v);
+                }
+            }
+            for (_, _, label) in reader.iter().take(4 * vertices.len()) {
+                let _ = (label.bit_len(skl_bits), label.to_label());
+            }
+        }
+    };
+    for cut in 0..blob.len() {
+        let mut bytes = blob[..cut].to_vec();
+        if cut >= 68 {
+            restamp(&mut bytes);
+        }
+        check(&bytes);
     }
+    for bit in 0..blob.len() * 8 {
+        let mut bytes = blob.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        restamp(&mut bytes);
+        check(&bytes);
+    }
+    // Flips in fields any value of which is a label — names, indexes,
+    // skeleton pointers — are accepted; the rest break the framing or a
+    // record.
+    assert!(
+        refused > 0 && accepted > 0,
+        "{refused} refused, {accepted} accepted"
+    );
+}
+
+/// Vertex ids need not be dense: a run whose ids are spread as
+/// `v → 97·v + 5` answers every pair exactly hot, frozen, persisted and
+/// reopened, and the presence words its sparse id span costs leave its
+/// frozen footprint within twice the 1 434 B the slot-table format (v3)
+/// spent on the same 78 labels.
+#[test]
+fn sparse_vertex_ids_answer_every_pair_in_every_tier() {
+    let dir = TempDir::new("sparse");
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(80)
+        .generate_run(&mut StdRng::seed_from_u64(9));
+    let spread = |v: VertexId| VertexId(97 * v.0 + 5);
+    let events: Vec<ExecEvent> = Execution::deterministic(&gen.graph, &gen.origin)
+        .events()
+        .iter()
+        .map(|ev| ExecEvent {
+            vertex: spread(ev.vertex),
+            preds: ev.preds.iter().map(|&p| spread(p)).collect(),
+            ..ev.clone()
+        })
+        .collect();
+    assert_eq!(events.len(), 78);
+    let mut naive = NaiveDynamicDag::new();
+    for ev in &events {
+        naive.insert(ev.vertex, &ev.preds);
+    }
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let every_pair = |engine: &WfEngine, run, state| {
+        for a in &events {
+            for b in &events {
+                let want = naive.reaches(a.vertex, b.vertex);
+                assert_eq!(
+                    engine.reach(run, a.vertex, b.vertex),
+                    Ok(Some(want)),
+                    "{state}"
+                );
+            }
+        }
+    };
+    let engine = build();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in &events {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    every_pair(&engine, run, "hot");
+    engine.freeze_run(run).unwrap();
+    every_pair(&engine, run, "frozen");
+    let frozen = engine.stats().frozen_bytes;
+    assert!(frozen <= 2 * 1434, "{frozen} frozen bytes for 78 labels");
+    engine.persist_run(run).unwrap();
+    every_pair(&engine, run, "persisted");
+    drop(engine);
+    every_pair(&build(), run, "reopened");
 }
 
 /// A sampled execution of the running example, its ground truth, and a
