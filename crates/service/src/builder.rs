@@ -150,12 +150,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         self
     }
 
-    /// **WAL sync policy** (default [`WalSync::GroupCommit`] with a 2ms
-    /// window): when appends reach stable storage. `Always` fsyncs every
-    /// append (strongest, slowest); `GroupCommit` batches fsyncs on a
-    /// dedicated committer thread — [`WfEngine::flush`] doubles as the
-    /// durability barrier; `Never` leaves durability to the OS page
-    /// cache. No effect without [`Self::wal_dir`].
+    /// **WAL group-commit window** (default [`WalSync::GroupCommit`] with
+    /// a 2ms window, the one policy): a dedicated committer thread
+    /// fsyncs the appends of each window in one batch, and
+    /// [`WfEngine::flush`] doubles as the durability barrier that cuts
+    /// the window short. An acknowledged event is durable at the next
+    /// pass or `flush()`. No effect without [`Self::wal_dir`].
     pub fn wal_sync(mut self, policy: WalSync) -> Self {
         self.wal_sync = policy;
         self

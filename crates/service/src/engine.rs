@@ -668,18 +668,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         verdict
     }
 
-    /// Fault injection for stall testing: pause (or resume) the WAL
-    /// group-commit committer's sync passes. While paused, appends
-    /// buffer without reaching disk, `flush()` blocks on its durability
-    /// barrier, and the watchdog diagnoses `WalCommitLag`. No effect
-    /// without a WAL or under a non-group-commit sync policy. Engine
-    /// shutdown overrides the pause (drop still drains durably).
-    pub fn pause_wal_committer(&self, paused: bool) {
-        if let Some(wal) = &self.shared.wal {
-            wal.set_committer_paused(paused);
-        }
-    }
-
     /// Nanoseconds the oldest buffered WAL append has waited for an
     /// fsync pass (0 when fully synced or without a WAL) — the flush
     /// lag the watchdog samples.

@@ -369,7 +369,7 @@ impl Telemetry {
                 "wf_wal_fsync_ns",
                 "wal_fsync",
                 false,
-                "one WAL fsync (inline or group commit)",
+                "one WAL fsync (a committer pass or the final sync at shutdown)",
             ),
             h_sub_notify: span(
                 "wf_sub_notify_ns",

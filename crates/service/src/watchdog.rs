@@ -23,9 +23,10 @@ pub enum StallCause {
     /// An ingest worker has queued envelopes but its applied watermark
     /// did not advance across a whole watchdog interval.
     IngestWorker,
-    /// The WAL group-commit committer is not draining: the oldest
-    /// buffered append has waited longer than half the watchdog
-    /// interval for an fsync pass.
+    /// The WAL committer is not draining: the oldest buffered append has
+    /// waited longer than half the watchdog interval for an fsync pass —
+    /// a stuck committer, or a group-commit window longer than that half
+    /// interval with no `flush()` to cut it short.
     WalCommitLag,
     /// The tiering worker's completion backlog keeps growing.
     TieringBacklog,

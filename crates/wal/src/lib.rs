@@ -26,12 +26,12 @@
 //!   run is pinned to, so per-run record order on disk follows the
 //!   per-run apply order (sequence numbers make recovery robust to
 //!   cross-thread interleaving anyway).
-//! - **Group commit.** Under [`WalSync::GroupCommit`] appends land in a
-//!   per-shard user-space buffer; a dedicated committer thread flushes
-//!   and fsyncs every shard once per window, and [`WalWriter::barrier`]
-//!   forces an immediate batch for durability barriers (`flush()`).
-//!   [`WalSync::Always`] writes and fsyncs inline per append;
-//!   [`WalSync::Never`] writes through to the OS but never fsyncs.
+//! - **Group commit, the one way to disk.** Appends land in a per-shard
+//!   user-space buffer; a dedicated committer thread flushes and fsyncs
+//!   every shard once per [`WalSync::GroupCommit`] window, and
+//!   [`WalWriter::barrier`] forces an immediate batch for durability
+//!   barriers (`flush()`). An append is durable at the next pass or
+//!   barrier, whichever comes first.
 //! - **Recovery.** [`recover`] scans a WAL directory, truncates each
 //!   file's view at the first bad length/checksum (a torn tail is data
 //!   loss bounded by the last barrier, not corruption), groups records
@@ -47,8 +47,9 @@
 //!   is either an append to a log or an immutable blob whose *name* is
 //!   swapped atomically. [`WalWriter::append_with`] is the one append
 //!   body ([`WalWriter::append`] hands it a payload that already exists):
-//!   whatever the policy, *a failed append leaves the shard buffer as it
-//!   found it* — the rejected record's frame is never written later.
+//!   *a failed or panicking append leaves the shard buffer as it found
+//!   it* — the rejected record's frame is never written later, and a
+//!   poisoned shard lock is recovered, not fatal.
 //!   [`replace_file`] is the one crash-safe replace (the shard rewrites
 //!   here, every pack and manifest of the service's spill directory):
 //!   the path holds *its old contents or the new ones, and no temp file
@@ -65,7 +66,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,9 +86,9 @@ const CHECKSUM_BYTES: usize = 8;
 pub const MIN_BODY_BYTES: usize = 3;
 /// Upper bound on one record body; longer frames are treated as torn.
 pub const MAX_BODY_BYTES: usize = 1 << 26;
-/// Byte budget per shard buffer under group commit: once a shard's
-/// user-space buffer crosses this, the appender writes it through to the
-/// OS inline (the fsync still waits for the committer).
+/// Byte budget per shard buffer: once a shard's user-space buffer
+/// crosses this, the appender writes it through to the OS inline (the
+/// fsync still waits for the committer).
 pub const GROUP_COMMIT_BYTE_BUDGET: usize = 256 * 1024;
 
 /// The sequence number stamped on `Checkpoint` records: a checkpoint
@@ -193,8 +194,7 @@ pub struct Record {
 
 impl Record {
     /// A checkpoint marker for `run` (empty payload, [`CHECKPOINT_SEQ`]).
-    #[must_use]
-    pub fn checkpoint(run: u64) -> Self {
+    fn checkpoint(run: u64) -> Self {
         Self {
             kind: RecordKind::Checkpoint,
             run,
@@ -294,19 +294,14 @@ fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
     ))
 }
 
-/// When appends become durable.
+/// When appends become durable. Group commit is the one policy: an
+/// append is durable after the next committer pass or `barrier()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalSync {
-    /// Write + fsync inline on every append. Maximum durability,
-    /// minimum throughput.
-    Always,
     /// Buffer appends; a committer thread writes + fsyncs all dirty
     /// shards once per `window`, and `barrier()` forces a batch. One
     /// fsync amortized over the whole batch.
     GroupCommit { window: Duration },
-    /// Write through to the OS, never fsync. Survives process crashes
-    /// (the OS flushes eventually) but not power loss.
-    Never,
 }
 
 impl Default for WalSync {
@@ -370,10 +365,11 @@ fn io_err(op: &str, path: &Path, e: &std::io::Error) -> WalError {
 /// Telemetry hooks; every method has a no-op default so tests can pass
 /// a unit observer.
 pub trait WalObserver: Send + Sync {
-    /// One record appended (`bytes` on disk, wall time including any
-    /// inline write/fsync).
+    /// One record appended (`bytes` on disk, wall time including the
+    /// write-through of a buffer past [`GROUP_COMMIT_BYTE_BUDGET`]).
     fn append(&self, _bytes: u64, _dur_ns: u64) {}
-    /// One fsync completed (inline or committer batch).
+    /// One shard fsync completed: a committer pass's, or the final sync
+    /// at shutdown.
     fn fsync(&self, _dur_ns: u64) {}
     /// A shard was compacted after a checkpoint.
     fn truncation(&self, _shard: usize, _bytes_before: u64, _bytes_after: u64) {}
@@ -531,7 +527,7 @@ fn scan_file(path: &Path) -> Result<Scanned, WalError> {
 /// the first bad frame is untrusted). A file that does not start with
 /// [`FILE_HEADER`] is an error — a log of another format is not a tail
 /// torn at offset 0.
-pub fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
+fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
     scan_file(path).map(|s| (s.records, s.torn))
 }
 
@@ -632,8 +628,30 @@ struct ShardFile {
     /// Bytes written through to the OS (not counting `buf`).
     len: u64,
     /// Frames encoded but not yet written through: the group-commit
-    /// batch; empty between appends under `Always`/`Never`.
+    /// batch. Whole frames only, between appends — see [`UnwrittenFrame`].
     buf: Vec<u8>,
+}
+
+/// A frame being appended to a shard buffer. Dropped before
+/// [`Self::keep`] — its payload unwound, or its write-through failed —
+/// it cuts the buffer back to where the frame began, so no later pass
+/// writes a partial or rejected frame and a shard lock poisoned by the
+/// unwind guards a buffer of whole frames.
+struct UnwrittenFrame<'a> {
+    shard: &'a mut ShardFile,
+    at: usize,
+}
+
+impl UnwrittenFrame<'_> {
+    fn keep(self) {
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for UnwrittenFrame<'_> {
+    fn drop(&mut self) {
+        self.shard.buf.truncate(self.at);
+    }
 }
 
 impl ShardFile {
@@ -663,6 +681,15 @@ struct Shard {
     state: Mutex<ShardFile>,
 }
 
+impl Shard {
+    /// The shard's file state. A poisoned lock is recovered: the one
+    /// body that runs caller code under it cuts its frame on the way
+    /// out ([`UnwrittenFrame`]), and the rest assign whole fields.
+    fn lock(&self) -> MutexGuard<'_, ShardFile> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 struct CommitState {
     /// Barrier generations requested / completed.
     requested: u64,
@@ -676,7 +703,6 @@ struct CommitState {
 
 struct WalInner {
     dir: PathBuf,
-    policy: WalSync,
     shards: Box<[Shard]>,
     obs: Box<dyn WalObserver>,
     commit: Mutex<CommitState>,
@@ -686,10 +712,6 @@ struct WalInner {
     /// the difference between one atomic store and a cross-core lock
     /// handoff per event.
     pending: AtomicBool,
-    /// While set, the committer skips its sync pass (fault injection for
-    /// the stall watchdog). Shutdown overrides the pause so drop still
-    /// drains durably.
-    paused: AtomicBool,
     /// Nanoseconds since `start` of the oldest buffered append not yet
     /// covered by a successful sync pass; 0 when fully synced.
     pending_since: AtomicU64,
@@ -712,6 +734,12 @@ impl WalInner {
         Ok((file, len))
     }
 
+    /// The commit state. A poisoned lock is recovered: every holder
+    /// assigns its counters and flags whole.
+    fn commit(&self) -> MutexGuard<'_, CommitState> {
+        self.commit.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Flush + fsync every shard with un-synced data. Returns the first
     /// error but visits every shard regardless. The fsync happens on a
     /// duplicated handle **outside** the shard lock — a millisecond-scale
@@ -722,11 +750,8 @@ impl WalInner {
         for shard in &self.shards {
             let res = (|| {
                 let file = {
-                    let mut f = shard.state.lock().expect("wal shard lock poisoned");
+                    let mut f = shard.lock();
                     f.flush_buf(&shard.path)?;
-                    if matches!(self.policy, WalSync::Never) {
-                        return Ok(());
-                    }
                     f.file
                         .try_clone()
                         .map_err(|e| io_err("dup", &shard.path, &e))?
@@ -748,8 +773,8 @@ impl WalInner {
     }
 }
 
-/// The shard-file writer: owns the append handles and (under group
-/// commit) the committer thread. Dropping the writer flushes and joins.
+/// The shard-file writer: owns the append handles and the committer
+/// thread. Dropping the writer flushes and joins.
 pub struct WalWriter {
     inner: Arc<WalInner>,
     committer: Mutex<Option<JoinHandle<()>>>,
@@ -757,7 +782,8 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Open (or create) a WAL directory with `shards` shard files,
-    /// appending to whatever is already there.
+    /// appending to whatever is already there, and start the committer
+    /// thread that syncs them once per `policy`'s window.
     pub fn open(
         dir: &Path,
         shards: usize,
@@ -781,7 +807,6 @@ impl WalWriter {
             .collect::<Result<Vec<_>, WalError>>()?;
         let inner = Arc::new(WalInner {
             dir: dir.to_path_buf(),
-            policy,
             shards: shards.into_boxed_slice(),
             obs,
             commit: Mutex::new(CommitState {
@@ -792,24 +817,20 @@ impl WalWriter {
             }),
             commit_cv: Condvar::new(),
             pending: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
             pending_since: AtomicU64::new(0),
             start: Instant::now(),
         });
-        let committer = if let WalSync::GroupCommit { window } = policy {
+        let WalSync::GroupCommit { window } = policy;
+        let committer = {
             let inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("wf-wal-commit".into())
-                    .spawn(move || committer_loop(&inner, window))
-                    .map_err(|e| WalError::Io(format!("spawn committer: {e}")))?,
-            )
-        } else {
-            None
+            std::thread::Builder::new()
+                .name("wf-wal-commit".into())
+                .spawn(move || committer_loop(&inner, window))
+                .map_err(|e| WalError::Io(format!("spawn committer: {e}")))?
         };
         Ok(Self {
             inner,
-            committer: Mutex::new(committer),
+            committer: Mutex::new(Some(committer)),
         })
     }
 
@@ -887,15 +908,13 @@ impl WalWriter {
     /// Append one record to `shard`, its payload written by `payload`
     /// under the shard lock, straight into the shard's buffer (it must
     /// only append to the `Vec` it is handed) — a record costs no
-    /// allocation and no copy beyond its own frame. Under `Always` the
-    /// record is durable on return; under `GroupCommit` it is durable
-    /// after the next committer pass or [`barrier`](Self::barrier); under
-    /// `Never` it is in the OS page cache. Every policy encodes the
-    /// frame in place and differs only in what follows under the same
-    /// shard lock; on an error the buffer is cut back to where this
-    /// record began, so a rejected record is never written later (frames
-    /// buffered before it belong to applied ops and stay for the
-    /// committer to retry).
+    /// allocation and no copy beyond its own frame. The record is durable
+    /// after the next committer pass or [`barrier`](Self::barrier); a
+    /// buffer past [`GROUP_COMMIT_BYTE_BUDGET`] is written through to the
+    /// OS on the way. If that write fails, or `payload` panics, the
+    /// buffer is cut back to where this record began, so a rejected
+    /// record is never written later (frames buffered before it belong
+    /// to applied ops and stay for the committer to retry).
     pub fn append_with(
         &self,
         shard: usize,
@@ -909,42 +928,25 @@ impl WalWriter {
         let start = Instant::now();
         let frame_len;
         {
-            let mut f = shard_ref.state.lock().expect("wal shard lock poisoned");
-            let mark = f.buf.len();
-            encode_frame(&mut f.buf, kind, run, seq, payload);
-            frame_len = (f.buf.len() - mark) as u64;
-            let written = match inner.policy {
-                WalSync::Always => f.flush_buf(&shard_ref.path).and_then(|()| {
-                    let fsync_start = Instant::now();
-                    f.file
-                        .sync_data()
-                        .map_err(|e| io_err("fsync", &shard_ref.path, &e))?;
-                    inner.obs.fsync(fsync_start.elapsed().as_nanos() as u64);
-                    Ok(())
-                }),
-                WalSync::Never => f.flush_buf(&shard_ref.path),
+            let mut f = shard_ref.lock();
+            let at = f.buf.len();
+            let frame = UnwrittenFrame { shard: &mut f, at };
+            encode_frame(&mut frame.shard.buf, kind, run, seq, payload);
+            frame_len = (frame.shard.buf.len() - at) as u64;
+            if frame.shard.buf.len() >= GROUP_COMMIT_BYTE_BUDGET {
                 // The fsync still waits for the committer.
-                WalSync::GroupCommit { .. } if f.buf.len() >= GROUP_COMMIT_BYTE_BUDGET => {
-                    f.flush_buf(&shard_ref.path)
-                }
-                WalSync::GroupCommit { .. } => Ok(()),
-            };
-            if let Err(e) = written {
-                f.buf.truncate(mark);
-                return Err(e);
+                frame.shard.flush_buf(&shard_ref.path)?;
             }
+            frame.keep();
         }
-        if matches!(inner.policy, WalSync::GroupCommit { .. }) {
-            inner.pending.store(true, Ordering::Release);
-            // Stamp the oldest-unsynced mark only if no older append
-            // already holds it (max(1) keeps a zero elapsed distinct
-            // from "fully synced").
-            let now = (inner.start.elapsed().as_nanos() as u64).max(1);
-            let _ =
-                inner
-                    .pending_since
-                    .compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
-        }
+        inner.pending.store(true, Ordering::Release);
+        // Stamp the oldest-unsynced mark only if no older append already
+        // holds it (max(1) keeps a zero elapsed distinct from "fully
+        // synced").
+        let now = (inner.start.elapsed().as_nanos() as u64).max(1);
+        let _ = inner
+            .pending_since
+            .compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
         inner
             .obs
             .append(frame_len, start.elapsed().as_nanos() as u64);
@@ -952,57 +954,33 @@ impl WalWriter {
     }
 
     /// Durability barrier: every append that happened-before this call
-    /// is on stable storage when it returns `Ok` (under `Never`, only in
-    /// the OS page cache — that is the contract the caller opted into).
-    /// A write or fsync that failed in the pass covering this call is
-    /// returned, not swallowed.
+    /// is on stable storage when it returns `Ok`. It wakes the committer
+    /// for a pass now, cutting its window short. A write or fsync that
+    /// failed in the pass covering this call is returned, not swallowed.
     pub fn barrier(&self) -> Result<(), WalError> {
-        match self.inner.policy {
-            // `Always` appends fsync inline; `Never` never fsyncs. In
-            // both cases there is nothing buffered in user space.
-            WalSync::Always | WalSync::Never => Ok(()),
-            WalSync::GroupCommit { .. } => {
-                let inner = &self.inner;
-                let my_gen;
-                {
-                    let mut st = inner.commit.lock().expect("wal commit lock poisoned");
-                    if st.stop {
-                        // Committer gone: sync inline.
-                        drop(st);
-                        return inner.sync_all();
-                    }
-                    st.requested += 1;
-                    my_gen = st.requested;
-                    inner.commit_cv.notify_all();
-                    while st.completed < my_gen && !st.stop {
-                        st = inner.commit_cv.wait(st).expect("wal commit lock poisoned");
-                    }
-                    if st.completed >= my_gen {
-                        return match &st.failed {
-                            Some((covered, e)) if covered.contains(&my_gen) => Err(e.clone()),
-                            _ => Ok(()),
-                        };
-                    }
-                }
-                // Stopped before our generation completed: sync inline.
-                inner.sync_all()
+        let inner = &self.inner;
+        let mut st = inner.commit();
+        if !st.stop {
+            st.requested += 1;
+            let my_gen = st.requested;
+            inner.commit_cv.notify_all();
+            while st.completed < my_gen && !st.stop {
+                st = inner
+                    .commit_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if st.completed >= my_gen {
+                return match &st.failed {
+                    Some((covered, e)) if covered.contains(&my_gen) => Err(e.clone()),
+                    _ => Ok(()),
+                };
             }
         }
-    }
-
-    /// Pause or resume the group-commit committer's sync passes (fault
-    /// injection for stall testing). While paused, buffered appends
-    /// accumulate, [`barrier`](Self::barrier) blocks, and
-    /// [`sync_lag_ns`](Self::sync_lag_ns) grows; shutdown overrides the
-    /// pause so drop still drains durably. No effect under `Always` or
-    /// `Never` (those policies have no committer).
-    pub fn set_committer_paused(&self, paused: bool) {
-        self.inner.paused.store(paused, Ordering::Release);
-        if !paused {
-            // Kick the committer so resume drains promptly instead of
-            // waiting out the current window.
-            self.inner.commit_cv.notify_all();
-        }
+        // The committer is gone, or stopped before this generation
+        // completed: sync inline.
+        drop(st);
+        inner.sync_all()
     }
 
     /// Nanoseconds the oldest buffered, un-synced append has waited for
@@ -1028,11 +1006,11 @@ impl WalWriter {
     /// Compact one shard: drop every record of checkpointed runs and
     /// the checkpoint markers themselves, durably replacing the file.
     /// Appends to this shard block for the duration.
-    pub fn truncate_shard(&self, shard: usize) -> Result<(u64, u64), WalError> {
+    fn truncate_shard(&self, shard: usize) -> Result<(u64, u64), WalError> {
         let inner = &self.inner;
         let shard_idx = shard % inner.shards.len();
         let shard_ref = &inner.shards[shard_idx];
-        let mut f = shard_ref.state.lock().expect("wal shard lock poisoned");
+        let mut f = shard_ref.lock();
         f.flush_buf(&shard_ref.path)?;
         let (records, _torn) = read_records(&shard_ref.path)?;
         let before = f.len;
@@ -1060,15 +1038,14 @@ impl WalWriter {
     /// Flush everything and stop the committer. Idempotent; also runs
     /// on drop.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.inner.commit.lock().expect("wal commit lock poisoned");
-            st.stop = true;
-            self.inner.commit_cv.notify_all();
-        }
+        self.inner.commit().stop = true;
+        self.inner.commit_cv.notify_all();
+        // The handle is only ever taken, so a poisoned lock still holds
+        // a consistent `Option`.
         let handle = self
             .committer
             .lock()
-            .expect("wal committer handle poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .take();
         if let Some(handle) = handle {
             let _ = handle.join();
@@ -1088,57 +1065,45 @@ impl Drop for WalWriter {
 /// generation — with the pass's error, when it had one.
 fn committer_loop(inner: &WalInner, window: Duration) {
     loop {
-        let (snapshot, stop, dirty, paused) = {
-            let mut st = inner.commit.lock().expect("wal commit lock poisoned");
+        let (snapshot, stop, dirty) = {
+            let mut st = inner.commit();
             // Pace to the window: at most one fsync per `window` under a
             // steady append stream — that is the whole point of group
             // commit. Only a barrier request (or shutdown) cuts the wait
             // short; mere pending appends wait out the window, otherwise
             // a busy stream degenerates into fsync-per-pass and the
             // committer starves the ingest workers for CPU and disk.
-            // While paused we also wait out the window even with barrier
-            // requests outstanding — a paused committer sleeps, it does
-            // not spin.
-            let paused = inner.paused.load(Ordering::Acquire);
-            if !st.stop && (paused || st.requested == st.completed) {
-                let (guard, _) = inner
+            if !st.stop && st.requested == st.completed {
+                st = inner
                     .commit_cv
                     .wait_timeout(st, window)
-                    .expect("wal commit lock poisoned");
-                st = guard;
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
-            // Shutdown overrides the pause: drop must still drain.
-            let paused = inner.paused.load(Ordering::Acquire) && !st.stop;
             // Idle windows skip the sync pass entirely — no point
             // cycling every shard lock when nothing was appended and
-            // nobody is waiting on a barrier. While paused, leave the
-            // pending flag set so the first pass after resume syncs.
-            let dirty = !paused
-                && (inner.pending.swap(false, Ordering::AcqRel)
-                    || st.requested > st.completed
-                    || st.stop);
-            (st.requested, st.stop, dirty, paused)
+            // nobody is waiting on a barrier.
+            let dirty = inner.pending.swap(false, Ordering::AcqRel)
+                || st.requested > st.completed
+                || st.stop;
+            (st.requested, st.stop, dirty)
         };
         let failure = if dirty { inner.sync_all().err() } else { None };
         if let Some(e) = &failure {
             inner.obs.lifecycle("wal_sync_failed", e.to_string());
         }
         {
-            let mut st = inner.commit.lock().expect("wal commit lock poisoned");
-            // A paused committer must not publish barrier completions it
-            // never earned with an fsync pass.
-            if !paused {
-                if let Some(e) = failure {
-                    // The pass stands for every generation up to its
-                    // snapshot — and, when nobody was waiting, for the
-                    // next one: that barrier's caller may have appended
-                    // what this pass failed to sync, and a later fsync
-                    // succeeding says nothing about those bytes.
-                    let first = st.completed + 1;
-                    st.failed = Some((first..=snapshot.max(first), e));
-                }
-                st.completed = st.completed.max(snapshot);
+            let mut st = inner.commit();
+            if let Some(e) = failure {
+                // The pass stands for every generation up to its
+                // snapshot — and, when nobody was waiting, for the next
+                // one: that barrier's caller may have appended what this
+                // pass failed to sync, and a later fsync succeeding says
+                // nothing about those bytes.
+                let first = st.completed + 1;
+                st.failed = Some((first..=snapshot.max(first), e));
             }
+            st.completed = st.completed.max(snapshot);
             inner.commit_cv.notify_all();
         }
         if stop {
@@ -1187,50 +1152,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_records_across_policies() {
-        for policy in [
-            WalSync::Always,
-            WalSync::GroupCommit {
-                window: Duration::from_secs(3600), // only the barrier runs a pass
-            },
-            WalSync::Never,
-        ] {
-            let dir = TempDir::new("roundtrip");
-            let w = WalWriter::open(dir.path(), 2, policy, Box::new(NullObserver)).unwrap();
-            // `Always` and `Never` write each frame through on append —
-            // behind the file header, which goes out with the first one;
-            // group commit holds it in the shard buffer until a pass.
-            let mut on_disk = [0u64; 2];
-            for (shard, r) in [
-                (0, rec(RecordKind::RunOpen, 1, 0, &[7, 7])),
-                (0, rec(RecordKind::Event, 1, 1, b"payload")),
-                (1, rec(RecordKind::Event, 2, 1, &[])),
-            ] {
-                w.append(shard, &r).unwrap();
-                if !matches!(policy, WalSync::GroupCommit { .. }) {
-                    if on_disk[shard] == 0 {
-                        on_disk[shard] = FILE_HEADER.len() as u64;
-                    }
-                    on_disk[shard] += r.encoded_len() as u64;
-                }
-                let len = std::fs::metadata(dir.path().join(shard_file_name(shard)))
-                    .unwrap()
-                    .len();
-                assert_eq!(len, on_disk[shard], "{policy:?} shard {shard}");
-            }
-            w.barrier().unwrap();
-            w.shutdown();
-            let rec0 = recover(dir.path()).unwrap();
-            assert_eq!(rec0.files, 2);
-            assert_eq!(rec0.records, 3);
-            assert!(rec0.torn.is_empty());
-            assert_eq!(rec0.runs.len(), 2);
-            assert_eq!(rec0.runs[0].run, 1);
-            assert_eq!(rec0.runs[0].records.len(), 2);
-            assert_eq!(rec0.runs[0].records[1].payload, b"payload");
-            assert_eq!(rec0.runs[0].max_seq, 1);
+    /// An hour's window: only a barrier runs a pass.
+    fn barrier_only() -> WalSync {
+        WalSync::GroupCommit {
+            window: Duration::from_secs(3600),
         }
+    }
+
+    #[test]
+    fn roundtrip_records_through_group_commit() {
+        let dir = TempDir::new("roundtrip");
+        let w = WalWriter::open(dir.path(), 2, barrier_only(), Box::new(NullObserver)).unwrap();
+        let shard_len = |shard| {
+            std::fs::metadata(dir.path().join(shard_file_name(shard)))
+                .unwrap()
+                .len()
+        };
+        // Appends stay in the shard buffer until a pass; the barrier's
+        // writes each frame behind the file header, which goes out with
+        // a file's first bytes.
+        let mut on_disk = [FILE_HEADER.len() as u64; 2];
+        for (shard, r) in [
+            (0, rec(RecordKind::RunOpen, 1, 0, &[7, 7])),
+            (0, rec(RecordKind::Event, 1, 1, b"payload")),
+            (1, rec(RecordKind::Event, 2, 1, &[])),
+        ] {
+            w.append(shard, &r).unwrap();
+            assert_eq!(shard_len(shard), 0, "shard {shard}");
+            on_disk[shard] += r.encoded_len() as u64;
+        }
+        w.barrier().unwrap();
+        assert_eq!([shard_len(0), shard_len(1)], on_disk);
+        w.shutdown();
+        let rec0 = recover(dir.path()).unwrap();
+        assert_eq!(rec0.files, 2);
+        assert_eq!(rec0.records, 3);
+        assert!(rec0.torn.is_empty());
+        assert_eq!(rec0.runs.len(), 2);
+        assert_eq!(rec0.runs[0].run, 1);
+        assert_eq!(rec0.runs[0].records.len(), 2);
+        assert_eq!(rec0.runs[0].records[1].payload, b"payload");
+        assert_eq!(rec0.runs[0].max_seq, 1);
     }
 
     /// The format, byte for byte: a change to the header, the frame
@@ -1268,7 +1230,7 @@ mod tests {
             ),
         ];
         let dir = TempDir::new("golden");
-        let w = WalWriter::open(dir.path(), 1, WalSync::Never, Box::new(NullObserver)).unwrap();
+        let w = WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
         let mut file = FILE_HEADER.to_vec();
         for (record, bytes) in &golden {
             let mut framed = Vec::new();
@@ -1334,7 +1296,7 @@ mod tests {
     #[test]
     fn torn_tail_truncates_at_first_bad_frame() {
         let dir = TempDir::new("torn");
-        let w = WalWriter::open(dir.path(), 1, WalSync::Always, Box::new(NullObserver)).unwrap();
+        let w = WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
         let written = [
             rec(RecordKind::RunOpen, 9, 0, &[0, 0, 0, 0, 1]),
             rec(RecordKind::Event, 9, 1, &[1; 16]),
@@ -1429,7 +1391,12 @@ mod tests {
             refused(read_records(&path).map(drop));
             refused(recover(dir.path()).map(drop));
             let open = |shards| {
-                WalWriter::open(dir.path(), shards, WalSync::Never, Box::new(NullObserver))
+                WalWriter::open(
+                    dir.path(),
+                    shards,
+                    WalSync::default(),
+                    Box::new(NullObserver),
+                )
             };
             refused(open(2).map(drop));
             // One shard: the alien file is a stale one the reset would
@@ -1439,7 +1406,7 @@ mod tests {
                     WalWriter::reset(
                         dir.path(),
                         shards,
-                        WalSync::Never,
+                        WalSync::default(),
                         Box::new(NullObserver),
                         &[],
                         |run| run as usize,
@@ -1455,7 +1422,8 @@ mod tests {
             let (records, torn) = read_records(&path).unwrap();
             assert!(records.is_empty());
             assert_eq!(torn.is_some(), created > 0);
-            let w = WalWriter::open(dir.path(), 1, WalSync::Never, Box::new(NullObserver)).unwrap();
+            let w =
+                WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
             let first = rec(RecordKind::RunOpen, 4, 0, &[9]);
             w.append(0, &first).unwrap();
             drop(w);
@@ -1466,7 +1434,7 @@ mod tests {
     #[test]
     fn checkpoint_truncation_drops_run_history() {
         let dir = TempDir::new("ckpt");
-        let w = WalWriter::open(dir.path(), 1, WalSync::Always, Box::new(NullObserver)).unwrap();
+        let w = WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
         for seq in 0..8 {
             w.append(0, &rec(RecordKind::Event, 1, seq, &[0xAA; 32]))
                 .unwrap();
@@ -1489,7 +1457,7 @@ mod tests {
     fn reset_rehomes_records_and_drops_stale_files() {
         let dir = TempDir::new("reset");
         // Seed a 4-shard layout plus an orphaned temp file.
-        let w = WalWriter::open(dir.path(), 4, WalSync::Always, Box::new(NullObserver)).unwrap();
+        let w = WalWriter::open(dir.path(), 4, WalSync::default(), Box::new(NullObserver)).unwrap();
         for run in 0..8u64 {
             w.append(run as usize % 4, &rec(RecordKind::RunOpen, run, 0, &[]))
                 .unwrap();
@@ -1508,7 +1476,7 @@ mod tests {
         let w = WalWriter::reset(
             dir.path(),
             2,
-            WalSync::Never,
+            WalSync::default(),
             Box::new(NullObserver),
             &survivors,
             |run| run as usize,
@@ -1554,9 +1522,7 @@ mod tests {
         let w = WalWriter::open(
             dir.path(),
             1,
-            WalSync::GroupCommit {
-                window: Duration::from_secs(3600), // only the barrier runs a pass
-            },
+            barrier_only(),
             Box::new(SyncFailures(Arc::clone(&reported))),
         )
         .unwrap();
@@ -1579,19 +1545,12 @@ mod tests {
         if !Path::new("/dev/full").exists() {
             return;
         }
-        let open = |policy| {
-            let dir = TempDir::new("devfull-append");
-            std::os::unix::fs::symlink("/dev/full", dir.path().join(shard_file_name(0))).unwrap();
-            let w = WalWriter::open(dir.path(), 1, policy, Box::new(NullObserver)).unwrap();
-            (dir, w)
-        };
-        let buffered = |w: &WalWriter| w.inner.shards[0].state.lock().unwrap().buf.len();
-        // Group commit: the third 100 KiB record crosses the byte budget,
-        // its inline write-through fails, and only the two frames of the
-        // appends that succeeded stay buffered.
-        let (_dir, w) = open(WalSync::GroupCommit {
-            window: Duration::from_secs(3600),
-        });
+        let dir = TempDir::new("devfull-append");
+        std::os::unix::fs::symlink("/dev/full", dir.path().join(shard_file_name(0))).unwrap();
+        let w = WalWriter::open(dir.path(), 1, barrier_only(), Box::new(NullObserver)).unwrap();
+        // The third 100 KiB record crosses the byte budget, its inline
+        // write-through fails, and only the two frames of the appends
+        // that succeeded stay buffered.
         let big = rec(RecordKind::Event, 3, 0, &[0xCC; 100 * 1024]);
         w.append(0, &big).unwrap();
         w.append(0, &big).unwrap();
@@ -1599,12 +1558,53 @@ mod tests {
             Err(WalError::Io(e)) => assert!(e.contains("write"), "{e}"),
             other => panic!("an append past the budget onto a full disk returned {other:?}"),
         }
-        assert_eq!(buffered(&w), 2 * big.encoded_len());
-        for policy in [WalSync::Always, WalSync::Never] {
-            let (_dir, w) = open(policy);
-            assert!(w.append(0, &rec(RecordKind::Event, 3, 0, &[1])).is_err());
-            assert_eq!(buffered(&w), 0, "{policy:?}");
+        assert_eq!(w.inner.shards[0].lock().buf.len(), 2 * big.encoded_len());
+    }
+
+    /// A payload that panics under the shard lock poisons it, but the
+    /// frame it was writing is cut on the way out: later appends to that
+    /// shard and to another go through, a barrier returns `Ok`, and the
+    /// log holds exactly the records whose appends returned `Ok`, untorn.
+    #[test]
+    fn a_panicking_payload_leaves_the_log_usable() {
+        let dir = TempDir::new("panic");
+        let w = Arc::new(
+            WalWriter::open(dir.path(), 2, barrier_only(), Box::new(NullObserver)).unwrap(),
+        );
+        let before = rec(RecordKind::RunOpen, 1, 0, &[1]);
+        w.append(0, &before).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.append_with(0, RecordKind::Event, 1, 1, |out| {
+                out.push(9);
+                panic!("the payload gives up half-written");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(w.inner.shards[0].state.is_poisoned());
+        let after = [
+            (0, rec(RecordKind::Event, 1, 1, &[2])),
+            (1, rec(RecordKind::RunOpen, 2, 0, &[3])),
+        ];
+        for (shard, r) in &after {
+            w.append(*shard, r).unwrap();
         }
+        // On a helper thread, so a wedged log fails the test instead of
+        // hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || tx.send(w.barrier()).unwrap())
+        };
+        let synced = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the barrier never returned");
+        synced.unwrap();
+        helper.join().unwrap();
+        drop(w);
+        let recovery = recover(dir.path()).unwrap();
+        assert!(recovery.torn.is_empty(), "{:?}", recovery.torn);
+        let records: Vec<Record> = recovery.runs.into_iter().flat_map(|r| r.records).collect();
+        assert_eq!(records, [before, after[0].1.clone(), after[1].1.clone()]);
     }
 
     /// A replace that fails leaves the target as it was and no temp file
@@ -1635,15 +1635,7 @@ mod tests {
     #[test]
     fn group_commit_barrier_waits_for_fsync() {
         let dir = TempDir::new("barrier");
-        let w = WalWriter::open(
-            dir.path(),
-            1,
-            WalSync::GroupCommit {
-                window: Duration::from_secs(3600), // never ticks on its own
-            },
-            Box::new(NullObserver),
-        )
-        .unwrap();
+        let w = WalWriter::open(dir.path(), 1, barrier_only(), Box::new(NullObserver)).unwrap();
         w.append(0, &rec(RecordKind::Event, 3, 0, &[1, 2, 3]))
             .unwrap();
         // Buffered: nothing on disk yet (file may exist but be empty).

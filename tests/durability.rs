@@ -5,9 +5,10 @@
 //! `reach()` for the durable prefix of every run *identically* to
 //! [`NaiveDynamicDag`] replaying that same prefix — no phantom events,
 //! no lost ones below the watermark. Crashes are injected two ways: an
-//! in-process rebuild over a live engine's WAL directory (nothing was
-//! drained or flushed, exactly the disk state a kill leaves), and a real
-//! child-process `abort()` mid-ingest. Torn tails and bit flips must
+//! in-process rebuild over a live engine's WAL directory (flushed at the
+//! crash point, never drained or dropped: the disk state a kill right
+//! after a `flush()` leaves), and a real child-process `abort()`
+//! mid-ingest, with an unflushed tail. Torn tails and bit flips must
 //! degrade to a shorter valid prefix, never a panic; checkpoint
 //! truncation must leave the log holding only runs the persisted tier
 //! does not already own.
@@ -105,27 +106,26 @@ proptest! {
         let events = exec.events();
         let cut = events.len() / 2 + 1;
 
-        // Lifetime 1: ingest half the run, then "crash" — the engine is
-        // never drained, flushed, or dropped before recovery reads its
-        // WAL directory. `Always` makes every applied event durable.
+        // Lifetime 1: ingest half the run, flush, then "crash" — the
+        // engine is never drained or dropped before recovery reads its
+        // WAL directory. The flush makes every applied event durable.
         let engine: WfEngine = WfEngine::builder()
             .spec(spec.clone())
             .ingest_workers(2)
             .wal_dir(&dir.0)
-            .wal_sync(WalSync::Always)
             .build();
         let run = engine.open_run(SpecId(0)).unwrap();
         let h = engine.handle(run).unwrap();
         for ev in &events[..cut] {
             h.submit(ev).unwrap();
         }
+        engine.flush();
 
         // Lifetime 2 recovers the prefix and finishes the run.
         let recovered: WfEngine = WfEngine::builder()
             .spec(spec.clone())
             .ingest_workers(1)
             .wal_dir(&dir.0)
-            .wal_sync(WalSync::Always)
             .build();
         let s = recovered.stats();
         prop_assert_eq!(s.wal_recovered_runs, 1);
@@ -138,6 +138,9 @@ proptest! {
             h2.submit(ev).unwrap();
         }
         recovered.complete_run(run).unwrap();
+        // The second crash point: a live engine's later drop must find
+        // nothing to write into the files the next recovery replaces.
+        recovered.flush();
         drop(engine); // the crashed lifetime's threads, reaped late
 
         // Lifetime 3: the whole run survives, completion included.
@@ -220,18 +223,19 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
     let events = exec.events();
 
-    // Single worker + Always: one shard file, file order = seq order.
+    // Single worker: one shard file, file order = seq order. The flush
+    // puts the whole log on disk before it is read.
     let engine: WfEngine = WfEngine::builder()
         .spec(spec.clone())
         .ingest_workers(1)
         .wal_dir(&dir.0)
-        .wal_sync(WalSync::Always)
         .build();
     let run = engine.open_run(SpecId(0)).unwrap();
     let h = engine.handle(run).unwrap();
     for ev in events {
         h.submit(ev).unwrap();
     }
+    engine.flush();
     drop(engine);
     let shard = dir.0.join(wal::shard_file_name(0));
     let bytes = std::fs::read(&shard).unwrap();
@@ -246,7 +250,6 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
             .spec(spec.clone())
             .ingest_workers(1)
             .wal_dir(&dir.0)
-            .wal_sync(WalSync::Always)
             .build();
         if engine.health() != Health::Healthy {
             let unavailable = Health::Degraded {
@@ -422,7 +425,6 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
         .spec(spec.clone())
         .ingest_workers(2)
         .wal_dir(&wal_dir)
-        .wal_sync(WalSync::Always)
         .spill_dir(&spill_dir)
         .build();
     let mut fleet = Vec::new();
@@ -507,7 +509,6 @@ fn evicted_runs_stay_evicted_across_a_restart() {
             .spec(spec.clone())
             .ingest_workers(2)
             .wal_dir(dir.0.join("wal"))
-            .wal_sync(WalSync::Always)
             .spill_dir(dir.0.join("spill"))
             .build()
     };
@@ -576,7 +577,6 @@ fn a_reheated_run_survives_a_restart() {
             .spec(spec.clone())
             .ingest_workers(2)
             .wal_dir(dir.0.join("wal"))
-            .wal_sync(WalSync::Always)
             .spill_dir(&spill)
             .build()
     };
@@ -660,7 +660,6 @@ fn a_rejected_op_is_neither_journaled_nor_replayed() {
                 .spec(spec.clone())
                 .ingest_workers(2)
                 .wal_dir(&dir.0)
-                .wal_sync(WalSync::Always)
                 .build()
         };
         let engine = build();
@@ -680,8 +679,9 @@ fn a_rejected_op_is_neither_journaled_nor_replayed() {
         assert_eq!(engine.stats().wal_records, journaled, "{entry}: journaled");
         assert_eq!(h.published(), admitted.len(), "{entry}");
 
-        // "Crash" (no drain, no drop) and recover: the next lifetime
-        // holds exactly what this one acknowledged.
+        // Flush, "crash" (no drain, no drop) and recover: the next
+        // lifetime holds exactly what this one acknowledged.
+        engine.flush();
         let rebuilt = build();
         let h2 = rebuilt.handle(run).unwrap();
         assert_eq!(h2.published(), h.published(), "{entry}: replayed a reject");
@@ -716,7 +716,6 @@ fn records_after_a_complete_are_not_replayed() {
             .spec(spec.clone())
             .ingest_workers(1)
             .wal_dir(&dir.0)
-            .wal_sync(WalSync::Always)
             .build()
     };
     let engine = build();
@@ -738,7 +737,7 @@ fn records_after_a_complete_are_not_replayed() {
         payload,
     };
     let writer =
-        wal::WalWriter::open(&dir.0, 1, WalSync::Always, Box::new(wal::NullObserver)).unwrap();
+        wal::WalWriter::open(&dir.0, 1, WalSync::default(), Box::new(wal::NullObserver)).unwrap();
     writer.append(0, &stray).unwrap();
     drop(writer);
     let records = |dir: &std::path::Path| wal::recover(dir).unwrap().runs[0].records.len();
@@ -767,9 +766,11 @@ fn records_after_a_complete_are_not_replayed() {
 }
 
 /// A real crash: a child process aborts mid-ingest (no drop, no drain,
-/// no atexit), and the parent recovers its WAL directory. Under
-/// `Always`, every `submit` that returned is durable — the child tells
-/// us how far it got via a watermark file written *before* the abort.
+/// no atexit), and the parent recovers its WAL directory. The flush
+/// contract, whole: every event below a `flush()` watermark survives —
+/// the child tells us where its watermark stood via a file written
+/// *before* the abort — and the unflushed tail after it survives as a
+/// prefix or not at all.
 #[test]
 fn child_process_abort_recovers_every_acknowledged_event() {
     let spec = wf_spec::corpus::running_example();
@@ -782,21 +783,25 @@ fn child_process_abort_recovers_every_acknowledged_event() {
     let cut = 2 * events.len() / 3;
 
     if let Some(dir) = std::env::var_os("WF_DURABILITY_CRASH_DIR") {
-        // Child: ingest `cut` events durably, record the watermark,
-        // then die as hard as safe abort allows.
+        // Child: ingest `cut` events, flush them durable, record the
+        // watermark, submit the rest with no barrier, then die as hard
+        // as safe abort allows.
         let dir = PathBuf::from(dir);
         let engine: WfEngine = WfEngine::builder()
             .spec(spec)
             .ingest_workers(2)
             .wal_dir(dir.join("wal"))
-            .wal_sync(WalSync::Always)
             .build();
         let run = engine.open_run(SpecId(0)).unwrap();
         let h = engine.handle(run).unwrap();
         for ev in &events[..cut] {
             h.submit(ev).unwrap();
         }
+        engine.flush();
         std::fs::write(dir.join("watermark"), format!("{} {cut}", run.0)).unwrap();
+        for ev in &events[cut..] {
+            h.submit(ev).unwrap();
+        }
         std::process::abort();
     }
 
@@ -823,6 +828,11 @@ fn child_process_abort_recovers_every_acknowledged_event() {
         .build();
     assert_eq!(recovered.stats().wal_recovered_runs, 1);
     let h = recovered.handle(run).unwrap();
-    assert_eq!(h.published(), n, "an acknowledged event went missing");
-    assert_prefix_answers(&h, events, n);
+    let survived = h.published();
+    assert!(
+        survived >= n,
+        "a flushed event went missing: {survived} < {n}"
+    );
+    assert!(survived <= events.len(), "phantom events: {survived}");
+    assert_prefix_answers(&h, events, survived);
 }

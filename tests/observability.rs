@@ -730,13 +730,21 @@ fn explain_profile_reports_cold_costs_then_a_warm_second_run() {
     }
 }
 
+/// A committer window far longer than the watchdog interval, with no
+/// `flush()` to cut it short, is a WAL that is not draining: the oldest
+/// unsynced append ages past the watchdog's bound and the verdict
+/// escalates to `Stalled` blaming `WalCommitLag`. A `flush()` is a
+/// barrier — it runs the pass now — and the verdict heals.
 #[test]
-fn watchdog_escalates_a_paused_wal_committer_to_stalled() {
+fn watchdog_escalates_a_lagging_wal_committer_to_stalled() {
     let dir = TempDir::new("stall");
     let interval = Duration::from_millis(20);
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())
         .wal_dir(&dir.0)
+        .wal_sync(WalSync::GroupCommit {
+            window: Duration::from_secs(3600),
+        })
         .watchdog(interval)
         .build();
     assert_eq!(engine.health(), Health::Healthy);
@@ -749,9 +757,8 @@ fn watchdog_escalates_a_paused_wal_committer_to_stalled() {
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
     let run = engine.open_run(SpecId(0)).unwrap();
 
-    // Freeze the committer, then append: the oldest unsynced record's
-    // age now grows without bound and the watchdog must notice.
-    engine.pause_wal_committer(true);
+    // `submit` takes no barrier: the oldest unsynced record's age now
+    // grows for the hour and the watchdog must notice.
     for ev in exec.events() {
         engine.submit(run, ev).unwrap();
     }
@@ -783,17 +790,17 @@ fn watchdog_escalates_a_paused_wal_committer_to_stalled() {
         "stall events carry the diagnosed cause"
     );
 
-    // Resuming drains the backlog and the verdict heals.
-    engine.pause_wal_committer(false);
+    // A barrier drains the backlog and the verdict heals.
+    engine.flush();
+    assert_eq!(engine.wal_sync_lag_ns(), 0, "the flush drained the backlog");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while engine.health() != Health::Healthy {
         assert!(
             std::time::Instant::now() < deadline,
-            "health never recovered after resume"
+            "health never recovered after the flush"
         );
         std::thread::sleep(interval / 4);
     }
-    assert_eq!(engine.wal_sync_lag_ns(), 0, "resume drained the backlog");
 }
 
 #[test]

@@ -704,7 +704,7 @@ fn three_entry_points_one_outcome() {
             b = b.spec(spec.clone());
         }
         if let Some(dir) = wal {
-            b = b.wal_dir(dir).wal_sync(WalSync::Always);
+            b = b.wal_dir(dir);
         }
         b.build()
     };
@@ -746,10 +746,11 @@ fn three_entry_points_one_outcome() {
     let got = settle_outcome(&direct, &sub, &runs, &streams, "handle");
     assert_eq!(got, want, "handle vs pooled");
 
-    // Door 3: recovery. Lifetime 1 journals every event and is then
-    // "killed" — never completed, drained or dropped before lifetime 2
-    // reads its WAL directory; lifetime 2 replays the events at build
-    // time and completes the runs under a live subscription.
+    // Door 3: recovery. Lifetime 1 journals every event, flushes it
+    // durable (`ingest_all`) and is then "killed" — never completed,
+    // drained or dropped before lifetime 2 reads its WAL directory;
+    // lifetime 2 replays the events at build time and completes the runs
+    // under a live subscription.
     let dir = std::env::temp_dir().join(format!("wf-three-doors-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let killed = build(Some(&dir));
