@@ -15,6 +15,8 @@
 //! constant query time, and the crossovers reported in §7.4 (see
 //! EXPERIMENTS.md for paper-vs-measured values).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod metrics;
 pub mod workloads;

@@ -181,9 +181,11 @@ impl LabelerCore {
         let node = self.tree.node(x);
         debug_assert_eq!(node.kind, NodeKind::N);
         let gid = node.ann.expect("N nodes carry annotations");
+        // `u` and `w` are vertices of `Annt(x)`, so the skeleton answers
+        // both.
         let rec = node
             .designated
-            .map(|w| (skeleton.reaches(gid, u, w), skeleton.reaches(gid, w, u)));
+            .and_then(|w| Some((skeleton.reaches(gid, u, w)?, skeleton.reaches(gid, w, u)?)));
         Entry {
             index: node.index,
             kind: NodeKind::N,

@@ -220,8 +220,12 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                 // shorter label.
                 let (g1, u) = lca_a.skl?;
                 let (g2, v) = lca_b.skl?;
-                // Same tree node ⇒ same annotation, in labels of one run.
-                (g1 == g2).then(|| self.skeleton.reaches(g1, u, v))
+                // Same tree node ⇒ same annotation, in labels of one run;
+                // a pointer that names no spec vertex has no answer.
+                if g1 != g2 {
+                    return None;
+                }
+                self.skeleton.reaches(g1, u, v)
             }
             // Distinct copies of a loop body, combined in series:
             // earlier copy reaches later copy (L case).
@@ -370,7 +374,10 @@ mod tests {
                     index: i,
                     kind: NodeKind::N,
                     skl: Some((h3, u)),
-                    rec: Some((skeleton.reaches(h3, u, c_v), skeleton.reaches(h3, c_v, u))),
+                    rec: Some((
+                        skeleton.reaches(h3, u, c_v).unwrap(),
+                        skeleton.reaches(h3, c_v, u).unwrap(),
+                    )),
                 },
             ])
         };

@@ -125,7 +125,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
 
     /// **Spill directory**: sealed runs' blobs are written here, byte for
     /// byte (versioned binary segments in pack files + manifest), and
-    /// their heap copies dropped for the lazily-mapped packs. At build time
+    /// their held frames let go for the packs, read back lazily. At build time
     /// the segments its manifest lists are registered, so historical
     /// runs from previous engine lifetimes keep answering
     /// [`WfEngine::query`] — with the **same catalog** (spec ids must mean the same thing
@@ -161,12 +161,12 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
         self
     }
 
-    /// **Resident-byte budget of the persisted tier**: pinned-in
-    /// segment blobs are tracked by a size/age LRU, and once their total
-    /// exceeds `n` bytes the least-recently-queried blobs are shed back
-    /// to cold (oldest freeze time breaking ties) by `madvise` — so the
-    /// runs queries keep touching are the ones that stay resident.
-    /// Unset = blobs stay resident once pinned in.
+    /// **Resident-byte budget of the persisted tier**: frames loaded
+    /// from disk are tracked by a size/age LRU, and once their total
+    /// exceeds `n` bytes the least-recently-queried frames are dropped
+    /// (oldest freeze time breaking ties) — so the runs queries keep
+    /// touching are the ones that stay resident. Unset = a frame stays
+    /// once loaded.
     pub fn max_resident_bytes(mut self, n: u64) -> Self {
         self.max_resident_bytes = Some(n);
         self
@@ -191,7 +191,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     }
 
     /// **Slow-op threshold** (default 25ms): any timed span — ingest
-    /// apply, flush barrier, first pack pin, cross-run scan — whose
+    /// apply, flush barrier, first frame load, cross-run scan — whose
     /// duration reaches this is promoted into the trace ring, so outliers
     /// are visible in [`WfEngine::trace_dump`] without tracing every
     /// operation. `Duration::ZERO` traces every timed span.

@@ -411,24 +411,24 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 
     /// **Spill** a run to disk (freezing it first if needed): write its
     /// blob, byte for byte, as a pack of one plus the manifest under the
-    /// configured [`EngineBuilder::spill_dir`], and drop the heap copy —
-    /// the run is read from the lazily mapped pack from then on
-    /// ([`Tier::Persisted`]). A re-heated run is written already: only
-    /// its heap copy goes. Requires a spill directory
+    /// configured [`EngineBuilder::spill_dir`], and let its frame go —
+    /// the run is read from its pack from then on, through a frame loaded
+    /// lazily ([`Tier::Persisted`]). A re-heated run is written already:
+    /// only its held frame goes. Requires a spill directory
     /// ([`ServiceError::NoSpillDir`] otherwise).
     pub fn persist_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.persist(run)
     }
 
-    /// **Re-heat** a run read from disk — the one way back: copy its
-    /// verified blob onto the heap ([`Tier::Frozen`]), so subsequent
-    /// queries never touch disk and the LRU has nothing of it to shed.
-    /// The run keeps its pack and its manifest line — a restart brings
-    /// it back persisted — and [`Self::persist_run`] is the inverse:
-    /// the heap copy is dropped, nothing is encoded or written. No-op if
-    /// the run is hot or already holds a heap copy. Nothing re-heats
+    /// **Re-heat** a run read from disk — the one way back: load its
+    /// frame if it is not in memory and hold it ([`Tier::Frozen`]), so
+    /// subsequent queries never touch disk and the LRU has nothing of it
+    /// to shed. The run keeps its pack and its manifest line — a restart
+    /// brings it back persisted — and [`Self::persist_run`] is the
+    /// inverse: the frame goes, nothing is encoded or written. No-op if
+    /// the run is hot or already holds its frame. Nothing re-heats
     /// automatically: under [`EngineBuilder::max_resident_bytes`] the
-    /// LRU keeps a queried run's mapped blob resident instead.
+    /// LRU keeps a queried run's frame resident instead.
     pub fn reheat_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.reheat(run)
     }
@@ -443,8 +443,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// bytes belong to evicted runs, cutting its bytes. In-flight
     /// cross-run scans and handles follow: every copied run's
     /// registration is pointed at the new pack before the old one is
-    /// unlinked, and a blob already pinned stays mapped until its reader
-    /// is done. The tiering worker runs this automatically once
+    /// unlinked, and a frame already loaded is a private copy the unlink
+    /// does not touch. The tiering worker runs this automatically once
     /// [`EngineBuilder::compact_after`] underfull files accumulate or a
     /// file turns dead-heavy.
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {
@@ -607,7 +607,6 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
             segment_sheds: obs.segment_sheds.get(),
             pack_pins: obs.pack_pins.get(),
             pack_dead_bytes: pack_files.iter().map(FileStat::dead).sum(),
-            mapped_bytes: store.lru.mapped_bytes.load(Ordering::Relaxed),
             wal_records: obs.wal_records.get(),
             wal_bytes: obs.wal_bytes.get(),
             wal_truncations: obs.wal_truncations.get(),

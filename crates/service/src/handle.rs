@@ -12,8 +12,8 @@
 //! a hot handle answers from the lock-free in-memory index (and keeps
 //! doing so after a freeze), a sealed handle holds the run's one sealed
 //! run and so follows it through persist and re-heat — it walks the
-//! blob's heap copy while there is one, and lazily maps the pack in and
-//! walks that otherwise. Allocation-free either way; the query API is
+//! blob's frame, which a run on disk loads lazily from its pack.
+//! Allocation-free either way; the query API is
 //! identical across tiers.
 
 use crate::engine::EngineShared;
@@ -79,15 +79,15 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     /// The storage tier this handle reads from now: `Hot` for a handle
     /// taken before the run froze (take a fresh handle to follow the
     /// freeze), and for a sealed run a reading of where its blob sits —
-    /// `Frozen` while a heap copy is held, `Persisted` otherwise — which
+    /// `Frozen` while its frame is held, `Persisted` otherwise — which
     /// follows persist and re-heat.
     pub fn tier(&self) -> Tier {
         self.view.tier()
     }
 
-    /// True while queries through this handle cost no disk fault: always
-    /// for a hot view; for a sealed one while it holds a heap copy or its
-    /// mapped blob is resident (pinned in and not shed by the LRU).
+    /// True while queries through this handle cost no disk read: always
+    /// for a hot view; for a sealed one while it has a frame (held, or
+    /// loaded and not shed by the LRU).
     pub fn is_resident(&self) -> bool {
         self.view.is_resident()
     }

@@ -37,7 +37,7 @@
 //!   runs **freeze** into one sealed segment blob each
 //!   ([`WfEngine::freeze_run`]), held on the heap until it **spills** to
 //!   a versioned disk pack ([`WfEngine::persist_run`]) that reloads at
-//!   build time and is mapped lazily — with [`RunHandle::reach`] and
+//!   build time and is read back lazily — with [`RunHandle::reach`] and
 //!   [`WfEngine::query`] answering tier-transparently. A background
 //!   tiering worker enforces [`EngineBuilder::freeze_after`] /
 //!   [`EngineBuilder::spill_dir`] in completion order, and
@@ -85,10 +85,8 @@
 //! assert!(engine.stats().events_ingested > 0);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-// The mmap FFI: the crate's one exemption from the lint above.
-#[allow(unsafe_code)]
 pub mod bufmgr;
 mod builder;
 mod engine;

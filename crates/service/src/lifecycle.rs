@@ -7,9 +7,9 @@
 //!
 //! | operation                 | what changes                                   | under                       |
 //! |---------------------------|------------------------------------------------|-----------------------------|
-//! | [`EngineShared::freeze`]  | hot → sealed: the blob is encoded on the heap  | the store's shard lock      |
-//! | [`EngineShared::persist`] | the heap blob is written as a pack of one, then dropped | the run's place lock |
-//! | [`EngineShared::reheat`]  | the mapped blob is copied back onto the heap   | the run's place lock        |
+//! | [`EngineShared::freeze`]  | hot → sealed: the blob is encoded into a held frame | the store's shard lock |
+//! | [`EngineShared::persist`] | the held frame is written as a pack of one, then let go | the run's place lock |
+//! | [`EngineShared::reheat`]  | the frame is loaded if need be, then held      | the run's place lock        |
 //!
 //! Freeze encodes the blob off to the side — no registry lock held — and
 //! then asks the store to swap it in with the one conditional
@@ -17,7 +17,7 @@
 //! registry lock: the sealed run is one object the registry, every
 //! handle and every scan share, so they all follow. A blob is written
 //! once, at the first persist; after a re-heat, persisting again only
-//! drops the heap copy. A pack rewrite is not a residency change either:
+//! lets the held frame go. A pack rewrite is not a residency change either:
 //! it tells the sealed run where its blob went.
 //!
 //! [`Tiering`] owns everything the background worker needs: the policy
@@ -227,9 +227,9 @@ impl<S: SpecLabeling> EngineShared<S> {
     }
 
     /// Spill one run to disk: freeze it if still hot, write its blob as a
-    /// pack of one plus the manifest, and drop the heap copy. A re-heated
-    /// run already has its pack and its manifest line: only its heap copy
-    /// goes, and nothing is written. Idempotent for runs read from disk.
+    /// pack of one plus the manifest, and let its frame go. A re-heated
+    /// run already has its pack and its manifest line: only its held
+    /// frame goes, and nothing is written. Idempotent for runs read from disk.
     pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
         let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         self.freeze(run)?;
@@ -260,12 +260,12 @@ impl<S: SpecLabeling> EngineShared<S> {
         }
     }
 
-    /// **Re-heat** one sealed run read from disk: copy its verified
-    /// mapped blob onto the heap, so reads stop touching the mapping. The
-    /// run stays `Completed`, and keeps its location: the blob stays
-    /// live, the manifest keeps its line, and a crash brings the run back
-    /// persisted. Idempotent for runs already resident on the heap (and
-    /// for hot runs).
+    /// **Re-heat** one sealed run read from disk: hold its frame —
+    /// loaded first if the replacer has none — so reads stop touching
+    /// disk. The run stays `Completed`, and keeps its location: the blob
+    /// stays live, the manifest keeps its line, and a crash brings the
+    /// run back persisted. Idempotent for runs already holding their
+    /// frame (and for hot runs).
     pub(crate) fn reheat(&self, run: RunId) -> Result<(), ServiceError> {
         let RunView::Sealed(sealed) = self.view(run)? else {
             return Ok(()); // hot: in memory already

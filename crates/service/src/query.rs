@@ -7,8 +7,8 @@
 //! fleet: every run is scanned through its one borrowed label reader
 //! ([`crate::store::Labels`]) — lock-free over a hot run's write-once
 //! chunk tables ([`crate::index::LabelIndex`]), through one arena reader
-//! ([`wf_drl::ArenaRef`]) over a sealed run's blob, its heap copy or
-//! its lazily mapped pack range — one scan, every tier, no writer
+//! ([`wf_drl::ArenaRef`]) over a sealed run's frame, held or loaded
+//! lazily from its pack — one scan, every tier, no writer
 //! blocked anywhere. The matcher is handed borrowed labels
 //! ([`wf_drl::LabelRef`]) and keeps only vertex ids: a name-scoped scan
 //! reads the cells' names and looks a label up — a rank, a cell, a
@@ -114,10 +114,10 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     }
 
     /// Restrict the scope to runs whose labels are **resident in
-    /// memory**: hot and frozen runs, plus persisted runs whose segment
-    /// blob is currently pinned in. The memory-bounded scan — it never
-    /// pins a cold segment in (and so never grows the LRU's resident
-    /// set), at the price of skipping cold history.
+    /// memory**: hot and frozen runs, plus persisted runs whose frame is
+    /// currently loaded. The memory-bounded scan — it never loads a cold
+    /// segment (and so never grows the LRU's resident set), at the price
+    /// of skipping cold history.
     pub fn resident(mut self) -> Self {
         self.resident_only = true;
         self
@@ -154,8 +154,8 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// bufmgr `pack_pin` leaf the scan triggers. The scan answers from
     /// exactly the runs it snapshotted: a sealed view *is* the run's one
     /// sealed object, which a compaction rewrite landing mid-scan
-    /// relocates in place — the pin that follows reads the blob where it
-    /// is by then.
+    /// relocates in place — the load that follows reads the blob where
+    /// it is by then.
     fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView<S>) -> Option<T>) -> Vec<T> {
         let obs = &self.shared.obs;
         let root = obs.begin();
@@ -305,7 +305,7 @@ pub struct Explained<T> {
 /// durability barrier — the profile's `wal_barrier_wait_ns` — so the
 /// profiled scan covers every event already enqueued, then runs the
 /// scan with a thread-local profile installed that the bufmgr's
-/// pin hooks feed.
+/// load hooks feed.
 pub struct ExplainQuery<'e, S: SpecLabeling + Send + Sync + 'static = TclSpecLabels>(
     CrossRunQuery<'e, S>,
 );

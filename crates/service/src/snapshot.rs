@@ -1,6 +1,6 @@
 //! **Sealed runs**: a completed run is one immutable segment blob, in a
-//! versioned binary format with a manifest, whose bytes sit on the heap,
-//! in a pack file on disk, or both — loadable at engine build time so
+//! versioned binary format with a manifest, whose bytes sit in a heap
+//! frame, in a pack file on disk, or both — loadable at engine build time so
 //! historical runs keep answering cross-run queries.
 //!
 //! A *segment blob* holds one run (format version 4, all integers
@@ -44,37 +44,36 @@
 //! ([`wf_wal::fsync_dir`]) — a crash cannot leave the manifest pointing
 //! at unsynced segments (sync failures surface as the typed
 //! [`SnapshotError::Sync`]).
-//! Every read from disk goes through the file's mapping
-//! ([`crate::bufmgr`]): framing and checksum are verified once, at first
-//! pin, and labels are read in place through the same
-//! [`wf_drl::ArenaRef`] a heap copy lends; a truncated or corrupted blob
-//! is rejected with a typed error — kept on the run, so every later read
-//! names the cause — never a panic.
 //!
 //! A completed run is **one object**, a `SealedRun`, from freeze to
-//! eviction. Freeze encodes its blob into one heap buffer; persisting
-//! writes those bytes, unchanged, as a pack of one and drops the heap
-//! copy; re-heating copies the verified mapped range back onto the heap.
-//! Persist and re-heat are residency changes of the same blob, made under
-//! the run's one *place lock*, and [`crate::Tier`] is a reading of it:
-//! `Frozen` while a heap copy is held, `Persisted` otherwise. The blob on
-//! disk is immutable; what a rewrite changes is where it lies, and the
-//! run is told so in place (`SealedRun::relocate`) under the same lock a
-//! first pin reads the location through. That lock plus the `Arc` a pin
-//! holds on the mapping it resolved is the whole reader protection:
-//! whoever holds a sealed run can read it to the end, wherever its bytes
-//! have moved. Eviction, a sealed run's only exit, is settled under that
-//! lock too.
+//! eviction, and its bytes in memory are **one frame**: an `Arc<[u8]>`
+//! holding the blob, which every read borrows the same
+//! [`wf_drl::ArenaRef`] from. Freeze encodes the blob into a frame the
+//! run *holds*; persisting writes those bytes, unchanged, as a pack of
+//! one and lets the frame go; a read of a run on disk loads a frame with
+//! one positioned read ([`crate::bufmgr`]) that the replacer may drop
+//! again; re-heating holds the frame (loading it first if need be).
+//! Framing and checksum are verified at the first load at each place; a
+//! truncated or corrupted blob is rejected with a typed error — kept on
+//! the run, so every later read names the cause — never a panic. All of
+//! this happens under the run's one *place lock*, and [`crate::Tier`] is
+//! a reading of it: `Frozen` while the frame is held, `Persisted`
+//! otherwise. The blob on disk is immutable; what a rewrite changes is
+//! where it lies, and the run is told so in place (`SealedRun::relocate`)
+//! under the same lock a load reads the location through. That lock is
+//! the whole reader protection: a read holds it for as long as it
+//! borrows the frame, and the replacer only ever *tries* it. Eviction, a
+//! sealed run's only exit, is settled under that lock too.
 
-use crate::bufmgr::{MappedRun, PackFile};
+use crate::bufmgr::{read_exact_at, PackFile};
 use crate::store::{SegmentLru, Tier, TierCounts};
 use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};
 use std::fmt;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::ErrorKind;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use wf_drl::{ArenaRef, LabelArena};
 use wf_graph::VertexId;
@@ -134,7 +133,11 @@ impl std::error::Error for SnapshotError {}
 
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e.to_string())
+        match e.kind() {
+            // A positioned read past the end of the file.
+            ErrorKind::UnexpectedEof => SnapshotError::Format("truncated segment".into()),
+            _ => SnapshotError::Io(e.to_string()),
+        }
     }
 }
 
@@ -164,7 +167,10 @@ fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
     let h = bytes
         .get(..HEADER_LEN)
         .ok_or_else(|| SnapshotError::Format("truncated segment".into()))?;
+    // Cannot fail: every offset below lies within `HEADER_LEN`, and `h`
+    // is exactly that long, so each range is 4 bytes of `h`.
     let u32_at = |i: usize| u32::from_le_bytes(h[i..i + 4].try_into().expect("4 header bytes"));
+    // Cannot fail: as above, each range is 8 bytes of `h`.
     let u64_at = |i: usize| u64::from_le_bytes(h[i..i + 8].try_into().expect("8 header bytes"));
     if h[..8] != SEGMENT_MAGIC {
         return Err(SnapshotError::Format("bad magic".into()));
@@ -224,12 +230,15 @@ pub fn encode_segment(h: &SegmentHeader, arena: &LabelArena) -> Vec<u8> {
 /// Validate a blob's framing — length, magic, version, checksum — and
 /// return its header **without** decoding any label. This is the cheap
 /// integrity check a rewrite runs before copying a blob verbatim into a
-/// new pack, and the one pass a first pin pays (labels decode lazily).
+/// new pack, and the one pass the first load at a place pays (labels
+/// decode lazily).
 pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::Format("truncated segment".into()));
     }
     let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+    // Cannot fail: `tail` is the last `CHECKSUM_LEN` (8) bytes, which the
+    // length check above guarantees exist.
     let stored = u64::from_le_bytes(tail.try_into().unwrap());
     if fnv1a(body) != stored {
         return Err(SnapshotError::Format("checksum mismatch".into()));
@@ -263,8 +272,8 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
 }
 
 /// The label arena of a blob whose framing matches `header`, read in
-/// place — the one blob → reader step, for a heap copy and a mapped
-/// range alike. The arena checks its own layout.
+/// place — the one frame → reader step, whoever filled the frame. The
+/// arena checks its own layout.
 fn blob_arena<'a>(blob: &'a [u8], header: &SegmentHeader) -> Result<ArenaRef<'a>, SnapshotError> {
     let arena = blob
         .get(HEADER_LEN..)
@@ -300,24 +309,11 @@ pub(crate) fn write_blob_file(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(
     wf_wal::fsync_dir(dir).map_err(|e| SnapshotError::Sync(format!("{}: {e}", dir.display())))
 }
 
-/// Read `len` raw bytes at `offset` of `path` (one blob's slice of a
-/// pack), without validating them.
-pub(crate) fn read_raw_range(path: &Path, offset: u64, len: u64) -> Result<Vec<u8>, SnapshotError> {
-    let mut f = fs::File::open(path)?;
-    f.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; len as usize];
-    f.read_exact(&mut buf)
-        .map_err(|_| SnapshotError::Format("truncated segment".into()))?;
-    Ok(buf)
-}
-
 /// Read only the header of the blob at `offset` (the registration path
-/// — no slots, no arena, no checksum, no mapping).
+/// — no arena, no checksum, no frame), by the one positioned read.
 pub fn read_header_at(path: &Path, offset: u64) -> Result<SegmentHeader, SnapshotError> {
-    let mut f = fs::File::open(path)?;
-    f.seek(SeekFrom::Start(offset))?;
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    f.take(HEADER_LEN as u64).read_to_end(&mut buf)?;
+    let mut buf = [0; HEADER_LEN];
+    read_exact_at(&fs::File::open(path)?, &mut buf, offset)?;
     parse_header(&buf)
 }
 
@@ -395,17 +391,14 @@ pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
     Ok(entries)
 }
 
-/// Load state of a blob at its pack location: cold, resolved, or
-/// known-bad.
+/// What is known of the blob at its pack location.
 #[derive(Debug)]
 enum LoadState {
-    /// Never pinned at this place; the next read from disk maps the file
-    /// (if nobody has yet) and verifies the blob.
-    Unloaded,
-    /// Resolved to a byte range inside the file's mapping: verified
-    /// once, then served zero-copy. A shed `madvise`s the pages away,
-    /// but this state — the parsed metadata — stays until the blob moves.
-    Mapped(Arc<MappedRun>),
+    /// Never read at this place: the next load verifies what it reads.
+    Unread,
+    /// Read and verified once. The pack is immutable, so a re-load after
+    /// a shed trusts the bytes it reads again.
+    Verified,
     /// A load failed (the blob vanished or was corrupted after
     /// registration); cached with its cause, so reads degrade to "no
     /// labels" instead of re-reading a broken file and the engine's
@@ -413,11 +406,11 @@ enum LoadState {
     Failed(SnapshotError),
 }
 
-/// A blob's pack location, and what has been resolved there.
+/// A blob's pack location, and what has been learnt there.
 #[derive(Debug)]
 struct Disk {
     /// The pack file the blob lives in, shared with every other run
-    /// written to it; reads resolve through its mapping.
+    /// written to it.
     file: Arc<PackFile>,
     offset: u64,
     state: LoadState,
@@ -428,18 +421,21 @@ impl Disk {
         Self {
             file,
             offset,
-            state: LoadState::Unloaded,
+            state: LoadState::Unread,
         }
     }
 }
 
-/// Where a sealed run's blob is held. At least one of the two is set.
+/// Where a sealed run's blob is. At least one of `frame` and `disk` is
+/// set.
 #[derive(Debug)]
 struct Place {
-    /// The blob on the heap: from freeze until the first persist, and
-    /// again after a re-heat. Reads take it first, so while it is held
-    /// the run reads as [`Tier::Frozen`].
-    heap: Option<Arc<[u8]>>,
+    /// The blob's bytes in memory.
+    frame: Option<Arc<[u8]>>,
+    /// The frame is held: put there by freeze or a re-heat, outside the
+    /// replacer, and the run reads as [`Tier::Frozen`]. A frame that is
+    /// not held was loaded from disk and is the replacer's to shed.
+    held: bool,
     /// The blob's pack location, from the first persist (or the manifest
     /// line the run was registered from) until the eviction.
     disk: Option<Disk>,
@@ -451,40 +447,31 @@ struct Place {
 
 impl Place {
     fn tier(&self) -> Tier {
-        if self.heap.is_some() {
+        if self.held {
             Tier::Frozen
         } else {
             Tier::Persisted
         }
     }
 
-    /// The resolved mapped range, if the blob has one.
-    fn mapped(&self) -> Option<&Arc<MappedRun>> {
-        match &self.disk.as_ref()?.state {
-            LoadState::Mapped(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Why reads of a run served from disk come back empty, once its
-    /// first pin failed.
+    /// Why reads of the run come back empty, once a load failed.
     fn failure(&self) -> Option<&SnapshotError> {
         match &self.disk.as_ref()?.state {
-            LoadState::Failed(cause) if self.heap.is_none() => Some(cause),
+            LoadState::Failed(cause) => Some(cause),
             _ => None,
         }
     }
 }
 
-/// A **sealed run**: a completed run's one segment blob, held on the heap,
-/// at a pack location, or both, from freeze until eviction. Its bytes
-/// on disk are **mapped and verified lazily** at the first read that
-/// needs them. Residency of the mapped range is governed by the store's
-/// [`SegmentLru`]: every pin-in registers there, and when the
-/// resident-byte budget is exceeded the least-recently-used ranges have
-/// their pages `madvise`d away — so a persisted run that turns hot reads
-/// at page-cache speed, and cools back to zero resident bytes when the
-/// traffic moves on. A heap copy is not the replacer's business.
+/// A **sealed run**: a completed run's one segment blob, from freeze
+/// until eviction, in a frame, at a pack location, or both. Every read
+/// is served from the frame under the place's read lock. A run read from
+/// disk loads its frame at the first read that needs it — one positioned
+/// read, verified the first time at each place — and the frame joins the
+/// store's [`SegmentLru`]: when the resident-byte budget is exceeded the
+/// least-recently-used frames are dropped, so a persisted run that turns
+/// hot reads from memory and cools back to zero resident bytes when the
+/// traffic moves on. A held frame is not the replacer's business.
 #[derive(Debug)]
 pub(crate) struct SealedRun {
     header: SegmentHeader,
@@ -492,16 +479,8 @@ pub(crate) struct SealedRun {
     /// many runs). A rewrite copies blobs verbatim, so it never changes.
     len: u64,
     place: RwLock<Place>,
-    /// Live [`SegmentPin`] count. A pinned range is never a replacer
-    /// victim, so a scan iterating labels off the mapping cannot have
-    /// its pages `madvise`d away mid-visit.
-    pins: AtomicU32,
-    /// Whether the mapped range counts as resident in the replacer. Only
-    /// [`Self::set_resident`] flips it, and every flip moves the LRU's
-    /// byte total by the blob's length, so the two cannot drift.
-    resident: AtomicBool,
-    /// LRU recency stamp (the store's logical clock at last read from
-    /// disk).
+    /// LRU recency stamp (the store's logical clock at the last read of
+    /// a frame loaded from disk).
     pub(crate) last_access: AtomicU64,
     lru: Arc<SegmentLru>,
     /// Queries answered over the run's lifetime (carried in from the hot
@@ -511,39 +490,37 @@ pub(crate) struct SealedRun {
 }
 
 impl SealedRun {
-    fn new(
-        header: SegmentHeader,
-        len: u64,
-        heap: Option<Arc<[u8]>>,
-        disk: Option<Disk>,
-        lru: Arc<SegmentLru>,
-    ) -> Self {
+    fn new(header: SegmentHeader, len: u64, place: Place, lru: Arc<SegmentLru>) -> Self {
         Self {
             header,
             len,
-            place: RwLock::new(Place {
-                heap,
-                disk,
-                evicted: false,
-            }),
-            pins: AtomicU32::new(0),
-            resident: AtomicBool::new(false),
+            place: RwLock::new(place),
             last_access: AtomicU64::new(0),
             lru,
             queries: AtomicU64::new(0),
         }
     }
 
-    /// A run just frozen: its encoded `blob` on the heap, no location yet.
+    /// A run just frozen: its encoded `blob` held in a frame, no location
+    /// yet.
     pub(crate) fn on_heap(header: SegmentHeader, blob: Vec<u8>, lru: Arc<SegmentLru>) -> Self {
-        Self::new(header, blob.len() as u64, Some(blob.into()), None, lru)
+        let len = blob.len() as u64;
+        let place = Place {
+            frame: Some(blob.into()),
+            held: true,
+            disk: None,
+            evicted: false,
+        };
+        Self::new(header, len, place, lru)
     }
 
-    /// Register a manifest entry of `file` by reading its blob header
-    /// only. Nothing else is read: the bytes are mapped only when
-    /// queried, which keeps the memory release of persisting real.
+    /// Register a manifest entry of `file`, `pack_len` bytes long, by
+    /// reading its blob header only. Nothing else is read: the frame is
+    /// loaded only when queried, which keeps the memory release of
+    /// persisting real.
     pub(crate) fn open_entry(
         file: Arc<PackFile>,
+        pack_len: u64,
         entry: &ManifestEntry,
         lru: Arc<SegmentLru>,
     ) -> Result<Self, SnapshotError> {
@@ -554,8 +531,18 @@ impl SealedRun {
                 entry.run, header.run
             )));
         }
-        let disk = Disk::at(file, entry.offset);
-        Ok(Self::new(header, entry.bytes, None, Some(disk), lru))
+        // The manifest is an index, not a trust root: a range past the
+        // file's end would size a frame the file cannot fill.
+        if entry.offset.saturating_add(entry.bytes) > pack_len {
+            return Err(SnapshotError::Format("blob range outside its pack".into()));
+        }
+        let place = Place {
+            frame: None,
+            held: false,
+            disk: Some(Disk::at(file, entry.offset)),
+            evicted: false,
+        };
+        Ok(Self::new(header, entry.bytes, place, lru))
     }
 
     /// The run this blob holds.
@@ -573,8 +560,8 @@ impl SealedRun {
         self.len
     }
 
-    /// The label arena alone: what a heap copy holds beyond the blob's
-    /// fixed header and checksum.
+    /// The label arena alone: what a frame holds beyond the blob's fixed
+    /// header and checksum.
     pub(crate) fn arena_bytes(&self) -> u64 {
         self.len.saturating_sub((HEADER_LEN + CHECKSUM_LEN) as u64)
     }
@@ -590,15 +577,14 @@ impl SealedRun {
         self.place.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// `Frozen` while a heap copy is held, `Persisted` otherwise.
+    /// `Frozen` while the frame is held, `Persisted` otherwise.
     pub(crate) fn tier(&self) -> Tier {
         self.read().tier()
     }
 
-    /// True when a read costs no disk fault: a heap copy is held, or the
-    /// mapped range is pinned in and not yet shed by the LRU.
+    /// True when a read costs no disk read: the run has a frame.
     pub(crate) fn is_resident(&self) -> bool {
-        self.read().heap.is_some() || self.resident.load(Ordering::Acquire)
+        self.read().frame.is_some()
     }
 
     /// Where the blob lies on disk, if it has been written: its pack file
@@ -609,89 +595,86 @@ impl SealedRun {
         Some((Arc::clone(&disk.file), disk.offset))
     }
 
-    /// Why the run's first pin failed, while it is served from disk
-    /// (sticky): the blob no longer reads back cleanly, so retrying is
-    /// pointless until the blob moves.
+    /// Why the run's frame failed to load (sticky): the blob no longer
+    /// reads back cleanly, so retrying is pointless until the blob moves.
     pub(crate) fn load_failure(&self) -> Option<SnapshotError> {
         self.read().failure().cloned()
     }
 
-    /// Lend the run's labels to `f`: off the heap copy under the read
-    /// lock — no clock tick, no pin — or off the pinned mapping, which
-    /// stays pinned for the whole of `f`. `None` when the blob no longer
-    /// reads back cleanly from disk.
+    /// Lend the run's labels to `f`, read off the frame under the place's
+    /// read lock, so the replacer cannot drop it mid-read. A miss loads
+    /// the frame under the write lock and lends it from the copy of the
+    /// `Arc` the load returned. `None` when the blob no longer reads back
+    /// cleanly from disk.
     pub(crate) fn with_labels<R>(self: &Arc<Self>, f: impl FnOnce(ArenaRef<'_>) -> R) -> Option<R> {
         let place = self.read();
-        if let Some(blob) = &place.heap {
-            return Some(f(blob_arena(blob, &self.header).ok()?));
+        if let Some(frame) = &place.frame {
+            if !place.held {
+                self.last_access.store(self.lru.tick(), Ordering::Relaxed);
+                with_profile(|p| p.verifies_skipped += 1);
+            }
+            return Some(f(blob_arena(frame, &self.header).ok()?));
         }
+        drop(place);
+        let mut place = self.write();
         self.last_access.store(self.lru.tick(), Ordering::Relaxed);
-        let pin = match place.mapped() {
-            Some(m) => self.pin(&place, m),
+        let frame = match &place.frame {
+            // Another reader loaded it while this one waited.
+            Some(frame) => Arc::clone(frame),
             None => {
-                // The slow path, under the write lock: resolve, then pin.
-                drop(place);
-                let mut place = self.write();
-                let m = self.resolve(&mut place)?;
-                self.pin(&place, &m)
+                let frame = self.load(&mut place)?;
+                if !place.evicted {
+                    self.lru.enter(Arc::clone(self));
+                }
+                frame
             }
         };
-        Some(f(blob_arena(pin.mapped.blob(), &self.header).ok()?))
+        drop(place);
+        Some(f(blob_arena(&frame, &self.header).ok()?))
     }
 
-    /// Pin the resolved range `m`, with the place lock held, so neither a
-    /// shed, a relocation nor the eviction can slip in between. A range
-    /// that does not count as resident — never pinned at this place, or
-    /// shed since — enters the replacer, unless the run is read from the
-    /// heap or evicted: a read through a stale handle is not the
-    /// replacer's business.
-    fn pin(self: &Arc<Self>, place: &Place, m: &Arc<MappedRun>) -> SegmentPin<'_> {
-        self.pins.fetch_add(1, Ordering::AcqRel);
-        if place.heap.is_none() && !place.evicted && self.set_resident(true) {
-            self.lru.obs.pack_pins.inc();
-            with_profile(|p| p.pack_pins += 1);
-            self.lru.enter(Arc::clone(self));
-        } else {
-            with_profile(|p| p.verifies_skipped += 1);
-        }
-        SegmentPin {
-            run: self,
-            mapped: Arc::clone(m),
-        }
-    }
-
-    /// Under the place write lock: map the file the blob is in *now* (if
-    /// no other run of the pack has yet) and run the blob's one
-    /// verification pass — framing + checksum, and that it is the blob
+    /// Under the place write lock: read the blob at its location into a
+    /// new frame with one positioned read. The first load at a place
+    /// verifies it — framing + checksum, and that it is the blob
     /// registered here; labels decode lazily later. A failure is sticky
-    /// for this place only; the file handle caches nothing but a
-    /// successful map.
-    fn resolve(&self, place: &mut Place) -> Option<Arc<MappedRun>> {
+    /// for this place.
+    fn load(&self, place: &mut Place) -> Option<Arc<[u8]>> {
         let disk = place.disk.as_mut()?;
-        match &disk.state {
-            LoadState::Mapped(m) => return Some(Arc::clone(m)),
+        let verify = match &disk.state {
             LoadState::Failed(_) => return None,
-            LoadState::Unloaded => {}
-        }
+            LoadState::Unread => true,
+            LoadState::Verified => false,
+        };
         let obs = &self.lru.obs;
         let span = obs.timer();
-        let resolved = disk
+        let loaded = disk
             .file
-            .mapping()
+            .frame(disk.offset, self.len)
             .map_err(SnapshotError::from)
-            .and_then(|map| MappedRun::resolve(map, disk.offset, self.len, &self.header));
-        match resolved {
-            Ok(m) => {
-                obs.finish(
-                    span,
-                    &obs.h_pack_pin,
-                    Some(self.run().0),
-                    Some("persisted"),
-                    || format!("bytes={}", self.len),
-                );
-                let m = Arc::new(m);
-                disk.state = LoadState::Mapped(Arc::clone(&m));
-                Some(m)
+            .and_then(|frame| {
+                if verify && verify_segment_bytes(&frame)? != self.header {
+                    return Err(SnapshotError::Format(
+                        "the blob changed since its registration".into(),
+                    ));
+                }
+                Ok(frame)
+            });
+        match loaded {
+            Ok(frame) => {
+                obs.pack_pins.inc();
+                with_profile(|p| p.pack_pins += 1);
+                if verify {
+                    obs.finish(
+                        span,
+                        &obs.h_pack_pin,
+                        Some(self.run().0),
+                        Some("persisted"),
+                        || format!("bytes={}", self.len),
+                    );
+                    disk.state = LoadState::Verified;
+                }
+                place.frame = Some(Arc::clone(&frame));
+                Some(frame)
             }
             Err(cause) => {
                 obs.event(
@@ -706,10 +689,10 @@ impl SealedRun {
         }
     }
 
-    /// **Persist**: hand the heap blob to `write` — which lands it as a
-    /// pack of one — unless the run already has a location, then drop the
-    /// heap copy. `Ok(true)` when `write` ran. The write runs outside the
-    /// place lock, so readers keep reading the heap copy meanwhile; an
+    /// **Persist**: hand the held frame to `write` — which lands it as a
+    /// pack of one — unless the run already has a location, then let the
+    /// frame go. `Ok(true)` when `write` ran. The write runs outside the
+    /// place lock, so readers keep reading the frame meanwhile; an
     /// eviction that lands during it wins, and the pack just written is
     /// an orphan the next compaction sweeps.
     pub(crate) fn persist(
@@ -723,15 +706,13 @@ impl SealedRun {
             if place.evicted {
                 return Err(gone());
             }
-            if place.disk.is_some() {
-                if place.heap.take().is_some() {
-                    tiers.moved(Some(Tier::Frozen), Some(Tier::Persisted));
-                }
+            if place.held && place.disk.is_some() {
+                release(&mut place, tiers);
                 return Ok(false);
             }
-            match &place.heap {
-                Some(blob) => Arc::clone(blob),
-                None => return Ok(false),
+            match (&place.frame, place.held) {
+                (Some(frame), true) => Arc::clone(frame),
+                _ => return Ok(false),
             }
         };
         let file = write(&blob).map_err(|e| ServiceError::Snapshot(self.run(), e.to_string()))?;
@@ -740,123 +721,78 @@ impl SealedRun {
             return Err(gone());
         }
         place.disk = Some(Disk::at(file, 0));
-        place.heap = None;
-        tiers.moved(Some(Tier::Frozen), Some(Tier::Persisted));
+        release(&mut place, tiers);
         Ok(true)
     }
 
-    /// **Re-heat**: copy the verified mapped range onto the heap, so
-    /// reads stop touching the mapping. The location stays — the blob is
-    /// still listed, and a restart brings the run back persisted — and
-    /// the replacer stops counting the range (its pages are left to a
-    /// later pin or shed). `Ok(false)` when a heap copy is already held.
+    /// **Re-heat**: load the frame if it is not in memory, hold it, and
+    /// take it out of the replacer, so reads stop touching disk. The
+    /// location stays — the blob is still listed, and a restart brings
+    /// the run back persisted. `Ok(false)` when the frame is held
+    /// already.
     pub(crate) fn reheat(&self, tiers: &TierCounts) -> Result<bool, ServiceError> {
         let mut place = self.write();
         if place.evicted {
             return Err(ServiceError::UnknownRun(self.run()));
         }
-        if place.heap.is_some() {
+        if place.held {
             return Ok(false);
         }
-        let Some(m) = self.resolve(&mut place) else {
+        if place.frame.is_none() && self.load(&mut place).is_none() {
             let cause = place
                 .failure()
                 .map_or("no blob".into(), SnapshotError::to_string);
             return Err(ServiceError::Snapshot(self.run(), cause));
-        };
-        place.heap = Some(m.blob().into());
+        }
+        place.held = true;
+        self.lru.leave(self);
         tiers.moved(Some(Tier::Persisted), Some(Tier::Frozen));
-        self.lru.leave(self.run());
-        self.set_resident(false);
         Ok(true)
     }
 
     /// A rewrite copied the blob to `offset` of `file`: point the run
     /// there. Every holder — the store, a handle, a scan's snapshot —
-    /// follows, because they hold this object and the next first pin
-    /// reads the place under the same lock; a [`SegmentPin`] taken
-    /// before the move keeps the mapping it resolved until it drops. The
-    /// caller unlinks the old file only after this returns, so no reader
-    /// ever opens a location that is gone.
+    /// follows, because they hold this object and the next load reads
+    /// the place under the same lock. A frame loaded from the old place
+    /// goes with it; a held one stays. The caller unlinks the old file
+    /// only after this returns, so no load ever opens a location that is
+    /// gone.
     pub(crate) fn relocate(&self, file: Arc<PackFile>, offset: u64) {
         let mut place = self.write();
         place.disk = Some(Disk::at(file, offset));
-        // Nothing is resident at the new place yet.
-        self.lru.leave(self.run());
-        self.set_resident(false);
+        if !place.held {
+            place.frame = None;
+            self.lru.leave(self);
+        }
     }
 
     /// **Evict**, a sealed run's only exit: leave its tier and the
-    /// replacer, and hand the mapped pages back unless a reader still has
-    /// them pinned. Settled under the place lock, so a pin through a
-    /// stale handle afterwards reads on without entering the replacer,
-    /// and a persist or re-heat after it changes nothing.
+    /// replacer. Settled under the place lock, so a load through a stale
+    /// handle afterwards reads on without entering the replacer, and a
+    /// persist or re-heat after it changes nothing.
     pub(crate) fn evict(&self, tiers: &TierCounts) {
         let mut place = self.write();
         place.evicted = true;
         tiers.moved(Some(place.tier()), None);
-        self.lru.leave(self.run());
-        if self.set_resident(false) && !self.pinned() {
-            if let Some(m) = place.mapped() {
-                m.advise_dont_need();
-            }
-        }
+        self.lru.leave(self);
     }
 
-    /// Flip the residency flag, moving the LRU's byte total with it.
-    /// Returns whether the flag changed.
-    fn set_resident(&self, on: bool) -> bool {
-        if self.resident.swap(on, Ordering::AcqRel) == on {
-            return false;
-        }
-        let total = &self.lru.resident_bytes;
-        if on {
-            total.fetch_add(self.len, Ordering::Relaxed);
-        } else {
-            total.fetch_sub(self.len, Ordering::Relaxed);
-        }
-        true
-    }
-
-    /// Live pin count (replacer victim filtering).
-    pub(crate) fn pinned(&self) -> bool {
-        self.pins.load(Ordering::Acquire) > 0
-    }
-
-    /// Shed the resident range (replacer eviction): the range keeps its
-    /// metadata but hands its pages back to the kernel with
-    /// `madvise(DONTNEED)`. Non-blocking and pin-aware: returns `None`
-    /// if the place lock is contended (a first pin or a read is
-    /// mid-flight), a pin is live, or nothing is resident; the bytes
-    /// freed otherwise.
-    pub(crate) fn shed(&self) -> Option<u64> {
-        let place = match self.place.try_write() {
+    /// Shed the frame (replacer eviction) by dropping it. Non-blocking:
+    /// `false` if the place lock is contended — a load or a read is
+    /// mid-flight — or there is no frame the replacer may drop.
+    pub(crate) fn shed(&self) -> bool {
+        let mut place = match self.place.try_write() {
             Ok(place) => place,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
+            Err(TryLockError::WouldBlock) => return false,
         };
-        // Re-checked under the write lock: a pin taken under the read
-        // lock has either completed (visible here) or is blocked on us.
-        if self.pinned() {
-            return None;
-        }
-        let m = place.mapped()?;
-        self.set_resident(false).then(|| {
-            m.advise_dont_need();
-            self.len
-        })
+        !place.held && place.frame.take().is_some()
     }
 }
 
-/// A pinned mapped range of one sealed run. While the pin lives, the
-/// replacer will not shed its pages; dropping it unpins.
-struct SegmentPin<'a> {
-    run: &'a SealedRun,
-    mapped: Arc<MappedRun>,
-}
-
-impl Drop for SegmentPin<'_> {
-    fn drop(&mut self) {
-        self.run.pins.fetch_sub(1, Ordering::AcqRel);
-    }
+/// Let a held frame go: the run is read from its location from now on.
+fn release(place: &mut Place, tiers: &TierCounts) {
+    place.frame = None;
+    place.held = false;
+    tiers.moved(Some(Tier::Frozen), Some(Tier::Persisted));
 }

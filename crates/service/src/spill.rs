@@ -4,10 +4,10 @@
 //!
 //! Everything here works on the store's **registrations**: every sealed
 //! run that has a location — read from disk, or re-heated and served from
-//! its heap copy since — and the manifest lists exactly those. A blob is
+//! its held frame since — and the manifest lists exactly those. A blob is
 //! dead only once its run is evicted.
 //!
-//! * [`SpillDir::persist`] writes one sealed run's heap blob, as it is,
+//! * [`SpillDir::persist`] writes one sealed run's held frame, as it is,
 //!   as a pack of one and lists it in the manifest.
 //! * [`SpillDir::forget`] rewrites the manifest after an eviction, so
 //!   the evicted run stays gone across a restart.
@@ -28,7 +28,7 @@
 //! with the temp file of a replace the crash interrupted — and with the
 //! pack of a run evicted while its persist was writing it.
 
-use crate::bufmgr::PackFile;
+use crate::bufmgr::{read_exact_at, PackFile};
 use crate::snapshot::{
     self, ManifestEntry, SealedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS, PACK_MAX_RUNS,
     PACK_TARGET_BYTES,
@@ -37,6 +37,7 @@ use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::telemetry::tier_tag;
 use crate::{RunId, ServiceError};
 use std::collections::{HashMap, HashSet};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -192,8 +193,6 @@ pub(crate) struct SpillDir {
     /// Next `pack-<seq>.wfseg` number (seeded past any packs already in
     /// the directory, so restarts never reuse a name).
     pack_seq: AtomicU64,
-    /// The store's `mapped_bytes` gauge, handed to every file handle.
-    mapped_bytes: Arc<AtomicU64>,
     /// Last spills+compactions sum [`Self::apply_policy`] observed — the
     /// cheap "did the directory change shape" stamp that gates the
     /// per-tick file census. Starts at `u64::MAX` so the first pass
@@ -204,7 +203,7 @@ pub(crate) struct SpillDir {
 
 impl SpillDir {
     /// Open `dir` and register the history its manifest lists, by
-    /// header-only reads (nothing is mapped until queried). A run listed
+    /// header-only reads (no frame is loaded until queried). A run listed
     /// twice registers once, from its last line. Entries that do not
     /// read back — or name a spec beyond the `specs` this catalog has —
     /// are skipped; a manifest this engine cannot parse registers
@@ -214,19 +213,21 @@ impl SpillDir {
         lru: &Arc<SegmentLru>,
         specs: usize,
     ) -> (Self, Vec<Arc<SealedRun>>) {
-        let mapped_bytes = Arc::clone(&lru.mapped_bytes);
         let listed: HashMap<RunId, ManifestEntry> = snapshot::load_manifest(&dir)
             .unwrap_or_default()
             .into_iter()
             .map(|entry| (entry.run, entry))
             .collect();
-        let mut files: HashMap<String, Arc<PackFile>> = HashMap::new();
+        // Each pack named once, with its size (one `stat` per file).
+        let mut files: HashMap<String, (Arc<PackFile>, u64)> = HashMap::new();
         let mut persisted = Vec::new();
         for entry in listed.values() {
-            let file = files
-                .entry(entry.file.clone())
-                .or_insert_with(|| PackFile::new(dir.join(&entry.file), Arc::clone(&mapped_bytes)));
-            match SealedRun::open_entry(Arc::clone(file), entry, Arc::clone(lru)) {
+            let (file, size) = files.entry(entry.file.clone()).or_insert_with(|| {
+                let file = PackFile::new(dir.join(&entry.file));
+                let size = file.disk_len(0);
+                (file, size)
+            });
+            match SealedRun::open_entry(Arc::clone(file), *size, entry, Arc::clone(lru)) {
                 Ok(run) if run.header().spec.0 < specs => persisted.push(Arc::new(run)),
                 _ => {}
             }
@@ -241,7 +242,6 @@ impl SpillDir {
             dir,
             manifest: Mutex::new(()),
             pack_seq: AtomicU64::new(next_pack),
-            mapped_bytes,
             policy_stamp: AtomicU64::new(u64::MAX),
         };
         (spill, persisted)
@@ -263,7 +263,7 @@ impl SpillDir {
         let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(snapshot::pack_file_name(seq));
         snapshot::write_blob_file(&self.dir, &path, bytes)?;
-        Ok(PackFile::new(path, Arc::clone(&self.mapped_bytes)))
+        Ok(PackFile::new(path))
     }
 
     /// The manifest lines for the current registrations (call with the
@@ -275,9 +275,9 @@ impl SpillDir {
             .collect()
     }
 
-    /// Persist one sealed run: write its heap blob, byte for byte, as a
+    /// Persist one sealed run: write its held frame, byte for byte, as a
     /// pack of one and list it in the manifest — or, when it already has
-    /// a location (a re-heated run), only drop the heap copy. `Ok(true)`
+    /// a location (a re-heated run), only let the frame go. `Ok(true)`
     /// when a pack was written.
     pub(crate) fn persist<S: SpecLabeling>(
         &self,
@@ -344,9 +344,9 @@ impl SpillDir {
     /// whole tier at once — and blobs are copied verbatim, each keeping
     /// its own checksum. Once the new manifest has landed every copied
     /// registration is relocated in place, and only then are the copied
-    /// files unlinked: a reader holding a registration reads the old
-    /// place before its relocation and the new one after, and a pin
-    /// taken before keeps its mapping past the unlink. Every exit sweeps
+    /// files unlinked: a reader holding a registration loads from the old
+    /// place before its relocation and from the new one after, and a
+    /// frame is a private copy that no unlink touches. Every exit sweeps
     /// orphans, so a pass with nothing to rewrite still reclaims the
     /// packs of evicted runs and crash leftovers. A pass that rewrote
     /// something is traced as one `compaction` span.
@@ -396,13 +396,19 @@ impl SpillDir {
                 buf.clear();
             }
             let mark = (buf.len(), members.len());
-            let whole = victim.runs.iter().try_for_each(|(p, offset)| {
-                let blob = snapshot::read_raw_range(victim.file.path(), *offset, p.blob_len())?;
-                snapshot::verify_segment_bytes(&blob)?;
-                members.push((Arc::clone(p), buf.len() as u64));
-                buf.extend_from_slice(&blob);
-                Ok::<(), SnapshotError>(())
-            });
+            // One open per victim, closed once its blobs are copied.
+            let whole = File::open(victim.file.path())
+                .map_err(SnapshotError::from)
+                .and_then(|file| {
+                    victim.runs.iter().try_for_each(|(p, offset)| {
+                        let start = buf.len();
+                        buf.resize(start + p.blob_len() as usize, 0);
+                        read_exact_at(&file, &mut buf[start..], *offset)?;
+                        snapshot::verify_segment_bytes(&buf[start..])?;
+                        members.push((Arc::clone(p), start as u64));
+                        Ok(())
+                    })
+                });
             if whole.is_err() {
                 buf.truncate(mark.0);
                 members.truncate(mark.1);
@@ -575,7 +581,10 @@ mod tests {
             assert_eq!(engine.reach(run, u, v), Ok(Some(true)));
             runs.push(run);
         }
-        assert!(engine.stats().segment_sheds >= 2, "each pin sheds the last");
+        assert!(
+            engine.stats().segment_sheds >= 2,
+            "each load sheds the last"
+        );
         engine.evict_run(runs[0]).unwrap();
         let report = engine.compact().unwrap();
         assert_eq!((report.files_after, report.runs_packed), (1, 2));

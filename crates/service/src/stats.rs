@@ -78,20 +78,20 @@ pub struct ServiceStats {
     pub hot_resident_bytes: u64,
     /// Runs currently in the hot tier (any status).
     pub runs_hot: u64,
-    /// Sealed runs holding a heap copy of their blob (the frozen tier).
+    /// Sealed runs holding their blob's frame (the frozen tier).
     pub runs_frozen: u64,
     /// Sealed runs read from their pack on disk (the persisted tier).
     pub runs_persisted: u64,
     /// Cumulative hot → sealed transitions.
     pub freezes: u64,
-    /// Cumulative blobs written to disk (a persist that only drops the
-    /// heap copy of a re-heated run writes none).
+    /// Cumulative blobs written to disk (a persist that only lets the
+    /// held frame of a re-heated run go writes none).
     pub spills: u64,
-    /// Cumulative re-heats (a mapped blob copied onto the heap).
+    /// Cumulative re-heats (a run on disk made to hold its frame).
     pub reheats: u64,
     /// Cumulative compaction passes that wrote packs.
     pub compactions: u64,
-    /// **Frozen tier** footprint in bytes: each heap copy's label arena —
+    /// **Frozen tier** footprint in bytes: each held frame's label arena —
     /// layout header, presence words, cells and prefix heap (the blob's
     /// 68 header and checksum bytes are not counted).
     pub frozen_bytes: u64,
@@ -100,28 +100,26 @@ pub struct ServiceStats {
     pub frozen_label_bits: u64,
     /// **Persisted tier** footprint in bytes: segment blobs on disk.
     pub persisted_bytes: u64,
-    /// **Persisted tier** resident bytes: segment blobs currently
-    /// pinned into memory (governed by
+    /// **Persisted tier** resident bytes: frames currently loaded from
+    /// disk and not yet shed (governed by
     /// [`crate::EngineBuilder::max_resident_bytes`]).
     pub persisted_resident_bytes: u64,
     /// Distinct pack files holding a live blob (a persisted run's, or a
     /// re-heated run's) — what compaction exists to keep small.
     pub segment_files: u64,
     /// Always 0: counted owned-buffer fault-ins, a read path that no
-    /// longer exists (every load is a [`Self::pack_pins`] pin). Kept so
+    /// longer exists (every load is counted in [`Self::pack_pins`]). Kept so
     /// wfbench, which sums the two, builds; goes with that read.
     pub segment_loads: u64,
     /// Cumulative blobs shed by the resident-byte LRU.
     pub segment_sheds: u64,
-    /// Cumulative persisted blobs pinned in (first resolve against the
-    /// mapping, or re-residency after a `madvise` shed).
+    /// Cumulative frames loaded from disk (the first load at a place,
+    /// which verifies the blob, or a re-load after a shed, which does
+    /// not).
     pub pack_pins: u64,
     /// Bytes inside current pack files owned by the (dead) blobs of
     /// evicted runs — what a dead-heavy rewrite exists to reclaim.
     pub pack_dead_bytes: u64,
-    /// Pack bytes currently mmap'd by the buffer manager (virtual
-    /// reservation; resident pages are governed by the LRU).
-    pub mapped_bytes: u64,
     /// WAL records appended this lifetime (run opens, events,
     /// completions, checkpoint stamps). 0 without a
     /// [`crate::EngineBuilder::wal_dir`].
@@ -177,7 +175,7 @@ impl ServiceStats {
     /// value)` — declared here and nowhere else: both renderings take
     /// these rows from a snapshot, so an exported gauge cannot disagree
     /// with the field it names.
-    pub fn gauges(&self) -> [wf_obs::GaugeRow; 10] {
+    pub fn gauges(&self) -> [wf_obs::GaugeRow; 9] {
         [
             ("wf_runs_hot", "runs in the hot tier", self.runs_hot),
             (
@@ -202,7 +200,7 @@ impl ServiceStats {
             ),
             (
                 "wf_persisted_resident_bytes",
-                "persisted-tier bytes pinned in and resident",
+                "persisted-tier bytes loaded from disk and resident",
                 self.persisted_resident_bytes,
             ),
             ("wf_segment_files", "pack files on disk", self.segment_files),
@@ -210,11 +208,6 @@ impl ServiceStats {
                 "wf_pack_dead_bytes",
                 "dead blob bytes in packs awaiting garbage collection",
                 self.pack_dead_bytes,
-            ),
-            (
-                "wf_mapped_bytes",
-                "pack bytes currently mmap'd",
-                self.mapped_bytes,
             ),
             (
                 "wf_subscriptions",
@@ -235,7 +228,7 @@ impl ServiceStats {
              \"runs_persisted\":{},\"hot_bytes\":{},\"hot_resident_bytes\":{},\
              \"frozen_bytes\":{},\"persisted_bytes\":{},\"persisted_resident_bytes\":{},\
              \"segment_files\":{},\"segment_loads\":{},\"segment_sheds\":{},\"pack_pins\":{},\
-             \"pack_dead_bytes\":{},\"mapped_bytes\":{},\"hot_label_bits\":{},\
+             \"pack_dead_bytes\":{},\"hot_label_bits\":{},\
              \"frozen_label_bits\":{},\"freezes\":{},\"spills\":{},\"reheats\":{},\
              \"compactions\":{}}}",
             self.runs_hot,
@@ -251,7 +244,6 @@ impl ServiceStats {
             self.segment_sheds,
             self.pack_pins,
             self.pack_dead_bytes,
-            self.mapped_bytes,
             self.label_bits_total,
             self.frozen_label_bits,
             self.freezes,

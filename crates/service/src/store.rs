@@ -8,17 +8,18 @@
 //! * **Sealed** — completed runs, each one segment blob
 //!   ([`crate::snapshot`]): an order of magnitude smaller — each context
 //!   prefix once, one fixed-width cell per label — at the price of
-//!   walking a prefix's bit cursor per label access. The blob sits on the heap
-//!   (from freeze until it is persisted, and again after a re-heat), in a
-//!   pack file — zero resident bytes until the first query maps the pack
-//!   and pins the blob, read in place from then on under the
-//!   [`SegmentLru`] residency budget — or both. [`Tier`] is a reading of
-//!   where: `Frozen` while a heap copy is held, `Persisted` otherwise.
+//!   walking a prefix's bit cursor per label access. The blob's bytes in
+//!   memory are one heap frame: held from freeze until the run is
+//!   persisted, and again after a re-heat; otherwise loaded from the
+//!   pack by the first query that needs it — zero resident bytes until
+//!   then — and dropped again under the [`SegmentLru`] residency budget.
+//!   [`Tier`] is a reading of which: `Frozen` while the frame is held,
+//!   `Persisted` otherwise.
 //!
 //! Every label read goes through **one reader**, [`Labels`], borrowed
 //! from a run for one read by [`RunView::with_labels`]: a hot run lends
-//! its index, and a sealed run lends one [`wf_drl::ArenaRef`] — over its
-//! heap copy or over the pinned mapping. It hands out borrowed
+//! its index, and a sealed run lends one [`wf_drl::ArenaRef`] over its
+//! frame. It hands out borrowed
 //! [`LabelRef`]s; an owned `DrlLabel` is built only where one is kept,
 //! and a standing query keeps none (it keeps vertex ids and asks the
 //! reader again).
@@ -52,35 +53,32 @@ use wf_drl::{ArenaRef, DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
 
-/// The **size/age LRU over resident mapped ranges**: every sealed run
-/// whose blob pins in from its pack registers here, and when the resident
-/// total exceeds the configured budget
+/// The **replacer over the frames loaded from disk**: every sealed run
+/// whose frame a read loaded from its pack registers here, and when the
+/// resident total exceeds the configured budget
 /// ([`crate::EngineBuilder::max_resident_bytes`]) the least-recently-
-/// queried ranges are shed back to cold — oldest freeze time breaking
-/// recency ties. Heap copies are not candidates. Without a budget the LRU
-/// only keeps the books (pins, sheds, resident bytes for the stats).
+/// queried frames are dropped — oldest freeze time breaking recency
+/// ties. Held frames (freeze, re-heat) are not candidates. Without a
+/// budget the LRU only keeps the books (loads, sheds, resident bytes for
+/// the stats).
 ///
-/// The books are two things. `resident_bytes` moves only when a run's
-/// residency flag flips (`SealedRun::set_resident`), so it is always the
-/// sum over set flags. `resident` is the replacer's *candidate* map — the
-/// runs that pinned in since they last left it.
+/// The books are the candidate map: `resident_bytes` moves only when a
+/// run enters or leaves it, so it is always the sum of its members' blob
+/// lengths.
 ///
 /// Locking: a run enters and leaves the map under its own place lock,
 /// and the shed path holds the map while *try*-locking a victim's place —
 /// the try-lock is what makes the two orders safe (the shed path skips
-/// contended victims instead of blocking on them).
+/// contended victims, a run being read among them, instead of blocking
+/// on them).
 #[derive(Debug)]
 pub(crate) struct SegmentLru {
     max_resident: Option<u64>,
     clock: AtomicU64,
     resident: Mutex<HashMap<u64, Arc<SealedRun>>>,
-    /// Bytes of the ranges counted resident, moved only by
-    /// `SealedRun::set_resident`.
+    /// Bytes of the frames in the candidate map.
     pub(crate) resident_bytes: AtomicU64,
-    /// Bytes currently `mmap`'d across pack files (shared with every
-    /// [`crate::bufmgr::PackMapping`], which keeps it on map/unmap).
-    pub(crate) mapped_bytes: Arc<AtomicU64>,
-    /// Engine telemetry: pin/shed counters, the first-pin latency
+    /// Engine telemetry: load/shed counters, the verifying-load latency
     /// histogram, and the trace ring shed events feed into.
     pub(crate) obs: Arc<Telemetry>,
 }
@@ -92,7 +90,6 @@ impl SegmentLru {
             clock: AtomicU64::new(0),
             resident: Mutex::new(HashMap::new()),
             resident_bytes: AtomicU64::new(0),
-            mapped_bytes: Arc::new(AtomicU64::new(0)),
             obs,
         }
     }
@@ -108,28 +105,32 @@ impl SegmentLru {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// A run's range pinned in (called under its place lock): make it a
-    /// shed candidate, then enforce the budget (never shedding the run
-    /// just pinned).
+    /// A run's frame was loaded from disk (called under its place lock):
+    /// make it a shed candidate, then enforce the budget (never shedding
+    /// the frame just loaded).
     pub(crate) fn enter(&self, run: Arc<SealedRun>) {
-        let id = run.run().0;
-        self.candidates().insert(id, run);
-        self.enforce(Some(id));
+        let (id, len) = (run.run().0, run.blob_len());
+        if self.candidates().insert(id, run).is_none() {
+            self.resident_bytes.fetch_add(len, Ordering::Relaxed);
+        }
+        self.enforce(id);
     }
 
-    /// A run's range stopped being a candidate — re-heated, relocated or
-    /// evicted (called under its place lock).
-    pub(crate) fn leave(&self, run: RunId) {
-        self.candidates().remove(&run.0);
+    /// A run's frame stopped being a candidate — held by a re-heat,
+    /// dropped by a relocation, or evicted (called under its place lock).
+    pub(crate) fn leave(&self, run: &SealedRun) {
+        if self.candidates().remove(&run.run().0).is_some() {
+            self.resident_bytes
+                .fetch_sub(run.blob_len(), Ordering::Relaxed);
+        }
     }
 
     /// Shed victims — least recently queried first, oldest freeze time
-    /// breaking ties — until the budget holds. Pinned entries (a scan
-    /// mid-iteration) are never candidates; each remaining candidate is
-    /// tried once per pass (a contended victim — one being queried or
-    /// pinned right now — is skipped, not waited on). Shedding is
-    /// `madvise(DONTNEED)` on the blob's mapped range.
-    fn enforce(&self, protect: Option<u64>) {
+    /// breaking ties — until the budget holds. Each candidate but
+    /// `protect` is tried once per pass; a contended victim — one being
+    /// read or loaded right now — is skipped, not waited on. Shedding
+    /// drops the frame.
+    fn enforce(&self, protect: u64) {
         let Some(budget) = self.max_resident else {
             return;
         };
@@ -139,7 +140,7 @@ impl SegmentLru {
         }
         let mut victims: Vec<Arc<SealedRun>> = map
             .values()
-            .filter(|p| Some(p.run().0) != protect && !p.pinned())
+            .filter(|p| p.run().0 != protect)
             .cloned()
             .collect();
         victims.sort_by_key(|p| (p.last_access.load(Ordering::Relaxed), p.header().frozen_at));
@@ -147,8 +148,10 @@ impl SegmentLru {
             if self.resident_bytes.load(Ordering::Relaxed) <= budget {
                 break;
             }
-            if let Some(freed) = victim.shed() {
+            if victim.shed() {
                 map.remove(&victim.run().0);
+                let freed = victim.blob_len();
+                self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
                 self.obs.segment_sheds.inc();
                 self.obs
                     .event("shed", Some(victim.run().0), Some("persisted"), || {
@@ -165,9 +168,10 @@ impl SegmentLru {
 pub enum Tier {
     /// Live labeler state + decoded in-memory label index.
     Hot,
-    /// A sealed run holding its blob on the heap (read in memory).
+    /// A sealed run holding its blob's frame (read in memory).
     Frozen,
-    /// A sealed run read from its pack on disk, mapped and pinned lazily.
+    /// A sealed run read from its pack on disk, its frame loaded lazily
+    /// and shed by the LRU.
     Persisted,
 }
 
@@ -227,8 +231,8 @@ fn write<S: SpecLabeling>(shard: &Shard<S>) -> RwLockWriteGuard<'_, HashMap<u64,
 pub(crate) enum Labels<'a, S: SpecLabeling + 'static> {
     /// A hot run: its lock-free index and its write-once source.
     Hot(&'a RunSlot<S>),
-    /// A sealed run: its arena — over the heap copy or the pinned
-    /// mapping — and its source vertex.
+    /// A sealed run: its arena over the run's frame, and its source
+    /// vertex.
     Cold(ArenaRef<'a>, Option<VertexId>),
 }
 
@@ -329,9 +333,9 @@ impl<S: SpecLabeling> RunView<S> {
         }
     }
 
-    /// True when answering from this view costs no disk fault: hot runs
-    /// always, sealed runs while they hold a heap copy or their mapped
-    /// range is resident (pinned in and not yet shed by the LRU).
+    /// True when answering from this view costs no disk read: hot runs
+    /// always, sealed runs while they have a frame (held, or loaded and
+    /// not yet shed by the LRU).
     pub(crate) fn is_resident(&self) -> bool {
         match self {
             RunView::Hot(_) => true,
@@ -347,9 +351,9 @@ impl<S: SpecLabeling> RunView<S> {
     }
 
     /// Lend the run's [`Labels`] reader to `f`. `None` for a sealed run
-    /// read from disk whose blob no longer pins. A pin holds for the
-    /// whole of `f`: a scan iterating labels straight off the mapping
-    /// cannot have its pages `madvise`d away mid-run.
+    /// read from disk whose blob no longer loads. A sealed run's frame
+    /// stays borrowed for the whole of `f`: a scan iterating its labels
+    /// cannot have it shed mid-run.
     pub(crate) fn with_labels<R>(&self, f: impl FnOnce(&Labels<'_, S>) -> R) -> Option<R> {
         match self {
             RunView::Hot(s) => Some(f(&Labels::Hot(s))),
@@ -390,7 +394,7 @@ impl<S: SpecLabeling> RunView<S> {
     }
 
     /// Why every read of this run comes back empty, when it is a sealed
-    /// run read from disk whose first pin failed.
+    /// run read from disk whose frame failed to load.
     pub(crate) fn load_failure(&self, run: RunId) -> Option<ServiceError> {
         match self {
             RunView::Sealed(s) => s

@@ -266,7 +266,7 @@ impl Telemetry {
             ),
             pack_pins: counter(
                 "wf_pack_pins_total",
-                "persisted blobs pinned in (first resolve or re-residency)",
+                "frames loaded from disk (first load or re-load after a shed)",
             ),
             wal_records: counter("wf_wal_records_total", "records appended to the WAL"),
             wal_bytes: counter("wf_wal_bytes_total", "bytes appended to the WAL"),
@@ -333,7 +333,7 @@ impl Telemetry {
                 "wf_pack_pin_ns",
                 "pack_pin",
                 false,
-                "first pin of a persisted blob (map + verify + resolve)",
+                "first load of a persisted blob at its place (read + verify)",
             ),
             h_reheat: span(
                 "wf_reheat_ns",
@@ -628,11 +628,11 @@ pub struct QueryProfile {
     /// Hot-tier index chunks spanned by the scanned labels (the index is
     /// a doubling chunk array; a scan of n labels walks ~log2(n) chunks).
     pub chunks_touched: u64,
-    /// Persisted blobs pinned in: first resolves (map + checksum verify)
-    /// and re-residencies after a shed.
+    /// Frames loaded from disk: first loads at a place (read + checksum
+    /// verify) and re-loads after a shed (read only).
     pub pack_pins: u64,
-    /// Pins satisfied by an already-verified resident segment (checksum
-    /// verify skipped).
+    /// Reads served by a frame already loaded from disk (no read, no
+    /// checksum verify).
     pub verifies_skipped: u64,
     /// Wait on the WAL durability barrier taken before the scan, ns.
     pub wal_barrier_wait_ns: u64,
@@ -657,7 +657,7 @@ impl QueryProfile {
 
     /// CPU time attributed to query stages (snapshot + per-tier scans),
     /// ns. The query runs single-threaded, so `wall_ns - cpu_ns()` is
-    /// time spent off-CPU: page faults off the mappings and the WAL
+    /// time spent off-CPU: frame loads waiting on disk and the WAL
     /// barrier.
     #[must_use]
     pub fn cpu_ns(&self) -> u64 {
@@ -732,7 +732,7 @@ impl QueryProfile {
     }
 }
 
-/// Install a fresh profile on this thread; subsequent pin/barrier
+/// Install a fresh profile on this thread; subsequent load/barrier
 /// hooks accumulate into it until [`take_profile`] removes it.
 pub(crate) fn install_profile() {
     PROFILE.with(|p| *p.borrow_mut() = Some(QueryProfile::default()));
@@ -745,7 +745,7 @@ pub(crate) fn take_profile() -> Option<QueryProfile> {
 
 /// Mutate this thread's active profile; no-op (one thread-local read)
 /// when no EXPLAIN is running — which is every non-EXPLAIN query, so
-/// hooks in the pin path stay off the hot path.
+/// hooks in the load path stay off the hot path.
 #[inline]
 pub(crate) fn with_profile(f: impl FnOnce(&mut QueryProfile)) {
     PROFILE.with(|p| {

@@ -8,6 +8,8 @@
 //! reproduce). `prop_assert*` map to plain assertions — no shrinking,
 //! but counterexamples stay reproducible via the fixed seed.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;

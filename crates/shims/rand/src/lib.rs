@@ -8,6 +8,8 @@
 //! (sequences differ from upstream `rand`, but every consumer in this
 //! workspace derives its expectations from the same generator).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core source of randomness: a stream of `u64`s.

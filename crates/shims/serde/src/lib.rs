@@ -7,6 +7,8 @@
 //! workspace uses (named structs, tuple structs, unit-variant enums,
 //! `#[serde(skip)]` fields). `serde_json` renders [`Value`] as JSON.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;

@@ -8,6 +8,8 @@
 //! implement `Default`). Anything else produces a compile error naming
 //! the unsupported construct.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Parsed derive input.

@@ -4,6 +4,8 @@
 //! Supports exactly what the workspace uses: [`to_string`],
 //! [`to_string_pretty`], and [`from_str`].
 
+#![forbid(unsafe_code)]
+
 pub use serde::Error;
 pub use serde::Value;
 use serde::{Deserialize, Serialize};

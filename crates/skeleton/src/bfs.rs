@@ -49,8 +49,10 @@ impl SpecLabeling for BfsSpecLabels {
         }
     }
 
-    fn reaches(&self, g: GraphId, u: VertexId, v: VertexId) -> bool {
-        self.per_graph[g.idx()].reaches(u, v)
+    fn reaches(&self, g: GraphId, u: VertexId, v: VertexId) -> Option<bool> {
+        let oracle = self.per_graph.get(g.idx())?;
+        let slots = oracle.graph.slot_count();
+        (u.idx() < slots && v.idx() < slots).then(|| oracle.reaches(u, v))
     }
 
     fn total_bits(&self) -> usize {
@@ -81,6 +83,13 @@ mod tests {
             }
         }
         assert_eq!(bfs.total_bits(), 0);
+        let (g0, far) = (GraphId(0), VertexId(1 << 20));
+        assert_eq!(
+            bfs.reaches(GraphId(spec.graph_count() as u32), far, far),
+            None
+        );
+        assert_eq!(bfs.reaches(g0, far, VertexId(0)), None);
+        assert_eq!(bfs.reaches(g0, VertexId(0), far), None);
         assert_eq!(bfs.scheme_name(), "BFS");
     }
 }

@@ -21,6 +21,8 @@
 //! baseline, and prefix/Dewey labels \[18\] ([`prefix`]) underlying DRL's
 //! entry lists.
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod interval;
 pub mod prefix;

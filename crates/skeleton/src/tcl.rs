@@ -94,10 +94,17 @@ impl TclLabels {
         Self { dynamic, pos }
     }
 
-    /// `u ;g v` from labels alone.
+    /// `u ;g v` from labels alone (false for a vertex that is not in the
+    /// graph).
     pub fn reaches(&self, u: VertexId, v: VertexId) -> bool {
-        let (pu, pv) = (self.pos[u.idx()], self.pos[v.idx()]);
-        pu != usize::MAX && pv != usize::MAX && self.dynamic.reaches(pu, pv)
+        self.lookup(u, v).unwrap_or(false)
+    }
+
+    /// [`Self::reaches`], `None` when `u` or `v` is beyond the graph's
+    /// vertex slots.
+    fn lookup(&self, u: VertexId, v: VertexId) -> Option<bool> {
+        let (pu, pv) = (*self.pos.get(u.idx())?, *self.pos.get(v.idx())?);
+        Some(pu != usize::MAX && pv != usize::MAX && self.dynamic.reaches(pu, pv))
     }
 
     /// Total label storage in bits.
@@ -122,8 +129,8 @@ impl SpecLabeling for TclSpecLabels {
         }
     }
 
-    fn reaches(&self, g: GraphId, u: VertexId, v: VertexId) -> bool {
-        self.per_graph[g.idx()].reaches(u, v)
+    fn reaches(&self, g: GraphId, u: VertexId, v: VertexId) -> Option<bool> {
+        self.per_graph.get(g.idx())?.lookup(u, v)
     }
 
     fn total_bits(&self) -> usize {
@@ -196,12 +203,23 @@ mod tests {
             let g = spec.graph(gid);
             for u in g.vertices() {
                 for v in g.vertices() {
-                    assert_eq!(labels.reaches(gid, u, v), wf_graph::reach::reaches(g, u, v));
+                    assert_eq!(
+                        labels.reaches(gid, u, v),
+                        Some(wf_graph::reach::reaches(g, u, v))
+                    );
                 }
             }
         }
         assert!(labels.total_bits() > 0);
         assert_eq!(labels.scheme_name(), "TCL");
+        // A pointer read off untrusted bytes: no graph, no vertex slot.
+        let (g0, far) = (GraphId(0), VertexId(1 << 20));
+        assert_eq!(
+            labels.reaches(GraphId(spec.graph_count() as u32), far, far),
+            None
+        );
+        assert_eq!(labels.reaches(g0, far, VertexId(0)), None);
+        assert_eq!(labels.reaches(g0, VertexId(0), far), None);
     }
 
     #[test]

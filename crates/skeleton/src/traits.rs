@@ -17,8 +17,10 @@ pub trait SpecLabeling {
         Self: Sized;
 
     /// `πG(φG(u), φG(v))` for two vertices of the same specification
-    /// graph `g`: true iff `u ;g v`.
-    fn reaches(&self, g: GraphId, u: VertexId, v: VertexId) -> bool;
+    /// graph `g`: true iff `u ;g v`. `None` when `g` names no graph of
+    /// the specification or `u` / `v` no vertex slot of it — a pointer
+    /// read off untrusted bytes is an absent answer, never a panic.
+    fn reaches(&self, g: GraphId, u: VertexId, v: VertexId) -> Option<bool>;
 
     /// Total storage taken by the skeleton labels in bits (Table 2 —
     /// zero for BFS, which stores no labels).

@@ -28,6 +28,8 @@
 //! the per-label bit count, exactly as skeleton labels are for both
 //! schemes).
 
+#![forbid(unsafe_code)]
+
 pub mod global;
 
 use global::{GlobalExpansion, GlobalScheme, OccId};

@@ -60,6 +60,8 @@
 //! [`WalObserver`] trait so the service can bridge into its registry
 //! without `wf-wal` depending on `wf-obs`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};

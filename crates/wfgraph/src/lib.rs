@@ -34,6 +34,8 @@
 //! assert!(wf_graph::reach::reaches(&g, s, t));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod dot;
 pub mod error;

@@ -14,6 +14,8 @@
 //! size, "repeating loops, forks and recursion a random number of times"
 //! exactly as the evaluation's workload generator does (§7.1).
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod derivation;
 pub mod execution;

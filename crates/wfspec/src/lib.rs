@@ -22,6 +22,8 @@
 //! statistics) and a [`synthetic`] generator for the Figure-13 family used
 //! throughout the evaluation.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod builder;
 pub mod corpus;

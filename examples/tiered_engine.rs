@@ -115,7 +115,7 @@ fn main() {
     let stats = engine.stats();
     println!(
         "memory: hot {} B resident ({} B accounting) | frozen {} B | \
-         disk {} B in {} files ({} B resident, {} pins, {} sheds)",
+         disk {} B in {} files ({} B resident, {} loads, {} sheds)",
         stats.hot_resident_bytes,
         stats.hot_bytes(),
         stats.frozen_bytes,
@@ -213,10 +213,10 @@ fn main() {
     // ---- Act 3: shed → cold scan → dead-heavy rewrite (the buffer manager). ----
     //
     // A fleet is persisted and packed, then the engine is dropped — the
-    // next build starts fully cold, nothing mapped. The cross-run scan
-    // maps each pack at its first pin and resolves every blob to a byte
-    // range inside the mapping (verify once, zero copies), and the
-    // replacer sheds pages by `madvise` under the resident budget.
+    // next build starts fully cold, nothing loaded. The cross-run scan
+    // loads each blob's frame with one positioned read at its first read
+    // (verified once per place), and the replacer drops frames under the
+    // resident budget.
     // Re-heating half the fleet back to the frozen tier strands nothing
     // — a re-heated run keeps its blob — but evicting a third of the
     // fleet does: enough dead blobs for `compact()` to rewrite the pack
@@ -261,11 +261,11 @@ fn main() {
     let stats = engine.stats();
     println!(
         "cold scan: {} persisted runs in {cold_ms:.1} ms ({} hits) — \
-         {} pack pins, {} B mapped",
+         {} frames loaded, {} B resident",
         ids.len(),
         hits.len(),
         stats.pack_pins,
-        stats.mapped_bytes,
+        stats.persisted_resident_bytes,
     );
 
     // Sustained traffic on half the fleet: re-heat those runs back into
@@ -323,7 +323,7 @@ fn main() {
     // A fully instrumented engine: a zero slow-op threshold so every
     // span lands in the ring, a 25ms watchdog refreshing `health()`,
     // and a WAL so the EXPLAIN barrier is real. One run is persisted
-    // cold, then a profiled fleet query pays the first pin on stage —
+    // cold, then a profiled fleet query pays the first frame loads on stage —
     // the `QueryProfile` table shows where the time went, and the whole
     // causal forest exports as Chrome `trace_event` JSON
     // (`chrome://tracing` / Perfetto loads it) into `WF_OBS_DUMP_DIR`.

@@ -93,6 +93,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use wf_drl as drl;
 pub use wf_graph as graph;
 pub use wf_obs as obs;

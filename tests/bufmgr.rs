@@ -1,5 +1,5 @@
-//! Buffer-manager read path: packs mapped at first pin (packs of one
-//! straight out of a spill included), rewrites of dead-heavy packs under
+//! Buffer-manager read path: frames loaded from packs at the first read
+//! (packs of one straight out of a spill included), rewrites of dead-heavy packs under
 //! concurrent scans, re-heating, and the compaction byte-accounting
 //! regression.
 //!
@@ -7,7 +7,7 @@
 //! pack of one, compacted pack, a pack rewritten mid-scan — a run must
 //! answer `reach()` exactly per [`NaiveDynamicDag`] replay, and a
 //! corrupted blob must degrade to "no labels" with a typed rejection,
-//! never a SIGBUS or panic.
+//! never a panic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -122,7 +122,8 @@ fn blob_sizes(dir: &std::path::Path) -> Vec<(RunId, u64)> {
 }
 
 /// A compacted pack reloaded by a fresh engine is registered without
-/// being mapped, maps at the first pin, and answers exactly per replay.
+/// being read, loads each blob's frame at its first read, and answers
+/// exactly per replay.
 #[test]
 fn mapped_pack_reads_match_replay() {
     let dir = TempDir::new("mapped");
@@ -138,16 +139,14 @@ fn mapped_pack_reads_match_replay() {
     drop(engine);
 
     let mapped: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
-    assert_eq!(mapped.stats().mapped_bytes, 0, "registration maps nothing");
     assert_answers(&mapped, &fleet);
     let s = mapped.stats();
     assert_eq!(
         s.pack_pins, 6,
         "each blob resolved against the mapping once"
     );
-    assert_eq!(s.mapped_bytes, wfseg_bytes(&dir.0), "one pack, mapped once");
 
-    // The cross-run surface reads through the same pins.
+    // The cross-run surface reads through the same frames.
     let name = fleet[0].1.events()[1].name;
     assert_eq!(
         mapped
@@ -168,10 +167,9 @@ fn mapped_pack_reads_match_replay() {
 }
 
 /// An **uncompacted** spill is a pack of one and reads like any other
-/// pack: nothing is mapped at registration, the first `reach` maps the
-/// file and verifies the blob, and under a resident-byte budget the
-/// single-run files are shed by `madvise` and pinned back in without a
-/// second verification pass.
+/// pack: nothing is loaded at registration, the first `reach` loads the
+/// blob's frame and verifies it, and under a resident-byte budget the
+/// frames are shed and loaded back without a second verification pass.
 #[test]
 fn uncompacted_spills_read_through_the_mapping() {
     let dir = TempDir::new("pack-of-one");
@@ -183,8 +181,8 @@ fn uncompacted_spills_read_through_the_mapping() {
         .build();
     let fleet = persist_fleet(&engine, &spec, 4, &mut rng);
     let s = engine.stats();
-    assert_eq!((s.segment_files, s.mapped_bytes, s.pack_pins), (4, 0, 0));
-    // One query maps exactly the file it reads.
+    assert_eq!((s.segment_files, s.pack_pins), (4, 0));
+    // One query loads exactly the blob it reads.
     let (run, exec, naive) = &fleet[0];
     let (u, v) = (exec.events()[0].vertex, exec.events()[2].vertex);
     assert_eq!(engine.reach(*run, u, v).unwrap(), Some(naive.reaches(u, v)));
@@ -192,19 +190,17 @@ fn uncompacted_spills_read_through_the_mapping() {
     assert_eq!(s.pack_pins, 1);
     let sizes = blob_sizes(&dir.0);
     let (_, blob) = sizes.iter().find(|(r, _)| r == run).unwrap();
-    assert_eq!(s.mapped_bytes, *blob, "a pack of one");
+    assert_eq!(s.persisted_resident_bytes, *blob, "a pack of one");
     assert_answers(&engine, &fleet);
-    assert_eq!(engine.stats().mapped_bytes, wfseg_bytes(&dir.0));
     drop(engine);
 
-    // A fresh lifetime with a 1-byte budget: registration maps nothing,
-    // every pin sheds the previous file's pages.
+    // A fresh lifetime with a 1-byte budget: registration loads nothing,
+    // every load sheds the previous frame.
     let tight: WfEngine = WfEngine::builder()
         .spec(spec)
         .spill_dir(&dir.0)
         .max_resident_bytes(1)
         .build();
-    assert_eq!(tight.stats().mapped_bytes, 0, "nothing mapped at build()");
     for _ in 0..3 {
         assert_answers(&tight, &fleet);
     }
@@ -213,22 +209,47 @@ fn uncompacted_spills_read_through_the_mapping() {
     assert!(s.segment_sheds >= 11, "{} sheds", s.segment_sheds);
     assert_eq!(s.segment_loads, 0);
     assert!(s.persisted_resident_bytes <= sizes.iter().map(|b| b.1).max().unwrap());
-    assert_eq!(
-        s.mapped_bytes,
-        wfseg_bytes(&dir.0),
-        "shed pages, kept mappings"
-    );
-    // The first-pin histogram times the verification pass: four blobs,
-    // four passes, however often they were shed and pinned back.
+    // The first-load histogram times the verification pass: four blobs,
+    // four passes, however often they were shed and loaded back.
     let verified = tight.metrics().histogram("wf_pack_pin_ns").unwrap();
     assert_eq!(verified.count(), 4, "re-pins skip the checksum");
 }
 
+/// Reading many uncompacted packs of one keeps no file descriptor open:
+/// a load opens its pack, reads and closes it. (A descriptor cached per
+/// pack would run into `RLIMIT_NOFILE` after about a thousand of them,
+/// and every later load, persist and manifest write would fail.)
+#[cfg(target_os = "linux")]
+#[test]
+fn loading_many_packs_of_one_keeps_no_descriptor_open() {
+    let dir = TempDir::new("descriptors");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(1024);
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let fleet = persist_fleet_of(&engine, &spec, 150, 8, &mut rng);
+    assert_eq!(engine.stats().segment_files, 150, "no compaction ran");
+    for (run, exec, naive) in &fleet {
+        let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+        assert_eq!(engine.reach(*run, u, v).unwrap(), Some(naive.reaches(u, v)));
+    }
+    assert_eq!(engine.stats().pack_pins, 150, "every pack was loaded");
+    let spill = std::fs::canonicalize(&dir.0).unwrap();
+    let open_packs = std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| target.starts_with(&spill))
+        .count();
+    assert_eq!(open_packs, 0, "a descriptor outlived its load");
+}
+
 /// A handle taken before a rewrite holds its run's registration, and the
 /// rewrite relocates that registration in place. If the handle never
-/// pinned its blob, its first pin comes after the rewrite unlinked the
+/// read its blob, its first load comes after the rewrite unlinked the
 /// file — and follows the blob to the pack it lives in now: nothing
-/// unlinked is ever mapped.
+/// unlinked is ever opened.
 #[test]
 fn handles_taken_before_a_rewrite_answer_after_it() {
     let dir = TempDir::new("stale-handle");
@@ -268,18 +289,12 @@ fn handles_taken_before_a_rewrite_answer_after_it() {
     }
     let s = engine.stats();
     assert_eq!(s.pack_pins, 2, "one first pin per stale handle");
-    assert_eq!(
-        s.mapped_bytes,
-        wfseg_bytes(&dir.0),
-        "both read the one pack on disk"
-    );
     drop((loose, packed));
 
-    // A rewrite maps nothing itself, and the pack it replaced is
-    // unmapped once unlinked: no pin is live on it.
+    // A rewrite loads no frame itself, and every run follows its blob
+    // to the pack that replaced the unlinked one.
     fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
     assert_eq!(engine.compact().unwrap().packs_written, 1);
-    assert_eq!(engine.stats().mapped_bytes, 0);
     assert_answers(&engine, &fleet);
 }
 
@@ -371,8 +386,8 @@ fn a_pass_with_no_victims_still_sweeps_orphans() {
     assert_answers(&engine, &fleet[1..]);
 }
 
-/// A bit flip inside a pack is caught by the per-blob checksum at first
-/// pin: the damaged run degrades to "no labels" (typed, no SIGBUS, no
+/// A bit flip inside a pack is caught by the per-blob checksum at the
+/// first load: the damaged run degrades to "no labels" (typed, no
 /// panic), while every other blob in the same pack keeps answering.
 #[test]
 fn corrupt_mapped_pack_degrades_cleanly() {
@@ -390,7 +405,7 @@ fn corrupt_mapped_pack_degrades_cleanly() {
     // Flip one bit inside the label bytes of one blob of the compacted
     // pack (the manifest says where each blob lies): past the header the
     // loader reads at registration, so the damage is found by the
-    // checksum pass of the blob's first pin.
+    // checksum pass of the blob's first load.
     let manifest = wf_service::snapshot::load_manifest(&dir.0).unwrap();
     let victim = &manifest[manifest.len() / 2];
     let pack = dir.0.join(&victim.file);
@@ -461,8 +476,8 @@ fn corrupt_mapped_pack_degrades_cleanly() {
     assert_eq!(failed_pins, degraded);
 }
 
-/// A re-heat rebuilds an equivalent run: the frozen arena copied out of
-/// the mapping answers label by label — label, name, `label_bits` — and
+/// A re-heat rebuilds an equivalent run: the frozen arena read out of
+/// the pack answers label by label — label, name, `label_bits` — and
 /// pair by pair identically to a never-persisted control run of the
 /// same execution, and still rejects writes.
 #[test]
@@ -530,7 +545,7 @@ fn reheat_rebuilds_an_equivalent_frozen_run() {
     // Both runs visible to the cross-run surface, each in its tier.
     assert_eq!(engine.query().completed().run_ids(), vec![control, run]);
     assert_eq!(engine.query().tier(Tier::Frozen).run_ids(), vec![run]);
-    // Persisting again drops the heap copy and writes nothing.
+    // Persisting again lets the held frame go and writes nothing.
     let packs = std::fs::read_dir(&dir.0).unwrap().count();
     engine.persist_run(run).unwrap();
     assert_eq!(before.tier(), Tier::Persisted);
@@ -772,9 +787,17 @@ fn a_manifest_with_or_without_an_epoch_line_loads() {
 /// one dropping the blobs of the runs evicted since. Whatever the
 /// interleaving, a scan returns for every surviving run exactly the
 /// vertices its event stream published under the name (a run evicted
-/// mid-scan may be missing, never wrong).
+/// mid-scan may be missing, never wrong). Run as it is, then under a
+/// 1-byte resident budget: there every read a scan makes races the shed
+/// of the frame it reads, which only the run's place lock holds off.
 #[test]
 fn label_scans_racing_rewrites_match_the_streams() {
+    for budget in [None, Some(1)] {
+        scans_racing_rewrites(budget);
+    }
+}
+
+fn scans_racing_rewrites(budget: Option<u64>) {
     use std::collections::HashMap;
     use std::sync::atomic::AtomicBool;
     use std::sync::Mutex;
@@ -785,10 +808,11 @@ fn label_scans_racing_rewrites_match_the_streams() {
     let dir = TempDir::new("scan-race");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(1217);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
+    let mut builder = WfEngine::builder().spec(spec.clone()).spill_dir(&dir.0);
+    if let Some(bytes) = budget {
+        builder = builder.max_resident_bytes(bytes);
+    }
+    let engine: WfEngine = builder.build();
     let survivors = persist_fleet(&engine, &spec, 4, &mut rng);
     let name = survivors[0].1.events()[1].name;
     let named = |exec: &Execution| -> Vec<VertexId> {
@@ -863,7 +887,12 @@ fn label_scans_racing_rewrites_match_the_streams() {
         }
         done.store(true, Ordering::Release);
     });
-    assert_eq!(engine.stats().pack_dead_bytes, 0);
+    let s = engine.stats();
+    assert_eq!(s.pack_dead_bytes, 0);
+    assert!(
+        budget.is_none() || s.segment_sheds > 0,
+        "the budget shed frames mid-scan"
+    );
     assert_answers(&engine, &survivors);
 }
 

@@ -217,7 +217,6 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
         ),
         ("wf_segment_files", stats.segment_files),
         ("wf_pack_dead_bytes", stats.pack_dead_bytes),
-        ("wf_mapped_bytes", stats.mapped_bytes),
         ("wf_subscriptions", stats.subscriptions),
     ];
     let table = stats.gauges();
@@ -495,7 +494,6 @@ fn tier_footprint_line_is_parseable_json() {
         ("segment_sheds", stats.segment_sheds),
         ("pack_pins", stats.pack_pins),
         ("pack_dead_bytes", stats.pack_dead_bytes),
-        ("mapped_bytes", stats.mapped_bytes),
         ("hot_label_bits", stats.label_bits_total),
         ("frozen_label_bits", stats.frozen_label_bits),
         ("freezes", stats.freezes),
