@@ -22,7 +22,7 @@
 //! callers hold a [`LabelRef`] — a prefix plus an own entry, decoded or
 //! encoded — and never need to know which. One run: [`ArenaRef`], the
 //! reader of a **label arena**, borrowed from a [`LabelArena`] that owns
-//! its bytes or from a mapped segment file; it holds the only "label of
+//! its bytes or from a segment's heap frame; it holds the only "label of
 //! vertex" in the workspace.
 //!
 //! **The label arena** — one completed run, all integers little-endian:
@@ -625,7 +625,7 @@ impl std::error::Error for ArenaError {}
 
 /// **The arena reader**: every label read of a completed run goes
 /// through this one type, whether the bytes are owned by a
-/// [`LabelArena`] or sit in a mapped segment file; it never allocates.
+/// [`LabelArena`] or sit in a segment's heap frame; it never allocates.
 ///
 /// [`Self::new`] checks the framing — the layout header, the widths, and
 /// that the regions it sizes fill the bytes exactly — in constant time,
@@ -856,7 +856,7 @@ impl<'a> ArenaRef<'a> {
 /// cache-friendly buffer against decoding a prefix on access, which is
 /// exactly the trade a tiering policy wants to make for runs that
 /// stopped growing. It only *owns* the bytes: reads go through
-/// [`Self::view`], the same [`ArenaRef`] a mapped segment hands out, so
+/// [`Self::view`], the same [`ArenaRef`] a segment's frame hands out, so
 /// a snapshot is a straight copy of the buffer.
 #[derive(Debug, Clone)]
 pub struct LabelArena {

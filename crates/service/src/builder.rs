@@ -16,15 +16,14 @@ use crate::SpecContext;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use wf_skeleton::{SpecLabeling, TclSpecLabels};
 use wf_spec::Specification;
 use wf_wal::WalSync;
 
 /// Configures and builds a [`WfEngine`] — every knob is fixed at
 /// construction, which removes v1's `&mut self` post-construction
 /// configuration footgun.
-pub struct EngineBuilder<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
-    contexts: Vec<Arc<SpecContext<S>>>,
+pub struct EngineBuilder {
+    contexts: Vec<Arc<SpecContext>>,
     shards: usize,
     ingest_workers: usize,
     queue_capacity: usize,
@@ -47,13 +46,13 @@ pub const DEFAULT_SLOW_OP_THRESHOLD: std::time::Duration = std::time::Duration::
 /// Default bounded trace-ring capacity (events retained).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
-impl<S: SpecLabeling + Send + Sync + 'static> Default for EngineBuilder<S> {
+impl Default for EngineBuilder {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
+impl EngineBuilder {
     /// A builder with default configuration and an empty catalog.
     pub fn new() -> Self {
         let parallelism = std::thread::available_parallelism()
@@ -86,7 +85,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// Add a prebuilt catalog entry. Accepts `SpecContext` or
     /// `Arc<SpecContext>` — pass the `Arc` to share one preprocessed
     /// spec across several engines (benchmarks do this).
-    pub fn context(mut self, ctx: impl Into<Arc<SpecContext<S>>>) -> Self {
+    pub fn context(mut self, ctx: impl Into<Arc<SpecContext>>) -> Self {
         self.contexts.push(ctx.into());
         self
     }
@@ -129,7 +128,10 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
     /// the segments its manifest lists are registered, so historical
     /// runs from previous engine lifetimes keep answering
     /// [`WfEngine::query`] — with the **same catalog** (spec ids must mean the same thing
-    /// across lifetimes; segments naming unknown specs are skipped).
+    /// across lifetimes). A manifest line naming a spec beyond this
+    /// catalog, or one that does not read back, is not registered but
+    /// is kept — in the manifest, with its pack and its run id — for a
+    /// build that can read it.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -231,14 +233,15 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
 
     /// Build the engine and start its ingest worker pool (and the
     /// background tiering worker, when a tiering policy is configured).
-    pub fn build(self) -> WfEngine<S> {
+    pub fn build(self) -> WfEngine {
         let obs = Arc::new(Telemetry::new(TelemetryConfig {
             enabled: self.telemetry,
             slow_op_ns: u64::try_from(self.slow_op_threshold.as_nanos()).unwrap_or(u64::MAX),
             trace_capacity: self.trace_capacity,
         }));
         // Reload persisted history from the spill directory's manifest:
-        // header-only reads; files map lazily at first query.
+        // header-only reads; a run's frame is loaded, with one positioned
+        // read of its blob, at its first query.
         let lru = Arc::new(SegmentLru::new(self.max_resident_bytes, Arc::clone(&obs)));
         let (spill, persisted) = self
             .spill_dir
@@ -255,8 +258,13 @@ impl<S: SpecLabeling + Send + Sync + 'static> EngineBuilder<S> {
             None => Recovered::default(),
         };
         // Fresh run ids start above everything either directory has seen.
-        let persisted_next = persisted.iter().map(|p| p.run().0 + 1).max().unwrap_or(0);
-        let catalog: Box<[Arc<SpecContext<S>>]> = self.contexts.into_boxed_slice();
+        let persisted_next = persisted
+            .iter()
+            .map(|p| p.run().0 + 1)
+            .chain(spill.iter().map(SpillDir::next_run))
+            .max()
+            .unwrap_or(0);
+        let catalog: Box<[Arc<SpecContext>]> = self.contexts.into_boxed_slice();
         let subs = SubHub::new(catalog.clone(), Arc::clone(&obs), self.sub_queue_capacity);
         let shared = Arc::new(EngineShared {
             catalog,

@@ -34,7 +34,6 @@ use std::sync::Arc;
 use wf_drl::ResolutionMode;
 use wf_graph::VertexId;
 use wf_run::ExecEvent;
-use wf_skeleton::{SpecLabeling, TclSpecLabels};
 use wf_wal::{RecordKind, WalWriter};
 
 /// The per-run vertex-id ceiling: 2²⁴ ≈ 16M vertices, far beyond the
@@ -45,10 +44,10 @@ pub const DEFAULT_MAX_VERTEX_ID: u32 = (1 << 24) - 1;
 /// Everything the engine, its worker pool, and every outstanding
 /// [`RunHandle`] share by reference count. This is the `'static` heart
 /// of the v2 API: nothing in here borrows from a caller.
-pub(crate) struct EngineShared<S: SpecLabeling + 'static> {
-    pub(crate) catalog: Box<[Arc<SpecContext<S>>]>,
+pub(crate) struct EngineShared {
+    pub(crate) catalog: Box<[Arc<SpecContext>]>,
     /// The tiered run registry (hot / sealed).
-    pub(crate) store: LabelStore<S>,
+    pub(crate) store: LabelStore,
     pub(crate) next_run: AtomicU64,
     /// All observability state: counters, histograms, the trace ring.
     pub(crate) obs: Arc<Telemetry>,
@@ -85,11 +84,11 @@ pub(crate) fn route_worker(run: RunId, workers: usize) -> usize {
     (route_hash(run) % workers.max(1) as u64) as usize
 }
 
-impl<S: SpecLabeling> EngineShared<S> {
+impl EngineShared {
     /// The *writable* slot of `run`: its hot-tier state. A run that has
     /// left the hot tier rejects writes with its lifecycle status (it is
     /// still known — queries keep working through [`LabelStore::view`]).
-    pub(crate) fn slot(&self, run: RunId) -> Result<Arc<RunSlot<S>>, ServiceError> {
+    pub(crate) fn slot(&self, run: RunId) -> Result<Arc<RunSlot>, ServiceError> {
         match self.view(run)? {
             RunView::Hot(slot) => Ok(slot),
             view => Err(ServiceError::RunNotLive(run, view.status())),
@@ -97,7 +96,7 @@ impl<S: SpecLabeling> EngineShared<S> {
     }
 
     /// The run's current representation, whatever its tier.
-    pub(crate) fn view(&self, run: RunId) -> Result<RunView<S>, ServiceError> {
+    pub(crate) fn view(&self, run: RunId) -> Result<RunView, ServiceError> {
         self.store.view(run).ok_or(ServiceError::UnknownRun(run))
     }
 
@@ -139,12 +138,12 @@ impl<S: SpecLabeling> EngineShared<S> {
 /// 'static`: hold it in a struct, share it across threads, move handles
 /// into spawned tasks — no catalog lifetime to thread through. See the
 /// crate docs for the architecture.
-pub struct WfEngine<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
-    pub(crate) shared: Arc<EngineShared<S>>,
-    pub(crate) pool: IngestPool<S>,
+pub struct WfEngine {
+    pub(crate) shared: Arc<EngineShared>,
+    pub(crate) pool: IngestPool,
 }
 
-impl<S: SpecLabeling + Send + Sync + 'static> Drop for WfEngine<S> {
+impl Drop for WfEngine {
     fn drop(&mut self) {
         // Dropping the engine is an implicit drain: mark ingest closed
         // before the pool field's own Drop joins the workers, so
@@ -165,22 +164,21 @@ fn assert_engine_thread_safety() {
     check::<WfEngine>();
     check::<EngineBuilder>();
     check::<RunHandle>();
-    check::<WfEngine<wf_skeleton::BfsSpecLabels>>();
 }
 
-impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
+impl WfEngine {
     /// Start configuring an engine.
-    pub fn builder() -> EngineBuilder<S> {
+    pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
     }
 
     /// The shared specification catalog.
-    pub fn catalog(&self) -> &[Arc<SpecContext<S>>] {
+    pub fn catalog(&self) -> &[Arc<SpecContext>] {
         &self.shared.catalog
     }
 
     /// The catalog entry for `spec`, if any.
-    pub fn context(&self, spec: SpecId) -> Option<&Arc<SpecContext<S>>> {
+    pub fn context(&self, spec: SpecId) -> Option<&Arc<SpecContext>> {
         self.shared.catalog.get(spec.0)
     }
 
@@ -276,8 +274,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
         }
         // Resolve each run's slot once, up front: one failure per unknown
         // run, whose ops are skipped wholesale (v1 semantics).
-        let mut slots: HashMap<u64, Option<Arc<RunSlot<S>>>> = HashMap::new();
-        let mut resolved: Vec<Envelope<S>> = Vec::with_capacity(events.len());
+        let mut slots: HashMap<u64, Option<Arc<RunSlot>>> = HashMap::new();
+        let mut resolved: Vec<Envelope> = Vec::with_capacity(events.len());
         for ev in events {
             let slot = slots
                 .entry(ev.run.0)
@@ -503,7 +501,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// and re-heat (it holds the one sealed run); a hot handle stays on
     /// the hot index after a freeze — take a fresh handle to query the
     /// sealed form.
-    pub fn handle(&self, run: RunId) -> Result<RunHandle<S>, ServiceError> {
+    pub fn handle(&self, run: RunId) -> Result<RunHandle, ServiceError> {
         let view = self.shared.view(run)?;
         let ctx = Arc::clone(&self.shared.catalog[view.spec().0]);
         Ok(RunHandle::new(Arc::clone(&self.shared), ctx, run, view))
@@ -512,7 +510,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// The cross-run query surface: lineage questions over *several*
     /// runs, answered lock-free from published label chunks. See
     /// [`CrossRunQuery`].
-    pub fn query(&self) -> CrossRunQuery<'_, S> {
+    pub fn query(&self) -> CrossRunQuery<'_> {
         CrossRunQuery::new(&self.shared)
     }
 
@@ -620,7 +618,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
     /// The metrics export surface: Prometheus text exposition and a JSON
     /// snapshot, both rendered from the live registry plus the gauge
     /// rows of a [`Self::stats`] snapshot taken at render time.
-    pub fn metrics(&self) -> EngineMetrics<'_, S> {
+    pub fn metrics(&self) -> EngineMetrics<'_> {
         EngineMetrics { engine: self }
     }
 
@@ -679,11 +677,11 @@ impl<S: SpecLabeling + Send + Sync + 'static> WfEngine<S> {
 /// from [`WfEngine::metrics`]. Counters and histograms come from the
 /// registry; the gauges are [`ServiceStats::gauges`] of a snapshot taken
 /// at render time, so they reflect the moment of the scrape.
-pub struct EngineMetrics<'e, S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
-    engine: &'e WfEngine<S>,
+pub struct EngineMetrics<'e> {
+    engine: &'e WfEngine,
 }
 
-impl<S: SpecLabeling + Send + Sync + 'static> EngineMetrics<'_, S> {
+impl EngineMetrics<'_> {
     /// Render every family in Prometheus text exposition format
     /// (`# HELP` / `# TYPE` lines, cumulative histogram buckets).
     pub fn render_prometheus(&self) -> String {

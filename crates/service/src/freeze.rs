@@ -26,7 +26,6 @@ use crate::store::SegmentLru;
 use crate::RunId;
 use std::sync::Arc;
 use wf_drl::LabelArena;
-use wf_skeleton::SpecLabeling;
 
 /// Unix seconds now (0 if the clock is before the epoch).
 fn unix_now() -> u64 {
@@ -40,11 +39,7 @@ fn unix_now() -> u64 {
 /// the heap. The caller has already observed `Completed` status, so the
 /// slot's label index is final (completion and inserts serialize on the
 /// writer lock).
-pub(crate) fn freeze_slot<S: SpecLabeling>(
-    run: RunId,
-    slot: &RunSlot<S>,
-    lru: &Arc<SegmentLru>,
-) -> SealedRun {
+pub(crate) fn freeze_slot(run: RunId, slot: &RunSlot, lru: &Arc<SegmentLru>) -> SealedRun {
     let obs = &lru.obs;
     let encode = obs.timer();
     let arena = LabelArena::build(slot.skl_bits, slot.indexed.iter());

@@ -1,12 +1,8 @@
 //! Cloneable, lifetime-free, **tier-transparent** per-run handles.
 //!
-//! A v1 `RunHandle<'a, 's, S>` borrowed both the service and its
-//! catalog; it could not be stored, cloned, or moved to another thread.
-//! The v2 handle owns everything it touches by reference count — clone
-//! it freely, move clones into spawned threads, keep one after the run
-//! is evicted, tiered out, or the engine drained (queries over published
-//! labels keep working; writes are rejected once the run is no longer
-//! live).
+//! A handle owns what it touches by reference count: clone it, move it
+//! into another thread, keep it after the engine drains (queries keep
+//! working; writes are rejected once the run is no longer live).
 //!
 //! A handle holds the run's view as it was when the handle was taken:
 //! a hot handle answers from the lock-free in-memory index (and keeps
@@ -25,38 +21,26 @@ use std::sync::Arc;
 use wf_drl::{DrlLabel, DrlPredicate};
 use wf_graph::{NameId, VertexId};
 use wf_run::ExecEvent;
-use wf_skeleton::{SpecLabeling, TclSpecLabels};
 
 /// A cached per-run handle over one tier view. Every query method is
 /// lock-free; on the hot tier a label lookup is two `Acquire` loads into
 /// the run's write-once index and the reachability predicate reads only
 /// the two labels plus the shared immutable skeleton. `Send + Sync +
-/// 'static`, and [`Clone`] regardless of whether `S` is.
-pub struct RunHandle<S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
-    shared: Arc<EngineShared<S>>,
-    ctx: Arc<SpecContext<S>>,
+/// 'static`; a clone shares everything by reference count.
+#[derive(Clone)]
+pub struct RunHandle {
+    shared: Arc<EngineShared>,
+    ctx: Arc<SpecContext>,
     run: RunId,
-    view: RunView<S>,
+    view: RunView,
 }
 
-// Manual impl: `S` itself need not be `Clone` — only `Arc`s are cloned.
-impl<S: SpecLabeling + Send + Sync + 'static> Clone for RunHandle<S> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-            ctx: Arc::clone(&self.ctx),
-            run: self.run,
-            view: self.view.clone(),
-        }
-    }
-}
-
-impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
+impl RunHandle {
     pub(crate) fn new(
-        shared: Arc<EngineShared<S>>,
-        ctx: Arc<SpecContext<S>>,
+        shared: Arc<EngineShared>,
+        ctx: Arc<SpecContext>,
         run: RunId,
-        view: RunView<S>,
+        view: RunView,
     ) -> Self {
         Self {
             shared,
@@ -72,7 +56,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> RunHandle<S> {
     }
 
     /// The specification context the run labels against.
-    pub fn context(&self) -> &Arc<SpecContext<S>> {
+    pub fn context(&self) -> &Arc<SpecContext> {
         &self.ctx
     }
 

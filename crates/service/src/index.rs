@@ -57,7 +57,7 @@ use std::sync::{Arc, OnceLock};
 use wf_drl::label::prefix_array_bytes;
 use wf_drl::{DrlLabel, DrlPredicate, Entry, LabelRef};
 use wf_graph::{NameId, VertexId};
-use wf_skeleton::SpecLabeling;
+use wf_skeleton::TclSpecLabels;
 
 /// log₂ of the chunks per doubling of a table: group `g` is eight
 /// chunks of `2^(BASE_BITS + g)` slots each, so a table grows by an
@@ -341,9 +341,9 @@ impl LabelIndex {
     /// inside a small run — decide from their own entries, without a look
     /// at the table; any other pair reads both prefixes.
     #[inline]
-    pub fn reach<S: SpecLabeling>(
+    pub fn reach(
         &self,
-        predicate: &DrlPredicate<'_, S>,
+        predicate: &DrlPredicate<'_, TclSpecLabels>,
         u: VertexId,
         v: VertexId,
     ) -> Option<bool> {
@@ -439,7 +439,6 @@ mod tests {
     use rand::SeedableRng;
     use wf_drl::{ExecutionState, NodeKind, ResolutionMode};
     use wf_run::{Execution, RunGenerator};
-    use wf_skeleton::{SpecLabeling, TclSpecLabels};
     use wf_spec::GraphId;
 
     fn label(i: u32) -> DrlLabel {
@@ -454,17 +453,18 @@ mod tests {
     /// Every `(vertex, name, label)` of one generated run, in arrival
     /// order, as its labeler issued them: numbered, sharing arrays.
     fn labeled_run(seed: u64, size: usize) -> Vec<(VertexId, NameId, DrlLabel)> {
-        let spec = wf_spec::corpus::running_example();
-        let skeleton = TclSpecLabels::build(&spec);
-        let gen = RunGenerator::new(&spec)
+        let ctx: crate::SpecContext =
+            crate::SpecContext::from_spec(wf_spec::corpus::running_example());
+        let (spec, skeleton) = (&ctx.spec, &ctx.skeleton);
+        let gen = RunGenerator::new(spec)
             .target_size(size)
             .generate_run(&mut StdRng::seed_from_u64(seed));
         let exec = Execution::random(&gen.graph, &gen.origin, &mut StdRng::seed_from_u64(seed));
-        let mut labeler = ExecutionState::new(&spec, ResolutionMode::NameBased).unwrap();
+        let mut labeler = ExecutionState::new(spec, ResolutionMode::NameBased).unwrap();
         exec.events()
             .iter()
             .map(|ev| {
-                let label = labeler.insert(&spec, &skeleton, ev).unwrap();
+                let label = labeler.insert(spec, skeleton, ev).unwrap();
                 (ev.vertex, ev.name, label)
             })
             .collect()

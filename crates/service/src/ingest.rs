@@ -46,10 +46,9 @@ use crate::{BatchOutcome, RunId, RunOp, ServiceError, SpecId};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use wf_run::ExecEvent;
-use wf_skeleton::SpecLabeling;
 use wf_wal::RecordKind;
 
 /// How many recent fire-and-forget ingest errors the engine retains for
@@ -91,10 +90,10 @@ pub(crate) enum Entry {
 /// **The one apply body**: journal and apply `op` under the run's writer
 /// lock, fan out to standing queries, record counters and the sampled
 /// span.
-pub(crate) fn apply<S: SpecLabeling>(
-    shared: &EngineShared<S>,
+pub(crate) fn apply(
+    shared: &EngineShared,
     run: RunId,
-    slot: &RunSlot<S>,
+    slot: &RunSlot,
     op: Op<'_>,
     entry: Entry,
 ) -> Result<(), ServiceError> {
@@ -140,10 +139,10 @@ pub(crate) fn apply<S: SpecLabeling>(
 /// replay what its caller was told was refused; a failed append rejects
 /// the op without applying it, so the in-memory state never runs ahead
 /// of the log.
-fn log_then_apply<S: SpecLabeling>(
-    shared: &EngineShared<S>,
+fn log_then_apply(
+    shared: &EngineShared,
     run: RunId,
-    slot: &RunSlot<S>,
+    slot: &RunSlot,
     op: Op<'_>,
     entry: Entry,
 ) -> Result<(), ServiceError> {
@@ -171,10 +170,7 @@ fn log_then_apply<S: SpecLabeling>(
 }
 
 /// Which counters an insert's outcome bumps.
-fn record_insert_outcome<S: SpecLabeling>(
-    shared: &EngineShared<S>,
-    res: &Result<(), ServiceError>,
-) {
+fn record_insert_outcome(shared: &EngineShared, res: &Result<(), ServiceError>) {
     match res {
         Ok(()) => shared.obs.events_ingested.inc(),
         Err(ServiceError::Labeler(..)) => shared.obs.runs_failed.inc(),
@@ -182,8 +178,8 @@ fn record_insert_outcome<S: SpecLabeling>(
     }
 }
 
-fn record_complete_outcome<S: SpecLabeling>(
-    shared: &EngineShared<S>,
+fn record_complete_outcome(
+    shared: &EngineShared,
     run: RunId,
     spec: SpecId,
     res: &Result<(), ServiceError>,
@@ -297,7 +293,8 @@ impl Ingest {
     /// Remember a failure from the fire-and-forget path so callers that
     /// never block on acks can still observe what went wrong.
     pub(crate) fn push_error(&self, run: RunId, err: ServiceError) {
-        let mut ring = self.errors.lock().expect("error ring poisoned");
+        // A panic mid-push leaves a valid ring, short one entry at worst.
+        let mut ring = self.errors.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() == INGEST_ERROR_RING {
             ring.pop_front();
         }
@@ -306,8 +303,18 @@ impl Ingest {
 
     /// Drain the error ring.
     pub(crate) fn take_errors(&self) -> Vec<(RunId, ServiceError)> {
-        let mut ring = self.errors.lock().expect("error ring poisoned");
+        // The ring is valid between any two statements that touch it.
+        let mut ring = self.errors.lock().unwrap_or_else(PoisonError::into_inner);
         ring.drain(..).collect()
+    }
+
+    /// Take the flush lock. It guards no data, only the order of a
+    /// flusher's check-then-wait against a worker's wake-up, so a
+    /// poisoned one is recovered.
+    fn flush_guard(&self) -> MutexGuard<'_, ()> {
+        self.flush_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One of `worker`'s envelopes finished: advance its mark and wake
@@ -319,7 +326,7 @@ impl Ingest {
         if self.flush_waiters.load(Ordering::Acquire) > 0 {
             // Take the lock before notifying so a flusher between its
             // watermark check and its wait cannot miss the wakeup.
-            let _g = self.flush_lock.lock().expect("flush lock poisoned");
+            let _g = self.flush_guard();
             self.flush_cv.notify_all();
         }
     }
@@ -340,14 +347,15 @@ impl Ingest {
         };
         if !reached() {
             self.flush_waiters.fetch_add(1, Ordering::AcqRel);
-            let mut g = self.flush_lock.lock().expect("flush lock poisoned");
+            let mut g = self.flush_guard();
             while !reached() {
                 // Timed wait as a backstop: correctness never depends on
                 // a perfectly-delivered notification.
                 let (g2, _) = self
                     .flush_cv
                     .wait_timeout(g, std::time::Duration::from_millis(25))
-                    .expect("flush lock poisoned");
+                    // As in `flush_guard`: no data behind the lock.
+                    .unwrap_or_else(PoisonError::into_inner);
                 g = g2;
             }
             drop(g);
@@ -359,9 +367,9 @@ impl Ingest {
 
 /// One routed unit of work: the op, the pre-resolved run slot (so
 /// workers never touch the registry), and an optional ack tracker.
-pub(crate) struct Envelope<S: SpecLabeling + 'static> {
+pub(crate) struct Envelope {
     pub(crate) run: RunId,
-    pub(crate) slot: Arc<RunSlot<S>>,
+    pub(crate) slot: Arc<RunSlot>,
     pub(crate) op: RunOp,
     pub(crate) tracker: Option<Arc<BatchTracker>>,
     /// Causal context of the enqueue-side span for a sampled ingest
@@ -370,10 +378,10 @@ pub(crate) struct Envelope<S: SpecLabeling + 'static> {
     pub(crate) span: SpanCtx,
 }
 
-impl<S: SpecLabeling> Envelope<S> {
+impl Envelope {
     pub(crate) fn new(
         run: RunId,
-        slot: Arc<RunSlot<S>>,
+        slot: Arc<RunSlot>,
         op: RunOp,
         tracker: Option<Arc<BatchTracker>>,
     ) -> Self {
@@ -421,7 +429,9 @@ impl BatchTracker {
     }
 
     fn state(&self) -> MutexGuard<'_, TrackerState> {
-        self.state.lock().expect("tracker lock poisoned")
+        // Every field is valid between any two statements: a panicking
+        // holder loses at most its own outcome.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Should this run's op be skipped (a previous op in the batch
@@ -467,7 +477,8 @@ impl BatchTracker {
     pub(crate) fn wait(&self) -> BatchOutcome {
         let mut s = self.state();
         while s.remaining > 0 {
-            s = self.cv.wait(s).expect("tracker lock poisoned");
+            // As in `state`: the counts stay valid across a panic.
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         BatchOutcome {
             applied: s.applied,
@@ -479,24 +490,26 @@ impl BatchTracker {
 /// The worker pool: one bounded channel and one thread per worker.
 /// Shutting down (or dropping) the pool closes the channels, lets each
 /// worker drain its queue, and joins the threads.
-pub(crate) struct IngestPool<S: SpecLabeling + Send + Sync + 'static> {
-    senders: Option<Box<[SyncSender<Envelope<S>>]>>,
+pub(crate) struct IngestPool {
+    senders: Option<Box<[SyncSender<Envelope>]>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
+impl IngestPool {
     /// Spawn one persistent thread per [`Ingest`] worker mark, each
     /// consuming a bounded queue of `queue_capacity` envelopes.
-    pub(crate) fn start(shared: &Arc<EngineShared<S>>, queue_capacity: usize) -> Self {
+    pub(crate) fn start(shared: &Arc<EngineShared>, queue_capacity: usize) -> Self {
         let workers = shared.ingest.marks.len();
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Envelope<S>>(queue_capacity);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Envelope>(queue_capacity);
             let shared = Arc::clone(shared);
             let handle = std::thread::Builder::new()
                 .name(format!("wf-ingest-{i}"))
                 .spawn(move || worker_loop(&shared, &rx, i))
+                // `build()` is infallible, and callers rely on it: an
+                // engine that cannot start a thread has nothing to run on.
                 .expect("spawn ingest worker");
             senders.push(tx);
             handles.push(handle);
@@ -512,8 +525,8 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
     /// [`ServiceError::ShuttingDown`] once the pool is closed.
     pub(crate) fn enqueue(
         &self,
-        shared: &EngineShared<S>,
-        mut env: Envelope<S>,
+        shared: &EngineShared,
+        mut env: Envelope,
     ) -> Result<(), ServiceError> {
         let (obs, ingest) = (&shared.obs, &shared.ingest);
         // Sampling decision happens here, on the producer side: a
@@ -541,7 +554,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
         res
     }
 
-    fn send(&self, worker: usize, env: Envelope<S>) -> Result<(), ServiceError> {
+    fn send(&self, worker: usize, env: Envelope) -> Result<(), ServiceError> {
         let senders = self.senders.as_ref().ok_or(ServiceError::ShuttingDown)?;
         let tx = &senders[worker];
         // Fast path first: `try_send` avoids the blocking machinery when
@@ -563,7 +576,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> IngestPool<S> {
     }
 }
 
-impl<S: SpecLabeling + Send + Sync + 'static> Drop for IngestPool<S> {
+impl Drop for IngestPool {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -574,11 +587,7 @@ impl<S: SpecLabeling + Send + Sync + 'static> Drop for IngestPool<S> {
 /// callers — the [`Settle`] guard inside `process` still advances the
 /// worker's mark and completes any tracker, and the loop moves on to the
 /// next envelope.
-fn worker_loop<S: SpecLabeling + Send + Sync>(
-    shared: &EngineShared<S>,
-    rx: &Receiver<Envelope<S>>,
-    index: usize,
-) {
+fn worker_loop(shared: &EngineShared, rx: &Receiver<Envelope>, index: usize) {
     while let Ok(env) = rx.recv() {
         // AssertUnwindSafe: all state `process` touches is behind
         // poisoning mutexes or atomics; a half-applied op marks itself
@@ -597,8 +606,8 @@ fn worker_loop<S: SpecLabeling + Send + Sync>(
 /// observes its event as processed: zero backlog) and **after** a
 /// fire-and-forget failure reaches the error ring (a `flush()` that
 /// covers the event returns with its error already in the ring).
-struct Settle<'a, S: SpecLabeling + 'static> {
-    shared: &'a EngineShared<S>,
+struct Settle<'a> {
+    shared: &'a EngineShared,
     /// The worker whose mark this envelope is counted on.
     worker: usize,
     tracker: Option<Arc<BatchTracker>>,
@@ -608,7 +617,7 @@ struct Settle<'a, S: SpecLabeling + 'static> {
     outcome: Option<Result<bool, ServiceError>>,
 }
 
-impl<S: SpecLabeling> Drop for Settle<'_, S> {
+impl Drop for Settle<'_> {
     fn drop(&mut self) {
         let ingest = &self.shared.ingest;
         let outcome = self
@@ -631,11 +640,7 @@ impl<S: SpecLabeling> Drop for Settle<'_, S> {
 }
 
 /// Apply one envelope and stage its outcome on the [`Settle`] guard.
-fn process<S: SpecLabeling + Send + Sync>(
-    shared: &EngineShared<S>,
-    worker: usize,
-    env: Envelope<S>,
-) {
+fn process(shared: &EngineShared, worker: usize, env: Envelope) {
     let Envelope {
         run,
         slot,
@@ -664,6 +669,7 @@ fn process<S: SpecLabeling + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::tests::poison;
     use crate::{RunStatus, ServiceEvent, WfEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -728,5 +734,63 @@ mod tests {
         }
         assert_eq!(ingest.watermarks(), (6, 6));
         assert_eq!(engine.flush(), 6);
+    }
+
+    /// The ingest path's and the watchdog's locks are recovered, not
+    /// `expect`ed: each guards a value that is valid between any two
+    /// statements. With the error ring, the flush lock and the watchdog's
+    /// ticker poisoned, a flush that has to wait, the error ring, the
+    /// watchdog's verdict and the engine's drop all go on.
+    #[test]
+    fn poisoned_ingest_and_watchdog_locks_are_recovered() {
+        let interval = std::time::Duration::from_millis(5);
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(1)
+            .watchdog(interval)
+            .build();
+        let ingest = &engine.shared.ingest;
+        poison(|| ingest.errors.lock());
+        poison(|| ingest.flush_lock.lock());
+        poison(|| engine.shared.watchdog.lock());
+        assert!(ingest.errors.is_poisoned() && ingest.flush_lock.is_poisoned());
+
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(20)
+            .generate_run(&mut StdRng::seed_from_u64(11));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let slot = engine.shared.slot(run).unwrap();
+        let mut bad = exec.events()[0].clone();
+        bad.vertex = wf_graph::VertexId(u32::MAX);
+        // Wedge the worker so the flush below has to wait on the lock.
+        let wedge = slot.hold_writer();
+        for ev in exec.events().iter().chain([&bad]) {
+            let op = RunOp::Insert(ev.clone());
+            engine.ingest(ServiceEvent { run, op }).unwrap();
+        }
+        let total = exec.len() as u64 + 1;
+        // The watchdog thread lives on: it sees the wedge, then the heal.
+        let await_health = |healthy: bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while (engine.health() == crate::Health::Healthy) != healthy {
+                assert!(std::time::Instant::now() < deadline, "the watchdog died");
+                std::thread::sleep(interval);
+            }
+        };
+        await_health(false);
+        std::thread::scope(|s| {
+            let flusher = s.spawn(|| engine.flush());
+            while ingest.flush_waiters.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+            drop(wedge);
+            assert_eq!(flusher.join().unwrap(), total);
+        });
+        assert_eq!(slot.indexed.len(), exec.len());
+        let out_of_bounds = ServiceError::VertexOutOfBounds(run, bad.vertex);
+        assert_eq!(engine.take_ingest_errors(), [(run, out_of_bounds)]);
+        await_health(true);
     }
 }

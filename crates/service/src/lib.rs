@@ -20,10 +20,11 @@
 //!   [`WfEngine::submit_batch`] survive as thin wrappers over the same
 //!   pipelined path (per-run event order is always preserved: one run is
 //!   pinned to one worker's FIFO queue);
-//! * the **query path** is lock-free: every applied insertion moves
-//!   the vertex's immutable [`DrlLabel`](wf_drl::DrlLabel) — the one
-//!   copy the engine holds — into a write-once [`index::LabelIndex`],
-//!   and a cloneable, lifetime-free
+//! * the **query path** is lock-free: every applied insertion publishes
+//!   the vertex's immutable label into a write-once
+//!   [`index::LabelIndex`] as one cell — its name, the slot of its
+//!   context's prefix array in the run's prefix table (stored once per
+//!   array), and its own entry — and a cloneable, lifetime-free
 //!   [`RunHandle`] resolves `u ; v` from two published labels plus the
 //!   shared skeleton predicate — constant time, no locks, concurrent
 //!   with ingestion (labels never change once assigned, Definitions
@@ -41,8 +42,8 @@
 //!   [`WfEngine::query`] answering tier-transparently. A background
 //!   tiering worker enforces [`EngineBuilder::freeze_after`] /
 //!   [`EngineBuilder::spill_dir`] in completion order, and
-//!   [`WfEngine::reheat_run`] copies a persisted run's blob back onto
-//!   the heap;
+//!   [`WfEngine::reheat_run`] loads a persisted run's frame if it is
+//!   absent and holds it;
 //! * [`WfEngine::stats`] reports engine-level activity (runs live and
 //!   completed, events enqueued/ingested, ingest backlog, label bits)
 //!   plus the per-tier byte footprints
@@ -147,6 +148,7 @@ impl fmt::Display for RunId {
 /// preprocessing, done once per specification rather than once per run).
 /// The engine holds these behind `Arc`s; runs, handles and queries share
 /// them by reference count.
+// The engine uses the default alone; the parameter stays because wfbench names `SpecContext::<TclSpecLabels>`.
 pub struct SpecContext<S: SpecLabeling = TclSpecLabels> {
     /// The workflow specification.
     pub spec: Specification,

@@ -30,9 +30,8 @@ use crate::store::{RunView, Tier};
 use crate::telemetry::tier_tag;
 use crate::{RunId, RunStatus, ServiceError};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use wf_skeleton::SpecLabeling;
 
 /// The automatic hot→frozen(→persisted) policy the background tiering
 /// worker enforces. All knobs optional; unset means manual-only tiering.
@@ -79,7 +78,15 @@ impl<T> Ticker<T> {
     }
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, Ticked<T>> {
-        self.state.lock().expect("ticker state poisoned")
+        // The shared value and the stop flag are each valid between any
+        // two statements, so a panicking holder leaves nothing half-done.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The join-handle slot. It holds a handle or nothing, either of
+    /// them valid, so a poisoned one is recovered.
+    fn worker(&self) -> MutexGuard<'_, Option<JoinHandle<()>>> {
+        self.worker.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Cut the thread's current sleep short.
@@ -92,8 +99,10 @@ impl<T> Ticker<T> {
         let worker = std::thread::Builder::new()
             .name(name.into())
             .spawn(body)
+            // `build()` is infallible, and callers rely on it: an engine
+            // that cannot start a thread has nothing to run on.
             .expect("spawn background worker");
-        *self.worker.lock().expect("ticker worker poisoned") = Some(worker);
+        *self.worker() = Some(worker);
     }
 
     /// Called by the thread between passes: sleep up to `period` (a
@@ -110,7 +119,8 @@ impl<T> Ticker<T> {
         let (guard, _) = self
             .cv
             .wait_timeout(guard, period)
-            .expect("ticker state poisoned");
+            // As in `lock`: the state stays valid across a panic.
+            .unwrap_or_else(PoisonError::into_inner);
         !guard.stop
     }
 
@@ -118,7 +128,7 @@ impl<T> Ticker<T> {
     pub(crate) fn stop(&self) {
         self.lock().stop = true;
         self.wake();
-        let worker = self.worker.lock().expect("ticker worker poisoned").take();
+        let worker = self.worker().take();
         if let Some(worker) = worker {
             let _ = worker.join();
         }
@@ -166,7 +176,7 @@ impl Tiering {
     /// Start the background worker when a policy is configured: apply
     /// the policy whenever a completion (or the periodic tick) wakes it,
     /// until shutdown.
-    pub(crate) fn spawn<S: SpecLabeling + Send + Sync + 'static>(shared: &Arc<EngineShared<S>>) {
+    pub(crate) fn spawn(shared: &Arc<EngineShared>) {
         if !shared.tiering.is_active() {
             return;
         }
@@ -187,7 +197,7 @@ impl Tiering {
     }
 }
 
-impl<S: SpecLabeling> EngineShared<S> {
+impl EngineShared {
     /// Freeze one completed run: seal its published labels into a
     /// segment blob on the heap and swap it in for the hot slot.
     /// Idempotent for already-sealed runs.

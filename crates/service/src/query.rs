@@ -47,7 +47,6 @@ use crate::sub::{scan_view, PredKind, Witness};
 use crate::telemetry::{self, QueryProfile};
 use crate::{RunId, RunStatus, SpecId, Tier};
 use wf_graph::{NameId, VertexId};
-use wf_skeleton::{SpecLabeling, TclSpecLabels};
 
 /// One run's answer to a "reachable from source" question: the source
 /// vertex and every in-scope vertex the source reaches.
@@ -66,16 +65,16 @@ pub struct SourceReach {
 /// point-in-time — they reflect the labels published when the scan runs,
 /// and every individual answer is permanent (labels never change once
 /// published).
-pub struct CrossRunQuery<'e, S: SpecLabeling + Send + Sync + 'static = TclSpecLabels> {
-    shared: &'e EngineShared<S>,
+pub struct CrossRunQuery<'e> {
+    shared: &'e EngineShared,
     spec: Option<SpecId>,
     status: Option<RunStatus>,
     tier: Option<Tier>,
     resident_only: bool,
 }
 
-impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
-    pub(crate) fn new(shared: &'e EngineShared<S>) -> Self {
+impl<'e> CrossRunQuery<'e> {
+    pub(crate) fn new(shared: &'e EngineShared) -> Self {
         Self {
             shared,
             spec: None,
@@ -124,7 +123,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     }
 
     /// Snapshot the in-scope run views, sorted by run id.
-    fn views(&self) -> Vec<(RunId, RunView<S>)> {
+    fn views(&self) -> Vec<(RunId, RunView)> {
         let mut views: Vec<_> = self
             .shared
             .store
@@ -156,7 +155,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// sealed object, which a compaction rewrite landing mid-scan
     /// relocates in place — the load that follows reads the blob where
     /// it is by then.
-    fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView<S>) -> Option<T>) -> Vec<T> {
+    fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView) -> Option<T>) -> Vec<T> {
         let obs = &self.shared.obs;
         let root = obs.begin();
         let trace_id = root.ctx.trace;
@@ -285,7 +284,7 @@ impl<'e, S: SpecLabeling + Send + Sync + 'static> CrossRunQuery<'e, S> {
     /// with a [`QueryProfile`] of what the scan actually paid for —
     /// runs per tier, bufmgr pins, the WAL barrier wait, and wall time
     /// per stage.
-    pub fn explain(self) -> ExplainQuery<'e, S> {
+    pub fn explain(self) -> ExplainQuery<'e> {
         ExplainQuery(self)
     }
 }
@@ -306,12 +305,10 @@ pub struct Explained<T> {
 /// profiled scan covers every event already enqueued, then runs the
 /// scan with a thread-local profile installed that the bufmgr's
 /// load hooks feed.
-pub struct ExplainQuery<'e, S: SpecLabeling + Send + Sync + 'static = TclSpecLabels>(
-    CrossRunQuery<'e, S>,
-);
+pub struct ExplainQuery<'e>(CrossRunQuery<'e>);
 
-impl<'e, S: SpecLabeling + Send + Sync + 'static> ExplainQuery<'e, S> {
-    fn profiled<T>(&self, f: impl FnOnce(&CrossRunQuery<'e, S>) -> T) -> Explained<T> {
+impl<'e> ExplainQuery<'e> {
+    fn profiled<T>(&self, f: impl FnOnce(&CrossRunQuery<'e>) -> T) -> Explained<T> {
         telemetry::install_profile();
         let barrier = std::time::Instant::now();
         if let Some(wal) = &self.0.shared.wal {

@@ -6,8 +6,9 @@
 //! tier: the scan ([`wf_wal::recover`], torn tails truncated to their
 //! valid prefix), the survivor filter (which runs are replayable), the
 //! log rewrite ([`WalWriter::reset`] — the reopened log holds exactly
-//! what the rebuilt engine holds hot, re-homed if the worker count
-//! changed), the replay itself, and the `RunOpen` payload codec both
+//! what the rebuilt engine holds hot, plus the runs of specs beyond its
+//! catalog carried verbatim, re-homed if the worker count changed), the
+//! replay itself, and the `RunOpen` payload codec both
 //! sides of a lifetime boundary must agree on. Replay applies events
 //! through [`crate::ingest::apply`] like every other write, with an
 //! empty journal step: the records are already in the rewritten log.
@@ -37,7 +38,6 @@ use std::path::Path;
 use std::sync::Arc;
 use wf_drl::ResolutionMode;
 use wf_run::ExecEvent;
-use wf_skeleton::SpecLabeling;
 use wf_wal::{Record, RecordKind, WalSync, WalWriter};
 
 /// `RunOpen` payload: the spec id (u32 LE) plus the resolution mode tag —
@@ -97,29 +97,41 @@ fn admitted(records: &[Record]) -> &[Record] {
     &records[..complete.map_or(records.len(), |i| i + 1)]
 }
 
+/// Why a scanned run is not replayed.
+enum Skip {
+    /// An orphaned tail (e.g. its `RunOpen` sat in a torn region):
+    /// dropped, not guessed at.
+    Orphan,
+    /// Its `RunOpen` names a spec beyond this catalog: carried into the
+    /// rewritten log verbatim, for a build that has the spec.
+    Foreign,
+    /// Undecodable: dropped, and traced with the reason.
+    Bad(&'static str),
+}
+
 /// Decode one scanned run's `records` into a [`ReplayRun`], or say why
 /// not. A replayable run starts with a parseable `RunOpen` naming a spec
-/// this catalog has; anything else is an orphaned tail (e.g. its
-/// `RunOpen` sat in a torn region) and is dropped, not guessed at.
+/// this catalog has.
 fn decode_run(
     r: &wf_wal::RecoveredRun,
     records: &[Record],
     catalog_len: usize,
-) -> Result<ReplayRun, Option<&'static str>> {
-    let (first, rest) = records.split_first().ok_or(None)?;
+) -> Result<ReplayRun, Skip> {
+    let (first, rest) = records.split_first().ok_or(Skip::Orphan)?;
     if first.kind != RecordKind::RunOpen || first.seq != 0 {
-        return Err(None);
+        return Err(Skip::Orphan);
     }
-    let (spec, resolution) = parse_run_open(&first.payload).ok_or(None)?;
+    let (spec, resolution) = parse_run_open(&first.payload).ok_or(Skip::Orphan)?;
     if spec.0 >= catalog_len {
-        return Err(None);
+        return Err(Skip::Foreign);
     }
     let mut events = Vec::new();
     let mut completed = false;
     for rr in rest {
         match rr.kind {
             RecordKind::Event => events.push(
-                wf_drl::encode::read_event(&rr.payload).ok_or(Some("undecodable event payload"))?,
+                wf_drl::encode::read_event(&rr.payload)
+                    .ok_or(Skip::Bad("undecodable event payload"))?,
             ),
             RecordKind::Complete => completed = true,
             RecordKind::RunOpen | RecordKind::Checkpoint => {}
@@ -136,8 +148,9 @@ fn decode_run(
 }
 
 /// Scan the WAL directory: decode surviving runs for replay, then
-/// rewrite the log so it holds exactly those runs (checkpointed history
-/// dropped, records re-homed onto `workers` shards).
+/// rewrite the log so it holds exactly those runs plus, verbatim, the
+/// runs of specs beyond this catalog (checkpointed history dropped,
+/// records re-homed onto `workers` shards).
 pub(crate) fn scan(
     dir: &Path,
     workers: usize,
@@ -183,8 +196,9 @@ pub(crate) fn scan(
                 survivors.extend(records.iter().cloned());
                 out.replay.push(run);
             }
-            Err(Some(why)) => obs.event("wal_skip_run", Some(r.run), None, || why.into()),
-            Err(None) => {}
+            Err(Skip::Foreign) => survivors.extend(r.records.iter().cloned()),
+            Err(Skip::Bad(why)) => obs.event("wal_skip_run", Some(r.run), None, || why.into()),
+            Err(Skip::Orphan) => {}
         }
     }
     match WalWriter::reset(
@@ -216,7 +230,7 @@ pub(crate) fn scan(
 
 /// Replay the scanned runs into the hot tier, before the ingest pool
 /// opens.
-pub(crate) fn replay<S: SpecLabeling>(shared: &EngineShared<S>, runs: Vec<ReplayRun>) {
+pub(crate) fn replay(shared: &EngineShared, runs: Vec<ReplayRun>) {
     let obs = &shared.obs;
     for r in runs {
         let ctx = Arc::clone(&shared.catalog[r.spec.0]);

@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use wf_drl::{ExecError, ExecutionState, ResolutionMode};
 use wf_graph::VertexId;
 use wf_run::ExecEvent;
-use wf_skeleton::SpecLabeling;
 
 /// Per-run state: the single-writer labeler behind a mutex, and the
 /// lock-free published-label index the query path reads.
@@ -34,11 +33,11 @@ use wf_skeleton::SpecLabeling;
 /// otherwise the compiler's choice (measured, together with
 /// [`crate::ingest::EventCounter`]: −8 % solo-ingest events/s without).
 #[repr(align(64))]
-pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
+pub(crate) struct RunSlot {
     pub(crate) spec: SpecId,
     pub(crate) skl_bits: usize,
     /// The context the labeler reads on every insert.
-    ctx: Arc<SpecContext<S>>,
+    ctx: Arc<SpecContext>,
     /// The run's labeler, for as long as the run can still be written:
     /// completion drops it.
     writer: Mutex<Option<ExecutionState>>,
@@ -59,13 +58,13 @@ pub(crate) struct RunSlot<S: SpecLabeling + 'static> {
     pub(crate) wal_seq: AtomicU64,
 }
 
-impl<S: SpecLabeling> RunSlot<S> {
+impl RunSlot {
     /// The slot of a run that can be written: `Live`, with a fresh
     /// labeler. `next_wal_seq` is 1 for newly opened runs (the `RunOpen`
     /// record takes seq 0) and `max_seq + 1` when rebuilding a run from
     /// WAL replay.
     pub(crate) fn open(
-        ctx: Arc<SpecContext<S>>,
+        ctx: Arc<SpecContext>,
         spec: SpecId,
         resolution: ResolutionMode,
         next_wal_seq: u64,

@@ -41,7 +41,6 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use wf_skeleton::SpecLabeling;
 
 /// What one compaction pass did: how many pack files and on-disk bytes
 /// the persisted tier referenced before and after, and how many runs
@@ -100,7 +99,7 @@ pub(crate) struct Located {
 
 /// Every registration the store holds — every sealed run that has a
 /// location.
-pub(crate) fn registrations<S: SpecLabeling>(store: &LabelStore<S>) -> Vec<Located> {
+pub(crate) fn registrations(store: &LabelStore) -> Vec<Located> {
     let mut out = Vec::with_capacity(store.tiers.get(Tier::Persisted));
     store.for_each(|_, view| {
         if let RunView::Sealed(run) = view {
@@ -199,6 +198,14 @@ pub(crate) struct SpillDir {
     /// always counts (reloaded history may already need packing), and
     /// an eviction resets it there (its blob just turned dead).
     policy_stamp: AtomicU64,
+    /// The manifest lines this engine could not register — a spec
+    /// beyond its catalog, a header that did not read back — written
+    /// back verbatim by every manifest rewrite, so a build with a smaller
+    /// catalog keeps history it cannot read.
+    carried: Vec<ManifestEntry>,
+    /// The packs `carried` names: the sweep keeps them and compaction
+    /// does not pick them.
+    carried_packs: HashSet<PathBuf>,
 }
 
 impl SpillDir {
@@ -206,8 +213,8 @@ impl SpillDir {
     /// header-only reads (no frame is loaded until queried). A run listed
     /// twice registers once, from its last line. Entries that do not
     /// read back — or name a spec beyond the `specs` this catalog has —
-    /// are skipped; a manifest this engine cannot parse registers
-    /// nothing.
+    /// are carried, not registered; a manifest this engine cannot parse
+    /// registers nothing.
     pub(crate) fn open(
         dir: PathBuf,
         lru: &Arc<SegmentLru>,
@@ -220,18 +227,19 @@ impl SpillDir {
             .collect();
         // Each pack named once, with its size (one `stat` per file).
         let mut files: HashMap<String, (Arc<PackFile>, u64)> = HashMap::new();
-        let mut persisted = Vec::new();
-        for entry in listed.values() {
+        let (mut persisted, mut carried) = (Vec::new(), Vec::new());
+        for entry in listed.into_values() {
             let (file, size) = files.entry(entry.file.clone()).or_insert_with(|| {
                 let file = PackFile::new(dir.join(&entry.file));
                 let size = file.disk_len(0);
                 (file, size)
             });
-            match SealedRun::open_entry(Arc::clone(file), *size, entry, Arc::clone(lru)) {
+            match SealedRun::open_entry(Arc::clone(file), *size, &entry, Arc::clone(lru)) {
                 Ok(run) if run.header().spec.0 < specs => persisted.push(Arc::new(run)),
-                _ => {}
+                _ => carried.push(entry),
             }
         }
+        let carried_packs = carried.iter().map(|e| dir.join(&e.file)).collect();
         let next_pack = std::fs::read_dir(&dir)
             .into_iter()
             .flatten()
@@ -243,8 +251,16 @@ impl SpillDir {
             manifest: Mutex::new(()),
             pack_seq: AtomicU64::new(next_pack),
             policy_stamp: AtomicU64::new(u64::MAX),
+            carried,
+            carried_packs,
         };
         (spill, persisted)
+    }
+
+    /// One past the highest run id a carried line names: fresh runs
+    /// start above it, so no id the directory holds is reused.
+    pub(crate) fn next_run(&self) -> u64 {
+        self.carried.iter().map(|e| e.run.0 + 1).max().unwrap_or(0)
     }
 
     pub(crate) fn dir(&self) -> &Path {
@@ -266,12 +282,13 @@ impl SpillDir {
         Ok(PackFile::new(path))
     }
 
-    /// The manifest lines for the current registrations (call with the
-    /// manifest lock held).
-    fn manifest_entries<S: SpecLabeling>(&self, store: &LabelStore<S>) -> Vec<ManifestEntry> {
+    /// The manifest lines for the current registrations, then the
+    /// carried ones (call with the manifest lock held).
+    fn manifest_entries(&self, store: &LabelStore) -> Vec<ManifestEntry> {
         registrations(store)
             .iter()
             .filter_map(|l| manifest_entry(&l.run, l.file.path(), l.offset))
+            .chain(self.carried.iter().cloned())
             .collect()
     }
 
@@ -279,9 +296,9 @@ impl SpillDir {
     /// pack of one and list it in the manifest — or, when it already has
     /// a location (a re-heated run), only let the frame go. `Ok(true)`
     /// when a pack was written.
-    pub(crate) fn persist<S: SpecLabeling>(
+    pub(crate) fn persist(
         &self,
-        store: &LabelStore<S>,
+        store: &LabelStore,
         sealed: &SealedRun,
     ) -> Result<bool, ServiceError> {
         let run = sealed.run();
@@ -307,11 +324,7 @@ impl SpillDir {
     /// `run`, which had a location, was evicted: rewrite the manifest
     /// without its line, so a restart does not register it again, and
     /// let the next policy pass count the bytes that just turned dead.
-    pub(crate) fn forget<S: SpecLabeling>(
-        &self,
-        store: &LabelStore<S>,
-        run: RunId,
-    ) -> Result<(), ServiceError> {
+    pub(crate) fn forget(&self, store: &LabelStore, run: RunId) -> Result<(), ServiceError> {
         let _g = self.lock();
         snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
             .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
@@ -323,10 +336,7 @@ impl SpillDir {
     /// fresh spills are packs of one — into full ones, cutting the
     /// directory's file count, and rewrite dead-heavy packs without the
     /// blobs of evicted runs, cutting its bytes.
-    pub(crate) fn compact<S: SpecLabeling>(
-        &self,
-        store: &LabelStore<S>,
-    ) -> Result<CompactionReport, ServiceError> {
+    pub(crate) fn compact(&self, store: &LabelStore) -> Result<CompactionReport, ServiceError> {
         let report = self
             .rewrite_packs(store)
             .map_err(|e| ServiceError::Compaction(e.to_string()))?;
@@ -350,10 +360,7 @@ impl SpillDir {
     /// orphans, so a pass with nothing to rewrite still reclaims the
     /// packs of evicted runs and crash leftovers. A pass that rewrote
     /// something is traced as one `compaction` span.
-    fn rewrite_packs<S: SpecLabeling>(
-        &self,
-        store: &LabelStore<S>,
-    ) -> Result<CompactionReport, SnapshotError> {
+    fn rewrite_packs(&self, store: &LabelStore) -> Result<CompactionReport, SnapshotError> {
         let obs = &store.lru.obs;
         let span = obs.timer();
         let _g = self.lock();
@@ -371,6 +378,7 @@ impl SpillDir {
         };
         let mut victims: Vec<FileStat> = files
             .into_iter()
+            .filter(|f| !self.carried_packs.contains(f.file.path()))
             .filter(|f| f.underfull() || f.dead_heavy())
             .collect();
         if !gains(&victims, 1) {
@@ -442,6 +450,7 @@ impl SpillDir {
                     .unwrap_or((&l.file, l.offset));
                 manifest_entry(&l.run, file.path(), offset)
             })
+            .chain(self.carried.iter().cloned())
             .collect();
         snapshot::write_manifest(&self.dir, &entries)?;
         // Move the registrations, and only then unlink what they left.
@@ -471,9 +480,9 @@ impl SpillDir {
         Ok(out)
     }
 
-    /// Delete pack files none of `registered` — the pass's snapshot of
-    /// the store's registrations, at the places they have by now —
-    /// references: blobs of evicted runs, packs written for runs evicted
+    /// Delete pack files neither `registered` — the pass's snapshot of
+    /// the store's registrations, at the places they have by now — nor a
+    /// carried line references: blobs of evicted runs, packs written for runs evicted
     /// during their persist, and leftovers of a crash between a
     /// pack/manifest write and the old-file deletion — among them the
     /// `*.tmp` file of a replace the crash cut short. Runs under the
@@ -481,10 +490,11 @@ impl SpillDir {
     /// so no spill has written a pack since and no temp file is in
     /// flight.
     fn sweep_orphans(&self, registered: &[Located]) {
-        let referenced: HashSet<PathBuf> = registered
+        let mut referenced: HashSet<PathBuf> = registered
             .iter()
             .filter_map(|l| Some(l.run.location()?.0.path().to_path_buf()))
             .collect();
+        referenced.extend(self.carried_packs.iter().cloned());
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -504,9 +514,9 @@ impl SpillDir {
     /// dead-heavy. The file census only reruns after a spill, a
     /// compaction or an eviction changed the directory since the last
     /// pass. Returns what failed.
-    pub(crate) fn apply_policy<S: SpecLabeling>(
+    pub(crate) fn apply_policy(
         &self,
-        store: &LabelStore<S>,
+        store: &LabelStore,
         compact_after: Option<usize>,
     ) -> Option<ServiceError> {
         let threshold = compact_after?;
@@ -526,14 +536,14 @@ impl SpillDir {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::{SpecId, Tier, WfEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wf_run::{Execution, RunGenerator};
 
     /// Panic on a thread while `hold` holds a lock: the lock is poisoned.
-    fn poison<G>(hold: impl FnOnce() -> G + Send) {
+    pub(crate) fn poison<G>(hold: impl FnOnce() -> G + Send) {
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
                 let _g = hold();

@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wf_drl::{ArenaRef, DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
-use wf_skeleton::SpecLabeling;
+use wf_skeleton::TclSpecLabels;
 
 /// The **replacer over the frames loaded from disk**: every sealed run
 /// whose frame a read loaded from its pack registers here, and when the
@@ -212,31 +212,31 @@ impl TierCounts {
 
 /// Registry shard: one `RwLock`ed map per shard keeps run lookup
 /// contention independent of the number of concurrent runs.
-type Shard<S> = RwLock<HashMap<u64, RunView<S>>>;
+type Shard = RwLock<HashMap<u64, RunView>>;
 
 // A poisoned shard is recovered, not propagated: every write under it is
 // one map insert, remove or assignment plus relaxed counter adds, so a
 // holder that panicked left a valid map.
-fn read<S: SpecLabeling>(shard: &Shard<S>) -> RwLockReadGuard<'_, HashMap<u64, RunView<S>>> {
+fn read(shard: &Shard) -> RwLockReadGuard<'_, HashMap<u64, RunView>> {
     shard.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn write<S: SpecLabeling>(shard: &Shard<S>) -> RwLockWriteGuard<'_, HashMap<u64, RunView<S>>> {
+fn write(shard: &Shard) -> RwLockWriteGuard<'_, HashMap<u64, RunView>> {
     shard.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One run's published labels, borrowed for one read: the one reader
 /// behind every label, name and scan a run answers, whatever its tier.
 /// Labels are write-once, so what it lends stays valid for the borrow.
-pub(crate) enum Labels<'a, S: SpecLabeling + 'static> {
+pub(crate) enum Labels<'a> {
     /// A hot run: its lock-free index and its write-once source.
-    Hot(&'a RunSlot<S>),
+    Hot(&'a RunSlot),
     /// A sealed run: its arena over the run's frame, and its source
     /// vertex.
     Cold(ArenaRef<'a>, Option<VertexId>),
 }
 
-impl<'a, S: SpecLabeling> Labels<'a, S> {
+impl<'a> Labels<'a> {
     /// The label of `v`, if the run published one.
     pub(crate) fn label(&self, v: VertexId) -> Option<LabelRef<'a>> {
         match self {
@@ -288,21 +288,13 @@ impl<'a, S: SpecLabeling> Labels<'a, S> {
 
 /// A tier-transparent, reference-counted view of one run — everything
 /// the read path needs, with the dispatch in one place.
-pub(crate) enum RunView<S: SpecLabeling + 'static> {
-    Hot(Arc<RunSlot<S>>),
+#[derive(Clone)]
+pub(crate) enum RunView {
+    Hot(Arc<RunSlot>),
     Sealed(Arc<SealedRun>),
 }
 
-impl<S: SpecLabeling> Clone for RunView<S> {
-    fn clone(&self) -> Self {
-        match self {
-            RunView::Hot(s) => RunView::Hot(Arc::clone(s)),
-            RunView::Sealed(s) => RunView::Sealed(Arc::clone(s)),
-        }
-    }
-}
-
-impl<S: SpecLabeling> RunView<S> {
+impl RunView {
     pub(crate) fn tier(&self) -> Tier {
         match self {
             RunView::Hot(_) => Tier::Hot,
@@ -354,7 +346,7 @@ impl<S: SpecLabeling> RunView<S> {
     /// read from disk whose blob no longer loads. A sealed run's frame
     /// stays borrowed for the whole of `f`: a scan iterating its labels
     /// cannot have it shed mid-run.
-    pub(crate) fn with_labels<R>(&self, f: impl FnOnce(&Labels<'_, S>) -> R) -> Option<R> {
+    pub(crate) fn with_labels<R>(&self, f: impl FnOnce(&Labels<'_>) -> R) -> Option<R> {
         match self {
             RunView::Hot(s) => Some(f(&Labels::Hot(s))),
             RunView::Sealed(s) => s.with_labels(|arena| f(&Labels::Cold(arena, s.header().source))),
@@ -381,7 +373,7 @@ impl<S: SpecLabeling> RunView<S> {
     /// index's table, or records walked off the blob's bytes (sealed).
     pub(crate) fn reach(
         &self,
-        predicate: &DrlPredicate<'_, S>,
+        predicate: &DrlPredicate<'_, TclSpecLabels>,
         u: VertexId,
         v: VertexId,
     ) -> Option<bool> {
@@ -421,26 +413,26 @@ impl<S: SpecLabeling> RunView<S> {
 /// ([`Self::transition`]), so a lookup is one shard read lock whatever
 /// the tier, a reader sees exactly one representation of a run — never
 /// two, never none — and there is no lock order to keep.
-pub(crate) struct LabelStore<S: SpecLabeling + 'static> {
+pub(crate) struct LabelStore {
     /// A power-of-two number of shards.
-    shards: Box<[Shard<S>]>,
+    shards: Box<[Shard]>,
     /// Runs per tier.
     pub(crate) tiers: TierCounts,
     /// Residency governor shared by every sealed run in this store.
     pub(crate) lru: Arc<SegmentLru>,
     /// Standing-query fan-out: a subscription's catch-up scans the
     /// registry, and an eviction retracts what it delivered.
-    pub(crate) subs: SubHub<S>,
+    pub(crate) subs: SubHub,
 }
 
-impl<S: SpecLabeling> LabelStore<S> {
+impl LabelStore {
     /// An empty store with `shards` shards (rounded up to a power of
     /// two), pre-seeded with the sealed runs the spill directory lists.
     pub(crate) fn new(
         shards: usize,
         persisted: Vec<Arc<SealedRun>>,
         lru: Arc<SegmentLru>,
-        subs: SubHub<S>,
+        subs: SubHub,
     ) -> Self {
         let n = shards.max(1).next_power_of_two();
         let store = Self {
@@ -472,22 +464,22 @@ impl<S: SpecLabeling> LabelStore<S> {
         obs.finish(start, &obs.h_sub_match, None, None, || {
             format!("runs={runs} labels={labels}")
         });
-        SubHub::<S>::handle(core)
+        SubHub::handle(core)
     }
 
-    fn shard(&self, run: RunId) -> &Shard<S> {
+    fn shard(&self, run: RunId) -> &Shard {
         &self.shards[route_hash(run) as usize & (self.shards.len() - 1)]
     }
 
     /// Register a run the store has not seen: freshly opened, replayed
     /// from the WAL, or listed by the spill directory's manifest.
-    pub(crate) fn insert(&self, run: RunId, view: RunView<S>) {
+    pub(crate) fn insert(&self, run: RunId, view: RunView) {
         self.tiers.moved(None, Some(view.tier()));
         write(self.shard(run)).insert(run.0, view);
     }
 
     /// The run's current representation, whatever its tier.
-    pub(crate) fn view(&self, run: RunId) -> Option<RunView<S>> {
+    pub(crate) fn view(&self, run: RunId) -> Option<RunView> {
         read(self.shard(run)).get(&run.0).cloned()
     }
 
@@ -517,7 +509,7 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// Evict a run, returning the representation it had (the caller
     /// marks a hot slot evicted under its writer lock; a sealed run
     /// settles its own eviction under its place lock).
-    pub(crate) fn remove(&self, run: RunId) -> Option<RunView<S>> {
+    pub(crate) fn remove(&self, run: RunId) -> Option<RunView> {
         let old = write(self.shard(run)).remove(&run.0)?;
         match &old {
             RunView::Hot(_) => self.tiers.moved(Some(Tier::Hot), None),
@@ -530,7 +522,7 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// Point-in-time snapshot of every registered run (unordered) — the
     /// scope the cross-run query surface scans. Locks are held only
     /// long enough to clone `Arc`s.
-    pub(crate) fn snapshot_views(&self) -> Vec<(RunId, RunView<S>)> {
+    pub(crate) fn snapshot_views(&self) -> Vec<(RunId, RunView)> {
         let runs = [Tier::Hot, Tier::Frozen, Tier::Persisted].map(|t| self.tiers.get(t));
         let mut out = Vec::with_capacity(runs.iter().sum());
         self.for_each(|run, view| out.push((run, view.clone())));
@@ -540,7 +532,7 @@ impl<S: SpecLabeling> LabelStore<S> {
     /// Visit every registered run without allocating (stats, the policy
     /// passes, the spill directory's census). Each shard's read lock is
     /// held while its entries are visited, so keep `f` cheap.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(RunId, &RunView<S>)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(RunId, &RunView)) {
         for shard in self.shards.iter() {
             for (id, view) in read(shard).iter() {
                 f(RunId(*id), view);

@@ -64,7 +64,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use wf_drl::{DrlLabel, DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
-use wf_skeleton::SpecLabeling;
+use wf_skeleton::TclSpecLabels;
 
 /// Default bound of each subscription's notify queue
 /// ([`crate::EngineBuilder::sub_queue_capacity`]).
@@ -276,10 +276,10 @@ impl RunMatcher {
     /// published. `emit` receives each fresh witness, in discovery
     /// order; the return value is the number of constant-time predicate
     /// evaluations (the pull path adds it to the run's query counter).
-    pub(crate) fn feed<S: SpecLabeling>(
+    pub(crate) fn feed(
         &mut self,
-        predicate: &DrlPredicate<'_, S>,
-        labels: &Labels<'_, S>,
+        predicate: &DrlPredicate<'_, TclSpecLabels>,
+        labels: &Labels<'_>,
         v: VertexId,
         name: NameId,
         label: Option<LabelRef<'_>>,
@@ -364,10 +364,10 @@ impl RunMatcher {
 /// Feed every published label of `view` to `matcher` and add its
 /// predicate evaluations to the run's query counter; the number of
 /// labels fed.
-fn feed_view<S: SpecLabeling>(
+fn feed_view(
     matcher: &mut RunMatcher,
-    predicate: &DrlPredicate<'_, S>,
-    view: &RunView<S>,
+    predicate: &DrlPredicate<'_, TclSpecLabels>,
+    view: &RunView,
     emit: &mut dyn FnMut(Witness),
 ) -> u64 {
     let (fed, evaluated) = view
@@ -389,9 +389,9 @@ fn feed_view<S: SpecLabeling>(
 /// Drive a fresh [`RunMatcher`] over every published label of `view` —
 /// the full-rescan evaluation the pull queries use, and the oracle the
 /// incremental path is tested against.
-pub(crate) fn scan_view<S: SpecLabeling>(
-    view: &RunView<S>,
-    ctx: &SpecContext<S>,
+pub(crate) fn scan_view(
+    view: &RunView,
+    ctx: &SpecContext,
     kind: PredKind,
     mut emit: impl FnMut(Witness),
 ) {
@@ -658,8 +658,8 @@ struct SubEntry {
 /// Lock hierarchy (outermost first): `registry` → per-sub `state` →
 /// {`queue`, `tombstones`}. No fan-out runs under a store lock, and
 /// subscription code never takes one while holding any of its own.
-pub(crate) struct SubHub<S: SpecLabeling + 'static> {
-    catalog: Box<[Arc<SpecContext<S>>]>,
+pub(crate) struct SubHub {
+    catalog: Box<[Arc<SpecContext>]>,
     pub(crate) obs: Arc<Telemetry>,
     queue_capacity: usize,
     /// Open (not-yet-closed) subscriptions: the notify fast path is one
@@ -686,9 +686,9 @@ pub(crate) struct SubHub<S: SpecLabeling + 'static> {
     tombstones: Mutex<HashSet<u64>>,
 }
 
-impl<S: SpecLabeling> SubHub<S> {
+impl SubHub {
     pub(crate) fn new(
-        catalog: Box<[Arc<SpecContext<S>>]>,
+        catalog: Box<[Arc<SpecContext>]>,
         obs: Arc<Telemetry>,
         queue_capacity: usize,
     ) -> Self {
@@ -767,7 +767,7 @@ impl<S: SpecLabeling> SubHub<S> {
     /// run's writer lock — out-of-order arrival is harmless under the
     /// matcher's set semantics. `v`'s label is read from the slot once,
     /// for every subscription it concerns.
-    pub(crate) fn notify_insert(&self, run: RunId, slot: &RunSlot<S>, v: VertexId, name: NameId) {
+    pub(crate) fn notify_insert(&self, run: RunId, slot: &RunSlot, v: VertexId, name: NameId) {
         if self.active.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -888,7 +888,7 @@ impl<S: SpecLabeling> SubHub<S> {
     /// scan). Returns the number of labels visited. Runs *after* the
     /// core is registered, so any event this scan races is also fanned
     /// out to the core — the matcher's `seen` set collapses the overlap.
-    pub(crate) fn catch_up(&self, core: &SubCore, run: RunId, view: &RunView<S>) -> u64 {
+    pub(crate) fn catch_up(&self, core: &SubCore, run: RunId, view: &RunView) -> u64 {
         let spec = view.spec();
         if core.pred.spec.is_some_and(|s| s != spec) {
             return 0;
@@ -925,7 +925,7 @@ impl<S: SpecLabeling> SubHub<S> {
     }
 }
 
-impl<S: SpecLabeling> Drop for SubHub<S> {
+impl Drop for SubHub {
     fn drop(&mut self) {
         // The engine is going away: close every stream so blocked
         // receivers wake with `None` after draining.

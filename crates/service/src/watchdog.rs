@@ -15,7 +15,6 @@ use crate::lifecycle::Ticker;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use wf_skeleton::SpecLabeling;
 
 /// One cause of a pipeline stall, as diagnosed by the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,10 +110,7 @@ const WATCHDOG_CAUSES: [StallCause; 5] = [
 pub(crate) type Watchdog = Ticker<Health>;
 
 /// Start the monitor thread, sampling every `interval`.
-pub(crate) fn spawn<S: SpecLabeling + Send + Sync + 'static>(
-    shared: &Arc<EngineShared<S>>,
-    interval: Duration,
-) {
+pub(crate) fn spawn(shared: &Arc<EngineShared>, interval: Duration) {
     let worker = Arc::clone(shared);
     shared
         .watchdog
@@ -124,7 +120,7 @@ pub(crate) fn spawn<S: SpecLabeling + Send + Sync + 'static>(
 /// Body of the stall watchdog: every `interval`, sample each subsystem's
 /// progress watermark, promote violations into the trace ring as `stall`
 /// events, and publish the escalated verdict.
-fn watchdog_loop<S: SpecLabeling>(shared: &EngineShared<S>, interval: Duration) {
+fn watchdog_loop(shared: &EngineShared, interval: Duration) {
     let interval_ns = interval.as_nanos() as u64;
     let marks = shared.ingest.marks();
     let mut last_applied: Vec<u64> = marks

@@ -559,6 +559,82 @@ fn evicted_runs_stay_evicted_across_a_restart() {
     assert!(rebuilt.open_run(SpecId(0)).unwrap() > kept);
 }
 
+/// A build with a smaller catalog keeps the logged runs it cannot
+/// replay: their records are carried into the rewritten log verbatim,
+/// through the build's own persist, checkpoint and compaction, their
+/// run ids are not handed out again, and a build with the full catalog
+/// replays every one of them.
+#[test]
+fn a_smaller_catalog_keeps_the_logged_runs_it_cannot_replay() {
+    let dir = TempDir::new("smaller-catalog");
+    let specs = [
+        wf_spec::corpus::running_example(),
+        wf_spec::corpus::bioaid_nonrecursive(),
+    ];
+    let build = |n: usize| -> WfEngine {
+        specs[..n]
+            .iter()
+            .fold(WfEngine::builder(), |b, s| b.spec(s.clone()))
+            .ingest_workers(2)
+            .wal_dir(dir.0.join("wal"))
+            .spill_dir(dir.0.join("spill"))
+            .build()
+    };
+    let mut rng = StdRng::seed_from_u64(2032);
+    let mut ingest = |engine: &WfEngine, spec: usize, complete: bool| {
+        let gen = RunGenerator::new(&specs[spec])
+            .target_size(40)
+            .generate_run(&mut rng);
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let run = engine.open_run(SpecId(spec)).unwrap();
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        if complete {
+            engine.complete_run(run).unwrap();
+        }
+        (run, exec, complete)
+    };
+
+    // Both specs: a completed and a live spec-1 run, a live spec-0 run,
+    // all only in the log.
+    let engine = build(2);
+    let mut fleet = vec![
+        ingest(&engine, 1, true),
+        ingest(&engine, 1, false),
+        ingest(&engine, 0, false),
+    ];
+    engine.flush();
+    drop(engine);
+
+    // The running example alone: persist and compact one run.
+    let engine = build(1);
+    assert_eq!(engine.stats().wal_recovered_runs, 1);
+    let fresh = ingest(&engine, 0, true);
+    assert!(
+        fleet.iter().all(|(run, ..)| *run != fresh.0),
+        "{} reuses an id the log holds",
+        fresh.0
+    );
+    engine.persist_run(fresh.0).unwrap();
+    engine.compact().unwrap();
+    fleet.push(fresh);
+    engine.flush();
+    drop(engine);
+
+    // Both specs again: every run answers.
+    let engine = build(2);
+    let mut ids: Vec<RunId> = fleet.iter().map(|(run, ..)| *run).collect();
+    ids.sort();
+    assert_eq!(engine.query().run_ids(), ids);
+    for (run, exec, complete) in &fleet {
+        let h = engine.handle(*run).unwrap();
+        let status = [RunStatus::Live, RunStatus::Completed][usize::from(*complete)];
+        assert_eq!(h.status(), status, "{run}");
+        assert_prefix_answers(&h, exec.events(), exec.len());
+    }
+}
+
 /// A re-heated run is as durable as a persisted one. Its WAL records
 /// were checkpointed away when it was first persisted, so its pack and
 /// its manifest line are all that is left of it: they must outlive the

@@ -679,6 +679,77 @@ fn a_manifest_range_past_its_pack_registers_nothing() {
     assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
 }
 
+/// A build with a smaller catalog keeps the history it cannot read:
+/// the manifest lines of a spec beyond its catalog are carried through
+/// its rewrites, their packs survive its compaction and orphan sweep,
+/// their run ids are not handed out again, and a build with the full
+/// catalog serves every one of those runs.
+#[test]
+fn a_smaller_catalog_keeps_the_persisted_runs_it_cannot_read() {
+    let dir = TempDir::new("smaller-catalog");
+    let specs = [
+        wf_spec::corpus::running_example(),
+        wf_spec::corpus::bioaid_nonrecursive(),
+    ];
+    let build = |n: usize| -> WfEngine {
+        specs[..n]
+            .iter()
+            .fold(WfEngine::builder(), |b, s| b.spec(s.clone()))
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let persist = |engine: &WfEngine, spec: SpecId, exec: &Execution| {
+        let run = engine.open_run(spec).unwrap();
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+        engine.persist_run(run).unwrap();
+        run
+    };
+
+    // Both specs: two spec-1 runs and a spec-0 run compacted into one
+    // pack, then a spec-1 run in a pack of its own.
+    let mut written = Vec::new();
+    let engine = build(2);
+    for (i, spec) in [1, 1, 0, 1].into_iter().enumerate() {
+        if i == 3 {
+            assert_eq!(engine.compact().unwrap().files_after, 1);
+        }
+        let (exec, probes) = probed_run(&specs[spec], 90 + i as u64);
+        written.push((persist(&engine, SpecId(spec), &exec), probes));
+    }
+    drop(engine);
+
+    // The running example alone: persist and compact one run.
+    let engine = build(1);
+    assert_eq!(engine.query().run_ids(), vec![written[2].0]);
+    let (exec, probes) = probed_run(&specs[0], 99);
+    let fresh = persist(&engine, SpecId(0), &exec);
+    assert!(
+        written.iter().all(|(run, _)| *run != fresh),
+        "{fresh} reuses an id the directory holds"
+    );
+    engine.compact().unwrap();
+    written.push((fresh, probes));
+    drop(engine);
+
+    // Both specs again: every run answers.
+    let engine = build(2);
+    let mut ids: Vec<RunId> = written.iter().map(|(run, _)| *run).collect();
+    ids.sort();
+    assert_eq!(engine.query().run_ids(), ids);
+    for (run, probes) in &written {
+        for &(u, v, want) in probes {
+            assert_eq!(
+                engine.reach(*run, u, v),
+                Ok(Some(want)),
+                "{run}: {u:?} ; {v:?}"
+            );
+        }
+    }
+}
+
 /// A truncated snapshot file is rejected cleanly (typed error, no
 /// panic), at every prefix length; a bit flip is caught by the checksum.
 #[test]
@@ -973,12 +1044,11 @@ fn sparse_vertex_ids_answer_every_pair_in_every_tier() {
     every_pair(&build(), run, "reopened");
 }
 
-/// A sampled execution of the running example, its ground truth, and a
-/// few `(u, v, u ; v)` probes over its vertices.
-fn probed_run(seed: u64) -> (Execution, Vec<(VertexId, VertexId, bool)>) {
-    let spec = wf_spec::corpus::running_example();
+/// A sampled execution of `spec`, its ground truth, and a few
+/// `(u, v, u ; v)` probes over its vertices.
+fn probed_run(spec: &Specification, seed: u64) -> (Execution, Vec<(VertexId, VertexId, bool)>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let gen = RunGenerator::new(&spec)
+    let gen = RunGenerator::new(spec)
         .target_size(60)
         .generate_run(&mut rng);
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
@@ -1011,7 +1081,7 @@ fn lookups_racing_tier_transitions_see_the_run_exactly_once() {
         .ingest_workers(2)
         .spill_dir(&dir.0)
         .build();
-    let (exec, probes) = probed_run(11);
+    let (exec, probes) = probed_run(&wf_spec::corpus::running_example(), 11);
     let run = engine.open_run(SpecId(0)).unwrap();
     for ev in exec.events() {
         engine.submit(run, ev).unwrap();
