@@ -264,11 +264,10 @@ impl EngineBuilder {
             .chain(spill.iter().map(SpillDir::next_run))
             .max()
             .unwrap_or(0);
-        let catalog: Box<[Arc<SpecContext>]> = self.contexts.into_boxed_slice();
-        let subs = SubHub::new(catalog.clone(), Arc::clone(&obs), self.sub_queue_capacity);
         let shared = Arc::new(EngineShared {
-            catalog,
-            store: LabelStore::new(self.shards, persisted, lru, subs),
+            catalog: self.contexts.into_boxed_slice(),
+            store: LabelStore::new(self.shards, persisted, lru),
+            subs: SubHub::new(self.sub_queue_capacity),
             next_run: AtomicU64::new(persisted_next.max(recovered.next_run)),
             obs,
             ingest: Ingest::new(self.ingest_workers),

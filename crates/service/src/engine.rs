@@ -21,7 +21,7 @@ use crate::slot::RunSlot;
 use crate::spill::{file_stats, registrations, CompactionReport, FileStat, SpillDir};
 use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, Tier};
-use crate::sub::{SubPredicate, Subscription};
+use crate::sub::{SubHub, SubPredicate, Subscription};
 use crate::telemetry::Telemetry;
 use crate::watchdog::{Health, StallCause, Watchdog};
 use crate::{
@@ -46,8 +46,12 @@ pub const DEFAULT_MAX_VERTEX_ID: u32 = (1 << 24) - 1;
 /// of the v2 API: nothing in here borrows from a caller.
 pub(crate) struct EngineShared {
     pub(crate) catalog: Box<[Arc<SpecContext>]>,
-    /// The tiered run registry (hot / sealed).
+    /// The tiered run registry (hot / sealed): the one record of which
+    /// runs exist and which tier holds each.
     pub(crate) store: LabelStore,
+    /// The standing queries: the registry the ingest paths, the
+    /// subscribe-time catch-up and the eviction fan out to.
+    pub(crate) subs: SubHub,
     pub(crate) next_run: AtomicU64,
     /// All observability state: counters, histograms, the trace ring.
     pub(crate) obs: Arc<Telemetry>,
@@ -377,6 +381,7 @@ impl WfEngine {
             .store
             .remove(run)
             .ok_or(ServiceError::UnknownRun(run))?;
+        self.shared.notify_evicted(run);
         let located = match &view {
             RunView::Hot(slot) => {
                 slot.evict();
@@ -523,7 +528,7 @@ impl WfEngine {
     /// [`crate::SubPredicate`] for scoping and [`crate::Delta`] for the
     /// event vocabulary.
     pub fn subscribe(&self, predicate: SubPredicate) -> Subscription {
-        self.shared.store.subscribe(predicate)
+        self.shared.subscribe(predicate)
     }
 
     /// Status of a run (tier-transparent: frozen and persisted runs are
@@ -548,6 +553,9 @@ impl WfEngine {
         let mut hot_resident_bytes = 0u64;
         let mut queries_answered = 0u64;
         let mut live = 0u64;
+        // [hot, frozen, persisted], counted off the one walk: a run is
+        // in exactly one registry entry, so it is counted exactly once.
+        let mut runs = [0u64; 3];
         let mut frozen_bytes = 0u64;
         let mut frozen_label_bits = 0u64;
         let mut persisted_bytes = 0u64;
@@ -555,6 +563,8 @@ impl WfEngine {
         store.for_each(|_, view| {
             labels_published += view.published() as u64;
             queries_answered += view.queries().load(Ordering::Relaxed);
+            let tier = view.tier();
+            runs[tier as usize] += 1;
             match view {
                 RunView::Hot(slot) => {
                     labels_hot += slot.indexed.len() as u64;
@@ -564,7 +574,7 @@ impl WfEngine {
                         live += 1;
                     }
                 }
-                RunView::Sealed(sealed) if sealed.tier() == Tier::Frozen => {
+                RunView::Sealed(sealed) if tier == Tier::Frozen => {
                     frozen_bytes += sealed.arena_bytes();
                     frozen_label_bits += sealed.header().drl_bits;
                 }
@@ -589,9 +599,9 @@ impl WfEngine {
             labels_hot,
             label_bits_total: hot_label_bits,
             hot_resident_bytes,
-            runs_hot: store.tiers.get(Tier::Hot) as u64,
-            runs_frozen: store.tiers.get(Tier::Frozen) as u64,
-            runs_persisted: store.tiers.get(Tier::Persisted) as u64,
+            runs_hot: runs[Tier::Hot as usize],
+            runs_frozen: runs[Tier::Frozen as usize],
+            runs_persisted: runs[Tier::Persisted as usize],
             freezes: obs.freezes.get(),
             spills: obs.spills.get(),
             reheats: obs.reheats.get(),
@@ -610,7 +620,7 @@ impl WfEngine {
             wal_truncations: obs.wal_truncations.get(),
             wal_recovered_runs: obs.wal_recovered_runs.get(),
             wal_recovered_records: obs.wal_recovered_records.get(),
-            subscriptions: store.subs.active() as u64,
+            subscriptions: self.shared.subs.active() as u64,
             uptime: obs.started.elapsed(),
         }
     }

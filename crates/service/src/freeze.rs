@@ -22,7 +22,7 @@
 
 use crate::slot::RunSlot;
 use crate::snapshot::{encode_segment, SealedRun, SegmentHeader};
-use crate::store::SegmentLru;
+use crate::store::{SegmentLru, Tier};
 use crate::RunId;
 use std::sync::Arc;
 use wf_drl::LabelArena;
@@ -58,7 +58,7 @@ pub(crate) fn freeze_slot(run: RunId, slot: &RunSlot, lru: &Arc<SegmentLru>) -> 
         encode,
         &obs.h_freeze_encode,
         Some(run.0),
-        Some("frozen"),
+        Some(Tier::Frozen.name()),
         String::new,
     );
     SealedRun::on_heap(header, blob, Arc::clone(lru))

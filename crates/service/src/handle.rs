@@ -15,7 +15,7 @@
 use crate::engine::EngineShared;
 use crate::ingest::{apply, Entry, Op};
 use crate::store::{RunView, Tier};
-use crate::telemetry::{tier_tag, SpanHandle};
+use crate::telemetry::SpanHandle;
 use crate::{RunId, RunStatus, ServiceError, SpecContext};
 use std::sync::Arc;
 use wf_drl::{DrlLabel, DrlPredicate};
@@ -99,7 +99,7 @@ impl RunHandle {
                 span,
                 &obs.h_reach,
                 Some(self.run.0),
-                Some(tier_tag(self.view.tier())),
+                Some(self.view.tier().name()),
                 String::new,
             );
         }

@@ -42,7 +42,7 @@
 use crate::engine::{route_worker, EngineShared, DEFAULT_MAX_VERTEX_ID};
 use crate::slot::RunSlot;
 use crate::telemetry::{SpanCtx, SpanHandle};
-use crate::{BatchOutcome, RunId, RunOp, ServiceError, SpecId};
+use crate::{BatchOutcome, RunId, RunOp, ServiceError, SpecId, Tier};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -111,16 +111,13 @@ pub(crate) fn apply(
     match op {
         Op::Insert(ev) => {
             if res.is_ok() {
-                shared
-                    .store
-                    .subs
-                    .notify_insert(run, slot, ev.vertex, ev.name);
+                shared.notify_insert(run, slot, ev.vertex, ev.name);
             }
             obs.finish(
                 span,
                 &obs.h_ingest_apply,
                 Some(run.0),
-                Some("hot"),
+                Some(Tier::Hot.name()),
                 String::new,
             );
             record_insert_outcome(shared, &res);
@@ -188,7 +185,7 @@ fn record_complete_outcome(
         shared.obs.runs_completed.inc();
         // The status CAS fired exactly once, so this fan-out is
         // edge-triggered: subscribers see one RunCompleted per run.
-        shared.store.subs.notify_complete(run, spec);
+        shared.notify_complete(run, spec);
         shared.tiering.note_completed(run);
     }
 }

@@ -27,7 +27,6 @@
 use crate::engine::EngineShared;
 use crate::freeze::freeze_slot;
 use crate::store::{RunView, Tier};
-use crate::telemetry::tier_tag;
 use crate::{RunId, RunStatus, ServiceError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -230,7 +229,7 @@ impl EngineShared {
             span,
             &self.obs.h_freeze,
             Some(run.0),
-            Some(tier_tag(Tier::Frozen)),
+            Some(Tier::Frozen.name()),
             || format!("labels={labels}"),
         );
         Ok(())
@@ -281,13 +280,13 @@ impl EngineShared {
             return Ok(()); // hot: in memory already
         };
         let span = self.obs.timer();
-        if sealed.reheat(&self.store.tiers)? {
+        if sealed.reheat()? {
             self.obs.reheats.inc();
             self.obs.finish(
                 span,
                 &self.obs.h_reheat,
                 Some(run.0),
-                Some(tier_tag(Tier::Frozen)),
+                Some(Tier::Frozen.name()),
                 || format!("bytes={}", sealed.blob_len()),
             );
         }
@@ -313,12 +312,6 @@ impl EngineShared {
         let Some(keep) = self.tiering.policy.freeze_after else {
             return;
         };
-        // Completed hot runs ≤ hot runs: while the whole tier fits the
-        // bound there is nothing to freeze, and an idle tick ends here
-        // without walking the registry.
-        if self.store.tiers.get(Tier::Hot) <= keep {
-            return;
-        }
         let mut hot_completed = 0usize;
         self.store.for_each(|_, view| {
             if matches!(view, RunView::Hot(slot) if slot.status() == RunStatus::Completed) {

@@ -187,12 +187,15 @@ impl<'e> CrossRunQuery<'e> {
             }
         }
         if obs.enabled {
-            for (i, tag) in ["hot", "frozen", "persisted"].iter().enumerate() {
+            for (i, tier) in [Tier::Hot, Tier::Frozen, Tier::Persisted]
+                .iter()
+                .enumerate()
+            {
                 if tier_ns[i] > 0 && tier_ns[i] >= obs.slow_op_ns {
                     obs.record_leaf(
                         "tier_scan",
                         None,
-                        Some(tag),
+                        Some(tier.name()),
                         tier_ns[i],
                         format!("runs={}", runs[i]),
                     );

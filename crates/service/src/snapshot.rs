@@ -66,7 +66,7 @@
 //! sealed run's only exit, is settled under that lock too.
 
 use crate::bufmgr::{read_exact_at, PackFile};
-use crate::store::{SegmentLru, Tier, TierCounts};
+use crate::store::{SegmentLru, Tier};
 use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};
 use std::fmt;
@@ -446,14 +446,6 @@ struct Place {
 }
 
 impl Place {
-    fn tier(&self) -> Tier {
-        if self.held {
-            Tier::Frozen
-        } else {
-            Tier::Persisted
-        }
-    }
-
     /// Why reads of the run come back empty, once a load failed.
     fn failure(&self) -> Option<&SnapshotError> {
         match &self.disk.as_ref()?.state {
@@ -579,7 +571,11 @@ impl SealedRun {
 
     /// `Frozen` while the frame is held, `Persisted` otherwise.
     pub(crate) fn tier(&self) -> Tier {
-        self.read().tier()
+        if self.read().held {
+            Tier::Frozen
+        } else {
+            Tier::Persisted
+        }
     }
 
     /// True when a read costs no disk read: the run has a frame.
@@ -668,7 +664,7 @@ impl SealedRun {
                         span,
                         &obs.h_pack_pin,
                         Some(self.run().0),
-                        Some("persisted"),
+                        Some(Tier::Persisted.name()),
                         || format!("bytes={}", self.len),
                     );
                     disk.state = LoadState::Verified;
@@ -680,7 +676,7 @@ impl SealedRun {
                 obs.event(
                     "pack_pin_failed",
                     Some(self.run().0),
-                    Some("persisted"),
+                    Some(Tier::Persisted.name()),
                     || format!("file={} cause={cause}", disk.file.path().display()),
                 );
                 disk.state = LoadState::Failed(cause);
@@ -697,7 +693,6 @@ impl SealedRun {
     /// an orphan the next compaction sweeps.
     pub(crate) fn persist(
         &self,
-        tiers: &TierCounts,
         write: impl FnOnce(&[u8]) -> Result<Arc<PackFile>, SnapshotError>,
     ) -> Result<bool, ServiceError> {
         let gone = || ServiceError::UnknownRun(self.run());
@@ -707,7 +702,7 @@ impl SealedRun {
                 return Err(gone());
             }
             if place.held && place.disk.is_some() {
-                release(&mut place, tiers);
+                release(&mut place);
                 return Ok(false);
             }
             match (&place.frame, place.held) {
@@ -721,7 +716,7 @@ impl SealedRun {
             return Err(gone());
         }
         place.disk = Some(Disk::at(file, 0));
-        release(&mut place, tiers);
+        release(&mut place);
         Ok(true)
     }
 
@@ -730,7 +725,7 @@ impl SealedRun {
     /// location stays — the blob is still listed, and a restart brings
     /// the run back persisted. `Ok(false)` when the frame is held
     /// already.
-    pub(crate) fn reheat(&self, tiers: &TierCounts) -> Result<bool, ServiceError> {
+    pub(crate) fn reheat(&self) -> Result<bool, ServiceError> {
         let mut place = self.write();
         if place.evicted {
             return Err(ServiceError::UnknownRun(self.run()));
@@ -746,7 +741,6 @@ impl SealedRun {
         }
         place.held = true;
         self.lru.leave(self);
-        tiers.moved(Some(Tier::Persisted), Some(Tier::Frozen));
         Ok(true)
     }
 
@@ -766,14 +760,13 @@ impl SealedRun {
         }
     }
 
-    /// **Evict**, a sealed run's only exit: leave its tier and the
-    /// replacer. Settled under the place lock, so a load through a stale
-    /// handle afterwards reads on without entering the replacer, and a
-    /// persist or re-heat after it changes nothing.
-    pub(crate) fn evict(&self, tiers: &TierCounts) {
+    /// **Evict**, a sealed run's only exit: leave the replacer. Settled
+    /// under the place lock, so a load through a stale handle afterwards
+    /// reads on without entering the replacer, and a persist or re-heat
+    /// after it changes nothing.
+    pub(crate) fn evict(&self) {
         let mut place = self.write();
         place.evicted = true;
-        tiers.moved(Some(place.tier()), None);
         self.lru.leave(self);
     }
 
@@ -791,8 +784,7 @@ impl SealedRun {
 }
 
 /// Let a held frame go: the run is read from its location from now on.
-fn release(place: &mut Place, tiers: &TierCounts) {
+fn release(place: &mut Place) {
     place.frame = None;
     place.held = false;
-    tiers.moved(Some(Tier::Frozen), Some(Tier::Persisted));
 }

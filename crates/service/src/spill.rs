@@ -34,7 +34,6 @@ use crate::snapshot::{
     PACK_TARGET_BYTES,
 };
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
-use crate::telemetry::tier_tag;
 use crate::{RunId, ServiceError};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -100,7 +99,7 @@ pub(crate) struct Located {
 /// Every registration the store holds — every sealed run that has a
 /// location.
 pub(crate) fn registrations(store: &LabelStore) -> Vec<Located> {
-    let mut out = Vec::with_capacity(store.tiers.get(Tier::Persisted));
+    let mut out = Vec::new();
     store.for_each(|_, view| {
         if let RunView::Sealed(run) = view {
             if let Some((file, offset)) = run.location() {
@@ -305,7 +304,7 @@ impl SpillDir {
         let _g = self.lock();
         let obs = &store.lru.obs;
         let span = obs.timer();
-        if !sealed.persist(&store.tiers, |blob| self.write_pack(blob))? {
+        if !sealed.persist(|blob| self.write_pack(blob))? {
             return Ok(false);
         }
         snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
@@ -315,7 +314,7 @@ impl SpillDir {
             span,
             &obs.h_spill,
             Some(run.0),
-            Some(tier_tag(Tier::Persisted)),
+            Some(Tier::Persisted.name()),
             || format!("bytes={}", sealed.blob_len()),
         );
         Ok(true)
@@ -470,7 +469,7 @@ impl SpillDir {
         out.files_after = out.files_before - copied.len() + packs.len();
         out.packs_written = packs.len();
         self.sweep_orphans(&registered);
-        let tier = Some(tier_tag(Tier::Persisted));
+        let tier = Some(Tier::Persisted.name());
         obs.finish(span, &obs.h_compaction, None, tier, || {
             format!(
                 "files={}->{} runs={} reclaimed={}",

@@ -36,14 +36,17 @@
 //! — its manifest, its dead byte census and its orphan sweep — are every
 //! sealed run that has a location.
 //!
-//! The store runs no subscription code under its locks: a tier change
-//! is not a lineage delta, so a transition tells no subscriber, and an
-//! eviction fans out only after the shard lock is released.
+//! The store runs no subscription code because it contains none: a tier
+//! change is not a lineage delta, so a transition tells no subscriber,
+//! and the engine fans an eviction out after [`LabelStore::remove`] has
+//! returned. The registry is the one record of a run — whether it is
+//! registered, and in which tier — so a run the registry does not hold
+//! is evicted (run ids are never reused), and the tier sizes are counted
+//! off a walk, not kept.
 
 use crate::engine::route_hash;
 use crate::slot::RunSlot;
 use crate::snapshot::SealedRun;
-use crate::sub::{SubHub, SubPredicate, Subscription};
 use crate::telemetry::{bump, Telemetry};
 use crate::{RunId, RunStatus, ServiceError, SpecId};
 use std::collections::HashMap;
@@ -153,10 +156,12 @@ impl SegmentLru {
                 let freed = victim.blob_len();
                 self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
                 self.obs.segment_sheds.inc();
-                self.obs
-                    .event("shed", Some(victim.run().0), Some("persisted"), || {
-                        format!("bytes={freed}")
-                    });
+                self.obs.event(
+                    "shed",
+                    Some(victim.run().0),
+                    Some(Tier::Persisted.name()),
+                    || format!("bytes={freed}"),
+                );
             }
         }
     }
@@ -175,38 +180,21 @@ pub enum Tier {
     Persisted,
 }
 
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl Tier {
+    /// The tier's name, as trace events, metric labels and `Display`
+    /// spell it.
+    pub fn name(self) -> &'static str {
         match self {
-            Tier::Hot => write!(f, "hot"),
-            Tier::Frozen => write!(f, "frozen"),
-            Tier::Persisted => write!(f, "persisted"),
+            Tier::Hot => "hot",
+            Tier::Frozen => "frozen",
+            Tier::Persisted => "persisted",
         }
     }
 }
 
-/// Runs per tier (indexed by `Tier as usize`), moved by every edge — an
-/// insert, the freeze transition, persist, re-heat and eviction, the
-/// last three under the sealed run's place lock — so the stats and the
-/// idle tiering tick read a tier's size without walking the registry.
-#[derive(Default)]
-pub(crate) struct TierCounts([AtomicU64; 3]);
-
-impl TierCounts {
-    /// A run left `from` (`None`: it was not registered) for `to`
-    /// (`None`: it is no longer).
-    pub(crate) fn moved(&self, from: Option<Tier>, to: Option<Tier>) {
-        if let Some(t) = from {
-            self.0[t as usize].fetch_sub(1, Ordering::Relaxed);
-        }
-        if let Some(t) = to {
-            self.0[t as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// How many runs `tier` holds right now.
-    pub(crate) fn get(&self, tier: Tier) -> usize {
-        self.0[tier as usize].load(Ordering::Relaxed) as usize
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -215,8 +203,8 @@ impl TierCounts {
 type Shard = RwLock<HashMap<u64, RunView>>;
 
 // A poisoned shard is recovered, not propagated: every write under it is
-// one map insert, remove or assignment plus relaxed counter adds, so a
-// holder that panicked left a valid map.
+// one map insert, remove or assignment, so a holder that panicked left
+// a valid map.
 fn read(shard: &Shard) -> RwLockReadGuard<'_, HashMap<u64, RunView>> {
     shard.read().unwrap_or_else(PoisonError::into_inner)
 }
@@ -416,55 +404,23 @@ impl RunView {
 pub(crate) struct LabelStore {
     /// A power-of-two number of shards.
     shards: Box<[Shard]>,
-    /// Runs per tier.
-    pub(crate) tiers: TierCounts,
     /// Residency governor shared by every sealed run in this store.
     pub(crate) lru: Arc<SegmentLru>,
-    /// Standing-query fan-out: a subscription's catch-up scans the
-    /// registry, and an eviction retracts what it delivered.
-    pub(crate) subs: SubHub,
 }
 
 impl LabelStore {
     /// An empty store with `shards` shards (rounded up to a power of
     /// two), pre-seeded with the sealed runs the spill directory lists.
-    pub(crate) fn new(
-        shards: usize,
-        persisted: Vec<Arc<SealedRun>>,
-        lru: Arc<SegmentLru>,
-        subs: SubHub,
-    ) -> Self {
+    pub(crate) fn new(shards: usize, persisted: Vec<Arc<SealedRun>>, lru: Arc<SegmentLru>) -> Self {
         let n = shards.max(1).next_power_of_two();
         let store = Self {
             shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            tiers: TierCounts::default(),
             lru,
-            subs,
         };
         for p in persisted {
             store.insert(p.run(), RunView::Sealed(p));
         }
         store
-    }
-
-    /// Register a standing query: the new subscription is inserted into
-    /// the fan-out registry first, then caught up on every existing run
-    /// — any event racing the scan also fans out to the fresh core, and
-    /// the matcher's per-vertex dedup collapses the overlap.
-    pub(crate) fn subscribe(&self, predicate: SubPredicate) -> Subscription {
-        let core = self.subs.register(predicate);
-        let obs = &self.subs.obs;
-        let start = obs.timer();
-        let views = self.snapshot_views();
-        let runs = views.len();
-        let mut labels = 0u64;
-        for (run, view) in &views {
-            labels += self.subs.catch_up(&core, *run, view);
-        }
-        obs.finish(start, &obs.h_sub_match, None, None, || {
-            format!("runs={runs} labels={labels}")
-        });
-        SubHub::handle(core)
     }
 
     fn shard(&self, run: RunId) -> &Shard {
@@ -474,8 +430,13 @@ impl LabelStore {
     /// Register a run the store has not seen: freshly opened, replayed
     /// from the WAL, or listed by the spill directory's manifest.
     pub(crate) fn insert(&self, run: RunId, view: RunView) {
-        self.tiers.moved(None, Some(view.tier()));
         write(self.shard(run)).insert(run.0, view);
+    }
+
+    /// Whether `run` is registered. Run ids are never reused, so a run
+    /// that was once registered and is not now has been evicted.
+    pub(crate) fn contains(&self, run: RunId) -> bool {
+        read(self.shard(run)).contains_key(&run.0)
     }
 
     /// The run's current representation, whatever its tier.
@@ -501,21 +462,19 @@ impl LabelStore {
         };
         let carried = entry.queries().load(Ordering::Relaxed);
         sealed.queries.store(carried, Ordering::Relaxed);
-        self.tiers.moved(Some(Tier::Hot), Some(sealed.tier()));
         *entry = RunView::Sealed(sealed);
         true
     }
 
     /// Evict a run, returning the representation it had (the caller
-    /// marks a hot slot evicted under its writer lock; a sealed run
-    /// settles its own eviction under its place lock).
+    /// marks a hot slot evicted under its writer lock and then fans the
+    /// eviction out to the subscriptions; a sealed run settles its own
+    /// eviction under its place lock).
     pub(crate) fn remove(&self, run: RunId) -> Option<RunView> {
         let old = write(self.shard(run)).remove(&run.0)?;
-        match &old {
-            RunView::Hot(_) => self.tiers.moved(Some(Tier::Hot), None),
-            RunView::Sealed(s) => s.evict(&self.tiers),
+        if let RunView::Sealed(s) = &old {
+            s.evict();
         }
-        self.subs.evicted(run);
         Some(old)
     }
 
@@ -523,8 +482,7 @@ impl LabelStore {
     /// scope the cross-run query surface scans. Locks are held only
     /// long enough to clone `Arc`s.
     pub(crate) fn snapshot_views(&self) -> Vec<(RunId, RunView)> {
-        let runs = [Tier::Hot, Tier::Frozen, Tier::Persisted].map(|t| self.tiers.get(t));
-        let mut out = Vec::with_capacity(runs.iter().sum());
+        let mut out = Vec::new();
         self.for_each(|run, view| out.push((run, view.clone())));
         out
     }

@@ -36,26 +36,36 @@
 //! `subscribe`'s insert, so a notify that misses a new subscriber
 //! happens-before that subscriber's catch-up scan — which then reads the
 //! already-published label. Both firing is harmless: the matcher's
-//! per-vertex `seen` set makes every feed idempotent. Eviction is
-//! tombstoned so a delayed notify cannot resurrect a removed run's
-//! deltas.
+//! per-vertex `seen` set makes every feed idempotent. The record of an
+//! eviction is registry membership: run ids are never reused, so a run
+//! the store's registry does not hold has been evicted, and a delayed
+//! notify that checks it under the subscription's state lock cannot
+//! resurrect a removed run's deltas.
+//!
+//! The hub ([`SubHub`]) is a field of the engine, beside the store, not
+//! inside it: the store contains no subscription code. Lock order,
+//! outermost first: the hub's `registry` → a subscription's `state` →
+//! {its `queue`, one store shard read lock}. No holder of a store lock
+//! ever takes a subscription lock, so the order is acyclic.
 //!
 //! ## A panic costs one subscription
 //!
 //! The fan-outs run on ingest workers, on the evicting thread and on the
-//! subscribing thread — under no store lock — so nothing here may panic
-//! on a poisoned lock: that would turn one subscription's fault into a
-//! worker reporting `WorkerPanicked` for an event that *was* applied. A
+//! subscribing thread — entered under no store lock — so nothing here
+//! may panic on a poisoned lock: that would turn one subscription's
+//! fault into a worker reporting `WorkerPanicked` for an event that
+//! *was* applied. A
 //! poisoned per-subscription lock (`state`, `queue`) means a thread
 //! panicked part-way through that subscription's matcher or queue, so
 //! its stream can no longer be trusted: [`SubCore::own`], the one way
 //! either is taken, closes the subscription — its consumers see the
-//! stream end — and every fan-out skips it. The two hub-wide locks
-//! (`registry`, `tombstones`) guard a `Vec` push / retain and a
-//! `HashSet` insert, valid at every step, so their guards are recovered.
+//! stream end — and every fan-out skips it. The one hub-wide lock
+//! (`registry`) guards a `Vec` push / retain, valid at every step, so
+//! its guard is recovered.
 
+use crate::engine::EngineShared;
 use crate::slot::RunSlot;
-use crate::store::{Labels, RunView};
+use crate::store::{Labels, RunView, Tier};
 use crate::telemetry::{SpanHandle, Telemetry};
 use crate::{RunId, RunStatus, SpecContext, SpecId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -437,9 +447,10 @@ struct SubQueue {
 /// and therefore one delta stream.
 pub(crate) struct SubCore {
     pred: SubPredicate,
-    /// Per-run state, keyed by run id. Leaf lock: never held while
-    /// taking a store or registry lock. Emptied when the last handle
-    /// drops; take it through [`Self::runs`].
+    /// Per-run state, keyed by run id. Never held while taking the
+    /// hub's registry lock; a fan-out takes one store shard read lock
+    /// under it. Emptied when the last handle drops; take it through
+    /// [`Self::runs`].
     state: Mutex<HashMap<u64, RunSubState>>,
     queue: Mutex<SubQueue>,
     /// Bound of `queue`.
@@ -652,15 +663,15 @@ struct SubEntry {
     core: Arc<SubCore>,
 }
 
-/// The subscription registry and fan-out engine, owned by the label
-/// store, whose catch-up scan and eviction feed it.
+/// The subscription registry, held by the engine
+/// ([`EngineShared::subs`]); the fan-outs that feed it are
+/// [`EngineShared`] methods, since they read the catalog, the telemetry
+/// and the run registry the engine holds beside it.
 ///
 /// Lock hierarchy (outermost first): `registry` → per-sub `state` →
-/// {`queue`, `tombstones`}. No fan-out runs under a store lock, and
-/// subscription code never takes one while holding any of its own.
+/// {`queue`, one store shard read lock}. No holder of a store lock ever
+/// takes a subscription lock, so the order stays acyclic.
 pub(crate) struct SubHub {
-    catalog: Box<[Arc<SpecContext>]>,
-    pub(crate) obs: Arc<Telemetry>,
     queue_capacity: usize,
     /// Open (not-yet-closed) subscriptions: the notify fast path is one
     /// relaxed load of this when nobody subscribes.
@@ -679,27 +690,15 @@ pub(crate) struct SubHub {
     /// subscription's catch-up snapshot sees it.
     interest: AtomicU64,
     registry: RwLock<Vec<SubEntry>>,
-    /// Evicted run ids. A delayed per-event notify (the apply → notify
-    /// window is outside the writer lock) checks this inside the per-sub
-    /// state lock, which totally orders it against [`Self::evicted`]'s
-    /// fan-out — so an eviction can never leak a dangling `Added`.
-    tombstones: Mutex<HashSet<u64>>,
 }
 
 impl SubHub {
-    pub(crate) fn new(
-        catalog: Box<[Arc<SpecContext>]>,
-        obs: Arc<Telemetry>,
-        queue_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(queue_capacity: usize) -> Self {
         Self {
-            catalog,
-            obs,
             queue_capacity: queue_capacity.max(1),
             active: Arc::new(AtomicUsize::new(0)),
             interest: AtomicU64::new(0),
             registry: RwLock::new(Vec::new()),
-            tombstones: Mutex::new(HashSet::new()),
         }
     }
 
@@ -708,9 +707,9 @@ impl SubHub {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Register a new subscription core (catch-up is the store's job —
-    /// it needs the tier snapshot, which this hub must not take itself).
-    pub(crate) fn register(&self, pred: SubPredicate) -> Arc<SubCore> {
+    /// Register a new subscription core (catch-up is the engine's job —
+    /// it needs the registry snapshot, which this hub does not hold).
+    fn register(&self, pred: SubPredicate) -> Arc<SubCore> {
         let (kind, spec) = (pred.kind, pred.spec);
         let core = Arc::new(SubCore {
             pred,
@@ -744,21 +743,38 @@ impl SubHub {
         core
     }
 
-    /// Wrap a registered core into its public handle.
-    pub(crate) fn handle(core: Arc<SubCore>) -> Subscription {
-        Subscription { core }
-    }
-
-    fn is_tombstoned(&self, run: RunId) -> bool {
-        self.tombstones
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&run.0)
-    }
-
     /// The registry rows, for a fan-out.
     fn rows(&self) -> std::sync::RwLockReadGuard<'_, Vec<SubEntry>> {
         self.registry.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The fan-outs. An evicted run is one the run registry does not hold
+/// (run ids are never reused): a fan-out that might add state for a run
+/// checks [`crate::store::LabelStore::contains`] *inside* the
+/// subscription's state lock, and [`crate::WfEngine::evict_run`] takes
+/// the run out of its shard before [`Self::notify_evicted`] starts — so
+/// if the check misses a concurrent eviction, the eviction's fan-out is
+/// ordered after that critical section and cleans up what it left.
+impl EngineShared {
+    /// Register a standing query: the new subscription is inserted into
+    /// the fan-out registry first, then caught up on every existing run
+    /// — any event racing the scan also fans out to the fresh core, and
+    /// the matcher's per-vertex dedup collapses the overlap.
+    pub(crate) fn subscribe(&self, predicate: SubPredicate) -> Subscription {
+        let core = self.subs.register(predicate);
+        let obs = &self.obs;
+        let start = obs.timer();
+        let views = self.store.snapshot_views();
+        let runs = views.len();
+        let mut labels = 0u64;
+        for (run, view) in &views {
+            labels += self.catch_up(&core, *run, view);
+        }
+        obs.finish(start, &obs.h_sub_match, None, None, || {
+            format!("runs={runs} labels={labels}")
+        });
+        Subscription { core }
     }
 
     /// Fan out one applied insertion. Called by the ingest paths right
@@ -768,14 +784,15 @@ impl SubHub {
     /// matcher's set semantics. `v`'s label is read from the slot once,
     /// for every subscription it concerns.
     pub(crate) fn notify_insert(&self, run: RunId, slot: &RunSlot, v: VertexId, name: NameId) {
-        if self.active.load(Ordering::Relaxed) == 0 {
+        let hub = &self.subs;
+        if hub.active.load(Ordering::Relaxed) == 0 {
             return;
         }
         // Name-interest filter: one read-only relaxed load decides, for
         // the overwhelmingly common event nobody subscribed to, that the
         // registry lock (a shared atomic RMW, hence cross-core coherence
         // traffic) need not be touched at all.
-        if self.interest.load(Ordering::Relaxed) & (1u64 << (name.0 & 63)) == 0 {
+        if hub.interest.load(Ordering::Relaxed) & (1u64 << (name.0 & 63)) == 0 {
             return;
         }
         let start = if self.obs.notify_sampled() {
@@ -786,7 +803,7 @@ impl SubHub {
         let predicate = DrlPredicate::new(&self.catalog[slot.spec.0].skeleton);
         let labels = Labels::Hot(slot);
         let mut label = None;
-        let subs = self.rows();
+        let subs = hub.rows();
         for e in subs.iter() {
             // Precheck on the inlined row first: the common case (no
             // subscription cares about this event) touches no `Arc`.
@@ -800,14 +817,14 @@ impl SubHub {
             let Some(label) = *label.get_or_insert_with(|| labels.label(v)) else {
                 break;
             };
-            // The tombstone check sits *inside* the state lock: if it
+            // The registry check sits *inside* the state lock: if it
             // misses a concurrent eviction, the eviction's fan-out is
             // ordered after this critical section and cleans up the
             // entry.
             let Some(mut map) = core.runs() else {
                 continue;
             };
-            if self.is_tombstoned(run) {
+            if !self.store.contains(run) {
                 continue;
             }
             let st = map
@@ -824,7 +841,7 @@ impl SubHub {
                 start,
                 &self.obs.h_sub_notify,
                 Some(run.0),
-                Some("hot"),
+                Some(Tier::Hot.name()),
                 String::new,
             );
         }
@@ -834,10 +851,10 @@ impl SubHub {
     /// exactly once, and per-run FIFO ordering puts this after every
     /// insert notify of the run).
     pub(crate) fn notify_complete(&self, run: RunId, spec: SpecId) {
-        if self.active.load(Ordering::Relaxed) == 0 {
+        if self.subs.active.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.rows();
+        let subs = self.subs.rows();
         for e in subs.iter() {
             if e.spec.is_some_and(|s| s != spec) || e.core.is_closed() {
                 continue;
@@ -856,18 +873,13 @@ impl SubHub {
         }
     }
 
-    /// Fan out an eviction: tombstone the run (so delayed notifies and
-    /// in-flight catch-ups cannot resurrect it), then retract every
-    /// delivered witness.
-    pub(crate) fn evicted(&self, run: RunId) {
-        self.tombstones
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(run.0);
-        if self.active.load(Ordering::Relaxed) == 0 {
+    /// Fan out an eviction, after the registry has let the run go:
+    /// retract every delivered witness.
+    pub(crate) fn notify_evicted(&self, run: RunId) {
+        if self.subs.active.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.rows();
+        let subs = self.subs.rows();
         for e in subs.iter() {
             let core = &e.core;
             if core.is_closed() {
@@ -897,7 +909,7 @@ impl SubHub {
         let Some(mut map) = core.runs() else {
             return 0;
         };
-        if self.is_tombstoned(run) {
+        if !self.store.contains(run) {
             return 0;
         }
         let st = map
@@ -910,9 +922,9 @@ impl SubHub {
         let fed = feed_view(&mut st.matcher, &predicate, view, &mut |w| {
             st.matches.push(w)
         });
-        // Re-check the tombstone before reconciling: an eviction that
+        // Re-check the registry before reconciling: an eviction that
         // landed mid-scan must not leave freshly-found witnesses behind.
-        if self.is_tombstoned(run) {
+        if !self.store.contains(run) {
             if let Some(st) = map.remove(&run.0) {
                 for w in st.matches[..st.emitted].iter().cloned() {
                     core.push(Delta::Removed { run, witness: w }, &self.obs);
@@ -1048,10 +1060,7 @@ mod tests {
         // catch_up, on a subscribing thread.
         let victim = poisoned();
         let view = engine.shared.view(run).unwrap();
-        assert_eq!(
-            engine.shared.store.subs.catch_up(&victim.core, run, &view),
-            0
-        );
+        assert_eq!(engine.shared.catch_up(&victim.core, run, &view), 0);
         assert!(ended(&victim));
 
         // A poisoned queue ends the stream for producer and consumer.

@@ -22,7 +22,6 @@
 //! Point-in-time values are not kept here: their one home is
 //! [`crate::ServiceStats`], whose `gauges()` table the exporters render.
 
-use crate::store::Tier;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,15 +118,6 @@ impl SpanHandle {
     /// stage that is timed but has no instrument of its own.
     pub fn elapsed_ns(&self) -> u64 {
         self.start.map_or(0, |s| s.elapsed().as_nanos() as u64)
-    }
-}
-
-/// Static label for a tier, for trace events and metric labels.
-pub(crate) fn tier_tag(tier: Tier) -> &'static str {
-    match tier {
-        Tier::Hot => "hot",
-        Tier::Frozen => "frozen",
-        Tier::Persisted => "persisted",
     }
 }
 

@@ -3,14 +3,16 @@
 //! build each label once: applying an event through the engine allocates
 //! what the bare labeler allocates for it — per parse-tree node, not per
 //! event: a label shares its context's prefix array — and what the run
-//! keeps on the heap once completed is what `stats()` says it keeps.
+//! keeps on the heap once completed is what `stats()` says it keeps —
+//! and once evicted, nothing.
 //!
 //! The paper's predicate decides "using only the two labels" at the
 //! first entry where they differ, so a completed run can answer by
-//! walking two bit cursors over its encoded arena — in memory or mapped
-//! — without materialising either label. This file pins that down with
-//! a counting allocator: the counters are thread-local, so the engine's
-//! background threads and other tests never disturb a measurement.
+//! walking two bit cursors over its encoded arena — in the heap frame
+//! that holds its blob — without materialising either label. This file
+//! pins that down with a counting allocator: the counters are
+//! thread-local, so the engine's background threads and other tests
+//! never disturb a measurement.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -430,6 +432,37 @@ fn a_completed_hot_run_keeps_the_heap_its_stats_report() {
     assert!(
         (0.6..=1.0).contains(&ratio),
         "{reported:.1} B/label reported, {completed:.1} B/label on the heap"
+    );
+}
+
+/// An evicted run leaves no heap behind: the registry is the one record
+/// that a run exists, and an eviction takes the run out of it, so a
+/// subscription open beside the evictions keeps no per-run mark of them.
+/// A first round grows the registry's shard maps; the second round, as
+/// many runs again, must then retain (next to) nothing — a set of
+/// evicted ids kept for the engine's lifetime would hold 73 728 B for
+/// it.
+#[test]
+fn an_evicted_run_leaves_no_heap_behind() {
+    const RUNS: usize = 4096;
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .slow_op_threshold(Duration::from_secs(3600))
+        .build();
+    let _sub = engine.subscribe(SubPredicate::vertices_named(NameId(0)));
+    let round = || {
+        for _ in 0..RUNS {
+            let run = engine.open_run(SpecId(0)).unwrap();
+            engine.evict_run(run).unwrap();
+        }
+    };
+    round();
+    let before = LIVE.with(Cell::get);
+    round();
+    let retained = LIVE.with(Cell::get) - before;
+    assert!(
+        retained <= 1024,
+        "{retained} B retained by {RUNS} evicted runs"
     );
 }
 

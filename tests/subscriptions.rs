@@ -337,7 +337,8 @@ fn completed_scope_defers_until_completion() {
 }
 
 /// Eviction retracts exactly what was delivered, then the stream goes
-/// quiet for that run (the tombstone kills stale in-flight notifies).
+/// quiet for that run (a stale in-flight notify finds the run gone from
+/// the registry and adds nothing).
 #[test]
 fn eviction_retracts_delivered_witnesses() {
     let spec = wf_spec::corpus::running_example();

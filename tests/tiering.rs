@@ -1069,8 +1069,8 @@ fn probed_run(spec: &Specification, seed: u64) -> (Execution, Vec<(VertexId, Ver
 /// One completed run frozen, then cycled persisted ⇄ frozen, while other
 /// threads look it up: a run is always registered exactly once, in
 /// exactly one tier, with the right answers — until it is evicted, and
-/// never after — and the engine-wide query count never steps backwards
-/// across a transition.
+/// never after — the stats count it in exactly one tier, and the
+/// engine-wide query count never steps backwards across a transition.
 #[test]
 fn lookups_racing_tier_transitions_see_the_run_exactly_once() {
     use std::sync::atomic::AtomicBool;
@@ -1124,15 +1124,22 @@ fn lookups_racing_tier_transitions_see_the_run_exactly_once() {
             start.wait();
             let mut last = 0;
             loop {
-                let answered = engine.stats().queries_answered;
+                let stats = engine.stats();
                 if evicting.load(Ordering::SeqCst) {
                     return; // an eviction legitimately removes the run's count
                 }
+                let answered = stats.queries_answered;
                 assert!(
                     answered >= last,
                     "queries_answered fell {last} -> {answered}"
                 );
                 last = answered;
+                let tiers = (stats.runs_hot, stats.runs_frozen, stats.runs_persisted);
+                assert_eq!(
+                    tiers.0 + tiers.1 + tiers.2,
+                    1,
+                    "the run is in exactly one tier: {tiers:?}"
+                );
             }
         });
         start.wait();
