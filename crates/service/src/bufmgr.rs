@@ -2,10 +2,10 @@
 //! from disk.
 //!
 //! Every file in the spill directory is a pack: one or more
-//! self-checksummed segment blobs back to back (a fresh spill writes a
-//! pack of one; compaction writes bigger ones). Packs are immutable by
-//! construction (temp file → fsync → rename; never modified in place),
-//! so a blob read once reads the same forever.
+//! self-checksummed segment blobs back to back (fresh spills append to
+//! the pack their engine lifetime opened last; compaction writes whole
+//! ones). Packs are append-only: a written byte is never rewritten, so a
+//! blob read once reads the same forever.
 //!
 //! A sealed run's bytes in memory are a **frame**: one heap buffer per
 //! blob (`Arc<[u8]>`), owned by the run's place ([`crate::snapshot`]).

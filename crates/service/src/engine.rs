@@ -412,9 +412,10 @@ impl WfEngine {
         self.shared.freeze(run)
     }
 
-    /// **Spill** a run to disk (freezing it first if needed): write its
-    /// blob, byte for byte, as a pack of one plus the manifest under the
-    /// configured [`EngineBuilder::spill_dir`], and let its frame go —
+    /// **Spill** a run to disk (freezing it first if needed): append its
+    /// blob, byte for byte, to the pack this engine lifetime has open and
+    /// one line to the manifest under the configured
+    /// [`EngineBuilder::spill_dir`], and let its frame go —
     /// the run is read from its pack from then on, through a frame loaded
     /// lazily ([`Tier::Persisted`]). A re-heated run is written already:
     /// only its held frame goes. Requires a spill directory
@@ -438,10 +439,10 @@ impl WfEngine {
 
     /// **Compact** the persisted tier now — the spill directory's one
     /// maintenance pass, with an atomic, crash-safe manifest rewrite. It
-    /// merges underfull pack files — every spill writes a pack of one —
-    /// into full multi-run packs, cutting the directory's file count
-    /// (the difference between 10⁵ files and a few hundred at fleet
-    /// scale), and rewrites every pack more than
+    /// closes the pack fresh spills append to, merges underfull pack
+    /// files — the packs of short engine lifetimes, packs a rewrite left
+    /// small — into full multi-run packs, cutting the directory's file
+    /// count, and rewrites every pack more than
     /// [`DEAD_HEAVY_RATIO`](crate::snapshot::DEAD_HEAVY_RATIO) of whose
     /// bytes belong to evicted runs, cutting its bytes. In-flight
     /// cross-run scans and handles follow: every copied run's

@@ -8,7 +8,7 @@
 //! | operation                 | what changes                                   | under                       |
 //! |---------------------------|------------------------------------------------|-----------------------------|
 //! | [`EngineShared::freeze`]  | hot → sealed: the blob is encoded into a held frame | the store's shard lock |
-//! | [`EngineShared::persist`] | the held frame is written as a pack of one, then let go | the run's place lock |
+//! | [`EngineShared::persist`] | the held frame is appended to a pack, then let go | the run's place lock |
 //! | [`EngineShared::reheat`]  | the frame is loaded if need be, then held      | the run's place lock        |
 //!
 //! Freeze encodes the blob off to the side — no registry lock held — and
@@ -235,10 +235,11 @@ impl EngineShared {
         Ok(())
     }
 
-    /// Spill one run to disk: freeze it if still hot, write its blob as a
-    /// pack of one plus the manifest, and let its frame go. A re-heated
-    /// run already has its pack and its manifest line: only its held
-    /// frame goes, and nothing is written. Idempotent for runs read from disk.
+    /// Spill one run to disk: freeze it if still hot, append its blob to
+    /// the active pack and its line to the manifest, and let its frame
+    /// go. A re-heated run already has its pack and its manifest line:
+    /// only its held frame goes, and nothing is written. Idempotent for
+    /// runs read from disk.
     pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
         let spill = self.spill.as_ref().ok_or(ServiceError::NoSpillDir)?;
         self.freeze(run)?;
@@ -247,7 +248,7 @@ impl EngineShared {
             return Ok(());
         };
         if spill.persist(&self.store, &sealed)? {
-            // The run is durable in its pack + manifest: stamp a WAL
+            // The run is durable in its pack + manifest line: stamp a WAL
             // checkpoint and compact the shard, so the log keeps only the
             // non-persisted suffix (recovery time ∝ hot state, not
             // history). A checkpoint failure is non-fatal — the spill

@@ -32,25 +32,30 @@
 //! version 1 is.
 //!
 //! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
-//! concatenated. A spill writes a pack of one; compaction merges them
-//! into bigger ones to cut file count at 10⁵+ runs. Each blob carries
-//! its own checksum ([`wf_wal::fnv1a`], the one the WAL frames use), so a
-//! pack needs no container framing: the manifest
-//! (`wf-tier-manifest.txt`: `run file offset len` per line) is the
-//! directory. Packs and manifests all go to disk through
-//! `write_blob_file`: the one crash-safe replace
-//! ([`wf_wal::replace_file`] — temp file, fsync, rename; a failed write
-//! leaves no temp file) **and a directory fsync after the rename**
-//! ([`wf_wal::fsync_dir`]) — a crash cannot leave the manifest pointing
-//! at unsynced segments (sync failures surface as the typed
-//! [`SnapshotError::Sync`]).
+//! concatenated. Fresh spills append to the pack their engine lifetime
+//! opened last, until it reaches [`PACK_MAX_RUNS`] or
+//! [`PACK_TARGET_BYTES`]; compaction merges underfull packs and rewrites
+//! dead-heavy ones. Each blob carries its own checksum
+//! ([`wf_wal::fnv1a`], the one the WAL frames use), so a pack needs no
+//! container framing: the manifest (`wf-tier-manifest.txt`: `run file
+//! offset len` per line) is the directory. Bytes reach disk one of two
+//! ways. An **append** (`append_blob_file`, and `append_manifest` for
+//! one manifest line) writes at the end of a file and syncs it; a file
+//! it creates is made durable by a directory fsync, so a blob is on disk
+//! before the manifest line that names it is written. A **rewrite**
+//! (`write_blob_file`: the crash-safe replace [`wf_wal::replace_file`]
+//! — temp file, fsync, rename; a failed write leaves no temp file —
+//! then a directory fsync, [`wf_wal::fsync_dir`]) lands a compacted pack
+//! or a whole manifest. A crash cannot leave the manifest pointing at
+//! unsynced blobs, and a manifest line cut off mid-append is not read
+//! (sync failures surface as the typed [`SnapshotError::Sync`]).
 //!
 //! A completed run is **one object**, a `SealedRun`, from freeze to
 //! eviction, and its bytes in memory are **one frame**: an `Arc<[u8]>`
 //! holding the blob, which every read borrows the same
 //! [`wf_drl::ArenaRef`] from. Freeze encodes the blob into a frame the
-//! run *holds*; persisting writes those bytes, unchanged, as a pack of
-//! one and lets the frame go; a read of a run on disk loads a frame with
+//! run *holds*; persisting appends those bytes, unchanged, to a pack and
+//! lets the frame go; a read of a run on disk loads a frame with
 //! one positioned read ([`crate::bufmgr`]) that the replacer may drop
 //! again; re-heating holds the frame (loading it first if need be).
 //! Framing and checksum are verified at the first load at each place; a
@@ -71,7 +76,7 @@ use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};
 use std::fmt;
 use std::fs;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -306,7 +311,52 @@ pub(crate) fn write_blob_file(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(
             SnapshotError::Io(cause)
         }
     })?;
+    fsync_dir(dir)
+}
+
+fn fsync_dir(dir: &Path) -> Result<(), SnapshotError> {
     wf_wal::fsync_dir(dir).map_err(|e| SnapshotError::Sync(format!("{}: {e}", dir.display())))
+}
+
+/// Append `bytes` at the end of `path` and `sync_data` them — the one
+/// append body every pack and manifest append goes through. `fresh`
+/// creates the file, refusing one that exists, and fsyncs `dir` so its
+/// entry is durable before anything names the file; otherwise the file
+/// must exist. `check` sees the open file and its length first and may
+/// refuse it. Returns the offset the bytes start at; a failed write or
+/// sync is cut back off, so the file never ends in half an append that
+/// was reported failed. No descriptor outlives the call.
+pub(crate) fn append_blob_file(
+    dir: &Path,
+    path: &Path,
+    bytes: &[u8],
+    fresh: bool,
+    check: impl FnOnce(&fs::File, u64) -> Result<(), SnapshotError>,
+) -> Result<u64, SnapshotError> {
+    let cause = |op: &str, e: std::io::Error| format!("{op} {}: {e}", path.display());
+    let mut file = fs::OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create_new(fresh)
+        .open(path)
+        .map_err(|e| SnapshotError::Io(cause("open", e)))?;
+    let offset = file.metadata()?.len();
+    check(&file, offset)?;
+    let appended = file
+        .write_all(bytes)
+        .map_err(|e| SnapshotError::Io(cause("write", e)))
+        .and_then(|()| {
+            file.sync_data()
+                .map_err(|e| SnapshotError::Sync(cause("fsync", e)))
+        });
+    if appended.is_err() {
+        let _ = file.set_len(offset);
+    }
+    appended?;
+    if fresh {
+        fsync_dir(dir)?;
+    }
+    Ok(offset)
 }
 
 /// Read only the header of the blob at `offset` (the registration path
@@ -330,6 +380,31 @@ pub struct ManifestEntry {
     pub bytes: u64,
 }
 
+/// Append `entry`'s line to the manifest in `dir` and sync it. Only a
+/// manifest that starts with [`MANIFEST_HEADER`] and ends in a complete
+/// line is appended to — a line after half of one, or under a header
+/// this engine cannot read, would be lost.
+pub(crate) fn append_manifest(dir: &Path, entry: &ManifestEntry) -> Result<(), SnapshotError> {
+    let path = dir.join(MANIFEST_FILE);
+    let line = manifest_line(entry);
+    append_blob_file(dir, &path, line.as_bytes(), false, |file, len| {
+        let mut head = [0; MANIFEST_HEADER.len() + 1];
+        let mut last = [0];
+        let whole = read_exact_at(file, &mut head, 0).is_ok()
+            && read_exact_at(file, &mut last, len.saturating_sub(1)).is_ok()
+            && head[..MANIFEST_HEADER.len()] == *MANIFEST_HEADER.as_bytes()
+            && head[MANIFEST_HEADER.len()] == b'\n'
+            && last == *b"\n";
+        if !whole {
+            return Err(SnapshotError::Format(
+                "the manifest is not a whole v2 manifest".into(),
+            ));
+        }
+        Ok(())
+    })
+    .map(drop)
+}
+
 /// Atomically rewrite the manifest with every registered blob
 /// (`write_blob_file`) — after this returns, a crash cannot resurrect
 /// the previous manifest or leave the new one pointing at unsynced data.
@@ -337,27 +412,32 @@ pub fn write_manifest(dir: &Path, entries: &[ManifestEntry]) -> Result<(), Snaps
     let mut out = String::from(MANIFEST_HEADER);
     out.push('\n');
     for e in entries {
-        out.push_str(&format!(
-            "{} {} {} {}\n",
-            e.run.0, e.file, e.offset, e.bytes
-        ));
+        out.push_str(&manifest_line(e));
     }
     write_blob_file(dir, &dir.join(MANIFEST_FILE), out.as_bytes())
+}
+
+fn manifest_line(e: &ManifestEntry) -> String {
+    format!("{} {} {} {}\n", e.run.0, e.file, e.offset, e.bytes)
 }
 
 /// Load the manifest; a missing file is an empty manifest, any header
 /// but [`MANIFEST_HEADER`] is a typed [`SnapshotError::Format`], and
 /// malformed lines are skipped — among them the `epoch <n>` line earlier
-/// engines wrote — (registration re-validates every blob header, so the
-/// manifest is an index, not a trust root).
+/// engines wrote, and a last line with no `\n`: an append a crash cut
+/// off, never acknowledged — (registration re-validates every blob
+/// header, so the manifest is an index, not a trust root).
 pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
-    let path = dir.join(MANIFEST_FILE);
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut lines = text.lines();
+    match fs::read_to_string(dir.join(MANIFEST_FILE)) {
+        Ok(text) => parse_manifest(&text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// [`load_manifest`] over the manifest's text.
+pub(crate) fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, SnapshotError> {
+    let mut lines = text.split_inclusive('\n');
     match lines.next().map(str::trim) {
         Some(h) if h == MANIFEST_HEADER => {}
         other => {
@@ -368,6 +448,10 @@ pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
     }
     let mut entries = Vec::new();
     for line in lines {
+        // A last line with no `\n` is an append a crash cut off.
+        let Some(line) = line.strip_suffix('\n') else {
+            continue;
+        };
         let mut parts = line.split_whitespace();
         let (Some(run), Some(file), Some(offset), Some(bytes)) =
             (parts.next(), parts.next(), parts.next(), parts.next())
@@ -396,8 +480,9 @@ pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
 enum LoadState {
     /// Never read at this place: the next load verifies what it reads.
     Unread,
-    /// Read and verified once. The pack is immutable, so a re-load after
-    /// a shed trusts the bytes it reads again.
+    /// Read and verified once. A pack is append-only — a written byte is
+    /// never rewritten — so a re-load after a shed trusts the bytes it
+    /// reads again.
     Verified,
     /// A load failed (the blob vanished or was corrupted after
     /// registration); cached with its cause, so reads degrade to "no
@@ -523,8 +608,18 @@ impl SealedRun {
                 entry.run, header.run
             )));
         }
-        // The manifest is an index, not a trust root: a range past the
-        // file's end would size a frame the file cannot fill.
+        // The manifest is an index, not a trust root: a length other than
+        // the header's would fail the run's first load, and a range past
+        // the file's end would size a frame the file cannot fill.
+        let implied = header
+            .arena_len
+            .saturating_add((HEADER_LEN + CHECKSUM_LEN) as u64);
+        if entry.bytes != implied {
+            return Err(SnapshotError::Format(format!(
+                "manifest length {} does not match the blob header (expected {implied})",
+                entry.bytes
+            )));
+        }
         if entry.offset.saturating_add(entry.bytes) > pack_len {
             return Err(SnapshotError::Format("blob range outside its pack".into()));
         }
@@ -685,16 +780,18 @@ impl SealedRun {
         }
     }
 
-    /// **Persist**: hand the held frame to `write` — which lands it as a
-    /// pack of one — unless the run already has a location, then let the
-    /// frame go. `Ok(true)` when `write` ran. The write runs outside the
-    /// place lock, so readers keep reading the frame meanwhile; an
-    /// eviction that lands during it wins, and the pack just written is
-    /// an orphan the next compaction sweeps.
+    /// **Persist**: hand the held frame to `write` — which appends it to
+    /// a pack and returns the pack and the blob's offset there — unless
+    /// the run already has a location, then let the frame go. Returns
+    /// where `write` put the blob, `None` when it did not run. The write
+    /// runs outside the place lock, so
+    /// readers keep reading the frame meanwhile; an eviction that lands
+    /// during it wins, and the blob just written is dead bytes in its
+    /// pack, which compaction reclaims.
     pub(crate) fn persist(
         &self,
-        write: impl FnOnce(&[u8]) -> Result<Arc<PackFile>, SnapshotError>,
-    ) -> Result<bool, ServiceError> {
+        write: impl FnOnce(&[u8]) -> Result<(Arc<PackFile>, u64), SnapshotError>,
+    ) -> Result<Option<(Arc<PackFile>, u64)>, ServiceError> {
         let gone = || ServiceError::UnknownRun(self.run());
         let blob = {
             let mut place = self.write();
@@ -703,21 +800,22 @@ impl SealedRun {
             }
             if place.held && place.disk.is_some() {
                 release(&mut place);
-                return Ok(false);
+                return Ok(None);
             }
             match (&place.frame, place.held) {
                 (Some(frame), true) => Arc::clone(frame),
-                _ => return Ok(false),
+                _ => return Ok(None),
             }
         };
-        let file = write(&blob).map_err(|e| ServiceError::Snapshot(self.run(), e.to_string()))?;
+        let (file, offset) =
+            write(&blob).map_err(|e| ServiceError::Snapshot(self.run(), e.to_string()))?;
         let mut place = self.write();
         if place.evicted {
             return Err(gone());
         }
-        place.disk = Some(Disk::at(file, 0));
+        place.disk = Some(Disk::at(Arc::clone(&file), offset));
         release(&mut place);
-        Ok(true)
+        Ok(Some((file, offset)))
     }
 
     /// **Re-heat**: load the frame if it is not in memory, hold it, and

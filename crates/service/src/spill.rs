@@ -7,8 +7,11 @@
 //! its held frame since — and the manifest lists exactly those. A blob is
 //! dead only once its run is evicted.
 //!
-//! * [`SpillDir::persist`] writes one sealed run's held frame, as it is,
-//!   as a pack of one and lists it in the manifest.
+//! * [`SpillDir::persist`] **appends**: one sealed run's held frame, as it
+//!   is, goes to the end of the *active pack* — the pack this engine
+//!   lifetime created last — and one `run file offset len` line goes to
+//!   the end of the manifest. Nothing is rewritten, so a spill costs two
+//!   syncs however many runs the directory holds.
 //! * [`SpillDir::forget`] rewrites the manifest after an eviction, so
 //!   the evicted run stays gone across a restart.
 //! * [`SpillDir::compact`] is the directory's one maintenance pass
@@ -19,14 +22,34 @@
 //!   runs) or *dead-heavy* (more than [`DEAD_HEAVY_RATIO`] of its bytes
 //!   belong to evicted runs).
 //!
-//! Every file written here — pack or manifest — goes through
+//! The durability contract of an append:
+//!
+//! * A blob — and, for a new pack, the pack's directory entry — is
+//!   synced before the manifest line that names it is appended, and the
+//!   line is synced before the persist returns; the WAL checkpoint comes
+//!   after that, as before.
+//! * No descriptor outlives an operation: each append opens its file,
+//!   writes, syncs and closes it again.
+//! * A lifetime never appends to a pack it did not create: the active
+//!   pack starts out closed, and new packs are numbered past every pack
+//!   in the directory.
+//! * The active pack is closed once it holds [`PACK_MAX_RUNS`] runs or
+//!   the next blob would take it past [`PACK_TARGET_BYTES`], by a failed
+//!   append or sync, by `compact()` — before it picks victims or sweeps,
+//!   so it never unlinks a file still being appended to — and by
+//!   dropping the engine.
+//! * A crash mid-append leaves at worst dead bytes at the end of a pack
+//!   (compaction reclaims them) or a manifest line with no `\n`, which
+//!   the loader skips. [`SpillDir::open`] rewrites such a manifest whole
+//!   before anything is appended to it, and an append refuses a manifest
+//!   that does not end in a complete line.
+//!
+//! Compacted packs and whole manifests go through
 //! `snapshot::write_blob_file`, the crash-safe replace plus directory
-//! fsync of `wf-wal`. Crash safety is the same at every step of every
-//! operation: until a new manifest is renamed into place the old
+//! fsync of `wf-wal`: until a new manifest is renamed into place the old
 //! manifest and old files are intact; after it, the old files are
 //! orphans the sweep (this pass's or any later one's) removes, along
-//! with the temp file of a replace the crash interrupted — and with the
-//! pack of a run evicted while its persist was writing it.
+//! with the temp file of a replace the crash interrupted.
 
 use crate::bufmgr::{read_exact_at, PackFile};
 use crate::snapshot::{
@@ -173,21 +196,35 @@ fn gains(files: &[FileStat], packs: usize) -> bool {
 /// A run copied into a new pack, and the blob's offset in the new file.
 type Member = (Arc<SealedRun>, u64);
 
-fn manifest_entry(run: &SealedRun, path: &Path, offset: u64) -> Option<ManifestEntry> {
-    Some(ManifestEntry {
+fn manifest_entry(run: &SealedRun, path: &Path, offset: u64) -> ManifestEntry {
+    ManifestEntry {
         run: run.run(),
-        file: path.file_name()?.to_str()?.to_string(),
+        file: path
+            .file_name()
+            .unwrap_or_default()
+            .to_string_lossy()
+            .into_owned(),
         offset,
         bytes: run.blob_len(),
-    })
+    }
+}
+
+/// The pack fresh spills append to.
+struct ActivePack {
+    file: Arc<PackFile>,
+    /// Runs appended so far.
+    runs: usize,
+    /// The file's length after the last append.
+    bytes: u64,
 }
 
 /// The spill directory of one engine.
 pub(crate) struct SpillDir {
     dir: PathBuf,
-    /// Serializes pack + manifest writes: each is a unit, and the
-    /// manifest always lists the full persisted set.
-    manifest: Mutex<()>,
+    /// Serializes pack + manifest writes — each is a unit, and the
+    /// manifest always lists the full persisted set — and holds the
+    /// active pack, `None` while it is closed.
+    manifest: Mutex<Option<ActivePack>>,
     /// Next `pack-<seq>.wfseg` number (seeded past any packs already in
     /// the directory, so restarts never reuse a name).
     pack_seq: AtomicU64,
@@ -213,20 +250,25 @@ impl SpillDir {
     /// twice registers once, from its last line. Entries that do not
     /// read back — or name a spec beyond the `specs` this catalog has —
     /// are carried, not registered; a manifest this engine cannot parse
-    /// registers nothing.
+    /// registers nothing. A manifest that is missing, does not end in a
+    /// complete line or holds a line that did not register is rewritten
+    /// whole, once, here: appends then always follow a complete line.
     pub(crate) fn open(
         dir: PathBuf,
         lru: &Arc<SegmentLru>,
         specs: usize,
     ) -> (Self, Vec<Arc<SealedRun>>) {
-        let listed: HashMap<RunId, ManifestEntry> = snapshot::load_manifest(&dir)
+        let text = std::fs::read_to_string(dir.join(snapshot::MANIFEST_FILE)).unwrap_or_default();
+        let parsed = snapshot::parse_manifest(&text);
+        let whole = parsed.is_ok() && text.ends_with('\n');
+        let listed: HashMap<RunId, ManifestEntry> = parsed
             .unwrap_or_default()
             .into_iter()
             .map(|entry| (entry.run, entry))
             .collect();
         // Each pack named once, with its size (one `stat` per file).
         let mut files: HashMap<String, (Arc<PackFile>, u64)> = HashMap::new();
-        let (mut persisted, mut carried) = (Vec::new(), Vec::new());
+        let (mut persisted, mut kept, mut carried) = (Vec::new(), Vec::new(), Vec::new());
         for entry in listed.into_values() {
             let (file, size) = files.entry(entry.file.clone()).or_insert_with(|| {
                 let file = PackFile::new(dir.join(&entry.file));
@@ -234,9 +276,18 @@ impl SpillDir {
                 (file, size)
             });
             match SealedRun::open_entry(Arc::clone(file), *size, &entry, Arc::clone(lru)) {
-                Ok(run) if run.header().spec.0 < specs => persisted.push(Arc::new(run)),
+                Ok(run) if run.header().spec.0 < specs => {
+                    persisted.push(Arc::new(run));
+                    kept.push(entry);
+                }
                 _ => carried.push(entry),
             }
+        }
+        if !whole || text.lines().count() != 1 + kept.len() {
+            // A failure leaves the manifest as it was: an append still
+            // refuses one that is torn or has no readable header.
+            kept.extend(carried.iter().cloned());
+            let _ = snapshot::write_manifest(&dir, &kept);
         }
         let carried_packs = carried.iter().map(|e| dir.join(&e.file)).collect();
         let next_pack = std::fs::read_dir(&dir)
@@ -247,7 +298,7 @@ impl SpillDir {
             .map_or(0, |m| m + 1);
         let spill = Self {
             dir,
-            manifest: Mutex::new(()),
+            manifest: Mutex::new(None),
             pack_seq: AtomicU64::new(next_pack),
             policy_stamp: AtomicU64::new(u64::MAX),
             carried,
@@ -266,19 +317,25 @@ impl SpillDir {
         &self.dir
     }
 
-    /// Take the manifest lock. It guards no state — only the order of
-    /// pack and manifest writes — so a poisoned one is recovered: a
-    /// writer that panicked left at worst an orphan file the sweep takes.
-    fn lock(&self) -> MutexGuard<'_, ()> {
+    /// Take the manifest lock. A poisoned one is recovered: the active
+    /// pack is out of the lock for the whole of an append, so a writer
+    /// that panicked left it closed, and at worst an orphan file or dead
+    /// bytes the sweep or compaction takes.
+    fn lock(&self) -> MutexGuard<'_, Option<ActivePack>> {
         self.manifest.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A handle on the next `pack-<seq>.wfseg`, not yet created.
+    fn next_pack(&self) -> Arc<PackFile> {
+        let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
+        PackFile::new(self.dir.join(snapshot::pack_file_name(seq)))
     }
 
     /// Atomically write `bytes` as the next pack file.
     fn write_pack(&self, bytes: &[u8]) -> Result<Arc<PackFile>, SnapshotError> {
-        let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
-        let path = self.dir.join(snapshot::pack_file_name(seq));
-        snapshot::write_blob_file(&self.dir, &path, bytes)?;
-        Ok(PackFile::new(path))
+        let file = self.next_pack();
+        snapshot::write_blob_file(&self.dir, file.path(), bytes)?;
+        Ok(file)
     }
 
     /// The manifest lines for the current registrations, then the
@@ -286,29 +343,61 @@ impl SpillDir {
     fn manifest_entries(&self, store: &LabelStore) -> Vec<ManifestEntry> {
         registrations(store)
             .iter()
-            .filter_map(|l| manifest_entry(&l.run, l.file.path(), l.offset))
+            .map(|l| manifest_entry(&l.run, l.file.path(), l.offset))
             .chain(self.carried.iter().cloned())
             .collect()
     }
 
-    /// Persist one sealed run: write its held frame, byte for byte, as a
-    /// pack of one and list it in the manifest — or, when it already has
-    /// a location (a re-heated run), only let the frame go. `Ok(true)`
-    /// when a pack was written.
+    /// Append `blob` to the active pack `pack`, first creating a new one
+    /// when it is closed or the blob would take it past
+    /// [`PACK_MAX_RUNS`] / [`PACK_TARGET_BYTES`]. Returns the pack and the
+    /// blob's offset in it.
+    fn append(
+        &self,
+        pack: &mut Option<ActivePack>,
+        blob: &[u8],
+    ) -> Result<(Arc<PackFile>, u64), SnapshotError> {
+        let len = blob.len() as u64;
+        let fits = |p: &ActivePack| p.runs < PACK_MAX_RUNS && p.bytes + len <= PACK_TARGET_BYTES;
+        let mut open = pack.take().filter(fits).unwrap_or_else(|| ActivePack {
+            file: self.next_pack(),
+            runs: 0,
+            bytes: 0,
+        });
+        let fresh = open.runs == 0;
+        let offset =
+            snapshot::append_blob_file(&self.dir, open.file.path(), blob, fresh, |_, _| Ok(()))?;
+        (open.runs, open.bytes) = (open.runs + 1, offset + len);
+        let file = Arc::clone(&open.file);
+        *pack = Some(open);
+        Ok((file, offset))
+    }
+
+    /// Persist one sealed run: append its held frame, byte for byte, to
+    /// the active pack and one line naming it to the manifest — or, when
+    /// it already has a location (a re-heated run), only let the frame
+    /// go. `Ok(true)` when a blob was written. The blob is synced before
+    /// its line is appended. A failure returns a typed error and closes
+    /// the active pack; a failed blob append leaves the run holding its
+    /// frame, with no location.
     pub(crate) fn persist(
         &self,
         store: &LabelStore,
         sealed: &SealedRun,
     ) -> Result<bool, ServiceError> {
         let run = sealed.run();
-        let _g = self.lock();
+        let mut active = self.lock();
         let obs = &store.lru.obs;
         let span = obs.timer();
-        if !sealed.persist(|blob| self.write_pack(blob))? {
+        // Out of the lock for the append, back once the line is listed.
+        let mut pack = active.take();
+        let Some((file, offset)) = sealed.persist(|blob| self.append(&mut pack, blob))? else {
+            *active = pack;
             return Ok(false);
-        }
-        snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
+        };
+        snapshot::append_manifest(&self.dir, &manifest_entry(sealed, file.path(), offset))
             .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
+        *active = pack;
         obs.spills.inc();
         obs.finish(
             span,
@@ -332,9 +421,10 @@ impl SpillDir {
     }
 
     /// **Compaction**, the one maintenance pass: merge underfull packs —
-    /// fresh spills are packs of one — into full ones, cutting the
-    /// directory's file count, and rewrite dead-heavy packs without the
-    /// blobs of evicted runs, cutting its bytes.
+    /// the active pack of a lifetime that spilled few runs, packs a
+    /// rewrite left small — into full ones, cutting the directory's file
+    /// count, and rewrite dead-heavy packs without the blobs of evicted
+    /// runs, cutting its bytes. It closes the active pack first.
     pub(crate) fn compact(&self, store: &LabelStore) -> Result<CompactionReport, ServiceError> {
         let report = self
             .rewrite_packs(store)
@@ -362,7 +452,10 @@ impl SpillDir {
     fn rewrite_packs(&self, store: &LabelStore) -> Result<CompactionReport, SnapshotError> {
         let obs = &store.lru.obs;
         let span = obs.timer();
-        let _g = self.lock();
+        let mut active = self.lock();
+        // Closed before victims are picked or the sweep runs: nothing
+        // this pass unlinks is appended to again.
+        *active = None;
         let registered = registrations(store);
         let files = file_stats(&registered);
         let bytes_before = files.iter().map(|f| f.size).sum();
@@ -442,7 +535,7 @@ impl SpillDir {
         }
         let entries: Vec<ManifestEntry> = registered
             .iter()
-            .filter_map(|l| {
+            .map(|l| {
                 let (file, offset) = moved
                     .get(&l.run.run().0)
                     .copied()
@@ -481,12 +574,14 @@ impl SpillDir {
 
     /// Delete pack files neither `registered` — the pass's snapshot of
     /// the store's registrations, at the places they have by now — nor a
-    /// carried line references: blobs of evicted runs, packs written for runs evicted
-    /// during their persist, and leftovers of a crash between a
-    /// pack/manifest write and the old-file deletion — among them the
+    /// carried line references: packs holding only blobs of evicted runs
+    /// (a new pack whose first append failed, or whose run was evicted
+    /// during its persist, among them), and leftovers of a crash between
+    /// a pack/manifest write and the old-file deletion — among them the
     /// `*.tmp` file of a replace the crash cut short. Runs under the
     /// manifest lock the snapshot was taken under and every write takes,
-    /// so no spill has written a pack since and no temp file is in
+    /// with the active pack closed, so no spill has written a pack since,
+    /// none will append to one this unlinks, and no temp file is in
     /// flight.
     fn sweep_orphans(&self, registered: &[Located]) {
         let mut referenced: HashSet<PathBuf> = registered

@@ -72,9 +72,9 @@ fn main() {
         stats.runs_hot, stats.runs_frozen, stats.runs_persisted, stats.freezes, stats.spills
     );
 
-    // Compaction: the spilled runs each landed in their own
-    // `run-<id>.wfseg`; pack them into one multi-run file (the CI
-    // compaction artifact is this line).
+    // Compaction: the spilled runs were appended to the one pack this
+    // lifetime opened, so the pass closes it and has nothing to merge
+    // (the CI compaction artifact is this line).
     let report = engine.compact().expect("spill dir configured");
     println!("{}", report.json());
     println!(

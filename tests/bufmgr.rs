@@ -1,10 +1,11 @@
 //! Buffer-manager read path: frames loaded from packs at the first read
-//! (packs of one straight out of a spill included), rewrites of dead-heavy packs under
-//! concurrent scans, re-heating, and the compaction byte-accounting
-//! regression.
+//! (the packs spills append to included), rewrites of dead-heavy packs
+//! under concurrent scans, re-heating, the compaction byte-accounting
+//! regression, and the append path: one pack per engine lifetime, a torn
+//! manifest line repaired, a failed append.
 //!
 //! The acceptance bar mirrors tiering.rs: wherever the blob lives —
-//! pack of one, compacted pack, a pack rewritten mid-scan — a run must
+//! a pack spills appended to, a compacted pack, a pack rewritten mid-scan — a run must
 //! answer `reach()` exactly per [`NaiveDynamicDag`] replay, and a
 //! corrupted blob must degrade to "no labels" with a typed rejection,
 //! never a panic.
@@ -12,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wf_provenance::prelude::*;
 use wf_service::Tier;
@@ -65,21 +66,92 @@ fn persist_fleet_of(
 ) -> Vec<FleetRun> {
     let mut fleet = Vec::new();
     for _ in 0..n {
-        let run = engine.open_run(SpecId(0)).unwrap();
-        let gen = RunGenerator::new(spec)
-            .target_size(target_size)
-            .generate_run(rng);
-        let exec = Execution::deterministic(&gen.graph, &gen.origin);
-        let mut naive = NaiveDynamicDag::new();
-        for ev in exec.events() {
-            engine.submit(run, ev).unwrap();
-            naive.insert(ev.vertex, &ev.preds);
-        }
-        engine.complete_run(run).unwrap();
-        engine.persist_run(run).unwrap();
-        fleet.push((run, exec, naive));
+        let done = complete_one(engine, spec, target_size, rng);
+        engine.persist_run(done.0).unwrap();
+        fleet.push(done);
     }
     fleet
+}
+
+/// Ingest and complete one run, not persisted; returns it with its
+/// naive ground truth.
+fn complete_one(
+    engine: &WfEngine,
+    spec: &Specification,
+    target_size: usize,
+    rng: &mut StdRng,
+) -> FleetRun {
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let gen = RunGenerator::new(spec)
+        .target_size(target_size)
+        .generate_run(rng);
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let mut naive = NaiveDynamicDag::new();
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+        naive.insert(ev.vertex, &ev.preds);
+    }
+    engine.complete_run(run).unwrap();
+    (run, exec, naive)
+}
+
+/// An engine over the spill directory `dir`.
+fn spill_engine(spec: &Specification, dir: &Path) -> WfEngine {
+    WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(dir)
+        .build()
+}
+
+/// Persist `packs × each` runs over as many engine lifetimes on `dir`:
+/// the spills of one lifetime share one pack and the next lifetime opens
+/// another, so the fleet lies in `packs` underfull files.
+fn persist_packs(
+    dir: &Path,
+    spec: &Specification,
+    packs: usize,
+    each: usize,
+    target_size: usize,
+    rng: &mut StdRng,
+) -> Vec<FleetRun> {
+    let mut fleet = Vec::new();
+    for _ in 0..packs {
+        let engine = spill_engine(spec, dir);
+        fleet.extend(persist_fleet_of(&engine, spec, each, target_size, rng));
+    }
+    fleet
+}
+
+/// The spill directory's pack files, by name, with their sizes.
+fn pack_files(dir: &Path) -> Vec<(String, u64)> {
+    let mut packs: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "wfseg"))
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            (name, e.metadata().unwrap().len())
+        })
+        .collect();
+    packs.sort();
+    packs
+}
+
+/// Lines of the manifest, its header included.
+fn manifest_lines(dir: &Path) -> usize {
+    let path = dir.join(wf_service::snapshot::MANIFEST_FILE);
+    std::fs::read_to_string(path).unwrap().lines().count()
+}
+
+/// Descriptors this process holds on files under `dir`.
+#[cfg(target_os = "linux")]
+fn open_descriptors(dir: &Path) -> usize {
+    let dir = std::fs::canonicalize(dir).unwrap();
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| target.starts_with(&dir))
+        .count()
 }
 
 /// Every sampled pair answers exactly per replay.
@@ -129,11 +201,8 @@ fn mapped_pack_reads_match_replay() {
     let dir = TempDir::new("mapped");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(4096);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let fleet = persist_fleet(&engine, &spec, 6, &mut rng);
+    let fleet = persist_packs(&dir.0, &spec, 2, 3, 40, &mut rng);
+    let engine = spill_engine(&spec, &dir.0);
     let report = engine.compact().unwrap();
     assert_eq!(report.packs_written, 1);
     drop(engine);
@@ -166,10 +235,11 @@ fn mapped_pack_reads_match_replay() {
     );
 }
 
-/// An **uncompacted** spill is a pack of one and reads like any other
-/// pack: nothing is loaded at registration, the first `reach` loads the
-/// blob's frame and verifies it, and under a resident-byte budget the
-/// frames are shed and loaded back without a second verification pass.
+/// **Uncompacted** spills share the pack they were appended to, and read
+/// like any other pack: nothing is loaded at registration, the first
+/// `reach` loads the blob's frame — that blob alone, not its pack — and
+/// verifies it, and under a resident-byte budget the frames are shed and
+/// loaded back without a second verification pass.
 #[test]
 fn uncompacted_spills_read_through_the_mapping() {
     let dir = TempDir::new("pack-of-one");
@@ -181,7 +251,7 @@ fn uncompacted_spills_read_through_the_mapping() {
         .build();
     let fleet = persist_fleet(&engine, &spec, 4, &mut rng);
     let s = engine.stats();
-    assert_eq!((s.segment_files, s.pack_pins), (4, 0));
+    assert_eq!((s.segment_files, s.pack_pins), (1, 0));
     // One query loads exactly the blob it reads.
     let (run, exec, naive) = &fleet[0];
     let (u, v) = (exec.events()[0].vertex, exec.events()[2].vertex);
@@ -190,7 +260,7 @@ fn uncompacted_spills_read_through_the_mapping() {
     assert_eq!(s.pack_pins, 1);
     let sizes = blob_sizes(&dir.0);
     let (_, blob) = sizes.iter().find(|(r, _)| r == run).unwrap();
-    assert_eq!(s.persisted_resident_bytes, *blob, "a pack of one");
+    assert_eq!(s.persisted_resident_bytes, *blob, "one blob of the pack");
     assert_answers(&engine, &fleet);
     drop(engine);
 
@@ -205,7 +275,7 @@ fn uncompacted_spills_read_through_the_mapping() {
         assert_answers(&tight, &fleet);
     }
     let s = tight.stats();
-    assert_eq!(s.pack_pins, 12, "three sweeps of four cold files");
+    assert_eq!(s.pack_pins, 12, "three sweeps of four cold blobs");
     assert!(s.segment_sheds >= 11, "{} sheds", s.segment_sheds);
     assert_eq!(s.segment_loads, 0);
     assert!(s.persisted_resident_bytes <= sizes.iter().map(|b| b.1).max().unwrap());
@@ -215,34 +285,30 @@ fn uncompacted_spills_read_through_the_mapping() {
     assert_eq!(verified.count(), 4, "re-pins skip the checksum");
 }
 
-/// Reading many uncompacted packs of one keeps no file descriptor open:
-/// a load opens its pack, reads and closes it. (A descriptor cached per
-/// pack would run into `RLIMIT_NOFILE` after about a thousand of them,
-/// and every later load, persist and manifest write would fail.)
+/// Reading many uncompacted packs of one — one engine lifetime's spill
+/// each — keeps no file descriptor open: a load opens its pack, reads
+/// and closes it. (A descriptor cached per pack would run into
+/// `RLIMIT_NOFILE` after about a thousand of them, and every later load,
+/// persist and manifest write would fail.)
 #[cfg(target_os = "linux")]
 #[test]
 fn loading_many_packs_of_one_keeps_no_descriptor_open() {
     let dir = TempDir::new("descriptors");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(1024);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let fleet = persist_fleet_of(&engine, &spec, 150, 8, &mut rng);
+    let fleet = persist_packs(&dir.0, &spec, 150, 1, 8, &mut rng);
+    let engine = spill_engine(&spec, &dir.0);
     assert_eq!(engine.stats().segment_files, 150, "no compaction ran");
     for (run, exec, naive) in &fleet {
         let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
         assert_eq!(engine.reach(*run, u, v).unwrap(), Some(naive.reaches(u, v)));
     }
     assert_eq!(engine.stats().pack_pins, 150, "every pack was loaded");
-    let spill = std::fs::canonicalize(&dir.0).unwrap();
-    let open_packs = std::fs::read_dir("/proc/self/fd")
-        .unwrap()
-        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
-        .filter(|target| target.starts_with(&spill))
-        .count();
-    assert_eq!(open_packs, 0, "a descriptor outlived its load");
+    assert_eq!(
+        open_descriptors(&dir.0),
+        0,
+        "a descriptor outlived its load"
+    );
 }
 
 /// A handle taken before a rewrite holds its run's registration, and the
@@ -255,11 +321,10 @@ fn handles_taken_before_a_rewrite_answer_after_it() {
     let dir = TempDir::new("stale-handle");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(77);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let mut fleet = persist_fleet(&engine, &spec, 3, &mut rng);
+    // One lifetime's pack of one, then the next lifetime's pack of two.
+    let mut fleet = persist_packs(&dir.0, &spec, 1, 1, 40, &mut rng);
+    fleet.extend(persist_packs(&dir.0, &spec, 1, 2, 40, &mut rng));
+    let engine = spill_engine(&spec, &dir.0);
     let file_of = |run: RunId| {
         let listed = wf_service::snapshot::load_manifest(&dir.0).unwrap();
         listed.into_iter().find(|e| e.run == run).unwrap().file
@@ -308,11 +373,9 @@ fn resident_bytes_follow_a_registration_through_reheat_and_relocation() {
     let dir = TempDir::new("books");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(808);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let fleet = persist_fleet(&engine, &spec, 2, &mut rng);
+    // Two lifetimes, two packs: the compaction below merges them.
+    let fleet = persist_packs(&dir.0, &spec, 2, 1, 40, &mut rng);
+    let engine = spill_engine(&spec, &dir.0);
     let sizes = blob_sizes(&dir.0);
     let size_of = |run: RunId| sizes.iter().find(|(r, _)| *r == run).unwrap().1;
     let (a, b) = (fleet[0].0, fleet[1].0);
@@ -352,11 +415,9 @@ fn a_pass_with_no_victims_still_sweeps_orphans() {
     let dir = TempDir::new("sweep");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(9);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let fleet = persist_fleet(&engine, &spec, 2, &mut rng);
+    // Each run in a pack of its own, one per lifetime.
+    let fleet = persist_packs(&dir.0, &spec, 2, 1, 40, &mut rng);
+    let engine = spill_engine(&spec, &dir.0);
     engine.evict_run(fleet[0].0).unwrap();
     let leftover = dir.0.join("pack-999.wfseg");
     std::fs::write(&leftover, b"a pack no manifest ever listed").unwrap();
@@ -563,11 +624,8 @@ fn recompaction_reports_dead_bytes_separately() {
     let dir = TempDir::new("deadbytes");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(2026);
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .spill_dir(&dir.0)
-        .build();
-    let fleet = persist_fleet(&engine, &spec, 6, &mut rng);
+    let fleet = persist_packs(&dir.0, &spec, 2, 3, 40, &mut rng);
+    let engine = spill_engine(&spec, &dir.0);
     let first = engine.compact().unwrap();
     assert_eq!(first.packs_written, 1);
     assert_eq!(
@@ -579,7 +637,7 @@ fn recompaction_reports_dead_bytes_separately() {
     // Kill two members: their blobs stay in the pack as dead bytes.
     engine.evict_run(fleet[0].0).unwrap();
     engine.evict_run(fleet[1].0).unwrap();
-    // Two fresh packs of one, so the next pass merges three files.
+    // Two fresh spills in a new pack, so the next pass merges two files.
     let fresh = persist_fleet(&engine, &spec, 2, &mut rng);
 
     let disk_before = wfseg_bytes(&dir.0);
@@ -686,8 +744,9 @@ fn a_full_pack_is_rewritten_only_once_it_is_dead_heavy() {
         .spill_dir(&dir.0)
         .build();
     let mut fleet = persist_fleet_of(&engine, &spec, 96, 20, &mut rng);
+    // The 96 spills share one full pack already: nothing to merge.
     let first = engine.compact().unwrap();
-    assert_eq!((first.packs_written, first.files_after), (1, 1));
+    assert_eq!((first.packs_written, first.files_after), (0, 1));
     let pack_bytes = wfseg_bytes(&dir.0);
     let mut sizes = blob_sizes(&dir.0);
     sizes.sort_by_key(|(_, size)| *size);
@@ -779,6 +838,136 @@ fn a_manifest_with_or_without_an_epoch_line_loads() {
     let rewritten = std::fs::read_to_string(&path).unwrap();
     assert!(!rewritten.contains("epoch"), "{rewritten}");
     assert_eq!(rewritten.lines().count(), 1 + fleet.len());
+}
+
+/// Every persist of one engine lifetime appends to one pack: N spills
+/// leave one pack file and N + 1 manifest lines (the header, then a line
+/// per run), and a `compact()` after them has nothing to merge and
+/// unlinks nothing. The pass closes the pack, so the next spill opens a
+/// new one, and so does the first spill after a rebuild: a closed pack
+/// never grows again. Each append opens its file, writes, syncs and
+/// closes it: no descriptor is left open on the directory.
+#[test]
+fn a_lifetimes_persists_append_to_one_pack() {
+    let dir = TempDir::new("append");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(34);
+    let engine = spill_engine(&spec, &dir.0);
+    let mut fleet = persist_fleet(&engine, &spec, 5, &mut rng);
+    let first = pack_files(&dir.0);
+    assert_eq!(first.len(), 1, "{first:?}");
+    assert_eq!(manifest_lines(&dir.0), 1 + 5);
+    let report = engine.compact().unwrap();
+    assert_eq!(
+        (
+            report.files_before,
+            report.files_after,
+            report.packs_written
+        ),
+        (1, 1, 0)
+    );
+    assert_eq!(pack_files(&dir.0), first, "nothing moved or unlinked");
+
+    // After `compact()`: a new pack beside the closed one.
+    fleet.extend(persist_fleet(&engine, &spec, 2, &mut rng));
+    let second = pack_files(&dir.0);
+    assert_eq!(second.len(), 2, "{second:?}");
+    assert!(second.contains(&first[0]), "the closed pack did not grow");
+    assert_eq!(manifest_lines(&dir.0), 1 + 7);
+    assert_answers(&engine, &fleet);
+    drop(engine);
+
+    // After a rebuild: another new pack.
+    let engine = spill_engine(&spec, &dir.0);
+    fleet.extend(persist_fleet(&engine, &spec, 2, &mut rng));
+    let third = pack_files(&dir.0);
+    assert_eq!(third.len(), 3, "{third:?}");
+    assert!(
+        second.iter().all(|p| third.contains(p)),
+        "no older pack grew"
+    );
+    assert_eq!(manifest_lines(&dir.0), 1 + 9);
+    assert_eq!(engine.stats().spills, 2);
+    assert_answers(&engine, &fleet);
+    #[cfg(target_os = "linux")]
+    assert_eq!(
+        open_descriptors(&dir.0),
+        0,
+        "a descriptor outlived its append"
+    );
+    drop(engine);
+    assert_answers(&spill_engine(&spec, &dir.0), &fleet);
+}
+
+/// A crash in the middle of a manifest append leaves a last line with
+/// no `\n`: that persist was never acknowledged, and its run does not
+/// register. The next build rewrites the manifest whole before anything
+/// is appended to it, so the line the next persist appends is not glued
+/// onto the torn one, and survives the restart after it.
+#[test]
+fn a_torn_manifest_line_is_repaired_before_the_next_append() {
+    let dir = TempDir::new("torn-line");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(341);
+    let mut fleet = persist_packs(&dir.0, &spec, 1, 3, 40, &mut rng);
+    let path = dir.0.join(wf_service::snapshot::MANIFEST_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+    std::fs::write(&path, &text[..last + (text.len() - last) / 2]).unwrap();
+    let torn = fleet.remove(2).0;
+
+    let engine = spill_engine(&spec, &dir.0);
+    assert_eq!(
+        engine.run_tier(torn),
+        Err(wf_service::ServiceError::UnknownRun(torn))
+    );
+    assert_eq!(engine.stats().runs_persisted, 2);
+    let repaired = std::fs::read_to_string(&path).unwrap();
+    assert!(repaired.ends_with('\n'), "{repaired:?}");
+    fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
+    drop(engine);
+
+    let engine = spill_engine(&spec, &dir.0);
+    assert_eq!(engine.stats().runs_persisted, 3);
+    assert_answers(&engine, &fleet);
+    assert_eq!(manifest_lines(&dir.0), 1 + 3);
+}
+
+/// A persist whose pack append fails — here the active pack's file was
+/// removed between two persists — returns a typed error and registers
+/// nothing: the run keeps its frame and no manifest line names it. The
+/// failure closed the pack, so the next persist opens a fresh one and
+/// succeeds.
+#[test]
+fn a_failed_append_closes_the_active_pack() {
+    let dir = TempDir::new("failed-append");
+    let spec = wf_spec::corpus::running_example();
+    let mut rng = StdRng::seed_from_u64(342);
+    let engine = spill_engine(&spec, &dir.0);
+    persist_fleet(&engine, &spec, 1, &mut rng);
+    let [(gone, _)] = &pack_files(&dir.0)[..] else {
+        panic!("one pack");
+    };
+    std::fs::remove_file(dir.0.join(gone)).unwrap();
+
+    let fleet = vec![complete_one(&engine, &spec, 40, &mut rng)];
+    let run = fleet[0].0;
+    match engine.persist_run(run) {
+        Err(wf_service::ServiceError::Snapshot(r, _)) => assert_eq!(r, run),
+        other => panic!("expected a snapshot error, got {other:?}"),
+    }
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
+    assert_eq!(manifest_lines(&dir.0), 1 + 1, "no line names the run");
+    assert_answers(&engine, &fleet);
+
+    engine.persist_run(run).unwrap();
+    assert_eq!(engine.run_tier(run).unwrap(), Tier::Persisted);
+    let fresh = pack_files(&dir.0);
+    assert_eq!(fresh.len(), 1, "{fresh:?}");
+    assert_ne!(&fresh[0].0, gone, "a fresh pack, not the removed one");
+    assert_answers(&engine, &fleet);
+    drop(engine);
+    assert_answers(&spill_engine(&spec, &dir.0), &fleet);
 }
 
 /// Cross-run label scans racing pack rewrites: scanners hold nothing but

@@ -680,6 +680,9 @@ fn a_reheated_run_survives_a_restart() {
     };
 
     let (run, exec) = persist_one();
+    // Close the pack the run was appended to: the next spill opens a
+    // new one, and the compaction below merges the two.
+    assert_eq!(engine.compact().unwrap().packs_written, 0);
     engine.reheat_run(run).unwrap();
     assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
     assert_eq!(engine.stats().pack_dead_bytes, 0, "the blob is still live");

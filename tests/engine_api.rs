@@ -567,23 +567,31 @@ fn compaction_packs_segments_and_survives_restart() {
     let dir = TempDir::new("compact");
     let spec = wf_spec::corpus::running_example();
     let mut payloads = Vec::new();
-    {
-        let engine: WfEngine = WfEngine::builder()
+    let build = || -> WfEngine {
+        WfEngine::builder()
             .spec(spec.clone())
             .ingest_workers(2)
             .spill_dir(&dir.0)
-            .build();
-        for i in 0..6u64 {
-            let run = engine.open_run(SpecId(0)).unwrap();
-            let exec = ingest_run(&engine, run, SpecId(0), 200 + i, 40);
-            engine.persist_run(run).unwrap();
-            payloads.push((run, exec));
+            .build()
+    };
+    {
+        // Three lifetimes of two spills: the spills of one lifetime share
+        // a pack, and each lifetime opens a new one.
+        for lifetime in 0..3u64 {
+            let engine = build();
+            for i in [2 * lifetime, 2 * lifetime + 1] {
+                let run = engine.open_run(SpecId(0)).unwrap();
+                let exec = ingest_run(&engine, run, SpecId(0), 200 + i, 40);
+                engine.persist_run(run).unwrap();
+                payloads.push((run, exec));
+            }
         }
+        let engine = build();
         let before = engine.stats();
-        assert_eq!(before.segment_files, 6, "one pack of one per spill");
+        assert_eq!(before.segment_files, 3, "one pack per lifetime");
         let report = engine.compact().unwrap();
-        assert_eq!(report.files_before, 6);
-        assert_eq!(report.files_after, 1, "six packs of one → one pack");
+        assert_eq!(report.files_before, 3);
+        assert_eq!(report.files_after, 1, "three packs of two → one pack");
         assert_eq!(report.runs_packed, 6);
         assert_eq!(report.packs_written, 1);
         assert_eq!(report.bytes_after, report.bytes_before, "blobs verbatim");
@@ -602,16 +610,16 @@ fn compaction_packs_segments_and_survives_restart() {
             assert_eq!(h.reach(u, v), Some(true));
         }
     }
-    // The six packs of one are gone; only the merged pack (the
-    // seventh name handed out) + manifest stay.
+    // The three packs of two are gone; only the merged pack (the
+    // fourth name handed out) + manifest stay.
     let seg_files: Vec<String> = std::fs::read_dir(&dir.0)
         .unwrap()
         .filter_map(|e| e.ok()?.file_name().into_string().ok())
         .filter(|n| n.ends_with(".wfseg"))
         .collect();
-    assert_eq!(seg_files, vec!["pack-6.wfseg".to_string()]);
+    assert_eq!(seg_files, vec!["pack-3.wfseg".to_string()]);
     // A fresh engine reloads everything from the packed manifest.
-    let engine: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
+    let engine = build();
     for (run, exec) in &payloads {
         assert_eq!(engine.run_tier(*run).unwrap(), Tier::Persisted);
         let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);

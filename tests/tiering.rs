@@ -679,6 +679,37 @@ fn a_manifest_range_past_its_pack_registers_nothing() {
     assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
 }
 
+/// A line whose length is not the one its blob's header implies —
+/// header, arena and checksum — registers nothing: the run's first load
+/// could only fail on it, and an append a crash cut off in its last
+/// number reads as one. The engine builds and serves regardless.
+#[test]
+fn a_manifest_length_other_than_the_headers_registers_nothing() {
+    let dir = TempDir::new("short-line");
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(40)
+        .generate_run(&mut StdRng::seed_from_u64(62));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let run = persist_one(&build(), &exec);
+    let mut entries = snapshot::load_manifest(&dir.0).unwrap();
+    entries[0].bytes -= 1;
+    snapshot::write_manifest(&dir.0, &entries).unwrap();
+
+    let engine = build();
+    assert_eq!(engine.stats().runs_persisted, 0);
+    assert_eq!(engine.run_tier(run), Err(ServiceError::UnknownRun(run)));
+    let fresh = persist_one(&engine, &exec);
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
+}
+
 /// A build with a smaller catalog keeps the history it cannot read:
 /// the manifest lines of a spec beyond its catalog are carried through
 /// its rewrites, their packs survive its compaction and orphan sweep,
