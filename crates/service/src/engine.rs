@@ -13,7 +13,7 @@
 
 use crate::builder::EngineBuilder;
 use crate::handle::RunHandle;
-use crate::ingest::{BatchTracker, Envelope, Ingest, IngestPool};
+use crate::ingest::{apply_waited, Envelope, Ingest, IngestPool, Op};
 use crate::lifecycle::Tiering;
 use crate::query::CrossRunQuery;
 use crate::recovery::run_open_payload;
@@ -105,8 +105,9 @@ impl EngineShared {
     }
 
     /// The WAL shard a run's records land on: the same run→worker
-    /// pinning as the ingest pool, so a run's appends happen on one
-    /// worker thread and the shard file sees them in apply order.
+    /// pinning as the ingest pool. A run's appends happen under its
+    /// writer lock, whichever thread applies, so the shard file sees
+    /// them in apply order.
     pub(crate) fn wal_shard(&self, run: RunId) -> usize {
         route_worker(run, self.ingest.marks().len())
     }
@@ -229,44 +230,47 @@ impl WfEngine {
         self.shared.ingest.check_open()?;
         let slot = self.shared.slot(event.run)?;
         self.pool
-            .enqueue(&self.shared, Envelope::new(event.run, slot, event.op, None))
+            .enqueue(&self.shared, Envelope::new(event.run, slot, event.op))
     }
 
-    /// Apply one insertion event to one run, **blocking** until the
-    /// worker pool has applied it — the v1 API surface, preserved as a
-    /// thin wrapper over the pipelined path.
+    /// Apply one insertion event to one run, **blocking** until it is
+    /// applied — on the calling thread, after the run's worker has
+    /// settled every envelope enqueued before the call, so the event is
+    /// ordered after the run's earlier [`Self::ingest`]s. The v1 API
+    /// surface. A panic while applying is
+    /// [`ServiceError::WorkerPanicked`], not an unwind into the caller.
+    /// Not counted in [`ServiceStats::events_enqueued`]: nothing is
+    /// queued.
     pub fn submit(&self, run: RunId, ev: &ExecEvent) -> Result<(), ServiceError> {
-        self.submit_op(run, RunOp::Insert(ev.clone()))
+        self.blocking(run, Op::Insert(ev))
     }
 
-    /// Mark a run complete, blocking until the completion has flowed
-    /// through the worker pool (so it is ordered after every previously
-    /// enqueued event of the run); its labels stay queryable.
+    /// Mark a run complete, blocking, applied like [`Self::submit`]: on
+    /// the calling thread, ordered after every previously enqueued event
+    /// of the run. Its labels stay queryable.
     pub fn complete_run(&self, run: RunId) -> Result<(), ServiceError> {
-        self.submit_op(run, RunOp::Complete)
+        self.blocking(run, Op::Complete)
     }
 
-    fn submit_op(&self, run: RunId, op: RunOp) -> Result<(), ServiceError> {
+    /// Both blocking writes: settle the run's worker, then apply.
+    fn blocking(&self, run: RunId, op: Op<'_>) -> Result<(), ServiceError> {
         self.shared.ingest.check_open()?;
         let slot = self.shared.slot(run)?;
-        let tracker = Arc::new(BatchTracker::new(1));
-        let env = Envelope::new(run, slot, op, Some(Arc::clone(&tracker)));
-        self.pool.enqueue(&self.shared, env)?;
-        let outcome = tracker.wait();
-        match outcome.failures.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        let workers = self.shared.ingest.marks().len();
+        self.shared.ingest.flush([route_worker(run, workers)]);
+        apply_waited(&self.shared, run, &slot, op)
     }
 
-    /// Apply a batch of events through the worker pool, **blocking**
-    /// until every event has been applied: **per-run order is
-    /// preserved** (a run's events land on one worker queue in batch
-    /// order) while **distinct runs ingest in parallel** across the
-    /// pool. Failures are per-run: one run's fatal event skips that
-    /// run's remaining ops in the batch but never blocks the others,
-    /// and the failed run keeps serving queries over already-published
-    /// labels.
+    /// Apply a batch of events, **blocking**, on the calling thread: the
+    /// workers the batch's runs are pinned to settle what was enqueued
+    /// before the call, once, then the ops apply in batch order, so
+    /// **per-run order is preserved**. Failures are per-run: one run's
+    /// fatal event skips that run's remaining ops in the batch but
+    /// never the others' (an out-of-bounds vertex id is rejected alone
+    /// and the run goes on), and the failed run keeps serving queries
+    /// over already-published labels. One call applies on one thread:
+    /// for distinct runs ingesting in parallel, use [`Self::ingest`] +
+    /// [`Self::flush`] or several callers.
     pub fn submit_batch(&self, events: &[ServiceEvent]) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
         if self.shared.ingest.check_open().is_err() {
@@ -277,11 +281,12 @@ impl WfEngine {
             return outcome;
         }
         // Resolve each run's slot once, up front: one failure per unknown
-        // run, whose ops are skipped wholesale (v1 semantics).
+        // run, whose ops are skipped wholesale (v1 semantics). A run that
+        // dies mid-batch loses its slot here, which skips the rest of its
+        // ops.
         let mut slots: HashMap<u64, Option<Arc<RunSlot>>> = HashMap::new();
-        let mut resolved: Vec<Envelope> = Vec::with_capacity(events.len());
         for ev in events {
-            let slot = slots
+            slots
                 .entry(ev.run.0)
                 .or_insert_with(|| match self.shared.slot(ev.run) {
                     Ok(slot) => Some(slot),
@@ -290,22 +295,26 @@ impl WfEngine {
                         None
                     }
                 });
-            if let Some(slot) = slot {
-                resolved.push(Envelope::new(ev.run, Arc::clone(slot), ev.op.clone(), None));
+        }
+        // Settle the workers the live runs are pinned to, once.
+        let workers = self.shared.ingest.marks().len();
+        let live = slots.iter().filter(|(_, slot)| slot.is_some());
+        let touched = live.map(|(&run, _)| route_worker(RunId(run), workers));
+        self.shared.ingest.flush(touched);
+        for ev in events {
+            let Some(Some(slot)) = slots.get(&ev.run.0) else {
+                continue;
+            };
+            match apply_waited(&self.shared, ev.run, slot, Op::from(&ev.op)) {
+                Ok(()) => outcome.applied += usize::from(matches!(ev.op, RunOp::Insert(_))),
+                Err(e) => {
+                    if !matches!(e, ServiceError::VertexOutOfBounds(..)) {
+                        slots.insert(ev.run.0, None);
+                    }
+                    outcome.failures.push((ev.run, e));
+                }
             }
         }
-        let tracker = Arc::new(BatchTracker::new(resolved.len()));
-        for mut env in resolved {
-            env.tracker = Some(Arc::clone(&tracker));
-            let run = env.run;
-            if let Err(e) = self.pool.enqueue(&self.shared, env) {
-                tracker.finish_one();
-                outcome.failures.push((run, e));
-            }
-        }
-        let pooled = tracker.wait();
-        outcome.applied = pooled.applied;
-        outcome.failures.extend(pooled.failures);
         outcome
     }
 
@@ -317,7 +326,8 @@ impl WfEngine {
         let obs = &self.shared.obs;
         obs.flushes.inc();
         let span = obs.timer();
-        let watermark = self.shared.ingest.flush();
+        let ingest = &self.shared.ingest;
+        let watermark = ingest.flush(0..ingest.marks().len());
         // Durability barrier: every event applied below the watermark was
         // appended to the WAL *before* it was applied (write-ahead order),
         // so one group-commit fsync here makes the whole prefix durable.

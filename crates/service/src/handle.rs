@@ -13,7 +13,7 @@
 //! identical across tiers.
 
 use crate::engine::EngineShared;
-use crate::ingest::{apply, Entry, Op};
+use crate::ingest::{apply_waited, Op};
 use crate::store::{RunView, Tier};
 use crate::telemetry::SpanHandle;
 use crate::{RunId, RunStatus, ServiceError, SpecContext};
@@ -106,11 +106,14 @@ impl RunHandle {
         answer
     }
 
-    /// Apply one insertion event **synchronously**, bypassing the worker
-    /// pool — the lowest-latency ingest path for a caller that is itself
-    /// the run's single writer. Do not mix with pipelined
-    /// [`crate::WfEngine::ingest`] for the same run unless you order the
-    /// two yourself (e.g. with a `flush` between them). Rejected with
+    /// Apply one insertion event **synchronously**, on the calling
+    /// thread — the lowest-latency ingest path for a caller that is
+    /// itself the run's single writer. It is the engine's blocking
+    /// [`crate::WfEngine::submit`] without the wait for the run's worker,
+    /// so do not mix it with pipelined [`crate::WfEngine::ingest`] for the
+    /// same run unless you order the two yourself (e.g. with a `flush`
+    /// between them). A panic while applying is
+    /// [`ServiceError::WorkerPanicked`], not an unwind. Rejected with
     /// [`ServiceError::ShuttingDown`] once the engine has drained:
     /// "ingest is closed" covers every flavor, including this one.
     /// Handles over sealed runs reject writes with the run's `Completed`
@@ -125,16 +128,16 @@ impl RunHandle {
         self.write(Op::Complete)
     }
 
-    /// Both synchronous writes: the same apply body the pool workers
-    /// run, on the caller's thread — admitted, journaled and applied
-    /// under the run's writer lock, so a `complete()` here racing a
-    /// pooled insert of the same run orders log and memory identically.
+    /// Both synchronous writes: the door of every write whose caller
+    /// waits — admitted, journaled and applied under the run's writer
+    /// lock, so a `complete()` here racing a pooled insert of the same
+    /// run orders log and memory identically.
     fn write(&self, op: Op<'_>) -> Result<(), ServiceError> {
         self.shared.ingest.check_open()?;
         let RunView::Hot(slot) = &self.view else {
             return Err(ServiceError::RunNotLive(self.run, self.view.status()));
         };
-        apply(&self.shared, self.run, slot, op, Entry::Handle)
+        apply_waited(&self.shared, self.run, slot, op)
     }
 
     /// The published label of `v`, if any — an owned copy, cloned from

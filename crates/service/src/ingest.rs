@@ -7,12 +7,24 @@
 //! step to the run's [`RunSlot`] (which admits, journals and applies
 //! under its writer lock), notify standing queries, record the counters
 //! and the sampled span. Its three callers differ only in the [`Entry`]
-//! they name: a pool worker, the synchronous [`crate::RunHandle`], and
+//! they name: a pool worker, a caller who waits for the outcome, and
 //! WAL recovery (whose journal step is empty — its records are already
 //! in the rewritten log). The slot's writer lock around admission →
 //! journal → apply is the whole argument for "a record is in the log iff
 //! the op was admitted, the log orders a run's ops as memory does, and
 //! no event slips in after a completion or an eviction".
+//!
+//! **Two doors.** A write whose caller does not wait
+//! ([`crate::WfEngine::ingest`]) is an envelope on the [`IngestPool`];
+//! its failure is recorded on the run and in the error ring. A write
+//! whose caller waits — `submit`, `complete_run`, `submit_batch`,
+//! [`crate::RunHandle::submit`] / `complete` — goes through
+//! [`apply_waited`] on the caller's own thread: the writer lock already
+//! orders it against every other write of the run, so nothing needs to
+//! travel to a worker and back. The engine's blocking writes first wait
+//! for their run's worker to settle what was enqueued before them
+//! ([`Ingest::flush`] over that one worker), which keeps a run's order
+//! across the two doors.
 //!
 //! **[`Ingest`]** owns everything the pipeline is accounted in: the
 //! drain flag, the per-worker enqueued/applied marks — the one progress
@@ -25,25 +37,15 @@
 //! (`std::sync::mpsc::sync_channel`, so a saturated worker applies
 //! backpressure by blocking enqueues). Every run is pinned to one worker
 //! by a hash of its id, which preserves per-run event order with no
-//! coordination at all: one queue, one consumer, FIFO. Two delivery
-//! modes share the path:
-//!
-//! * **fire-and-forget** ([`crate::WfEngine::ingest`]): the envelope
-//!   carries no tracker; failures are recorded on the run and in the
-//!   error ring;
-//! * **acknowledged** (the blocking `submit` / `submit_batch` wrappers):
-//!   the envelope carries a [`BatchTracker`] the caller waits on — the
-//!   worker records each op's outcome and wakes the caller when the
-//!   whole batch has been processed.
-//!
-//! Either way the envelope's [`Settle`] guard advances its worker's
-//! `applied` mark, which is what [`crate::WfEngine::flush`] waits on.
+//! coordination at all: one queue, one consumer, FIFO. A worker advances
+//! its `applied` mark once per envelope, applied, failed or panicked —
+//! which is what [`crate::WfEngine::flush`] waits on.
 
 use crate::engine::{route_worker, EngineShared, DEFAULT_MAX_VERTEX_ID};
 use crate::slot::RunSlot;
-use crate::telemetry::{SpanCtx, SpanHandle};
-use crate::{BatchOutcome, RunId, RunOp, ServiceError, SpecId, Tier};
-use std::collections::{HashSet, VecDeque};
+use crate::telemetry::{current_span, set_current_span, SpanCtx, SpanHandle};
+use crate::{RunId, RunOp, ServiceError, SpecId, Tier};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -79,9 +81,10 @@ pub(crate) enum Entry {
     /// side: the context is [`SpanCtx::NONE`] for all but the 1-in-64
     /// sampled enqueues, whose apply span parents under it.
     Pool(SpanCtx),
-    /// [`crate::RunHandle::submit`] / `complete`, on the caller's thread:
-    /// a sampled apply opens a root span (there is no enqueue parent).
-    Handle,
+    /// A caller who waits for the outcome, on its own thread
+    /// ([`apply_waited`]): a sampled apply opens a root span (there is
+    /// no enqueue parent).
+    Caller,
     /// WAL recovery: the record is already in the rewritten log, so the
     /// op is applied without being journaled again.
     Replay,
@@ -125,6 +128,36 @@ pub(crate) fn apply(
         Op::Complete => record_complete_outcome(shared, run, slot.spec, &res),
     }
     res
+}
+
+/// **The one door for a write whose caller waits**: [`apply`] on the
+/// caller's thread. A panic inside it comes back as
+/// [`ServiceError::WorkerPanicked`] — the outcome the pool reports for
+/// the same panic — never as an unwind into the caller, and the thread's
+/// span context is put back. Ordering against the pool is the caller's
+/// part: the engine's blocking writes settle the run's worker first, a
+/// [`crate::RunHandle`] writer is its run's single writer.
+pub(crate) fn apply_waited(
+    shared: &EngineShared,
+    run: RunId,
+    slot: &RunSlot,
+    op: Op<'_>,
+) -> Result<(), ServiceError> {
+    let ctx = current_span();
+    // AssertUnwindSafe: as in `worker_loop`.
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        apply(shared, run, slot, op, Entry::Caller)
+    }));
+    set_current_span(ctx);
+    res.unwrap_or_else(|_| panicked(run, slot))
+}
+
+/// The outcome of an apply that panicked: it may have left the run's
+/// labeler half-updated (its writer lock is poisoned), so the run fails
+/// now, not at its next write.
+fn panicked(run: RunId, slot: &RunSlot) -> Result<(), ServiceError> {
+    slot.fail();
+    Err(ServiceError::WorkerPanicked(run))
 }
 
 /// **Write-ahead order, admission first**: the slot runs `journal`
@@ -186,7 +219,7 @@ fn record_complete_outcome(
         // The status CAS fired exactly once, so this fan-out is
         // edge-triggered: subscribers see one RunCompleted per run.
         shared.notify_complete(run, spec);
-        shared.tiering.note_completed(run);
+        shared.tiering.note_completed();
     }
 }
 
@@ -288,7 +321,7 @@ impl Ingest {
     }
 
     /// Remember a failure from the fire-and-forget path so callers that
-    /// never block on acks can still observe what went wrong.
+    /// never wait on an outcome can still observe what went wrong.
     pub(crate) fn push_error(&self, run: RunId, err: ServiceError) {
         // A panic mid-push leaves a valid ring, short one entry at worst.
         let mut ring = self.errors.lock().unwrap_or_else(PoisonError::into_inner);
@@ -328,18 +361,20 @@ impl Ingest {
         }
     }
 
-    /// Block until every worker has finished what was enqueued on it
-    /// before this call; returns the applied watermark observed on exit.
-    pub(crate) fn flush(&self) -> u64 {
-        let targets: Vec<u64> = self
-            .marks
-            .iter()
-            .map(|m| m.enqueued.load(Ordering::Acquire))
+    /// Block until each of `workers` has finished what was enqueued on
+    /// it before this call; returns the applied watermark, summed over
+    /// every worker, observed on exit. [`crate::WfEngine::flush`] waits
+    /// on all of them, a blocking write on its run's worker alone — so
+    /// it applies after every envelope of the run queued before it.
+    pub(crate) fn flush(&self, workers: impl IntoIterator<Item = usize>) -> u64 {
+        let targets: Vec<(&WorkerMark, u64)> = workers
+            .into_iter()
+            .map(|w| &self.marks[w])
+            .map(|m| (m, m.enqueued.load(Ordering::Acquire)))
             .collect();
         let reached = || {
-            self.marks
+            targets
                 .iter()
-                .zip(&targets)
                 .all(|(m, target)| m.applied.load(Ordering::Acquire) >= *target)
         };
         if !reached() {
@@ -362,13 +397,12 @@ impl Ingest {
     }
 }
 
-/// One routed unit of work: the op, the pre-resolved run slot (so
-/// workers never touch the registry), and an optional ack tracker.
+/// One routed unit of work: the op and the pre-resolved run slot (so
+/// workers never touch the registry).
 pub(crate) struct Envelope {
     pub(crate) run: RunId,
     pub(crate) slot: Arc<RunSlot>,
     pub(crate) op: RunOp,
-    pub(crate) tracker: Option<Arc<BatchTracker>>,
     /// Causal context of the enqueue-side span for a sampled ingest
     /// ([`SpanCtx::NONE`] otherwise): the worker's apply span parents
     /// under it, stitching the trace across the thread boundary.
@@ -376,110 +410,12 @@ pub(crate) struct Envelope {
 }
 
 impl Envelope {
-    pub(crate) fn new(
-        run: RunId,
-        slot: Arc<RunSlot>,
-        op: RunOp,
-        tracker: Option<Arc<BatchTracker>>,
-    ) -> Self {
+    pub(crate) fn new(run: RunId, slot: Arc<RunSlot>, op: RunOp) -> Self {
         Self {
             run,
             slot,
             op,
-            tracker,
             span: SpanCtx::NONE,
-        }
-    }
-}
-
-/// Completion tracking for a blocking submission: counts outstanding
-/// envelopes, collects failures, and remembers which runs died mid-batch
-/// so their remaining ops are skipped (v1's isolation semantics). One
-/// lock: every tracked op takes it once to ask [`Self::is_dead`] and
-/// once to [`Self::record`] its outcome.
-pub(crate) struct BatchTracker {
-    state: Mutex<TrackerState>,
-    cv: Condvar,
-}
-
-struct TrackerState {
-    /// Expected envelopes not yet accounted for; zero wakes the waiter.
-    remaining: usize,
-    /// Insertions applied so far.
-    applied: usize,
-    failures: Vec<(RunId, ServiceError)>,
-    /// Runs that hit a fatal error in this batch; later ops are skipped.
-    dead: HashSet<u64>,
-}
-
-impl BatchTracker {
-    pub(crate) fn new(expected: usize) -> Self {
-        Self {
-            state: Mutex::new(TrackerState {
-                remaining: expected,
-                applied: 0,
-                failures: Vec::new(),
-                dead: HashSet::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn state(&self) -> MutexGuard<'_, TrackerState> {
-        // Every field is valid between any two statements: a panicking
-        // holder loses at most its own outcome.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Should this run's op be skipped (a previous op in the batch
-    /// killed the run)?
-    fn is_dead(&self, run: RunId) -> bool {
-        self.state().dead.contains(&run.0)
-    }
-
-    /// Record one op's outcome. `Ok(true)` marks a successful insertion.
-    fn record(&self, run: RunId, res: Result<bool, ServiceError>) {
-        let mut s = self.state();
-        match res {
-            Ok(applied) => s.applied += usize::from(applied),
-            Err(e) => {
-                // A per-event rejection (an out-of-bounds vertex id)
-                // leaves the run healthy; anything else means the run
-                // cannot make progress in this batch.
-                if !matches!(e, ServiceError::VertexOutOfBounds(..)) {
-                    s.dead.insert(run.0);
-                }
-                s.failures.push((run, e));
-            }
-        }
-        self.finish(s);
-    }
-
-    /// One expected envelope is accounted for — processed by a worker,
-    /// or never enqueued (the caller shrinks the count so `wait` still
-    /// terminates). The last one wakes the waiter.
-    pub(crate) fn finish_one(&self) {
-        self.finish(self.state());
-    }
-
-    fn finish(&self, mut s: MutexGuard<'_, TrackerState>) {
-        s.remaining -= 1;
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Block until every expected envelope has been processed, then
-    /// collect the outcome.
-    pub(crate) fn wait(&self) -> BatchOutcome {
-        let mut s = self.state();
-        while s.remaining > 0 {
-            // As in `state`: the counts stay valid across a panic.
-            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        BatchOutcome {
-            applied: s.applied,
-            failures: std::mem::take(&mut s.failures),
         }
     }
 }
@@ -579,88 +515,29 @@ impl Drop for IngestPool {
     }
 }
 
-/// Worker body: consume envelopes until the channel closes. A panic
-/// while applying one envelope must neither kill the worker nor strand
-/// callers — the [`Settle`] guard inside `process` still advances the
-/// worker's mark and completes any tracker, and the loop moves on to the
-/// next envelope.
+/// Worker body: consume envelopes until the channel closes. Each one
+/// is settled exactly once, applied or not: a failure — a panic
+/// included, which neither kills the worker nor leaves the thread under
+/// the dead span's context — reaches the error ring, *then* the
+/// worker's `applied` mark advances, so a `flush()` that covers the
+/// envelope returns with its error already in the ring.
 fn worker_loop(shared: &EngineShared, rx: &Receiver<Envelope>, index: usize) {
+    let ingest = &shared.ingest;
     while let Ok(env) = rx.recv() {
-        // AssertUnwindSafe: all state `process` touches is behind
-        // poisoning mutexes or atomics; a half-applied op marks itself
-        // via lock poisoning, which later ops surface as errors.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(shared, index, env);
+        let (run, slot) = (env.run, &env.slot);
+        let ctx = current_span();
+        // AssertUnwindSafe: all state `apply` touches is behind
+        // poisoning mutexes or atomics; a half-applied op leaves the
+        // run's writer lock poisoned, and `panicked` fails the run.
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            apply(shared, run, slot, Op::from(&env.op), Entry::Pool(env.span))
         }));
-    }
-}
-
-/// Settles one envelope's accounting exactly once — on the normal path
-/// *and* if applying the op panics — so neither `flush()` nor a
-/// `BatchTracker::wait` can hang on an envelope that died mid-apply.
-/// The worker's `applied` mark advances **before** an acknowledged
-/// outcome is delivered (a caller woken by its own blocking submit
-/// observes its event as processed: zero backlog) and **after** a
-/// fire-and-forget failure reaches the error ring (a `flush()` that
-/// covers the event returns with its error already in the ring).
-struct Settle<'a> {
-    shared: &'a EngineShared,
-    /// The worker whose mark this envelope is counted on.
-    worker: usize,
-    tracker: Option<Arc<BatchTracker>>,
-    run: RunId,
-    /// `Ok(applied an insert?)`; `None` at drop time means the op never
-    /// produced a result — it panicked.
-    outcome: Option<Result<bool, ServiceError>>,
-}
-
-impl Drop for Settle<'_> {
-    fn drop(&mut self) {
-        let ingest = &self.shared.ingest;
-        let outcome = self
-            .outcome
-            .take()
-            .unwrap_or(Err(ServiceError::WorkerPanicked(self.run)));
-        match &self.tracker {
-            Some(tracker) => {
-                ingest.note_applied(self.worker);
-                tracker.record(self.run, outcome);
-            }
-            None => {
-                if let Err(e) = outcome {
-                    ingest.push_error(self.run, e);
-                }
-                ingest.note_applied(self.worker);
-            }
+        set_current_span(ctx);
+        if let Err(e) = res.unwrap_or_else(|_| panicked(run, slot)) {
+            ingest.push_error(run, e);
         }
+        ingest.note_applied(index);
     }
-}
-
-/// Apply one envelope and stage its outcome on the [`Settle`] guard.
-fn process(shared: &EngineShared, worker: usize, env: Envelope) {
-    let Envelope {
-        run,
-        slot,
-        op,
-        tracker,
-        span: enqueue_span,
-    } = env;
-    let mut settle = Settle {
-        shared,
-        worker,
-        tracker,
-        run,
-        outcome: None,
-    };
-    // A previous op of this batch killed the run: skip this one (nothing
-    // applied), but still account for the envelope so the waiter wakes.
-    let dead = settle.tracker.as_ref().is_some_and(|t| t.is_dead(run));
-    settle.outcome = Some(if dead {
-        Ok(false)
-    } else {
-        apply(shared, run, &slot, Op::from(&op), Entry::Pool(enqueue_span))
-            .map(|()| matches!(op, RunOp::Insert(_)))
-    });
 }
 
 #[cfg(test)]
@@ -674,14 +551,15 @@ mod tests {
     use wf_run::{Execution, RunGenerator};
     use wf_spec::GraphId;
 
-    /// An apply that panics — a log-based event naming a graph the
-    /// specification does not have is an index panic inside the labeler —
-    /// settles like any other envelope: its worker's `applied` advances
-    /// exactly once (no flush hangs, no backlog is left standing), the
-    /// outcome is `WorkerPanicked` whichever way it is delivered, and the
-    /// worker lives on to serve the next envelope.
+    /// An apply that panics on a worker — a log-based event naming a
+    /// graph the specification does not have is an index panic inside
+    /// the labeler — settles like any other envelope: its worker's
+    /// `applied` advances exactly once (no flush hangs, no backlog is
+    /// left standing), `WorkerPanicked` reaches the error ring, the run
+    /// reads `Failed`, and the worker lives on to serve the next
+    /// envelope.
     #[test]
-    fn a_panicking_apply_advances_its_mark_once_and_settles_its_tracker() {
+    fn a_panicking_apply_advances_its_mark_once() {
         let engine: WfEngine = WfEngine::builder()
             .spec(wf_spec::corpus::running_example())
             .ingest_workers(2)
@@ -696,41 +574,38 @@ mod tests {
         bad.origin.0 = GraphId(u32::MAX);
 
         let ingest = &engine.shared.ingest;
-        for acknowledged in [true, false] {
-            let run = engine
-                .open_run_with(SpecId(0), ResolutionMode::LogBased)
-                .unwrap();
-            let mark = &ingest.marks[route_worker(run, ingest.marks.len())];
-            let progress = || {
-                (
-                    mark.enqueued.load(Ordering::Acquire),
-                    mark.applied.load(Ordering::Acquire),
-                )
-            };
-            engine.submit(run, first).unwrap();
-            let (enqueued, applied) = progress();
-            assert_eq!(enqueued, applied);
+        let run = engine
+            .open_run_with(SpecId(0), ResolutionMode::LogBased)
+            .unwrap();
+        let mark = &ingest.marks[route_worker(run, ingest.marks.len())];
+        let progress = || {
+            (
+                mark.enqueued.load(Ordering::Acquire),
+                mark.applied.load(Ordering::Acquire),
+            )
+        };
+        let send = |ev: &ExecEvent| {
+            let op = RunOp::Insert(ev.clone());
+            engine.ingest(ServiceEvent { run, op }).unwrap();
+            engine.flush();
+        };
+        send(first);
+        assert_eq!(progress(), (1, 1));
 
-            let panicked = ServiceError::WorkerPanicked(run);
-            if acknowledged {
-                assert_eq!(engine.submit(run, &bad), Err(panicked.clone()));
-            } else {
-                let op = RunOp::Insert(bad.clone());
-                engine.ingest(ServiceEvent { run, op }).unwrap();
-                engine.flush();
-                assert_eq!(engine.take_ingest_errors(), [(run, panicked.clone())]);
-            }
-            assert_eq!(progress(), (enqueued + 1, applied + 1));
-            assert_eq!(engine.stats().ingest_backlog, 0);
+        let panicked = ServiceError::WorkerPanicked(run);
+        send(&bad);
+        assert_eq!(engine.take_ingest_errors(), [(run, panicked.clone())]);
+        assert_eq!(progress(), (2, 2));
+        assert_eq!(engine.stats().ingest_backlog, 0);
+        assert_eq!(engine.run_status(run), Ok(RunStatus::Failed));
 
-            // The panic poisoned the run's writer lock; the worker itself
-            // is fine and reports that for the run's next event.
-            assert_eq!(engine.submit(run, second), Err(panicked));
-            assert_eq!(engine.run_status(run), Ok(RunStatus::Failed));
-            assert_eq!(progress(), (enqueued + 2, applied + 2));
-        }
-        assert_eq!(ingest.watermarks(), (6, 6));
-        assert_eq!(engine.flush(), 6);
+        // The panic poisoned the run's writer lock; the worker itself
+        // is fine and reports that for the run's next event.
+        send(second);
+        assert_eq!(engine.take_ingest_errors(), [(run, panicked)]);
+        assert_eq!(progress(), (3, 3));
+        assert_eq!(ingest.watermarks(), (3, 3));
+        assert_eq!(engine.flush(), 3);
     }
 
     /// The ingest path's and the watchdog's locks are recovered, not

@@ -16,10 +16,13 @@
 //!   with bounded queues and backpressure: [`WfEngine::ingest`] enqueues
 //!   a [`ServiceEvent`] and returns immediately, [`WfEngine::flush`] is
 //!   a watermark barrier, and [`WfEngine::drain`] shuts the pool down
-//!   gracefully. The blocking [`WfEngine::submit`] /
-//!   [`WfEngine::submit_batch`] survive as thin wrappers over the same
-//!   pipelined path (per-run event order is always preserved: one run is
-//!   pinned to one worker's FIFO queue);
+//!   gracefully (per-run event order is always preserved: one run is
+//!   pinned to one worker's FIFO queue). A write whose caller waits —
+//!   the blocking [`WfEngine::submit`] / [`WfEngine::submit_batch`] /
+//!   [`WfEngine::complete_run`], and [`RunHandle::submit`] — is applied
+//!   on the caller's thread instead, once the run's worker has settled
+//!   what was enqueued before it; the run's writer lock orders it
+//!   against every other write of the run;
 //! * the **query path** is lock-free: every applied insertion publishes
 //!   the vertex's immutable label into a write-once
 //!   [`index::LabelIndex`] as one cell — its name, the slot of its
@@ -258,11 +261,13 @@ pub enum ServiceError {
     /// The ingest pool has been drained ([`WfEngine::drain`]); no new
     /// events are accepted. Queries keep working.
     ShuttingDown,
-    /// A writer panicked applying an event of this run: either this op's
-    /// own worker, or an earlier one that left the run's writer lock
-    /// poisoned. The op did not complete, the run is `Failed` (its
-    /// labeler state cannot be trusted), and it can still be evicted;
-    /// published labels remain queryable.
+    /// A writer panicked applying an event of this run: this op's own
+    /// apply — on a pool worker, or on the thread of a caller who waits
+    /// for it, which gets this error instead of the unwind — or an
+    /// earlier one that left the run's writer lock poisoned. The op did
+    /// not complete, the run is `Failed` (its labeler state cannot be
+    /// trusted), and it can still be evicted; published labels remain
+    /// queryable.
     WorkerPanicked(RunId),
     /// Only completed runs can be frozen: freezing discards the dynamic
     /// labeler state, which a live run still needs for the next event.

@@ -21,14 +21,14 @@
 //! it tells the sealed run where its blob went.
 //!
 //! [`Tiering`] owns everything the background worker needs: the policy
-//! and a [`Ticker`] — the completion queue with the thread's stop flag,
-//! its wakeup and its join handle.
+//! and a [`Ticker`] — the thread's stop flag, its wakeup and its join
+//! handle. The worker keeps no record of its own: the registry says
+//! which runs are completed and hot, and each slot when it completed.
 
 use crate::engine::EngineShared;
 use crate::freeze::freeze_slot;
 use crate::store::{RunView, Tier};
 use crate::{RunId, RunStatus, ServiceError};
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -134,42 +134,30 @@ impl<T> Ticker<T> {
     }
 }
 
-/// The tiering worker's state: the policy it enforces, the completion
-/// queue that feeds it, and its thread.
+/// The tiering worker's state: the policy it enforces and its thread.
 pub(crate) struct Tiering {
     policy: TierPolicy,
-    /// Completed runs in completion order — the freeze queue (stale
-    /// entries are skipped when popped). A completion wakes the worker.
-    ticker: Ticker<VecDeque<RunId>>,
+    /// A completion wakes the worker.
+    ticker: Ticker<()>,
 }
 
 impl Tiering {
     pub(crate) fn new(policy: TierPolicy) -> Self {
         Self {
             policy,
-            ticker: Ticker::new(VecDeque::new()),
+            ticker: Ticker::new(()),
         }
     }
 
     /// True when any automatic policy is configured (and so a worker
-    /// drains the completion queue).
+    /// runs).
     pub(crate) fn is_active(&self) -> bool {
         self.policy.freeze_after.is_some() || self.policy.compact_after.is_some()
     }
 
-    /// A run completed: queue it for the worker and wake it. Without a
-    /// policy nothing ever drains the queue, so don't grow it.
-    pub(crate) fn note_completed(&self, run: RunId) {
-        if self.is_active() {
-            self.ticker.lock().shared.push_back(run);
-            self.ticker.wake();
-        }
-    }
-
-    /// Completions not yet looked at by the worker (the watchdog's
-    /// tiering-backlog sample).
-    pub(crate) fn backlog(&self) -> usize {
-        self.ticker.lock().shared.len()
+    /// A run completed: wake the worker, if there is one.
+    pub(crate) fn note_completed(&self) {
+        self.ticker.wake();
     }
 
     /// Start the background worker when a policy is configured: apply
@@ -306,38 +294,49 @@ impl EngineShared {
 
     /// One pass of the automatic tiering policy: freeze (and spill) the
     /// oldest completed hot runs until at most
-    /// [`TierPolicy::freeze_after`] remain. The hot tier is counted once
+    /// [`TierPolicy::freeze_after`] remain. The hot tier is read once
     /// per pass; completions landing mid-pass wake the worker for the
     /// next one.
     pub(crate) fn apply_tier_policy(&self) {
         let Some(keep) = self.tiering.policy.freeze_after else {
             return;
         };
-        let mut hot_completed = 0usize;
-        self.store.for_each(|_, view| {
-            if matches!(view, RunView::Hot(slot) if slot.status() == RunStatus::Completed) {
-                hot_completed += 1;
-            }
-        });
-        for _ in 0..hot_completed.saturating_sub(keep) {
-            // Oldest completed run that is still hot (stale queue
-            // entries — evicted or manually frozen runs — are skipped).
-            let run = {
-                let mut queue = self.tiering.ticker.lock();
-                std::iter::from_fn(|| queue.shared.pop_front())
-                    .find(|r| matches!(self.store.view(*r), Some(RunView::Hot(_))))
-            };
-            let Some(run) = run else { return };
+        let completed = self.completed_hot();
+        for &(_, run) in &completed[..completed.len().saturating_sub(keep)] {
             let res = if self.spill.is_some() {
                 self.persist(run)
             } else {
                 self.freeze(run)
             };
-            if let Err(e) = res {
+            match res {
+                // Evicted since the walk: nothing left to tier.
+                Ok(()) | Err(ServiceError::UnknownRun(_)) => {}
                 // Surface tiering failures the same way fire-and-forget
                 // ingest failures surface: through the bounded ring.
-                self.ingest.push_error(run, e);
+                Err(e) => self.ingest.push_error(run, e),
             }
         }
+    }
+
+    /// How many completed hot runs are over [`TierPolicy::freeze_after`]
+    /// (0 without one): the watchdog's tiering-backlog sample.
+    pub(crate) fn tiering_backlog(&self) -> usize {
+        self.tiering
+            .policy
+            .freeze_after
+            .map_or(0, |keep| self.completed_hot().len().saturating_sub(keep))
+    }
+
+    /// The completed runs the hot tier holds, oldest completion first —
+    /// one registry walk.
+    fn completed_hot(&self) -> Vec<(u64, RunId)> {
+        let mut completed = Vec::new();
+        self.store.for_each(|run, view| {
+            if let RunView::Hot(slot) = view {
+                completed.extend(slot.completion().map(|tick| (tick, run)));
+            }
+        });
+        completed.sort_unstable();
+        completed
     }
 }

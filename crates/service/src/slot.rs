@@ -56,7 +56,15 @@ pub(crate) struct RunSlot {
     /// the numbers align with the flush watermark: everything appended
     /// before a barrier is durably replayable after it.
     pub(crate) wal_seq: AtomicU64,
+    /// Where the run's completion falls in the engine's completion
+    /// order (a tick of [`COMPLETIONS`]); 0 while it has not completed.
+    completion: AtomicU64,
 }
+
+/// The completion clock: every completion takes the next tick, so the
+/// tiering policy can tell the oldest completed runs from the registry
+/// alone.
+static COMPLETIONS: AtomicU64 = AtomicU64::new(0);
 
 impl RunSlot {
     /// The slot of a run that can be written: `Live`, with a fresh
@@ -80,6 +88,7 @@ impl RunSlot {
             status: AtomicU8::new(RunStatus::Live.as_u8()),
             queries: AtomicU64::new(0),
             wal_seq: AtomicU64::new(next_wal_seq),
+            completion: AtomicU64::new(0),
         })
     }
 
@@ -166,10 +175,19 @@ impl RunSlot {
         journal()?;
         // Admitted as `Live` under the lock every other transition of a
         // live run takes, so this is the one that moves it.
+        let tick = COMPLETIONS.fetch_add(1, Ordering::Relaxed) + 1;
+        self.completion.store(tick, Ordering::Relaxed);
         self.status
             .store(RunStatus::Completed.as_u8(), Ordering::Release);
         *w = None;
         Ok(())
+    }
+
+    /// The run's place in the completion order; `None` unless the run
+    /// is `Completed`.
+    pub(crate) fn completion(&self) -> Option<u64> {
+        // The `Acquire` status load sees the tick stored before it.
+        (self.status() == RunStatus::Completed).then(|| self.completion.load(Ordering::Relaxed))
     }
 
     /// Hold the writer lock, as an apply in progress would: how the

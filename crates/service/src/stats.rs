@@ -28,11 +28,13 @@ pub struct ServiceStats {
     pub runs_completed: u64,
     /// Runs whose ingestion hit an error.
     pub runs_failed: u64,
-    /// Envelopes handed to the ingest worker pool (inserts and
-    /// completions, successful or not) — the queue's input side, summed
-    /// over the per-worker `enqueued` marks. A write through
-    /// [`crate::RunHandle::submit`] is applied on the caller's thread
-    /// and never queued, so it shows up in `events_ingested` only.
+    /// Envelopes handed to the ingest worker pool by
+    /// [`crate::WfEngine::ingest`] (inserts and completions, successful
+    /// or not) — the queue's input side, summed over the per-worker
+    /// `enqueued` marks. A write whose caller waits (`submit`,
+    /// `complete_run`, `submit_batch`, [`crate::RunHandle::submit`]) is
+    /// applied on the caller's thread and never queued, so it shows up
+    /// in `events_ingested` only.
     pub events_enqueued: u64,
     /// Insertion events successfully applied across all runs. Every
     /// write — pooled, synchronous, or replayed from the WAL at build
@@ -41,8 +43,8 @@ pub struct ServiceStats {
     /// Envelopes enqueued but not yet settled by their worker — the
     /// live depth of the queues: `events_enqueued` minus the sum of the
     /// per-worker `applied` marks (the same ledger `flush()` waits on
-    /// and the watchdog samples, so a caller woken by its own blocking
-    /// submit reads 0 here).
+    /// and the watchdog samples). Fire-and-forget envelopes only: a
+    /// blocking write is never queued, so it never counts here.
     pub ingest_backlog: u64,
     /// Watermark barriers taken ([`crate::WfEngine::flush`]).
     pub flushes: u64,

@@ -82,6 +82,13 @@ pub(crate) fn current_span() -> SpanCtx {
     CURRENT_SPAN.with(Cell::get)
 }
 
+/// Put back a context saved with [`current_span`]: a panic unwinds past
+/// [`Telemetry::finish`], so whoever catches it restores the context the
+/// dead span left installed.
+pub(crate) fn set_current_span(ctx: SpanCtx) {
+    CURRENT_SPAN.with(|c| c.set(ctx));
+}
+
 /// An open span: its start time and, for one opened by
 /// [`Telemetry::begin`] / [`Telemetry::begin_under`], its identity and
 /// the context it replaced (restored on [`Telemetry::finish`]). A *leaf*

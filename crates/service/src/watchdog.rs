@@ -27,7 +27,9 @@ pub enum StallCause {
     /// a stuck committer, or a group-commit window longer than that half
     /// interval with no `flush()` to cut it short.
     WalCommitLag,
-    /// The tiering worker's completion backlog keeps growing.
+    /// The completed hot runs over the recency bound
+    /// ([`crate::EngineBuilder::freeze_after`]) keep growing: the
+    /// tiering worker is not keeping up.
     TieringBacklog,
     /// The segment LRU is shedding at thrash rate (re-faulting what it
     /// just evicted).
@@ -87,8 +89,8 @@ pub enum Health {
 /// How many consecutive violating intervals escalate a cause from
 /// `Degraded` to `Stalled`.
 const STALL_ESCALATION_TICKS: u32 = 2;
-/// Completion-queue length below which the tiering backlog is never a
-/// violation (bursts of completions are normal).
+/// Completed hot runs over the recency bound below which the tiering
+/// backlog is never a violation (bursts of completions are normal).
 const TIERING_BACKLOG_FLOOR: usize = 16;
 /// LRU sheds per watchdog tick that count as thrash.
 const SHED_THRASH_PER_TICK: u64 = 64;
@@ -155,11 +157,10 @@ fn watchdog_loop(shared: &EngineShared, interval: Duration) {
                 violated.push(StallCause::WalCommitLag);
             }
         }
-        // Tiering: a completion backlog that keeps (or grows) past the
-        // floor while the policy is active means the worker fell behind.
-        let backlog = shared.tiering.backlog();
-        if shared.tiering.is_active() && backlog > TIERING_BACKLOG_FLOOR && backlog >= last_backlog
-        {
+        // Tiering: completed hot runs that stay (or grow) past the floor
+        // over the recency bound mean the worker fell behind.
+        let backlog = shared.tiering_backlog();
+        if backlog > TIERING_BACKLOG_FLOOR && backlog >= last_backlog {
             violated.push(StallCause::TieringBacklog);
         }
         last_backlog = backlog;
@@ -226,6 +227,39 @@ mod tests {
             );
             std::thread::sleep(interval / 4);
         }
+    }
+
+    /// `TieringBacklog` is read off the registry: the completed hot runs
+    /// over the recency bound. With the tiering worker stopped, twenty
+    /// completions over a bound of one leave nineteen owed, and the
+    /// verdict escalates to `Stalled`.
+    #[test]
+    fn completed_runs_over_the_bound_stall_a_stopped_tiering_worker() {
+        let interval = Duration::from_millis(10);
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .freeze_after(1)
+            .watchdog(interval)
+            .build();
+        engine.shared.tiering.stop();
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(10)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        for _ in 0..20 {
+            let run = engine.open_run(SpecId(0)).unwrap();
+            for ev in exec.events() {
+                engine.submit(run, ev).unwrap();
+            }
+            engine.complete_run(run).unwrap();
+        }
+        assert_eq!(engine.shared.tiering_backlog(), 19);
+        await_health(
+            &engine,
+            interval,
+            |h| matches!(h, Health::Stalled { causes } if causes.contains(&StallCause::TieringBacklog)),
+        );
     }
 
     /// `IngestWorker` is diagnosed from the ledger alone: a worker whose

@@ -185,7 +185,8 @@ fn flush_is_the_group_commit_durability_barrier() {
         .build();
     let run = engine.open_run(SpecId(0)).unwrap();
     for ev in events {
-        engine.submit(run, ev).unwrap();
+        let op = RunOp::Insert(ev.clone());
+        engine.ingest(ServiceEvent { run, op }).unwrap();
     }
     let watermark = engine.flush();
     assert!(watermark >= events.len() as u64);

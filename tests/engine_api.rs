@@ -144,6 +144,52 @@ fn batch_preserves_per_run_order_and_isolates_failures() {
     assert!(s.queries_answered > 0);
 }
 
+/// A panic while applying — a log-based event naming a graph the
+/// specification lacks is an index panic inside the labeler — reaches
+/// every caller who waits as `WorkerPanicked`, never as an unwind into
+/// its thread: the blocking `submit`, `submit_batch` (one failure, the
+/// run's later op skipped) and `RunHandle::submit`. Each leaves its run
+/// `Failed`, and the run's next write meets the poisoned lock with the
+/// same typed error.
+#[test]
+fn a_panic_is_a_typed_error_through_every_waiting_door() {
+    let engine = engine();
+    let exec = sample(&engine, SpecId(0), 5, 20);
+    let (first, second) = (&exec.events()[0], &exec.events()[1]);
+    let mut bad = second.clone();
+    bad.origin.0 = wf_spec::GraphId(u32::MAX);
+    let batch = |run: RunId| -> Result<(), ServiceError> {
+        let ops = [RunOp::Insert(bad.clone()), RunOp::Insert(second.clone())];
+        let events: Vec<ServiceEvent> =
+            ops.into_iter().map(|op| ServiceEvent { run, op }).collect();
+        let outcome = engine.submit_batch(&events);
+        assert_eq!(outcome.applied, 0);
+        match &outcome.failures[..] {
+            [(failed, e)] if *failed == run => Err(e.clone()),
+            failures => panic!("one failure for {run} wanted, got {failures:?}"),
+        }
+    };
+    type Door<'a> = &'a dyn Fn(RunId) -> Result<(), ServiceError>;
+    let doors: [(&str, Door<'_>); 3] = [
+        ("submit", &|run| engine.submit(run, &bad)),
+        ("submit_batch", &batch),
+        ("handle", &|run| engine.handle(run)?.submit(&bad)),
+    ];
+    for (door, write) in doors {
+        let run = engine
+            .open_run_with(SpecId(0), ResolutionMode::LogBased)
+            .unwrap();
+        engine.submit(run, first).unwrap();
+        let panicked = ServiceError::WorkerPanicked(run);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| write(run)));
+        let res = res.unwrap_or_else(|_| panic!("{door}: the panic unwound into the caller"));
+        assert_eq!(res, Err(panicked.clone()), "{door}");
+        assert_eq!(engine.run_status(run), Ok(RunStatus::Failed), "{door}");
+        assert_eq!(engine.submit(run, second), Err(panicked), "{door}");
+    }
+    assert!(engine.take_ingest_errors().is_empty(), "nothing was queued");
+}
+
 #[test]
 fn absurd_vertex_ids_are_rejected_before_allocation() {
     let engine = engine();
@@ -541,6 +587,70 @@ fn tiering_worker_enforces_the_recency_bound() {
     // The cross-run surface sees all five, tier-transparently.
     assert_eq!(engine.query().completed().run_ids().len(), 5);
     assert_eq!(engine.query().tier(Tier::Persisted).run_ids().len(), 3);
+}
+
+/// Let a 10 ms watchdog sample twenty intervals, then assert that it
+/// never saw a tiering backlog: completed runs the policy has no reason
+/// to move are not work the tiering worker owes.
+fn assert_no_tiering_backlog(engine: &WfEngine, what: &str) {
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let stalls: Vec<String> = engine
+        .trace_dump()
+        .into_iter()
+        .filter(|e| e.kind == "stall" && e.detail.contains("tiering_backlog"))
+        .map(|e| e.detail)
+        .collect();
+    assert!(stalls.is_empty(), "{what}: {stalls:?}");
+    assert_eq!(engine.health(), Health::Healthy, "{what}");
+}
+
+fn watched(builder: EngineBuilder) -> WfEngine {
+    builder
+        .spec(wf_spec::corpus::running_example())
+        .watchdog(std::time::Duration::from_millis(10))
+        .build()
+}
+
+/// Without a recency bound no completion is the tiering worker's
+/// business: forty completions under a compaction-only policy are no
+/// backlog.
+#[test]
+fn completions_under_a_compaction_only_policy_are_no_backlog() {
+    let dir = TempDir::new("compact-only");
+    let engine = watched(WfEngine::builder().spill_dir(&dir.0).compact_after(4));
+    for i in 0..40 {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        ingest_run(&engine, run, SpecId(0), 200 + i, 10);
+    }
+    assert_eq!(engine.stats().runs_hot, 40);
+    assert_no_tiering_backlog(&engine, "compact_after only");
+}
+
+/// A hot tier holding exactly the completed runs its bound allows is
+/// idle, not behind.
+#[test]
+fn a_full_recency_bound_is_no_backlog() {
+    let engine = watched(WfEngine::builder().freeze_after(32));
+    for i in 0..32 {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        ingest_run(&engine, run, SpecId(0), 300 + i, 10);
+    }
+    assert_no_tiering_backlog(&engine, "freeze_after(32), 32 completed");
+    assert_eq!(engine.stats().runs_hot, 32, "nothing over the bound moved");
+}
+
+/// Runs frozen by hand have left the hot tier: the policy keeps no
+/// record of them to go stale.
+#[test]
+fn manually_frozen_runs_are_no_backlog() {
+    let engine = watched(WfEngine::builder().freeze_after(1000));
+    for i in 0..50 {
+        let run = engine.open_run(SpecId(0)).unwrap();
+        ingest_run(&engine, run, SpecId(0), 400 + i, 10);
+        engine.freeze_run(run).unwrap();
+    }
+    assert_no_tiering_backlog(&engine, "50 manual freezes");
+    assert_eq!(engine.stats().runs_frozen, 50);
 }
 
 #[test]

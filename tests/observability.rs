@@ -634,6 +634,69 @@ fn sampled_ingest_spans_stitch_across_worker_and_wal_threads() {
     );
 }
 
+/// A panic unwinds past the span closer, so whoever catches it puts the
+/// thread's span context back. A 1-worker WAL engine gets 64 panicking
+/// applies from one producer — every run's second event names a graph
+/// the specification lacks — so the producer's sampler (1 in 64) picks
+/// panicking ones; then a 300-event run. A worker left under the dead
+/// span would trace every later WAL append as its child; with the
+/// context put back only the sampled applies' appends trace.
+#[test]
+fn a_caught_panic_leaves_no_dead_span_context() {
+    let dir = TempDir::new("deadspan");
+    let engine: WfEngine = WfEngine::builder()
+        .spec(wf_spec::corpus::running_example())
+        .wal_dir(&dir.0)
+        .ingest_workers(1)
+        .trace_capacity(4096)
+        .build();
+    let spec = &engine.context(SpecId(0)).unwrap().spec;
+    let short = {
+        let gen = RunGenerator::new(spec)
+            .target_size(20)
+            .generate_run(&mut StdRng::seed_from_u64(5));
+        Execution::deterministic(&gen.graph, &gen.origin)
+    };
+    let mut bad = short.events()[1].clone();
+    bad.origin.0 = wf_spec::GraphId(u32::MAX);
+    let ingest = |run: RunId, ev: &ExecEvent| {
+        let op = RunOp::Insert(ev.clone());
+        engine.ingest(ServiceEvent { run, op }).unwrap();
+    };
+    for _ in 0..64 {
+        let run = engine
+            .open_run_with(SpecId(0), ResolutionMode::LogBased)
+            .unwrap();
+        ingest(run, &short.events()[0]);
+        ingest(run, &bad);
+    }
+    engine.flush();
+    let errors = engine.take_ingest_errors();
+    assert_eq!(errors.len(), 64);
+    assert!(errors
+        .iter()
+        .all(|(run, e)| *e == ServiceError::WorkerPanicked(*run)));
+
+    let gen = RunGenerator::new(spec)
+        .target_size(300)
+        .generate_run(&mut StdRng::seed_from_u64(73));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        ingest(run, ev);
+    }
+    engine.flush();
+    let appends = engine
+        .trace_dump()
+        .iter()
+        .filter(|e| e.kind == "wal_append")
+        .count();
+    assert!(
+        appends < 30,
+        "{appends} WAL appends traced after a sampled apply panicked"
+    );
+}
+
 #[test]
 fn query_root_span_parents_bufmgr_pin_leaves() {
     let dir = TempDir::new("qspan");

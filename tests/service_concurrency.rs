@@ -28,10 +28,10 @@ fn sample(spec: &Specification, seed: u64, target: usize) -> (GeneratedRun, Exec
     (gen, exec)
 }
 
-/// Single-threaded prefix semantics through the worker pool, stated
-/// exactly as the acceptance criterion: after every event acknowledged
-/// by the pipelined path, *every* query over inserted vertices matches a
-/// `NaiveDynamicDag` replay of the same prefix.
+/// Single-threaded prefix semantics, stated exactly as the acceptance
+/// criterion: after every event acknowledged by a blocking `submit`,
+/// *every* query over inserted vertices matches a `NaiveDynamicDag`
+/// replay of the same prefix.
 #[test]
 fn mid_ingest_queries_match_prefix_replay() {
     let engine = engine();
@@ -42,9 +42,8 @@ fn mid_ingest_queries_match_prefix_replay() {
         let mut naive = NaiveDynamicDag::new();
         let mut inserted: Vec<VertexId> = Vec::new();
         for (i, ev) in exec.events().iter().enumerate() {
-            // Blocking submit = enqueue into the pool + wait for the
-            // worker's ack, so the event really flowed through the
-            // pipelined path before we query.
+            // Blocking submit: the event is applied, on this thread,
+            // before it returns and we query.
             engine.submit(run, ev).unwrap();
             naive.insert(ev.vertex, &ev.preds);
             inserted.push(ev.vertex);
@@ -681,11 +680,47 @@ fn settle_outcome(
     (labels, s.events_ingested, s.runs_completed)
 }
 
+/// A blocking write is ordered after what its run had queued: `submit`
+/// of a run's last event straight after `ingest` of the rest succeeds,
+/// because the ingested prefix was applied first (the labeler rejects an
+/// event whose predecessors are not placed yet), and so does the
+/// `complete_run` behind it. Neither is queued: `events_enqueued` and
+/// the `flush()` watermark count the ingested prefix alone.
+#[test]
+fn a_blocking_write_applies_after_its_runs_queued_prefix() {
+    let spec = wf_spec::corpus::running_example();
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .ingest_workers(2)
+        .build();
+    for seed in 0..8 {
+        let (_, exec) = sample(&spec, 80 + seed, 200);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let (last, prefix) = exec.events().split_last().unwrap();
+        let before = engine.stats().events_enqueued;
+        for ev in prefix {
+            let op = RunOp::Insert(ev.clone());
+            engine.ingest(ServiceEvent { run, op }).unwrap();
+        }
+        engine.submit(run, last).unwrap();
+        engine.complete_run(run).unwrap();
+        assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+        assert_eq!(engine.run_status(run), Ok(RunStatus::Completed));
+        let s = engine.stats();
+        assert_eq!(s.events_enqueued - before, prefix.len() as u64);
+        assert_eq!(s.ingest_backlog, 0);
+        assert_eq!(engine.flush(), s.events_enqueued);
+    }
+    assert!(engine.take_ingest_errors().is_empty());
+}
+
 /// One write path, three doors: the same event streams through pooled
-/// `ingest`, through the synchronous `RunHandle::submit`, and through a
-/// WAL kill-and-recover (events replayed at `build()`, runs completed
-/// after it) must leave identical labels, identical counters, one
-/// `RunCompleted` delta per run, and only oracle-true `reach` answers.
+/// `ingest`, through the caller's thread — the synchronous
+/// `RunHandle::submit`, the blocking `submit` / `complete_run`, and one
+/// `submit_batch` — and through a WAL kill-and-recover (events replayed
+/// at `build()`, runs completed after it) must leave identical labels,
+/// identical counters, one `RunCompleted` delta per run, and only
+/// oracle-true `reach` answers.
 #[test]
 fn three_entry_points_one_outcome() {
     let specs = [
@@ -745,6 +780,42 @@ fn three_entry_points_one_outcome() {
     }
     let got = settle_outcome(&direct, &sub, &runs, &streams, "handle");
     assert_eq!(got, want, "handle vs pooled");
+
+    // The blocking engine writes, one op at a time: the same door as the
+    // handle's, behind a wait for the run's worker.
+    let blocking = build(None);
+    let sub = blocking.subscribe(SubPredicate::vertices_named(watched));
+    let runs = open_all(&blocking);
+    for (&run, (_, exec)) in runs.iter().zip(&streams) {
+        for ev in exec.events() {
+            blocking.submit(run, ev).unwrap();
+        }
+        blocking.complete_run(run).unwrap();
+    }
+    let got = settle_outcome(&blocking, &sub, &runs, &streams, "submit");
+    assert_eq!(got, want, "submit vs pooled");
+
+    // One blocking batch, the runs' ops interleaved.
+    let batched = build(None);
+    let sub = batched.subscribe(SubPredicate::vertices_named(watched));
+    let runs = open_all(&batched);
+    let longest = streams.iter().map(|(_, e)| e.len()).max().unwrap();
+    let mut batch = Vec::new();
+    for i in 0..=longest {
+        for (&run, (_, exec)) in runs.iter().zip(&streams) {
+            let op = match exec.events().get(i) {
+                Some(ev) => RunOp::Insert(ev.clone()),
+                None if i == exec.len() => RunOp::Complete,
+                None => continue,
+            };
+            batch.push(ServiceEvent { run, op });
+        }
+    }
+    let outcome = batched.submit_batch(&batch);
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    assert_eq!(outcome.applied as u64, events);
+    let got = settle_outcome(&batched, &sub, &runs, &streams, "submit_batch");
+    assert_eq!(got, want, "submit_batch vs pooled");
 
     // Door 3: recovery. Lifetime 1 journals every event, flushes it
     // durable (`ingest_all`) and is then "killed" — never completed,
