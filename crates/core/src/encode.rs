@@ -223,9 +223,10 @@ fn take_varint(bytes: &mut &[u8]) -> Option<u64> {
 /// were inserted shortly before it, so the difference is small where the
 /// id is not. Measured on the benchmark's `durable-ingest` workload
 /// against the fixed-width form this replaced (`20 + 4·preds` bytes):
-/// 53.4 → 20.5 bytes per journaled event, frame included, and the
-/// append got faster, not slower — there are fewer bytes to checksum and
-/// copy than there are shifts to pay for.
+/// 53.4 → 20.5 bytes per journaled event, frame included (16.5 since the
+/// log's 4-byte CRC-32C replaced its 8-byte FNV-1a), and the append got
+/// faster, not slower — there are fewer bytes to checksum and copy than
+/// there are shifts to pay for.
 pub fn write_event(out: &mut Vec<u8>, ev: &wf_run::ExecEvent) {
     for field in [ev.vertex.0, ev.name.0, ev.origin.0 .0, ev.origin.1 .0] {
         put_varint(out, u64::from(field));

@@ -260,7 +260,7 @@ impl EngineBuilder {
         // Fresh run ids start above everything either directory has seen.
         let persisted_next = persisted
             .iter()
-            .map(|p| p.run().0 + 1)
+            .filter_map(|p| p.run().0.checked_add(1))
             .chain(spill.iter().map(SpillDir::next_run))
             .max()
             .unwrap_or(0);

@@ -203,7 +203,14 @@ impl WfEngine {
         resolution: ResolutionMode,
     ) -> Result<RunId, ServiceError> {
         let ctx = self.context(spec).ok_or(ServiceError::UnknownSpec(spec))?;
-        let run = RunId(self.shared.next_run.fetch_add(1, Ordering::AcqRel));
+        // `u64::MAX` has no successor, so it is never issued: the
+        // counter stops there and further opens are refused.
+        let run = self
+            .shared
+            .next_run
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_add(1))
+            .map(RunId)
+            .map_err(|_| ServiceError::RunIdsExhausted)?;
         let slot = RunSlot::open(Arc::clone(ctx), spec, resolution, 1)
             .map_err(|e| ServiceError::Labeler(run, e))?;
         // Journal the open before the run becomes visible: the `RunOpen`

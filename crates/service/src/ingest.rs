@@ -51,7 +51,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use wf_run::ExecEvent;
-use wf_wal::RecordKind;
+use wf_wal::{RecordKind, CHECKPOINT_SEQ};
 
 /// How many recent fire-and-forget ingest errors the engine retains for
 /// [`crate::WfEngine::take_ingest_errors`].
@@ -185,7 +185,14 @@ fn log_then_apply(
         if shared.wal.is_none() || matches!(entry, Entry::Replay) {
             return Ok(());
         }
-        let seq = slot.wal_seq.fetch_add(1, Ordering::Relaxed);
+        // `CHECKPOINT_SEQ` is the checkpoint's: a run that reached it
+        // journals nothing more, and the op is refused, not applied.
+        let seq = slot
+            .wal_seq
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                (s < CHECKPOINT_SEQ).then(|| s + 1)
+            })
+            .map_err(|_| ServiceError::Wal(format!("{run}: sequence numbers exhausted")))?;
         match op {
             Op::Insert(ev) => shared.journal(run, RecordKind::Event, seq, |out| {
                 wf_drl::encode::write_event(out, ev);

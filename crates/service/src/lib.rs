@@ -283,10 +283,14 @@ pub enum ServiceError {
     /// new manifest renames into place the old files stay live.
     Compaction(String),
     /// A write-ahead-log append or barrier failed (message carries the
-    /// underlying [`WalError`]). The op was **not** applied: the WAL is
+    /// underlying [`WalError`]), or the run journaled its last sequence
+    /// number. The op was **not** applied: the WAL is
     /// written before the in-memory state, so a run never holds events
     /// the log cannot replay.
     Wal(String),
+    /// Every run id below `u64::MAX` is taken (ids are never reused), so
+    /// no run can be opened.
+    RunIdsExhausted,
 }
 
 impl fmt::Display for ServiceError {
@@ -317,6 +321,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Snapshot(r, e) => write!(f, "{r}: snapshot failed: {e}"),
             ServiceError::Compaction(e) => write!(f, "compaction failed: {e}"),
             ServiceError::Wal(e) => write!(f, "write-ahead log failed: {e}"),
+            ServiceError::RunIdsExhausted => write!(f, "every run id is taken"),
         }
     }
 }

@@ -38,7 +38,7 @@ use std::path::Path;
 use std::sync::Arc;
 use wf_drl::ResolutionMode;
 use wf_run::ExecEvent;
-use wf_wal::{Record, RecordKind, WalSync, WalWriter};
+use wf_wal::{Record, RecordKind, WalSync, WalWriter, CHECKPOINT_SEQ};
 
 /// `RunOpen` payload: the spec id (u32 LE) plus the resolution mode tag —
 /// everything recovery needs to rebuild the slot.
@@ -84,7 +84,8 @@ pub(crate) struct Recovered {
     /// The runs to [`replay`].
     pub(crate) replay: Vec<ReplayRun>,
     /// One past the highest run id the log has seen — never reused, even
-    /// for runs the scan skipped.
+    /// for runs the scan skipped. A run id of `u64::MAX` has no successor
+    /// and moves nothing: `open_run` never issues it.
     pub(crate) next_run: u64,
 }
 
@@ -117,6 +118,12 @@ fn decode_run(
     records: &[Record],
     catalog_len: usize,
 ) -> Result<ReplayRun, Skip> {
+    // The journal numbers a run's ops below `CHECKPOINT_SEQ`: a run at
+    // that number holds an op no engine journaled, and has no successor
+    // to resume from.
+    if r.max_seq == CHECKPOINT_SEQ {
+        return Err(Skip::Bad("sequence number out of range"));
+    }
     let (first, rest) = records.split_first().ok_or(Skip::Orphan)?;
     if first.kind != RecordKind::RunOpen || first.seq != 0 {
         return Err(Skip::Orphan);
@@ -172,7 +179,12 @@ pub(crate) fn scan(
         });
     }
     let mut out = Recovered {
-        next_run: rec.runs.iter().map(|r| r.run + 1).max().unwrap_or(0),
+        next_run: rec
+            .runs
+            .iter()
+            .filter_map(|r| r.run.checked_add(1))
+            .max()
+            .unwrap_or(0),
         ..Recovered::default()
     };
     let persisted: HashSet<u64> = persisted.iter().map(|p| p.run().0).collect();

@@ -3,12 +3,12 @@
 //! frame, in a pack file on disk, or both — loadable at engine build time so
 //! historical runs keep answering cross-run queries.
 //!
-//! A *segment blob* holds one run (format version 4, all integers
+//! A *segment blob* holds one run (format version 5, all integers
 //! little-endian):
 //!
 //! ```text
 //! magic     8 B   "WFTIERS1"
-//! version   u32   4
+//! version   u32   5
 //! run       u64
 //! spec      u32
 //! skl_bits  u32
@@ -19,24 +19,25 @@
 //! frozen_at u64   unix seconds at freeze time (0 = unknown)
 //! labels    arena the run's label arena (wf_drl::LabelArena: layout
 //!                 header ‖ presence words ‖ cells ‖ prefix heap)
-//! checksum  u64   FNV-1a over everything above
+//! checksum  u32   CRC-32C over everything above
 //! ```
 //!
 //! The arena's layout is `wf-drl`'s: this module frames `arena` bytes and
 //! hands them to [`wf_drl::ArenaRef`], which checks them.
 //! Any other version — blob or manifest — is rejected with a typed
-//! [`SnapshotError::Format`], never guessed at: version 3 held a sorted
-//! 12-byte `(vertex, name, offset)` slot per label over a heap of whole
-//! encoded labels, version 2 carried 44 more header bytes (a freeze-time
-//! SKL report), and each is refused by its version word exactly as
-//! version 1 is.
+//! [`SnapshotError::Format`], never guessed at: version 4 was this
+//! layout under a `u64` FNV-1a trailer, version 3 held a sorted 12-byte
+//! `(vertex, name, offset)` slot per label over a heap of whole encoded
+//! labels, version 2 carried 44 more header bytes (a freeze-time SKL
+//! report), and each is refused by its version word exactly as version 1
+//! is.
 //!
 //! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
 //! concatenated. Fresh spills append to the pack their engine lifetime
 //! opened last, until it reaches [`PACK_MAX_RUNS`] or
 //! [`PACK_TARGET_BYTES`]; compaction merges underfull packs and rewrites
 //! dead-heavy ones. Each blob carries its own checksum
-//! ([`wf_wal::fnv1a`], the one the WAL frames use), so a pack needs no
+//! ([`wf_wal::crc32c`], the one the WAL frames use), so a pack needs no
 //! container framing: the manifest (`wf-tier-manifest.txt`: `run file
 //! offset len` per line) is the directory. Bytes reach disk one of two
 //! ways. An **append** (`append_blob_file`, and `append_manifest` for
@@ -82,12 +83,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use wf_drl::{ArenaRef, LabelArena};
 use wf_graph::VertexId;
-use wf_wal::fnv1a;
+use wf_wal::crc32c;
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
 /// The segment format version this engine reads and writes.
-pub const SEGMENT_VERSION: u32 = 4;
+pub const SEGMENT_VERSION: u32 = 5;
 /// Manifest file name inside the spill directory.
 pub const MANIFEST_FILE: &str = "wf-tier-manifest.txt";
 /// The manifest header line (`run file offset len` entries follow).
@@ -107,7 +108,7 @@ pub const PACK_TARGET_BYTES: u64 = 64 << 20;
 
 /// Byte length of the fixed segment header.
 const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8;
-const CHECKSUM_LEN: usize = 8;
+const CHECKSUM_LEN: usize = 4;
 
 /// Errors reading or writing snapshot segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +228,7 @@ pub fn encode_segment(h: &SegmentHeader, arena: &LabelArena) -> Vec<u8> {
     out.extend_from_slice(&h.drl_bits.to_le_bytes());
     out.extend_from_slice(&h.frozen_at.to_le_bytes());
     out.extend_from_slice(arena.bytes());
-    let checksum = fnv1a(&out);
+    let checksum = crc32c(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -236,19 +237,21 @@ pub fn encode_segment(h: &SegmentHeader, arena: &LabelArena) -> Vec<u8> {
 /// return its header **without** decoding any label. This is the cheap
 /// integrity check a rewrite runs before copying a blob verbatim into a
 /// new pack, and the one pass the first load at a place pays (labels
-/// decode lazily).
+/// decode lazily). The version word is read before the checksum, whose
+/// width it decides: a blob of another version is refused by its version,
+/// not by a trailer this format would misread.
 pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::Format("truncated segment".into()));
     }
     let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    // Cannot fail: `tail` is the last `CHECKSUM_LEN` (8) bytes, which the
+    let header = parse_header(body)?;
+    // Cannot fail: `tail` is the last `CHECKSUM_LEN` (4) bytes, which the
     // length check above guarantees exist.
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != stored {
+    let stored = u32::from_le_bytes(tail.try_into().unwrap());
+    if crc32c(body) != stored {
         return Err(SnapshotError::Format("checksum mismatch".into()));
     }
-    let header = parse_header(body)?;
     // A skeleton pointer is a `u32` vertex index: a wider field is not
     // something this engine ever wrote, whatever the checksum says.
     if header.skl_bits > 32 {

@@ -310,7 +310,11 @@ impl SpillDir {
     /// One past the highest run id a carried line names: fresh runs
     /// start above it, so no id the directory holds is reused.
     pub(crate) fn next_run(&self) -> u64 {
-        self.carried.iter().map(|e| e.run.0 + 1).max().unwrap_or(0)
+        self.carried
+            .iter()
+            .filter_map(|e| e.run.0.checked_add(1))
+            .max()
+            .unwrap_or(0)
     }
 
     pub(crate) fn dir(&self) -> &Path {

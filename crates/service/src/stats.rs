@@ -95,7 +95,7 @@ pub struct ServiceStats {
     pub compactions: u64,
     /// **Frozen tier** footprint in bytes: each held frame's label arena —
     /// layout header, presence words, cells and prefix heap (the blob's
-    /// 68 header and checksum bytes are not counted).
+    /// 64 header and checksum bytes are not counted).
     pub frozen_bytes: u64,
     /// DRL accounting bits the frozen runs occupied while hot (the
     /// compaction numerator: `frozen_label_bits/8` vs `frozen_bytes`).

@@ -6,13 +6,13 @@
 //! crate puts an append-only durable history *in front of* that mutable
 //! working set:
 //!
-//! - **Framing (format version 2).** A shard file starts with the 8-byte
+//! - **Framing (format version 3).** A shard file starts with the 8-byte
 //!   [`FILE_HEADER`] (magic + version); a file that starts with anything
 //!   else is refused with [`WalError::Unsupported`] and never modified,
 //!   while an empty file or a strict prefix of the header (a crash while
 //!   the file was being created) is an empty log. Each record after it
-//!   is `[body_len: varint][fnv1a: u64 LE][body]` where the checksum
-//!   covers the whole body and the body is
+//!   is `[body_len: varint][crc32c: u32 LE][body]` where the checksum
+//!   ([`crc32c`]) covers the whole body and the body is
 //!   `[kind: u8][run: varint][seq + 1 (wrapping): varint][payload…]` —
 //!   varints are LEB128, minimal, at most 10 bytes; `seq + 1` makes a
 //!   checkpoint's [`CHECKPOINT_SEQ`] the one-byte `0`. A frame is
@@ -54,7 +54,7 @@
 //!   here, every pack and manifest of the service's spill directory):
 //!   the path holds *its old contents or the new ones, and no temp file
 //!   is left behind* by a replace that returned. [`fsync_dir`] is the one
-//!   directory fsync and [`fnv1a`] the one checksum.
+//!   directory fsync and [`crc32c`] the one checksum.
 //!
 //! The crate is dependency-free; telemetry flows out through the
 //! [`WalObserver`] trait so the service can bridge into its registry
@@ -72,8 +72,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+mod crc32c;
+/// The integrity check of WAL frames and of the service's segment blobs,
+/// so the two on-disk formats share corruption-detection behaviour.
+pub use crc32c::crc32c;
+
 /// The on-disk format this crate writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// What every shard file starts with: the magic `WFWL`, then
 /// [`FORMAT_VERSION`] as a `u32` LE.
 pub const FILE_HEADER: [u8; 8] = {
@@ -81,8 +86,8 @@ pub const FILE_HEADER: [u8; 8] = {
     [b'W', b'F', b'W', b'L', v[0], v[1], v[2], v[3]]
 };
 /// Bytes of a frame ahead of its body besides the length varint: the
-/// `u64` FNV-1a checksum of the body.
-const CHECKSUM_BYTES: usize = 8;
+/// `u32` CRC-32C of the body.
+const CHECKSUM_BYTES: usize = 4;
 /// Lower bound on one record body: the kind byte and two one-byte
 /// varints (run, `seq + 1`); shorter claims are treated as torn.
 pub const MIN_BODY_BYTES: usize = 3;
@@ -97,19 +102,6 @@ pub const GROUP_COMMIT_BYTE_BUDGET: usize = 256 * 1024;
 /// covers *every* record of its run (runs are only checkpointed once
 /// they are durable in a segment and can never re-ingest).
 pub const CHECKPOINT_SEQ: u64 = u64::MAX;
-
-/// FNV-1a over a byte slice — the integrity check of WAL frames and of
-/// the service's segment blobs, so the two on-disk formats share
-/// corruption-detection behaviour.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Longest LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: usize = 10;
@@ -241,7 +233,7 @@ fn encode_frame(
     put_varint(out, run);
     put_varint(out, seq.wrapping_add(1));
     payload(out);
-    let crc = fnv1a(&out[body_at..]);
+    let crc = crc32c(&out[body_at..]);
     out[frame_at + 1..body_at].copy_from_slice(&crc.to_le_bytes());
     let body_len = out.len() - body_at;
     if body_len < 0x80 {
@@ -272,7 +264,7 @@ fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
             bytes.len() - body_at
         )
     })?;
-    if fnv1a(body).to_le_bytes() != crc {
+    if crc32c(body).to_le_bytes() != crc {
         return Err("checksum mismatch".to_string());
     }
     let kind =
@@ -1197,18 +1189,14 @@ mod tests {
         assert_eq!(rec0.runs[0].max_seq, 1);
     }
 
-    /// The format, byte for byte: a change to the header, the frame
-    /// layout or a varint shows up here before it shows up as a log the
-    /// previous build cannot read.
-    #[test]
-    fn frame_layout_is_pinned() {
-        assert_eq!(FILE_HEADER, [b'W', b'F', b'W', b'L', 2, 0, 0, 0]);
-        let golden: [(Record, &[u8]); 3] = [
+    /// Three frames, byte for byte: the format's golden.
+    fn golden_frames() -> [(Record, &'static [u8]); 3] {
+        [
             (
                 rec(RecordKind::RunOpen, 1, 0, &[7, 0, 0, 0, 1]),
                 &[
                     0x08, // body length
-                    0xc5, 0x42, 0xc5, 0x36, 0xaf, 0x51, 0x76, 0xff, // FNV-1a of the body
+                    0x1c, 0x78, 0x06, 0x51, // CRC-32C of the body
                     0x00, 0x01, 0x01, // kind, run 1, seq 0 as 0 + 1
                     0x07, 0x00, 0x00, 0x00, 0x01, // payload
                 ],
@@ -1217,7 +1205,7 @@ mod tests {
                 rec(RecordKind::Event, 300, 129, &[0xaa, 0xbb, 0xcc]),
                 &[
                     0x08, //
-                    0x68, 0x18, 0xee, 0x94, 0x63, 0xb7, 0xa9, 0xfd, //
+                    0xc9, 0xf0, 0x48, 0x7f, //
                     0x01, 0xac, 0x02, 0x82, 0x01, // kind, run 300, seq 129 as 130
                     0xaa, 0xbb, 0xcc,
                 ],
@@ -1226,15 +1214,23 @@ mod tests {
                 Record::checkpoint(5),
                 &[
                     0x03, //
-                    0x2f, 0x9e, 0x05, 0x71, 0x18, 0x8b, 0x07, 0xe2, //
+                    0xa2, 0x9a, 0x62, 0xd7, //
                     0x03, 0x05, 0x00, // kind, run 5, `CHECKPOINT_SEQ` as 0
                 ],
             ),
-        ];
+        ]
+    }
+
+    /// The format, byte for byte: a change to the header, the frame
+    /// layout or a varint shows up here before it shows up as a log the
+    /// previous build cannot read.
+    #[test]
+    fn frame_layout_is_pinned() {
+        assert_eq!(FILE_HEADER, [b'W', b'F', b'W', b'L', 3, 0, 0, 0]);
         let dir = TempDir::new("golden");
         let w = WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
         let mut file = FILE_HEADER.to_vec();
-        for (record, bytes) in &golden {
+        for (record, bytes) in &golden_frames() {
             let mut framed = Vec::new();
             record.encode_into(&mut framed);
             assert_eq!(framed, *bytes, "{record:?}");
@@ -1257,6 +1253,55 @@ mod tests {
             assert_eq!(framed.len(), long.encoded_len(), "{payload}");
             assert_eq!(parse_frame(&framed), Ok((long, framed.len())), "{payload}");
         }
+    }
+
+    /// Call `check` with every burst of at most 32 bits inside `bits`
+    /// bits: its first bit and a mask whose lowest and highest set bits
+    /// are the burst's ends. A burst of `n` bits has `2^(n-2)` interiors;
+    /// each gets the empty one, the full one and four drawn from `seed`.
+    fn for_each_burst(bits: usize, mut seed: u64, mut check: impl FnMut(usize, u64)) {
+        for start in 0..bits {
+            for len in 1..=32.min(bits - start) {
+                let ends = 1u64 | 1 << (len - 1);
+                let inside = (1u64 << len) - 1;
+                let mut masks = vec![ends, inside];
+                for _ in 0..4 {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    masks.push(ends | (seed & inside));
+                }
+                for mask in masks {
+                    check(start, mask);
+                }
+            }
+        }
+    }
+
+    /// Every single-bit flip, and every burst of up to 32 bits, inside
+    /// the body of each golden frame is refused: a CRC-32 detects every
+    /// burst no longer than itself, which FNV-1a never guaranteed.
+    #[test]
+    fn every_burst_of_up_to_32_bits_in_a_frame_body_is_refused() {
+        let mut bursts = 0;
+        for (record, bytes) in golden_frames() {
+            let body_at = 1 + CHECKSUM_BYTES;
+            let body_bits = (bytes.len() - body_at) * 8;
+            for_each_burst(body_bits, record.run ^ 0x5eed, |start, mask| {
+                let mut hit = bytes.to_vec();
+                for bit in (0..64).filter(|i| mask >> i & 1 == 1) {
+                    let at = body_at * 8 + start + bit;
+                    hit[at / 8] ^= 1 << (at % 8);
+                }
+                assert_eq!(
+                    parse_frame(&hit),
+                    Err("checksum mismatch".to_string()),
+                    "{record:?}: burst {mask:#x} at bit {start}"
+                );
+                bursts += 1;
+            });
+        }
+        assert!(bursts > 3 * 32 * 8, "{bursts} bursts");
     }
 
     #[test]
@@ -1363,20 +1408,28 @@ mod tests {
         }
     }
 
-    /// A shard file that is not a version-2 log — a version-1 one (frames
-    /// from offset 0, no header), a later version, a stray file — is
-    /// refused by every door, named in the error, and left as it was;
-    /// an empty file or the first bytes of a header is a log with no
-    /// records, completed by the first append.
+    /// A shard file that is not a version-3 log — a version-1 one (frames
+    /// from offset 0, no header), a version-2 one (the same frames under
+    /// a 64-bit FNV-1a), a later version, a stray file — is refused by
+    /// every door, named in the error, and left as it was; an empty file
+    /// or the first bytes of a header is a log with no records, completed
+    /// by the first append.
     #[test]
     fn a_file_of_another_format_is_refused_and_left_untouched() {
         let mut v1 = 22u32.to_le_bytes().to_vec(); // `[len: u32][fnv: u64][body]`
         v1.extend_from_slice(&[0x11; 8 + 22]);
-        let mut v3 = FILE_HEADER.to_vec();
-        v3[4] = 3;
+        // `[len: varint][fnv: u64][body]` behind the version-2 header: the
+        // version-2 frame of `Record::checkpoint(5)`.
+        let mut v2 = FILE_HEADER.to_vec();
+        v2[4] = 2;
+        v2.extend_from_slice(&[0x03, 0x2f, 0x9e, 0x05, 0x71, 0x18, 0x8b, 0x07, 0xe2]);
+        v2.extend_from_slice(&[0x03, 0x05, 0x00]);
+        let mut v4 = FILE_HEADER.to_vec();
+        v4[4] = 4;
         for (alien, found) in [
             (v1.as_slice(), "no log header"),
-            (v3.as_slice(), "format version 3"),
+            (v2.as_slice(), "format version 2"),
+            (v4.as_slice(), "format version 4"),
             (&b"WFW?"[..], "no log header"),
         ] {
             let dir = TempDir::new("alien");

@@ -321,10 +321,42 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     assert_eq!(engine.handle(fresh).unwrap().published(), events.len());
 }
 
+/// FNV-1a, the frame checksum of log versions 1 and 2 — restated here so
+/// the test can frame records the engine has no encoder for.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The version-2 shard of a version-3 one: the same header under version
+/// 2 and the same frames, each body behind its length and the `u64`
+/// FNV-1a version 2 framed it with instead of the CRC-32C.
+fn v2_shard(v3: &[u8]) -> Vec<u8> {
+    let header = wal::FILE_HEADER.len();
+    let mut v2 = v3[..header].to_vec();
+    v2[4] = 2;
+    let mut at = header;
+    while at < v3.len() {
+        let width = 1 + v3[at..].iter().take_while(|&&b| b & 0x80 != 0).count();
+        let len = v3[at..at + width]
+            .iter()
+            .rev()
+            .fold(0, |len, &b| len << 7 | usize::from(b & 0x7f));
+        let body = &v3[at + width + 4..at + width + 4 + len];
+        v2.extend_from_slice(&v3[at..at + width]);
+        v2.extend_from_slice(&fnv1a(body).to_le_bytes());
+        v2.extend_from_slice(body);
+        at += width + 4 + len;
+    }
+    v2
+}
+
 /// A log this build cannot read must not silently turn durability off.
-/// Over a directory holding one shard file that is not a version-2 log —
-/// version-1 frames with no file header, or a header with another
-/// version word — the engine still comes up (fresh runs open, ingest and
+/// Over a directory holding one shard file that is not a version-3 log —
+/// version-1 frames with no file header, a real shard of this engine
+/// framed as version 2 wrote it, or a header with a later version word —
+/// the engine still comes up (fresh runs open, ingest and
 /// answer `reach`), but `health()` names `WalUnavailable` with or without
 /// a watchdog, and the file is byte for byte what it was: after `build()`
 /// and after the engine is dropped. Without the header check the reader
@@ -339,6 +371,28 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
         .generate_run(&mut rng);
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
 
+    // The shard an engine writes for one run, framed as the previous
+    // format version framed it.
+    let v2 = {
+        let dir = TempDir::new("v3-source");
+        let engine: WfEngine = WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(1)
+            .wal_dir(&dir.0)
+            .build();
+        let run = engine.open_run(SpecId(0)).unwrap();
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.flush();
+        drop(engine);
+        let records = wal::recover(&dir.0).unwrap().records;
+        let v3 = std::fs::read(dir.0.join(wal::shard_file_name(0))).unwrap();
+        assert_eq!(records, 1 + exec.len() as u64);
+        let v2 = v2_shard(&v3);
+        assert_eq!(v2.len() as u64, v3.len() as u64 + 4 * records);
+        v2
+    };
     // Two version-1 frames, `[len: u32][fnv1a: u64][kind][run: u64][seq: u64][payload]`.
     let mut v1 = Vec::new();
     for (kind, seq, payload) in [(0u8, 0u64, &[0u8, 0, 0, 0, 0][..]), (2, 1, &[])] {
@@ -347,14 +401,14 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
         body.extend_from_slice(&seq.to_le_bytes());
         body.extend_from_slice(payload);
         v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        v1.extend_from_slice(&wal::fnv1a(&body).to_le_bytes());
+        v1.extend_from_slice(&fnv1a(&body).to_le_bytes());
         v1.extend_from_slice(&body);
     }
-    let mut v3 = wal::FILE_HEADER.to_vec();
-    v3[4] += 1;
-    v3.extend_from_slice(b"whatever version 3 puts here");
+    let mut v4 = wal::FILE_HEADER.to_vec();
+    v4[4] += 1;
+    v4.extend_from_slice(b"whatever version 4 puts here");
 
-    for (tag, alien) in [("v1", v1), ("v3", v3)] {
+    for (tag, alien) in [("v1", v1), ("v2", v2), ("v4", v4)] {
         for watchdog in [None, Some(Duration::from_millis(5))] {
             let dir = TempDir::new("alien");
             let shard = dir.0.join(wal::shard_file_name(1));
@@ -843,6 +897,123 @@ fn records_after_a_complete_are_not_replayed() {
     assert!(skipped[0].detail.contains("dropped=1"), "{:?}", skipped[0]);
     // The rewritten log no longer holds it: nothing to skip next time.
     assert_eq!(records(&dir.0), 1 + admitted.len() + 1);
+}
+
+/// Frames whose checksums hold, with numbers at the top of their range.
+/// An event numbered `u64::MAX` — the checkpoint's number, which the
+/// journal never issues — has no successor to resume at: recovery skips
+/// that run, traced, instead of overflowing. A run whose last op sits
+/// one below resumes there, and its next op is refused with a typed
+/// error, not journaled under the checkpoint's number (which the next
+/// recovery would read as the run's checkpoint and drop it); a run two
+/// below takes one more op, and a restart replays it. A run id of
+/// `u64::MAX` replays and takes writes without moving the next fresh id;
+/// one of `u64::MAX - 1` leaves no fresh id, so `open_run` is refused.
+#[test]
+fn run_ids_and_sequence_numbers_at_the_top_overflow_nothing() {
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(20)
+        .generate_run(&mut StdRng::seed_from_u64(3));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let events = exec.events();
+    let mut first = Vec::new();
+    wf_drl::encode::write_event(&mut first, &events[0]);
+    // Each run: a `RunOpen` of spec 0, name-based, then its first event
+    // under `seq`.
+    let write_log = |dir: &TempDir, runs: &[(u64, u64)]| {
+        let writer =
+            wal::WalWriter::open(&dir.0, 1, WalSync::default(), Box::new(wal::NullObserver))
+                .unwrap();
+        for &(run, seq) in runs {
+            for (kind, seq, payload) in [
+                (wal::RecordKind::RunOpen, 0, &[0u8, 0, 0, 0, 0][..]),
+                (wal::RecordKind::Event, seq, &first[..]),
+            ] {
+                let record = wal::Record {
+                    kind,
+                    run,
+                    seq,
+                    payload: payload.to_vec(),
+                };
+                writer.append(0, &record).unwrap();
+            }
+        }
+    };
+    let build = |dir: &TempDir| -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(1)
+            .wal_dir(&dir.0)
+            .build()
+    };
+    let published = |engine: &WfEngine, run: u64| engine.handle(RunId(run)).unwrap().published();
+    let refused = |r: Result<(), ServiceError>| matches!(r, Err(ServiceError::Wal(e)) if e.contains("exhausted"));
+    let top = u64::MAX;
+
+    let dir = TempDir::new("top-numbers");
+    write_log(&dir, &[(4, top), (5, top - 1), (6, top - 2), (top, 1)]);
+    let engine = build(&dir);
+    assert_eq!(engine.health(), Health::Healthy);
+    assert_eq!(
+        engine.run_status(RunId(4)),
+        Err(ServiceError::UnknownRun(RunId(4)))
+    );
+    let skipped = |engine: &WfEngine| {
+        engine
+            .trace_dump()
+            .into_iter()
+            .filter(|e| e.kind == "wal_skip_run")
+            .count()
+    };
+    assert_eq!(skipped(&engine), 1);
+    for run in [5, 6, top] {
+        assert_eq!(published(&engine, run), 1, "run {run}");
+    }
+    assert!(refused(engine.submit(RunId(5), &events[1])));
+    engine.submit(RunId(6), &events[1]).unwrap();
+    assert!(refused(engine.submit(RunId(6), &events[2])));
+    engine.submit(RunId(top), &events[1]).unwrap();
+    let fresh = engine.open_run(SpecId(0)).unwrap();
+    assert_eq!(fresh, RunId(7));
+    for ev in events {
+        engine.submit(fresh, ev).unwrap();
+    }
+    engine.flush();
+    drop(engine);
+
+    // Every acknowledged op is replayed, and the refused ones stay so.
+    let engine = build(&dir);
+    assert_eq!(engine.health(), Health::Healthy);
+    assert_eq!(skipped(&engine), 0);
+    for (run, n) in [(5, 1), (6, 2), (top, 2), (7, events.len())] {
+        assert_eq!(published(&engine, run), n, "run {run}");
+    }
+    assert!(refused(engine.submit(RunId(5), &events[1])));
+    assert!(refused(engine.submit(RunId(6), &events[2])));
+    assert_eq!(engine.open_run(SpecId(0)), Ok(RunId(8)));
+    let (u, v) = (events[0].vertex, events[1].vertex);
+    assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
+    drop(engine);
+
+    // A log holding run `u64::MAX - 1` leaves no id to open, and its run
+    // still takes writes across a restart.
+    let dir = TempDir::new("top-run-id");
+    write_log(&dir, &[(top - 1, 1)]);
+    let engine = build(&dir);
+    assert_eq!(
+        engine.open_run(SpecId(0)),
+        Err(ServiceError::RunIdsExhausted)
+    );
+    engine.submit(RunId(top - 1), &events[1]).unwrap();
+    engine.flush();
+    drop(engine);
+    let engine = build(&dir);
+    assert_eq!(published(&engine, top - 1), 2);
+    assert_eq!(
+        engine.open_run(SpecId(0)),
+        Err(ServiceError::RunIdsExhausted)
+    );
 }
 
 /// A real crash: a child process aborts mid-ingest (no drop, no drain,

@@ -17,6 +17,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wf_drl::{Entry, NodeKind};
 use wf_provenance::prelude::*;
+use wf_service::wal::crc32c;
 use wf_service::{snapshot, ServiceError, SnapshotError, Tier};
 
 /// A temp dir that cleans up after itself (no tempfile crate offline).
@@ -150,8 +151,8 @@ proptest! {
     }
 }
 
-/// FNV-1a, the segment checksum — restated here so the test can frame a
-/// blob the engine has no encoder for.
+/// FNV-1a, the checksum of segment versions 1–4 — restated here so the
+/// test can frame blobs the engine has no encoder for.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
@@ -284,11 +285,22 @@ fn restate_arena(labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
     arena
 }
 
-/// The format-v3 blob of the run a v4 blob holds: its header under
+/// The format-v4 blob of a v5 blob: the same header and arena under
+/// version 4, sealed by the `u64` FNV-1a trailer v4 carried instead of
+/// the CRC-32C.
+fn v4_blob(v5: &[u8]) -> Vec<u8> {
+    let mut v4 = v5[..v5.len() - 4].to_vec();
+    v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let checksum = fnv1a(&v4);
+    v4.extend_from_slice(&checksum.to_le_bytes());
+    v4
+}
+
+/// The format-v3 blob of the run a v5 blob holds: its header under
 /// version 3 and the v3 arena length, then the slot table — `count` ×
 /// (vertex, name, offset) in vertex order — over every `encode_label`
-/// back to back, and a fresh checksum.
-fn v3_blob(v4: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
+/// back to back, and a fresh FNV-1a.
+fn v3_blob(v5: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
     let (mut slots, mut heap) = (Vec::new(), Vec::new());
     for (ev, label) in labels {
         for word in [ev.vertex.0, ev.name.0, heap.len() as u32] {
@@ -296,7 +308,7 @@ fn v3_blob(v4: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<
         }
         heap.extend(encode_label(label, skl_bits));
     }
-    let mut v3 = v4[..60].to_vec();
+    let mut v3 = v5[..60].to_vec();
     v3[8..12].copy_from_slice(&3u32.to_le_bytes());
     v3[36..44].copy_from_slice(&(heap.len() as u64).to_le_bytes());
     v3.extend([slots, heap].concat());
@@ -306,8 +318,9 @@ fn v3_blob(v4: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<
 }
 
 /// Behind its 60-byte header a segment is the v4 label arena, byte for
-/// byte: restated here from the labels alone it equals what the engine
-/// spilled; a blob decodes and re-encodes to itself; and a directory
+/// byte, and a CRC-32C of both closes it (format v5): restated here from
+/// the labels alone it equals what the engine spilled; a blob decodes
+/// and re-encodes to itself; and a directory
 /// assembled by hand from such bytes (what any earlier engine of this
 /// format left behind) opens and answers every oracle pair.
 #[test]
@@ -335,10 +348,10 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         naive.insert(ev.vertex, &ev.preds);
     }
     let word = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
-    assert_eq!(word(8), 4, "format version");
+    assert_eq!(word(8), 5, "format version");
     assert_eq!(word(24) as usize, skl_bits);
     assert_eq!(word(32) as usize, labels.len(), "count");
-    let body = &blob[HEADER..blob.len() - 8];
+    let body = &blob[HEADER..blob.len() - 4];
     assert_eq!(
         u64::from_le_bytes(blob[36..44].try_into().unwrap()),
         body.len() as u64
@@ -348,8 +361,8 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         "layout ‖ presence ‖ cells ‖ prefix heap"
     );
     assert_eq!(
-        blob[blob.len() - 8..],
-        fnv1a(&blob[..blob.len() - 8]).to_le_bytes()
+        blob[blob.len() - 4..],
+        crc32c(&blob[..blob.len() - 4]).to_le_bytes()
     );
     let (header, arena) = snapshot::decode_segment(&blob).unwrap();
     assert!(
@@ -364,9 +377,7 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     let twin = RunId(run.0 + 7);
     let mut second = blob.clone();
     second[12..20].copy_from_slice(&twin.0.to_le_bytes());
-    let end = second.len() - 8;
-    let checksum = fnv1a(&second[..end]);
-    second[end..].copy_from_slice(&checksum.to_le_bytes());
+    restamp(&mut second);
     let file = snapshot::pack_file_name(0);
     std::fs::write(other.0.join(&file), [blob.clone(), second].concat()).unwrap();
     let entry = |run, offset| snapshot::ManifestEntry {
@@ -394,8 +405,9 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
 }
 
 /// There is one segment format and one manifest format. A well-formed
-/// **v1**, **v2** and **v3 blob** — v3 being the slot table over whole
-/// encoded labels — and a **v1-header manifest** are each rejected with
+/// **v1**, **v2**, **v3** and **v4 blob** — v3 being the slot table over
+/// whole encoded labels, v4 today's layout under a `u64` FNV-1a — and a
+/// **v1-header manifest** are each rejected with
 /// a typed [`SnapshotError::Format`] naming what it is — never guessed
 /// at — and an engine built over any of them still comes up and serves
 /// fresh runs.
@@ -417,22 +429,22 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
     let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
-    let v4 = std::fs::read(&path).unwrap();
+    let v5 = std::fs::read(&path).unwrap();
     let manifest = std::fs::read_to_string(&manifest_path).unwrap();
     assert!(
-        snapshot::decode_segment(&v4).is_ok(),
-        "the v4 blob is sound"
+        snapshot::decode_segment(&v5).is_ok(),
+        "the v5 blob is sound"
     );
     let (skl_bits, labels) = labeled(&spec, &exec);
-    let v3 = v3_blob(&v4, &labels, skl_bits);
+    let v3 = v3_blob(&v5, &labels, skl_bits);
 
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         // The older blob: framing and checksum are intact, only the
         // version is one this engine does not read.
-        let old = if version == 3 {
-            v3.clone()
-        } else {
-            downgrade(&v3, version)
+        let old = match version {
+            4 => v4_blob(&v5),
+            3 => v3.clone(),
+            _ => downgrade(&v3, version),
         };
         for res in [
             snapshot::verify_segment_bytes(&old).map(|_| ()),
@@ -447,12 +459,18 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
         }
         // An engine over a directory holding it skips the run and works.
         std::fs::write(&path, &old).unwrap();
-        std::fs::write(
-            &manifest_path,
-            manifest.replace(&format!(" {}\n", v4.len()), &format!(" {}\n", old.len())),
-        )
-        .unwrap();
+        let old_manifest =
+            manifest.replace(&format!(" {}\n", v5.len()), &format!(" {}\n", old.len()));
+        std::fs::write(&manifest_path, &old_manifest).unwrap();
         let engine = build();
+        // Nothing is rewritten: the pack and the manifest line naming it
+        // are what they were.
+        assert_eq!(std::fs::read(&path).unwrap(), old, "v{version} pack");
+        assert_eq!(
+            std::fs::read_to_string(&manifest_path).unwrap(),
+            old_manifest,
+            "v{version} manifest"
+        );
         assert_eq!(
             engine.run_tier(run).unwrap_err(),
             wf_service::ServiceError::UnknownRun(run)
@@ -464,11 +482,11 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     }
 
     // The v1 manifest: `run file bytes` lines under the v1 header.
-    std::fs::write(&path, &v4).unwrap();
+    std::fs::write(&path, &v5).unwrap();
     let name = path.file_name().unwrap().to_str().unwrap();
     std::fs::write(
         &manifest_path,
-        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v4.len()),
+        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v5.len()),
     )
     .unwrap();
     match snapshot::load_manifest(&dir.0) {
@@ -486,7 +504,7 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
 /// Every run whose blob lies in a pack file of `dir`, live or dead: the
 /// packs are walked blob by blob, each header giving the next offset.
 fn runs_in_packs(dir: &std::path::Path) -> Vec<RunId> {
-    const FRAMING: u64 = 60 + 8;
+    const FRAMING: u64 = 60 + 4;
     let mut runs = Vec::new();
     for entry in std::fs::read_dir(dir).unwrap().flatten() {
         let path = entry.path();
@@ -710,6 +728,65 @@ fn a_manifest_length_other_than_the_headers_registers_nothing() {
     assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
 }
 
+/// Run ids count up from 0 and `open_run` never issues `u64::MAX`, yet
+/// a spill directory can name it: a sound blob whose header and
+/// manifest line both say so registers, and one of a spec beyond the
+/// catalog is carried. Neither overflows the next fresh id — which
+/// panicked the build, or, without overflow checks, wrapped it to 0 —
+/// and fresh runs start above the other runs. A run of `u64::MAX - 1`
+/// registers too, and leaves no fresh id: `open_run` is refused with a
+/// typed error, before and after a restart.
+#[test]
+fn a_run_id_at_the_top_of_a_spill_directory_overflows_nothing() {
+    let dir = TempDir::new("top-run");
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(20)
+        .generate_run(&mut StdRng::seed_from_u64(64));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let run = persist_one(&build(), &exec);
+    let blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
+    let listed = snapshot::load_manifest(&dir.0).unwrap();
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    for (top, spec_id) in [(u64::MAX, 0u32), (u64::MAX, 1), (u64::MAX - 1, 0)] {
+        let top = RunId(top);
+        let mut bytes = blob.clone();
+        bytes[12..20].copy_from_slice(&top.0.to_le_bytes());
+        bytes[20..24].copy_from_slice(&spec_id.to_le_bytes());
+        restamp(&mut bytes);
+        let file = snapshot::pack_file_name(99);
+        std::fs::write(dir.0.join(&file), &bytes).unwrap();
+        let line = snapshot::ManifestEntry {
+            run: top,
+            file,
+            offset: 0,
+            bytes: bytes.len() as u64,
+        };
+        snapshot::write_manifest(&dir.0, &[listed.clone(), vec![line]].concat()).unwrap();
+        let fresh = if top.0 == u64::MAX {
+            Ok(RunId(run.0 + 1))
+        } else {
+            Err(ServiceError::RunIdsExhausted)
+        };
+        for _restart in 0..2 {
+            let engine = build();
+            if spec_id == 0 {
+                assert_eq!(engine.reach(top, u, v), Ok(Some(true)));
+            } else {
+                assert_eq!(engine.run_tier(top), Err(ServiceError::UnknownRun(top)));
+            }
+            // No log: a fresh run opened here leaves nothing behind.
+            assert_eq!(engine.open_run(SpecId(0)), fresh, "{top} of spec {spec_id}");
+        }
+    }
+}
+
 /// A build with a smaller catalog keeps the history it cannot read:
 /// the manifest lines of a spec beyond its catalog are carried through
 /// its rewrites, their packs survive its compaction and orphan sweep,
@@ -913,9 +990,61 @@ fn a_header_skl_bits_over_32_is_a_typed_format_error() {
 
 /// Re-stamp a blob's checksum over what precedes it.
 fn restamp(blob: &mut [u8]) {
-    let end = blob.len() - 8;
-    let checksum = fnv1a(&blob[..end]);
+    let end = blob.len() - 4;
+    let checksum = crc32c(&blob[..end]);
     blob[end..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// Every single-bit flip, and every burst of up to 32 bits, inside a
+/// small blob is refused — past the magic and the version word, by its
+/// CRC-32C: a CRC-32 detects every burst no longer than itself,
+/// which the FNV-1a of v4 never guaranteed. A burst is a first and a
+/// last flipped bit at most 32 apart; of the `2^(n-2)` interiors of an
+/// `n`-bit burst each gets the empty one, the full one and one drawn
+/// from a seed.
+#[test]
+fn every_burst_of_up_to_32_bits_in_a_blob_is_refused() {
+    let dir = TempDir::new("bursts");
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(16)
+        .generate_run(&mut StdRng::seed_from_u64(16));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    let engine: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
+    let run = persist_one(&engine, &exec);
+    let mut blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
+    assert!(snapshot::verify_segment_bytes(&blob).is_ok());
+    let body_bits = (blob.len() - 4) * 8;
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let mut bursts = 0;
+    for start in 0..body_bits {
+        for len in 1..=32.min(body_bits - start) {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let (ends, inside) = (1u64 | 1 << (len - 1), (1u64 << len) - 1);
+            for mask in [ends, inside, ends | (seed & inside)] {
+                let flip = |blob: &mut [u8]| {
+                    for bit in (0..len).filter(|i| mask >> i & 1 == 1) {
+                        blob[(start + bit) / 8] ^= 1 << ((start + bit) % 8);
+                    }
+                };
+                flip(&mut blob);
+                // The magic and the version word are read first.
+                let cause = match snapshot::verify_segment_bytes(&blob) {
+                    Err(SnapshotError::Format(cause)) => cause,
+                    other => panic!("burst {mask:#x} at bit {start}: {other:?}"),
+                };
+                if start >= 12 * 8 {
+                    assert_eq!(cause, "checksum mismatch", "burst {mask:#x} at bit {start}");
+                }
+                flip(&mut blob);
+                bursts += 1;
+            }
+        }
+    }
+    assert!(snapshot::verify_segment_bytes(&blob).is_ok());
+    assert!(bursts > 32 * body_bits, "{bursts} bursts");
 }
 
 /// Every cut and every single-bit flip of a ~40-label blob, its checksum
@@ -971,7 +1100,7 @@ fn every_cut_and_bit_flip_of_a_blob_is_refused_or_reads_totally() {
             }
             Err(other) => panic!("not a format error: {other:?}"),
         }
-        let Some(arena) = bytes.get(60..bytes.len().saturating_sub(8)) else {
+        let Some(arena) = bytes.get(60..bytes.len().saturating_sub(4)) else {
             return;
         };
         let skl_bits = u32::from_le_bytes(bytes[24..28].try_into().unwrap()) as usize;
@@ -993,7 +1122,7 @@ fn every_cut_and_bit_flip_of_a_blob_is_refused_or_reads_totally() {
     };
     for cut in 0..blob.len() {
         let mut bytes = blob[..cut].to_vec();
-        if cut >= 68 {
+        if cut >= 64 {
             restamp(&mut bytes);
         }
         check(&bytes);
