@@ -43,8 +43,9 @@
 //! field that is 0 throughout — an own entry's kind is `N` — costs no
 //! bits. Finding a label is a presence test and a rank (the count before
 //! the word plus a popcount): no search. Reading a field is one
-//! unaligned 64-bit load. Only the prefix is decoded a bit at a time,
-//! and two labels of one context need not even that.
+//! unaligned 64-bit load, and so is a prefix entry's fixed-width field
+//! (its γ codes are read a bit at a time); two labels of one context
+//! need not decode their prefix at all.
 
 use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
@@ -153,21 +154,28 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read `width` bits, LSB first; `None` for a width no `u64` holds
-    /// (the width can come from a segment header).
+    /// (the width can come from a segment header) or past the end. One
+    /// little-endian word load, a shift and a mask; a field that spans
+    /// into the next word takes one more load.
+    #[inline]
     pub fn read_bits(&mut self, width: usize) -> Option<u64> {
-        if width > 64 {
+        if width > 64 || self.pos + width > self.bytes.len() * 8 {
             return None;
         }
-        let mut v = 0u64;
-        for i in 0..width {
-            if self.read_bit()? {
-                v |= 1 << i;
-            }
+        let (at, shift) = (self.pos / 8, self.pos % 8);
+        let mut bits = load_le(self.bytes, at) >> shift;
+        if shift + width > 64 {
+            bits |= load_le(self.bytes, at + 8) << (64 - shift);
         }
-        Some(v)
+        self.pos += width;
+        Some(bits & u64::MAX.checked_shr(64 - width as u32).unwrap_or(0))
     }
 
-    /// Read one Elias-gamma value.
+    /// Read one Elias-gamma value, a bit at a time. (Counting its zeros
+    /// with `trailing_zeros` and reading its body as one field measured
+    /// slower on the engine's labels: their codes are a few bits long,
+    /// and a branch per bit the processor predicts beats a chain of
+    /// shifts that waits on each load.)
     pub fn read_gamma(&mut self) -> Option<u64> {
         let mut zeros = 0usize;
         loop {
@@ -184,6 +192,23 @@ impl<'a> BitReader<'a> {
             v = (v << 1) | self.read_bit()? as u64;
         }
         Some(v)
+    }
+}
+
+/// The eight bytes of `bytes` from `at` as a little-endian word, the
+/// bytes past the end read as zeros. Near the end of a buffer of eight
+/// bytes or more that is its last word shifted down — a label's record
+/// is about ten bytes, so most of its reads land there.
+#[inline]
+fn load_le(bytes: &[u8], at: usize) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    if let Some(b) = bytes.get(at..at + 8) {
+        return word(b);
+    }
+    match bytes.len().checked_sub(8) {
+        Some(last) if at < bytes.len() => word(&bytes[last..]) >> (8 * (at - last)),
+        _ => (bytes.get(at..).unwrap_or_default().iter().rev())
+            .fold(0, |w, &b| w << 8 | u64::from(b)),
     }
 }
 
@@ -368,7 +393,7 @@ pub enum LabelRef<'a> {
         /// The context's shared prefix array, root first.
         prefix: &'a Arc<[Entry]>,
         /// The vertex's own entry.
-        last: &'a Entry,
+        last: Entry,
     },
     /// An encoded prefix and the own entry.
     Encoded {
@@ -386,8 +411,7 @@ impl<'a> LabelRef<'a> {
     /// The vertex's own entry.
     pub fn last(self) -> Entry {
         match self {
-            LabelRef::Entries { last, .. } => *last,
-            LabelRef::Encoded { last, .. } => last,
+            LabelRef::Entries { last, .. } | LabelRef::Encoded { last, .. } => last,
         }
     }
 
@@ -407,7 +431,7 @@ impl<'a> LabelRef<'a> {
     pub fn to_label(self) -> Option<DrlLabel> {
         match self {
             LabelRef::Entries { prefix, last } => {
-                Some(DrlLabel::from_parts(Arc::clone(prefix), *last, None))
+                Some(DrlLabel::from_parts(Arc::clone(prefix), last, None))
             }
             LabelRef::Encoded {
                 prefix,
@@ -427,7 +451,7 @@ impl<'a> LabelRef<'a> {
             LabelRef::Entries { prefix, last } => Some(
                 prefix
                     .iter()
-                    .chain([last])
+                    .chain([&last])
                     .map(|e| e.bit_len(skl_bits))
                     .sum(),
             ),
@@ -733,16 +757,7 @@ impl<'a> ArenaRef<'a> {
         let bit = r
             .saturating_mul(self.cell_bits)
             .saturating_add(usize::from(self.at[k]));
-        let at = bit / 8;
-        let word = match self.cells.get(at..at + 8) {
-            Some(b) => u64::from_le_bytes(b.try_into().expect("8 bytes")),
-            None => {
-                let mut b = [0; 8];
-                let tail = self.cells.get(at..).unwrap_or_default();
-                b[..tail.len()].copy_from_slice(tail);
-                u64::from_le_bytes(b)
-            }
-        };
+        let word = load_le(self.cells, bit / 8);
         ((word >> (bit % 8)) & ((1 << self.width[k]) - 1)) as u32
     }
 
@@ -998,6 +1013,40 @@ mod tests {
         assert!(decode_label(&bytes, 64).is_some());
         assert_eq!(decode_label(&bytes, 65), None);
         assert_eq!(BitReader::new(&bytes).read_bits(65), None);
+    }
+
+    /// A word-at-a-time read answers exactly as reading one bit at a
+    /// time does — value and `None` alike — from every bit position of
+    /// short buffers, fields that span two words and run past the end
+    /// among them.
+    #[test]
+    fn word_reads_match_the_bit_loop() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(157);
+        for len in 0..20 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256) as u8).collect();
+            for start in 0..=len * 8 {
+                let at = |pos| BitReader { bytes: &bytes, pos };
+                for width in 0..=65 {
+                    let mut bit = at(start);
+                    let by_bits = (width <= 64)
+                        .then(|| {
+                            (0..width)
+                                .try_fold(0u64, |v, i| Some(v | u64::from(bit.read_bit()?) << i))
+                        })
+                        .flatten();
+                    let mut word = at(start);
+                    assert_eq!(
+                        word.read_bits(width),
+                        by_bits,
+                        "{bytes:?} @{start} w{width}"
+                    );
+                    if by_bits.is_some() {
+                        assert_eq!(word.pos, bit.pos);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

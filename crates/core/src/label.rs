@@ -126,6 +126,11 @@ impl DrlLabel {
         &self.prefix
     }
 
+    /// The shared entries and the own entry, borrowed in place.
+    pub(crate) fn parts(&self) -> (&[Entry], &Entry) {
+        (&self.prefix, &self.last)
+    }
+
     /// The `i`-th entry, root first: a prefix position, or the label's
     /// own entry at `i == depth() - 1`.
     #[inline]
@@ -145,7 +150,7 @@ impl DrlLabel {
     pub fn view(&self) -> LabelRef<'_> {
         LabelRef::Entries {
             prefix: &self.prefix,
-            last: &self.last,
+            last: self.last,
         }
     }
 

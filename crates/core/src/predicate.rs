@@ -41,7 +41,8 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// # Panics
     /// On two labels no one labeler issued together.
     pub fn reaches(&self, a: &DrlLabel, b: &DrlLabel) -> bool {
-        self.reaches_ref(a.view(), b.view())
+        let ((pa, la), (pb, lb)) = (a.parts(), b.parts());
+        self.indexed(pa, la, pb, lb)
             .expect("labels assigned by a labeler are well-formed")
     }
 
@@ -64,7 +65,7 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                     prefix: pb,
                     last: lb,
                 },
-            ) => self.indexed(pa, la, pb, lb),
+            ) => self.indexed(pa, &la, pb, &lb),
             _ => self.streamed(a, b),
         }
     }
@@ -84,11 +85,8 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// labels lending one record share all of it, so it is read once.
     fn streamed(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         use LabelRef::{Encoded, Entries};
-        fn decoded<'e>(
-            prefix: &'e Arc<[Entry]>,
-            last: &'e Entry,
-        ) -> impl Iterator<Item = Option<Entry>> + 'e {
-            prefix.iter().chain([last]).map(|e| Some(*e))
+        fn decoded(prefix: &Arc<[Entry]>, last: Entry) -> impl Iterator<Item = Option<Entry>> + '_ {
+            prefix.iter().copied().chain([last]).map(Some)
         }
         /// An encoded label's stream; `None` for a decoded one, or a
         /// prefix record whose entry count does not decode.

@@ -252,8 +252,8 @@ impl EngineBuilder {
         // reopened writer is part of the shared state)…
         let recovered = match &self.wal_dir {
             Some(dir) => {
-                let (workers, specs) = (self.ingest_workers, self.contexts.len());
-                recovery::scan(dir, workers, self.wal_sync, &obs, &persisted, specs)
+                let (workers, sync) = (self.ingest_workers, self.wal_sync);
+                recovery::scan(dir, workers, sync, &obs, &persisted, &self.contexts)
             }
             None => Recovered::default(),
         };

@@ -18,7 +18,7 @@ use crate::lifecycle::Tiering;
 use crate::query::CrossRunQuery;
 use crate::recovery::run_open_payload;
 use crate::slot::RunSlot;
-use crate::spill::{file_stats, registrations, CompactionReport, FileStat, SpillDir};
+use crate::spill::{registrations, CompactionReport, FileStat, SpillDir};
 use crate::stats::ServiceStats;
 use crate::store::{LabelStore, RunView, Tier};
 use crate::sub::{SubHub, SubPredicate, Subscription};
@@ -203,6 +203,9 @@ impl WfEngine {
         resolution: ResolutionMode,
     ) -> Result<RunId, ServiceError> {
         let ctx = self.context(spec).ok_or(ServiceError::UnknownSpec(spec))?;
+        if !ctx.hot_cells_hold() {
+            return Err(ServiceError::SpecTooWide(spec));
+        }
         // `u64::MAX` has no successor, so it is never issued: the
         // counter stops there and further opens are refused.
         let run = self
@@ -599,7 +602,12 @@ impl WfEngine {
                 RunView::Sealed(sealed) => persisted_bytes += sealed.blob_len(),
             }
         });
-        let pack_files = file_stats(&registrations(store));
+        let pack_files = self
+            .shared
+            .spill
+            .as_ref()
+            .map(|spill| spill.file_stats(&registrations(store)))
+            .unwrap_or_default();
         let obs = &self.shared.obs;
         let (enqueued, applied) = self.shared.ingest.watermarks();
         ServiceStats {

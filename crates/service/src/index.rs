@@ -13,11 +13,11 @@
 //!
 //! The table is a chunk array that grows by an eighth of itself at a
 //! time (eight equal chunks per doubling of the capacity), so slots never
-//! move once allocated — readers can hold borrows of a cell while the
+//! move once allocated — readers can hold borrows of a slot while the
 //! writer keeps appending — and at most an eighth of the table is room
-//! the run has not reached. Both levels use [`OnceLock`]: reads are a
-//! single `Acquire` load per level, writes initialize each slot at most
-//! once. No `unsafe` required.
+//! the run has not reached. A chunk is allocated once, through a
+//! [`OnceLock`]: finding a slot is a single `Acquire` load. No `unsafe`
+//! required.
 //!
 //! Each cell carries the vertex's **module name** next to its label, so
 //! the cross-run query surface ([`crate::CrossRunQuery`]) can scan the
@@ -30,19 +30,31 @@
 //! can carry where it creates it ([`wf_drl::DrlLabel::prefix_id`]). The
 //! arrays live once each in the run's **prefix table**, a second table of
 //! the same chunk layout indexed by that number (footnote 4's
-//! pointer-not-copy, applied to the context path), and a cell is
-//! `{ name, prefix slot, own entry }` — 28 bytes, a 32-byte slot, where
-//! the slot is the number's chunk and offset packed into a `u32`, so a
-//! read skips the number-to-slot arithmetic. Publishing stores an array
-//! the first time a label carries it, and otherwise only checks that the
-//! slot holds that very array: no hashing, no per-label reference count
-//! kept. The writer stores the table slot before the cell, so a reader
-//! that sees a cell sees its prefix. Every reader takes the one borrowed
+//! pointer-not-copy, applied to the context path). A cell is two
+//! `AtomicU64` words, 16 bytes on a 16-byte boundary, so four cells tile
+//! a cache line:
+//!
+//! * the *head* word: the module name, and where the prefix array sits
+//!   — the number's chunk and offset packed into 32 bits, so a read
+//!   skips the number-to-slot arithmetic;
+//! * the *own* word: the own entry at fixed widths — index, kind, rec
+//!   flags, skeleton graph and vertex (a sentinel vertex for no
+//!   pointer) — and a presence bit, so the word is 0 until published.
+//!
+//! The widths hold every entry of a spec [`holds`] accepts, which
+//! [`crate::WfEngine::open_run`] checks once per spec; nothing is
+//! truncated. **Publishing** stores the prefix-table slot first, then
+//! the head `Relaxed`, then the own word `Release`; a **reader** loads
+//! the own word `Acquire` and, if it is present, the head — so a reader
+//! that sees a cell sees its name and its prefix. The prefix table
+//! stores an array the first time a label carries it, and otherwise
+//! only checks that the slot holds that very array: no hashing, no
+//! per-label reference count kept. Every reader takes the one borrowed
 //! form, [`LabelRef::Entries`], built from a cell and its table slot; a
-//! hot `reach` over two cells of one context needs not even that. A
-//! label the tree did not number (rebuilt from its entries) gets a slot
-//! of its own in a private table of the same layout, allocated the first
-//! time one is needed.
+//! hot `reach` over two cells of one context compares a half of each
+//! word and needs not even that. A label the tree did not number
+//! (rebuilt from its entries) gets a slot of its own in a private table
+//! of the same layout, allocated the first time one is needed.
 //!
 //! While the run is live its labeler's parse tree holds every prefix
 //! array too; once `complete()` drops the labeler the table is the
@@ -55,9 +67,10 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use wf_drl::label::prefix_array_bytes;
-use wf_drl::{DrlLabel, DrlPredicate, Entry, LabelRef};
+use wf_drl::{DrlLabel, DrlPredicate, Entry, LabelRef, NodeKind};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::TclSpecLabels;
+use wf_spec::{GraphId, Specification};
 
 /// log₂ of the chunks per doubling of a table: group `g` is eight
 /// chunks of `2^(BASE_BITS + g)` slots each, so a table grows by an
@@ -115,72 +128,52 @@ fn position(slot: usize) -> u32 {
     ((chunk as u32) << OFFSET_BITS) | offset as u32
 }
 
-/// One write-once value of a table, on a 32-byte boundary: a 32-byte
-/// cell never straddles two cache lines (worth a tenth of a hot `reach`
-/// over small runs, measured on a 2-vCPU Xeon), and a prefix-table slot
-/// pays 8 bytes of padding for the same.
-#[repr(align(32))]
-struct Slot<T>(OnceLock<T>);
-
-/// A write-once table of `T`s addressed by a dense slot number: the one
-/// chunk layout behind both the cells and the prefix table. Safe for any
+/// A table of `T`s addressed by a dense slot number, its chunks
+/// allocated on first use and never moved: the one chunk layout behind
+/// both the cells and the prefix table. A slot is whatever `T` makes of
+/// it — atomics, or a [`OnceLock`] — so the table is safe for any
 /// number of concurrent readers against one writer.
 struct Chunks<T> {
-    chunks: [OnceLock<Box<[Slot<T>]>>; CHUNKS],
+    chunks: [OnceLock<Box<[T]>>; CHUNKS],
 }
 
-impl<T> Chunks<T> {
+impl<T: Default> Chunks<T> {
     fn new() -> Self {
         Self {
             chunks: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    /// The value in `slot`, once it is set: two `Acquire` loads.
+    /// Slot `slot`, once its chunk is allocated: one `Acquire` load.
     #[inline]
     fn get(&self, slot: usize) -> Option<&T> {
         let (chunk, offset) = locate(slot);
-        self.chunks.get(chunk)?.get()?.get(offset)?.0.get()
+        self.chunks.get(chunk)?.get()?.get(offset)
     }
 
-    /// The value at a packed [`position`], once it is set.
+    /// The slot at a packed [`position`], once its chunk is allocated.
     #[inline]
     fn at(&self, position: u32) -> Option<&T> {
         let (chunk, offset) = (position >> OFFSET_BITS, position & ((1 << OFFSET_BITS) - 1));
-        self.chunks
-            .get(chunk as usize)?
-            .get()?
-            .get(offset as usize)?
-            .0
-            .get()
+        self.chunks.get(chunk as usize)?.get()?.get(offset as usize)
     }
 
-    /// Set `slot`, allocating its chunk on first use; `Err(value)` when
-    /// the slot was set already.
-    fn set(&self, slot: usize, value: T) -> Result<(), T> {
+    /// Slot `slot`, allocating its chunk on first use.
+    fn slot(&self, slot: usize) -> &T {
         let (chunk, offset) = locate(slot);
-        let slots = self.chunks[chunk].get_or_init(|| {
-            (0..chunk_len(chunk))
-                .map(|_| Slot(OnceLock::new()))
-                .collect()
-        });
-        slots[offset].0.set(value)
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..chunk_len(chunk)).map(|_| T::default()).collect());
+        &slots[offset]
     }
 
-    /// Every set slot in slot order — whatever has been set at visit
-    /// time, each value valid for the life of the table.
-    fn iter(&self) -> impl Iterator<Item = (usize, &T)> + Clone + '_ {
-        self.chunks.iter().enumerate().flat_map(|(k, chunk)| {
-            chunk
-                .get()
-                .map(|slots| &slots[..])
-                .unwrap_or(&[])
-                .iter()
-                .enumerate()
-                .filter_map(move |(offset, slot)| {
-                    slot.0.get().map(|t| (chunk_start(k) + offset, t))
-                })
-        })
+    /// Every slot of the chunks allocated at visit time, in slot order,
+    /// each valid for the life of the table.
+    fn iter(&self) -> Slots<'_, T> {
+        Slots {
+            chunks: self.chunks.iter().enumerate(),
+            slots: [].iter().enumerate(),
+            start: 0,
+        }
     }
 
     /// Chunks allocated so far — what [`Self::iter`] walks.
@@ -189,25 +182,183 @@ impl<T> Chunks<T> {
     }
 }
 
-/// One published label: the vertex's module name (from
-/// [`wf_run::ExecEvent::name`]), where its context's prefix array sits
-/// in the run's prefix table — a packed [`position`], with [`PRIVATE`]
-/// set for the private table — and its own entry.
+/// The slots of a [`Chunks`], chunk by chunk. A plain loop: the same
+/// walk as a `flat_map`, with the presence filter after it, made a
+/// freeze's arena build over the cells about 1.6× as slow (measured on
+/// a 2-vCPU Xeon).
+struct Slots<'a, T> {
+    chunks: std::iter::Enumerate<std::slice::Iter<'a, OnceLock<Box<[T]>>>>,
+    /// The current chunk's slots, and its first slot's number.
+    slots: std::iter::Enumerate<std::slice::Iter<'a, T>>,
+    start: usize,
+}
+
+// Not derived: that would ask for `T: Clone`.
+impl<T> Clone for Slots<'_, T> {
+    fn clone(&self) -> Self {
+        Self {
+            chunks: self.chunks.clone(),
+            slots: self.slots.clone(),
+            start: self.start,
+        }
+    }
+}
+
+impl<'a, T> Iterator for Slots<'a, T> {
+    type Item = (usize, &'a T);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some((offset, slot)) = self.slots.next() {
+                return Some((self.start + offset, slot));
+            }
+            let (k, chunk) = self.chunks.next()?;
+            if let Some(slots) = chunk.get() {
+                (self.start, self.slots) = (chunk_start(k), slots.iter().enumerate());
+            }
+        }
+    }
+}
+
+/// One published label in two words, written once by the run's writer:
+/// the *head* holds the vertex's module name (from
+/// [`wf_run::ExecEvent::name`]) in its low half and its prefix's packed
+/// [`position`] in its high half, with [`PRIVATE`] set for the private
+/// table; the *own* word holds its own entry ([`pack`]), 0 until
+/// published.
+#[derive(Default)]
+#[repr(align(16))]
 struct Cell {
-    name: NameId,
-    prefix: u32,
-    last: Entry,
+    head: AtomicU64,
+    own: AtomicU64,
+}
+
+// Four cells to a cache line, none straddling two.
+const _: () = assert!(size_of::<Cell>() == 16 && std::mem::align_of::<Cell>() == 16);
+
+impl Cell {
+    /// The head and own words once the cell is published: the own word
+    /// `Acquire` — it pairs with the writer's `Release`, which came after
+    /// the head — then the head.
+    #[inline]
+    fn read(&self) -> Option<(u64, u64)> {
+        let own = self.own.load(Ordering::Acquire);
+        (own & PRESENT != 0).then(|| (self.head.load(Ordering::Relaxed), own))
+    }
+}
+
+/// The module name in a cell's head.
+#[inline]
+fn name_of(head: u64) -> NameId {
+    NameId(head as u32)
+}
+
+/// The packed prefix position in a cell's head.
+#[inline]
+fn prefix_of(head: u64) -> u32 {
+    (head >> 32) as u32
 }
 
 /// A slot of the prefix table: one distinct array.
-type PrefixSlot = Slot<Arc<[Entry]>>;
-
-// A name, a position and an entry fit the 32-byte slot cells took
-// before labels shared their prefixes.
-const _: () = assert!(size_of::<Slot<Cell>>() <= 32);
+type PrefixSlot = OnceLock<Arc<[Entry]>>;
 
 /// The bit above a [`position`] that sends it to the private table.
 const PRIVATE: u32 = 1 << 31;
+
+/// The own word's fields, low bit first: presence, kind, rec (0 = none,
+/// 1–4 = one plus the two flags), index, skeleton graph, skeleton
+/// vertex — 64 bits in all.
+const PRESENT: u64 = 1;
+const KIND_AT: u32 = 1;
+const REC_AT: u32 = 3;
+const INDEX_AT: u32 = 6;
+const INDEX_BITS: u32 = 25;
+const GRAPH_AT: u32 = INDEX_AT + INDEX_BITS;
+const GRAPH_BITS: u32 = 16;
+const VERTEX_AT: u32 = GRAPH_AT + GRAPH_BITS;
+const VERTEX_BITS: u32 = 64 - VERTEX_AT;
+/// The own word's index field, in place.
+const INDEX_FIELD: u64 = ((1 << INDEX_BITS) - 1) << INDEX_AT;
+/// The skeleton vertex of an entry without a skeleton pointer; no spec
+/// vertex [`holds`] accepts has it.
+const NO_VERTEX: u64 = (1 << VERTEX_BITS) - 1;
+
+// An own index counts the children of one parse-tree node, and the
+// labeler adds a child only as a vertex arrives for it: the engine's
+// vertex bound caps the index below the field's width (and `publish`
+// checks it).
+const _: () = assert!(VERTEX_BITS == 17);
+const _: () = assert!(crate::DEFAULT_MAX_VERTEX_ID as u64 + 1 < 1 << INDEX_BITS);
+
+/// Whether a cell's fixed widths hold every own entry a run of `spec`
+/// can carry: at most 2^16 graphs, each of at most 2^17 − 1 vertex
+/// slots (a TCL over a graph of 2^16 vertices alone is 2^31 bits,
+/// 256 MiB). A run's own indexes are held by the engine's vertex bound.
+pub fn holds(spec: &Specification) -> bool {
+    spec.graph_count() <= 1 << GRAPH_BITS
+        && spec
+            .graph_ids()
+            .all(|g| spec.graph(g).slot_count() as u64 <= NO_VERTEX)
+}
+
+/// `e` as a cell's own word, presence bit set; `None` when a field is
+/// wider than the word holds it.
+fn pack(e: &Entry) -> Option<u64> {
+    let kind = match e.kind {
+        NodeKind::N => 0,
+        NodeKind::L => 1,
+        NodeKind::F => 2,
+        NodeKind::R => 3,
+    };
+    let rec = e
+        .rec
+        .map_or(0, |(r1, r2)| 1 + 2 * u64::from(r1) + u64::from(r2));
+    let (graph, vertex) = match e.skl {
+        Some((g, v)) => (u64::from(g.0), u64::from(v.0)),
+        None => (0, NO_VERTEX),
+    };
+    let fits = u64::from(e.index) < 1 << INDEX_BITS
+        && graph < 1 << GRAPH_BITS
+        && (vertex < NO_VERTEX || e.skl.is_none());
+    fits.then_some(
+        PRESENT
+            | kind << KIND_AT
+            | rec << REC_AT
+            | u64::from(e.index) << INDEX_AT
+            | graph << GRAPH_AT
+            | vertex << VERTEX_AT,
+    )
+}
+
+/// The own entry a cell's own word holds.
+#[inline]
+fn unpack(own: u64) -> Entry {
+    let field = |at: u32, bits: u32| (own >> at) & ((1 << bits) - 1);
+    let kind = match field(KIND_AT, 2) {
+        0 => NodeKind::N,
+        1 => NodeKind::L,
+        2 => NodeKind::F,
+        _ => NodeKind::R,
+    };
+    let rec = match field(REC_AT, 3) {
+        0 => None,
+        code => Some((code >= 3, code % 2 == 0)),
+    };
+    let vertex = own >> VERTEX_AT;
+    let skl = (vertex != NO_VERTEX).then(|| {
+        (
+            GraphId(field(GRAPH_AT, GRAPH_BITS) as u32),
+            VertexId(vertex as u32),
+        )
+    });
+    Entry {
+        index: field(INDEX_AT, INDEX_BITS) as u32,
+        kind,
+        skl,
+        rec,
+    }
+}
 
 /// Write-once label table for one run, safe for any number of concurrent
 /// readers against one writer.
@@ -215,10 +366,10 @@ pub struct LabelIndex {
     cells: Chunks<Cell>,
     /// The run's prefix table: each array its labels carry, once, at the
     /// number the run's parse tree gave it.
-    prefixes: Chunks<Arc<[Entry]>>,
+    prefixes: Chunks<PrefixSlot>,
     /// Arrays that came without a usable number, each in a slot of its
     /// own; allocated the first time one does.
-    private: OnceLock<Box<Chunks<Arc<[Entry]>>>>,
+    private: OnceLock<Box<Chunks<PrefixSlot>>>,
     /// Private slots handed out.
     privates: AtomicU32,
     /// Number of labels published (reads with `Acquire` pair with the
@@ -255,16 +406,24 @@ impl LabelIndex {
     /// Publish the label of `v`. Called only by the run's single ingest
     /// writer; each vertex is published at most once (the labeler
     /// rejects duplicate insertions upstream).
+    ///
+    /// # Panics
+    /// On an own entry wider than a cell holds — one no run of a spec
+    /// [`holds`] accepts carries.
     pub fn publish(&self, v: VertexId, name: NameId, label: DrlLabel, skl_bits: usize) {
         let bits = label.bit_len(skl_bits) as u64;
         let (id, prefix, last) = label.into_parts();
-        let prefix = self.hold(id, prefix);
-        if self.cells.set(v.idx(), Cell { name, prefix, last }).is_ok() {
-            self.bits.fetch_add(bits, Ordering::Relaxed);
-            self.published.fetch_add(1, Ordering::Release);
-        } else {
+        let own = pack(&last).expect("an own entry within the hot cell's widths");
+        let cell = self.cells.slot(v.idx());
+        if cell.own.load(Ordering::Relaxed) != 0 {
             debug_assert!(false, "label for {v:?} published twice");
+            return;
         }
+        let head = u64::from(name.0) | u64::from(self.hold(id, prefix)) << 32;
+        cell.head.store(head, Ordering::Relaxed);
+        cell.own.store(own, Ordering::Release);
+        self.bits.fetch_add(bits, Ordering::Relaxed);
+        self.published.fetch_add(1, Ordering::Release);
     }
 
     /// Where the tables hold `prefix`: at the tree's own number `id` —
@@ -274,22 +433,22 @@ impl LabelIndex {
     /// array already sits at its number).
     fn hold(&self, id: Option<u32>, prefix: Arc<[Entry]>) -> u32 {
         if let Some(id) = id.map(|id| id as usize).filter(|&id| id < POSITIONED) {
-            let at = position(id);
-            match self.prefixes.at(at) {
-                Some(held) if Arc::ptr_eq(held, &prefix) => return at,
+            let slot = self.prefixes.slot(id);
+            match slot.get() {
+                Some(held) if Arc::ptr_eq(held, &prefix) => return position(id),
                 Some(_) => {}
                 None => {
                     self.count(&prefix);
-                    let stored = self.prefixes.set(id, prefix).is_ok();
+                    let stored = slot.set(prefix).is_ok();
                     debug_assert!(stored, "one writer");
-                    return at;
+                    return position(id);
                 }
             }
         }
         let k = self.privates.fetch_add(1, Ordering::Relaxed) as usize;
         self.count(&prefix);
         let private = self.private.get_or_init(|| Box::new(Chunks::new()));
-        let stored = private.set(k, prefix).is_ok();
+        let stored = private.slot(k).set(prefix).is_ok();
         debug_assert!(stored, "one writer");
         PRIVATE | position(k)
     }
@@ -300,22 +459,28 @@ impl LabelIndex {
         self.prefix_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// A cell as the borrowed label it stands for: its table slot's
-    /// array and its own entry. (The slot was stored before the cell, so
-    /// it resolves.)
+    /// The published cell of `v`, as its head and own words.
     #[inline]
-    fn label<'a>(&'a self, cell: &'a Cell) -> Option<LabelRef<'a>> {
+    fn cell(&self, v: VertexId) -> Option<(u64, u64)> {
+        self.cells.get(v.idx())?.read()
+    }
+
+    /// A published cell as the borrowed label it stands for: its table
+    /// slot's array and its own entry. (The slot was stored before the
+    /// cell, so it resolves.)
+    #[inline]
+    fn label(&self, (head, own): (u64, u64)) -> Option<LabelRef<'_>> {
         Some(LabelRef::Entries {
-            prefix: self.prefix(cell.prefix)?,
-            last: &cell.last,
+            prefix: self.prefix(prefix_of(head))?,
+            last: unpack(own),
         })
     }
 
-    /// The array a cell's `prefix` names.
+    /// The array a cell's prefix position names.
     #[inline]
     fn prefix(&self, position: u32) -> Option<&Arc<[Entry]>> {
         if position & PRIVATE == 0 {
-            self.prefixes.at(position)
+            self.prefixes.at(position)?.get()
         } else {
             self.private(position & !PRIVATE)
         }
@@ -326,18 +491,19 @@ impl LabelIndex {
     #[cold]
     #[inline(never)]
     fn private(&self, position: u32) -> Option<&Arc<[Entry]>> {
-        self.private.get()?.at(position)
+        self.private.get()?.at(position)?.get()
     }
 
     /// The published label of `v`, if it has been labeled yet. Lock-free:
-    /// two `Acquire` loads for the cell, two for its prefix.
+    /// one `Acquire` load for the cell's chunk and one for the cell, two
+    /// for its prefix.
     #[inline]
     pub fn get(&self, v: VertexId) -> Option<LabelRef<'_>> {
-        self.label(self.cells.get(v.idx())?)
+        self.label(self.cell(v)?)
     }
 
     /// `u ; v` over two published labels, or `None` until both are. Two
-    /// cells of one context — one prefix slot, one own index: common
+    /// cells of one context — one prefix position, one own index: common
     /// inside a small run — decide from their own entries, without a look
     /// at the table; any other pair reads both prefixes.
     #[inline]
@@ -347,16 +513,24 @@ impl LabelIndex {
         u: VertexId,
         v: VertexId,
     ) -> Option<bool> {
-        let (a, b) = (self.cells.get(u.idx())?, self.cells.get(v.idx())?);
-        if a.prefix == b.prefix && a.last.index == b.last.index {
-            return predicate.reaches_in_context(&a.last, &b.last);
+        let (a, b) = (self.cell(u)?, self.cell(v)?);
+        if (a.0 ^ b.0) >> 32 == 0 && (a.1 ^ b.1) & INDEX_FIELD == 0 {
+            return predicate.reaches_in_context(&unpack(a.1), &unpack(b.1));
         }
         predicate.reaches_ref(self.label(a)?, self.label(b)?)
     }
 
     /// The module name `v` was published under, if it has been labeled.
     pub fn name(&self, v: VertexId) -> Option<NameId> {
-        self.cells.get(v.idx()).map(|c| c.name)
+        self.cell(v).map(|(head, _)| name_of(head))
+    }
+
+    /// Every published cell, in vertex-id order, as its head and own
+    /// words.
+    fn cells(&self) -> impl Iterator<Item = (VertexId, (u64, u64))> + Clone + '_ {
+        self.cells
+            .iter()
+            .filter_map(|(slot, cell)| Some((VertexId(slot as u32), cell.read()?)))
     }
 
     /// Iterate every published `(vertex, name, label)`, lock-free and
@@ -366,17 +540,14 @@ impl LabelIndex {
     /// of the index. A clone walks again (freeze's second pass over a
     /// completed run).
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'_>)> + Clone + '_ {
-        self.cells
-            .iter()
-            .filter_map(|(slot, c)| Some((VertexId(slot as u32), c.name, self.label(c)?)))
+        self.cells()
+            .filter_map(|(v, cell)| Some((v, name_of(cell.0), self.label(cell)?)))
     }
 
     /// [`Self::iter`] without the labels: every published `(vertex,
     /// name)`, no prefix looked up.
     pub fn names(&self) -> impl Iterator<Item = (VertexId, NameId)> + '_ {
-        self.cells
-            .iter()
-            .map(|(slot, c)| (VertexId(slot as u32), c.name))
+        self.cells().map(|(v, (head, _))| (v, name_of(head)))
     }
 
     /// Cell chunks allocated so far — what [`Self::iter`] walks.
@@ -408,18 +579,19 @@ impl LabelIndex {
 
     /// **Resident** bytes of the decoded labels: the bytes of label
     /// storage the index keeps alive, excluding the chunk tables
-    /// themselves — one cell slot per published label (name, prefix
-    /// slot, the label's own entry), one prefix-table slot per distinct
-    /// prefix array, and every such array once, each at its full size.
-    /// This is the memory freezing actually releases — several times the
-    /// accounting size, since a decoded [`wf_drl::Entry`] spends a
-    /// machine word where the accounting charges a few bits. The labels
-    /// counted are the run's only copy (the ingest path moves each one
-    /// in; the labeler keeps none), so for a completed run this plus the
-    /// chunk tables is the run's label memory; a live run's labeler state
-    /// — parse tree, placements, expansion map — is not counted here.
+    /// themselves — one two-word cell per published label (its name,
+    /// prefix position and own entry, 16 bytes), one prefix-table slot
+    /// per distinct prefix array, and every such array once, each at its
+    /// full size. This is the memory freezing actually releases —
+    /// several times the accounting size, since a decoded
+    /// [`wf_drl::Entry`] in an array spends a machine word where the
+    /// accounting charges a few bits. The labels counted are the run's
+    /// only copy (the ingest path moves each one in; the labeler keeps
+    /// none), so for a completed run this plus the chunk tables is the
+    /// run's label memory; a live run's labeler state — parse tree,
+    /// placements, expansion map — is not counted here.
     pub fn resident_bytes(&self) -> u64 {
-        (self.len() * size_of::<Slot<Cell>>()) as u64 + self.prefix_bytes.load(Ordering::Relaxed)
+        (self.len() * size_of::<Cell>()) as u64 + self.prefix_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -534,7 +706,7 @@ mod tests {
         assert!(idx.name(VertexId(2)).is_none());
         assert!(idx.total_bits() > 0);
         // Five cells, five private slots, five (empty) arrays.
-        let each = size_of::<Slot<Cell>>() + size_of::<PrefixSlot>() + prefix_array_bytes(&[]);
+        let each = size_of::<Cell>() + size_of::<PrefixSlot>() + prefix_array_bytes(&[]);
         assert_eq!(idx.resident_bytes(), 5 * each as u64);
     }
 
@@ -555,7 +727,7 @@ mod tests {
             idx.publish(*v, *name, label.clone(), 4);
         }
         assert!(arrays.len() * 2 < run.len(), "{} arrays", arrays.len());
-        let cells = (run.len() * size_of::<Slot<Cell>>()) as u64;
+        let cells = (run.len() * size_of::<Cell>()) as u64;
         let table = (arrays.len() * size_of::<PrefixSlot>()) as u64;
         let held = arrays.values().sum::<usize>() as u64;
         assert_eq!(idx.resident_bytes(), cells + table + held);
@@ -588,6 +760,150 @@ mod tests {
         }
         let seen: Vec<(u32, u32)> = idx.iter().map(|(v, name, _)| (v.0, name.0)).collect();
         assert_eq!(seen, vec![(0, 0), (1, 1), (5, 5), (17, 17), (1000, 1000)]);
+    }
+
+    /// The own word holds every field of an entry a cell admits, and
+    /// refuses what is wider: nothing is truncated.
+    #[test]
+    fn an_own_word_roundtrips_every_field_at_its_widths() {
+        let widest = Entry {
+            index: (1 << INDEX_BITS) - 1,
+            kind: NodeKind::N,
+            skl: Some((
+                GraphId((1 << GRAPH_BITS) - 1),
+                VertexId(NO_VERTEX as u32 - 1),
+            )),
+            rec: Some((true, true)),
+        };
+        let mut entries = vec![widest, Entry::special(0, NodeKind::R)];
+        for kind in [NodeKind::N, NodeKind::L, NodeKind::F, NodeKind::R] {
+            for rec in [
+                None,
+                Some((false, false)),
+                Some((false, true)),
+                Some((true, false)),
+            ] {
+                for skl in [None, Some((GraphId(3), VertexId(0)))] {
+                    entries.push(Entry {
+                        index: 7,
+                        kind,
+                        skl,
+                        rec,
+                    });
+                }
+            }
+        }
+        for e in entries {
+            let own = pack(&e).expect("fits");
+            assert_ne!(own & PRESENT, 0);
+            assert_eq!(unpack(own), e);
+        }
+        for e in [
+            Entry {
+                index: 1 << INDEX_BITS,
+                ..widest
+            },
+            Entry {
+                skl: Some((GraphId(1 << GRAPH_BITS), VertexId(0))),
+                ..widest
+            },
+            Entry {
+                skl: Some((GraphId(0), VertexId(NO_VERTEX as u32))),
+                ..widest
+            },
+        ] {
+            assert_eq!(pack(&e), None, "{e:?}");
+        }
+    }
+
+    /// One writer publishes out of vertex order — a run's numbered
+    /// labels, labels rebuilt from their entries (private-table slots)
+    /// and labels whose own entry has no skeleton pointer — each under a
+    /// name no other vertex has, while four readers check that every
+    /// cell they see reads whole: its name, prefix and own entry are the
+    /// ones published together. Each reader follows the writer, spinning
+    /// on the next cell it publishes until it appears, so reads land on
+    /// cells as they are published: a reader that took the head before
+    /// the own word would see a present entry beside name 0 and prefix
+    /// slot 0, which no label here has.
+    #[test]
+    fn readers_never_see_a_torn_cell() {
+        let run = labeled_run(5, 6000);
+        let published: Vec<(VertexId, NameId, DrlLabel)> = run
+            .into_iter()
+            .map(|(v, _, label)| {
+                let name = NameId(2 * v.0 + 1);
+                let label = match v.0 % 3 {
+                    0 => label,
+                    1 => DrlLabel::new(label.entries().copied().collect()),
+                    _ => {
+                        let mut entries: Vec<Entry> = label.entries().copied().collect();
+                        let own = entries.len() - 1;
+                        entries[own] = Entry::special(v.0 % 97, NodeKind::F);
+                        DrlLabel::new(entries)
+                    }
+                };
+                (v, name, label)
+            })
+            .collect();
+        let expected: std::collections::HashMap<VertexId, (NameId, &DrlLabel)> = published
+            .iter()
+            .map(|(v, name, label)| (*v, (*name, label)))
+            .collect();
+        // Odd slots high to low, then even slots low to high.
+        let mut order: Vec<&(VertexId, NameId, DrlLabel)> = published.iter().collect();
+        order.sort_by_key(|(v, ..)| match v.0 % 2 {
+            1 => (0, u32::MAX - v.0),
+            _ => (1, v.0),
+        });
+        let n = order.len();
+        let idx = LabelIndex::new();
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for (v, name, label) in &order {
+                    idx.publish(*v, *name, label.clone(), 4);
+                }
+            });
+            for reader in 0..4 {
+                let (idx, order, expected, start) = (&idx, &order, &expected, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Every other cell is first seen through its name,
+                    // the rest through its label: each one read.
+                    for (k, (v, name, label)) in order.iter().enumerate() {
+                        if (k + reader) % 2 == 0 {
+                            let seen = loop {
+                                match idx.name(*v) {
+                                    Some(seen) => break seen,
+                                    None => std::hint::spin_loop(),
+                                }
+                            };
+                            assert_eq!(seen, *name, "{v:?}");
+                        } else {
+                            let seen = loop {
+                                match idx.get(*v) {
+                                    Some(seen) => break seen.to_label(),
+                                    None => std::hint::spin_loop(),
+                                }
+                            };
+                            assert_eq!(seen.as_ref(), Some(label), "{v:?}");
+                        }
+                    }
+                    for (v, name, got) in idx.iter() {
+                        let (want_name, want) = expected[&v];
+                        assert_eq!(name, want_name, "{v:?}");
+                        assert_eq!(got.to_label().as_ref(), Some(want), "{v:?}");
+                    }
+                });
+            }
+        });
+        assert_eq!(idx.iter().count(), n);
+        assert!(
+            idx.private.get().is_some(),
+            "rebuilt labels took private slots"
+        );
     }
 
     /// One writer publishes a real run's labels — in vertex order, not the
@@ -666,7 +982,7 @@ mod tests {
         assert_eq!(owned(idx.get(v)).as_ref(), Some(shared));
         assert_eq!(
             idx.resident_bytes() - before,
-            (size_of::<Slot<Cell>>() + size_of::<PrefixSlot>() + array_bytes(shared)) as u64
+            (size_of::<Cell>() + size_of::<PrefixSlot>() + array_bytes(shared)) as u64
         );
     }
 }

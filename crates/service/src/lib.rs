@@ -161,6 +161,9 @@ pub struct SpecContext<S: SpecLabeling = TclSpecLabels> {
     /// of the immutable spec, so it is computed once here rather than on
     /// every `open_run`).
     default_resolution: ResolutionMode,
+    /// Cached result of [`index::holds`]: whether a hot-tier cell holds
+    /// every own entry of this spec's runs (checked once, here).
+    hot_cells_hold: bool,
 }
 
 impl<S: SpecLabeling> SpecContext<S> {
@@ -172,10 +175,12 @@ impl<S: SpecLabeling> SpecContext<S> {
         } else {
             ResolutionMode::LogBased
         };
+        let hot_cells_hold = index::holds(&spec);
         Self {
             spec,
             skeleton,
             default_resolution,
+            hot_cells_hold,
         }
     }
 
@@ -183,6 +188,14 @@ impl<S: SpecLabeling> SpecContext<S> {
     /// name-based when §5.3's Conditions 1–2 hold, log-based otherwise.
     pub fn default_resolution(&self) -> ResolutionMode {
         self.default_resolution
+    }
+
+    /// Whether the engine can run this spec: a hot-tier cell holds its
+    /// runs' own entries at fixed widths ([`index::holds`]). A spec that
+    /// does not fit is refused at `open_run`
+    /// ([`ServiceError::SpecTooWide`]), never truncated.
+    pub fn hot_cells_hold(&self) -> bool {
+        self.hot_cells_hold
     }
 }
 
@@ -291,6 +304,11 @@ pub enum ServiceError {
     /// Every run id below `u64::MAX` is taken (ids are never reused), so
     /// no run can be opened.
     RunIdsExhausted,
+    /// The spec has more graphs, or a graph more vertex slots, than a
+    /// hot-tier cell's fixed-width own entry holds
+    /// ([`index::holds`]): its runs are refused at `open_run` rather
+    /// than stored truncated.
+    SpecTooWide(SpecId),
 }
 
 impl fmt::Display for ServiceError {
@@ -322,6 +340,10 @@ impl fmt::Display for ServiceError {
             ServiceError::Compaction(e) => write!(f, "compaction failed: {e}"),
             ServiceError::Wal(e) => write!(f, "write-ahead log failed: {e}"),
             ServiceError::RunIdsExhausted => write!(f, "every run id is taken"),
+            ServiceError::SpecTooWide(s) => write!(
+                f,
+                "specification {s:?} has more graphs or graph vertices than a hot cell holds"
+            ),
         }
     }
 }

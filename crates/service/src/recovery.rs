@@ -7,9 +7,9 @@
 //! valid prefix), the survivor filter (which runs are replayable), the
 //! log rewrite ([`WalWriter::reset`] — the reopened log holds exactly
 //! what the rebuilt engine holds hot, plus the runs of specs beyond its
-//! catalog carried verbatim, re-homed if the worker count changed), the
-//! replay itself, and the `RunOpen` payload codec both
-//! sides of a lifetime boundary must agree on. Replay applies events
+//! catalog — or too wide for its hot cells — carried verbatim, re-homed
+//! if the worker count changed), the replay itself, and the `RunOpen`
+//! payload codec both sides of a lifetime boundary must agree on. Replay applies events
 //! through [`crate::ingest::apply`] like every other write, with an
 //! empty journal step: the records are already in the rewritten log.
 //! The write path journals an op only once the run has admitted it, so
@@ -32,7 +32,7 @@ use crate::slot::RunSlot;
 use crate::snapshot::SealedRun;
 use crate::store::RunView;
 use crate::telemetry::{Telemetry, WalTelemetry};
-use crate::{RunId, RunStatus, SpecId};
+use crate::{RunId, RunStatus, SpecContext, SpecId};
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -103,8 +103,9 @@ enum Skip {
     /// An orphaned tail (e.g. its `RunOpen` sat in a torn region):
     /// dropped, not guessed at.
     Orphan,
-    /// Its `RunOpen` names a spec beyond this catalog: carried into the
-    /// rewritten log verbatim, for a build that has the spec.
+    /// Its `RunOpen` names a spec beyond this catalog, or one whose runs
+    /// this build's hot cells cannot hold: carried into the rewritten log
+    /// verbatim, for a build that can run it.
     Foreign,
     /// Undecodable: dropped, and traced with the reason.
     Bad(&'static str),
@@ -112,11 +113,11 @@ enum Skip {
 
 /// Decode one scanned run's `records` into a [`ReplayRun`], or say why
 /// not. A replayable run starts with a parseable `RunOpen` naming a spec
-/// this catalog has.
+/// this catalog has and can run.
 fn decode_run(
     r: &wf_wal::RecoveredRun,
     records: &[Record],
-    catalog_len: usize,
+    catalog: &[Arc<SpecContext>],
 ) -> Result<ReplayRun, Skip> {
     // The journal numbers a run's ops below `CHECKPOINT_SEQ`: a run at
     // that number holds an op no engine journaled, and has no successor
@@ -129,7 +130,7 @@ fn decode_run(
         return Err(Skip::Orphan);
     }
     let (spec, resolution) = parse_run_open(&first.payload).ok_or(Skip::Orphan)?;
-    if spec.0 >= catalog_len {
+    if !catalog.get(spec.0).is_some_and(|ctx| ctx.hot_cells_hold()) {
         return Err(Skip::Foreign);
     }
     let mut events = Vec::new();
@@ -156,15 +157,15 @@ fn decode_run(
 
 /// Scan the WAL directory: decode surviving runs for replay, then
 /// rewrite the log so it holds exactly those runs plus, verbatim, the
-/// runs of specs beyond this catalog (checkpointed history dropped,
-/// records re-homed onto `workers` shards).
+/// runs of specs beyond this catalog or too wide for it (checkpointed
+/// history dropped, records re-homed onto `workers` shards).
 pub(crate) fn scan(
     dir: &Path,
     workers: usize,
     sync: WalSync,
     obs: &Arc<Telemetry>,
     persisted: &[Arc<SealedRun>],
-    catalog_len: usize,
+    catalog: &[Arc<SpecContext>],
 ) -> Recovered {
     let rec = match wf_wal::recover(dir) {
         Ok(rec) => rec,
@@ -197,7 +198,7 @@ pub(crate) fn scan(
             continue;
         }
         let records = admitted(&r.records);
-        match decode_run(r, records, catalog_len) {
+        match decode_run(r, records, catalog) {
             Ok(run) => {
                 if records.len() < r.records.len() {
                     obs.event("wal_skip_record", Some(r.run), None, || {

@@ -144,7 +144,8 @@ pub(crate) struct FileStat {
     runs: Vec<(Arc<SealedRun>, u64)>,
     /// On-disk size of the file.
     size: u64,
-    /// Sum of the registered blobs' bytes.
+    /// Sum of the registered blobs' bytes, and of the carried ones the
+    /// file holds.
     live: u64,
 }
 
@@ -163,28 +164,6 @@ impl FileStat {
     fn dead_heavy(&self) -> bool {
         self.dead() as f64 > DEAD_HEAVY_RATIO * self.size as f64
     }
-}
-
-/// The registrations grouped by pack file (the runs of one pack share
-/// one file handle), with the files' sizes (one `stat` per file, not per
-/// run).
-pub(crate) fn file_stats(registered: &[Located]) -> Vec<FileStat> {
-    let mut by_file: HashMap<*const PackFile, FileStat> = HashMap::new();
-    for l in registered {
-        let stat = by_file.entry(Arc::as_ptr(&l.file)).or_insert(FileStat {
-            file: Arc::clone(&l.file),
-            runs: Vec::new(),
-            size: 0,
-            live: 0,
-        });
-        stat.runs.push((Arc::clone(&l.run), l.offset));
-        stat.live += l.run.blob_len();
-    }
-    let mut files: Vec<FileStat> = by_file.into_values().collect();
-    for f in &mut files {
-        f.size = f.file.disk_len(f.live);
-    }
-    files
 }
 
 /// A rewrite gains something when it leaves fewer files behind or drops
@@ -239,9 +218,10 @@ pub(crate) struct SpillDir {
     /// back verbatim by every manifest rewrite, so a build with a smaller
     /// catalog keeps history it cannot read.
     carried: Vec<ManifestEntry>,
-    /// The packs `carried` names: the sweep keeps them and compaction
-    /// does not pick them.
-    carried_packs: HashSet<PathBuf>,
+    /// The packs `carried` names, each with the bytes of its carried
+    /// blobs: the sweep keeps them, compaction does not pick them, and
+    /// the file census counts those bytes live.
+    carried_packs: HashMap<PathBuf, u64>,
 }
 
 impl SpillDir {
@@ -289,7 +269,10 @@ impl SpillDir {
             kept.extend(carried.iter().cloned());
             let _ = snapshot::write_manifest(&dir, &kept);
         }
-        let carried_packs = carried.iter().map(|e| dir.join(&e.file)).collect();
+        let mut carried_packs = HashMap::new();
+        for e in &carried {
+            *carried_packs.entry(dir.join(&e.file)).or_default() += e.bytes;
+        }
         let next_pack = std::fs::read_dir(&dir)
             .into_iter()
             .flatten()
@@ -319,6 +302,31 @@ impl SpillDir {
 
     pub(crate) fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The registrations grouped by pack file (the runs of one pack share
+    /// one file handle), with the files' sizes (one `stat` per file, not
+    /// per run). A file's live bytes are its registered blobs plus the
+    /// carried ones it holds — a carried line is history this build
+    /// cannot read, not a dead blob.
+    pub(crate) fn file_stats(&self, registered: &[Located]) -> Vec<FileStat> {
+        let mut by_file: HashMap<*const PackFile, FileStat> = HashMap::new();
+        for l in registered {
+            let stat = by_file.entry(Arc::as_ptr(&l.file)).or_insert(FileStat {
+                file: Arc::clone(&l.file),
+                runs: Vec::new(),
+                size: 0,
+                live: 0,
+            });
+            stat.runs.push((Arc::clone(&l.run), l.offset));
+            stat.live += l.run.blob_len();
+        }
+        let mut files: Vec<FileStat> = by_file.into_values().collect();
+        for f in &mut files {
+            f.live += self.carried_packs.get(f.file.path()).copied().unwrap_or(0);
+            f.size = f.file.disk_len(f.live);
+        }
+        files
     }
 
     /// Take the manifest lock. A poisoned one is recovered: the active
@@ -461,7 +469,7 @@ impl SpillDir {
         // this pass unlinks is appended to again.
         *active = None;
         let registered = registrations(store);
-        let files = file_stats(&registered);
+        let files = self.file_stats(&registered);
         let bytes_before = files.iter().map(|f| f.size).sum();
         let mut out = CompactionReport {
             files_before: files.len(),
@@ -474,7 +482,7 @@ impl SpillDir {
         };
         let mut victims: Vec<FileStat> = files
             .into_iter()
-            .filter(|f| !self.carried_packs.contains(f.file.path()))
+            .filter(|f| !self.carried_packs.contains_key(f.file.path()))
             .filter(|f| f.underfull() || f.dead_heavy())
             .collect();
         if !gains(&victims, 1) {
@@ -592,7 +600,7 @@ impl SpillDir {
             .iter()
             .filter_map(|l| Some(l.run.location()?.0.path().to_path_buf()))
             .collect();
-        referenced.extend(self.carried_packs.iter().cloned());
+        referenced.extend(self.carried_packs.keys().cloned());
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -623,7 +631,7 @@ impl SpillDir {
         if self.policy_stamp.swap(stamp, Ordering::Relaxed) == stamp {
             return None;
         }
-        let files = file_stats(&registrations(store));
+        let files = self.file_stats(&registrations(store));
         let underfull = files.iter().filter(|f| f.underfull()).count();
         if underfull >= threshold.max(2) || files.iter().any(FileStat::dead_heavy) {
             self.compact(store).err()

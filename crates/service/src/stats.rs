@@ -62,10 +62,10 @@ pub struct ServiceStats {
     /// **Hot tier** label storage in bits (the paper's label-length
     /// accounting, over decoded in-memory labels).
     pub label_bits_total: u64,
-    /// **Hot tier** resident bytes: one cell slot per decoded label (name,
-    /// prefix slot, the label's own entry) plus, once each, the prefix
-    /// table's slot and the prefix array the labels of a context share,
-    /// every slot at its full `OnceLock` size — the memory a freeze actually
+    /// **Hot tier** resident bytes: one 16-byte cell per decoded label
+    /// (name, prefix position, the label's own entry) plus, once each, the
+    /// prefix table's slot and the prefix array the labels of a context
+    /// share, every slot at its full size — the memory a freeze actually
     /// releases, several times [`Self::hot_bytes`]. It covers the *only*
     /// copy of a hot run's labels: the index is where an applied label
     /// lives. It excludes the index's chunk tables (the cells' unreached
@@ -73,10 +73,11 @@ pub struct ServiceStats {
     /// until `complete()` drops it, what a live run's labeler holds
     /// beside the labels — the explicit parse tree, the placements, the
     /// expansion map. `tests/alloc_free_reads.rs` holds it against the
-    /// allocator: a live 6 000-label `running_example` run keeps ≈ 198 B
-    /// of heap per label against 64 B reported here, 83 B once completed
-    /// (222 / 75 / 112 B when each cell held a fat `Arc` to its prefix,
-    /// 408 / 167 / 231 B when every label boxed a private copy of it).
+    /// allocator: a live 6 000-label `running_example` run keeps ≈ 173 B
+    /// of heap per label against 47 B reported here, 57 B once completed
+    /// (198 / 64 / 83 B when a cell took a 32-byte slot, 222 / 75 / 112 B
+    /// when each cell held a fat `Arc` to its prefix, 408 / 167 / 231 B
+    /// when every label boxed a private copy of it).
     pub hot_resident_bytes: u64,
     /// Runs currently in the hot tier (any status).
     pub runs_hot: u64,

@@ -210,6 +210,99 @@ fn absurd_vertex_ids_are_rejected_before_allocation() {
     assert_eq!(engine.handle(run).unwrap().published(), exec.len());
 }
 
+/// A spec whose start graph is `s → t` with `slots` vertex slots, all
+/// but the two terminals dead — as wide as the slot count says, and
+/// cheap to label: a TCL spans live vertices only.
+fn spec_with_slots(slots: usize) -> Specification {
+    let mut b = wf_spec::SpecBuilder::new();
+    let (s, t) = (b.name("s"), b.name("t"));
+    let mut g = Graph::new();
+    let source = g.add_vertex(s);
+    while g.slot_count() < slots - 1 {
+        let dead = g.add_vertex(s);
+        g.remove_vertex(dead).unwrap();
+    }
+    let sink = g.add_vertex(t);
+    g.add_edge(source, sink).unwrap();
+    b.start_graph(g);
+    b.build().unwrap()
+}
+
+/// A hot cell names a skeleton vertex in 17 bits, one value kept for
+/// "no pointer": a graph of 2^17 − 1 vertex slots runs, its last slot
+/// answering from the hot tier, and one of 2^17 is refused at
+/// `open_run` with a typed error that leaves no run behind — nothing
+/// registered, no id taken.
+#[test]
+fn a_spec_too_wide_for_a_hot_cell_is_refused_at_open() {
+    let widest = (1 << 17) - 1;
+    let engine = WfEngine::builder()
+        .spec(spec_with_slots(widest))
+        .spec(spec_with_slots(widest + 1))
+        .build();
+    assert!(engine.context(SpecId(0)).unwrap().hot_cells_hold());
+    assert!(!engine.context(SpecId(1)).unwrap().hot_cells_hold());
+    assert_eq!(
+        engine.open_run(SpecId(1)),
+        Err(ServiceError::SpecTooWide(SpecId(1)))
+    );
+    assert_eq!(engine.stats().runs_opened, 0);
+    assert!(engine.query().run_ids().is_empty());
+
+    let run = engine.open_run(SpecId(0)).unwrap();
+    assert_eq!(run, RunId(0), "the refusal took no id");
+    let exec = sample(&engine, SpecId(0), 3, 2);
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    let (source, sink) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    assert_eq!(exec.events()[1].origin.1 .0 as usize, widest - 1);
+    assert_eq!(engine.reach(run, source, sink), Ok(Some(true)));
+    assert_eq!(engine.reach(run, sink, source), Ok(Some(false)));
+}
+
+/// A logged run whose spec id names, in a later build, a spec too wide
+/// for a hot cell is carried the way a run of a spec beyond the
+/// catalog is: not replayed, its records kept verbatim, and a build
+/// that can run the spec replays every event.
+#[test]
+fn a_logged_run_of_a_spec_too_wide_here_is_carried() {
+    let dir = TempDir::new("too-wide");
+    let build = |spec: Specification| -> WfEngine {
+        WfEngine::builder().spec(spec).wal_dir(&dir.0).build()
+    };
+    let engine = build(wf_spec::corpus::running_example());
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = sample(&engine, SpecId(0), 17, 40);
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    let answers: Vec<_> = exec
+        .events()
+        .iter()
+        .flat_map(|a| exec.events().iter().map(move |b| (a.vertex, b.vertex)))
+        .step_by(7)
+        .map(|(u, v)| (u, v, engine.reach(run, u, v).unwrap()))
+        .collect();
+    engine.flush();
+    drop(engine);
+
+    let engine = build(spec_with_slots(1 << 17));
+    assert_eq!(engine.run_status(run), Err(ServiceError::UnknownRun(run)));
+    assert_eq!(engine.stats().wal_recovered_runs, 0);
+    assert_eq!(
+        engine.open_run(SpecId(0)),
+        Err(ServiceError::SpecTooWide(SpecId(0)))
+    );
+    drop(engine);
+
+    let engine = build(wf_spec::corpus::running_example());
+    assert_eq!(engine.run_status(run), Ok(RunStatus::Live));
+    for (u, v, want) in answers {
+        assert_eq!(engine.reach(run, u, v), Ok(want), "{u:?} ; {v:?}");
+    }
+}
+
 #[test]
 fn batch_survives_per_event_rejections() {
     let engine = engine();

@@ -858,6 +858,46 @@ fn a_smaller_catalog_keeps_the_persisted_runs_it_cannot_read() {
     }
 }
 
+/// A pack a smaller catalog shares with lines it carries holds no dead
+/// bytes: the carried blobs are history this build cannot read, not
+/// blobs of evicted runs, so a rebuild that evicted nothing reads
+/// `pack_dead_bytes == 0` — and the full catalog again reads the same.
+#[test]
+fn a_smaller_catalog_counts_the_blobs_it_carries_live() {
+    let dir = TempDir::new("carried-live");
+    let specs = [
+        wf_spec::corpus::running_example(),
+        wf_spec::corpus::bioaid_nonrecursive(),
+    ];
+    let build = |n: usize| -> WfEngine {
+        specs[..n]
+            .iter()
+            .fold(WfEngine::builder(), |b, s| b.spec(s.clone()))
+            .spill_dir(&dir.0)
+            .build()
+    };
+    // One pack: fresh spills of one lifetime share it.
+    let engine = build(2);
+    for (i, spec) in [1, 0, 1].into_iter().enumerate() {
+        let (exec, _) = probed_run(&specs[spec], 70 + i as u64);
+        let run = engine.open_run(SpecId(spec)).unwrap();
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+        engine.persist_run(run).unwrap();
+    }
+    let s = engine.stats();
+    assert_eq!((s.segment_files, s.pack_dead_bytes), (1, 0));
+    drop(engine);
+
+    for n in [1, 2] {
+        let s = build(n).stats();
+        assert_eq!(s.runs_persisted, [1, 3][n - 1]);
+        assert_eq!((s.segment_files, s.pack_dead_bytes), (1, 0), "{n} specs");
+    }
+}
+
 /// A truncated snapshot file is rejected cleanly (typed error, no
 /// panic), at every prefix length; a bit flip is caught by the checksum.
 #[test]
