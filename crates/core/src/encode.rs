@@ -141,6 +141,7 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// Read from the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
@@ -484,6 +485,7 @@ impl<'a> EntryCursor<'a> {
     /// Start reading the prefix record at the front of `bytes`; `None`
     /// when its entry count does not decode or promises more entries than
     /// `bytes` can hold.
+    #[inline]
     pub fn new(bytes: &'a [u8], skl_bits: usize) -> Option<Self> {
         let mut r = BitReader::new(bytes);
         let count = r.read_gamma()? - 1;

@@ -679,23 +679,32 @@ impl WfEngine {
 
     /// The stall watchdog's latest verdict (see
     /// [`EngineBuilder::watchdog`]; [`Health::Healthy`] when none is
-    /// configured), plus the one cause that needs no watchdog: an engine
-    /// whose configured WAL could not be opened is at best `Degraded`
-    /// with [`StallCause::WalUnavailable`], for its whole lifetime.
-    /// Suitable for a readiness probe: `Stalled` means some pipeline
-    /// watermark has not advanced for two consecutive intervals.
+    /// configured), plus the two causes that need no watchdog: an engine
+    /// whose configured WAL could not be opened, or whose spill
+    /// directory could not be read, is at best `Degraded` with
+    /// [`StallCause::WalUnavailable`] / [`StallCause::SpillUnavailable`],
+    /// for its whole lifetime. Suitable for a readiness probe: `Stalled`
+    /// means some pipeline watermark has not advanced for two consecutive
+    /// intervals.
     pub fn health(&self) -> Health {
         let mut verdict = self.shared.watchdog.lock().shared.clone();
-        if self.shared.wal_unavailable {
+        let spill_refused = self
+            .shared
+            .spill
+            .as_ref()
+            .is_some_and(|s| s.usable().is_err());
+        for (cause, at_build) in [
+            (StallCause::WalUnavailable, self.shared.wal_unavailable),
+            (StallCause::SpillUnavailable, spill_refused),
+        ] {
             match &mut verdict {
+                _ if !at_build => {}
                 Health::Healthy => {
                     verdict = Health::Degraded {
-                        causes: vec![StallCause::WalUnavailable],
-                    };
+                        causes: vec![cause],
+                    }
                 }
-                Health::Degraded { causes } | Health::Stalled { causes } => {
-                    causes.push(StallCause::WalUnavailable);
-                }
+                Health::Degraded { causes } | Health::Stalled { causes } => causes.push(cause),
             }
         }
         verdict

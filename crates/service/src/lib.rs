@@ -91,7 +91,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bufmgr;
 mod builder;
 mod engine;
 mod freeze;
@@ -291,6 +290,12 @@ pub enum ServiceError {
     /// Writing or reading a snapshot segment failed (message carries the
     /// underlying IO/format error).
     Snapshot(RunId, String),
+    /// The spill directory could not be read when the engine was built
+    /// (message carries the cause: an I/O error, a manifest header of
+    /// another format). The engine registered nothing from it and
+    /// writes nothing there for its lifetime, so every persist, eviction
+    /// of a persisted run and compaction is refused.
+    SpillUnavailable(String),
     /// A compaction pass failed (message carries the underlying
     /// IO/format/sync error). The persisted tier is untouched: until the
     /// new manifest renames into place the old files stay live.
@@ -337,6 +342,7 @@ impl fmt::Display for ServiceError {
                 )
             }
             ServiceError::Snapshot(r, e) => write!(f, "{r}: snapshot failed: {e}"),
+            ServiceError::SpillUnavailable(e) => write!(f, "spill directory unavailable: {e}"),
             ServiceError::Compaction(e) => write!(f, "compaction failed: {e}"),
             ServiceError::Wal(e) => write!(f, "write-ahead log failed: {e}"),
             ServiceError::RunIdsExhausted => write!(f, "every run id is taken"),

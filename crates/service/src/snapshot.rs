@@ -39,26 +39,27 @@
 //! dead-heavy ones. Each blob carries its own checksum
 //! ([`wf_wal::crc32c`], the one the WAL frames use), so a pack needs no
 //! container framing: the manifest (`wf-tier-manifest.txt`: `run file
-//! offset len` per line) is the directory. Bytes reach disk one of two
-//! ways. An **append** (`append_blob_file`, and `append_manifest` for
-//! one manifest line) writes at the end of a file and syncs it; a file
-//! it creates is made durable by a directory fsync, so a blob is on disk
-//! before the manifest line that names it is written. A **rewrite**
-//! (`write_blob_file`: the crash-safe replace [`wf_wal::replace_file`]
-//! — temp file, fsync, rename; a failed write leaves no temp file —
-//! then a directory fsync, [`wf_wal::fsync_dir`]) lands a compacted pack
-//! or a whole manifest. A crash cannot leave the manifest pointing at
-//! unsynced blobs, and a manifest line cut off mid-append is not read
-//! (sync failures surface as the typed [`SnapshotError::Sync`]).
+//! offset len` per line) is the directory. Every byte reaches disk, and
+//! comes back, through `wf-wal`'s file manager ([`wf_wal::file`]). A
+//! pack — a fresh spill's or a compaction's — is created with
+//! `create_new` and only ever **appended** to ([`wf_wal::file::append`]:
+//! write, sync, and a directory fsync for a new file), so a blob is on
+//! disk before the manifest line that names it is appended the same
+//! way. A whole manifest lands by the crash-safe **replace**
+//! ([`wf_wal::file::replace`]). A crash cannot leave the manifest
+//! pointing at unsynced blobs, and a manifest line cut off mid-append is
+//! not read (sync failures surface as the typed [`SnapshotError::Sync`]).
 //!
 //! A completed run is **one object**, a `SealedRun`, from freeze to
 //! eviction, and its bytes in memory are **one frame**: an `Arc<[u8]>`
 //! holding the blob, which every read borrows the same
 //! [`wf_drl::ArenaRef`] from. Freeze encodes the blob into a frame the
 //! run *holds*; persisting appends those bytes, unchanged, to a pack and
-//! lets the frame go; a read of a run on disk loads a frame with
-//! one positioned read ([`crate::bufmgr`]) that the replacer may drop
-//! again; re-heating holds the frame (loading it first if need be).
+//! lets the frame go; a read of a run on disk loads a frame with one
+//! positioned read ([`wf_wal::file::read_at`]: open, `pread`, close — no
+//! descriptor outlives a load) that the replacer may drop again, a
+//! private copy an unlink of its pack does not touch; re-heating holds
+//! the frame (loading it first if need be).
 //! Framing and checksum are verified at the first load at each place; a
 //! truncated or corrupted blob is rejected with a typed error — kept on
 //! the run, so every later read names the cause — never a panic. All of
@@ -71,19 +72,18 @@
 //! borrows the frame, and the replacer only ever *tries* it. Eviction, a
 //! sealed run's only exit, is settled under that lock too.
 
-use crate::bufmgr::{read_exact_at, PackFile};
 use crate::store::{SegmentLru, Tier};
 use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};
 use std::fmt;
-use std::fs;
-use std::io::{ErrorKind, Write};
+use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use wf_drl::{ArenaRef, LabelArena};
 use wf_graph::VertexId;
 use wf_wal::crc32c;
+use wf_wal::file::{self, FileError};
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
@@ -137,11 +137,12 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        match e.kind() {
+impl From<FileError> for SnapshotError {
+    fn from(e: FileError) -> Self {
+        match (e.source.kind(), e.op) {
             // A positioned read past the end of the file.
-            ErrorKind::UnexpectedEof => SnapshotError::Format("truncated segment".into()),
+            (ErrorKind::UnexpectedEof, _) => SnapshotError::Format("truncated segment".into()),
+            (_, "fsync" | "fsync dir") => SnapshotError::Sync(e.to_string()),
             _ => SnapshotError::Io(e.to_string()),
         }
     }
@@ -300,73 +301,11 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentHeader, LabelArena), Snaps
     Ok((header, arena))
 }
 
-/// Atomically materialize `bytes` at `path` inside `dir`: the one
-/// crash-safe replace, then the directory fsync that makes its rename
-/// durable. `path` holds its old contents (or nothing) or the new ones,
-/// and a failed write leaves no temp file behind.
-pub(crate) fn write_blob_file(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    fs::create_dir_all(dir)?;
-    wf_wal::replace_file(path, bytes).map_err(|e| {
-        let cause = format!("{} {}: {}", e.op, path.display(), e.source);
-        if e.op == "fsync" {
-            SnapshotError::Sync(cause)
-        } else {
-            SnapshotError::Io(cause)
-        }
-    })?;
-    fsync_dir(dir)
-}
-
-fn fsync_dir(dir: &Path) -> Result<(), SnapshotError> {
-    wf_wal::fsync_dir(dir).map_err(|e| SnapshotError::Sync(format!("{}: {e}", dir.display())))
-}
-
-/// Append `bytes` at the end of `path` and `sync_data` them — the one
-/// append body every pack and manifest append goes through. `fresh`
-/// creates the file, refusing one that exists, and fsyncs `dir` so its
-/// entry is durable before anything names the file; otherwise the file
-/// must exist. `check` sees the open file and its length first and may
-/// refuse it. Returns the offset the bytes start at; a failed write or
-/// sync is cut back off, so the file never ends in half an append that
-/// was reported failed. No descriptor outlives the call.
-pub(crate) fn append_blob_file(
-    dir: &Path,
-    path: &Path,
-    bytes: &[u8],
-    fresh: bool,
-    check: impl FnOnce(&fs::File, u64) -> Result<(), SnapshotError>,
-) -> Result<u64, SnapshotError> {
-    let cause = |op: &str, e: std::io::Error| format!("{op} {}: {e}", path.display());
-    let mut file = fs::OpenOptions::new()
-        .read(true)
-        .append(true)
-        .create_new(fresh)
-        .open(path)
-        .map_err(|e| SnapshotError::Io(cause("open", e)))?;
-    let offset = file.metadata()?.len();
-    check(&file, offset)?;
-    let appended = file
-        .write_all(bytes)
-        .map_err(|e| SnapshotError::Io(cause("write", e)))
-        .and_then(|()| {
-            file.sync_data()
-                .map_err(|e| SnapshotError::Sync(cause("fsync", e)))
-        });
-    if appended.is_err() {
-        let _ = file.set_len(offset);
-    }
-    appended?;
-    if fresh {
-        fsync_dir(dir)?;
-    }
-    Ok(offset)
-}
-
 /// Read only the header of the blob at `offset` (the registration path
 /// — no arena, no checksum, no frame), by the one positioned read.
 pub fn read_header_at(path: &Path, offset: u64) -> Result<SegmentHeader, SnapshotError> {
     let mut buf = [0; HEADER_LEN];
-    read_exact_at(&fs::File::open(path)?, &mut buf, offset)?;
+    file::read_at(path, offset, &mut buf)?;
     parse_header(&buf)
 }
 
@@ -388,94 +327,120 @@ pub struct ManifestEntry {
 /// line is appended to — a line after half of one, or under a header
 /// this engine cannot read, would be lost.
 pub(crate) fn append_manifest(dir: &Path, entry: &ManifestEntry) -> Result<(), SnapshotError> {
-    let path = dir.join(MANIFEST_FILE);
     let line = manifest_line(entry);
-    append_blob_file(dir, &path, line.as_bytes(), false, |file, len| {
-        let mut head = [0; MANIFEST_HEADER.len() + 1];
-        let mut last = [0];
-        let whole = read_exact_at(file, &mut head, 0).is_ok()
-            && read_exact_at(file, &mut last, len.saturating_sub(1)).is_ok()
-            && head[..MANIFEST_HEADER.len()] == *MANIFEST_HEADER.as_bytes()
-            && head[MANIFEST_HEADER.len()] == b'\n'
-            && last == *b"\n";
-        if !whole {
-            return Err(SnapshotError::Format(
-                "the manifest is not a whole v2 manifest".into(),
-            ));
-        }
-        Ok(())
-    })
+    file::append(
+        &dir.join(MANIFEST_FILE),
+        line.as_bytes(),
+        false,
+        |f, len| {
+            let mut head = [0; MANIFEST_HEADER.len() + 1];
+            let mut last = [0];
+            let whole = f.read_at(0, &mut head).is_ok()
+                && f.read_at(len.saturating_sub(1), &mut last).is_ok()
+                && head[..MANIFEST_HEADER.len()] == *MANIFEST_HEADER.as_bytes()
+                && head[MANIFEST_HEADER.len()] == b'\n'
+                && last == *b"\n";
+            if !whole {
+                return Err(SnapshotError::Format(
+                    "the manifest is not a whole v2 manifest".into(),
+                ));
+            }
+            Ok(())
+        },
+    )
     .map(drop)
 }
 
-/// Atomically rewrite the manifest with every registered blob
-/// (`write_blob_file`) — after this returns, a crash cannot resurrect
-/// the previous manifest or leave the new one pointing at unsynced data.
+/// Atomically rewrite the manifest with every registered blob (the
+/// crash-safe [`file::replace`]) — after this returns, a crash cannot
+/// resurrect the previous manifest or leave the new one pointing at
+/// unsynced data.
 pub fn write_manifest(dir: &Path, entries: &[ManifestEntry]) -> Result<(), SnapshotError> {
-    let mut out = String::from(MANIFEST_HEADER);
-    out.push('\n');
+    Ok(file::replace(
+        &dir.join(MANIFEST_FILE),
+        manifest_text(entries).as_bytes(),
+    )?)
+}
+
+/// The header, then one line per entry.
+pub(crate) fn manifest_text<'a>(entries: impl IntoIterator<Item = &'a ManifestEntry>) -> String {
+    let mut out = format!("{MANIFEST_HEADER}\n");
     for e in entries {
         out.push_str(&manifest_line(e));
     }
-    write_blob_file(dir, &dir.join(MANIFEST_FILE), out.as_bytes())
+    out
 }
 
 fn manifest_line(e: &ManifestEntry) -> String {
     format!("{} {} {} {}\n", e.run.0, e.file, e.offset, e.bytes)
 }
 
-/// Load the manifest; a missing file is an empty manifest, any header
-/// but [`MANIFEST_HEADER`] is a typed [`SnapshotError::Format`], and
-/// malformed lines are skipped — among them the `epoch <n>` line earlier
-/// engines wrote, and a last line with no `\n`: an append a crash cut
-/// off, never acknowledged — (registration re-validates every blob
-/// header, so the manifest is an index, not a trust root).
-pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
-    match fs::read_to_string(dir.join(MANIFEST_FILE)) {
-        Ok(text) => parse_manifest(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(e.into()),
-    }
+/// A manifest as read back.
+#[derive(Debug, Default)]
+pub(crate) struct Manifest {
+    /// Every complete line after the header, `\n` included, with the
+    /// `run file offset len` entry it reads as — `None` for a line this
+    /// build cannot read (one byte not UTF-8, a field that is not a
+    /// number, five fields), which may have named any blob.
+    pub(crate) lines: Vec<(Vec<u8>, Option<ManifestEntry>)>,
+    /// The last line has no `\n`: an append a crash cut off, never
+    /// acknowledged, and dropped.
+    pub(crate) torn: bool,
+    /// An `epoch <n>` line earlier engines wrote, which names no blob,
+    /// was dropped.
+    pub(crate) epoch: bool,
 }
 
-/// [`load_manifest`] over the manifest's text.
-pub(crate) fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, SnapshotError> {
-    let mut lines = text.split_inclusive('\n');
-    match lines.next().map(str::trim) {
-        Some(h) if h == MANIFEST_HEADER => {}
-        other => {
-            return Err(SnapshotError::Format(format!(
-                "bad manifest header {other:?}"
-            )))
+/// Read the manifest of `dir`, line by line: `None` when there is none,
+/// a [`SnapshotError::Format`] for any header but [`MANIFEST_HEADER`]
+/// and an I/O error for a manifest that could not be read. Nothing is
+/// guessed at: a line that does not read is kept as it is, never
+/// dropped (registration re-validates every blob header, so the
+/// manifest is an index, not a trust root).
+pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SnapshotError> {
+    let Some(bytes) = file::read(&dir.join(MANIFEST_FILE))? else {
+        return Ok(None);
+    };
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let header = lines.next().unwrap_or_default();
+    if header.strip_suffix(b"\n") != Some(MANIFEST_HEADER.as_bytes()) {
+        let found = String::from_utf8_lossy(header);
+        return Err(SnapshotError::Format(format!(
+            "bad manifest header {found:?}"
+        )));
+    }
+    let mut out = Manifest::default();
+    for line in lines {
+        match line.strip_suffix(b"\n") {
+            None => out.torn = true,
+            Some(l) if l.starts_with(b"epoch ") => out.epoch = true,
+            Some(l) => out.lines.push((line.to_vec(), parse_line(l))),
         }
     }
-    let mut entries = Vec::new();
-    for line in lines {
-        // A last line with no `\n` is an append a crash cut off.
-        let Some(line) = line.strip_suffix('\n') else {
-            continue;
-        };
-        let mut parts = line.split_whitespace();
-        let (Some(run), Some(file), Some(offset), Some(bytes)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        let (Ok(run), Ok(offset), Ok(bytes)) = (
-            run.parse::<u64>(),
-            offset.parse::<u64>(),
-            bytes.parse::<u64>(),
-        ) else {
-            continue;
-        };
-        entries.push(ManifestEntry {
-            run: RunId(run),
-            file: file.to_string(),
-            offset,
-            bytes,
-        });
-    }
-    Ok(entries)
+    Ok(Some(out))
+}
+
+/// One `run file offset len` line, exactly four fields.
+fn parse_line(line: &[u8]) -> Option<ManifestEntry> {
+    let fields: Vec<&str> = std::str::from_utf8(line).ok()?.split_whitespace().collect();
+    let [run, file, offset, bytes] = fields[..] else {
+        return None;
+    };
+    Some(ManifestEntry {
+        run: RunId(run.parse().ok()?),
+        file: file.to_string(),
+        offset: offset.parse().ok()?,
+        bytes: bytes.parse().ok()?,
+    })
+}
+
+/// Load the manifest's entries: a missing file is an empty manifest,
+/// any header but [`MANIFEST_HEADER`] a typed [`SnapshotError::Format`],
+/// and a line that does not read as `run file offset len` — or has no
+/// `\n`, an append a crash cut off — is skipped.
+pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
+    let lines = read_manifest(dir)?.map(|m| m.lines).unwrap_or_default();
+    Ok(lines.into_iter().filter_map(|(_, entry)| entry).collect())
 }
 
 /// What is known of the blob at its pack location.
@@ -499,13 +464,13 @@ enum LoadState {
 struct Disk {
     /// The pack file the blob lives in, shared with every other run
     /// written to it.
-    file: Arc<PackFile>,
+    file: Arc<Path>,
     offset: u64,
     state: LoadState,
 }
 
 impl Disk {
-    fn at(file: Arc<PackFile>, offset: u64) -> Self {
+    fn at(file: Arc<Path>, offset: u64) -> Self {
         Self {
             file,
             offset,
@@ -599,12 +564,12 @@ impl SealedRun {
     /// loaded only when queried, which keeps the memory release of
     /// persisting real.
     pub(crate) fn open_entry(
-        file: Arc<PackFile>,
+        file: Arc<Path>,
         pack_len: u64,
         entry: &ManifestEntry,
         lru: Arc<SegmentLru>,
     ) -> Result<Self, SnapshotError> {
-        let header = read_header_at(file.path(), entry.offset)?;
+        let header = read_header_at(&file, entry.offset)?;
         if header.run != entry.run {
             return Err(SnapshotError::Format(format!(
                 "manifest names {} but the blob holds {}",
@@ -683,7 +648,7 @@ impl SealedRun {
 
     /// Where the blob lies on disk, if it has been written: its pack file
     /// and its byte offset within it.
-    pub(crate) fn location(&self) -> Option<(Arc<PackFile>, u64)> {
+    pub(crate) fn location(&self) -> Option<(Arc<Path>, u64)> {
         let place = self.read();
         let disk = place.disk.as_ref()?;
         Some((Arc::clone(&disk.file), disk.offset))
@@ -741,18 +706,14 @@ impl SealedRun {
         };
         let obs = &self.lru.obs;
         let span = obs.timer();
-        let loaded = disk
-            .file
-            .frame(disk.offset, self.len)
-            .map_err(SnapshotError::from)
-            .and_then(|frame| {
-                if verify && verify_segment_bytes(&frame)? != self.header {
-                    return Err(SnapshotError::Format(
-                        "the blob changed since its registration".into(),
-                    ));
-                }
-                Ok(frame)
-            });
+        let loaded = read_frame(&disk.file, disk.offset, self.len).and_then(|frame| {
+            if verify && verify_segment_bytes(&frame)? != self.header {
+                return Err(SnapshotError::Format(
+                    "the blob changed since its registration".into(),
+                ));
+            }
+            Ok(frame)
+        });
         match loaded {
             Ok(frame) => {
                 obs.pack_pins.inc();
@@ -775,7 +736,7 @@ impl SealedRun {
                     "pack_pin_failed",
                     Some(self.run().0),
                     Some(Tier::Persisted.name()),
-                    || format!("file={} cause={cause}", disk.file.path().display()),
+                    || format!("file={} cause={cause}", disk.file.display()),
                 );
                 disk.state = LoadState::Failed(cause);
                 None
@@ -787,14 +748,15 @@ impl SealedRun {
     /// a pack and returns the pack and the blob's offset there — unless
     /// the run already has a location, then let the frame go. Returns
     /// where `write` put the blob, `None` when it did not run. The write
-    /// runs outside the place lock, so
-    /// readers keep reading the frame meanwhile; an eviction that lands
-    /// during it wins, and the blob just written is dead bytes in its
-    /// pack, which compaction reclaims.
+    /// runs outside the place lock, so readers keep reading the frame
+    /// meanwhile; an eviction that lands during it wins, and the blob
+    /// just written is dead bytes in its pack, which compaction reclaims
+    /// (the spill directory takes back a manifest line `write` appended
+    /// for it).
     pub(crate) fn persist(
         &self,
-        write: impl FnOnce(&[u8]) -> Result<(Arc<PackFile>, u64), SnapshotError>,
-    ) -> Result<Option<(Arc<PackFile>, u64)>, ServiceError> {
+        write: impl FnOnce(&[u8]) -> Result<(Arc<Path>, u64), SnapshotError>,
+    ) -> Result<Option<(Arc<Path>, u64)>, ServiceError> {
         let gone = || ServiceError::UnknownRun(self.run());
         let blob = {
             let mut place = self.write();
@@ -852,7 +814,7 @@ impl SealedRun {
     /// goes with it; a held one stays. The caller unlinks the old file
     /// only after this returns, so no load ever opens a location that is
     /// gone.
-    pub(crate) fn relocate(&self, file: Arc<PackFile>, offset: u64) {
+    pub(crate) fn relocate(&self, file: Arc<Path>, offset: u64) {
         let mut place = self.write();
         place.disk = Some(Disk::at(file, offset));
         if !place.held {
@@ -882,6 +844,18 @@ impl SealedRun {
         };
         !place.held && place.frame.take().is_some()
     }
+}
+
+/// A new frame holding the `len` bytes at `offset` of `path`: one
+/// positioned read.
+fn read_frame(path: &Path, offset: u64, len: u64) -> Result<Arc<[u8]>, SnapshotError> {
+    let len = usize::try_from(len).map_err(|e| SnapshotError::Format(e.to_string()))?;
+    let mut frame: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    // A frame nobody else has seen yet: the only reference.
+    if let Some(buf) = Arc::get_mut(&mut frame) {
+        file::read_at(path, offset, buf)?;
+    }
+    Ok(frame)
 }
 
 /// Let a held frame go: the run is read from its location from now on.

@@ -27,7 +27,9 @@
 //! * A blob — and, for a new pack, the pack's directory entry — is
 //!   synced before the manifest line that names it is appended, and the
 //!   line is synced before the persist returns; the WAL checkpoint comes
-//!   after that, as before.
+//!   after that, as before. Both appends are the one write the run's
+//!   persist waits on: the run is `Persisted` once both landed, and
+//!   stays `Frozen`, holding its frame, if either failed.
 //! * No descriptor outlives an operation: each append opens its file,
 //!   writes, syncs and closes it again.
 //! * A lifetime never appends to a pack it did not create: the active
@@ -39,30 +41,37 @@
 //!   so it never unlinks a file still being appended to — and by
 //!   dropping the engine.
 //! * A crash mid-append leaves at worst dead bytes at the end of a pack
-//!   (compaction reclaims them) or a manifest line with no `\n`, which
-//!   the loader skips. [`SpillDir::open`] rewrites such a manifest whole
-//!   before anything is appended to it, and an append refuses a manifest
-//!   that does not end in a complete line.
+//!   (compaction reclaims them, from the next lifetime on) or a manifest
+//!   line with no `\n`, which the loader skips. [`SpillDir::open`]
+//!   rewrites such a manifest whole before anything is appended to it,
+//!   and an append refuses a manifest that does not end in a complete
+//!   line.
+//! * A directory whose manifest cannot be read — an I/O error, or a
+//!   header other than this build's — is never read as empty: the
+//!   lifetime registers nothing, and rewrites, appends to, compacts and
+//!   sweeps nothing there.
 //!
-//! Compacted packs and whole manifests go through
-//! `snapshot::write_blob_file`, the crash-safe replace plus directory
-//! fsync of `wf-wal`: until a new manifest is renamed into place the old
-//! manifest and old files are intact; after it, the old files are
-//! orphans the sweep (this pass's or any later one's) removes, along
-//! with the temp file of a replace the crash interrupted.
+//! Every file call goes through `wf-wal`'s file manager
+//! ([`wf_wal::file`]). A compacted pack is created like a fresh spill's,
+//! with `create_new` and one synced append, so no pack is ever written
+//! over an existing file; a whole manifest lands by the crash-safe
+//! replace. Until a new manifest is renamed into place the old manifest
+//! and old files are intact; after it, the old files are orphans the
+//! sweep (this pass's or any later one's) removes, along with the temp
+//! file of a replace the crash interrupted and a pack a crash cut off
+//! before any manifest named it.
 
-use crate::bufmgr::{read_exact_at, PackFile};
 use crate::snapshot::{
-    self, ManifestEntry, SealedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS, PACK_MAX_RUNS,
-    PACK_TARGET_BYTES,
+    self, Manifest, ManifestEntry, SealedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS,
+    PACK_MAX_RUNS, PACK_TARGET_BYTES,
 };
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::{RunId, ServiceError};
 use std::collections::{HashMap, HashSet};
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use wf_wal::file;
 
 /// What one compaction pass did: how many pack files and on-disk bytes
 /// the persisted tier referenced before and after, and how many runs
@@ -115,7 +124,7 @@ impl CompactionReport {
 /// A registration: a sealed run that has a location, read once.
 pub(crate) struct Located {
     run: Arc<SealedRun>,
-    file: Arc<PackFile>,
+    file: Arc<Path>,
     offset: u64,
 }
 
@@ -139,7 +148,7 @@ pub(crate) fn registrations(store: &LabelStore) -> Vec<Located> {
 
 /// One pack file the registrations reference.
 pub(crate) struct FileStat {
-    file: Arc<PackFile>,
+    file: Arc<Path>,
     /// The runs in the file, each with its blob's offset.
     runs: Vec<(Arc<SealedRun>, u64)>,
     /// On-disk size of the file.
@@ -190,7 +199,7 @@ fn manifest_entry(run: &SealedRun, path: &Path, offset: u64) -> ManifestEntry {
 
 /// The pack fresh spills append to.
 struct ActivePack {
-    file: Arc<PackFile>,
+    file: Arc<Path>,
     /// Runs appended so far.
     runs: usize,
     /// The file's length after the last append.
@@ -214,14 +223,27 @@ pub(crate) struct SpillDir {
     /// an eviction resets it there (its blob just turned dead).
     policy_stamp: AtomicU64,
     /// The manifest lines this engine could not register — a spec
-    /// beyond its catalog, a header that did not read back — written
-    /// back verbatim by every manifest rewrite, so a build with a smaller
-    /// catalog keeps history it cannot read.
-    carried: Vec<ManifestEntry>,
-    /// The packs `carried` names, each with the bytes of its carried
-    /// blobs: the sweep keeps them, compaction does not pick them, and
-    /// the file census counts those bytes live.
+    /// beyond its catalog, a blob that did not read back, a line that
+    /// does not read as an entry — written back byte for byte by every
+    /// manifest rewrite, so a build with a smaller catalog keeps history
+    /// it cannot read and nothing is guessed at.
+    carried: Vec<Vec<u8>>,
+    /// One past the highest run id a carried line names (0 for none, or
+    /// for only `u64::MAX`).
+    next_run: u64,
+    /// While a line is carried — or, in this lifetime, was torn — every
+    /// pack of the directory that holds bytes the registrations do not
+    /// account for, which such a line may name, with those bytes: the
+    /// sweep keeps them, compaction does not pick them, and the file
+    /// census counts those bytes live.
     carried_packs: HashMap<PathBuf, u64>,
+    /// Why this lifetime could not read the directory — its manifest or
+    /// its listing failed, or the manifest's header is not this build's.
+    /// It then registers nothing and writes nothing there: every persist,
+    /// eviction and compaction is refused
+    /// ([`ServiceError::SpillUnavailable`]), and `health()` names
+    /// [`crate::StallCause::SpillUnavailable`].
+    refused: Option<String>,
 }
 
 impl SpillDir {
@@ -229,75 +251,145 @@ impl SpillDir {
     /// header-only reads (no frame is loaded until queried). A run listed
     /// twice registers once, from its last line. Entries that do not
     /// read back — or name a spec beyond the `specs` this catalog has —
-    /// are carried, not registered; a manifest this engine cannot parse
-    /// registers nothing. A manifest that is missing, does not end in a
-    /// complete line or holds a line that did not register is rewritten
-    /// whole, once, here: appends then always follow a complete line.
+    /// are carried, not registered, and so are lines that do not read as
+    /// an entry. A directory that cannot be read is refused
+    /// (`Self::refused`), byte for byte as it was found. A manifest that
+    /// is missing, ends in a torn line or holds a line that names no blob
+    /// or a run twice is rewritten whole, once, here: appends then always
+    /// follow a complete line.
     pub(crate) fn open(
         dir: PathBuf,
         lru: &Arc<SegmentLru>,
         specs: usize,
     ) -> (Self, Vec<Arc<SealedRun>>) {
-        let text = std::fs::read_to_string(dir.join(snapshot::MANIFEST_FILE)).unwrap_or_default();
-        let parsed = snapshot::parse_manifest(&text);
-        let whole = parsed.is_ok() && text.ends_with('\n');
-        let listed: HashMap<RunId, ManifestEntry> = parsed
-            .unwrap_or_default()
-            .into_iter()
-            .map(|entry| (entry.run, entry))
-            .collect();
-        // Each pack named once, with its size (one `stat` per file).
-        let mut files: HashMap<String, (Arc<PackFile>, u64)> = HashMap::new();
+        let mut spill = Self {
+            dir,
+            manifest: Mutex::new(None),
+            pack_seq: AtomicU64::new(0),
+            policy_stamp: AtomicU64::new(u64::MAX),
+            carried: Vec::new(),
+            next_run: 0,
+            carried_packs: HashMap::new(),
+            refused: None,
+        };
+        match spill.load(lru, specs) {
+            Ok((persisted, rewrite)) => {
+                if let Some(listed) = rewrite {
+                    // A failure leaves the manifest as it was: an append
+                    // still refuses one that is torn.
+                    let _ = spill.write_manifest(&listed);
+                }
+                (spill, persisted)
+            }
+            Err(cause) => {
+                spill.refused = Some(cause.to_string());
+                (spill, Vec::new())
+            }
+        }
+    }
+
+    /// The reads of [`Self::open`]: the registered runs, and the lines to
+    /// rewrite the manifest with when it is due. An error leaves the
+    /// directory as it was found.
+    #[allow(clippy::type_complexity)]
+    fn load(
+        &mut self,
+        lru: &Arc<SegmentLru>,
+        specs: usize,
+    ) -> Result<(Vec<Arc<SealedRun>>, Option<Vec<ManifestEntry>>), SnapshotError> {
+        file::create_dir(&self.dir)?;
+        let names = file::list(&self.dir)?;
+        let manifest = snapshot::read_manifest(&self.dir)?;
+        let rewrite = manifest.as_ref().is_none_or(|m| m.torn || m.epoch);
+        let Manifest { lines, torn, .. } = manifest.unwrap_or_default();
+        let count = lines.len();
+        // Each pack named once, with its size (one `stat` per file) and
+        // the bytes of the blobs registered from it.
+        let mut files: HashMap<String, (Arc<Path>, u64, u64)> = HashMap::new();
         let (mut persisted, mut kept, mut carried) = (Vec::new(), Vec::new(), Vec::new());
-        for entry in listed.into_values() {
-            let (file, size) = files.entry(entry.file.clone()).or_insert_with(|| {
-                let file = PackFile::new(dir.join(&entry.file));
-                let size = file.disk_len(0);
-                (file, size)
+        let mut registered = HashSet::new();
+        for (line, entry) in lines.into_iter().rev() {
+            let Some(entry) = entry else {
+                carried.push(line);
+                continue;
+            };
+            if registered.contains(&entry.run) {
+                // A run registers from its last line that reads back: an
+                // earlier copy of that line goes, any other line stays.
+                if !kept.contains(&entry) {
+                    carried.push(line);
+                }
+                continue;
+            }
+            let (file, size, live) = files.entry(entry.file.clone()).or_insert_with(|| {
+                let path: Arc<Path> = self.dir.join(&entry.file).into();
+                let size = file::len(&path).unwrap_or(0);
+                (path, size, 0)
             });
             match SealedRun::open_entry(Arc::clone(file), *size, &entry, Arc::clone(lru)) {
                 Ok(run) if run.header().spec.0 < specs => {
+                    *live += entry.bytes;
+                    registered.insert(entry.run);
                     persisted.push(Arc::new(run));
                     kept.push(entry);
                 }
-                _ => carried.push(entry),
+                _ => {
+                    let next = entry.run.0.checked_add(1).unwrap_or(0);
+                    self.next_run = self.next_run.max(next);
+                    carried.push(line);
+                }
             }
         }
-        if !whole || text.lines().count() != 1 + kept.len() {
-            // A failure leaves the manifest as it was: an append still
-            // refuses one that is torn or has no readable header.
-            kept.extend(carried.iter().cloned());
-            let _ = snapshot::write_manifest(&dir, &kept);
+        let rewrite = rewrite || count != kept.len() + carried.len();
+        carried.reverse();
+        self.carried = carried;
+        let packs = names
+            .iter()
+            .filter(|n| snapshot::pack_file_seq(n).is_some());
+        // A line that did not register, or was torn, may have named any
+        // blob: then no byte the registrations do not account for is
+        // taken for dead.
+        if torn || !self.carried.is_empty() {
+            for name in packs.clone() {
+                let path = self.dir.join(name);
+                let (size, live) = match files.get(name) {
+                    Some(&(_, size, live)) => (size, live),
+                    None => (file::len(&path).unwrap_or(0), 0),
+                };
+                if size > live {
+                    self.carried_packs.insert(path, size - live);
+                }
+            }
         }
-        let mut carried_packs = HashMap::new();
-        for e in &carried {
-            *carried_packs.entry(dir.join(&e.file)).or_default() += e.bytes;
+        let next = packs.filter_map(|n| snapshot::pack_file_seq(n)).max();
+        self.pack_seq = AtomicU64::new(next.map_or(0, |m| m + 1));
+        Ok((persisted, rewrite.then_some(kept)))
+    }
+
+    /// Rewrite the whole manifest: `listed`, then the carried lines.
+    fn write_manifest(&self, listed: &[ManifestEntry]) -> Result<(), SnapshotError> {
+        let mut text = snapshot::manifest_text(listed).into_bytes();
+        self.carried
+            .iter()
+            .for_each(|line| text.extend_from_slice(line));
+        Ok(file::replace(
+            &self.dir.join(snapshot::MANIFEST_FILE),
+            &text,
+        )?)
+    }
+
+    /// `Ok` unless this lifetime refused the directory.
+    pub(crate) fn usable(&self) -> Result<(), ServiceError> {
+        match &self.refused {
+            Some(cause) => Err(ServiceError::SpillUnavailable(cause.clone())),
+            None => Ok(()),
         }
-        let next_pack = std::fs::read_dir(&dir)
-            .into_iter()
-            .flatten()
-            .filter_map(|e| snapshot::pack_file_seq(e.ok()?.file_name().to_str()?))
-            .max()
-            .map_or(0, |m| m + 1);
-        let spill = Self {
-            dir,
-            manifest: Mutex::new(None),
-            pack_seq: AtomicU64::new(next_pack),
-            policy_stamp: AtomicU64::new(u64::MAX),
-            carried,
-            carried_packs,
-        };
-        (spill, persisted)
     }
 
     /// One past the highest run id a carried line names: fresh runs
     /// start above it, so no id the directory holds is reused.
     pub(crate) fn next_run(&self) -> u64 {
-        self.carried
-            .iter()
-            .filter_map(|e| e.run.0.checked_add(1))
-            .max()
-            .unwrap_or(0)
+        self.next_run
     }
 
     pub(crate) fn dir(&self) -> &Path {
@@ -310,9 +402,9 @@ impl SpillDir {
     /// carried ones it holds — a carried line is history this build
     /// cannot read, not a dead blob.
     pub(crate) fn file_stats(&self, registered: &[Located]) -> Vec<FileStat> {
-        let mut by_file: HashMap<*const PackFile, FileStat> = HashMap::new();
+        let mut by_file: HashMap<&Path, FileStat> = HashMap::new();
         for l in registered {
-            let stat = by_file.entry(Arc::as_ptr(&l.file)).or_insert(FileStat {
+            let stat = by_file.entry(&l.file).or_insert(FileStat {
                 file: Arc::clone(&l.file),
                 runs: Vec::new(),
                 size: 0,
@@ -323,8 +415,8 @@ impl SpillDir {
         }
         let mut files: Vec<FileStat> = by_file.into_values().collect();
         for f in &mut files {
-            f.live += self.carried_packs.get(f.file.path()).copied().unwrap_or(0);
-            f.size = f.file.disk_len(f.live);
+            f.live += self.carried_packs.get(&*f.file).copied().unwrap_or(0);
+            f.size = file::len(&f.file).unwrap_or(f.live);
         }
         files
     }
@@ -337,26 +429,26 @@ impl SpillDir {
         self.manifest.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A handle on the next `pack-<seq>.wfseg`, not yet created.
-    fn next_pack(&self) -> Arc<PackFile> {
+    /// The path of the next `pack-<seq>.wfseg`, not yet created.
+    fn next_pack(&self) -> Arc<Path> {
         let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
-        PackFile::new(self.dir.join(snapshot::pack_file_name(seq)))
+        self.dir.join(snapshot::pack_file_name(seq)).into()
     }
 
-    /// Atomically write `bytes` as the next pack file.
-    fn write_pack(&self, bytes: &[u8]) -> Result<Arc<PackFile>, SnapshotError> {
-        let file = self.next_pack();
-        snapshot::write_blob_file(&self.dir, file.path(), bytes)?;
-        Ok(file)
+    /// Create the next pack file holding `bytes`, as a fresh spill's is:
+    /// one synced append to a file that did not exist.
+    fn write_pack(&self, bytes: &[u8]) -> Result<Arc<Path>, SnapshotError> {
+        let path = self.next_pack();
+        file::append(&path, bytes, true, |_, _| Ok::<_, SnapshotError>(()))?;
+        Ok(path)
     }
 
-    /// The manifest lines for the current registrations, then the
-    /// carried ones (call with the manifest lock held).
+    /// The manifest lines for the current registrations (call with the
+    /// manifest lock held).
     fn manifest_entries(&self, store: &LabelStore) -> Vec<ManifestEntry> {
         registrations(store)
             .iter()
-            .map(|l| manifest_entry(&l.run, l.file.path(), l.offset))
-            .chain(self.carried.iter().cloned())
+            .map(|l| manifest_entry(&l.run, &l.file, l.offset))
             .collect()
     }
 
@@ -368,7 +460,7 @@ impl SpillDir {
         &self,
         pack: &mut Option<ActivePack>,
         blob: &[u8],
-    ) -> Result<(Arc<PackFile>, u64), SnapshotError> {
+    ) -> Result<(Arc<Path>, u64), SnapshotError> {
         let len = blob.len() as u64;
         let fits = |p: &ActivePack| p.runs < PACK_MAX_RUNS && p.bytes + len <= PACK_TARGET_BYTES;
         let mut open = pack.take().filter(fits).unwrap_or_else(|| ActivePack {
@@ -377,8 +469,7 @@ impl SpillDir {
             bytes: 0,
         });
         let fresh = open.runs == 0;
-        let offset =
-            snapshot::append_blob_file(&self.dir, open.file.path(), blob, fresh, |_, _| Ok(()))?;
+        let offset = file::append(&open.file, blob, fresh, |_, _| Ok::<_, SnapshotError>(()))?;
         (open.runs, open.bytes) = (open.runs + 1, offset + len);
         let file = Arc::clone(&open.file);
         *pack = Some(open);
@@ -388,28 +479,44 @@ impl SpillDir {
     /// Persist one sealed run: append its held frame, byte for byte, to
     /// the active pack and one line naming it to the manifest — or, when
     /// it already has a location (a re-heated run), only let the frame
-    /// go. `Ok(true)` when a blob was written. The blob is synced before
-    /// its line is appended. A failure returns a typed error and closes
-    /// the active pack; a failed blob append leaves the run holding its
-    /// frame, with no location.
+    /// go. `Ok(true)` when a blob was written. Both appends are the write
+    /// [`SealedRun::persist`] waits on, the blob synced before its line:
+    /// the run is persisted once both landed, and a failure of either
+    /// returns a typed error, closes the active pack and leaves the run
+    /// holding its frame, with no location. An eviction that lands while
+    /// the line is written wins, and the line is taken back off
+    /// ([`Self::forget`]).
     pub(crate) fn persist(
         &self,
         store: &LabelStore,
         sealed: &SealedRun,
     ) -> Result<bool, ServiceError> {
+        self.usable()?;
         let run = sealed.run();
         let mut active = self.lock();
         let obs = &store.lru.obs;
         let span = obs.timer();
-        // Out of the lock for the append, back once the line is listed.
+        // Out of the lock for the appends, back once the line is listed.
         let mut pack = active.take();
-        let Some((file, offset)) = sealed.persist(|blob| self.append(&mut pack, blob))? else {
-            *active = pack;
-            return Ok(false);
+        let mut listed = false;
+        let written = sealed.persist(|blob| {
+            let (file, offset) = self.append(&mut pack, blob)?;
+            snapshot::append_manifest(&self.dir, &manifest_entry(sealed, &file, offset))?;
+            listed = true;
+            Ok((file, offset))
+        });
+        let written = match written {
+            Err(evicted) if listed => {
+                drop(active);
+                self.forget(store, run)?;
+                return Err(evicted);
+            }
+            written => written?,
         };
-        snapshot::append_manifest(&self.dir, &manifest_entry(sealed, file.path(), offset))
-            .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
         *active = pack;
+        if written.is_none() {
+            return Ok(false);
+        }
         obs.spills.inc();
         obs.finish(
             span,
@@ -425,8 +532,9 @@ impl SpillDir {
     /// without its line, so a restart does not register it again, and
     /// let the next policy pass count the bytes that just turned dead.
     pub(crate) fn forget(&self, store: &LabelStore, run: RunId) -> Result<(), ServiceError> {
+        self.usable()?;
         let _g = self.lock();
-        snapshot::write_manifest(&self.dir, &self.manifest_entries(store))
+        self.write_manifest(&self.manifest_entries(store))
             .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
         self.policy_stamp.store(u64::MAX, Ordering::Relaxed);
         Ok(())
@@ -438,6 +546,7 @@ impl SpillDir {
     /// count, and rewrite dead-heavy packs without the blobs of evicted
     /// runs, cutting its bytes. It closes the active pack first.
     pub(crate) fn compact(&self, store: &LabelStore) -> Result<CompactionReport, ServiceError> {
+        self.usable()?;
         let report = self
             .rewrite_packs(store)
             .map_err(|e| ServiceError::Compaction(e.to_string()))?;
@@ -482,7 +591,7 @@ impl SpillDir {
         };
         let mut victims: Vec<FileStat> = files
             .into_iter()
-            .filter(|f| !self.carried_packs.contains_key(f.file.path()))
+            .filter(|f| !self.carried_packs.contains_key(&*f.file))
             .filter(|f| f.underfull() || f.dead_heavy())
             .collect();
         if !gains(&victims, 1) {
@@ -495,7 +604,7 @@ impl SpillDir {
             victim.runs.sort_by_key(|(p, _)| p.run());
         }
         victims.sort_by_key(|f| f.runs[0].0.run());
-        let mut packs: Vec<(Arc<PackFile>, Vec<Member>)> = Vec::new();
+        let mut packs: Vec<(Arc<Path>, Vec<Member>)> = Vec::new();
         let mut copied: Vec<FileStat> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
         let mut members: Vec<Member> = Vec::new();
@@ -508,19 +617,14 @@ impl SpillDir {
                 buf.clear();
             }
             let mark = (buf.len(), members.len());
-            // One open per victim, closed once its blobs are copied.
-            let whole = File::open(victim.file.path())
-                .map_err(SnapshotError::from)
-                .and_then(|file| {
-                    victim.runs.iter().try_for_each(|(p, offset)| {
-                        let start = buf.len();
-                        buf.resize(start + p.blob_len() as usize, 0);
-                        read_exact_at(&file, &mut buf[start..], *offset)?;
-                        snapshot::verify_segment_bytes(&buf[start..])?;
-                        members.push((Arc::clone(p), start as u64));
-                        Ok(())
-                    })
-                });
+            let whole = victim.runs.iter().try_for_each(|(p, offset)| {
+                let start = buf.len();
+                buf.resize(start + p.blob_len() as usize, 0);
+                file::read_at(&victim.file, *offset, &mut buf[start..])?;
+                snapshot::verify_segment_bytes(&buf[start..])?;
+                members.push((Arc::clone(p), start as u64));
+                Ok::<_, SnapshotError>(())
+            });
             if whole.is_err() {
                 buf.truncate(mark.0);
                 members.truncate(mark.1);
@@ -539,7 +643,7 @@ impl SpillDir {
         }
         // The new manifest: copied runs at their new place, everything
         // else where it is.
-        let mut moved: HashMap<u64, (&Arc<PackFile>, u64)> = HashMap::new();
+        let mut moved: HashMap<u64, (&Arc<Path>, u64)> = HashMap::new();
         for (file, members) in &packs {
             for (p, offset) in members {
                 moved.insert(p.run().0, (file, *offset));
@@ -552,11 +656,10 @@ impl SpillDir {
                     .get(&l.run.run().0)
                     .copied()
                     .unwrap_or((&l.file, l.offset));
-                manifest_entry(&l.run, file.path(), offset)
+                manifest_entry(&l.run, file, offset)
             })
-            .chain(self.carried.iter().cloned())
             .collect();
-        snapshot::write_manifest(&self.dir, &entries)?;
+        self.write_manifest(&entries)?;
         // Move the registrations, and only then unlink what they left.
         for (file, members) in &packs {
             for (p, offset) in members {
@@ -565,7 +668,7 @@ impl SpillDir {
             out.runs_packed += members.len();
         }
         for old in &copied {
-            let _ = std::fs::remove_file(old.file.path());
+            let _ = file::remove(&old.file);
         }
         // Each unlinked file's live bytes moved verbatim, so the
         // footprint shrinks by exactly the dead ones.
@@ -598,19 +701,14 @@ impl SpillDir {
     fn sweep_orphans(&self, registered: &[Located]) {
         let mut referenced: HashSet<PathBuf> = registered
             .iter()
-            .filter_map(|l| Some(l.run.location()?.0.path().to_path_buf()))
+            .filter_map(|l| Some(l.run.location()?.0.to_path_buf()))
             .collect();
         referenced.extend(self.carried_packs.keys().cloned());
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in dir.flatten() {
-            let orphan = entry.file_name().to_str().is_some_and(|n| {
-                n.ends_with(".tmp")
-                    || (snapshot::pack_file_seq(n).is_some() && !referenced.contains(&entry.path()))
-            });
-            if orphan {
-                let _ = std::fs::remove_file(entry.path());
+        for name in file::list(&self.dir).unwrap_or_default() {
+            let path = self.dir.join(&name);
+            let pack = snapshot::pack_file_seq(&name).is_some();
+            if file::is_temp(&name) || (pack && !referenced.contains(&path)) {
+                let _ = file::remove(&path);
             }
         }
     }

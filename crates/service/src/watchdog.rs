@@ -46,6 +46,12 @@ pub enum StallCause {
     /// it with or without one; it never escalates to `Stalled` on its
     /// own and never clears.
     WalUnavailable,
+    /// A spill directory was configured and could not be read at build
+    /// time (an I/O error, or a manifest header this build does not
+    /// read): the engine left it byte for byte as it was, registered
+    /// nothing from it, and refuses every persist and compaction. Decided
+    /// once, like [`StallCause::WalUnavailable`].
+    SpillUnavailable,
 }
 
 impl StallCause {
@@ -59,6 +65,7 @@ impl StallCause {
             StallCause::ShedThrash => "shed_thrash",
             StallCause::SubLag => "sub_lag",
             StallCause::WalUnavailable => "wal_unavailable",
+            StallCause::SpillUnavailable => "spill_unavailable",
         }
     }
 }

@@ -43,18 +43,17 @@
 //!   compacts the shard in place, dropping every record of checkpointed
 //!   runs — the log retains only the non-checkpointed suffix, keeping
 //!   recovery time proportional to hot state, not history.
-//! - **The disk idioms, once each.** Everything the engine keeps on disk
-//!   is either an append to a log or an immutable blob whose *name* is
-//!   swapped atomically. [`WalWriter::append_with`] is the one append
-//!   body ([`WalWriter::append`] hands it a payload that already exists):
+//! - **The disk idioms, once each.** Every file the engine touches — the
+//!   shard files here, the service's packs and manifest — goes through
+//!   one module, [`mod@file`]: one positioned read, one whole-file read, one
+//!   append, one crash-safe replace, one listing, one rule for leftover
+//!   temp files, and one error ([`file::FileError`]) naming the operation
+//!   and the path. [`WalWriter::append_with`] is the one log append body
+//!   ([`WalWriter::append`] hands it a payload that already exists):
 //!   *a failed or panicking append leaves the shard buffer as it found
 //!   it* — the rejected record's frame is never written later, and a
-//!   poisoned shard lock is recovered, not fatal.
-//!   [`replace_file`] is the one crash-safe replace (the shard rewrites
-//!   here, every pack and manifest of the service's spill directory):
-//!   the path holds *its old contents or the new ones, and no temp file
-//!   is left behind* by a replace that returned. [`fsync_dir`] is the one
-//!   directory fsync and [`crc32c`] the one checksum.
+//!   poisoned shard lock is recovered, not fatal. [`crc32c`] is the one
+//!   checksum.
 //!
 //! The crate is dependency-free; telemetry flows out through the
 //! [`WalObserver`] trait so the service can bridge into its registry
@@ -64,8 +63,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -73,6 +70,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 mod crc32c;
+pub mod file;
 /// The integrity check of WAL frames and of the service's segment blobs,
 /// so the two on-disk formats share corruption-detection behaviour.
 pub use crc32c::crc32c;
@@ -352,8 +350,10 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-fn io_err(op: &str, path: &Path, e: &std::io::Error) -> WalError {
-    WalError::Io(format!("{op} {}: {e}", path.display()))
+impl From<file::FileError> for WalError {
+    fn from(e: file::FileError) -> Self {
+        WalError::Io(e.to_string())
+    }
 }
 
 /// Telemetry hooks; every method has a no-op default so tests can pass
@@ -384,47 +384,6 @@ pub fn shard_file_name(shard: usize) -> String {
 
 fn is_shard_file(name: &str) -> bool {
     name.starts_with("wal-") && name.ends_with(".wflog")
-}
-
-/// The step of a [`replace_file`] that failed, and how.
-#[derive(Debug)]
-pub struct ReplaceError {
-    /// `"create"`, `"write"`, `"fsync"` or `"rename"`.
-    pub op: &'static str,
-    pub source: io::Error,
-}
-
-/// Crash-safe replace: write `bytes` to a temp file next to `path`,
-/// fsync it, and rename it over `path` — a reader (or a crash) sees the
-/// old contents or the new, never a mix. The temp file is removed on any
-/// failure; one a crash strands ends in `.tmp`, which is what the sweeps
-/// of the directories' owners look for. The rename is durable once the
-/// caller has [`fsync_dir`]ed the directory.
-pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), ReplaceError> {
-    let step = |op| move |source| ReplaceError { op, source };
-    let name = path.file_name().unwrap_or_default().to_string_lossy();
-    let tmp = path.with_file_name(format!(".{name}.tmp"));
-    let replaced = (|| {
-        let mut f = File::create(&tmp).map_err(step("create"))?;
-        f.write_all(bytes).map_err(step("write"))?;
-        f.sync_all().map_err(step("fsync"))?;
-        fs::rename(&tmp, path).map_err(step("rename"))
-    })();
-    if replaced.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    replaced
-}
-
-/// Fsync `dir` so a rename inside it survives a crash. On non-unix
-/// platforms directory handles cannot be opened for sync; the rename
-/// alone is the best available guarantee there.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    File::open(dir)?.sync_all()?;
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -459,17 +418,6 @@ fn check_header(path: &Path, head: &[u8]) -> Result<bool, WalError> {
     })
 }
 
-/// [`check_header`] on an open file; returns its length.
-fn verify_header(file: &mut File, path: &Path) -> Result<u64, WalError> {
-    let len = file.metadata().map_err(|e| io_err("stat", path, &e))?.len();
-    let mut head = [0u8; FILE_HEADER.len()];
-    let head = &mut head[..len.min(FILE_HEADER.len() as u64) as usize];
-    file.read_exact(head)
-        .map_err(|e| io_err("read", path, &e))?;
-    check_header(path, head)?;
-    Ok(len)
-}
-
 /// One shard file, parsed.
 struct Scanned {
     records: Vec<Record>,
@@ -478,11 +426,9 @@ struct Scanned {
     torn: Option<TornTail>,
 }
 
+/// A file that vanished since it was listed is an empty one.
 fn scan_file(path: &Path) -> Result<Scanned, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| io_err("read", path, &e))?;
+    let bytes = file::read(path)?.unwrap_or_default();
     let head = &bytes[..bytes.len().min(FILE_HEADER.len())];
     let mut records = Vec::new();
     let mut at = 0usize;
@@ -525,26 +471,6 @@ fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError
     scan_file(path).map(|s| (s.records, s.torn))
 }
 
-/// The shard files of `dir`, sorted by name; none when `dir` is missing.
-fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, WalError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(io_err("read dir", dir, &e)),
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(is_shard_file)
-        })
-        .collect();
-    paths.sort();
-    Ok(paths)
-}
-
 /// One run's surviving records after a directory scan.
 #[derive(Debug)]
 pub struct RecoveredRun {
@@ -580,9 +506,9 @@ pub struct Recovery {
 pub fn recover(dir: &Path) -> Result<Recovery, WalError> {
     let mut out = Recovery::default();
     let mut by_run: BTreeMap<u64, RecoveredRun> = BTreeMap::new();
-    for path in &shard_paths(dir)? {
+    for name in file::list(dir)?.iter().filter(|n| is_shard_file(n)) {
         out.files += 1;
-        let scanned = scan_file(path)?;
+        let scanned = scan_file(&dir.join(name))?;
         out.bytes += scanned.valid_bytes;
         out.torn.extend(scanned.torn);
         for rec in scanned.records {
@@ -618,7 +544,7 @@ pub fn recover(dir: &Path) -> Result<Recovery, WalError> {
 // ---------------------------------------------------------------------------
 
 struct ShardFile {
-    file: File,
+    file: file::Log,
     /// Bytes written through to the OS (not counting `buf`).
     len: u64,
     /// Frames encoded but not yet written through: the group-commit
@@ -652,17 +578,13 @@ impl ShardFile {
     /// Write the buffer through to the OS (no fsync). A file gets its
     /// header with the first bytes it ever holds; what it has of one is
     /// a prefix ([`WalInner::open_append`] checked).
-    fn flush_buf(&mut self, path: &Path) -> Result<(), WalError> {
+    fn flush_buf(&mut self) -> Result<(), WalError> {
         if !self.buf.is_empty() {
             if self.len < FILE_HEADER.len() as u64 {
-                self.file
-                    .write_all(&FILE_HEADER[self.len as usize..])
-                    .map_err(|e| io_err("write", path, &e))?;
+                self.file.write(&FILE_HEADER[self.len as usize..])?;
                 self.len = FILE_HEADER.len() as u64;
             }
-            self.file
-                .write_all(&self.buf)
-                .map_err(|e| io_err("write", path, &e))?;
+            self.file.write(&self.buf)?;
             self.len += self.buf.len() as u64;
             self.buf.clear();
         }
@@ -717,14 +639,12 @@ impl WalInner {
     /// Open a shard file for appending, creating it if need be. A file
     /// that is not a log of this format is refused before a byte is
     /// appended to it.
-    fn open_append(path: &Path) -> Result<(File, u64), WalError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)
-            .map_err(|e| io_err("open", path, &e))?;
-        let len = verify_header(&mut file, path)?;
+    fn open_append(path: &Path) -> Result<(file::Log, u64), WalError> {
+        let (file, len) = file::Log::open(path)?;
+        let mut head = [0u8; FILE_HEADER.len()];
+        let head = &mut head[..len.min(FILE_HEADER.len() as u64) as usize];
+        file.read_at(0, head)?;
+        check_header(path, head)?;
         Ok((file, len))
     }
 
@@ -745,14 +665,11 @@ impl WalInner {
             let res = (|| {
                 let file = {
                     let mut f = shard.lock();
-                    f.flush_buf(&shard.path)?;
-                    f.file
-                        .try_clone()
-                        .map_err(|e| io_err("dup", &shard.path, &e))?
+                    f.flush_buf()?;
+                    f.file.try_clone()?
                 };
                 let start = Instant::now();
-                file.sync_data()
-                    .map_err(|e| io_err("fsync", &shard.path, &e))?;
+                file.sync()?;
                 self.obs.fsync(start.elapsed().as_nanos() as u64);
                 Ok(())
             })();
@@ -784,7 +701,7 @@ impl WalWriter {
         policy: WalSync,
         obs: Box<dyn WalObserver>,
     ) -> Result<Self, WalError> {
-        fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
+        file::create_dir(dir)?;
         let shards = (0..shards.max(1))
             .map(|i| {
                 let path = dir.join(shard_file_name(i));
@@ -844,10 +761,10 @@ impl WalWriter {
         records: &[Record],
         route: impl Fn(u64) -> usize,
     ) -> Result<Self, WalError> {
-        fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
-        for path in shard_paths(dir)? {
-            let mut file = File::open(&path).map_err(|e| io_err("open", &path, &e))?;
-            verify_header(&mut file, &path)?;
+        file::create_dir(dir)?;
+        let names = file::list(dir)?;
+        for name in names.iter().filter(|n| is_shard_file(n)) {
+            WalInner::open_append(&dir.join(name))?;
         }
         let shards = shards.max(1);
         let mut bufs: Vec<Vec<u8>> = vec![FILE_HEADER.to_vec(); shards];
@@ -855,23 +772,17 @@ impl WalWriter {
             rec.encode_into(&mut bufs[route(rec.run) % shards]);
         }
         for (i, buf) in bufs.iter().enumerate() {
-            let path = dir.join(shard_file_name(i));
-            replace_file(&path, buf).map_err(|e| io_err(e.op, &path, &e.source))?;
+            file::replace(&dir.join(shard_file_name(i)), buf)?;
         }
         // Drop shard files beyond the new count and the temp files a
         // crashed replace left behind.
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let stale = name.ends_with(".tmp")
-                    || (is_shard_file(name) && !(0..shards).any(|i| shard_file_name(i) == name));
-                if stale {
-                    let _ = fs::remove_file(entry.path());
-                }
+        for name in &names {
+            let kept = (0..shards).any(|i| shard_file_name(i) == *name);
+            if file::is_temp(name) || (is_shard_file(name) && !kept) {
+                let _ = file::remove(&dir.join(name));
             }
         }
-        fsync_dir(dir).map_err(|e| io_err("fsync dir", dir, &e))?;
+        file::sync_dir(dir)?;
         obs.lifecycle(
             "wal_reset",
             format!("shards={shards} records={}", records.len()),
@@ -929,7 +840,7 @@ impl WalWriter {
             frame_len = (frame.shard.buf.len() - at) as u64;
             if frame.shard.buf.len() >= GROUP_COMMIT_BYTE_BUDGET {
                 // The fsync still waits for the committer.
-                frame.shard.flush_buf(&shard_ref.path)?;
+                frame.shard.flush_buf()?;
             }
             frame.keep();
         }
@@ -1005,7 +916,7 @@ impl WalWriter {
         let shard_idx = shard % inner.shards.len();
         let shard_ref = &inner.shards[shard_idx];
         let mut f = shard_ref.lock();
-        f.flush_buf(&shard_ref.path)?;
+        f.flush_buf()?;
         let (records, _torn) = read_records(&shard_ref.path)?;
         let before = f.len;
         let checkpointed: HashSet<u64> = records
@@ -1019,9 +930,7 @@ impl WalWriter {
                 rec.encode_into(&mut buf);
             }
         }
-        replace_file(&shard_ref.path, &buf)
-            .map_err(|e| io_err(e.op, &shard_ref.path, &e.source))?;
-        fsync_dir(&inner.dir).map_err(|e| io_err("fsync dir", &inner.dir, &e))?;
+        file::replace(&shard_ref.path, &buf)?;
         let (file, len) = WalInner::open_append(&shard_ref.path)?;
         f.file = file;
         f.len = len;
@@ -1660,31 +1569,6 @@ mod tests {
         assert!(recovery.torn.is_empty(), "{:?}", recovery.torn);
         let records: Vec<Record> = recovery.runs.into_iter().flat_map(|r| r.records).collect();
         assert_eq!(records, [before, after[0].1.clone(), after[1].1.clone()]);
-    }
-
-    /// A replace that fails leaves the target as it was and no temp file
-    /// behind, and the next replace in the directory works.
-    #[test]
-    fn a_failed_replace_removes_its_temp_file() {
-        let dir = TempDir::new("replace");
-        let squatter = dir.path().join("blob");
-        std::fs::create_dir(&squatter).unwrap();
-        std::fs::write(squatter.join("inside"), b"x").unwrap();
-        let err = replace_file(&squatter, b"new contents").unwrap_err();
-        assert_eq!(err.op, "rename", "{err:?}");
-        let names: Vec<String> = std::fs::read_dir(dir.path())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, ["blob"], "no temp file left");
-        assert!(squatter.join("inside").exists());
-
-        let free = dir.path().join("free");
-        replace_file(&free, b"first").unwrap();
-        replace_file(&free, b"second").unwrap();
-        fsync_dir(dir.path()).unwrap();
-        assert_eq!(std::fs::read(&free).unwrap(), b"second");
-        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 2);
     }
 
     #[test]

@@ -724,3 +724,212 @@ fn mutated_segment_fields_are_refused_or_read_totally() {
         started.elapsed()
     );
 }
+
+// ---------------------------------------------------------------------------
+// Spill manifests
+// ---------------------------------------------------------------------------
+
+/// Change one thing of a manifest's text: a byte of its header, one
+/// field of one line (another value, non-digits, emptied, or an extra
+/// field beside it), one newline (cut or doubled), or one byte set past
+/// ASCII.
+fn mutate_manifest(draw: &mut Draw, text: &[u8]) -> Vec<u8> {
+    let header = snapshot::MANIFEST_HEADER.len();
+    let mut out = text.to_vec();
+    match draw.below(6) {
+        // The header: a byte changed, cut out or put in.
+        0 => {
+            let at = draw.below(header);
+            match draw.below(3) {
+                0 => out[at] = out[at].wrapping_add(1 + draw.below(255) as u8),
+                1 => drop(out.drain(at..at + 1 + draw.below(header - at))),
+                _ => out.insert(at, b"0 v3wf-"[draw.below(7)]),
+            }
+        }
+        // One field of one line.
+        1..=3 => {
+            let lines: Vec<&[u8]> = text[header + 1..]
+                .split_inclusive(|&b| b == b'\n')
+                .collect();
+            let k = draw.below(lines.len());
+            let line = std::str::from_utf8(lines[k]).unwrap().trim_end();
+            let mut fields: Vec<String> = line.split(' ').map(str::to_string).collect();
+            let f = draw.below(fields.len());
+            match draw.below(4) {
+                0 if f == 1 => fields[f] = format!("pack-{}.wfseg", draw.below(3)),
+                0 => fields[f] = draw.value(fields[f].parse().unwrap()).to_string(),
+                1 => {
+                    let odd = ["x", "-1", "1.5", "0x10", "+", "1e3", "\u{0661}", "9a"];
+                    fields[f] = odd[draw.below(odd.len())].to_string();
+                }
+                2 => fields[f].clear(),
+                _ => fields.insert(f + draw.below(2), draw.below(1000).to_string()),
+            }
+            let at = header + 1 + lines[..k].iter().map(|l| l.len()).sum::<usize>();
+            let new = format!("{}\n", fields.join(" "));
+            out.splice(at..at + lines[k].len(), new.into_bytes());
+        }
+        // A newline, cut or doubled.
+        4 => {
+            let newlines: Vec<usize> = (0..text.len()).filter(|&i| text[i] == b'\n').collect();
+            let at = newlines[draw.below(newlines.len())];
+            if draw.below(2) == 0 {
+                out.remove(at);
+            } else {
+                out.insert(at, b'\n');
+            }
+        }
+        // One byte past ASCII.
+        _ => {
+            let at = draw.below(out.len());
+            out[at] = 0x80 | draw.below(0x80) as u8;
+        }
+    }
+    out
+}
+
+/// Every file of `dir` with its bytes, by name.
+fn dir_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().into_string().unwrap(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Mutate the manifest of an engine-written spill directory — four runs
+/// in one pack — one thing at a time, and open an engine over it. Every
+/// case builds without a panic. A case that changed the header
+/// registers nothing, and the engine leaves the directory byte for byte
+/// through a `compact()`, which it refuses; any other case registers
+/// every run whose line it left whole, each answering sampled `reach`
+/// pairs like naive replay, and after a `compact()` every pack the
+/// directory held is still there.
+#[test]
+fn mutated_manifests_lose_no_run_they_did_not_touch() {
+    let cases = cases();
+    let started = Instant::now();
+    let source = TempDir::new("manifest-source");
+    let spec = wf_spec::corpus::running_example();
+    let build = |dir: &TempDir| -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .ingest_workers(1)
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut runs = Vec::new();
+    {
+        let engine = build(&source);
+        for _ in 0..4 {
+            let gen = RunGenerator::new(&spec)
+                .target_size(30)
+                .generate_run(&mut rng);
+            let exec = Execution::deterministic(&gen.graph, &gen.origin);
+            let mut naive = NaiveDynamicDag::new();
+            let run = engine.open_run(SpecId(0)).unwrap();
+            for ev in exec.events() {
+                engine.submit(run, ev).unwrap();
+                naive.insert(ev.vertex, &ev.preds);
+            }
+            engine.complete_run(run).unwrap();
+            engine.persist_run(run).unwrap();
+            let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
+            let probes: Vec<(VertexId, VertexId, bool)> = vertices
+                .iter()
+                .flat_map(|&u| vertices.iter().map(move |&v| (u, v)))
+                .map(|(u, v)| (u, v, naive.reaches(u, v)))
+                .collect();
+            runs.push((run, probes));
+        }
+    }
+    let original = dir_bytes(&source.0);
+    let text = original[snapshot::MANIFEST_FILE].clone();
+    let packs: Vec<&String> = original.keys().filter(|n| n.ends_with(".wfseg")).collect();
+    assert_eq!(packs.len(), 1, "one pack: {packs:?}");
+    // Each run's line, as the engine wrote it.
+    let lines: Vec<&[u8]> = text
+        .split(|&b| b == b'\n')
+        .skip(1)
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(lines.len(), runs.len());
+    let mut draw = Draw::new(SEED, u64::from_le_bytes(*b"manifest"));
+    let (mut headers, mut registered, mut lost) = (0, 0, 0);
+    for case in 0..cases {
+        let mutated = mutate_manifest(&mut draw, &text);
+        let dir = TempDir::new("manifest");
+        for (name, bytes) in &original {
+            let bytes = if name == snapshot::MANIFEST_FILE {
+                &mutated
+            } else {
+                bytes
+            };
+            std::fs::write(dir.0.join(name), bytes).unwrap();
+        }
+        let before = dir_bytes(&dir.0);
+        let whole: Vec<&[u8]> = mutated
+            .split_inclusive(|&b| b == b'\n')
+            .filter_map(|l| l.strip_suffix(b"\n"))
+            .collect();
+        let engine = build(&dir);
+        if whole.first() != Some(&snapshot::MANIFEST_HEADER.as_bytes()) {
+            headers += 1;
+            assert_eq!(engine.stats().runs_persisted, 0, "case {case}");
+            assert!(
+                matches!(engine.compact(), Err(ServiceError::SpillUnavailable(_))),
+                "case {case}"
+            );
+            drop(engine);
+            assert!(
+                dir_bytes(&dir.0) == before,
+                "case {case}: the directory changed"
+            );
+            continue;
+        }
+        for ((run, probes), line) in runs.iter().zip(&lines) {
+            if !whole.contains(line) {
+                lost += usize::from(engine.run_tier(*run).is_err());
+                continue;
+            }
+            registered += 1;
+            assert_eq!(
+                engine.run_tier(*run),
+                Ok(Tier::Persisted),
+                "case {case}: {run}"
+            );
+            for _ in 0..4 {
+                let (u, v, want) = probes[draw.below(probes.len())];
+                assert_eq!(
+                    engine.reach(*run, u, v),
+                    Ok(Some(want)),
+                    "case {case}: {run}"
+                );
+            }
+        }
+        engine.compact().unwrap();
+        drop(engine);
+        let after = dir_bytes(&dir.0);
+        for pack in &packs {
+            assert!(
+                after.contains_key(*pack),
+                "case {case}: {pack} is gone: {:?}",
+                String::from_utf8_lossy(&mutated)
+            );
+        }
+    }
+    assert!(headers > 0 && registered > 0 && lost > 0);
+    println!(
+        "manifest mutations: seed {SEED:#x}, {cases} cases over a {}-byte manifest ({headers} \
+         header cases left byte for byte, {registered} untouched lines registered, {lost} \
+         touched lines not registered) in {:.2?}",
+        text.len(),
+        started.elapsed()
+    );
+}

@@ -410,7 +410,8 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
 /// **v1-header manifest** are each rejected with
 /// a typed [`SnapshotError::Format`] naming what it is — never guessed
 /// at — and an engine built over any of them still comes up and serves
-/// fresh runs.
+/// fresh runs. Over the v1 manifest it writes nothing: the directory
+/// stays byte for byte, and persisting and compacting are refused.
 #[test]
 fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let dir = TempDir::new("v1");
@@ -481,24 +482,58 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
         assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
     }
 
-    // The v1 manifest: `run file bytes` lines under the v1 header.
+    // The v1 manifest: `run file bytes` lines under the v1 header. The
+    // engine cannot tell which packs it names, so it leaves the
+    // directory byte for byte — the manifest, and every pack through a
+    // compaction — and refuses to write there.
     std::fs::write(&path, &v5).unwrap();
     let name = path.file_name().unwrap().to_str().unwrap();
-    std::fs::write(
-        &manifest_path,
-        format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v5.len()),
-    )
-    .unwrap();
+    let v1 = format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v5.len());
+    std::fs::write(&manifest_path, &v1).unwrap();
     match snapshot::load_manifest(&dir.0) {
         Err(SnapshotError::Format(msg)) => assert!(msg.contains("header"), "{msg}"),
         other => panic!("v1 manifest not rejected as a format error: {other:?}"),
     }
+    let packs = dir_bytes(&dir.0);
     let engine = build();
     assert_eq!(engine.stats().runs_persisted, 0, "nothing is guessed at");
-    let fresh = persist_one(&engine, &exec);
+    assert!(matches!(
+        engine.compact(),
+        Err(ServiceError::SpillUnavailable(cause)) if cause.contains("header")
+    ));
+    let fresh = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        engine.submit(fresh, ev).unwrap();
+    }
+    engine.complete_run(fresh).unwrap();
+    assert!(matches!(
+        engine.persist_run(fresh),
+        Err(ServiceError::SpillUnavailable(_))
+    ));
+    assert_eq!(
+        engine.health(),
+        wf_service::Health::Degraded {
+            causes: vec![wf_service::StallCause::SpillUnavailable]
+        }
+    );
     let h = engine.handle(fresh).unwrap();
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
-    assert_eq!(h.reach(u, v), Some(true));
+    assert_eq!(h.reach(u, v), Some(true), "the run is served from memory");
+    drop(engine);
+    assert_eq!(dir_bytes(&dir.0), packs, "the directory is as it was found");
+    assert_eq!(std::fs::read_to_string(&manifest_path).unwrap(), v1);
+}
+
+/// Every file of `dir` with its bytes, by name.
+fn dir_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
 }
 
 /// Every run whose blob lies in a pack file of `dir`, live or dead: the
@@ -896,6 +931,199 @@ fn a_smaller_catalog_counts_the_blobs_it_carries_live() {
         assert_eq!(s.runs_persisted, [1, 3][n - 1]);
         assert_eq!((s.segment_files, s.pack_dead_bytes), (1, 0), "{n} specs");
     }
+}
+
+/// A run, with vertex pairs and whether the first reaches the second.
+type Probed = (RunId, Vec<(VertexId, VertexId, bool)>);
+
+/// Persist the probed runs of `seeds` (spec 0) into one pack of `dir`,
+/// over one engine lifetime; returns each run with its probes.
+fn persist_probed(dir: &std::path::Path, seeds: std::ops::Range<u64>) -> Vec<Probed> {
+    let spec = wf_spec::corpus::running_example();
+    let engine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(dir)
+        .build();
+    seeds
+        .map(|seed| {
+            let (exec, probes) = probed_run(&spec, seed);
+            (persist_one(&engine, &exec), probes)
+        })
+        .collect()
+}
+
+/// A spill directory this build cannot read — its manifest is not a
+/// file, or starts with another format's header — is refused, not read
+/// as empty: the engine registers nothing, refuses every persist and
+/// compaction with a typed error, names the cause in `health()`, and
+/// leaves every byte of the directory as it was, so the build that wrote
+/// it still serves every run. One byte that is not UTF-8 makes only its
+/// own line unreadable: the other runs register and answer, the line is
+/// kept byte for byte, and no pack is lost to a compaction.
+#[test]
+fn an_unreadable_manifest_leaves_the_spill_directory_as_it_was() {
+    let dir = TempDir::new("unreadable-manifest");
+    let spec = wf_spec::corpus::running_example();
+    let written = persist_probed(&dir.0, 300..303);
+    let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
+    let manifest = std::fs::read(&manifest_path).unwrap();
+    let build = || -> WfEngine {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    let answers = |engine: &WfEngine, runs: &[Probed]| {
+        for (run, probes) in runs {
+            for &(u, v, want) in probes {
+                assert_eq!(engine.reach(*run, u, v), Ok(Some(want)), "{run}");
+            }
+        }
+    };
+
+    let mut v3 = manifest.clone();
+    v3[b"wf-tier-manifest v".len()] = b'3';
+    for (what, unreadable) in [("v3 header", Some(v3)), ("a directory", None)] {
+        match &unreadable {
+            Some(bytes) => std::fs::write(&manifest_path, bytes).unwrap(),
+            None => {
+                std::fs::remove_file(&manifest_path).unwrap();
+                std::fs::create_dir(&manifest_path).unwrap();
+            }
+        }
+        let before = runs_in_packs(&dir.0);
+        let engine = build();
+        assert_eq!(engine.stats().runs_persisted, 0, "{what}");
+        assert!(
+            matches!(engine.compact(), Err(ServiceError::SpillUnavailable(_))),
+            "{what}"
+        );
+        let (exec, _) = probed_run(&spec, 309);
+        let run = engine.open_run(SpecId(0)).unwrap();
+        for ev in exec.events() {
+            engine.submit(run, ev).unwrap();
+        }
+        engine.complete_run(run).unwrap();
+        assert!(
+            matches!(
+                engine.persist_run(run),
+                Err(ServiceError::SpillUnavailable(_))
+            ),
+            "{what}"
+        );
+        assert_eq!(
+            engine.health(),
+            wf_service::Health::Degraded {
+                causes: vec![wf_service::StallCause::SpillUnavailable]
+            },
+            "{what}"
+        );
+        drop(engine);
+        assert_eq!(runs_in_packs(&dir.0), before, "{what}: a pack changed");
+        match &unreadable {
+            Some(bytes) => assert_eq!(&std::fs::read(&manifest_path).unwrap(), bytes, "{what}"),
+            None => std::fs::remove_dir(&manifest_path).unwrap(),
+        }
+        // Put back, the manifest serves every run again.
+        std::fs::write(&manifest_path, &manifest).unwrap();
+        let engine = build();
+        answers(&engine, &written);
+        assert_eq!(engine.health(), wf_service::Health::Healthy);
+    }
+
+    // One byte of the second run's line past ASCII.
+    let mut damaged = manifest.clone();
+    let line = manifest.split(|&b| b == b'\n').nth(2).unwrap().to_vec();
+    let at = manifest
+        .windows(line.len())
+        .position(|w| w == line)
+        .unwrap();
+    damaged[at + line.len() - 1] = 0xff;
+    std::fs::write(&manifest_path, &damaged).unwrap();
+    let packs = pack_names(&dir.0);
+    let engine = build();
+    let kept: Vec<_> = written
+        .iter()
+        .filter(|(run, _)| !line.starts_with(format!("{} ", run.0).as_bytes()))
+        .cloned()
+        .collect();
+    assert_eq!(kept.len(), 2);
+    assert_eq!(engine.stats().runs_persisted, 2);
+    answers(&engine, &kept);
+    engine.compact().unwrap();
+    drop(engine);
+    assert_eq!(pack_names(&dir.0), packs, "no pack went");
+    let unreadable = &damaged[at..at + line.len()];
+    assert!(
+        std::fs::read(&manifest_path)
+            .unwrap()
+            .windows(line.len())
+            .any(|w| w == unreadable),
+        "the unreadable line is kept byte for byte"
+    );
+    // Mended, the line's run answers again.
+    std::fs::write(&manifest_path, &manifest).unwrap();
+    answers(&build(), &written);
+}
+
+/// The pack files of `dir`, by name.
+fn pack_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".wfseg"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A persist is the blob and its manifest line, or nothing: when the
+/// line cannot be appended — here the manifest's header was overwritten
+/// while the engine ran — `persist_run` fails with a typed error and the
+/// run stays `Frozen`, holding its frame and answering, with no line
+/// naming it; a later restart does not register it either.
+#[test]
+fn a_persist_whose_manifest_line_fails_stays_frozen() {
+    let dir = TempDir::new("line-fails");
+    let spec = wf_spec::corpus::running_example();
+    let engine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    let (exec, probes) = probed_run(&spec, 310);
+    let first = persist_one(&engine, &exec);
+    let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    std::fs::write(&manifest_path, manifest.replace(" v2\n", " v9\n")).unwrap();
+
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    match engine.persist_run(run) {
+        Err(ServiceError::Snapshot(r, cause)) => {
+            assert_eq!(r, run);
+            assert!(cause.contains("manifest"), "{cause}");
+        }
+        other => panic!("a persist with no manifest line returned {other:?}"),
+    }
+    assert_eq!(engine.run_tier(run), Ok(Tier::Frozen));
+    for &(u, v, want) in &probes {
+        assert_eq!(engine.reach(run, u, v), Ok(Some(want)));
+    }
+    let text = std::fs::read_to_string(&manifest_path).unwrap();
+    assert!(
+        !text.lines().any(|l| l.starts_with(&format!("{} ", run.0))),
+        "{text}"
+    );
+    drop(engine);
+    std::fs::write(&manifest_path, &manifest).unwrap();
+    let engine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    assert_eq!(engine.query().run_ids(), vec![first]);
 }
 
 /// A truncated snapshot file is rejected cleanly (typed error, no
