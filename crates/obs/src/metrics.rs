@@ -11,7 +11,7 @@
 use crate::json_escape_into;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of log2 buckets per histogram.
 ///
@@ -208,6 +208,17 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Family<T> {
     }
 }
 
+/// A family list's read guard, recovered if a thread panicked holding
+/// its lock: a list is only ever pushed to, so a poisoned one is whole.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`read`]'s write side.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Name-indexed collection of metric families, in registration order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -223,7 +234,7 @@ impl MetricsRegistry {
 
     /// Get or register the counter `name`.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut families = self.counters.write().expect("registry poisoned");
+        let mut families = write(&self.counters);
         if let Some(f) = families.iter().find(|f| f.name == name) {
             return Counter(Arc::clone(&f.value));
         }
@@ -234,7 +245,7 @@ impl MetricsRegistry {
 
     /// Get or register the histogram `name`.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut families = self.histograms.write().expect("registry poisoned");
+        let mut families = write(&self.histograms);
         if let Some(f) = families.iter().find(|f| f.name == name) {
             return Arc::clone(&f.value);
         }
@@ -245,7 +256,7 @@ impl MetricsRegistry {
 
     /// Snapshot of the histogram `name`, if registered.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        let families = self.histograms.read().expect("registry poisoned");
+        let families = read(&self.histograms);
         families
             .iter()
             .find(|f| f.name == name)
@@ -254,7 +265,7 @@ impl MetricsRegistry {
 
     /// Names of all registered histogram families, in registration order.
     pub fn histogram_names(&self) -> Vec<String> {
-        let families = self.histograms.read().expect("registry poisoned");
+        let families = read(&self.histograms);
         families.iter().map(|f| f.name.clone()).collect()
     }
 
@@ -266,7 +277,7 @@ impl MetricsRegistry {
     /// highest non-empty bucket plus `le="+Inf"`, then `_sum`/`_count`.
     pub fn render_prometheus(&self, gauges: &[GaugeRow]) -> String {
         let mut out = String::new();
-        for f in self.counters.read().expect("registry poisoned").iter() {
+        for f in read(&self.counters).iter() {
             let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
             let _ = writeln!(out, "# TYPE {} counter", f.name);
             let _ = writeln!(out, "{} {}", f.name, f.value.load(Ordering::Relaxed));
@@ -276,7 +287,7 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         }
-        for f in self.histograms.read().expect("registry poisoned").iter() {
+        for f in read(&self.histograms).iter() {
             let snap = f.value.snapshot();
             let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
             let _ = writeln!(out, "# TYPE {} histogram", f.name);
@@ -309,13 +320,7 @@ impl MetricsRegistry {
     /// `{"counters":{..},"gauges":{..},"histograms":{name:{count,sum,p50,p90,p99,buckets:[[le,n],..]}}}`.
     pub fn render_json(&self, gauges: &[GaugeRow]) -> String {
         let mut out = String::from("{\"counters\":{");
-        for (i, f) in self
-            .counters
-            .read()
-            .expect("registry poisoned")
-            .iter()
-            .enumerate()
-        {
+        for (i, f) in read(&self.counters).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -331,13 +336,7 @@ impl MetricsRegistry {
             let _ = write!(out, ":{value}");
         }
         out.push_str("},\"histograms\":{");
-        for (i, f) in self
-            .histograms
-            .read()
-            .expect("registry poisoned")
-            .iter()
-            .enumerate()
-        {
+        for (i, f) in read(&self.histograms).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }

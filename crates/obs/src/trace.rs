@@ -8,7 +8,7 @@
 use crate::json_escape_into;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Process-global span id allocator. Ids start at 1 so `0` can mean
@@ -155,6 +155,13 @@ impl TraceRing {
         }
     }
 
+    /// The ring, recovered if a thread panicked holding it: every
+    /// statement under the lock leaves a valid ring, so a poisoned one
+    /// is still whole.
+    fn inner(&self) -> MutexGuard<'_, RingInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -200,7 +207,7 @@ impl TraceRing {
             parent_id,
             detail,
         };
-        let mut inner = self.inner.lock().expect("trace ring poisoned");
+        let mut inner = self.inner();
         if inner.buf.len() == self.capacity {
             inner.buf.pop_front();
             inner.dropped += 1;
@@ -210,18 +217,17 @@ impl TraceRing {
 
     /// Copy out the retained events, oldest first.
     pub fn dump(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock().expect("trace ring poisoned");
-        inner.buf.iter().cloned().collect()
+        self.inner().buf.iter().cloned().collect()
     }
 
     /// Number of events overwritten since creation.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("trace ring poisoned").dropped
+        self.inner().dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring poisoned").buf.len()
+        self.inner().buf.len()
     }
 
     /// Whether no events are retained.
@@ -250,6 +256,30 @@ mod tests {
         for pair in events.windows(2) {
             assert!(pair[0].ts_ns <= pair[1].ts_ns);
         }
+    }
+
+    /// A thread that panicked holding the ring's lock leaves a whole
+    /// ring: recording (as a sampled span does on an ingest worker),
+    /// dumping and counting drops go on, none of them panics.
+    #[test]
+    fn a_poisoned_ring_still_records_dumps_and_counts_drops() {
+        let ring = TraceRing::new(2);
+        ring.record("before", Some(0), None, 0, String::new());
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _g = ring.inner.lock().unwrap();
+                panic!("poison the trace ring on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(ring.inner.is_poisoned());
+
+        for i in 1..4u64 {
+            ring.record("after", Some(i), None, 0, String::new());
+        }
+        let runs: Vec<u64> = ring.dump().iter().filter_map(|e| e.run_id).collect();
+        assert_eq!(runs, [2, 3]);
+        assert_eq!((ring.dropped(), ring.len()), (2, 2));
     }
 
     #[test]

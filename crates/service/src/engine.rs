@@ -402,13 +402,7 @@ impl WfEngine {
             .remove(run)
             .ok_or(ServiceError::UnknownRun(run))?;
         self.shared.notify_evicted(run);
-        let located = match &view {
-            RunView::Hot(slot) => {
-                slot.evict();
-                false
-            }
-            RunView::Sealed(sealed) => sealed.location().is_some(),
-        };
+        let located = matches!(&view, RunView::Sealed(sealed) if sealed.location().is_some());
         match &self.shared.spill {
             Some(spill) if located => spill.forget(&self.shared.store, run),
             _ => {

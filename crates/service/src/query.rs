@@ -285,8 +285,9 @@ impl<'e> CrossRunQuery<'e> {
     /// Switch this query into **EXPLAIN mode**: the same scope and
     /// methods, but every answer comes back wrapped in [`Explained`]
     /// with a [`QueryProfile`] of what the scan actually paid for —
-    /// runs per tier, bufmgr pins, the WAL barrier wait, and wall time
-    /// per stage.
+    /// runs per tier, bufmgr pins, and wall time per stage. Like the
+    /// plain query it scans what is applied; a caller that wants the
+    /// events it enqueued counted calls [`crate::WfEngine::flush`] first.
     pub fn explain(self) -> ExplainQuery<'e> {
         ExplainQuery(self)
     }
@@ -303,22 +304,13 @@ pub struct Explained<T> {
 }
 
 /// A [`CrossRunQuery`] in EXPLAIN mode (see
-/// [`CrossRunQuery::explain`]). Each method first takes a WAL
-/// durability barrier — the profile's `wal_barrier_wait_ns` — so the
-/// profiled scan covers every event already enqueued, then runs the
-/// scan with a thread-local profile installed that the bufmgr's
-/// load hooks feed.
+/// [`CrossRunQuery::explain`]). Each method runs the plain scan with a
+/// thread-local profile installed that the frame-load hooks feed.
 pub struct ExplainQuery<'e>(CrossRunQuery<'e>);
 
 impl<'e> ExplainQuery<'e> {
     fn profiled<T>(&self, f: impl FnOnce(&CrossRunQuery<'e>) -> T) -> Explained<T> {
         telemetry::install_profile();
-        let barrier = std::time::Instant::now();
-        if let Some(wal) = &self.0.shared.wal {
-            let _ = wal.barrier();
-        }
-        let barrier_ns = u64::try_from(barrier.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        telemetry::with_profile(|p| p.wal_barrier_wait_ns += barrier_ns);
         let value = f(&self.0);
         let profile = telemetry::take_profile().unwrap_or_default();
         Explained { value, profile }

@@ -194,7 +194,7 @@ impl RunSlot {
     /// watchdog's test wedges the worker this run is pinned to.
     #[cfg(test)]
     pub(crate) fn hold_writer(&self) -> MutexGuard<'_, Option<ExecutionState>> {
-        self.writer.lock().expect("writer lock poisoned")
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Mark the run `Evicted`, serialized with any in-flight insert. A

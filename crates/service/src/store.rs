@@ -466,14 +466,15 @@ impl LabelStore {
         true
     }
 
-    /// Evict a run, returning the representation it had (the caller
-    /// marks a hot slot evicted under its writer lock and then fans the
-    /// eviction out to the subscriptions; a sealed run settles its own
-    /// eviction under its place lock).
+    /// Evict a run, returning the representation it had, marked evicted
+    /// once the shard lock is released: a hot slot under its writer
+    /// lock, a sealed run under its place lock. The caller then fans the
+    /// eviction out to the subscriptions.
     pub(crate) fn remove(&self, run: RunId) -> Option<RunView> {
         let old = write(self.shard(run)).remove(&run.0)?;
-        if let RunView::Sealed(s) = &old {
-            s.evict();
+        match &old {
+            RunView::Hot(slot) => slot.evict(),
+            RunView::Sealed(sealed) => sealed.evict(),
         }
         Some(old)
     }

@@ -36,11 +36,18 @@
 //! `subscribe`'s insert, so a notify that misses a new subscriber
 //! happens-before that subscriber's catch-up scan — which then reads the
 //! already-published label. Both firing is harmless: the matcher's
-//! per-vertex `seen` set makes every feed idempotent. The record of an
+//! per-vertex `seen` set makes every feed idempotent. A subscription
+//! keeps no copy of a run's facts. Completion is read from the run —
+//! its status — under the subscription's state lock: the run stores
+//! `Completed` before its completion fan-out takes that lock, so a
+//! notify or catch-up that still reads `Live` is ordered before the
+//! fan-out, which then finds its state and delivers, and one ordered
+//! after it reads `Completed` and delivers itself. The record of an
 //! eviction is registry membership: run ids are never reused, so a run
 //! the store's registry does not hold has been evicted, and a delayed
 //! notify that checks it under the subscription's state lock cannot
-//! resurrect a removed run's deltas.
+//! resurrect a removed run's deltas. The handles are counted by the
+//! `Arc` of the one guard they share, whose drop closes the stream.
 //!
 //! The hub ([`SubHub`]) is a field of the engine, beside the store, not
 //! inside it: the store contains no subscription code. Lock order,
@@ -411,7 +418,8 @@ pub(crate) fn scan_view(
 
 /// Per-run delta state of one subscription: the matcher, every witness
 /// found so far (monotone while the run lives), and how much of that
-/// list is currently delivered as `Added`.
+/// list is currently delivered as `Added`. The run's status is not
+/// here: it is read from the run.
 struct RunSubState {
     matcher: RunMatcher,
     /// All witnesses discovered, in discovery order (append-only).
@@ -419,7 +427,6 @@ struct RunSubState {
     /// `matches[..emitted]` have an outstanding `Added`; an eviction
     /// retracts exactly this prefix.
     emitted: usize,
-    completed: bool,
 }
 
 impl RunSubState {
@@ -428,7 +435,6 @@ impl RunSubState {
             matcher: RunMatcher::new(kind),
             matches: Vec::new(),
             emitted: 0,
-            completed: false,
         }
     }
 }
@@ -444,7 +450,7 @@ struct SubQueue {
 
 /// Shared core of one subscription: predicate, per-run delta state, and
 /// the bounded queue. Cloned [`Subscription`] handles share one core —
-/// and therefore one delta stream.
+/// and therefore one delta stream — with the registry row.
 pub(crate) struct SubCore {
     pred: SubPredicate,
     /// Per-run state, keyed by run id. Never held while taking the
@@ -456,8 +462,6 @@ pub(crate) struct SubCore {
     /// Bound of `queue`.
     capacity: usize,
     cv: Condvar,
-    /// Outstanding `Subscription` handles; the last drop closes the core.
-    handles: AtomicUsize,
     closed: AtomicBool,
     /// The hub's open-subscription count, decremented exactly once on
     /// close (the `wf_subscriptions` gauge and the notify fast path).
@@ -523,10 +527,11 @@ impl SubCore {
 
     /// Deliver every undelivered match as `Added` once the run is in
     /// the subscription's scope (a `completed()` subscription's once the
-    /// run completes). Idempotent, so racing callers (notify vs.
-    /// completion vs. catch-up) converge on set semantics.
-    fn sync_emission(&self, run: RunId, st: &mut RunSubState, obs: &Telemetry) {
-        if self.pred.completed_only && !st.completed {
+    /// run has `completed`, as read from the run under the state lock).
+    /// Idempotent, so racing callers (notify vs. completion vs.
+    /// catch-up) converge on set semantics.
+    fn sync_emission(&self, run: RunId, st: &mut RunSubState, completed: bool, obs: &Telemetry) {
+        if self.pred.completed_only && !completed {
             return;
         }
         while st.emitted < st.matches.len() {
@@ -535,39 +540,40 @@ impl SubCore {
             self.push(Delta::Added { run, witness: w }, obs);
         }
     }
+
+    /// Forget the evicted `run`: drop its state and retract every
+    /// witness delivered for it.
+    fn retract(&self, map: &mut HashMap<u64, RunSubState>, run: RunId, obs: &Telemetry) {
+        if let Some(mut st) = map.remove(&run.0) {
+            st.matches.truncate(st.emitted);
+            for witness in st.matches {
+                self.push(Delta::Removed { run, witness }, obs);
+            }
+        }
+    }
 }
 
 /// A cloneable handle to one standing query. Clones share the delta
 /// stream (competing consumers); the stream closes when the last handle
 /// drops or the engine is dropped.
+#[derive(Clone)]
 pub struct Subscription {
     core: Arc<SubCore>,
+    /// Shared by every clone: its `Arc` is the handle count.
+    _last: Arc<LastHandle>,
 }
 
-impl Clone for Subscription {
-    fn clone(&self) -> Self {
-        self.core.handles.fetch_add(1, Ordering::AcqRel);
-        Self {
-            core: Arc::clone(&self.core),
-        }
-    }
-}
+/// Dropped with the last [`Subscription`] handle: closes the core and
+/// frees its per-run state. The registry row keeps the core until the
+/// next registration prunes it; the matchers and their witnesses go
+/// now. Not in `close()`: a fan-out that meets a poisoned queue calls
+/// that with the state lock held.
+struct LastHandle(Arc<SubCore>);
 
-impl Drop for Subscription {
+impl Drop for LastHandle {
     fn drop(&mut self) {
-        if self.core.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.core.close();
-            // The registry row keeps the core until the next
-            // registration prunes it; the matchers and their witnesses
-            // go now. Not in `close()`: a fan-out that meets a poisoned
-            // queue calls that with the state lock held.
-            let mut state = self
-                .core
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *state = HashMap::new();
-        }
+        self.0.close();
+        *self.0.state.lock().unwrap_or_else(PoisonError::into_inner) = HashMap::new();
     }
 }
 
@@ -720,7 +726,6 @@ impl SubHub {
             }),
             capacity: self.queue_capacity,
             cv: Condvar::new(),
-            handles: AtomicUsize::new(1),
             closed: AtomicBool::new(false),
             active: Arc::clone(&self.active),
         });
@@ -774,15 +779,18 @@ impl EngineShared {
         obs.finish(start, &obs.h_sub_match, None, None, || {
             format!("runs={runs} labels={labels}")
         });
-        Subscription { core }
+        let _last = Arc::new(LastHandle(Arc::clone(&core)));
+        Subscription { core, _last }
     }
 
     /// Fan out one applied insertion. Called by the ingest paths right
     /// after a successful apply, inside the apply span (so sampled
     /// notifies trace as children of the ingest trace) but outside the
     /// run's writer lock — out-of-order arrival is harmless under the
-    /// matcher's set semantics. `v`'s label is read from the slot once,
-    /// for every subscription it concerns.
+    /// matcher's set semantics, and so is arriving after the run's
+    /// completion fan-out: the run's status is read under the state
+    /// lock. `v`'s label is read from the slot once, for every
+    /// subscription it concerns.
     pub(crate) fn notify_insert(&self, run: RunId, slot: &RunSlot, v: VertexId, name: NameId) {
         let hub = &self.subs;
         if hub.active.load(Ordering::Relaxed) == 0 {
@@ -833,7 +841,8 @@ impl EngineShared {
             let emit = &mut |w| st.matches.push(w);
             st.matcher
                 .feed(&predicate, &labels, v, name, Some(label), emit);
-            core.sync_emission(run, st, &self.obs);
+            let completed = slot.status() == RunStatus::Completed;
+            core.sync_emission(run, st, completed, &self.obs);
         }
         drop(subs);
         if start.is_live() {
@@ -847,16 +856,16 @@ impl EngineShared {
         }
     }
 
-    /// Fan out a run completion (edge-triggered: the status CAS fires
-    /// exactly once, and per-run FIFO ordering puts this after every
-    /// insert notify of the run).
+    /// Fan out a run completion (edge-triggered: the status store
+    /// happens exactly once, before this). An insert notified after this
+    /// fan-out reads the stored status itself.
     pub(crate) fn notify_complete(&self, run: RunId, spec: SpecId) {
         if self.subs.active.load(Ordering::Relaxed) == 0 {
             return;
         }
         let subs = self.subs.rows();
         for e in subs.iter() {
-            if e.spec.is_some_and(|s| s != spec) || e.core.is_closed() {
+            if e.spec.is_some_and(|s| s != spec) {
                 continue;
             }
             let core = &e.core;
@@ -865,8 +874,7 @@ impl EngineShared {
                     continue;
                 };
                 if let Some(st) = map.get_mut(&run.0) {
-                    st.completed = true;
-                    core.sync_emission(run, st, &self.obs);
+                    core.sync_emission(run, st, true, &self.obs);
                 }
             }
             core.push(Delta::RunCompleted { run }, &self.obs);
@@ -879,19 +887,9 @@ impl EngineShared {
         if self.subs.active.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.subs.rows();
-        for e in subs.iter() {
-            let core = &e.core;
-            if core.is_closed() {
-                continue;
-            }
-            let Some(mut map) = core.runs() else {
-                continue;
-            };
-            if let Some(st) = map.remove(&run.0) {
-                for w in st.matches[..st.emitted].iter().cloned() {
-                    core.push(Delta::Removed { run, witness: w }, &self.obs);
-                }
+        for e in self.subs.rows().iter() {
+            if let Some(mut map) = e.core.runs() {
+                e.core.retract(&mut map, run, &self.obs);
             }
         }
     }
@@ -915,23 +913,18 @@ impl EngineShared {
         let st = map
             .entry(run.0)
             .or_insert_with(|| RunSubState::new(core.pred.kind));
-        // Status reads through a hot view are *live* (the slot's atomic),
-        // so a completion between the snapshot and now is not missed; a
-        // completion after this read updates the entry via its fan-out.
-        st.completed = st.completed || view.status() == RunStatus::Completed;
         let fed = feed_view(&mut st.matcher, &predicate, view, &mut |w| {
             st.matches.push(w)
         });
         // Re-check the registry before reconciling: an eviction that
         // landed mid-scan must not leave freshly-found witnesses behind.
-        if !self.store.contains(run) {
-            if let Some(st) = map.remove(&run.0) {
-                for w in st.matches[..st.emitted].iter().cloned() {
-                    core.push(Delta::Removed { run, witness: w }, &self.obs);
-                }
-            }
-        } else if let Some(st) = map.get_mut(&run.0) {
-            core.sync_emission(run, st, &self.obs);
+        // A hot view's status is *live* (the slot's atomic), so a
+        // completion between the snapshot and now is not missed.
+        if self.store.contains(run) {
+            let completed = view.status() == RunStatus::Completed;
+            core.sync_emission(run, st, completed, &self.obs);
+        } else {
+            core.retract(&mut map, run, &self.obs);
         }
         fed
     }
@@ -1082,6 +1075,52 @@ mod tests {
         assert_eq!(retracted(&scoped), named.len());
         assert_eq!(retracted(&live), named.len());
         assert_eq!(engine.stats().subscriptions, 2, "live and scoped");
+    }
+
+    /// An insert whose notify comes after the run's completion fan-out —
+    /// two threads writing one run can order them so — still reaches a
+    /// `completed()` subscription: the notify reads the run's status, so
+    /// the stream adds up to the pull answer.
+    #[test]
+    fn an_insert_notified_after_completion_reaches_a_completed_subscription() {
+        let engine: WfEngine = WfEngine::builder()
+            .spec(wf_spec::corpus::running_example())
+            .ingest_workers(1)
+            .build();
+        let spec = &engine.context(SpecId(0)).unwrap().spec;
+        let gen = RunGenerator::new(spec)
+            .target_size(40)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let once = |ev: &&wf_run::ExecEvent| {
+            exec.events().iter().filter(|e| e.name == ev.name).count() == 1
+        };
+        let (v, name) = exec
+            .events()
+            .iter()
+            .find(once)
+            .map(|e| (e.vertex, e.name))
+            .expect("a name carried by one vertex");
+
+        let sub = engine.subscribe(SubPredicate::vertices_named(name).completed());
+        let run = engine.open_run(SpecId(0)).unwrap();
+        let RunView::Hot(slot) = engine.shared.view(run).unwrap() else {
+            panic!("an open run is hot")
+        };
+        // `v`'s insert is applied with no notify; the rest as usual.
+        for ev in exec.events() {
+            if ev.vertex == v {
+                slot.apply_insert(run, ev, || Ok(())).unwrap();
+            } else {
+                engine.submit(run, ev).unwrap();
+            }
+        }
+        engine.complete_run(run).unwrap();
+        engine.shared.notify_insert(run, &slot, v, name);
+
+        let pulled = engine.query().completed().vertices_named(name);
+        assert_eq!(pulled, [(run, vec![v])]);
+        assert_eq!(added(&sub, run), [v]);
     }
 
     /// Runs with state in `core`, and the vertex ids its matchers keep.

@@ -44,7 +44,7 @@ thread_local! {
     /// into the worker).
     static CURRENT_SPAN: Cell<SpanCtx> = const { Cell::new(SpanCtx::NONE) };
     /// The query profile being filled in by an EXPLAIN run on this
-    /// thread, if any. Pin/barrier hooks accumulate into it.
+    /// thread, if any. Frame-load hooks accumulate into it.
     static PROFILE: RefCell<Option<QueryProfile>> = const { RefCell::new(None) };
 }
 
@@ -631,8 +631,6 @@ pub struct QueryProfile {
     /// Reads served by a frame already loaded from disk (no read, no
     /// checksum verify).
     pub verifies_skipped: u64,
-    /// Wait on the WAL durability barrier taken before the scan, ns.
-    pub wal_barrier_wait_ns: u64,
     /// View collection (tier snapshot + filter + sort), ns.
     pub snapshot_ns: u64,
     /// Time scanning hot-tier runs, ns.
@@ -654,8 +652,7 @@ impl QueryProfile {
 
     /// CPU time attributed to query stages (snapshot + per-tier scans),
     /// ns. The query runs single-threaded, so `wall_ns - cpu_ns()` is
-    /// time spent off-CPU: frame loads waiting on disk and the WAL
-    /// barrier.
+    /// time spent off-CPU: frame loads waiting on disk.
     #[must_use]
     pub fn cpu_ns(&self) -> u64 {
         self.snapshot_ns + self.scan_hot_ns + self.scan_frozen_ns + self.scan_persisted_ns
@@ -670,7 +667,7 @@ impl QueryProfile {
             out,
             "{{\"trace_id\":{},\"runs\":{{\"hot\":{},\"frozen\":{},\"persisted\":{}}},\
              \"labels_scanned\":{},\"chunks_touched\":{},\"pack_pins\":{},\
-             \"verifies_skipped\":{},\"wal_barrier_wait_ns\":{},\
+             \"verifies_skipped\":{},\
              \"stages_ns\":{{\"snapshot\":{},\"scan_hot\":{},\"scan_frozen\":{},\
              \"scan_persisted\":{}}},\"cpu_ns\":{},\"wall_ns\":{}}}",
             self.trace_id,
@@ -681,7 +678,6 @@ impl QueryProfile {
             self.chunks_touched,
             self.pack_pins,
             self.verifies_skipped,
-            self.wal_barrier_wait_ns,
             self.snapshot_ns,
             self.scan_hot_ns,
             self.scan_frozen_ns,
@@ -713,7 +709,6 @@ impl QueryProfile {
             "  bufmgr            pack_pins={} verifies_skipped={}",
             self.pack_pins, self.verifies_skipped
         );
-        let _ = writeln!(out, "  wal barrier wait  {} ns", self.wal_barrier_wait_ns);
         let _ = writeln!(
             out,
             "  stages (ns)       snapshot={} hot={} frozen={} persisted={}",
@@ -729,7 +724,7 @@ impl QueryProfile {
     }
 }
 
-/// Install a fresh profile on this thread; subsequent load/barrier
+/// Install a fresh profile on this thread; subsequent frame-load
 /// hooks accumulate into it until [`take_profile`] removes it.
 pub(crate) fn install_profile() {
     PROFILE.with(|p| *p.borrow_mut() = Some(QueryProfile::default()));

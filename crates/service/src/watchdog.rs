@@ -35,7 +35,7 @@ pub enum StallCause {
     /// just evicted).
     ShedThrash,
     /// Standing-query subscribers are lagging: their bounded notify
-    /// queues dropped deltas faster than [`SUB_LAG_PER_TICK`] per
+    /// queues dropped deltas faster than `SUB_LAG_PER_TICK` per
     /// watchdog interval.
     SubLag,
     /// A WAL directory was configured and its log could not be opened

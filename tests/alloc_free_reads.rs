@@ -18,9 +18,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::PathBuf;
 use std::time::Duration;
 use wf_provenance::prelude::*;
+
+mod common;
+use common::TempDir;
 
 struct Counting;
 
@@ -78,22 +80,6 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
     let out = f();
     let after = ALLOCATED.with(Cell::get);
     ((after.0 - before.0, after.1 - before.1), out)
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("wf-alloc-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// An engine whose only trace events are lifecycle ones: a `reach` that

@@ -18,30 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wf_provenance::prelude::*;
 use wf_service::Tier;
 
-/// A temp dir that cleans up after itself (no tempfile crate offline).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let base = std::env::var_os("WF_TIER_TEST_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = base.join(format!(
-            "wf-bufmgr-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::TempDir;
 
 type FleetRun = (RunId, Execution, NaiveDynamicDag);
 

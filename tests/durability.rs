@@ -17,37 +17,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use wf_provenance::prelude::*;
 use wf_service::{wal, Tier};
 
-/// A temp dir that cleans up after itself (no tempfile crate offline).
-/// Honors `WF_TIER_TEST_DIR` so CI can point the round-trip at a
-/// dedicated tempdir.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let base = std::env::var_os("WF_TIER_TEST_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = base.join(format!(
-            "wf-durability-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::TempDir;
 
 fn spec_for(seed: u64) -> Specification {
     if seed.is_multiple_of(2) {

@@ -6,9 +6,10 @@
 //! so tier-1 (`cargo test -q` at the root) runs them.
 
 use rand::rngs::StdRng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use wf_provenance::prelude::*;
+
+mod common;
+use common::TempDir;
 
 fn engine() -> WfEngine {
     WfEngine::builder()
@@ -456,29 +457,6 @@ fn drain_closes_ingest_but_not_queries() {
     assert_eq!(engine.query().run_ids(), vec![run]);
     // flush() on a drained engine returns immediately.
     assert_eq!(engine.flush(), exec.len() as u64);
-}
-
-/// A temp dir that cleans up after itself (no tempfile crate in the
-/// offline workspace).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "wf-tier-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Ingest a full sampled run and complete it; returns the execution.

@@ -33,12 +33,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use wf_provenance::prelude::*;
 use wf_service::wal::{self, crc32c};
 use wf_service::{snapshot, ServiceError, SnapshotError};
+
+mod common;
+use common::TempDir;
 
 /// Bytes one read may request per byte of its input…
 const ALLOC_PER_BYTE: u64 = 64;
@@ -95,30 +96,6 @@ fn bounded<R>(what: &str, input_len: usize, read: impl FnOnce() -> R) -> R {
         "{what}: {requested} bytes requested over {input_len} bytes of input (bound {bound})"
     );
     out
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let base = std::env::var_os("WF_TIER_TEST_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = base.join(format!(
-            "wf-mutations-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Cases per format: `WF_MUTATION_CASES`, or [`DEFAULT_CASES`].

@@ -14,38 +14,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use wf_drl::{Entry, NodeKind};
 use wf_provenance::prelude::*;
 use wf_service::wal::crc32c;
 use wf_service::{snapshot, ServiceError, SnapshotError, Tier};
 
-/// A temp dir that cleans up after itself (no tempfile crate offline).
-/// Honors `WF_TIER_TEST_DIR` so CI can point the round-trip at a
-/// dedicated tempdir.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let base = std::env::var_os("WF_TIER_TEST_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = base.join(format!(
-            "wf-tiering-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::TempDir;
 
 fn spec_for(seed: u64) -> Specification {
     if seed.is_multiple_of(2) {
