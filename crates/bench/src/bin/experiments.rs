@@ -8,7 +8,7 @@
 //! experiments all --queries 100000 --sizes 1000,2000,4000
 //! ```
 
-use wf_bench::{experiments, Config};
+use wf_bench::experiments;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -16,34 +16,14 @@ fn main() {
         print_help();
         return;
     }
-    let mut cfg = Config::default();
-    let mut ids: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                i += 1;
-                cfg.samples = args[i].parse().expect("--samples takes a number");
-            }
-            "--queries" => {
-                i += 1;
-                cfg.queries = args[i].parse().expect("--queries takes a number");
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--sizes" => {
-                i += 1;
-                cfg.sizes = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--sizes takes comma-separated numbers"))
-                    .collect();
-            }
-            other => ids.push(other.to_string()),
+    let (cfg, ids) = match wf_bench::parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(error) => {
+            eprintln!("experiments: {error}");
+            print_help();
+            std::process::exit(2);
         }
-        i += 1;
-    }
+    };
     if ids.iter().any(|id| id == "list") {
         for (id, desc) in experiments::EXPERIMENTS {
             println!("{id:8} {desc}");
@@ -74,5 +54,5 @@ fn print_help() {
         "usage: experiments <id>... | all | list \
          [--samples N] [--queries N] [--seed N] [--sizes a,b,c]"
     );
-    eprintln!("reproduces the tables and figures of Section 7; see DESIGN.md for the index");
+    eprintln!("reproduces the tables and figures of Section 7; `experiments list` names them");
 }

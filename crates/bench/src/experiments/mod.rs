@@ -1,5 +1,5 @@
 //! One module per evaluation artifact. The registry maps experiment ids
-//! (as used by the `experiments` binary and DESIGN.md's index) to
+//! (as used by the `experiments` binary; `experiments list` prints them) to
 //! runners.
 
 pub mod ablation;

@@ -230,24 +230,26 @@ fn record_complete_outcome(
     }
 }
 
-/// A counter bumped once per event, on a cache line of its own. There
-/// are two per worker: the producers bump its `enqueued`, the worker its
-/// `applied`, and both read the pointers around them for every event
-/// too: left to share lines — with each other, or with whatever the
-/// allocator places next to them — each bump invalidates the other
-/// thread's line (measured, together with the alignment of
-/// [`RunSlot`]: −8 % solo-ingest events/s without, in or out depending
-/// on nothing but field order and where `malloc` put the struct).
+/// A counter on a cache line of its own. There are two per worker: the
+/// producers bump its `enqueued`, the worker its `applied`, and both
+/// read the pointers around them for every event too: left to share
+/// lines — with each other, or with whatever the allocator places next
+/// to them — each bump invalidates the other thread's line (measured,
+/// together with the alignment of [`RunSlot`]: −8 % solo-ingest
+/// events/s without, in or out depending on nothing but field order and
+/// where `malloc` put the struct). A run's query count is one too,
+/// bumped by every `reach` beside the writer's stores to its slot.
+#[derive(Debug)]
 #[repr(align(64))]
-pub(crate) struct EventCounter(AtomicU64);
+pub(crate) struct LineCounter(AtomicU64);
 
-impl EventCounter {
-    fn new() -> Self {
+impl LineCounter {
+    pub(crate) fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 }
 
-impl std::ops::Deref for EventCounter {
+impl std::ops::Deref for LineCounter {
     type Target = AtomicU64;
 
     fn deref(&self) -> &AtomicU64 {
@@ -261,9 +263,9 @@ impl std::ops::Deref for EventCounter {
 /// has settled it.
 pub(crate) struct WorkerMark {
     /// Envelopes handed to this worker's queue…
-    pub(crate) enqueued: EventCounter,
+    pub(crate) enqueued: LineCounter,
     /// …and envelopes it finished (applied, failed or skipped).
-    pub(crate) applied: EventCounter,
+    pub(crate) applied: LineCounter,
 }
 
 /// The ingest pipeline's shared state — what producers, workers,
@@ -290,8 +292,8 @@ impl Ingest {
             flush_cv: Condvar::new(),
             marks: (0..workers.max(1))
                 .map(|_| WorkerMark {
-                    enqueued: EventCounter::new(),
-                    applied: EventCounter::new(),
+                    enqueued: LineCounter::new(),
+                    applied: LineCounter::new(),
                 })
                 .collect(),
             errors: Mutex::new(VecDeque::new()),

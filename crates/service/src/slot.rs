@@ -15,6 +15,7 @@
 //! insert returns is moved into [`LabelIndex`], the run's only copy.
 
 use crate::index::LabelIndex;
+use crate::ingest::LineCounter;
 use crate::{RunId, RunStatus, ServiceError, SpecContext, SpecId};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -31,7 +32,7 @@ use wf_run::ExecEvent;
 /// counts must not share a line with the writer lock and the labeler
 /// state the worker is busy in; which fields land next to the header is
 /// otherwise the compiler's choice (measured, together with
-/// [`crate::ingest::EventCounter`]: −8 % solo-ingest events/s without).
+/// [`crate::ingest::LineCounter`]: −8 % solo-ingest events/s without).
 #[repr(align(64))]
 pub(crate) struct RunSlot {
     pub(crate) spec: SpecId,
@@ -47,10 +48,10 @@ pub(crate) struct RunSlot {
     /// the cross-run query surface.
     pub(crate) source: OnceLock<VertexId>,
     status: AtomicU8,
-    /// Queries answered against this run. Per-slot (each slot is its own
-    /// allocation) so the query hot path never contends on a single
-    /// engine-wide cache line with ingest writers; `stats()` sums it.
-    pub(crate) queries: AtomicU64,
+    /// Queries answered against this run, over its lifetime: the freeze
+    /// hands this one counter to the sealed run, so a handle taken
+    /// before the freeze still counts where `stats()` sums.
+    pub(crate) queries: Arc<LineCounter>,
     /// Next WAL sequence number for this run (0 is the `RunOpen`
     /// record). Monotone per run; recovery replays in this order, so
     /// the numbers align with the flush watermark: everything appended
@@ -86,7 +87,7 @@ impl RunSlot {
             indexed: LabelIndex::new(),
             source: OnceLock::new(),
             status: AtomicU8::new(RunStatus::Live.as_u8()),
-            queries: AtomicU64::new(0),
+            queries: Arc::new(LineCounter::new()),
             wal_seq: AtomicU64::new(next_wal_seq),
             completion: AtomicU64::new(0),
         })

@@ -72,6 +72,7 @@
 //! borrows the frame, and the replacer only ever *tries* it. Eviction, a
 //! sealed run's only exit, is settled under that lock too.
 
+use crate::ingest::LineCounter;
 use crate::store::{SegmentLru, Tier};
 use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};
@@ -528,27 +529,38 @@ pub(crate) struct SealedRun {
     /// a frame loaded from disk).
     pub(crate) last_access: AtomicU64,
     lru: Arc<SegmentLru>,
-    /// Queries answered over the run's lifetime (carried in from the hot
-    /// slot by the freeze transition, so engine-wide `queries_answered`
-    /// stays monotone).
-    pub(crate) queries: AtomicU64,
+    /// Queries answered over the run's lifetime: a frozen run's is its
+    /// hot slot's counter, which a handle taken before the freeze still
+    /// bumps; a run read from disk starts a new one.
+    pub(crate) queries: Arc<LineCounter>,
 }
 
 impl SealedRun {
-    fn new(header: SegmentHeader, len: u64, place: Place, lru: Arc<SegmentLru>) -> Self {
+    fn new(
+        header: SegmentHeader,
+        len: u64,
+        place: Place,
+        queries: Arc<LineCounter>,
+        lru: Arc<SegmentLru>,
+    ) -> Self {
         Self {
             header,
             len,
             place: RwLock::new(place),
             last_access: AtomicU64::new(0),
             lru,
-            queries: AtomicU64::new(0),
+            queries,
         }
     }
 
     /// A run just frozen: its encoded `blob` held in a frame, no location
-    /// yet.
-    pub(crate) fn on_heap(header: SegmentHeader, blob: Vec<u8>, lru: Arc<SegmentLru>) -> Self {
+    /// yet, counting its queries on `queries`.
+    pub(crate) fn on_heap(
+        header: SegmentHeader,
+        blob: Vec<u8>,
+        queries: Arc<LineCounter>,
+        lru: Arc<SegmentLru>,
+    ) -> Self {
         let len = blob.len() as u64;
         let place = Place {
             frame: Some(blob.into()),
@@ -556,7 +568,7 @@ impl SealedRun {
             disk: None,
             evicted: false,
         };
-        Self::new(header, len, place, lru)
+        Self::new(header, len, place, queries, lru)
     }
 
     /// Register a manifest entry of `file`, `pack_len` bytes long, by
@@ -597,7 +609,8 @@ impl SealedRun {
             disk: Some(Disk::at(file, entry.offset)),
             evicted: false,
         };
-        Ok(Self::new(header, entry.bytes, place, lru))
+        let queries = Arc::new(LineCounter::new());
+        Ok(Self::new(header, entry.bytes, place, queries, lru))
     }
 
     /// The run this blob holds.

@@ -386,8 +386,8 @@ impl RunView {
 
     /// The run's query counter (kept per run so the query hot path
     /// never contends on an engine-wide cache line; `stats()` sums it).
-    /// It counts the run's lifetime: [`LabelStore::transition`] carries
-    /// it from the hot slot to the sealed run.
+    /// It counts the run's lifetime: the freeze hands the hot slot's
+    /// counter to the sealed run.
     pub(crate) fn queries(&self) -> &AtomicU64 {
         match self {
             RunView::Hot(s) => &s.queries,
@@ -449,8 +449,7 @@ impl LabelStore {
     /// freeze racing an eviction (or another freeze) never resurrects a
     /// removed run or overwrites a sealed one. The swap happens under the
     /// shard write lock: a concurrent lookup sees the slot or the sealed
-    /// run, and the run's query count moves across where no `stats()`
-    /// walk can see both or neither.
+    /// run, never neither; both count queries on one counter.
     #[must_use]
     pub(crate) fn transition(&self, run: RunId, sealed: Arc<SealedRun>) -> bool {
         let mut shard = write(self.shard(run));
@@ -460,8 +459,6 @@ impl LabelStore {
         else {
             return false;
         };
-        let carried = entry.queries().load(Ordering::Relaxed);
-        sealed.queries.store(carried, Ordering::Relaxed);
         *entry = RunView::Sealed(sealed);
         true
     }

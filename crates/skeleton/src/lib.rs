@@ -16,16 +16,14 @@
 //! * **BFS** ([`BfsOracle`] / [`BfsSpecLabels`]): no labels at all; every
 //!   query runs a breadth-first search over the specification graph.
 //!
-//! The crate also provides the two classic tree labelings the paper builds
-//! on: interval labels \[22\] ([`interval`]) used by the static SKL
-//! baseline, and prefix/Dewey labels \[18\] ([`prefix`]) underlying DRL's
-//! entry lists.
+//! The crate also provides the interval tree labels \[22\] ([`interval`])
+//! of the static SKL baseline. DRL's entry lists carry their own
+//! prefix/Dewey labels \[18\] (`wf-drl`).
 
 #![forbid(unsafe_code)]
 
 pub mod bfs;
 pub mod interval;
-pub mod prefix;
 pub mod tcl;
 pub mod traits;
 

@@ -5,7 +5,7 @@
 //! Roy, SIGMOD 2010 \[6\]).
 //!
 //! This is a behaviour-preserving reconstruction (the original is not
-//! publicly available; see DESIGN.md §2.6) with the properties the paper
+//! publicly available) with the properties the paper
 //! measures:
 //!
 //! * **static**: the entire run must be complete before labeling starts
@@ -343,26 +343,9 @@ impl<G: GlobalScheme> SklLabeling<G> {
         Some(self.reaches(self.label(u)?, self.label(v)?))
     }
 
-    /// Total label storage across the run in bits (the §7.4 memory
-    /// comparison against DRL, as one number per completed run). This is
-    /// what a tiering engine records when it re-labels a frozen run with
-    /// SKL to measure the static scheme's compaction.
-    pub fn total_label_bits(&self) -> usize {
-        self.labels
-            .iter()
-            .flatten()
-            .map(|l| l.bit_len(self.global_bits))
-            .sum()
-    }
-
     /// Global skeleton pointer width in bits.
     pub fn global_bits(&self) -> usize {
         self.global_bits
-    }
-
-    /// Total storage of the global skeleton labels (Table 2).
-    pub fn skeleton_bits(&self) -> usize {
-        self.global.total_bits()
     }
 
     /// The global scheme's name ("TCL"/"BFS").
@@ -415,8 +398,6 @@ mod tests {
                 assert_eq!(tcl.reaches_vertices(a, b), bfs.reaches_vertices(a, b));
             }
         }
-        assert_eq!(bfs.skeleton_bits(), 0);
-        assert!(tcl.skeleton_bits() > 0);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bitset;
-pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod ops;

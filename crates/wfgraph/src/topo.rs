@@ -7,7 +7,6 @@
 //! executions of a run, Section 7.1), and an order validator.
 
 use crate::graph::{Graph, VertexId};
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// A deterministic topological order of the live vertices (smallest id
@@ -81,14 +80,6 @@ pub fn is_topological_order(g: &Graph, order: &[VertexId]) -> bool {
         pos[v.idx()] = Some(i);
     }
     g.edges().all(|(u, v)| pos[u.idx()] < pos[v.idx()])
-}
-
-/// A random permutation of the live vertices that is *not* required to be
-/// topological — handy for negative tests.
-pub fn random_permutation<R: Rng>(g: &Graph, rng: &mut R) -> Vec<VertexId> {
-    let mut vs: Vec<VertexId> = g.vertices().collect();
-    vs.shuffle(rng);
-    vs
 }
 
 #[cfg(test)]

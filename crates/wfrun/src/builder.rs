@@ -138,11 +138,6 @@ impl<'s> RunBuilder<'s> {
         self.origin[v.idx()]
     }
 
-    /// Number of composite vertices still present.
-    pub fn composite_remaining(&self) -> usize {
-        self.composite_left
-    }
-
     /// True when the run consists only of atomic vertices, i.e. the graph
     /// is a member of `L(G)` (Definition 7).
     pub fn is_complete(&self) -> bool {
@@ -413,6 +408,15 @@ mod tests {
             b.apply(&DerivationStep {
                 target: l,
                 production: Production::plain(f_impl),
+            })
+            .unwrap_err(),
+            RunError::InvalidProduction
+        );
+        // The start graph is no production body.
+        assert_eq!(
+            b.apply(&DerivationStep {
+                target: l,
+                production: Production::plain(GraphId::START),
             })
             .unwrap_err(),
             RunError::InvalidProduction

@@ -20,10 +20,8 @@ pub mod builder;
 pub mod derivation;
 pub mod execution;
 pub mod generator;
-pub mod parse_tree;
 
 pub use builder::{AppliedStep, RunBuilder};
 pub use derivation::{Derivation, DerivationStep};
 pub use execution::{ExecEvent, Execution};
 pub use generator::{min_expansions, RunGenerator};
-pub use parse_tree::CanonicalParseTree;

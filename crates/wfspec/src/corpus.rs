@@ -8,7 +8,7 @@
 //!   runs are simple paths, admitting a compact *execution-based* scheme
 //!   (Example 15).
 //! * [`bioaid`] — a stand-in for the BioAID workflow of §7.2 with exactly
-//!   the statistics the paper reports (see DESIGN.md §2.7): 11
+//!   the statistics the paper reports: 11
 //!   sub-workflows, average size ≈ 10.5, nesting depth 2, 2 loop modules,
 //!   4 fork modules, one linear recursion of length 2.
 //! * [`bioaid_nonrecursive`] — the same workflow with its recursion
@@ -192,7 +192,7 @@ fn pipeline_body(g: &mut GraphBuilder<'_>, prefix: &str, composites: &[&str], at
     }
 }
 
-/// The BioAID stand-in (§7.2 statistics; DESIGN.md §2.7).
+/// The BioAID stand-in (§7.2 statistics).
 ///
 /// 11 sub-workflows (implementation graphs), average size 10.5, nesting
 /// depth 2, loop modules `L1, L2`, fork modules `F1..F4`, and a linear

@@ -2,7 +2,7 @@
 //! (Definition 6) and its productions.
 
 use crate::analysis::{GrammarAnalysis, RecursionClass};
-use crate::spec::{GraphId, NameClass, Specification};
+use crate::spec::{GraphId, Specification};
 use serde::{Deserialize, Serialize};
 use wf_graph::{NameId, VertexId};
 
@@ -90,54 +90,5 @@ impl<'a> Grammar<'a> {
     /// Nesting depth of sub-workflows (footnote 5).
     pub fn nesting_depth(&self) -> usize {
         self.analysis.nesting_depth()
-    }
-
-    /// Validate that `p` is a member of `P`: single copy for plain heads,
-    /// any positive copy count for loop/fork heads.
-    pub fn is_valid_production(&self, p: Production) -> bool {
-        match self.spec.head(p.body) {
-            None => false, // the start graph is not a production body
-            Some(head) => match self.spec.class(head) {
-                NameClass::Loop | NameClass::Fork => p.copies >= 1,
-                NameClass::Composite => p.copies == 1,
-                NameClass::Atomic => false,
-            },
-        }
-    }
-
-    /// Upper bound on the explicit parse tree depth for linear recursive
-    /// grammars: `2 · |Σ \ Δ|` (Lemma 4.1).
-    pub fn parse_tree_depth_bound(&self) -> usize {
-        2 * self.spec.composite_count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::corpus;
-
-    #[test]
-    fn running_example_productions() {
-        let spec = corpus::running_example();
-        let grammar = spec.grammar();
-        let l = spec.name_id("L").unwrap();
-        let f = spec.name_id("F").unwrap();
-        let a = spec.name_id("A").unwrap();
-        let l_impl = spec.implementations(l)[0];
-        let f_impl = spec.implementations(f)[0];
-        let a_impls = spec.implementations(a);
-        assert!(grammar.is_valid_production(Production::replicated(l_impl, 3)));
-        assert!(grammar.is_valid_production(Production::replicated(f_impl, 2)));
-        assert!(grammar.is_valid_production(Production::plain(a_impls[0])));
-        assert!(!grammar.is_valid_production(Production::replicated(a_impls[0], 2)));
-        assert!(!grammar.is_valid_production(Production::plain(GraphId::START)));
-    }
-
-    #[test]
-    fn depth_bound_matches_lemma() {
-        let spec = corpus::running_example();
-        // |Σ \ Δ| = 5 (L, F, A, B, C) ⇒ bound 10.
-        assert_eq!(spec.grammar().parse_tree_depth_bound(), 10);
     }
 }

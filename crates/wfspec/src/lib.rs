@@ -32,7 +32,6 @@ pub mod grammar;
 pub mod names;
 pub mod randspec;
 pub mod spec;
-pub mod stats;
 pub mod synthetic;
 
 pub use analysis::RecursionClass;
@@ -41,4 +40,3 @@ pub use error::SpecError;
 pub use grammar::Grammar;
 pub use names::NameTable;
 pub use spec::{GraphId, NameClass, Specification};
-pub use stats::SpecStats;

@@ -4,7 +4,7 @@ use crate::error::SpecError;
 use crate::names::NameTable;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use wf_graph::{Graph, NameId, VertexId};
+use wf_graph::{Graph, NameId};
 
 /// Identifier of a graph in `G(S) = {g0} ∪ {h | (A, h) ∈ I}` (§5.1).
 ///
@@ -141,12 +141,6 @@ impl Specification {
             .map(|(i, &a)| (a, GraphId(i as u32 + 1)))
     }
 
-    /// Total number of vertices across `G(S)` — the denominator of the
-    /// skeleton-pointer bit size (`Entry.skl` is a global pointer).
-    pub fn total_spec_vertices(&self) -> usize {
-        self.graphs.iter().map(|g| g.vertex_count()).sum()
-    }
-
     /// `nG`: the maximum size (vertex count) of a specification graph
     /// (Table 1).
     pub fn max_graph_size(&self) -> usize {
@@ -171,11 +165,6 @@ impl Specification {
     /// Run the structural grammar analysis (Section 4.1) directly.
     pub fn analysis(&self) -> crate::analysis::GrammarAnalysis {
         crate::analysis::GrammarAnalysis::new(self)
-    }
-
-    /// Display string for a vertex of a spec graph.
-    pub fn vertex_str(&self, gid: GraphId, v: VertexId) -> String {
-        format!("{}@{}", self.name_str(self.graph(gid).name(v)), gid.0)
     }
 
     /// Structural validation (also run by the builder): every graph is a
@@ -347,7 +336,6 @@ mod tests {
         assert_eq!(spec.implementations(a), &[GraphId(1)]);
         assert_eq!(spec.head(GraphId(1)), Some(a));
         assert_eq!(spec.head(GraphId::START), None);
-        assert_eq!(spec.total_spec_vertices(), 5);
         assert_eq!(spec.max_graph_size(), 3);
         assert_eq!(spec.composite_count(), 1);
     }

@@ -112,7 +112,7 @@ pub mod prelude {
         DrlPredicate, ExecutionLabeler, RecursionMode, ResolutionMode,
     };
     pub use wf_graph::{Graph, NameId, VertexId};
-    pub use wf_run::{CanonicalParseTree, Derivation, ExecEvent, Execution, RunGenerator};
+    pub use wf_run::{Derivation, ExecEvent, Execution, RunGenerator};
     pub use wf_service::{
         CompactionReport, CrossRunQuery, Delta, EngineBuilder, EngineMetrics, ExplainQuery,
         Explained, Health, HistogramSnapshot, QueryProfile, RunHandle, RunId, RunOp, RunStatus,
@@ -121,5 +121,5 @@ pub mod prelude {
     };
     pub use wf_skeleton::{BfsSpecLabels, SpecLabeling, TclSpecLabels};
     pub use wf_skl::{SklBfs, SklLabeling};
-    pub use wf_spec::{RecursionClass, SpecStats, Specification};
+    pub use wf_spec::{RecursionClass, Specification};
 }

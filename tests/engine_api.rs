@@ -532,6 +532,23 @@ fn freeze_preserves_every_answer_and_shrinks_the_footprint() {
 }
 
 #[test]
+fn a_handle_taken_before_the_freeze_still_counts_its_queries() {
+    let engine = engine();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let exec = ingest_run(&engine, run, SpecId(0), 5, 40);
+    let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
+    let hot = engine.handle(run).unwrap();
+    engine.freeze_run(run).unwrap();
+    let frozen = engine.handle(run).unwrap();
+    let before = engine.stats().queries_answered;
+    for _ in 0..10 {
+        assert!(hot.reach(u, v).is_some());
+        assert!(frozen.reach(u, v).is_some());
+    }
+    assert_eq!(engine.stats().queries_answered, before + 20);
+}
+
+#[test]
 fn persist_and_reload_across_engine_lifetimes() {
     let dir = TempDir::new("reload");
     let (run, gen, exec, name) = {

@@ -7,7 +7,6 @@ use rand::SeedableRng;
 use wf_graph::reach::{reaches, ReachOracle};
 use wf_graph::{ops, Graph, NameId, VertexId};
 use wf_provenance::prelude::*;
-use wf_skeleton::prefix::DynamicDewey;
 use wf_skeleton::TclLabels;
 
 fn random_tt(seed: u64, n: usize, density: f64) -> Graph {
@@ -92,37 +91,6 @@ proptest! {
         for a in g.vertices() {
             for b in g.vertices() {
                 prop_assert_eq!(tcl.reaches(a, b), reaches(&g, a, b));
-            }
-        }
-    }
-
-    /// Dewey labels assigned dynamically decide ancestry exactly, for
-    /// random attachment sequences (the prefix scheme [18] underlying
-    /// DRL's index sequences).
-    #[test]
-    fn dynamic_dewey_ancestry(choices in proptest::collection::vec(0usize..6, 1..60)) {
-        let mut t = DynamicDewey::new();
-        let mut parent_of: Vec<Option<usize>> = vec![None];
-        for c in choices {
-            let parent = c % t.len();
-            let node = t.attach(parent);
-            parent_of.push(Some(parent));
-            prop_assert_eq!(node + 1, t.len());
-        }
-        // Ground-truth ancestry by climbing.
-        let is_anc = |a: usize, b: usize| {
-            let mut x = Some(b);
-            while let Some(v) = x {
-                if v == a {
-                    return true;
-                }
-                x = parent_of[v];
-            }
-            false
-        };
-        for a in 0..t.len() {
-            for b in 0..t.len() {
-                prop_assert_eq!(t.label(a).is_ancestor_of(t.label(b)), is_anc(a, b));
             }
         }
     }
