@@ -259,7 +259,7 @@ mod tests {
     }
 
     /// A thread that panicked holding the ring's lock leaves a whole
-    /// ring: recording (as a sampled span does on an ingest worker),
+    /// ring: recording (as a sampled span does on a writing thread),
     /// dumping and counting drops go on, none of them panics.
     #[test]
     fn a_poisoned_ring_still_records_dumps_and_counts_drops() {

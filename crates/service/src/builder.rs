@@ -1,10 +1,10 @@
 //! [`EngineBuilder`]: every engine knob, fixed at construction, and the
 //! `build()` that wires the subsystems together — telemetry, the spill
-//! directory's reloaded history, WAL recovery, the shared state, the
-//! ingest pool and the two background threads, in that order.
+//! directory's reloaded history, WAL recovery, the shared state and the
+//! two background threads, in that order.
 
 use crate::engine::{EngineShared, WfEngine};
-use crate::ingest::{Ingest, IngestPool};
+use crate::ingest::Ingest;
 use crate::lifecycle::{Ticker, TierPolicy, Tiering};
 use crate::recovery::{self, Recovered};
 use crate::spill::SpillDir;
@@ -25,8 +25,7 @@ use wf_wal::WalSync;
 pub struct EngineBuilder {
     contexts: Vec<Arc<SpecContext>>,
     shards: usize,
-    ingest_workers: usize,
-    queue_capacity: usize,
+    wal_shards: usize,
     policy: TierPolicy,
     spill_dir: Option<PathBuf>,
     wal_dir: Option<PathBuf>,
@@ -61,8 +60,7 @@ impl EngineBuilder {
         Self {
             contexts: Vec::new(),
             shards: 16,
-            ingest_workers: parallelism.clamp(1, 8),
-            queue_capacity: 1024,
+            wal_shards: parallelism.clamp(1, 8),
             policy: TierPolicy::default(),
             spill_dir: None,
             wal_dir: None,
@@ -97,18 +95,20 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of persistent ingest workers. Each run is pinned to one
-    /// worker (per-run order), so this bounds cross-run ingest
-    /// parallelism.
+    /// Number of WAL shard files (default: the available parallelism,
+    /// clamped to 1..=8). Each run's records land on one shard, picked
+    /// by a hash of its id; a log written with another count is re-homed
+    /// at recovery. Writes apply on their callers' threads whatever this
+    /// is: ingest parallelism is the number of calling threads.
     pub fn ingest_workers(mut self, n: usize) -> Self {
-        self.ingest_workers = n.max(1);
+        self.wal_shards = n.max(1);
         self
     }
 
-    /// Bounded depth of each worker's event queue — the backpressure
-    /// knob: enqueues block when the target worker is this far behind.
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.queue_capacity = n.max(1);
+    /// Accepted and ignored: ingest has no queue to bound — every write
+    /// applies on its caller's thread. Kept so existing builder chains
+    /// compile.
+    pub fn queue_capacity(self, _n: usize) -> Self {
         self
     }
 
@@ -139,7 +139,7 @@ impl EngineBuilder {
 
     /// **Write-ahead log directory**: every ingest operation — run open,
     /// event, completion — is journaled here *before* it is applied, in
-    /// one append-only shard file per ingest worker. At build time the
+    /// [`Self::ingest_workers`] append-only shard files. At build time the
     /// directory is scanned and surviving runs are replayed back into
     /// the hot tier (crash recovery); a torn tail — the partial record
     /// of an append that was cut mid-write — is truncated away, keeping
@@ -212,8 +212,8 @@ impl EngineBuilder {
 
     /// **Stall watchdog** (default off): spawn a monitor thread that
     /// samples every subsystem's progress watermark each `interval` —
-    /// per-worker queue depth vs applied count, WAL committer flush lag,
-    /// tiering backlog, LRU shed-thrash rate. Violations are promoted
+    /// WAL committer flush lag, tiering backlog, LRU shed-thrash rate,
+    /// subscription drop rate. Violations are promoted
     /// into the trace ring as `stall` events and escalate
     /// [`WfEngine::health`] to `Degraded` after one violating interval
     /// and `Stalled` after two consecutive ones.
@@ -231,8 +231,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Build the engine and start its ingest worker pool (and the
-    /// background tiering worker, when a tiering policy is configured).
+    /// Build the engine and start its background threads: the tiering
+    /// worker and, when configured, the stall watchdog.
     pub fn build(self) -> WfEngine {
         let obs = Arc::new(Telemetry::new(TelemetryConfig {
             enabled: self.telemetry,
@@ -252,8 +252,8 @@ impl EngineBuilder {
         // reopened writer is part of the shared state)…
         let recovered = match &self.wal_dir {
             Some(dir) => {
-                let (workers, sync) = (self.ingest_workers, self.wal_sync);
-                recovery::scan(dir, workers, sync, &obs, &persisted, &self.contexts)
+                let (shards, sync) = (self.wal_shards, self.wal_sync);
+                recovery::scan(dir, shards, sync, &obs, &persisted, &self.contexts)
             }
             None => Recovered::default(),
         };
@@ -270,7 +270,7 @@ impl EngineBuilder {
             subs: SubHub::new(self.sub_queue_capacity),
             next_run: AtomicU64::new(persisted_next.max(recovered.next_run)),
             obs,
-            ingest: Ingest::new(self.ingest_workers),
+            ingest: Ingest::default(),
             tiering: Tiering::new(self.policy),
             spill,
             wal_unavailable: self.wal_dir.is_some() && recovered.wal.is_none(),
@@ -278,13 +278,12 @@ impl EngineBuilder {
             watchdog: Ticker::new(Health::Healthy),
         });
         // …second half: replay the surviving runs into the hot tier
-        // before the ingest pool opens.
+        // before the engine takes its first write.
         recovery::replay(&shared, recovered.replay);
-        let pool = IngestPool::start(&shared, self.queue_capacity);
         Tiering::spawn(&shared);
         if let Some(interval) = self.watchdog {
             watchdog::spawn(&shared, interval);
         }
-        WfEngine { shared, pool }
+        WfEngine { shared }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::builder::EngineBuilder;
 use crate::handle::RunHandle;
-use crate::ingest::{apply_waited, Envelope, Ingest, IngestPool, Op};
+use crate::ingest::{apply_waited, Ingest, Op};
 use crate::lifecycle::Tiering;
 use crate::query::CrossRunQuery;
 use crate::recovery::run_open_payload;
@@ -41,7 +41,7 @@ use wf_wal::{RecordKind, WalWriter};
 /// buggy engine cannot drive a multi-gigabyte table allocation.
 pub const DEFAULT_MAX_VERTEX_ID: u32 = (1 << 24) - 1;
 
-/// Everything the engine, its worker pool, and every outstanding
+/// Everything the engine, its background threads, and every outstanding
 /// [`RunHandle`] share by reference count. This is the `'static` heart
 /// of the v2 API: nothing in here borrows from a caller.
 pub(crate) struct EngineShared {
@@ -55,10 +55,9 @@ pub(crate) struct EngineShared {
     pub(crate) next_run: AtomicU64,
     /// All observability state: counters, histograms, the trace ring.
     pub(crate) obs: Arc<Telemetry>,
-    /// The ingest pipeline's per-worker progress marks, drain flag and
-    /// error ring.
+    /// The drain flag and the error ring of background failures.
     pub(crate) ingest: Ingest,
-    /// The tiering policy, its completion queue and its worker.
+    /// The tiering policy and its worker.
     pub(crate) tiering: Tiering,
     /// The spill directory, when persistence is configured.
     pub(crate) spill: Option<SpillDir>,
@@ -76,16 +75,15 @@ pub(crate) struct EngineShared {
 }
 
 /// Fibonacci hash of a run id — the single routing function shared by
-/// the registry shards and the ingest pool's run→worker pinning, so the
-/// two can never drift apart.
+/// the registry shards and the WAL shards, so the two can never drift
+/// apart.
 pub(crate) fn route_hash(run: RunId) -> u64 {
     run.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
 }
 
-/// The one of `workers` ingest workers `run` is pinned to — and with it
-/// the run's queue, its watermark slot and its WAL shard.
-pub(crate) fn route_worker(run: RunId, workers: usize) -> usize {
-    (route_hash(run) % workers.max(1) as u64) as usize
+/// The one of `shards` WAL shards `run`'s records land on.
+pub(crate) fn route_shard(run: RunId, shards: usize) -> usize {
+    (route_hash(run) % shards.max(1) as u64) as usize
 }
 
 impl EngineShared {
@@ -104,17 +102,10 @@ impl EngineShared {
         self.store.view(run).ok_or(ServiceError::UnknownRun(run))
     }
 
-    /// The WAL shard a run's records land on: the same run→worker
-    /// pinning as the ingest pool. A run's appends happen under its
-    /// writer lock, whichever thread applies, so the shard file sees
-    /// them in apply order.
-    pub(crate) fn wal_shard(&self, run: RunId) -> usize {
-        route_worker(run, self.ingest.marks().len())
-    }
-
     /// Append one record to `run`'s WAL shard (a no-op without a WAL);
     /// `payload` writes the record's payload straight into the shard's
-    /// buffer.
+    /// buffer. A run's appends happen under its writer lock, whichever
+    /// thread applies, so the shard file sees them in apply order.
     pub(crate) fn journal(
         &self,
         run: RunId,
@@ -123,7 +114,8 @@ impl EngineShared {
         payload: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), ServiceError> {
         let Some(wal) = &self.wal else { return Ok(()) };
-        wal.append_with(self.wal_shard(run), kind, run.0, seq, payload)
+        let shard = route_shard(run, wal.shards());
+        wal.append_with(shard, kind, run.0, seq, payload)
             .map_err(|e| ServiceError::Wal(e.to_string()))
     }
 
@@ -145,14 +137,12 @@ impl EngineShared {
 /// crate docs for the architecture.
 pub struct WfEngine {
     pub(crate) shared: Arc<EngineShared>,
-    pub(crate) pool: IngestPool,
 }
 
 impl Drop for WfEngine {
     fn drop(&mut self) {
-        // Dropping the engine is an implicit drain: mark ingest closed
-        // before the pool field's own Drop joins the workers, so
-        // surviving `RunHandle` clones reject writes (queries keep
+        // Dropping the engine is an implicit drain: mark ingest closed,
+        // so surviving `RunHandle` clones reject writes (queries keep
         // working off the reference-counted slots).
         self.shared.ingest.close();
         self.shared.watchdog.stop();
@@ -217,7 +207,7 @@ impl WfEngine {
         let slot = RunSlot::open(Arc::clone(ctx), spec, resolution, 1)
             .map_err(|e| ServiceError::Labeler(run, e))?;
         // Journal the open before the run becomes visible: the `RunOpen`
-        // record (seq 0) happens-before any event enqueue, so recovery
+        // record (seq 0) happens-before any event of the run, so recovery
         // always finds it ahead of the run's events.
         self.shared.journal(run, RecordKind::RunOpen, 0, |out| {
             run_open_payload(out, spec, resolution);
@@ -227,60 +217,48 @@ impl WfEngine {
         Ok(run)
     }
 
-    /// **Pipelined ingest**: route one event into the worker pool and
-    /// return as soon as it is enqueued. Per-run order is preserved
-    /// (each run is pinned to one worker's FIFO queue); the bounded
-    /// queue applies backpressure by blocking the enqueue when the
-    /// worker is saturated. Failures discovered when the event is
-    /// applied are recorded on the run (status, counters) and retained
-    /// for [`Self::take_ingest_errors`]; use [`Self::flush`] as a
-    /// barrier, or the blocking [`Self::submit`] when you need the
-    /// per-event result.
+    /// **Ingest** one op — an insertion event or the run's completion —
+    /// applying it on the calling thread and returning its outcome, like
+    /// [`Self::submit`] / [`Self::complete_run`]: once this returns `Ok`,
+    /// the event's label is published and visible to [`Self::reach`].
+    /// The run's writer lock orders it against every other write of the
+    /// run; writes to different runs from different threads proceed in
+    /// parallel, so more cores are used by more calling threads. A panic
+    /// while applying is [`ServiceError::WorkerPanicked`], not an unwind
+    /// into the caller. [`Self::flush`] makes what was ingested durable.
     pub fn ingest(&self, event: ServiceEvent) -> Result<(), ServiceError> {
-        self.shared.ingest.check_open()?;
-        let slot = self.shared.slot(event.run)?;
-        self.pool
-            .enqueue(&self.shared, Envelope::new(event.run, slot, event.op))
+        self.write(event.run, Op::from(&event.op))
     }
 
     /// Apply one insertion event to one run, **blocking** until it is
-    /// applied — on the calling thread, after the run's worker has
-    /// settled every envelope enqueued before the call, so the event is
-    /// ordered after the run's earlier [`Self::ingest`]s. The v1 API
-    /// surface. A panic while applying is
-    /// [`ServiceError::WorkerPanicked`], not an unwind into the caller.
-    /// Not counted in [`ServiceStats::events_enqueued`]: nothing is
-    /// queued.
+    /// applied, on the calling thread — [`Self::ingest`] of a borrowed
+    /// event. The v1 API surface.
     pub fn submit(&self, run: RunId, ev: &ExecEvent) -> Result<(), ServiceError> {
-        self.blocking(run, Op::Insert(ev))
+        self.write(run, Op::Insert(ev))
     }
 
-    /// Mark a run complete, blocking, applied like [`Self::submit`]: on
-    /// the calling thread, ordered after every previously enqueued event
-    /// of the run. Its labels stay queryable.
+    /// Mark a run complete, applied like [`Self::submit`]: on the
+    /// calling thread, after every write of the run that returned before
+    /// the call. Its labels stay queryable.
     pub fn complete_run(&self, run: RunId) -> Result<(), ServiceError> {
-        self.blocking(run, Op::Complete)
+        self.write(run, Op::Complete)
     }
 
-    /// Both blocking writes: settle the run's worker, then apply.
-    fn blocking(&self, run: RunId, op: Op<'_>) -> Result<(), ServiceError> {
+    /// Every single-op write: resolve the run's slot, then apply.
+    fn write(&self, run: RunId, op: Op<'_>) -> Result<(), ServiceError> {
         self.shared.ingest.check_open()?;
         let slot = self.shared.slot(run)?;
-        let workers = self.shared.ingest.marks().len();
-        self.shared.ingest.flush([route_worker(run, workers)]);
         apply_waited(&self.shared, run, &slot, op)
     }
 
-    /// Apply a batch of events, **blocking**, on the calling thread: the
-    /// workers the batch's runs are pinned to settle what was enqueued
-    /// before the call, once, then the ops apply in batch order, so
-    /// **per-run order is preserved**. Failures are per-run: one run's
-    /// fatal event skips that run's remaining ops in the batch but
-    /// never the others' (an out-of-bounds vertex id is rejected alone
-    /// and the run goes on), and the failed run keeps serving queries
-    /// over already-published labels. One call applies on one thread:
-    /// for distinct runs ingesting in parallel, use [`Self::ingest`] +
-    /// [`Self::flush`] or several callers.
+    /// Apply a batch of events, **blocking**, on the calling thread, in
+    /// batch order, so **per-run order is preserved**. Failures are
+    /// per-run: one run's fatal event skips that run's remaining ops in
+    /// the batch but never the others' (an out-of-bounds vertex id is
+    /// rejected alone and the run goes on), and the failed run keeps
+    /// serving queries over already-published labels. One call applies
+    /// on one thread: for distinct runs ingesting in parallel, call
+    /// [`Self::ingest`] or this from several threads.
     pub fn submit_batch(&self, events: &[ServiceEvent]) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
         if self.shared.ingest.check_open().is_err() {
@@ -306,11 +284,6 @@ impl WfEngine {
                     }
                 });
         }
-        // Settle the workers the live runs are pinned to, once.
-        let workers = self.shared.ingest.marks().len();
-        let live = slots.iter().filter(|(_, slot)| slot.is_some());
-        let touched = live.map(|(&run, _)| route_worker(RunId(run), workers));
-        self.shared.ingest.flush(touched);
         for ev in events {
             let Some(Some(slot)) = slots.get(&ev.run.0) else {
                 continue;
@@ -328,43 +301,32 @@ impl WfEngine {
         outcome
     }
 
-    /// **Watermark barrier**: block until every event enqueued before
-    /// this call has been applied (or rejected) by the worker it is
-    /// pinned to. Returns the applied watermark, summed over the
-    /// workers — always ≥ the number of events enqueued before the call.
-    pub fn flush(&self) -> u64 {
+    /// **Durability barrier**: force every WAL record appended before
+    /// this call to disk in one group-commit pass (a no-op without a
+    /// WAL). Every write that returned before the call was journaled
+    /// before it was applied, so what is visible is durable once this
+    /// returns. A failed sync goes to [`Self::take_ingest_errors`].
+    pub fn flush(&self) {
         let obs = &self.shared.obs;
         obs.flushes.inc();
         let span = obs.timer();
-        let ingest = &self.shared.ingest;
-        let watermark = ingest.flush(0..ingest.marks().len());
-        // Durability barrier: every event applied below the watermark was
-        // appended to the WAL *before* it was applied (write-ahead order),
-        // so one group-commit fsync here makes the whole prefix durable.
         self.shared.wal_barrier();
-        obs.finish(span, &obs.h_flush_wait, None, None, || {
-            format!("watermark={watermark}")
-        });
-        watermark
+        obs.finish(span, &obs.h_flush_wait, None, None, String::new);
     }
 
-    /// **Graceful shutdown of the ingest pool**: stop accepting events,
-    /// let the workers finish everything already queued, and join them.
-    /// Queries — per-run handles and the cross-run surface — keep
-    /// working after a drain; only ingest is closed
+    /// **Graceful shutdown of ingest**: stop accepting writes, force the
+    /// log's tail to disk, stop the tiering worker and run one last
+    /// tiering pass. Queries — per-run handles and the cross-run surface
+    /// — keep working after a drain; only ingest is closed
     /// ([`ServiceError::ShuttingDown`]). Dropping the engine drains
     /// implicitly.
     pub fn drain(&mut self) {
         self.shared.ingest.close();
-        self.pool.shutdown();
-        // The workers are gone, so the WAL has seen its last event
-        // append: force the tail to disk before reporting drained.
         self.shared.wal_barrier();
         self.shared.tiering.stop();
-        // One final policy pass on this thread, after the ingest pool
-        // and the worker have both stopped: runs completed by the
-        // draining workers deterministically tier out (the worker's own
-        // last pass can race the stop flag); queries keep working after.
+        // One final policy pass on this thread, after the worker has
+        // stopped: runs completed just before the drain deterministically
+        // tier out (the worker's own last pass can race the stop flag).
         self.shared.apply_tier_policy();
     }
 
@@ -373,9 +335,10 @@ impl WfEngine {
         self.shared.ingest.check_open().is_err()
     }
 
-    /// Drain and return the failures recorded by the fire-and-forget
-    /// ingest path since the last call (bounded ring; oldest dropped
-    /// first).
+    /// Drain and return the failures no caller was handed since the last
+    /// call: the background tiering worker's, and the log's barrier and
+    /// checkpoint failures (bounded ring; oldest dropped first). A write's
+    /// own failure is returned by the write.
     pub fn take_ingest_errors(&self) -> Vec<(RunId, ServiceError)> {
         self.shared.ingest.take_errors()
     }
@@ -383,8 +346,8 @@ impl WfEngine {
     /// Drop a run's state entirely (registry eviction, from whichever
     /// tier holds it). Outstanding [`RunHandle`]s keep their
     /// reference-counted state alive until dropped and may continue
-    /// *querying* published labels, but writes through them — and events
-    /// already queued in the pool — are rejected with
+    /// *querying* published labels, but writes through them — and writes
+    /// that resolved the run before the eviction — are rejected with
     /// [`RunStatus::Evicted`]: an eviction must not let anything keep
     /// ingesting into state no new lookup can reach. New lookups fail
     /// with [`ServiceError::UnknownRun`]. The eviction is durable in
@@ -603,17 +566,13 @@ impl WfEngine {
             .map(|spill| spill.file_stats(&registrations(store)))
             .unwrap_or_default();
         let obs = &self.shared.obs;
-        let (enqueued, applied) = self.shared.ingest.watermarks();
         ServiceStats {
             runs_opened: obs.runs_opened.get(),
             runs_live: live,
             runs_completed: obs.runs_completed.get(),
             runs_failed: obs.runs_failed.get(),
-            events_enqueued: enqueued,
             events_ingested: obs.events_ingested.get(),
-            ingest_backlog: enqueued.saturating_sub(applied),
             flushes: obs.flushes.get(),
-            ingest_workers: self.shared.ingest.marks().len() as u64,
             queries_answered,
             labels_published,
             labels_hot,

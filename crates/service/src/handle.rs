@@ -106,13 +106,11 @@ impl RunHandle {
         answer
     }
 
-    /// Apply one insertion event **synchronously**, on the calling
-    /// thread — the lowest-latency ingest path for a caller that is
-    /// itself the run's single writer. It is the engine's blocking
-    /// [`crate::WfEngine::submit`] without the wait for the run's worker,
-    /// so do not mix it with pipelined [`crate::WfEngine::ingest`] for the
-    /// same run unless you order the two yourself (e.g. with a `flush`
-    /// between them). A panic while applying is
+    /// Apply one insertion event on the calling thread — the engine's
+    /// [`crate::WfEngine::ingest`] / [`crate::WfEngine::submit`] without
+    /// the registry lookup, so the cheapest write for a caller that keeps
+    /// a handle per run. Ordered against every other write of the run by
+    /// its writer lock. A panic while applying is
     /// [`ServiceError::WorkerPanicked`], not an unwind. Rejected with
     /// [`ServiceError::ShuttingDown`] once the engine has drained:
     /// "ingest is closed" covers every flavor, including this one.
@@ -122,16 +120,17 @@ impl RunHandle {
         self.write(Op::Insert(ev))
     }
 
-    /// Mark the run complete, synchronously (see [`Self::submit`] for
-    /// ordering with the pipelined path and drain behavior).
+    /// Mark the run complete on the calling thread, after every write of
+    /// the run that returned before the call (see [`Self::submit`] for
+    /// drain behavior).
     pub fn complete(&self) -> Result<(), ServiceError> {
         self.write(Op::Complete)
     }
 
-    /// Both synchronous writes: the door of every write whose caller
-    /// waits — admitted, journaled and applied under the run's writer
-    /// lock, so a `complete()` here racing a pooled insert of the same
-    /// run orders log and memory identically.
+    /// Both writes: the engine's one door for a live write — admitted,
+    /// journaled and applied under the run's writer lock, so a
+    /// `complete()` here racing an insert of the same run from another
+    /// thread orders log and memory identically.
     fn write(&self, op: Op<'_>) -> Result<(), ServiceError> {
         self.shared.ingest.check_open()?;
         let RunView::Hot(slot) = &self.view else {

@@ -12,17 +12,14 @@
 //! * a [`WfEngine`] owns its specification catalog as
 //!   `Arc<SpecContext>`s (no borrowed lifetime infecting callers) and a
 //!   **sharded run registry** mapping [`RunId`]s to live labeling state;
-//! * the **ingest path** is a persistent, channel-fed **worker pool**
-//!   with bounded queues and backpressure: [`WfEngine::ingest`] enqueues
-//!   a [`ServiceEvent`] and returns immediately, [`WfEngine::flush`] is
-//!   a watermark barrier, and [`WfEngine::drain`] shuts the pool down
-//!   gracefully (per-run event order is always preserved: one run is
-//!   pinned to one worker's FIFO queue). A write whose caller waits —
-//!   the blocking [`WfEngine::submit`] / [`WfEngine::submit_batch`] /
-//!   [`WfEngine::complete_run`], and [`RunHandle::submit`] — is applied
-//!   on the caller's thread instead, once the run's worker has settled
-//!   what was enqueued before it; the run's writer lock orders it
-//!   against every other write of the run;
+//! * the **ingest path** is the caller's own thread: [`WfEngine::ingest`]
+//!   applies a [`ServiceEvent`] — journal, label, publish — and returns
+//!   its outcome, as do [`WfEngine::submit`] / [`WfEngine::submit_batch`]
+//!   / [`WfEngine::complete_run`] and [`RunHandle::submit`]. The run's
+//!   writer lock orders each write against every other write of the run,
+//!   so a run's order is its writers' program order and more cores are
+//!   used by more calling threads; [`WfEngine::flush`] is the WAL's
+//!   durability barrier and [`WfEngine::drain`] closes ingest;
 //! * the **query path** is lock-free: every applied insertion publishes
 //!   the vertex's immutable label into a write-once
 //!   [`index::LabelIndex`] as one cell — its name, the slot of its
@@ -48,7 +45,7 @@
 //!   [`WfEngine::reheat_run`] loads a persisted run's frame if it is
 //!   absent and holds it;
 //! * [`WfEngine::stats`] reports engine-level activity (runs live and
-//!   completed, events enqueued/ingested, ingest backlog, label bits)
+//!   completed, events ingested, label bits)
 //!   plus the per-tier byte footprints
 //!   ([`ServiceStats::tier_footprint_json`]).
 //!
@@ -60,10 +57,10 @@
 //! // The engine owns its catalog: specification + skeleton labels.
 //! let engine: WfEngine = WfEngine::builder()
 //!     .spec(wf_spec::corpus::running_example())
-//!     .ingest_workers(2)
 //!     .build();
 //!
-//! // Open two runs and stream their events through the worker pool.
+//! // Open two runs and stream their events in; each `ingest` applies
+//! // the event on this thread before it returns.
 //! let spec = wf_service::SpecId(0);
 //! let (a, b) = (engine.open_run(spec).unwrap(), engine.open_run(spec).unwrap());
 //! let mut rng = StdRng::seed_from_u64(7);
@@ -78,9 +75,6 @@
 //!         engine.ingest(ServiceEvent { run, op: RunOp::Insert(ev.clone()) }).unwrap();
 //!     }
 //! }
-//! // Watermark barrier: everything enqueued above is now applied.
-//! engine.flush();
-//!
 //! // Query mid-service: constant-time reachability from labels alone,
 //! // through a cloneable handle that owns everything it needs.
 //! let h = engine.handle(a).unwrap();
@@ -270,13 +264,13 @@ pub enum ServiceError {
     VertexOutOfBounds(RunId, VertexId),
     /// The underlying labeler rejected an event.
     Labeler(RunId, ExecError),
-    /// The ingest pool has been drained ([`WfEngine::drain`]); no new
-    /// events are accepted. Queries keep working.
+    /// Ingest has been closed ([`WfEngine::drain`], or the engine was
+    /// dropped); no new events are accepted. Queries keep working.
     ShuttingDown,
     /// A writer panicked applying an event of this run: this op's own
-    /// apply — on a pool worker, or on the thread of a caller who waits
-    /// for it, which gets this error instead of the unwind — or an
-    /// earlier one that left the run's writer lock poisoned. The op did
+    /// apply — on the caller's thread, which gets this error instead of
+    /// the unwind — or an earlier one that left the run's writer lock
+    /// poisoned. The op did
     /// not complete, the run is `Failed` (its labeler state cannot be
     /// trusted), and it can still be evicted; published labels remain
     /// queryable.
@@ -327,10 +321,10 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Labeler(r, e) => write!(f, "{r}: {e}"),
             ServiceError::ShuttingDown => {
-                write!(f, "the ingest pool is drained; no new events are accepted")
+                write!(f, "ingest is closed; no new events are accepted")
             }
             ServiceError::WorkerPanicked(r) => {
-                write!(f, "{r}: the ingest worker panicked applying the event")
+                write!(f, "{r}: a writer panicked applying the event")
             }
             ServiceError::NotCompleted(r, s) => {
                 write!(f, "{r} is {s:?}; only completed runs can be frozen")

@@ -25,7 +25,7 @@
 //! handle. The worker keeps no record of its own: the registry says
 //! which runs are completed and hot, and each slot when it completed.
 
-use crate::engine::EngineShared;
+use crate::engine::{route_shard, EngineShared};
 use crate::freeze::freeze_slot;
 use crate::store::{RunView, Tier};
 use crate::{RunId, RunStatus, ServiceError};
@@ -251,7 +251,7 @@ impl EngineShared {
     /// run's records. A failure goes to the error ring.
     pub(crate) fn checkpoint_wal(&self, run: RunId) {
         if let Some(wal) = &self.wal {
-            if let Err(e) = wal.checkpoint(self.wal_shard(run), run.0) {
+            if let Err(e) = wal.checkpoint(route_shard(run, wal.shards()), run.0) {
                 self.ingest
                     .push_error(run, ServiceError::Wal(e.to_string()));
             }

@@ -158,7 +158,7 @@ impl<'e> CrossRunQuery<'e> {
     fn scan<T>(&self, mut per_view: impl FnMut(RunId, &RunView) -> Option<T>) -> Vec<T> {
         let obs = &self.shared.obs;
         let root = obs.begin();
-        let trace_id = root.ctx.trace;
+        let trace_id = root.span;
         let snap_start = obs.timer();
         let views = self.views();
         let snapshot_ns = snap_start.elapsed_ns();
@@ -286,8 +286,8 @@ impl<'e> CrossRunQuery<'e> {
     /// methods, but every answer comes back wrapped in [`Explained`]
     /// with a [`QueryProfile`] of what the scan actually paid for —
     /// runs per tier, bufmgr pins, and wall time per stage. Like the
-    /// plain query it scans what is applied; a caller that wants the
-    /// events it enqueued counted calls [`crate::WfEngine::flush`] first.
+    /// plain query it scans what is applied — every write that returned
+    /// before the call.
     pub fn explain(self) -> ExplainQuery<'e> {
         ExplainQuery(self)
     }

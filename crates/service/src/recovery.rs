@@ -8,7 +8,7 @@
 //! log rewrite ([`WalWriter::reset`] — the reopened log holds exactly
 //! what the rebuilt engine holds hot, plus the runs of specs beyond its
 //! catalog — or too wide for its hot cells — carried verbatim, re-homed
-//! if the worker count changed), the replay itself, and the `RunOpen`
+//! if the shard count changed), the replay itself, and the `RunOpen`
 //! payload codec both sides of a lifetime boundary must agree on. Replay applies events
 //! through [`crate::ingest::apply`] like every other write, with an
 //! empty journal step: the records are already in the rewritten log.
@@ -26,7 +26,7 @@
 //! byte: the scan fails before the rewrite, and the rewrite checks every
 //! file it would replace.
 
-use crate::engine::{route_worker, EngineShared};
+use crate::engine::{route_shard, EngineShared};
 use crate::ingest::{apply, Entry, Op};
 use crate::slot::RunSlot;
 use crate::snapshot::SealedRun;
@@ -158,10 +158,10 @@ fn decode_run(
 /// Scan the WAL directory: decode surviving runs for replay, then
 /// rewrite the log so it holds exactly those runs plus, verbatim, the
 /// runs of specs beyond this catalog or too wide for it (checkpointed
-/// history dropped, records re-homed onto `workers` shards).
+/// history dropped, records re-homed onto `shards` files).
 pub(crate) fn scan(
     dir: &Path,
-    workers: usize,
+    shards: usize,
     sync: WalSync,
     obs: &Arc<Telemetry>,
     persisted: &[Arc<SealedRun>],
@@ -216,11 +216,11 @@ pub(crate) fn scan(
     }
     match WalWriter::reset(
         dir,
-        workers,
+        shards,
         sync,
         Box::new(WalTelemetry(Arc::clone(obs))),
         &survivors,
-        |run| route_worker(RunId(run), workers),
+        |run| route_shard(RunId(run), shards),
     ) {
         Ok(wal) => out.wal = Some(wal),
         Err(e) => {
@@ -241,8 +241,8 @@ pub(crate) fn scan(
     out
 }
 
-/// Replay the scanned runs into the hot tier, before the ingest pool
-/// opens.
+/// Replay the scanned runs into the hot tier, before the engine takes
+/// its first write.
 pub(crate) fn replay(shared: &EngineShared, runs: Vec<ReplayRun>) {
     let obs = &shared.obs;
     for r in runs {

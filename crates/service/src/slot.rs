@@ -15,7 +15,6 @@
 //! insert returns is moved into [`LabelIndex`], the run's only copy.
 
 use crate::index::LabelIndex;
-use crate::ingest::LineCounter;
 use crate::{RunId, RunStatus, ServiceError, SpecContext, SpecId};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -27,12 +26,13 @@ use wf_run::ExecEvent;
 /// lock-free published-label index the query path reads.
 ///
 /// Cache-line aligned, which puts the slot's data a full line past the
-/// `Arc` header it lives behind. Every pooled event clones that `Arc`
-/// on the producer thread and drops it on the worker, so the reference
-/// counts must not share a line with the writer lock and the labeler
-/// state the worker is busy in; which fields land next to the header is
-/// otherwise the compiler's choice (measured, together with
-/// [`crate::ingest::LineCounter`]: −8 % solo-ingest events/s without).
+/// `Arc` header it lives behind. Every write's registry lookup and every
+/// handle clone bumps that header's reference counts, from whichever
+/// thread holds it, so they must not share a line with the writer lock
+/// and the labeler state a writing thread is busy in; which fields land
+/// next to the header is otherwise the compiler's choice (measured, with
+/// [`LineCounter`], while writes crossed threads: −8 % solo-ingest
+/// events/s without).
 #[repr(align(64))]
 pub(crate) struct RunSlot {
     pub(crate) spec: SpecId,
@@ -54,12 +54,37 @@ pub(crate) struct RunSlot {
     pub(crate) queries: Arc<LineCounter>,
     /// Next WAL sequence number for this run (0 is the `RunOpen`
     /// record). Monotone per run; recovery replays in this order, so
-    /// the numbers align with the flush watermark: everything appended
-    /// before a barrier is durably replayable after it.
+    /// everything appended before a barrier is durably replayable after
+    /// it.
     pub(crate) wal_seq: AtomicU64,
     /// Where the run's completion falls in the engine's completion
     /// order (a tick of [`COMPLETIONS`]); 0 while it has not completed.
     completion: AtomicU64,
+}
+
+/// A counter on a cache line of its own: a run's query count, bumped by
+/// every `reach` beside the writer's stores to its slot. Left to share a
+/// line with whatever the allocator places next to it, each bump
+/// invalidates the writing thread's line (measured while writes crossed
+/// threads, together with the alignment of [`RunSlot`]: −8 % solo-ingest
+/// events/s without, in or out depending on nothing but field order and
+/// where `malloc` put the struct).
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct LineCounter(AtomicU64);
+
+impl LineCounter {
+    pub(crate) fn new() -> Self {
+        Self(AtomicU64::new(0))
+    }
+}
+
+impl std::ops::Deref for LineCounter {
+    type Target = AtomicU64;
+
+    fn deref(&self) -> &AtomicU64 {
+        &self.0
+    }
 }
 
 /// The completion clock: every completion takes the next tick, so the
@@ -189,13 +214,6 @@ impl RunSlot {
     pub(crate) fn completion(&self) -> Option<u64> {
         // The `Acquire` status load sees the tick stored before it.
         (self.status() == RunStatus::Completed).then(|| self.completion.load(Ordering::Relaxed))
-    }
-
-    /// Hold the writer lock, as an apply in progress would: how the
-    /// watchdog's test wedges the worker this run is pinned to.
-    #[cfg(test)]
-    pub(crate) fn hold_writer(&self) -> MutexGuard<'_, Option<ExecutionState>> {
-        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Mark the run `Evicted`, serialized with any in-flight insert. A

@@ -72,7 +72,7 @@
 //! borrows the frame, and the replacer only ever *tries* it. Eviction, a
 //! sealed run's only exit, is settled under that lock too.
 
-use crate::ingest::LineCounter;
+use crate::slot::LineCounter;
 use crate::store::{SegmentLru, Tier};
 use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};

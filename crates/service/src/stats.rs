@@ -28,28 +28,12 @@ pub struct ServiceStats {
     pub runs_completed: u64,
     /// Runs whose ingestion hit an error.
     pub runs_failed: u64,
-    /// Envelopes handed to the ingest worker pool by
-    /// [`crate::WfEngine::ingest`] (inserts and completions, successful
-    /// or not) — the queue's input side, summed over the per-worker
-    /// `enqueued` marks. A write whose caller waits (`submit`,
-    /// `complete_run`, `submit_batch`, [`crate::RunHandle::submit`]) is
-    /// applied on the caller's thread and never queued, so it shows up
-    /// in `events_ingested` only.
-    pub events_enqueued: u64,
     /// Insertion events successfully applied across all runs. Every
-    /// write — pooled, synchronous, or replayed from the WAL at build
-    /// time — goes through the one apply body that counts here.
+    /// write — live, on its caller's thread, or replayed from the WAL at
+    /// build time — goes through the one apply body that counts here.
     pub events_ingested: u64,
-    /// Envelopes enqueued but not yet settled by their worker — the
-    /// live depth of the queues: `events_enqueued` minus the sum of the
-    /// per-worker `applied` marks (the same ledger `flush()` waits on
-    /// and the watchdog samples). Fire-and-forget envelopes only: a
-    /// blocking write is never queued, so it never counts here.
-    pub ingest_backlog: u64,
-    /// Watermark barriers taken ([`crate::WfEngine::flush`]).
+    /// Durability barriers taken ([`crate::WfEngine::flush`]).
     pub flushes: u64,
-    /// Persistent ingest workers in the pool.
-    pub ingest_workers: u64,
     /// Reachability queries served, summed over currently-registered
     /// runs of every tier (counted per run so the query hot path never
     /// contends on an engine-wide cache line; evicting a run drops its
@@ -178,7 +162,7 @@ impl ServiceStats {
     /// value)` — declared here and nowhere else: both renderings take
     /// these rows from a snapshot, so an exported gauge cannot disagree
     /// with the field it names.
-    pub fn gauges(&self) -> [wf_obs::GaugeRow; 9] {
+    pub fn gauges(&self) -> [wf_obs::GaugeRow; 8] {
         [
             ("wf_runs_hot", "runs in the hot tier", self.runs_hot),
             (
@@ -190,11 +174,6 @@ impl ServiceStats {
                 "wf_runs_persisted",
                 "runs in the persisted tier",
                 self.runs_persisted,
-            ),
-            (
-                "wf_ingest_backlog",
-                "enqueued-but-unapplied envelopes",
-                self.ingest_backlog,
             ),
             (
                 "wf_hot_bytes",
@@ -264,9 +243,8 @@ impl std::fmt::Display for ServiceStats {
             f,
             "runs: {} live / {} completed / {} failed (of {} opened); \
              tiers: {} hot ({} B) / {} frozen ({} B) / {} persisted ({} B); \
-             events: {} applied ({:.0}/s lifetime; \
-             pool: {} enqueued, backlog {}); \
-             workers: {}; queries: {}; labels: {} ({:.1} bits avg)",
+             events: {} applied ({:.0}/s lifetime); \
+             queries: {}; labels: {} ({:.1} bits avg)",
             self.runs_live,
             self.runs_completed,
             self.runs_failed,
@@ -279,9 +257,6 @@ impl std::fmt::Display for ServiceStats {
             self.persisted_bytes,
             self.events_ingested,
             self.events_per_sec(),
-            self.events_enqueued,
-            self.ingest_backlog,
-            self.ingest_workers,
             self.queries_answered,
             self.labels_published,
             self.avg_label_bits(),

@@ -32,7 +32,7 @@
 //! overflow); dropped deltas surface as a typed [`Delta::Lagged`] at the
 //! next receive, with exact accounting (`delivered + dropped ==
 //! produced`). Registration races are closed by lock ordering: the
-//! registry `RwLock` totally orders an ingest worker's fan-out against
+//! registry `RwLock` totally orders a writer's fan-out against
 //! `subscribe`'s insert, so a notify that misses a new subscriber
 //! happens-before that subscriber's catch-up scan — which then reads the
 //! already-published label. Both firing is harmless: the matcher's
@@ -57,10 +57,10 @@
 //!
 //! ## A panic costs one subscription
 //!
-//! The fan-outs run on ingest workers, on the evicting thread and on the
-//! subscribing thread — entered under no store lock — so nothing here
-//! may panic on a poisoned lock: that would turn one subscription's
-//! fault into a worker reporting `WorkerPanicked` for an event that
+//! The fan-outs run on writing threads, on the evicting thread and on
+//! the subscribing thread — entered under no store lock — so nothing
+//! here may panic on a poisoned lock: that would turn one subscription's
+//! fault into a write reporting `WorkerPanicked` for an event that
 //! *was* applied. A
 //! poisoned per-subscription lock (`state`, `queue`) means a thread
 //! panicked part-way through that subscription's matcher or queue, so
@@ -683,7 +683,7 @@ pub(crate) struct SubHub {
     /// relaxed load of this when nobody subscribes.
     active: Arc<AtomicUsize>,
     /// Union of every registered predicate's name bits
-    /// ([`PredKind::interest_bits`]). Ingest workers test one read-only
+    /// ([`PredKind::interest_bits`]). Writing threads test one read-only
     /// relaxed load against this before touching `registry` — unlike the
     /// RwLock's state word, a load that never writes stays Shared in
     /// every core's cache, so idle subscriptions cost no coherence
@@ -980,7 +980,7 @@ mod tests {
 
     /// A thread that panicked under one subscription's `state` or
     /// `queue` lock costs that subscription — closed, its stream ended —
-    /// and nothing else: every fan-out (on an ingest worker, on the
+    /// and nothing else: every fan-out (on a writing thread, on the
     /// evicting thread, on the subscribing thread) returns, the events
     /// and the eviction behind them succeed, and sibling subscriptions
     /// keep receiving their deltas. A tier move is not a fan-out at all.
@@ -1020,8 +1020,8 @@ mod tests {
             sub.is_closed() && std::iter::from_fn(|| sub.recv()).count() <= named.len()
         };
 
-        // notify_insert, on the ingest worker: every event is applied
-        // and counted, none is reported as a worker panic.
+        // notify_insert, on the writing thread: every event is applied
+        // and counted, none is reported as a writer panic.
         let victim = poisoned();
         let run = engine.open_run(SpecId(0)).unwrap();
         for ev in exec.events() {

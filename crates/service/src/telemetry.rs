@@ -15,9 +15,9 @@
 //!   sub-µs hot paths — the ~40 ns reachability probe, the
 //!   few-hundred-ns ingest apply and the subscription notify behind it —
 //!   are *sampled* (1 in 64), which is what makes that clock affordable
-//!   there: a sampled pooled ingest reads it four times (the producer's
-//!   enqueue span and the worker's apply span), so ≤ 4 reads per 64
-//!   events; the other 63 pay one branch and a thread-local increment.
+//!   there: a sampled ingest reads it twice (its apply span), so 2 reads
+//!   per 64 events; the other 63 pay one branch and a thread-local
+//!   increment.
 //!
 //! Point-in-time values are not kept here: their one home is
 //! [`crate::ServiceStats`], whose `gauges()` table the exporters render.
@@ -37,35 +37,13 @@ thread_local! {
     static REACH_SAMPLE: Cell<u32> = const { Cell::new(0) };
     static APPLY_SAMPLE: Cell<u32> = const { Cell::new(0) };
     static NOTIFY_SAMPLE: Cell<u32> = const { Cell::new(0) };
-    /// The span the current thread is executing under; [`SpanCtx::NONE`]
-    /// outside any span. Child spans and leaf trace events read this for
-    /// parentage; [`Telemetry::begin_under`] seeds it across thread
-    /// boundaries (e.g. an enqueue's context riding the ingest envelope
-    /// into the worker).
-    static CURRENT_SPAN: Cell<SpanCtx> = const { Cell::new(SpanCtx::NONE) };
+    /// The id of the root span the current thread is executing under —
+    /// its trace's id too — or 0 outside any span. Leaf trace events read
+    /// this for parentage.
+    static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
     /// The query profile being filled in by an EXPLAIN run on this
     /// thread, if any. Frame-load hooks accumulate into it.
     static PROFILE: RefCell<Option<QueryProfile>> = const { RefCell::new(None) };
-}
-
-/// A propagable causal context: the trace (root span) id plus the id of
-/// the span currently in scope. `Copy` and two words, so it rides
-/// channel envelopes across threads for free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SpanCtx {
-    /// Root span id shared by every event in the causal tree; 0 = none.
-    pub trace: u64,
-    /// Innermost open span id; 0 = none.
-    pub span: u64,
-}
-
-impl SpanCtx {
-    pub const NONE: SpanCtx = SpanCtx { trace: 0, span: 0 };
-
-    #[inline]
-    pub fn is_none(self) -> bool {
-        self.span == 0
-    }
 }
 
 /// Advance one per-thread sampling counter; true on every 64th tick.
@@ -76,42 +54,41 @@ fn sample_tick(counter: &Cell<u32>) -> bool {
     n & SAMPLE_MASK == 0
 }
 
-/// The span context the calling thread is currently under.
+/// The span the calling thread is currently under (0: none).
 #[inline]
-pub(crate) fn current_span() -> SpanCtx {
+pub(crate) fn current_span() -> u64 {
     CURRENT_SPAN.with(Cell::get)
 }
 
-/// Put back a context saved with [`current_span`]: a panic unwinds past
-/// [`Telemetry::finish`], so whoever catches it restores the context the
-/// dead span left installed.
-pub(crate) fn set_current_span(ctx: SpanCtx) {
-    CURRENT_SPAN.with(|c| c.set(ctx));
+/// Put back a span saved with [`current_span`]: a panic unwinds past
+/// [`Telemetry::finish`], so whoever catches it restores the span the
+/// dead one left installed.
+pub(crate) fn set_current_span(span: u64) {
+    CURRENT_SPAN.with(|c| c.set(span));
 }
 
-/// An open span: its start time and, for one opened by
-/// [`Telemetry::begin`] / [`Telemetry::begin_under`], its identity and
-/// the context it replaced (restored on [`Telemetry::finish`]). A *leaf*
+/// An open span: its start time and, for a root opened by
+/// [`Telemetry::begin`], its id and the span it replaced (restored on
+/// [`Telemetry::finish`]). A *leaf*
 /// handle ([`Telemetry::timer`]) has no identity of its own and installs
 /// no context: it traces under whatever span is current when it closes.
 /// An *inert* handle (telemetry disabled, or an unsampled operation)
 /// carries nothing and makes `finish` a no-op.
 #[must_use = "finish the span with Telemetry::finish"]
 pub(crate) struct SpanHandle {
-    pub ctx: SpanCtx,
-    prev: SpanCtx,
+    /// The root span's id, which is also its trace's; 0 for a leaf.
+    pub span: u64,
+    prev: u64,
     start: Option<Instant>,
-    parent: u64,
 }
 
 impl SpanHandle {
     /// A handle that records nothing and restores nothing.
     pub const fn inert() -> Self {
         SpanHandle {
-            ctx: SpanCtx::NONE,
-            prev: SpanCtx::NONE,
+            span: 0,
+            prev: 0,
             start: None,
-            parent: 0,
         }
     }
 
@@ -200,7 +177,6 @@ pub(crate) struct Telemetry {
     pub sub_lagged: Counter,
 
     // Latency instruments (recorded only when `enabled`).
-    pub h_ingest_enqueue: Instrument,
     pub h_ingest_apply: Instrument,
     pub h_flush_wait: Instrument,
     pub h_freeze: Instrument,
@@ -288,12 +264,6 @@ impl Telemetry {
                 "subscription deltas dropped by bounded notify queues (drop-oldest)",
             ),
 
-            h_ingest_enqueue: span(
-                "wf_ingest_enqueue_ns",
-                "ingest",
-                true,
-                "one event routed and enqueued to an ingest worker (sampled 1 in 64)",
-            ),
             h_ingest_apply: span(
                 "wf_ingest_apply_ns",
                 "ingest_apply",
@@ -402,50 +372,29 @@ impl Telemetry {
         }
     }
 
-    /// Open a root span on this thread: allocates ids, installs the
-    /// context as [`CURRENT_SPAN`], and starts the clock. Inert when
-    /// telemetry is disabled. Close with [`finish`](Self::finish).
+    /// Open a root span on this thread: allocates its id (which is also
+    /// its trace's), installs it as [`CURRENT_SPAN`], and starts the
+    /// clock. Inert when telemetry is disabled. Close with
+    /// [`finish`](Self::finish).
     #[inline]
     pub fn begin(&self) -> SpanHandle {
-        self.open(SpanCtx::NONE)
-    }
-
-    /// Open a child span under an explicit parent context — the
-    /// cross-thread edge (the parent context rode a channel envelope to
-    /// this thread). Inert when telemetry is disabled or `parent` is
-    /// none (the producer did not sample this operation).
-    #[inline]
-    pub fn begin_under(&self, parent: SpanCtx) -> SpanHandle {
-        if parent.is_none() {
-            return SpanHandle::inert();
-        }
-        self.open(parent)
-    }
-
-    /// A span with its own identity: a child of `parent`, or the root of
-    /// a new trace when `parent` is none.
-    #[inline]
-    fn open(&self, parent: SpanCtx) -> SpanHandle {
         if !self.enabled {
             return SpanHandle::inert();
         }
         let span = next_span_id();
-        let trace = if parent.is_none() { span } else { parent.trace };
-        let ctx = SpanCtx { trace, span };
-        let prev = CURRENT_SPAN.with(|c| c.replace(ctx));
+        let prev = CURRENT_SPAN.with(|c| c.replace(span));
         SpanHandle {
-            ctx,
+            span,
             prev,
             start: Some(Instant::now()),
-            parent: parent.span,
         }
     }
 
     /// Close a span: record its duration into the instrument's histogram
     /// and trace it under the instrument's kind when the instrument
     /// always traces or the duration reaches the slow-op threshold. A
-    /// span with its own identity restores the thread context it
-    /// replaced and traces with its causal ids; a leaf parents under the
+    /// root span restores the span it replaced and traces as its own
+    /// trace; a leaf parents under the
     /// calling thread's current span, if any. `detail` is only rendered
     /// when the event is actually traced. Returns the duration in ns (0
     /// for inert handles).
@@ -465,7 +414,7 @@ impl Telemetry {
         detail: impl FnOnce() -> String,
     ) -> u64 {
         let Some(start) = handle.start else { return 0 };
-        let SpanCtx { trace, span } = handle.ctx;
+        let span = handle.span;
         if span != 0 {
             CURRENT_SPAN.with(|c| c.set(handle.prev));
         }
@@ -473,16 +422,8 @@ impl Telemetry {
         inst.hist.record(dur_ns);
         if inst.always || dur_ns >= self.slow_op_ns {
             if span != 0 {
-                self.trace.record_span(
-                    inst.kind,
-                    run_id,
-                    tier,
-                    dur_ns,
-                    trace,
-                    span,
-                    handle.parent,
-                    detail(),
-                );
+                self.trace
+                    .record_span(inst.kind, run_id, tier, dur_ns, span, span, 0, detail());
             } else {
                 self.record_leaf(inst.kind, run_id, tier, dur_ns, detail());
             }
@@ -506,13 +447,10 @@ impl Telemetry {
             self.trace_kinds().any(|k| k == kind),
             "trace kind {kind:?} is not declared in telemetry.rs"
         );
-        let cur = current_span();
+        // The current span is a root, so its id is its trace's.
+        let parent = current_span();
         let id = next_span_id();
-        let (trace, parent) = if cur.is_none() {
-            (id, 0)
-        } else {
-            (cur.trace, cur.span)
-        };
+        let trace = if parent == 0 { id } else { parent };
         self.trace
             .record_span(kind, run_id, tier, dur_ns, trace, id, parent, detail);
     }
@@ -556,13 +494,13 @@ impl Telemetry {
     }
 
     /// Record a duration the WAL measured itself. It ran synchronously
-    /// inside the worker's apply span, so tracing whenever a span is
+    /// inside the caller's apply span, so tracing whenever a span is
     /// open (the sampled 1-in-64 applies) keeps the causal tree complete
     /// without changing the `WalObserver` trait.
     fn observe_wal(&self, inst: &Instrument, dur_ns: u64, detail: impl FnOnce() -> String) {
         if self.enabled {
             inst.hist.record(dur_ns);
-            if dur_ns >= self.slow_op_ns || !current_span().is_none() {
+            if dur_ns >= self.slow_op_ns || current_span() != 0 {
                 self.record_leaf(inst.kind, None, None, dur_ns, detail());
             }
         }

@@ -6,22 +6,18 @@
 //! thresholds and the sampling loop; its state is one [`Ticker`] — the
 //! latest verdict together with the thread's stop flag, wakeup and join
 //! handle. It reads the other subsystems only through what they publish:
-//! the per-worker enqueued/applied marks (the same ledger `flush()` and
-//! `stats()` read — there is no other ingest progress counter), the
-//! WAL's sync lag, the tiering backlog and two telemetry counters.
+//! the WAL's sync lag, the tiering backlog and two telemetry counters.
+//! Ingest has no watermark of its own to watch: a write applies on its
+//! caller's thread, so a stuck write is a caller that has not returned.
 
 use crate::engine::EngineShared;
 use crate::lifecycle::Ticker;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// One cause of a pipeline stall, as diagnosed by the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCause {
-    /// An ingest worker has queued envelopes but its applied watermark
-    /// did not advance across a whole watchdog interval.
-    IngestWorker,
     /// The WAL committer is not draining: the oldest buffered append has
     /// waited longer than half the watchdog interval for an fsync pass —
     /// a stuck committer, or a group-commit window longer than that half
@@ -59,7 +55,6 @@ impl StallCause {
     #[must_use]
     pub fn tag(self) -> &'static str {
         match self {
-            StallCause::IngestWorker => "ingest_worker",
             StallCause::WalCommitLag => "wal_commit_lag",
             StallCause::TieringBacklog => "tiering_backlog",
             StallCause::ShedThrash => "shed_thrash",
@@ -105,8 +100,7 @@ const SHED_THRASH_PER_TICK: u64 = 64;
 const SUB_LAG_PER_TICK: u64 = 64;
 
 /// Every cause the watchdog samples, in streak-array order.
-const WATCHDOG_CAUSES: [StallCause; 5] = [
-    StallCause::IngestWorker,
+const WATCHDOG_CAUSES: [StallCause; 4] = [
     StallCause::WalCommitLag,
     StallCause::TieringBacklog,
     StallCause::ShedThrash,
@@ -131,31 +125,12 @@ pub(crate) fn spawn(shared: &Arc<EngineShared>, interval: Duration) {
 /// events, and publish the escalated verdict.
 fn watchdog_loop(shared: &EngineShared, interval: Duration) {
     let interval_ns = interval.as_nanos() as u64;
-    let marks = shared.ingest.marks();
-    let mut last_applied: Vec<u64> = marks
-        .iter()
-        .map(|m| m.applied.load(Ordering::Relaxed))
-        .collect();
     let mut last_backlog = 0usize;
     let mut last_sheds = shared.obs.segment_sheds.get();
     let mut last_sub_lagged = shared.obs.sub_lagged.get();
     let mut streaks = [0u32; WATCHDOG_CAUSES.len()];
     while shared.watchdog.sleep(interval) {
         let mut violated: Vec<StallCause> = Vec::new();
-        // Ingest: a worker with queued envelopes whose applied watermark
-        // did not move across the whole interval is wedged.
-        let mut ingest_wedged = false;
-        for (m, last) in marks.iter().zip(&mut last_applied) {
-            let applied = m.applied.load(Ordering::Relaxed);
-            let enqueued = m.enqueued.load(Ordering::Relaxed);
-            if enqueued > applied && applied == *last {
-                ingest_wedged = true;
-            }
-            *last = applied;
-        }
-        if ingest_wedged {
-            violated.push(StallCause::IngestWorker);
-        }
         // WAL: buffered appends should reach disk within one group-commit
         // window; half a watchdog interval of lag means the committer is
         // not draining.
@@ -217,6 +192,7 @@ mod tests {
     use crate::{RunOp, ServiceEvent, SpecId, WfEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use wf_run::{Execution, RunGenerator};
 
     /// Poll the verdict until `want` holds (the watchdog publishes on its
@@ -269,55 +245,68 @@ mod tests {
         );
     }
 
-    /// `IngestWorker` is diagnosed from the ledger alone: a worker whose
-    /// `enqueued` is ahead of an `applied` that stands still. Wedge one —
-    /// its next envelope's apply blocks on a writer lock this test holds —
-    /// and the verdict goes `Degraded`, then `Stalled`; let go, and the
-    /// envelope lands, the flush returns and the verdict heals.
+    /// `SubLag` goes `Degraded`, then `Stalled`, then heals: a flooder
+    /// feeds a standing query whose queue holds one delta, so it drops
+    /// far more than the per-tick bar every interval, and once it stops
+    /// the next clean interval clears the verdict. The trace ring is the
+    /// tick-by-tick witness a poll can miss; the flooder pauses between
+    /// runs so its sampled apply spans leave the ring room for it.
     #[test]
-    fn a_wedged_ingest_worker_degrades_then_stalls_then_heals() {
+    fn a_lagging_subscription_degrades_then_stalls_then_heals() {
         let interval = Duration::from_millis(20);
         let engine: WfEngine = WfEngine::builder()
             .spec(wf_spec::corpus::running_example())
-            .ingest_workers(2)
+            .sub_queue_capacity(1)
+            .trace_capacity(1 << 14)
             .watchdog(interval)
             .build();
         let spec = &engine.context(SpecId(0)).unwrap().spec;
         let gen = RunGenerator::new(spec)
-            .target_size(20)
+            .target_size(200)
             .generate_run(&mut StdRng::seed_from_u64(9));
         let exec = Execution::deterministic(&gen.graph, &gen.origin);
-        let run = engine.open_run(SpecId(0)).unwrap();
-        let slot = engine.shared.slot(run).unwrap();
+        // The most frequent name: every run feeds the most deltas.
+        let names = exec.events().iter().map(|ev| ev.name);
+        let name = names
+            .clone()
+            .max_by_key(|&n| names.clone().filter(|&m| m == n).count());
+        let _sub = engine.subscribe(crate::SubPredicate::vertices_named(name.unwrap()));
         assert_eq!(engine.health(), Health::Healthy);
 
-        let wedge = slot.hold_writer();
-        let op = RunOp::Insert(exec.events()[0].clone());
-        engine.ingest(ServiceEvent { run, op }).unwrap();
         let stalled = Health::Stalled {
-            causes: vec![StallCause::IngestWorker],
+            causes: vec![StallCause::SubLag],
         };
-        await_health(&engine, interval, |h| *h == stalled);
-        assert_eq!(engine.stats().ingest_backlog, 1);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Bounded, so a failed wait below cannot hang the scope.
+                let deadline = std::time::Instant::now() + Duration::from_secs(20);
+                while !stop.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+                    let run = engine.open_run(SpecId(0)).unwrap();
+                    for ev in exec.events() {
+                        let op = RunOp::Insert(ev.clone());
+                        engine.ingest(ServiceEvent { run, op }).unwrap();
+                    }
+                    engine.evict_run(run).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            await_health(&engine, interval, |h| *h == stalled);
+            stop.store(true, Ordering::Release);
+        });
         // The escalation, tick by tick: streak 1 published `Degraded`,
-        // streak 2 `Stalled` (the ring is the witness a poll can miss).
+        // and the next tick's streak 2 `Stalled`.
         let streaks: Vec<String> = engine
             .trace_dump()
             .into_iter()
             .filter(|e| e.kind == "stall")
             .map(|e| e.detail)
             .collect();
-        assert_eq!(
-            streaks[..2],
-            [
-                "cause=ingest_worker streak=1",
-                "cause=ingest_worker streak=2"
-            ]
-        );
-
-        drop(wedge);
-        assert_eq!(engine.flush(), 1, "the wedged envelope lands");
-        assert_eq!(slot.indexed.len(), 1);
+        let stalled_at = streaks
+            .iter()
+            .position(|d| d == "cause=sub_lag streak=2")
+            .expect("the second violating tick is traced");
+        assert_eq!(streaks[stalled_at - 1], "cause=sub_lag streak=1");
         await_health(&engine, interval, |h| *h == Health::Healthy);
     }
 }

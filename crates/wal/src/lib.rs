@@ -21,11 +21,11 @@
 //!   opaque to this crate; the service layer encodes run-open metadata
 //!   and execution events into it — [`WalWriter::append_with`] lets it
 //!   do so straight into the shard buffer.
-//! - **Sharding.** One log file per ingest worker (`wal-NNNN.wflog`).
-//!   The service routes a run's records to the shard of the worker the
-//!   run is pinned to, so per-run record order on disk follows the
-//!   per-run apply order (sequence numbers make recovery robust to
-//!   cross-thread interleaving anyway).
+//! - **Sharding.** A fixed number of log files (`wal-NNNN.wflog`). The
+//!   service routes each run's records to one shard by a hash of its id
+//!   and appends them under the run's writer lock, so per-run record
+//!   order on disk follows the per-run apply order (sequence numbers
+//!   make recovery robust to cross-thread interleaving anyway).
 //! - **Group commit, the one way to disk.** Appends land in a per-shard
 //!   user-space buffer; a dedicated committer thread flushes and fsyncs
 //!   every shard once per [`WalSync::GroupCommit`] window, and
@@ -975,7 +975,7 @@ fn committer_loop(inner: &WalInner, window: Duration) {
             // commit. Only a barrier request (or shutdown) cuts the wait
             // short; mere pending appends wait out the window, otherwise
             // a busy stream degenerates into fsync-per-pass and the
-            // committer starves the ingest workers for CPU and disk.
+            // committer starves the writing threads of CPU and disk.
             if !st.stop && st.requested == st.completed {
                 st = inner
                     .commit_cv

@@ -1,6 +1,7 @@
 //! The `wf-service` Engine API v2 end to end: a fleet of workflow runs
-//! streamed through the **persistent channel-fed ingest pool** — per-run
-//! ordered events, cross-run parallelism across workers — while
+//! ingested by **one producer thread per run** — each event applied on
+//! its producer's thread, per-run order by program order, cross-run
+//! parallelism by running more producers — while
 //! monitoring threads holding **cloned, lifetime-free run handles**
 //! answer reachability queries against published labels, lock-free and
 //! mid-flight, and a **cross-run query** sums up lineage over the whole
@@ -10,7 +11,7 @@
 //! (two different specifications) execute at once; the provenance
 //! engine labels each module invocation the moment its event arrives
 //! (the paper's on-the-fly guarantee), and dashboards query lineage
-//! continuously without ever blocking an ingest worker.
+//! continuously without ever blocking a writer.
 //!
 //! ```text
 //! cargo run --example concurrent_service
@@ -28,8 +29,6 @@ fn main() {
         .spec(wf_spec::corpus::running_example())
         .spec(wf_spec::corpus::bioaid())
         .shards(8)
-        .ingest_workers(4)
-        .queue_capacity(512)
         .build();
 
     // A fleet of eight simulated executions across the two
@@ -69,7 +68,7 @@ fn main() {
     std::thread::scope(|scope| {
         // Two monitoring threads first (so they are live before the
         // first event lands): lock-free queries over random pairs,
-        // racing the ingest workers.
+        // racing the producers.
         for seed in 0..2u64 {
             let handles = &handles;
             let (done, queries, mid_flight) = (&done, &queries, &mid_flight);
@@ -96,10 +95,10 @@ fn main() {
                 }
             });
         }
-        // One producer thread per run feeds the pipelined ingest path:
-        // events of a run arrive in order (the pool pins each run to one
-        // worker's FIFO queue), distinct runs fan out across workers,
-        // and the bounded queues push back if producers outrun labeling.
+        // One producer thread per run: `ingest` applies each event on
+        // its producer's thread before it returns, so a run's events land
+        // in order, and distinct runs label in parallel on as many cores
+        // as there are producers.
         for (run, exec) in &runs {
             let engine = &engine;
             scope.spawn(move || {
@@ -111,8 +110,8 @@ fn main() {
                         })
                         .expect("healthy event stream");
                 }
-                // Completion flows through the same queue, so it lands
-                // after every event above.
+                // The same thread completes the run, after every event
+                // above.
                 engine.complete_run(*run).expect("was live");
             });
         }
@@ -129,11 +128,9 @@ fn main() {
         });
     });
 
-    // Watermark barrier: everything enqueued above is applied.
-    let watermark = engine.flush();
     let stats = engine.stats();
     println!(
-        "ingested {} events in {:.1?} ({:.0} events/s sustained, watermark {watermark})",
+        "ingested {} events in {:.1?} ({:.0} events/s sustained)",
         stats.events_ingested,
         stats.uptime,
         stats.events_per_sec()

@@ -4,9 +4,9 @@
 //! users may want to ask provenance queries over partial executions").
 //!
 //! A BioAID-like pipeline executes module by module. A producer thread
-//! streams each execution event into the engine's **channel-fed ingest
-//! pool** the moment it "happens" ([`WfEngine::ingest`] returns as soon
-//! as the event is enqueued), every executed module is labeled on
+//! hands each execution event to the engine the moment it "happens"
+//! ([`WfEngine::ingest`] labels it on the producer's thread and returns
+//! with the label published), every executed module is labeled on
 //! arrival (execution-based scheme, §5.3), and the scientist's
 //! monitoring loop — holding nothing but a cloned [`RunHandle`] —
 //! interleaves provenance queries such as "was this intermediate result
@@ -21,11 +21,7 @@ use wf_provenance::prelude::*;
 
 fn main() {
     // Engine over one specification; builder-only configuration.
-    let engine: WfEngine = WfEngine::builder()
-        .spec(wf_spec::corpus::bioaid())
-        .ingest_workers(1) // one run → one writer; more would idle
-        .queue_capacity(256)
-        .build();
+    let engine: WfEngine = WfEngine::builder().spec(wf_spec::corpus::bioaid()).build();
     let spec = SpecId(0);
 
     // Simulate one execution of the pipeline (≈1500 module invocations),
@@ -50,8 +46,7 @@ fn main() {
     let mut positive = 0usize;
     std::thread::scope(|scope| {
         // Producer: the "workflow engine" reporting events as they
-        // happen. Fire-and-forget enqueue; the bounded queue applies
-        // backpressure if labeling falls behind.
+        // happen; each `ingest` labels its event before it returns.
         let engine = &engine;
         let producer_events = execution.events();
         scope.spawn(move || {
@@ -104,7 +99,6 @@ fn main() {
     // against ground truth on the final graph (labels never changed, so
     // any mid-run answer equals the final answer for the same pair —
     // Remark 1).
-    let watermark = engine.flush();
     let oracle = wf_graph::reach::ReachOracle::new(&run_gen.graph);
     for &a in &monitored {
         for &b in &monitored {
@@ -112,7 +106,7 @@ fn main() {
         }
     }
     println!(
-        "run complete (flush watermark {watermark}): {queries_answered} live queries answered \
+        "run complete: {queries_answered} live queries answered \
          ({positive} positive), all verified against ground truth"
     );
 

@@ -28,7 +28,6 @@ fn main() {
 
     let engine: WfEngine = WfEngine::builder()
         .spec(spec)
-        .ingest_workers(4)
         .freeze_after(8) // keep the 8 most recent completions hot
         .spill_dir(&spill) // frozen runs spill to disk automatically
         .max_resident_bytes(256 * 1024) // LRU budget over loaded segments
@@ -53,7 +52,6 @@ fn main() {
                 })
                 .unwrap();
         }
-        engine.flush();
         engine.complete_run(run).unwrap();
         probe.get_or_insert(exec.events()[1].name);
         runs.push((run, exec));
@@ -228,7 +226,6 @@ fn main() {
     {
         let engine: WfEngine = WfEngine::builder()
             .spec(spec.clone())
-            .ingest_workers(2)
             .spill_dir(&spill)
             .build();
         for _ in 0..48 {
@@ -422,7 +419,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&spill);
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::bioaid_nonrecursive())
-        .ingest_workers(2)
         .spill_dir(&spill)
         .sub_queue_capacity(1 << 14)
         .build();

@@ -47,9 +47,9 @@
 //!
 //! [`service`] (`wf-service`) labels **many runs at once** behind an
 //! owned, `Send + Sync + 'static` [`WfEngine`](wf_service::WfEngine):
-//! channel-fed pipelined ingest through a persistent worker pool,
-//! lock-free constant-time reachability queries concurrent with
-//! ingestion, and a cross-run query surface over the whole fleet.
+//! ingest applied on the caller's thread (more cores = more caller
+//! threads), lock-free constant-time reachability queries concurrent
+//! with ingestion, and a cross-run query surface over the whole fleet.
 //!
 //! ```
 //! use wf_provenance::prelude::*;
@@ -57,10 +57,9 @@
 //! // The engine owns its catalog (specs + skeleton labels, built once).
 //! let engine: WfEngine = WfEngine::builder()
 //!     .spec(wf_spec::corpus::running_example())
-//!     .ingest_workers(2)
 //!     .build();
 //!
-//! // Open a run and stream its execution events through the pool.
+//! // Open a run and stream its execution events in.
 //! let run = engine.open_run(SpecId(0)).unwrap();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(3);
 //! let gen = RunGenerator::new(&engine.context(SpecId(0)).unwrap().spec)
@@ -73,7 +72,7 @@
 //!     // Queries are answered mid-ingest, from published labels alone.
 //!     let _ = handle.reach(exec.events()[0].vertex, ev.vertex);
 //! }
-//! engine.flush();                     // watermark barrier
+//! engine.flush();                     // durability barrier (a no-op without a WAL)
 //! engine.complete_run(run).unwrap();
 //!
 //! // Cross-run lineage: which completed runs reach a given module name

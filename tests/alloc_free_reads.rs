@@ -259,7 +259,9 @@ fn cold_scans_and_catch_ups_hold_ids_not_decoded_labels() {
 /// inline entry. 8 568 allocations for these
 /// 6 000 events and 3 047 nodes; the parent, which boxed a private copy
 /// of the prefix per label and collected a graph's sinks to name its
-/// sink, made 22 496.
+/// sink, made 22 496. `ingest()` applies on its caller's thread through
+/// the same door as `RunHandle::submit`, so the same stream allocates
+/// exactly as much through it: the event moves in, nothing is copied.
 #[test]
 fn an_applied_event_allocates_no_more_than_the_bare_labeler() {
     let spec = wf_spec::corpus::running_example();
@@ -298,6 +300,30 @@ fn an_applied_event_allocates_no_more_than_the_bare_labeler() {
         applied <= bare + 64,
         "{applied} allocations applying {} events through the engine, {bare} in the bare labeler",
         exec.len()
+    );
+
+    let engine: WfEngine = WfEngine::builder()
+        .spec(spec.clone())
+        .slow_op_threshold(Duration::from_secs(3600))
+        .build();
+    let run = engine.open_run(SpecId(0)).unwrap();
+    let events: Vec<ServiceEvent> = exec
+        .events()
+        .iter()
+        .map(|ev| ServiceEvent {
+            run,
+            op: RunOp::Insert(ev.clone()),
+        })
+        .collect();
+    let ((ingested, _), ()) = allocated_by(|| {
+        for event in events {
+            engine.ingest(event).unwrap();
+        }
+    });
+    assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+    assert_eq!(
+        ingested, applied,
+        "allocations applying the same stream through ingest() and RunHandle::submit"
     );
 }
 

@@ -163,8 +163,7 @@ fn flush_is_the_group_commit_durability_barrier() {
         let op = RunOp::Insert(ev.clone());
         engine.ingest(ServiceEvent { run, op }).unwrap();
     }
-    let watermark = engine.flush();
-    assert!(watermark >= events.len() as u64);
+    engine.flush();
     let s = engine.stats();
     assert!(s.wal_records > events.len() as u64);
     assert!(s.wal_bytes > 0);
@@ -175,7 +174,7 @@ fn flush_is_the_group_commit_durability_barrier() {
     assert_eq!(
         h.published(),
         events.len(),
-        "every event below the flush watermark is durable"
+        "every event ingested before the flush is durable"
     );
     assert_prefix_answers(&h, events, events.len());
     drop(engine);

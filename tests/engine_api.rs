@@ -1,6 +1,6 @@
 //! The engine's public API, one behaviour per test: lifecycle and
-//! stats, batch isolation, bounds rejection, eviction, pipelined ingest
-//! with its error ring, drain, and every tier operation (freeze,
+//! stats, batch isolation, bounds rejection, eviction, caller-threaded
+//! ingest with its returned errors, drain, and every tier operation (freeze,
 //! persist/reload, the tiering policy, compaction, re-heat, the LRU).
 //! Public API only — these were `engine.rs`'s in-file tests, moved here
 //! so tier-1 (`cargo test -q` at the root) runs them.
@@ -74,8 +74,6 @@ fn lifecycle_and_stats() {
     assert_eq!(s.events_ingested as usize, exec.len());
     assert_eq!(s.labels_published as usize, exec.len());
     assert!(s.label_bits_total > 0);
-    assert_eq!(s.ingest_backlog, 0, "blocking submits leave no backlog");
-    assert_eq!(s.ingest_workers, 2);
 
     // Eviction removes the registry entry.
     engine.evict_run(run).unwrap();
@@ -147,8 +145,8 @@ fn batch_preserves_per_run_order_and_isolates_failures() {
 
 /// A panic while applying — a log-based event naming a graph the
 /// specification lacks is an index panic inside the labeler — reaches
-/// every caller who waits as `WorkerPanicked`, never as an unwind into
-/// its thread: the blocking `submit`, `submit_batch` (one failure, the
+/// every caller as `WorkerPanicked`, never as an unwind into its thread:
+/// `ingest`, the blocking `submit`, `submit_batch` (one failure, the
 /// run's later op skipped) and `RunHandle::submit`. Each leaves its run
 /// `Failed`, and the run's next write meets the poisoned lock with the
 /// same typed error.
@@ -171,7 +169,11 @@ fn a_panic_is_a_typed_error_through_every_waiting_door() {
         }
     };
     type Door<'a> = &'a dyn Fn(RunId) -> Result<(), ServiceError>;
-    let doors: [(&str, Door<'_>); 3] = [
+    let doors: [(&str, Door<'_>); 4] = [
+        ("ingest", &|run| {
+            let op = RunOp::Insert(bad.clone());
+            engine.ingest(ServiceEvent { run, op })
+        }),
         ("submit", &|run| engine.submit(run, &bad)),
         ("submit_batch", &batch),
         ("handle", &|run| engine.handle(run)?.submit(&bad)),
@@ -188,7 +190,10 @@ fn a_panic_is_a_typed_error_through_every_waiting_door() {
         assert_eq!(engine.run_status(run), Ok(RunStatus::Failed), "{door}");
         assert_eq!(engine.submit(run, second), Err(panicked), "{door}");
     }
-    assert!(engine.take_ingest_errors().is_empty(), "nothing was queued");
+    assert!(
+        engine.take_ingest_errors().is_empty(),
+        "every failure went to its caller"
+    );
 }
 
 #[test]
@@ -369,42 +374,33 @@ fn handles_stay_valid_for_queries_but_reject_writes_after_eviction() {
     );
 }
 
+/// `ingest()` applies on the caller's thread and returns the apply's
+/// own outcome: a forged vertex id is refused by the call that carried
+/// it (the run goes on), so the error ring — the home of failures no
+/// caller is handed — stays empty, and `flush()` is counted.
 #[test]
-fn pipelined_ingest_flush_and_error_ring() {
+fn ingest_returns_its_apply_error_and_the_ring_stays_empty() {
     let engine = engine();
     let run = engine.open_run(SpecId(0)).unwrap();
     let exec = sample(&engine, SpecId(0), 23, 60);
-    // Fire-and-forget the whole stream, plus one forged event whose
-    // failure must surface through the error ring, not a panic.
     let mut forged = exec.events()[1].clone();
     forged.vertex = VertexId(u32::MAX - 3);
     for ev in exec.events() {
-        engine
-            .ingest(ServiceEvent {
-                run,
-                op: RunOp::Insert(ev.clone()),
-            })
-            .unwrap();
+        let op = RunOp::Insert(ev.clone());
+        engine.ingest(ServiceEvent { run, op }).unwrap();
     }
-    engine
-        .ingest(ServiceEvent {
-            run,
-            op: RunOp::Insert(forged.clone()),
-        })
-        .unwrap();
-    let watermark = engine.flush();
-    assert!(
-        watermark >= (exec.len() + 1) as u64,
-        "flush watermark {watermark} covers everything enqueued before it"
-    );
-    assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+    let op = RunOp::Insert(forged.clone());
     assert_eq!(
-        engine.take_ingest_errors(),
-        vec![(run, ServiceError::VertexOutOfBounds(run, forged.vertex))]
+        engine.ingest(ServiceEvent { run, op }),
+        Err(ServiceError::VertexOutOfBounds(run, forged.vertex))
     );
-    assert!(engine.take_ingest_errors().is_empty(), "ring drains");
+    // Every label is visible as soon as its `ingest()` returned.
+    assert_eq!(engine.handle(run).unwrap().published(), exec.len());
+    assert_eq!(engine.run_status(run), Ok(RunStatus::Live));
+    engine.flush();
+    assert!(engine.take_ingest_errors().is_empty());
     let s = engine.stats();
-    assert_eq!(s.ingest_backlog, 0);
+    assert_eq!(s.events_ingested as usize, exec.len());
     assert_eq!(s.flushes, 1);
 }
 
@@ -424,7 +420,7 @@ fn drain_closes_ingest_but_not_queries() {
     let handle = engine.handle(run).unwrap();
     engine.drain();
     assert!(engine.is_draining());
-    // Everything queued before the drain was applied.
+    // Everything ingested before the drain is published.
     assert_eq!(handle.published(), exec.len());
     // Ingest is closed, in every flavor…
     assert_eq!(
@@ -455,8 +451,9 @@ fn drain_closes_ingest_but_not_queries() {
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     assert_eq!(handle.reach(u, v), Some(true));
     assert_eq!(engine.query().run_ids(), vec![run]);
-    // flush() on a drained engine returns immediately.
-    assert_eq!(engine.flush(), exec.len() as u64);
+    // flush() on a drained engine still counts as a barrier.
+    engine.flush();
+    assert_eq!(engine.stats().flushes, 1);
 }
 
 /// Ingest a full sampled run and complete it; returns the execution.
@@ -927,7 +924,7 @@ fn handles_are_cloneable_and_outlive_the_engine() {
     }
     let handle = engine.handle(run).unwrap();
     let clone = handle.clone();
-    drop(engine); // implicit drain: joins the pool, closes ingest
+    drop(engine); // implicit drain: closes ingest
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     // Both clones still answer from the reference-counted slot…
     assert_eq!(handle.reach(u, v), Some(true));

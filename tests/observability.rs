@@ -19,8 +19,8 @@ use common::TempDir;
 
 /// Build an engine, run one generated execution through it, and return
 /// the pieces the assertions need. The run is large enough (300 events,
-/// all pinned to one worker) that the 1-in-64 ingest-apply latency
-/// sampler is guaranteed to fire on that worker's thread.
+/// all applied on the calling thread) that the 1-in-64 ingest-apply
+/// latency sampler is guaranteed to fire.
 fn run_one(engine: &WfEngine, seed: u64) -> (RunId, Execution) {
     let spec = &engine.context(SpecId(0)).unwrap().spec;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -188,7 +188,6 @@ fn prometheus_exposition_is_valid_with_at_least_8_histograms() {
         ("wf_runs_hot", stats.runs_hot),
         ("wf_runs_frozen", stats.runs_frozen),
         ("wf_runs_persisted", stats.runs_persisted),
-        ("wf_ingest_backlog", stats.ingest_backlog),
         ("wf_hot_bytes", stats.hot_resident_bytes),
         (
             "wf_persisted_resident_bytes",
@@ -547,13 +546,15 @@ fn chrome_trace_export_is_loadable_trace_event_json() {
     );
 }
 
+/// A sampled ingest is one trace on the caller's thread: the apply span
+/// is its root (the event crosses no thread, so there is no enqueue span
+/// to parent it), and the WAL append inside it traces as its child.
 #[test]
-fn sampled_ingest_spans_stitch_across_worker_and_wal_threads() {
+fn a_sampled_ingest_traces_its_wal_append_under_its_apply_span() {
     let dir = TempDir::new("stitch");
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())
         .wal_dir(&dir.0)
-        .ingest_workers(1)
         .slow_op_threshold(Duration::ZERO)
         .trace_capacity(4096)
         .build();
@@ -564,69 +565,43 @@ fn sampled_ingest_spans_stitch_across_worker_and_wal_threads() {
         .generate_run(&mut rng);
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
     let run = engine.open_run(SpecId(0)).unwrap();
-    // The pipelined path: the producer-side sampler (1 in 64) opens the
-    // root span here, and its context rides the envelope to the worker.
     for ev in exec.events() {
-        engine
-            .ingest(ServiceEvent {
-                run,
-                op: RunOp::Insert(ev.clone()),
-            })
-            .unwrap();
+        let op = RunOp::Insert(ev.clone());
+        engine.ingest(ServiceEvent { run, op }).unwrap();
     }
     engine.flush();
 
     let trace = engine.trace_dump();
-    let roots: Vec<_> = trace
-        .iter()
-        .filter(|e| e.kind == "ingest" && e.parent_id == 0)
-        .collect();
+    let applies: Vec<_> = trace.iter().filter(|e| e.kind == "ingest_apply").collect();
     assert!(
-        !roots.is_empty(),
-        "300 events through one producer thread must sample at least one root"
+        !applies.is_empty(),
+        "300 events on one thread must sample at least one apply"
     );
-    let mut stitched = 0usize;
-    for root in &roots {
-        assert_ne!(root.span_id, 0, "traced roots carry a span id");
-        assert_eq!(root.trace_id, root.span_id, "a root starts its own trace");
-        let Some(apply) = trace
-            .iter()
-            .find(|e| e.kind == "ingest_apply" && e.parent_id == root.span_id)
-        else {
-            continue; // evicted by the ring before the dump
-        };
-        assert_eq!(
-            apply.trace_id, root.trace_id,
-            "the worker's apply span joins the producer's trace"
-        );
+    for apply in &applies {
+        assert_ne!(apply.span_id, 0, "traced applies carry a span id");
+        assert_eq!(apply.parent_id, 0, "an apply span is a root");
+        assert_eq!(apply.trace_id, apply.span_id, "a root starts its own trace");
         let wal = trace
             .iter()
             .find(|e| e.kind == "wal_append" && e.parent_id == apply.span_id)
             .expect("the WAL append inside a sampled apply traces as its child");
-        assert_eq!(wal.trace_id, root.trace_id);
-        stitched += 1;
+        assert_eq!(wal.trace_id, apply.trace_id);
     }
-    assert!(
-        stitched > 0,
-        "at least one full ingest -> apply -> wal_append chain in {} events",
-        trace.len()
-    );
 }
 
 /// A panic unwinds past the span closer, so whoever catches it puts the
-/// thread's span context back. A 1-worker WAL engine gets 64 panicking
-/// applies from one producer — every run's second event names a graph
-/// the specification lacks — so the producer's sampler (1 in 64) picks
-/// panicking ones; then a 300-event run. A worker left under the dead
-/// span would trace every later WAL append as its child; with the
-/// context put back only the sampled applies' appends trace.
+/// thread's span context back. A WAL engine gets 64 panicking applies
+/// from one thread — every run's second event names a graph the
+/// specification lacks — so the apply sampler (1 in 64) picks panicking
+/// ones; then a 300-event run. A thread left under the dead span would
+/// trace every later WAL append as its child; with the context put back
+/// only the sampled applies' appends trace.
 #[test]
 fn a_caught_panic_leaves_no_dead_span_context() {
     let dir = TempDir::new("deadspan");
     let engine: WfEngine = WfEngine::builder()
         .spec(wf_spec::corpus::running_example())
         .wal_dir(&dir.0)
-        .ingest_workers(1)
         .trace_capacity(4096)
         .build();
     let spec = &engine.context(SpecId(0)).unwrap().spec;
@@ -640,21 +615,17 @@ fn a_caught_panic_leaves_no_dead_span_context() {
     bad.origin.0 = wf_spec::GraphId(u32::MAX);
     let ingest = |run: RunId, ev: &ExecEvent| {
         let op = RunOp::Insert(ev.clone());
-        engine.ingest(ServiceEvent { run, op }).unwrap();
+        engine.ingest(ServiceEvent { run, op })
     };
     for _ in 0..64 {
         let run = engine
             .open_run_with(SpecId(0), ResolutionMode::LogBased)
             .unwrap();
-        ingest(run, &short.events()[0]);
-        ingest(run, &bad);
+        ingest(run, &short.events()[0]).unwrap();
+        assert_eq!(ingest(run, &bad), Err(ServiceError::WorkerPanicked(run)));
     }
     engine.flush();
-    let errors = engine.take_ingest_errors();
-    assert_eq!(errors.len(), 64);
-    assert!(errors
-        .iter()
-        .all(|(run, e)| *e == ServiceError::WorkerPanicked(*run)));
+    assert!(engine.take_ingest_errors().is_empty());
 
     let gen = RunGenerator::new(spec)
         .target_size(300)
@@ -662,7 +633,7 @@ fn a_caught_panic_leaves_no_dead_span_context() {
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
     let run = engine.open_run(SpecId(0)).unwrap();
     for ev in exec.events() {
-        ingest(run, ev);
+        ingest(run, ev).unwrap();
     }
     engine.flush();
     let appends = engine

@@ -1,6 +1,5 @@
 //! Concurrency tests for `wf-service`'s Engine API v2: queries answered
-//! *while runs are ingesting through the persistent worker pool* must
-//! agree, pair for pair, with a post-hoc [`NaiveDynamicDag`] replay of
+//! *while runs are ingesting on their callers' threads* must agree, pair for pair, with a post-hoc [`NaiveDynamicDag`] replay of
 //! the same event prefix (the §3.2 scheme is exact for arbitrary dynamic
 //! DAGs, so it is the ground-truth oracle for every dynamic labeling
 //! answer), and the cross-run query surface must agree with a naive
@@ -64,8 +63,8 @@ fn mid_ingest_queries_match_prefix_replay() {
     }
 }
 
-/// The headline scenario: six runs (over two specifications) pushed
-/// through the shared worker pool by their own producer threads while
+/// The headline scenario: six runs (over two specifications) ingested
+/// by their own producer threads while
 /// four reader threads holding cloned handles fire interleaved
 /// reachability queries. Every answer returned mid-ingest is recorded
 /// and verified afterwards against a naive replay; the test also demands
@@ -95,9 +94,9 @@ fn concurrent_runs_with_interleaved_queries() {
 
     let readers_ready = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        // Producers: one per run, events strictly in order through the
-        // pipelined fire-and-forget path (the pool pins each run to one
-        // worker queue, preserving order). Each producer waits for every
+        // Producers: one per run, events strictly in order through
+        // `ingest()`, each applied on its producer's thread before the
+        // call returns. Each producer waits for every
         // reader to be live before its first event, so queries genuinely
         // race ingestion on any scheduler.
         for (run, _gen, exec) in &runs {
@@ -131,7 +130,7 @@ fn concurrent_runs_with_interleaved_queries() {
                     }
                 }
                 // Completion is ordered after every event of the run by
-                // the same worker queue.
+                // this thread's program order.
                 engine.complete_run(*run).unwrap();
             });
         }
@@ -223,14 +222,13 @@ fn concurrent_runs_with_interleaved_queries() {
     assert_eq!(stats.labels_published as usize, total_events);
     assert_eq!(stats.runs_completed as usize, RUNS);
     assert_eq!(stats.runs_live, 0);
-    assert_eq!(stats.ingest_backlog, 0);
     assert!(stats.queries_answered >= verified as u64);
 }
 
-/// Batched ingest across runs: one feeder thread pushes interleaved
-/// cross-run batches through the pool while readers query; per-run order
-/// is preserved (each run rides one worker queue), so the final labels
-/// agree with the oracle everywhere.
+/// Batched ingest across runs: one feeder thread applies interleaved
+/// cross-run batches while readers query; per-run order is preserved
+/// (a batch applies in order), so the final labels agree with the oracle
+/// everywhere.
 #[test]
 fn batched_ingest_with_concurrent_readers() {
     const RUNS: usize = 5;
@@ -314,9 +312,10 @@ fn batched_ingest_with_concurrent_readers() {
     }
 }
 
-/// Drain/shutdown determinism: the flush watermark covers everything
-/// submitted before it, queries never panic during or after shutdown,
-/// and the drain applies every queued event before closing.
+/// Drain/shutdown determinism: everything ingested before a flush is
+/// visible after it, queries never panic during or after shutdown, and
+/// a drain closes ingest with every completion ingested before it
+/// applied.
 #[test]
 fn flush_watermark_and_graceful_drain() {
     let mut engine = engine();
@@ -334,8 +333,8 @@ fn flush_watermark_and_graceful_drain() {
     }
     let submitted: usize = runs.iter().map(|(_, e)| e.len()).sum();
 
-    // Producers race readers; a concurrent flusher takes watermark
-    // barriers the whole time.
+    // Producers race readers; a concurrent flusher takes barriers the
+    // whole time.
     std::thread::scope(|scope| {
         for (run, exec) in &runs {
             let engine = &engine;
@@ -353,38 +352,32 @@ fn flush_watermark_and_graceful_drain() {
         let engine = &engine;
         scope.spawn(move || {
             for _ in 0..8 {
-                let _ = engine.flush();
+                engine.flush();
                 std::thread::yield_now();
             }
         });
     });
 
-    // Deterministic watermark property: everything enqueued
-    // happens-before this flush, so the returned watermark covers it.
-    let watermark = engine.flush();
-    assert!(
-        watermark >= submitted as u64,
-        "flush watermark {watermark} < submitted {submitted}"
-    );
+    // Every ingest returned before this flush, so all of it is applied.
+    engine.flush();
     for (run, exec) in &runs {
         assert_eq!(engine.handle(*run).unwrap().published(), exec.len());
     }
-    assert_eq!(engine.stats().ingest_backlog, 0);
+    assert_eq!(engine.stats().events_ingested, submitted as u64);
 
-    // Queue more work, then drain while readers hammer queries: no
-    // panic, every queued event lands, ingest closes, queries survive.
+    // Complete every run, then drain while readers hammer queries: no
+    // panic, ingest closes, queries survive.
     let handles: Vec<(RunHandle, &Execution)> = runs
         .iter()
         .map(|(run, exec)| (engine.handle(*run).unwrap(), exec))
         .collect();
-    for (run, exec) in &runs {
+    for (run, _) in &runs {
         engine
             .ingest(ServiceEvent {
                 run: *run,
                 op: RunOp::Complete,
             })
             .unwrap();
-        let _ = (run, exec);
     }
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -408,7 +401,7 @@ fn flush_watermark_and_graceful_drain() {
         stop.store(true, Ordering::Release);
     });
 
-    // The queued completions were applied before the pool closed.
+    // The ingested completions were applied before the drain.
     for (run, _) in &runs {
         assert_eq!(engine.run_status(*run).unwrap(), RunStatus::Completed);
     }
@@ -423,80 +416,182 @@ fn flush_watermark_and_graceful_drain() {
     assert!(engine.take_ingest_errors().is_empty());
 }
 
-/// The flush ledger under concurrency: the watermark is summed from
-/// per-worker marks, so a `flush()` must wait for *every* worker its
-/// caller fed, not for a global count that other producers' progress
-/// could satisfy. Four producers, each owning eight runs spread over the
-/// four workers, interleave bursts of `ingest()` with `flush()`: after
-/// every flush, everything that thread enqueued before it is visible,
-/// and the watermark covers it and never steps back.
+/// One recorded reader answer: run index, the pair, what `reach` said,
+/// and `published()` read just before and just after the probe.
+type Probe = (usize, VertexId, VertexId, Option<bool>, usize, usize);
+
+/// Counts a finished writer when dropped, panicking or not.
+struct Done<'a>(&'a AtomicUsize);
+
+impl Drop for Done<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// Caller-threaded ingest at fleet scale: four writer threads each own
+/// 16 runs (64 in all) and `ingest()` them in round-robin bursts while
+/// two reader threads probe random pairs mid-ingest. Each `ingest()`
+/// returns with its label published, so a writer sees every event it
+/// sent the moment the call returns. Every reader answer is checked
+/// against a `NaiveDynamicDag` replay of the prefix it was read at:
+/// `Some` only for two vertices inside the prefix visible after the
+/// probe, with that prefix's answer; `None` only if one of them lay
+/// outside the prefix published before it. A run's one writer stores a
+/// label before it counts it, so the prefix visible after the probe is
+/// the published count read then, plus at most the one label in flight.
+/// The counters end exact.
 #[test]
-fn flush_covers_what_its_caller_enqueued_on_every_worker() {
-    const PRODUCERS: usize = 4;
-    const RUNS_EACH: usize = 8;
+fn caller_threaded_fleet_answers_match_prefix_replay() {
+    const WRITERS: usize = 4;
+    const RUNS_EACH: usize = 16;
+    const READERS: usize = 2;
     let engine = engine();
-    let spec = &engine.context(SpecId(0)).unwrap().spec;
-    let fleets: Vec<Vec<(RunHandle, Execution)>> = (0..PRODUCERS)
-        .map(|p| {
+    let fleets: Vec<Vec<(RunId, RunHandle, Execution)>> = (0..WRITERS)
+        .map(|w| {
             (0..RUNS_EACH)
                 .map(|r| {
-                    let run = engine.open_run(SpecId(0)).unwrap();
-                    let seed = 5000 + (p * RUNS_EACH + r) as u64;
-                    (engine.handle(run).unwrap(), sample(spec, seed, 70).1)
+                    let spec = (w + r) % engine.catalog().len();
+                    let run = engine.open_run(SpecId(spec)).unwrap();
+                    let seed = 5000 + (w * RUNS_EACH + r) as u64;
+                    let exec = sample(&engine.context(SpecId(spec)).unwrap().spec, seed, 70).1;
+                    (run, engine.handle(run).unwrap(), exec)
                 })
                 .collect()
         })
         .collect();
-    let total: usize = fleets.iter().flatten().map(|(_, exec)| exec.len()).sum();
+    let all: Vec<&(RunId, RunHandle, Execution)> = fleets.iter().flatten().collect();
+    let total: usize = all.iter().map(|(_, _, exec)| exec.len()).sum();
 
-    let start = std::sync::Barrier::new(PRODUCERS);
-    std::thread::scope(|scope| {
-        for (p, fleet) in fleets.iter().enumerate() {
-            let (engine, start) = (&engine, &start);
+    let (readers_ready, mid_ingest) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let writers_done = AtomicUsize::new(0);
+    let probes: Vec<Vec<Probe>> = std::thread::scope(|scope| {
+        for (w, fleet) in fleets.iter().enumerate() {
+            let (engine, readers_ready) = (&engine, &readers_ready);
+            let (mid_ingest, writers_done) = (&mid_ingest, &writers_done);
             scope.spawn(move || {
+                // Counted on the way out, a failed assertion included, so
+                // the readers always stop.
+                let _done = Done(writers_done);
+                while readers_ready.load(Ordering::Acquire) < READERS {
+                    std::thread::yield_now();
+                }
                 let mut sent = [0usize; RUNS_EACH];
-                let (mut mine, mut last_watermark) = (0u64, 0u64);
-                start.wait();
-                // Round-robin over this producer's runs, a burst of 1–7
-                // events at a time, a flush after every burst.
                 for round in 0.. {
                     let r = round % RUNS_EACH;
-                    let (handle, exec) = &fleet[r];
-                    let burst = 1 + (round + p) % 7;
+                    let (run, handle, exec) = &fleet[r];
+                    let burst = 1 + (round + w) % 7;
                     for ev in exec.events().iter().skip(sent[r]).take(burst) {
                         let op = RunOp::Insert(ev.clone());
-                        let run = handle.run();
-                        engine.ingest(ServiceEvent { run, op }).unwrap();
+                        engine.ingest(ServiceEvent { run: *run, op }).unwrap();
                         sent[r] += 1;
-                        mine += 1;
+                        // Visible as soon as `ingest()` returns: no
+                        // barrier in between.
+                        assert_eq!(handle.published(), sent[r], "{run}");
                     }
-                    let watermark = engine.flush();
-                    assert!(watermark >= mine, "flush {watermark} < own {mine}");
-                    assert!(watermark >= last_watermark, "watermark stepped back");
-                    last_watermark = watermark;
-                    // Only this thread feeds these runs, so "everything
-                    // enqueued before the flush" is exactly `sent`.
-                    for ((handle, exec), &n) in fleet.iter().zip(&sent) {
-                        assert_eq!(handle.published(), n, "{} after flush", handle.run());
-                        if let Some(newest) = n.checked_sub(1) {
-                            let (source, v) =
-                                (exec.events()[0].vertex, exec.events()[newest].vertex);
-                            assert_eq!(handle.reach(source, v), Some(true));
+                    // A few rounds in, wait for a reader to land a
+                    // mid-ingest answer, so the race happens on any
+                    // scheduler.
+                    if round == RUNS_EACH * 2 {
+                        while mid_ingest.load(Ordering::Relaxed) == 0 {
+                            std::thread::yield_now();
                         }
                     }
-                    if fleet.iter().zip(&sent).all(|((_, e), &n)| n == e.len()) {
+                    if fleet.iter().zip(&sent).all(|((_, _, e), &n)| n == e.len()) {
                         break;
                     }
                 }
+                for (run, ..) in fleet {
+                    let op = RunOp::Complete;
+                    engine.ingest(ServiceEvent { run: *run, op }).unwrap();
+                }
             });
         }
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (all, readers_ready) = (&all, &readers_ready);
+                let (mid_ingest, writers_done) = (&mid_ingest, &writers_done);
+                scope.spawn(move || {
+                    use rand::Rng;
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(7100 + r as u64);
+                    let mut seen: Vec<Probe> = Vec::new();
+                    readers_ready.fetch_add(1, Ordering::Release);
+                    while writers_done.load(Ordering::Acquire) < WRITERS {
+                        let i = rng.gen_range(0..all.len());
+                        let (_, handle, exec) = all[i];
+                        let u = exec.events()[rng.gen_range(0..exec.len())].vertex;
+                        let v = exec.events()[rng.gen_range(0..exec.len())].vertex;
+                        let before = handle.published();
+                        let answer = handle.reach(u, v);
+                        let after = handle.published();
+                        if answer.is_some() && after < exec.len() {
+                            mid_ingest.fetch_add(1, Ordering::Relaxed);
+                        }
+                        seen.push((i, u, v, answer, before, after));
+                    }
+                    seen
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .map(|h| h.join().expect("reader panicked"))
+            .collect()
     });
 
+    // Replay each run once, answering its probes at the prefix each was
+    // read at, shortest prefix first.
+    let mut by_run: Vec<Vec<&Probe>> = vec![Vec::new(); all.len()];
+    for probe in probes.iter().flatten() {
+        by_run[probe.0].push(probe);
+    }
+    let mut checked = 0usize;
+    for ((_, _, exec), probes) in all.iter().zip(&mut by_run) {
+        let position: std::collections::HashMap<VertexId, usize> = exec
+            .events()
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| (ev.vertex, i))
+            .collect();
+        probes.sort_by_key(|p| p.5);
+        let mut naive = NaiveDynamicDag::new();
+        let mut replayed = 0;
+        for &&(i, u, v, answer, before, after) in probes.iter() {
+            let (pu, pv) = (position[&u], position[&v]);
+            let Some(ans) = answer else {
+                assert!(
+                    pu >= before || pv >= before,
+                    "run {i}: {u:?} ; {v:?} unanswered inside the published prefix {before}"
+                );
+                continue;
+            };
+            let visible = (after + 1).min(exec.len());
+            assert!(
+                pu < visible && pv < visible,
+                "run {i}: {u:?} ; {v:?} answered outside the visible prefix {visible}"
+            );
+            for ev in &exec.events()[replayed..visible] {
+                naive.insert(ev.vertex, &ev.preds);
+            }
+            replayed = visible;
+            assert_eq!(ans, naive.reaches(u, v), "run {i}: {u:?} ; {v:?}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "readers never landed an answer");
+    assert!(
+        mid_ingest.load(Ordering::Relaxed) > 0,
+        "no query raced live ingestion"
+    );
+
     let s = engine.stats();
-    assert_eq!(s.events_enqueued, total as u64);
     assert_eq!(s.events_ingested, total as u64);
-    assert_eq!(s.ingest_backlog, 0);
-    assert_eq!(engine.flush(), total as u64, "a drained engine's watermark");
+    assert_eq!(s.labels_published, total as u64);
+    assert_eq!(s.runs_completed, all.len() as u64);
+    for (run, handle, exec) in &all {
+        assert_eq!(handle.published(), exec.len(), "{run}");
+        assert_eq!(engine.run_status(*run), Ok(RunStatus::Completed));
+    }
     assert!(engine.take_ingest_errors().is_empty());
 }
 
@@ -680,42 +775,8 @@ fn settle_outcome(
     (labels, s.events_ingested, s.runs_completed)
 }
 
-/// A blocking write is ordered after what its run had queued: `submit`
-/// of a run's last event straight after `ingest` of the rest succeeds,
-/// because the ingested prefix was applied first (the labeler rejects an
-/// event whose predecessors are not placed yet), and so does the
-/// `complete_run` behind it. Neither is queued: `events_enqueued` and
-/// the `flush()` watermark count the ingested prefix alone.
-#[test]
-fn a_blocking_write_applies_after_its_runs_queued_prefix() {
-    let spec = wf_spec::corpus::running_example();
-    let engine: WfEngine = WfEngine::builder()
-        .spec(spec.clone())
-        .ingest_workers(2)
-        .build();
-    for seed in 0..8 {
-        let (_, exec) = sample(&spec, 80 + seed, 200);
-        let run = engine.open_run(SpecId(0)).unwrap();
-        let (last, prefix) = exec.events().split_last().unwrap();
-        let before = engine.stats().events_enqueued;
-        for ev in prefix {
-            let op = RunOp::Insert(ev.clone());
-            engine.ingest(ServiceEvent { run, op }).unwrap();
-        }
-        engine.submit(run, last).unwrap();
-        engine.complete_run(run).unwrap();
-        assert_eq!(engine.handle(run).unwrap().published(), exec.len());
-        assert_eq!(engine.run_status(run), Ok(RunStatus::Completed));
-        let s = engine.stats();
-        assert_eq!(s.events_enqueued - before, prefix.len() as u64);
-        assert_eq!(s.ingest_backlog, 0);
-        assert_eq!(engine.flush(), s.events_enqueued);
-    }
-    assert!(engine.take_ingest_errors().is_empty());
-}
-
-/// One write path, three doors: the same event streams through pooled
-/// `ingest`, through the caller's thread — the synchronous
+/// One write path, three doors: the same event streams through
+/// `ingest`, through the other writes on the caller's thread — the
 /// `RunHandle::submit`, the blocking `submit` / `complete_run`, and one
 /// `submit_batch` — and through a WAL kill-and-recover (events replayed
 /// at `build()`, runs completed after it) must leave identical labels,
@@ -759,12 +820,12 @@ fn three_entry_points_one_outcome() {
         engine.flush();
     };
 
-    // Door 1: the worker pool.
-    let pooled = build(None);
-    let sub = pooled.subscribe(SubPredicate::vertices_named(watched));
-    let runs = open_all(&pooled);
-    ingest_all(&pooled, &runs, true);
-    let want = settle_outcome(&pooled, &sub, &runs, &streams, "pooled");
+    // Door 1: `ingest()`.
+    let ingested = build(None);
+    let sub = ingested.subscribe(SubPredicate::vertices_named(watched));
+    let runs = open_all(&ingested);
+    ingest_all(&ingested, &runs, true);
+    let want = settle_outcome(&ingested, &sub, &runs, &streams, "ingest");
     assert_eq!((want.1, want.2), (events, runs.len() as u64));
 
     // Door 2: the synchronous handle, on this thread.
@@ -779,10 +840,10 @@ fn three_entry_points_one_outcome() {
         h.complete().unwrap();
     }
     let got = settle_outcome(&direct, &sub, &runs, &streams, "handle");
-    assert_eq!(got, want, "handle vs pooled");
+    assert_eq!(got, want, "handle vs ingest");
 
     // The blocking engine writes, one op at a time: the same door as the
-    // handle's, behind a wait for the run's worker.
+    // handle's, behind a registry lookup.
     let blocking = build(None);
     let sub = blocking.subscribe(SubPredicate::vertices_named(watched));
     let runs = open_all(&blocking);
@@ -793,7 +854,7 @@ fn three_entry_points_one_outcome() {
         blocking.complete_run(run).unwrap();
     }
     let got = settle_outcome(&blocking, &sub, &runs, &streams, "submit");
-    assert_eq!(got, want, "submit vs pooled");
+    assert_eq!(got, want, "submit vs ingest");
 
     // One blocking batch, the runs' ops interleaved.
     let batched = build(None);
@@ -815,7 +876,7 @@ fn three_entry_points_one_outcome() {
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
     assert_eq!(outcome.applied as u64, events);
     let got = settle_outcome(&batched, &sub, &runs, &streams, "submit_batch");
-    assert_eq!(got, want, "submit_batch vs pooled");
+    assert_eq!(got, want, "submit_batch vs ingest");
 
     // Door 3: recovery. Lifetime 1 journals every event, flushes it
     // durable (`ingest_all`) and is then "killed" — never completed,
@@ -834,7 +895,7 @@ fn three_entry_points_one_outcome() {
         recovered.complete_run(run).unwrap();
     }
     let got = settle_outcome(&recovered, &sub, &runs, &streams, "recovered");
-    assert_eq!(got, want, "recovered vs pooled");
+    assert_eq!(got, want, "recovered vs ingest");
     drop((killed, recovered));
     let _ = std::fs::remove_dir_all(&dir);
 }
