@@ -123,15 +123,19 @@ impl EngineBuilder {
     }
 
     /// **Spill directory**: sealed runs' blobs are written here, byte for
-    /// byte (versioned binary segments in pack files + manifest), and
-    /// their held frames let go for the packs, read back lazily. At build time
-    /// the segments its manifest lists are registered, so historical
-    /// runs from previous engine lifetimes keep answering
-    /// [`WfEngine::query`] — with the **same catalog** (spec ids must mean the same thing
-    /// across lifetimes). A manifest line naming a spec beyond this
-    /// catalog, or one that does not read back, is not registered but
-    /// is kept — in the manifest, with its pack and its run id — for a
-    /// build that can read it.
+    /// byte (versioned binary segments appended to pack files), and their
+    /// held frames let go for the packs, read back lazily. Every change
+    /// is one record appended to the directory's seal log — a run sealed
+    /// at a pack, offset and length, or evicted — and at build time the
+    /// runs it places are registered, so historical runs from previous
+    /// engine lifetimes keep answering [`WfEngine::query`] — with the
+    /// **same catalog** (spec ids must mean the same thing across
+    /// lifetimes). A record naming a spec beyond this catalog, or one
+    /// that does not read back, is not registered but is kept — in the
+    /// log, with the exact bytes it names in its pack — for a build that
+    /// can read it. A run id the log names is never issued again, evicted
+    /// or not. A directory an earlier build left its manifest in is
+    /// refused, and left as it is.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -145,8 +149,8 @@ impl EngineBuilder {
     /// of an append that was cut mid-write — is truncated away, keeping
     /// the valid prefix. Runs already persisted to the
     /// [spill directory](Self::spill_dir) are not replayed (their WAL
-    /// history was checkpoint-truncated). Unset = no durability for hot
-    /// runs (pre-WAL behavior).
+    /// history is checkpointed, and dropped once it is dead-heavy). Unset
+    /// = no durability for hot runs (pre-WAL behavior).
     pub fn wal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.wal_dir = Some(dir.into());
         self
@@ -239,7 +243,7 @@ impl EngineBuilder {
             slow_op_ns: u64::try_from(self.slow_op_threshold.as_nanos()).unwrap_or(u64::MAX),
             trace_capacity: self.trace_capacity,
         }));
-        // Reload persisted history from the spill directory's manifest:
+        // Reload persisted history from the spill directory's seal log:
         // header-only reads; a run's frame is loaded, with one positioned
         // read of its blob, at its first query.
         let lru = Arc::new(SegmentLru::new(self.max_resident_bytes, Arc::clone(&obs)));
@@ -257,18 +261,13 @@ impl EngineBuilder {
             }
             None => Recovered::default(),
         };
-        // Fresh run ids start above everything either directory has seen.
-        let persisted_next = persisted
-            .iter()
-            .filter_map(|p| p.run().0.checked_add(1))
-            .chain(spill.iter().map(SpillDir::next_run))
-            .max()
-            .unwrap_or(0);
+        // Fresh run ids start above everything either log has named.
+        let spill_next = spill.as_ref().map_or(0, SpillDir::next_run);
         let shared = Arc::new(EngineShared {
             catalog: self.contexts.into_boxed_slice(),
             store: LabelStore::new(self.shards, persisted, lru),
             subs: SubHub::new(self.sub_queue_capacity),
-            next_run: AtomicU64::new(persisted_next.max(recovered.next_run)),
+            next_run: AtomicU64::new(spill_next.max(recovered.next_run)),
             obs,
             ingest: Ingest::default(),
             tiering: Tiering::new(self.policy),

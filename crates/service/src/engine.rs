@@ -104,19 +104,23 @@ impl EngineShared {
 
     /// Append one record to `run`'s WAL shard (a no-op without a WAL);
     /// `payload` writes the record's payload straight into the shard's
-    /// buffer. A run's appends happen under its writer lock, whichever
-    /// thread applies, so the shard file sees them in apply order.
+    /// buffer, and the frame's bytes are counted on `slot`. A run's
+    /// appends happen under its writer lock, whichever thread applies, so
+    /// the shard file sees them in apply order.
     pub(crate) fn journal(
         &self,
         run: RunId,
+        slot: &RunSlot,
         kind: RecordKind,
         seq: u64,
         payload: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), ServiceError> {
         let Some(wal) = &self.wal else { return Ok(()) };
         let shard = route_shard(run, wal.shards());
-        wal.append_with(shard, kind, run.0, seq, payload)
-            .map_err(|e| ServiceError::Wal(e.to_string()))
+        let appended = wal.append_with(shard, kind, run.0, seq, payload);
+        let bytes = appended.map_err(|e| ServiceError::Wal(e.to_string()))?;
+        slot.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Force every record appended so far to disk (a no-op without a
@@ -204,14 +208,15 @@ impl WfEngine {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_add(1))
             .map(RunId)
             .map_err(|_| ServiceError::RunIdsExhausted)?;
-        let slot = RunSlot::open(Arc::clone(ctx), spec, resolution, 1)
+        let slot = RunSlot::open(Arc::clone(ctx), spec, resolution, 1, 0)
             .map_err(|e| ServiceError::Labeler(run, e))?;
         // Journal the open before the run becomes visible: the `RunOpen`
         // record (seq 0) happens-before any event of the run, so recovery
         // always finds it ahead of the run's events.
-        self.shared.journal(run, RecordKind::RunOpen, 0, |out| {
-            run_open_payload(out, spec, resolution);
-        })?;
+        self.shared
+            .journal(run, &slot, RecordKind::RunOpen, 0, |out| {
+                run_open_payload(out, spec, resolution);
+            })?;
         self.shared.store.insert(run, RunView::Hot(Arc::new(slot)));
         self.shared.obs.runs_opened.inc();
         Ok(run)
@@ -351,13 +356,15 @@ impl WfEngine {
     /// [`RunStatus::Evicted`]: an eviction must not let anything keep
     /// ingesting into state no new lookup can reach. New lookups fail
     /// with [`ServiceError::UnknownRun`]. The eviction is durable in
-    /// every tier: a run that has a blob on disk — read from there, or
-    /// re-heated since — loses its manifest line before this returns
-    /// (a failure to rewrite the manifest is reported, the run is gone
-    /// from memory regardless), and the blob's bytes turn dead until a
-    /// compaction pass reclaims them. A persist racing the eviction
-    /// loses: its run gets no manifest line, and the pack it wrote goes
-    /// at the next compaction.
+    /// every tier, as one appended record: a run that has a blob on disk
+    /// — read from there, or re-heated since — gets an `Evicted` record
+    /// in the seal log before this returns (a failed append is reported,
+    /// the run is gone from memory regardless), and the blob's bytes turn
+    /// dead until a compaction pass reclaims them; any other run gets a
+    /// WAL checkpoint. Nothing is rewritten, and the run's id is never
+    /// issued again, after a restart either. A persist racing the
+    /// eviction loses: its seal record is followed by the eviction's,
+    /// and the pack it wrote goes at the next compaction.
     pub fn evict_run(&self, run: RunId) -> Result<(), ServiceError> {
         let view = self
             .shared
@@ -365,18 +372,19 @@ impl WfEngine {
             .remove(run)
             .ok_or(ServiceError::UnknownRun(run))?;
         self.shared.notify_evicted(run);
-        let located = matches!(&view, RunView::Sealed(sealed) if sealed.location().is_some());
-        match &self.shared.spill {
-            Some(spill) if located => spill.forget(&self.shared.store, run),
-            _ => {
-                // A run with no blob on disk still has its open/event
-                // records in the log (only persisting checkpoints them):
-                // checkpoint them now, or the next `build()` would replay
-                // the evicted run back into the hot tier.
-                self.shared.checkpoint_wal(run);
-                Ok(())
+        // A run with a blob on disk gets its `Evicted` seal record. Any
+        // other run still has its open/event records in the log (only
+        // persisting checkpoints them): checkpoint them now, or the next
+        // `build()` would replay the evicted run back into the hot tier.
+        let bytes = match (&self.shared.spill, &view) {
+            (Some(spill), RunView::Sealed(s)) if s.location().is_some() => {
+                return spill.forget(run)
             }
-        }
+            (_, RunView::Sealed(s)) => s.wal_bytes,
+            (_, RunView::Hot(slot)) => slot.wal_bytes.load(Ordering::Relaxed),
+        };
+        self.shared.checkpoint_wal(run, bytes);
+        Ok(())
     }
 
     /// **Freeze** a completed run now: seal its published labels into
@@ -391,12 +399,15 @@ impl WfEngine {
 
     /// **Spill** a run to disk (freezing it first if needed): append its
     /// blob, byte for byte, to the pack this engine lifetime has open and
-    /// one line to the manifest under the configured
+    /// one `Sealed` record to the seal log under the configured
     /// [`EngineBuilder::spill_dir`], and let its frame go —
     /// the run is read from its pack from then on, through a frame loaded
-    /// lazily ([`Tier::Persisted`]). A re-heated run is written already:
-    /// only its held frame goes. Requires a spill directory
-    /// ([`ServiceError::NoSpillDir`] otherwise).
+    /// lazily ([`Tier::Persisted`]). With a WAL, a checkpoint record is
+    /// then appended to the run's shard; neither log is rewritten here,
+    /// so a persist costs the same however large either has grown. A
+    /// re-heated run is written already: only its held frame goes.
+    /// Requires a spill directory ([`ServiceError::NoSpillDir`]
+    /// otherwise).
     pub fn persist_run(&self, run: RunId) -> Result<(), ServiceError> {
         self.shared.persist(run)
     }
@@ -404,7 +415,7 @@ impl WfEngine {
     /// **Re-heat** a run read from disk — the one way back: load its
     /// frame if it is not in memory and hold it ([`Tier::Frozen`]), so
     /// subsequent queries never touch disk and the LRU has nothing of it
-    /// to shed. The run keeps its pack and its manifest line — a restart
+    /// to shed. The run keeps its pack and its seal record — a restart
     /// brings it back persisted — and [`Self::persist_run`] is the
     /// inverse: the frame goes, nothing is encoded or written. No-op if
     /// the run is hot or already holds its frame. Nothing re-heats
@@ -415,17 +426,20 @@ impl WfEngine {
     }
 
     /// **Compact** the persisted tier now — the spill directory's one
-    /// maintenance pass, with an atomic, crash-safe manifest rewrite. It
-    /// closes the pack fresh spills append to, merges underfull pack
+    /// maintenance pass. It closes the pack fresh spills append to,
+    /// merges underfull pack
     /// files — the packs of short engine lifetimes, packs a rewrite left
     /// small — into full multi-run packs, cutting the directory's file
     /// count, and rewrites every pack more than
     /// [`DEAD_HEAVY_RATIO`](crate::snapshot::DEAD_HEAVY_RATIO) of whose
     /// bytes belong to evicted runs, cutting its bytes. In-flight
-    /// cross-run scans and handles follow: every copied run's
-    /// registration is pointed at the new pack before the old one is
-    /// unlinked, and a frame already loaded is a private copy the unlink
-    /// does not touch. The tiering worker runs this automatically once
+    /// cross-run scans and handles follow: the moved runs' new places are
+    /// appended to the seal log, then every copied run's registration is
+    /// pointed at the new pack, and only then is the old one unlinked; a
+    /// frame already loaded is a private copy the unlink does not touch.
+    /// The log itself is replaced whole — crash-safe — only once more
+    /// than that same share of its records are dead. The tiering worker
+    /// runs this automatically once
     /// [`EngineBuilder::compact_after`] underfull files accumulate or a
     /// file turns dead-heavy.
     pub fn compact(&self) -> Result<CompactionReport, ServiceError> {
@@ -486,8 +500,12 @@ impl WfEngine {
     /// sealed form.
     pub fn handle(&self, run: RunId) -> Result<RunHandle, ServiceError> {
         let view = self.shared.view(run)?;
-        let ctx = Arc::clone(&self.shared.catalog[view.spec().0]);
-        Ok(RunHandle::new(Arc::clone(&self.shared), ctx, run, view))
+        Ok(RunHandle {
+            shared: Arc::clone(&self.shared),
+            ctx: Arc::clone(&self.shared.catalog[view.spec().0]),
+            run,
+            view,
+        })
     }
 
     /// The cross-run query surface: lineage questions over *several*

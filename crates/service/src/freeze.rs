@@ -61,5 +61,5 @@ pub(crate) fn freeze_slot(run: RunId, slot: &RunSlot, lru: &Arc<SegmentLru>) -> 
         Some(Tier::Frozen.name()),
         String::new,
     );
-    SealedRun::on_heap(header, blob, Arc::clone(&slot.queries), Arc::clone(lru))
+    SealedRun::on_heap(header, blob, slot, Arc::clone(lru))
 }

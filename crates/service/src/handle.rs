@@ -29,27 +29,13 @@ use wf_run::ExecEvent;
 /// 'static`; a clone shares everything by reference count.
 #[derive(Clone)]
 pub struct RunHandle {
-    shared: Arc<EngineShared>,
-    ctx: Arc<SpecContext>,
-    run: RunId,
-    view: RunView,
+    pub(crate) shared: Arc<EngineShared>,
+    pub(crate) ctx: Arc<SpecContext>,
+    pub(crate) run: RunId,
+    pub(crate) view: RunView,
 }
 
 impl RunHandle {
-    pub(crate) fn new(
-        shared: Arc<EngineShared>,
-        ctx: Arc<SpecContext>,
-        run: RunId,
-        view: RunView,
-    ) -> Self {
-        Self {
-            shared,
-            ctx,
-            run,
-            view,
-        }
-    }
-
     /// The run this handle is for.
     pub fn run(&self) -> RunId {
         self.run

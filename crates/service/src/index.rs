@@ -570,13 +570,6 @@ impl LabelIndex {
         self.bits.load(Ordering::Relaxed)
     }
 
-    /// Hot-tier byte footprint of the published labels (accounting bits
-    /// rounded up) — the unit the per-tier stats compare against frozen
-    /// arena bytes and on-disk segment bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bits().div_ceil(8)
-    }
-
     /// **Resident** bytes of the decoded labels: the bytes of label
     /// storage the index keeps alive, excluding the chunk tables
     /// themselves — one two-word cell per published label (its name,

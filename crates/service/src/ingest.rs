@@ -166,10 +166,10 @@ fn log_then_apply(
             })
             .map_err(|_| ServiceError::Wal(format!("{run}: sequence numbers exhausted")))?;
         match op {
-            Op::Insert(ev) => shared.journal(run, RecordKind::Event, seq, |out| {
+            Op::Insert(ev) => shared.journal(run, slot, RecordKind::Event, seq, |out| {
                 wf_drl::encode::write_event(out, ev);
             }),
-            Op::Complete => shared.journal(run, RecordKind::Complete, seq, |_| {}),
+            Op::Complete => shared.journal(run, slot, RecordKind::Complete, seq, |_| {}),
         }
     };
     match op {

@@ -214,6 +214,7 @@ pub struct ServiceEvent {
 
 /// Lifecycle state of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RunStatus {
     /// Accepting events.
     Live,
@@ -229,22 +230,14 @@ pub enum RunStatus {
 }
 
 impl RunStatus {
+    /// The status whose discriminant is `v` (a slot keeps its status as
+    /// one atomic byte).
     pub(crate) fn from_u8(v: u8) -> Self {
-        match v {
-            0 => RunStatus::Live,
-            1 => RunStatus::Completed,
-            2 => RunStatus::Failed,
-            _ => RunStatus::Evicted,
-        }
-    }
-
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            RunStatus::Live => 0,
-            RunStatus::Completed => 1,
-            RunStatus::Failed => 2,
-            RunStatus::Evicted => 3,
-        }
+        let status = [RunStatus::Live, RunStatus::Completed, RunStatus::Failed];
+        status
+            .get(usize::from(v))
+            .copied()
+            .unwrap_or(RunStatus::Evicted)
     }
 }
 
@@ -285,14 +278,15 @@ pub enum ServiceError {
     /// underlying IO/format error).
     Snapshot(RunId, String),
     /// The spill directory could not be read when the engine was built
-    /// (message carries the cause: an I/O error, a manifest header of
-    /// another format). The engine registered nothing from it and
-    /// writes nothing there for its lifetime, so every persist, eviction
-    /// of a persisted run and compaction is refused.
+    /// (message carries the cause: an I/O error, a seal log of another
+    /// format or bad before its end, an earlier build's manifest). The
+    /// engine registered nothing from it and writes nothing there for its
+    /// lifetime, so every persist, eviction of a persisted run and
+    /// compaction is refused.
     SpillUnavailable(String),
     /// A compaction pass failed (message carries the underlying
     /// IO/format/sync error). The persisted tier is untouched: until the
-    /// new manifest renames into place the old files stay live.
+    /// seal log holds the new places the old files stay live.
     Compaction(String),
     /// A write-ahead-log append or barrier failed (message carries the
     /// underlying [`WalError`]), or the run journaled its last sequence

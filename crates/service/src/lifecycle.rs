@@ -224,8 +224,8 @@ impl EngineShared {
     }
 
     /// Spill one run to disk: freeze it if still hot, append its blob to
-    /// the active pack and its line to the manifest, and let its frame
-    /// go. A re-heated run already has its pack and its manifest line:
+    /// the active pack and its seal record to the log, and let its frame
+    /// go. A re-heated run already has its pack and its seal record:
     /// only its held frame goes, and nothing is written. Idempotent for
     /// runs read from disk.
     pub(crate) fn persist(&self, run: RunId) -> Result<(), ServiceError> {
@@ -236,22 +236,24 @@ impl EngineShared {
             return Ok(());
         };
         if spill.persist(&self.store, &sealed)? {
-            // The run is durable in its pack + manifest line: stamp a WAL
-            // checkpoint and compact the shard, so the log keeps only the
-            // non-persisted suffix (recovery time ∝ hot state, not
-            // history). A checkpoint failure is non-fatal — the spill
-            // succeeded; recovery would simply skip the run's stale
-            // records because the manifest already lists it.
-            self.checkpoint_wal(run);
+            // The run is durable in its pack + seal record: stamp a WAL
+            // checkpoint, so recovery skips its records and the shard is
+            // rewritten without them once they are dead-heavy (the log
+            // stays within a constant factor of hot state). A checkpoint
+            // failure is non-fatal — the spill succeeded; recovery would
+            // simply skip the run's stale records because the seal log
+            // already places it.
+            self.checkpoint_wal(run, sealed.wal_bytes);
         }
         Ok(())
     }
 
-    /// Stamp a WAL checkpoint for `run`: recovery skips a checkpointed
-    /// run's records. A failure goes to the error ring.
-    pub(crate) fn checkpoint_wal(&self, run: RunId) {
+    /// Stamp a WAL checkpoint for `run`, whose records take `bytes` of
+    /// its shard: recovery skips a checkpointed run's records. A failure
+    /// goes to the error ring.
+    pub(crate) fn checkpoint_wal(&self, run: RunId, bytes: u64) {
         if let Some(wal) = &self.wal {
-            if let Err(e) = wal.checkpoint(route_shard(run, wal.shards()), run.0) {
+            if let Err(e) = wal.checkpoint(route_shard(run, wal.shards()), run.0, bytes) {
                 self.ingest
                     .push_error(run, ServiceError::Wal(e.to_string()));
             }
@@ -261,7 +263,7 @@ impl EngineShared {
     /// **Re-heat** one sealed run read from disk: hold its frame —
     /// loaded first if the replacer has none — so reads stop touching
     /// disk. The run stays `Completed`, and keeps its location: the blob
-    /// stays live, the manifest keeps its line, and a crash brings the
+    /// stays live, the seal log keeps its record, and a crash brings the
     /// run back persisted. Idempotent for runs already holding their
     /// frame (and for hot runs).
     pub(crate) fn reheat(&self, run: RunId) -> Result<(), ServiceError> {
@@ -311,8 +313,9 @@ impl EngineShared {
             match res {
                 // Evicted since the walk: nothing left to tier.
                 Ok(()) | Err(ServiceError::UnknownRun(_)) => {}
-                // Surface tiering failures the same way fire-and-forget
-                // ingest failures surface: through the bounded ring.
+                // No caller waits on a tiering pass: its failures go to
+                // the bounded ring, with the WAL's barrier and checkpoint
+                // failures.
                 Err(e) => self.ingest.push_error(run, e),
             }
         }

@@ -8,10 +8,16 @@
 //! log rewrite ([`WalWriter::reset`] — the reopened log holds exactly
 //! what the rebuilt engine holds hot, plus the runs of specs beyond its
 //! catalog — or too wide for its hot cells — carried verbatim, re-homed
-//! if the shard count changed), the replay itself, and the `RunOpen`
-//! payload codec both sides of a lifetime boundary must agree on. Replay applies events
-//! through [`crate::ingest::apply`] like every other write, with an
-//! empty journal step: the records are already in the rewritten log.
+//! if the shard count changed, and the checkpoint of the highest run id
+//! the old log named, so no restart issues an evicted or persisted
+//! run's id again), the replay itself, and the `RunOpen` payload codec
+//! both sides of a lifetime boundary must agree on. Runs the spill
+//! directory's seal log places are not replayed: their blobs are the
+//! truth, whether or not their checkpoints made it into the log. Replay
+//! applies events through [`crate::ingest::apply`] like every other
+//! write, with an empty journal step: the records are already in the
+//! rewritten log, and each replayed run's slot starts out counting the
+//! bytes they take there, which its checkpoint later makes dead.
 //! The write path journals an op only once the run has admitted it, so
 //! the log holds nothing a caller was told was rejected; a run's records
 //! past its `Complete` — which only a log written by an earlier build
@@ -72,6 +78,8 @@ pub(crate) struct ReplayRun {
     completed: bool,
     /// Highest WAL seq the run had; its slot resumes numbering above it.
     max_seq: u64,
+    /// Bytes its records take in the rewritten log.
+    wal_bytes: u64,
 }
 
 /// What [`scan`] found.
@@ -152,6 +160,7 @@ fn decode_run(
         events,
         completed,
         max_seq: r.max_seq,
+        wal_bytes: records.iter().map(|rec| rec.encoded_len() as u64).sum(),
     })
 }
 
@@ -191,9 +200,10 @@ pub(crate) fn scan(
     let persisted: HashSet<u64> = persisted.iter().map(|p| p.run().0).collect();
     let mut survivors: Vec<Record> = Vec::new();
     for r in &rec.runs {
-        // Checkpointed runs are durable in their segment; runs in the
-        // manifest likewise (belt and braces — a crash between segment
-        // write and checkpoint stamp leaves the manifest authoritative).
+        // Checkpointed runs are durable in their segment, or evicted;
+        // runs the seal log places likewise (belt and braces — a crash
+        // between segment write and checkpoint stamp leaves the seal log
+        // authoritative).
         if r.checkpointed || persisted.contains(&r.run) {
             continue;
         }
@@ -220,6 +230,7 @@ pub(crate) fn scan(
         sync,
         Box::new(WalTelemetry(Arc::clone(obs))),
         &survivors,
+        out.next_run,
         |run| route_shard(RunId(run), shards),
     ) {
         Ok(wal) => out.wal = Some(wal),
@@ -247,7 +258,7 @@ pub(crate) fn replay(shared: &EngineShared, runs: Vec<ReplayRun>) {
     let obs = &shared.obs;
     for r in runs {
         let ctx = Arc::clone(&shared.catalog[r.spec.0]);
-        let slot = match RunSlot::open(ctx, r.spec, r.resolution, r.max_seq + 1) {
+        let slot = match RunSlot::open(ctx, r.spec, r.resolution, r.max_seq + 1, r.wal_bytes) {
             Ok(slot) => Arc::new(slot),
             Err(e) => {
                 obs.event("wal_skip_run", Some(r.run.0), None, || e.to_string());

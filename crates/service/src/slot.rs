@@ -57,6 +57,9 @@ pub(crate) struct RunSlot {
     /// everything appended before a barrier is durably replayable after
     /// it.
     pub(crate) wal_seq: AtomicU64,
+    /// Bytes the run's records take in its WAL shard, counted as each is
+    /// appended: what the run's checkpoint makes dead there.
+    pub(crate) wal_bytes: AtomicU64,
     /// Where the run's completion falls in the engine's completion
     /// order (a tick of [`COMPLETIONS`]); 0 while it has not completed.
     completion: AtomicU64,
@@ -96,12 +99,15 @@ impl RunSlot {
     /// The slot of a run that can be written: `Live`, with a fresh
     /// labeler. `next_wal_seq` is 1 for newly opened runs (the `RunOpen`
     /// record takes seq 0) and `max_seq + 1` when rebuilding a run from
-    /// WAL replay.
+    /// WAL replay; `wal_bytes` is what the run's records already take in
+    /// its shard (0 for a new run, its records in the rewritten log for a
+    /// replayed one).
     pub(crate) fn open(
         ctx: Arc<SpecContext>,
         spec: SpecId,
         resolution: ResolutionMode,
         next_wal_seq: u64,
+        wal_bytes: u64,
     ) -> Result<Self, ExecError> {
         let writer = ExecutionState::new(&ctx.spec, resolution)?;
         Ok(Self {
@@ -111,9 +117,10 @@ impl RunSlot {
             writer: Mutex::new(Some(writer)),
             indexed: LabelIndex::new(),
             source: OnceLock::new(),
-            status: AtomicU8::new(RunStatus::Live.as_u8()),
+            status: AtomicU8::new(RunStatus::Live as u8),
             queries: Arc::new(LineCounter::new()),
             wal_seq: AtomicU64::new(next_wal_seq),
+            wal_bytes: AtomicU64::new(wal_bytes),
             completion: AtomicU64::new(0),
         })
     }
@@ -126,8 +133,8 @@ impl RunSlot {
     /// fails at most once and a completion or eviction is never undone).
     pub(crate) fn fail(&self) {
         let _ = self.status.compare_exchange(
-            RunStatus::Live.as_u8(),
-            RunStatus::Failed.as_u8(),
+            RunStatus::Live as u8,
+            RunStatus::Failed as u8,
             Ordering::AcqRel,
             Ordering::Acquire,
         );
@@ -204,7 +211,7 @@ impl RunSlot {
         let tick = COMPLETIONS.fetch_add(1, Ordering::Relaxed) + 1;
         self.completion.store(tick, Ordering::Relaxed);
         self.status
-            .store(RunStatus::Completed.as_u8(), Ordering::Release);
+            .store(RunStatus::Completed as u8, Ordering::Release);
         *w = None;
         Ok(())
     }
@@ -223,7 +230,7 @@ impl RunSlot {
     pub(crate) fn evict(&self) {
         let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         self.status
-            .store(RunStatus::Evicted.as_u8(), Ordering::Release);
+            .store(RunStatus::Evicted as u8, Ordering::Release);
     }
 }
 
@@ -247,7 +254,7 @@ mod tests {
             .generate_run(&mut rng);
         let exec = Execution::deterministic(&gen.graph, &gen.origin);
         let run = RunId(7);
-        let slot = RunSlot::open(ctx, SpecId(0), ResolutionMode::NameBased, 1).unwrap();
+        let slot = RunSlot::open(ctx, SpecId(0), ResolutionMode::NameBased, 1, 0).unwrap();
         slot.apply_insert(run, &exec.events()[0], || Ok(()))
             .unwrap();
 

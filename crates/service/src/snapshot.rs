@@ -1,7 +1,7 @@
 //! **Sealed runs**: a completed run is one immutable segment blob, in a
-//! versioned binary format with a manifest, whose bytes sit in a heap
-//! frame, in a pack file on disk, or both — loadable at engine build time so
-//! historical runs keep answering cross-run queries.
+//! versioned binary format named by an append-only seal log, whose bytes
+//! sit in a heap frame, in a pack file on disk, or both — loadable at
+//! engine build time so historical runs keep answering cross-run queries.
 //!
 //! A *segment blob* holds one run (format version 5, all integers
 //! little-endian):
@@ -24,7 +24,7 @@
 //!
 //! The arena's layout is `wf-drl`'s: this module frames `arena` bytes and
 //! hands them to [`wf_drl::ArenaRef`], which checks them.
-//! Any other version — blob or manifest — is rejected with a typed
+//! Any other version — of a blob or of the seal log — is rejected with a typed
 //! [`SnapshotError::Format`], never guessed at: version 4 was this
 //! layout under a `u64` FNV-1a trailer, version 3 held a sorted 12-byte
 //! `(vertex, name, offset)` slot per label over a heap of whole encoded
@@ -38,17 +38,25 @@
 //! [`PACK_TARGET_BYTES`]; compaction merges underfull packs and rewrites
 //! dead-heavy ones. Each blob carries its own checksum
 //! ([`wf_wal::crc32c`], the one the WAL frames use), so a pack needs no
-//! container framing: the manifest (`wf-tier-manifest.txt`: `run file
-//! offset len` per line) is the directory. Every byte reaches disk, and
-//! comes back, through `wf-wal`'s file manager ([`wf_wal::file`]). A
-//! pack — a fresh spill's or a compaction's — is created with
-//! `create_new` and only ever **appended** to ([`wf_wal::file::append`]:
-//! write, sync, and a directory fsync for a new file), so a blob is on
-//! disk before the manifest line that names it is appended the same
-//! way. A whole manifest lands by the crash-safe **replace**
-//! ([`wf_wal::file::replace`]). A crash cannot leave the manifest
-//! pointing at unsynced blobs, and a manifest line cut off mid-append is
-//! not read (sync failures surface as the typed [`SnapshotError::Sync`]).
+//! container framing: the **seal log** ([`SEAL_LOG_FILE`]) is the
+//! directory. It is `wf-wal`'s frame codec behind its own header
+//! ([`SEAL_LOG_HEADER`]), one record per change: [`Seal::Sealed`] names a
+//! run's pack, offset and length, [`Seal::Evicted`] ends a run, and a
+//! run's last record that reads back is where it lies. Nothing in the log
+//! is rewritten in place: it is appended to, and replaced whole only once
+//! more than [`DEAD_HEAVY_RATIO`] of its records are dead. Every byte
+//! reaches disk, and comes back, through `wf-wal`'s file manager
+//! ([`wf_wal::file`]). A pack — a fresh spill's or a compaction's — is
+//! created with `create_new` and only ever **appended** to
+//! ([`wf_wal::file::append`]: write, sync, and a directory fsync for a
+//! new file), so a blob is on disk before the record that names it is
+//! appended the same way. A crash cannot leave a record pointing at
+//! unsynced blobs; a record cut off mid-append is the log's last bytes —
+//! the start of one frame, with no whole record in them — and is dropped
+//! (sync failures surface as the typed [`SnapshotError::Sync`]). A seal
+//! log read by [`read_seal_log`] that is bad anywhere else — among
+//! them a length that claims bytes past the end of the file while a
+//! whole record follows — is refused whole, never read as a shorter log.
 //!
 //! A completed run is **one object**, a `SealedRun`, from freeze to
 //! eviction, and its bytes in memory are **one frame**: an `Arc<[u8]>`
@@ -72,7 +80,7 @@
 //! borrows the frame, and the replacer only ever *tries* it. Eviction, a
 //! sealed run's only exit, is settled under that lock too.
 
-use crate::slot::LineCounter;
+use crate::slot::{LineCounter, RunSlot};
 use crate::store::{SegmentLru, Tier};
 use crate::telemetry::with_profile;
 use crate::{RunId, ServiceError, SpecId};
@@ -90,18 +98,12 @@ use wf_wal::file::{self, FileError};
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
 /// The segment format version this engine reads and writes.
 pub const SEGMENT_VERSION: u32 = 5;
-/// Manifest file name inside the spill directory.
-pub const MANIFEST_FILE: &str = "wf-tier-manifest.txt";
-/// The manifest header line (`run file offset len` entries follow).
-pub const MANIFEST_HEADER: &str = "wf-tier-manifest v2";
-
 /// A file holding fewer live runs than this is *underfull*: compaction
-/// merges underfull files…
+/// merges underfull files, and rewrites *dead-heavy* ones — more than
+/// [`DEAD_HEAVY_RATIO`] of their bytes belonging to evicted runs. Every
+/// other file is left alone.
 pub const MIN_PACK_RUNS: usize = 64;
-/// …and rewrites *dead-heavy* ones: once more than this share of a
-/// file's bytes belongs to evicted runs, copying the live remainder wins
-/// back more disk than the copy costs. Every other file is left alone.
-pub const DEAD_HEAVY_RATIO: f64 = 0.3;
+pub use wf_wal::DEAD_HEAVY_RATIO;
 /// Compaction closes a pack once it holds this many runs…
 pub const PACK_MAX_RUNS: usize = 1024;
 /// …or this many bytes, whichever comes first.
@@ -310,138 +312,106 @@ pub fn read_header_at(path: &Path, offset: u64) -> Result<SegmentHeader, Snapsho
     parse_header(&buf)
 }
 
-/// One manifest line: a persisted run and the byte range of its blob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// The persisted run.
-    pub run: RunId,
-    /// Pack file name, relative to the spill dir.
-    pub file: String,
-    /// Byte offset of the run's blob within the file.
-    pub offset: u64,
-    /// Length of the blob in bytes.
-    pub bytes: u64,
+/// One record of the seal log: where a persisted run's blob lies, or
+/// that the run was evicted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seal {
+    /// The run's blob is the `len` bytes at `offset` of pack `pack`
+    /// ([`pack_file_name`]): appended by a persist once the blob is
+    /// synced, and by a compaction for every blob it moved.
+    Sealed {
+        run: RunId,
+        pack: u64,
+        offset: u64,
+        len: u64,
+    },
+    /// The run was evicted: no earlier record of it registers.
+    Evicted { run: RunId },
 }
 
-/// Append `entry`'s line to the manifest in `dir` and sync it. Only a
-/// manifest that starts with [`MANIFEST_HEADER`] and ends in a complete
-/// line is appended to — a line after half of one, or under a header
-/// this engine cannot read, would be lost.
-pub(crate) fn append_manifest(dir: &Path, entry: &ManifestEntry) -> Result<(), SnapshotError> {
-    let line = manifest_line(entry);
-    file::append(
-        &dir.join(MANIFEST_FILE),
-        line.as_bytes(),
-        false,
-        |f, len| {
-            let mut head = [0; MANIFEST_HEADER.len() + 1];
-            let mut last = [0];
-            let whole = f.read_at(0, &mut head).is_ok()
-                && f.read_at(len.saturating_sub(1), &mut last).is_ok()
-                && head[..MANIFEST_HEADER.len()] == *MANIFEST_HEADER.as_bytes()
-                && head[MANIFEST_HEADER.len()] == b'\n'
-                && last == *b"\n";
-            if !whole {
-                return Err(SnapshotError::Format(
-                    "the manifest is not a whole v2 manifest".into(),
-                ));
-            }
-            Ok(())
-        },
-    )
-    .map(drop)
-}
+/// The seal log's file name inside the spill directory.
+pub const SEAL_LOG_FILE: &str = "wf-seal.log";
+/// What the seal log starts with: the magic `WFSL`, then its format
+/// version 1 as a `u32` LE. Frames follow in `wf-wal`'s codec
+/// ([`wf_wal::encode_frame`]): a log of one kind never reads as the other.
+pub const SEAL_LOG_HEADER: [u8; 8] = *b"WFSL\x01\0\0\0";
+/// The longest seal record body: a kind byte and four varints.
+const MAX_SEAL_BODY: usize = 1 + 4 * 10;
 
-/// Atomically rewrite the manifest with every registered blob (the
-/// crash-safe [`file::replace`]) — after this returns, a crash cannot
-/// resurrect the previous manifest or leave the new one pointing at
-/// unsynced data.
-pub fn write_manifest(dir: &Path, entries: &[ManifestEntry]) -> Result<(), SnapshotError> {
-    Ok(file::replace(
-        &dir.join(MANIFEST_FILE),
-        manifest_text(entries).as_bytes(),
-    )?)
-}
-
-/// The header, then one line per entry.
-pub(crate) fn manifest_text<'a>(entries: impl IntoIterator<Item = &'a ManifestEntry>) -> String {
-    let mut out = format!("{MANIFEST_HEADER}\n");
-    for e in entries {
-        out.push_str(&manifest_line(e));
+impl Seal {
+    /// The run the record names.
+    pub fn run(&self) -> RunId {
+        match *self {
+            Seal::Sealed { run, .. } | Seal::Evicted { run } => run,
+        }
     }
+
+    /// Append the record's frame to `out`: `[kind][run][pack][offset][len]`
+    /// (kind 0) or `[kind][run]` (kind 1), every number a LEB128 varint.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let (kind, fields) = match *self {
+            Seal::Sealed {
+                run,
+                pack,
+                offset,
+                len,
+            } => (0, vec![run.0, pack, offset, len]),
+            Seal::Evicted { run } => (1, vec![run.0]),
+        };
+        wf_wal::encode_frame(out, |out| {
+            out.push(kind);
+            fields.into_iter().for_each(|v| wf_wal::put_varint(out, v));
+        });
+    }
+
+    /// Inverse of [`Self::encode_into`] for one frame's body: a known
+    /// kind with its fields, and nothing left over.
+    fn parse(body: &[u8]) -> Result<Self, String> {
+        let (&kind, mut rest) = body.split_first().ok_or("an empty body")?;
+        let mut fields = Vec::new();
+        while let Some((v, n)) = wf_wal::get_varint(rest) {
+            fields.push(v);
+            rest = &rest[n..];
+        }
+        match (kind, &fields[..], rest.is_empty()) {
+            (0, &[run, pack, offset, len], true) => Ok(Seal::Sealed {
+                run: RunId(run),
+                pack,
+                offset,
+                len,
+            }),
+            (1, &[run], true) => Ok(Seal::Evicted { run: RunId(run) }),
+            _ => Err(format!("not a seal record: kind {kind}, {body:02x?}")),
+        }
+    }
+}
+
+/// [`SEAL_LOG_HEADER`], then `records`: a whole seal log.
+pub fn seal_log_bytes(records: &[Seal]) -> Vec<u8> {
+    let mut out = SEAL_LOG_HEADER.to_vec();
+    records.iter().for_each(|r| r.encode_into(&mut out));
     out
 }
 
-fn manifest_line(e: &ManifestEntry) -> String {
-    format!("{} {} {} {}\n", e.run.0, e.file, e.offset, e.bytes)
-}
-
-/// A manifest as read back.
-#[derive(Debug, Default)]
-pub(crate) struct Manifest {
-    /// Every complete line after the header, `\n` included, with the
-    /// `run file offset len` entry it reads as — `None` for a line this
-    /// build cannot read (one byte not UTF-8, a field that is not a
-    /// number, five fields), which may have named any blob.
-    pub(crate) lines: Vec<(Vec<u8>, Option<ManifestEntry>)>,
-    /// The last line has no `\n`: an append a crash cut off, never
-    /// acknowledged, and dropped.
-    pub(crate) torn: bool,
-    /// An `epoch <n>` line earlier engines wrote, which names no blob,
-    /// was dropped.
-    pub(crate) epoch: bool,
-}
-
-/// Read the manifest of `dir`, line by line: `None` when there is none,
-/// a [`SnapshotError::Format`] for any header but [`MANIFEST_HEADER`]
-/// and an I/O error for a manifest that could not be read. Nothing is
-/// guessed at: a line that does not read is kept as it is, never
-/// dropped (registration re-validates every blob header, so the
-/// manifest is an index, not a trust root).
-pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SnapshotError> {
-    let Some(bytes) = file::read(&dir.join(MANIFEST_FILE))? else {
-        return Ok(None);
-    };
-    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
-    let header = lines.next().unwrap_or_default();
-    if header.strip_suffix(b"\n") != Some(MANIFEST_HEADER.as_bytes()) {
-        let found = String::from_utf8_lossy(header);
-        return Err(SnapshotError::Format(format!(
-            "bad manifest header {found:?}"
-        )));
+/// Read the seal log of `dir` — the one reader, the engine's and the
+/// tests'. A missing log is an empty one; a log that ends in half a
+/// record — a crash-cut last append — reads up to it, with its
+/// [`wf_wal::Scanned::torn`] set. A log is refused with a
+/// [`SnapshotError::Format`] when it does not start with
+/// [`SEAL_LOG_HEADER`], or when a frame fails its checks and is not such
+/// a cut ([`wf_wal::Scanned::cut`]): reading a log that ends early
+/// anywhere else would drop records that name packs.
+pub fn read_seal_log(dir: &Path) -> Result<wf_wal::Scanned<Seal>, SnapshotError> {
+    let path = dir.join(SEAL_LOG_FILE);
+    let log = wf_wal::scan_log(&path, &SEAL_LOG_HEADER, 2..=MAX_SEAL_BODY, Seal::parse)
+        .map_err(|e| SnapshotError::Format(e.to_string()))?;
+    match &log.torn {
+        Some(torn) if !log.cut => Err(SnapshotError::Format(format!(
+            "{} holds a bad record at byte {}: {}",
+            torn.file, torn.valid_bytes, torn.detail
+        ))),
+        _ => Ok(log),
     }
-    let mut out = Manifest::default();
-    for line in lines {
-        match line.strip_suffix(b"\n") {
-            None => out.torn = true,
-            Some(l) if l.starts_with(b"epoch ") => out.epoch = true,
-            Some(l) => out.lines.push((line.to_vec(), parse_line(l))),
-        }
-    }
-    Ok(Some(out))
-}
-
-/// One `run file offset len` line, exactly four fields.
-fn parse_line(line: &[u8]) -> Option<ManifestEntry> {
-    let fields: Vec<&str> = std::str::from_utf8(line).ok()?.split_whitespace().collect();
-    let [run, file, offset, bytes] = fields[..] else {
-        return None;
-    };
-    Some(ManifestEntry {
-        run: RunId(run.parse().ok()?),
-        file: file.to_string(),
-        offset: offset.parse().ok()?,
-        bytes: bytes.parse().ok()?,
-    })
-}
-
-/// Load the manifest's entries: a missing file is an empty manifest,
-/// any header but [`MANIFEST_HEADER`] a typed [`SnapshotError::Format`],
-/// and a line that does not read as `run file offset len` — or has no
-/// `\n`, an append a crash cut off — is skipped.
-pub fn load_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, SnapshotError> {
-    let lines = read_manifest(dir)?.map(|m| m.lines).unwrap_or_default();
-    Ok(lines.into_iter().filter_map(|(_, entry)| entry).collect())
 }
 
 /// What is known of the blob at its pack location.
@@ -490,8 +460,8 @@ struct Place {
     /// replacer, and the run reads as [`Tier::Frozen`]. A frame that is
     /// not held was loaded from disk and is the replacer's to shed.
     held: bool,
-    /// The blob's pack location, from the first persist (or the manifest
-    /// line the run was registered from) until the eviction.
+    /// The blob's pack location, from the first persist (or the seal
+    /// record the run was registered from) until the eviction.
     disk: Option<Disk>,
     /// Set once, by the eviction: nothing moves the run between tiers or
     /// admits it to the replacer afterwards, while reads through a stale
@@ -533,32 +503,34 @@ pub(crate) struct SealedRun {
     /// hot slot's counter, which a handle taken before the freeze still
     /// bumps; a run read from disk starts a new one.
     pub(crate) queries: Arc<LineCounter>,
+    /// Bytes the run's records take in its WAL shard — what its
+    /// checkpoint makes dead there; 0 for a run read from disk, whose
+    /// records the log no longer holds.
+    pub(crate) wal_bytes: u64,
 }
 
 impl SealedRun {
-    fn new(
-        header: SegmentHeader,
-        len: u64,
-        place: Place,
-        queries: Arc<LineCounter>,
-        lru: Arc<SegmentLru>,
-    ) -> Self {
+    /// A sealed run at `place`, counting its queries afresh, with no
+    /// records in a WAL shard.
+    fn new(header: SegmentHeader, len: u64, place: Place, lru: Arc<SegmentLru>) -> Self {
         Self {
             header,
             len,
             place: RwLock::new(place),
             last_access: AtomicU64::new(0),
             lru,
-            queries,
+            queries: Arc::new(LineCounter::new()),
+            wal_bytes: 0,
         }
     }
 
-    /// A run just frozen: its encoded `blob` held in a frame, no location
-    /// yet, counting its queries on `queries`.
+    /// A run just frozen from `slot`: its encoded `blob` held in a frame,
+    /// no location yet, counting its queries on the slot's counter, its
+    /// records taking what the slot journaled of its WAL shard.
     pub(crate) fn on_heap(
         header: SegmentHeader,
         blob: Vec<u8>,
-        queries: Arc<LineCounter>,
+        slot: &RunSlot,
         lru: Arc<SegmentLru>,
     ) -> Self {
         let len = blob.len() as u64;
@@ -568,49 +540,53 @@ impl SealedRun {
             disk: None,
             evicted: false,
         };
-        Self::new(header, len, place, queries, lru)
+        Self {
+            queries: Arc::clone(&slot.queries),
+            wal_bytes: slot.wal_bytes.load(Ordering::Relaxed),
+            ..Self::new(header, len, place, lru)
+        }
     }
 
-    /// Register a manifest entry of `file`, `pack_len` bytes long, by
-    /// reading its blob header only. Nothing else is read: the frame is
-    /// loaded only when queried, which keeps the memory release of
-    /// persisting real.
-    pub(crate) fn open_entry(
+    /// Register the blob a [`Seal::Sealed`] record names — `len` bytes at
+    /// `offset` of `file`, a pack `pack_len` bytes long — by reading its
+    /// header only. Nothing else is read: the frame is loaded only when
+    /// queried, which keeps the memory release of persisting real.
+    pub(crate) fn open_at(
         file: Arc<Path>,
         pack_len: u64,
-        entry: &ManifestEntry,
+        run: RunId,
+        offset: u64,
+        len: u64,
         lru: Arc<SegmentLru>,
     ) -> Result<Self, SnapshotError> {
-        let header = read_header_at(&file, entry.offset)?;
-        if header.run != entry.run {
+        let header = read_header_at(&file, offset)?;
+        if header.run != run {
             return Err(SnapshotError::Format(format!(
-                "manifest names {} but the blob holds {}",
-                entry.run, header.run
+                "the seal log names {run} but the blob holds {}",
+                header.run
             )));
         }
-        // The manifest is an index, not a trust root: a length other than
-        // the header's would fail the run's first load, and a range past
-        // the file's end would size a frame the file cannot fill.
+        // A record is an index, not a trust root: a length other than the
+        // header's would fail the run's first load, and a range past the
+        // file's end would size a frame the file cannot fill.
         let implied = header
             .arena_len
             .saturating_add((HEADER_LEN + CHECKSUM_LEN) as u64);
-        if entry.bytes != implied {
+        if len != implied {
             return Err(SnapshotError::Format(format!(
-                "manifest length {} does not match the blob header (expected {implied})",
-                entry.bytes
+                "sealed length {len} does not match the blob header (expected {implied})"
             )));
         }
-        if entry.offset.saturating_add(entry.bytes) > pack_len {
+        if offset.saturating_add(len) > pack_len {
             return Err(SnapshotError::Format("blob range outside its pack".into()));
         }
         let place = Place {
             frame: None,
             held: false,
-            disk: Some(Disk::at(file, entry.offset)),
+            disk: Some(Disk::at(file, offset)),
             evicted: false,
         };
-        let queries = Arc::new(LineCounter::new());
-        Ok(Self::new(header, entry.bytes, place, queries, lru))
+        Ok(Self::new(header, len, place, lru))
     }
 
     /// The run this blob holds.
@@ -764,8 +740,8 @@ impl SealedRun {
     /// runs outside the place lock, so readers keep reading the frame
     /// meanwhile; an eviction that lands during it wins, and the blob
     /// just written is dead bytes in its pack, which compaction reclaims
-    /// (the spill directory takes back a manifest line `write` appended
-    /// for it).
+    /// (the spill directory records the eviction after the seal record
+    /// `write` appended for it).
     pub(crate) fn persist(
         &self,
         write: impl FnOnce(&[u8]) -> Result<(Arc<Path>, u64), SnapshotError>,

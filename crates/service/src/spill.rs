@@ -1,35 +1,44 @@
 //! The **spill directory**: the one owner of everything on disk under
-//! the sealed runs — pack naming, the manifest lock, and the operations
-//! that write there.
+//! the sealed runs — pack naming, the seal log and its lock, and the
+//! operations that write there.
 //!
 //! Everything here works on the store's **registrations**: every sealed
 //! run that has a location — read from disk, or re-heated and served from
-//! its held frame since — and the manifest lists exactly those. A blob is
-//! dead only once its run is evicted.
+//! its held frame since. The **seal log** ([`snapshot::SEAL_LOG_FILE`])
+//! records where each lies: every write here is one appended record, in
+//! `wf-wal`'s frame codec behind the log's own header. A blob is dead
+//! only once its run is evicted.
 //!
 //! * [`SpillDir::persist`] **appends**: one sealed run's held frame, as it
 //!   is, goes to the end of the *active pack* — the pack this engine
-//!   lifetime created last — and one `run file offset len` line goes to
-//!   the end of the manifest. Nothing is rewritten, so a spill costs two
-//!   syncs however many runs the directory holds.
-//! * [`SpillDir::forget`] rewrites the manifest after an eviction, so
-//!   the evicted run stays gone across a restart.
+//!   lifetime created last — and one [`Seal::Sealed`] record to the end
+//!   of the log. Nothing is rewritten, so a spill costs two syncs however
+//!   many runs the directory holds.
+//! * [`SpillDir::forget`] appends [`Seal::Evicted`] after an eviction, so
+//!   the evicted run stays gone across a restart and its id is never
+//!   issued again.
 //! * [`SpillDir::compact`] is the directory's one maintenance pass
 //!   (`rewrite_packs`): pick files, stream their live blobs verbatim
-//!   into fresh packs, land the manifest, relocate the runs in place,
-//!   unlink the copied files, sweep orphans. A file is picked for one of
-//!   two reasons: it is *underfull* (fewer than [`MIN_PACK_RUNS`] live
-//!   runs) or *dead-heavy* (more than [`DEAD_HEAVY_RATIO`] of its bytes
-//!   belong to evicted runs).
+//!   into fresh packs, append their new places to the log, relocate the
+//!   runs in place, unlink the copied files, sweep orphans. A file is
+//!   picked for one of two reasons: it is *underfull* (fewer than
+//!   [`MIN_PACK_RUNS`] live runs) or *dead-heavy* (more than
+//!   [`DEAD_HEAVY_RATIO`] of its bytes belong to evicted runs).
+//! * The log itself is replaced whole — its live records, and the
+//!   highest run id it would drop — only at open or after a compaction,
+//!   and only once more than [`DEAD_HEAVY_RATIO`] of its records are
+//!   dead (or, at open, when a crash cut its last append short).
+//!
+//! [`DEAD_HEAVY_RATIO`]: wf_wal::DEAD_HEAVY_RATIO
 //!
 //! The durability contract of an append:
 //!
 //! * A blob — and, for a new pack, the pack's directory entry — is
-//!   synced before the manifest line that names it is appended, and the
-//!   line is synced before the persist returns; the WAL checkpoint comes
-//!   after that, as before. Both appends are the one write the run's
-//!   persist waits on: the run is `Persisted` once both landed, and
-//!   stays `Frozen`, holding its frame, if either failed.
+//!   synced before the record that names it is appended, and the record
+//!   is synced before the persist returns; the WAL checkpoint comes
+//!   after that. Both appends are the one write the run's persist waits
+//!   on: the run is `Persisted` once both landed, and stays `Frozen`,
+//!   holding its frame, if either failed.
 //! * No descriptor outlives an operation: each append opens its file,
 //!   writes, syncs and closes it again.
 //! * A lifetime never appends to a pack it did not create: the active
@@ -41,29 +50,31 @@
 //!   so it never unlinks a file still being appended to — and by
 //!   dropping the engine.
 //! * A crash mid-append leaves at worst dead bytes at the end of a pack
-//!   (compaction reclaims them, from the next lifetime on) or a manifest
-//!   line with no `\n`, which the loader skips. [`SpillDir::open`]
-//!   rewrites such a manifest whole before anything is appended to it,
-//!   and an append refuses a manifest that does not end in a complete
-//!   line.
-//! * A directory whose manifest cannot be read — an I/O error, or a
-//!   header other than this build's — is never read as empty: the
+//!   (compaction reclaims them, from the next lifetime on) or the start
+//!   of one record at the end of the log, which [`SpillDir::open`] drops
+//!   by replacing the log before anything is appended to it.
+//! * A record this build cannot register — a spec beyond its catalog, a
+//!   blob that does not read back — stays in the log, through every
+//!   rewrite, and names its bytes exactly: its pack is never swept nor
+//!   compacted, and those bytes count live.
+//! * A directory this build cannot read — a seal log that does not start
+//!   with its header or is bad before its end, an I/O error, or the
+//!   manifest an earlier build kept — is never read as empty: the
 //!   lifetime registers nothing, and rewrites, appends to, compacts and
 //!   sweeps nothing there.
 //!
 //! Every file call goes through `wf-wal`'s file manager
 //! ([`wf_wal::file`]). A compacted pack is created like a fresh spill's,
 //! with `create_new` and one synced append, so no pack is ever written
-//! over an existing file; a whole manifest lands by the crash-safe
-//! replace. Until a new manifest is renamed into place the old manifest
-//! and old files are intact; after it, the old files are orphans the
-//! sweep (this pass's or any later one's) removes, along with the temp
-//! file of a replace the crash interrupted and a pack a crash cut off
-//! before any manifest named it.
+//! over an existing file; a whole log lands by the crash-safe replace.
+//! The old packs of a compaction are unlinked only after the log holds
+//! their runs' new places; the sweep (this pass's or any later one's)
+//! removes packs no record names, the temp file of a replace a crash
+//! interrupted, and a pack a crash cut off before any record named it.
 
 use crate::snapshot::{
-    self, Manifest, ManifestEntry, SealedRun, SnapshotError, DEAD_HEAVY_RATIO, MIN_PACK_RUNS,
-    PACK_MAX_RUNS, PACK_TARGET_BYTES,
+    self, Seal, SealedRun, SnapshotError, MIN_PACK_RUNS, PACK_MAX_RUNS, PACK_TARGET_BYTES,
+    SEAL_LOG_FILE, SEAL_LOG_HEADER,
 };
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
 use crate::{RunId, ServiceError};
@@ -71,7 +82,11 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use wf_wal::file;
+use wf_wal::{dead_heavy, file};
+
+/// The file an earlier build kept its spill directory's index in: a
+/// directory holding it is refused, byte for byte as it is.
+const OLD_MANIFEST: &str = "wf-tier-manifest.txt";
 
 /// What one compaction pass did: how many pack files and on-disk bytes
 /// the persisted tier referenced before and after, and how many runs
@@ -128,6 +143,18 @@ pub(crate) struct Located {
     offset: u64,
 }
 
+/// The seal record of `run` at `offset` of `file`, a pack this directory
+/// named.
+fn sealed_at(run: &SealedRun, file: &Path, offset: u64) -> Seal {
+    let name = file.file_name().and_then(|n| n.to_str());
+    Seal::Sealed {
+        run: run.run(),
+        pack: name.and_then(snapshot::pack_file_seq).unwrap_or(u64::MAX),
+        offset,
+        len: run.blob_len(),
+    }
+}
+
 /// Every registration the store holds — every sealed run that has a
 /// location.
 pub(crate) fn registrations(store: &LabelStore) -> Vec<Located> {
@@ -171,7 +198,7 @@ impl FileStat {
 
     /// Enough dead bytes that copying the live ones pays.
     fn dead_heavy(&self) -> bool {
-        self.dead() as f64 > DEAD_HEAVY_RATIO * self.size as f64
+        dead_heavy(self.dead(), self.size)
     }
 }
 
@@ -184,19 +211,6 @@ fn gains(files: &[FileStat], packs: usize) -> bool {
 /// A run copied into a new pack, and the blob's offset in the new file.
 type Member = (Arc<SealedRun>, u64);
 
-fn manifest_entry(run: &SealedRun, path: &Path, offset: u64) -> ManifestEntry {
-    ManifestEntry {
-        run: run.run(),
-        file: path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned(),
-        offset,
-        bytes: run.blob_len(),
-    }
-}
-
 /// The pack fresh spills append to.
 struct ActivePack {
     file: Arc<Path>,
@@ -206,13 +220,24 @@ struct ActivePack {
     bytes: u64,
 }
 
+/// What the directory's lock guards.
+#[derive(Default)]
+struct Writer {
+    /// The active pack, `None` while it is closed.
+    active: Option<ActivePack>,
+    /// Records the seal log holds.
+    records: usize,
+    /// One past the highest run id the seal log has named (0 for none, or
+    /// for only `u64::MAX`): every rewrite keeps it.
+    next_run: u64,
+}
+
 /// The spill directory of one engine.
 pub(crate) struct SpillDir {
     dir: PathBuf,
-    /// Serializes pack + manifest writes — each is a unit, and the
-    /// manifest always lists the full persisted set — and holds the
-    /// active pack, `None` while it is closed.
-    manifest: Mutex<Option<ActivePack>>,
+    /// Serializes pack + log writes — each is a unit, and the log always
+    /// names the full persisted set.
+    log: Mutex<Writer>,
     /// Next `pack-<seq>.wfseg` number (seeded past any packs already in
     /// the directory, so restarts never reuse a name).
     pack_seq: AtomicU64,
@@ -222,24 +247,16 @@ pub(crate) struct SpillDir {
     /// always counts (reloaded history may already need packing), and
     /// an eviction resets it there (its blob just turned dead).
     policy_stamp: AtomicU64,
-    /// The manifest lines this engine could not register — a spec
-    /// beyond its catalog, a blob that did not read back, a line that
-    /// does not read as an entry — written back byte for byte by every
-    /// manifest rewrite, so a build with a smaller catalog keeps history
-    /// it cannot read and nothing is guessed at.
-    carried: Vec<Vec<u8>>,
-    /// One past the highest run id a carried line names (0 for none, or
-    /// for only `u64::MAX`).
-    next_run: u64,
-    /// While a line is carried — or, in this lifetime, was torn — every
-    /// pack of the directory that holds bytes the registrations do not
-    /// account for, which such a line may name, with those bytes: the
-    /// sweep keeps them, compaction does not pick them, and the file
-    /// census counts those bytes live.
-    carried_packs: HashMap<PathBuf, u64>,
-    /// Why this lifetime could not read the directory — its manifest or
-    /// its listing failed, or the manifest's header is not this build's.
-    /// It then registers nothing and writes nothing there: every persist,
+    /// The seal records this engine could not register — a spec beyond
+    /// its catalog, a blob that did not read back — each naming its pack
+    /// bytes exactly. Every rewrite of the log keeps them, so a build with
+    /// a smaller catalog keeps history it cannot read and nothing is
+    /// guessed at: their packs are neither swept nor compacted, and the
+    /// file census counts their bytes live.
+    unread: Vec<Seal>,
+    /// Why this lifetime could not read the directory — its seal log or
+    /// its listing failed, or it holds an earlier build's manifest. It
+    /// then registers nothing and writes nothing there: every persist,
     /// eviction and compaction is refused
     /// ([`ServiceError::SpillUnavailable`]), and `health()` names
     /// [`crate::StallCause::SpillUnavailable`].
@@ -247,16 +264,13 @@ pub(crate) struct SpillDir {
 }
 
 impl SpillDir {
-    /// Open `dir` and register the history its manifest lists, by
-    /// header-only reads (no frame is loaded until queried). A run listed
-    /// twice registers once, from its last line. Entries that do not
-    /// read back — or name a spec beyond the `specs` this catalog has —
-    /// are carried, not registered, and so are lines that do not read as
-    /// an entry. A directory that cannot be read is refused
-    /// (`Self::refused`), byte for byte as it was found. A manifest that
-    /// is missing, ends in a torn line or holds a line that names no blob
-    /// or a run twice is rewritten whole, once, here: appends then always
-    /// follow a complete line.
+    /// Open `dir` and register the runs its seal log places, by
+    /// header-only reads (no frame is loaded until queried). A run
+    /// registers from its last record that reads back; an [`Seal::Evicted`]
+    /// after it — or a later record of either kind — ends it. A record
+    /// that does not read back, or names a spec beyond the `specs` this
+    /// catalog has, is kept unread. A directory that cannot be read is
+    /// refused (`Self::refused`), byte for byte as it was found.
     pub(crate) fn open(
         dir: PathBuf,
         lru: &Arc<SegmentLru>,
@@ -264,118 +278,134 @@ impl SpillDir {
     ) -> (Self, Vec<Arc<SealedRun>>) {
         let mut spill = Self {
             dir,
-            manifest: Mutex::new(None),
+            log: Mutex::default(),
             pack_seq: AtomicU64::new(0),
             policy_stamp: AtomicU64::new(u64::MAX),
-            carried: Vec::new(),
-            next_run: 0,
-            carried_packs: HashMap::new(),
+            unread: Vec::new(),
             refused: None,
         };
-        match spill.load(lru, specs) {
-            Ok((persisted, rewrite)) => {
-                if let Some(listed) = rewrite {
-                    // A failure leaves the manifest as it was: an append
-                    // still refuses one that is torn.
-                    let _ = spill.write_manifest(&listed);
-                }
-                (spill, persisted)
-            }
-            Err(cause) => {
-                spill.refused = Some(cause.to_string());
-                (spill, Vec::new())
-            }
-        }
+        let persisted = spill.load(lru, specs).unwrap_or_else(|cause| {
+            spill.refused = Some(cause.to_string());
+            Vec::new()
+        });
+        (spill, persisted)
     }
 
-    /// The reads of [`Self::open`]: the registered runs, and the lines to
-    /// rewrite the manifest with when it is due. An error leaves the
-    /// directory as it was found.
-    #[allow(clippy::type_complexity)]
+    /// The reads of [`Self::open`], and the log's one rewrite there: a
+    /// log that is missing or does not end in a whole record is replaced
+    /// before anything is appended to it, and one more than
+    /// [`DEAD_HEAVY_RATIO`](wf_wal::DEAD_HEAVY_RATIO) dead is replaced
+    /// when that works. An error leaves the directory as it was found.
     fn load(
         &mut self,
         lru: &Arc<SegmentLru>,
         specs: usize,
-    ) -> Result<(Vec<Arc<SealedRun>>, Option<Vec<ManifestEntry>>), SnapshotError> {
+    ) -> Result<Vec<Arc<SealedRun>>, SnapshotError> {
         file::create_dir(&self.dir)?;
         let names = file::list(&self.dir)?;
-        let manifest = snapshot::read_manifest(&self.dir)?;
-        let rewrite = manifest.as_ref().is_none_or(|m| m.torn || m.epoch);
-        let Manifest { lines, torn, .. } = manifest.unwrap_or_default();
-        let count = lines.len();
-        // Each pack named once, with its size (one `stat` per file) and
-        // the bytes of the blobs registered from it.
-        let mut files: HashMap<String, (Arc<Path>, u64, u64)> = HashMap::new();
-        let (mut persisted, mut kept, mut carried) = (Vec::new(), Vec::new(), Vec::new());
-        let mut registered = HashSet::new();
-        for (line, entry) in lines.into_iter().rev() {
-            let Some(entry) = entry else {
-                carried.push(line);
+        if names.iter().any(|n| n == OLD_MANIFEST) {
+            return Err(SnapshotError::Format(format!(
+                "{OLD_MANIFEST} is an earlier build's manifest, which this one does not read"
+            )));
+        }
+        let log = snapshot::read_seal_log(&self.dir)?;
+        // Each pack named once, with its size (one `stat` per file).
+        let mut packs: HashMap<u64, (Arc<Path>, u64)> = HashMap::new();
+        let (mut persisted, mut settled) = (Vec::new(), HashSet::new());
+        for seal in log.records.iter().rev() {
+            let run = seal.run();
+            // A later record of the run decided it.
+            if settled.contains(&run) {
+                continue;
+            }
+            let Seal::Sealed {
+                pack, offset, len, ..
+            } = *seal
+            else {
+                settled.insert(run);
                 continue;
             };
-            if registered.contains(&entry.run) {
-                // A run registers from its last line that reads back: an
-                // earlier copy of that line goes, any other line stays.
-                if !kept.contains(&entry) {
-                    carried.push(line);
-                }
-                continue;
-            }
-            let (file, size, live) = files.entry(entry.file.clone()).or_insert_with(|| {
-                let path: Arc<Path> = self.dir.join(&entry.file).into();
-                let size = file::len(&path).unwrap_or(0);
-                (path, size, 0)
+            let (file, size) = packs.entry(pack).or_insert_with(|| {
+                let path: Arc<Path> = self.pack_path(pack).into();
+                (Arc::clone(&path), file::len(&path).unwrap_or(0))
             });
-            match SealedRun::open_entry(Arc::clone(file), *size, &entry, Arc::clone(lru)) {
-                Ok(run) if run.header().spec.0 < specs => {
-                    *live += entry.bytes;
-                    registered.insert(entry.run);
-                    persisted.push(Arc::new(run));
-                    kept.push(entry);
+            match SealedRun::open_at(Arc::clone(file), *size, run, offset, len, Arc::clone(lru)) {
+                Ok(sealed) if sealed.header().spec.0 < specs => {
+                    settled.insert(run);
+                    persisted.push(Arc::new(sealed));
                 }
-                _ => {
-                    let next = entry.run.0.checked_add(1).unwrap_or(0);
-                    self.next_run = self.next_run.max(next);
-                    carried.push(line);
-                }
+                _ => self.unread.push(*seal),
             }
         }
-        let rewrite = rewrite || count != kept.len() + carried.len();
-        carried.reverse();
-        self.carried = carried;
-        let packs = names
+        self.unread.reverse();
+        let seqs = names.iter().filter_map(|n| snapshot::pack_file_seq(n));
+        self.pack_seq = AtomicU64::new(seqs.max().map_or(0, |m| m + 1));
+        let mut w = self.lock();
+        let ids = log.records.iter().filter_map(|r| r.run().0.checked_add(1));
+        (w.records, w.next_run) = (log.records.len(), ids.max().unwrap_or(0));
+        let live = persisted
             .iter()
-            .filter(|n| snapshot::pack_file_seq(n).is_some());
-        // A line that did not register, or was torn, may have named any
-        // blob: then no byte the registrations do not account for is
-        // taken for dead.
-        if torn || !self.carried.is_empty() {
-            for name in packs.clone() {
-                let path = self.dir.join(name);
-                let (size, live) = match files.get(name) {
-                    Some(&(_, size, live)) => (size, live),
-                    None => (file::len(&path).unwrap_or(0), 0),
-                };
-                if size > live {
-                    self.carried_packs.insert(path, size - live);
-                }
-            }
+            .filter_map(|r| r.location().map(|(file, at)| sealed_at(r, &file, at)));
+        // A log missing, or ending in half a record, is never appended to.
+        let whole = log.torn.is_none() && log.valid_bytes > 0;
+        match self.rewrite_log(&mut w, live.collect(), !whole) {
+            Err(e) if !whole => Err(e),
+            _ => Ok(persisted),
         }
-        let next = packs.filter_map(|n| snapshot::pack_file_seq(n)).max();
-        self.pack_seq = AtomicU64::new(next.map_or(0, |m| m + 1));
-        Ok((persisted, rewrite.then_some(kept)))
     }
 
-    /// Rewrite the whole manifest: `listed`, then the carried lines.
-    fn write_manifest(&self, listed: &[ManifestEntry]) -> Result<(), SnapshotError> {
-        let mut text = snapshot::manifest_text(listed).into_bytes();
-        self.carried
-            .iter()
-            .for_each(|line| text.extend_from_slice(line));
-        Ok(file::replace(
-            &self.dir.join(snapshot::MANIFEST_FILE),
-            &text,
-        )?)
+    /// The path of pack `seq`.
+    fn pack_path(&self, seq: u64) -> PathBuf {
+        self.dir.join(snapshot::pack_file_name(seq))
+    }
+
+    /// Replace the seal log with `records` — one per registration, in
+    /// run order — and the unread records, then, when none of them
+    /// reaches it, the eviction of the highest run id it drops: an id the
+    /// log once named is never issued again. Only when `force`d, or once
+    /// more than [`DEAD_HEAVY_RATIO`](wf_wal::DEAD_HEAVY_RATIO) of the
+    /// log's records are dead.
+    fn rewrite_log(
+        &self,
+        w: &mut Writer,
+        mut records: Vec<Seal>,
+        force: bool,
+    ) -> Result<(), SnapshotError> {
+        let dead = w.records.saturating_sub(records.len() + self.unread.len());
+        if !force && !dead_heavy(dead as u64, w.records as u64) {
+            return Ok(());
+        }
+        records.sort_by_key(Seal::run);
+        records.extend_from_slice(&self.unread);
+        let high = w.next_run.checked_sub(1);
+        if let Some(run) = high.filter(|&h| records.iter().all(|r| r.run().0 < h)) {
+            records.push(Seal::Evicted { run: RunId(run) });
+        }
+        let bytes = snapshot::seal_log_bytes(&records);
+        file::replace(&self.dir.join(SEAL_LOG_FILE), &bytes)?;
+        w.records = records.len();
+        Ok(())
+    }
+
+    /// Append `records` to the seal log and sync them, as one write — to
+    /// a log that starts with this build's header, and no other.
+    fn append_log(&self, w: &mut Writer, records: &[Seal]) -> Result<(), SnapshotError> {
+        let mut frames = Vec::new();
+        records.iter().for_each(|r| r.encode_into(&mut frames));
+        let path = self.dir.join(SEAL_LOG_FILE);
+        file::append(&path, &frames, false, |f, _| {
+            let mut head = [0; SEAL_LOG_HEADER.len()];
+            match f.read_at(0, &mut head) {
+                Ok(()) if head == SEAL_LOG_HEADER => Ok(()),
+                _ => Err(SnapshotError::Format(
+                    "the seal log does not start with its header".into(),
+                )),
+            }
+        })?;
+        w.records += records.len();
+        let high = records.iter().filter_map(|r| r.run().0.checked_add(1));
+        w.next_run = high.fold(w.next_run, u64::max);
+        Ok(())
     }
 
     /// `Ok` unless this lifetime refused the directory.
@@ -386,21 +416,29 @@ impl SpillDir {
         }
     }
 
-    /// One past the highest run id a carried line names: fresh runs
-    /// start above it, so no id the directory holds is reused.
+    /// One past the highest run id the seal log names: fresh runs start
+    /// above it, so no id the directory holds, or held, is reused.
     pub(crate) fn next_run(&self) -> u64 {
-        self.next_run
+        self.lock().next_run
     }
 
     pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
+    /// The packs unread records name, each with the bytes they name there.
+    fn unread_places(&self) -> impl Iterator<Item = (PathBuf, u64)> + '_ {
+        self.unread.iter().filter_map(|seal| match *seal {
+            Seal::Sealed { pack, len, .. } => Some((self.pack_path(pack), len)),
+            Seal::Evicted { .. } => None,
+        })
+    }
+
     /// The registrations grouped by pack file (the runs of one pack share
     /// one file handle), with the files' sizes (one `stat` per file, not
     /// per run). A file's live bytes are its registered blobs plus the
-    /// carried ones it holds — a carried line is history this build
-    /// cannot read, not a dead blob.
+    /// bytes unread records name there — history this build cannot read,
+    /// not a dead blob.
     pub(crate) fn file_stats(&self, registered: &[Located]) -> Vec<FileStat> {
         let mut by_file: HashMap<&Path, FileStat> = HashMap::new();
         for l in registered {
@@ -415,24 +453,25 @@ impl SpillDir {
         }
         let mut files: Vec<FileStat> = by_file.into_values().collect();
         for f in &mut files {
-            f.live += self.carried_packs.get(&*f.file).copied().unwrap_or(0);
+            let unread = self.unread_places().filter(|(path, _)| **path == *f.file);
+            f.live = unread.fold(f.live, |live, (_, len)| live.saturating_add(len));
             f.size = file::len(&f.file).unwrap_or(f.live);
         }
         files
     }
 
-    /// Take the manifest lock. A poisoned one is recovered: the active
+    /// Take the directory's lock. A poisoned one is recovered: the active
     /// pack is out of the lock for the whole of an append, so a writer
-    /// that panicked left it closed, and at worst an orphan file or dead
-    /// bytes the sweep or compaction takes.
-    fn lock(&self) -> MutexGuard<'_, Option<ActivePack>> {
-        self.manifest.lock().unwrap_or_else(PoisonError::into_inner)
+    /// that panicked left it closed, and at worst an orphan file, dead
+    /// bytes or a log record the sweep, compaction or a rewrite takes.
+    fn lock(&self) -> MutexGuard<'_, Writer> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The path of the next `pack-<seq>.wfseg`, not yet created.
     fn next_pack(&self) -> Arc<Path> {
         let seq = self.pack_seq.fetch_add(1, Ordering::Relaxed);
-        self.dir.join(snapshot::pack_file_name(seq)).into()
+        self.pack_path(seq).into()
     }
 
     /// Create the next pack file holding `bytes`, as a fresh spill's is:
@@ -441,15 +480,6 @@ impl SpillDir {
         let path = self.next_pack();
         file::append(&path, bytes, true, |_, _| Ok::<_, SnapshotError>(()))?;
         Ok(path)
-    }
-
-    /// The manifest lines for the current registrations (call with the
-    /// manifest lock held).
-    fn manifest_entries(&self, store: &LabelStore) -> Vec<ManifestEntry> {
-        registrations(store)
-            .iter()
-            .map(|l| manifest_entry(&l.run, &l.file, l.offset))
-            .collect()
     }
 
     /// Append `blob` to the active pack `pack`, first creating a new one
@@ -477,15 +507,15 @@ impl SpillDir {
     }
 
     /// Persist one sealed run: append its held frame, byte for byte, to
-    /// the active pack and one line naming it to the manifest — or, when
-    /// it already has a location (a re-heated run), only let the frame
-    /// go. `Ok(true)` when a blob was written. Both appends are the write
-    /// [`SealedRun::persist`] waits on, the blob synced before its line:
-    /// the run is persisted once both landed, and a failure of either
-    /// returns a typed error, closes the active pack and leaves the run
-    /// holding its frame, with no location. An eviction that lands while
-    /// the line is written wins, and the line is taken back off
-    /// ([`Self::forget`]).
+    /// the active pack and one [`Seal::Sealed`] record naming it to the
+    /// seal log — or, when it already has a location (a re-heated run),
+    /// only let the frame go. `Ok(true)` when a blob was written. Both
+    /// appends are the write [`SealedRun::persist`] waits on, the blob
+    /// synced before its record: the run is persisted once both landed,
+    /// and a failure of either returns a typed error, closes the active
+    /// pack and leaves the run holding its frame, with no location. An
+    /// eviction that lands while the record is written wins, and is
+    /// recorded after it ([`Self::forget`]).
     pub(crate) fn persist(
         &self,
         store: &LabelStore,
@@ -493,27 +523,27 @@ impl SpillDir {
     ) -> Result<bool, ServiceError> {
         self.usable()?;
         let run = sealed.run();
-        let mut active = self.lock();
+        let mut log = self.lock();
         let obs = &store.lru.obs;
         let span = obs.timer();
-        // Out of the lock for the appends, back once the line is listed.
-        let mut pack = active.take();
-        let mut listed = false;
+        // Out of the lock for the appends, back once the record is in.
+        let mut pack = log.active.take();
+        let mut recorded = false;
         let written = sealed.persist(|blob| {
             let (file, offset) = self.append(&mut pack, blob)?;
-            snapshot::append_manifest(&self.dir, &manifest_entry(sealed, &file, offset))?;
-            listed = true;
+            self.append_log(&mut log, &[sealed_at(sealed, &file, offset)])?;
+            recorded = true;
             Ok((file, offset))
         });
         let written = match written {
-            Err(evicted) if listed => {
-                drop(active);
-                self.forget(store, run)?;
+            Err(evicted) if recorded => {
+                drop(log);
+                self.forget(run)?;
                 return Err(evicted);
             }
             written => written?,
         };
-        *active = pack;
+        log.active = pack;
         if written.is_none() {
             return Ok(false);
         }
@@ -528,13 +558,14 @@ impl SpillDir {
         Ok(true)
     }
 
-    /// `run`, which had a location, was evicted: rewrite the manifest
-    /// without its line, so a restart does not register it again, and
-    /// let the next policy pass count the bytes that just turned dead.
-    pub(crate) fn forget(&self, store: &LabelStore, run: RunId) -> Result<(), ServiceError> {
+    /// `run`, which had a location, was evicted: append its
+    /// [`Seal::Evicted`], so a restart neither registers it again nor
+    /// issues its id, and let the next policy pass count the bytes that
+    /// just turned dead.
+    pub(crate) fn forget(&self, run: RunId) -> Result<(), ServiceError> {
         self.usable()?;
-        let _g = self.lock();
-        self.write_manifest(&self.manifest_entries(store))
+        let mut log = self.lock();
+        self.append_log(&mut log, &[Seal::Evicted { run }])
             .map_err(|e| ServiceError::Snapshot(run, e.to_string()))?;
         self.policy_stamp.store(u64::MAX, Ordering::Relaxed);
         Ok(())
@@ -544,39 +575,52 @@ impl SpillDir {
     /// the active pack of a lifetime that spilled few runs, packs a
     /// rewrite left small — into full ones, cutting the directory's file
     /// count, and rewrite dead-heavy packs without the blobs of evicted
-    /// runs, cutting its bytes. It closes the active pack first.
+    /// runs, cutting its bytes. It closes the active pack first, and
+    /// replaces the seal log once more than
+    /// [`DEAD_HEAVY_RATIO`](wf_wal::DEAD_HEAVY_RATIO) of its records are
+    /// dead (a failure leaves the longer log, which reads the same).
     pub(crate) fn compact(&self, store: &LabelStore) -> Result<CompactionReport, ServiceError> {
         self.usable()?;
+        let mut log = self.lock();
         let report = self
-            .rewrite_packs(store)
+            .rewrite_packs(store, &mut log)
             .map_err(|e| ServiceError::Compaction(e.to_string()))?;
+        let live: Vec<Seal> = registrations(store)
+            .iter()
+            .map(|l| sealed_at(&l.run, &l.file, l.offset))
+            .collect();
+        let _ = self.rewrite_log(&mut log, live, false);
         if report.packs_written > 0 {
             store.lru.obs.compactions.inc();
         }
         Ok(report)
     }
 
-    /// The rewrite pass behind [`Self::compact`]. Victim files
-    /// are copied whole or not at all: a file with a blob that fails to
-    /// read back is left exactly as it was. Memory is bounded — blobs
-    /// stream through one pack buffer (≤ [`PACK_TARGET_BYTES`] and
+    /// The rewrite pass behind [`Self::compact`], under the directory's
+    /// lock. Victim files are copied whole or not at all: a file with a
+    /// blob that fails to read back is left exactly as it was, and so is
+    /// a file an unread record names. Memory is bounded — blobs stream
+    /// through one pack buffer (≤ [`PACK_TARGET_BYTES`] and
     /// [`PACK_MAX_RUNS`], unless a single victim is bigger), never the
     /// whole tier at once — and blobs are copied verbatim, each keeping
-    /// its own checksum. Once the new manifest has landed every copied
-    /// registration is relocated in place, and only then are the copied
-    /// files unlinked: a reader holding a registration loads from the old
-    /// place before its relocation and from the new one after, and a
-    /// frame is a private copy that no unlink touches. Every exit sweeps
-    /// orphans, so a pass with nothing to rewrite still reclaims the
-    /// packs of evicted runs and crash leftovers. A pass that rewrote
-    /// something is traced as one `compaction` span.
-    fn rewrite_packs(&self, store: &LabelStore) -> Result<CompactionReport, SnapshotError> {
+    /// its own checksum. Once the log holds every copied run's new place,
+    /// the registrations are relocated in place, and only then are the
+    /// copied files unlinked: a reader holding a registration loads from
+    /// the old place before its relocation and from the new one after,
+    /// and a frame is a private copy that no unlink touches. Every exit
+    /// sweeps orphans, so a pass with nothing to rewrite still reclaims
+    /// the packs of evicted runs and crash leftovers. A pass that
+    /// rewrote something is traced as one `compaction` span.
+    fn rewrite_packs(
+        &self,
+        store: &LabelStore,
+        log: &mut Writer,
+    ) -> Result<CompactionReport, SnapshotError> {
         let obs = &store.lru.obs;
         let span = obs.timer();
-        let mut active = self.lock();
         // Closed before victims are picked or the sweep runs: nothing
         // this pass unlinks is appended to again.
-        *active = None;
+        log.active = None;
         let registered = registrations(store);
         let files = self.file_stats(&registered);
         let bytes_before = files.iter().map(|f| f.size).sum();
@@ -591,7 +635,7 @@ impl SpillDir {
         };
         let mut victims: Vec<FileStat> = files
             .into_iter()
-            .filter(|f| !self.carried_packs.contains_key(&*f.file))
+            .filter(|f| self.unread_places().all(|(path, _)| *path != *f.file))
             .filter(|f| f.underfull() || f.dead_heavy())
             .collect();
         if !gains(&victims, 1) {
@@ -636,31 +680,19 @@ impl SpillDir {
             packs.push((self.write_pack(&buf)?, members));
         }
         if !gains(&copied, packs.len()) {
-            // Leave the registrations and the manifest untouched; nothing
+            // Leave the registrations and the log untouched; nothing
             // references the packs just written, so the sweep takes them.
             self.sweep_orphans(&registered);
             return Ok(out);
         }
-        // The new manifest: copied runs at their new place, everything
-        // else where it is.
-        let mut moved: HashMap<u64, (&Arc<Path>, u64)> = HashMap::new();
-        for (file, members) in &packs {
-            for (p, offset) in members {
-                moved.insert(p.run().0, (file, *offset));
-            }
-        }
-        let entries: Vec<ManifestEntry> = registered
+        // The new places go into the log before anything moves…
+        let moved: Vec<Seal> = packs
             .iter()
-            .map(|l| {
-                let (file, offset) = moved
-                    .get(&l.run.run().0)
-                    .copied()
-                    .unwrap_or((&l.file, l.offset));
-                manifest_entry(&l.run, file, offset)
-            })
+            .flat_map(|(file, members)| members.iter().map(|(p, at)| sealed_at(p, file, *at)))
             .collect();
-        self.write_manifest(&entries)?;
-        // Move the registrations, and only then unlink what they left.
+        self.append_log(log, &moved)?;
+        // …then the registrations, and only then is what they left
+        // unlinked.
         for (file, members) in &packs {
             for (p, offset) in members {
                 p.relocate(Arc::clone(file), *offset);
@@ -688,22 +720,21 @@ impl SpillDir {
     }
 
     /// Delete pack files neither `registered` — the pass's snapshot of
-    /// the store's registrations, at the places they have by now — nor a
-    /// carried line references: packs holding only blobs of evicted runs
-    /// (a new pack whose first append failed, or whose run was evicted
+    /// the store's registrations, at the places they have by now — nor an
+    /// unread record names: packs holding only blobs of evicted runs (a
+    /// new pack whose first append failed, or whose run was evicted
     /// during its persist, among them), and leftovers of a crash between
-    /// a pack/manifest write and the old-file deletion — among them the
-    /// `*.tmp` file of a replace the crash cut short. Runs under the
-    /// manifest lock the snapshot was taken under and every write takes,
-    /// with the active pack closed, so no spill has written a pack since,
-    /// none will append to one this unlinks, and no temp file is in
-    /// flight.
+    /// a pack write and the old-file deletion — among them the `*.tmp`
+    /// file of a replace the crash cut short. Runs under the directory's
+    /// lock the snapshot was taken under and every write takes, with the
+    /// active pack closed, so no spill has written a pack since, none
+    /// will append to one this unlinks, and no temp file is in flight.
     fn sweep_orphans(&self, registered: &[Located]) {
         let mut referenced: HashSet<PathBuf> = registered
             .iter()
             .filter_map(|l| Some(l.run.location()?.0.to_path_buf()))
             .collect();
-        referenced.extend(self.carried_packs.keys().cloned());
+        referenced.extend(self.unread_places().map(|(path, _)| path));
         for name in file::list(&self.dir).unwrap_or_default() {
             let path = self.dir.join(&name);
             let pack = snapshot::pack_file_seq(&name).is_some();
@@ -757,11 +788,12 @@ pub(crate) mod tests {
         });
     }
 
-    /// A thread that panicked under the manifest lock or the replacer's
-    /// candidate map left nothing half-done: persists, reads under a
-    /// resident budget, an eviction and a compaction after it all go on.
+    /// A thread that panicked under the directory's lock or the
+    /// replacer's candidate map left nothing half-done: persists, reads
+    /// under a resident budget, an eviction and a compaction after it all
+    /// go on.
     #[test]
-    fn poisoned_manifest_and_lru_locks_are_recovered() {
+    fn poisoned_spill_and_lru_locks_are_recovered() {
         let dir = std::env::temp_dir().join(format!("wf-spill-poison-{}", std::process::id()));
         let engine: WfEngine = WfEngine::builder()
             .spec(wf_spec::corpus::running_example())
@@ -772,9 +804,9 @@ pub(crate) mod tests {
             engine.shared.spill.as_ref().unwrap(),
             &engine.shared.store.lru,
         );
-        poison(|| spill.manifest.lock());
+        poison(|| spill.log.lock());
         poison(|| lru.candidates());
-        assert!(spill.manifest.is_poisoned());
+        assert!(spill.log.is_poisoned());
 
         let spec = &engine.context(SpecId(0)).unwrap().spec;
         let mut rng = StdRng::seed_from_u64(5);

@@ -33,7 +33,7 @@
 //! freeze, hot → sealed ([`LabelStore::transition`]); persist and re-heat
 //! change where one sealed run's bytes sit, under that run's place lock,
 //! and take no registry lock at all. The spill directory's registrations
-//! — its manifest, its dead byte census and its orphan sweep — are every
+//! — its seal log, its dead byte census and its orphan sweep — are every
 //! sealed run that has a location.
 //!
 //! The store runs no subscription code because it contains none: a tier
@@ -428,7 +428,7 @@ impl LabelStore {
     }
 
     /// Register a run the store has not seen: freshly opened, replayed
-    /// from the WAL, or listed by the spill directory's manifest.
+    /// from the WAL, or placed by the spill directory's seal log.
     pub(crate) fn insert(&self, run: RunId, view: RunView) {
         write(self.shard(run)).insert(run.0, view);
     }

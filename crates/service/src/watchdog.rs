@@ -43,8 +43,8 @@ pub enum StallCause {
     /// own and never clears.
     WalUnavailable,
     /// A spill directory was configured and could not be read at build
-    /// time (an I/O error, or a manifest header this build does not
-    /// read): the engine left it byte for byte as it was, registered
+    /// time (an I/O error, a seal log this build does not read, or an
+    /// earlier build's manifest): the engine left it byte for byte as it was, registered
     /// nothing from it, and refuses every persist and compaction. Decided
     /// once, like [`StallCause::WalUnavailable`].
     SpillUnavailable,

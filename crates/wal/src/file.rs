@@ -1,6 +1,6 @@
 //! **The file manager**: every file-system call the engine makes goes
 //! through this module — the log's shard files here, the packs and the
-//! manifest of `wf-service`'s spill directory — so each disk idiom exists
+//! seal log of `wf-service`'s spill directory — so each disk idiom exists
 //! once, with one rule for its failures:
 //!
 //! - [`read_at`]: a positioned read — open, one `pread`, close; no

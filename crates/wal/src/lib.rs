@@ -38,13 +38,22 @@
 //!   by run and orders them by sequence number. A file of another
 //!   format fails the whole scan: nothing is guessed at, nothing is
 //!   rewritten.
-//! - **Checkpoint truncation.** When the service has made a run durable
-//!   elsewhere (spilled a segment), it stamps a `Checkpoint` record and
-//!   compacts the shard in place, dropping every record of checkpointed
-//!   runs — the log retains only the non-checkpointed suffix, keeping
-//!   recovery time proportional to hot state, not history.
+//! - **Checkpoints append.** When the service has made a run durable
+//!   elsewhere (spilled a segment) or evicted it, it stamps a
+//!   `Checkpoint` record, and recovery drops the run's records. The
+//!   shard is rewritten without the checkpointed runs only once their
+//!   bytes pass [`DEAD_HEAVY_RATIO`] of it — the one rule of every
+//!   amortised rewrite, pack compaction's too — so a checkpoint costs an
+//!   append, the log stays within a constant factor of hot state, and
+//!   recovery time stays proportional to it, not to history. Every
+//!   rewrite — this one and [`WalWriter::reset`] — keeps the checkpoint
+//!   of the highest run id it drops, so no id is issued twice.
+//! - **One frame codec, two logs.** [`encode_frame`] and [`scan_log`]
+//!   are the frame encoder and scanner of this log and of the service's
+//!   seal log, each behind its own file header, so neither reads as the
+//!   other.
 //! - **The disk idioms, once each.** Every file the engine touches — the
-//!   shard files here, the service's packs and manifest — goes through
+//!   shard files here, the service's packs and seal log — goes through
 //!   one module, [`mod@file`]: one positioned read, one whole-file read, one
 //!   append, one crash-safe replace, one listing, one rule for leftover
 //!   temp files, and one error ([`file::FileError`]) naming the operation
@@ -63,6 +72,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -101,12 +111,26 @@ pub const GROUP_COMMIT_BYTE_BUDGET: usize = 256 * 1024;
 /// they are durable in a segment and can never re-ingest).
 pub const CHECKPOINT_SEQ: u64 = u64::MAX;
 
+/// A log or a pack is rewritten once more than this share of it is
+/// dead — records of runs made durable elsewhere, blobs of evicted runs:
+/// then copying the live remainder wins back more than the copy costs.
+/// The one rule of every amortised rewrite ([`dead_heavy`]): a WAL shard
+/// after its checkpoints, and the service's packs and seal log.
+pub const DEAD_HEAVY_RATIO: f64 = 0.3;
+
+/// True when `dead` of `total` (bytes, or records) passes
+/// [`DEAD_HEAVY_RATIO`].
+#[must_use]
+pub fn dead_heavy(dead: u64, total: u64) -> bool {
+    dead as f64 > DEAD_HEAVY_RATIO * total as f64
+}
+
 /// Longest LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: usize = 10;
 
 /// LEB128: seven bits a byte, low group first, the top bit set on every
 /// byte but the last.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -124,7 +148,7 @@ fn varint_len(v: u64) -> usize {
 /// or bits past the 64th in the tenth) or when it is not the minimal
 /// encoding of its value (a trailing zero byte) — every value has
 /// exactly one accepted encoding.
-fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
+pub fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     for (i, &b) in bytes.iter().enumerate().take(MAX_VARINT_BYTES) {
         let bits = u64::from(b & 0x7f);
@@ -139,37 +163,26 @@ fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
-/// What a record means to the service layer.
+/// What a record means to the service layer. The discriminant is the
+/// record's kind byte on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RecordKind {
     /// A run was opened; payload carries its spec + resolution.
-    RunOpen,
+    RunOpen = 0,
     /// One execution event; payload is the encoded event.
-    Event,
+    Event = 1,
     /// The run was marked complete.
-    Complete,
+    Complete = 2,
     /// The run is durable elsewhere; all its records may be dropped.
-    Checkpoint,
+    Checkpoint = 3,
 }
 
 impl RecordKind {
-    fn as_u8(self) -> u8 {
-        match self {
-            RecordKind::RunOpen => 0,
-            RecordKind::Event => 1,
-            RecordKind::Complete => 2,
-            RecordKind::Checkpoint => 3,
-        }
-    }
-
+    /// The kind whose byte `b` is.
     fn from_u8(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(RecordKind::RunOpen),
-            1 => Some(RecordKind::Event),
-            2 => Some(RecordKind::Complete),
-            3 => Some(RecordKind::Checkpoint),
-            _ => None,
-        }
+        let kinds = [Self::RunOpen, Self::Event, Self::Complete, Self::Checkpoint];
+        kinds.get(usize::from(b)).copied()
     }
 }
 
@@ -205,32 +218,24 @@ impl Record {
 
     /// Append the framed record to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_frame(out, self.kind, self.run, self.seq, |out| {
+        encode_record(out, self.kind, self.run, self.seq, |out| {
             out.extend_from_slice(&self.payload);
         });
     }
 }
 
-/// Append one frame to `out`, its payload written in place by `payload`
-/// (which must only append). The length and the checksum go in front of
-/// a body whose size is not known until it is written: one length byte is
-/// set aside — enough for every body under 128 bytes, which is every
-/// record the engine writes — and a longer length is written behind the
-/// frame and rotated to its front.
-fn encode_frame(
-    out: &mut Vec<u8>,
-    kind: RecordKind,
-    run: u64,
-    seq: u64,
-    payload: impl FnOnce(&mut Vec<u8>),
-) {
+/// Append one frame to `out`, its body written in place by `body` (which
+/// must only append) — the one frame encoder, of this log and of any
+/// other that shares its codec. The length and the checksum go in front
+/// of a body whose size is not known until it is written: one length
+/// byte is set aside — enough for every body under 128 bytes, which is
+/// every record the engine writes — and a longer length is written
+/// behind the frame and rotated to its front.
+pub fn encode_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let frame_at = out.len();
     out.extend_from_slice(&[0u8; 1 + CHECKSUM_BYTES]);
     let body_at = out.len();
-    out.push(kind.as_u8());
-    put_varint(out, run);
-    put_varint(out, seq.wrapping_add(1));
-    payload(out);
+    body(out);
     let crc = crc32c(&out[body_at..]);
     out[frame_at + 1..body_at].copy_from_slice(&crc.to_le_bytes());
     let body_len = out.len() - body_at;
@@ -243,28 +248,51 @@ fn encode_frame(
     }
 }
 
-/// Parse the frame at the front of `bytes`: the record and the bytes it
-/// took, or why the bytes are not a frame.
-fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
-    let (claimed, len_bytes) =
-        get_varint(bytes).ok_or_else(|| "unreadable body length".to_string())?;
+/// Append one log record's frame to `out`, its payload written in place
+/// by `payload`.
+fn encode_record(
+    out: &mut Vec<u8>,
+    kind: RecordKind,
+    run: u64,
+    seq: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    encode_frame(out, |out| {
+        out.push(kind as u8);
+        put_varint(out, run);
+        put_varint(out, seq.wrapping_add(1));
+        payload(out);
+    });
+}
+
+/// The frame at the front of `bytes`, its body length within `bodies`:
+/// the body, checksum verified, and the bytes the frame took.
+fn split_frame<'a>(
+    bytes: &'a [u8],
+    bodies: &RangeInclusive<usize>,
+) -> Result<(&'a [u8], usize), String> {
+    let (claimed, len_bytes) = get_varint(bytes).ok_or("unreadable body length")?;
     let body_len = usize::try_from(claimed)
         .ok()
-        .filter(|len| (MIN_BODY_BYTES..=MAX_BODY_BYTES).contains(len))
+        .filter(|len| bodies.contains(len))
         .ok_or_else(|| format!("implausible body length {claimed}"))?;
     let body_at = len_bytes + CHECKSUM_BYTES;
     let crc = bytes
         .get(len_bytes..body_at)
         .ok_or_else(|| format!("short header: {} bytes", bytes.len()))?;
     let body = bytes.get(body_at..body_at + body_len).ok_or_else(|| {
-        format!(
-            "short body: want {body_len}, have {}",
-            bytes.len() - body_at
-        )
+        let have = bytes.len() - body_at;
+        format!("short body: want {body_len}, have {have}")
     })?;
     if crc32c(body).to_le_bytes() != crc {
         return Err("checksum mismatch".to_string());
     }
+    Ok((body, body_at + body_len))
+}
+
+/// A log record's body, whole: its kind, run, sequence number and
+/// payload.
+fn parse_body(body: &[u8]) -> Result<Record, String> {
     let kind =
         RecordKind::from_u8(body[0]).ok_or_else(|| format!("unknown record kind {}", body[0]))?;
     let mut at = 1;
@@ -275,15 +303,12 @@ fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
     };
     let run = field("run id")?;
     let seq = field("sequence number")?.wrapping_sub(1);
-    Ok((
-        Record {
-            kind,
-            run,
-            seq,
-            payload: body[at..].to_vec(),
-        },
-        body_at + body_len,
-    ))
+    Ok(Record {
+        kind,
+        run,
+        seq,
+        payload: body[at..].to_vec(),
+    })
 }
 
 /// When appends become durable. Group commit is the one policy: an
@@ -309,12 +334,6 @@ impl Default for WalSync {
 pub enum WalError {
     /// An I/O error, with the operation that failed.
     Io(String),
-    /// A frame failed validation mid-file (recovery reports where).
-    Corrupt {
-        file: String,
-        offset: u64,
-        detail: String,
-    },
     /// A shard file that does not start with [`FILE_HEADER`] — a log of
     /// another format version, or not a log at all. It is refused whole
     /// and left byte for byte as it was found.
@@ -331,17 +350,9 @@ impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
-            WalError::Corrupt {
-                file,
-                offset,
-                detail,
-            } => write!(
-                f,
-                "wal corrupt frame in {file} at offset {offset}: {detail}"
-            ),
             WalError::Unsupported { file, found } => write!(
                 f,
-                "wal file {file} is not a version-{FORMAT_VERSION} log ({found}); left untouched"
+                "{file} is not a log this build reads ({found}); left untouched"
             ),
             WalError::ShuttingDown => write!(f, "wal writer is shutting down"),
         }
@@ -365,7 +376,7 @@ pub trait WalObserver: Send + Sync {
     /// One shard fsync completed: a committer pass's, or the final sync
     /// at shutdown.
     fn fsync(&self, _dur_ns: u64) {}
-    /// A shard was compacted after a checkpoint.
+    /// A shard was rewritten without its checkpointed runs.
     fn truncation(&self, _shard: usize, _bytes_before: u64, _bytes_after: u64) {}
     /// A lifecycle transition (`"wal_reset"`, `"wal_open"`, …).
     fn lifecycle(&self, _kind: &'static str, _detail: String) {}
@@ -399,16 +410,16 @@ pub struct TornTail {
     pub detail: String,
 }
 
-/// Hold the first bytes of a shard file (`head`: up to
-/// [`FILE_HEADER`]'s length of them) against the header. `Ok(true)` for
-/// the whole header, `Ok(false)` for an empty file or a strict prefix of
-/// it — the file was being created when the process died, and holds no
-/// record — and [`WalError::Unsupported`] for anything else.
-fn check_header(path: &Path, head: &[u8]) -> Result<bool, WalError> {
-    if FILE_HEADER.starts_with(head) {
-        return Ok(head.len() == FILE_HEADER.len());
+/// Hold the first bytes of a log file (`head`: up to `header`'s length of
+/// them) against its `header`. `Ok(true)` for the whole header,
+/// `Ok(false)` for an empty file or a strict prefix of it — the file was
+/// being created when the process died, and holds no record — and
+/// [`WalError::Unsupported`] for anything else.
+fn check_header(path: &Path, header: &[u8; 8], head: &[u8]) -> Result<bool, WalError> {
+    if header.starts_with(head) {
+        return Ok(head.len() == header.len());
     }
-    let found = match head.strip_prefix(&FILE_HEADER[..4]) {
+    let found = match head.strip_prefix(&header[..4]) {
         Some(&[a, b, c, d]) => format!("format version {}", u32::from_le_bytes([a, b, c, d])),
         _ => format!("no log header; the file starts {head:02x?}"),
     };
@@ -418,27 +429,45 @@ fn check_header(path: &Path, head: &[u8]) -> Result<bool, WalError> {
     })
 }
 
-/// One shard file, parsed.
-struct Scanned {
-    records: Vec<Record>,
+/// One log file, parsed.
+#[derive(Debug)]
+pub struct Scanned<T> {
+    /// The records of its whole frames, in file order, up to the first
+    /// frame that failed.
+    pub records: Vec<T>,
     /// Bytes that parsed cleanly, header included.
-    valid_bytes: u64,
-    torn: Option<TornTail>,
+    pub valid_bytes: u64,
+    /// Where and why the valid prefix ends, when it is not the file.
+    pub torn: Option<TornTail>,
+    /// The failed frame — or header — runs past the end of the file, and
+    /// no whole frame checks out in what follows the valid prefix: it is
+    /// the start of one frame, as an append a crash cut short leaves it.
+    pub cut: bool,
 }
 
-/// A file that vanished since it was listed is an empty one.
-fn scan_file(path: &Path) -> Result<Scanned, WalError> {
+/// Read the log file at `path` — `header`, then frames whose bodies are
+/// `bodies` bytes long, each handed to `parse` — up to its first frame
+/// that fails: the one scanner of every log in this codec. A file that
+/// vanished since it was listed is an empty one; a file that does not
+/// start with `header` (or a prefix of it) is [`WalError::Unsupported`].
+pub fn scan_log<T>(
+    path: &Path,
+    header: &[u8; 8],
+    bodies: RangeInclusive<usize>,
+    mut parse: impl FnMut(&[u8]) -> Result<T, String>,
+) -> Result<Scanned<T>, WalError> {
     let bytes = file::read(path)?.unwrap_or_default();
-    let head = &bytes[..bytes.len().min(FILE_HEADER.len())];
+    let head = &bytes[..bytes.len().min(header.len())];
     let mut records = Vec::new();
     let mut at = 0usize;
     let mut detail = None;
-    if check_header(path, head)? {
-        at = FILE_HEADER.len();
+    if check_header(path, header, head)? {
+        at = header.len();
         while at < bytes.len() {
-            match parse_frame(&bytes[at..]) {
-                Ok((rec, len)) => {
-                    records.push(rec);
+            let frame = split_frame(&bytes[at..], &bodies);
+            match frame.and_then(|(body, len)| Ok((parse(body)?, len))) {
+                Ok((record, len)) => {
+                    records.push(record);
                     at += len;
                 }
                 Err(why) => {
@@ -453,6 +482,8 @@ fn scan_file(path: &Path) -> Result<Scanned, WalError> {
     Ok(Scanned {
         records,
         valid_bytes: at as u64,
+        // Only a file cut short holds a strict prefix of its header.
+        cut: detail.is_some() && (at == 0 || cut_short(&bytes[at..], &bodies, &mut parse)),
         torn: detail.map(|detail| TornTail {
             file: path.display().to_string(),
             valid_bytes: at as u64,
@@ -461,14 +492,36 @@ fn scan_file(path: &Path) -> Result<Scanned, WalError> {
     })
 }
 
-/// Parse every valid frame of one WAL file. Corruption mid-file is not
-/// an error: the valid prefix is returned along with a [`TornTail`]
-/// describing the cut (a crash can tear the last frame; anything after
-/// the first bad frame is untrusted). A file that does not start with
-/// [`FILE_HEADER`] is an error — a log of another format is not a tail
-/// torn at offset 0.
-fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
-    scan_file(path).map(|s| (s.records, s.torn))
+/// Whether `tail` — the bytes from the first frame of a log that fails —
+/// is what a crash cutting the last append short leaves: the start of one
+/// frame, running past the end of the file, holding no whole frame that
+/// `parse` reads — neither its own body, under a length that claims more
+/// than the bytes after its checksum, nor a later frame.
+fn cut_short<T>(
+    tail: &[u8],
+    bodies: &RangeInclusive<usize>,
+    parse: &mut impl FnMut(&[u8]) -> Result<T, String>,
+) -> bool {
+    let Some((claimed, n)) = get_varint(tail) else {
+        // The bytes end inside the length.
+        return tail.len() < MAX_VARINT_BYTES && tail.iter().all(|b| b & 0x80 != 0);
+    };
+    let past_end = usize::try_from(claimed)
+        .is_ok_and(|len| bodies.contains(&len) && n + CHECKSUM_BYTES + len > tail.len());
+    past_end
+        && tail.get(n + CHECKSUM_BYTES..).is_none_or(|body| {
+            !bodies.contains(&body.len())
+                || crc32c(body).to_le_bytes() != tail[n..n + CHECKSUM_BYTES]
+                || parse(body).is_err()
+        })
+        && !(1..tail.len())
+            .any(|i| split_frame(&tail[i..], bodies).is_ok_and(|(b, _)| parse(b).is_ok()))
+}
+
+/// One shard file, parsed.
+fn scan_file(path: &Path) -> Result<Scanned<Record>, WalError> {
+    let bodies = MIN_BODY_BYTES..=MAX_BODY_BYTES;
+    scan_log(path, &FILE_HEADER, bodies, parse_body)
 }
 
 /// One run's surviving records after a directory scan.
@@ -550,6 +603,10 @@ struct ShardFile {
     /// Frames encoded but not yet written through: the group-commit
     /// batch. Whole frames only, between appends — see [`UnwrittenFrame`].
     buf: Vec<u8>,
+    /// Bytes of the records of runs checkpointed since the file was last
+    /// rewritten, their checkpoints included: what the next rewrite
+    /// drops.
+    dead: u64,
 }
 
 /// A frame being appended to a shard buffer. Dropped before
@@ -644,7 +701,7 @@ impl WalInner {
         let mut head = [0u8; FILE_HEADER.len()];
         let head = &mut head[..len.min(FILE_HEADER.len() as u64) as usize];
         file.read_at(0, head)?;
-        check_header(path, head)?;
+        check_header(path, &FILE_HEADER, head)?;
         Ok((file, len))
     }
 
@@ -712,6 +769,7 @@ impl WalWriter {
                         file,
                         len,
                         buf: Vec::new(),
+                        dead: 0,
                     }),
                 })
             })
@@ -750,15 +808,19 @@ impl WalWriter {
     /// replace the old files, delete any stale shard/temp files, then
     /// open for appending. This is how recovery normalizes the log —
     /// it drops checkpointed history and re-homes records when the
-    /// worker count changed across restarts. Every file it would replace
-    /// or delete must be a log of this format (or empty): one that is
-    /// not fails the reset before anything is written.
+    /// shard count changed across restarts. `next_run` is one past the
+    /// highest run id the old log held: when no kept record reaches it,
+    /// the checkpoint of `next_run - 1` is kept too, so the id is never
+    /// issued again. Every file it would replace or delete must be a log
+    /// of this format (or empty): one that is not fails the reset before
+    /// anything is written.
     pub fn reset(
         dir: &Path,
         shards: usize,
         policy: WalSync,
         obs: Box<dyn WalObserver>,
         records: &[Record],
+        next_run: u64,
         route: impl Fn(u64) -> usize,
     ) -> Result<Self, WalError> {
         file::create_dir(dir)?;
@@ -768,7 +830,11 @@ impl WalWriter {
         }
         let shards = shards.max(1);
         let mut bufs: Vec<Vec<u8>> = vec![FILE_HEADER.to_vec(); shards];
-        for rec in records {
+        // The checkpoint of the highest run id the old log held, unless a
+        // kept record names it: the id stays known.
+        let high = next_run.checked_sub(1);
+        let mark = high.filter(|&h| records.iter().all(|r| r.run < h));
+        for rec in records.iter().chain(&mark.map(Record::checkpoint)) {
             rec.encode_into(&mut bufs[route(rec.run) % shards]);
         }
         for (i, buf) in bufs.iter().enumerate() {
@@ -804,7 +870,7 @@ impl WalWriter {
 
     /// Append one record to `shard`: [`append_with`](Self::append_with)
     /// for a payload that already exists as bytes.
-    pub fn append(&self, shard: usize, rec: &Record) -> Result<(), WalError> {
+    pub fn append(&self, shard: usize, rec: &Record) -> Result<u64, WalError> {
         self.append_with(shard, rec.kind, rec.run, rec.seq, |out| {
             out.extend_from_slice(&rec.payload);
         })
@@ -819,7 +885,8 @@ impl WalWriter {
     /// OS on the way. If that write fails, or `payload` panics, the
     /// buffer is cut back to where this record began, so a rejected
     /// record is never written later (frames buffered before it belong
-    /// to applied ops and stay for the committer to retry).
+    /// to applied ops and stay for the committer to retry). Returns the
+    /// bytes the record's frame takes.
     pub fn append_with(
         &self,
         shard: usize,
@@ -827,7 +894,7 @@ impl WalWriter {
         run: u64,
         seq: u64,
         payload: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<(), WalError> {
+    ) -> Result<u64, WalError> {
         let inner = &self.inner;
         let shard_ref = &inner.shards[shard % inner.shards.len()];
         let start = Instant::now();
@@ -836,7 +903,7 @@ impl WalWriter {
             let mut f = shard_ref.lock();
             let at = f.buf.len();
             let frame = UnwrittenFrame { shard: &mut f, at };
-            encode_frame(&mut frame.shard.buf, kind, run, seq, payload);
+            encode_record(&mut frame.shard.buf, kind, run, seq, payload);
             frame_len = (frame.shard.buf.len() - at) as u64;
             if frame.shard.buf.len() >= GROUP_COMMIT_BYTE_BUDGET {
                 // The fsync still waits for the committer.
@@ -855,7 +922,7 @@ impl WalWriter {
         inner
             .obs
             .append(frame_len, start.elapsed().as_nanos() as u64);
-        Ok(())
+        Ok(frame_len)
     }
 
     /// Durability barrier: every append that happened-before this call
@@ -900,42 +967,54 @@ impl WalWriter {
         }
     }
 
-    /// Stamp a `Checkpoint` record for `run` on `shard`, then compact
-    /// the shard file in place so it retains no record of any
-    /// checkpointed run. Returns `(bytes_before, bytes_after)`.
-    pub fn checkpoint(&self, shard: usize, run: u64) -> Result<(u64, u64), WalError> {
-        self.append(shard, &Record::checkpoint(run))?;
-        self.truncate_shard(shard)
+    /// Stamp a `Checkpoint` record for `run` on `shard`: recovery drops
+    /// every record of a checkpointed run. `bytes` is what the run's own
+    /// records take in the shard (its journal counts them as it appends).
+    /// The shard is rewritten without the checkpointed runs only once
+    /// their bytes pass [`DEAD_HEAVY_RATIO`] of it ([`dead_heavy`]), so
+    /// a checkpoint is an append and the rewrite's cost is amortised
+    /// over the records it drops (`rewrite_shard`, which keeps the
+    /// highest checkpoint, so no run id is issued twice).
+    pub fn checkpoint(&self, shard: usize, run: u64, bytes: u64) -> Result<(), WalError> {
+        let marker = self.append(shard, &Record::checkpoint(run))?;
+        let shard = shard % self.inner.shards.len();
+        let mut f = self.inner.shards[shard].lock();
+        f.dead += bytes + marker;
+        if dead_heavy(f.dead, f.len + f.buf.len() as u64) {
+            self.rewrite_shard(shard, &mut f)?;
+        }
+        Ok(())
     }
 
-    /// Compact one shard: drop every record of checkpointed runs and
-    /// the checkpoint markers themselves, durably replacing the file.
-    /// Appends to this shard block for the duration.
-    fn truncate_shard(&self, shard: usize) -> Result<(u64, u64), WalError> {
-        let inner = &self.inner;
-        let shard_idx = shard % inner.shards.len();
-        let shard_ref = &inner.shards[shard_idx];
-        let mut f = shard_ref.lock();
+    /// Rewrite shard `shard_idx`, whose file state `f` the caller holds
+    /// locked: drop every record of checkpointed runs but the checkpoint
+    /// of the highest one, and durably replace the file. Appends to this
+    /// shard block for its duration.
+    fn rewrite_shard(&self, shard_idx: usize, f: &mut ShardFile) -> Result<(), WalError> {
+        let shard_ref = &self.inner.shards[shard_idx];
         f.flush_buf()?;
-        let (records, _torn) = read_records(&shard_ref.path)?;
+        let records = scan_file(&shard_ref.path)?.records;
         let before = f.len;
         let checkpointed: HashSet<u64> = records
             .iter()
             .filter(|r| r.kind == RecordKind::Checkpoint)
             .map(|r| r.run)
             .collect();
+        // The highest checkpoint stays: its run id stays known.
+        let high = checkpointed.iter().max().copied();
         let mut buf = FILE_HEADER.to_vec();
         for rec in &records {
-            if !checkpointed.contains(&rec.run) {
+            if !checkpointed.contains(&rec.run)
+                || rec.kind == RecordKind::Checkpoint && Some(rec.run) == high
+            {
                 rec.encode_into(&mut buf);
             }
         }
         file::replace(&shard_ref.path, &buf)?;
         let (file, len) = WalInner::open_append(&shard_ref.path)?;
-        f.file = file;
-        f.len = len;
-        inner.obs.truncation(shard_idx, before, len);
-        Ok((before, len))
+        (f.file, f.len, f.dead) = (file, len, 0);
+        self.inner.obs.truncation(shard_idx, before, len);
+        Ok(())
     }
 
     /// Flush everything and stop the committer. Idempotent; also runs
@@ -1044,6 +1123,24 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
+    }
+
+    /// Parse the log frame at the front of `bytes`: the record and the
+    /// bytes it took, or why the bytes are not a frame — what the scanner
+    /// does with each frame of a shard.
+    fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
+        let (body, len) = split_frame(bytes, &(MIN_BODY_BYTES..=MAX_BODY_BYTES))?;
+        Ok((parse_body(body)?, len))
+    }
+
+    /// Parse every valid frame of one WAL file. Corruption mid-file is
+    /// not an error: the valid prefix is returned along with a
+    /// [`TornTail`] describing the cut (a crash can tear the last frame;
+    /// anything after the first bad frame is untrusted). A file that does
+    /// not start with [`FILE_HEADER`] is an error — a log of another
+    /// format is not a tail torn at offset 0.
+    fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
+        scan_file(path).map(|s| (s.records, s.torn))
     }
 
     fn rec(kind: RecordKind, run: u64, seq: u64, payload: &[u8]) -> Record {
@@ -1373,6 +1470,7 @@ mod tests {
                         WalSync::default(),
                         Box::new(NullObserver),
                         &[],
+                        0,
                         |run| run as usize,
                     )
                     .map(drop),
@@ -1395,26 +1493,45 @@ mod tests {
         }
     }
 
+    /// A checkpoint is an append: the shard is rewritten without the
+    /// checkpointed runs only once their bytes pass `DEAD_HEAVY_RATIO` of
+    /// it, and the rewrite keeps the highest checkpointed run id when no
+    /// kept record reaches it.
     #[test]
-    fn checkpoint_truncation_drops_run_history() {
+    fn checkpoints_append_until_their_runs_are_dead_heavy() {
         let dir = TempDir::new("ckpt");
         let w = WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
+        let mut bytes = [0u64; 4];
         for seq in 0..8 {
-            w.append(0, &rec(RecordKind::Event, 1, seq, &[0xAA; 32]))
-                .unwrap();
-            w.append(0, &rec(RecordKind::Event, 2, seq, &[0xBB; 32]))
-                .unwrap();
+            for run in 1..=3u64 {
+                let r = rec(RecordKind::Event, run, seq, &[run as u8; 32]);
+                w.append(0, &r).unwrap();
+                bytes[run as usize] += r.encoded_len() as u64;
+            }
         }
-        let (before, after) = w.checkpoint(0, 1).unwrap();
-        assert!(before > after, "truncation must shrink the shard");
-        w.shutdown();
-        drop(w);
+        let len = || {
+            w.barrier().unwrap();
+            std::fs::metadata(dir.path().join(shard_file_name(0)))
+                .unwrap()
+                .len()
+        };
+        // A third of the records is not past 0.3 of the shard once the
+        // marker is in: run 1's checkpoint appends.
+        let full = len();
+        w.checkpoint(0, 1, bytes[1] / 2).unwrap();
+        assert_eq!(len(), full + Record::checkpoint(1).encoded_len() as u64);
+        assert_eq!(recover(dir.path()).unwrap().runs.len(), 3);
+        // Run 3's pushes the dead share past it: the rewrite keeps run 2
+        // alone, and run 3's checkpoint for its id.
+        w.checkpoint(0, 3, bytes[3]).unwrap();
         let recovery = recover(dir.path()).unwrap();
-        // Run 1 is gone entirely (checkpoint markers are dropped by the
-        // compaction too); run 2 keeps all 8 records.
-        assert_eq!(recovery.runs.len(), 1);
-        assert_eq!(recovery.runs[0].run, 2);
-        assert_eq!(recovery.runs[0].records.len(), 8);
+        let runs: Vec<(u64, usize, bool)> = recovery
+            .runs
+            .iter()
+            .map(|r| (r.run, r.records.len(), r.checkpointed))
+            .collect();
+        assert_eq!(runs, [(2, 8, false), (3, 0, true)]);
+        assert!(len() < full, "the rewrite shrank the shard");
     }
 
     #[test]
@@ -1443,6 +1560,7 @@ mod tests {
             WalSync::default(),
             Box::new(NullObserver),
             &survivors,
+            8,
             |run| run as usize,
         )
         .unwrap();
@@ -1458,8 +1576,16 @@ mod tests {
         assert!(!names.contains(&shard_file_name(2)));
         let recovery = recover(dir.path()).unwrap();
         assert_eq!(recovery.files, 2);
-        let runs: Vec<u64> = recovery.runs.iter().map(|r| r.run).collect();
-        assert_eq!(runs, vec![0, 2, 4, 6]);
+        // Run 7, the highest id the old log held, is kept as a checkpoint.
+        let runs: Vec<(u64, bool)> = recovery
+            .runs
+            .iter()
+            .map(|r| (r.run, r.checkpointed))
+            .collect();
+        assert_eq!(
+            runs,
+            [(0, false), (2, false), (4, false), (6, false), (7, true)]
+        );
         assert_eq!(recovery.runs[0].records.len(), 2);
     }
 

@@ -2,7 +2,7 @@
 //! (the packs spills append to included), rewrites of dead-heavy packs
 //! under concurrent scans, re-heating, the compaction byte-accounting
 //! regression, and the append path: one pack per engine lifetime, a torn
-//! manifest line repaired, a failed append.
+//! seal record cut off, a failed append.
 //!
 //! The acceptance bar mirrors tiering.rs: wherever the blob lives —
 //! a pack spills appended to, a compacted pack, a pack rewritten mid-scan — a run must
@@ -16,6 +16,7 @@ use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wf_provenance::prelude::*;
+use wf_service::snapshot::{self, Seal};
 use wf_service::Tier;
 
 mod common;
@@ -115,10 +116,29 @@ fn pack_files(dir: &Path) -> Vec<(String, u64)> {
     packs
 }
 
-/// Lines of the manifest, its header included.
-fn manifest_lines(dir: &Path) -> usize {
-    let path = dir.join(wf_service::snapshot::MANIFEST_FILE);
-    std::fs::read_to_string(path).unwrap().lines().count()
+/// Records of the seal log.
+fn seal_records(dir: &Path) -> usize {
+    snapshot::read_seal_log(dir).unwrap().records.len()
+}
+
+/// Where the seal log places each run: its pack's name, the blob's
+/// offset and its length.
+fn places(dir: &Path) -> Vec<(RunId, String, u64, u64)> {
+    let records = snapshot::read_seal_log(dir).unwrap().records;
+    // Each run's last record: where the log says its blob lies now.
+    let last: std::collections::BTreeMap<RunId, Seal> =
+        records.into_iter().map(|r| (r.run(), r)).collect();
+    last.into_values()
+        .filter_map(|seal| match seal {
+            Seal::Sealed {
+                run,
+                pack,
+                offset,
+                len,
+            } => Some((run, snapshot::pack_file_name(pack), offset, len)),
+            Seal::Evicted { .. } => None,
+        })
+        .collect()
 }
 
 /// Descriptors this process holds on files under `dir`.
@@ -162,12 +182,11 @@ fn wfseg_bytes(dir: &PathBuf) -> u64 {
         .sum()
 }
 
-/// Per-run blob sizes, as the manifest lists them.
+/// Per-run blob sizes, as the seal log places them.
 fn blob_sizes(dir: &std::path::Path) -> Vec<(RunId, u64)> {
-    wf_service::snapshot::load_manifest(dir)
-        .unwrap()
-        .iter()
-        .map(|e| (e.run, e.bytes))
+    places(dir)
+        .into_iter()
+        .map(|(run, _, _, len)| (run, len))
         .collect()
 }
 
@@ -267,7 +286,7 @@ fn uncompacted_spills_read_through_the_mapping() {
 /// each — keeps no file descriptor open: a load opens its pack, reads
 /// and closes it. (A descriptor cached per pack would run into
 /// `RLIMIT_NOFILE` after about a thousand of them, and every later load,
-/// persist and manifest write would fail.)
+/// persist and seal record would fail.)
 #[cfg(target_os = "linux")]
 #[test]
 fn loading_many_packs_of_one_keeps_no_descriptor_open() {
@@ -304,8 +323,8 @@ fn handles_taken_before_a_rewrite_answer_after_it() {
     fleet.extend(persist_packs(&dir.0, &spec, 1, 2, 40, &mut rng));
     let engine = spill_engine(&spec, &dir.0);
     let file_of = |run: RunId| {
-        let listed = wf_service::snapshot::load_manifest(&dir.0).unwrap();
-        listed.into_iter().find(|e| e.run == run).unwrap().file
+        let placed = places(&dir.0);
+        placed.into_iter().find(|p| p.0 == run).unwrap().1
     };
     // Out of a pack of one…
     let (loose, loose_file) = (engine.handle(fleet[0].0).unwrap(), file_of(fleet[0].0));
@@ -385,9 +404,9 @@ fn resident_bytes_follow_a_registration_through_reheat_and_relocation() {
 }
 
 /// A pass with nothing to rewrite still sweeps: the pack of an evicted
-/// run — referenced by no manifest line and no registration — is gone
-/// after `compact()`, and so are a crash's leftovers: a pack no manifest
-/// lists and the temp file of a replace that never got to its rename.
+/// run — placed by no seal record and no registration — is gone after
+/// `compact()`, and so are a crash's leftovers: a pack no record names
+/// and the temp file of a replace that never got to its rename.
 #[test]
 fn a_pass_with_no_victims_still_sweeps_orphans() {
     let dir = TempDir::new("sweep");
@@ -398,7 +417,7 @@ fn a_pass_with_no_victims_still_sweeps_orphans() {
     let engine = spill_engine(&spec, &dir.0);
     engine.evict_run(fleet[0].0).unwrap();
     let leftover = dir.0.join("pack-999.wfseg");
-    std::fs::write(&leftover, b"a pack no manifest ever listed").unwrap();
+    std::fs::write(&leftover, b"a pack no record ever named").unwrap();
     let leftover_tmp = dir.0.join(".pack-998.wfseg.tmp");
     std::fs::write(&leftover_tmp, b"half a pack").unwrap();
     let kept = blob_sizes(&dir.0)
@@ -442,14 +461,14 @@ fn corrupt_mapped_pack_degrades_cleanly() {
     drop(engine);
 
     // Flip one bit inside the label bytes of one blob of the compacted
-    // pack (the manifest says where each blob lies): past the header the
+    // pack (the seal log says where each blob lies): past the header the
     // loader reads at registration, so the damage is found by the
     // checksum pass of the blob's first load.
-    let manifest = wf_service::snapshot::load_manifest(&dir.0).unwrap();
-    let victim = &manifest[manifest.len() / 2];
-    let pack = dir.0.join(&victim.file);
+    let placed = places(&dir.0);
+    let (_, file, offset, len) = &placed[placed.len() / 2];
+    let pack = dir.0.join(file);
     let mut bytes = std::fs::read(&pack).unwrap();
-    bytes[(victim.offset + victim.bytes) as usize - 16] ^= 0x10;
+    bytes[(offset + len) as usize - 16] ^= 0x10;
     std::fs::write(&pack, &bytes).unwrap();
 
     let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
@@ -642,7 +661,7 @@ fn recompaction_reports_dead_bytes_separately() {
 /// Compaction drops the blobs of evicted runs out of an underfull pack
 /// whatever their share of it, shrinks the on-disk footprint by exactly
 /// the dead bytes, and survivors answer exactly — including through a
-/// fresh engine over the rewritten manifest.
+/// fresh engine over the seal log that placed them anew.
 #[test]
 fn compaction_drops_dead_blobs_and_shrinks_the_disk() {
     let dir = TempDir::new("dead-blobs");
@@ -700,7 +719,7 @@ fn compaction_drops_dead_blobs_and_shrinks_the_disk() {
     assert_answers(&engine, &survivors);
     drop(engine);
 
-    // The rewritten manifest reloads into a consistent engine.
+    // The seal log reloads into a consistent engine.
     let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
     assert_eq!(reloaded.stats().runs_persisted, 3);
     assert_answers(&reloaded, &survivors);
@@ -780,47 +799,9 @@ fn a_full_pack_is_rewritten_only_once_it_is_dead_heavy() {
     assert_eq!(wfseg_bytes(&dir.0), pack_bytes - dead);
 }
 
-/// The manifest is `run file offset len` lines under its header and
-/// nothing else. Engines before this one also wrote an `epoch <n>` line;
-/// a manifest with one loads exactly like one without (the loader skips
-/// every line that is not four fields), and is written back without it.
-#[test]
-fn a_manifest_with_or_without_an_epoch_line_loads() {
-    let dir = TempDir::new("epoch-line");
-    let spec = wf_spec::corpus::running_example();
-    let mut rng = StdRng::seed_from_u64(23);
-    let build = || -> WfEngine {
-        WfEngine::builder()
-            .spec(spec.clone())
-            .spill_dir(&dir.0)
-            .build()
-    };
-    let engine = build();
-    let mut fleet = persist_fleet(&engine, &spec, 3, &mut rng);
-    engine.compact().unwrap();
-    drop(engine);
-
-    let path = dir.0.join(wf_service::snapshot::MANIFEST_FILE);
-    let written = std::fs::read_to_string(&path).unwrap();
-    assert!(!written.contains("epoch"), "{written}");
-    let listed = wf_service::snapshot::load_manifest(&dir.0).unwrap();
-    assert_eq!(listed.len(), 3);
-    let (header, lines) = written.split_once('\n').unwrap();
-    std::fs::write(&path, format!("{header}\nepoch 7\n{lines}")).unwrap();
-    assert_eq!(wf_service::snapshot::load_manifest(&dir.0).unwrap(), listed);
-
-    let engine = build();
-    assert_eq!(engine.stats().runs_persisted, 3);
-    assert_answers(&engine, &fleet);
-    fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
-    let rewritten = std::fs::read_to_string(&path).unwrap();
-    assert!(!rewritten.contains("epoch"), "{rewritten}");
-    assert_eq!(rewritten.lines().count(), 1 + fleet.len());
-}
-
 /// Every persist of one engine lifetime appends to one pack: N spills
-/// leave one pack file and N + 1 manifest lines (the header, then a line
-/// per run), and a `compact()` after them has nothing to merge and
+/// leave one pack file and N seal records (a record per run), and a
+/// `compact()` after them has nothing to merge and
 /// unlinks nothing. The pass closes the pack, so the next spill opens a
 /// new one, and so does the first spill after a rebuild: a closed pack
 /// never grows again. Each append opens its file, writes, syncs and
@@ -834,7 +815,7 @@ fn a_lifetimes_persists_append_to_one_pack() {
     let mut fleet = persist_fleet(&engine, &spec, 5, &mut rng);
     let first = pack_files(&dir.0);
     assert_eq!(first.len(), 1, "{first:?}");
-    assert_eq!(manifest_lines(&dir.0), 1 + 5);
+    assert_eq!(seal_records(&dir.0), 5);
     let report = engine.compact().unwrap();
     assert_eq!(
         (
@@ -851,7 +832,7 @@ fn a_lifetimes_persists_append_to_one_pack() {
     let second = pack_files(&dir.0);
     assert_eq!(second.len(), 2, "{second:?}");
     assert!(second.contains(&first[0]), "the closed pack did not grow");
-    assert_eq!(manifest_lines(&dir.0), 1 + 7);
+    assert_eq!(seal_records(&dir.0), 7);
     assert_answers(&engine, &fleet);
     drop(engine);
 
@@ -864,7 +845,7 @@ fn a_lifetimes_persists_append_to_one_pack() {
         second.iter().all(|p| third.contains(p)),
         "no older pack grew"
     );
-    assert_eq!(manifest_lines(&dir.0), 1 + 9);
+    assert_eq!(seal_records(&dir.0), 9);
     assert_eq!(engine.stats().spills, 2);
     assert_answers(&engine, &fleet);
     #[cfg(target_os = "linux")]
@@ -877,22 +858,28 @@ fn a_lifetimes_persists_append_to_one_pack() {
     assert_answers(&spill_engine(&spec, &dir.0), &fleet);
 }
 
-/// A crash in the middle of a manifest append leaves a last line with
-/// no `\n`: that persist was never acknowledged, and its run does not
-/// register. The next build rewrites the manifest whole before anything
-/// is appended to it, so the line the next persist appends is not glued
-/// onto the torn one, and survives the restart after it.
+/// A crash in the middle of a seal-log append leaves the log ending in
+/// the start of a record: that persist was never acknowledged, and its
+/// run does not register. The next build replaces the log with its whole
+/// records before anything is appended to it, so the record the next
+/// persist appends follows a whole one, and survives the restart after
+/// it.
 #[test]
-fn a_torn_manifest_line_is_repaired_before_the_next_append() {
-    let dir = TempDir::new("torn-line");
+fn a_torn_seal_record_is_cut_before_the_next_append() {
+    let dir = TempDir::new("torn-record");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(341);
     let mut fleet = persist_packs(&dir.0, &spec, 1, 3, 40, &mut rng);
-    let path = dir.0.join(wf_service::snapshot::MANIFEST_FILE);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
-    std::fs::write(&path, &text[..last + (text.len() - last) / 2]).unwrap();
+    let path = dir.0.join(snapshot::SEAL_LOG_FILE);
+    let log = std::fs::read(&path).unwrap();
+    let [.., last] = snapshot::read_seal_log(&dir.0).unwrap().records[..] else {
+        panic!("three records");
+    };
     let torn = fleet.remove(2).0;
+    assert_eq!(last.run(), torn);
+    let mut frame = Vec::new();
+    last.encode_into(&mut frame);
+    std::fs::write(&path, &log[..log.len() - frame.len() / 2]).unwrap();
 
     let engine = spill_engine(&spec, &dir.0);
     assert_eq!(
@@ -900,20 +887,20 @@ fn a_torn_manifest_line_is_repaired_before_the_next_append() {
         Err(wf_service::ServiceError::UnknownRun(torn))
     );
     assert_eq!(engine.stats().runs_persisted, 2);
-    let repaired = std::fs::read_to_string(&path).unwrap();
-    assert!(repaired.ends_with('\n'), "{repaired:?}");
+    let repaired = snapshot::read_seal_log(&dir.0).unwrap();
+    assert!(repaired.torn.is_none(), "{:?}", repaired.records);
     fleet.extend(persist_fleet(&engine, &spec, 1, &mut rng));
     drop(engine);
 
     let engine = spill_engine(&spec, &dir.0);
     assert_eq!(engine.stats().runs_persisted, 3);
     assert_answers(&engine, &fleet);
-    assert_eq!(manifest_lines(&dir.0), 1 + 3);
+    assert_eq!(seal_records(&dir.0), 3);
 }
 
 /// A persist whose pack append fails — here the active pack's file was
 /// removed between two persists — returns a typed error and registers
-/// nothing: the run keeps its frame and no manifest line names it. The
+/// nothing: the run keeps its frame and no seal record names it. The
 /// failure closed the pack, so the next persist opens a fresh one and
 /// succeeds.
 #[test]
@@ -935,7 +922,7 @@ fn a_failed_append_closes_the_active_pack() {
         other => panic!("expected a snapshot error, got {other:?}"),
     }
     assert_eq!(engine.run_tier(run).unwrap(), Tier::Frozen);
-    assert_eq!(manifest_lines(&dir.0), 1 + 1, "no line names the run");
+    assert_eq!(seal_records(&dir.0), 1, "no record names the run");
     assert_answers(&engine, &fleet);
 
     engine.persist_run(run).unwrap();
@@ -1120,7 +1107,7 @@ proptest! {
         assert_answers(&engine, survivors);
         prop_assert!(wfseg_bytes(&dir.0) < disk_before);
         prop_assert_eq!(engine.stats().pack_dead_bytes, 0);
-        // The re-heated run kept its manifest line: the reload sees the
+        // The re-heated run kept its seal record: the reload sees the
         // whole surviving fleet, that run persisted again.
         drop(engine);
         let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();

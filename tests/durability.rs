@@ -1,5 +1,5 @@
 //! Durable ingest: WAL crash recovery, torn tails, the group-commit
-//! flush barrier, and checkpoint truncation.
+//! flush barrier, checkpoints, and run ids that outlive their runs.
 //!
 //! The acceptance bar mirrors tiering's: a recovered engine must answer
 //! `reach()` for the durable prefix of every run *identically* to
@@ -9,9 +9,10 @@
 //! crash point, never drained or dropped: the disk state a kill right
 //! after a `flush()` leaves), and a real child-process `abort()`
 //! mid-ingest, with an unflushed tail. Torn tails and bit flips must
-//! degrade to a shorter valid prefix, never a panic; checkpoint
-//! truncation must leave the log holding only runs the persisted tier
-//! does not already own.
+//! degrade to a shorter valid prefix, never a panic; checkpoints must
+//! keep the log within a constant factor of the runs the persisted tier
+//! does not already own, and leave it holding only those after a
+//! restart.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -66,7 +67,7 @@ proptest! {
     /// **continue the same run**, kill again after completion, recover
     /// again: both recovered engines answer exactly per naive replay of
     /// the durable prefix, and the run finishes across three engine
-    /// lifetimes with three different worker counts (records are
+    /// lifetimes with three different WAL shard counts (records are
     /// re-homed across shard layouts at each recovery).
     #[test]
     fn recovered_answers_match_naive_prefix_replay(
@@ -198,7 +199,7 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
     let events = exec.events();
 
-    // Single worker: one shard file, file order = seq order. The flush
+    // One WAL shard: one shard file, file order = seq order. The flush
     // puts the whole log on disk before it is read.
     let engine: WfEngine = WfEngine::builder()
         .spec(spec.clone())
@@ -438,10 +439,46 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
     }
 }
 
-/// Checkpoint truncation provably bounds the log: once a run is spilled
-/// to its segment, the WAL retains **no** trace of it — only the runs
-/// the persisted tier does not own keep their records — and a rebuild
-/// serves persisted runs from segments, unfrozen ones from replay.
+/// The records of checkpointed runs in WAL shard `shard` of `dir`, in
+/// bytes — their checkpoints left out — and the shard's size.
+fn checkpointed_bytes(dir: &std::path::Path, shard: usize) -> (u64, u64) {
+    let copy = TempDir::new("shard");
+    let name = wal::shard_file_name(shard);
+    std::fs::copy(dir.join(&name), copy.0.join(&name)).unwrap();
+    let scan = wal::recover(&copy.0).unwrap();
+    assert!(scan.torn.is_empty(), "{:?}", scan.torn);
+    let kept: u64 = scan
+        .runs
+        .iter()
+        .flat_map(|r| &r.records)
+        .map(|r| r.encoded_len() as u64)
+        .sum();
+    let checkpoints: u64 = scan
+        .runs
+        .iter()
+        .filter(|r| r.checkpointed)
+        .map(|r| {
+            let payload = Vec::new();
+            let (kind, seq) = (wal::RecordKind::Checkpoint, wal::CHECKPOINT_SEQ);
+            wal::Record {
+                kind,
+                run: r.run,
+                seq,
+                payload,
+            }
+            .encoded_len() as u64
+        })
+        .sum();
+    let header = wal::FILE_HEADER.len() as u64;
+    (scan.bytes - header - kept - checkpoints, scan.bytes)
+}
+
+/// Checkpoints bound the log without rewriting it per persist: while
+/// the engine runs, the records of checkpointed runs stay at most
+/// `DEAD_HEAVY_RATIO` of each shard — a shard is rewritten without them
+/// once they would pass it — and after a restart the log holds exactly
+/// the runs that were not persisted, and a rebuild serves persisted runs
+/// from segments, unfrozen ones from replay.
 #[test]
 fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
     let dir = TempDir::new("ckpt");
@@ -457,7 +494,7 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
         .spill_dir(&spill_dir)
         .build();
     let mut fleet = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..12 {
         let run = engine.open_run(SpecId(0)).unwrap();
         let gen = RunGenerator::new(&spec)
             .target_size(50)
@@ -470,37 +507,24 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
         fleet.push((run, exec));
     }
     engine.flush();
-    let (persisted, hot) = fleet.split_at(2);
+    let (persisted, hot) = fleet.split_at(9);
     for (run, _) in persisted {
         engine.persist_run(*run).unwrap();
+        engine.flush();
+        for shard in 0..2 {
+            let (dead, size) = checkpointed_bytes(&wal_dir, shard);
+            assert!(
+                dead as f64 <= wal::DEAD_HEAVY_RATIO * size as f64,
+                "after {run}: shard {shard} holds {dead} dead bytes of {size}"
+            );
+        }
     }
-    assert_eq!(engine.stats().wal_truncations, 2);
-
-    // The log now holds exactly the two unfrozen runs.
-    let scan = wal::recover(&wal_dir).unwrap();
-    for (run, exec) in hot {
-        let r = scan.runs.iter().find(|r| r.run == run.0).unwrap();
-        assert!(!r.checkpointed);
-        assert!(r.records.len() as u64 >= 2 + exec.len() as u64);
-    }
-    for (run, _) in persisted {
-        let gone = scan
-            .runs
-            .iter()
-            .find(|r| r.run == run.0)
-            .is_none_or(|r| r.checkpointed && r.records.is_empty());
-        assert!(gone, "{run} still journaled after its checkpoint");
-    }
-    // The bound in bytes: what is on disk is what the unfrozen runs
-    // need, not the whole history.
-    let hot_bytes: u64 = scan
-        .runs
-        .iter()
-        .filter(|r| hot.iter().any(|(run, _)| run.0 == r.run))
-        .flat_map(|r| &r.records)
-        .map(|rec| rec.encoded_len() as u64)
-        .sum();
-    assert!(scan.bytes <= hot_bytes + 2 * 64, "log retains dead weight");
+    let rewrites = engine.stats().wal_truncations;
+    assert!(
+        (1..persisted.len() as u64).contains(&rewrites),
+        "{rewrites} shard rewrites for {} checkpoints",
+        persisted.len()
+    );
     drop(engine);
 
     // Rebuild: persisted runs answer from their segments, unfrozen runs
@@ -512,11 +536,100 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
         .spill_dir(&spill_dir)
         .build();
     let s = reloaded.stats();
-    assert_eq!(s.wal_recovered_runs, 2);
-    assert_eq!((s.runs_hot, s.runs_persisted), (2, 2));
+    assert_eq!(s.wal_recovered_runs, hot.len() as u64);
+    assert_eq!((s.runs_hot, s.runs_persisted), (3, 9));
     for (run, exec) in &fleet {
         assert_eq!(reloaded.run_status(*run).unwrap(), RunStatus::Completed);
         let h = reloaded.handle(*run).unwrap();
+        assert_prefix_answers(&h, exec.events(), exec.len());
+    }
+
+    // The rewritten log holds exactly the unfrozen runs, and in bytes no
+    // more than they need beside its header and the checkpoint that
+    // keeps the highest persisted run's id.
+    let scan = wal::recover(&wal_dir).unwrap();
+    let live: Vec<RunId> = scan
+        .runs
+        .iter()
+        .filter(|r| !r.checkpointed)
+        .map(|r| RunId(r.run))
+        .collect();
+    assert_eq!(live, hot.iter().map(|(run, _)| *run).collect::<Vec<_>>());
+    for r in &scan.runs {
+        let exec = hot.iter().find(|(run, _)| run.0 == r.run).map(|(_, e)| e);
+        match exec {
+            Some(exec) => assert!(r.records.len() as u64 >= 2 + exec.len() as u64),
+            None => assert!(r.checkpointed && r.records.is_empty(), "{}", r.run),
+        }
+    }
+    let hot_bytes: u64 = scan
+        .runs
+        .iter()
+        .flat_map(|r| &r.records)
+        .map(|rec| rec.encoded_len() as u64)
+        .sum();
+    assert!(scan.bytes <= hot_bytes + 64, "log retains dead weight");
+}
+
+/// A run id is issued once, whichever tier its run left from: once the
+/// highest-numbered run is evicted, the next lifetime's `open_run`
+/// hands out a fresh id, not the evicted one — so an id a client still
+/// holds never answers for another run. With a spill directory alone
+/// (its `Evicted` record keeps the id), a WAL alone (the run's
+/// checkpoint keeps it, through every rewrite of the log) and both.
+#[test]
+fn an_evicted_run_id_is_not_issued_again_after_a_restart() {
+    let dir = TempDir::new("evicted-id");
+    let spec = wf_spec::corpus::running_example();
+    let gen = RunGenerator::new(&spec)
+        .target_size(30)
+        .generate_run(&mut StdRng::seed_from_u64(2042));
+    let exec = Execution::deterministic(&gen.graph, &gen.origin);
+    for (what, wal, spill) in [
+        ("spill", false, true),
+        ("wal", true, false),
+        ("both", true, true),
+    ] {
+        let build = || -> WfEngine {
+            let mut builder = WfEngine::builder().spec(spec.clone());
+            if wal {
+                builder = builder.wal_dir(dir.0.join(what).join("wal"));
+            }
+            if spill {
+                builder = builder.spill_dir(dir.0.join(what).join("spill"));
+            }
+            builder.build()
+        };
+        let engine = build();
+        let runs: Vec<RunId> = (0..2)
+            .map(|_| {
+                let run = engine.open_run(SpecId(0)).unwrap();
+                for ev in exec.events() {
+                    engine.submit(run, ev).unwrap();
+                }
+                engine.complete_run(run).unwrap();
+                if spill {
+                    engine.persist_run(run).unwrap();
+                }
+                run
+            })
+            .collect();
+        assert_eq!(runs, [RunId(0), RunId(1)], "{what}");
+        engine.evict_run(runs[1]).unwrap();
+        assert!(engine.take_ingest_errors().is_empty(), "{what}");
+        drop(engine);
+
+        let engine = build();
+        assert_eq!(
+            engine.open_run(SpecId(0)),
+            Ok(RunId(2)),
+            "{what}: the evicted run's id was issued again"
+        );
+        assert_eq!(
+            engine.run_status(runs[1]),
+            Err(ServiceError::UnknownRun(runs[1]))
+        );
+        let h = engine.handle(runs[0]).unwrap();
         assert_prefix_answers(&h, exec.events(), exec.len());
     }
 }
@@ -526,8 +639,8 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
 /// frozen tier (only persisting checkpoints them), so the eviction
 /// itself must checkpoint them — or the next engine lifetime replays
 /// the run back. A run that has a blob on disk — persisted, or
-/// re-heated since — is in the manifest, so the eviction itself must
-/// drop its line — or the next lifetime registers it again.
+/// re-heated since — is placed by the seal log, so the eviction itself
+/// must record it — or the next lifetime registers it again.
 #[test]
 fn evicted_runs_stay_evicted_across_a_restart() {
     let dir = TempDir::new("evict");
@@ -666,7 +779,7 @@ fn a_smaller_catalog_keeps_the_logged_runs_it_cannot_replay() {
 
 /// A re-heated run is as durable as a persisted one. Its WAL records
 /// were checkpointed away when it was first persisted, so its pack and
-/// its manifest line are all that is left of it: they must outlive the
+/// its seal record are all that is left of it: they must outlive the
 /// re-heat — through another run's spill, a compaction and the orphan
 /// sweep that comes with it — and a restart brings the run back
 /// persisted. Re-heating strands no dead bytes, and persisting the run
@@ -746,12 +859,12 @@ fn a_reheated_run_survives_a_restart() {
 /// after the run completed is rejected — and must then leave no trace: a
 /// journaled copy would be replayed by the next lifetime, labeling a
 /// vertex whose caller was told "rejected". Through both blocking entry
-/// points: the pool and the handle.
+/// points: the engine and the handle.
 #[test]
 fn a_rejected_op_is_neither_journaled_nor_replayed() {
     type Submit = fn(&WfEngine, &RunHandle, &ExecEvent) -> Result<(), ServiceError>;
     let entries: [(&str, Submit); 2] = [
-        ("pool", |e, h, ev| e.submit(h.run(), ev)),
+        ("engine", |e, h, ev| e.submit(h.run(), ev)),
         ("handle", |_, h, ev| h.submit(ev)),
     ];
     let spec = wf_spec::corpus::running_example();

@@ -17,8 +17,9 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use wf_drl::{Entry, NodeKind};
 use wf_provenance::prelude::*;
+use wf_service::snapshot::{self, Seal};
 use wf_service::wal::crc32c;
-use wf_service::{snapshot, ServiceError, SnapshotError, Tier};
+use wf_service::{ServiceError, SnapshotError, Tier};
 
 mod common;
 use common::TempDir;
@@ -31,14 +32,37 @@ fn spec_for(seed: u64) -> Specification {
     }
 }
 
-/// The pack file the manifest lists for `run`.
+/// Each run's last seal record, when it places the run: where the log
+/// says its blob lies now, in run order.
+fn sealed(dir: &std::path::Path) -> Vec<Seal> {
+    let records = snapshot::read_seal_log(dir).unwrap().records;
+    let last: std::collections::BTreeMap<RunId, Seal> =
+        records.into_iter().map(|r| (r.run(), r)).collect();
+    let last = last.into_values();
+    last.filter(|r| matches!(r, Seal::Sealed { .. })).collect()
+}
+
+/// The pack file the seal log places `run` in.
 fn pack_path(dir: &std::path::Path, run: RunId) -> PathBuf {
-    let entries = snapshot::load_manifest(dir).unwrap();
-    let entry = entries
-        .iter()
-        .find(|e| e.run == run)
-        .expect("manifest lists the run");
-    dir.join(&entry.file)
+    let pack = sealed(dir)
+        .into_iter()
+        .find_map(|seal| match seal {
+            Seal::Sealed { run: r, pack, .. } if r == run => Some(pack),
+            _ => None,
+        })
+        .expect("the seal log places the run");
+    dir.join(snapshot::pack_file_name(pack))
+}
+
+/// The seal records of `dir`.
+fn seals(dir: &std::path::Path) -> Vec<Seal> {
+    snapshot::read_seal_log(dir).unwrap().records
+}
+
+/// Write `records` as the whole seal log of `dir`.
+fn write_seals(dir: &std::path::Path, records: &[Seal]) {
+    let path = dir.join(snapshot::SEAL_LOG_FILE);
+    std::fs::write(path, snapshot::seal_log_bytes(records)).unwrap();
 }
 
 /// Ingest `exec` as a fresh run of spec 0, complete it and spill it.
@@ -348,7 +372,7 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     assert_eq!(arena.bytes(), body);
 
     // A directory written by hand: the blob twice in one pack (a second
-    // registration under a run id patched into its header), one manifest.
+    // registration under a run id patched into its header), one seal log.
     let other = TempDir::new("golden-reopen");
     let twin = RunId(run.0 + 7);
     let mut second = blob.clone();
@@ -356,13 +380,13 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     restamp(&mut second);
     let file = snapshot::pack_file_name(0);
     std::fs::write(other.0.join(&file), [blob.clone(), second].concat()).unwrap();
-    let entry = |run, offset| snapshot::ManifestEntry {
+    let sealed = |run, offset| Seal::Sealed {
         run,
-        file: file.clone(),
+        pack: 0,
         offset,
-        bytes: blob.len() as u64,
+        len: blob.len() as u64,
     };
-    snapshot::write_manifest(&other.0, &[entry(run, 0), entry(twin, blob.len() as u64)]).unwrap();
+    write_seals(&other.0, &[sealed(run, 0), sealed(twin, blob.len() as u64)]);
     let reopened = build(&other);
     for id in [run, twin] {
         assert_eq!(reopened.run_tier(id).unwrap(), Tier::Persisted);
@@ -380,14 +404,15 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     }
 }
 
-/// There is one segment format and one manifest format. A well-formed
-/// **v1**, **v2**, **v3** and **v4 blob** — v3 being the slot table over
-/// whole encoded labels, v4 today's layout under a `u64` FNV-1a — and a
-/// **v1-header manifest** are each rejected with
-/// a typed [`SnapshotError::Format`] naming what it is — never guessed
-/// at — and an engine built over any of them still comes up and serves
-/// fresh runs. Over the v1 manifest it writes nothing: the directory
-/// stays byte for byte, and persisting and compacting are refused.
+/// There is one segment format, and a spill directory has one index, its
+/// seal log. A well-formed **v1**, **v2**, **v3** and **v4 blob** — v3
+/// being the slot table over whole encoded labels, v4 today's layout
+/// under a `u64` FNV-1a — is each rejected with a typed
+/// [`SnapshotError::Format`] naming what it is — never guessed at — and
+/// an engine built over any of them still comes up and serves fresh
+/// runs. A directory holding a **v1 manifest** is refused: the engine
+/// writes nothing there — the directory stays byte for byte, and
+/// persisting and compacting are refused.
 #[test]
 fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let dir = TempDir::new("v1");
@@ -405,9 +430,11 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     };
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
-    let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
+    let log_path = dir.0.join(snapshot::SEAL_LOG_FILE);
     let v5 = std::fs::read(&path).unwrap();
-    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    let [Seal::Sealed { pack, .. }] = seals(&dir.0)[..] else {
+        panic!("one seal record");
+    };
     assert!(
         snapshot::decode_segment(&v5).is_ok(),
         "the v5 blob is sound"
@@ -436,18 +463,22 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
         }
         // An engine over a directory holding it skips the run and works.
         std::fs::write(&path, &old).unwrap();
-        let old_manifest =
-            manifest.replace(&format!(" {}\n", v5.len()), &format!(" {}\n", old.len()));
-        std::fs::write(&manifest_path, &old_manifest).unwrap();
-        let engine = build();
-        // Nothing is rewritten: the pack and the manifest line naming it
-        // are what they were.
-        assert_eq!(std::fs::read(&path).unwrap(), old, "v{version} pack");
-        assert_eq!(
-            std::fs::read_to_string(&manifest_path).unwrap(),
-            old_manifest,
-            "v{version} manifest"
+        let len = old.len() as u64;
+        write_seals(
+            &dir.0,
+            &[Seal::Sealed {
+                run,
+                pack,
+                offset: 0,
+                len,
+            }],
         );
+        let old_log = std::fs::read(&log_path).unwrap();
+        let engine = build();
+        // Nothing is rewritten: the pack and the record naming it are
+        // what they were.
+        assert_eq!(std::fs::read(&path).unwrap(), old, "v{version} pack");
+        assert_eq!(std::fs::read(&log_path).unwrap(), old_log, "v{version} log");
         assert_eq!(
             engine.run_tier(run).unwrap_err(),
             wf_service::ServiceError::UnknownRun(run)
@@ -458,24 +489,21 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
         assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
     }
 
-    // The v1 manifest: `run file bytes` lines under the v1 header. The
-    // engine cannot tell which packs it names, so it leaves the
-    // directory byte for byte — the manifest, and every pack through a
-    // compaction — and refuses to write there.
+    // A v1 manifest: `run file bytes` lines under the v1 header, beside
+    // the seal log. The engine cannot tell which packs it names, so it
+    // leaves the directory byte for byte — the manifest, the log, and
+    // every pack through a compaction — and refuses to write there.
     std::fs::write(&path, &v5).unwrap();
     let name = path.file_name().unwrap().to_str().unwrap();
     let v1 = format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v5.len());
+    let manifest_path = dir.0.join("wf-tier-manifest.txt");
     std::fs::write(&manifest_path, &v1).unwrap();
-    match snapshot::load_manifest(&dir.0) {
-        Err(SnapshotError::Format(msg)) => assert!(msg.contains("header"), "{msg}"),
-        other => panic!("v1 manifest not rejected as a format error: {other:?}"),
-    }
     let packs = dir_bytes(&dir.0);
     let engine = build();
     assert_eq!(engine.stats().runs_persisted, 0, "nothing is guessed at");
     assert!(matches!(
         engine.compact(),
-        Err(ServiceError::SpillUnavailable(cause)) if cause.contains("header")
+        Err(ServiceError::SpillUnavailable(cause)) if cause.contains("manifest")
     ));
     let fresh = engine.open_run(SpecId(0)).unwrap();
     for ev in exec.events() {
@@ -498,6 +526,73 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     drop(engine);
     assert_eq!(dir_bytes(&dir.0), packs, "the directory is as it was found");
     assert_eq!(std::fs::read_to_string(&manifest_path).unwrap(), v1);
+}
+
+/// A spill directory the previous build wrote — packs and its
+/// `wf-tier-manifest.txt` (v2: `run file offset len` lines), no seal log
+/// — is refused with [`ServiceError::SpillUnavailable`] and left byte for
+/// byte: no seal log is created beside the manifest, no pack is swept,
+/// and the engine serves fresh runs from memory.
+#[test]
+fn a_directory_holding_a_manifest_is_refused_and_left_byte_for_byte() {
+    let dir = TempDir::new("manifest");
+    let spec = wf_spec::corpus::running_example();
+    let written = persist_probed(&dir.0, 320..323);
+    let manifest: String = std::iter::once("wf-tier-manifest v2\n".to_string())
+        .chain(
+            snapshot::read_seal_log(&dir.0)
+                .unwrap()
+                .records
+                .iter()
+                .map(|seal| {
+                    let Seal::Sealed {
+                        run,
+                        pack,
+                        offset,
+                        len,
+                    } = *seal
+                    else {
+                        panic!("{seal:?}");
+                    };
+                    format!(
+                        "{} {} {offset} {len}\n",
+                        run.0,
+                        snapshot::pack_file_name(pack)
+                    )
+                }),
+        )
+        .collect();
+    std::fs::remove_file(dir.0.join(snapshot::SEAL_LOG_FILE)).unwrap();
+    std::fs::write(dir.0.join("wf-tier-manifest.txt"), manifest).unwrap();
+    let before = dir_bytes(&dir.0);
+
+    let engine = WfEngine::builder()
+        .spec(spec.clone())
+        .spill_dir(&dir.0)
+        .build();
+    assert_eq!(engine.stats().runs_persisted, 0);
+    for (run, _) in &written {
+        assert_eq!(engine.run_tier(*run), Err(ServiceError::UnknownRun(*run)));
+    }
+    assert!(matches!(
+        engine.compact(),
+        Err(ServiceError::SpillUnavailable(cause)) if cause.contains("wf-tier-manifest.txt")
+    ));
+    let (exec, probes) = probed_run(&spec, 323);
+    let run = engine.open_run(SpecId(0)).unwrap();
+    for ev in exec.events() {
+        engine.submit(run, ev).unwrap();
+    }
+    engine.complete_run(run).unwrap();
+    assert!(matches!(
+        engine.persist_run(run),
+        Err(ServiceError::SpillUnavailable(_))
+    ));
+    for &(u, v, want) in &probes {
+        assert_eq!(engine.reach(run, u, v), Ok(Some(want)));
+    }
+    drop(engine);
+    assert!(dir_bytes(&dir.0) == before, "the directory changed");
 }
 
 /// Every file of `dir` with its bytes, by name.
@@ -539,10 +634,10 @@ proptest! {
     /// Compaction racing re-heats, evictions, persists and queries:
     /// whatever interleaving happens, surviving runs answer exactly per
     /// naive replay (mid-race queries may transiently miss, but never
-    /// lie), an evicted run leaves no manifest line and — after a
-    /// compaction — no blob in any pack, even when its persist was
-    /// writing it as it went, and the manifest left behind reloads into
-    /// exactly the survivors.
+    /// lie), an evicted run's last seal record is its eviction and —
+    /// after a compaction — it has no blob in any pack, even when its
+    /// persist was writing it as it went, and the seal log left behind
+    /// reloads into exactly the survivors.
     #[test]
     fn compaction_races_eviction_and_reheat(seed in 0u64..1_000) {
         const PERSISTED: usize = 8;
@@ -617,13 +712,13 @@ proptest! {
                 }
             }
         }
-        let listed: Vec<RunId> = snapshot::load_manifest(&dir.0).unwrap().iter().map(|e| e.run).collect();
+        let listed: Vec<RunId> = sealed(&dir.0).iter().map(Seal::run).collect();
         prop_assert!(!listed.contains(&evicted) && !listed.contains(&doomed), "{:?}", listed);
         engine.compact().unwrap();
         let packed = runs_in_packs(&dir.0);
         prop_assert!(!packed.contains(&evicted) && !packed.contains(&doomed), "{:?}", packed);
         drop(engine);
-        // The manifest on disk reloads into exactly the survivors, each
+        // The seal log on disk reloads into exactly the survivors, each
         // answering per replay.
         let reloaded: WfEngine = WfEngine::builder().spec(spec).spill_dir(&dir.0).build();
         let mut expect: Vec<RunId> = survivors.iter().map(|(run, ..)| *run).collect();
@@ -644,11 +739,11 @@ proptest! {
     }
 }
 
-/// A manifest that lists a run twice registers it once — its last line
-/// wins — so the tier counts agree with the registry, before and after
-/// the run is evicted.
+/// A seal log that places a run twice registers it once — its last
+/// record that reads back wins — so the tier counts agree with the
+/// registry, before and after the run is evicted, and after a restart.
 #[test]
-fn a_run_listed_twice_in_the_manifest_registers_once() {
+fn a_run_sealed_twice_in_the_log_registers_once() {
     let dir = TempDir::new("twice");
     let spec = wf_spec::corpus::running_example();
     let mut rng = StdRng::seed_from_u64(60);
@@ -663,11 +758,9 @@ fn a_run_listed_twice_in_the_manifest_registers_once() {
             .build()
     };
     let run = persist_one(&build(), &exec);
-    let path = dir.0.join(snapshot::MANIFEST_FILE);
-    let manifest = std::fs::read_to_string(&path).unwrap();
-    let line = manifest.lines().nth(1).unwrap();
-    std::fs::write(&path, format!("{manifest}{line}\n")).unwrap();
-    assert_eq!(snapshot::load_manifest(&dir.0).unwrap().len(), 2);
+    let records = seals(&dir.0);
+    write_seals(&dir.0, &[records.clone(), records].concat());
+    assert_eq!(seals(&dir.0).len(), 2);
 
     let engine = build();
     assert_eq!(engine.query().run_ids(), vec![run]);
@@ -677,13 +770,15 @@ fn a_run_listed_twice_in_the_manifest_registers_once() {
     engine.evict_run(run).unwrap();
     assert!(engine.query().run_ids().is_empty());
     assert_eq!(engine.stats().runs_persisted, 0);
+    drop(engine);
+    assert!(build().query().run_ids().is_empty());
 }
 
-/// The manifest is an index, not a trust root: a line whose blob range
+/// A seal record is an index, not a trust root: one whose blob range
 /// runs past the end of its pack — a length no frame could be filled to
 /// — registers nothing, and the engine builds and serves regardless.
 #[test]
-fn a_manifest_range_past_its_pack_registers_nothing() {
+fn a_seal_record_past_its_pack_registers_nothing() {
     let dir = TempDir::new("past-end");
     let spec = wf_spec::corpus::running_example();
     let gen = RunGenerator::new(&spec)
@@ -697,9 +792,19 @@ fn a_manifest_range_past_its_pack_registers_nothing() {
             .build()
     };
     let run = persist_one(&build(), &exec);
-    let mut entries = snapshot::load_manifest(&dir.0).unwrap();
-    entries[0].bytes = 1 << 60;
-    snapshot::write_manifest(&dir.0, &entries).unwrap();
+    let [Seal::Sealed { pack, offset, .. }] = seals(&dir.0)[..] else {
+        panic!("one seal record");
+    };
+    let len = 1 << 60;
+    write_seals(
+        &dir.0,
+        &[Seal::Sealed {
+            run,
+            pack,
+            offset,
+            len,
+        }],
+    );
 
     let engine = build();
     assert_eq!(engine.run_tier(run), Err(ServiceError::UnknownRun(run)));
@@ -708,13 +813,12 @@ fn a_manifest_range_past_its_pack_registers_nothing() {
     assert_eq!(engine.reach(fresh, u, v), Ok(Some(true)));
 }
 
-/// A line whose length is not the one its blob's header implies —
-/// header, arena and checksum — registers nothing: the run's first load
-/// could only fail on it, and an append a crash cut off in its last
-/// number reads as one. The engine builds and serves regardless.
+/// A seal record whose length is not the one its blob's header implies
+/// — header, arena and checksum — registers nothing: the run's first
+/// load could only fail on it. The engine builds and serves regardless.
 #[test]
-fn a_manifest_length_other_than_the_headers_registers_nothing() {
-    let dir = TempDir::new("short-line");
+fn a_seal_record_length_other_than_the_headers_registers_nothing() {
+    let dir = TempDir::new("short-record");
     let spec = wf_spec::corpus::running_example();
     let gen = RunGenerator::new(&spec)
         .target_size(40)
@@ -727,9 +831,22 @@ fn a_manifest_length_other_than_the_headers_registers_nothing() {
             .build()
     };
     let run = persist_one(&build(), &exec);
-    let mut entries = snapshot::load_manifest(&dir.0).unwrap();
-    entries[0].bytes -= 1;
-    snapshot::write_manifest(&dir.0, &entries).unwrap();
+    let [Seal::Sealed {
+        pack, offset, len, ..
+    }] = seals(&dir.0)[..]
+    else {
+        panic!("one seal record");
+    };
+    let len = len - 1;
+    write_seals(
+        &dir.0,
+        &[Seal::Sealed {
+            run,
+            pack,
+            offset,
+            len,
+        }],
+    );
 
     let engine = build();
     assert_eq!(engine.stats().runs_persisted, 0);
@@ -740,8 +857,8 @@ fn a_manifest_length_other_than_the_headers_registers_nothing() {
 }
 
 /// Run ids count up from 0 and `open_run` never issues `u64::MAX`, yet
-/// a spill directory can name it: a sound blob whose header and
-/// manifest line both say so registers, and one of a spec beyond the
+/// a spill directory can name it: a sound blob whose header and seal
+/// record both say so registers, and one of a spec beyond the
 /// catalog is carried. Neither overflows the next fresh id — which
 /// panicked the build, or, without overflow checks, wrapped it to 0 —
 /// and fresh runs start above the other runs. A run of `u64::MAX - 1`
@@ -763,7 +880,7 @@ fn a_run_id_at_the_top_of_a_spill_directory_overflows_nothing() {
     };
     let run = persist_one(&build(), &exec);
     let blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
-    let listed = snapshot::load_manifest(&dir.0).unwrap();
+    let listed = seals(&dir.0);
     let (u, v) = (exec.events()[0].vertex, exec.events()[1].vertex);
     for (top, spec_id) in [(u64::MAX, 0u32), (u64::MAX, 1), (u64::MAX - 1, 0)] {
         let top = RunId(top);
@@ -771,15 +888,14 @@ fn a_run_id_at_the_top_of_a_spill_directory_overflows_nothing() {
         bytes[12..20].copy_from_slice(&top.0.to_le_bytes());
         bytes[20..24].copy_from_slice(&spec_id.to_le_bytes());
         restamp(&mut bytes);
-        let file = snapshot::pack_file_name(99);
-        std::fs::write(dir.0.join(&file), &bytes).unwrap();
-        let line = snapshot::ManifestEntry {
+        std::fs::write(dir.0.join(snapshot::pack_file_name(99)), &bytes).unwrap();
+        let sealed = Seal::Sealed {
             run: top,
-            file,
+            pack: 99,
             offset: 0,
-            bytes: bytes.len() as u64,
+            len: bytes.len() as u64,
         };
-        snapshot::write_manifest(&dir.0, &[listed.clone(), vec![line]].concat()).unwrap();
+        write_seals(&dir.0, &[listed.clone(), vec![sealed]].concat());
         let fresh = if top.0 == u64::MAX {
             Ok(RunId(run.0 + 1))
         } else {
@@ -799,8 +915,8 @@ fn a_run_id_at_the_top_of_a_spill_directory_overflows_nothing() {
 }
 
 /// A build with a smaller catalog keeps the history it cannot read:
-/// the manifest lines of a spec beyond its catalog are carried through
-/// its rewrites, their packs survive its compaction and orphan sweep,
+/// the seal records of a spec beyond its catalog are kept through its
+/// rewrites, their packs survive its compaction and orphan sweep,
 /// their run ids are not handed out again, and a build with the full
 /// catalog serves every one of those runs.
 #[test]
@@ -869,8 +985,8 @@ fn a_smaller_catalog_keeps_the_persisted_runs_it_cannot_read() {
     }
 }
 
-/// A pack a smaller catalog shares with lines it carries holds no dead
-/// bytes: the carried blobs are history this build cannot read, not
+/// A pack a smaller catalog shares with records it cannot read holds no
+/// dead bytes: those blobs are history this build cannot read, not
 /// blobs of evicted runs, so a rebuild that evicted nothing reads
 /// `pack_dead_bytes == 0` — and the full catalog again reads the same.
 #[test]
@@ -928,21 +1044,24 @@ fn persist_probed(dir: &std::path::Path, seeds: std::ops::Range<u64>) -> Vec<Pro
         .collect()
 }
 
-/// A spill directory this build cannot read — its manifest is not a
-/// file, or starts with another format's header — is refused, not read
-/// as empty: the engine registers nothing, refuses every persist and
-/// compaction with a typed error, names the cause in `health()`, and
-/// leaves every byte of the directory as it was, so the build that wrote
-/// it still serves every run. One byte that is not UTF-8 makes only its
-/// own line unreadable: the other runs register and answer, the line is
-/// kept byte for byte, and no pack is lost to a compaction.
+/// A spill directory this build cannot read — its seal log is not a
+/// file, starts with another version's header, or holds a record that
+/// fails its checks with records after it — is refused, not read as
+/// empty (nor as a shorter log, which would let the sweep delete packs
+/// the later records name): the engine registers nothing, refuses every
+/// persist and compaction with a typed error, names the cause in
+/// `health()`, and leaves every byte of the directory as it was, so the
+/// build that wrote it still serves every run. A record whose blob does
+/// not read back makes only its own run unreadable: the other runs
+/// register and answer, the record is kept byte for byte, and no pack
+/// is lost to a compaction.
 #[test]
-fn an_unreadable_manifest_leaves_the_spill_directory_as_it_was() {
-    let dir = TempDir::new("unreadable-manifest");
+fn an_unreadable_seal_log_leaves_the_spill_directory_as_it_was() {
+    let dir = TempDir::new("unreadable-log");
     let spec = wf_spec::corpus::running_example();
     let written = persist_probed(&dir.0, 300..303);
-    let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
-    let manifest = std::fs::read(&manifest_path).unwrap();
+    let log_path = dir.0.join(snapshot::SEAL_LOG_FILE);
+    let log = std::fs::read(&log_path).unwrap();
     let build = || -> WfEngine {
         WfEngine::builder()
             .spec(spec.clone())
@@ -957,14 +1076,22 @@ fn an_unreadable_manifest_leaves_the_spill_directory_as_it_was() {
         }
     };
 
-    let mut v3 = manifest.clone();
-    v3[b"wf-tier-manifest v".len()] = b'3';
-    for (what, unreadable) in [("v3 header", Some(v3)), ("a directory", None)] {
+    let mut v2 = log.clone();
+    v2[4] = 2;
+    // A bit of the first record's checksum: two whole records follow.
+    let mut flipped = log.clone();
+    flipped[snapshot::SEAL_LOG_HEADER.len() + 1] ^= 0x10;
+    let cases = [
+        ("v2 header", Some(v2)),
+        ("a bad first record", Some(flipped)),
+        ("a directory", None),
+    ];
+    for (what, unreadable) in cases {
         match &unreadable {
-            Some(bytes) => std::fs::write(&manifest_path, bytes).unwrap(),
+            Some(bytes) => std::fs::write(&log_path, bytes).unwrap(),
             None => {
-                std::fs::remove_file(&manifest_path).unwrap();
-                std::fs::create_dir(&manifest_path).unwrap();
+                std::fs::remove_file(&log_path).unwrap();
+                std::fs::create_dir(&log_path).unwrap();
             }
         }
         let before = runs_in_packs(&dir.0);
@@ -997,49 +1124,107 @@ fn an_unreadable_manifest_leaves_the_spill_directory_as_it_was() {
         drop(engine);
         assert_eq!(runs_in_packs(&dir.0), before, "{what}: a pack changed");
         match &unreadable {
-            Some(bytes) => assert_eq!(&std::fs::read(&manifest_path).unwrap(), bytes, "{what}"),
-            None => std::fs::remove_dir(&manifest_path).unwrap(),
+            Some(bytes) => assert_eq!(&std::fs::read(&log_path).unwrap(), bytes, "{what}"),
+            None => std::fs::remove_dir(&log_path).unwrap(),
         }
-        // Put back, the manifest serves every run again.
-        std::fs::write(&manifest_path, &manifest).unwrap();
+        // Put back, the log serves every run again.
+        std::fs::write(&log_path, &log).unwrap();
         let engine = build();
         answers(&engine, &written);
         assert_eq!(engine.health(), wf_service::Health::Healthy);
     }
 
-    // One byte of the second run's line past ASCII.
-    let mut damaged = manifest.clone();
-    let line = manifest.split(|&b| b == b'\n').nth(2).unwrap().to_vec();
-    let at = manifest
-        .windows(line.len())
-        .position(|w| w == line)
-        .unwrap();
-    damaged[at + line.len() - 1] = 0xff;
-    std::fs::write(&manifest_path, &damaged).unwrap();
+    // The second run's record one byte off its blob.
+    let mut records = seals(&dir.0);
+    let Seal::Sealed {
+        run,
+        pack,
+        offset,
+        len,
+    } = records[1]
+    else {
+        panic!("{:?}", records[1]);
+    };
+    records[1] = Seal::Sealed {
+        run,
+        pack,
+        offset: offset + 1,
+        len,
+    };
+    write_seals(&dir.0, &records);
+    let damaged = std::fs::read(&log_path).unwrap();
     let packs = pack_names(&dir.0);
     let engine = build();
-    let kept: Vec<_> = written
-        .iter()
-        .filter(|(run, _)| !line.starts_with(format!("{} ", run.0).as_bytes()))
-        .cloned()
-        .collect();
+    let kept: Vec<_> = written.iter().filter(|(r, _)| *r != run).cloned().collect();
     assert_eq!(kept.len(), 2);
     assert_eq!(engine.stats().runs_persisted, 2);
     answers(&engine, &kept);
     engine.compact().unwrap();
     drop(engine);
     assert_eq!(pack_names(&dir.0), packs, "no pack went");
-    let unreadable = &damaged[at..at + line.len()];
     assert!(
-        std::fs::read(&manifest_path)
-            .unwrap()
-            .windows(line.len())
-            .any(|w| w == unreadable),
-        "the unreadable line is kept byte for byte"
+        seals(&dir.0).contains(&records[1]),
+        "the unreadable record is kept"
     );
-    // Mended, the line's run answers again.
-    std::fs::write(&manifest_path, &manifest).unwrap();
+    assert!(std::fs::read(&log_path).unwrap().starts_with(&damaged));
+    // Mended, the record's run answers again.
+    std::fs::write(&log_path, &log).unwrap();
     answers(&build(), &written);
+}
+
+/// A length that claims bytes past the end of the seal log is not taken
+/// for a crash-cut last append when whole records are there to read —
+/// the next one, or the record's own body under a length too long. Three
+/// lifetimes leave three single-run packs, each named by one record: the
+/// log is refused and left byte for byte, and no pack goes, where
+/// cutting the log at the changed length would have dropped the last
+/// record and let the sweep delete its pack.
+#[test]
+fn a_length_past_the_end_of_the_seal_log_before_whole_records_is_refused() {
+    let dir = TempDir::new("length-past-end");
+    let spec = wf_spec::corpus::running_example();
+    let written: Vec<Probed> = (330..333)
+        .flat_map(|seed| persist_probed(&dir.0, seed..seed + 1))
+        .collect();
+    assert_eq!(pack_names(&dir.0).len(), 3, "one pack per lifetime");
+    let log_path = dir.0.join(snapshot::SEAL_LOG_FILE);
+    let log = std::fs::read(&log_path).unwrap();
+    // Each record's frame is `[len][crc ×4][body]`, every length one byte.
+    let mut starts = vec![snapshot::SEAL_LOG_HEADER.len()];
+    while *starts.last().unwrap() < log.len() {
+        let at = *starts.last().unwrap();
+        starts.push(at + 5 + usize::from(log[at]));
+    }
+    assert_eq!(starts.pop(), Some(log.len()));
+    assert_eq!(starts.len(), 3);
+    let build = || {
+        WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build()
+    };
+    for (what, at) in [("second-to-last", starts[1]), ("last", starts[2])] {
+        let mut bytes = log.clone();
+        // One byte more than the file holds after the checksum.
+        bytes[at] = u8::try_from(log.len() - at - 5 + 1).unwrap();
+        std::fs::write(&log_path, &bytes).unwrap();
+        let before = dir_bytes(&dir.0);
+        let engine = build();
+        assert_eq!(engine.stats().runs_persisted, 0, "{what}");
+        assert!(
+            matches!(engine.compact(), Err(ServiceError::SpillUnavailable(_))),
+            "{what}"
+        );
+        drop(engine);
+        assert!(dir_bytes(&dir.0) == before, "{what}: the directory changed");
+    }
+    std::fs::write(&log_path, &log).unwrap();
+    let engine = build();
+    for (run, probes) in &written {
+        for &(u, v, want) in probes {
+            assert_eq!(engine.reach(*run, u, v), Ok(Some(want)), "{run}");
+        }
+    }
 }
 
 /// The pack files of `dir`, by name.
@@ -1053,14 +1238,14 @@ fn pack_names(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
-/// A persist is the blob and its manifest line, or nothing: when the
-/// line cannot be appended — here the manifest's header was overwritten
+/// A persist is the blob and its seal record, or nothing: when the
+/// record cannot be appended — here the log's header was overwritten
 /// while the engine ran — `persist_run` fails with a typed error and the
-/// run stays `Frozen`, holding its frame and answering, with no line
+/// run stays `Frozen`, holding its frame and answering, with no record
 /// naming it; a later restart does not register it either.
 #[test]
-fn a_persist_whose_manifest_line_fails_stays_frozen() {
-    let dir = TempDir::new("line-fails");
+fn a_persist_whose_seal_record_fails_stays_frozen() {
+    let dir = TempDir::new("record-fails");
     let spec = wf_spec::corpus::running_example();
     let engine = WfEngine::builder()
         .spec(spec.clone())
@@ -1068,9 +1253,11 @@ fn a_persist_whose_manifest_line_fails_stays_frozen() {
         .build();
     let (exec, probes) = probed_run(&spec, 310);
     let first = persist_one(&engine, &exec);
-    let manifest_path = dir.0.join(snapshot::MANIFEST_FILE);
-    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
-    std::fs::write(&manifest_path, manifest.replace(" v2\n", " v9\n")).unwrap();
+    let log_path = dir.0.join(snapshot::SEAL_LOG_FILE);
+    let log = std::fs::read(&log_path).unwrap();
+    let mut v9 = log.clone();
+    v9[4] = 9;
+    std::fs::write(&log_path, &v9).unwrap();
 
     let run = engine.open_run(SpecId(0)).unwrap();
     for ev in exec.events() {
@@ -1080,21 +1267,17 @@ fn a_persist_whose_manifest_line_fails_stays_frozen() {
     match engine.persist_run(run) {
         Err(ServiceError::Snapshot(r, cause)) => {
             assert_eq!(r, run);
-            assert!(cause.contains("manifest"), "{cause}");
+            assert!(cause.contains("seal log"), "{cause}");
         }
-        other => panic!("a persist with no manifest line returned {other:?}"),
+        other => panic!("a persist with no seal record returned {other:?}"),
     }
     assert_eq!(engine.run_tier(run), Ok(Tier::Frozen));
     for &(u, v, want) in &probes {
         assert_eq!(engine.reach(run, u, v), Ok(Some(want)));
     }
-    let text = std::fs::read_to_string(&manifest_path).unwrap();
-    assert!(
-        !text.lines().any(|l| l.starts_with(&format!("{} ", run.0))),
-        "{text}"
-    );
+    assert_eq!(std::fs::read(&log_path).unwrap(), v9, "no record names it");
     drop(engine);
-    std::fs::write(&manifest_path, &manifest).unwrap();
+    std::fs::write(&log_path, &log).unwrap();
     let engine = WfEngine::builder()
         .spec(spec.clone())
         .spill_dir(&dir.0)
