@@ -313,7 +313,7 @@ fn code_kind(code: u64) -> Option<NodeKind> {
 
 /// Encode a label: its prefix record, then its own entry — so the first
 /// γ code is the label's depth. `skl_bits` must match the labeler's
-/// (`⌈log₂ nG⌉`, see `LabelerCore::skl_bits`).
+/// (`⌈log₂ nG⌉`, see [`crate::SpecTables::skl_bits`]).
 pub fn encode_label(label: &DrlLabel, skl_bits: usize) -> Vec<u8> {
     let mut w = BitWriter::new();
     let view = label.view();
@@ -890,7 +890,7 @@ impl LabelArena {
     /// many labels share is encoded once — and writes it to the heap,
     /// noting each field's largest value. The second writes the presence
     /// words and one cell per label. `skl_bits` must match the labeler's
-    /// (`LabelerCore::skl_bits`).
+    /// ([`crate::SpecTables::skl_bits`]).
     ///
     /// # Panics
     /// On a vertex out of order or of id `u32::MAX`.

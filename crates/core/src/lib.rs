@@ -43,9 +43,9 @@ pub use encode::{
     decode_label, encode_label, ArenaError, ArenaRef, EntryCursor, LabelArena, LabelRef,
 };
 pub use entry::{Entry, NodeKind, SklPtr};
-pub use execution::{ExecError, ExecutionLabeler, ExecutionState, ResolutionMode};
+pub use execution::{ExecError, ExecutionLabeler, ExecutionState, HeapLedger, ResolutionMode};
 pub use label::DrlLabel;
-pub use machinery::{DrlError, Expansion, LabelerCore, RecursionMode};
+pub use machinery::{DrlError, Expansion, RecursionMode, SpecTables};
 pub use predicate::DrlPredicate;
 
 /// Compile-time thread-safety contract: `wf-service` ingests runs on

@@ -1,16 +1,27 @@
 //! Shared machinery of the derivation-based and execution-based labelers:
-//! entry construction against skeleton labels (Algorithm 1) and the
-//! dynamic explicit-parse-tree update for one composite expansion
-//! (Algorithm 2).
+//! the per-specification tables both read ([`SpecTables`]), entry
+//! construction against skeleton labels (Algorithm 1) and the dynamic
+//! explicit-parse-tree update for one composite expansion (Algorithm 2).
+//!
+//! What a labeler keeps splits in two. Everything that is a function of
+//! the specification alone — the recursion mode and its designated
+//! vertices, the skeleton pointer width, which name opens which body,
+//! the expansion slot of each composite vertex, the §5.3 Conditions 1–2
+//! check — is a [`SpecTables`], built once per specification and
+//! borrowed by every call, the way the skeleton labels are. What grows
+//! with the run is the [`ExplicitTree`] (and, in the execution-based
+//! labeler, its placements): the per-run state, which owns nothing
+//! per-spec.
 
 use crate::entry::{Entry, NodeKind};
 use crate::label::DrlLabel;
-use crate::tree::{ExplicitTree, NodeId};
+use crate::tree::{ExplicitTree, NodeId, NONE};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use wf_graph::VertexId;
+use wf_graph::{NameId, VertexId};
 use wf_skeleton::SpecLabeling;
-use wf_spec::{GraphId, NameClass, RecursionClass, Specification};
+use wf_spec::{GraphId, NameClass, RecursionClass, SpecError, Specification};
 
 /// How recursion is mapped onto the explicit parse tree (Sections 4–6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +39,6 @@ pub enum RecursionMode {
     /// §6's baseline adaptation: no R nodes at all; every recursive
     /// vertex nests plainly.
     NoRNodes,
-}
-
-impl RecursionMode {
-    /// The mode the labelers pick on their own: `Linear` for linear
-    /// recursive grammars, `CompressFirst` (the §6 adaptation) otherwise.
-    pub fn auto(spec: &Specification) -> Self {
-        if spec.analysis().class().is_linear() {
-            RecursionMode::Linear
-        } else {
-            RecursionMode::CompressFirst
-        }
-    }
 }
 
 /// Errors raised when constructing or driving a labeler.
@@ -70,7 +69,7 @@ pub enum Expansion {
     /// Case 1a: a loop/fork production created special node `special`
     /// with `members` annotated copies (derivation-based creates all
     /// copies at once; execution-based starts with one and appends via
-    /// [`LabelerCore::add_replica`]).
+    /// [`ExplicitTree::add_replica`]).
     Replicated {
         /// The L or F node.
         special: NodeId,
@@ -95,32 +94,66 @@ impl Expansion {
     }
 }
 
-/// Shared state of both dynamic labelers: the recursion-mode-resolved
-/// designated-vertex table and the explicit parse tree. Owns nothing
-/// borrowed — the specification is read once at construction and the
-/// skeleton labels are passed to each call that consults them, so the
-/// state can live next to an `Arc`-owned context as well as next to
-/// plain borrows. Every call must be given the skeleton built for the
-/// specification the core was constructed from.
-pub struct LabelerCore {
+/// What both dynamic labelers read of their specification, built once
+/// per specification: the recursion mode and its designated vertices,
+/// the skeleton pointer width, and for the execution-based labeler which
+/// body a source name opens, where each composite vertex's expansion is
+/// recorded, and whether §5.3's Conditions 1–2 hold. Immutable; a
+/// labeler borrows it on every call that consults it, next to the
+/// skeleton labels, and every such call must be given the tables built
+/// for the specification (and the skeleton built for it) that the
+/// labeler labels against.
+#[derive(Debug, Clone)]
+pub struct SpecTables {
     mode: RecursionMode,
     /// Per spec graph: the designated recursive vertex (chain
     /// continuation point), per the recursion mode.
-    designated: Vec<Option<VertexId>>,
-    /// The explicit parse tree, grown dynamically.
-    pub tree: ExplicitTree,
+    designated: Box<[Option<VertexId>]>,
     skl_bits: usize,
+    /// Name-based resolution: implementation source name → body graph.
+    source_of: HashMap<NameId, GraphId>,
+    /// Per spec graph, per vertex slot: the vertex's rank among the
+    /// graph's composite vertices ([`NONE`] for an atomic one) — its
+    /// expansion slot within an instance's.
+    ranks: Vec<Box<[u32]>>,
+    /// Per spec graph: how many composite vertices it has.
+    composites: Vec<u32>,
+    /// The §5.3 check, run once.
+    conditions: Result<(), SpecError>,
 }
 
-impl LabelerCore {
-    /// Build the core; fails only if `Linear` mode is requested for a
-    /// non-linear grammar.
-    pub fn new(spec: &Specification, mode: RecursionMode) -> Result<Self, DrlError> {
+impl SpecTables {
+    /// The tables under the recursion mode the labelers pick on their
+    /// own: `Linear` for linear recursive grammars, `CompressFirst` (the
+    /// §6 adaptation) otherwise.
+    pub fn auto(spec: &Specification) -> Self {
+        let analysis = spec.analysis();
+        let mode = if analysis.class().is_linear() {
+            RecursionMode::Linear
+        } else {
+            RecursionMode::CompressFirst
+        };
+        Self::build(spec, mode, &analysis)
+    }
+
+    /// The tables under an explicit recursion mode; fails only if
+    /// `Linear` is requested for a non-linear grammar.
+    pub(crate) fn new(spec: &Specification, mode: RecursionMode) -> Result<Self, DrlError> {
         let analysis = spec.analysis();
         if mode == RecursionMode::Linear && !analysis.class().is_linear() {
             return Err(DrlError::NotLinearRecursive(analysis.class()));
         }
-        let designated: Vec<Option<VertexId>> = spec
+        Ok(Self::build(spec, mode, &analysis))
+    }
+
+    fn build(
+        spec: &Specification,
+        mode: RecursionMode,
+        analysis: &wf_spec::analysis::GrammarAnalysis,
+    ) -> Self {
+        // The start graph is no production's body, so it has no
+        // recursive vertices: the root never chains.
+        let designated = spec
             .graph_ids()
             .map(|gid| match mode {
                 RecursionMode::NoRNodes => None,
@@ -145,16 +178,39 @@ impl LabelerCore {
         // index within it is charged.
         let ng = spec.max_graph_size().max(2);
         let skl_bits = (usize::BITS - (ng - 1).leading_zeros()) as usize;
-        Ok(Self {
+        let mut source_of = HashMap::new();
+        for gid in spec.graph_ids().skip(1) {
+            let g = spec.graph(gid);
+            source_of.insert(g.name(g.source().expect("two-terminal")), gid);
+        }
+        let (ranks, composites) = spec
+            .graph_ids()
+            .map(|gid| {
+                let g = spec.graph(gid);
+                let mut ranks = vec![NONE; g.slot_count()].into_boxed_slice();
+                let mut count = 0;
+                for v in g.vertices() {
+                    if spec.is_composite(g.name(v)) {
+                        ranks[v.idx()] = count;
+                        count += 1;
+                    }
+                }
+                (ranks, count)
+            })
+            .unzip();
+        Self {
             mode,
             designated,
-            tree: ExplicitTree::new(),
             skl_bits,
-        })
+            source_of,
+            ranks,
+            composites,
+            conditions: spec.check_execution_conditions(),
+        }
     }
 
-    /// The active recursion mode.
-    pub fn mode(&self) -> RecursionMode {
+    /// The recursion mode.
+    pub(crate) fn mode(&self) -> RecursionMode {
         self.mode
     }
 
@@ -164,30 +220,63 @@ impl LabelerCore {
     }
 
     /// The designated recursive vertex of a spec graph, if any.
-    pub fn designated(&self, gid: GraphId) -> Option<VertexId> {
+    #[inline]
+    pub(crate) fn designated(&self, gid: GraphId) -> Option<VertexId> {
         self.designated[gid.idx()]
     }
 
-    /// Create the root node annotated with the start graph.
-    pub fn create_root(&mut self) -> NodeId {
-        self.tree.create_root(GraphId::START)
+    /// Whether §5.3's Conditions 1–2 hold — what name-based resolution
+    /// needs — and if not, the first violation.
+    pub fn conditions(&self) -> Result<(), &SpecError> {
+        self.conditions.as_ref().map(|_| ())
     }
 
+    /// The implementation body whose source is named `name`.
+    #[inline]
+    pub(crate) fn source_of(&self, name: NameId) -> Option<GraphId> {
+        self.source_of.get(&name).copied()
+    }
+
+    /// The expansion slot of composite vertex `v` of graph `gid`, among
+    /// [`Self::composites`]`(gid)`.
+    #[inline]
+    pub(crate) fn composite_rank(&self, gid: GraphId, v: VertexId) -> usize {
+        let rank = self.ranks[gid.idx()][v.idx()];
+        debug_assert_ne!(rank, NONE, "only composite vertices expand");
+        rank as usize
+    }
+
+    /// How many composite vertices graph `gid` has.
+    #[inline]
+    pub(crate) fn composites(&self, gid: GraphId) -> usize {
+        self.composites[gid.idx()] as usize
+    }
+}
+
+/// Algorithms 1–3 over the tree, against the per-spec tables and the
+/// skeleton labels.
+impl ExplicitTree {
     /// Algorithm 1 for the pair `(x, u)` where `x` is a non-special node
     /// and `u` a vertex of `Annt(x)`: index, kind, skeleton pointer, and
     /// — when `Annt(x)` has a designated recursive vertex `w` — the
     /// recursion flags `(πG(u, w), πG(w, u))`.
-    pub fn make_entry<S: SpecLabeling>(&self, skeleton: &S, x: NodeId, u: VertexId) -> Entry {
-        let node = self.tree.node(x);
-        debug_assert_eq!(node.kind, NodeKind::N);
-        let gid = node.ann.expect("N nodes carry annotations");
+    pub fn make_entry<S: SpecLabeling>(
+        &self,
+        tables: &SpecTables,
+        skeleton: &S,
+        x: NodeId,
+        u: VertexId,
+    ) -> Entry {
+        let node = self.node(x);
+        debug_assert_eq!(node.kind(), NodeKind::N);
+        let gid = node.ann().expect("N nodes carry annotations");
         // `u` and `w` are vertices of `Annt(x)`, so the skeleton answers
         // both.
-        let rec = node
-            .designated
+        let rec = tables
+            .designated(gid)
             .and_then(|w| Some((skeleton.reaches(gid, u, w)?, skeleton.reaches(gid, w, u)?)));
         Entry {
-            index: node.index,
+            index: node.index(),
             kind: NodeKind::N,
             skl: Some((gid, u)),
             rec,
@@ -198,10 +287,16 @@ impl LabelerCore {
     /// `sv` in instance node `x`: the node's prefix array, shared and
     /// numbered, plus one final entry (Algorithm 3's single append) — no
     /// allocation and no copy, whatever the depth of `x`.
-    pub fn label_for<S: SpecLabeling>(&self, skeleton: &S, x: NodeId, sv: VertexId) -> DrlLabel {
-        let node = self.tree.node(x);
-        let entry = self.make_entry(skeleton, x, sv);
-        DrlLabel::from_parts(Arc::clone(&node.prefix), entry, node.prefix_id)
+    pub fn label_for<S: SpecLabeling>(
+        &self,
+        tables: &SpecTables,
+        skeleton: &S,
+        x: NodeId,
+        sv: VertexId,
+    ) -> DrlLabel {
+        let node = self.node(x);
+        let entry = self.make_entry(tables, skeleton, x, sv);
+        DrlLabel::from_parts(Arc::clone(node.prefix()), entry, node.prefix_id())
     }
 
     /// Algorithm 2: update the tree for the expansion of composite
@@ -213,8 +308,10 @@ impl LabelerCore {
     /// chain); the head is a loop/fork name (L/F node with `copies`
     /// children); otherwise a plain instance, wrapped in a fresh R node
     /// when the body itself has a designated recursive vertex.
+    #[allow(clippy::too_many_arguments)]
     pub fn expand<S: SpecLabeling>(
         &mut self,
+        tables: &SpecTables,
         skeleton: &S,
         y: NodeId,
         u_spec: VertexId,
@@ -223,31 +320,22 @@ impl LabelerCore {
         copies: usize,
     ) -> Expansion {
         debug_assert!(copies >= 1);
-        let body_designated = self.designated(body);
-        let y_node = self.tree.node(y);
-        let chained = y_node.designated == Some(u_spec)
-            && y_node
-                .parent
-                .is_some_and(|p| self.tree.node(p).kind == NodeKind::R);
-        if chained {
+        let y_node = self.node(y);
+        let y_gid = y_node.ann().expect("N nodes carry annotations");
+        let chain = y_node
+            .parent()
+            .filter(|&p| self.node(p).kind() == NodeKind::R);
+        if let Some(r) = chain.filter(|_| tables.designated(y_gid) == Some(u_spec)) {
             // Case 2b: next member of the existing chain; the "dashed
             // edge" (y → new) is annotated with u_spec, which becomes
             // the new member's host frame.
             debug_assert_eq!(head_class, NameClass::Composite);
             debug_assert_eq!(copies, 1);
-            let r = self.tree.node(y).parent.unwrap();
-            let r_entry = Entry::special(self.tree.node(r).index, NodeKind::R);
-            let member = self.tree.attach(
-                r,
-                NodeKind::N,
-                Some(body),
-                body_designated,
-                r_entry,
-                Some((y, u_spec)),
-            );
+            let r_entry = Entry::special(self.node(r).index(), NodeKind::R);
+            let member = self.attach(r, NodeKind::N, Some(body), r_entry, Some((y, u_spec)));
             return Expansion::ChainMember(member);
         }
-        let edge_entry = self.make_entry(skeleton, y, u_spec);
+        let edge_entry = self.make_entry(tables, skeleton, y, u_spec);
         match head_class {
             NameClass::Loop | NameClass::Fork => {
                 // Case 1a. The special node remembers the body graph (in
@@ -258,40 +346,24 @@ impl LabelerCore {
                 } else {
                     NodeKind::F
                 };
-                let special =
-                    self.tree
-                        .attach(y, kind, Some(body), None, edge_entry, Some((y, u_spec)));
+                let special = self.attach(y, kind, Some(body), edge_entry, Some((y, u_spec)));
                 let members = (0..copies).map(|_| self.add_replica(special)).collect();
                 Expansion::Replicated { special, members }
             }
             NameClass::Composite => {
                 debug_assert_eq!(copies, 1);
-                if body_designated.is_some() {
+                if tables.designated(body).is_some() {
                     // Case 1b: fresh R node with the instance as its
                     // first chain member.
-                    let r = self
-                        .tree
-                        .attach(y, NodeKind::R, None, None, edge_entry, None);
-                    let r_entry = Entry::special(self.tree.node(r).index, NodeKind::R);
-                    let member = self.tree.attach(
-                        r,
-                        NodeKind::N,
-                        Some(body),
-                        body_designated,
-                        r_entry,
-                        Some((y, u_spec)),
-                    );
+                    let r = self.attach(y, NodeKind::R, None, edge_entry, None);
+                    let r_entry = Entry::special(self.node(r).index(), NodeKind::R);
+                    let member =
+                        self.attach(r, NodeKind::N, Some(body), r_entry, Some((y, u_spec)));
                     Expansion::Instance(member)
                 } else {
                     // Case 1c: plain instance node.
-                    let member = self.tree.attach(
-                        y,
-                        NodeKind::N,
-                        Some(body),
-                        None,
-                        edge_entry,
-                        Some((y, u_spec)),
-                    );
+                    let member =
+                        self.attach(y, NodeKind::N, Some(body), edge_entry, Some((y, u_spec)));
                     Expansion::Instance(member)
                 }
             }
@@ -302,20 +374,13 @@ impl LabelerCore {
     /// Attach one more copy under an existing L/F node (loop iteration /
     /// fork branch discovered by the execution-based labeler).
     pub fn add_replica(&mut self, special: NodeId) -> NodeId {
-        let s = self.tree.node(special);
-        let kind = s.kind;
+        let s = self.node(special);
+        let kind = s.kind();
         debug_assert!(matches!(kind, NodeKind::L | NodeKind::F));
-        let body = s.ann.expect("L/F nodes remember their body");
-        let host = s.host;
-        let entry = Entry::special(s.index, kind);
-        self.tree.attach(
-            special,
-            NodeKind::N,
-            Some(body),
-            self.designated(body),
-            entry,
-            host,
-        )
+        let body = s.ann().expect("L/F nodes remember their body");
+        let host = s.host();
+        let entry = Entry::special(s.index(), kind);
+        self.attach(special, NodeKind::N, Some(body), entry, host)
     }
 }
 
@@ -326,13 +391,18 @@ mod tests {
     #[test]
     fn linear_mode_rejects_nonlinear_grammar() {
         let spec = wf_spec::corpus::theorem1();
-        let err = LabelerCore::new(&spec, RecursionMode::Linear)
-            .err()
-            .expect("nonlinear grammar must be rejected");
+        let err = SpecTables::new(&spec, RecursionMode::Linear)
+            .expect_err("nonlinear grammar must be rejected");
         assert!(matches!(err, DrlError::NotLinearRecursive(_)));
-        // The other modes accept it.
-        assert!(LabelerCore::new(&spec, RecursionMode::CompressFirst).is_ok());
-        assert!(LabelerCore::new(&spec, RecursionMode::NoRNodes).is_ok());
+        // The other modes accept it, and so does the automatic pick.
+        assert!(SpecTables::new(&spec, RecursionMode::CompressFirst).is_ok());
+        assert!(SpecTables::new(&spec, RecursionMode::NoRNodes).is_ok());
+        assert_eq!(SpecTables::auto(&spec).mode(), RecursionMode::CompressFirst);
+        // Figure 6's grammar breaks Condition 1; the tables say so once.
+        assert!(SpecTables::auto(&spec).conditions().is_err());
+        let running = wf_spec::corpus::running_example();
+        assert_eq!(SpecTables::auto(&running).mode(), RecursionMode::Linear);
+        assert!(SpecTables::auto(&running).conditions().is_ok());
     }
 
     #[test]
@@ -340,19 +410,37 @@ mod tests {
         let spec = wf_spec::corpus::running_example();
         let a = spec.name_id("A").unwrap();
         let h3 = spec.implementations(a)[0];
-        let linear = LabelerCore::new(&spec, RecursionMode::Linear).unwrap();
+        let linear = SpecTables::new(&spec, RecursionMode::Linear).unwrap();
         assert!(linear.designated(h3).is_some());
         assert!(linear.designated(GraphId::START).is_none());
-        let nor = LabelerCore::new(&spec, RecursionMode::NoRNodes).unwrap();
+        let nor = SpecTables::new(&spec, RecursionMode::NoRNodes).unwrap();
         assert!(nor.designated(h3).is_none());
+    }
+
+    /// Every composite vertex of a graph has its own expansion slot, and
+    /// the slots of a graph are dense.
+    #[test]
+    fn composite_ranks_are_dense_per_graph() {
+        let spec = wf_spec::corpus::bioaid();
+        let tables = SpecTables::auto(&spec);
+        for gid in spec.graph_ids() {
+            let g = spec.graph(gid);
+            let mut ranks: Vec<usize> = g
+                .vertices()
+                .filter(|&v| spec.is_composite(g.name(v)))
+                .map(|v| tables.composite_rank(gid, v))
+                .collect();
+            ranks.sort_unstable();
+            assert_eq!(ranks, (0..tables.composites(gid)).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn skl_bits_covers_the_largest_spec_graph() {
         let spec = wf_spec::corpus::bioaid();
-        let core = LabelerCore::new(&spec, RecursionMode::Linear).unwrap();
+        let tables = SpecTables::new(&spec, RecursionMode::Linear).unwrap();
         // Theorem-3 accounting: log nG bits per skeleton pointer.
-        assert!(1usize << core.skl_bits() >= spec.max_graph_size());
-        assert!(core.skl_bits() <= 8, "BioAID sub-workflows are tiny");
+        assert!(1usize << tables.skl_bits() >= spec.max_graph_size());
+        assert!(tables.skl_bits() <= 8, "BioAID sub-workflows are tiny");
     }
 }

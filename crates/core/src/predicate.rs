@@ -481,7 +481,7 @@ mod tests {
     /// when they carry one number.
     #[test]
     fn shared_prefix_arrays_answer_like_private_copies() {
-        use crate::machinery::{LabelerCore, RecursionMode};
+        use crate::machinery::{RecursionMode, SpecTables};
         use wf_spec::NameClass;
         let (spec, skeleton) = setup();
         let p = DrlPredicate::new(&skeleton);
@@ -489,16 +489,17 @@ mod tests {
         let l = spec.name_id("L").unwrap();
         let h1 = spec.implementations(l)[0];
         let l_vertex = g0.find_by_name(l).unwrap();
-        let mut core = LabelerCore::new(&spec, RecursionMode::Linear).unwrap();
-        let root = core.create_root();
-        let copies = core
-            .expand(&skeleton, root, l_vertex, NameClass::Loop, h1, 3)
+        let tables = SpecTables::new(&spec, RecursionMode::Linear).unwrap();
+        let mut tree = crate::tree::ExplicitTree::new();
+        let root = tree.create_root(wf_spec::GraphId::START);
+        let copies = tree
+            .expand(&tables, &skeleton, root, l_vertex, NameClass::Loop, h1, 3)
             .members();
         let mut issued = Vec::new();
         for x in std::iter::once(root).chain(copies) {
-            let gid = core.tree.node(x).ann.unwrap();
+            let gid = tree.node(x).ann().unwrap();
             for sv in spec.graph(gid).vertices() {
-                issued.push(core.label_for(&skeleton, x, sv));
+                issued.push(tree.label_for(&tables, &skeleton, x, sv));
             }
         }
         let rebuilt: Vec<DrlLabel> = issued
@@ -508,7 +509,7 @@ mod tests {
         let vertex = |i: usize| wf_graph::VertexId(i as u32);
         let labeled = issued.iter().enumerate();
         let arena = crate::LabelArena::build(
-            core.skl_bits(),
+            tables.skl_bits(),
             labeled.map(|(i, l)| (vertex(i), wf_graph::NameId(0), l.view())),
         );
         let sealed = arena.view();
@@ -547,7 +548,7 @@ mod tests {
         let (n0, n1) = (g0.vertex_count(), spec.graph(h1).vertex_count());
         // The root's array, and one for the three loop copies together.
         assert_eq!(same_array, n0 * n0 + (3 * n1) * (3 * n1));
-        assert_eq!(core.tree.prefix_ids(), 2);
+        assert_eq!(tree.prefix_ids(), 2);
         assert_eq!(
             (issued[0].prefix_id(), issued[n0].prefix_id()),
             (Some(0), Some(1))

@@ -15,16 +15,29 @@
 //! being labeled, the labels carrying it keep it alive after the tree is
 //! gone. The copies under one special node — loop iterations, fork
 //! branches, chain members — all see the same root path, so they share
-//! *one* array among them. Only `N` nodes are contexts of vertices, and
-//! both labelers label an `N` node's first vertices in the step that
-//! creates it; the arrays of the special `L`/`F`/`R` nodes themselves no
-//! label ever carries, and they go with the tree.
+//! *one* array among them, and the special node holds it: it is built
+//! when the special node is attached (its own root path plus its own
+//! level's entry), and every copy takes it from there. Only `N` nodes are
+//! contexts of vertices, and both labelers label an `N` node's first
+//! vertices in the step that creates it.
 //!
-//! The arrays labels carry are **numbered** where they are created —
-//! the root's, and each `N` node's that does not take a sibling's — in
-//! creation order from 0 ([`Node::prefix_id`]), so the numbers of one
-//! run are dense: a holder of every label keeps each array once, in a
-//! table indexed by the number ([`crate::DrlLabel::prefix_id`]).
+//! The arrays labels carry are **numbered** where they are first carried
+//! — the root's, each `N` node's own under an `N` parent, and a special
+//! node's shared one when its first copy is attached — in creation order
+//! from 0 ([`Node::prefix_id`]), so the numbers of one run are dense: a
+//! holder of every label keeps each array once, in a table indexed by
+//! the number ([`crate::DrlLabel::prefix_id`]).
+//!
+//! **A node is six words.** A labeler keeps one per instance it has
+//! opened for as long as the run is live, so the node is compact: its
+//! ids are `u32`s with a sentinel for "none" rather than `Option`s, its
+//! kind sits in the top two bits of its index, and it keeps its
+//! children as a count — a child's index is the count when it is
+//! attached, and the copies under a special node find their array on
+//! the special node, so nothing walks a child list. What a node need
+//! not keep it does not: whether its graph has a designated recursive
+//! vertex is the specification's to say ([`crate::SpecTables`]), not
+//! the node's.
 
 use crate::entry::{Entry, NodeKind};
 use std::sync::Arc;
@@ -42,36 +55,116 @@ impl NodeId {
     }
 }
 
+/// The "none" of a node's `u32` fields: no parent, annotation, number,
+/// host or expansion slots.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Bits of [`Node`]'s packed index word below the kind.
+const INDEX_BITS: u32 = 30;
+
+/// Nodes a tree holds: ids stay below the two values
+/// [`crate::ExecutionState`]'s expansion slots keep for themselves.
+const MAX_NODES: usize = NONE as usize - 1;
+
 /// One node of the explicit parse tree.
 #[derive(Debug, Clone)]
 pub struct Node {
+    /// The array this node's labels carry: for an `N` node, the entries
+    /// of its proper ancestors; for a special node — which no label has
+    /// as its context — the array its copies share, its own entries plus
+    /// its level's ([`ExplicitTree::depth`] is one less).
+    prefix: Arc<[Entry]>,
+    /// Parent ([`NONE`] for the root).
+    parent: u32,
+    /// The kind in the top two bits; below them the index among the
+    /// parent's children (root = 0, children from 1) — the `index`
+    /// recorded in entries.
+    index_kind: u32,
+    /// Children attached so far.
+    children: u32,
+    /// Annotated specification graph (`Annt(x)`): for `N` nodes, and for
+    /// `L`/`F` nodes their body; [`NONE`] otherwise.
+    ann: u32,
+    /// The number of `prefix` among the arrays labels carry ([`NONE`]
+    /// until a label can carry it).
+    prefix_id: u32,
+    /// The frame in which this instance's completion is visible: the node
+    /// and spec vertex whose successors follow this instance's sink in
+    /// the run (used by the execution-based labeler's frame walk, §5.3).
+    /// [`NONE`] for the root and `R` nodes.
+    host_node: u32,
+    host_vertex: u32,
+    /// The first of this node's expansion slots in the execution-based
+    /// labeler's table, [`NONE`] until it expands a composite vertex.
+    pub(crate) expansions: u32,
+}
+
+// Six words: an `Arc` and eight `u32`s, no `Option` tags, no child list.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Node>() == 48);
+
+/// A field of a [`Node`] back as an `Option`.
+fn some(x: u32) -> Option<u32> {
+    (x != NONE).then_some(x)
+}
+
+impl Node {
     /// Node kind.
-    pub kind: NodeKind,
-    /// Parent (None for the root).
-    pub parent: Option<NodeId>,
-    /// Index among the parent's children (root = 0, children from 1) —
-    /// the `index` recorded in entries.
-    pub index: u32,
-    /// Children in insertion order.
-    pub children: Vec<NodeId>,
-    /// Annotated specification graph (`Annt(x)`), for `N` nodes.
-    pub ann: Option<GraphId>,
-    /// The designated recursive spec vertex of `ann` (the chain
-    /// continuation point), if any — decides R-node creation and the
-    /// rec1/rec2 flags.
-    pub designated: Option<VertexId>,
-    /// Shared label prefix: entries for all *proper* ancestors, computed
-    /// with the edge annotations of this node's root path.
-    pub prefix: Arc<[Entry]>,
-    /// The number of `prefix` among the arrays labels carry — shared,
-    /// like the array, by the copies under one special node; `None` for
-    /// the special nodes' own arrays, which no label carries.
-    pub prefix_id: Option<u32>,
-    /// The frame in which this instance's completion is visible: the
-    /// node and spec vertex whose successors follow this instance's sink
-    /// in the run (used by the execution-based labeler's frame walk,
-    /// §5.3). `None` for the root and special nodes.
-    pub host: Option<(NodeId, VertexId)>,
+    #[inline]
+    pub fn kind(&self) -> NodeKind {
+        match self.index_kind >> INDEX_BITS {
+            0 => NodeKind::N,
+            1 => NodeKind::L,
+            2 => NodeKind::F,
+            _ => NodeKind::R,
+        }
+    }
+
+    /// Index among the parent's children (root = 0, children from 1).
+    #[inline]
+    pub fn index(&self) -> u32 {
+        self.index_kind & ((1 << INDEX_BITS) - 1)
+    }
+
+    /// Parent (`None` for the root).
+    #[inline]
+    pub fn parent(&self) -> Option<NodeId> {
+        some(self.parent).map(NodeId)
+    }
+
+    /// Number of children attached so far.
+    #[inline]
+    pub fn children(&self) -> u32 {
+        self.children
+    }
+
+    /// Annotated specification graph (`Annt(x)`), for `N` nodes; a loop
+    /// or fork node's body graph.
+    #[inline]
+    pub fn ann(&self) -> Option<GraphId> {
+        some(self.ann).map(GraphId)
+    }
+
+    /// The shared array this node's labels carry (see the field).
+    #[inline]
+    pub fn prefix(&self) -> &Arc<[Entry]> {
+        &self.prefix
+    }
+
+    /// The number of [`Self::prefix`] among the arrays labels carry —
+    /// shared, like the array, by the copies under one special node;
+    /// `None` for special nodes, which are no label's context.
+    #[inline]
+    pub fn prefix_id(&self) -> Option<u32> {
+        some(self.prefix_id).filter(|_| self.kind() == NodeKind::N)
+    }
+
+    /// The frame in which this instance's completion is visible (see the
+    /// field); `None` for the root and `R` nodes.
+    #[inline]
+    pub fn host(&self) -> Option<(NodeId, VertexId)> {
+        some(self.host_node).map(|y| (NodeId(y), VertexId(self.host_vertex)))
+    }
 }
 
 /// The explicit parse tree.
@@ -100,8 +193,14 @@ impl ExplicitTree {
     }
 
     /// Access a node.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.idx()]
+    }
+
+    /// A node, to record its expansion slots.
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        &mut self.nodes[id.idx()]
     }
 
     /// The root node id.
@@ -114,17 +213,17 @@ impl ExplicitTree {
     /// empty and its index 0.
     pub fn create_root(&mut self, ann: GraphId) -> NodeId {
         assert!(self.nodes.is_empty(), "root already exists");
-        let prefix_id = Some(self.number_prefix());
+        let prefix_id = self.number_prefix();
         self.nodes.push(Node {
-            kind: NodeKind::N,
-            parent: None,
-            index: 0,
-            children: Vec::new(),
-            ann: Some(ann),
-            designated: None, // the start graph is not a production body
             prefix: Arc::new([]),
+            parent: NONE,
+            index_kind: 0,
+            children: 0,
+            ann: ann.0,
             prefix_id,
-            host: None,
+            host_node: NONE,
+            host_vertex: 0,
+            expansions: NONE,
         });
         NodeId(0)
     }
@@ -137,46 +236,67 @@ impl ExplicitTree {
     /// connecting edge (Algorithm 1); for special parents it is
     /// `Entry::special`. The child's prefix = parent's prefix +
     /// `parent_entry` — the single-append of Algorithm 3. Under a special
-    /// parent that is the same list for every child, so later children
-    /// take the first one's array, and its number. A fresh array of an
-    /// `N` node gets the next number.
+    /// parent that is the same list for every child: the parent built it
+    /// when it was attached, and its first child numbers it. A special
+    /// child builds the list its own children will share, one entry
+    /// longer; an `N` child of an `N` node gets a fresh array and the
+    /// next number.
+    ///
+    /// # Panics
+    /// Past 2^32 − 2 nodes, or 2^30 − 1 children of one node.
     pub fn attach(
         &mut self,
         parent: NodeId,
         kind: NodeKind,
         ann: Option<GraphId>,
-        designated: Option<VertexId>,
         parent_entry: Entry,
         host: Option<(NodeId, VertexId)>,
     ) -> NodeId {
-        debug_assert_eq!(parent_entry.index, self.nodes[parent.idx()].index);
-        debug_assert_eq!(parent_entry.kind, self.nodes[parent.idx()].kind);
-        let index = self.nodes[parent.idx()].children.len() as u32 + 1;
+        assert!(
+            self.nodes.len() < MAX_NODES,
+            "a tree holds under 2^32 - 2 nodes"
+        );
         let p = &self.nodes[parent.idx()];
-        let (prefix, prefix_id) = match p.children.first() {
-            Some(sibling) if p.kind != NodeKind::N => {
-                let sibling = &self.nodes[sibling.idx()];
-                (Arc::clone(&sibling.prefix), sibling.prefix_id)
+        debug_assert_eq!(parent_entry.index, p.index());
+        debug_assert_eq!(parent_entry.kind, p.kind());
+        let index = p.children + 1;
+        assert!(index < 1 << INDEX_BITS, "a node holds under 2^30 children");
+        let (prefix, prefix_id) = if p.kind() == NodeKind::N {
+            let entries = p.prefix.iter().copied().chain([parent_entry]);
+            if kind == NodeKind::N {
+                (entries.collect(), self.number_prefix())
+            } else {
+                let own = Entry::special(index, kind);
+                (entries.chain([own]).collect(), NONE)
             }
-            _ => {
-                let fresh = p.prefix.iter().copied().chain([parent_entry]).collect();
-                (fresh, (kind == NodeKind::N).then(|| self.number_prefix()))
+        } else {
+            debug_assert_eq!(kind, NodeKind::N, "a special node's children are copies");
+            debug_assert_eq!(p.prefix.last(), Some(&parent_entry));
+            if p.prefix_id == NONE {
+                self.nodes[parent.idx()].prefix_id = self.number_prefix();
             }
+            let p = &self.nodes[parent.idx()];
+            (Arc::clone(&p.prefix), p.prefix_id)
         };
-        debug_assert_eq!(prefix.last(), Some(&parent_entry));
+        let kind_bits = match kind {
+            NodeKind::N => 0,
+            NodeKind::L => 1,
+            NodeKind::F => 2,
+            NodeKind::R => 3,
+        };
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
-            kind,
-            parent: Some(parent),
-            index,
-            children: Vec::new(),
-            ann,
-            designated,
             prefix,
+            parent: parent.0,
+            index_kind: kind_bits << INDEX_BITS | index,
+            children: 0,
+            ann: ann.map_or(NONE, |g| g.0),
             prefix_id,
-            host,
+            host_node: host.map_or(NONE, |(y, _)| y.0),
+            host_vertex: host.map_or(0, |(_, u)| u.0),
+            expansions: NONE,
         });
-        self.nodes[parent.idx()].children.push(id);
+        self.nodes[parent.idx()].children = index;
         id
     }
 
@@ -197,21 +317,43 @@ impl ExplicitTree {
 
     /// Depth of a node (root = 0).
     pub fn depth(&self, id: NodeId) -> usize {
-        self.nodes[id.idx()].prefix.len()
+        let node = &self.nodes[id.idx()];
+        node.prefix.len() - usize::from(node.kind() != NodeKind::N)
     }
 
     /// Maximum depth over all nodes (`dt`).
     pub fn max_depth(&self) -> usize {
-        self.nodes.iter().map(|n| n.prefix.len()).max().unwrap_or(0)
+        (0..self.nodes.len() as u32)
+            .map(|id| self.depth(NodeId(id)))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Maximum out-degree over all nodes (`θt`).
     pub fn max_fanout(&self) -> usize {
         self.nodes
             .iter()
-            .map(|n| n.children.len())
+            .map(|n| n.children as usize)
             .max()
             .unwrap_or(0)
+    }
+
+    /// Heap bytes the tree keeps, by part: the nodes, the room its node
+    /// table has not reached, and its distinct prefix arrays (each once,
+    /// however many nodes share it — [`crate::label::prefix_array_bytes`]).
+    pub(crate) fn heap_bytes(&self) -> (usize, usize, usize) {
+        let node = std::mem::size_of::<Node>();
+        let arrays = self
+            .nodes
+            .iter()
+            .filter(|n| some(n.parent).is_none_or(|p| self.nodes[p as usize].kind() == NodeKind::N))
+            .map(|n| crate::label::prefix_array_bytes(&n.prefix))
+            .sum();
+        (
+            self.nodes.len() * node,
+            (self.nodes.capacity() - self.nodes.len()) * node,
+            arrays,
+        )
     }
 }
 
@@ -236,51 +378,99 @@ mod tests {
             skl: Some((GraphId(0), VertexId(1))),
             rec: None,
         };
-        let l = t.attach(root, NodeKind::L, None, None, root_entry, None);
-        assert_eq!(t.node(l).index, 1);
-        assert_eq!(t.node(l).prefix[..], [root_entry]);
+        let host = Some((root, VertexId(1)));
+        let l = t.attach(root, NodeKind::L, Some(GraphId(1)), root_entry, host);
+        assert_eq!(t.node(l).index(), 1);
+        assert_eq!(t.node(l).kind(), NodeKind::L);
+        assert_eq!(t.node(l).parent(), Some(root));
+        assert_eq!(t.node(l).host(), host);
         let child_entry = Entry::special(1, NodeKind::L);
-        let c1 = t.attach(l, NodeKind::N, Some(GraphId(1)), None, child_entry, None);
-        let c2 = t.attach(l, NodeKind::N, Some(GraphId(1)), None, child_entry, None);
-        assert_eq!(t.node(c1).index, 1);
-        assert_eq!(t.node(c2).index, 2);
-        assert_eq!(t.node(c2).prefix[..], [root_entry, child_entry]);
-        // One array for the copies under the L node, numbered once; the
-        // L node's own is never a label's.
-        assert!(Arc::ptr_eq(&t.node(c1).prefix, &t.node(c2).prefix));
-        assert_eq!(t.node(root).prefix_id, Some(0));
-        assert_eq!(t.node(l).prefix_id, None);
-        assert_eq!(t.node(c1).prefix_id, Some(1));
-        assert_eq!(t.node(c2).prefix_id, Some(1));
+        // The L node holds the array its copies will share: its own root
+        // path and its own level's entry.
+        assert_eq!(t.node(l).prefix()[..], [root_entry, child_entry]);
+        assert_eq!(t.depth(l), 1);
+        let c1 = t.attach(l, NodeKind::N, Some(GraphId(1)), child_entry, host);
+        let c2 = t.attach(l, NodeKind::N, Some(GraphId(1)), child_entry, host);
+        assert_eq!(t.node(c1).index(), 1);
+        assert_eq!(t.node(c2).index(), 2);
+        assert_eq!(t.node(l).children(), 2);
+        assert_eq!(t.node(c2).prefix()[..], [root_entry, child_entry]);
+        // One array for the copies under the L node, numbered once, when
+        // the first copy arrived; the L node is no label's context.
+        assert!(Arc::ptr_eq(t.node(c1).prefix(), t.node(c2).prefix()));
+        assert!(Arc::ptr_eq(t.node(l).prefix(), t.node(c1).prefix()));
+        assert_eq!(t.node(root).prefix_id(), Some(0));
+        assert_eq!(t.node(l).prefix_id(), None);
+        assert_eq!(t.node(c1).prefix_id(), Some(1));
+        assert_eq!(t.node(c2).prefix_id(), Some(1));
         assert_eq!(t.prefix_ids(), 2);
         assert_eq!(t.depth(c2), 2);
         assert_eq!(t.max_depth(), 2);
         assert_eq!(t.max_fanout(), 2);
-        assert_eq!(t.node(l).children, vec![c1, c2]);
         assert_eq!(t.root(), root);
         assert_eq!(t.len(), 4);
+        assert_eq!((t.node(root).parent(), t.node(root).host()), (None, None));
         // Children of a non-special node hang off different composite
         // vertices: each has its own root path, so its own array.
-        let other = t.attach(
-            c1,
-            NodeKind::N,
-            Some(GraphId(2)),
-            None,
-            child_entry_of(1),
-            None,
-        );
-        let twin = t.attach(
-            c1,
-            NodeKind::N,
-            Some(GraphId(2)),
-            None,
-            child_entry_of(2),
-            None,
-        );
-        assert!(!Arc::ptr_eq(&t.node(other).prefix, &t.node(twin).prefix));
-        assert_eq!(t.node(other).prefix_id, Some(2));
-        assert_eq!(t.node(twin).prefix_id, Some(3));
+        let other = t.attach(c1, NodeKind::N, Some(GraphId(2)), child_entry_of(1), None);
+        let twin = t.attach(c1, NodeKind::N, Some(GraphId(2)), child_entry_of(2), None);
+        assert!(!Arc::ptr_eq(t.node(other).prefix(), t.node(twin).prefix()));
+        assert_eq!(t.node(other).prefix_id(), Some(2));
+        assert_eq!(t.node(twin).prefix_id(), Some(3));
         assert_eq!(t.prefix_ids(), 4);
+        // An R node under an N node: its array is numbered only once its
+        // first chain member arrives.
+        let twin_entry = Entry {
+            index: 2,
+            kind: NodeKind::N,
+            skl: Some((GraphId(2), VertexId(3))),
+            rec: None,
+        };
+        let r = t.attach(twin, NodeKind::R, None, twin_entry, None);
+        assert_eq!((t.node(r).ann(), t.node(r).prefix_id()), (None, None));
+        assert_eq!(t.prefix_ids(), 4);
+        let member = t.attach(
+            r,
+            NodeKind::N,
+            Some(GraphId(3)),
+            Entry::special(1, NodeKind::R),
+            None,
+        );
+        assert_eq!(t.node(member).prefix_id(), Some(4));
+        assert_eq!(t.depth(member), 5);
+        assert_eq!(t.depth(r), 4);
+    }
+
+    /// The six-word node holds every kind beside the widest index it
+    /// admits.
+    #[test]
+    fn the_packed_index_keeps_its_kind() {
+        for (kind, index) in [
+            (NodeKind::N, 0),
+            (NodeKind::L, 1),
+            (NodeKind::F, (1 << INDEX_BITS) - 1),
+            (NodeKind::R, 7),
+        ] {
+            let bits = match kind {
+                NodeKind::N => 0,
+                NodeKind::L => 1,
+                NodeKind::F => 2,
+                NodeKind::R => 3,
+            };
+            let node = Node {
+                prefix: Arc::new([]),
+                parent: NONE,
+                index_kind: bits << INDEX_BITS | index,
+                children: 0,
+                ann: NONE,
+                prefix_id: NONE,
+                host_node: NONE,
+                host_vertex: 0,
+                expansions: NONE,
+            };
+            assert_eq!((node.kind(), node.index()), (kind, index));
+            assert_eq!((node.ann(), node.parent(), node.host()), (None, None, None));
+        }
     }
 
     #[test]

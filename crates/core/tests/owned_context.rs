@@ -1,13 +1,16 @@
 //! The labeler's state is independent of how its context is held: an
-//! [`ExecutionState`] fed from an `Arc`-owned `(Specification, skeleton)`
-//! — the shape `wf-service` keeps per run, moved across a thread here to
+//! [`ExecutionState`] fed from an `Arc`-owned `(Specification, skeleton,
+//! tables)` — the shape `wf-service` keeps per spec and shares among its
+//! runs, moved across a thread here to
 //! show nothing in it borrows — returns from each `insert` exactly the
 //! label the borrowed [`ExecutionLabeler`] retains for that vertex.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use wf_drl::{encode_label, DrlLabel, ExecutionLabeler, ExecutionState, ResolutionMode};
+use wf_drl::{
+    encode_label, DrlLabel, ExecutionLabeler, ExecutionState, ResolutionMode, SpecTables,
+};
 use wf_run::{Execution, RunGenerator};
 use wf_skeleton::{SpecLabeling, TclSpecLabels};
 use wf_spec::Specification;
@@ -20,7 +23,8 @@ fn arc_owned_and_borrowed_contexts_emit_identical_labels() {
     ];
     for (name, spec) in corpus {
         let skeleton = TclSpecLabels::build(&spec);
-        let ctx = Arc::new((spec, skeleton));
+        let tables = SpecTables::auto(&spec);
+        let ctx = Arc::new((spec, skeleton, tables));
         let (spec, skeleton) = (&ctx.0, &ctx.1);
         let mut rng = StdRng::seed_from_u64(2011);
         let run = RunGenerator::new(spec)
@@ -41,10 +45,11 @@ fn arc_owned_and_borrowed_contexts_emit_identical_labels() {
             let events = exec.events().to_vec();
             let (owned, returned): (ExecutionState, Vec<DrlLabel>) =
                 std::thread::spawn(move || {
-                    let mut state = ExecutionState::new(&owner.0, resolution).unwrap();
+                    let (spec, skeleton, tables) = &*owner;
+                    let mut state = ExecutionState::new(tables, resolution).unwrap();
                     let labels = events
                         .iter()
-                        .map(|ev| state.insert(&owner.0, &owner.1, ev).unwrap())
+                        .map(|ev| state.insert(spec, skeleton, tables, ev).unwrap())
                         .collect();
                     (state, labels)
                 })
@@ -52,12 +57,12 @@ fn arc_owned_and_borrowed_contexts_emit_identical_labels() {
                 .unwrap();
 
             assert_eq!(owned.len(), borrowed.len());
-            assert_eq!(owned.skl_bits(), borrowed.skl_bits());
+            assert_eq!(ctx.2.skl_bits(), borrowed.skl_bits());
             assert_eq!(returned.len(), exec.events().len());
             for (ev, a) in exec.events().iter().zip(&returned) {
                 let b = borrowed.label(ev.vertex).unwrap();
                 assert_eq!(a, b, "{name} {resolution:?} {:?}", ev.vertex);
-                let bits = owned.skl_bits();
+                let bits = ctx.2.skl_bits();
                 assert_eq!(
                     encode_label(a, bits),
                     encode_label(b, bits),

@@ -19,6 +19,15 @@
 //! [`OnceLock`]: finding a slot is a single `Acquire` load. No `unsafe`
 //! required.
 //!
+//! **The directory grows with the run.** The chunks' directory — 200
+//! entries cover every `u32` slot — is itself paid for as the run reaches
+//! it: the first 24 entries (1 792 slots) sit in the table, and the other
+//! 176 in one boxed array that the first slot past them allocates. A run
+//! that never gets that far — most of a fleet — carries two 600-byte
+//! directories rather than two of 4.8 KB, and still finds any slot with
+//! one load from the table itself; a larger run pays one more load, of a
+//! directory that stays in cache.
+//!
 //! Each cell carries the vertex's **module name** next to its label, so
 //! the cross-run query surface ([`crate::CrossRunQuery`]) can scan the
 //! published chunks lock-free — "every vertex named N published so far"
@@ -128,41 +137,78 @@ fn position(slot: usize) -> u32 {
     ((chunk as u32) << OFFSET_BITS) | offset as u32
 }
 
+/// Chunks whose directory entries sit inline in a table: the first three
+/// groups, 1 792 slots. A run of up to that many vertex slots — and the
+/// prefix table of a run several times that — finds every chunk with one
+/// load from the table itself; a table past them takes one more, through
+/// [`Chunks::rest`].
+const INLINE: usize = 3 << STEP_BITS;
+
+/// One directory entry: a chunk, allocated on first use.
+type Chunk<T> = OnceLock<Box<[T]>>;
+
 /// A table of `T`s addressed by a dense slot number, its chunks
 /// allocated on first use and never moved: the one chunk layout behind
 /// both the cells and the prefix table. A slot is whatever `T` makes of
 /// it — atomics, or a [`OnceLock`] — so the table is safe for any
 /// number of concurrent readers against one writer.
+///
+/// The directory costs what the table has reached: [`INLINE`] entries
+/// in the table, and the other `CHUNKS − INLINE` in one boxed array
+/// allocated the first time a slot past them is — so an index of a run
+/// that has not started is two short directories, not two full ones.
 struct Chunks<T> {
-    chunks: [OnceLock<Box<[T]>>; CHUNKS],
+    /// Chunks `0..INLINE`.
+    inline: [Chunk<T>; INLINE],
+    /// Chunks `INLINE..CHUNKS`.
+    rest: OnceLock<Box<[Chunk<T>]>>,
 }
 
 impl<T: Default> Chunks<T> {
     fn new() -> Self {
         Self {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
+            inline: std::array::from_fn(|_| OnceLock::new()),
+            rest: OnceLock::new(),
         }
     }
 
-    /// Slot `slot`, once its chunk is allocated: one `Acquire` load.
+    /// The directory entry of chunk `chunk`, if the directory holding it
+    /// exists (and `chunk` is one).
+    #[inline]
+    fn entry(&self, chunk: usize) -> Option<&Chunk<T>> {
+        match self.inline.get(chunk) {
+            Some(entry) => Some(entry),
+            None => self.rest.get()?.get(chunk - INLINE),
+        }
+    }
+
+    /// Slot `slot`, once its chunk is allocated: one `Acquire` load, or
+    /// two past the inline directory.
     #[inline]
     fn get(&self, slot: usize) -> Option<&T> {
         let (chunk, offset) = locate(slot);
-        self.chunks.get(chunk)?.get()?.get(offset)
+        self.entry(chunk)?.get()?.get(offset)
     }
 
     /// The slot at a packed [`position`], once its chunk is allocated.
     #[inline]
     fn at(&self, position: u32) -> Option<&T> {
         let (chunk, offset) = (position >> OFFSET_BITS, position & ((1 << OFFSET_BITS) - 1));
-        self.chunks.get(chunk as usize)?.get()?.get(offset as usize)
+        self.entry(chunk as usize)?.get()?.get(offset as usize)
     }
 
-    /// Slot `slot`, allocating its chunk on first use.
+    /// Slot `slot`, allocating its chunk — and the directory past the
+    /// inline one — on first use.
     fn slot(&self, slot: usize) -> &T {
         let (chunk, offset) = locate(slot);
-        let slots = self.chunks[chunk]
-            .get_or_init(|| (0..chunk_len(chunk)).map(|_| T::default()).collect());
+        let entry = match self.inline.get(chunk) {
+            Some(entry) => entry,
+            None => &self
+                .rest
+                .get_or_init(|| (INLINE..CHUNKS).map(|_| OnceLock::new()).collect())
+                [chunk - INLINE],
+        };
+        let slots = entry.get_or_init(|| (0..chunk_len(chunk)).map(|_| T::default()).collect());
         &slots[offset]
     }
 
@@ -170,7 +216,8 @@ impl<T: Default> Chunks<T> {
     /// each valid for the life of the table.
     fn iter(&self) -> Slots<'_, T> {
         Slots {
-            chunks: self.chunks.iter().enumerate(),
+            table: self,
+            chunk: 0,
             slots: [].iter().enumerate(),
             start: 0,
         }
@@ -178,7 +225,12 @@ impl<T: Default> Chunks<T> {
 
     /// Chunks allocated so far — what [`Self::iter`] walks.
     fn chunks_allocated(&self) -> usize {
-        self.chunks.iter().filter(|c| c.get().is_some()).count()
+        let rest = self.rest.get().map_or(&[][..], |rest| &rest[..]);
+        self.inline
+            .iter()
+            .chain(rest)
+            .filter(|c| c.get().is_some())
+            .count()
     }
 }
 
@@ -187,7 +239,9 @@ impl<T: Default> Chunks<T> {
 /// freeze's arena build over the cells about 1.6× as slow (measured on
 /// a 2-vCPU Xeon).
 struct Slots<'a, T> {
-    chunks: std::iter::Enumerate<std::slice::Iter<'a, OnceLock<Box<[T]>>>>,
+    table: &'a Chunks<T>,
+    /// The next chunk to visit.
+    chunk: usize,
     /// The current chunk's slots, and its first slot's number.
     slots: std::iter::Enumerate<std::slice::Iter<'a, T>>,
     start: usize,
@@ -197,14 +251,15 @@ struct Slots<'a, T> {
 impl<T> Clone for Slots<'_, T> {
     fn clone(&self) -> Self {
         Self {
-            chunks: self.chunks.clone(),
+            table: self.table,
+            chunk: self.chunk,
             slots: self.slots.clone(),
             start: self.start,
         }
     }
 }
 
-impl<'a, T> Iterator for Slots<'a, T> {
+impl<'a, T: Default> Iterator for Slots<'a, T> {
     type Item = (usize, &'a T);
 
     #[inline]
@@ -213,8 +268,12 @@ impl<'a, T> Iterator for Slots<'a, T> {
             if let Some((offset, slot)) = self.slots.next() {
                 return Some((self.start + offset, slot));
             }
-            let (k, chunk) = self.chunks.next()?;
-            if let Some(slots) = chunk.get() {
+            // Past the directory's end, or past its inline part before
+            // the rest exists: done.
+            let k = self.chunk;
+            let entry = self.table.entry(k)?;
+            self.chunk += 1;
+            if let Some(slots) = entry.get() {
                 (self.start, self.slots) = (chunk_start(k), slots.iter().enumerate());
             }
         }
@@ -382,6 +441,12 @@ pub struct LabelIndex {
     /// them.
     prefix_bytes: AtomicU64,
 }
+
+// What an index costs before its run publishes a label: two directories
+// of `INLINE` 24-byte chunk entries, each with a pointer to the rest of
+// it, the private table's pointer and four counters.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<LabelIndex>() == 1248);
 
 impl Default for LabelIndex {
     fn default() -> Self {
@@ -571,18 +636,20 @@ impl LabelIndex {
     }
 
     /// **Resident** bytes of the decoded labels: the bytes of label
-    /// storage the index keeps alive, excluding the chunk tables
-    /// themselves — one two-word cell per published label (its name,
-    /// prefix position and own entry, 16 bytes), one prefix-table slot
-    /// per distinct prefix array, and every such array once, each at its
-    /// full size. This is the memory freezing actually releases —
-    /// several times the accounting size, since a decoded
-    /// [`wf_drl::Entry`] in an array spends a machine word where the
-    /// accounting charges a few bits. The labels counted are the run's
-    /// only copy (the ingest path moves each one in; the labeler keeps
-    /// none), so for a completed run this plus the chunk tables is the
-    /// run's label memory; a live run's labeler state — parse tree,
-    /// placements, expansion map — is not counted here.
+    /// storage the index keeps alive — one two-word cell per published
+    /// label (its name, prefix position and own entry, 16 bytes), one
+    /// prefix-table slot per distinct prefix array, and every such array
+    /// once, each at its full size. Not counted: the chunk directories
+    /// (24 entries of each inside the index itself, the boxed other 176
+    /// once a table passes them) and the chunks' unreached slots. This
+    /// is the memory freezing actually releases — several times the
+    /// accounting size, since a decoded [`wf_drl::Entry`] in an array
+    /// spends a machine word where the accounting charges a few bits.
+    /// The labels counted are the run's only copy (the ingest path moves
+    /// each one in; the labeler keeps none), so for a completed run this
+    /// plus the chunk tables is the run's label memory; a live run's
+    /// labeler state — parse tree, placements, expansion slots — is not
+    /// counted here.
     pub fn resident_bytes(&self) -> u64 {
         (self.len() * size_of::<Cell>()) as u64 + self.prefix_bytes.load(Ordering::Relaxed)
     }
@@ -625,11 +692,11 @@ mod tests {
             .target_size(size)
             .generate_run(&mut StdRng::seed_from_u64(seed));
         let exec = Execution::random(&gen.graph, &gen.origin, &mut StdRng::seed_from_u64(seed));
-        let mut labeler = ExecutionState::new(spec, ResolutionMode::NameBased).unwrap();
+        let mut labeler = ExecutionState::new(ctx.tables(), ResolutionMode::NameBased).unwrap();
         exec.events()
             .iter()
             .map(|ev| {
-                let label = labeler.insert(spec, skeleton, ev).unwrap();
+                let label = labeler.insert(spec, skeleton, ctx.tables(), ev).unwrap();
                 (ev.vertex, ev.name, label)
             })
             .collect()
@@ -977,5 +1044,114 @@ mod tests {
             idx.resident_bytes() - before,
             (size_of::<Cell>() + size_of::<PrefixSlot>() + array_bytes(shared)) as u64
         );
+    }
+
+    /// The first slot whose chunk's directory entry is not inline.
+    const SEAM: usize = chunk_start(INLINE);
+
+    /// Both sides of the seam between the inline directory and the boxed
+    /// rest read and write alike: `slot`, `get`, `at` and `iter`, and the
+    /// boxed directory is allocated only once a slot past the seam is.
+    #[test]
+    fn the_directory_reads_alike_on_both_sides_of_the_inline_seam() {
+        assert_eq!(SEAM, 1792);
+        assert_eq!(locate(SEAM), (INLINE, 0));
+        assert_eq!(locate(SEAM - 1), (INLINE - 1, chunk_len(INLINE - 1) - 1));
+        let table: Chunks<AtomicU64> = Chunks::new();
+        assert_eq!(table.chunks_allocated(), 0);
+        for slot in [0, SEAM - 1] {
+            table.slot(slot).store(slot as u64 + 1, Ordering::Relaxed);
+        }
+        assert_eq!(table.chunks_allocated(), 2);
+        assert!(table.rest.get().is_none(), "nothing past the seam yet");
+        assert!(table.get(SEAM).is_none());
+        assert!(table.at(position(SEAM)).is_none());
+        let far = [SEAM, SEAM + 1, 3 * SEAM, 1 << 20];
+        for slot in far.into_iter().rev() {
+            table.slot(slot).store(slot as u64 + 1, Ordering::Relaxed);
+        }
+        assert!(table.rest.get().is_some());
+        assert_eq!(table.chunks_allocated(), 5);
+        let written = [0, SEAM - 1].into_iter().chain(far);
+        for slot in written.clone() {
+            let want = slot as u64 + 1;
+            assert_eq!(
+                table.get(slot).map(|s| s.load(Ordering::Relaxed)),
+                Some(want)
+            );
+            let at = table.at(position(slot));
+            assert_eq!(at.map(|s| s.load(Ordering::Relaxed)), Some(want));
+        }
+        // Slot order across the seam, holes skipped, whatever the order
+        // the chunks were allocated in.
+        let seen: Vec<usize> = table
+            .iter()
+            .filter(|(_, s)| s.load(Ordering::Relaxed) != 0)
+            .map(|(slot, _)| slot)
+            .collect();
+        assert_eq!(seen, written.clone().collect::<Vec<_>>());
+        let walked = table.iter().count();
+        let chunks: std::collections::BTreeSet<usize> =
+            written.map(|slot| locate(slot).0).collect();
+        assert_eq!(chunks.len(), 5, "SEAM and SEAM + 1 share a chunk");
+        let allocated: usize = chunks.iter().map(|&chunk| chunk_len(chunk)).sum();
+        assert_eq!(walked, allocated, "iter walks every allocated chunk once");
+
+        // The index over the same seam: a run's cells on both sides.
+        let idx = LabelIndex::new();
+        let vertices = [
+            VertexId(SEAM as u32),
+            VertexId(0),
+            VertexId(SEAM as u32 - 1),
+        ];
+        for v in vertices {
+            idx.publish(v, NameId(v.0), label(v.0), 4);
+        }
+        assert_eq!(idx.chunks_allocated(), 3);
+        for v in vertices {
+            assert_eq!(owned(idx.get(v)), Some(label(v.0)));
+        }
+        let order: Vec<u32> = idx.iter().map(|(v, ..)| v.0).collect();
+        assert_eq!(order, vec![0, SEAM as u32 - 1, SEAM as u32]);
+    }
+
+    /// Readers spinning on cells past the seam while the writer makes the
+    /// boxed directory for the first of them: each reader sees either no
+    /// cell or the whole one, through `get` and through `iter`.
+    #[test]
+    fn readers_race_the_first_allocation_past_the_seam() {
+        for _ in 0..20 {
+            let idx = LabelIndex::new();
+            let slots: Vec<u32> = (0..64).map(|k| (SEAM + 97 * k) as u32).collect();
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    for &v in &slots {
+                        idx.publish(VertexId(v), NameId(v), label(v), 4);
+                    }
+                });
+                for _ in 0..3 {
+                    let (idx, slots, start) = (&idx, &slots, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for &v in slots {
+                            let seen = loop {
+                                if let Some(seen) = idx.get(VertexId(v)) {
+                                    break seen.to_label();
+                                }
+                                for (u, name, got) in idx.iter() {
+                                    assert_eq!(name, NameId(u.0));
+                                    assert_eq!(got.to_label(), Some(label(u.0)));
+                                }
+                                std::hint::spin_loop();
+                            };
+                            assert_eq!(seen, Some(label(v)));
+                        }
+                    });
+                }
+            });
+            assert_eq!(idx.iter().count(), slots.len());
+        }
     }
 }

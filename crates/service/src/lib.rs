@@ -119,7 +119,7 @@ pub use wf_wal as wal;
 pub use wf_wal::{WalError, WalSync};
 
 use std::fmt;
-use wf_drl::{ExecError, ResolutionMode};
+use wf_drl::{ExecError, ResolutionMode, SpecTables};
 use wf_graph::VertexId;
 use wf_run::ExecEvent;
 use wf_skeleton::{SpecLabeling, TclSpecLabels};
@@ -139,9 +139,10 @@ impl fmt::Display for RunId {
     }
 }
 
-/// A specification plus its prebuilt skeleton labels — the immutable,
-/// shared context every run of that workflow labels against (§5.1's
-/// preprocessing, done once per specification rather than once per run).
+/// A specification plus its prebuilt skeleton labels and labeler tables
+/// — the immutable, shared context every run of that workflow labels
+/// against (§5.1's preprocessing, done once per specification rather
+/// than once per run).
 /// The engine holds these behind `Arc`s; runs, handles and queries share
 /// them by reference count.
 // The engine uses the default alone; the parameter stays because wfbench names `SpecContext::<TclSpecLabels>`.
@@ -150,10 +151,11 @@ pub struct SpecContext<S: SpecLabeling = TclSpecLabels> {
     pub spec: Specification,
     /// Skeleton labels over `G(S)`.
     pub skeleton: S,
-    /// Cached result of the §5.3 Conditions-1–2 check (a pure function
-    /// of the immutable spec, so it is computed once here rather than on
-    /// every `open_run`).
-    default_resolution: ResolutionMode,
+    /// What every run's labeler reads of the spec — the grammar
+    /// analysis's designated vertices, which body a source name opens,
+    /// the expansion slots, the §5.3 Conditions-1–2 check — built once
+    /// here rather than on every `open_run`.
+    tables: SpecTables,
     /// Cached result of [`index::holds`]: whether a hot-tier cell holds
     /// every own entry of this spec's runs (checked once, here).
     hot_cells_hold: bool,
@@ -163,16 +165,12 @@ impl<S: SpecLabeling> SpecContext<S> {
     /// Build the skeleton labels for `spec`.
     pub fn from_spec(spec: Specification) -> Self {
         let skeleton = S::build(&spec);
-        let default_resolution = if spec.check_execution_conditions().is_ok() {
-            ResolutionMode::NameBased
-        } else {
-            ResolutionMode::LogBased
-        };
+        let tables = SpecTables::auto(&spec);
         let hot_cells_hold = index::holds(&spec);
         Self {
             spec,
             skeleton,
-            default_resolution,
+            tables,
             hot_cells_hold,
         }
     }
@@ -180,7 +178,15 @@ impl<S: SpecLabeling> SpecContext<S> {
     /// The resolution mode [`WfEngine::open_run`] uses for this spec:
     /// name-based when §5.3's Conditions 1–2 hold, log-based otherwise.
     pub fn default_resolution(&self) -> ResolutionMode {
-        self.default_resolution
+        match self.tables.conditions() {
+            Ok(()) => ResolutionMode::NameBased,
+            Err(_) => ResolutionMode::LogBased,
+        }
+    }
+
+    /// The labeler tables every run of this spec borrows.
+    pub fn tables(&self) -> &SpecTables {
+        &self.tables
     }
 
     /// Whether the engine can run this spec: a hot-tier cell holds its

@@ -11,7 +11,8 @@
 //! before the labeler or the status is touched, so a record is in the
 //! log iff its op was admitted and the log orders a run's ops as memory
 //! does. The labeler is plain owned state ([`ExecutionState`]) next to
-//! the `Arc<SpecContext>` it is fed from on every call; the label an
+//! the `Arc<SpecContext>` it is fed from on every call — the spec, its
+//! skeleton and its labeler tables, none of them copied per run; the label an
 //! insert returns is moved into [`LabelIndex`], the run's only copy.
 
 use crate::index::LabelIndex;
@@ -109,10 +110,10 @@ impl RunSlot {
         next_wal_seq: u64,
         wal_bytes: u64,
     ) -> Result<Self, ExecError> {
-        let writer = ExecutionState::new(&ctx.spec, resolution)?;
+        let writer = ExecutionState::new(ctx.tables(), resolution)?;
         Ok(Self {
             spec,
-            skl_bits: writer.skl_bits(),
+            skl_bits: ctx.tables().skl_bits(),
             ctx,
             writer: Mutex::new(Some(writer)),
             indexed: LabelIndex::new(),
@@ -179,7 +180,7 @@ impl RunSlot {
         let labeler = self.admit(run, &mut w)?;
         journal()?;
         let label = labeler
-            .insert(&self.ctx.spec, &self.ctx.skeleton, ev)
+            .insert(&self.ctx.spec, &self.ctx.skeleton, self.ctx.tables(), ev)
             .map_err(|e| {
                 self.fail();
                 ServiceError::Labeler(run, e)

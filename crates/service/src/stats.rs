@@ -46,22 +46,26 @@ pub struct ServiceStats {
     /// **Hot tier** label storage in bits (the paper's label-length
     /// accounting, over decoded in-memory labels).
     pub label_bits_total: u64,
-    /// **Hot tier** resident bytes: one 16-byte cell per decoded label
-    /// (name, prefix position, the label's own entry) plus, once each, the
-    /// prefix table's slot and the prefix array the labels of a context
-    /// share, every slot at its full size — the memory a freeze actually
-    /// releases, several times [`Self::hot_bytes`]. It covers the *only*
-    /// copy of a hot run's labels: the index is where an applied label
-    /// lives. It excludes the index's chunk tables (the cells' unreached
-    /// neighbours and the slots of replaced composite vertices) and,
-    /// until `complete()` drops it, what a live run's labeler holds
-    /// beside the labels — the explicit parse tree, the placements, the
-    /// expansion map. `tests/alloc_free_reads.rs` holds it against the
-    /// allocator: a live 6 000-label `running_example` run keeps ≈ 173 B
+    /// **Hot tier** resident bytes. Counted, per hot run: one 16-byte
+    /// *cell* per published label (name, prefix position, the label's
+    /// own entry); one 24-byte prefix-table *slot* per distinct prefix
+    /// array; and each such *array* once, at its full size (entries plus
+    /// the `Arc` header) — the memory a freeze actually releases, several
+    /// times [`Self::hot_bytes`]. It covers the *only* copy of a hot
+    /// run's labels: the index is where an applied label lives. Not
+    /// counted: the index's *chunk directories* and the chunks' unreached
+    /// slots (the cells' unreached neighbours, the slots of replaced
+    /// composite vertices), the run's fixed state, and — until
+    /// `complete()` drops it — the run's *labeler* (the parse tree, the
+    /// placements, the expansion slots; it shares the arrays counted
+    /// here). `tests/alloc_free_reads.rs` holds it against the
+    /// allocator: a live 6 000-label `running_example` run keeps ≈ 114 B
     /// of heap per label against 47 B reported here, 57 B once completed
-    /// (198 / 64 / 83 B when a cell took a 32-byte slot, 222 / 75 / 112 B
-    /// when each cell held a fat `Arc` to its prefix, 408 / 167 / 231 B
-    /// when every label boxed a private copy of it).
+    /// (173 / 57 B with 96-byte parse-tree nodes and a full chunk
+    /// directory per table; 198 / 64 / 83 B when a cell took a 32-byte
+    /// slot, 222 / 75 / 112 B when each cell held a fat `Arc` to its
+    /// prefix, 408 / 167 / 231 B when every label boxed a private copy of
+    /// it).
     pub hot_resident_bytes: u64,
     /// Runs currently in the hot tier (any status).
     pub runs_hot: u64,
