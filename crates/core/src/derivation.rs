@@ -33,6 +33,11 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
     /// Create a labeler with the recursion mode chosen automatically:
     /// `Linear` for linear recursive grammars, `CompressFirst` (the §6
     /// adaptation) otherwise.
+    ///
+    /// # Panics
+    /// On a specification whose entries no entry word holds
+    /// ([`SpecTables::fits_entry_words`]); [`Self::with_mode`] returns
+    /// that as an error.
     pub fn new(spec: &'s Specification, skeleton: &'s S) -> Self {
         Self::build(spec, skeleton, SpecTables::auto(spec), true)
     }
@@ -47,18 +52,16 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
     }
 
     /// Create a labeler with an explicit recursion mode (fails if
-    /// `Linear` is requested for a nonlinear grammar).
+    /// `Linear` is requested for a nonlinear grammar, or the
+    /// specification's entries do not fit entry words).
     pub fn with_mode(
         spec: &'s Specification,
         skeleton: &'s S,
         mode: RecursionMode,
     ) -> Result<Self, DrlError> {
-        Ok(Self::build(
-            spec,
-            skeleton,
-            SpecTables::new(spec, mode)?,
-            true,
-        ))
+        let tables = SpecTables::new(spec, mode)?;
+        tables.fits_entry_words().map_err(DrlError::clone)?;
+        Ok(Self::build(spec, skeleton, tables, true))
     }
 
     fn build(
@@ -67,6 +70,9 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
         tables: SpecTables,
         track_edges: bool,
     ) -> Self {
+        if let Err(e) = tables.fits_entry_words() {
+            panic!("{e}");
+        }
         let mut tree = ExplicitTree::new();
         let builder = if track_edges {
             RunBuilder::new(spec)
@@ -96,6 +102,10 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
     ///
     /// Per Theorem 3.2b this costs O(|h_i|) — one appended entry per new
     /// vertex plus constant tree bookkeeping.
+    ///
+    /// # Panics
+    /// On a step that would give a parse-tree node its 2^25-th child,
+    /// whose index no entry word holds.
     pub fn apply(&mut self, step: &DerivationStep) -> Result<AppliedStep, RunError> {
         let u = step.target;
         if !self.builder.graph().is_live(u) {
@@ -115,6 +125,7 @@ impl<'s, S: SpecLabeling> DerivationLabeler<'s, S> {
             step.production.body,
             step.production.copies as usize,
         );
+        let expansion = expansion.expect("a parse-tree node of under 2^25 children");
         let members = expansion.members();
         debug_assert_eq!(members.len(), applied.copies.len());
 

@@ -46,8 +46,15 @@
 //! unaligned 64-bit load, and so is a prefix entry's fixed-width field
 //! (its γ codes are read a bit at a time); two labels of one context
 //! need not decode their prefix at all.
+//!
+//! **What decodes.** An entry decodes only if an [`EntryWord`] holds it
+//! — index, graph and skeleton vertex within the word's widths — in a
+//! prefix record and in an arena cell alike: every label that reads is
+//! one a [`DrlLabel`] can carry, so a validated arena's labels all turn
+//! into owned ones. No writer emits wider entries; the rule only narrows
+//! what corrupted bytes can pass for.
 
-use crate::entry::{Entry, NodeKind};
+use crate::entry::{fits_word, Entry, EntryWord, NodeKind};
 use crate::label::DrlLabel;
 use crate::predicate::DrlPredicate;
 use std::collections::HashMap;
@@ -330,8 +337,8 @@ fn write_prefix(w: &mut BitWriter, label: LabelRef<'_>, skl_bits: usize) {
     match label {
         LabelRef::Entries { prefix, .. } => {
             w.push_gamma(prefix.len() as u64 + 1);
-            for e in prefix.iter() {
-                write_entry(w, e, skl_bits);
+            for word in prefix.iter() {
+                write_entry(w, &word.unpack(), skl_bits);
             }
         }
         LabelRef::Encoded {
@@ -374,27 +381,27 @@ fn write_entry(w: &mut BitWriter, e: &Entry, skl_bits: usize) {
 /// workspace has one entry decoder.
 pub fn decode_label(bytes: &[u8], skl_bits: usize) -> Option<DrlLabel> {
     let (prefix, mut rest) = EntryCursor::new(bytes, skl_bits)?.collect_prefix()?;
-    let last = read_entry(&mut rest, skl_bits)?;
+    let last = EntryWord::pack(&read_entry(&mut rest, skl_bits)?)?;
     Some(DrlLabel::from_parts(prefix, last, None))
 }
 
 /// A **borrowed label**: what every reader of a published label takes,
 /// whichever tier holds it. Both forms are a context prefix plus the
-/// vertex's own entry. The prefix is either a decoded array — from a
-/// [`DrlLabel`] ([`DrlLabel::view`]) or from a table that keeps the
-/// arrays apart from the entries (the engine's hot index) — or a prefix
-/// record inside an arena's heap (plus the `skl_bits` it was written
-/// with), which an [`EntryCursor`] turns into the same [`Entry`] values
-/// one at a time. So the predicate ([`crate::DrlPredicate::reaches_ref`]),
+/// vertex's own entry. The prefix is either an array of entry words —
+/// from a [`DrlLabel`] ([`DrlLabel::view`]) or from a table that keeps
+/// the arrays apart from the entries (the engine's hot index) — or a
+/// prefix record inside an arena's heap (plus the `skl_bits` it was
+/// written with), which an [`EntryCursor`] turns into the same [`Entry`]
+/// values one at a time. So the predicate ([`crate::DrlPredicate::reaches_ref`]),
 /// the scans and the arena builder never need an owned label on a read.
 #[derive(Debug, Clone, Copy)]
 pub enum LabelRef<'a> {
-    /// A decoded prefix and the own entry.
+    /// A prefix array and the own entry, as words.
     Entries {
         /// The context's shared prefix array, root first.
-        prefix: &'a Arc<[Entry]>,
+        prefix: &'a Arc<[EntryWord]>,
         /// The vertex's own entry.
-        last: Entry,
+        last: EntryWord,
     },
     /// An encoded prefix and the own entry.
     Encoded {
@@ -412,7 +419,8 @@ impl<'a> LabelRef<'a> {
     /// The vertex's own entry.
     pub fn last(self) -> Entry {
         match self {
-            LabelRef::Entries { last, .. } | LabelRef::Encoded { last, .. } => last,
+            LabelRef::Entries { last, .. } => last.unpack(),
+            LabelRef::Encoded { last, .. } => last,
         }
     }
 
@@ -440,7 +448,7 @@ impl<'a> LabelRef<'a> {
                 skl_bits,
             } => {
                 let (prefix, _) = EntryCursor::new(prefix, skl_bits)?.collect_prefix()?;
-                Some(DrlLabel::from_parts(prefix, last, None))
+                Some(DrlLabel::from_parts(prefix, EntryWord::pack(&last)?, None))
             }
         }
     }
@@ -453,7 +461,7 @@ impl<'a> LabelRef<'a> {
                 prefix
                     .iter()
                     .chain([&last])
-                    .map(|e| e.bit_len(skl_bits))
+                    .map(|w| w.bit_len(skl_bits))
                     .sum(),
             ),
             LabelRef::Encoded {
@@ -499,17 +507,17 @@ impl<'a> EntryCursor<'a> {
         })
     }
 
-    /// Every entry still to come, collected straight into one array (the
+    /// Every entry still to come, packed straight into one array (the
     /// record knows its length), and the reader right after them; `None`
     /// when one of them does not decode.
-    fn collect_prefix(mut self) -> Option<(Arc<[Entry]>, BitReader<'a>)> {
+    fn collect_prefix(mut self) -> Option<(Arc<[EntryWord]>, BitReader<'a>)> {
         let mut whole = true;
-        let unread = Entry::special(0, NodeKind::L);
+        let unread = EntryWord::from_bits(0);
         let prefix = (0..self.remaining)
             .map(|_| {
-                let entry = self.next().flatten();
-                whole &= entry.is_some();
-                entry.unwrap_or(unread)
+                let word = self.next().flatten().and_then(|e| EntryWord::pack(&e));
+                whole &= word.is_some();
+                word.unwrap_or(unread)
             })
             .collect();
         whole.then_some((prefix, self.r))
@@ -534,27 +542,34 @@ impl Iterator for EntryCursor<'_> {
     }
 }
 
-/// Read one entry as [`encode_label`] wrote it. Forced inline: left to
-/// the heuristic it stays a call that returns the entry through memory,
-/// which costs a third of a label's decode time.
+/// Read one entry as [`encode_label`] wrote it; `None` past the end, on
+/// a bad code, or for an entry no [`EntryWord`] holds. Forced inline:
+/// left to the heuristic it stays a call that returns the entry through
+/// memory, which costs a third of a label's decode time.
 #[inline(always)]
 fn read_entry(r: &mut BitReader<'_>, skl_bits: usize) -> Option<Entry> {
-    let index = u32::try_from(r.read_gamma()? - 1).ok()?;
+    let index = r.read_gamma()? - 1;
     let kind = code_kind(r.read_bits(2)?)?;
     let (skl, rec) = if kind == NodeKind::N {
-        let g = GraphId(u32::try_from(r.read_gamma()? - 1).ok()?);
-        let v = VertexId(r.read_bits(skl_bits)? as u32);
+        let g = r.read_gamma()? - 1;
+        let v = r.read_bits(skl_bits)?;
+        if !fits_word(index, g, v) {
+            return None;
+        }
+        let (g, v) = (GraphId(g as u32), VertexId(v as u32));
         let rec = if r.read_bit()? {
             Some((r.read_bit()?, r.read_bit()?))
         } else {
             None
         };
         (Some((g, v)), rec)
-    } else {
+    } else if fits_word(index, 0, 0) {
         (None, None)
+    } else {
+        return None;
     };
     Some(Entry {
-        index,
+        index: index as u32,
         kind,
         skl,
         rec,
@@ -594,21 +609,28 @@ fn cell_fields(name: NameId, prefix: u32, last: &Entry) -> [u32; FIELDS] {
 }
 
 /// The own entry a cell's fields describe; `None` for a kind or rec code
-/// no cell is written with.
+/// no cell is written with, or an entry no [`EntryWord`] holds.
 fn cell_entry(field: impl Fn(usize) -> u32) -> Option<Entry> {
     let kind = code_kind(u64::from(field(KIND)))?;
+    let (graph, vertex) = (field(GRAPH), field(VERTEX));
+    let index = field(INDEX);
     let (skl, rec) = if kind == NodeKind::N {
         let rec = match field(REC) {
             0 => None,
             code @ 1..=4 => Some((code >= 3, code % 2 == 0)),
             _ => return None,
         };
-        (Some((GraphId(field(GRAPH)), VertexId(field(VERTEX)))), rec)
-    } else {
+        if !fits_word(index.into(), graph.into(), vertex.into()) {
+            return None;
+        }
+        (Some((GraphId(graph), VertexId(vertex))), rec)
+    } else if fits_word(index.into(), 0, 0) {
         (None, None)
+    } else {
+        return None;
     };
     Some(Entry {
-        index: field(INDEX),
+        index,
         kind,
         skl,
         rec,
@@ -803,7 +825,7 @@ impl<'a> ArenaRef<'a> {
     ) -> Option<bool> {
         let (a, b) = (self.cell(self.rank(u)?)?, self.cell(self.rank(v)?)?);
         if a.0 == b.0 && a.1.index == b.1.index {
-            return predicate.reaches_in_context(&a.1, &b.1);
+            return predicate.decide(a.1, b.1, None, None);
         }
         predicate.reaches_ref(self.labeled(a), self.labeled(b))
     }
@@ -1009,12 +1031,57 @@ mod tests {
         w.push_gamma(1); // index 0
         w.push_bits(0, 2); // kind N: a skeleton pointer follows
         w.push_gamma(1); // graph 0
-        w.push_bits(u64::MAX, 64);
-        w.push_bits(u64::MAX, 64);
+        w.push_bits(5, 64); // vertex 5, at width 64
+        w.push_bits(0, 64);
         let bytes = w.into_bytes();
         assert!(decode_label(&bytes, 64).is_some());
         assert_eq!(decode_label(&bytes, 65), None);
         assert_eq!(BitReader::new(&bytes).read_bits(65), None);
+    }
+
+    /// An entry no entry word holds does not decode, whichever field is
+    /// too wide — the record, a label of it and a cursor over it alike;
+    /// the same bytes one value narrower do.
+    #[test]
+    fn an_entry_wider_than_a_word_does_not_decode() {
+        let (index, graph, vertex) = (
+            u64::from(EntryWord::MAX_INDEX),
+            EntryWord::MAX_GRAPHS as u64 - 1,
+            EntryWord::MAX_SLOTS as u64 - 1,
+        );
+        let skl_bits = 20;
+        let bytes = |(index, graph, vertex): (u64, u64, u64), kind: NodeKind| {
+            let mut w = BitWriter::new();
+            w.push_gamma(2); // one prefix entry
+            w.push_gamma(index + 1);
+            w.push_bits(kind_code(kind), 2);
+            if kind == NodeKind::N {
+                w.push_gamma(graph + 1);
+                w.push_bits(vertex, skl_bits);
+                w.push_bit(false);
+            }
+            write_entry(&mut w, &Entry::special(1, NodeKind::F), skl_bits);
+            w.into_bytes()
+        };
+        for kind in [NodeKind::N, NodeKind::L] {
+            let edge = bytes((index, graph, vertex), kind);
+            let label = decode_label(&edge, skl_bits).expect("the widest entry a word holds");
+            assert_eq!(label.entry(0).unwrap().index, EntryWord::MAX_INDEX);
+            assert!(EntryCursor::new(&edge, skl_bits)
+                .unwrap()
+                .all(|e| e.is_some()));
+        }
+        for (past, kind) in [
+            ((index + 1, graph, vertex), NodeKind::N),
+            ((index + 1, 0, 0), NodeKind::R),
+            ((index, graph + 1, vertex), NodeKind::N),
+            ((index, graph, vertex + 1), NodeKind::N),
+        ] {
+            let past = bytes(past, kind);
+            assert_eq!(decode_label(&past, skl_bits), None);
+            let cursor = EntryCursor::new(&past, skl_bits).unwrap();
+            assert_eq!(cursor.collect::<Vec<_>>(), [None]);
+        }
     }
 
     /// A word-at-a-time read answers exactly as reading one bit at a
@@ -1192,7 +1259,7 @@ mod tests {
         ]);
         let bytes = encode_label(&label, 5);
         let cursor = EntryCursor::new(&bytes, 5).unwrap();
-        assert!(cursor.eq(label.entries().take(2).map(|e| Some(*e))));
+        assert!(cursor.eq(label.entries().take(2).map(Some)));
         let encoded = LabelRef::Encoded {
             prefix: &bytes,
             last: label.view().last(),
@@ -1202,7 +1269,7 @@ mod tests {
         assert_eq!(encoded.bit_len(5), Some(label.bit_len(5)));
         assert_eq!(label.view().bit_len(5), Some(label.bit_len(5)));
         let cut: Vec<_> = EntryCursor::new(&bytes[..2], 5).unwrap().collect();
-        assert_eq!(cut, [label.entry(0).copied(), None]);
+        assert_eq!(cut, [label.entry(0), None]);
         assert!(decode_label(&bytes[..2], 5).is_none());
     }
 
@@ -1223,6 +1290,72 @@ mod tests {
             .map(|v| (v, labeler.label(v).unwrap().clone()))
             .collect();
         (labeler.skl_bits(), labels)
+    }
+
+    /// A label kept as entry words answers exactly as its decoded
+    /// entries do, over a whole generated run: the bit count read off the
+    /// words is the entries' Theorem-3 sum, `encode_label`'s bytes are
+    /// the entry code written from the decoded entries, and `reaches` on
+    /// the words — the indexed walk, comparing masked index bits — is
+    /// the streaming walk over the decoded entries and the graph's own
+    /// reachability, for every pair.
+    #[test]
+    fn words_and_decoded_entries_agree_on_a_generated_run() {
+        use wf_graph::reach::ReachOracle;
+        let spec = wf_spec::corpus::running_example();
+        let skeleton = TclSpecLabels::build(&spec);
+        let run = RunGenerator::new(&spec)
+            .target_size(300)
+            .generate_run(&mut StdRng::seed_from_u64(71));
+        let exec =
+            wf_run::Execution::random(&run.graph, &run.origin, &mut StdRng::seed_from_u64(72));
+        let mut labeler = crate::ExecutionLabeler::new(&spec, &skeleton).unwrap();
+        for ev in exec.events() {
+            labeler.insert(ev).unwrap();
+        }
+        let skl_bits = labeler.skl_bits();
+        let labels: Vec<(VertexId, &DrlLabel)> = exec
+            .events()
+            .iter()
+            .map(|ev| (ev.vertex, labeler.label(ev.vertex).unwrap()))
+            .collect();
+        assert!(labels.iter().any(|(_, l)| l.depth() >= 4), "a deep run");
+        let encoded: Vec<Vec<u8>> = labels
+            .iter()
+            .map(|(_, label)| {
+                let entries: Vec<Entry> = label.entries().collect();
+                let bits: usize = entries.iter().map(|e| e.bit_len(skl_bits)).sum();
+                assert_eq!(label.bit_len(skl_bits), bits);
+                let (last, prefix) = entries.split_last().unwrap();
+                let mut w = BitWriter::new();
+                w.push_gamma(prefix.len() as u64 + 1);
+                for e in prefix.iter().chain([last]) {
+                    write_entry(&mut w, e, skl_bits);
+                }
+                let bytes = w.into_bytes();
+                assert_eq!(encode_label(label, skl_bits), bytes);
+                assert_eq!(decode_label(&bytes, skl_bits).as_ref(), Some(*label));
+                bytes
+            })
+            .collect();
+        let p = DrlPredicate::new(&skeleton);
+        let oracle = ReachOracle::new(&run.graph);
+        let streams: Vec<LabelRef<'_>> = labels
+            .iter()
+            .zip(&encoded)
+            .map(|((_, label), bytes)| LabelRef::Encoded {
+                prefix: bytes,
+                last: label.view().last(),
+                skl_bits,
+            })
+            .collect();
+        for ((u, a), sa) in labels.iter().zip(&streams) {
+            for ((v, b), sb) in labels.iter().zip(&streams) {
+                let want = oracle.reaches(*u, *v);
+                assert_eq!(p.reaches(a, b), want, "{u:?} ; {v:?}");
+                assert_eq!(p.reaches_ref(*sa, *sb), Some(want));
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! and the state holds no per-spec copy ([`ExecutionState::heap`] counts
 //! what it holds).
 
-use crate::entry::NodeKind;
+use crate::entry::{EntryWord, NodeKind};
 use crate::label::DrlLabel;
 use crate::machinery::{DrlError, RecursionMode, SpecTables};
 use crate::predicate::DrlPredicate;
@@ -81,6 +81,9 @@ pub enum ExecError {
     AmbiguousExpansion(VertexId),
     /// The vertex id was inserted twice.
     AlreadyInserted(VertexId),
+    /// The vertex would open a parse-tree node's 2^25-th child, whose
+    /// index no entry word holds; nothing was changed.
+    IndexTooWide(VertexId),
     /// Labeler construction failed.
     Drl(DrlError),
 }
@@ -102,6 +105,12 @@ impl fmt::Display for ExecError {
                 write!(f, "ambiguous expansion for vertex {v:?}")
             }
             ExecError::AlreadyInserted(v) => write!(f, "vertex {v:?} inserted twice"),
+            ExecError::IndexTooWide(v) => write!(
+                f,
+                "vertex {v:?} would give a parse-tree node more children than \
+                 an entry word's index holds ({})",
+                EntryWord::MAX_INDEX
+            ),
             ExecError::Drl(e) => write!(f, "{e}"),
         }
     }
@@ -184,8 +193,14 @@ pub struct ExecutionState {
 
 impl ExecutionState {
     /// State for labeling one run against `tables`. Allocates nothing:
-    /// the tables are the spec's, borrowed on every insertion.
+    /// the tables are the spec's, borrowed on every insertion. Refuses a
+    /// spec whose entries no [`EntryWord`] holds
+    /// ([`SpecTables::fits_entry_words`]) and, under name-based
+    /// resolution, one that breaks Conditions 1–2.
     pub fn new(tables: &SpecTables, resolution: ResolutionMode) -> Result<Self, ExecError> {
+        tables
+            .fits_entry_words()
+            .map_err(|e| ExecError::Drl(e.clone()))?;
         if resolution == ResolutionMode::NameBased {
             tables
                 .conditions()
@@ -324,6 +339,7 @@ impl ExecutionState {
                 if let Some(special) = fork_branch {
                     // New parallel branch of an expanding fork.
                     let member = self.tree.add_replica(special);
+                    let member = member.ok_or(ExecError::IndexTooWide(ev.vertex))?;
                     return Ok(self.place(tables, skeleton, ev.vertex, member, body_source));
                 }
                 match (fresh, fresh_count) {
@@ -331,7 +347,8 @@ impl ExecutionState {
                         let head_class = spec.class(head);
                         let expansion = self
                             .tree
-                            .expand(tables, skeleton, y, u, head_class, body, 1);
+                            .expand(tables, skeleton, y, u, head_class, body, 1)
+                            .ok_or(ExecError::IndexTooWide(ev.vertex))?;
                         let (member, handle) = match &expansion {
                             crate::machinery::Expansion::Replicated { special, members } => {
                                 (members[0], special.0)
@@ -356,12 +373,14 @@ impl ExecutionState {
                             let (hy, hu) = pn.host().expect("L nodes have host frames");
                             let host_gid = self.tree.node(hy).ann().expect("contexts are N nodes");
                             if spec.graph(host_gid).name(hu) == head {
+                                let copy = y_node.index();
+                                let member = self.tree.add_replica(p);
+                                let member = member.ok_or(ExecError::IndexTooWide(ev.vertex))?;
                                 debug_assert_eq!(
-                                    pn.children(),
-                                    y_node.index(),
+                                    self.tree.node(member).index(),
+                                    copy + 1,
                                     "iterations extend the last copy"
                                 );
-                                let member = self.tree.add_replica(p);
                                 return Ok(self.place(
                                     tables,
                                     skeleton,
@@ -758,6 +777,105 @@ mod tests {
         ));
     }
 
+    /// A spec with more vertex slots in one graph than an entry word's
+    /// skeleton pointer names is refused at construction, with the
+    /// typed error, by both resolutions; one slot fewer labels.
+    #[test]
+    fn a_spec_too_wide_for_an_entry_word_is_refused() {
+        // A source, `slots - 2` removed slots, a sink.
+        let spec = |slots: usize| {
+            let mut b = wf_spec::SpecBuilder::new();
+            let (s, t) = (b.name("s"), b.name("t"));
+            let mut g = wf_graph::Graph::new();
+            let source = g.add_vertex(s);
+            while g.slot_count() < slots - 1 {
+                let dead = g.add_vertex(s);
+                g.remove_vertex(dead).unwrap();
+            }
+            let sink = g.add_vertex(t);
+            g.add_edge(source, sink).unwrap();
+            b.start_graph(g);
+            b.build().unwrap()
+        };
+        let widest = spec(EntryWord::MAX_SLOTS);
+        let skeleton = TclSpecLabels::build(&widest);
+        assert!(ExecutionLabeler::new(&widest, &skeleton).is_ok());
+        let wide = spec(EntryWord::MAX_SLOTS + 1);
+        assert_eq!(wide.graph(GraphId::START).slot_count(), 1 << 17);
+        let skeleton = TclSpecLabels::build(&wide);
+        let refusal = ExecError::Drl(DrlError::SpecTooWide {
+            graphs: 1,
+            slots: EntryWord::MAX_SLOTS + 1,
+        });
+        assert_eq!(
+            ExecutionLabeler::new(&wide, &skeleton).err(),
+            Some(refusal.clone())
+        );
+        assert_eq!(
+            ExecutionLabeler::new_log_based(&wide, &skeleton).err(),
+            Some(refusal)
+        );
+    }
+
+    /// An event that would give a parse-tree node its 2^25-th child —
+    /// whose index no entry word holds — is refused with
+    /// `IndexTooWide` before the state changes, wherever the child would
+    /// attach (a loop iteration, a fork branch, a fresh expansion, a
+    /// chain member): with every node full, exactly the events that
+    /// grow the tree are refused, and after the refusal the same event,
+    /// with room made, labels as it would have.
+    #[test]
+    fn a_child_past_an_entry_words_index_is_refused_before_anything_changes() {
+        let spec = wf_spec::corpus::running_example();
+        let skeleton = TclSpecLabels::build(&spec);
+        let tables = SpecTables::auto(&spec);
+        let run = RunGenerator::new(&spec)
+            .target_size(60)
+            .generate_run(&mut StdRng::seed_from_u64(9));
+        let exec = Execution::random(&run.graph, &run.origin, &mut StdRng::seed_from_u64(10));
+        let events = exec.events();
+        let mut reference = ExecutionState::new(&tables, ResolutionMode::NameBased).unwrap();
+        // The kinds of node the refused children would have attached
+        // under: N (a fresh expansion), L, F and R.
+        let mut under = std::collections::BTreeSet::new();
+        for (k, ev) in events.iter().enumerate() {
+            let nodes = reference.tree().len();
+            let want = reference.insert(&spec, &skeleton, &tables, ev).unwrap();
+            if k == 0 {
+                continue;
+            }
+            let grows = reference.tree().len() > nodes;
+            let mut state = ExecutionState::new(&tables, ResolutionMode::NameBased).unwrap();
+            for ev in &events[..k] {
+                state.insert(&spec, &skeleton, &tables, ev).unwrap();
+            }
+            let counts: Vec<u32> = (0..nodes as u32)
+                .map(|x| state.tree.node(NodeId(x)).children())
+                .collect();
+            for x in 0..nodes as u32 {
+                state.tree.set_children(NodeId(x), EntryWord::MAX_INDEX);
+            }
+            let got = state.insert(&spec, &skeleton, &tables, ev);
+            if !grows {
+                assert_eq!(got, Ok(want), "event {k}");
+                continue;
+            }
+            let parent = reference
+                .tree()
+                .node(NodeId(nodes as u32))
+                .parent()
+                .unwrap();
+            under.insert(format!("{:?}", reference.tree().node(parent).kind()));
+            assert_eq!(got, Err(ExecError::IndexTooWide(ev.vertex)), "event {k}");
+            assert_eq!((state.len(), state.tree().len()), (k, nodes));
+            for (x, &count) in counts.iter().enumerate() {
+                state.tree.set_children(NodeId(x as u32), count);
+            }
+            assert_eq!(state.insert(&spec, &skeleton, &tables, ev), Ok(want));
+        }
+        assert_eq!(under.into_iter().collect::<Vec<_>>(), ["F", "L", "N", "R"]);
+    }
+
     /// What a live run's labeler keeps, part by part, per label on a
     /// 6 000-event run of each corpus workflow: the ledger behind the
     /// engine's live-heap bound, printed for the record, each part held
@@ -777,7 +895,7 @@ mod tests {
             (
                 "running_example",
                 wf_spec::corpus::running_example(),
-                [26.0, 26.0, 24.0, 4.0, 28.0],
+                [26.0, 26.0, 24.0, 4.0, 15.0],
             ),
             (
                 "bioaid",

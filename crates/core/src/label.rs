@@ -4,8 +4,16 @@
 //! context node `x` — one per proper ancestor of `x`, identical for
 //! every vertex placed in `x` — followed by one entry for `v` itself. A
 //! [`DrlLabel`] stores exactly that: the context's entries as a shared,
-//! immutable `Arc<[Entry]>` (the very array [`crate::tree::Node::prefix`]
-//! holds) and the final entry inline.
+//! immutable `Arc<[EntryWord]>` (the very array [`crate::tree::Node::prefix`]
+//! holds) and the final entry inline — each entry one 8-byte
+//! [`EntryWord`] ([`crate::entry`]'s table), decoded to an [`Entry`] only
+//! where a reader needs its fields.
+//!
+//! **The layout.** A label is 32 bytes: the array's pointer and length
+//! (16), the own word (8) and the array's number (4, and 4 of padding).
+//! A prefix array of `d` entries is `16 + 8·d` bytes — two reference
+//! counts and the words — paid once per distinct array
+//! ([`prefix_array_bytes`]).
 //!
 //! **What is shared, and who keeps it alive.** Every label a labeler
 //! issues for one context node clones that node's `Arc` (and the copies
@@ -25,17 +33,16 @@
 //!
 //! **Which array, by number.** The parse tree numbers every array a
 //! label can carry when it creates it ([`crate::tree::Node::prefix_id`]),
-//! and a label issued against that node carries the number in what
-//! would otherwise be padding: a label is 40 bytes with or without it.
-//! That is footnote 4's pointer-not-copy applied to the context path: a
-//! holder of a whole run's labels keeps each array once, in a table
-//! indexed by the number, and per label only the number and the own
-//! entry — with no hashing to find out which array it has met before.
-//! A number names an array only within the tree (the run) that assigned
-//! it; a rebuilt label has none ([`DrlLabel::prefix_id`]).
+//! and a label issued against that node carries the number beside its
+//! own word. That is footnote 4's pointer-not-copy applied to the
+//! context path: a holder of a whole run's labels keeps each array once,
+//! in a table indexed by the number, and per label only the number and
+//! the own word — with no hashing to find out which array it has met
+//! before. A number names an array only within the tree (the run) that
+//! assigned it; a rebuilt label has none ([`DrlLabel::prefix_id`]).
 
 use crate::encode::LabelRef;
-use crate::entry::Entry;
+use crate::entry::{Entry, EntryWord};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -50,9 +57,9 @@ use std::sync::Arc;
 pub struct DrlLabel {
     /// The entries of the context node's proper ancestors, root first —
     /// shared with every other label of the same context.
-    prefix: Arc<[Entry]>,
+    prefix: Arc<[EntryWord]>,
     /// The entry for the vertex itself, at the context node's level.
-    last: Entry,
+    last: EntryWord,
     /// The tree's number for `prefix`, or [`NO_PREFIX_ID`].
     prefix_id: u32,
 }
@@ -60,9 +67,9 @@ pub struct DrlLabel {
 /// The `prefix_id` of a label whose array the tree did not number.
 const NO_PREFIX_ID: u32 = u32::MAX;
 
-// The prefix id lives in the padding after the 20-byte entry.
+// An array's fat pointer, the own word and the number.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<DrlLabel>() == 40);
+const _: () = assert!(std::mem::size_of::<DrlLabel>() == 32);
 
 /// Equal entries, whichever arrays hold them and whatever they are
 /// numbered.
@@ -74,11 +81,16 @@ impl PartialEq for DrlLabel {
 
 impl Eq for DrlLabel {}
 
-/// Heap bytes of one shared prefix array: its entries plus the `Arc`
+/// Heap bytes of one shared prefix array: its words plus the `Arc`
 /// header (two reference counts) — paid once per distinct array, however
 /// many labels carry it.
-pub fn prefix_array_bytes(prefix: &[Entry]) -> usize {
+pub fn prefix_array_bytes(prefix: &[EntryWord]) -> usize {
     2 * std::mem::size_of::<usize>() + std::mem::size_of_val(prefix)
+}
+
+/// `e` as a word, for a caller that knows it fits.
+fn word(e: &Entry) -> EntryWord {
+    EntryWord::pack(e).expect("an entry within an entry word's widths")
 }
 
 impl DrlLabel {
@@ -86,15 +98,22 @@ impl DrlLabel {
     /// vertex's own, the rest become a private prefix array, unnumbered.
     ///
     /// # Panics
-    /// On an empty list — a label has at least the root-level entry.
-    pub fn new(mut entries: Vec<Entry>) -> Self {
-        let last = entries.pop().expect("labels have at least the root entry");
-        Self::from_parts(entries.into(), last, None)
+    /// On an empty list — a label has at least the root-level entry — or
+    /// an entry no [`EntryWord`] holds.
+    pub fn new(entries: Vec<Entry>) -> Self {
+        let (last, prefix) = entries
+            .split_last()
+            .expect("labels have at least the root entry");
+        Self::from_parts(prefix.iter().map(word).collect(), word(last), None)
     }
 
     /// A label carrying `prefix` as is — how a labeler shares a context
     /// node's array, and its number, among the node's labels.
-    pub(crate) fn from_parts(prefix: Arc<[Entry]>, last: Entry, prefix_id: Option<u32>) -> Self {
+    pub(crate) fn from_parts(
+        prefix: Arc<[EntryWord]>,
+        last: EntryWord,
+        prefix_id: Option<u32>,
+    ) -> Self {
         debug_assert_ne!(
             prefix_id,
             Some(NO_PREFIX_ID),
@@ -114,35 +133,38 @@ impl DrlLabel {
         (self.prefix_id != NO_PREFIX_ID).then_some(self.prefix_id)
     }
 
-    /// The label taken apart — prefix number, shared array, own entry —
+    /// The label taken apart — prefix number, shared array, own word —
     /// for a holder that keeps the array once and the rest per label.
-    pub fn into_parts(self) -> (Option<u32>, Arc<[Entry]>, Entry) {
+    pub fn into_parts(self) -> (Option<u32>, Arc<[EntryWord]>, EntryWord) {
         (self.prefix_id(), self.prefix, self.last)
     }
 
-    /// The shared entries: everything but the vertex's own entry.
+    /// The shared words: everything but the vertex's own entry.
     #[cfg(test)]
-    pub(crate) fn prefix(&self) -> &[Entry] {
+    pub(crate) fn prefix(&self) -> &[EntryWord] {
         &self.prefix
     }
 
-    /// The shared entries and the own entry, borrowed in place.
-    pub(crate) fn parts(&self) -> (&[Entry], &Entry) {
-        (&self.prefix, &self.last)
+    /// The shared words and the own word, borrowed in place.
+    pub(crate) fn parts(&self) -> (&[EntryWord], EntryWord) {
+        (&self.prefix, self.last)
     }
 
     /// The `i`-th entry, root first: a prefix position, or the label's
     /// own entry at `i == depth() - 1`.
     #[inline]
-    pub fn entry(&self, i: usize) -> Option<&Entry> {
-        self.prefix
-            .get(i)
-            .or_else(|| (i == self.prefix.len()).then_some(&self.last))
+    pub fn entry(&self, i: usize) -> Option<Entry> {
+        let word = self.prefix.get(i).copied();
+        word.or((i == self.prefix.len()).then_some(self.last))
+            .map(EntryWord::unpack)
     }
 
-    /// The entries, root first.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = &Entry> + Clone + '_ {
-        (0..self.depth()).map(|i| self.entry(i).expect("i < depth"))
+    /// The entries, root first, decoded.
+    pub fn entries(&self) -> Entries<'_> {
+        Entries {
+            prefix: self.prefix.iter(),
+            last: Some(self.last),
+        }
     }
 
     /// This label as the borrowed view every reader takes.
@@ -163,9 +185,44 @@ impl DrlLabel {
     /// Label length in bits (the quantity of Figures 14, 17–20), using
     /// the Theorem-3 accounting with the given skeleton-pointer width.
     pub fn bit_len(&self, skl_bits: usize) -> usize {
-        self.entries().map(|e| e.bit_len(skl_bits)).sum()
+        let prefix: usize = self.prefix.iter().map(|w| w.bit_len(skl_bits)).sum();
+        prefix + self.last.bit_len(skl_bits)
     }
 }
+
+/// A label's entries, root first, each decoded from its word
+/// ([`DrlLabel::entries`]).
+#[derive(Debug, Clone)]
+pub struct Entries<'a> {
+    prefix: std::slice::Iter<'a, EntryWord>,
+    last: Option<EntryWord>,
+}
+
+impl Entries<'_> {
+    /// The same entries: they are decoded values already, so this is
+    /// what `copied()` is over an iterator of references, and code
+    /// written against either reads alike.
+    pub fn copied(self) -> Self {
+        self
+    }
+}
+
+impl Iterator for Entries<'_> {
+    type Item = Entry;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry> {
+        let word = self.prefix.next().copied().or_else(|| self.last.take());
+        word.map(EntryWord::unpack)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.prefix.len() + usize::from(self.last.is_some());
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
 
 /// The serialised form of a label: its flat entry list, whatever the
 /// in-memory split.
@@ -177,7 +234,7 @@ struct FlatLabel {
 impl Serialize for DrlLabel {
     fn to_value(&self) -> serde::Value {
         FlatLabel {
-            entries: self.entries().copied().collect(),
+            entries: self.entries().collect(),
         }
         .to_value()
     }
@@ -188,6 +245,9 @@ impl Deserialize for DrlLabel {
         let flat = FlatLabel::from_value(v)?;
         if flat.entries.is_empty() {
             return Err(serde::Error::new("a label has at least one entry"));
+        }
+        if flat.entries.iter().any(|e| EntryWord::pack(e).is_none()) {
+            return Err(serde::Error::new("an entry wider than an entry word"));
         }
         Ok(Self::new(flat.entries))
     }
@@ -234,29 +294,29 @@ mod tests {
     #[test]
     fn the_flat_entry_list_is_the_labels_value() {
         let entries = three_entries();
+        let words: Vec<EntryWord> = entries.iter().map(word).collect();
         let label = DrlLabel::new(entries.clone());
         assert_eq!(label.entries().len(), 3);
-        assert!(label.entries().eq(&entries));
+        assert!(label.entries().eq(entries.iter().copied()));
+        assert!(label.entries().copied().eq(label.entries()));
         for (i, e) in entries.iter().enumerate() {
-            assert_eq!(label.entry(i), Some(e));
+            assert_eq!(label.entry(i), Some(*e));
         }
         assert_eq!(label.entry(3), None);
+        // Two words and the `Arc` header: 8 bytes an entry.
         assert_eq!(
             prefix_array_bytes(label.prefix()),
-            2 * std::mem::size_of::<usize>() + 2 * std::mem::size_of::<Entry>()
+            2 * std::mem::size_of::<usize>() + 2 * 8
         );
 
         assert_eq!(label.prefix_id(), None);
-        let sharing = DrlLabel::from_parts(Arc::clone(&label.prefix), entries[2], Some(7));
+        let sharing = DrlLabel::from_parts(Arc::clone(&label.prefix), words[2], Some(7));
         assert!(Arc::ptr_eq(&sharing.prefix, &label.prefix));
         assert_eq!(sharing, DrlLabel::new(entries.clone()));
         assert_eq!(sharing.clone().prefix_id(), Some(7));
         let (id, prefix, last) = sharing.into_parts();
-        assert_eq!(
-            (id, &prefix[..], last),
-            (Some(7), &entries[..2], entries[2])
-        );
-        let sibling = DrlLabel::from_parts(prefix, entries[0], Some(7));
+        assert_eq!((id, &prefix[..], last), (Some(7), &words[..2], words[2]));
+        let sibling = DrlLabel::from_parts(prefix, words[0], Some(7));
         assert_ne!(sibling, label);
 
         let value = label.to_value();
@@ -265,5 +325,10 @@ mod tests {
         assert_eq!(DrlLabel::from_value(&value).unwrap(), label);
         let empty = serde::Value::Map(vec![("entries".into(), serde::Value::Seq(Vec::new()))]);
         assert!(DrlLabel::from_value(&empty).is_err());
+        // An entry no word holds is refused, not truncated.
+        let mut wide = entries.clone();
+        wide[1].index = EntryWord::MAX_INDEX + 1;
+        let wide = FlatLabel { entries: wide }.to_value();
+        assert!(DrlLabel::from_value(&wide).is_err());
     }
 }

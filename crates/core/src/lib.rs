@@ -42,7 +42,7 @@ pub use derivation::DerivationLabeler;
 pub use encode::{
     decode_label, encode_label, ArenaError, ArenaRef, EntryCursor, LabelArena, LabelRef,
 };
-pub use entry::{Entry, NodeKind, SklPtr};
+pub use entry::{Entry, EntryWord, NodeKind, SklPtr};
 pub use execution::{ExecError, ExecutionLabeler, ExecutionState, HeapLedger, ResolutionMode};
 pub use label::DrlLabel;
 pub use machinery::{DrlError, Expansion, RecursionMode, SpecTables};

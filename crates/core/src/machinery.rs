@@ -13,7 +13,7 @@
 //! labeler, its placements): the per-run state, which owns nothing
 //! per-spec.
 
-use crate::entry::{Entry, NodeKind};
+use crate::entry::{Entry, EntryWord, NodeKind};
 use crate::label::DrlLabel;
 use crate::tree::{ExplicitTree, NodeId, NONE};
 use std::collections::HashMap;
@@ -46,6 +46,15 @@ pub enum RecursionMode {
 pub enum DrlError {
     /// `RecursionMode::Linear` demands a linear recursive grammar.
     NotLinearRecursive(RecursionClass),
+    /// The specification has more graphs, or a graph more vertex slots,
+    /// than an [`EntryWord`]'s skeleton pointer names
+    /// ([`SpecTables::fits_entry_words`]).
+    SpecTooWide {
+        /// The specification's graph count.
+        graphs: usize,
+        /// The vertex slots of its widest graph.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for DrlError {
@@ -55,6 +64,13 @@ impl fmt::Display for DrlError {
                 f,
                 "RecursionMode::Linear requires a linear recursive grammar, got {c:?} \
                  (use CompressFirst or NoRNodes, §6)"
+            ),
+            DrlError::SpecTooWide { graphs, slots } => write!(
+                f,
+                "a specification of {graphs} graphs, the widest of {slots} vertex slots, is \
+                 wider than an entry word holds (at most {} graphs of {} slots)",
+                EntryWord::MAX_GRAPHS,
+                EntryWord::MAX_SLOTS
             ),
         }
     }
@@ -96,7 +112,8 @@ impl Expansion {
 
 /// What both dynamic labelers read of their specification, built once
 /// per specification: the recursion mode and its designated vertices,
-/// the skeleton pointer width, and for the execution-based labeler which
+/// the skeleton pointer width, whether an [`EntryWord`] holds every entry
+/// of the spec's runs, and for the execution-based labeler which
 /// body a source name opens, where each composite vertex's expansion is
 /// recorded, and whether §5.3's Conditions 1–2 hold. Immutable; a
 /// labeler borrows it on every call that consults it, next to the
@@ -120,6 +137,8 @@ pub struct SpecTables {
     composites: Vec<u32>,
     /// The §5.3 check, run once.
     conditions: Result<(), SpecError>,
+    /// The entry-word width check, run once.
+    words: Result<(), DrlError>,
 }
 
 impl SpecTables {
@@ -183,6 +202,17 @@ impl SpecTables {
             let g = spec.graph(gid);
             source_of.insert(g.name(g.source().expect("two-terminal")), gid);
         }
+        let slots = spec.graph_ids().map(|g| spec.graph(g).slot_count());
+        let widest = slots.max().unwrap_or(0);
+        let words = if spec.graph_count() <= EntryWord::MAX_GRAPHS && widest <= EntryWord::MAX_SLOTS
+        {
+            Ok(())
+        } else {
+            Err(DrlError::SpecTooWide {
+                graphs: spec.graph_count(),
+                slots: widest,
+            })
+        };
         let (ranks, composites) = spec
             .graph_ids()
             .map(|gid| {
@@ -206,6 +236,7 @@ impl SpecTables {
             ranks,
             composites,
             conditions: spec.check_execution_conditions(),
+            words,
         }
     }
 
@@ -229,6 +260,15 @@ impl SpecTables {
     /// needs — and if not, the first violation.
     pub fn conditions(&self) -> Result<(), &SpecError> {
         self.conditions.as_ref().map(|_| ())
+    }
+
+    /// Whether an [`EntryWord`] holds every entry a run of the spec
+    /// carries: at most [`EntryWord::MAX_GRAPHS`] graphs, each of at most
+    /// [`EntryWord::MAX_SLOTS`] vertex slots, so every skeleton pointer
+    /// fits. (An entry's index is a labeler's to keep within the word.)
+    /// A labeler refuses a spec that fails it, and so does the engine.
+    pub fn fits_entry_words(&self) -> Result<(), &DrlError> {
+        self.words.as_ref().map(|_| ())
     }
 
     /// The implementation body whose source is named `name`.
@@ -287,6 +327,10 @@ impl ExplicitTree {
     /// `sv` in instance node `x`: the node's prefix array, shared and
     /// numbered, plus one final entry (Algorithm 3's single append) — no
     /// allocation and no copy, whatever the depth of `x`.
+    ///
+    /// # Panics
+    /// When `tables`' spec does not fit entry words
+    /// ([`SpecTables::fits_entry_words`]).
     pub fn label_for<S: SpecLabeling>(
         &self,
         tables: &SpecTables,
@@ -296,7 +340,10 @@ impl ExplicitTree {
     ) -> DrlLabel {
         let node = self.node(x);
         let entry = self.make_entry(tables, skeleton, x, sv);
-        DrlLabel::from_parts(Arc::clone(node.prefix()), entry, node.prefix_id())
+        // The index is a node's, held by `attach`; the pointer names a
+        // vertex of a spec the tables found to fit.
+        let own = EntryWord::pack(&entry).expect("an own entry within an entry word");
+        DrlLabel::from_parts(Arc::clone(node.prefix()), own, node.prefix_id())
     }
 
     /// Algorithm 2: update the tree for the expansion of composite
@@ -308,6 +355,10 @@ impl ExplicitTree {
     /// chain); the head is a loop/fork name (L/F node with `copies`
     /// children); otherwise a plain instance, wrapped in a fresh R node
     /// when the body itself has a designated recursive vertex.
+    ///
+    /// `None`, with the tree unchanged, when the node the expansion
+    /// attaches under — the chain's R node, or `y` — has no room for
+    /// another child ([`Self::has_room`]).
     #[allow(clippy::too_many_arguments)]
     pub fn expand<S: SpecLabeling>(
         &mut self,
@@ -318,14 +369,18 @@ impl ExplicitTree {
         head_class: NameClass,
         body: GraphId,
         copies: usize,
-    ) -> Expansion {
+    ) -> Option<Expansion> {
         debug_assert!(copies >= 1);
         let y_node = self.node(y);
         let y_gid = y_node.ann().expect("N nodes carry annotations");
         let chain = y_node
             .parent()
-            .filter(|&p| self.node(p).kind() == NodeKind::R);
-        if let Some(r) = chain.filter(|_| tables.designated(y_gid) == Some(u_spec)) {
+            .filter(|&p| self.node(p).kind() == NodeKind::R)
+            .filter(|_| tables.designated(y_gid) == Some(u_spec));
+        if !self.has_room(chain.unwrap_or(y)) {
+            return None;
+        }
+        if let Some(r) = chain {
             // Case 2b: next member of the existing chain; the "dashed
             // edge" (y → new) is annotated with u_spec, which becomes
             // the new member's host frame.
@@ -333,7 +388,7 @@ impl ExplicitTree {
             debug_assert_eq!(copies, 1);
             let r_entry = Entry::special(self.node(r).index(), NodeKind::R);
             let member = self.attach(r, NodeKind::N, Some(body), r_entry, Some((y, u_spec)));
-            return Expansion::ChainMember(member);
+            return Some(Expansion::ChainMember(member));
         }
         let edge_entry = self.make_entry(tables, skeleton, y, u_spec);
         match head_class {
@@ -347,8 +402,13 @@ impl ExplicitTree {
                     NodeKind::F
                 };
                 let special = self.attach(y, kind, Some(body), edge_entry, Some((y, u_spec)));
-                let members = (0..copies).map(|_| self.add_replica(special)).collect();
-                Expansion::Replicated { special, members }
+                let members = (0..copies)
+                    .map(|_| {
+                        let copy = self.add_replica(special);
+                        copy.expect("a loop or fork of under 2^25 copies")
+                    })
+                    .collect();
+                Some(Expansion::Replicated { special, members })
             }
             NameClass::Composite => {
                 debug_assert_eq!(copies, 1);
@@ -359,12 +419,12 @@ impl ExplicitTree {
                     let r_entry = Entry::special(self.node(r).index(), NodeKind::R);
                     let member =
                         self.attach(r, NodeKind::N, Some(body), r_entry, Some((y, u_spec)));
-                    Expansion::Instance(member)
+                    Some(Expansion::Instance(member))
                 } else {
                     // Case 1c: plain instance node.
                     let member =
                         self.attach(y, NodeKind::N, Some(body), edge_entry, Some((y, u_spec)));
-                    Expansion::Instance(member)
+                    Some(Expansion::Instance(member))
                 }
             }
             NameClass::Atomic => unreachable!("atomic vertices are never expanded"),
@@ -372,15 +432,20 @@ impl ExplicitTree {
     }
 
     /// Attach one more copy under an existing L/F node (loop iteration /
-    /// fork branch discovered by the execution-based labeler).
-    pub fn add_replica(&mut self, special: NodeId) -> NodeId {
+    /// fork branch discovered by the execution-based labeler); `None`,
+    /// with the tree unchanged, when the node has no room for another
+    /// child ([`Self::has_room`]).
+    pub fn add_replica(&mut self, special: NodeId) -> Option<NodeId> {
+        if !self.has_room(special) {
+            return None;
+        }
         let s = self.node(special);
         let kind = s.kind();
         debug_assert!(matches!(kind, NodeKind::L | NodeKind::F));
         let body = s.ann().expect("L/F nodes remember their body");
         let host = s.host();
         let entry = Entry::special(s.index(), kind);
-        self.attach(special, NodeKind::N, Some(body), entry, host)
+        Some(self.attach(special, NodeKind::N, Some(body), entry, host))
     }
 }
 

@@ -3,20 +3,65 @@
 //!
 //! The predicate decides at the first entry where the two labels differ,
 //! so it has two ways of *finding* that entry — an indexed walk over two
-//! decoded labels (their prefix arrays compared as slices, or not at all
-//! when both labels lend the *same* array), and a streaming walk over two
+//! labels' entry words (their prefix arrays compared by the masked index
+//! bits of each pair of words, or not at all when both labels lend the
+//! *same* array), and a streaming walk over two
 //! entry streams (an [`EntryCursor`] over an encoded prefix record, then
 //! the own entry) that holds only the previous and current entries (what
 //! lets a completed run answer straight off its label arena; two labels
 //! lending the *same* record read it once) — and **one** case analysis,
-//! `DrlPredicate::decide`, that both reach. [`DrlPredicate::reaches_ref`]
-//! picks the walk; [`DrlPredicate::reaches`] is it over two owned labels.
+//! `DrlPredicate::decide`, that both reach. The case analysis reads the
+//! few fields it needs of the lowest common ancestor's entries and the
+//! entries after it in whichever form the walk holds them — entry words
+//! off the indexed walk, unpacked by none, decoded entries off the
+//! streaming one. [`DrlPredicate::reaches_ref`] picks the walk;
+//! [`DrlPredicate::reaches`] is it over two owned labels.
 
 use crate::encode::{EntryCursor, LabelRef};
-use crate::entry::{Entry, NodeKind};
+use crate::entry::{Entry, EntryWord, NodeKind, SklPtr};
 use crate::label::DrlLabel;
 use std::sync::Arc;
 use wf_skeleton::SpecLabeling;
+
+/// What the case analysis reads of an entry: the same four fields of a
+/// decoded [`Entry`] or of an [`EntryWord`], neither converted to the
+/// other.
+pub(crate) trait Fields: Copy {
+    fn kind(self) -> NodeKind;
+    fn index(self) -> u32;
+    fn skl(self) -> Option<SklPtr>;
+    fn rec(self) -> Option<(bool, bool)>;
+}
+
+impl Fields for Entry {
+    fn kind(self) -> NodeKind {
+        self.kind
+    }
+    fn index(self) -> u32 {
+        self.index
+    }
+    fn skl(self) -> Option<SklPtr> {
+        self.skl
+    }
+    fn rec(self) -> Option<(bool, bool)> {
+        self.rec
+    }
+}
+
+impl Fields for EntryWord {
+    fn kind(self) -> NodeKind {
+        EntryWord::kind(self)
+    }
+    fn index(self) -> u32 {
+        EntryWord::index(self)
+    }
+    fn skl(self) -> Option<SklPtr> {
+        EntryWord::skl(self)
+    }
+    fn rec(self) -> Option<(bool, bool)> {
+        EntryWord::rec(self)
+    }
+}
 
 /// The binary predicate over DRL labels. Holds only a reference to the
 /// shared skeleton labels — queries use nothing but the two labels and
@@ -65,7 +110,7 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                     prefix: pb,
                     last: lb,
                 },
-            ) => self.indexed(pa, &la, pb, &lb),
+            ) => self.indexed(pa, la, pb, lb),
             _ => self.streamed(a, b),
         }
     }
@@ -75,8 +120,8 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// array and their own index (the same tree node) needs no look at
     /// the array — the skeleton decides.
     #[inline]
-    pub fn reaches_in_context(&self, a: &Entry, b: &Entry) -> Option<bool> {
-        debug_assert_eq!(a.index, b.index, "one context node");
+    pub fn reaches_in_context(&self, a: EntryWord, b: EntryWord) -> Option<bool> {
+        debug_assert!(a.same_index(b), "one context node");
         self.decide(a, b, None, None)
     }
 
@@ -85,8 +130,15 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// labels lending one record share all of it, so it is read once.
     fn streamed(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         use LabelRef::{Encoded, Entries};
-        fn decoded(prefix: &Arc<[Entry]>, last: Entry) -> impl Iterator<Item = Option<Entry>> + '_ {
-            prefix.iter().copied().chain([last]).map(Some)
+        fn decoded(
+            prefix: &Arc<[EntryWord]>,
+            last: EntryWord,
+        ) -> impl Iterator<Item = Option<Entry>> + '_ {
+            prefix
+                .iter()
+                .copied()
+                .chain([last])
+                .map(|w| Some(w.unpack()))
         }
         /// An encoded label's stream; `None` for a decoded one, or a
         /// prefix record whose entry count does not decode.
@@ -118,12 +170,12 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                 },
             ) if std::ptr::eq(prefix, pb) => {
                 if la.index == lb.index {
-                    return self.decide(&la, &lb, None, None);
+                    return self.decide(la, lb, None, None);
                 }
                 // The record's last entry is the LCA; a label of the root
                 // context has none, and then the two are of two runs.
                 let lca = EntryCursor::new(prefix, skl_bits)?.last()??;
-                self.decide(&lca, &lca, Some(&la), Some(&lb))
+                self.decide(lca, lca, Some(la), Some(lb))
             }
             _ => self.walk(encoded(a)?, encoded(b)?),
         }
@@ -131,19 +183,29 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
 
     /// The indexed walk: the longest common prefix of the two context
     /// paths. The index sequences are Dewey labels, so equal prefixes =
-    /// same tree nodes (Line 1). Two labels lending the same array — same
+    /// same tree nodes (Line 1), and a pair of words agrees on its index
+    /// by its masked bits. Two labels lending the same array — same
     /// context, or copies under one loop/fork/chain node: the common case
     /// inside a sub-workflow — agree on all of it without a look.
     #[inline(always)]
-    fn indexed(&self, pa: &[Entry], la: &Entry, pb: &[Entry], lb: &Entry) -> Option<bool> {
-        /// Position `i` of a label: a prefix entry, or its own entry one
+    fn indexed(
+        &self,
+        pa: &[EntryWord],
+        la: EntryWord,
+        pb: &[EntryWord],
+        lb: EntryWord,
+    ) -> Option<bool> {
+        /// Position `i` of a label: a prefix word, or its own word one
         /// past the prefix (the walk never goes further).
-        fn at<'e>(prefix: &'e [Entry], last: &'e Entry, i: usize) -> &'e Entry {
-            prefix.get(i).unwrap_or(last)
+        fn at(prefix: &[EntryWord], last: EntryWord, i: usize) -> EntryWord {
+            prefix.get(i).copied().unwrap_or(last)
         }
-        /// The entry after position `i - 1`, if the label goes on.
-        fn next<'e>(prefix: &'e [Entry], last: &'e Entry, i: usize) -> Option<&'e Entry> {
-            prefix.get(i).or((i == prefix.len()).then_some(last))
+        /// The word after position `i - 1`, if the label goes on.
+        fn next(prefix: &[EntryWord], last: EntryWord, i: usize) -> Option<EntryWord> {
+            prefix
+                .get(i)
+                .copied()
+                .or((i == prefix.len()).then_some(last))
         }
         let shared = pa.len().min(pb.len());
         let mut j = if std::ptr::eq(pa, pb) {
@@ -151,12 +213,12 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
         } else {
             pa.iter()
                 .zip(pb)
-                .take_while(|(x, y)| x.index == y.index)
+                .take_while(|(x, y)| x.same_index(**y))
                 .count()
         };
         // Past the shorter prefix the shorter label has one position
         // left: its own entry.
-        if j == shared && at(pa, la, j).index == at(pb, lb, j).index {
+        if j == shared && at(pa, la, j).same_index(at(pb, lb, j)) {
             j += 1;
         }
         // j - 1 is the position of LCA(x, x'); roots always share index
@@ -190,7 +252,7 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                 (Some(x), Some(y)) if x.index == y.index => lca = Some((x, y)),
                 _ => {
                     let (x, y) = lca?;
-                    return self.decide(&x, &y, next_a.as_ref(), next_b.as_ref());
+                    return self.decide(x, y, next_a, next_b);
                 }
             }
         }
@@ -203,21 +265,21 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// LCA). `None` for shapes no labeler produces — an N entry without
     /// its skeleton pointer, a special LCA one label ends at.
     #[inline]
-    fn decide(
+    pub(crate) fn decide<E: Fields>(
         &self,
-        lca_a: &Entry,
-        lca_b: &Entry,
-        next_a: Option<&Entry>,
-        next_b: Option<&Entry>,
+        lca_a: E,
+        lca_b: E,
+        next_a: Option<E>,
+        next_b: Option<E>,
     ) -> Option<bool> {
-        match lca_a.kind {
+        match lca_a.kind() {
             NodeKind::N => {
                 // Last case: compare the origins' skeleton labels within
                 // Annt(LCA). Also covers the ancestor-context and
                 // same-context cases, where the walk exhausted the
                 // shorter label.
-                let (g1, u) = lca_a.skl?;
-                let (g2, v) = lca_b.skl?;
+                let (g1, u) = lca_a.skl()?;
+                let (g2, v) = lca_b.skl()?;
                 // Same tree node ⇒ same annotation, in labels of one run;
                 // a pointer that names no spec vertex has no answer.
                 if g1 != g2 {
@@ -227,7 +289,7 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
             }
             // Distinct copies of a loop body, combined in series:
             // earlier copy reaches later copy (L case).
-            NodeKind::L => Some(next_a?.index < next_b?.index),
+            NodeKind::L => Some(next_a?.index() < next_b?.index()),
             // Parallel fork branches never reach each other.
             NodeKind::F => Some(false),
             NodeKind::R => {
@@ -236,10 +298,10 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                 // answer is the precomputed flag against the recursive
                 // vertex (R case).
                 let (na, nb) = (next_a?, next_b?);
-                Some(if na.index < nb.index {
-                    na.rec.is_some_and(|r| r.0)
+                Some(if na.index() < nb.index() {
+                    na.rec().is_some_and(|r| r.0)
                 } else {
-                    nb.rec.is_some_and(|r| r.1)
+                    nb.rec().is_some_and(|r| r.1)
                 })
             }
         }
@@ -494,6 +556,7 @@ mod tests {
         let root = tree.create_root(wf_spec::GraphId::START);
         let copies = tree
             .expand(&tables, &skeleton, root, l_vertex, NameClass::Loop, h1, 3)
+            .unwrap()
             .members();
         let mut issued = Vec::new();
         for x in std::iter::once(root).chain(copies) {
@@ -504,7 +567,7 @@ mod tests {
         }
         let rebuilt: Vec<DrlLabel> = issued
             .iter()
-            .map(|l| DrlLabel::new(l.entries().copied().collect()))
+            .map(|l| DrlLabel::new(l.entries().collect()))
             .collect();
         let vertex = |i: usize| wf_graph::VertexId(i as u32);
         let labeled = issued.iter().enumerate();

@@ -10,7 +10,8 @@
 //! entry.
 //!
 //! A prefix is written once, when its node is attached, and never
-//! changes, so it is an `Arc<[Entry]>` that the node's labels share
+//! changes, so it is an `Arc<[EntryWord]>` — one 8-byte word an entry,
+//! [`crate::entry`]'s fixed widths — that the node's labels share
 //! rather than copy: the node keeps the array alive while the run is
 //! being labeled, the labels carrying it keep it alive after the tree is
 //! gone. The copies under one special node — loop iterations, fork
@@ -38,8 +39,14 @@
 //! not keep it does not: whether its graph has a designated recursive
 //! vertex is the specification's to say ([`crate::SpecTables`]), not
 //! the node's.
+//!
+//! **A node's index fits a word.** A child's index is its parent's child
+//! count, and an entry word holds indexes below 2^25: [`ExplicitTree::expand`]
+//! and [`ExplicitTree::add_replica`] refuse (`None`) to attach the 2^25-th
+//! child of a node, before changing anything, and [`ExplicitTree::attach`]
+//! panics rather than truncate.
 
-use crate::entry::{Entry, NodeKind};
+use crate::entry::{Entry, EntryWord, NodeKind};
 use std::sync::Arc;
 use wf_graph::VertexId;
 use wf_spec::GraphId;
@@ -73,7 +80,7 @@ pub struct Node {
     /// of its proper ancestors; for a special node — which no label has
     /// as its context — the array its copies share, its own entries plus
     /// its level's ([`ExplicitTree::depth`] is one less).
-    prefix: Arc<[Entry]>,
+    prefix: Arc<[EntryWord]>,
     /// Parent ([`NONE`] for the root).
     parent: u32,
     /// The kind in the top two bits; below them the index among the
@@ -147,7 +154,7 @@ impl Node {
 
     /// The shared array this node's labels carry (see the field).
     #[inline]
-    pub fn prefix(&self) -> &Arc<[Entry]> {
+    pub fn prefix(&self) -> &Arc<[EntryWord]> {
         &self.prefix
     }
 
@@ -243,7 +250,9 @@ impl ExplicitTree {
     /// next number.
     ///
     /// # Panics
-    /// Past 2^32 − 2 nodes, or 2^30 − 1 children of one node.
+    /// Past 2^32 − 2 nodes, past [`EntryWord::MAX_INDEX`] children of one
+    /// node ([`Self::has_room`]), or on a `parent_entry` no entry word
+    /// holds.
     pub fn attach(
         &mut self,
         parent: NodeId,
@@ -259,19 +268,20 @@ impl ExplicitTree {
         let p = &self.nodes[parent.idx()];
         debug_assert_eq!(parent_entry.index, p.index());
         debug_assert_eq!(parent_entry.kind, p.kind());
+        assert!(self.has_room(parent), "a node holds under 2^25 children");
         let index = p.children + 1;
-        assert!(index < 1 << INDEX_BITS, "a node holds under 2^30 children");
+        let word = |e: &Entry| EntryWord::pack(e).expect("an entry within an entry word");
         let (prefix, prefix_id) = if p.kind() == NodeKind::N {
-            let entries = p.prefix.iter().copied().chain([parent_entry]);
+            let words = p.prefix.iter().copied().chain([word(&parent_entry)]);
             if kind == NodeKind::N {
-                (entries.collect(), self.number_prefix())
+                (words.collect(), self.number_prefix())
             } else {
-                let own = Entry::special(index, kind);
-                (entries.chain([own]).collect(), NONE)
+                let own = word(&Entry::special(index, kind));
+                (words.chain([own]).collect(), NONE)
             }
         } else {
             debug_assert_eq!(kind, NodeKind::N, "a special node's children are copies");
-            debug_assert_eq!(p.prefix.last(), Some(&parent_entry));
+            debug_assert_eq!(p.prefix.last(), Some(&word(&parent_entry)));
             if p.prefix_id == NONE {
                 self.nodes[parent.idx()].prefix_id = self.number_prefix();
             }
@@ -298,6 +308,19 @@ impl ExplicitTree {
         });
         self.nodes[parent.idx()].children = index;
         id
+    }
+
+    /// Whether `parent` can take one more child: its next child's index
+    /// fits an entry word.
+    pub fn has_room(&self, parent: NodeId) -> bool {
+        self.nodes[parent.idx()].children < EntryWord::MAX_INDEX
+    }
+
+    /// Set a node's child count, to test what happens at the index's
+    /// edge without attaching 2^25 children.
+    #[cfg(test)]
+    pub(crate) fn set_children(&mut self, id: NodeId, children: u32) {
+        self.nodes[id.idx()].children = children;
     }
 
     /// The next array number.
@@ -387,14 +410,18 @@ mod tests {
         let child_entry = Entry::special(1, NodeKind::L);
         // The L node holds the array its copies will share: its own root
         // path and its own level's entry.
-        assert_eq!(t.node(l).prefix()[..], [root_entry, child_entry]);
+        let entries = |t: &ExplicitTree, x| {
+            let words = t.node(x).prefix().iter();
+            words.map(|w| w.unpack()).collect::<Vec<_>>()
+        };
+        assert_eq!(entries(&t, l), [root_entry, child_entry]);
         assert_eq!(t.depth(l), 1);
         let c1 = t.attach(l, NodeKind::N, Some(GraphId(1)), child_entry, host);
         let c2 = t.attach(l, NodeKind::N, Some(GraphId(1)), child_entry, host);
         assert_eq!(t.node(c1).index(), 1);
         assert_eq!(t.node(c2).index(), 2);
         assert_eq!(t.node(l).children(), 2);
-        assert_eq!(t.node(c2).prefix()[..], [root_entry, child_entry]);
+        assert_eq!(entries(&t, c2), [root_entry, child_entry]);
         // One array for the copies under the L node, numbered once, when
         // the first copy arrived; the L node is no label's context.
         assert!(Arc::ptr_eq(t.node(c1).prefix(), t.node(c2).prefix()));

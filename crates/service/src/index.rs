@@ -35,25 +35,29 @@
 //!
 //! **What a cell holds, and what is shared.** A label is its context's
 //! prefix array plus the vertex's own entry (Algorithm 3's single
-//! append), and the run's parse tree numbers every prefix array a label
-//! can carry where it creates it ([`wf_drl::DrlLabel::prefix_id`]). The
-//! arrays live once each in the run's **prefix table**, a second table of
-//! the same chunk layout indexed by that number (footnote 4's
-//! pointer-not-copy, applied to the context path). A cell is two
-//! `AtomicU64` words, 16 bytes on a 16-byte boundary, so four cells tile
-//! a cache line:
+//! append), each entry one 8-byte [`EntryWord`], and the run's parse
+//! tree numbers every prefix array a label can carry where it creates it
+//! ([`wf_drl::DrlLabel::prefix_id`]). The arrays live once each in the
+//! run's **prefix table**, a second table of the same chunk layout
+//! indexed by that number (footnote 4's pointer-not-copy, applied to the
+//! context path): the labeler's very `Arc<[EntryWord]>`s, 8 bytes an
+//! entry. A cell is two `AtomicU64` words, 16 bytes on a 16-byte
+//! boundary, so four cells tile a cache line:
 //!
 //! * the *head* word: the module name, and where the prefix array sits
 //!   — the number's chunk and offset packed into 32 bits, so a read
 //!   skips the number-to-slot arithmetic;
-//! * the *own* word: the own entry at fixed widths — index, kind, rec
-//!   flags, skeleton graph and vertex (a sentinel vertex for no
-//!   pointer) — and a presence bit, so the word is 0 until published.
+//! * the *own* word: the label's own [`EntryWord`] as the label carries
+//!   it, with the presence bit in the word's spare bit
+//!   ([`EntryWord::SPARE`]), so the cell's word is 0 until published.
 //!
-//! The widths hold every entry of a spec [`holds`] accepts, which
-//! [`crate::WfEngine::open_run`] checks once per spec; nothing is
-//! truncated. **Publishing** stores the prefix-table slot first, then
-//! the head `Relaxed`, then the own word `Release`; a **reader** loads
+//! There is one entry codec, `wf-drl`'s: every entry of a spec
+//! [`wf_drl::SpecTables::fits_entry_words`] accepts packs, which
+//! [`crate::WfEngine::open_run`] checks once per spec
+//! ([`crate::SpecContext::hot_cells_hold`]); nothing is truncated, and
+//! neither a publish nor a read converts an entry. **Publishing** stores
+//! the prefix-table slot first, then the head `Relaxed`, then the own
+//! word `Release`; a **reader** loads
 //! the own word `Acquire` and, if it is present, the head — so a reader
 //! that sees a cell sees its name and its prefix. The prefix table
 //! stores an array the first time a label carries it, and otherwise
@@ -61,9 +65,10 @@
 //! per-label reference count kept. Every reader takes the one borrowed
 //! form, [`LabelRef::Entries`], built from a cell and its table slot; a
 //! hot `reach` over two cells of one context compares a half of each
-//! word and needs not even that. A label the tree did not number
-//! (rebuilt from its entries) gets a slot of its own in a private table
-//! of the same layout, allocated the first time one is needed.
+//! head and the index bits of each own word, and needs not even that. A
+//! label the tree did not number (rebuilt from its entries) gets a slot
+//! of its own in a private table of the same layout, allocated the first
+//! time one is needed.
 //!
 //! While the run is live its labeler's parse tree holds every prefix
 //! array too; once `complete()` drops the labeler the table is the
@@ -76,10 +81,9 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use wf_drl::label::prefix_array_bytes;
-use wf_drl::{DrlLabel, DrlPredicate, Entry, LabelRef, NodeKind};
+use wf_drl::{DrlLabel, DrlPredicate, EntryWord, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::TclSpecLabels;
-use wf_spec::{GraphId, Specification};
 
 /// log₂ of the chunks per doubling of a table: group `g` is eight
 /// chunks of `2^(BASE_BITS + g)` slots each, so a table grows by an
@@ -284,8 +288,8 @@ impl<'a, T: Default> Iterator for Slots<'a, T> {
 /// the *head* holds the vertex's module name (from
 /// [`wf_run::ExecEvent::name`]) in its low half and its prefix's packed
 /// [`position`] in its high half, with [`PRIVATE`] set for the private
-/// table; the *own* word holds its own entry ([`pack`]), 0 until
-/// published.
+/// table; the *own* word holds its own [`EntryWord`] with [`PRESENT`]
+/// set, 0 until published.
 #[derive(Default)]
 #[repr(align(16))]
 struct Cell {
@@ -320,104 +324,19 @@ fn prefix_of(head: u64) -> u32 {
 }
 
 /// A slot of the prefix table: one distinct array.
-type PrefixSlot = OnceLock<Arc<[Entry]>>;
+type PrefixSlot = OnceLock<Arc<[EntryWord]>>;
 
 /// The bit above a [`position`] that sends it to the private table.
 const PRIVATE: u32 = 1 << 31;
 
-/// The own word's fields, low bit first: presence, kind, rec (0 = none,
-/// 1–4 = one plus the two flags), index, skeleton graph, skeleton
-/// vertex — 64 bits in all.
-const PRESENT: u64 = 1;
-const KIND_AT: u32 = 1;
-const REC_AT: u32 = 3;
-const INDEX_AT: u32 = 6;
-const INDEX_BITS: u32 = 25;
-const GRAPH_AT: u32 = INDEX_AT + INDEX_BITS;
-const GRAPH_BITS: u32 = 16;
-const VERTEX_AT: u32 = GRAPH_AT + GRAPH_BITS;
-const VERTEX_BITS: u32 = 64 - VERTEX_AT;
-/// The own word's index field, in place.
-const INDEX_FIELD: u64 = ((1 << INDEX_BITS) - 1) << INDEX_AT;
-/// The skeleton vertex of an entry without a skeleton pointer; no spec
-/// vertex [`holds`] accepts has it.
-const NO_VERTEX: u64 = (1 << VERTEX_BITS) - 1;
+/// A published own word's presence bit: the entry word's spare bit.
+const PRESENT: u64 = EntryWord::SPARE;
 
 // An own index counts the children of one parse-tree node, and the
 // labeler adds a child only as a vertex arrives for it: the engine's
-// vertex bound caps the index below the field's width (and `publish`
-// checks it).
-const _: () = assert!(VERTEX_BITS == 17);
-const _: () = assert!(crate::DEFAULT_MAX_VERTEX_ID as u64 + 1 < 1 << INDEX_BITS);
-
-/// Whether a cell's fixed widths hold every own entry a run of `spec`
-/// can carry: at most 2^16 graphs, each of at most 2^17 − 1 vertex
-/// slots (a TCL over a graph of 2^16 vertices alone is 2^31 bits,
-/// 256 MiB). A run's own indexes are held by the engine's vertex bound.
-pub fn holds(spec: &Specification) -> bool {
-    spec.graph_count() <= 1 << GRAPH_BITS
-        && spec
-            .graph_ids()
-            .all(|g| spec.graph(g).slot_count() as u64 <= NO_VERTEX)
-}
-
-/// `e` as a cell's own word, presence bit set; `None` when a field is
-/// wider than the word holds it.
-fn pack(e: &Entry) -> Option<u64> {
-    let kind = match e.kind {
-        NodeKind::N => 0,
-        NodeKind::L => 1,
-        NodeKind::F => 2,
-        NodeKind::R => 3,
-    };
-    let rec = e
-        .rec
-        .map_or(0, |(r1, r2)| 1 + 2 * u64::from(r1) + u64::from(r2));
-    let (graph, vertex) = match e.skl {
-        Some((g, v)) => (u64::from(g.0), u64::from(v.0)),
-        None => (0, NO_VERTEX),
-    };
-    let fits = u64::from(e.index) < 1 << INDEX_BITS
-        && graph < 1 << GRAPH_BITS
-        && (vertex < NO_VERTEX || e.skl.is_none());
-    fits.then_some(
-        PRESENT
-            | kind << KIND_AT
-            | rec << REC_AT
-            | u64::from(e.index) << INDEX_AT
-            | graph << GRAPH_AT
-            | vertex << VERTEX_AT,
-    )
-}
-
-/// The own entry a cell's own word holds.
-#[inline]
-fn unpack(own: u64) -> Entry {
-    let field = |at: u32, bits: u32| (own >> at) & ((1 << bits) - 1);
-    let kind = match field(KIND_AT, 2) {
-        0 => NodeKind::N,
-        1 => NodeKind::L,
-        2 => NodeKind::F,
-        _ => NodeKind::R,
-    };
-    let rec = match field(REC_AT, 3) {
-        0 => None,
-        code => Some((code >= 3, code % 2 == 0)),
-    };
-    let vertex = own >> VERTEX_AT;
-    let skl = (vertex != NO_VERTEX).then(|| {
-        (
-            GraphId(field(GRAPH_AT, GRAPH_BITS) as u32),
-            VertexId(vertex as u32),
-        )
-    });
-    Entry {
-        index: field(INDEX_AT, INDEX_BITS) as u32,
-        kind,
-        skl,
-        rec,
-    }
-}
+// vertex bound keeps every index within an entry word, so a labeler
+// never refuses one.
+const _: () = assert!(crate::DEFAULT_MAX_VERTEX_ID < EntryWord::MAX_INDEX);
 
 /// Write-once label table for one run, safe for any number of concurrent
 /// readers against one writer.
@@ -471,14 +390,10 @@ impl LabelIndex {
     /// Publish the label of `v`. Called only by the run's single ingest
     /// writer; each vertex is published at most once (the labeler
     /// rejects duplicate insertions upstream).
-    ///
-    /// # Panics
-    /// On an own entry wider than a cell holds — one no run of a spec
-    /// [`holds`] accepts carries.
     pub fn publish(&self, v: VertexId, name: NameId, label: DrlLabel, skl_bits: usize) {
         let bits = label.bit_len(skl_bits) as u64;
         let (id, prefix, last) = label.into_parts();
-        let own = pack(&last).expect("an own entry within the hot cell's widths");
+        let own = last.bits() | PRESENT;
         let cell = self.cells.slot(v.idx());
         if cell.own.load(Ordering::Relaxed) != 0 {
             debug_assert!(false, "label for {v:?} published twice");
@@ -496,7 +411,7 @@ impl LabelIndex {
     /// recognised after that — or in a private slot, for an array the
     /// tree did not number, or numbered for another run (a different
     /// array already sits at its number).
-    fn hold(&self, id: Option<u32>, prefix: Arc<[Entry]>) -> u32 {
+    fn hold(&self, id: Option<u32>, prefix: Arc<[EntryWord]>) -> u32 {
         if let Some(id) = id.map(|id| id as usize).filter(|&id| id < POSITIONED) {
             let slot = self.prefixes.slot(id);
             match slot.get() {
@@ -519,7 +434,7 @@ impl LabelIndex {
     }
 
     /// Charge one table slot and the array in it.
-    fn count(&self, prefix: &[Entry]) {
+    fn count(&self, prefix: &[EntryWord]) {
         let bytes = size_of::<PrefixSlot>() + prefix_array_bytes(prefix);
         self.prefix_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
@@ -537,13 +452,13 @@ impl LabelIndex {
     fn label(&self, (head, own): (u64, u64)) -> Option<LabelRef<'_>> {
         Some(LabelRef::Entries {
             prefix: self.prefix(prefix_of(head))?,
-            last: unpack(own),
+            last: EntryWord::from_bits(own),
         })
     }
 
     /// The array a cell's prefix position names.
     #[inline]
-    fn prefix(&self, position: u32) -> Option<&Arc<[Entry]>> {
+    fn prefix(&self, position: u32) -> Option<&Arc<[EntryWord]>> {
         if position & PRIVATE == 0 {
             self.prefixes.at(position)?.get()
         } else {
@@ -555,7 +470,7 @@ impl LabelIndex {
     /// run's own labels.
     #[cold]
     #[inline(never)]
-    fn private(&self, position: u32) -> Option<&Arc<[Entry]>> {
+    fn private(&self, position: u32) -> Option<&Arc<[EntryWord]>> {
         self.private.get()?.at(position)?.get()
     }
 
@@ -579,8 +494,9 @@ impl LabelIndex {
         v: VertexId,
     ) -> Option<bool> {
         let (a, b) = (self.cell(u)?, self.cell(v)?);
-        if (a.0 ^ b.0) >> 32 == 0 && (a.1 ^ b.1) & INDEX_FIELD == 0 {
-            return predicate.reaches_in_context(&unpack(a.1), &unpack(b.1));
+        let (own_a, own_b) = (EntryWord::from_bits(a.1), EntryWord::from_bits(b.1));
+        if (a.0 ^ b.0) >> 32 == 0 && own_a.same_index(own_b) {
+            return predicate.reaches_in_context(own_a, own_b);
         }
         predicate.reaches_ref(self.label(a)?, self.label(b)?)
     }
@@ -642,9 +558,9 @@ impl LabelIndex {
     /// once, each at its full size. Not counted: the chunk directories
     /// (24 entries of each inside the index itself, the boxed other 176
     /// once a table passes them) and the chunks' unreached slots. This
-    /// is the memory freezing actually releases — several times the
-    /// accounting size, since a decoded [`wf_drl::Entry`] in an array
-    /// spends a machine word where the accounting charges a few bits.
+    /// is the memory freezing actually releases — more than the
+    /// accounting size, since an [`EntryWord`] in an array spends 64 bits
+    /// where the accounting charges a few dozen.
     /// The labels counted are the run's only copy (the ingest path moves
     /// each one in; the labeler keeps none), so for a completed run this
     /// plus the chunk tables is the run's label memory; a live run's
@@ -669,7 +585,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wf_drl::{ExecutionState, NodeKind, ResolutionMode};
+    use wf_drl::{Entry, ExecutionState, NodeKind, ResolutionMode};
     use wf_run::{Execution, RunGenerator};
     use wf_spec::GraphId;
 
@@ -708,8 +624,8 @@ mod tests {
 
     /// Heap bytes of `label`'s prefix array.
     fn array_bytes(label: &DrlLabel) -> usize {
-        let entries: Vec<Entry> = label.entries().copied().collect();
-        prefix_array_bytes(&entries[..entries.len() - 1])
+        let (_, prefix, _) = label.clone().into_parts();
+        prefix_array_bytes(&prefix)
     }
 
     #[test]
@@ -822,60 +738,6 @@ mod tests {
         assert_eq!(seen, vec![(0, 0), (1, 1), (5, 5), (17, 17), (1000, 1000)]);
     }
 
-    /// The own word holds every field of an entry a cell admits, and
-    /// refuses what is wider: nothing is truncated.
-    #[test]
-    fn an_own_word_roundtrips_every_field_at_its_widths() {
-        let widest = Entry {
-            index: (1 << INDEX_BITS) - 1,
-            kind: NodeKind::N,
-            skl: Some((
-                GraphId((1 << GRAPH_BITS) - 1),
-                VertexId(NO_VERTEX as u32 - 1),
-            )),
-            rec: Some((true, true)),
-        };
-        let mut entries = vec![widest, Entry::special(0, NodeKind::R)];
-        for kind in [NodeKind::N, NodeKind::L, NodeKind::F, NodeKind::R] {
-            for rec in [
-                None,
-                Some((false, false)),
-                Some((false, true)),
-                Some((true, false)),
-            ] {
-                for skl in [None, Some((GraphId(3), VertexId(0)))] {
-                    entries.push(Entry {
-                        index: 7,
-                        kind,
-                        skl,
-                        rec,
-                    });
-                }
-            }
-        }
-        for e in entries {
-            let own = pack(&e).expect("fits");
-            assert_ne!(own & PRESENT, 0);
-            assert_eq!(unpack(own), e);
-        }
-        for e in [
-            Entry {
-                index: 1 << INDEX_BITS,
-                ..widest
-            },
-            Entry {
-                skl: Some((GraphId(1 << GRAPH_BITS), VertexId(0))),
-                ..widest
-            },
-            Entry {
-                skl: Some((GraphId(0), VertexId(NO_VERTEX as u32))),
-                ..widest
-            },
-        ] {
-            assert_eq!(pack(&e), None, "{e:?}");
-        }
-    }
-
     /// One writer publishes out of vertex order — a run's numbered
     /// labels, labels rebuilt from their entries (private-table slots)
     /// and labels whose own entry has no skeleton pointer — each under a
@@ -895,9 +757,9 @@ mod tests {
                 let name = NameId(2 * v.0 + 1);
                 let label = match v.0 % 3 {
                     0 => label,
-                    1 => DrlLabel::new(label.entries().copied().collect()),
+                    1 => DrlLabel::new(label.entries().collect()),
                     _ => {
-                        let mut entries: Vec<Entry> = label.entries().copied().collect();
+                        let mut entries: Vec<Entry> = label.entries().collect();
                         let own = entries.len() - 1;
                         entries[own] = Entry::special(v.0 % 97, NodeKind::F);
                         DrlLabel::new(entries)
@@ -1033,7 +895,7 @@ mod tests {
         // A label rebuilt from its entries carries no number: a private
         // slot of its own, reading back equal — beside the run's.
         let (_, name, shared) = &run[n / 2];
-        let rebuilt = DrlLabel::new(shared.entries().copied().collect());
+        let rebuilt = DrlLabel::new(shared.entries().collect());
         assert_eq!(rebuilt.prefix_id(), None);
         let before = idx.resident_bytes();
         let v = VertexId(1 << 20);

@@ -153,12 +153,10 @@ pub struct SpecContext<S: SpecLabeling = TclSpecLabels> {
     pub skeleton: S,
     /// What every run's labeler reads of the spec — the grammar
     /// analysis's designated vertices, which body a source name opens,
-    /// the expansion slots, the §5.3 Conditions-1–2 check — built once
-    /// here rather than on every `open_run`.
+    /// the expansion slots, the §5.3 Conditions-1–2 check, whether entry
+    /// words hold its runs' entries — built once here rather than on
+    /// every `open_run`.
     tables: SpecTables,
-    /// Cached result of [`index::holds`]: whether a hot-tier cell holds
-    /// every own entry of this spec's runs (checked once, here).
-    hot_cells_hold: bool,
 }
 
 impl<S: SpecLabeling> SpecContext<S> {
@@ -166,12 +164,10 @@ impl<S: SpecLabeling> SpecContext<S> {
     pub fn from_spec(spec: Specification) -> Self {
         let skeleton = S::build(&spec);
         let tables = SpecTables::auto(&spec);
-        let hot_cells_hold = index::holds(&spec);
         Self {
             spec,
             skeleton,
             tables,
-            hot_cells_hold,
         }
     }
 
@@ -189,12 +185,13 @@ impl<S: SpecLabeling> SpecContext<S> {
         &self.tables
     }
 
-    /// Whether the engine can run this spec: a hot-tier cell holds its
-    /// runs' own entries at fixed widths ([`index::holds`]). A spec that
-    /// does not fit is refused at `open_run`
-    /// ([`ServiceError::SpecTooWide`]), never truncated.
+    /// Whether the engine can run this spec: an entry word — what a
+    /// hot-tier cell and a prefix array keep an entry as — holds its
+    /// runs' entries ([`SpecTables::fits_entry_words`]). A spec that does
+    /// not fit is refused at `open_run` ([`ServiceError::SpecTooWide`]),
+    /// never truncated.
     pub fn hot_cells_hold(&self) -> bool {
-        self.hot_cells_hold
+        self.tables.fits_entry_words().is_ok()
     }
 }
 
@@ -303,10 +300,10 @@ pub enum ServiceError {
     /// Every run id below `u64::MAX` is taken (ids are never reused), so
     /// no run can be opened.
     RunIdsExhausted,
-    /// The spec has more graphs, or a graph more vertex slots, than a
-    /// hot-tier cell's fixed-width own entry holds
-    /// ([`index::holds`]): its runs are refused at `open_run` rather
-    /// than stored truncated.
+    /// The spec has more graphs, or a graph more vertex slots, than an
+    /// entry word's skeleton pointer names
+    /// ([`SpecTables::fits_entry_words`]): its runs are refused at
+    /// `open_run` rather than stored truncated.
     SpecTooWide(SpecId),
 }
 
@@ -342,7 +339,7 @@ impl fmt::Display for ServiceError {
             ServiceError::RunIdsExhausted => write!(f, "every run id is taken"),
             ServiceError::SpecTooWide(s) => write!(
                 f,
-                "specification {s:?} has more graphs or graph vertices than a hot cell holds"
+                "specification {s:?} has more graphs or graph vertices than an entry word holds"
             ),
         }
     }

@@ -45,7 +45,11 @@
 //!   bytes pass [`DEAD_HEAVY_RATIO`] of it — the one rule of every
 //!   amortised rewrite, pack compaction's too — so a checkpoint costs an
 //!   append, the log stays within a constant factor of hot state, and
-//!   recovery time stays proportional to it, not to history. Every
+//!   recovery time stays proportional to it, not to history. A rewrite
+//!   reads and filters the shard with its lock free, then takes the lock
+//!   to copy the frames appended meanwhile behind the kept ones and
+//!   replace the file, so appends to the shard do not wait on the scan.
+//!   Every
 //!   rewrite — this one and [`WalWriter::reset`] — keeps the checkpoint
 //!   of the highest run id it drops, so no id is issued twice.
 //! - **One frame codec, two logs.** [`encode_frame`] and [`scan_log`]
@@ -454,9 +458,21 @@ pub fn scan_log<T>(
     path: &Path,
     header: &[u8; 8],
     bodies: RangeInclusive<usize>,
-    mut parse: impl FnMut(&[u8]) -> Result<T, String>,
+    parse: impl FnMut(&[u8]) -> Result<T, String>,
 ) -> Result<Scanned<T>, WalError> {
     let bytes = file::read(path)?.unwrap_or_default();
+    scan_bytes(path, &bytes, header, bodies, parse)
+}
+
+/// [`scan_log`] over `bytes`, read from the file at `path` (which names
+/// it in errors).
+fn scan_bytes<T>(
+    path: &Path,
+    bytes: &[u8],
+    header: &[u8; 8],
+    bodies: RangeInclusive<usize>,
+    mut parse: impl FnMut(&[u8]) -> Result<T, String>,
+) -> Result<Scanned<T>, WalError> {
     let head = &bytes[..bytes.len().min(header.len())];
     let mut records = Vec::new();
     let mut at = 0usize;
@@ -520,8 +536,14 @@ fn cut_short<T>(
 
 /// One shard file, parsed.
 fn scan_file(path: &Path) -> Result<Scanned<Record>, WalError> {
+    scan_shard_bytes(path, &file::read(path)?.unwrap_or_default())
+}
+
+/// Bytes of the shard file at `path` — all of it, or the first ones —
+/// parsed.
+fn scan_shard_bytes(path: &Path, bytes: &[u8]) -> Result<Scanned<Record>, WalError> {
     let bodies = MIN_BODY_BYTES..=MAX_BODY_BYTES;
-    scan_log(path, &FILE_HEADER, bodies, parse_body)
+    scan_bytes(path, bytes, &FILE_HEADER, bodies, parse_body)
 }
 
 /// One run's surviving records after a directory scan.
@@ -607,6 +629,8 @@ struct ShardFile {
     /// rewritten, their checkpoints included: what the next rewrite
     /// drops.
     dead: u64,
+    /// A rewrite of this shard is under way: no second one starts.
+    rewriting: bool,
 }
 
 /// A frame being appended to a shard buffer. Dropped before
@@ -770,6 +794,7 @@ impl WalWriter {
                         len,
                         buf: Vec::new(),
                         dead: 0,
+                        rewriting: false,
                     }),
                 })
             })
@@ -974,27 +999,45 @@ impl WalWriter {
     /// their bytes pass [`DEAD_HEAVY_RATIO`] of it ([`dead_heavy`]), so
     /// a checkpoint is an append and the rewrite's cost is amortised
     /// over the records it drops (`rewrite_shard`, which keeps the
-    /// highest checkpoint, so no run id is issued twice).
+    /// highest checkpoint, so no run id is issued twice). One rewrite of
+    /// a shard runs at a time; a checkpoint that tips the shard while one
+    /// is under way leaves its dead bytes to the next.
     pub fn checkpoint(&self, shard: usize, run: u64, bytes: u64) -> Result<(), WalError> {
         let marker = self.append(shard, &Record::checkpoint(run))?;
         let shard = shard % self.inner.shards.len();
-        let mut f = self.inner.shards[shard].lock();
-        f.dead += bytes + marker;
-        if dead_heavy(f.dead, f.len + f.buf.len() as u64) {
-            self.rewrite_shard(shard, &mut f)?;
+        {
+            let mut f = self.inner.shards[shard].lock();
+            f.dead += bytes + marker;
+            if f.rewriting || !dead_heavy(f.dead, f.len + f.buf.len() as u64) {
+                return Ok(());
+            }
+            f.rewriting = true;
         }
-        Ok(())
+        let rewritten = self.rewrite_shard(shard);
+        self.inner.shards[shard].lock().rewriting = false;
+        rewritten
     }
 
-    /// Rewrite shard `shard_idx`, whose file state `f` the caller holds
-    /// locked: drop every record of checkpointed runs but the checkpoint
-    /// of the highest one, and durably replace the file. Appends to this
-    /// shard block for its duration.
-    fn rewrite_shard(&self, shard_idx: usize, f: &mut ShardFile) -> Result<(), WalError> {
+    /// Rewrite shard `shard_idx` without the records of the runs
+    /// checkpointed in it, but the checkpoint of the highest one, and
+    /// durably replace the file. The shard lock is taken twice, briefly:
+    /// to flush the buffer and note how far the file reaches, and, once
+    /// the frames up to there are read and filtered with the lock free,
+    /// to copy the frames appended since behind the kept ones, replace
+    /// the file and reopen it. Appends to the shard go on meanwhile; they
+    /// wait only for that copy and the replace.
+    fn rewrite_shard(&self, shard_idx: usize) -> Result<(), WalError> {
         let shard_ref = &self.inner.shards[shard_idx];
-        f.flush_buf()?;
-        let records = scan_file(&shard_ref.path)?.records;
-        let before = f.len;
+        let (file, scanned, dead) = {
+            let mut f = shard_ref.lock();
+            f.flush_buf()?;
+            (f.file.try_clone()?, f.len, f.dead)
+        };
+        let mut bytes = vec![0; scanned as usize];
+        file.read_at(0, &mut bytes)?;
+        drop(file);
+        let records = scan_shard_bytes(&shard_ref.path, &bytes)?.records;
+        drop(bytes);
         let checkpointed: HashSet<u64> = records
             .iter()
             .filter(|r| r.kind == RecordKind::Checkpoint)
@@ -1010,9 +1053,18 @@ impl WalWriter {
                 rec.encode_into(&mut buf);
             }
         }
+        #[cfg(test)]
+        tests::while_unlocked();
+        let mut f = shard_ref.lock();
+        f.flush_buf()?;
+        let before = f.len;
+        let kept = buf.len();
+        buf.resize(kept + (before - scanned) as usize, 0);
+        f.file.read_at(scanned, &mut buf[kept..])?;
         file::replace(&shard_ref.path, &buf)?;
         let (file, len) = WalInner::open_append(&shard_ref.path)?;
-        (f.file, f.len, f.dead) = (file, len, 0);
+        // What was checkpointed during the scan is still in the file.
+        (f.file, f.len, f.dead) = (file, len, f.dead - dead);
         self.inner.obs.truncation(shard_idx, before, len);
         Ok(())
     }
@@ -1141,6 +1193,20 @@ mod tests {
     /// format is not a tail torn at offset 0.
     fn read_records(path: &Path) -> Result<(Vec<Record>, Option<TornTail>), WalError> {
         scan_file(path).map(|s| (s.records, s.torn))
+    }
+
+    thread_local! {
+        /// Run once, on the rewriting thread, while a shard rewrite holds
+        /// no lock.
+        static WHILE_UNLOCKED: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    /// The rewrite's unlocked stretch, as a test sees it.
+    pub(super) fn while_unlocked() {
+        if let Some(hook) = WHILE_UNLOCKED.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
     }
 
     fn rec(kind: RecordKind, run: u64, seq: u64, payload: &[u8]) -> Record {
@@ -1532,6 +1598,106 @@ mod tests {
             .collect();
         assert_eq!(runs, [(2, 8, false), (3, 0, true)]);
         assert!(len() < full, "the rewrite shrank the shard");
+    }
+
+    /// A rewrite reads and filters the shard with its lock free: records
+    /// appended meanwhile — from the rewriting thread itself, which would
+    /// deadlock on a held lock — and a checkpoint among them land behind
+    /// the kept records, and a checkpoint that tips the shard again
+    /// during the rewrite starts no second one. The rewritten shard is
+    /// whole frames, every cut of it at a frame boundary recovers those
+    /// frames' records, and recovery replays every surviving run in
+    /// sequence: the scanned runs the rewrite kept, the runs appended
+    /// during it, the highest checkpoint of the scanned part (run 3) and
+    /// the checkpoint taken during it (run 5).
+    #[test]
+    fn a_rewrite_scans_unlocked_and_keeps_what_was_appended_meanwhile() {
+        let dir = TempDir::new("rewrite-unlocked");
+        let path = dir.path().join(shard_file_name(0));
+        let w = Arc::new(
+            WalWriter::open(dir.path(), 1, barrier_only(), Box::new(NullObserver)).unwrap(),
+        );
+        let event = |run: u64, seq| rec(RecordKind::Event, run, seq, &[run as u8; 32]);
+        let mut bytes = [0u64; 6];
+        for seq in 0..8 {
+            for run in 1..=3 {
+                w.append(0, &event(run, seq)).unwrap();
+                bytes[run as usize] += event(run, seq).encoded_len() as u64;
+            }
+        }
+        let during = Arc::clone(&w);
+        let ran = Arc::new(AtomicBool::new(false));
+        let ran_in_hook = Arc::clone(&ran);
+        WHILE_UNLOCKED.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                let mut run5 = 0;
+                for seq in 0..4 {
+                    during.append(0, &event(4, seq)).unwrap();
+                    run5 += during.append(0, &event(5, seq)).unwrap();
+                }
+                // Past the dead-heavy share on its own: flagged, no rewrite.
+                during.checkpoint(0, 5, 40 * run5).unwrap();
+                ran_in_hook.store(true, Ordering::SeqCst);
+            }))
+        });
+        w.checkpoint(0, 1, bytes[1] / 2).unwrap();
+        assert!(
+            !ran.load(Ordering::SeqCst),
+            "run 1's checkpoint only appends"
+        );
+        w.checkpoint(0, 3, bytes[3]).unwrap();
+        assert!(ran.load(Ordering::SeqCst), "run 3's tipped the shard");
+        w.barrier().unwrap();
+        let (records, torn) = read_records(&path).unwrap();
+        assert!(torn.is_none());
+        let shape: Vec<(u64, RecordKind)> = records.iter().map(|r| (r.run, r.kind)).collect();
+        let mut want: Vec<(u64, RecordKind)> = vec![(2, RecordKind::Event); 8];
+        want.push((3, RecordKind::Checkpoint));
+        for _ in 0..4 {
+            want.extend([(4, RecordKind::Event), (5, RecordKind::Event)]);
+        }
+        want.push((5, RecordKind::Checkpoint));
+        assert_eq!(shape, want);
+        // The checkpoint taken during the rewrite is still dead weight:
+        // the next checkpoint rewrites the shard again.
+        assert!(w.inner.shards[0].lock().dead > 0);
+
+        let recovery = recover(dir.path()).unwrap();
+        let runs: Vec<(u64, Vec<u64>, bool)> = recovery
+            .runs
+            .iter()
+            .map(|r| {
+                (
+                    r.run,
+                    r.records.iter().map(|r| r.seq).collect(),
+                    r.checkpointed,
+                )
+            })
+            .collect();
+        assert_eq!(
+            runs,
+            [
+                (2, (0..8).collect(), false),
+                (3, vec![], true),
+                (4, (0..4).collect(), false),
+                (5, vec![], true),
+            ]
+        );
+        // Prefix replay: every frame-boundary cut of the rewritten shard
+        // reads back the records of the frames it keeps, no torn tail.
+        let file = std::fs::read(&path).unwrap();
+        let mut cut = FILE_HEADER.len();
+        for k in 0..=records.len() {
+            let (prefix, torn) = scan_shard_bytes(&path, &file[..cut])
+                .map(|s| (s.records, s.torn))
+                .unwrap();
+            assert!(torn.is_none(), "cut {cut}");
+            assert_eq!(prefix, records[..k]);
+            if k < records.len() {
+                cut += records[k].encoded_len();
+            }
+        }
+        assert_eq!(cut, file.len());
     }
 
     #[test]

@@ -474,7 +474,8 @@ fn opening_a_run_allocates_the_same_whatever_the_spec() {
 /// `stats().hot_resident_bytes` is a claim about real memory, so it is
 /// held against the allocator: the heap a completed hot run keeps per
 /// label — 16-byte two-word cells in their chunk tables, plus the prefix
-/// table holding each shared array once, the labeler gone — is small,
+/// table holding each shared array of 8-byte entry words once, the
+/// labeler gone — is small,
 /// and the reported figure covers most of it and never more than it. It
 /// counts the cells, one prefix-table slot per distinct array and the
 /// arrays; it does not count the chunk directories, the chunks'
@@ -482,12 +483,13 @@ fn opening_a_run_allocates_the_same_whatever_the_spec() {
 /// with no events keeps) or, while the run is live, its labeler — the
 /// parse tree at six words a node, one 8-byte placement per vertex slot
 /// and a 4-byte expansion slot per composite vertex of an expanded
-/// instance, which the line's ledger fields break down per label. Measured here: 114.4 B/label live,
-/// 56.7 completed, 46.7 reported. With 96-byte nodes, child lists, a
-/// hashed expansion map and a full chunk directory per table a live run
-/// kept 172.9 B/label (57.4 completed); cells in 32-byte `OnceLock`
-/// slots kept 82.8 B/label completed, and cells that each held a fat
-/// `Arc` to their prefix 111.7.
+/// instance, which the line's ledger fields break down per label. Measured here: 99.5 B/label live,
+/// 41.8 completed, 32.5 reported. With 20-byte decoded entries in the
+/// prefix arrays a live run kept 114.4 B/label (56.7 completed, 46.7
+/// reported); with 96-byte nodes, child lists, a hashed expansion map
+/// and a full chunk directory per table 172.9 (57.4 completed); cells in
+/// 32-byte `OnceLock` slots kept 82.8 B/label completed, and cells that
+/// each held a fat `Arc` to their prefix 111.7.
 #[test]
 fn a_completed_hot_run_keeps_the_heap_its_stats_report() {
     let spec = wf_spec::corpus::running_example();
@@ -533,8 +535,8 @@ fn a_completed_hot_run_keeps_the_heap_its_stats_report() {
         field(ledger.prefix_arrays),
     );
     assert!(completed < live, "completion frees the labeler");
-    assert!(live <= 130.0, "{live:.1} B of heap per label while live");
-    assert!(completed <= 75.0, "{completed:.1} B of heap per label");
+    assert!(live <= 100.0, "{live:.1} B of heap per label while live");
+    assert!(completed <= 45.0, "{completed:.1} B of heap per label");
     let ratio = reported / completed;
     assert!(
         (0.6..=1.0).contains(&ratio),
