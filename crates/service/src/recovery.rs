@@ -78,7 +78,9 @@ pub(crate) struct ReplayRun {
     completed: bool,
     /// Highest WAL seq the run had; its slot resumes numbering above it.
     max_seq: u64,
-    /// Bytes its records take in the rewritten log.
+    /// Bytes its records take in the rewritten log, as the rewrite
+    /// counts them (set once it is written): what its checkpoint later
+    /// makes dead.
     wal_bytes: u64,
 }
 
@@ -160,7 +162,7 @@ fn decode_run(
         events,
         completed,
         max_seq: r.max_seq,
-        wal_bytes: records.iter().map(|rec| rec.encoded_len() as u64).sum(),
+        wal_bytes: 0,
     })
 }
 
@@ -233,7 +235,12 @@ pub(crate) fn scan(
         out.next_run,
         |run| route_shard(RunId(run), shards),
     ) {
-        Ok(wal) => out.wal = Some(wal),
+        Ok((wal, run_bytes)) => {
+            for run in &mut out.replay {
+                run.wal_bytes = run_bytes.get(&run.run.0).copied().unwrap_or(0);
+            }
+            out.wal = Some(wal);
+        }
         Err(e) => {
             obs.event("wal_reset_failed", None, None, || e.to_string());
             out.replay.clear();

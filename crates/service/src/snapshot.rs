@@ -399,14 +399,14 @@ pub fn seal_log_bytes(records: &[Seal]) -> Vec<u8> {
 /// [`wf_wal::Scanned::torn`] set. A log is refused with a
 /// [`SnapshotError::Format`] when it does not start with
 /// [`SEAL_LOG_HEADER`], or when a frame fails its checks and is not such
-/// a cut ([`wf_wal::Scanned::cut`]): reading a log that ends early
+/// a cut ([`wf_wal::scan_log`] tells): reading a log that ends early
 /// anywhere else would drop records that name packs.
 pub fn read_seal_log(dir: &Path) -> Result<wf_wal::Scanned<Seal>, SnapshotError> {
     let path = dir.join(SEAL_LOG_FILE);
-    let log = wf_wal::scan_log(&path, &SEAL_LOG_HEADER, 2..=MAX_SEAL_BODY, Seal::parse)
+    let (log, cut) = wf_wal::scan_log(&path, &SEAL_LOG_HEADER, 2..=MAX_SEAL_BODY, Seal::parse)
         .map_err(|e| SnapshotError::Format(e.to_string()))?;
     match &log.torn {
-        Some(torn) if !log.cut => Err(SnapshotError::Format(format!(
+        Some(torn) if !cut => Err(SnapshotError::Format(format!(
             "{} holds a bad record at byte {}: {}",
             torn.file, torn.valid_bytes, torn.detail
         ))),

@@ -6,21 +6,39 @@
 //! crate puts an append-only durable history *in front of* that mutable
 //! working set:
 //!
-//! - **Framing (format version 3).** A shard file starts with the 8-byte
+//! - **Framing (format version 4).** A shard file starts with the 8-byte
 //!   [`FILE_HEADER`] (magic + version); a file that starts with anything
 //!   else is refused with [`WalError::Unsupported`] and never modified,
 //!   while an empty file or a strict prefix of the header (a crash while
-//!   the file was being created) is an empty log. Each record after it
-//!   is `[body_len: varint][crc32c: u32 LE][body]` where the checksum
-//!   ([`crc32c`]) covers the whole body and the body is
-//!   `[kind: u8][run: varint][seq + 1 (wrapping): varint][payload…]` —
-//!   varints are LEB128, minimal, at most 10 bytes; `seq + 1` makes a
-//!   checkpoint's [`CHECKPOINT_SEQ`] the one-byte `0`. A frame is
-//!   self-contained (no state carried from the frame before), so
-//!   truncation and re-homing move records one by one. The payload is
-//!   opaque to this crate; the service layer encodes run-open metadata
-//!   and execution events into it — [`WalWriter::append_with`] lets it
-//!   do so straight into the shard buffer.
+//!   the file was being created) is an empty log. Each frame after it is
+//!   `[body_len: varint][crc32c: u32 LE][body]` where the checksum
+//!   ([`crc32c`]) covers the whole body. A frame is one run's batch: the
+//!   body is `[run: varint][first seq + 1 (wrapping): varint]`, then one
+//!   or more records, the record at position `i` numbered
+//!   `first seq + i`. Every record but the last is
+//!   `[kind | 0x80: u8][payload_len: varint][payload…]`; the last is
+//!   `[kind: u8][payload…]`, its payload running to the end of the body,
+//!   so a frame of one record — what interleaved traffic writes — costs
+//!   exactly the bytes of version 3's one-record frame, and each record
+//!   that joins a batch saves the frame head it would have opened, less
+//!   the length it gives the record before it.
+//!   Varints are LEB128, minimal, at most 10 bytes; `seq + 1` makes a
+//!   checkpoint's [`CHECKPOINT_SEQ`] the one-byte `0`. A shard buffer
+//!   keeps its last frame open while that run appends its next sequence
+//!   number; any other append seals it (length and checksum), and so do a
+//!   write-through, a committer pass and a barrier, so a frame never
+//!   spans a write to the file. How many records share a frame is a
+//!   property of the traffic, not of the format: a run's burst from one
+//!   thread shares one, records of runs that alternate on a shard do
+//!   not. Each record is folded into the checksum as the next one joins
+//!   it, so a seal folds in the last record and writes two fields. A
+//!   `Checkpoint` is a frame of its own. A frame carries no state from
+//!   the frame before it, and a frame holds one run, so a shard's rewrite
+//!   keeps or drops whole frames by their run and copies the kept ones
+//!   byte for byte. The payload is opaque to this crate; the service
+//!   layer encodes run-open metadata and execution events into it —
+//!   [`WalWriter::append_with`] lets it do so straight into the shard
+//!   buffer.
 //! - **Sharding.** A fixed number of log files (`wal-NNNN.wflog`). The
 //!   service routes each run's records to one shard by a hash of its id
 //!   and appends them under the run's writer lock, so per-run record
@@ -34,10 +52,11 @@
 //!   barrier, whichever comes first.
 //! - **Recovery.** [`recover`] scans a WAL directory, truncates each
 //!   file's view at the first bad length/checksum (a torn tail is data
-//!   loss bounded by the last barrier, not corruption), groups records
-//!   by run and orders them by sequence number. A file of another
-//!   format fails the whole scan: nothing is guessed at, nothing is
-//!   rewritten.
+//!   loss bounded by the last barrier, not corruption: a torn frame drops
+//!   its whole batch, and no frame spans a barrier), groups records by
+//!   run and orders them by sequence number. A file of another format —
+//!   version 3's one record per frame included — fails the whole scan:
+//!   nothing is guessed at, nothing is rewritten.
 //! - **Checkpoints append.** When the service has made a run durable
 //!   elsewhere (spilled a segment) or evicted it, it stamps a
 //!   `Checkpoint` record, and recovery drops the run's records. The
@@ -52,10 +71,10 @@
 //!   Every
 //!   rewrite — this one and [`WalWriter::reset`] — keeps the checkpoint
 //!   of the highest run id it drops, so no id is issued twice.
-//! - **One frame codec, two logs.** [`encode_frame`] and [`scan_log`]
-//!   are the frame encoder and scanner of this log and of the service's
-//!   seal log, each behind its own file header, so neither reads as the
-//!   other.
+//! - **One frame layout, two logs.** The service's seal log frames its
+//!   records the same way, one record per frame ([`encode_frame`]);
+//!   [`scan_log`] is the one scanner of both, each behind its own file
+//!   header, so neither reads as the other.
 //! - **The disk idioms, once each.** Every file the engine touches — the
 //!   shard files here, the service's packs and seal log — goes through
 //!   one module, [`mod@file`]: one positioned read, one whole-file read, one
@@ -64,9 +83,9 @@
 //!   and the path. [`WalWriter::append_with`] is the one log append body
 //!   ([`WalWriter::append`] hands it a payload that already exists):
 //!   *a failed or panicking append leaves the shard buffer as it found
-//!   it* — the rejected record's frame is never written later, and a
-//!   poisoned shard lock is recovered, not fatal. [`crc32c`] is the one
-//!   checksum.
+//!   it* — the rejected record is never written later, nor covered by a
+//!   frame's checksum, and a poisoned shard lock is recovered, not fatal.
+//!   [`crc32c`] is the one checksum.
 //!
 //! The crate is dependency-free; telemetry flows out through the
 //! [`WalObserver`] trait so the service can bridge into its registry
@@ -75,7 +94,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,9 +107,10 @@ pub mod file;
 /// The integrity check of WAL frames and of the service's segment blobs,
 /// so the two on-disk formats share corruption-detection behaviour.
 pub use crc32c::crc32c;
+use crc32c::crc32c_extend;
 
 /// The on-disk format this crate writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 /// What every shard file starts with: the magic `WFWL`, then
 /// [`FORMAT_VERSION`] as a `u32` LE.
 pub const FILE_HEADER: [u8; 8] = {
@@ -100,14 +120,16 @@ pub const FILE_HEADER: [u8; 8] = {
 /// Bytes of a frame ahead of its body besides the length varint: the
 /// `u32` CRC-32C of the body.
 const CHECKSUM_BYTES: usize = 4;
-/// Lower bound on one record body: the kind byte and two one-byte
-/// varints (run, `seq + 1`); shorter claims are treated as torn.
+/// Lower bound on one frame body: two one-byte varints (run,
+/// `first seq + 1`), then one record's kind byte; shorter claims are
+/// treated as torn.
 pub const MIN_BODY_BYTES: usize = 3;
-/// Upper bound on one record body; longer frames are treated as torn.
+/// Upper bound on one frame body; longer frames are treated as torn.
 pub const MAX_BODY_BYTES: usize = 1 << 26;
-/// Byte budget per shard buffer: once a shard's user-space buffer
-/// crosses this, the appender writes it through to the OS inline (the
-/// fsync still waits for the committer).
+/// Byte budget per shard buffer: an append that finds a shard's
+/// user-space buffer past this writes it through to the OS first (the
+/// fsync still waits for the committer). It bounds a frame's body too:
+/// a record joins an open frame only while the body is under it.
 pub const GROUP_COMMIT_BYTE_BUDGET: usize = 256 * 1024;
 
 /// The sequence number stamped on `Checkpoint` records: a checkpoint
@@ -211,30 +233,15 @@ impl Record {
             payload: Vec::new(),
         }
     }
-
-    /// Bytes this record's frame occupies on disk.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        let body_len =
-            1 + varint_len(self.run) + varint_len(self.seq.wrapping_add(1)) + self.payload.len();
-        varint_len(body_len as u64) + CHECKSUM_BYTES + body_len
-    }
-
-    /// Append the framed record to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_record(out, self.kind, self.run, self.seq, |out| {
-            out.extend_from_slice(&self.payload);
-        });
-    }
 }
 
 /// Append one frame to `out`, its body written in place by `body` (which
-/// must only append) — the one frame encoder, of this log and of any
-/// other that shares its codec. The length and the checksum go in front
+/// must only append): the encoder of a log whose frames hold one record
+/// each, the service's seal log. The length and the checksum go in front
 /// of a body whose size is not known until it is written: one length
 /// byte is set aside — enough for every body under 128 bytes, which is
-/// every record the engine writes — and a longer length is written
-/// behind the frame and rotated to its front.
+/// every seal record — and a longer length is written behind the frame
+/// and rotated to its front.
 pub fn encode_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let frame_at = out.len();
     out.extend_from_slice(&[0u8; 1 + CHECKSUM_BYTES]);
@@ -243,30 +250,210 @@ pub fn encode_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let crc = crc32c(&out[body_at..]);
     out[frame_at + 1..body_at].copy_from_slice(&crc.to_le_bytes());
     let body_len = out.len() - body_at;
-    if body_len < 0x80 {
-        out[frame_at] = body_len as u8;
+    put_len_in_front(out, frame_at, body_len);
+}
+
+/// Fill in the one byte set aside at `at` for the length `len` of what
+/// follows it, which runs to the end of `out`: in place under 128, else
+/// written behind and rotated to the front.
+fn put_len_in_front(out: &mut Vec<u8>, at: usize, len: usize) {
+    if len < 0x80 {
+        out[at] = len as u8;
     } else {
-        out.remove(frame_at);
-        put_varint(out, body_len as u64);
-        out[frame_at..].rotate_right(varint_len(body_len as u64));
+        out.remove(at);
+        put_varint(out, len as u64);
+        out[at..].rotate_right(varint_len(len as u64));
     }
 }
 
-/// Append one log record's frame to `out`, its payload written in place
-/// by `payload`.
-fn encode_record(
-    out: &mut Vec<u8>,
-    kind: RecordKind,
+/// Write `v` into `dst` as a varint exactly `dst.len()` bytes wide, its
+/// minimal width.
+fn put_varint_at(dst: &mut [u8], mut v: u64) {
+    let last = dst.len() - 1;
+    for (i, b) in dst.iter_mut().enumerate() {
+        *b = v as u8 & 0x7f | if i < last { 0x80 } else { 0 };
+        v >>= 7;
+    }
+}
+
+/// Bytes a frame with a `body`-byte body takes: its length, its checksum
+/// and the body.
+fn frame_len(body: usize) -> usize {
+    varint_len(body as u64) + CHECKSUM_BYTES + body
+}
+
+/// Set on the kind byte of every record of a frame but its last: a
+/// payload length follows the byte, and another record follows the
+/// payload. The last record's payload runs to the end of the body.
+const MORE: u8 = 0x80;
+
+/// Bytes `records` take in a log when they are written in this order with
+/// no other record between them — what [`WalWriter::reset`] writes for
+/// one run's records, which share a frame while their sequence numbers
+/// follow one another: the records pushed through the shard buffer's own
+/// encoder.
+#[must_use]
+pub fn frames_len(records: &[Record]) -> u64 {
+    let mut frames = Frames::default();
+    for r in records {
+        frames.push(r.kind, r.run, r.seq, |out| {
+            out.extend_from_slice(&r.payload);
+        });
+    }
+    frames.seal();
+    frames.buf.len() as u64
+}
+
+/// The last frame of a [`Frames`] buffer, open: its length and checksum
+/// are not written yet, and its last record — at the end of the buffer —
+/// carries no length.
+#[derive(Clone, Copy)]
+struct OpenFrame {
+    /// Where the frame starts in the buffer.
+    at: usize,
+    /// Bytes its length takes: the minimal width of the body's length.
+    width: usize,
+    /// The CRC-32C of the body up to its last record.
+    crc: u32,
+    /// Bytes of the last record.
+    last: usize,
+    /// Bytes of the body.
+    body: usize,
     run: u64,
-    seq: u64,
-    payload: impl FnOnce(&mut Vec<u8>),
-) {
-    encode_frame(out, |out| {
-        out.push(kind as u8);
-        put_varint(out, run);
-        put_varint(out, seq.wrapping_add(1));
-        payload(out);
-    });
+    /// One past the last record's number; `None` past `u64::MAX`.
+    next_seq: Option<u64>,
+}
+
+impl OpenFrame {
+    /// The one batching rule: a record joins the frame when it is of the
+    /// same run at the next sequence number, not a checkpoint (always a
+    /// frame of its own), and the body is under
+    /// [`GROUP_COMMIT_BYTE_BUDGET`].
+    fn joins(&self, kind: RecordKind, run: u64, seq: u64) -> bool {
+        kind != RecordKind::Checkpoint
+            && run == self.run
+            && Some(seq) == self.next_seq
+            && self.body < GROUP_COMMIT_BYTE_BUDGET
+    }
+}
+
+/// Frames encoded into one buffer: sealed ones, then at most one open
+/// frame, which the next record of its run joins ([`OpenFrame::joins`]).
+#[derive(Default)]
+struct Frames {
+    buf: Vec<u8>,
+    open: Option<OpenFrame>,
+}
+
+/// A record being pushed. Dropped before it is forgotten — its payload
+/// unwound — it cuts the buffer back to where the record began and puts
+/// the open frame back as it was, so a shard lock poisoned by the unwind
+/// guards whole frames and an open frame whose checksum covers its body
+/// but its last record.
+struct Unpushed<'a> {
+    frames: &'a mut Frames,
+    at: usize,
+    open: Option<OpenFrame>,
+}
+
+impl Drop for Unpushed<'_> {
+    fn drop(&mut self) {
+        self.frames.buf.truncate(self.at);
+        self.frames.open = self.open;
+    }
+}
+
+impl Frames {
+    /// Append one record, its payload written by `payload` straight into
+    /// the buffer (it must only append): into the open frame when it joins
+    /// it, else into a new frame, after sealing the open one. The record
+    /// goes in last, with no length; the record it follows gets its
+    /// length and the [`MORE`] flag and is folded into the frame's
+    /// checksum here, so a seal folds in one record. Returns the bytes the
+    /// record adds to the buffer — its own, the length it gives the record
+    /// before it, its frame's head when it opens one (length, checksum,
+    /// run, first sequence number), and the byte a body past 127 (or
+    /// 16 383) bytes adds to the frame's length — so they sum to the
+    /// buffer's length.
+    fn push(
+        &mut self,
+        kind: RecordKind,
+        run: u64,
+        seq: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> u64 {
+        let at = self.buf.len();
+        let joined = self.open.filter(|o| o.joins(kind, run, seq));
+        if joined.is_none() {
+            self.seal();
+        }
+        let unpushed = Unpushed {
+            frames: self,
+            at,
+            open: joined,
+        };
+        let buf = &mut unpushed.frames.buf;
+        // Where the frame starts, its length's width and its checksum up
+        // to the record before this one.
+        let (frame_at, mut width, mut crc) = match joined {
+            Some(open) => (open.at, open.width, open.crc),
+            None => {
+                buf.extend_from_slice(&[0; 1 + CHECKSUM_BYTES]);
+                let body_at = buf.len();
+                put_varint(buf, run);
+                put_varint(buf, seq.wrapping_add(1));
+                (at, 1, crc32c(&buf[body_at..]))
+            }
+        };
+        let record_at = buf.len();
+        buf.push(kind as u8);
+        payload(buf);
+        std::mem::forget(unpushed);
+
+        let last = self.buf.len() - record_at;
+        if let Some(open) = joined {
+            // The record before this one is last no more.
+            let before = record_at - open.last;
+            let payload_len = (open.last - 1) as u64;
+            let mut len = [0; MAX_VARINT_BYTES];
+            let len = &mut len[..varint_len(payload_len)];
+            put_varint_at(len, payload_len);
+            self.buf[before] |= MORE;
+            self.buf.splice(before + 1..before + 1, len.iter().copied());
+            crc = crc32c_extend(crc, &self.buf[before..record_at + len.len()]);
+        }
+        let body = self.buf.len() - (frame_at + width + CHECKSUM_BYTES);
+        let needed = varint_len(body as u64);
+        if needed > width {
+            let grown = [0; MAX_VARINT_BYTES];
+            let gap = grown[width..needed].iter().copied();
+            self.buf.splice(frame_at..frame_at, gap);
+            width = needed;
+        }
+        self.open = Some(OpenFrame {
+            at: frame_at,
+            width,
+            crc,
+            last,
+            body,
+            run,
+            next_seq: seq.checked_add(1),
+        });
+        (self.buf.len() - at) as u64
+    }
+
+    /// Seal the open frame, if there is one: fold its last record into
+    /// its checksum, and write its length and checksum in front of its
+    /// body.
+    fn seal(&mut self) {
+        if let Some(open) = self.open.take() {
+            let end = self.buf.len();
+            let crc = crc32c_extend(open.crc, &self.buf[end - open.last..]);
+            let crc_at = open.at + open.width;
+            put_varint_at(&mut self.buf[open.at..crc_at], open.body as u64);
+            self.buf[crc_at..crc_at + CHECKSUM_BYTES].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
 }
 
 /// The frame at the front of `bytes`, its body length within `bodies`:
@@ -294,24 +481,66 @@ fn split_frame<'a>(
     Ok((body, body_at + body_len))
 }
 
-/// A log record's body, whole: its kind, run, sequence number and
-/// payload.
-fn parse_body(body: &[u8]) -> Result<Record, String> {
-    let kind =
-        RecordKind::from_u8(body[0]).ok_or_else(|| format!("unknown record kind {}", body[0]))?;
-    let mut at = 1;
-    let mut field = |name| {
-        let (v, n) = get_varint(&body[at..]).ok_or_else(|| format!("unreadable {name}"))?;
-        at += n;
-        Ok::<u64, String>(v)
-    };
-    let run = field("run id")?;
-    let seq = field("sequence number")?.wrapping_sub(1);
-    Ok(Record {
-        kind,
-        run,
-        seq,
-        payload: body[at..].to_vec(),
+/// The varint at `at` in `body`, named `name` in the error; `at` moves
+/// past it.
+fn take_varint(body: &[u8], at: &mut usize, name: &str) -> Result<u64, String> {
+    let (v, n) = get_varint(&body[*at..]).ok_or_else(|| format!("unreadable {name}"))?;
+    *at += n;
+    Ok(v)
+}
+
+/// Read a frame body, whole: its run and first sequence number, then
+/// each record, handed to `each` in order with its run, kind, sequence
+/// number and payload. A body holds at least one record; every record
+/// but the last is flagged [`MORE`] and gives its payload's length, and
+/// the last one's payload runs to the end of the body. A record flagged
+/// [`MORE`] with no record after it, or numbered past `u64::MAX`, is
+/// refused. Records handed over before an error are the caller's to
+/// drop.
+fn read_batch(
+    body: &[u8],
+    mut each: impl FnMut(u64, RecordKind, u64, &[u8]),
+) -> Result<(), String> {
+    let mut at = 0;
+    let run = take_varint(body, &mut at, "run id")?;
+    let first = take_varint(body, &mut at, "first sequence number")?.wrapping_sub(1);
+    let mut seq = Some(first);
+    let mut missing = "a frame with no record";
+    loop {
+        let &byte = body.get(at).ok_or(missing)?;
+        let kind = RecordKind::from_u8(byte & !MORE)
+            .ok_or_else(|| format!("unknown record kind {}", byte & !MORE))?;
+        at += 1;
+        let more = byte & MORE != 0;
+        let payload = if more {
+            let len = take_varint(body, &mut at, "payload length")?;
+            usize::try_from(len)
+                .ok()
+                .and_then(|len| body[at..].get(..len))
+                .ok_or_else(|| format!("payload length {len} past the frame"))?
+        } else {
+            &body[at..]
+        };
+        at += payload.len();
+        let this = seq.ok_or("sequence number past u64::MAX")?;
+        each(run, kind, this, payload);
+        if !more {
+            return Ok(());
+        }
+        seq = this.checked_add(1);
+        missing = "a record flagged as followed by another ends the frame";
+    }
+}
+
+/// A frame body's records, pushed onto `out`.
+fn parse_batch(body: &[u8], out: &mut Vec<Record>) -> Result<(), String> {
+    read_batch(body, |run, kind, seq, payload| {
+        out.push(Record {
+            kind,
+            run,
+            seq,
+            payload: payload.to_vec(),
+        });
     })
 }
 
@@ -374,8 +603,9 @@ impl From<file::FileError> for WalError {
 /// Telemetry hooks; every method has a no-op default so tests can pass
 /// a unit observer.
 pub trait WalObserver: Send + Sync {
-    /// One record appended (`bytes` on disk, wall time including the
-    /// write-through of a buffer past [`GROUP_COMMIT_BYTE_BUDGET`]).
+    /// One record appended (`bytes` it adds to the file, wall time
+    /// including the write-through of a buffer past
+    /// [`GROUP_COMMIT_BYTE_BUDGET`]).
     fn append(&self, _bytes: u64, _dur_ns: u64) {}
     /// One shard fsync completed: a committer pass's, or the final sync
     /// at shutdown.
@@ -443,35 +673,45 @@ pub struct Scanned<T> {
     pub valid_bytes: u64,
     /// Where and why the valid prefix ends, when it is not the file.
     pub torn: Option<TornTail>,
-    /// The failed frame — or header — runs past the end of the file, and
-    /// no whole frame checks out in what follows the valid prefix: it is
-    /// the start of one frame, as an append a crash cut short leaves it.
-    pub cut: bool,
 }
 
 /// Read the log file at `path` — `header`, then frames whose bodies are
-/// `bodies` bytes long, each handed to `parse` — up to its first frame
-/// that fails: the one scanner of every log in this codec. A file that
-/// vanished since it was listed is an empty one; a file that does not
-/// start with `header` (or a prefix of it) is [`WalError::Unsupported`].
+/// `bodies` bytes long and hold one record each, handed to `parse` — up
+/// to its first frame that fails, and say whether that failure is a cut:
+/// the failed frame — or header — runs past the end of the file, and no
+/// whole frame checks out in what follows the valid prefix, so it is the
+/// start of one frame, as an append a crash cut short leaves it. A file
+/// that vanished since it was listed is an empty one; a file that does
+/// not start with `header` (or a prefix of it) is
+/// [`WalError::Unsupported`].
 pub fn scan_log<T>(
     path: &Path,
     header: &[u8; 8],
     bodies: RangeInclusive<usize>,
-    parse: impl FnMut(&[u8]) -> Result<T, String>,
-) -> Result<Scanned<T>, WalError> {
+    mut parse: impl FnMut(&[u8]) -> Result<T, String>,
+) -> Result<(Scanned<T>, bool), WalError> {
     let bytes = file::read(path)?.unwrap_or_default();
-    scan_bytes(path, &bytes, header, bodies, parse)
+    let mut parse = |body: &[u8], out: &mut Vec<T>| {
+        out.push(parse(body)?);
+        Ok(())
+    };
+    let log = scan_bytes(path, &bytes, header, bodies.clone(), &mut parse)?;
+    // Only a file cut short holds a strict prefix of its header.
+    let at = log.valid_bytes as usize;
+    let cut = log.torn.is_some() && (at == 0 || cut_short(&bytes[at..], &bodies, &mut parse));
+    Ok((log, cut))
 }
 
-/// [`scan_log`] over `bytes`, read from the file at `path` (which names
-/// it in errors).
+/// Read `bytes`, from the file at `path` (which names it in errors), as
+/// [`scan_log`] does, `parse` pushing each frame's records — any number —
+/// onto the output: the one scanner of every log in this codec. The
+/// records a frame that fails pushed are dropped.
 fn scan_bytes<T>(
     path: &Path,
     bytes: &[u8],
     header: &[u8; 8],
     bodies: RangeInclusive<usize>,
-    mut parse: impl FnMut(&[u8]) -> Result<T, String>,
+    mut parse: impl FnMut(&[u8], &mut Vec<T>) -> Result<(), String>,
 ) -> Result<Scanned<T>, WalError> {
     let head = &bytes[..bytes.len().min(header.len())];
     let mut records = Vec::new();
@@ -480,13 +720,12 @@ fn scan_bytes<T>(
     if check_header(path, header, head)? {
         at = header.len();
         while at < bytes.len() {
+            let whole = records.len();
             let frame = split_frame(&bytes[at..], &bodies);
-            match frame.and_then(|(body, len)| Ok((parse(body)?, len))) {
-                Ok((record, len)) => {
-                    records.push(record);
-                    at += len;
-                }
+            match frame.and_then(|(body, len)| Ok((parse(body, &mut records)?, len))) {
+                Ok(((), len)) => at += len,
                 Err(why) => {
+                    records.truncate(whole);
                     detail = Some(why);
                     break;
                 }
@@ -498,8 +737,6 @@ fn scan_bytes<T>(
     Ok(Scanned {
         records,
         valid_bytes: at as u64,
-        // Only a file cut short holds a strict prefix of its header.
-        cut: detail.is_some() && (at == 0 || cut_short(&bytes[at..], &bodies, &mut parse)),
         torn: detail.map(|detail| TornTail {
             file: path.display().to_string(),
             valid_bytes: at as u64,
@@ -516,8 +753,9 @@ fn scan_bytes<T>(
 fn cut_short<T>(
     tail: &[u8],
     bodies: &RangeInclusive<usize>,
-    parse: &mut impl FnMut(&[u8]) -> Result<T, String>,
+    parse: &mut impl FnMut(&[u8], &mut Vec<T>) -> Result<(), String>,
 ) -> bool {
+    let mut parse = |body: &[u8]| parse(body, &mut Vec::new());
     let Some((claimed, n)) = get_varint(tail) else {
         // The bytes end inside the length.
         return tail.len() < MAX_VARINT_BYTES && tail.iter().all(|b| b & 0x80 != 0);
@@ -543,7 +781,7 @@ fn scan_file(path: &Path) -> Result<Scanned<Record>, WalError> {
 /// parsed.
 fn scan_shard_bytes(path: &Path, bytes: &[u8]) -> Result<Scanned<Record>, WalError> {
     let bodies = MIN_BODY_BYTES..=MAX_BODY_BYTES;
-    scan_bytes(path, bytes, &FILE_HEADER, bodies, parse_body)
+    scan_bytes(path, bytes, &FILE_HEADER, bodies, parse_batch)
 }
 
 /// One run's surviving records after a directory scan.
@@ -620,11 +858,11 @@ pub fn recover(dir: &Path) -> Result<Recovery, WalError> {
 
 struct ShardFile {
     file: file::Log,
-    /// Bytes written through to the OS (not counting `buf`).
+    /// Bytes written through to the OS (not counting `frames`).
     len: u64,
     /// Frames encoded but not yet written through: the group-commit
-    /// batch. Whole frames only, between appends — see [`UnwrittenFrame`].
-    buf: Vec<u8>,
+    /// batch, its last frame open for its run's next record.
+    frames: Frames,
     /// Bytes of the records of runs checkpointed since the file was last
     /// rewritten, their checkpoints included: what the next rewrite
     /// drops.
@@ -633,41 +871,22 @@ struct ShardFile {
     rewriting: bool,
 }
 
-/// A frame being appended to a shard buffer. Dropped before
-/// [`Self::keep`] — its payload unwound, or its write-through failed —
-/// it cuts the buffer back to where the frame began, so no later pass
-/// writes a partial or rejected frame and a shard lock poisoned by the
-/// unwind guards a buffer of whole frames.
-struct UnwrittenFrame<'a> {
-    shard: &'a mut ShardFile,
-    at: usize,
-}
-
-impl UnwrittenFrame<'_> {
-    fn keep(self) {
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for UnwrittenFrame<'_> {
-    fn drop(&mut self) {
-        self.shard.buf.truncate(self.at);
-    }
-}
-
 impl ShardFile {
-    /// Write the buffer through to the OS (no fsync). A file gets its
-    /// header with the first bytes it ever holds; what it has of one is
-    /// a prefix ([`WalInner::open_append`] checked).
+    /// Seal the open frame and write the buffer through to the OS (no
+    /// fsync). A file gets its header with the first bytes it ever
+    /// holds; what it has of one is a prefix ([`WalInner::open_append`]
+    /// checked).
     fn flush_buf(&mut self) -> Result<(), WalError> {
-        if !self.buf.is_empty() {
+        self.frames.seal();
+        let buf = &mut self.frames.buf;
+        if !buf.is_empty() {
             if self.len < FILE_HEADER.len() as u64 {
                 self.file.write(&FILE_HEADER[self.len as usize..])?;
                 self.len = FILE_HEADER.len() as u64;
             }
-            self.file.write(&self.buf)?;
-            self.len += self.buf.len() as u64;
-            self.buf.clear();
+            self.file.write(buf)?;
+            self.len += buf.len() as u64;
+            buf.clear();
         }
         Ok(())
     }
@@ -680,8 +899,8 @@ struct Shard {
 
 impl Shard {
     /// The shard's file state. A poisoned lock is recovered: the one
-    /// body that runs caller code under it cuts its frame on the way
-    /// out ([`UnwrittenFrame`]), and the rest assign whole fields.
+    /// body that runs caller code under it cuts its record on the way
+    /// out ([`Unpushed`]), and the rest assign whole fields.
     fn lock(&self) -> MutexGuard<'_, ShardFile> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -792,7 +1011,7 @@ impl WalWriter {
                     state: Mutex::new(ShardFile {
                         file,
                         len,
-                        buf: Vec::new(),
+                        frames: Frames::default(),
                         dead: 0,
                         rewriting: false,
                     }),
@@ -829,9 +1048,11 @@ impl WalWriter {
     }
 
     /// Rewrite the WAL directory from scratch: shard `records` across
-    /// `shards` files via `route` (run id → shard index), durably
-    /// replace the old files, delete any stale shard/temp files, then
-    /// open for appending. This is how recovery normalizes the log —
+    /// `shards` files via `route` (run id → shard index), batching each
+    /// run's consecutive records as the live log does, durably replace
+    /// the old files, delete any stale shard/temp files, then open for
+    /// appending. Returns the writer and the bytes each run's records take
+    /// in the new files — what a checkpoint of the run later makes dead. This is how recovery normalizes the log —
     /// it drops checkpointed history and re-homes records when the
     /// shard count changed across restarts. `next_run` is one past the
     /// highest run id the old log held: when no kept record reaches it,
@@ -847,23 +1068,33 @@ impl WalWriter {
         records: &[Record],
         next_run: u64,
         route: impl Fn(u64) -> usize,
-    ) -> Result<Self, WalError> {
+    ) -> Result<(Self, HashMap<u64, u64>), WalError> {
         file::create_dir(dir)?;
         let names = file::list(dir)?;
         for name in names.iter().filter(|n| is_shard_file(n)) {
             WalInner::open_append(&dir.join(name))?;
         }
         let shards = shards.max(1);
-        let mut bufs: Vec<Vec<u8>> = vec![FILE_HEADER.to_vec(); shards];
+        let mut files: Vec<Frames> = (0..shards)
+            .map(|_| Frames {
+                buf: FILE_HEADER.to_vec(),
+                open: None,
+            })
+            .collect();
         // The checkpoint of the highest run id the old log held, unless a
         // kept record names it: the id stays known.
         let high = next_run.checked_sub(1);
         let mark = high.filter(|&h| records.iter().all(|r| r.run < h));
+        let mut run_bytes: HashMap<u64, u64> = HashMap::new();
         for rec in records.iter().chain(&mark.map(Record::checkpoint)) {
-            rec.encode_into(&mut bufs[route(rec.run) % shards]);
+            let added = files[route(rec.run) % shards].push(rec.kind, rec.run, rec.seq, |out| {
+                out.extend_from_slice(&rec.payload);
+            });
+            *run_bytes.entry(rec.run).or_default() += added;
         }
-        for (i, buf) in bufs.iter().enumerate() {
-            file::replace(&dir.join(shard_file_name(i)), buf)?;
+        for (i, frames) in files.iter_mut().enumerate() {
+            frames.seal();
+            file::replace(&dir.join(shard_file_name(i)), &frames.buf)?;
         }
         // Drop shard files beyond the new count and the temp files a
         // crashed replace left behind.
@@ -878,7 +1109,7 @@ impl WalWriter {
             "wal_reset",
             format!("shards={shards} records={}", records.len()),
         );
-        Self::open(dir, shards, policy, obs)
+        Ok((Self::open(dir, shards, policy, obs)?, run_bytes))
     }
 
     /// Number of shard files.
@@ -904,14 +1135,21 @@ impl WalWriter {
     /// Append one record to `shard`, its payload written by `payload`
     /// under the shard lock, straight into the shard's buffer (it must
     /// only append to the `Vec` it is handed) — a record costs no
-    /// allocation and no copy beyond its own frame. The record is durable
-    /// after the next committer pass or [`barrier`](Self::barrier); a
+    /// allocation and no copy beyond its own bytes. It joins the shard's
+    /// open frame when that is its run's batch at the sequence number
+    /// before `seq`, and opens a frame otherwise. The record is durable
+    /// after the next committer pass or [`barrier`](Self::barrier). A
     /// buffer past [`GROUP_COMMIT_BYTE_BUDGET`] is written through to the
-    /// OS on the way. If that write fails, or `payload` panics, the
-    /// buffer is cut back to where this record began, so a rejected
-    /// record is never written later (frames buffered before it belong
-    /// to applied ops and stay for the committer to retry). Returns the
-    /// bytes the record's frame takes.
+    /// OS before the record is encoded: if that write fails the record is
+    /// rejected before any frame holds it, and if `payload` panics the
+    /// record is cut back out, so a rejected record is never written
+    /// later (frames buffered before it belong to applied ops and stay
+    /// for the committer to retry). Returns the bytes the record adds to
+    /// the file: its own, the payload length it gives the record before
+    /// it when it joins that one's frame, its frame's head when it opens
+    /// one, and the byte a longer body adds to the frame's length — the
+    /// returns of a shard's appends sum to its length past the file
+    /// header.
     pub fn append_with(
         &self,
         shard: usize,
@@ -923,18 +1161,14 @@ impl WalWriter {
         let inner = &self.inner;
         let shard_ref = &inner.shards[shard % inner.shards.len()];
         let start = Instant::now();
-        let frame_len;
+        let added;
         {
             let mut f = shard_ref.lock();
-            let at = f.buf.len();
-            let frame = UnwrittenFrame { shard: &mut f, at };
-            encode_record(&mut frame.shard.buf, kind, run, seq, payload);
-            frame_len = (frame.shard.buf.len() - at) as u64;
-            if frame.shard.buf.len() >= GROUP_COMMIT_BYTE_BUDGET {
+            if f.frames.buf.len() >= GROUP_COMMIT_BYTE_BUDGET {
                 // The fsync still waits for the committer.
-                frame.shard.flush_buf()?;
+                f.flush_buf()?;
             }
-            frame.keep();
+            added = f.frames.push(kind, run, seq, payload);
         }
         inner.pending.store(true, Ordering::Release);
         // Stamp the oldest-unsynced mark only if no older append already
@@ -944,10 +1178,8 @@ impl WalWriter {
         let _ = inner
             .pending_since
             .compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
-        inner
-            .obs
-            .append(frame_len, start.elapsed().as_nanos() as u64);
-        Ok(frame_len)
+        inner.obs.append(added, start.elapsed().as_nanos() as u64);
+        Ok(added)
     }
 
     /// Durability barrier: every append that happened-before this call
@@ -1008,7 +1240,7 @@ impl WalWriter {
         {
             let mut f = self.inner.shards[shard].lock();
             f.dead += bytes + marker;
-            if f.rewriting || !dead_heavy(f.dead, f.len + f.buf.len() as u64) {
+            if f.rewriting || !dead_heavy(f.dead, f.len + f.frames.buf.len() as u64) {
                 return Ok(());
             }
             f.rewriting = true;
@@ -1018,13 +1250,15 @@ impl WalWriter {
         rewritten
     }
 
-    /// Rewrite shard `shard_idx` without the records of the runs
+    /// Rewrite shard `shard_idx` without the frames of the runs
     /// checkpointed in it, but the checkpoint of the highest one, and
-    /// durably replace the file. The shard lock is taken twice, briefly:
-    /// to flush the buffer and note how far the file reaches, and, once
-    /// the frames up to there are read and filtered with the lock free,
-    /// to copy the frames appended since behind the kept ones, replace
-    /// the file and reopen it. Appends to the shard go on meanwhile; they
+    /// durably replace the file. A frame holds one run, so the kept
+    /// frames are copied byte for byte: nothing is decoded into records
+    /// or checksummed again. The shard lock is taken twice, briefly: to
+    /// flush the buffer and note how far the file reaches, and, once the
+    /// frames up to there are read and filtered with the lock free, to
+    /// copy the frames appended since behind the kept ones, replace the
+    /// file and reopen it. Appends to the shard go on meanwhile; they
     /// wait only for that copy and the replace.
     fn rewrite_shard(&self, shard_idx: usize) -> Result<(), WalError> {
         let shard_ref = &self.inner.shards[shard_idx];
@@ -1036,23 +1270,40 @@ impl WalWriter {
         let mut bytes = vec![0; scanned as usize];
         file.read_at(0, &mut bytes)?;
         drop(file);
-        let records = scan_shard_bytes(&shard_ref.path, &bytes)?.records;
-        drop(bytes);
-        let checkpointed: HashSet<u64> = records
+        // Each frame's run, whether it holds a checkpoint, and its bytes.
+        let bodies = MIN_BODY_BYTES..=MAX_BODY_BYTES;
+        let frames = scan_bytes(
+            &shard_ref.path,
+            &bytes,
+            &FILE_HEADER,
+            bodies,
+            |body, out| {
+                let (mut named, mut checkpoint) = (0, false);
+                read_batch(body, |run, kind, _, _| {
+                    named = run;
+                    checkpoint |= kind == RecordKind::Checkpoint;
+                })?;
+                out.push((named, checkpoint, frame_len(body.len())));
+                Ok(())
+            },
+        )?
+        .records;
+        let checkpointed: HashSet<u64> = frames
             .iter()
-            .filter(|r| r.kind == RecordKind::Checkpoint)
-            .map(|r| r.run)
+            .filter(|&&(_, checkpoint, _)| checkpoint)
+            .map(|&(run, ..)| run)
             .collect();
         // The highest checkpoint stays: its run id stays known.
         let high = checkpointed.iter().max().copied();
         let mut buf = FILE_HEADER.to_vec();
-        for rec in &records {
-            if !checkpointed.contains(&rec.run)
-                || rec.kind == RecordKind::Checkpoint && Some(rec.run) == high
-            {
-                rec.encode_into(&mut buf);
+        let mut at = FILE_HEADER.len();
+        for &(run, checkpoint, len) in &frames {
+            if !checkpointed.contains(&run) || checkpoint && Some(run) == high {
+                buf.extend_from_slice(&bytes[at..at + len]);
             }
+            at += len;
         }
+        drop(bytes);
         #[cfg(test)]
         tests::while_unlocked();
         let mut f = shard_ref.lock();
@@ -1177,12 +1428,43 @@ mod tests {
         }
     }
 
-    /// Parse the log frame at the front of `bytes`: the record and the
+    /// Parse the log frame at the front of `bytes`: its records and the
     /// bytes it took, or why the bytes are not a frame — what the scanner
     /// does with each frame of a shard.
-    fn parse_frame(bytes: &[u8]) -> Result<(Record, usize), String> {
+    fn parse_frame(bytes: &[u8]) -> Result<(Vec<Record>, usize), String> {
         let (body, len) = split_frame(bytes, &(MIN_BODY_BYTES..=MAX_BODY_BYTES))?;
-        Ok((parse_body(body)?, len))
+        let mut records = Vec::new();
+        parse_batch(body, &mut records)?;
+        Ok((records, len))
+    }
+
+    /// `records` encoded as the shard buffer encodes them, every frame
+    /// sealed, and what each push returned.
+    fn encode(records: &[Record]) -> (Vec<u8>, Vec<u64>) {
+        let mut frames = Frames::default();
+        let added = records
+            .iter()
+            .map(|r| {
+                frames.push(r.kind, r.run, r.seq, |out| {
+                    out.extend_from_slice(&r.payload);
+                })
+            })
+            .collect();
+        frames.seal();
+        (frames.buf, added)
+    }
+
+    /// Where each frame of the shard bytes `file` ends, and how many
+    /// records it holds.
+    fn frame_ends(file: &[u8]) -> Vec<(usize, usize)> {
+        let mut at = FILE_HEADER.len();
+        let mut ends = Vec::new();
+        while at < file.len() {
+            let (records, len) = parse_frame(&file[at..]).unwrap();
+            at += len;
+            ends.push((at, records.len()));
+        }
+        ends
     }
 
     /// Parse every valid frame of one WAL file. Corruption mid-file is
@@ -1236,19 +1518,22 @@ mod tests {
         };
         // Appends stay in the shard buffer until a pass; the barrier's
         // writes each frame behind the file header, which goes out with
-        // a file's first bytes.
+        // a file's first bytes. Run 1's two records share a frame.
         let mut on_disk = [FILE_HEADER.len() as u64; 2];
-        for (shard, r) in [
+        let written = [
             (0, rec(RecordKind::RunOpen, 1, 0, &[7, 7])),
             (0, rec(RecordKind::Event, 1, 1, b"payload")),
             (1, rec(RecordKind::Event, 2, 1, &[])),
-        ] {
-            w.append(shard, &r).unwrap();
-            assert_eq!(shard_len(shard), 0, "shard {shard}");
-            on_disk[shard] += r.encoded_len() as u64;
+        ];
+        for (shard, r) in &written {
+            on_disk[*shard] += w.append(*shard, r).unwrap();
+            assert_eq!(shard_len(*shard), 0, "shard {shard}");
         }
         w.barrier().unwrap();
         assert_eq!([shard_len(0), shard_len(1)], on_disk);
+        let frames = [&written[..2], &written[2..]]
+            .map(|w| frames_len(&w.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>()));
+        assert_eq!(on_disk, frames.map(|f| FILE_HEADER.len() as u64 + f));
         w.shutdown();
         let rec0 = recover(dir.path()).unwrap();
         assert_eq!(rec0.files, 2);
@@ -1261,33 +1546,44 @@ mod tests {
         assert_eq!(rec0.runs[0].max_seq, 1);
     }
 
-    /// Three frames, byte for byte: the format's golden.
-    fn golden_frames() -> [(Record, &'static [u8]); 3] {
+    /// Three frames, byte for byte: the format's golden. A run's batch of
+    /// three records — the first two flagged and giving their lengths,
+    /// the last one's payload running to the end — a lone record of a
+    /// run and a sequence number whose varints take two bytes, and a
+    /// checkpoint.
+    fn golden_frames() -> [(Vec<Record>, &'static [u8]); 3] {
         [
             (
-                rec(RecordKind::RunOpen, 1, 0, &[7, 0, 0, 0, 1]),
+                vec![
+                    rec(RecordKind::RunOpen, 1, 0, &[7, 0, 0, 0, 1]),
+                    rec(RecordKind::Event, 1, 1, &[0xaa, 0xbb, 0xcc]),
+                    rec(RecordKind::Complete, 1, 2, &[]),
+                ],
                 &[
-                    0x08, // body length
-                    0x1c, 0x78, 0x06, 0x51, // CRC-32C of the body
-                    0x00, 0x01, 0x01, // kind, run 1, seq 0 as 0 + 1
-                    0x07, 0x00, 0x00, 0x00, 0x01, // payload
+                    0x0f, // body length
+                    0xce, 0x72, 0x89, 0x87, // CRC-32C of the body
+                    0x01, 0x01, // run 1, first seq 0 as 0 + 1
+                    0x80, 0x05, 0x07, 0x00, 0x00, 0x00, 0x01, // kind | MORE, length, payload
+                    0x81, 0x03, 0xaa, 0xbb, 0xcc, // seq 1
+                    0x02, // seq 2, the last: no length
                 ],
             ),
             (
-                rec(RecordKind::Event, 300, 129, &[0xaa, 0xbb, 0xcc]),
+                vec![rec(RecordKind::Event, 300, 129, &[0xaa, 0xbb, 0xcc])],
                 &[
                     0x08, //
-                    0xc9, 0xf0, 0x48, 0x7f, //
-                    0x01, 0xac, 0x02, 0x82, 0x01, // kind, run 300, seq 129 as 130
-                    0xaa, 0xbb, 0xcc,
+                    0x81, 0xc6, 0x34, 0xa5, //
+                    0xac, 0x02, 0x82, 0x01, // run 300, seq 129 as 130
+                    0x01, 0xaa, 0xbb, 0xcc,
                 ],
             ),
             (
-                Record::checkpoint(5),
+                vec![Record::checkpoint(5)],
                 &[
                     0x03, //
-                    0xa2, 0x9a, 0x62, 0xd7, //
-                    0x03, 0x05, 0x00, // kind, run 5, `CHECKPOINT_SEQ` as 0
+                    0xea, 0x66, 0xab, 0x48, //
+                    0x05, 0x00, // run 5, `CHECKPOINT_SEQ` as 0
+                    0x03,
                 ],
             ),
         ]
@@ -1298,17 +1594,17 @@ mod tests {
     /// previous build cannot read.
     #[test]
     fn frame_layout_is_pinned() {
-        assert_eq!(FILE_HEADER, [b'W', b'F', b'W', b'L', 3, 0, 0, 0]);
+        assert_eq!(FILE_HEADER, [b'W', b'F', b'W', b'L', 4, 0, 0, 0]);
         let dir = TempDir::new("golden");
         let w = WalWriter::open(dir.path(), 1, WalSync::default(), Box::new(NullObserver)).unwrap();
         let mut file = FILE_HEADER.to_vec();
-        for (record, bytes) in &golden_frames() {
-            let mut framed = Vec::new();
-            record.encode_into(&mut framed);
-            assert_eq!(framed, *bytes, "{record:?}");
-            assert_eq!(record.encoded_len(), bytes.len(), "{record:?}");
-            assert_eq!(parse_frame(bytes), Ok((record.clone(), bytes.len())));
-            w.append(0, record).unwrap();
+        for (records, bytes) in &golden_frames() {
+            assert_eq!(encode(records).0, *bytes, "{records:?}");
+            assert_eq!(frames_len(records), bytes.len() as u64, "{records:?}");
+            assert_eq!(parse_frame(bytes), Ok((records.clone(), bytes.len())));
+            for r in records {
+                w.append(0, r).unwrap();
+            }
             file.extend_from_slice(bytes);
         }
         drop(w);
@@ -1316,14 +1612,59 @@ mod tests {
             std::fs::read(dir.path().join(shard_file_name(0))).unwrap(),
             file
         );
-        // A body of 128 bytes or more takes a longer length prefix, and
-        // `encoded_len` knows.
-        for payload in [124, 125, 16_381, 16_382] {
-            let long = rec(RecordKind::Event, 0, 0, &vec![0x5a; payload]);
-            let mut framed = Vec::new();
-            long.encode_into(&mut framed);
-            assert_eq!(framed.len(), long.encoded_len(), "{payload}");
-            assert_eq!(parse_frame(&framed), Ok((long, framed.len())), "{payload}");
+    }
+
+    /// A lone record — one whose frame no record of its run joins, as
+    /// under interleaved traffic — pays the fields of one record per frame
+    /// and nothing for batching: its length, checksum, run, `seq + 1`,
+    /// kind and payload, with no payload length. Each further record of a
+    /// batch adds its kind, its payload and the length the record before
+    /// it now gives.
+    #[test]
+    fn a_lone_record_pays_for_no_batching() {
+        for (run, seq) in [(0, 0), (3, 126), (300, 129), (1 << 20, 1 << 40)] {
+            for payload in [0, 1, 7, 120, 121, 122, 200, 16_380] {
+                let lone = rec(RecordKind::Event, run, seq, &vec![1; payload]);
+                let body = varint_len(run) + varint_len(seq + 1) + 1 + payload;
+                let fields = varint_len(body as u64) + CHECKSUM_BYTES + body;
+                assert_eq!(frames_len(std::slice::from_ref(&lone)), fields as u64);
+                let next = rec(RecordKind::Event, run, seq + 1, &[2; 9]);
+                let mut pair = encode(&[lone, next]).1;
+                let added = pair.pop().unwrap();
+                let grown = varint_len((body + 1 + varint_len(payload as u64) + 10) as u64)
+                    - varint_len(body as u64);
+                assert_eq!(added, (1 + 9 + varint_len(payload as u64) + grown) as u64);
+            }
+        }
+    }
+
+    /// A body of 128 bytes or more takes a longer length, and so does a
+    /// payload that is not a frame's last: a lone record whose body
+    /// straddles 128 or 16 384 bytes, and batches that cross 128 bytes on
+    /// their 2nd…20th record, in one step or by one byte, their payloads
+    /// under and over 127 bytes. The byte a crossing adds to the frame's
+    /// length is counted to the record that crossed, so the pushes sum to
+    /// the bytes, and the frame reads back as its records.
+    #[test]
+    fn lengths_past_one_byte_are_counted_to_the_record_that_crossed() {
+        // Bodies of 125…129 and 16 382…16 384 bytes.
+        let mut cases: Vec<Vec<Record>> = [122, 123, 124, 125, 126, 16_379, 16_380, 16_381]
+            .iter()
+            .map(|&n| vec![rec(RecordKind::Event, 0, 0, &vec![0x5a; n])])
+            .collect();
+        for records in 2..=20u64 {
+            for payload in [0, 7, 8, 120, 127, 128] {
+                cases.push(
+                    (0..records)
+                        .map(|seq| rec(RecordKind::Event, 9, seq, &vec![seq as u8; payload]))
+                        .collect(),
+                );
+            }
+        }
+        for records in &cases {
+            let (bytes, added) = encode(records);
+            assert_eq!(added.iter().sum::<u64>(), bytes.len() as u64);
+            assert_eq!(parse_frame(&bytes), Ok((records.clone(), bytes.len())));
         }
     }
 
@@ -1356,10 +1697,10 @@ mod tests {
     #[test]
     fn every_burst_of_up_to_32_bits_in_a_frame_body_is_refused() {
         let mut bursts = 0;
-        for (record, bytes) in golden_frames() {
+        for (records, bytes) in golden_frames() {
             let body_at = 1 + CHECKSUM_BYTES;
             let body_bits = (bytes.len() - body_at) * 8;
-            for_each_burst(body_bits, record.run ^ 0x5eed, |start, mask| {
+            for_each_burst(body_bits, records[0].run ^ 0x5eed, |start, mask| {
                 let mut hit = bytes.to_vec();
                 for bit in (0..64).filter(|i| mask >> i & 1 == 1) {
                     let at = body_at * 8 + start + bit;
@@ -1368,7 +1709,7 @@ mod tests {
                 assert_eq!(
                     parse_frame(&hit),
                     Err("checksum mismatch".to_string()),
-                    "{record:?}: burst {mask:#x} at bit {start}"
+                    "{records:?}: burst {mask:#x} at bit {start}"
                 );
                 bursts += 1;
             });
@@ -1407,11 +1748,11 @@ mod tests {
         assert_eq!(get_varint(&wide), None);
     }
 
-    /// Cut a small multi-record shard at every byte and flip every bit
+    /// Cut a small multi-frame shard at every byte and flip every bit
     /// of it, file header included: the reader returns a prefix of what
-    /// was written — with a tear reported unless the cut fell on a frame
-    /// boundary — or refuses the file by its header. It never returns a
-    /// record that was not written.
+    /// was written, whole frames only — with a tear reported unless the
+    /// cut fell on a frame boundary — or refuses the file by its header.
+    /// It never returns a record that was not written.
     #[test]
     fn torn_tail_truncates_at_first_bad_frame() {
         let dir = TempDir::new("torn");
@@ -1430,18 +1771,23 @@ mod tests {
         drop(w);
         let path = dir.path().join(shard_file_name(0));
         let full = std::fs::read(&path).unwrap();
-        // Offsets at which a whole number of frames ends.
+        // Offsets at which a whole number of frames ends, and the records
+        // those frames hold: run 9's first two, run 300's event, run 9's
+        // next two under a two-byte length, the checkpoint.
         let mut boundaries = vec![FILE_HEADER.len()];
-        for r in &written {
-            boundaries.push(boundaries.last().unwrap() + r.encoded_len());
+        let mut held = vec![0];
+        for frame in [&written[..2], &written[2..3], &written[3..5], &written[5..]] {
+            boundaries.push(boundaries.last().unwrap() + frames_len(frame) as usize);
+            held.push(held.last().unwrap() + frame.len());
         }
         assert_eq!(*boundaries.last().unwrap(), full.len());
+        assert_eq!(frame_ends(&full), [(39, 2), (52, 1), (194, 2), (203, 1)]);
 
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let (records, torn) = read_records(&path).unwrap();
             let whole = boundaries.iter().rposition(|&b| b <= cut).unwrap_or(0);
-            assert_eq!(records, written[..whole], "cut at {cut}");
+            assert_eq!(records, written[..held[whole]], "cut at {cut}");
             match torn {
                 None => assert!(cut == 0 || boundaries.contains(&cut), "cut at {cut}"),
                 Some(torn) => {
@@ -1463,7 +1809,7 @@ mod tests {
                 Ok((records, torn)) => {
                     // The frame holding the flipped bit is where it ends.
                     let hit = boundaries.iter().rposition(|&b| b <= bit / 8).unwrap();
-                    assert_eq!(records, written[..hit], "bit {bit}");
+                    assert_eq!(records, written[..held[hit]], "bit {bit}");
                     assert_eq!(torn.unwrap().valid_bytes, boundaries[hit] as u64);
                 }
                 Err(WalError::Unsupported { file, .. }) => {
@@ -1480,9 +1826,10 @@ mod tests {
         }
     }
 
-    /// A shard file that is not a version-3 log — a version-1 one (frames
-    /// from offset 0, no header), a version-2 one (the same frames under
-    /// a 64-bit FNV-1a), a later version, a stray file — is refused by
+    /// A shard file that is not a version-4 log — a version-1 one (frames
+    /// from offset 0, no header), a version-2 one (one record per frame
+    /// under a 64-bit FNV-1a), a version-3 one (one record per frame
+    /// under the CRC-32C), a later version, a stray file — is refused by
     /// every door, named in the error, and left as it was; an empty file
     /// or the first bytes of a header is a log with no records, completed
     /// by the first append.
@@ -1490,18 +1837,23 @@ mod tests {
     fn a_file_of_another_format_is_refused_and_left_untouched() {
         let mut v1 = 22u32.to_le_bytes().to_vec(); // `[len: u32][fnv: u64][body]`
         v1.extend_from_slice(&[0x11; 8 + 22]);
-        // `[len: varint][fnv: u64][body]` behind the version-2 header: the
-        // version-2 frame of `Record::checkpoint(5)`.
+        // `[len: varint][fnv: u64][kind][run][seq + 1]` behind the
+        // version-2 header: the version-2 frame of `Record::checkpoint(5)`.
         let mut v2 = FILE_HEADER.to_vec();
         v2[4] = 2;
         v2.extend_from_slice(&[0x03, 0x2f, 0x9e, 0x05, 0x71, 0x18, 0x8b, 0x07, 0xe2]);
         v2.extend_from_slice(&[0x03, 0x05, 0x00]);
-        let mut v4 = FILE_HEADER.to_vec();
-        v4[4] = 4;
+        // The same body under a CRC-32C: its version-3 frame.
+        let mut v3 = FILE_HEADER.to_vec();
+        v3[4] = 3;
+        v3.extend_from_slice(&[0x03, 0xa2, 0x9a, 0x62, 0xd7, 0x03, 0x05, 0x00]);
+        let mut v5 = FILE_HEADER.to_vec();
+        v5[4] = 5;
         for (alien, found) in [
             (v1.as_slice(), "no log header"),
             (v2.as_slice(), "format version 2"),
-            (v4.as_slice(), "format version 4"),
+            (v3.as_slice(), "format version 3"),
+            (v5.as_slice(), "format version 5"),
             (&b"WFW?"[..], "no log header"),
         ] {
             let dir = TempDir::new("alien");
@@ -1571,8 +1923,7 @@ mod tests {
         for seq in 0..8 {
             for run in 1..=3u64 {
                 let r = rec(RecordKind::Event, run, seq, &[run as u8; 32]);
-                w.append(0, &r).unwrap();
-                bytes[run as usize] += r.encoded_len() as u64;
+                bytes[run as usize] += w.append(0, &r).unwrap();
             }
         }
         let len = || {
@@ -1585,7 +1936,7 @@ mod tests {
         // marker is in: run 1's checkpoint appends.
         let full = len();
         w.checkpoint(0, 1, bytes[1] / 2).unwrap();
-        assert_eq!(len(), full + Record::checkpoint(1).encoded_len() as u64);
+        assert_eq!(len(), full + frames_len(&[Record::checkpoint(1)]));
         assert_eq!(recover(dir.path()).unwrap().runs.len(), 3);
         // Run 3's pushes the dead share past it: the rewrite keeps run 2
         // alone, and run 3's checkpoint for its id.
@@ -1604,12 +1955,13 @@ mod tests {
     /// appended meanwhile — from the rewriting thread itself, which would
     /// deadlock on a held lock — and a checkpoint among them land behind
     /// the kept records, and a checkpoint that tips the shard again
-    /// during the rewrite starts no second one. The rewritten shard is
-    /// whole frames, every cut of it at a frame boundary recovers those
-    /// frames' records, and recovery replays every surviving run in
-    /// sequence: the scanned runs the rewrite kept, the runs appended
-    /// during it, the highest checkpoint of the scanned part (run 3) and
-    /// the checkpoint taken during it (run 5).
+    /// during the rewrite starts no second one. The kept frames — run 2's
+    /// two batches of four — are copied byte for byte. The rewritten
+    /// shard is whole frames, every cut of it at a frame boundary
+    /// recovers those frames' records, and recovery replays every
+    /// surviving run in sequence: the scanned runs the rewrite kept, the
+    /// runs appended during it, the highest checkpoint of the scanned
+    /// part (run 3) and the checkpoint taken during it (run 5).
     #[test]
     fn a_rewrite_scans_unlocked_and_keeps_what_was_appended_meanwhile() {
         let dir = TempDir::new("rewrite-unlocked");
@@ -1619,12 +1971,24 @@ mod tests {
         );
         let event = |run: u64, seq| rec(RecordKind::Event, run, seq, &[run as u8; 32]);
         let mut bytes = [0u64; 6];
-        for seq in 0..8 {
+        for burst in [0..4, 4..8] {
             for run in 1..=3 {
-                w.append(0, &event(run, seq)).unwrap();
-                bytes[run as usize] += event(run, seq).encoded_len() as u64;
+                for seq in burst.clone() {
+                    bytes[run as usize] += w.append(0, &event(run, seq)).unwrap();
+                }
             }
         }
+        w.barrier().unwrap();
+        let run2: Vec<u8> = {
+            let file = std::fs::read(&path).unwrap();
+            let ends = frame_ends(&file);
+            assert_eq!(ends.len(), 6);
+            // Run 2's batches are the second and the fifth frame.
+            [(ends[0].0, ends[1].0), (ends[3].0, ends[4].0)]
+                .iter()
+                .flat_map(|&(from, to)| file[from..to].to_vec())
+                .collect()
+        };
         let during = Arc::clone(&w);
         let ran = Arc::new(AtomicBool::new(false));
         let ran_in_hook = Arc::clone(&ran);
@@ -1683,21 +2047,103 @@ mod tests {
                 (5, vec![], true),
             ]
         );
+        // Run 2's frames, byte for byte, right behind the header.
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(file[FILE_HEADER.len()..][..run2.len()], run2);
         // Prefix replay: every frame-boundary cut of the rewritten shard
         // reads back the records of the frames it keeps, no torn tail.
-        let file = std::fs::read(&path).unwrap();
-        let mut cut = FILE_HEADER.len();
-        for k in 0..=records.len() {
+        let mut cuts = vec![(FILE_HEADER.len(), 0)];
+        for (end, held) in frame_ends(&file) {
+            cuts.push((end, cuts.last().unwrap().1 + held));
+        }
+        for &(cut, k) in &cuts {
             let (prefix, torn) = scan_shard_bytes(&path, &file[..cut])
                 .map(|s| (s.records, s.torn))
                 .unwrap();
             assert!(torn.is_none(), "cut {cut}");
             assert_eq!(prefix, records[..k]);
-            if k < records.len() {
-                cut += records[k].encoded_len();
-            }
         }
-        assert_eq!(cut, file.len());
+        assert_eq!(*cuts.last().unwrap(), (file.len(), records.len()));
+    }
+
+    /// Three runs append bursts of random length in random order, beside
+    /// committer passes that land where they will (a 1 ms window),
+    /// barriers and checkpoints of other runs, on one shard and on two:
+    /// recovery returns every record with its sequence number, and what
+    /// the appends returned sums to each shard's length past its header.
+    #[test]
+    fn interleaved_bursts_recover_whole_and_their_bytes_sum_to_the_shard() {
+        for shards in [1, 2] {
+            let dir = TempDir::new("bursts");
+            let policy = WalSync::GroupCommit {
+                window: Duration::from_millis(1),
+            };
+            let w = WalWriter::open(dir.path(), shards, policy, Box::new(NullObserver)).unwrap();
+            let mut state = 0x2545_F491_4F6C_DD1Du64 ^ shards as u64;
+            let mut draw = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut added = vec![0u64; shards];
+            let mut next_seq = [0u64; 3];
+            let mut written: Vec<Vec<Record>> = vec![Vec::new(); 3];
+            let mut checkpointed = Vec::new();
+            for step in 0..400u64 {
+                let run = draw(3) as usize;
+                let shard = run % shards;
+                for _ in 0..1 + draw(12) {
+                    let seq = next_seq[run];
+                    next_seq[run] += 1;
+                    let kind = if seq == 0 {
+                        RecordKind::RunOpen
+                    } else {
+                        RecordKind::Event
+                    };
+                    let payload = vec![seq as u8; draw(24) as usize];
+                    let r = rec(kind, run as u64, seq, &payload);
+                    added[shard] += w.append(shard, &r).unwrap();
+                    written[run].push(r);
+                }
+                match draw(16) {
+                    0 => w.barrier().unwrap(),
+                    1 => {
+                        // A run with no records here: its checkpoint is a
+                        // frame of its own, and drops nothing.
+                        let other = 100 + step;
+                        let shard = other as usize % shards;
+                        w.checkpoint(shard, other, 0).unwrap();
+                        added[shard] += frames_len(&[Record::checkpoint(other)]);
+                        checkpointed.push(other);
+                    }
+                    2 => std::thread::sleep(Duration::from_millis(2)),
+                    _ => {}
+                }
+            }
+            drop(w);
+            for (shard, added) in added.iter().enumerate() {
+                let len = std::fs::metadata(dir.path().join(shard_file_name(shard)))
+                    .unwrap()
+                    .len();
+                assert_eq!(*added, len - FILE_HEADER.len() as u64, "shard {shard}");
+            }
+            let recovery = recover(dir.path()).unwrap();
+            assert!(recovery.torn.is_empty(), "{:?}", recovery.torn);
+            let total: usize = written.iter().map(Vec::len).sum();
+            assert_eq!(recovery.records as usize, total + checkpointed.len());
+            for r in &recovery.runs {
+                match written.get(r.run as usize) {
+                    Some(records) => {
+                        assert!(!r.checkpointed);
+                        assert_eq!(r.records, *records, "run {}", r.run);
+                        assert_eq!(r.max_seq, records.len() as u64 - 1);
+                    }
+                    None => assert!(r.checkpointed && checkpointed.contains(&r.run)),
+                }
+            }
+            assert_eq!(recovery.runs.len(), 3 + checkpointed.len());
+        }
     }
 
     #[test]
@@ -1720,7 +2166,7 @@ mod tests {
             .flat_map(|r| r.records)
             .collect();
         // Re-home into a 2-shard layout keeping only even runs.
-        let w = WalWriter::reset(
+        let (w, run_bytes) = WalWriter::reset(
             dir.path(),
             2,
             WalSync::default(),
@@ -1730,6 +2176,27 @@ mod tests {
             |run| run as usize,
         )
         .unwrap();
+        // The even runs on shard 0, the checkpoint of run 7 on shard 1,
+        // in the bytes `frames_len` says and the reset counted to each run.
+        let shard_len = |shard| {
+            std::fs::metadata(dir.path().join(shard_file_name(shard)))
+                .unwrap()
+                .len()
+        };
+        let header = FILE_HEADER.len() as u64;
+        assert_eq!(shard_len(0), header + frames_len(&survivors));
+        assert_eq!(shard_len(1), header + frames_len(&[Record::checkpoint(7)]));
+        let mut counted: Vec<(u64, u64)> = run_bytes.into_iter().collect();
+        counted.sort_unstable();
+        let even = |run| frames_len(&[rec(RecordKind::RunOpen, run, 0, &[])]);
+        assert_eq!(
+            counted,
+            [0, 2, 4, 6]
+                .map(|run| (run, even(run)))
+                .into_iter()
+                .chain([(7, shard_len(1) - header)])
+                .collect::<Vec<_>>()
+        );
         w.append(0, &rec(RecordKind::Event, 0, 1, &[1])).unwrap();
         w.shutdown();
         drop(w);
@@ -1792,9 +2259,10 @@ mod tests {
     }
 
     /// A rejected append must not be written later: the caller was told
-    /// the op failed (and may retry it), so its frame may not reach the
-    /// log on the next pass that succeeds. The shard file is `/dev/full`,
-    /// so every write-through gets `ENOSPC`.
+    /// the op failed (and may retry it), so its record may not reach the
+    /// log on the next pass that succeeds, nor be covered by a frame's
+    /// checksum. The shard file is `/dev/full`, so every write-through
+    /// gets `ENOSPC`.
     #[cfg(unix)]
     #[test]
     fn a_failed_append_leaves_no_frame_behind() {
@@ -1804,21 +2272,30 @@ mod tests {
         let dir = TempDir::new("devfull-append");
         std::os::unix::fs::symlink("/dev/full", dir.path().join(shard_file_name(0))).unwrap();
         let w = WalWriter::open(dir.path(), 1, barrier_only(), Box::new(NullObserver)).unwrap();
-        // The third 100 KiB record crosses the byte budget, its inline
-        // write-through fails, and only the two frames of the appends
-        // that succeeded stay buffered.
-        let big = rec(RecordKind::Event, 3, 0, &[0xCC; 100 * 1024]);
-        w.append(0, &big).unwrap();
-        w.append(0, &big).unwrap();
-        match w.append(0, &big) {
+        // The third 100 KiB record of one run takes the buffer past the
+        // byte budget, the fourth's inline write-through fails, and the
+        // one frame of the three appends that succeeded stays buffered,
+        // sealed over exactly their records.
+        let big = |seq| rec(RecordKind::Event, 3, seq, &[0xCC; 100 * 1024]);
+        let mut added = 0;
+        for seq in 0..3 {
+            added += w.append(0, &big(seq)).unwrap();
+        }
+        match w.append(0, &big(3)) {
             Err(WalError::Io(e)) => assert!(e.contains("write"), "{e}"),
             other => panic!("an append past the budget onto a full disk returned {other:?}"),
         }
-        assert_eq!(w.inner.shards[0].lock().buf.len(), 2 * big.encoded_len());
+        let f = w.inner.shards[0].lock();
+        assert!(f.frames.open.is_none());
+        let buffered = &f.frames.buf;
+        assert_eq!(buffered.len() as u64, added);
+        let batch: Vec<Record> = (0..3).map(big).collect();
+        assert_eq!(parse_frame(buffered), Ok((batch, buffered.len())));
     }
 
     /// A payload that panics under the shard lock poisons it, but the
-    /// frame it was writing is cut on the way out: later appends to that
+    /// record it was writing is cut on the way out — from the open frame
+    /// it joined, or with the frame it opened: later appends to that
     /// shard and to another go through, a barrier returns `Ok`, and the
     /// log holds exactly the records whose appends returned `Ok`, untorn.
     #[test]
@@ -1829,14 +2306,17 @@ mod tests {
         );
         let before = rec(RecordKind::RunOpen, 1, 0, &[1]);
         w.append(0, &before).unwrap();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.append_with(0, RecordKind::Event, 1, 1, |out| {
-                out.push(9);
-                panic!("the payload gives up half-written");
-            })
-        }));
-        assert!(unwound.is_err());
-        assert!(w.inner.shards[0].state.is_poisoned());
+        // Run 1's next record joins its frame; run 7's opens one.
+        for run in [1, 7] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.append_with(0, RecordKind::Event, run, 1, |out| {
+                    out.push(9);
+                    panic!("the payload gives up half-written");
+                })
+            }));
+            assert!(unwound.is_err());
+            assert!(w.inner.shards[0].state.is_poisoned());
+        }
         let after = [
             (0, rec(RecordKind::Event, 1, 1, &[2])),
             (1, rec(RecordKind::RunOpen, 2, 0, &[3])),

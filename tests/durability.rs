@@ -181,13 +181,62 @@ fn flush_is_the_group_commit_durability_barrier() {
     drop(engine);
 }
 
+/// One record of a log frame: its kind, run, sequence number and
+/// payload.
+type FrameRecord = (u8, u64, u64, Vec<u8>);
+
+/// The frames of a version-4 shard — `[len][crc32c][run][first seq + 1]`,
+/// then `[kind | 0x80][payload len][payload]` per record but the last,
+/// and `[kind][payload]` to the end of the body for the last — restated
+/// from the format: where each frame ends, and its records.
+fn v4_frames(shard: &[u8]) -> Vec<(usize, Vec<FrameRecord>)> {
+    let varint = |bytes: &[u8], at: &mut usize| {
+        let (v, width) = wal::get_varint(&bytes[*at..]).unwrap();
+        *at += width;
+        v
+    };
+    let mut frames = Vec::new();
+    let mut at = wal::FILE_HEADER.len();
+    while at < shard.len() {
+        let len = varint(shard, &mut at) as usize;
+        let body = &shard[at + 4..at + 4 + len];
+        assert_eq!(wal::crc32c(body).to_le_bytes(), shard[at..at + 4]);
+        at += 4 + len;
+        let mut b = 0;
+        let run = varint(body, &mut b);
+        let mut seq = varint(body, &mut b).wrapping_sub(1);
+        let mut records = Vec::new();
+        loop {
+            let (kind, more) = (body[b] & 0x7f, body[b] & 0x80 != 0);
+            b += 1;
+            let n = if more {
+                varint(body, &mut b) as usize
+            } else {
+                body.len() - b
+            };
+            records.push((kind, run, seq, body[b..b + n].to_vec()));
+            b += n;
+            seq = seq.wrapping_add(1);
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(b, body.len());
+        frames.push((at, records));
+    }
+    frames
+}
+
 /// A torn tail — the file cut at *every* byte, the file header's
 /// included — or a flipped bit in any byte recovers the longest valid
-/// prefix: no panic, answers identical to naive replay of however many
-/// events survived, never an event that was not written, and the engine
-/// stays usable for fresh runs. A flip inside the file header is the one
-/// case with no prefix to trust: the log is refused whole, `health()`
-/// says so, and the file is left as it was found.
+/// prefix of whole frames: no panic, exactly the events of the frames
+/// before the damage, answers identical to naive replay of them, and the
+/// engine stays usable for fresh runs. The run's records are flushed
+/// every few events, so the log holds several frames — a frame is a
+/// run's batch, and a torn one drops the batch whole. A flip inside the
+/// file header is the one case with no prefix to trust: the log is
+/// refused whole, `health()` says so, and the file is left as it was
+/// found.
 #[test]
 fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     let dir = TempDir::new("torn");
@@ -199,8 +248,9 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
     let events = exec.events();
 
-    // One WAL shard: one shard file, file order = seq order. The flush
-    // puts the whole log on disk before it is read.
+    // One WAL shard: one shard file, file order = seq order. A flush
+    // every 6 events seals the run's open frame; the last puts the whole
+    // log on disk before it is read.
     let engine: WfEngine = WfEngine::builder()
         .spec(spec.clone())
         .ingest_workers(1)
@@ -208,8 +258,11 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
         .build();
     let run = engine.open_run(SpecId(0)).unwrap();
     let h = engine.handle(run).unwrap();
-    for ev in events {
+    for (i, ev) in events.iter().enumerate() {
         h.submit(ev).unwrap();
+        if i % 6 == 5 {
+            engine.flush();
+        }
     }
     engine.flush();
     drop(engine);
@@ -217,6 +270,20 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     let bytes = std::fs::read(&shard).unwrap();
     let header = wal::FILE_HEADER.len();
     assert_eq!(bytes[..header], wal::FILE_HEADER);
+    // Where each frame ends, and the events the frames up to it hold
+    // (the first record is the `RunOpen`).
+    let frames = v4_frames(&bytes);
+    assert!(frames.len() >= events.len() / 6, "{} frames", frames.len());
+    let mut ends = vec![(header, 0)];
+    for (end, records) in &frames {
+        ends.push((*end, ends.last().unwrap().1 + records.len()));
+    }
+    assert_eq!(ends.last().unwrap(), &(bytes.len(), 1 + events.len()));
+    // The events a log recovers when its first damaged byte is at `at`.
+    let events_before = |at: usize| {
+        let whole = ends.iter().rev().find(|&&(end, _)| end <= at);
+        whole.map_or(0, |(_, records)| records.saturating_sub(1))
+    };
 
     // Recover over `damaged`; how many events came back, `None` when
     // the log was refused instead.
@@ -251,21 +318,20 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
     };
 
     // Every cut point: a cut inside the header is a file that was still
-    // being created, and later cuts never bring back fewer events.
+    // being created, and a later one brings back the events of the
+    // frames that end before it.
     let mut longest = 0;
     for cut in 0..bytes.len() {
         let n = verify_prefix(&format!("cut at {cut}"), &bytes[..cut]);
         let n = n.unwrap_or_else(|| panic!("cut at {cut}: a torn log was refused"));
-        assert!(
-            n >= longest && (cut >= header || n == 0),
-            "cut at {cut}: {n}"
-        );
+        assert_eq!(n, events_before(cut), "cut at {cut}");
         longest = n;
     }
+    let (_, last) = frames.last().unwrap();
     assert_eq!(
         longest,
-        events.len() - 1,
-        "the last cut tears the last event"
+        events.len() - last.len(),
+        "the last cut tears exactly the last frame"
     );
     // One bit of every byte: the checksum cuts the prefix at the
     // poisoned frame, the header check refuses the file.
@@ -274,8 +340,8 @@ fn torn_tails_and_bit_flips_recover_a_valid_prefix() {
         bad[pos] ^= 1 << (pos % 8);
         match verify_prefix(&format!("bit flip at {pos}"), &bad) {
             Some(n) => assert!(
-                pos >= header && n < events.len(),
-                "flip at {pos} shortened nothing"
+                pos >= header && n == events_before(pos),
+                "flip at {pos}: {n} events"
             ),
             None => assert!(pos < header, "flip at {pos}: the log was refused"),
         }
@@ -304,6 +370,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The version-3 shard of a version-4 one: the same header under version
+/// 3 and its records one to a frame, each body `[kind][run][seq + 1]`
+/// and the payload, under the CRC-32C.
+fn v3_shard(v4: &[u8]) -> Vec<u8> {
+    let mut v3 = v4[..wal::FILE_HEADER.len()].to_vec();
+    v3[4] = 3;
+    for (_, records) in v4_frames(v4) {
+        for (kind, run, seq, payload) in records {
+            let mut body = vec![kind];
+            wal::put_varint(&mut body, run);
+            wal::put_varint(&mut body, seq.wrapping_add(1));
+            body.extend_from_slice(&payload);
+            wal::put_varint(&mut v3, body.len() as u64);
+            v3.extend_from_slice(&wal::crc32c(&body).to_le_bytes());
+            v3.extend_from_slice(&body);
+        }
+    }
+    v3
+}
+
 /// The version-2 shard of a version-3 one: the same header under version
 /// 2 and the same frames, each body behind its length and the `u64`
 /// FNV-1a version 2 framed it with instead of the CRC-32C.
@@ -328,9 +414,10 @@ fn v2_shard(v3: &[u8]) -> Vec<u8> {
 }
 
 /// A log this build cannot read must not silently turn durability off.
-/// Over a directory holding one shard file that is not a version-3 log —
+/// Over a directory holding one shard file that is not a version-4 log —
 /// version-1 frames with no file header, a real shard of this engine
-/// framed as version 2 wrote it, or a header with a later version word —
+/// framed as version 3 and as version 2 wrote it, or a header with a
+/// later version word —
 /// the engine still comes up (fresh runs open, ingest and
 /// answer `reach`), but `health()` names `WalUnavailable` with or without
 /// a watchdog, and the file is byte for byte what it was: after `build()`
@@ -346,10 +433,10 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
         .generate_run(&mut rng);
     let exec = Execution::deterministic(&gen.graph, &gen.origin);
 
-    // The shard an engine writes for one run, framed as the previous
-    // format version framed it.
-    let v2 = {
-        let dir = TempDir::new("v3-source");
+    // The shard an engine writes for one run, framed as the two previous
+    // format versions framed it.
+    let (v3, v2) = {
+        let dir = TempDir::new("v4-source");
         let engine: WfEngine = WfEngine::builder()
             .spec(spec.clone())
             .ingest_workers(1)
@@ -362,11 +449,13 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
         engine.flush();
         drop(engine);
         let records = wal::recover(&dir.0).unwrap().records;
-        let v3 = std::fs::read(dir.0.join(wal::shard_file_name(0))).unwrap();
+        let v4 = std::fs::read(dir.0.join(wal::shard_file_name(0))).unwrap();
         assert_eq!(records, 1 + exec.len() as u64);
+        let v3 = v3_shard(&v4);
+        assert!(v3.len() > v4.len(), "one frame per record");
         let v2 = v2_shard(&v3);
         assert_eq!(v2.len() as u64, v3.len() as u64 + 4 * records);
-        v2
+        (v3, v2)
     };
     // Two version-1 frames, `[len: u32][fnv1a: u64][kind][run: u64][seq: u64][payload]`.
     let mut v1 = Vec::new();
@@ -379,11 +468,11 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
         v1.extend_from_slice(&fnv1a(&body).to_le_bytes());
         v1.extend_from_slice(&body);
     }
-    let mut v4 = wal::FILE_HEADER.to_vec();
-    v4[4] += 1;
-    v4.extend_from_slice(b"whatever version 4 puts here");
+    let mut v5 = wal::FILE_HEADER.to_vec();
+    v5[4] += 1;
+    v5.extend_from_slice(b"whatever version 5 puts here");
 
-    for (tag, alien) in [("v1", v1), ("v2", v2), ("v4", v4)] {
+    for (tag, alien) in [("v1", v1), ("v2", v2), ("v3", v3), ("v5", v5)] {
         for watchdog in [None, Some(Duration::from_millis(5))] {
             let dir = TempDir::new("alien");
             let shard = dir.0.join(wal::shard_file_name(1));
@@ -439,38 +528,30 @@ fn an_unreadable_log_degrades_health_and_is_left_untouched() {
     }
 }
 
-/// The records of checkpointed runs in WAL shard `shard` of `dir`, in
-/// bytes — their checkpoints left out — and the shard's size.
+/// The frames of checkpointed runs in WAL shard `shard` of `dir`, in
+/// bytes — their checkpoints' frames left out — and the shard's size.
+/// Every frame is one run's, so whole frames are dead or live.
 fn checkpointed_bytes(dir: &std::path::Path, shard: usize) -> (u64, u64) {
-    let copy = TempDir::new("shard");
-    let name = wal::shard_file_name(shard);
-    std::fs::copy(dir.join(&name), copy.0.join(&name)).unwrap();
-    let scan = wal::recover(&copy.0).unwrap();
-    assert!(scan.torn.is_empty(), "{:?}", scan.torn);
-    let kept: u64 = scan
-        .runs
+    let bytes = std::fs::read(dir.join(wal::shard_file_name(shard))).unwrap();
+    let frames = v4_frames(&bytes);
+    let checkpoint = wal::RecordKind::Checkpoint as u8;
+    let checkpointed: std::collections::HashSet<u64> = frames
         .iter()
-        .flat_map(|r| &r.records)
-        .map(|r| r.encoded_len() as u64)
-        .sum();
-    let checkpoints: u64 = scan
-        .runs
-        .iter()
-        .filter(|r| r.checkpointed)
-        .map(|r| {
-            let payload = Vec::new();
-            let (kind, seq) = (wal::RecordKind::Checkpoint, wal::CHECKPOINT_SEQ);
-            wal::Record {
-                kind,
-                run: r.run,
-                seq,
-                payload,
-            }
-            .encoded_len() as u64
-        })
-        .sum();
-    let header = wal::FILE_HEADER.len() as u64;
-    (scan.bytes - header - kept - checkpoints, scan.bytes)
+        .flat_map(|(_, records)| records)
+        .filter(|r| r.0 == checkpoint)
+        .map(|r| r.1)
+        .collect();
+    let mut dead = 0;
+    let mut at = wal::FILE_HEADER.len();
+    for (end, records) in &frames {
+        let (kind, run, ..) = &records[0];
+        if checkpointed.contains(run) && *kind != checkpoint {
+            dead += (end - at) as u64;
+        }
+        at = *end;
+    }
+    assert_eq!(at, bytes.len());
+    (dead, bytes.len() as u64)
 }
 
 /// Checkpoints bound the log without rewriting it per persist: while
@@ -562,12 +643,7 @@ fn checkpoint_truncation_bounds_log_to_runs_not_persisted() {
             None => assert!(r.checkpointed && r.records.is_empty(), "{}", r.run),
         }
     }
-    let hot_bytes: u64 = scan
-        .runs
-        .iter()
-        .flat_map(|r| &r.records)
-        .map(|rec| rec.encoded_len() as u64)
-        .sum();
+    let hot_bytes: u64 = scan.runs.iter().map(|r| wal::frames_len(&r.records)).sum();
     assert!(scan.bytes <= hot_bytes + 64, "log retains dead weight");
 }
 

@@ -1,5 +1,5 @@
 //! A structure-aware mutation suite over the on-disk formats: the
-//! write-ahead log's version-3 shards, the segment's version-5 blobs and
+//! write-ahead log's version-4 shards, the segment's version-5 blobs and
 //! the spill directory's version-1 seal log.
 //!
 //! A flipped bit is what the checksum is for, and the CRC refuses every
@@ -179,13 +179,14 @@ enum Field {
     Word,
 }
 
-/// Where each field of a frame body lies: the kind byte, the run and
-/// `seq + 1` varints, then the payload the service wrote — a `RunOpen`'s
-/// spec word and resolution byte, an event's five varints and one per
-/// predecessor.
+/// Where each field of a frame body lies: the run and `first seq + 1`
+/// varints, then per record its kind byte, its payload length — every
+/// record's but the last, whose payload runs to the end of the body —
+/// and the payload the service wrote: a `RunOpen`'s spec word and
+/// resolution byte, an event's five varints and one per predecessor.
 fn body_fields(body: &[u8]) -> Vec<(usize, usize, Field)> {
-    let mut fields = vec![(0, 1, Field::Byte)];
-    let mut at = 1;
+    let mut fields = Vec::new();
+    let mut at = 0;
     let varint = |fields: &mut Vec<_>, at: &mut usize| {
         let (v, width) = get_varint(&body[*at..]);
         fields.push((*at, width, Field::Varint));
@@ -194,19 +195,57 @@ fn body_fields(body: &[u8]) -> Vec<(usize, usize, Field)> {
     };
     varint(&mut fields, &mut at);
     varint(&mut fields, &mut at);
-    match body[0] {
-        0 => fields.extend([(at, 4, Field::Word), (at + 4, 1, Field::Byte)]),
-        1 => {
-            for _ in 0..4 {
-                varint(&mut fields, &mut at);
+    while at < body.len() {
+        let (kind, more) = (body[at] & 0x7f, body[at] & 0x80 != 0);
+        fields.push((at, 1, Field::Byte));
+        at += 1;
+        let end = if more {
+            let len = varint(&mut fields, &mut at) as usize;
+            at + len
+        } else {
+            body.len()
+        };
+        match kind {
+            0 => fields.extend([(at, 4, Field::Word), (at + 4, 1, Field::Byte)]),
+            1 => {
+                for _ in 0..4 {
+                    varint(&mut fields, &mut at);
+                }
+                for _ in 0..varint(&mut fields, &mut at) {
+                    varint(&mut fields, &mut at);
+                }
             }
-            for _ in 0..varint(&mut fields, &mut at) {
-                varint(&mut fields, &mut at);
-            }
+            _ => {}
         }
-        _ => {}
+        at = end;
     }
     fields
+}
+
+/// How many records the log reads in a frame body, or `None` when it
+/// refuses the body — restated from the format: minimal varints, at
+/// least one record, known kinds, every record flagged `0x80` but the
+/// last followed by another, their payloads inside the body, no record
+/// numbered past `u64::MAX`.
+fn frame_records(body: &[u8]) -> Option<usize> {
+    let (_, run_width) = wal::get_varint(body)?;
+    let (first, first_width) = wal::get_varint(&body[run_width..])?;
+    let mut at = run_width + first_width;
+    let mut n = 0u64;
+    loop {
+        let &kind = body.get(at)?;
+        (kind & 0x7f < 4).then_some(())?;
+        at += 1;
+        n += 1;
+        if kind & 0x80 == 0 {
+            break;
+        }
+        let (len, width) = wal::get_varint(&body[at..])?;
+        at = (at + width).checked_add(usize::try_from(len).ok()?)?;
+        (at <= body.len()).then_some(())?;
+    }
+    let numbered = first.wrapping_sub(1).checked_add(n.checked_sub(1)?);
+    numbered.map(|_| n as usize)
 }
 
 fn frame(body: &[u8]) -> Vec<u8> {
@@ -263,8 +302,10 @@ fn mutate_field(draw: &mut Draw, old: &[u8], field: Field) -> Vec<u8> {
     }
 }
 
-/// A shard the engine wrote: two runs (one completed) of the running
-/// example, on one worker's shard file.
+/// A shard the engine wrote: on one worker's shard file, two runs of the
+/// running example (one completed) interleaved in bursts of 1 to 7
+/// events, so each run's batches split, then a third run's batch and the
+/// checkpoint that drops it.
 fn written_shard() -> (Vec<u8>, Specification, Execution) {
     let dir = TempDir::new("wal-source");
     let spec = wf_spec::corpus::running_example();
@@ -277,17 +318,29 @@ fn written_shard() -> (Vec<u8>, Specification, Execution) {
         .ingest_workers(1)
         .wal_dir(&dir.0)
         .build();
-    for complete in [true, false] {
-        let run = engine.open_run(SpecId(0)).unwrap();
-        for ev in exec.events() {
-            engine.submit(run, ev).unwrap();
+    let runs = [(); 2].map(|()| engine.open_run(SpecId(0)).unwrap());
+    let mut sent = [0; 2];
+    let mut draw = Draw::new(SEED, 2);
+    while sent.iter().any(|&n| n < exec.len()) {
+        for (run, n) in runs.iter().zip(&mut sent) {
+            let burst = (*n + 1 + draw.below(7)).min(exec.len());
+            for ev in &exec.events()[*n..burst] {
+                engine.submit(*run, ev).unwrap();
+            }
+            *n = burst;
         }
-        if complete {
-            engine.complete_run(run).unwrap();
-        }
+    }
+    engine.complete_run(runs[0]).unwrap();
+    let dropped = engine.open_run(SpecId(0)).unwrap();
+    for ev in &exec.events()[..3] {
+        engine.submit(dropped, ev).unwrap();
     }
     engine.flush();
     drop(engine);
+    let writer =
+        wal::WalWriter::open(&dir.0, 1, WalSync::default(), Box::new(wal::NullObserver)).unwrap();
+    writer.checkpoint(0, dropped.0, 0).unwrap();
+    drop(writer);
     let shard = std::fs::read(dir.0.join(wal::shard_file_name(0))).unwrap();
     (shard, spec, exec)
 }
@@ -301,16 +354,24 @@ fn mutated_wal_fields_are_refused_or_read_totally() {
     let started = Instant::now();
     let (shard, spec, exec) = written_shard();
     let frames = split_shard(&shard);
-    assert_eq!(frames.len(), 2 * (1 + exec.len()) + 1);
+    // Records per frame: two runs' `RunOpen`s, events and one `Complete`,
+    // the third run's `RunOpen`, three events and its checkpoint.
+    let held: Vec<usize> = frames
+        .iter()
+        .map(|&(whole, width)| frame_records(&whole[width + 4..]).unwrap())
+        .collect();
+    let records = held.iter().sum::<usize>();
+    assert_eq!(records, 2 * (1 + exec.len()) + 1 + 4 + 1);
+    assert!(frames.len() > 4 && held.iter().any(|&n| n > 1), "{held:?}");
     let dir = TempDir::new("wal");
     let path = dir.0.join(wal::shard_file_name(0));
-    let mut draw = Draw::new(SEED, u64::from_le_bytes(*b"wal v3\0\0"));
+    let mut draw = Draw::new(SEED, u64::from_le_bytes(*b"wal v4\0\0"));
     let (mut read_whole, mut cut, mut events_read, mut engines) = (0, 0, 0, 0);
     for case in 0..cases {
         let k = draw.below(frames.len());
         let (whole, width) = frames[k];
         let body = &whole[width + 4..];
-        let mutated = if draw.below(8) == 0 {
+        let (mutated, new_body) = if draw.below(8) == 0 {
             // The length prefix: outside the CRC, so no re-seal.
             let (len, _) = get_varint(whole);
             let prefix = mutate_field(&mut draw, &whole[..width], Field::Varint);
@@ -319,12 +380,13 @@ fn mutated_wal_fields_are_refused_or_read_totally() {
             } else {
                 prefix
             };
-            [&prefix[..], &whole[width..]].concat()
+            ([&prefix[..], &whole[width..]].concat(), body.to_vec())
         } else {
             let fields = body_fields(body);
             let (at, width, field) = fields[draw.below(fields.len())];
             let new = mutate_field(&mut draw, &body[at..at + width], field);
-            frame(&[&body[..at], &new[..], &body[at + width..]].concat())
+            let new_body = [&body[..at], &new[..], &body[at + width..]].concat();
+            (frame(&new_body), new_body)
         };
         let mut bytes = wal::FILE_HEADER.to_vec();
         let mut before = bytes.len();
@@ -343,12 +405,23 @@ fn mutated_wal_fields_are_refused_or_read_totally() {
         // Every frame, or exactly the frames before the mutated one.
         match rec.torn.as_slice() {
             [] => {
-                assert_eq!(rec.records as usize, frames.len(), "case {case}");
+                let read = frame_records(&new_body)
+                    .unwrap_or_else(|| panic!("case {case}: a refused frame was read"));
+                assert_eq!(
+                    rec.records as usize,
+                    records - held[k] + read,
+                    "case {case}"
+                );
                 assert_eq!(rec.bytes as usize, bytes.len(), "case {case}");
                 read_whole += 1;
             }
             [torn] => {
-                assert_eq!(rec.records as usize, k, "case {case}: {}", torn.detail);
+                let before_k = held[..k].iter().sum::<usize>();
+                assert_eq!(
+                    rec.records as usize, before_k,
+                    "case {case}: {}",
+                    torn.detail
+                );
                 assert_eq!(torn.valid_bytes as usize, before, "case {case}");
                 assert_eq!(rec.bytes as usize, before, "case {case}");
                 cut += 1;
