@@ -1,9 +1,9 @@
-//! Self-delimiting binary encoding of DRL labels, and the one reader of
-//! it.
+//! Self-delimiting binary encoding of one DRL label — the standalone
+//! label wire form — and of one journaled event.
 //!
 //! [`DrlLabel::bit_len`] reports the paper's *accounting* size (proof of
-//! Theorem 3). This module provides an actual wire format so labels can
-//! be stored in a provenance database: Elias-gamma for the variable
+//! Theorem 3). This module provides an actual wire format so a label can
+//! be shipped or stored on its own: Elias-gamma for the variable
 //! quantities (entry count, indexes, graph ids), two bits per node kind,
 //! fixed width for skeleton vertex indexes. The encoded size slightly
 //! exceeds the accounting size (self-delimiting gamma overhead plus the
@@ -14,54 +14,24 @@
 //! single append), and the encoding keeps that split: a **prefix
 //! record** is the entry count plus one (γ), then the entries; a
 //! standalone label ([`encode_label`]) is its prefix record followed by
-//! its own entry.
+//! its own entry. [`EntryCursor`] is the one reader of it: a bit cursor
+//! over a prefix record that yields entries without allocating
+//! ([`decode_label`] is that cursor collected, then the own entry).
 //!
-//! Reading has one path at each level. One label: [`EntryCursor`], a bit
-//! cursor over a prefix record that yields entries without allocating
-//! ([`decode_label`] is that cursor collected, then the own entry);
-//! callers hold a [`LabelRef`] — a prefix plus an own entry, decoded or
-//! encoded — and never need to know which. One run: [`ArenaRef`], the
-//! reader of a **label arena**, borrowed from a [`LabelArena`] that owns
-//! its bytes or from a segment's heap frame; it holds the only "label of
-//! vertex" in the workspace.
-//!
-//! **The label arena** — one completed run, all integers little-endian:
-//!
-//! ```text
-//! layout    span u32 (max vertex id + 1) · heap u32 (prefix-heap bytes)
-//!           · 7 × u8: the width of each cell field, in bits (≤ 32)
-//! presence  ⌈span / 64⌉ × (word u64: bit v % 64 set iff vertex v is
-//!           labeled · u32: the labeled vertices before the word)
-//! cells     one per labeled vertex, in vertex order, bit-packed at one
-//!           width per field: name · prefix offset · own index · kind ·
-//!           graph · skeleton vertex · rec (0 = none, 1–4)
-//! heap      each distinct prefix once, as a prefix record starting on
-//!           a byte; a cell's prefix offset is where its record starts
-//! ```
-//!
-//! Every field is exactly as wide as its largest value in the run, so a
-//! field that is 0 throughout — an own entry's kind is `N` — costs no
-//! bits. Finding a label is a presence test and a rank (the count before
-//! the word plus a popcount): no search. Reading a field is one
-//! unaligned 64-bit load, and so is a prefix entry's fixed-width field
-//! (its γ codes are read a bit at a time); two labels of one context
-//! need not decode their prefix at all.
+//! A completed run's labels are not kept in this form: its label arena
+//! ([`crate::arena`]) keeps each prefix entry once, as a fixed-width
+//! record of a context trie, and reads it without decoding.
 //!
 //! **What decodes.** An entry decodes only if an [`EntryWord`] holds it
-//! — index, graph and skeleton vertex within the word's widths — in a
-//! prefix record and in an arena cell alike: every label that reads is
-//! one a [`DrlLabel`] can carry, so a validated arena's labels all turn
-//! into owned ones. No writer emits wider entries; the rule only narrows
-//! what corrupted bytes can pass for.
+//! — index, graph and skeleton vertex within the word's widths — so
+//! every label that reads is one a [`DrlLabel`] can carry. No writer
+//! emits wider entries; the rule only narrows what corrupted bytes can
+//! pass for.
 
 use crate::entry::{fits_word, Entry, EntryWord, NodeKind};
 use crate::label::DrlLabel;
-use crate::predicate::DrlPredicate;
-use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 use wf_graph::{NameId, VertexId};
-use wf_skeleton::SpecLabeling;
 use wf_spec::GraphId;
 
 /// Append-only bit buffer.
@@ -98,26 +68,22 @@ impl BitWriter {
         self.len += 1;
     }
 
-    /// Write the low `width` bits of `value`, LSB first — up to a byte at
-    /// a time (an arena's cells are written with it).
-    pub fn push_bits(&mut self, mut value: u64, mut width: usize) {
-        while width > 0 {
-            let used = self.len % 8;
-            if used == 0 {
-                self.bytes.push(0);
-            }
-            let take = (8 - used).min(width);
-            let low = (value & ((1 << take) - 1)) as u8;
-            *self.bytes.last_mut().expect("a byte to write into") |= low << used;
-            value >>= take;
-            width -= take;
-            self.len += take;
+    /// Write the low `width` (≤ 64) bits of `value`, LSB first: the rest
+    /// of the last byte, then whole bytes (an arena's records are written
+    /// with it).
+    pub fn push_bits(&mut self, value: u64, width: usize) {
+        assert!(width <= 64, "a field of at most 64 bits");
+        let mut value = value & u64::MAX.checked_shr(64 - width as u32).unwrap_or(0);
+        let mut width = width;
+        let used = self.len % 8;
+        if used > 0 && width > 0 {
+            *self.bytes.last_mut().expect("a byte to write into") |= (value << used) as u8;
+            let took = (8 - used).min(width);
+            (value, width, self.len) = (value >> took, width - took, self.len + took);
         }
-    }
-
-    /// Skip to the next byte boundary.
-    fn pad_to_byte(&mut self) {
-        self.len = self.bytes.len() * 8;
+        self.bytes
+            .extend_from_slice(&value.to_le_bytes()[..width.div_ceil(8)]);
+        self.len += width;
     }
 
     /// Elias-gamma code for `value ≥ 1`: `⌊log₂ v⌋` zeros, then the
@@ -208,7 +174,7 @@ impl<'a> BitReader<'a> {
 /// bytes or more that is its last word shifted down — a label's record
 /// is about ten bytes, so most of its reads land there.
 #[inline]
-fn load_le(bytes: &[u8], at: usize) -> u64 {
+pub(crate) fn load_le(bytes: &[u8], at: usize) -> u64 {
     let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
     if let Some(b) = bytes.get(at..at + 8) {
         return word(b);
@@ -299,7 +265,7 @@ pub fn read_event(mut bytes: &[u8]) -> Option<wf_run::ExecEvent> {
     })
 }
 
-fn kind_code(kind: NodeKind) -> u64 {
+pub(crate) fn kind_code(kind: NodeKind) -> u64 {
     match kind {
         NodeKind::N => 0,
         NodeKind::L => 1,
@@ -308,7 +274,7 @@ fn kind_code(kind: NodeKind) -> u64 {
     }
 }
 
-fn code_kind(code: u64) -> Option<NodeKind> {
+pub(crate) fn code_kind(code: u64) -> Option<NodeKind> {
     Some(match code {
         0 => NodeKind::N,
         1 => NodeKind::L,
@@ -323,38 +289,12 @@ fn code_kind(code: u64) -> Option<NodeKind> {
 /// (`⌈log₂ nG⌉`, see [`crate::SpecTables::skl_bits`]).
 pub fn encode_label(label: &DrlLabel, skl_bits: usize) -> Vec<u8> {
     let mut w = BitWriter::new();
-    let view = label.view();
-    write_prefix(&mut w, view, skl_bits);
-    write_entry(&mut w, &view.last(), skl_bits);
-    w.into_bytes()
-}
-
-/// Write the prefix record of one borrowed label. An encoded prefix is
-/// re-encoded entry by entry; one that does not decode is written as a
-/// record that does not either: 64 zero bits, more than any γ code
-/// starts with.
-fn write_prefix(w: &mut BitWriter, label: LabelRef<'_>, skl_bits: usize) {
-    match label {
-        LabelRef::Entries { prefix, .. } => {
-            w.push_gamma(prefix.len() as u64 + 1);
-            for word in prefix.iter() {
-                write_entry(w, &word.unpack(), skl_bits);
-            }
-        }
-        LabelRef::Encoded {
-            prefix,
-            skl_bits: with,
-            ..
-        } => match EntryCursor::new(prefix, with) {
-            Some(cursor) if cursor.clone().all(|e| e.is_some()) => {
-                w.push_gamma(cursor.remaining as u64 + 1);
-                for e in cursor.flatten() {
-                    write_entry(w, &e, skl_bits);
-                }
-            }
-            _ => w.push_bits(0, 64),
-        },
+    let (prefix, last) = label.parts();
+    w.push_gamma(prefix.len() as u64 + 1);
+    for word in prefix.iter().chain([&last]) {
+        write_entry(&mut w, &word.unpack(), skl_bits);
     }
+    w.into_bytes()
 }
 
 fn write_entry(w: &mut BitWriter, e: &Entry, skl_bits: usize) {
@@ -383,97 +323,6 @@ pub fn decode_label(bytes: &[u8], skl_bits: usize) -> Option<DrlLabel> {
     let (prefix, mut rest) = EntryCursor::new(bytes, skl_bits)?.collect_prefix()?;
     let last = EntryWord::pack(&read_entry(&mut rest, skl_bits)?)?;
     Some(DrlLabel::from_parts(prefix, last, None))
-}
-
-/// A **borrowed label**: what every reader of a published label takes,
-/// whichever tier holds it. Both forms are a context prefix plus the
-/// vertex's own entry. The prefix is either an array of entry words —
-/// from a [`DrlLabel`] ([`DrlLabel::view`]) or from a table that keeps
-/// the arrays apart from the entries (the engine's hot index) — or a
-/// prefix record inside an arena's heap (plus the `skl_bits` it was
-/// written with), which an [`EntryCursor`] turns into the same [`Entry`]
-/// values one at a time. So the predicate ([`crate::DrlPredicate::reaches_ref`]),
-/// the scans and the arena builder never need an owned label on a read.
-#[derive(Debug, Clone, Copy)]
-pub enum LabelRef<'a> {
-    /// A prefix array and the own entry, as words.
-    Entries {
-        /// The context's shared prefix array, root first.
-        prefix: &'a Arc<[EntryWord]>,
-        /// The vertex's own entry.
-        last: EntryWord,
-    },
-    /// An encoded prefix and the own entry.
-    Encoded {
-        /// The prefix record, from its first byte (records are
-        /// self-delimiting, so trailing bytes are ignored).
-        prefix: &'a [u8],
-        /// The vertex's own entry, read from its cell.
-        last: Entry,
-        /// The skeleton-pointer width the record was written with.
-        skl_bits: usize,
-    },
-}
-
-impl<'a> LabelRef<'a> {
-    /// The vertex's own entry.
-    pub fn last(self) -> Entry {
-        match self {
-            LabelRef::Entries { last, .. } => last.unpack(),
-            LabelRef::Encoded { last, .. } => last,
-        }
-    }
-
-    /// Where the prefix is borrowed from: labels that lend one array, or
-    /// one record, lend one address.
-    fn prefix_address(self) -> usize {
-        match self {
-            LabelRef::Entries { prefix, .. } => prefix.as_ptr() as usize,
-            LabelRef::Encoded { prefix, .. } => prefix.as_ptr() as usize,
-        }
-    }
-
-    /// An owned copy — for the few places that *keep* a label: a decoded
-    /// label shares its prefix array (one reference count, no number:
-    /// the copy is the keeper's, not the run's), an encoded prefix is
-    /// decoded into a private one. `None` when it does not decode.
-    pub fn to_label(self) -> Option<DrlLabel> {
-        match self {
-            LabelRef::Entries { prefix, last } => {
-                Some(DrlLabel::from_parts(Arc::clone(prefix), last, None))
-            }
-            LabelRef::Encoded {
-                prefix,
-                last,
-                skl_bits,
-            } => {
-                let (prefix, _) = EntryCursor::new(prefix, skl_bits)?.collect_prefix()?;
-                Some(DrlLabel::from_parts(prefix, EntryWord::pack(&last)?, None))
-            }
-        }
-    }
-
-    /// Label length in bits, the Theorem-3 accounting of
-    /// [`DrlLabel::bit_len`]; `None` when the prefix does not decode.
-    pub fn bit_len(self, skl_bits: usize) -> Option<usize> {
-        match self {
-            LabelRef::Entries { prefix, last } => Some(
-                prefix
-                    .iter()
-                    .chain([&last])
-                    .map(|w| w.bit_len(skl_bits))
-                    .sum(),
-            ),
-            LabelRef::Encoded {
-                prefix,
-                last,
-                skl_bits: encoded_with,
-            } => EntryCursor::new(prefix, encoded_with)?
-                .try_fold(last.bit_len(skl_bits), |bits, e| {
-                    Some(bits + e?.bit_len(skl_bits))
-                }),
-        }
-    }
 }
 
 /// **The one entry decoder**: a bit cursor over one prefix record that
@@ -576,423 +425,6 @@ fn read_entry(r: &mut BitReader<'_>, skl_bits: usize) -> Option<Entry> {
     })
 }
 
-/// Cell fields, in the order a cell holds them.
-const NAME: usize = 0;
-const PREFIX: usize = 1;
-const INDEX: usize = 2;
-const KIND: usize = 3;
-const GRAPH: usize = 4;
-const VERTEX: usize = 5;
-const REC: usize = 6;
-const FIELDS: usize = 7;
-/// The layout header: the id span, the prefix-heap length, a width per
-/// cell field.
-const LAYOUT_LEN: usize = 4 + 4 + FIELDS;
-/// One presence word and the count of labeled vertices before it.
-const GROUP_LEN: usize = 8 + 4;
-
-/// The fields of the cell of a label named `name` whose prefix record
-/// starts at heap offset `prefix`. As in the entry code, only an `N`
-/// entry carries a skeleton pointer and rec flags.
-fn cell_fields(name: NameId, prefix: u32, last: &Entry) -> [u32; FIELDS] {
-    let (graph, vertex, rec) = match (last.kind, last.skl) {
-        (NodeKind::N, Some((g, v))) => {
-            let rec = last
-                .rec
-                .map_or(0, |(r1, r2)| 1 + 2 * u32::from(r1) + u32::from(r2));
-            (g.0, v.0, rec)
-        }
-        _ => (0, 0, 0),
-    };
-    let kind = kind_code(last.kind) as u32;
-    [name.0, prefix, last.index, kind, graph, vertex, rec]
-}
-
-/// The own entry a cell's fields describe; `None` for a kind or rec code
-/// no cell is written with, or an entry no [`EntryWord`] holds.
-fn cell_entry(field: impl Fn(usize) -> u32) -> Option<Entry> {
-    let kind = code_kind(u64::from(field(KIND)))?;
-    let (graph, vertex) = (field(GRAPH), field(VERTEX));
-    let index = field(INDEX);
-    let (skl, rec) = if kind == NodeKind::N {
-        let rec = match field(REC) {
-            0 => None,
-            code @ 1..=4 => Some((code >= 3, code % 2 == 0)),
-            _ => return None,
-        };
-        if !fits_word(index.into(), graph.into(), vertex.into()) {
-            return None;
-        }
-        (Some((GraphId(graph), VertexId(vertex))), rec)
-    } else if fits_word(index.into(), 0, 0) {
-        (None, None)
-    } else {
-        return None;
-    };
-    Some(Entry {
-        index,
-        kind,
-        skl,
-        rec,
-    })
-}
-
-/// Why bytes are not a label arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArenaError {
-    /// The bytes end before, or run past, the regions their layout
-    /// header sizes.
-    Length {
-        /// The length the layout calls for.
-        expected: usize,
-        /// The length found.
-        found: usize,
-    },
-    /// A cell field wider than the `u32` it holds.
-    Width(u8),
-    /// A presence word whose count of the labels before it is wrong.
-    Rank(usize),
-    /// A vertex whose cell or prefix record does not decode.
-    Label(VertexId),
-}
-
-impl fmt::Display for ArenaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArenaError::Length { expected, found } => write!(
-                f,
-                "arena length {found} does not match its layout (expected {expected})"
-            ),
-            ArenaError::Width(bits) => write!(f, "cell field width {bits} exceeds 32 bits"),
-            ArenaError::Rank(word) => write!(f, "presence word {word} has a wrong rank"),
-            ArenaError::Label(v) => write!(f, "the label of {v:?} does not decode"),
-        }
-    }
-}
-
-impl std::error::Error for ArenaError {}
-
-/// **The arena reader**: every label read of a completed run goes
-/// through this one type, whether the bytes are owned by a
-/// [`LabelArena`] or sit in a segment's heap frame; it never allocates.
-///
-/// [`Self::new`] checks the framing — the layout header, the widths, and
-/// that the regions it sizes fill the bytes exactly — in constant time,
-/// so a reader can be made per read. Past that it trusts nothing: a
-/// wrong rank reads another cell, an out-of-range cell reads zeros, and
-/// a prefix offset out of range or a record that no longer decodes
-/// surfaces as a malformed [`LabelRef`] (a `None` from its cursor) —
-/// never a panic. [`Self::to_arena`] is the validating copy.
-#[derive(Debug, Clone, Copy)]
-pub struct ArenaRef<'a> {
-    bytes: &'a [u8],
-    /// The presence words, each followed by its rank.
-    groups: &'a [u8],
-    cells: &'a [u8],
-    heap: &'a [u8],
-    width: [u8; FIELDS],
-    /// Each field's bit offset within a cell.
-    at: [u8; FIELDS],
-    cell_bits: usize,
-    skl_bits: usize,
-}
-
-impl<'a> ArenaRef<'a> {
-    /// Frame the label arena `bytes`, whose prefixes were written with
-    /// skeleton pointers `skl_bits` wide.
-    pub fn new(bytes: &'a [u8], skl_bits: usize) -> Result<Self, ArenaError> {
-        let length = |expected| ArenaError::Length {
-            expected,
-            found: bytes.len(),
-        };
-        let layout = bytes.get(..LAYOUT_LEN).ok_or(length(LAYOUT_LEN))?;
-        let word = |i: usize| u32::from_le_bytes(layout[i..i + 4].try_into().expect("4 bytes"));
-        let mut width = [0; FIELDS];
-        width.copy_from_slice(&layout[8..]);
-        if let Some(&bits) = width.iter().find(|&&bits| bits > 32) {
-            return Err(ArenaError::Width(bits));
-        }
-        let (mut at, mut cell_bits) = ([0; FIELDS], 0);
-        for (at, &bits) in at.iter_mut().zip(&width) {
-            *at = cell_bits;
-            cell_bits += bits;
-        }
-        let groups_len = (word(0) as usize).div_ceil(64) * GROUP_LEN;
-        let framed = LAYOUT_LEN + groups_len + word(4) as usize;
-        let cells_len = bytes.len().checked_sub(framed).ok_or(length(framed))?;
-        let (groups, rest) = bytes[LAYOUT_LEN..].split_at(groups_len);
-        let (cells, heap) = rest.split_at(cells_len);
-        let view = Self {
-            bytes,
-            groups,
-            cells,
-            heap,
-            width,
-            at,
-            cell_bits: usize::from(cell_bits),
-            skl_bits,
-        };
-        let expected = framed + (view.len() * view.cell_bits).div_ceil(8);
-        if bytes.len() != expected {
-            return Err(length(expected));
-        }
-        Ok(view)
-    }
-
-    /// Number of labeled vertices: the last word's rank plus its bits.
-    pub fn len(&self) -> usize {
-        let last = (self.groups.len() / GROUP_LEN).checked_sub(1);
-        last.and_then(|g| self.group(g))
-            .map_or(0, |(word, before)| before + word.count_ones() as usize)
-    }
-
-    /// True for the empty run.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The skeleton-pointer width the prefixes were encoded with.
-    pub fn skl_bits(&self) -> usize {
-        self.skl_bits
-    }
-
-    /// Presence word `g` and the number of labeled vertices before it.
-    #[inline]
-    fn group(&self, g: usize) -> Option<(u64, usize)> {
-        let b = self.groups.get(g * GROUP_LEN..)?.get(..GROUP_LEN)?;
-        let word = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-        let before = u32::from_le_bytes(b[8..].try_into().expect("4 bytes"));
-        Some((word, before as usize))
-    }
-
-    /// The cell of `v`: how many labeled vertices come before it.
-    #[inline]
-    fn rank(&self, v: VertexId) -> Option<usize> {
-        let (word, before) = self.group(v.0 as usize / 64)?;
-        let bit = v.0 % 64;
-        let below = (word & ((1 << bit) - 1)).count_ones() as usize;
-        ((word >> bit) & 1 == 1).then_some(before + below)
-    }
-
-    /// Field `k` of cell `r`: one unaligned little-endian load (the
-    /// bytes past the last cell read as zeros).
-    #[inline]
-    fn field(&self, r: usize, k: usize) -> u32 {
-        let bit = r
-            .saturating_mul(self.cell_bits)
-            .saturating_add(usize::from(self.at[k]));
-        let word = load_le(self.cells, bit / 8);
-        ((word >> (bit % 8)) & ((1 << self.width[k]) - 1)) as u32
-    }
-
-    /// Cell `r`: its prefix's heap offset and its own entry.
-    #[inline]
-    fn cell(&self, r: usize) -> Option<(u32, Entry)> {
-        let field = |k| self.field(r, k);
-        Some((field(PREFIX), cell_entry(field)?))
-    }
-
-    /// A cell as the borrowed label it stands for.
-    #[inline]
-    fn labeled(&self, (offset, last): (u32, Entry)) -> LabelRef<'a> {
-        LabelRef::Encoded {
-            prefix: self.heap.get(offset as usize..).unwrap_or_default(),
-            last,
-            skl_bits: self.skl_bits,
-        }
-    }
-
-    /// The module name `v` was published under.
-    pub fn name(&self, v: VertexId) -> Option<NameId> {
-        Some(NameId(self.field(self.rank(v)?, NAME)))
-    }
-
-    /// The label of `v`, if the run labeled it.
-    pub fn label(&self, v: VertexId) -> Option<LabelRef<'a>> {
-        Some(self.labeled(self.cell(self.rank(v)?)?))
-    }
-
-    /// `u ; v`, or `None` unless both are labeled and decode. Two cells
-    /// of one context — one prefix record, one own index — decide from
-    /// their own entries, without a look at the heap, as two hot cells
-    /// of one prefix slot do.
-    #[inline]
-    pub fn reach<S: SpecLabeling>(
-        &self,
-        predicate: &DrlPredicate<'_, S>,
-        u: VertexId,
-        v: VertexId,
-    ) -> Option<bool> {
-        let (a, b) = (self.cell(self.rank(u)?)?, self.cell(self.rank(v)?)?);
-        if a.0 == b.0 && a.1.index == b.1.index {
-            return predicate.decide(a.1, b.1, None, None);
-        }
-        predicate.reaches_ref(self.labeled(a), self.labeled(b))
-    }
-
-    /// Every labeled vertex and its cell, in vertex order.
-    fn cells(self) -> impl Iterator<Item = (VertexId, usize)> + Clone + 'a {
-        (0..self.groups.len() / GROUP_LEN)
-            .flat_map(move |g| {
-                let (word, _) = self.group(g).unwrap_or_default();
-                (0..word.count_ones()).scan(word, move |word, _| {
-                    let bit = word.trailing_zeros();
-                    *word &= *word - 1;
-                    Some(VertexId(g as u32 * 64 + bit))
-                })
-            })
-            .enumerate()
-            .map(|(r, v)| (v, r))
-    }
-
-    /// Every `(vertex, name)`, in vertex order; no label is read.
-    pub fn names(self) -> impl Iterator<Item = (VertexId, NameId)> + 'a {
-        self.cells()
-            .map(move |(v, r)| (v, NameId(self.field(r, NAME))))
-    }
-
-    /// Every `(vertex, name, label)`, in vertex order. No prefix is
-    /// decoded until a label's cursor is walked.
-    pub fn iter(self) -> impl Iterator<Item = (VertexId, NameId, LabelRef<'a>)> + Clone + 'a {
-        self.cells().filter_map(move |(v, r)| {
-            Some((v, NameId(self.field(r, NAME)), self.labeled(self.cell(r)?)))
-        })
-    }
-
-    /// A validated owned copy (what decoding a segment does): beyond the
-    /// framing, every rank counts the labels before its word, and every
-    /// cell and the prefix record it names decode — a corrupted arena is
-    /// rejected here, not at query time.
-    pub fn to_arena(&self) -> Result<LabelArena, ArenaError> {
-        let mut before = 0;
-        for g in 0..self.groups.len() / GROUP_LEN {
-            let (word, rank) = self.group(g).ok_or(ArenaError::Rank(g))?;
-            if rank != before {
-                return Err(ArenaError::Rank(g));
-            }
-            before += word.count_ones() as usize;
-        }
-        for (v, r) in self.cells() {
-            let decodes = self
-                .cell(r)
-                .map(|cell| self.labeled(cell).bit_len(self.skl_bits));
-            if decodes.flatten().is_none() {
-                return Err(ArenaError::Label(v));
-            }
-        }
-        Ok(LabelArena {
-            bytes: self.bytes.into(),
-            skl_bits: self.skl_bits,
-        })
-    }
-}
-
-/// **Run-level framing**: every label of one completed run in one label
-/// arena (see the module docs for the layout) — the static end state of
-/// the paper's dynamic scheme, where each context prefix is encoded once
-/// and a label is one fixed-width cell naming it.
-///
-/// Compared to the in-memory decoded labels it trades one pointer-free,
-/// cache-friendly buffer against decoding a prefix on access, which is
-/// exactly the trade a tiering policy wants to make for runs that
-/// stopped growing. It only *owns* the bytes: reads go through
-/// [`Self::view`], the same [`ArenaRef`] a segment's frame hands out, so
-/// a snapshot is a straight copy of the buffer.
-#[derive(Debug, Clone)]
-pub struct LabelArena {
-    bytes: Box<[u8]>,
-    skl_bits: usize,
-}
-
-impl LabelArena {
-    /// Encode every `(vertex, name, label)`, in strictly increasing
-    /// vertex order, into one arena, in two passes over `labels`. The
-    /// first numbers each distinct prefix as it is first met — by the
-    /// address the label borrows it from, so an array (or a record) that
-    /// many labels share is encoded once — and writes it to the heap,
-    /// noting each field's largest value. The second writes the presence
-    /// words and one cell per label. `skl_bits` must match the labeler's
-    /// ([`crate::SpecTables::skl_bits`]).
-    ///
-    /// # Panics
-    /// On a vertex out of order or of id `u32::MAX`.
-    pub fn build<'a, I>(skl_bits: usize, labels: I) -> Self
-    where
-        I: Iterator<Item = (VertexId, NameId, LabelRef<'a>)> + Clone,
-    {
-        let mut heap = BitWriter::new();
-        let mut offsets = HashMap::new();
-        let (mut span, mut max) = (0u32, [0u32; FIELDS]);
-        for (v, name, label) in labels.clone() {
-            assert!(v.0 >= span, "labels arrive in increasing vertex order");
-            span = v.0.checked_add(1).expect("vertex ids below u32::MAX");
-            let offset = *offsets.entry(label.prefix_address()).or_insert_with(|| {
-                let offset = u32::try_from(heap.len() / 8).expect("prefix heap under 4 GiB");
-                write_prefix(&mut heap, label, skl_bits);
-                heap.pad_to_byte();
-                offset
-            });
-            for (max, field) in max.iter_mut().zip(cell_fields(name, offset, &label.last())) {
-                *max = (*max).max(field);
-            }
-        }
-        let width = max.map(|m| (u32::BITS - m.leading_zeros()) as u8);
-        let heap = heap.into_bytes();
-        let mut bytes = Vec::with_capacity(LAYOUT_LEN + (span as usize).div_ceil(64) * GROUP_LEN);
-        bytes.extend_from_slice(&span.to_le_bytes());
-        bytes.extend_from_slice(&(heap.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&width);
-        let mut words = vec![0u64; (span as usize).div_ceil(64)];
-        let mut cells = BitWriter::new();
-        for (v, name, label) in labels {
-            words[v.0 as usize / 64] |= 1 << (v.0 % 64);
-            let offset = offsets[&label.prefix_address()];
-            for (field, &bits) in cell_fields(name, offset, &label.last()).iter().zip(&width) {
-                cells.push_bits(u64::from(*field), usize::from(bits));
-            }
-        }
-        let mut before = 0u32;
-        for word in words {
-            bytes.extend_from_slice(&word.to_le_bytes());
-            bytes.extend_from_slice(&before.to_le_bytes());
-            before += word.count_ones();
-        }
-        bytes.extend_from_slice(&cells.into_bytes());
-        bytes.extend_from_slice(&heap);
-        Self {
-            bytes: bytes.into_boxed_slice(),
-            skl_bits,
-        }
-    }
-
-    /// The reader over this arena's bytes.
-    pub fn view(&self) -> ArenaRef<'_> {
-        ArenaRef::new(&self.bytes, self.skl_bits)
-            .expect("an arena is built or validated before it is owned")
-    }
-
-    /// Number of labeled vertices.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// True for the empty run.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The skeleton-pointer width the prefixes were encoded with.
-    pub fn skl_bits(&self) -> usize {
-        self.skl_bits
-    }
-
-    /// The arena's bytes: its whole footprint, and what a segment blob
-    /// carries between its header and its checksum.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1019,6 +451,36 @@ mod tests {
         // Only zero padding remains within the final byte, then EOF.
         while let Some(bit) = r.read_bit() {
             assert!(!bit, "padding bits are zero");
+        }
+    }
+
+    /// A field written at once leaves the bytes that writing it a bit at
+    /// a time does, from every offset within a byte, for every width up
+    /// to 64 — the value's bits above the width ignored.
+    #[test]
+    fn push_bits_matches_the_bit_loop() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        for lead in 0..8 {
+            for width in 0..=64 {
+                let value = rng.gen_range(0..u64::MAX);
+                let (mut at_once, mut bit_by_bit) = (BitWriter::new(), BitWriter::new());
+                for w in [&mut at_once, &mut bit_by_bit] {
+                    for _ in 0..lead {
+                        w.push_bit(true);
+                    }
+                }
+                at_once.push_bits(value, width);
+                for i in 0..width {
+                    bit_by_bit.push_bit(value >> i & 1 == 1);
+                }
+                assert_eq!(at_once.len(), bit_by_bit.len(), "{lead} + {width}");
+                assert_eq!(
+                    at_once.into_bytes(),
+                    bit_by_bit.into_bytes(),
+                    "{lead} + {width}"
+                );
+            }
         }
     }
 
@@ -1227,14 +689,6 @@ mod tests {
         let lying = w.into_bytes();
         assert!(EntryCursor::new(&lying, 4).is_none());
         assert!(decode_label(&lying, 4).is_none());
-        let last = Entry::special(1, NodeKind::L);
-        let encoded = LabelRef::Encoded {
-            prefix: &lying,
-            last,
-            skl_bits: 4,
-        };
-        assert!(encoded.bit_len(4).is_none());
-        assert!(encoded.to_label().is_none());
     }
 
     /// The cursor over a label's bytes yields its prefix entries, and the
@@ -1260,36 +714,11 @@ mod tests {
         let bytes = encode_label(&label, 5);
         let cursor = EntryCursor::new(&bytes, 5).unwrap();
         assert!(cursor.eq(label.entries().take(2).map(Some)));
-        let encoded = LabelRef::Encoded {
-            prefix: &bytes,
-            last: label.view().last(),
-            skl_bits: 5,
-        };
-        assert_eq!(encoded.to_label().as_ref(), Some(&label));
-        assert_eq!(encoded.bit_len(5), Some(label.bit_len(5)));
+        assert_eq!(decode_label(&bytes, 5).as_ref(), Some(&label));
         assert_eq!(label.view().bit_len(5), Some(label.bit_len(5)));
         let cut: Vec<_> = EntryCursor::new(&bytes[..2], 5).unwrap().collect();
         assert_eq!(cut, [label.entry(0), None]);
         assert!(decode_label(&bytes[..2], 5).is_none());
-    }
-
-    /// The labels of one run, as its labeler issued them, in vertex order.
-    fn labeled_run(seed: u64, size: usize) -> (usize, Vec<(VertexId, DrlLabel)>) {
-        let spec = wf_spec::corpus::running_example();
-        let skeleton = TclSpecLabels::build(&spec);
-        let run = RunGenerator::new(&spec)
-            .target_size(size)
-            .generate_run(&mut StdRng::seed_from_u64(seed));
-        let mut labeler = crate::DerivationLabeler::new(&spec, &skeleton);
-        for step in run.derivation.steps() {
-            labeler.apply(step).unwrap();
-        }
-        let labels = run
-            .graph
-            .vertices()
-            .map(|v| (v, labeler.label(v).unwrap().clone()))
-            .collect();
-        (labeler.skl_bits(), labels)
     }
 
     /// A label kept as entry words answers exactly as its decoded
@@ -1297,8 +726,7 @@ mod tests {
     /// words is the entries' Theorem-3 sum, `encode_label`'s bytes are
     /// the entry code written from the decoded entries, and `reaches` on
     /// the words — the indexed walk, comparing masked index bits — is
-    /// the streaming walk over the decoded entries and the graph's own
-    /// reachability, for every pair.
+    /// the graph's own reachability, for every pair.
     #[test]
     fn words_and_decoded_entries_agree_on_a_generated_run() {
         use wf_graph::reach::ReachOracle;
@@ -1320,145 +748,28 @@ mod tests {
             .map(|ev| (ev.vertex, labeler.label(ev.vertex).unwrap()))
             .collect();
         assert!(labels.iter().any(|(_, l)| l.depth() >= 4), "a deep run");
-        let encoded: Vec<Vec<u8>> = labels
-            .iter()
-            .map(|(_, label)| {
-                let entries: Vec<Entry> = label.entries().collect();
-                let bits: usize = entries.iter().map(|e| e.bit_len(skl_bits)).sum();
-                assert_eq!(label.bit_len(skl_bits), bits);
-                let (last, prefix) = entries.split_last().unwrap();
-                let mut w = BitWriter::new();
-                w.push_gamma(prefix.len() as u64 + 1);
-                for e in prefix.iter().chain([last]) {
-                    write_entry(&mut w, e, skl_bits);
-                }
-                let bytes = w.into_bytes();
-                assert_eq!(encode_label(label, skl_bits), bytes);
-                assert_eq!(decode_label(&bytes, skl_bits).as_ref(), Some(*label));
-                bytes
-            })
-            .collect();
-        let p = DrlPredicate::new(&skeleton);
+        for (_, label) in &labels {
+            let entries: Vec<Entry> = label.entries().collect();
+            let bits: usize = entries.iter().map(|e| e.bit_len(skl_bits)).sum();
+            assert_eq!(label.bit_len(skl_bits), bits);
+            let (last, prefix) = entries.split_last().unwrap();
+            let mut w = BitWriter::new();
+            w.push_gamma(prefix.len() as u64 + 1);
+            for e in prefix.iter().chain([last]) {
+                write_entry(&mut w, e, skl_bits);
+            }
+            let bytes = w.into_bytes();
+            assert_eq!(encode_label(label, skl_bits), bytes);
+            assert_eq!(decode_label(&bytes, skl_bits).as_ref(), Some(*label));
+        }
+        let p = crate::DrlPredicate::new(&skeleton);
         let oracle = ReachOracle::new(&run.graph);
-        let streams: Vec<LabelRef<'_>> = labels
-            .iter()
-            .zip(&encoded)
-            .map(|((_, label), bytes)| LabelRef::Encoded {
-                prefix: bytes,
-                last: label.view().last(),
-                skl_bits,
-            })
-            .collect();
-        for ((u, a), sa) in labels.iter().zip(&streams) {
-            for ((v, b), sb) in labels.iter().zip(&streams) {
+        for (u, a) in &labels {
+            for (v, b) in &labels {
                 let want = oracle.reaches(*u, *v);
                 assert_eq!(p.reaches(a, b), want, "{u:?} ; {v:?}");
-                assert_eq!(p.reaches_ref(*sa, *sb), Some(want));
+                assert_eq!(p.reaches_ref(a.view(), b.view()), Some(want));
             }
         }
-    }
-
-    #[test]
-    fn arena_roundtrips_a_whole_run() {
-        let (skl_bits, labels) = labeled_run(99, 200);
-        let labeled = labels
-            .iter()
-            .map(|(v, label)| (*v, NameId(v.0 % 5), label.view()));
-        let arena = LabelArena::build(skl_bits, labeled.clone());
-        let view = arena.view();
-        assert_eq!(arena.len(), labels.len());
-        let get = |a: ArenaRef<'_>, v| a.label(v).and_then(LabelRef::to_label);
-        for (v, label) in &labels {
-            assert_eq!(get(view, *v).as_ref(), Some(label), "{v:?}");
-            assert_eq!(view.name(*v), Some(NameId(v.0 % 5)));
-        }
-        assert!(view.label(VertexId(1 << 30)).is_none());
-        assert!(view.label(VertexId(labels.len() as u32 + 1)).is_none());
-        // iter and names are vertex-ordered and complete.
-        assert!(view.iter().map(|(v, n, _)| (v, n)).eq(view.names()));
-        assert!(view
-            .names()
-            .map(|(v, _)| v)
-            .eq(labels.iter().map(|(v, _)| *v)));
-        // Each distinct prefix array is written once: far fewer records
-        // than labels, and a cell of a few bytes.
-        let distinct: std::collections::HashSet<_> =
-            labels.iter().map(|(_, l)| l.prefix_id()).collect();
-        assert!(
-            distinct.len() * 3 < labels.len(),
-            "{} prefixes",
-            distinct.len()
-        );
-        assert!(
-            arena.bytes().len() < 8 * labels.len(),
-            "{} B",
-            arena.bytes().len()
-        );
-        // A validated copy of the raw bytes (what a disk snapshot does).
-        let back = ArenaRef::new(arena.bytes(), skl_bits)
-            .unwrap()
-            .to_arena()
-            .unwrap();
-        assert_eq!(back.bytes(), arena.bytes());
-        // Built again from its own encoded labels: the same bytes.
-        let again = LabelArena::build(skl_bits, view.iter());
-        assert_eq!(again.bytes(), arena.bytes());
-        // The labels must come in vertex order.
-        let reversed: Vec<_> = labeled.rev().collect();
-        let unsorted =
-            std::panic::catch_unwind(|| LabelArena::build(skl_bits, reversed.into_iter()));
-        assert!(unsorted.is_err());
-    }
-
-    /// The framing is checked in constant time; the validating copy
-    /// checks every rank and label; the unvalidated reader answers
-    /// whatever the bytes say without panicking.
-    #[test]
-    fn validated_copy_rejects_corruption() {
-        let label = DrlLabel::new(vec![Entry {
-            index: 3,
-            kind: NodeKind::N,
-            skl: Some((GraphId(0), VertexId(1))),
-            rec: None,
-        }]);
-        let labels =
-            [VertexId(0), VertexId(64), VertexId(130)].map(|v| (v, NameId(v.0), label.view()));
-        let arena = LabelArena::build(4, labels.into_iter());
-        let bytes = arena.bytes();
-        assert!(ArenaRef::new(bytes, 4).unwrap().to_arena().is_ok());
-        // Every truncation and every extension breaks the framing.
-        for cut in 0..bytes.len() {
-            assert!(matches!(
-                ArenaRef::new(&bytes[..cut], 4),
-                Err(ArenaError::Length { .. })
-            ));
-        }
-        let long = [bytes, &[0]].concat();
-        assert!(matches!(
-            ArenaRef::new(&long, 4),
-            Err(ArenaError::Length { .. })
-        ));
-        // A width no `u32` field has.
-        let mut wide = bytes.to_vec();
-        wide[LAYOUT_LEN - 1] = 33;
-        assert_eq!(ArenaRef::new(&wide, 4).unwrap_err(), ArenaError::Width(33));
-        // A wrong rank short of the last word (whose rank sizes the
-        // cells): the framing holds, the validating copy refuses.
-        let mut ranked = bytes.to_vec();
-        ranked[LAYOUT_LEN + GROUP_LEN + 8] = 5;
-        let reader = ArenaRef::new(&ranked, 4).unwrap();
-        assert_eq!(reader.to_arena().unwrap_err(), ArenaError::Rank(1));
-        for v in [0, 64, 130] {
-            let _ = reader.label(VertexId(v)).map(|l| l.to_label());
-        }
-        // A prefix record that no longer decodes.
-        let mut zeroed = bytes.to_vec();
-        *zeroed.last_mut().unwrap() = 0;
-        let reader = ArenaRef::new(&zeroed, 4).unwrap();
-        assert_eq!(
-            reader.to_arena().unwrap_err(),
-            ArenaError::Label(VertexId(0))
-        );
-        assert!(reader.label(VertexId(0)).unwrap().to_label().is_none());
     }
 }

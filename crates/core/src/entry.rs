@@ -186,6 +186,50 @@ impl EntryWord {
         })
     }
 
+    /// The word of an entry given as the codes a label arena stores —
+    /// index, kind (`N` 0, `L` 1, `F` 2, `R` 3), skeleton graph and
+    /// vertex, rec (0 for none, else 1 + 2·rec1 + rec2) — without an
+    /// [`Entry`] between. `None` for a code no entry has, a field wider
+    /// than its slot, or a pointer or rec code on a special entry.
+    #[inline]
+    pub(crate) fn from_codes(
+        index: u64,
+        kind: u64,
+        graph: u64,
+        vertex: u64,
+        rec: u64,
+    ) -> Option<Self> {
+        let fits = if kind == 0 {
+            rec <= 4 && fits_word(index, graph, vertex)
+        } else {
+            kind <= 3 && graph | vertex | rec == 0 && fits_word(index, 0, 0)
+        };
+        let vertex = if kind == 0 { vertex } else { NO_VERTEX };
+        fits.then_some(Self(
+            kind << KIND_AT
+                | rec << REC_AT
+                | index << INDEX_AT
+                | graph << GRAPH_AT
+                | vertex << VERTEX_AT,
+        ))
+    }
+
+    /// The codes [`Self::from_codes`] takes back: index, kind, skeleton
+    /// graph and vertex (0 and 0 for a special entry), rec. `None` for a
+    /// shape the codes do not hold and no labeler issues: an `N` entry
+    /// without a skeleton pointer, a special one with a pointer or rec
+    /// flags.
+    #[inline]
+    pub(crate) fn codes(self) -> Option<[u64; 5]> {
+        let (kind, rec) = ((self.0 >> KIND_AT) & 0b11, (self.0 >> REC_AT) & 0b111);
+        let (graph, vertex) = match (self.skl(), kind) {
+            (Some((g, v)), 0) => (g.0.into(), v.0.into()),
+            (None, 1..) if rec == 0 => (0, 0),
+            _ => return None,
+        };
+        Some([self.index().into(), kind, graph, vertex, rec])
+    }
+
     /// The entry this word holds.
     #[inline]
     pub fn unpack(self) -> Entry {
@@ -292,7 +336,8 @@ mod tests {
     /// Every kind and rec code, with and without a skeleton pointer, at
     /// each field's largest value and at zero: the word gives back the
     /// entry it was packed from, its index and bit count read off it
-    /// match the entry's, and bit 0 stays clear.
+    /// match the entry's, bit 0 stays clear, and the codes a label arena
+    /// stores of it give it back where an arena can hold it.
     #[test]
     fn a_word_roundtrips_every_field_at_its_widths() {
         let widest = (
@@ -326,6 +371,17 @@ mod tests {
                             assert_eq!(word.bit_len(skl_bits), e.bit_len(skl_bits));
                         }
                         assert!(seen.insert(word), "{e:?} packs like another entry");
+                        // An arena stores codes: an `N` entry with its
+                        // pointer and a special entry with neither pointer
+                        // nor rec come back; the rest have none.
+                        let held = match kind {
+                            NodeKind::N => skl.is_some(),
+                            _ => skl.is_none() && rec.is_none(),
+                        };
+                        let back = word
+                            .codes()
+                            .and_then(|[i, k, g, v, r]| EntryWord::from_codes(i, k, g, v, r));
+                        assert_eq!(back, held.then_some(word), "{e:?}");
                     }
                 }
             }

@@ -41,10 +41,95 @@
 //! before. A number names an array only within the tree (the run) that
 //! assigned it; a rebuilt label has none ([`DrlLabel::prefix_id`]).
 
-use crate::encode::LabelRef;
+use crate::arena::PrefixTrie;
 use crate::entry::{Entry, EntryWord};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
+
+/// A **borrowed label**: what every reader of a published label takes,
+/// whichever tier holds it. Both forms are a context prefix plus the
+/// vertex's own entry word. The prefix is either an array of entry words
+/// — from a [`DrlLabel`] ([`DrlLabel::view`]) or from a table that keeps
+/// the arrays apart from the entries (the engine's hot index) — or a
+/// prefix of a completed run's trie ([`crate::arena`]), named by its
+/// number there. So the predicate ([`crate::DrlPredicate::reaches_ref`]),
+/// the scans and the arena builder never need an owned label on a read.
+#[derive(Debug, Clone, Copy)]
+pub enum LabelRef<'a> {
+    /// A prefix array and the own entry, as words.
+    Entries {
+        /// The context's shared prefix array, root first.
+        prefix: &'a Arc<[EntryWord]>,
+        /// The vertex's own entry.
+        last: EntryWord,
+    },
+    /// A prefix in a run's trie and the own entry, read from its cell.
+    Sealed {
+        /// The run's prefix trie.
+        trie: PrefixTrie<'a>,
+        /// The prefix: its last entry's trie record plus one, 0 for the
+        /// empty prefix.
+        prefix: u32,
+        /// The vertex's own entry.
+        last: EntryWord,
+    },
+}
+
+impl<'a> LabelRef<'a> {
+    /// The vertex's own entry.
+    #[inline]
+    pub fn last(self) -> EntryWord {
+        match self {
+            LabelRef::Entries { last, .. } | LabelRef::Sealed { last, .. } => last,
+        }
+    }
+
+    /// What names the prefix: labels that lend one array, or one trie
+    /// prefix, lend one key.
+    pub(crate) fn prefix_key(self) -> (usize, u32) {
+        match self {
+            LabelRef::Entries { prefix, .. } => (prefix.as_ptr() as usize, 0),
+            LabelRef::Sealed { trie, prefix, .. } => (trie.address(), prefix),
+        }
+    }
+
+    /// The prefix's entries, root first — borrowed from an array, read
+    /// off a trie; `None` when a trie prefix does not read.
+    pub(crate) fn prefix_words(self) -> Option<Cow<'a, [EntryWord]>> {
+        match self {
+            LabelRef::Entries { prefix, .. } => Some(Cow::Borrowed(&prefix[..])),
+            LabelRef::Sealed { trie, prefix, .. } => trie.entries(prefix).map(Cow::Owned),
+        }
+    }
+
+    /// An owned copy — for the few places that *keep* a label: a label of
+    /// an array shares it (one reference count, no number: the copy is
+    /// the keeper's, not the run's), a trie prefix is read into a private
+    /// one. `None` when it does not read.
+    pub fn to_label(self) -> Option<DrlLabel> {
+        match self {
+            LabelRef::Entries { prefix, last } => {
+                Some(DrlLabel::from_parts(Arc::clone(prefix), last, None))
+            }
+            LabelRef::Sealed { trie, prefix, last } => Some(DrlLabel::from_parts(
+                trie.entries(prefix)?.into(),
+                last,
+                None,
+            )),
+        }
+    }
+
+    /// Label length in bits, the Theorem-3 accounting of
+    /// [`DrlLabel::bit_len`]; `None` when the prefix does not read.
+    pub fn bit_len(self, skl_bits: usize) -> Option<usize> {
+        let prefix = match self {
+            LabelRef::Entries { prefix, .. } => prefix.iter().map(|w| w.bit_len(skl_bits)).sum(),
+            LabelRef::Sealed { trie, prefix, .. } => trie.bit_len(prefix, skl_bits)?,
+        };
+        Some(prefix + self.last().bit_len(skl_bits))
+    }
+}
 
 /// A DRL reachability label `φg(v)`: the entries for every explicit-
 /// parse-tree node on the root path of `v`'s context, ending with the

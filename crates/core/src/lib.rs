@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arena;
 pub mod derivation;
 pub mod encode;
 pub mod entry;
@@ -38,13 +39,12 @@ pub mod naive;
 pub mod predicate;
 pub mod tree;
 
+pub use arena::{ArenaError, ArenaRef, LabelArena, NameTable, PrefixTrie};
 pub use derivation::DerivationLabeler;
-pub use encode::{
-    decode_label, encode_label, ArenaError, ArenaRef, EntryCursor, LabelArena, LabelRef,
-};
+pub use encode::{decode_label, encode_label, EntryCursor};
 pub use entry::{Entry, EntryWord, NodeKind, SklPtr};
 pub use execution::{ExecError, ExecutionLabeler, ExecutionState, HeapLedger, ResolutionMode};
-pub use label::DrlLabel;
+pub use label::{DrlLabel, LabelRef};
 pub use machinery::{DrlError, Expansion, RecursionMode, SpecTables};
 pub use predicate::DrlPredicate;
 

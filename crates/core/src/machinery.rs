@@ -13,6 +13,7 @@
 //! labeler, its placements): the per-run state, which owns nothing
 //! per-spec.
 
+use crate::arena::NameTable;
 use crate::entry::{Entry, EntryWord, NodeKind};
 use crate::label::DrlLabel;
 use crate::tree::{ExplicitTree, NodeId, NONE};
@@ -139,6 +140,8 @@ pub struct SpecTables {
     conditions: Result<(), SpecError>,
     /// The entry-word width check, run once.
     words: Result<(), DrlError>,
+    /// Every spec vertex's name, for the label arena's name codes.
+    names: NameTable,
 }
 
 impl SpecTables {
@@ -237,6 +240,7 @@ impl SpecTables {
             composites,
             conditions: spec.check_execution_conditions(),
             words,
+            names: NameTable::new(spec),
         }
     }
 
@@ -248,6 +252,12 @@ impl SpecTables {
     /// Width of the skeleton pointer in bits (constant per spec).
     pub fn skl_bits(&self) -> usize {
         self.skl_bits
+    }
+
+    /// The name of every spec vertex: what a label arena of this spec's
+    /// runs reads its name code 0 through ([`crate::LabelArena`]).
+    pub fn names(&self) -> &NameTable {
+        &self.names
     }
 
     /// The designated recursive vertex of a spec graph, if any.

@@ -1,67 +1,28 @@
 //! The reachability predicate `πg` (Algorithm 4): constant-time decoding
 //! of two DRL labels.
 //!
-//! The predicate decides at the first entry where the two labels differ,
-//! so it has two ways of *finding* that entry — an indexed walk over two
-//! labels' entry words (their prefix arrays compared by the masked index
-//! bits of each pair of words, or not at all when both labels lend the
-//! *same* array), and a streaming walk over two
-//! entry streams (an [`EntryCursor`] over an encoded prefix record, then
-//! the own entry) that holds only the previous and current entries (what
-//! lets a completed run answer straight off its label arena; two labels
-//! lending the *same* record read it once) — and **one** case analysis,
-//! `DrlPredicate::decide`, that both reach. The case analysis reads the
-//! few fields it needs of the lowest common ancestor's entries and the
-//! entries after it in whichever form the walk holds them — entry words
-//! off the indexed walk, unpacked by none, decoded entries off the
-//! streaming one. [`DrlPredicate::reaches_ref`] picks the walk;
-//! [`DrlPredicate::reaches`] is it over two owned labels.
+//! The predicate decides at the lowest common ancestor (LCA) of the two
+//! labels' contexts — the last position of their longest common index
+//! prefix — so it has two ways of *finding* that position, and **one**
+//! case analysis, `DrlPredicate::decide`, that both reach with the entry
+//! words at the LCA and right after it:
+//!
+//! - the **indexed walk**, over two labels' prefix arrays from the root
+//!   down, comparing each pair of words by its masked index bits — or not
+//!   at all when both labels lend the *same* array;
+//! - the **climb**, over any pair with a completed run's label in it
+//!   ([`crate::arena`]): both paths are read from their depths up, one
+//!   fixed-width trie record (or array word) per step, and the climb
+//!   stops at the first prefix the two share — two labels of one trie
+//!   prefix read none of it.
+//!
+//! [`DrlPredicate::reaches_ref`] picks the walk; [`DrlPredicate::reaches`]
+//! is it over two owned labels.
 
-use crate::encode::{EntryCursor, LabelRef};
-use crate::entry::{Entry, EntryWord, NodeKind, SklPtr};
-use crate::label::DrlLabel;
-use std::sync::Arc;
+use crate::arena::Climb;
+use crate::entry::{EntryWord, NodeKind};
+use crate::label::{DrlLabel, LabelRef};
 use wf_skeleton::SpecLabeling;
-
-/// What the case analysis reads of an entry: the same four fields of a
-/// decoded [`Entry`] or of an [`EntryWord`], neither converted to the
-/// other.
-pub(crate) trait Fields: Copy {
-    fn kind(self) -> NodeKind;
-    fn index(self) -> u32;
-    fn skl(self) -> Option<SklPtr>;
-    fn rec(self) -> Option<(bool, bool)>;
-}
-
-impl Fields for Entry {
-    fn kind(self) -> NodeKind {
-        self.kind
-    }
-    fn index(self) -> u32 {
-        self.index
-    }
-    fn skl(self) -> Option<SklPtr> {
-        self.skl
-    }
-    fn rec(self) -> Option<(bool, bool)> {
-        self.rec
-    }
-}
-
-impl Fields for EntryWord {
-    fn kind(self) -> NodeKind {
-        EntryWord::kind(self)
-    }
-    fn index(self) -> u32 {
-        EntryWord::index(self)
-    }
-    fn skl(self) -> Option<SklPtr> {
-        EntryWord::skl(self)
-    }
-    fn rec(self) -> Option<(bool, bool)> {
-        EntryWord::rec(self)
-    }
-}
 
 /// The binary predicate over DRL labels. Holds only a reference to the
 /// shared skeleton labels — queries use nothing but the two labels and
@@ -92,12 +53,11 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     }
 
     /// [`Self::reaches`] over borrowed labels, whichever form each is
-    /// in. Two decoded labels take the indexed walk; otherwise the two
-    /// streams advance in lock step and only the previous and current
-    /// entries are held — no label is materialised. `None` when a label
-    /// stops decoding before the answer is known, or the two are not
-    /// labels of the same run: encoded bytes are outside input, so a
-    /// malformed label is an absent answer, never a wrong one.
+    /// in. Two labels of arrays take the indexed walk; a pair with a
+    /// sealed label in it climbs. No label is materialised. `None` when a
+    /// label stops reading before the answer is known, or the two are not
+    /// labels of the same run: a sealed run's bytes are outside input, so
+    /// a malformed label is an absent answer, never a wrong one.
     #[inline(always)]
     pub fn reaches_ref(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         match (a, b) {
@@ -111,74 +71,18 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                     last: lb,
                 },
             ) => self.indexed(pa, la, pb, lb),
-            _ => self.streamed(a, b),
+            _ => self.climbed(a, b),
         }
     }
 
     /// [`Self::reaches`] for two labels of one context, from their own
     /// entries alone: a holder that knows the two share their prefix
-    /// array and their own index (the same tree node) needs no look at
-    /// the array — the skeleton decides.
+    /// and their own index (the same tree node) needs no look at the
+    /// prefix — the skeleton decides.
     #[inline]
     pub fn reaches_in_context(&self, a: EntryWord, b: EntryWord) -> Option<bool> {
         debug_assert!(a.same_index(b), "one context node");
         self.decide(a, b, None, None)
-    }
-
-    /// The streaming walk's entry: at least one label is encoded, so both
-    /// are read as entry streams — a prefix, then the own entry. Two
-    /// labels lending one record share all of it, so it is read once.
-    fn streamed(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
-        use LabelRef::{Encoded, Entries};
-        fn decoded(
-            prefix: &Arc<[EntryWord]>,
-            last: EntryWord,
-        ) -> impl Iterator<Item = Option<Entry>> + '_ {
-            prefix
-                .iter()
-                .copied()
-                .chain([last])
-                .map(|w| Some(w.unpack()))
-        }
-        /// An encoded label's stream; `None` for a decoded one, or a
-        /// prefix record whose entry count does not decode.
-        fn encoded(label: LabelRef<'_>) -> Option<impl Iterator<Item = Option<Entry>> + '_> {
-            let Encoded {
-                prefix,
-                last,
-                skl_bits,
-            } = label
-            else {
-                return None;
-            };
-            Some(EntryCursor::new(prefix, skl_bits)?.chain([Some(last)]))
-        }
-        match (a, b) {
-            (Entries { .. }, Entries { .. }) => self.reaches_ref(a, b),
-            (Entries { prefix, last }, _) => self.walk(decoded(prefix, last), encoded(b)?),
-            (_, Entries { prefix, last }) => self.walk(encoded(a)?, decoded(prefix, last)),
-            (
-                Encoded {
-                    prefix,
-                    last: la,
-                    skl_bits,
-                },
-                Encoded {
-                    prefix: pb,
-                    last: lb,
-                    ..
-                },
-            ) if std::ptr::eq(prefix, pb) => {
-                if la.index == lb.index {
-                    return self.decide(la, lb, None, None);
-                }
-                // The record's last entry is the LCA; a label of the root
-                // context has none, and then the two are of two runs.
-                let lca = EntryCursor::new(prefix, skl_bits)?.last()??;
-                self.decide(lca, lca, Some(la), Some(lb))
-            }
-            _ => self.walk(encoded(a)?, encoded(b)?),
-        }
     }
 
     /// The indexed walk: the longest common prefix of the two context
@@ -232,30 +136,58 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
         )
     }
 
-    /// The streaming walk: advance both entry streams while the indexes
-    /// agree, remembering only the last agreeing pair (the LCA's
-    /// entries). A decode failure ends the walk without an answer.
-    fn walk(
-        &self,
-        mut ca: impl Iterator<Item = Option<Entry>>,
-        mut cb: impl Iterator<Item = Option<Entry>>,
-    ) -> Option<bool> {
-        /// The stream's next entry (`Some(None)` at its end); `None`
-        /// when the entry fails to decode.
-        fn step(it: &mut impl Iterator<Item = Option<Entry>>) -> Option<Option<Entry>> {
-            it.next().map_or(Some(None), |entry| entry.map(Some))
-        }
-        let mut lca: Option<(Entry, Entry)> = None;
-        loop {
-            let (next_a, next_b) = (step(&mut ca)?, step(&mut cb)?);
-            match (next_a, next_b) {
-                (Some(x), Some(y)) if x.index == y.index => lca = Some((x, y)),
-                _ => {
-                    let (x, y) = lca?;
-                    return self.decide(x, y, next_a, next_b);
-                }
+    /// The climb: both labels' paths read from the bottom up. Position
+    /// `k`, one past the shorter prefix, is the deepest the two can
+    /// share; from there the climb goes up a level at a time, comparing
+    /// indexes only and keeping where the deepest position whose index
+    /// and every index above it agree lies — a disagreement drops what it
+    /// kept. It stops at the first prefix both paths reach, whose entries
+    /// above agree by construction, or at the root; only then are the
+    /// LCA's entries and the ones after it read.
+    fn climbed(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        let (mut pa, la) = Path::of(&a)?;
+        let (mut pb, lb) = Path::of(&b)?;
+        // Labels of one prefix share all of it: their own entries agree
+        // (one context), or the prefix's last entry is the LCA; a label
+        // of the root context has none, and then the two are of two runs.
+        if pa.same(&pb) {
+            if la.same_index(lb) {
+                return self.decide(la, lb, None, None);
             }
+            let lca = pa.word(Rung::At(pa.mark()), la)?;
+            return self.decide(lca, lca, Some(la), Some(lb));
         }
+        let k = pa.depth().min(pb.depth()) + 1;
+        let (ia, xa, na) = pa.settle(k, la)?;
+        let (ib, xb, nb) = pb.settle(k, lb)?;
+        let mut lca = (ia == ib).then_some((xa, xb, na, nb));
+        let (mut below_a, mut below_b) = (xa, xb);
+        while pa.depth() > 0 {
+            let (ma, mb) = (Rung::At(pa.mark()), Rung::At(pb.mark()));
+            if pa.same(&pb) {
+                lca = lca.or(Some((ma, mb, Some(below_a), Some(below_b))));
+                break;
+            }
+            lca = if pa.index()? == pb.index()? {
+                lca.or(Some((ma, mb, Some(below_a), Some(below_b))))
+            } else {
+                None
+            };
+            (below_a, below_b) = (ma, mb);
+            pa.up()?;
+            pb.up()?;
+        }
+        let (x, y, next_x, next_y) = lca?;
+        let (x, y) = (pa.word(x, la)?, pb.word(y, lb)?);
+        // Only a special LCA reads the entries after it.
+        if x.kind() == NodeKind::N {
+            return self.decide(x, y, None, None);
+        }
+        let next = |path: &Path<'_>, own, next: Option<Rung>| match next {
+            Some(rung) => path.word(rung, own).map(Some),
+            None => Some(None),
+        };
+        self.decide(x, y, next(&pa, la, next_x)?, next(&pb, lb, next_y)?)
     }
 
     /// Lemma 4.2's case analysis at the lowest common ancestor: `lca_a`
@@ -265,12 +197,12 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
     /// LCA). `None` for shapes no labeler produces — an N entry without
     /// its skeleton pointer, a special LCA one label ends at.
     #[inline]
-    pub(crate) fn decide<E: Fields>(
+    pub(crate) fn decide(
         &self,
-        lca_a: E,
-        lca_b: E,
-        next_a: Option<E>,
-        next_b: Option<E>,
+        lca_a: EntryWord,
+        lca_b: EntryWord,
+        next_a: Option<EntryWord>,
+        next_b: Option<EntryWord>,
     ) -> Option<bool> {
         match lca_a.kind() {
             NodeKind::N => {
@@ -305,6 +237,124 @@ impl<'a, S: SpecLabeling> DrlPredicate<'a, S> {
                 })
             }
         }
+    }
+}
+
+/// A position on a label's path the climb has passed: the label's own
+/// entry, or the prefix it stood at (its [`Path::mark`]).
+#[derive(Clone, Copy)]
+enum Rung {
+    Own,
+    At(u32),
+}
+
+/// One label's prefix, read from the bottom up: where a climb stands.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    /// A prefix array; the climb stands at its first `depth` words.
+    Array(&'a [EntryWord], u32),
+    /// A trie prefix.
+    Trie(Climb<'a>),
+}
+
+impl<'a> Path<'a> {
+    /// A label's whole prefix, and its own entry; `None` for a trie
+    /// prefix that does not read.
+    #[inline]
+    fn of(label: &'a LabelRef<'a>) -> Option<(Self, EntryWord)> {
+        Some(match label {
+            LabelRef::Entries { prefix, last } => (Path::Array(prefix, prefix.len() as u32), *last),
+            LabelRef::Sealed { trie, prefix, last } => (Path::Trie(trie.at(*prefix)?), *last),
+        })
+    }
+
+    /// How many entries the prefix the climb stands at has.
+    #[inline]
+    fn depth(&self) -> u32 {
+        match self {
+            Path::Array(_, depth) => *depth,
+            Path::Trie(climb) => climb.depth(),
+        }
+    }
+
+    /// Where the climb stands, for [`Self::word`] to read back.
+    #[inline]
+    fn mark(&self) -> u32 {
+        match self {
+            Path::Array(_, depth) => *depth,
+            Path::Trie(climb) => climb.prefix(),
+        }
+    }
+
+    /// The index of the last entry of the prefix the climb stands at, as
+    /// stored; `None` above the root.
+    #[inline]
+    fn index(&self) -> Option<u64> {
+        match self {
+            Path::Array(words, depth) => {
+                Some(words.get(depth.checked_sub(1)? as usize)?.index().into())
+            }
+            Path::Trie(climb) => climb.index(),
+        }
+    }
+
+    /// The entry at a passed position; `None` above the root, or for a
+    /// record that does not decode.
+    #[inline]
+    fn word(&self, rung: Rung, own: EntryWord) -> Option<EntryWord> {
+        match (self, rung) {
+            (_, Rung::Own) => Some(own),
+            (Path::Array(words, _), Rung::At(depth)) => {
+                words.get(depth.checked_sub(1)? as usize).copied()
+            }
+            (Path::Trie(climb), Rung::At(prefix)) => climb.word_at(prefix),
+        }
+    }
+
+    /// Step to the prefix one entry shorter; `None` above the root or
+    /// where a trie link does not read.
+    #[inline]
+    fn up(&mut self) -> Option<()> {
+        match self {
+            Path::Array(_, depth) => *depth = depth.checked_sub(1)?,
+            Path::Trie(climb) => climb.up()?,
+        }
+        Some(())
+    }
+
+    /// Whether two climbs stand at one prefix: then every entry above
+    /// agrees.
+    #[inline]
+    fn same(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Path::Array(a, da), Path::Array(b, db)) => std::ptr::eq(*a, *b) && da == db,
+            (Path::Trie(a), Path::Trie(b)) => a.same(b),
+            _ => false,
+        }
+    }
+
+    /// Climb from the whole prefix to depth `k - 1`, where `k` is at most
+    /// one past the prefix, and return the label's index at position `k`
+    /// and where positions `k` and `k + 1` (`None` past the label's end)
+    /// lie: its own entry, or prefixes the climb passed.
+    fn settle(&mut self, k: u32, own: EntryWord) -> Option<(u64, Rung, Option<Rung>)> {
+        let depth = self.depth();
+        if depth + 1 == k {
+            return Some((own.index().into(), Rung::Own, None));
+        }
+        while self.depth() > k + 1 {
+            self.up()?;
+        }
+        let below = if depth == k {
+            Rung::Own
+        } else {
+            let below = Rung::At(self.mark());
+            self.up()?;
+            below
+        };
+        let (here, index) = (Rung::At(self.mark()), self.index()?);
+        self.up()?;
+        Some((index, here, Some(below)))
     }
 }
 
@@ -454,13 +504,15 @@ mod tests {
         assert!(!p.reaches(&member(2, s3), &member(1, s3)));
     }
 
-    /// The streaming walk reaches the same case analysis: every pair of
-    /// the hand-built labels above, in every mix of decoded and encoded
-    /// operands, answers like `reaches`; a label whose prefix is cut
-    /// mid-entry answers `None`, never a wrong `Some`.
+    /// The climb reaches the same case analysis: every pair of the
+    /// hand-built labels above, sealed into one arena, answers like
+    /// `reaches` — sealed × sealed, sealed × array and array × sealed —
+    /// and a label whose trie path is broken answers `None`, never a
+    /// wrong `Some`, unless the pair parts below the break.
     #[test]
-    fn streaming_walk_agrees_and_refuses_truncated_labels() {
-        use crate::encode::{encode_label, LabelRef};
+    fn the_climb_agrees_and_refuses_broken_paths() {
+        use crate::arena::{LabelArena, NameTable};
+        use wf_graph::NameId;
         let (spec, skeleton) = setup();
         let p = DrlPredicate::new(&skeleton);
         let g0 = GraphId::START;
@@ -485,50 +537,71 @@ mod tests {
             under(NodeKind::F, 2, h1, 0, None),
             under(NodeKind::R, 1, h3, 1, Some((true, false))),
             under(NodeKind::R, 2, h3, 0, Some((false, true))),
+            DrlLabel::new(vec![
+                n_entry(0, g0, 1),
+                Entry::special(1, NodeKind::L),
+                n_entry(2, h1, 1),
+                n_entry(1, h1, 0),
+            ]),
         ];
-        let skl_bits = 4;
-        // A standalone label starts with its prefix record.
-        let bytes: Vec<Vec<u8>> = labels.iter().map(|l| encode_label(l, skl_bits)).collect();
-        let encoded = |bytes, label: &DrlLabel| LabelRef::Encoded {
-            prefix: bytes,
-            last: label.view().last(),
-            skl_bits,
-        };
-        for (a, ab) in labels.iter().zip(&bytes) {
-            for (b, bb) in labels.iter().zip(&bytes) {
+        let names = NameTable::default();
+        let arena = LabelArena::build(
+            4,
+            &names,
+            labels
+                .iter()
+                .enumerate()
+                .map(|(i, l)| (VertexId(i as u32), NameId(0), l.view())),
+        );
+        let sealed = arena.view(&names);
+        let at = |i: usize| sealed.label(VertexId(i as u32)).unwrap();
+        for (i, a) in labels.iter().enumerate() {
+            for (j, b) in labels.iter().enumerate() {
                 // Labels under different special nodes at the same
                 // position never co-occur in one run.
-                if a.depth() == 3
-                    && b.depth() == 3
-                    && a.entry(1).unwrap().kind != b.entry(1).unwrap().kind
-                {
+                let special = |l: &DrlLabel| l.entry(1).map(|e| e.kind);
+                if a.depth() >= 3 && b.depth() >= 3 && special(a) != special(b) {
                     continue;
                 }
                 let want = Some(p.reaches(a, b));
-                let (ea, eb) = (encoded(ab, a), encoded(bb, b));
                 assert_eq!(p.reaches_ref(a.view(), b.view()), want);
-                assert_eq!(p.reaches_ref(ea, eb), want);
-                assert_eq!(p.reaches_ref(a.view(), eb), want);
-                assert_eq!(p.reaches_ref(ea, b.view()), want);
+                assert_eq!(p.reaches_ref(at(i), at(j)), want, "{i} ; {j}");
+                assert_eq!(
+                    sealed.reach(&p, VertexId(i as u32), VertexId(j as u32)),
+                    want
+                );
+                assert_eq!(p.reaches_ref(a.view(), at(j)), want);
+                assert_eq!(p.reaches_ref(at(i), b.view()), want);
             }
         }
-        // A label sharing the loop's path, its prefix record cut inside
-        // a third entry (whose 39-bit index alone spans the cut).
-        let deep = DrlLabel::new(vec![
-            n_entry(0, g0, 1),
-            Entry::special(1, NodeKind::L),
-            n_entry(900_000, h1, 1),
-            n_entry(1, h1, 0),
-        ]);
-        let deep_bytes = encode_label(&deep, skl_bits);
-        let cut = encoded(&deep_bytes[..4], &deep);
-        assert!(cut.to_label().is_none());
-        let full = encoded(&bytes[2], &labels[2]);
-        assert_eq!(p.reaches_ref(full, cut), None);
-        assert_eq!(p.reaches_ref(cut, full), None);
-        assert_eq!(p.reaches_ref(labels[2].view(), cut), None);
-        // …while a difference *before* the cut still decides.
-        assert_eq!(p.reaches_ref(labels[0].view(), cut), Some(true));
+        // Break the deep label's link from its third entry to its second:
+        // the last trie record (written after its parents) is that entry.
+        // The trie record written last is the deep label's third entry:
+        // the last bit whose flip leaves its cell readable but its path
+        // not lies in it.
+        let mut bytes = arena.bytes().to_vec();
+        let deep = labels.len() - 1;
+        let trie_bits = (0..bytes.len() * 8)
+            .rev()
+            .find(|&bit| {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                crate::ArenaRef::new(&flipped, 4, &names)
+                    .ok()
+                    .and_then(|v| v.label(VertexId(deep as u32)))
+                    .is_some_and(|l| l.to_label().is_none())
+            })
+            .expect("a bit whose flip breaks the deep label");
+        bytes[trie_bits / 8] ^= 1 << (trie_bits % 8);
+        let broken = crate::ArenaRef::new(&bytes, 4, &names).unwrap();
+        let cut = broken.label(VertexId(deep as u32)).unwrap();
+        assert_eq!(cut.bit_len(4), None);
+        assert_eq!(p.reaches_ref(at(2), cut), None);
+        assert_eq!(p.reaches_ref(cut, labels[2].view()), None);
+        assert!(crate::ArenaRef::new(&bytes, 4, &names)
+            .unwrap()
+            .to_arena()
+            .is_err());
     }
 
     /// Labels as a labeler issues them — prefix arrays shared by the
@@ -539,7 +612,7 @@ mod tests {
     /// carries equal arrays in two allocations (issued against rebuilt:
     /// the walk runs their whole length), or differs earlier — and so do
     /// their cells in a label arena, where labels that shared an array
-    /// share one prefix record. Two issued labels carry one array exactly
+    /// share one trie prefix. Two issued labels carry one array exactly
     /// when they carry one number.
     #[test]
     fn shared_prefix_arrays_answer_like_private_copies() {
@@ -573,11 +646,12 @@ mod tests {
         let labeled = issued.iter().enumerate();
         let arena = crate::LabelArena::build(
             tables.skl_bits(),
+            tables.names(),
             labeled.map(|(i, l)| (vertex(i), wf_graph::NameId(0), l.view())),
         );
-        let sealed = arena.view();
+        let sealed = arena.view(tables.names());
         let record = |i| match sealed.label(vertex(i)) {
-            Some(crate::LabelRef::Encoded { prefix, .. }) => prefix.as_ptr(),
+            Some(LabelRef::Sealed { prefix, .. }) => prefix,
             other => panic!("{other:?}"),
         };
         let mut same_array = 0;

@@ -249,7 +249,7 @@ impl EngineBuilder {
         let lru = Arc::new(SegmentLru::new(self.max_resident_bytes, Arc::clone(&obs)));
         let (spill, persisted) = self
             .spill_dir
-            .map(|dir| SpillDir::open(dir, &lru, self.contexts.len()))
+            .map(|dir| SpillDir::open(dir, &lru, &self.contexts))
             .unzip();
         let persisted = persisted.unwrap_or_default();
         // Crash recovery, first half: scan and rewrite the log now (the

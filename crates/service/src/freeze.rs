@@ -5,16 +5,18 @@
 //! completes, that machinery is pure overhead: the labels are final, so
 //! the run can be *sealed* into the compact at-rest form — the segment
 //! blob of [`crate::snapshot`], header ‖ label arena ‖ checksum, in one
-//! heap buffer — and its writer state dropped. The arena stores each
-//! context prefix the index holds once, and one fixed-width cell per
-//! label that names it ([`wf_drl::LabelArena`]); encoding it is two
-//! passes over the index, one writing the prefixes and one the cells.
-//! Queries keep working: a label is found by a rank over the arena's
-//! presence words, its own entry read from its cell, and the same
-//! constant-time predicate walks its prefix's cursor
-//! ([`wf_drl::ArenaRef`]), materialising no label; memory shrinks from
-//! decoded entry lists in a chunk table to one contiguous buffer, which
-//! persisting later writes to disk unchanged.
+//! heap buffer — and its writer state dropped. The arena is a context
+//! trie ([`wf_drl::LabelArena`]): each prefix entry the index's arrays
+//! hold is one fixed-width trie record naming its parent, each context
+//! one record naming its prefix, and each label one fixed-width cell
+//! naming its context, its name spelled out only where it is not its
+//! spec vertex's; encoding it is one pass over the index, then the
+//! records at the widths the run needs. Queries keep working: a label
+//! is found by a rank over the arena's presence words, its own entry
+//! read from its cell and context, and the same constant-time predicate
+//! climbs the trie ([`wf_drl::ArenaRef`]), materialising no label;
+//! memory shrinks from decoded entry lists in a chunk table to one
+//! contiguous buffer, which persisting later writes to disk unchanged.
 //!
 //! Freezing encodes the blob and nothing else. The paper's §7.4
 //! comparison against the static SKL baseline lives beside the engine,
@@ -42,7 +44,8 @@ fn unix_now() -> u64 {
 pub(crate) fn freeze_slot(run: RunId, slot: &RunSlot, lru: &Arc<SegmentLru>) -> SealedRun {
     let obs = &lru.obs;
     let encode = obs.timer();
-    let arena = LabelArena::build(slot.skl_bits, slot.indexed.iter());
+    let names = slot.ctx().tables().names();
+    let arena = LabelArena::build(slot.skl_bits, names, slot.indexed.iter());
     let header = SegmentHeader {
         run,
         spec: slot.spec,

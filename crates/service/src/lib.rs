@@ -195,6 +195,16 @@ impl<S: SpecLabeling> SpecContext<S> {
     }
 }
 
+/// A context shows as the size of its specification; its skeleton and
+/// tables are derived from it.
+impl fmt::Debug for SpecContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpecContext")
+            .field("graphs", &self.spec.graph_count())
+            .finish_non_exhaustive()
+    }
+}
+
 /// One operation on one run.
 #[derive(Debug, Clone)]
 pub enum RunOp {

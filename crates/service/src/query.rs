@@ -12,7 +12,7 @@
 //! blocked anywhere. The matcher is handed borrowed labels
 //! ([`wf_drl::LabelRef`]) and keeps only vertex ids: a name-scoped scan
 //! reads the cells' names and looks a label up — a rank, a cell, a
-//! prefix record — only for vertices whose name matches.
+//! context record — only for vertices whose name matches.
 //!
 //! The flagship question ("which completed runs of spec S have a vertex
 //! named N reachable from their source?") composes three write-once

@@ -126,6 +126,11 @@ impl RunSlot {
         })
     }
 
+    /// The run's specification, which its sealed form names through.
+    pub(crate) fn ctx(&self) -> &Arc<SpecContext> {
+        &self.ctx
+    }
+
     pub(crate) fn status(&self) -> RunStatus {
         RunStatus::from_u8(self.status.load(Ordering::Acquire))
     }

@@ -3,12 +3,12 @@
 //! sit in a heap frame, in a pack file on disk, or both — loadable at
 //! engine build time so historical runs keep answering cross-run queries.
 //!
-//! A *segment blob* holds one run (format version 5, all integers
+//! A *segment blob* holds one run (format version 6, all integers
 //! little-endian):
 //!
 //! ```text
 //! magic     8 B   "WFTIERS1"
-//! version   u32   5
+//! version   u32   6
 //! run       u64
 //! spec      u32
 //! skl_bits  u32
@@ -17,20 +17,39 @@
 //! arena     u64   arena byte length
 //! drl_bits  u64   DRL accounting bits (hot-tier footprint, for stats)
 //! frozen_at u64   unix seconds at freeze time (0 = unknown)
-//! labels    arena the run's label arena (wf_drl::LabelArena: layout
-//!                 header ‖ presence words ‖ cells ‖ prefix heap)
+//! labels    arena the run's label arena, a context trie
+//!                 (wf_drl::LabelArena), below
 //! checksum  u32   CRC-32C over everything above
 //! ```
+//!
+//! The arena (`wf_drl::arena` has the bit-level table):
+//!
+//! | part      | what it holds |
+//! |-----------|---------------|
+//! | layout    | id span, context and trie record counts, 15 field widths |
+//! | presence  | a `u64` word per 64 vertex ids, with the labeled vertices before it |
+//! | cells     | per label: context · skeleton vertex · rec · name code (0 = the spec vertex's name) |
+//! | contexts  | per distinct context: prefix · own index · own kind · own graph |
+//! | trie      | per distinct prefix entry: parent · depth · index · kind · graph · skeleton vertex · rec |
+//!
+//! Every record is fixed-width at the widths the run needs, in one bit
+//! stream; a read is field loads, never a decode. On the benchmark's
+//! `tiered-read` workload (seed 1) a frozen label costs 2.99 B, where
+//! version 5 spent 4.81 B. A name code 0 reads through the spec's name
+//! table ([`wf_drl::SpecTables::names`]), so a sealed run reads its names
+//! through its catalog entry, as it reads its reachability through the
+//! skeleton.
 //!
 //! The arena's layout is `wf-drl`'s: this module frames `arena` bytes and
 //! hands them to [`wf_drl::ArenaRef`], which checks them.
 //! Any other version — of a blob or of the seal log — is rejected with a typed
-//! [`SnapshotError::Format`], never guessed at: version 4 was this
-//! layout under a `u64` FNV-1a trailer, version 3 held a sorted 12-byte
-//! `(vertex, name, offset)` slot per label over a heap of whole encoded
-//! labels, version 2 carried 44 more header bytes (a freeze-time SKL
-//! report), and each is refused by its version word exactly as version 1
-//! is.
+//! [`SnapshotError::Format`], never guessed at: version 5 was the same
+//! presence words over 7-field cells naming a γ-coded prefix heap by
+//! byte offset, version 4 that layout under a `u64` FNV-1a trailer,
+//! version 3 held a sorted 12-byte `(vertex, name, offset)` slot per
+//! label over a heap of whole encoded labels, version 2 carried 44 more
+//! header bytes (a freeze-time SKL report), and each is refused by its
+//! version word exactly as version 1 is.
 //!
 //! Blobs live in **pack files** (`pack-<seq>.wfseg`): one or more blobs
 //! concatenated. Fresh spills append to the pack their engine lifetime
@@ -83,13 +102,13 @@
 use crate::slot::{LineCounter, RunSlot};
 use crate::store::{SegmentLru, Tier};
 use crate::telemetry::with_profile;
-use crate::{RunId, ServiceError, SpecId};
+use crate::{RunId, ServiceError, SpecContext, SpecId};
 use std::fmt;
 use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
-use wf_drl::{ArenaRef, LabelArena};
+use wf_drl::{ArenaRef, LabelArena, NameTable};
 use wf_graph::VertexId;
 use wf_wal::crc32c;
 use wf_wal::file::{self, FileError};
@@ -97,7 +116,7 @@ use wf_wal::file::{self, FileError};
 /// Segment file magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"WFTIERS1";
 /// The segment format version this engine reads and writes.
-pub const SEGMENT_VERSION: u32 = 5;
+pub const SEGMENT_VERSION: u32 = 6;
 /// A file holding fewer live runs than this is *underfull*: compaction
 /// merges underfull files, and rewrites *dead-heavy* ones — more than
 /// [`DEAD_HEAVY_RATIO`] of their bytes belonging to evicted runs. Every
@@ -273,7 +292,7 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
             body.len()
         )));
     }
-    let labels = blob_arena(bytes, &header)?.len();
+    let labels = blob_arena(bytes, &header, &NameTable::default())?.len();
     if labels != header.count as usize {
         return Err(SnapshotError::Format(format!(
             "arena holds {labels} labels, header says {}",
@@ -284,21 +303,31 @@ pub fn verify_segment_bytes(bytes: &[u8]) -> Result<SegmentHeader, SnapshotError
 }
 
 /// The label arena of a blob whose framing matches `header`, read in
-/// place — the one frame → reader step, whoever filled the frame. The
-/// arena checks its own layout.
-fn blob_arena<'a>(blob: &'a [u8], header: &SegmentHeader) -> Result<ArenaRef<'a>, SnapshotError> {
+/// place and naming through `names` — the one frame → reader step,
+/// whoever filled the frame. The arena checks its own layout.
+fn blob_arena<'a>(
+    blob: &'a [u8],
+    header: &SegmentHeader,
+    names: &'a NameTable,
+) -> Result<ArenaRef<'a>, SnapshotError> {
     let arena = blob
         .get(HEADER_LEN..)
         .and_then(|body| body.get(..header.arena_len as usize))
         .ok_or_else(|| SnapshotError::Format("truncated segment".into()))?;
-    ArenaRef::new(arena, header.skl_bits as usize).map_err(|e| SnapshotError::Format(e.to_string()))
+    ArenaRef::new(arena, header.skl_bits as usize, names)
+        .map_err(|e| SnapshotError::Format(e.to_string()))
 }
 
 /// Parse and fully validate segment bytes — framing, checksum, **and
-/// every label** — back into the header and an owned label arena.
-pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentHeader, LabelArena), SnapshotError> {
+/// every label**, its name read through `names` (the spec's
+/// [`wf_drl::SpecTables::names`]) — back into the header and an owned
+/// label arena.
+pub fn decode_segment(
+    bytes: &[u8],
+    names: &NameTable,
+) -> Result<(SegmentHeader, LabelArena), SnapshotError> {
     let header = verify_segment_bytes(bytes)?;
-    let arena = blob_arena(bytes, &header)?
+    let arena = blob_arena(bytes, &header, names)?
         .to_arena()
         .map_err(|e| SnapshotError::Format(e.to_string()))?;
     Ok((header, arena))
@@ -491,6 +520,8 @@ impl Place {
 #[derive(Debug)]
 pub(crate) struct SealedRun {
     header: SegmentHeader,
+    /// The run's specification: its name table reads the arena's names.
+    ctx: Arc<SpecContext>,
     /// Length of the blob (not of its pack: packs share one file among
     /// many runs). A rewrite copies blobs verbatim, so it never changes.
     len: u64,
@@ -512,9 +543,16 @@ pub(crate) struct SealedRun {
 impl SealedRun {
     /// A sealed run at `place`, counting its queries afresh, with no
     /// records in a WAL shard.
-    fn new(header: SegmentHeader, len: u64, place: Place, lru: Arc<SegmentLru>) -> Self {
+    fn new(
+        header: SegmentHeader,
+        ctx: Arc<SpecContext>,
+        len: u64,
+        place: Place,
+        lru: Arc<SegmentLru>,
+    ) -> Self {
         Self {
             header,
+            ctx,
             len,
             place: RwLock::new(place),
             last_access: AtomicU64::new(0),
@@ -543,20 +581,20 @@ impl SealedRun {
         Self {
             queries: Arc::clone(&slot.queries),
             wal_bytes: slot.wal_bytes.load(Ordering::Relaxed),
-            ..Self::new(header, len, place, lru)
+            ..Self::new(header, Arc::clone(slot.ctx()), len, place, lru)
         }
     }
 
     /// Register the blob a [`Seal::Sealed`] record names — `len` bytes at
     /// `offset` of `file`, a pack `pack_len` bytes long — by reading its
-    /// header only. Nothing else is read: the frame is loaded only when
-    /// queried, which keeps the memory release of persisting real.
+    /// header only, its spec looked up in `catalog`. Nothing else is
+    /// read: the frame is loaded only when queried, which keeps the
+    /// memory release of persisting real.
     pub(crate) fn open_at(
         file: Arc<Path>,
         pack_len: u64,
-        run: RunId,
-        offset: u64,
-        len: u64,
+        (run, offset, len): (RunId, u64, u64),
+        catalog: &[Arc<SpecContext>],
         lru: Arc<SegmentLru>,
     ) -> Result<Self, SnapshotError> {
         let header = read_header_at(&file, offset)?;
@@ -566,6 +604,9 @@ impl SealedRun {
                 header.run
             )));
         }
+        let ctx = catalog.get(header.spec.0).ok_or_else(|| {
+            SnapshotError::Format(format!("spec {} is beyond the catalog", header.spec.0))
+        })?;
         // A record is an index, not a trust root: a length other than the
         // header's would fail the run's first load, and a range past the
         // file's end would size a frame the file cannot fill.
@@ -586,7 +627,7 @@ impl SealedRun {
             disk: Some(Disk::at(file, offset)),
             evicted: false,
         };
-        Ok(Self::new(header, len, place, lru))
+        Ok(Self::new(header, Arc::clone(ctx), len, place, lru))
     }
 
     /// The run this blob holds.
@@ -661,7 +702,7 @@ impl SealedRun {
                 self.last_access.store(self.lru.tick(), Ordering::Relaxed);
                 with_profile(|p| p.verifies_skipped += 1);
             }
-            return Some(f(blob_arena(frame, &self.header).ok()?));
+            return Some(f(self.arena(frame)?));
         }
         drop(place);
         let mut place = self.write();
@@ -678,7 +719,12 @@ impl SealedRun {
             }
         };
         drop(place);
-        Some(f(blob_arena(&frame, &self.header).ok()?))
+        Some(f(self.arena(&frame)?))
+    }
+
+    /// The run's arena over `frame`, naming through its spec's table.
+    fn arena<'a>(&'a self, frame: &'a [u8]) -> Option<ArenaRef<'a>> {
+        blob_arena(frame, &self.header, self.ctx.tables().names()).ok()
     }
 
     /// Under the place write lock: read the blob at its location into a

@@ -77,7 +77,7 @@ use crate::snapshot::{
     SEAL_LOG_FILE, SEAL_LOG_HEADER,
 };
 use crate::store::{LabelStore, RunView, SegmentLru, Tier};
-use crate::{RunId, ServiceError};
+use crate::{RunId, ServiceError, SpecContext};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -268,13 +268,13 @@ impl SpillDir {
     /// header-only reads (no frame is loaded until queried). A run
     /// registers from its last record that reads back; an [`Seal::Evicted`]
     /// after it — or a later record of either kind — ends it. A record
-    /// that does not read back, or names a spec beyond the `specs` this
-    /// catalog has, is kept unread. A directory that cannot be read is
+    /// that does not read back, or names a spec beyond this `catalog`, is
+    /// kept unread. A directory that cannot be read is
     /// refused (`Self::refused`), byte for byte as it was found.
     pub(crate) fn open(
         dir: PathBuf,
         lru: &Arc<SegmentLru>,
-        specs: usize,
+        catalog: &[Arc<SpecContext>],
     ) -> (Self, Vec<Arc<SealedRun>>) {
         let mut spill = Self {
             dir,
@@ -284,7 +284,7 @@ impl SpillDir {
             unread: Vec::new(),
             refused: None,
         };
-        let persisted = spill.load(lru, specs).unwrap_or_else(|cause| {
+        let persisted = spill.load(lru, catalog).unwrap_or_else(|cause| {
             spill.refused = Some(cause.to_string());
             Vec::new()
         });
@@ -299,7 +299,7 @@ impl SpillDir {
     fn load(
         &mut self,
         lru: &Arc<SegmentLru>,
-        specs: usize,
+        catalog: &[Arc<SpecContext>],
     ) -> Result<Vec<Arc<SealedRun>>, SnapshotError> {
         file::create_dir(&self.dir)?;
         let names = file::list(&self.dir)?;
@@ -329,12 +329,13 @@ impl SpillDir {
                 let path: Arc<Path> = self.pack_path(pack).into();
                 (Arc::clone(&path), file::len(&path).unwrap_or(0))
             });
-            match SealedRun::open_at(Arc::clone(file), *size, run, offset, len, Arc::clone(lru)) {
-                Ok(sealed) if sealed.header().spec.0 < specs => {
+            let place = (run, offset, len);
+            match SealedRun::open_at(Arc::clone(file), *size, place, catalog, Arc::clone(lru)) {
+                Ok(sealed) => {
                     settled.insert(run);
                     persisted.push(Arc::new(sealed));
                 }
-                _ => self.unread.push(*seal),
+                Err(_) => self.unread.push(*seal),
             }
         }
         self.unread.reverse();

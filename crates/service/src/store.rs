@@ -6,9 +6,9 @@
 //!   run is live. Labels are decoded in memory; queries are two
 //!   `Acquire` loads and a constant-time predicate.
 //! * **Sealed** — completed runs, each one segment blob
-//!   ([`crate::snapshot`]): an order of magnitude smaller — each context
-//!   prefix once, one fixed-width cell per label — at the price of
-//!   walking a prefix's bit cursor per label access. The blob's bytes in
+//!   ([`crate::snapshot`]): an order of magnitude smaller — each prefix
+//!   entry once in a context trie, one fixed-width cell per label — at
+//!   the price of a few field loads per entry read. The blob's bytes in
 //!   memory are one heap frame: held from freeze until the run is
 //!   persisted, and again after a re-heat; otherwise loaded from the
 //!   pack by the first query that needs it — zero resident bytes until
@@ -358,7 +358,8 @@ impl RunView {
 
     /// Constant-time `u ; v`, answered without allocating: two cells and,
     /// unless they share a context, their prefixes — arrays in the hot
-    /// index's table, or records walked off the blob's bytes (sealed).
+    /// index's table, or trie records climbed in the blob's bytes
+    /// (sealed).
     pub(crate) fn reach(
         &self,
         predicate: &DrlPredicate<'_, TclSpecLabels>,

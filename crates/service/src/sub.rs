@@ -79,7 +79,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-use wf_drl::{DrlLabel, DrlPredicate, LabelRef};
+use wf_drl::{DrlPredicate, LabelRef};
 use wf_graph::{NameId, VertexId};
 use wf_skeleton::TclSpecLabels;
 
@@ -286,10 +286,12 @@ impl RunMatcher {
     /// Advance the matcher with one published `(vertex, name, label)` of
     /// the run `labels` reads — the matcher's one entry point, for the
     /// push notify, the catch-up and the pull scan alike. The label is
-    /// borrowed — a cold tier's is still encoded — and walked only if
-    /// the name makes the vertex relevant; `None` when the caller does
+    /// borrowed — a cold tier's names its prefix in the run's trie — and
+    /// walked only if the name makes the vertex relevant, once per pair
+    /// it meets (a trie walk is field loads, nothing to decode once for
+    /// all of them); `None` when the caller does
     /// not hold it, and then it is read from `labels` only for a relevant
-    /// vertex. A label that no longer decodes is treated as never
+    /// vertex. A label that no longer reads is treated as never
     /// published. `emit` receives each fresh witness, in discovery
     /// order; the return value is the number of constant-time predicate
     /// evaluations (the pull path adds it to the run's query counter).
@@ -332,18 +334,6 @@ impl RunMatcher {
                 let Some(label) = label.or_else(|| labels.label(v)) else {
                     return 0;
                 };
-                // A cold label that meets more than one stored
-                // counterpart is decoded once, for this feed only — not
-                // walked from its bytes once per pair. Against a single
-                // counterpart the walk, which stops where the two
-                // labels part, costs less than a whole decode.
-                let pairs =
-                    usize::from(is_from) * self.tos.len() + usize::from(is_to) * self.froms.len();
-                let decoded = match label {
-                    LabelRef::Encoded { .. } if pairs > 1 => label.to_label(),
-                    _ => None,
-                };
-                let label = decoded.as_ref().map_or(label, DrlLabel::view);
                 let (mut evaluated, mut link) = (0, None);
                 if is_from {
                     link = self.tos.iter().find_map(|&to| {

@@ -155,6 +155,98 @@ fn reach_allocates_nothing_in_any_tier() {
     }
 }
 
+/// `size`, divided by `WF_PROBE_SCALE` when it is set.
+fn scaled(size: usize) -> usize {
+    let scale = std::env::var("WF_PROBE_SCALE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1usize);
+    size / scale.max(1)
+}
+
+/// **The sealed-read probe** (`#[ignore]`d: it times reads, so it runs
+/// in release, on its own):
+///
+/// ```text
+/// cargo test --release --test alloc_free_reads -- --ignored --nocapture sealed_read_probe
+/// ```
+///
+/// One fixed-seed run of the running example and one of BioAID, about
+/// 2 000 events each (`WF_PROBE_SCALE=n` divides the sizes), and one
+/// fixed sample of vertex pairs asked through `RunHandle::reach` with the
+/// run hot, frozen and persisted. Per tier it prints one JSON line: the
+/// best of seven passes' ns per call, the allocations per call, and the
+/// share of the pairs whose two labels share a context (those decide
+/// from their two cells in every tier). Every tier answers every pair
+/// alike, and no read allocates. It lives here, beside the counting
+/// allocator it reads, rather than in a probe file of its own.
+#[test]
+#[ignore]
+fn sealed_read_probe() {
+    const PAIRS: usize = 4096;
+    const PASSES: usize = 7;
+    let specs = [
+        ("running-example", wf_spec::corpus::running_example(), 11),
+        ("bioaid", wf_spec::corpus::bioaid(), 12),
+    ];
+    for (name, spec, seed) in specs {
+        let dir = TempDir::new("probe");
+        let exec = generate(&spec, scaled(2000), seed);
+        let engine = engine(&spec, &dir);
+        let vertices: Vec<VertexId> = exec.events().iter().map(|e| e.vertex).collect();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            vertices[(state % vertices.len() as u64) as usize]
+        };
+        let pairs: Vec<(VertexId, VertexId)> = (0..PAIRS).map(|_| (draw(), draw())).collect();
+        let mut answers = None;
+        for tier in [Tier::Hot, Tier::Frozen, Tier::Persisted] {
+            let run = run_in_tier(&engine, &exec, tier);
+            let handle = engine.handle(run).unwrap();
+            let shared = pairs
+                .iter()
+                .filter(|&&(u, v)| {
+                    let (a, b) = (handle.label(u).unwrap(), handle.label(v).unwrap());
+                    let own = |l: &DrlLabel| l.entry(l.depth() - 1).unwrap().index;
+                    let prefix = |l: &DrlLabel| l.entries().take(l.depth() - 1).collect::<Vec<_>>();
+                    own(&a) == own(&b) && prefix(&a) == prefix(&b)
+                })
+                .count();
+            let answer: Vec<Option<bool>> =
+                pairs.iter().map(|&(u, v)| handle.reach(u, v)).collect();
+            assert!(answer.iter().all(Option::is_some), "{name} {tier}");
+            assert_eq!(
+                answers.get_or_insert_with(|| answer.clone()),
+                &answer,
+                "{name} {tier}"
+            );
+            let pass = || {
+                let started = std::time::Instant::now();
+                let reached = pairs
+                    .iter()
+                    .filter(|&&(u, v)| handle.reach(u, v) == Some(true))
+                    .count();
+                (started.elapsed(), reached)
+            };
+            let ((allocations, _), _) = allocated_by(pass);
+            let best = (0..PASSES).map(|_| pass().0).min().unwrap();
+            println!(
+                "{{\"probe\":\"sealed_read\",\"spec\":\"{name}\",\"tier\":\"{tier}\",\
+                 \"labels\":{},\"pairs\":{PAIRS},\"ns_per_call\":{:.1},\
+                 \"allocs_per_call\":{},\"same_context_share\":{:.3}}}",
+                vertices.len(),
+                best.as_nanos() as f64 / PAIRS as f64,
+                allocations as f64 / PAIRS as f64,
+                shared as f64 / PAIRS as f64,
+            );
+            assert_eq!(allocations, 0, "{name} {tier}");
+        }
+    }
+}
+
 /// One 1 500-event execution completed as two cold runs — frozen, then
 /// persisted — and how many of its events carry each module name.
 fn two_cold_runs(
@@ -243,6 +335,48 @@ fn cold_scans_and_catch_ups_hold_ids_not_decoded_labels() {
     assert!(
         retained <= 32 * relevant,
         "{retained} B retained by a subscription over {relevant} relevant vertices"
+    );
+}
+
+/// A linking scan over sealed runs evaluates its pairs off the arena in
+/// place: every pair climbs the two labels' trie paths, and nothing is
+/// decoded or allocated per pair — what a scan allocates is its id sets
+/// doubling, however many pairs it evaluates. The name pair is the one
+/// of the run's frequent names that never links (so every relevant pair
+/// is evaluated) with the most evaluations.
+#[test]
+fn a_linking_scan_over_sealed_runs_allocates_nothing_per_pair() {
+    let (_dir, engine, exec, runs, by_name) = two_cold_runs("pairs");
+    let mut frequent: Vec<NameId> = by_name
+        .iter()
+        .filter(|(_, &count)| count * 20 > exec.len())
+        .map(|(&name, _)| name)
+        .collect();
+    frequent.sort_by_key(|n| n.0);
+    let evaluated = |from, to| {
+        let before = engine.stats().queries_answered;
+        let linked = engine.query().runs_linking(from, to);
+        (linked, engine.stats().queries_answered - before)
+    };
+    let (from, to, pairs) = frequent
+        .iter()
+        .flat_map(|&a| frequent.iter().map(move |&b| (a, b)))
+        .filter(|&(a, b)| a != b)
+        .filter_map(|(a, b)| {
+            let (linked, pairs) = evaluated(a, b);
+            linked.is_empty().then_some((a, b, pairs))
+        })
+        .max_by_key(|&(a, b, pairs)| (pairs, a.0, b.0))
+        .expect("two frequent names that never link");
+    assert!(pairs > 10_000, "{pairs} pairs evaluated");
+    let matches = by_name[&from].max(by_name[&to]);
+    let doublings = u64::from(usize::BITS - matches.leading_zeros());
+    let budget = 8 + runs.len() as u64 * 3 * doublings;
+    let ((allocations, bytes), linked) = allocated_by(|| engine.query().runs_linking(from, to));
+    assert_eq!(linked, []);
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations ({bytes} B) evaluating {pairs} pairs, budget {budget}"
     );
 }
 
@@ -575,12 +709,13 @@ fn an_evicted_run_leaves_no_heap_behind() {
     );
 }
 
-/// A depth prefix is outside input: nothing may be sized from it before
-/// the buffer is known to be able to hold that many entries — neither in
-/// a standalone label nor in a prefix record of a label arena.
+/// A depth is outside input: nothing may be sized from it before the
+/// bytes are known to back it — neither a standalone label's prefix
+/// count nor a label arena's trie depth, which a label read into an owned
+/// copy is sized by.
 #[test]
 fn a_lying_depth_prefix_sizes_no_allocation() {
-    use wf_provenance::drl::{ArenaRef, Entry, LabelArena, NodeKind};
+    use wf_provenance::drl::{ArenaRef, Entry, LabelArena, NameTable, NodeKind};
     let mut prefix = wf_provenance::drl::encode::BitWriter::new();
     prefix.push_gamma(999_999);
     let lying = prefix.into_bytes();
@@ -593,8 +728,10 @@ fn a_lying_depth_prefix_sizes_no_allocation() {
         "bytes allocated for a {}-byte buffer",
         lying.len()
     );
-    // The same lie as the one prefix record of an arena, in place of a
-    // record of the same length.
+    // A three-entry prefix in an arena: its trie records 1–3 at depths
+    // 1–3. Record 1 made to claim depth 3 — more than a chain ending at
+    // record 1 can have — leaves the label unreadable, and reading it
+    // into an owned copy allocates nothing.
     let n = |index, g, v| Entry {
         index,
         kind: NodeKind::N,
@@ -605,12 +742,29 @@ fn a_lying_depth_prefix_sizes_no_allocation() {
         n(0, 0, 1),
         Entry::special(900, NodeKind::L),
         n(1, 1, 0),
+        n(2, 1, 1),
     ]);
-    let arena = LabelArena::build(4, [(VertexId(0), NameId(0), label.view())].into_iter());
-    let mut patched = arena.bytes().to_vec();
-    let at = patched.len() - lying.len();
-    patched[at..].copy_from_slice(&lying);
-    let reader = ArenaRef::new(&patched, 4).unwrap();
+    let names = NameTable::default();
+    let arena = LabelArena::build(
+        4,
+        &names,
+        [(VertexId(0), NameId(0), label.view())].into_iter(),
+    );
+    let bytes = arena.bytes();
+    // The trie is the stream's last 3 records; depth is its second field,
+    // after the 2-bit parent, 2 bits wide.
+    let widths = &bytes[12..27];
+    let trie_bits: usize = widths[8..].iter().map(|&w| usize::from(w)).sum();
+    assert_eq!((widths[8], widths[9]), (2, 2), "parent and depth widths");
+    let stream_bits = {
+        let cells: usize = widths[..4].iter().map(|&w| usize::from(w)).sum();
+        let contexts: usize = widths[4..8].iter().map(|&w| usize::from(w)).sum();
+        cells + contexts + 3 * trie_bits
+    };
+    let depth_at = (bytes.len() - stream_bits.div_ceil(8)) * 8 + (stream_bits - 3 * trie_bits) + 2;
+    let mut patched = bytes.to_vec();
+    patched[depth_at / 8] |= 0b11 << (depth_at % 8);
+    let reader = ArenaRef::new(&patched, 4, &names).unwrap();
     let ((_, bytes), decoded) = allocated_by(|| reader.label(VertexId(0)).unwrap().to_label());
     assert_eq!((decoded, bytes), (None, 0));
     assert!(reader.to_arena().is_err());

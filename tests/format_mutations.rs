@@ -1,5 +1,5 @@
 //! A structure-aware mutation suite over the on-disk formats: the
-//! write-ahead log's version-4 shards, the segment's version-5 blobs and
+//! write-ahead log's version-4 shards, the segment's version-6 blobs and
 //! the spill directory's version-1 seal log.
 //!
 //! A flipped bit is what the checksum is for, and the CRC refuses every
@@ -7,10 +7,12 @@
 //! case takes a valid shard or blob the engine wrote, changes one field
 //! as a field — a length or a LEB128 varint re-encoded to another value,
 //! a non-minimal, overlong or cut encoding, a count, a width, a
-//! presence word or its rank, a prefix record's entry count, a deleted
-//! or doubled field — and then **re-seals the CRC**, so the bytes reach
-//! the parsers behind it. (A frame's length prefix lies outside its CRC
-//! and is mutated without a re-seal.) Every case must end in:
+//! presence word or its rank, any field of a label arena's cell, context
+//! or trie record (a trie record's parent also pointed at itself or past
+//! it), a deleted or doubled field — and then **re-seals the CRC**, so
+//! the bytes reach the parsers behind it. (A frame's length prefix lies
+//! outside its CRC and is mutated without a re-seal.) Every case must
+//! end in:
 //!
 //! - no panic;
 //! - a typed refusal or a total read: a shard reads back as every frame
@@ -502,12 +504,21 @@ const HEADER_FIELDS: [(usize, usize); 9] = [
 ];
 /// Where the arena starts: behind the 60-byte header.
 const ARENA: usize = 60;
-/// The arena's layout header: id span, heap length, seven cell widths.
-const LAYOUT: usize = 8 + 7;
+/// The arena's layout header: id span, the context and trie record
+/// counts, fifteen field widths.
+const LAYOUT: usize = 12 + 15;
 /// One presence word and its rank.
 const GROUP: usize = 8 + 4;
-/// The cell field that names a label's prefix record.
-const PREFIX_FIELD: usize = 1;
+/// The three record regions of the arena's stream, in stream order, and
+/// their fields by name, in record order.
+const REGIONS: [(&str, &[&str]); 3] = [
+    ("cell", &["context", "vertex", "rec", "name"]),
+    ("context", &["prefix", "index", "kind", "graph"]),
+    (
+        "trie",
+        &["parent", "depth", "index", "kind", "graph", "vertex", "rec"],
+    ),
+];
 
 /// Write `width` bits of `value` at bit `at`, low bit first.
 fn set_bits(bytes: &mut [u8], at: usize, width: usize, value: u64) {
@@ -528,30 +539,48 @@ fn get_bits(bytes: &[u8], at: usize, width: usize) -> u64 {
     })
 }
 
+/// One record region of a valid blob's arena: where its records start
+/// (a bit of the blob), how many there are, and each field's width.
+struct Region {
+    start: usize,
+    count: usize,
+    widths: Vec<usize>,
+}
+
+impl Region {
+    /// Field `k` of record `r`: its bit in the blob and its width.
+    fn field(&self, r: usize, k: usize) -> (usize, usize) {
+        let bits: usize = self.widths.iter().sum();
+        let at = self.start + r * bits + self.widths[..k].iter().sum::<usize>();
+        (at, self.widths[k])
+    }
+}
+
 /// The arena's parts, read from a valid blob.
 struct Arena {
     span: usize,
-    widths: [usize; 7],
-    cells_at: usize,
-    count: usize,
-    heap_at: usize,
+    /// Cells, contexts, trie records, in stream order.
+    regions: [Region; 3],
 }
 
 fn arena_parts(blob: &[u8]) -> Arena {
     let arena = &blob[ARENA..blob.len() - 4];
     let word = |i: usize| u32::from_le_bytes(arena[i..i + 4].try_into().unwrap()) as usize;
-    let mut widths = [0; 7];
-    for (w, &b) in widths.iter_mut().zip(&arena[8..LAYOUT]) {
-        *w = usize::from(b);
-    }
     let span = word(0);
-    Arena {
-        span,
-        widths,
-        cells_at: ARENA + LAYOUT + span.div_ceil(64) * GROUP,
-        count: word_at(blob, 32, 4) as usize,
-        heap_at: ARENA + arena.len() - word(4),
-    }
+    let counts = [word_at(blob, 32, 4) as usize, word(4), word(8)];
+    let mut start = (ARENA + LAYOUT + span.div_ceil(64) * GROUP) * 8;
+    let mut widths = arena[12..LAYOUT].iter().map(|&w| usize::from(w));
+    let regions = [0, 1, 2].map(|i| {
+        let widths: Vec<usize> = widths.by_ref().take(REGIONS[i].1.len()).collect();
+        let region = Region {
+            start,
+            count: counts[i],
+            widths,
+        };
+        start += region.count * region.widths.iter().sum::<usize>();
+        region
+    });
+    Arena { span, regions }
 }
 
 fn word_at(blob: &[u8], at: usize, width: usize) -> u64 {
@@ -560,35 +589,70 @@ fn word_at(blob: &[u8], at: usize, width: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// One field-level mutation of a valid blob, not yet re-sealed.
-fn mutate_blob(draw: &mut Draw, blob: &[u8]) -> Vec<u8> {
+/// `blob` without its checksum, its record stream re-packed with field
+/// `f` of record `r` of region `i` set to `value` and that field `width`
+/// bits wide in every record of the region, and the layout header and
+/// the segment header's arena length to match.
+fn repacked(
+    blob: &[u8],
+    l: &Arena,
+    (i, r, f): (usize, usize, usize),
+    value: u64,
+    width: usize,
+) -> Vec<u8> {
+    let mut widths: Vec<Vec<usize>> = l.regions.iter().map(|g| g.widths.clone()).collect();
+    widths[i][f] = width;
+    let mut stream = wf_drl::encode::BitWriter::new();
+    for (g, region) in l.regions.iter().enumerate() {
+        for rec in 0..region.count {
+            for (k, &w) in widths[g].iter().enumerate() {
+                let (at, old) = region.field(rec, k);
+                let v = if (g, rec, k) == (i, r, f) {
+                    value
+                } else {
+                    get_bits(blob, at, old)
+                };
+                stream.push_bits(v, w);
+            }
+        }
+    }
+    let mut out = blob[..l.regions[0].start / 8].to_vec();
+    for (w, &new) in out[ARENA + 12..ARENA + LAYOUT]
+        .iter_mut()
+        .zip(widths.iter().flatten())
+    {
+        *w = new as u8;
+    }
+    out.extend(stream.into_bytes());
+    let arena = (out.len() - ARENA) as u64;
+    out[36..44].copy_from_slice(&arena.to_le_bytes());
+    out
+}
+
+/// One field-level mutation of a valid blob, not yet re-sealed, and the
+/// record field it changed (`None` for one outside the records).
+fn mutate_blob(draw: &mut Draw, blob: &[u8]) -> (Vec<u8>, Option<(usize, usize)>) {
     let l = arena_parts(blob);
     let mut out = blob[..blob.len() - 4].to_vec();
-    let cell_bits: usize = l.widths.iter().sum();
-    let cell = |r: usize, k: usize| {
-        (
-            l.cells_at * 8 + r * cell_bits + l.widths[..k].iter().sum::<usize>(),
-            l.widths[k],
-        )
-    };
-    match draw.below(8) {
+    let mut field = None;
+    match draw.below(9) {
         // A header field: a count, a length, a width, an id.
         0 | 1 => {
             let (at, width) = HEADER_FIELDS[draw.below(HEADER_FIELDS.len())];
             let v = draw.value(word_at(blob, at, width));
             out[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
         }
-        // The layout header: the id span, the heap length, a cell width.
-        2 => match draw.below(3) {
-            0 | 1 => {
-                let at = ARENA + 4 * draw.below(2);
+        // The layout header: the id span, a record count, a field width.
+        2 => match draw.below(4) {
+            0..=2 => {
+                let at = ARENA + 4 * draw.below(3);
                 let v = draw.value(word_at(blob, at, 4)) as u32;
                 out[at..at + 4].copy_from_slice(&v.to_le_bytes());
             }
             _ => {
-                let k = draw.below(7);
-                let v = draw.value(l.widths[k] as u64) % 48;
-                out[ARENA + 8 + k] = v as u8;
+                let k = draw.below(15);
+                let v = draw.value(u64::from(out[ARENA + 12 + k])) % 48;
+                out[ARENA + 12 + k] = v as u8;
             }
         },
         // A presence word or its rank.
@@ -607,21 +671,33 @@ fn mutate_blob(draw: &mut Draw, blob: &[u8]) -> Vec<u8> {
                 out[at + 8..at + 12].copy_from_slice(&v.to_le_bytes());
             }
         }
-        // One field of one cell, at another value of its width.
-        4 | 5 => {
-            let (at, width) = cell(draw.below(l.count), draw.below(7));
-            let v = draw.value(get_bits(&out, at, width)) & ((1 << width) - 1);
-            set_bits(&mut out, at, width, v);
-        }
-        // A prefix record's entry count, γ-coded anew.
-        6 => {
-            let (at, width) = cell(draw.below(l.count), PREFIX_FIELD);
-            let record = l.heap_at + get_bits(&out, at, width) as usize;
-            let mut w = wf_drl::encode::BitWriter::new();
-            w.push_gamma(draw.value(4).max(1));
-            let gamma = w.into_bytes();
-            let end = (record + gamma.len()).min(out.len());
-            out[record..end].copy_from_slice(&gamma[..end - record]);
+        // One field of one record — a cell, a context or a trie record —
+        // at another value of its width. A trie link also gets the
+        // values that would close a loop: the record itself, one after.
+        k @ 4..=7 => {
+            let i = (k - 4).min(2);
+            let region = &l.regions[i];
+            let f = draw.below(REGIONS[i].1.len());
+            let r = draw.below(region.count);
+            let (at, width) = region.field(r, f);
+            let looped = i == 2 && f == 0 && draw.below(3) == 0;
+            let v = if looped {
+                (r + 1 + draw.below(2)) as u64
+            } else {
+                draw.value(get_bits(&out, at, width))
+            };
+            // A field 0 bits wide — a name that is its spec vertex's, an
+            // own kind that is `N` — holds no value to change in place:
+            // it, and one draw in three of any other, is re-encoded with
+            // its width grown to hold the new value (at most 47 bits), and
+            // the whole record stream re-packed behind it.
+            if width == 0 || draw.below(3) == 0 {
+                let grown = (64 - v.leading_zeros() as usize).clamp(width, 47);
+                out = repacked(blob, &l, (i, r, f), v & ((1 << grown) - 1), grown);
+            } else {
+                set_bits(&mut out, at, width, v & ((1 << width) - 1));
+            }
+            field = Some((i, f));
         }
         // Bytes cut out of or doubled inside the arena, the header's
         // length fixed up to match or left as it was.
@@ -640,13 +716,15 @@ fn mutate_blob(draw: &mut Draw, blob: &[u8]) -> Vec<u8> {
             }
         }
     }
-    out
+    (out, field)
 }
 
 /// Mutate one field of a valid blob, re-seal it, and read it back: a
 /// typed refusal, or a blob that re-encodes to itself and whose every
 /// label decodes; and — one case in [`ENGINE_EVERY`] — the same bytes as
-/// the one pack of a spill directory an engine opens.
+/// the one pack of a spill directory an engine opens. Every field of
+/// every record kind — cell, context, trie — is mutated, each counted
+/// by name.
 #[test]
 fn mutated_segment_fields_are_refused_or_read_totally() {
     let cases = cases();
@@ -682,10 +760,15 @@ fn mutated_segment_fields_are_refused_or_read_totally() {
     assert_eq!(blob.len() as u64, len);
     let skeleton = TclSpecLabels::build(&spec);
     let predicate = DrlPredicate::new(&skeleton);
-    let mut draw = Draw::new(SEED, u64::from_le_bytes(*b"blob v5\0"));
+    let names = wf_drl::NameTable::new(&spec);
+    let mut draw = Draw::new(SEED, u64::from_le_bytes(*b"blob v6\0"));
     let (mut refused, mut accepted, mut framed, mut engines) = (0, 0, 0, 0);
+    let mut mutated: Vec<Vec<usize>> = REGIONS.iter().map(|(_, f)| vec![0; f.len()]).collect();
     for case in 0..cases {
-        let mut bytes = mutate_blob(&mut draw, &blob);
+        let (mut bytes, field) = mutate_blob(&mut draw, &blob);
+        if let Some((region, f)) = field {
+            mutated[region][f] += 1;
+        }
         let checksum = crc32c(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
 
@@ -693,7 +776,7 @@ fn mutated_segment_fields_are_refused_or_read_totally() {
             snapshot::verify_segment_bytes(&bytes)
         });
         let decoded = bounded("blob decode", bytes.len(), || {
-            snapshot::decode_segment(&bytes)
+            snapshot::decode_segment(&bytes, &names)
         });
         match decoded {
             Err(SnapshotError::Format(_)) => refused += 1,
@@ -704,7 +787,7 @@ fn mutated_segment_fields_are_refused_or_read_totally() {
                     snapshot::encode_segment(&header, &arena) == bytes,
                     "case {case}: re-encode"
                 );
-                let view = arena.view();
+                let view = arena.view(&names);
                 let heap = arena.bytes().len();
                 for (v, name, label) in view.iter() {
                     assert_eq!(view.name(v), Some(name), "case {case}");
@@ -727,7 +810,7 @@ fn mutated_segment_fields_are_refused_or_read_totally() {
         if let Ok(header) = verified {
             let arena = &bytes[ARENA..bytes.len() - 4];
             let skl_bits = header.skl_bits as usize;
-            if let Ok(reader) = wf_drl::ArenaRef::new(arena, skl_bits) {
+            if let Ok(reader) = wf_drl::ArenaRef::new(arena, skl_bits, &names) {
                 framed += 1;
                 let probes: Vec<VertexId> = reader.names().map(|(v, _)| v).collect();
                 for &u in &probes {
@@ -775,11 +858,26 @@ fn mutated_segment_fields_are_refused_or_read_totally() {
         refused > 0 && accepted > 0,
         "{refused} refused, {accepted} accepted"
     );
+    let per_field: Vec<String> = REGIONS
+        .iter()
+        .zip(&mutated)
+        .flat_map(|((region, fields), counts)| {
+            fields
+                .iter()
+                .zip(counts)
+                .map(move |(f, n)| format!("{region}.{f} {n}"))
+        })
+        .collect();
+    assert!(
+        mutated.iter().flatten().all(|&n| n > 0),
+        "a record field never mutated: {per_field:?}"
+    );
     println!(
         "segment mutations: seed {SEED:#x}, {cases} cases over a {}-byte blob ({refused} \
          refused, {accepted} read totally, {framed} arenas read unvalidated behind sound \
-         framing, {engines} engine opens) in {:.2?}",
+         framing, {engines} engine opens; record fields mutated: {}) in {:.2?}",
         blob.len(),
+        per_field.join(", "),
         started.elapsed()
     );
 }

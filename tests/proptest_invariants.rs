@@ -228,9 +228,10 @@ proptest! {
     /// engine's hot index, which keeps each array once in its prefix table
     /// and lends a cell plus its table slot (or decides two cells of one
     /// context from the cells alone), two label arenas — one sealed from
-    /// the hot index, each array one prefix record, and one from the
-    /// rebuilt labels, a record per label — read through their cells and
-    /// prefix cursors, and the naive Ω(n)-bit scheme agree on every pair,
+    /// the hot index under the spec's name table, and one from the
+    /// rebuilt labels, every name spelled out in its cell — read through
+    /// their cells and by climbing their prefix tries, and the naive
+    /// Ω(n)-bit scheme agree on every pair,
     /// arena × arena, arena × hot, arena × decoded and arena × rebuilt,
     /// both corpus grammars, both resolution modes; every form of a label
     /// has one name, one bit length and one encoding, and reads back as
@@ -281,12 +282,14 @@ proptest! {
             })
             .collect();
         labeled.sort_by_key(|(v, ..)| *v);
-        let sealed = LabelArena::build(bits, index.iter());
+        let (names, spelled) = (wf_drl::NameTable::new(&spec), wf_drl::NameTable::default());
+        let sealed = LabelArena::build(bits, &names, index.iter());
         let private = LabelArena::build(
             bits,
+            &spelled,
             labeled.iter().map(|(v, name, _, rebuilt, _)| (*v, *name, rebuilt.view())),
         );
-        let (sealed, private) = (sealed.view(), private.view());
+        let (sealed, private) = (sealed.view(&names), private.view(&spelled));
         prop_assert_eq!((sealed.len(), private.len()), (labeled.len(), labeled.len()));
         prop_assert!(sealed.iter().map(|(v, n, _)| (v, n)).eq(private.names()));
         for (v, name, label, rebuilt, bytes) in &labeled {

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use wf_drl::{Entry, NodeKind};
+use wf_drl::{Entry, NameTable, NodeKind};
 use wf_provenance::prelude::*;
 use wf_service::snapshot::{self, Seal};
 use wf_service::wal::crc32c;
@@ -224,14 +224,105 @@ fn kind_code(kind: NodeKind) -> u64 {
     }
 }
 
-/// A v4 label arena restated from the labels alone, in vertex order: the
+/// A v6 label arena restated from the labels alone, in vertex order: the
+/// layout header (id span, the context and trie record counts, the width
+/// of each field), a presence word with its rank per 64 ids, then one bit
+/// stream of records, each field as wide as its largest value: a cell per
+/// label — context, skeleton vertex, rec code, name code (0 when the
+/// name is the spec vertex's, else name + 1) — then a context record per
+/// distinct (prefix, own index, kind, graph) — prefix, index, kind, graph
+/// — then a trie record per distinct (parent, entry), root first as the
+/// labels meet them — parent, depth, index, kind, graph, skeleton vertex,
+/// rec code. A prefix and a parent are a record's number plus one, 0 for
+/// none; every other record number counts from 0.
+fn restate_arena(spec: &Specification, labels: &[(ExecEvent, DrlLabel)]) -> Vec<u8> {
+    use std::collections::HashMap;
+    fn numbered<K: std::hash::Hash + Eq, const N: usize>(
+        map: &mut HashMap<K, u32>,
+        rows: &mut Vec<[u64; N]>,
+        key: K,
+        row: [u64; N],
+    ) -> u32 {
+        *map.entry(key).or_insert_with(|| {
+            rows.push(row);
+            rows.len() as u32 - 1
+        })
+    }
+    let fields = |e: &Entry| -> [u64; 5] {
+        let (g, v) = e.skl.map_or((0, 0), |(g, v)| (g.0, v.0));
+        let rec = e
+            .rec
+            .map_or(0, |(r1, r2)| 1 + 2 * u64::from(r1) + u64::from(r2));
+        [e.index.into(), kind_code(e.kind), g.into(), v.into(), rec]
+    };
+    let (mut trie, mut trie_rows) = (HashMap::new(), Vec::<[u64; 7]>::new());
+    let (mut contexts, mut context_rows) = (HashMap::new(), Vec::<[u64; 4]>::new());
+    let mut cells = Vec::<[u64; 4]>::new();
+    for (ev, label) in labels {
+        let entries: Vec<Entry> = label.entries().copied().collect();
+        let (last, prefix) = entries.split_last().unwrap();
+        let mut parent = 0u64;
+        for (depth, e) in (1u64..).zip(prefix) {
+            let [i, k, g, v, r] = fields(e);
+            let row = [parent, depth, i, k, g, v, r];
+            parent = u64::from(numbered(&mut trie, &mut trie_rows, (parent, *e), row)) + 1;
+        }
+        let [index, kind, graph, vertex, rec] = fields(last);
+        let key = [parent, index, kind, graph];
+        let context = numbered(&mut contexts, &mut context_rows, key, key);
+        let (g, v) = last.skl.unwrap();
+        let own = spec.graph(g).name(v);
+        let code = if own == ev.name {
+            0
+        } else {
+            u64::from(ev.name.0) + 1
+        };
+        cells.push([context.into(), vertex, rec, code]);
+    }
+    fn widths<const N: usize>(rows: &[[u64; N]]) -> Vec<u8> {
+        (0..N)
+            .map(|k| (64 - rows.iter().map(|r| r[k]).max().unwrap_or(0).leading_zeros()) as u8)
+            .collect()
+    }
+    let (cell_w, context_w, trie_w) = (widths(&cells), widths(&context_rows), widths(&trie_rows));
+    let span = labels.last().unwrap().0.vertex.0 + 1;
+    let counts = [span, context_rows.len() as u32, trie_rows.len() as u32];
+    let mut arena: Vec<u8> = counts.iter().flat_map(|c| c.to_le_bytes()).collect();
+    arena.extend(cell_w.iter().chain(&context_w).chain(&trie_w));
+    let mut before = 0u32;
+    for word in 0..span.div_ceil(64) {
+        let bits = labels
+            .iter()
+            .map(|(ev, _)| ev.vertex.0)
+            .filter(|v| v / 64 == word)
+            .fold(0u64, |bits, v| bits | 1 << (v % 64));
+        arena.extend(bits.to_le_bytes());
+        arena.extend(before.to_le_bytes());
+        before += bits.count_ones();
+    }
+    let mut packed = wf_drl::encode::BitWriter::new();
+    let regions: [(&[u64], &[u8]); 3] = [
+        (cells.as_flattened(), &cell_w),
+        (context_rows.as_flattened(), &context_w),
+        (trie_rows.as_flattened(), &trie_w),
+    ];
+    for (rows, widths) in regions {
+        for (field, width) in rows.iter().zip(widths.iter().cycle()) {
+            packed.push_bits(*field, usize::from(*width));
+        }
+    }
+    arena.extend(packed.into_bytes());
+    arena
+}
+
+/// A v5 label arena restated from the labels alone, in vertex order: the
 /// layout header (id span, prefix-heap length, the width of each cell
 /// field), a presence word with its rank per 64 ids, one cell per label
 /// bit-packed at the widths of the run — name, prefix offset, own index,
 /// kind, graph, skeleton vertex, rec code — and each distinct prefix
 /// array once (labels carrying one array carry one number), as its
 /// entry count + 1 and its entries, from a byte boundary.
-fn restate_arena(labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
+fn restate_v5_arena(labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
     let mut heap = Vec::new();
     let mut records = std::collections::HashMap::new();
     let cells: Vec<[u32; 7]> = labels
@@ -285,6 +376,20 @@ fn restate_arena(labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
     arena
 }
 
+/// The format-v5 blob of the run a v6 blob holds: its header under
+/// version 5 and the v5 arena length, then the v5 arena — the γ-coded
+/// prefix heap — and a fresh CRC-32C.
+fn v5_blob(v6: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<u8> {
+    let arena = restate_v5_arena(labels, skl_bits);
+    let mut v5 = v6[..60].to_vec();
+    v5[8..12].copy_from_slice(&5u32.to_le_bytes());
+    v5[36..44].copy_from_slice(&(arena.len() as u64).to_le_bytes());
+    v5.extend(arena);
+    let checksum = crc32c(&v5);
+    v5.extend_from_slice(&checksum.to_le_bytes());
+    v5
+}
+
 /// The format-v4 blob of a v5 blob: the same header and arena under
 /// version 4, sealed by the `u64` FNV-1a trailer v4 carried instead of
 /// the CRC-32C.
@@ -317,10 +422,11 @@ fn v3_blob(v5: &[u8], labels: &[(ExecEvent, DrlLabel)], skl_bits: usize) -> Vec<
     v3
 }
 
-/// Behind its 60-byte header a segment is the v4 label arena, byte for
-/// byte, and a CRC-32C of both closes it (format v5): restated here from
-/// the labels alone it equals what the engine spilled; a blob decodes
-/// and re-encodes to itself; and a directory
+/// Behind its 60-byte header a segment is the v6 label arena — the
+/// context trie — byte for byte, and a CRC-32C of both closes it (format
+/// v6): restated here from the labels alone it equals what the engine
+/// spilled, its name field 0 bits wide; a blob decodes and re-encodes to
+/// itself; and a directory
 /// assembled by hand from such bytes (what any earlier engine of this
 /// format left behind) opens and answers every oracle pair.
 #[test]
@@ -348,7 +454,7 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         naive.insert(ev.vertex, &ev.preds);
     }
     let word = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
-    assert_eq!(word(8), 5, "format version");
+    assert_eq!(word(8), 6, "format version");
     assert_eq!(word(24) as usize, skl_bits);
     assert_eq!(word(32) as usize, labels.len(), "count");
     let body = &blob[HEADER..blob.len() - 4];
@@ -357,14 +463,16 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
         body.len() as u64
     );
     assert!(
-        body == restate_arena(&labels, skl_bits),
-        "layout ‖ presence ‖ cells ‖ prefix heap"
+        body == restate_arena(&spec, &labels),
+        "layout ‖ presence ‖ cells ‖ contexts ‖ trie"
     );
+    assert_eq!(body[12 + 3], 0, "an engine's names cost no bits");
     assert_eq!(
         blob[blob.len() - 4..],
         crc32c(&blob[..blob.len() - 4]).to_le_bytes()
     );
-    let (header, arena) = snapshot::decode_segment(&blob).unwrap();
+    let names = NameTable::new(&spec);
+    let (header, arena) = snapshot::decode_segment(&blob, &names).unwrap();
     assert!(
         snapshot::encode_segment(&header, &arena) == blob,
         "re-encode"
@@ -404,10 +512,77 @@ fn segment_bytes_are_unchanged_and_a_directory_of_them_answers_every_pair() {
     }
 }
 
+/// The sealed form's size, held where the context trie (segment v6) put
+/// it: a fixed-seed running-example run and a fixed-seed BioAID run of
+/// about 2 000 events each, sealed and persisted by an engine, spend at
+/// most their measured arena bytes per label plus 5 %. The γ-coded
+/// prefix heap of v5 spent 6.00 and 4.02 B on the same labels. Each
+/// run's split — layout, presence words, cells, contexts, trie — is
+/// printed (`--nocapture`).
+#[test]
+fn sealed_bytes_per_label_hold_the_context_trie_figure() {
+    let runs = [
+        (
+            "running-example",
+            wf_spec::corpus::running_example(),
+            11,
+            4.14,
+        ),
+        ("bioaid", wf_spec::corpus::bioaid(), 12, 2.00),
+    ];
+    for (name, spec, seed, measured) in runs {
+        let dir = TempDir::new("sealed-bytes");
+        let gen = RunGenerator::new(&spec)
+            .target_size(2000)
+            .generate_run(&mut StdRng::seed_from_u64(seed));
+        let exec = Execution::deterministic(&gen.graph, &gen.origin);
+        let engine: WfEngine = WfEngine::builder()
+            .spec(spec.clone())
+            .spill_dir(&dir.0)
+            .build();
+        let run = persist_one(&engine, &exec);
+        let blob = std::fs::read(pack_path(&dir.0, run)).unwrap();
+        let arena = &blob[60..blob.len() - 4];
+        let word = |at: usize| u32::from_le_bytes(arena[at..at + 4].try_into().unwrap()) as usize;
+        let (span, contexts, trie) = (word(0), word(4), word(8));
+        let widths: Vec<usize> = arena[12..27].iter().map(|&w| usize::from(w)).collect();
+        let labels = exec.len();
+        let bits = |count: usize, fields: &[usize]| count * fields.iter().sum::<usize>();
+        let parts = [
+            ("layout", 27.0 * 8.0),
+            ("presence", (span.div_ceil(64) * 12 * 8) as f64),
+            ("cells", bits(labels, &widths[..4]) as f64),
+            ("contexts", bits(contexts, &widths[4..8]) as f64),
+            ("trie", bits(trie, &widths[8..]) as f64),
+        ];
+        let per_label = arena.len() as f64 / labels as f64;
+        let split: Vec<String> = parts
+            .iter()
+            .map(|(part, bits)| format!("{part} {:.2}", bits / 8.0 / labels as f64))
+            .collect();
+        println!(
+            "{name}: {labels} labels, {contexts} contexts, {trie} trie records, \
+             {per_label:.2} B per label ({})",
+            split.join(", ")
+        );
+        let total: f64 = parts.iter().map(|(_, bits)| bits).sum();
+        assert_eq!(
+            (total / 8.0).ceil() as usize,
+            arena.len(),
+            "{name}: the parts fill the arena"
+        );
+        assert!(
+            per_label <= measured * 1.05,
+            "{name}: {per_label:.3} B per label, measured {measured}"
+        );
+    }
+}
+
 /// There is one segment format, and a spill directory has one index, its
-/// seal log. A well-formed **v1**, **v2**, **v3** and **v4 blob** — v3
-/// being the slot table over whole encoded labels, v4 today's layout
-/// under a `u64` FNV-1a — is each rejected with a typed
+/// seal log. A well-formed **v1**, **v2**, **v3**, **v4** and **v5 blob**
+/// — v3 being the slot table over whole encoded labels, v5 the cells over
+/// a γ-coded prefix heap under a CRC-32C, v4 that layout under a `u64`
+/// FNV-1a — is each rejected with a typed
 /// [`SnapshotError::Format`] naming what it is — never guessed at — and
 /// an engine built over any of them still comes up and serves fresh
 /// runs. A directory holding a **v1 manifest** is refused: the engine
@@ -431,28 +606,31 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
     let log_path = dir.0.join(snapshot::SEAL_LOG_FILE);
-    let v5 = std::fs::read(&path).unwrap();
+    let v6 = std::fs::read(&path).unwrap();
     let [Seal::Sealed { pack, .. }] = seals(&dir.0)[..] else {
         panic!("one seal record");
     };
+    let names = NameTable::new(&spec);
     assert!(
-        snapshot::decode_segment(&v5).is_ok(),
-        "the v5 blob is sound"
+        snapshot::decode_segment(&v6, &names).is_ok(),
+        "the v6 blob is sound"
     );
     let (skl_bits, labels) = labeled(&spec, &exec);
+    let v5 = v5_blob(&v6, &labels, skl_bits);
     let v3 = v3_blob(&v5, &labels, skl_bits);
 
-    for version in [1, 2, 3, 4] {
+    for version in [1, 2, 3, 4, 5] {
         // The older blob: framing and checksum are intact, only the
         // version is one this engine does not read.
         let old = match version {
+            5 => v5.clone(),
             4 => v4_blob(&v5),
             3 => v3.clone(),
             _ => downgrade(&v3, version),
         };
         for res in [
             snapshot::verify_segment_bytes(&old).map(|_| ()),
-            snapshot::decode_segment(&old).map(|_| ()),
+            snapshot::decode_segment(&old, &names).map(|_| ()),
         ] {
             match res {
                 Err(SnapshotError::Format(msg)) => {
@@ -493,9 +671,9 @@ fn v1_blobs_and_manifests_are_rejected_and_the_engine_still_builds() {
     // the seal log. The engine cannot tell which packs it names, so it
     // leaves the directory byte for byte — the manifest, the log, and
     // every pack through a compaction — and refuses to write there.
-    std::fs::write(&path, &v5).unwrap();
+    std::fs::write(&path, &v6).unwrap();
     let name = path.file_name().unwrap().to_str().unwrap();
-    let v1 = format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v5.len());
+    let v1 = format!("wf-tier-manifest v1\n{} {name} {}\n", run.0, v6.len());
     let manifest_path = dir.0.join("wf-tier-manifest.txt");
     std::fs::write(&manifest_path, &v1).unwrap();
     let packs = dir_bytes(&dir.0);
@@ -1291,6 +1469,7 @@ fn a_persist_whose_seal_record_fails_stays_frozen() {
 fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
     let dir = TempDir::new("trunc");
     let spec = wf_spec::corpus::running_example();
+    let names = NameTable::new(&spec);
     let mut rng = StdRng::seed_from_u64(77);
     let gen = RunGenerator::new(&spec)
         .target_size(60)
@@ -1307,14 +1486,14 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
     let seg_path = pack_path(&dir.0, run);
     let bytes = std::fs::read(&seg_path).unwrap();
     assert!(
-        snapshot::decode_segment(&bytes).is_ok(),
+        snapshot::decode_segment(&bytes, &names).is_ok(),
         "intact segment loads"
     );
 
     // Every strict prefix is rejected with a Format error — never a
     // panic, never a half-loaded arena.
     for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
-        match snapshot::decode_segment(&bytes[..cut]) {
+        match snapshot::decode_segment(&bytes[..cut], &names) {
             Err(SnapshotError::Format(_)) => {}
             other => panic!("truncation at {cut} not rejected: {other:?}"),
         }
@@ -1325,7 +1504,7 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x40;
         assert!(
-            snapshot::decode_segment(&bad).is_err(),
+            snapshot::decode_segment(&bad, &names).is_err(),
             "bit flip at {pos} accepted"
         );
     }
@@ -1372,6 +1551,7 @@ fn truncated_or_corrupt_snapshots_are_rejected_cleanly() {
 fn a_header_skl_bits_over_32_is_a_typed_format_error() {
     let dir = TempDir::new("skl-bits");
     let spec = wf_spec::corpus::running_example();
+    let names = NameTable::new(&spec);
     let mut rng = StdRng::seed_from_u64(32);
     let gen = RunGenerator::new(&spec)
         .target_size(40)
@@ -1386,9 +1566,10 @@ fn a_header_skl_bits_over_32_is_a_typed_format_error() {
     let run = persist_one(&build(), &exec);
     let path = pack_path(&dir.0, run);
     let sound = std::fs::read(&path).unwrap();
-    // The header's pointer width, then the layout's width of the cell's
-    // own-index field (after the id span and the heap length).
-    for (at, width, named) in [(24, 200u32, "width 200"), (60 + 8 + 2, 40, "width 40")] {
+    // The header's pointer width, then the layout's width of the
+    // context's own-index field (after the id span, the two record
+    // counts and the four cell widths).
+    for (at, width, named) in [(24, 200u32, "width 200"), (60 + 12 + 4 + 1, 40, "width 40")] {
         let mut blob = sound.clone();
         if at == 24 {
             blob[at..at + 4].copy_from_slice(&width.to_le_bytes());
@@ -1397,7 +1578,7 @@ fn a_header_skl_bits_over_32_is_a_typed_format_error() {
         }
         restamp(&mut blob);
 
-        match snapshot::decode_segment(&blob) {
+        match snapshot::decode_segment(&blob, &names) {
             Err(SnapshotError::Format(msg)) => assert!(msg.contains(named), "{msg}"),
             other => panic!("{named} not rejected as a format error: {other:?}"),
         }
@@ -1478,15 +1659,16 @@ fn every_burst_of_up_to_32_bits_in_a_blob_is_refused() {
 /// re-stamped so the arena itself must answer for it: the decoder either
 /// refuses it with a typed format error or hands back an arena whose
 /// every read is total: each name and label reads back and decodes, and
-/// every pair gets one answer from the cells and the walk — `None` for a
+/// every pair gets one answer from the cells and the climb — `None` for a
 /// shape no labeler issues or a skeleton pointer that names no spec
 /// vertex, never a panic. The unvalidated reader over the same bytes
 /// (what a frame serves once the framing holds) never panics either,
-/// whatever the cells and the prefix records say.
+/// whatever the cells, the context records and the trie say.
 #[test]
 fn every_cut_and_bit_flip_of_a_blob_is_refused_or_reads_totally() {
     let dir = TempDir::new("corpus");
     let spec = wf_spec::corpus::running_example();
+    let names = NameTable::new(&spec);
     let gen = RunGenerator::new(&spec)
         .target_size(40)
         .generate_run(&mut StdRng::seed_from_u64(41));
@@ -1507,11 +1689,11 @@ fn every_cut_and_bit_flip_of_a_blob_is_refused_or_reads_totally() {
     );
     let (mut refused, mut accepted) = (0, 0);
     let mut check = |bytes: &[u8]| {
-        match snapshot::decode_segment(bytes) {
+        match snapshot::decode_segment(bytes, &names) {
             Err(SnapshotError::Format(_)) => refused += 1,
             Ok((header, arena)) => {
                 accepted += 1;
-                let view = arena.view();
+                let view = arena.view(&names);
                 for (v, name, label) in view.iter() {
                     assert_eq!(view.name(v), Some(name));
                     assert!(label.to_label().is_some(), "{v:?}");
@@ -1531,7 +1713,7 @@ fn every_cut_and_bit_flip_of_a_blob_is_refused_or_reads_totally() {
             return;
         };
         let skl_bits = u32::from_le_bytes(bytes[24..28].try_into().unwrap()) as usize;
-        if let Ok(reader) = wf_drl::ArenaRef::new(arena, skl_bits) {
+        if let Ok(reader) = wf_drl::ArenaRef::new(arena, skl_bits, &names) {
             let probes = vertices.iter().copied().chain([VertexId(1 << 20)]);
             for u in probes.clone() {
                 let _ = (reader.name(u), reader.label(u).map(|l| l.bit_len(skl_bits)));
